@@ -14,13 +14,21 @@ use serde::{Deserialize, Serialize};
 /// Bounded by the width of the booking bitmap (one bit per thread).
 pub const MAX_BLOCK_THREADS: usize = 64;
 
+/// Largest accepted [`MatchConfig::ring_capacity`]: every communicator shard
+/// allocates that many slots rounded up to a power of two, so an unbounded
+/// value from a command line overflows the rounding or aborts the allocator.
+const MAX_RING_CAPACITY: usize = 1 << 20;
+
 /// How the drain coordinator packs queued arrivals into optimistic blocks.
 ///
 /// MPI only constrains matching order *within* a communicator, so commands on
 /// different communicators may be reordered freely without changing any
 /// observable match outcome. The packing policy decides whether the drain
-/// exploits that freedom (§IV-E execution-group scheduling).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// exploits that freedom (§IV-E execution-group scheduling). It is not a
+/// configuration field: the engine drains [`PackingPolicy::CrossComm`] unless
+/// its runtime selector (driven by the feedback controller from the observed
+/// active-lane count) says otherwise.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PackingPolicy {
     /// Pack only *consecutive* arrivals from the global submission order.
     /// Any interleaved post — or an arrival on another communicator followed
@@ -30,62 +38,7 @@ pub enum PackingPolicy {
     /// Reorder across communicators: assemble blocks from the FIFO heads of
     /// per-communicator lanes, hoisting posts ahead of other communicators'
     /// arrivals. Per-communicator order is still strictly preserved.
-    #[default]
     CrossComm,
-}
-
-/// How host threads hand commands to the drain coordinator (§IV-E's QP
-/// command queues).
-///
-/// The submission path decides what a concurrent post/arrival submitter
-/// contends on: the legacy mutex FIFO serializes every submitter *and* the
-/// drain on one lock, while the per-communicator rings make submission
-/// wait-free — a submitter only CASes its own communicator's ring tail, and
-/// the drain consumes from the other end.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SubmissionPath {
-    /// One mutex-guarded global FIFO (the pre-ring behaviour, kept for A/B
-    /// comparison). Submission blocks on the queue lock; ring capacity is
-    /// ignored and submissions never report
-    /// [`MatchError::SubmissionRingFull`].
-    Mutex,
-    /// One bounded MPSC ring per communicator shard. Submission is
-    /// wait-free; a full ring reports the retryable
-    /// [`MatchError::SubmissionRingFull`] backpressure signal instead of
-    /// blocking.
-    #[default]
-    Ring,
-}
-
-/// How the sender-side reliability protocol repairs a lossy wire.
-///
-/// Both modes share the same receive-side contract — sequenced packets are
-/// delivered to the matching engine strictly in order, so the chaos
-/// oracle's matched-pairs-identical invariant holds under either — but they
-/// pay very different retransmit bills for it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ReliabilityMode {
-    /// Blanket go-back-N (the pre-selective-repeat behaviour, kept for A/B
-    /// comparison): on timeout the whole unacked window is resent and the
-    /// receiver discards every out-of-order packet. Simple, but a single
-    /// drop can cost a full window of retransmissions.
-    GoBackN,
-    /// Selective repeat: the receiver stages out-of-order packets in a
-    /// bounded buffer and advertises them as SACK blocks on its cumulative
-    /// acks; the sender retransmits only the holes, times out on a smoothed
-    /// virtual-time RTT estimate, and sizes its unacked window adaptively.
-    #[default]
-    SelectiveRepeat,
-}
-
-impl ReliabilityMode {
-    /// The mode label used across artifacts and bench reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            ReliabilityMode::GoBackN => "go-back-n",
-            ReliabilityMode::SelectiveRepeat => "selective-repeat",
-        }
-    }
 }
 
 /// Tunable parameters of the optimistic matching engine and of the bin-based
@@ -115,10 +68,6 @@ pub struct MatchConfig {
     /// Enable lazy removal of consumed receives from bin chains (§IV-D).
     /// When disabled, the consuming thread eagerly unlinks under the bin lock.
     pub lazy_removal: bool,
-    /// How the command-queue drain packs arrivals into blocks (defaults to
-    /// cross-communicator reordering; see [`PackingPolicy`]).
-    #[serde(default)]
-    pub packing: PackingPolicy,
     /// Cap on the number of arrivals one communicator lane may contribute to
     /// a single block under [`PackingPolicy::CrossComm`]. `None` (the
     /// default) keeps the greedy fill — one deep lane may own the whole
@@ -128,15 +77,10 @@ pub struct MatchConfig {
     /// [`PackingPolicy::Consecutive`].
     #[serde(default)]
     pub lane_quota: Option<usize>,
-    /// How submitters hand commands to the drain coordinator (defaults to
-    /// per-communicator wait-free rings; see [`SubmissionPath`]).
-    #[serde(default)]
-    pub submission: SubmissionPath,
-    /// Capacity of each communicator's submission ring under
-    /// [`SubmissionPath::Ring`] (rounded up to a power of two by the ring).
-    /// A full ring reports the retryable
-    /// [`MatchError::SubmissionRingFull`] backpressure signal. Ignored under
-    /// [`SubmissionPath::Mutex`]. Must be >= 1.
+    /// Capacity of each communicator's submission ring (rounded up to a
+    /// power of two by the ring). A full ring reports the retryable
+    /// [`MatchError::SubmissionRingFull`] backpressure signal. Must be in
+    /// `1..=1 << 20`.
     #[serde(default = "default_ring_capacity")]
     pub ring_capacity: usize,
 }
@@ -161,9 +105,7 @@ impl Default for MatchConfig {
             fast_path: true,
             early_booking_check: false,
             lazy_removal: true,
-            packing: PackingPolicy::CrossComm,
             lane_quota: None,
-            submission: SubmissionPath::Ring,
             ring_capacity: default_ring_capacity(),
         }
     }
@@ -231,13 +173,6 @@ impl MatchConfig {
         self
     }
 
-    /// Selects the drain's block-packing policy.
-    #[must_use]
-    pub fn with_packing(mut self, packing: PackingPolicy) -> Self {
-        self.packing = packing;
-        self
-    }
-
     /// Caps the arrivals one lane contributes per cross-comm block
     /// (`None` = unlimited greedy fill).
     #[must_use]
@@ -246,15 +181,8 @@ impl MatchConfig {
         self
     }
 
-    /// Selects the command submission path (mutex FIFO vs per-comm rings).
-    #[must_use]
-    pub fn with_submission(mut self, path: SubmissionPath) -> Self {
-        self.submission = path;
-        self
-    }
-
     /// Sets the per-communicator submission-ring capacity (rounded up to a
-    /// power of two by the ring; ignored under [`SubmissionPath::Mutex`]).
+    /// power of two by the ring).
     #[must_use]
     pub fn with_ring_capacity(mut self, capacity: usize) -> Self {
         self.ring_capacity = capacity;
@@ -288,10 +216,11 @@ impl MatchConfig {
                 "lane_quota must be >= 1 when set".into(),
             ));
         }
-        if self.ring_capacity == 0 {
-            return Err(MatchError::InvalidConfig(
-                "ring_capacity must be >= 1".into(),
-            ));
+        if self.ring_capacity == 0 || self.ring_capacity > MAX_RING_CAPACITY {
+            return Err(MatchError::InvalidConfig(format!(
+                "ring_capacity must be in 1..={MAX_RING_CAPACITY}, got {}",
+                self.ring_capacity
+            )));
         }
         Ok(())
     }
@@ -579,8 +508,6 @@ mod tests {
             .with_fast_path(false)
             .with_early_booking_check(true)
             .with_lazy_removal(false)
-            .with_packing(PackingPolicy::Consecutive)
-            .with_submission(SubmissionPath::Mutex)
             .with_ring_capacity(256);
         assert_eq!(c.bins, 64);
         assert_eq!(c.max_receives, 128);
@@ -589,42 +516,14 @@ mod tests {
         assert!(!c.fast_path);
         assert!(c.early_booking_check);
         assert!(!c.lazy_removal);
-        assert_eq!(c.packing, PackingPolicy::Consecutive);
-        assert_eq!(c.submission, SubmissionPath::Mutex);
         assert_eq!(c.ring_capacity, 256);
         c.validate().unwrap();
     }
 
     #[test]
-    fn packing_defaults_to_cross_comm() {
-        // `#[serde(default)]` on the field makes configs serialized before
-        // the field existed load with this same default, so the enum default
-        // and the struct default must agree.
-        assert_eq!(PackingPolicy::default(), PackingPolicy::CrossComm);
-        assert_eq!(MatchConfig::default().packing, PackingPolicy::CrossComm);
-        assert_eq!(MatchConfig::small().packing, PackingPolicy::CrossComm);
-    }
-
-    #[test]
-    fn submission_defaults_to_rings() {
-        // Same serde-compat contract as `packing`: the enum default, the
-        // struct default, and the serde field default must all agree so that
-        // configs serialized before the field existed load identically.
-        assert_eq!(SubmissionPath::default(), SubmissionPath::Ring);
-        assert_eq!(MatchConfig::default().submission, SubmissionPath::Ring);
-        assert_eq!(MatchConfig::small().submission, SubmissionPath::Ring);
+    fn ring_capacity_defaults_to_1024() {
         assert_eq!(MatchConfig::default().ring_capacity, 1024);
         assert_eq!(MatchConfig::small().ring_capacity, 1024);
-    }
-
-    #[test]
-    fn reliability_defaults_to_selective_repeat() {
-        // The sender constructs with `ReliabilityMode::default()`, so the
-        // enum default is the protocol every existing harness gets unless it
-        // explicitly opts back into the go-back-N baseline.
-        assert_eq!(ReliabilityMode::default(), ReliabilityMode::SelectiveRepeat);
-        assert_eq!(ReliabilityMode::SelectiveRepeat.label(), "selective-repeat");
-        assert_eq!(ReliabilityMode::GoBackN.label(), "go-back-n");
     }
 
     #[test]
@@ -637,6 +536,18 @@ mod tests {
             .with_ring_capacity(1)
             .validate()
             .is_ok());
+    }
+
+    #[test]
+    fn ring_capacity_is_bounded_above() {
+        assert!(MatchConfig::default()
+            .with_ring_capacity(MAX_RING_CAPACITY)
+            .validate()
+            .is_ok());
+        assert!(MatchConfig::default()
+            .with_ring_capacity(MAX_RING_CAPACITY + 1)
+            .validate()
+            .is_err());
     }
 
     #[test]

@@ -33,9 +33,7 @@ pub mod hints;
 pub mod memory;
 pub mod types;
 
-pub use config::{
-    FaultPlan, FaultRng, MatchConfig, PackingPolicy, ReliabilityMode, SubmissionPath,
-};
+pub use config::{FaultPlan, FaultRng, MatchConfig, PackingPolicy};
 pub use envelope::{Envelope, ReceivePattern, SourceSel, TagSel, WildcardClass};
 pub use error::MatchError;
 pub use hash::InlineHashes;

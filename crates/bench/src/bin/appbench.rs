@@ -14,9 +14,7 @@
 //! Run with: `cargo run --release -p otm-bench --bin appbench`
 //!
 //! * `--app SUBSTR` — only apps whose name contains SUBSTR (case-insensitive);
-//! * `--mode {goback-n,selective-repeat,both}` — reliability mode(s), default
-//!   `selective-repeat`;
-//! * `--faults` — add a hostile-wire run per mode (seeded by `--fault-seed`,
+//! * `--faults` — add a hostile-wire run (seeded by `--fault-seed`,
 //!   default `0xa99`: 10% drop, 8% duplicate, 8% reorder);
 //! * `--quick` — skip apps above 256 processes (CI smoke scale);
 //! * `--seed N` — trace generator seed (default 42);
@@ -32,7 +30,7 @@
 //! destination) and the oracle verdict.
 
 use dpa_sim::app_replay::{engine_direct_pairs, replay_app, AppReplayConfig};
-use otm_base::{FaultPlan, ReliabilityMode};
+use otm_base::FaultPlan;
 use otm_bench::{experiments_dir, header, write_text_artifact, CommonArgs};
 use std::time::Instant;
 
@@ -41,7 +39,6 @@ use std::time::Instant;
 struct AppArgs {
     common: CommonArgs,
     app_filter: Option<String>,
-    modes: Vec<ReliabilityMode>,
     seed: u64,
     bins: usize,
 }
@@ -50,21 +47,12 @@ fn parse_args() -> AppArgs {
     let tokens: Vec<String> = std::env::args().skip(1).collect();
     let common = CommonArgs::from_iter(tokens.clone());
     let mut app_filter = None;
-    let mut modes = vec![ReliabilityMode::SelectiveRepeat];
     let mut seed = 42u64;
     let mut bins = 128usize;
     let mut it = tokens.into_iter();
     while let Some(tok) = it.next() {
         match tok.as_str() {
             "--app" => app_filter = it.next(),
-            "--mode" => match it.next().as_deref() {
-                Some("goback-n" | "go-back-n") => modes = vec![ReliabilityMode::GoBackN],
-                Some("selective-repeat") => modes = vec![ReliabilityMode::SelectiveRepeat],
-                Some("both") => {
-                    modes = vec![ReliabilityMode::GoBackN, ReliabilityMode::SelectiveRepeat];
-                }
-                other => panic!("unknown --mode {other:?}"),
-            },
             "--seed" => seed = it.next().and_then(|v| v.parse().ok()).unwrap_or(seed),
             "--bins" => bins = it.next().and_then(|v| v.parse().ok()).unwrap_or(bins),
             _ => {}
@@ -73,7 +61,6 @@ fn parse_args() -> AppArgs {
     AppArgs {
         common,
         app_filter,
-        modes,
         seed,
         bins,
     }
@@ -140,43 +127,40 @@ fn main() {
 
         let mut runs: Vec<String> = Vec::new();
         let mut first_series: Option<String> = None;
-        for mode in &args.modes {
-            for fault_plan in std::iter::once(None).chain(plan.as_ref().map(Some)) {
-                let mut cfg = AppReplayConfig::default()
-                    .with_mode(*mode)
-                    .with_bins(args.bins)
-                    .with_series_cadence((arrivals / 512).max(1));
-                if let Some(p) = fault_plan {
-                    cfg = cfg.with_faults(p.clone());
-                }
-                let out = replay_app(&trace, &cfg).expect("replay within configured capacity");
-                let equal = out.matched_pairs == oracle;
-                all_equal &= equal;
-                let label = format!(
-                    "{}{}",
-                    mode.label(),
-                    if fault_plan.is_some() { "+faults" } else { "" }
-                );
-                println!(
-                    "{:<18} {:<16} {:>7} {:>9} {:>9} {:>11.0} {:>8} {:>7}  {}",
-                    spec.name,
-                    label,
-                    out.report.messages,
-                    out.report.completed,
-                    out.report.rendezvous_messages,
-                    out.report.msgs_per_sec,
-                    out.report.retransmits,
-                    out.report.gate_parked,
-                    if equal { "ok" } else { "MISMATCH" },
-                );
-                if first_series.is_none() {
-                    first_series = out.report.series_json.clone();
-                }
-                runs.push(format!(
-                    "{{\"oracle_equal\":{equal},\"report\":{}}}",
-                    out.report.to_json()
-                ));
+        for fault_plan in std::iter::once(None).chain(plan.as_ref().map(Some)) {
+            let mut cfg = AppReplayConfig::default()
+                .with_bins(args.bins)
+                .with_series_cadence((arrivals / 512).max(1));
+            if let Some(p) = fault_plan {
+                cfg = cfg.with_faults(p.clone());
             }
+            let out = replay_app(&trace, &cfg).expect("replay within configured capacity");
+            let equal = out.matched_pairs == oracle;
+            all_equal &= equal;
+            let label = format!(
+                "{}{}",
+                out.report.mode,
+                if fault_plan.is_some() { "+faults" } else { "" }
+            );
+            println!(
+                "{:<18} {:<16} {:>7} {:>9} {:>9} {:>11.0} {:>8} {:>7}  {}",
+                spec.name,
+                label,
+                out.report.messages,
+                out.report.completed,
+                out.report.rendezvous_messages,
+                out.report.msgs_per_sec,
+                out.report.retransmits,
+                out.report.gate_parked,
+                if equal { "ok" } else { "MISMATCH" },
+            );
+            if first_series.is_none() {
+                first_series = out.report.series_json.clone();
+            }
+            runs.push(format!(
+                "{{\"oracle_equal\":{equal},\"report\":{}}}",
+                out.report.to_json()
+            ));
         }
 
         let artifact = format!(

@@ -38,7 +38,7 @@
 //! With `--faults`, a ninth section runs the same pre-posted stream twice —
 //! once over a perfect wire and once over a seeded hostile one (10% drop,
 //! 10% duplicate, 10% reorder, 5% delay; `--fault-seed` picks the plan) —
-//! with the sender wrapped in the go-back-N [`ReliableSender`]. The rows
+//! with the sender wrapped in the selective-repeat [`ReliableSender`]. The rows
 //! put the reliability tax (retransmits, backoff polls, discarded
 //! duplicates) next to throughput, the run asserts the matched
 //! (receive, payload) sequence is identical in both runs, and everything
@@ -83,6 +83,7 @@
 use dpa_sim::bounce::BouncePool;
 use dpa_sim::nic::RecvNic;
 use dpa_sim::rdma::{connected_pair, eager_packet, QueuePair, RdmaDomain};
+use dpa_sim::reliable::PROTOCOL_LABEL;
 use dpa_sim::{
     Admission, FeedbackController, MatchMode, MatchServer, MatchdConfig, MatchingService,
     PingPongConfig, PingPongResult, ReliableSender, Scenario, TenantConfig, TenantSession,
@@ -90,8 +91,7 @@ use dpa_sim::{
 use mpi_matching::{MsgHandle, RecvHandle};
 use otm::{Command, OtmEngine};
 use otm_base::{
-    CommId, Envelope, FaultPlan, MatchConfig, MatchError, PackingPolicy, Rank, ReceivePattern,
-    ReliabilityMode, SubmissionPath, Tag,
+    CommId, Envelope, FaultPlan, MatchConfig, MatchError, PackingPolicy, Rank, ReceivePattern, Tag,
 };
 #[cfg(feature = "trace-events")]
 use otm_bench::spans_sibling;
@@ -211,12 +211,9 @@ impl FlightRecorder {
 struct Fig8Results {
     /// The six ping-pong series plus the 1-exec-unit row.
     series: Vec<PingPongResult>,
-    /// Throughput of concurrent posting through the sharded engine, on the
-    /// wait-free per-communicator ring submission path (the default).
+    /// Throughput of concurrent posting through the sharded engine's
+    /// wait-free per-communicator submission rings.
     sharded: ShardedReport,
-    /// The same sharded workload on the legacy global mutex submission
-    /// path — the A/B baseline the ring path is measured against.
-    sharded_mutex: ShardedReport,
     /// The mixed-traffic packing-policy comparison (one row per policy).
     mixed: Vec<MixedRow>,
     /// The fault-injection sweep (`--faults`), if it ran.
@@ -241,10 +238,11 @@ struct ShardedReport {
     shards: usize,
     /// Number of sender threads feeding them.
     threads: usize,
-    /// The submission path the run used (`ring` or `mutex`).
+    /// Always `ring`; kept so the report stays comparable with the
+    /// committed artifacts.
     submission: String,
     /// Per-communicator submission-ring slots (`--ring-capacity`; the
-    /// engine default when unset). Meaningless on the mutex path.
+    /// engine default when unset).
     ring_capacity: usize,
     /// Total receives completed across all shards.
     messages: u64,
@@ -400,8 +398,7 @@ fn main() {
     }
 
     let mut recorder = FlightRecorder::default();
-    let sharded = run_sharded(&args, k * repeats, SubmissionPath::Ring);
-    let sharded_mutex = run_sharded(&args, k * repeats, SubmissionPath::Mutex);
+    let sharded = run_sharded(&args, k * repeats);
     let mixed = run_mixed(&args, k * repeats, &mut observability, &mut recorder);
     let faults = run_faults(&args, k * repeats, &mut observability, &mut recorder);
     let tenants = run_tenants(&args, k * repeats, &mut observability);
@@ -410,7 +407,6 @@ fn main() {
         quick,
         results,
         sharded,
-        sharded_mutex,
         mixed,
         faults,
         tenants,
@@ -465,11 +461,11 @@ fn run_mixed(
     let mut rows = Vec::new();
     for (policy, name) in policies {
         let config = MatchConfig::default()
-            .with_packing(policy)
             .with_max_receives((posts_per_lane * shards).max(1))
             .with_max_unexpected((arrivals_per_lane * shards).max(1))
             .with_bins((2 * total).next_power_of_two());
         let engine = OtmEngine::new(config).expect("mixed bench configuration");
+        engine.set_packing(policy);
 
         let mut drained = 0usize;
         let mut error: Option<String> = None;
@@ -632,16 +628,16 @@ fn write_mixed_artifact(rows: &[(MixedRow, String)]) -> std::path::PathBuf {
 
 /// One run of the fault sweep: the same pre-posted stream, pushed through
 /// the [`ReliableSender`], over either a perfect wire (`fault-free`) or the
-/// seeded [`FaultPlan`] (`hostile-wire`), in either reliability mode. The
-/// reliability columns quantify what the protocol paid to hide the wire's
-/// misbehavior — the headline is `retransmit_amplification`, retransmits
-/// per wire drop, where go-back-N's blanket window resends multiply every
-/// loss and selective repeat resends only the holes.
+/// seeded [`FaultPlan`] (`hostile-wire`). The reliability columns quantify
+/// what the protocol paid to hide the wire's misbehavior — the headline is
+/// `retransmit_amplification`, retransmits per wire drop, which selective
+/// repeat keeps near 1 by resending only the holes.
 #[derive(Debug, Clone, Serialize)]
 struct FaultRow {
     /// `fault-free` or `hostile-wire`.
     label: String,
-    /// `go-back-n` or `selective-repeat` ([`ReliabilityMode::label`]).
+    /// Always [`PROTOCOL_LABEL`] (`selective-repeat`); kept so the rows stay
+    /// comparable with the committed artifacts.
     mode: String,
     /// Messages completed end to end (always the full budget).
     messages: u64,
@@ -657,16 +653,15 @@ struct FaultRow {
     wire_reorders: u64,
     /// Packets the fault layer held back before in-order release.
     wire_delays: u64,
-    /// Packets resent by the reliability protocol (timeout resends plus,
-    /// under selective repeat, SACK-driven fast retransmits).
+    /// Packets resent by the reliability protocol (timeout resends plus
+    /// SACK-driven fast retransmits).
     retransmits: u64,
     /// Retransmits per wire drop (`retransmits / wire_drops`; `0` on a
     /// clean wire) — the Fig. 9-style amplification headline.
     retransmit_amplification: f64,
-    /// SACK-hole fast retransmits (zero under go-back-N).
+    /// SACK-hole fast retransmits.
     fast_retransmits: u64,
-    /// Resend events (each may retransmit a whole window under go-back-N,
-    /// only the unSACKed holes under selective repeat).
+    /// Resend events (each retransmits only the unSACKed holes).
     resend_events: u64,
     /// Cumulative acks the sender consumed.
     acks_received: u64,
@@ -676,8 +671,7 @@ struct FaultRow {
     rx_duplicates_discarded: u64,
     /// Ahead-of-expected sequence numbers the receive NIC discarded.
     rx_gaps_discarded: u64,
-    /// Out-of-order packets parked in the receive NIC's staging buffer
-    /// (zero under go-back-N).
+    /// Out-of-order packets parked in the receive NIC's staging buffer.
     rx_staged_out_of_order: u64,
     /// Cumulative acks the receive NIC emitted.
     acks_sent: u64,
@@ -746,8 +740,7 @@ struct FaultSweep {
     /// sequence — the chaos oracle of `tests/fault_chaos.rs`, at bench
     /// scale.
     matched_equal: bool,
-    /// Four rows: fault-free then hostile-wire, first under go-back-N and
-    /// then under selective repeat.
+    /// Two rows: fault-free then hostile-wire.
     rows: Vec<FaultRow>,
 }
 
@@ -769,19 +762,18 @@ struct FaultRun {
 
 /// Pushes `messages` eager packets through the full service path — queue
 /// pair, (optionally faulty) receive NIC, command queue, pipelined drain,
-/// eager copy — with the sender wrapped in the reliability protocol in the
-/// requested mode, and records the completed (receive, payload) sequence
+/// eager copy — with the sender wrapped in the reliability protocol, and
+/// records the completed (receive, payload) sequence
 /// plus the reliability counters. The receives are pre-posted, so message
 /// `i` deterministically matches receive `i` (per-QP FIFO + FIFO
 /// matching), making the completed sequence directly comparable between
-/// the fault-free and hostile runs and across modes. The self-tuning
+/// the fault-free and hostile runs. The self-tuning
 /// feedback controller is attached; its reliability-window hint is applied
 /// to the sender after every poll, so the flow-control window the run
 /// settles into is the controller's, not a constant.
 fn fault_run(
     args: &CommonArgs,
     label: &str,
-    mode: ReliabilityMode,
     plan: Option<&FaultPlan>,
     messages: usize,
 ) -> FaultRun {
@@ -792,7 +784,6 @@ fn fault_run(
     let domain = RdmaDomain::new();
     let (tx, rx) = connected_pair();
     let mut nic = RecvNic::new(rx, BouncePool::new(messages.max(1), 64));
-    nic.set_reliability_mode(mode);
     if let Some(plan) = plan {
         nic.set_faults(plan.clone());
     }
@@ -813,7 +804,7 @@ fn fault_run(
             .expect("table sized for the full budget");
     }
 
-    let mut sender = ReliableSender::new(tx).with_mode(mode);
+    let mut sender = ReliableSender::new(tx);
     // One registry for the whole path: the sender's retransmit/backoff
     // counters land in the same snapshot as the NIC's wire/rx counters.
     sender.attach_metrics(svc.metrics().clone());
@@ -821,9 +812,8 @@ fn fault_run(
     let mut sent = 0usize;
     let start = Instant::now();
     while completed.len() < messages {
-        // The adaptive window is the flow control, exactly as on a real
-        // wire: AIMD under selective repeat, the controller's cap under
-        // go-back-N.
+        // The adaptive (AIMD) window is the flow control, exactly as on a
+        // real wire.
         while sent < messages && sender.can_send() {
             let (src, tag) = (Rank(sent as u32 % 8), Tag(sent as u32 % 64));
             let payload = (sent as u32).to_le_bytes().to_vec();
@@ -882,7 +872,7 @@ fn fault_run(
     FaultRun {
         row: FaultRow {
             label: label.to_string(),
-            mode: mode.label().to_string(),
+            mode: PROTOCOL_LABEL.to_string(),
             messages: messages as u64,
             elapsed_secs: elapsed,
             msgs_per_sec: messages as f64 / elapsed.max(f64::EPSILON),
@@ -934,19 +924,17 @@ fn run_faults(
         .with_reorder_permille(100)
         .with_delay_permille(50);
     println!(
-        "\nFault sweep: {messages} msgs per run, go-back-N vs selective repeat, \
-         plan seed {seed:#x} (10% drop, 10% dup, 10% reorder, 5% delay)"
+        "\nFault sweep: {messages} msgs per run, plan seed {seed:#x} \
+         (10% drop, 10% dup, 10% reorder, 5% delay)"
     );
 
-    let mut runs: Vec<FaultRun> = Vec::with_capacity(4);
-    for mode in [ReliabilityMode::GoBackN, ReliabilityMode::SelectiveRepeat] {
-        runs.push(fault_run(args, "fault-free", mode, None, messages));
-        runs.push(fault_run(args, "hostile-wire", mode, Some(&plan), messages));
-    }
-    // The oracle across all four runs: every (mode, wire) combination must
-    // complete the identical (receive, payload) sequence — faults change
-    // nothing, and neither does the ARQ mode.
-    let matched_equal = runs.windows(2).all(|w| w[0].completed == w[1].completed);
+    let mut runs = [
+        fault_run(args, "fault-free", None, messages),
+        fault_run(args, "hostile-wire", Some(&plan), messages),
+    ];
+    // The oracle: both wires must complete the identical (receive, payload)
+    // sequence — faults change nothing.
+    let matched_equal = runs[0].completed == runs[1].completed;
     for run in &mut runs {
         let key = format!("faults {} {}", run.row.mode, run.row.label);
         if let Some(series) = run.series.take() {
@@ -984,22 +972,16 @@ fn run_faults(
             observability.insert(format!("faults {} {}", r.mode, r.label), v);
         }
     }
-    let gbn_hostile = &runs[1].row;
-    let sr_hostile = &runs[3].row;
-    println!("shape: hostile wire changed no matched pair in either mode: {matched_equal}");
+    let hostile = &runs[1].row;
+    println!("shape: hostile wire changed no matched pair: {matched_equal}");
     println!(
         "shape: reliability protocol actually fired: {}",
-        gbn_hostile.retransmits > 0 && gbn_hostile.wire_drops > 0
+        hostile.retransmits > 0 && hostile.wire_drops > 0
     );
     println!(
-        "shape: selective-repeat amplification <= 2x ({:.2}x vs go-back-N {:.2}x): {}",
-        sr_hostile.retransmit_amplification,
-        gbn_hostile.retransmit_amplification,
-        sr_hostile.retransmit_amplification <= 2.0
-    );
-    println!(
-        "shape: selective repeat beats go-back-N on the hostile wire: {}",
-        sr_hostile.msgs_per_sec > gbn_hostile.msgs_per_sec
+        "shape: retransmit amplification <= 2x ({:.2}x): {}",
+        hostile.retransmit_amplification,
+        hostile.retransmit_amplification <= 2.0
     );
     println!(
         "shape: controller moved knobs and stamped spans: {}",
@@ -1169,7 +1151,6 @@ fn tenants_match_config() -> MatchConfig {
         .with_max_receives(1 << 15)
         .with_max_unexpected(1 << 15)
         .with_bins(1024)
-        .with_packing(PackingPolicy::CrossComm)
         .with_lane_quota(Some(8))
 }
 
@@ -1414,7 +1395,7 @@ fn write_tenants_artifact(sweep: &TenantsSweep, series: Option<&str>) -> std::pa
 /// arrivals to the engine's command queue, and the pipelined drain all run
 /// concurrently with the senders. Per-shard wire order is per-QP FIFO, so
 /// every message finds its pre-posted receive.
-fn run_sharded(args: &CommonArgs, budget: usize, submission: SubmissionPath) -> ShardedReport {
+fn run_sharded(args: &CommonArgs, budget: usize) -> ShardedReport {
     let shards = args.shards.unwrap_or(4).max(1);
     let threads = args.threads.unwrap_or(shards).clamp(1, shards);
     let per_shard = (budget / shards).max(1);
@@ -1425,8 +1406,7 @@ fn run_sharded(args: &CommonArgs, budget: usize, submission: SubmissionPath) -> 
     // budget.
     let mut config = MatchConfig::default()
         .with_max_receives(total)
-        .with_bins((2 * total).next_power_of_two())
-        .with_submission(submission);
+        .with_bins((2 * total).next_power_of_two());
     if let Some(capacity) = args.ring_capacity {
         config = config.with_ring_capacity(capacity);
     }
@@ -1467,13 +1447,8 @@ fn run_sharded(args: &CommonArgs, budget: usize, submission: SubmissionPath) -> 
         plans[shard % threads].push((shard, senders[shard].take().expect("unclaimed endpoint")));
     }
 
-    let path_name = match submission {
-        SubmissionPath::Ring => "ring",
-        SubmissionPath::Mutex => "mutex",
-    };
     println!(
-        "\nSharded command queue ({path_name} submission): {shards} shards x {per_shard} msgs, \
-         {threads} sender threads"
+        "\nSharded command queue: {shards} shards x {per_shard} msgs, {threads} sender threads"
     );
 
     let mut delivered = vec![0u64; shards];
@@ -1543,7 +1518,7 @@ fn run_sharded(args: &CommonArgs, budget: usize, submission: SubmissionPath) -> 
     let report = ShardedReport {
         shards,
         threads,
-        submission: path_name.to_string(),
+        submission: "ring".to_string(),
         ring_capacity,
         messages: matched,
         elapsed_secs: elapsed,
@@ -1593,7 +1568,6 @@ fn finish(
     quick: bool,
     results: Vec<PingPongResult>,
     sharded: ShardedReport,
-    sharded_mutex: ShardedReport,
     mixed: Vec<(MixedRow, String)>,
     faults: Option<FaultSweep>,
     tenants: Option<(TenantsSweep, Option<String>)>,
@@ -1607,7 +1581,6 @@ fn finish(
     let results = Fig8Results {
         series: results,
         sharded,
-        sharded_mutex,
         mixed: mixed.into_iter().map(|(row, _)| row).collect(),
         faults,
         tenants: tenants.map(|(sweep, _)| sweep),
@@ -1639,23 +1612,6 @@ fn finish(
     println!(
         "shape: sharded drain delivered every message: {}",
         results.sharded.error.is_none() && results.sharded.messages == submitted
-    );
-    let mutex_submitted: u64 = results
-        .sharded_mutex
-        .per_shard
-        .iter()
-        .map(|r| r.posts)
-        .sum();
-    println!(
-        "shape: mutex-path A/B delivered every message: {}",
-        results.sharded_mutex.error.is_none() && results.sharded_mutex.messages == mutex_submitted
-    );
-    println!(
-        "shape: ring submission keeps pace with the mutex path: {} \
-         (ring {:.0} msgs/s vs mutex {:.0} msgs/s)",
-        results.sharded.msgs_per_sec >= results.sharded_mutex.msgs_per_sec * 0.9,
-        results.sharded.msgs_per_sec,
-        results.sharded_mutex.msgs_per_sec,
     );
     let occupancy = |name: &str| {
         results

@@ -52,7 +52,7 @@ pub struct CommonArgs {
     pub post_mix: Option<u32>,
     /// `--faults`: run the fault-injection sweep (fig8) — the same message
     /// stream over a perfect and a seeded-hostile wire, recovered by the
-    /// go-back-N reliability protocol — and write the `fig8_faults.json`
+    /// selective-repeat reliability protocol — and write the `fig8_faults.json`
     /// artifact.
     pub faults: bool,
     /// `--fault-seed N`: seed for the fault plan of the `--faults` sweep
@@ -78,9 +78,7 @@ pub struct CommonArgs {
     /// protects the other tenants' throughput.
     pub flood_tenant: Option<usize>,
     /// `--ring-capacity N`: per-communicator submission-ring slots for the
-    /// sharded fig8 section (default: the engine's config default). The
-    /// sharded run reports the wait-free ring path against the legacy mutex
-    /// queue A/B-style.
+    /// sharded fig8 section (default: the engine's config default).
     pub ring_capacity: Option<usize>,
 }
 

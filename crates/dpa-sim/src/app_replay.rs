@@ -6,8 +6,8 @@
 //! in between. This module closes the gap the paper's Fig. 6/7 evaluation
 //! actually measures: every send of the application trace becomes a wire
 //! packet that crosses a per-source-rank queue pair under the
-//! [`crate::ReliableSender`] reliability protocol (either
-//! [`ReliabilityMode`]), lands in the destination's [`RecvNic`] (optionally
+//! [`crate::ReliableSender`] selective-repeat reliability protocol, lands
+//! in the destination's [`RecvNic`] (optionally
 //! behind a seeded [`FaultPlan`]), is staged into bounce buffers, submitted
 //! through the service's command queue into the sharded engine's
 //! per-communicator rings, cross-communicator packed, matched, and carried
@@ -38,17 +38,16 @@
 //!
 //! The correctness oracle is [`engine_direct_pairs`]: the same trace pushed
 //! straight into a fresh [`otm::SequentialOtm`] per destination. The pair
-//! sets must be identical — clean wire or hostile, go-back-N or selective
-//! repeat.
+//! sets must be identical — clean wire or hostile.
 
 use crate::bounce::BouncePool;
 use crate::nic::RecvNic;
 use crate::rdma::{connected_pair, eager_packet, rendezvous_packet, RdmaDomain};
-use crate::reliable::ReliableSender;
+use crate::reliable::{ReliableSender, PROTOCOL_LABEL};
 use crate::service::{CompletedReceive, MatchingService, ServiceError};
 use mpi_matching::{BlockDelivery, MatchingBackend, MsgHandle, PostResult, RecvHandle};
 use otm::OtmEngine;
-use otm_base::{Envelope, FaultPlan, MatchConfig, ReceivePattern, ReliabilityMode};
+use otm_base::{Envelope, FaultPlan, MatchConfig, ReceivePattern};
 use otm_trace::model::{AppTrace, MpiOp, TimedOp};
 use std::collections::BTreeMap;
 
@@ -62,8 +61,6 @@ const ID_BYTES: usize = 8;
 /// Parameters of an end-to-end application replay.
 #[derive(Debug, Clone)]
 pub struct AppReplayConfig {
-    /// Reliability protocol the per-source senders and the NIC run.
-    pub mode: ReliabilityMode,
     /// Seeded wire-fault plan installed on every destination NIC. Faults
     /// hit only sequenced packets, i.e. every replayed arrival.
     pub faults: Option<FaultPlan>,
@@ -84,7 +81,6 @@ pub struct AppReplayConfig {
 impl Default for AppReplayConfig {
     fn default() -> Self {
         AppReplayConfig {
-            mode: ReliabilityMode::SelectiveRepeat,
             faults: None,
             bins: 128,
             eager_max: 192,
@@ -95,13 +91,6 @@ impl Default for AppReplayConfig {
 }
 
 impl AppReplayConfig {
-    /// Selects the reliability mode.
-    #[must_use]
-    pub fn with_mode(mut self, mode: ReliabilityMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
     /// Installs a wire-fault plan on every destination NIC.
     #[must_use]
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
@@ -136,7 +125,8 @@ pub struct AppReplayReport {
     pub name: String,
     /// Number of processes in the trace.
     pub processes: usize,
-    /// Reliability-mode label (`go-back-n` / `selective-repeat`).
+    /// Reliability-protocol label (always `selective-repeat`; the key is
+    /// kept so artifacts stay comparable with the committed ones).
     pub mode: String,
     /// Whether a wire-fault plan was installed.
     pub faulty: bool,
@@ -172,9 +162,9 @@ pub struct AppReplayReport {
     pub retransmit_amplification: f64,
     /// Duplicates the NICs discarded.
     pub rx_duplicates: u64,
-    /// Out-of-order packets go-back-N NICs discarded.
+    /// Out-of-order packets the NICs discarded (staging buffer full).
     pub rx_gaps: u64,
-    /// Out-of-order packets selective-repeat NICs staged.
+    /// Out-of-order packets the NICs staged.
     pub rx_staged_out_of_order: u64,
     /// Acks the NICs sent.
     pub acks_sent: u64,
@@ -496,8 +486,8 @@ fn settle(
 ///
 /// The returned [`AppReplayOutcome::matched_pairs`] must equal
 /// [`engine_direct_pairs`] on the same trace for any [`AppReplayConfig`]:
-/// the wire, the faults and the reliability mode may change *how often*
-/// packets cross, never *what matches*.
+/// the wire and the faults may change *how often* packets cross, never
+/// *what matches*.
 pub fn replay_app(
     trace: &AppTrace,
     cfg: &AppReplayConfig,
@@ -506,7 +496,7 @@ pub fn replay_app(
     let mut report = AppReplayReport {
         name: trace.name.clone(),
         processes: trace.processes(),
-        mode: cfg.mode.label().to_string(),
+        mode: PROTOCOL_LABEL.to_string(),
         faulty: cfg.faults.is_some(),
         ..AppReplayReport::default()
     };
@@ -553,22 +543,17 @@ pub fn replay_app(
             Some((first, rest)) => {
                 let (tx, rx) = connected_pair();
                 let mut nic = RecvNic::new(rx, pool);
-                senders
-                    .by_src
-                    .insert(*first, ReliableSender::new(tx).with_mode(cfg.mode));
+                senders.by_src.insert(*first, ReliableSender::new(tx));
                 for s in rest {
                     let (tx, rx) = connected_pair();
                     nic.add_qp(rx);
-                    senders
-                        .by_src
-                        .insert(*s, ReliableSender::new(tx).with_mode(cfg.mode));
+                    senders.by_src.insert(*s, ReliableSender::new(tx));
                 }
                 nic
             }
             // Post-only destination: the NIC still needs an endpoint.
             None => RecvNic::new(connected_pair().1, pool),
         };
-        nic.set_reliability_mode(cfg.mode);
         nic.enable_total_order();
         if let Some(plan) = &cfg.faults {
             nic.set_faults(plan.clone());
@@ -768,20 +753,18 @@ mod tests {
     }
 
     #[test]
-    fn hostile_wire_replay_matches_the_oracle_in_both_modes() {
+    fn hostile_wire_replay_matches_the_oracle() {
         let trace = cross_traffic_trace();
         let oracle = engine_direct_pairs(&trace, 128);
-        for mode in [ReliabilityMode::GoBackN, ReliabilityMode::SelectiveRepeat] {
-            let cfg = AppReplayConfig::default().with_mode(mode).with_faults(
-                FaultPlan::new(0xa99)
-                    .with_drop_permille(150)
-                    .with_duplicate_permille(120)
-                    .with_reorder_permille(120)
-                    .with_reorder_window(4),
-            );
-            let out = replay_app(&trace, &cfg).unwrap();
-            assert_eq!(out.matched_pairs, oracle, "mode {mode:?}");
-        }
+        let cfg = AppReplayConfig::default().with_faults(
+            FaultPlan::new(0xa99)
+                .with_drop_permille(150)
+                .with_duplicate_permille(120)
+                .with_reorder_permille(120)
+                .with_reorder_window(4),
+        );
+        let out = replay_app(&trace, &cfg).unwrap();
+        assert_eq!(out.matched_pairs, oracle);
     }
 
     #[test]

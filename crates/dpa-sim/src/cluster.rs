@@ -54,7 +54,7 @@ impl ClusterBackend {
 
 /// A node's send endpoint towards one peer: a bare queue pair on a
 /// perfect wire, or a [`ReliableSender`] when the cluster runs a fault
-/// plan (sequence numbers, cumulative acks, go-back-N retransmission).
+/// plan (sequence numbers, cumulative acks + SACK, selective repeat).
 enum PeerSender {
     Direct(QueuePair),
     /// Boxed: the sender's window + stats dwarf a bare queue pair.
@@ -236,7 +236,7 @@ impl Cluster {
     /// Every node's receive NIC interprets its own deterministically
     /// derived copy of `plan` (same plan, per-node seed — two clusters
     /// built from the same plan inject identical faults), and every send
-    /// endpoint is wrapped in a [`ReliableSender`] so the go-back-N
+    /// endpoint is wrapped in a [`ReliableSender`] so the reliability
     /// protocol recovers the drops, duplicates, reorders and delays.
     pub fn with_faults(
         n: usize,
@@ -457,7 +457,7 @@ mod tests {
     #[test]
     fn faulty_mesh_delivers_everything_exactly_once_in_order() {
         // A hostile wire under every link: drops, duplicates and reorders
-        // at 15% each. The reliable senders and the NIC's go-back-N
+        // at 15% each. The reliable senders and the NIC's sequence
         // acceptance must deliver every payload exactly once, in per-link
         // send order, on all three nodes.
         let plan = FaultPlan::new(0xc1a5)

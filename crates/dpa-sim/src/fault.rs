@@ -11,7 +11,7 @@
 //!   dropping, duplicating, reordering (within a bounded window) and
 //!   delaying **sequenced** packets. Unsequenced control traffic (acks,
 //!   legacy direct sends) passes through untouched, so only traffic that
-//!   opted into the go-back-N protocol is ever perturbed.
+//!   opted into the reliability protocol is ever perturbed.
 //! * [`FaultInjectingBackend`] wraps a [`MatchingBackend`] — injecting
 //!   transient retryable drain failures and silent worker stalls, the
 //!   failure shapes the service's retry budget and fallback escalation
@@ -115,7 +115,7 @@ impl WireFaults {
     ///
     /// Only sequenced packets are ever perturbed: acks and legacy
     /// unsequenced traffic pass through verbatim, so fault injection can
-    /// only create conditions the go-back-N protocol is able to repair.
+    /// only create conditions the reliability protocol is able to repair.
     pub fn admit(&mut self, qp: usize, packet: WirePacket) -> Vec<WirePacket> {
         if packet.seq.is_none() || self.budget == 0 {
             return vec![packet];

@@ -14,16 +14,15 @@
 //!   fallback to software tag matching (§IV-E);
 //! * [`nic`] — the receive-side NIC engine: RDMA receive completions are
 //!   staged into bounce buffers and exposed through a completion queue,
-//!   with a mode-selected reliability acceptance check (selective repeat
-//!   with a bounded out-of-order staging buffer, or go-back-N discards)
-//!   for sequenced traffic;
+//!   with a selective-repeat acceptance check (bounded out-of-order
+//!   staging buffer, overflow discarded) for sequenced traffic;
 //! * [`fault`] — the deterministic fault-injection layer: a seeded
 //!   [`otm_base::FaultPlan`] drops, duplicates, reorders and delays wire
 //!   packets and injects transient backend failures and worker stalls;
 //! * [`reliable`] — the sender half of the reliability protocol: sequence
-//!   numbers, cumulative acks with SACK blocks, selective-repeat or
-//!   go-back-N retransmission with an RTT-tracking timeout, adaptive
-//!   window, exponential backoff and a bounded retry budget;
+//!   numbers, cumulative acks with SACK blocks, selective-repeat
+//!   retransmission with an RTT-tracking timeout, adaptive window,
+//!   exponential backoff and a bounded retry budget;
 //! * [`control`] — the feedback controller: observes registry deltas each
 //!   service tick and actuates reliability/drain/packing knobs, every
 //!   change recorded as a `knob_changed` span;

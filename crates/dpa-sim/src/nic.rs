@@ -14,12 +14,12 @@ use crate::fault::{WireFaultStats, WireFaults};
 use crate::obs::ServiceMetrics;
 use crate::rdma::{MessageHeader, QueuePair, RdmaError, SackBlocks, WirePacket};
 use mpi_matching::MsgHandle;
-use otm_base::{FaultPlan, MatchError, ReliabilityMode};
+use otm_base::{FaultPlan, MatchError};
 use std::collections::{BTreeMap, VecDeque};
 
-/// Default per-QP capacity of the out-of-order staging buffer (selective
-/// repeat). Sized to hold a full sender window so a single early drop never
-/// forces discards; overflow degrades that packet to the go-back-N discard.
+/// Default per-QP capacity of the out-of-order staging buffer. Sized to hold
+/// a full sender window so a single early drop never forces discards; a
+/// packet that overflows it is discarded and repaired by a timeout resend.
 pub const DEFAULT_STAGING_CAPACITY: usize = 64;
 
 /// A completion-queue entry: one arrived message staged in NIC memory.
@@ -61,14 +61,12 @@ pub struct RxStats {
     /// duplication).
     pub duplicates: u64,
     /// Sequenced packets discarded because they arrived ahead of the next
-    /// expected sequence number (under go-back-N: every out-of-order
-    /// arrival; under selective repeat: only staging-buffer overflow).
+    /// expected sequence number and the staging buffer could not hold them.
     pub gaps: u64,
-    /// Out-of-order sequenced packets staged for later in-order delivery
-    /// (selective repeat only).
+    /// Out-of-order sequenced packets staged for later in-order delivery.
     pub staged_out_of_order: u64,
     /// Out-of-order packets discarded because the staging buffer was full
-    /// (a subset of `gaps`; selective repeat only).
+    /// (or has zero capacity); every one is also counted in `gaps`.
     pub stage_overflow: u64,
     /// Cumulative acknowledgements sent back to peers.
     pub acks_sent: u64,
@@ -87,16 +85,15 @@ pub struct RxStats {
 /// multi-node job); their completions merge into the one CQ in poll order.
 ///
 /// Packets stamped with a reliability sequence number (sent through a
-/// [`crate::reliable::ReliableSender`]) pass a per-QP acceptance check
-/// governed by the configured [`ReliabilityMode`]. Under go-back-N only the
-/// next expected sequence number is staged; duplicates and gaps are
-/// discarded. Under selective repeat (the default) out-of-order packets are
+/// [`crate::reliable::ReliableSender`]) pass a per-QP selective-repeat
+/// acceptance check: duplicates are discarded, out-of-order packets are
 /// held in a bounded per-QP staging buffer and delivered the moment the
-/// hole fills, and the cumulative acks advertise the staged ranges as SACK
-/// blocks so the sender retransmits only the holes. In both modes delivery
-/// to the completion queue is strictly in sequence order, so the CQ — and
-/// the monotone [`MsgHandle`]s it assigns — are identical to a fault-free
-/// run's, no matter what a [`WireFaults`] layer did to the wire.
+/// hole fills (a full or zero-capacity buffer discards them instead), and
+/// the cumulative acks advertise the staged ranges as SACK blocks so the
+/// sender retransmits only the holes. Delivery to the completion queue is
+/// strictly in sequence order, so the CQ — and the monotone [`MsgHandle`]s
+/// it assigns — are identical to a fault-free run's, no matter what a
+/// [`WireFaults`] layer did to the wire.
 /// Unsequenced packets keep the legacy pass-through behavior.
 #[derive(Debug)]
 pub struct RecvNic {
@@ -117,13 +114,11 @@ pub struct RecvNic {
     expected: Vec<u64>,
     /// Per-QP flag: sequenced traffic arrived since the last ack.
     ack_due: Vec<bool>,
-    /// Per-QP out-of-order staging buffer (selective repeat). Keys are
+    /// Per-QP out-of-order staging buffer. Keys are
     /// sequence numbers strictly above `expected`; drained in order the
     /// moment the hole fills. A staging failure while draining leaves the
     /// packet keyed here and retries next poll, so nothing is dropped.
     staging: Vec<BTreeMap<u64, WirePacket>>,
-    /// How the receive side repairs out-of-order arrivals.
-    mode: ReliabilityMode,
     /// Per-QP staging-buffer bound.
     staging_capacity: usize,
     /// Whether the cross-QP total-order gate is enabled (see
@@ -145,7 +140,7 @@ pub struct RecvNic {
 
 impl RecvNic {
     /// Creates a receive engine over one queue pair with the given staging
-    /// pool, in the default [`ReliabilityMode`].
+    /// pool.
     pub fn new(qp: QueuePair, pool: BouncePool) -> Self {
         RecvNic {
             qps: vec![qp],
@@ -157,7 +152,6 @@ impl RecvNic {
             expected: vec![0],
             ack_due: vec![false],
             staging: vec![BTreeMap::new()],
-            mode: ReliabilityMode::default(),
             staging_capacity: DEFAULT_STAGING_CAPACITY,
             total_order: false,
             gate: BTreeMap::new(),
@@ -195,30 +189,15 @@ impl RecvNic {
         self.next_gseq
     }
 
-    /// Selects how this receiver repairs out-of-order sequenced arrivals.
-    /// Switch modes before sequenced traffic starts — a mid-stream switch
-    /// to go-back-N strands any already-staged packets.
-    pub fn set_reliability_mode(&mut self, mode: ReliabilityMode) {
-        debug_assert!(
-            self.staging.iter().all(BTreeMap::is_empty),
-            "switch reliability modes before sequenced traffic starts"
-        );
-        self.mode = mode;
-    }
-
-    /// The configured reliability mode.
-    pub fn reliability_mode(&self) -> ReliabilityMode {
-        self.mode
-    }
-
-    /// Overrides the per-QP out-of-order staging bound (selective repeat).
-    /// A zero capacity disables staging, degrading to go-back-N discards.
+    /// Overrides the per-QP out-of-order staging bound. A zero capacity
+    /// disables staging: every out-of-order packet is discarded, nothing is
+    /// SACKed, and the sender repairs each loss by timeout resend.
     pub fn set_staging_capacity(&mut self, capacity: usize) {
         self.staging_capacity = capacity;
     }
 
     /// Installs a fault plan on the delivery path. Sequenced packets are
-    /// dropped/duplicated/reordered/delayed per the plan; the go-back-N
+    /// dropped/duplicated/reordered/delayed per the plan; the reliability
     /// protocol repairs the damage before anything reaches the completion
     /// queue.
     pub fn set_faults(&mut self, plan: FaultPlan) {
@@ -448,33 +427,29 @@ impl RecvNic {
         Ok(n)
     }
 
-    /// Handles a sequenced packet above the expected counter: discarded
-    /// under go-back-N, staged (bounded) under selective repeat. Never
-    /// generates a completion directly.
+    /// Handles a sequenced packet above the expected counter: staged while
+    /// the bounded buffer has room, discarded (and counted as overflow + gap)
+    /// otherwise. Never generates a completion directly.
     fn accept_out_of_order(&mut self, qp: usize, seq: u64, packet: WirePacket) {
-        if self.mode == ReliabilityMode::SelectiveRepeat {
-            if self.staging[qp].contains_key(&seq) {
-                self.rx_stats.duplicates += 1;
-                if let Some(m) = &self.metrics {
-                    m.count_rx_duplicate();
-                }
-                return;
-            }
-            if self.staging[qp].len() < self.staging_capacity {
-                self.staging[qp].insert(seq, packet);
-                self.rx_stats.staged_out_of_order += 1;
-                if let Some(m) = &self.metrics {
-                    m.count_rx_staged();
-                }
-                return;
-            }
-            self.rx_stats.stage_overflow += 1;
+        if self.staging[qp].contains_key(&seq) {
+            self.rx_stats.duplicates += 1;
             if let Some(m) = &self.metrics {
-                m.count_rx_stage_overflow();
+                m.count_rx_duplicate();
             }
+            return;
         }
+        if self.staging[qp].len() < self.staging_capacity {
+            self.staging[qp].insert(seq, packet);
+            self.rx_stats.staged_out_of_order += 1;
+            if let Some(m) = &self.metrics {
+                m.count_rx_staged();
+            }
+            return;
+        }
+        self.rx_stats.stage_overflow += 1;
         self.rx_stats.gaps += 1;
         if let Some(m) = &self.metrics {
+            m.count_rx_stage_overflow();
             m.count_rx_gap();
         }
     }
@@ -738,9 +713,9 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_and_gap_sequences_are_discarded() {
+    fn duplicate_and_gap_sequences_are_discarded_without_staging() {
         let (tx, mut nic) = nic_pair(8);
-        nic.set_reliability_mode(ReliabilityMode::GoBackN);
+        nic.set_staging_capacity(0);
         tx.send(eager_packet(env(0), vec![0]).with_seq(0)).unwrap();
         tx.send(eager_packet(env(0), vec![0]).with_seq(0)).unwrap(); // dup
         tx.send(eager_packet(env(5), vec![5]).with_seq(5)).unwrap(); // gap
@@ -749,7 +724,8 @@ mod tests {
         let stats = nic.rx_stats();
         assert_eq!(stats.duplicates, 1);
         assert_eq!(stats.gaps, 1);
-        assert_eq!(stats.staged_out_of_order, 0, "go-back-N never stages");
+        assert_eq!(stats.stage_overflow, 1);
+        assert_eq!(stats.staged_out_of_order, 0, "capacity 0 never stages");
         let block = nic.take_block(8);
         assert_eq!(block.len(), 2);
         assert_eq!(nic.staged(block[0].bounce), &[0]);
@@ -759,12 +735,12 @@ mod tests {
     #[test]
     fn retransmitted_window_fills_the_gap_exactly_once() {
         let (tx, mut nic) = nic_pair(8);
-        nic.set_reliability_mode(ReliabilityMode::GoBackN);
+        nic.set_staging_capacity(0);
         // First transmission: seq 1 lost on the (conceptual) wire.
         tx.send(eager_packet(env(0), vec![0]).with_seq(0)).unwrap();
         tx.send(eager_packet(env(2), vec![2]).with_seq(2)).unwrap();
         nic.poll().unwrap();
-        // Go-back-N resend of the unacked window [1, 2].
+        // Nothing was staged or SACKed: the timeout resends [1, 2].
         tx.send(eager_packet(env(1), vec![1]).with_seq(1)).unwrap();
         tx.send(eager_packet(env(2), vec![2]).with_seq(2)).unwrap();
         nic.poll().unwrap();
@@ -778,7 +754,6 @@ mod tests {
     #[test]
     fn selective_repeat_stages_and_delivers_on_hole_fill() {
         let (tx, mut nic) = nic_pair(8);
-        assert_eq!(nic.reliability_mode(), ReliabilityMode::SelectiveRepeat);
         tx.send(eager_packet(env(0), vec![0]).with_seq(0)).unwrap();
         tx.send(eager_packet(env(2), vec![2]).with_seq(2)).unwrap();
         tx.send(eager_packet(env(3), vec![3]).with_seq(3)).unwrap();
@@ -910,16 +885,16 @@ mod tests {
         );
     }
 
-    /// Drives `n` messages through a faulty wire in the given mode and
-    /// asserts exactly-once in-order delivery.
+    /// Drives `n` messages through a faulty wire into a NIC with the given
+    /// staging capacity and asserts exactly-once in-order delivery.
     fn faulty_wire_roundtrip(
-        mode: ReliabilityMode,
+        staging_capacity: usize,
     ) -> (RxStats, crate::reliable::ReliabilityStats) {
         use crate::reliable::ReliableSender;
         use otm_base::FaultPlan;
         let (a, b) = connected_pair();
         let mut nic = RecvNic::new(b, BouncePool::new(64, 64));
-        nic.set_reliability_mode(mode);
+        nic.set_staging_capacity(staging_capacity);
         nic.set_faults(
             FaultPlan::new(0x5eed)
                 .with_drop_permille(150)
@@ -927,7 +902,7 @@ mod tests {
                 .with_reorder_permille(150)
                 .with_reorder_window(4),
         );
-        let mut sender = ReliableSender::with_limits(a, 4, 32).with_mode(mode);
+        let mut sender = ReliableSender::with_limits(a, 4, 32);
         let n = 50u32;
         for i in 0..n {
             sender.send(eager_packet(env(i), vec![i as u8])).unwrap();
@@ -948,7 +923,8 @@ mod tests {
         assert_eq!(
             staged,
             (0..n as u8).collect::<Vec<_>>(),
-            "exactly-once, in-order delivery under drop+dup+reorder ({mode:?})"
+            "exactly-once, in-order delivery under drop+dup+reorder \
+             (staging capacity {staging_capacity})"
         );
         let wire = nic.wire_fault_stats().unwrap();
         assert!(wire.total() > 0, "the plan must actually have injected");
@@ -1049,14 +1025,14 @@ mod tests {
 
     /// Two senders over a hostile wire into one total-order NIC: delivery
     /// must come out exactly once in global order, whatever the faults did.
-    fn faulty_two_qp_total_order(mode: ReliabilityMode) -> RxStats {
+    fn faulty_two_qp_total_order(staging_capacity: usize) -> RxStats {
         use crate::reliable::ReliableSender;
         use otm_base::FaultPlan;
         let (tx_a, rx_a) = connected_pair();
         let (tx_b, rx_b) = connected_pair();
         let mut nic = RecvNic::new(rx_a, BouncePool::new(64, 64));
         nic.add_qp(rx_b);
-        nic.set_reliability_mode(mode);
+        nic.set_staging_capacity(staging_capacity);
         nic.enable_total_order();
         nic.set_faults(
             FaultPlan::new(0x707a1)
@@ -1066,8 +1042,8 @@ mod tests {
                 .with_reorder_window(4),
         );
         let mut senders = [
-            ReliableSender::with_limits(tx_a, 4, 32).with_mode(mode),
-            ReliableSender::with_limits(tx_b, 4, 32).with_mode(mode),
+            ReliableSender::with_limits(tx_a, 4, 32),
+            ReliableSender::with_limits(tx_b, 4, 32),
         ];
         // Global stream 0..40 alternates between the two QPs; the
         // ReliableSender stamps each QP's per-QP seq itself.
@@ -1099,40 +1075,48 @@ mod tests {
         assert_eq!(
             got,
             (0..n as u8).collect::<Vec<_>>(),
-            "exactly-once global-order delivery across QPs ({mode:?})"
+            "exactly-once global-order delivery across QPs \
+             (staging capacity {staging_capacity})"
         );
         nic.rx_stats()
     }
 
     #[test]
-    fn faulty_two_qp_total_order_holds_under_goback_n() {
-        faulty_two_qp_total_order(ReliabilityMode::GoBackN);
+    fn faulty_two_qp_total_order_holds_without_staging() {
+        let stats = faulty_two_qp_total_order(0);
+        assert_eq!(stats.staged_out_of_order, 0, "capacity 0 never stages");
+        assert!(
+            stats.stage_overflow > 0,
+            "reorders must have been discarded"
+        );
     }
 
     #[test]
-    fn faulty_two_qp_total_order_holds_under_selective_repeat() {
-        let stats = faulty_two_qp_total_order(ReliabilityMode::SelectiveRepeat);
+    fn faulty_two_qp_total_order_holds_with_staging() {
+        let stats = faulty_two_qp_total_order(DEFAULT_STAGING_CAPACITY);
         assert!(stats.gate_parked > 0, "cross-QP skew must have parked");
     }
 
     #[test]
-    fn faulty_wire_with_goback_n_sender_delivers_exactly_once_in_order() {
-        let (rx, _tx) = faulty_wire_roundtrip(ReliabilityMode::GoBackN);
-        assert_eq!(rx.staged_out_of_order, 0, "go-back-N never stages");
+    fn faulty_wire_without_staging_delivers_exactly_once_in_order() {
+        let (rx, tx) = faulty_wire_roundtrip(0);
+        assert_eq!(rx.staged_out_of_order, 0, "capacity 0 never stages");
+        assert!(rx.stage_overflow > 0, "reorders must have been discarded");
+        assert_eq!(tx.fast_retransmits, 0, "nothing staged, nothing SACKed");
     }
 
     #[test]
-    fn faulty_wire_with_selective_repeat_delivers_exactly_once_in_order() {
-        let (rx, tx) = faulty_wire_roundtrip(ReliabilityMode::SelectiveRepeat);
+    fn faulty_wire_with_staging_delivers_exactly_once_in_order() {
+        let (rx, tx) = faulty_wire_roundtrip(DEFAULT_STAGING_CAPACITY);
         assert!(rx.staged_out_of_order > 0, "reorders must have staged");
         // The identical fault schedule costs strictly fewer retransmits
-        // under selective repeat than under go-back-N.
-        let (_, gbn) = faulty_wire_roundtrip(ReliabilityMode::GoBackN);
+        // with staging + SACK than with every out-of-order packet discarded.
+        let (_, discard) = faulty_wire_roundtrip(0);
         assert!(
-            tx.retransmits < gbn.retransmits,
-            "selective repeat ({}) must beat go-back-N ({}) on the same seed",
+            tx.retransmits < discard.retransmits,
+            "staging ({}) must beat discarding ({}) on the same seed",
             tx.retransmits,
-            gbn.retransmits
+            discard.retransmits
         );
     }
 }

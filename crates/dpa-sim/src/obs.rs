@@ -181,24 +181,22 @@ mod imp {
         }
 
         /// Counts one out-of-order sequenced packet discarded at the
-        /// receiver (`seq` above the expected counter — a gap the go-back-N
-        /// retransmit will fill).
+        /// receiver (`seq` above the expected counter and no staging room —
+        /// a gap a timeout resend will fill).
         #[inline]
         pub fn count_rx_gap(&self) {
             self.rx_gaps.inc();
         }
 
-        /// Counts one out-of-order sequenced packet staged by the
-        /// selective-repeat receiver (held for in-order delivery instead of
-        /// discarded).
+        /// Counts one out-of-order sequenced packet staged by the receiver
+        /// (held for in-order delivery instead of discarded).
         #[inline]
         pub fn count_rx_staged(&self) {
             self.rx_staged.inc();
         }
 
         /// Counts one out-of-order packet discarded because the staging
-        /// buffer was full (selective repeat degrades to the go-back-N
-        /// discard for that packet).
+        /// buffer was full.
         #[inline]
         pub fn count_rx_stage_overflow(&self) {
             self.rx_stage_overflow.inc();
@@ -228,7 +226,7 @@ mod imp {
             let _ = (knob, from, to);
         }
 
-        /// Counts packets retransmitted by a go-back-N window resend.
+        /// Counts packets retransmitted (timeout resends and fast retransmits).
         #[inline]
         pub fn add_retransmits(&self, n: u64) {
             self.retransmits.add(n);

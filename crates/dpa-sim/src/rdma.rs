@@ -141,9 +141,8 @@ pub enum PayloadKind {
         /// The receiver's next expected sequence number.
         cumulative: u64,
         /// Selective-acknowledgement blocks describing sequenced packets
-        /// held above `cumulative` in the receiver's staging buffer. Empty
-        /// under go-back-N (the receiver discards out-of-order packets, so
-        /// there is nothing to advertise).
+        /// held above `cumulative` in the receiver's staging buffer (empty
+        /// when nothing is staged).
         sack: SackBlocks,
     },
 }
@@ -231,7 +230,7 @@ pub struct WirePacket {
     /// Inline bytes.
     pub inline: Vec<u8>,
     /// Reliability sequence number, stamped by a `ReliableSender`. `None`
-    /// marks legacy/control traffic that bypasses the go-back-N protocol
+    /// marks legacy/control traffic that bypasses the reliability protocol
     /// (and is never touched by fault injection, which only targets
     /// sequenced data packets).
     pub seq: Option<u64>,

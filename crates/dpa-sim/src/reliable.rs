@@ -1,18 +1,16 @@
 //! Sender-side reliability: sequence numbers, cumulative acks with SACK
-//! blocks, and mode-selected retransmission — selective repeat (default)
-//! or go-back-N (the A/B baseline).
+//! blocks, and selective-repeat retransmission.
 //!
 //! The receive side ([`crate::nic::RecvNic`]) delivers sequenced packets
-//! strictly in order, discards duplicates, and returns cumulative
-//! acknowledgements; under selective repeat it additionally stages
-//! out-of-order packets and advertises the staged runs as SACK blocks.
-//! [`ReliableSender`] is the matching sender half: it stamps outgoing
-//! packets with consecutive sequence numbers and keeps the
-//! unacknowledged window. In [`ReliabilityMode::GoBackN`] a timeout
-//! retransmits the whole window; in [`ReliabilityMode::SelectiveRepeat`]
-//! SACKed packets are never resent — holes below the highest SACKed
-//! sequence are fast-retransmitted (at most once per timeout epoch) and a
-//! timeout resends only the still-unSACKed packets.
+//! strictly in order, discards duplicates, stages out-of-order packets in
+//! a bounded buffer, and returns cumulative acknowledgements that
+//! advertise the staged runs as SACK blocks. [`ReliableSender`] is the
+//! matching sender half: it stamps outgoing packets with consecutive
+//! sequence numbers and keeps the unacknowledged window. SACKed packets
+//! are never resent — holes below the highest SACKed sequence are
+//! fast-retransmitted (at most once per timeout epoch) and a timeout
+//! resends only the still-unSACKed packets (all of them when the receiver
+//! could stage nothing and so SACKed nothing).
 //!
 //! The retransmit timer follows the smoothed round-trip estimate: packets
 //! acknowledged without ever being retransmitted contribute RTT samples
@@ -28,7 +26,7 @@
 //! checks: the receiver stages sequenced packets in exactly the order
 //! they were sent, no matter what the faulty wire dropped, duplicated,
 //! reordered or delayed. Message handles — and therefore every matching
-//! outcome — are identical to a fault-free run in both modes.
+//! outcome — are identical to a fault-free run.
 //!
 //! Time is virtual: the "clock" is the number of [`ReliableSender::poll`]
 //! calls, mirroring the NIC's poll-driven delivery clock, so tests are
@@ -36,8 +34,12 @@
 
 use crate::obs::ServiceMetrics;
 use crate::rdma::{sack_packet, PayloadKind, QueuePair, RdmaError, SackBlocks, WirePacket};
-use otm_base::ReliabilityMode;
 use std::collections::VecDeque;
+
+/// The label artifacts and bench reports carry in their `mode` key: there is
+/// one protocol, and the key keeps new artifacts comparable with the
+/// committed ones.
+pub const PROTOCOL_LABEL: &str = "selective-repeat";
 
 /// Default number of polls without progress before the first retransmit
 /// (also the floor of the RTT-driven timeout).
@@ -95,7 +97,7 @@ pub struct ReliabilityStats {
     /// may retransmit several packets.
     pub resend_events: u64,
     /// Packets fast-retransmitted because a SACK exposed them as holes
-    /// (a subset of `retransmits`; selective repeat only).
+    /// (a subset of `retransmits`).
     pub fast_retransmits: u64,
     /// Cumulative acknowledgements consumed.
     pub acks: u64,
@@ -135,7 +137,6 @@ struct Inflight {
 #[derive(Debug)]
 pub struct ReliableSender {
     qp: QueuePair,
-    mode: ReliabilityMode,
     next_seq: u64,
     /// Every sequenced packet `< cumulative` ack received so far.
     acked: u64,
@@ -153,16 +154,14 @@ pub struct ReliableSender {
     max_retries: u32,
     /// Configured ceiling on packets in flight.
     window_cap: usize,
-    /// Adaptive in-flight limit (AIMD under selective repeat; pinned to
-    /// `window_cap` under go-back-N).
+    /// Adaptive in-flight limit (AIMD, at most `window_cap`).
     cwnd: usize,
     stats: ReliabilityStats,
     metrics: Option<ServiceMetrics>,
 }
 
 impl ReliableSender {
-    /// Wraps `qp` with the default timeout and retry budget, in the
-    /// default [`ReliabilityMode`].
+    /// Wraps `qp` with the default timeout and retry budget.
     pub fn new(qp: QueuePair) -> Self {
         Self::with_limits(qp, DEFAULT_TIMEOUT_POLLS, DEFAULT_MAX_RETRIES)
     }
@@ -173,7 +172,6 @@ impl ReliableSender {
         let timeout_polls = timeout_polls.max(1);
         ReliableSender {
             qp,
-            mode: ReliabilityMode::default(),
             next_seq: 0,
             acked: 0,
             window: VecDeque::new(),
@@ -190,23 +188,6 @@ impl ReliableSender {
             stats: ReliabilityStats::default(),
             metrics: None,
         }
-    }
-
-    /// Selects the retransmission strategy. Switch before sending — a
-    /// mid-stream switch leaves SACK state half-applied.
-    #[must_use]
-    pub fn with_mode(mut self, mode: ReliabilityMode) -> Self {
-        debug_assert!(
-            self.window.is_empty(),
-            "switch reliability modes before traffic starts"
-        );
-        self.mode = mode;
-        self
-    }
-
-    /// The configured retransmission strategy.
-    pub fn mode(&self) -> ReliabilityMode {
-        self.mode
     }
 
     /// Attaches a metrics handle so retransmits, acks and backoff show up
@@ -247,15 +228,11 @@ impl ReliableSender {
 
     /// Sets the ceiling on packets in flight (e.g. from the feedback
     /// controller's hint). The adaptive limit is clamped into the new cap
-    /// and can reopen up to it; under go-back-N the limit is pinned to
-    /// the cap directly.
+    /// and can reopen up to it.
     pub fn set_window_limit(&mut self, cap: usize) {
         let cap = cap.max(MIN_WINDOW_LIMIT);
         self.window_cap = cap;
-        self.cwnd = match self.mode {
-            ReliabilityMode::GoBackN => cap,
-            ReliabilityMode::SelectiveRepeat => self.cwnd.min(cap),
-        };
+        self.cwnd = self.cwnd.min(cap);
     }
 
     /// The smoothed RTT estimate in polls, once a sample exists.
@@ -332,7 +309,7 @@ impl ReliableSender {
                             }
                             progressed = true;
                         }
-                        if self.mode == ReliabilityMode::SelectiveRepeat && !sack.is_empty() {
+                        if !sack.is_empty() {
                             let clock = self.clock;
                             let mut samples = Vec::new();
                             for e in &mut self.window {
@@ -361,52 +338,48 @@ impl ReliableSender {
             self.polls_since_progress = 0;
             self.retries = 0;
             self.timeout_polls = self.rto();
-            if self.mode == ReliabilityMode::SelectiveRepeat {
-                self.cwnd = (self.cwnd + 1).min(self.window_cap);
-            }
+            self.cwnd = (self.cwnd + 1).min(self.window_cap);
         }
         if self.window.is_empty() {
             self.polls_since_progress = 0;
             return Ok(app_packets);
         }
-        // Fast retransmit (selective repeat): a SACKed packet above an
-        // unSACKed one is evidence the hole was lost, not delayed —
-        // resend it now, at most once per timeout epoch.
-        if self.mode == ReliabilityMode::SelectiveRepeat {
-            let highest_sacked = self.window.iter().filter(|e| e.sacked).map(|e| e.seq).max();
-            if let Some(h) = highest_sacked {
-                let mut resent = 0u64;
-                let clock = self.clock;
-                for e in &mut self.window {
-                    if e.seq >= h {
-                        break;
-                    }
-                    if e.sacked || e.fast_retx {
-                        continue;
-                    }
-                    self.qp
-                        .send(e.packet.clone())
-                        .map_err(ReliabilityError::Rdma)?;
-                    e.fast_retx = true;
-                    e.retx += 1;
-                    e.sent_at = clock;
-                    resent += 1;
-                    if let Some(m) = &self.metrics {
-                        m.span_retransmitted(e.seq, e.retx);
-                    }
+        // Fast retransmit: a SACKed packet above an unSACKed one is
+        // evidence the hole was lost, not delayed — resend it now, at most
+        // once per timeout epoch.
+        let highest_sacked = self.window.iter().filter(|e| e.sacked).map(|e| e.seq).max();
+        if let Some(h) = highest_sacked {
+            let mut resent = 0u64;
+            let clock = self.clock;
+            for e in &mut self.window {
+                if e.seq >= h {
+                    break;
                 }
-                if resent > 0 {
-                    self.stats.retransmits += resent;
-                    self.stats.fast_retransmits += resent;
-                    self.stats.resend_events += 1;
-                    if let Some(m) = &self.metrics {
-                        m.add_retransmits(resent);
-                    }
-                    // Give the retransmit a full timeout to land before
-                    // escalating to a blanket resend.
-                    self.polls_since_progress = 0;
-                    return Ok(app_packets);
+                if e.sacked || e.fast_retx {
+                    continue;
                 }
+                self.qp
+                    .send(e.packet.clone())
+                    .map_err(ReliabilityError::Rdma)?;
+                e.fast_retx = true;
+                e.retx += 1;
+                e.sent_at = clock;
+                resent += 1;
+                if let Some(m) = &self.metrics {
+                    m.span_retransmitted(e.seq, e.retx);
+                }
+            }
+            if resent > 0 {
+                self.stats.retransmits += resent;
+                self.stats.fast_retransmits += resent;
+                self.stats.resend_events += 1;
+                if let Some(m) = &self.metrics {
+                    m.add_retransmits(resent);
+                }
+                // Give the retransmit a full timeout to land before
+                // escalating to a blanket resend.
+                self.polls_since_progress = 0;
+                return Ok(app_packets);
             }
         }
         self.polls_since_progress += 1;
@@ -418,13 +391,12 @@ impl ReliableSender {
                     unacked: self.window.len(),
                 });
             }
-            // Timeout resend: the whole window under go-back-N, only the
-            // unSACKed holes under selective repeat. The timeout doubles
-            // for the next attempt and the adaptive window halves.
+            // Timeout resend of the unSACKed packets only. The timeout
+            // doubles for the next attempt and the adaptive window halves.
             let mut resent = 0u64;
             let clock = self.clock;
             for e in &mut self.window {
-                if self.mode == ReliabilityMode::SelectiveRepeat && e.sacked {
+                if e.sacked {
                     continue;
                 }
                 self.qp
@@ -450,9 +422,7 @@ impl ReliableSender {
             self.retries += 1;
             self.polls_since_progress = 0;
             self.timeout_polls = (self.timeout_polls * 2).min(MAX_TIMEOUT_POLLS);
-            if self.mode == ReliabilityMode::SelectiveRepeat {
-                self.cwnd = (self.cwnd / 2).max(MIN_WINDOW_LIMIT);
-            }
+            self.cwnd = (self.cwnd / 2).max(MIN_WINDOW_LIMIT);
         }
         Ok(app_packets)
     }
@@ -651,27 +621,6 @@ mod tests {
     }
 
     #[test]
-    fn goback_n_mode_ignores_sack_and_resends_the_window() {
-        let (a, b) = connected_pair();
-        let mut s = ReliableSender::with_limits(a, 2, 8).with_mode(ReliabilityMode::GoBackN);
-        for i in 0..3 {
-            s.send(eager_packet(env(i), vec![])).unwrap();
-        }
-        drain_seqs(&b);
-        b.send(crate::rdma::sack_packet(0, sack(&[(1, 3)])))
-            .unwrap();
-        s.poll().unwrap();
-        assert_eq!(drain_seqs(&b), vec![], "go-back-N has no fast retransmit");
-        s.poll().unwrap(); // timeout
-        assert_eq!(
-            drain_seqs(&b),
-            vec![0, 1, 2],
-            "blanket resend despite the SACK"
-        );
-        assert_eq!(s.stats().fast_retransmits, 0);
-    }
-
-    #[test]
     fn timeout_decays_to_the_rtt_estimate_after_recovery() {
         // Satellite regression: burst-drop grows the timeout; once the
         // wire turns clean, the next ack snaps it back to the smoothed
@@ -730,16 +679,6 @@ mod tests {
         assert_eq!(s.unacked(), 0);
         assert_eq!(s.window_limit(), 8, "reopened up to the cap");
         assert!(s.can_send());
-    }
-
-    #[test]
-    fn goback_n_window_is_static() {
-        let (a, _b) = connected_pair();
-        let mut s = ReliableSender::with_limits(a, 1, 30).with_mode(ReliabilityMode::GoBackN);
-        s.set_window_limit(8);
-        s.send(eager_packet(env(0), vec![])).unwrap();
-        s.poll().unwrap(); // timeout resend
-        assert_eq!(s.window_limit(), 8, "go-back-N keeps the configured cap");
     }
 
     #[cfg(feature = "trace-events")]

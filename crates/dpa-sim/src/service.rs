@@ -492,7 +492,7 @@ impl MatchingService {
     /// sessions hand handles out at admission time, ticks before the drain
     /// applies the post) reserve here — or mint handles in a disjoint
     /// namespace of their own — and post through
-    /// [`MatchingService::post_recv_reserved`].
+    /// [`MatchingService::post_recv_queued_reserved`].
     pub fn reserve_recv(&mut self) -> RecvHandle {
         let handle = RecvHandle(self.next_recv);
         self.next_recv += 1;
@@ -505,7 +505,7 @@ impl MatchingService {
     /// [`MatchingService::reserve_recv`] or minted in a namespace that
     /// cannot collide with it); matching-order and fallback semantics are
     /// identical to `post_recv`.
-    pub fn post_recv_reserved(
+    fn post_recv_reserved(
         &mut self,
         pattern: ReceivePattern,
         handle: RecvHandle,
@@ -555,9 +555,8 @@ impl MatchingService {
 
     /// Posts a receive under a caller-supplied handle through the command
     /// queue — the session path the `matchd` server drains tenants into.
-    /// Degrades to the synchronous
-    /// [`MatchingService::post_recv_reserved`] when the queue is not
-    /// enabled, exactly as [`MatchingService::post_recv_queued`] does.
+    /// Degrades to a synchronous post when the queue is not enabled,
+    /// exactly as [`MatchingService::post_recv_queued`] does.
     pub fn post_recv_queued_reserved(
         &mut self,
         pattern: ReceivePattern,
@@ -794,7 +793,7 @@ impl MatchingService {
                 }
                 crate::control::Action::PackingPolicy { from, to } => {
                     if let Some(engine) = self.backend.as_any().downcast_ref::<OtmEngine>() {
-                        engine.set_packing_override(Some(to));
+                        engine.set_packing(to);
                     }
                     self.metrics.knob_changed(
                         otm_metrics::KnobKind::PackingPolicy,

@@ -51,7 +51,7 @@ pub struct SeriesPoint {
     pub path_counts: [u64; 4],
     /// Cumulative matched pairs across all paths (`otm_matched_total`).
     pub matched: u64,
-    /// Cumulative go-back-N retransmissions.
+    /// Cumulative reliability-layer retransmissions.
     pub retransmits: u64,
     /// Cumulative software-fallback migrations.
     pub fallbacks: u64,

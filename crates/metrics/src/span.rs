@@ -107,7 +107,7 @@ pub enum SpanKind {
         /// Which resolution path produced the pairing.
         path: MatchPath,
     },
-    /// The reliability layer retransmitted the packet (go-back-N resend).
+    /// The reliability layer retransmitted the packet.
     Retransmitted {
         /// 1-based retransmit attempt for the current window.
         attempt: u32,

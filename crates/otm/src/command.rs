@@ -3,26 +3,21 @@
 //! The DPA receives its work through QP command queues (§IV-E): the host
 //! enqueues *post* and *arrival* commands from any thread, and the device
 //! coordinator drains them in submission order. [`CommandQueue`] is that
-//! queue on the host side, behind one of two submission paths selected by
-//! [`otm_base::SubmissionPath`]:
-//!
-//! * **`Ring`** (the default): every command is stamped with a global
-//!   submission *ticket* and pushed onto its communicator's bounded
-//!   [`CommandRing`](crate::ring::CommandRing) — a wait-free push that
-//!   contends with nothing outside its own communicator. A full ring hands
-//!   the command back as the retryable
-//!   [`MatchError::SubmissionRingFull`](otm_base::MatchError) backpressure
-//!   signal. The drain recovers the global submission order by merging ring
-//!   heads on their tickets (a k-way min-ticket merge), so the strict-FIFO
-//!   oracle and the packed≡consecutive equivalence hold unchanged.
-//! * **`Mutex`**: the pre-ring single mutex-guarded FIFO, kept for A/B
-//!   comparison. Submission never reports backpressure.
+//! queue on the host side: every command is stamped with a global
+//! submission *ticket* and pushed onto its communicator's bounded
+//! [`CommandRing`](crate::ring::CommandRing) — a wait-free push that
+//! contends with nothing outside its own communicator. A full ring hands
+//! the command back as the retryable
+//! [`MatchError::SubmissionRingFull`](otm_base::MatchError) backpressure
+//! signal. The drain recovers the global submission order by merging ring
+//! heads on their tickets (a k-way min-ticket merge), so the strict-FIFO
+//! oracle and the packed≡consecutive equivalence hold.
 //!
 //! Commands that a failed drain hands back via
 //! `CommandQueue::requeue_front` (crate-internal) go into a small *stash* that every take
 //! consumes before touching the rings — a stashed command is always older
 //! than anything still in its communicator's ring, so per-communicator FIFO
-//! order survives requeueing on both paths.
+//! order survives requeueing.
 //!
 //! [`crate::OtmEngine::drain`] plays the coordinator: it pops commands in
 //! bounded chunks, stages them in a [`crate::scheduler::PackingScheduler`],
@@ -31,8 +26,8 @@
 //! so submissions pipeline against block execution (the paper's CQ
 //! pipelining, §IV-E).
 //!
-//! MPI matching depends only on *per-communicator* command order, which both
-//! paths preserve and which the scheduler never violates even when its
+//! MPI matching depends only on *per-communicator* command order, which the
+//! rings preserve and which the scheduler never violates even when its
 //! cross-communicator policy reorders commands from different communicators
 //! to fill blocks (§IV-E execution groups).
 //!
@@ -48,7 +43,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::shard::ShardMap;
-use otm_base::{CommId, MatchConfig, MatchError, SubmissionPath};
+use otm_base::{CommId, MatchConfig, MatchError};
 
 pub use mpi_matching::backend::{CommandOutcome, DrainReport, PendingCommand as Command};
 
@@ -61,55 +56,36 @@ pub(crate) fn comm_of(cmd: &Command) -> CommId {
     }
 }
 
-/// The storage behind the facade: one global FIFO or the per-shard rings.
-#[derive(Debug)]
-enum PathImpl {
-    /// Mutex path: the ticketed global FIFO itself.
-    Mutex(Mutex<VecDeque<(u64, Command)>>),
-    /// Ring path: storage lives in each shard's `submission` ring; the
-    /// facade only coordinates tickets and the drain-side merge.
-    Rings,
-}
-
 /// A multi-producer command queue (see module docs).
 ///
-/// Every successfully submitted command is stamped with a monotone *ticket*
-/// (the global submission sequence number); drains consume in ticket order,
-/// which on the ring path is recovered by merging the per-communicator ring
-/// heads.
-#[derive(Debug)]
+/// Storage lives in each shard's `submission` ring; the queue itself only
+/// coordinates tickets and the drain-side merge. Every successfully
+/// submitted command is stamped with a monotone *ticket* (the global
+/// submission sequence number); drains consume in ticket order, recovered by
+/// merging the per-communicator ring heads.
+#[derive(Debug, Default)]
 pub struct CommandQueue {
     /// Next submission ticket. A ticket burned on a rejected (ring-full)
     /// push leaves a harmless gap — tickets only need to be monotone over
     /// the commands that actually entered the queue.
     tickets: AtomicU64,
     /// Commands handed back by a failed drain, ahead of everything still in
-    /// the rings / FIFO. Only the drain touches it (requeue + take), so the
-    /// mutex is uncontended on the submit path.
+    /// the rings. Only the drain touches it (requeue + take), so the mutex
+    /// is uncontended on the submit path.
     stash: Mutex<VecDeque<(u64, Command)>>,
-    inner: PathImpl,
 }
 
 impl CommandQueue {
-    /// An empty queue on the submission path `config` selects.
-    pub fn new(config: &MatchConfig) -> Self {
-        let inner = match config.submission {
-            SubmissionPath::Mutex => PathImpl::Mutex(Mutex::new(VecDeque::new())),
-            SubmissionPath::Ring => PathImpl::Rings,
-        };
-        CommandQueue {
-            tickets: AtomicU64::new(0),
-            stash: Mutex::new(VecDeque::new()),
-            inner,
-        }
+    /// An empty queue.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Enqueues a command. Callable from any thread.
     ///
-    /// On the ring path a full communicator ring rejects the command with
-    /// the retryable [`MatchError::SubmissionRingFull`]; draining the queue
-    /// frees slots, after which the same submit succeeds. The mutex path
-    /// never rejects.
+    /// A full communicator ring rejects the command with the retryable
+    /// [`MatchError::SubmissionRingFull`]; draining the queue frees slots,
+    /// after which the same submit succeeds.
     pub fn submit(
         &self,
         cmd: Command,
@@ -117,36 +93,24 @@ impl CommandQueue {
         config: &MatchConfig,
     ) -> Result<(), MatchError> {
         let ticket = self.tickets.fetch_add(1, Ordering::Relaxed);
-        match &self.inner {
-            PathImpl::Mutex(fifo) => {
-                fifo.lock().push_back((ticket, cmd));
-                Ok(())
-            }
-            PathImpl::Rings => {
-                let comm = comm_of(&cmd);
-                let shard = shards.get_or_create(comm, config);
-                shard
-                    .submission
-                    .push(ticket, cmd)
-                    .map_err(|_| MatchError::SubmissionRingFull { comm: comm.0 })
-            }
-        }
+        let comm = comm_of(&cmd);
+        let shard = shards.get_or_create(comm, config);
+        shard
+            .submission
+            .push(ticket, cmd)
+            .map_err(|_| MatchError::SubmissionRingFull { comm: comm.0 })
     }
 
-    /// Number of commands waiting to be drained. On the ring path this is a
-    /// racy monitoring snapshot (one load per communicator), not a
-    /// synchronization primitive.
+    /// Number of commands waiting to be drained: a racy monitoring snapshot
+    /// (one load per communicator), not a synchronization primitive.
     pub fn len(&self, shards: &ShardMap) -> usize {
         let stashed = self.stash.lock().len();
-        stashed
-            + match &self.inner {
-                PathImpl::Mutex(fifo) => fifo.lock().len(),
-                PathImpl::Rings => shards
-                    .all_sorted()
-                    .iter()
-                    .map(|(_, shard)| shard.submission.len())
-                    .sum(),
-            }
+        let ringed: usize = shards
+            .all_sorted()
+            .iter()
+            .map(|(_, shard)| shard.submission.len())
+            .sum();
+        stashed + ringed
     }
 
     /// Whether no command is waiting (same caveat as [`CommandQueue::len`]).
@@ -155,17 +119,13 @@ impl CommandQueue {
     }
 
     /// Per-communicator submission-ring occupancy, in communicator order —
-    /// feeds the `otm_submission_ring_depth` gauges. Empty on the mutex
-    /// path (there are no rings to observe).
+    /// feeds the `otm_submission_ring_depth` gauges.
     pub(crate) fn lane_occupancy(&self, shards: &ShardMap) -> Vec<(u16, usize)> {
-        match &self.inner {
-            PathImpl::Mutex(_) => Vec::new(),
-            PathImpl::Rings => shards
-                .all_sorted()
-                .iter()
-                .map(|(comm, shard)| (comm.0, shard.submission.len()))
-                .collect(),
-        }
+        shards
+            .all_sorted()
+            .iter()
+            .map(|(comm, shard)| (comm.0, shard.submission.len()))
+            .collect()
     }
 
     /// Takes every queued command, oldest first (global ticket order).
@@ -176,11 +136,11 @@ impl CommandQueue {
     }
 
     /// Takes up to `max` commands from the head, oldest first: the stash
-    /// (requeued, oldest of all) is consumed before the rings / FIFO, and on
-    /// the ring path the per-communicator ring heads are merged by ticket so
-    /// the chunk comes out in global submission order. No queue-wide lock is
-    /// held on the ring path, so concurrent submitters pipeline against
-    /// whatever the caller does with the chunk.
+    /// (requeued, oldest of all) is consumed before the rings, and the
+    /// per-communicator ring heads are merged by ticket so the chunk comes
+    /// out in global submission order. No queue-wide lock is held while the
+    /// rings are read, so concurrent submitters pipeline against whatever
+    /// the caller does with the chunk.
     pub(crate) fn take_chunk(&self, max: usize, shards: &ShardMap) -> VecDeque<(u64, Command)> {
         let mut out = VecDeque::new();
         if max == 0 {
@@ -195,50 +155,35 @@ impl CommandQueue {
                 }
             }
         }
-        match &self.inner {
-            PathImpl::Mutex(fifo) => {
-                let mut fifo = fifo.lock();
-                while out.len() < max {
-                    match fifo.pop_front() {
-                        Some(entry) => out.push_back(entry),
-                        None => break,
+        // k-way min-ticket merge over the ring heads. The drain gate
+        // serializes consumers, so a peeked head can only be popped by us; a
+        // head appearing concurrently (racing submit) may or may not be
+        // included, and is picked up by the next take if not.
+        let lanes = shards.all_sorted();
+        while out.len() < max {
+            let mut best: Option<(u64, usize)> = None;
+            for (i, (_, shard)) in lanes.iter().enumerate() {
+                if let Some(ticket) = shard.submission.peek_ticket() {
+                    if best.map(|(t, _)| ticket < t).unwrap_or(true) {
+                        best = Some((ticket, i));
                     }
                 }
             }
-            PathImpl::Rings => {
-                // k-way min-ticket merge over the ring heads. The drain gate
-                // serializes consumers, so a peeked head can only be popped
-                // by us; a head appearing concurrently (racing submit) may
-                // or may not be included — exactly the mutex path's take
-                // semantics.
-                let lanes = shards.all_sorted();
-                while out.len() < max {
-                    let mut best: Option<(u64, usize)> = None;
-                    for (i, (_, shard)) in lanes.iter().enumerate() {
-                        if let Some(ticket) = shard.submission.peek_ticket() {
-                            if best.map(|(t, _)| ticket < t).unwrap_or(true) {
-                                best = Some((ticket, i));
-                            }
-                        }
-                    }
-                    match best {
-                        Some((_, i)) => match lanes[i].1.submission.pop() {
-                            Some(entry) => out.push_back(entry),
-                            None => break,
-                        },
-                        None => break,
-                    }
-                }
+            match best {
+                Some((_, i)) => match lanes[i].1.submission.pop() {
+                    Some(entry) => out.push_back(entry),
+                    None => break,
+                },
+                None => break,
             }
         }
         out
     }
 
     /// Puts unprocessed commands back at the *front* of the queue (in their
-    /// original order), ahead of anything submitted since the take. The
-    /// stash serves both paths: requeued commands are older than anything
-    /// still in the rings / FIFO, so consuming the stash first preserves
-    /// per-communicator FIFO order.
+    /// original order), ahead of anything submitted since the take: requeued
+    /// commands are older than anything still in the rings, so consuming the
+    /// stash first preserves per-communicator FIFO order.
     pub(crate) fn requeue_front(&self, cmds: VecDeque<(u64, Command)>) {
         let mut stash = self.stash.lock();
         for entry in cmds.into_iter().rev() {
@@ -268,13 +213,7 @@ mod tests {
     }
 
     fn ring_queue() -> (CommandQueue, ShardMap, MatchConfig) {
-        let config = MatchConfig::small();
-        (CommandQueue::new(&config), ShardMap::new(), config)
-    }
-
-    fn mutex_queue() -> (CommandQueue, ShardMap, MatchConfig) {
-        let config = MatchConfig::small().with_submission(SubmissionPath::Mutex);
-        (CommandQueue::new(&config), ShardMap::new(), config)
+        (CommandQueue::new(), ShardMap::new(), MatchConfig::small())
     }
 
     fn commands(q: &CommandQueue, shards: &ShardMap) -> Vec<Command> {
@@ -282,62 +221,59 @@ mod tests {
     }
 
     #[test]
-    fn submit_take_preserves_fifo_order_on_both_paths() {
-        for (q, shards, config) in [ring_queue(), mutex_queue()] {
-            for i in 0..4 {
-                q.submit(arrival(i), &shards, &config).unwrap();
-            }
-            assert_eq!(q.len(&shards), 4);
-            let taken = q.take_all(&shards);
-            assert_eq!(
-                taken.iter().map(|(t, _)| *t).collect::<Vec<_>>(),
-                vec![0, 1, 2, 3],
-                "tickets are the submission order"
-            );
-            assert_eq!(
-                taken.into_iter().map(|(_, c)| c).collect::<Vec<_>>(),
-                (0..4).map(arrival).collect::<Vec<_>>()
-            );
-            assert!(q.is_empty(&shards));
+    fn submit_take_preserves_fifo_order() {
+        let (q, shards, config) = ring_queue();
+        for i in 0..4 {
+            q.submit(arrival(i), &shards, &config).unwrap();
         }
+        assert_eq!(q.len(&shards), 4);
+        let taken = q.take_all(&shards);
+        assert_eq!(
+            taken.iter().map(|(t, _)| *t).collect::<Vec<_>>(),
+            vec![0, 1, 2, 3],
+            "tickets are the submission order"
+        );
+        assert_eq!(
+            taken.into_iter().map(|(_, c)| c).collect::<Vec<_>>(),
+            (0..4).map(arrival).collect::<Vec<_>>()
+        );
+        assert!(q.is_empty(&shards));
     }
 
     #[test]
     fn requeue_front_goes_ahead_of_new_submissions() {
-        for (q, shards, config) in [ring_queue(), mutex_queue()] {
-            q.submit(arrival(0), &shards, &config).unwrap();
-            q.submit(arrival(1), &shards, &config).unwrap();
-            let mut taken = q.take_all(&shards);
-            taken.pop_front(); // command 0 was applied
-            q.submit(arrival(2), &shards, &config).unwrap(); // raced in after the take
-            q.requeue_front(taken);
-            assert_eq!(commands(&q, &shards), vec![arrival(1), arrival(2)]);
-        }
+        let (q, shards, config) = ring_queue();
+        q.submit(arrival(0), &shards, &config).unwrap();
+        q.submit(arrival(1), &shards, &config).unwrap();
+        let mut taken = q.take_all(&shards);
+        taken.pop_front(); // command 0 was applied
+        q.submit(arrival(2), &shards, &config).unwrap(); // raced in after the take
+        q.requeue_front(taken);
+        assert_eq!(commands(&q, &shards), vec![arrival(1), arrival(2)]);
     }
 
     #[test]
     fn take_chunk_pops_bounded_prefixes_in_order() {
-        for (q, shards, config) in [ring_queue(), mutex_queue()] {
-            for i in 0..5 {
-                q.submit(arrival(i), &shards, &config).unwrap();
-            }
-            let first: Vec<_> = q
-                .take_chunk(2, &shards)
-                .into_iter()
-                .map(|(_, c)| c)
-                .collect();
-            assert_eq!(first, vec![arrival(0), arrival(1)]);
-            assert_eq!(q.len(&shards), 3);
-            // Oversized chunk takes whatever is left; zero takes nothing.
-            assert_eq!(q.take_chunk(0, &shards).len(), 0);
-            let rest: Vec<_> = q
-                .take_chunk(99, &shards)
-                .into_iter()
-                .map(|(_, c)| c)
-                .collect();
-            assert_eq!(rest, vec![arrival(2), arrival(3), arrival(4)]);
-            assert!(q.is_empty(&shards));
+        let (q, shards, config) = ring_queue();
+        for i in 0..5 {
+            q.submit(arrival(i), &shards, &config).unwrap();
         }
+        let first: Vec<_> = q
+            .take_chunk(2, &shards)
+            .into_iter()
+            .map(|(_, c)| c)
+            .collect();
+        assert_eq!(first, vec![arrival(0), arrival(1)]);
+        assert_eq!(q.len(&shards), 3);
+        // Oversized chunk takes whatever is left; zero takes nothing.
+        assert_eq!(q.take_chunk(0, &shards).len(), 0);
+        let rest: Vec<_> = q
+            .take_chunk(99, &shards)
+            .into_iter()
+            .map(|(_, c)| c)
+            .collect();
+        assert_eq!(rest, vec![arrival(2), arrival(3), arrival(4)]);
+        assert!(q.is_empty(&shards));
     }
 
     #[test]
@@ -356,10 +292,8 @@ mod tests {
 
     #[test]
     fn full_ring_reports_retryable_backpressure() {
-        let config = MatchConfig::small()
-            .with_ring_capacity(2)
-            .with_submission(SubmissionPath::Ring);
-        let q = CommandQueue::new(&config);
+        let config = MatchConfig::small().with_ring_capacity(2);
+        let q = CommandQueue::new();
         let shards = ShardMap::new();
         q.submit(arrival(0), &shards, &config).unwrap();
         q.submit(arrival(1), &shards, &config).unwrap();
@@ -389,19 +323,5 @@ mod tests {
             commands(&q, &shards),
             vec![arrival(1), arrival(2), arrival(3)]
         );
-    }
-
-    #[test]
-    fn mutex_path_ignores_ring_capacity() {
-        let config = MatchConfig::small()
-            .with_ring_capacity(1)
-            .with_submission(SubmissionPath::Mutex);
-        let q = CommandQueue::new(&config);
-        let shards = ShardMap::new();
-        for i in 0..64 {
-            q.submit(arrival(i), &shards, &config).unwrap();
-        }
-        assert_eq!(q.len(&shards), 64);
-        assert!(q.lane_occupancy(&shards).is_empty());
     }
 }

@@ -48,7 +48,7 @@ use otm_base::{
 };
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -77,10 +77,10 @@ pub struct OtmEngine {
     /// `process_block` calls against queue pops — while concurrent drains
     /// still cannot interleave their pops and break FIFO order.
     drain_gate: Mutex<()>,
-    /// Runtime packing-policy override (e.g. from a feedback controller):
-    /// 0 = none (use the configured policy), 1 = `Consecutive`,
-    /// 2 = `CrossComm`. Read at the top of every drain.
-    packing_override: AtomicU8,
+    /// Runtime packing-policy selector (set by the feedback controller from
+    /// the observed active-lane count): `Consecutive` when set, else the
+    /// default `CrossComm`. Read at the top of every drain.
+    pack_consecutive: AtomicBool,
     /// Runtime packing-window override in commands (0 = the configured
     /// default of `block_threads × 8`). Read at the top of every drain.
     packing_window_override: AtomicUsize,
@@ -131,7 +131,7 @@ impl OtmEngine {
             })
             .collect();
         Ok(OtmEngine {
-            queue: CommandQueue::new(&config),
+            queue: CommandQueue::new(),
             config,
             shared,
             stats,
@@ -141,39 +141,30 @@ impl OtmEngine {
                 next_arrival: ArrivalSeq::ZERO,
             }),
             drain_gate: Mutex::new(()),
-            packing_override: AtomicU8::new(0),
+            pack_consecutive: AtomicBool::new(false),
             packing_window_override: AtomicUsize::new(0),
             workers,
             stopped: AtomicBool::new(false),
         })
     }
 
-    /// Overrides the packing policy for subsequent drains (`None` restores
-    /// the configured policy). Safe to call at any time: the override is
-    /// read once at the top of each drain, and both policies preserve
-    /// per-communicator FIFO order, so a mid-stream switch cannot violate
-    /// MPI matching order.
-    pub fn set_packing_override(&self, policy: Option<PackingPolicy>) {
-        let encoded = match policy {
-            None => 0,
-            Some(PackingPolicy::Consecutive) => 1,
-            Some(PackingPolicy::CrossComm) => 2,
-        };
-        self.packing_override.store(encoded, Ordering::Relaxed);
+    /// Selects the packing policy for subsequent drains (a new engine
+    /// packs [`PackingPolicy::CrossComm`]). Safe to call at any time: the
+    /// selector is read once at the top of each drain, and both policies
+    /// preserve per-communicator FIFO order, so a mid-stream switch cannot
+    /// violate MPI matching order.
+    pub fn set_packing(&self, policy: PackingPolicy) {
+        self.pack_consecutive
+            .store(policy == PackingPolicy::Consecutive, Ordering::Relaxed);
     }
 
-    /// The active packing-policy override, if one is set.
-    pub fn packing_override(&self) -> Option<PackingPolicy> {
-        match self.packing_override.load(Ordering::Relaxed) {
-            1 => Some(PackingPolicy::Consecutive),
-            2 => Some(PackingPolicy::CrossComm),
-            _ => None,
+    /// The packing policy the next drain will use.
+    pub fn packing(&self) -> PackingPolicy {
+        if self.pack_consecutive.load(Ordering::Relaxed) {
+            PackingPolicy::Consecutive
+        } else {
+            PackingPolicy::CrossComm
         }
-    }
-
-    /// The packing policy the next drain will use (override, else config).
-    pub fn effective_packing(&self) -> PackingPolicy {
-        self.packing_override().unwrap_or(self.config.packing)
     }
 
     /// Overrides the drain's staging-window depth in commands (0 restores
@@ -391,7 +382,8 @@ impl OtmEngine {
     /// so mixed post/arrival traffic still fills blocks. Per-communicator
     /// command order — the only order MPI matching can observe — is strictly
     /// preserved; [`PackingPolicy::Consecutive`](otm_base::PackingPolicy)
-    /// restores the old strict-FIFO packing for A/B comparison.
+    /// (see [`OtmEngine::set_packing`]) packs strictly in submission order,
+    /// which is all a single live lane needs.
     ///
     /// The drain is *pipelined* (the paper's CQ pipelining, §IV-E): it pops
     /// commands in bounded chunks and takes the queue and coordinator locks
@@ -424,7 +416,7 @@ impl OtmEngine {
         // Bound the drain to what was queued at entry (racing submissions
         // land behind this count and belong to the next drain).
         let mut remaining = self.queue.len(&self.shards);
-        let mut sched = PackingScheduler::new(self.effective_packing(), self.config.block_threads)
+        let mut sched = PackingScheduler::new(self.packing(), self.config.block_threads)
             .with_lane_quota(self.config.lane_quota);
         let mut outcomes: Vec<(u64, CommandOutcome)> = Vec::with_capacity(remaining);
         // Lanes whose depth gauge was set by the previous iteration: a lane

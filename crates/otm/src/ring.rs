@@ -130,9 +130,8 @@ impl CommandRing {
     /// Pops the oldest published command, or `None` if the ring is empty.
     ///
     /// A slot that a producer has claimed but not yet published reads as
-    /// empty — the command logically belongs to the *next* drain, exactly
-    /// like a submit that raced past the drain's last queue inspection on
-    /// the mutex path.
+    /// empty — the command logically belongs to the *next* drain, like any
+    /// submit that races past the drain's last queue inspection.
     pub fn pop(&self) -> Option<(u64, Command)> {
         let mut pos = self.head.0.load(Ordering::Relaxed);
         loop {

@@ -49,8 +49,7 @@ pub struct CommShard {
     pub(crate) host: Mutex<ShardHost>,
     /// The communicator's bounded submission ring (§IV-E command queue):
     /// host threads push commands here without contending on any global
-    /// lock; the drain coordinator pops from the consumer end. Unused (and
-    /// empty) when the engine runs the mutex submission path.
+    /// lock; the drain coordinator pops from the consumer end.
     pub(crate) submission: CommandRing,
 }
 

@@ -9,9 +9,7 @@
 
 use mpi_matching::{MsgHandle, PostResult, RecvHandle};
 use otm::{Command, CommandOutcome, Delivery, OtmEngine};
-use otm_base::{
-    CommId, Envelope, MatchConfig, MatchError, PackingPolicy, Rank, ReceivePattern, Tag,
-};
+use otm_base::{CommId, Envelope, MatchConfig, MatchError, Rank, ReceivePattern, Tag};
 use std::sync::Arc;
 use std::thread;
 
@@ -35,7 +33,6 @@ fn concurrent_producers_through_tiny_rings_lose_and_duplicate_nothing() {
     let config = MatchConfig::default()
         .with_ring_capacity(8)
         .with_max_receives(4096)
-        .with_packing(PackingPolicy::CrossComm)
         .with_lane_quota(Some(4));
     let engine = Arc::new(OtmEngine::new(config).unwrap());
     // Threads 0 and 1 share communicator 7 — a genuinely multi-producer

@@ -412,14 +412,14 @@ pub fn parse_trace_dir(dir: &Path, app_name: &str) -> Result<AppTrace, String> {
         .map(|n| n.get())
         .unwrap_or(4)
         .min(8);
-    let results: Vec<Result<RankTrace, String>> = crossbeam::thread::scope(|scope| {
+    let results: Vec<Result<RankTrace, String>> = std::thread::scope(|scope| {
         let chunks: Vec<_> = rank_files
             .chunks(rank_files.len().div_ceil(workers))
             .collect();
         let handles: Vec<_> = chunks
             .into_iter()
             .map(|chunk| {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     chunk
                         .iter()
                         .map(|(rank, path)| {
@@ -440,8 +440,7 @@ pub fn parse_trace_dir(dir: &Path, app_name: &str) -> Result<AppTrace, String> {
             .into_iter()
             .flat_map(|h| h.join().expect("parser thread panicked"))
             .collect()
-    })
-    .expect("parser scope");
+    });
 
     let ranks: Result<Vec<RankTrace>, String> = results.into_iter().collect();
     Ok(AppTrace {

@@ -10,12 +10,12 @@
 //! touches a wire.
 //!
 //! The hostile-wire variants repeat the check with ≥10% drop plus
-//! duplicate/reorder faults in both ARQ modes: the wire may change how
-//! often packets cross, never what matches. All seeds are pinned, so every
+//! duplicate/reorder faults: the wire may change how often packets cross,
+//! never what matches. All seeds are pinned, so every
 //! run (including the nightly TSan pass) replays the same packets.
 
 use dpa_sim::app_replay::{engine_direct_pairs, replay_app, AppReplayConfig};
-use otm_base::{FaultPlan, ReliabilityMode};
+use otm_base::FaultPlan;
 use otm_trace::AppTrace;
 
 const TRACE_SEED: u64 = 42;
@@ -43,8 +43,8 @@ fn assert_equivalent(trace: &AppTrace, cfg: &AppReplayConfig) {
     let out = replay_app(trace, cfg).expect("end-to-end replay completes");
     assert_eq!(
         out.matched_pairs, oracle,
-        "{}: end-to-end matched pairs diverged (mode {}, faulty {})",
-        trace.name, out.report.mode, out.report.faulty
+        "{}: end-to-end matched pairs diverged (faulty {})",
+        trace.name, out.report.faulty
     );
     assert_eq!(out.report.completed as usize, oracle.len());
     // Every arrival must actually have crossed the total-order gate — the
@@ -57,14 +57,8 @@ fn assert_equivalent(trace: &AppTrace, cfg: &AppReplayConfig) {
 }
 
 #[test]
-fn amg_clean_wire_matches_engine_direct_in_both_modes() {
-    let trace = app("AMG");
-    for mode in [ReliabilityMode::GoBackN, ReliabilityMode::SelectiveRepeat] {
-        assert_equivalent(
-            &trace,
-            &AppReplayConfig::default().with_mode(mode).with_bins(BINS),
-        );
-    }
+fn amg_clean_wire_matches_engine_direct() {
+    assert_equivalent(&app("AMG"), &AppReplayConfig::default().with_bins(BINS));
 }
 
 #[test]
@@ -91,35 +85,28 @@ fn crystal_router_rendezvous_clean_wire_matches_engine_direct() {
 }
 
 #[test]
-fn mocfe_hostile_wire_matches_engine_direct_in_both_modes() {
+fn mocfe_hostile_wire_matches_engine_direct() {
     let trace = app("MOCFE");
-    for mode in [ReliabilityMode::GoBackN, ReliabilityMode::SelectiveRepeat] {
-        let cfg = AppReplayConfig::default()
-            .with_mode(mode)
-            .with_bins(BINS)
-            .with_faults(hostile_plan());
-        let oracle = engine_direct_pairs(&trace, BINS);
-        let out = replay_app(&trace, &cfg).expect("reliability recovers the hostile wire");
-        assert_eq!(out.matched_pairs, oracle, "mode {mode:?}");
-        assert!(
-            out.report.wire_drops > 0 && out.report.retransmits > 0,
-            "mode {mode:?}: the fault plan never fired (drops {}, retransmits {})",
-            out.report.wire_drops,
-            out.report.retransmits
-        );
-    }
+    let cfg = AppReplayConfig::default()
+        .with_bins(BINS)
+        .with_faults(hostile_plan());
+    let oracle = engine_direct_pairs(&trace, BINS);
+    let out = replay_app(&trace, &cfg).expect("reliability recovers the hostile wire");
+    assert_eq!(out.matched_pairs, oracle);
+    assert!(
+        out.report.wire_drops > 0 && out.report.retransmits > 0,
+        "the fault plan never fired (drops {}, retransmits {})",
+        out.report.wire_drops,
+        out.report.retransmits
+    );
 }
 
 #[test]
-fn amg_hostile_wire_matches_engine_direct_in_both_modes() {
-    let trace = app("AMG");
-    for mode in [ReliabilityMode::GoBackN, ReliabilityMode::SelectiveRepeat] {
-        let cfg = AppReplayConfig::default()
-            .with_mode(mode)
-            .with_bins(BINS)
-            .with_faults(hostile_plan());
-        assert_equivalent(&trace, &cfg);
-    }
+fn amg_hostile_wire_matches_engine_direct() {
+    let cfg = AppReplayConfig::default()
+        .with_bins(BINS)
+        .with_faults(hostile_plan());
+    assert_equivalent(&app("AMG"), &cfg);
 }
 
 #[test]

@@ -11,8 +11,8 @@
 
 mod support;
 
-use otm_base::{FaultPlan, ReliabilityMode};
-use support::chaos::{assert_chaos_equivalence, assert_chaos_equivalence_mode};
+use otm_base::FaultPlan;
+use support::chaos::assert_chaos_equivalence;
 
 /// 15% drop + 15% duplicate + 15% reorder + 10% delay.
 fn hostile_plan(seed: u64) -> FaultPlan {
@@ -25,7 +25,8 @@ fn hostile_plan(seed: u64) -> FaultPlan {
 
 #[test]
 fn chaos_direct_path_matches_fault_free_run() {
-    let evidence = assert_chaos_equivalence(0x0dd5_eed, hostile_plan(0xfa01), 6, 24, false);
+    let evidence =
+        assert_chaos_equivalence(0x0dd5_eed, hostile_plan(0xfa01), 6, 24, false, None, None);
     assert!(
         evidence.injected_faults > 0,
         "the wire must have misbehaved"
@@ -40,7 +41,8 @@ fn chaos_direct_path_matches_fault_free_run() {
 fn chaos_command_queue_path_matches_fault_free_run() {
     // Same oracle through the packing scheduler's command-queue drain: the
     // cross-communicator reordering must stay invisible under faults too.
-    let evidence = assert_chaos_equivalence(0x0dd5_eed, hostile_plan(0xfa01), 6, 24, true);
+    let evidence =
+        assert_chaos_equivalence(0x0dd5_eed, hostile_plan(0xfa01), 6, 24, true, None, None);
     assert!(
         evidence.injected_faults > 0,
         "the wire must have misbehaved"
@@ -53,8 +55,8 @@ fn chaos_holds_across_seeds() {
     // A small sweep of workload/fault seed pairs — cheap insurance that the
     // pinned seeds above aren't a lucky pocket.
     for (ws, fs) in [(1u64, 2u64), (3, 4), (5, 6), (0xbeef, 0xcafe)] {
-        assert_chaos_equivalence(ws, hostile_plan(fs), 4, 16, false);
-        assert_chaos_equivalence(ws, hostile_plan(fs), 4, 16, true);
+        assert_chaos_equivalence(ws, hostile_plan(fs), 4, 16, false, None, None);
+        assert_chaos_equivalence(ws, hostile_plan(fs), 4, 16, true, None, None);
     }
 }
 
@@ -68,50 +70,41 @@ fn chaos_with_bounded_fault_budget_quiesces() {
         .with_duplicate_permille(200)
         .with_reorder_permille(200)
         .with_max_faults(200);
-    let evidence = assert_chaos_equivalence(7, plan, 4, 16, true);
+    let evidence = assert_chaos_equivalence(7, plan, 4, 16, true, None, None);
     assert!(evidence.injected_faults > 0);
     assert!(evidence.injected_faults <= 200, "the budget is a hard cap");
 }
 
 #[test]
-fn chaos_holds_in_both_reliability_modes_and_sr_retransmits_less() {
-    // The same pinned seeds under both ARQ modes: matched pairs must be
-    // identical to the fault-free run either way, and selective repeat —
-    // which resends only holes instead of the whole window — must recover
-    // from the identical fault schedule with strictly fewer retransmits.
-    let gbn = assert_chaos_equivalence_mode(
-        0x0dd5_eed,
-        hostile_plan(0xfa01),
-        6,
-        24,
-        true,
-        ReliabilityMode::GoBackN,
-        None,
-    );
-    let sr = assert_chaos_equivalence_mode(
-        0x0dd5_eed,
-        hostile_plan(0xfa01),
-        6,
-        24,
-        true,
-        ReliabilityMode::SelectiveRepeat,
-        None,
-    );
-    assert!(gbn.injected_faults > 0 && sr.injected_faults > 0);
+fn chaos_holds_without_staging_and_staging_retransmits_less() {
+    // The same pinned seeds with the staging buffer at capacity 0 (every
+    // out-of-order packet discarded, nothing SACKed, every loss repaired by
+    // a timeout resend of the un-SACKed window) and at its default: matched
+    // pairs must be identical to the fault-free run either way, and staging
+    // — which lets the sender resend only holes — must recover from the
+    // identical fault schedule with strictly fewer retransmits.
+    let (seed, plan) = (0x0dd5_eed, hostile_plan(0xfa01));
+    let discard = assert_chaos_equivalence(seed, plan.clone(), 6, 24, true, None, Some(0));
+    let staged = assert_chaos_equivalence(seed, plan, 6, 24, true, None, None);
+    assert!(discard.injected_faults > 0 && staged.injected_faults > 0);
     assert_eq!(
-        gbn.staged_out_of_order, 0,
-        "go-back-N never stages out-of-order packets"
+        discard.staged_out_of_order, 0,
+        "capacity 0 never stages out-of-order packets"
     );
     assert!(
-        sr.staged_out_of_order > 0,
-        "selective repeat must have exercised the staging buffer"
+        discard.stage_overflow > 0,
+        "capacity 0 must have discarded out-of-order packets"
     );
     assert!(
-        sr.retransmits < gbn.retransmits,
-        "selective repeat must retransmit less than go-back-N on the same \
-         fault schedule ({} !< {})",
-        sr.retransmits,
-        gbn.retransmits
+        staged.staged_out_of_order > 0,
+        "the default link must have exercised the staging buffer"
+    );
+    assert!(
+        staged.retransmits < discard.retransmits,
+        "staging must retransmit less than discarding on the same fault \
+         schedule ({} !< {})",
+        staged.retransmits,
+        discard.retransmits
     );
 }
 
@@ -128,15 +121,8 @@ fn chaos_staging_buffer_survives_reorder_heavy_wire_across_windows() {
         .with_reorder_permille(350)
         .with_delay_permille(150);
     for window in [4usize, 8, 16, 48] {
-        let evidence = assert_chaos_equivalence_mode(
-            0xc0ffee,
-            plan.clone(),
-            5,
-            20,
-            true,
-            ReliabilityMode::SelectiveRepeat,
-            Some(window),
-        );
+        let evidence =
+            assert_chaos_equivalence(0xc0ffee, plan.clone(), 5, 20, true, Some(window), None);
         assert!(
             evidence.staged_out_of_order > 0,
             "window {window}: the reorder-heavy wire must stage packets"

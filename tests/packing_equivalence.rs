@@ -68,7 +68,7 @@ fn packed_drain_equals_consecutive_drain_seeded() {
 /// Bounded-ring path, seeded: tiny per-communicator rings force inline
 /// drains mid-stream (the backpressure contract), rotation cursors and
 /// per-lane quotas chop the lanes into many small blocks — and the outcome
-/// vector must still equal the unbounded mutex-path oracle under either
+/// vector must still equal the never-full-ring oracle under either
 /// packing policy, with every forced drain consuming pending work.
 #[test]
 fn bounded_ring_drain_equals_unbounded_oracle_seeded() {

@@ -339,7 +339,7 @@ proptest! {
     /// capacity-bounded submission rings composed together still satisfy
     /// packed≡consecutive — the same stream pushed through tiny rings,
     /// draining inline on every `SubmissionRingFull` bounce, equals the
-    /// unbounded mutex-path oracle under either packing policy. The helper
+    /// never-full-ring oracle under either packing policy. The helper
     /// also asserts no-livelock: every forced inline drain consumes at
     /// least one pending command, so the submit-retry loop always makes
     /// progress. (`tests/packing_equivalence.rs` has the seeded
@@ -407,8 +407,8 @@ proptest! {
     /// duplicates, reorders and delays at 10%+ each, recovered by the
     /// reliability protocol) never changes a matched (receive, message)
     /// pair relative to the fault-free run — on the synchronous path and
-    /// through the command-queue drain alike, under go-back-N and under
-    /// selective repeat, across sender window sizes, and with the reorder
+    /// through the command-queue drain alike, with and without receive-side
+    /// staging, across sender window sizes, and with the reorder
     /// rate cranked far above the drop rate (the regime where the staging
     /// buffer does the most work). A fault budget keeps every case live;
     /// past it the wire is perfect.
@@ -417,7 +417,7 @@ proptest! {
         workload_seed in any::<u64>(),
         fault_seed in any::<u64>(),
         queued in any::<bool>(),
-        selective in any::<bool>(),
+        staging in any::<bool>(),
         reorder_heavy in any::<bool>(),
         window in prop::option::of(4usize..48),
     ) {
@@ -428,13 +428,10 @@ proptest! {
             .with_reorder_permille(reorder)
             .with_delay_permille(100)
             .with_max_faults(300);
-        let mode = if selective {
-            otm_base::ReliabilityMode::SelectiveRepeat
-        } else {
-            otm_base::ReliabilityMode::GoBackN
-        };
-        support::chaos::assert_chaos_equivalence_mode(
-            workload_seed, plan, 3, 16, queued, mode, window,
+        // Capacity 0 is the discard path: nothing staged, nothing SACKed.
+        let staging = if staging { None } else { Some(0) };
+        support::chaos::assert_chaos_equivalence(
+            workload_seed, plan, 3, 16, queued, window, staging,
         );
     }
 
@@ -486,7 +483,6 @@ proptest! {
             .with_max_receives(1 << 14)
             .with_max_unexpected(1 << 14)
             .with_bins(16)
-            .with_packing(PackingPolicy::CrossComm)
             .with_lane_quota(Some(4));
         let mut server = MatchServer::new(
             config,

@@ -4,11 +4,11 @@
 //!
 //! The oracle: running a random multi-communicator post/send stream over a
 //! hostile wire (drops, duplicates, reorders, delays — recovered by the
-//! reliability protocol in either mode, go-back-N or selective repeat)
-//! must produce *exactly* the matched (receive, message) pairs of the same
-//! stream over a perfect wire, plus the same residual unexpected-store
-//! population. Under selective repeat the receive NIC's staging buffer
-//! holds out-of-order packets but delivery to the engine stays strictly
+//! selective-repeat reliability protocol) must produce *exactly* the
+//! matched (receive, message) pairs of the same stream over a perfect
+//! wire, plus the same residual unexpected-store population. The receive
+//! NIC's staging buffer holds out-of-order packets (or, at capacity 0,
+//! discards every one of them) but delivery to the engine stays strictly
 //! in-sequence, so the invariant holds by construction — these tests are
 //! the proof.
 //!
@@ -25,9 +25,7 @@ use dpa_sim::nic::RecvNic;
 use dpa_sim::rdma::{connected_pair, eager_packet, RdmaDomain};
 use dpa_sim::{DeviceMemory, MatchingService, ReliableSender};
 use otm_base::envelope::SourceSel;
-use otm_base::{
-    CommId, Envelope, FaultPlan, FaultRng, MatchConfig, Rank, ReceivePattern, ReliabilityMode, Tag,
-};
+use otm_base::{CommId, Envelope, FaultPlan, FaultRng, MatchConfig, Rank, ReceivePattern, Tag};
 
 /// One phase of the chaos workload: receives posted first, messages sent
 /// after.
@@ -53,9 +51,12 @@ pub struct ChaosEvidence {
     pub injected_faults: u64,
     pub retransmits: u64,
     /// Out-of-order packets parked in the receive NIC's staging buffer
-    /// over the run — nonzero proves selective repeat actually staged
-    /// (always zero under go-back-N, which discards gaps).
+    /// over the run — nonzero proves the staging buffer was exercised
+    /// (always zero at staging capacity 0).
     pub staged_out_of_order: u64,
+    /// Out-of-order packets discarded because the staging buffer was full
+    /// or has zero capacity.
+    pub stage_overflow: u64,
     /// Flight-recorder loss counters summed across the run:
     /// `otm_trace_dropped_total` + `dpa_trace_dropped_total` plus the span
     /// equivalents. The chaos workloads are sized well inside the ring
@@ -113,29 +114,23 @@ pub fn workload(seed: u64, phases: usize, per_phase: usize) -> Vec<Phase> {
 /// through the [`ReliableSender`] so both runs stamp identical sequence
 /// numbers. `queued` routes arrivals through the backend's command queue
 /// (the packing-scheduler path) instead of synchronous block matching.
+/// `window` caps the sender's window and `staging` overrides the receive
+/// NIC's staging capacity (`None`: the shipped defaults; `Some(0)` is the
+/// discard path: every out-of-order packet is dropped, nothing is SACKed,
+/// and each loss is repaired by a timeout resend).
 pub fn run_chaos(
     phases: &[Phase],
     faults: Option<FaultPlan>,
     queued: bool,
-) -> (RunOutcome, ChaosEvidence) {
-    run_chaos_mode(phases, faults, queued, ReliabilityMode::default(), None)
-}
-
-/// [`run_chaos`] with an explicit reliability mode and (optionally) a
-/// sender window cap — the knobs the PR 9 oracle sweeps. Both ends are
-/// switched together; mode-mismatched deployments are exercised by the
-/// unit tests in `dpa-sim`, not by the oracle.
-pub fn run_chaos_mode(
-    phases: &[Phase],
-    faults: Option<FaultPlan>,
-    queued: bool,
-    mode: ReliabilityMode,
     window: Option<usize>,
+    staging: Option<usize>,
 ) -> (RunOutcome, ChaosEvidence) {
     let (tx, rx) = connected_pair();
     let domain = RdmaDomain::new();
     let mut nic = RecvNic::new(rx, BouncePool::new(64, 256));
-    nic.set_reliability_mode(mode);
+    if let Some(capacity) = staging {
+        nic.set_staging_capacity(capacity);
+    }
     if let Some(plan) = &faults {
         nic.set_faults(plan.clone());
     }
@@ -149,7 +144,7 @@ pub fn run_chaos_mode(
     if queued {
         svc.enable_command_queue().expect("engine has a queue");
     }
-    let mut sender = ReliableSender::new(tx).with_mode(mode);
+    let mut sender = ReliableSender::new(tx);
     if let Some(cap) = window {
         sender.set_window_limit(cap);
     }
@@ -201,13 +196,15 @@ pub fn run_chaos_mode(
         injected_faults: injected,
         retransmits: sender.stats().retransmits,
         staged_out_of_order: svc.nic().rx_stats().staged_out_of_order,
+        stage_overflow: svc.nic().rx_stats().stage_overflow,
         trace_dropped,
     };
     (outcome, evidence)
 }
 
 /// The full oracle: faulty run == fault-free run, and the faulty run must
-/// actually have injected faults. Returns the evidence for extra
+/// actually have injected faults; `window` and `staging` (see [`run_chaos`])
+/// apply identically to both runs. Returns the evidence for extra
 /// assertions (e.g. that drops forced retransmissions).
 pub fn assert_chaos_equivalence(
     seed: u64,
@@ -215,33 +212,12 @@ pub fn assert_chaos_equivalence(
     phases: usize,
     per_phase: usize,
     queued: bool,
-) -> ChaosEvidence {
-    assert_chaos_equivalence_mode(
-        seed,
-        plan,
-        phases,
-        per_phase,
-        queued,
-        ReliabilityMode::default(),
-        None,
-    )
-}
-
-/// [`assert_chaos_equivalence`] with an explicit reliability mode and
-/// sender window cap, applied identically to the faulty and the clean run.
-#[allow(clippy::too_many_arguments)]
-pub fn assert_chaos_equivalence_mode(
-    seed: u64,
-    plan: FaultPlan,
-    phases: usize,
-    per_phase: usize,
-    queued: bool,
-    mode: ReliabilityMode,
     window: Option<usize>,
+    staging: Option<usize>,
 ) -> ChaosEvidence {
     let workload = workload(seed, phases, per_phase);
-    let (clean, _) = run_chaos_mode(&workload, None, queued, mode, window);
-    let (faulty, evidence) = run_chaos_mode(&workload, Some(plan), queued, mode, window);
+    let (clean, _) = run_chaos(&workload, None, queued, window, staging);
+    let (faulty, evidence) = run_chaos(&workload, Some(plan), queued, window, staging);
     assert!(
         !clean.completed.is_empty(),
         "the workload must complete something for the oracle to bite"

@@ -22,7 +22,7 @@ use mpi_matching::{
     PostResult, RecvHandle,
 };
 use otm::{CommandOutcome, OtmEngine};
-use otm_base::{CommId, MatchConfig, MatchError, PackingPolicy, SubmissionPath};
+use otm_base::{CommId, MatchConfig, MatchError, PackingPolicy};
 use std::collections::{HashMap, HashSet};
 
 /// An engine configuration for the fallback oracle: parallel blocks, tables
@@ -262,7 +262,8 @@ pub fn drain_under_policy(
     packing: PackingPolicy,
     cmds: &[PendingCommand],
 ) -> (OtmEngine, DrainReport) {
-    let engine = OtmEngine::new(config.with_packing(packing)).expect("valid test config");
+    let engine = OtmEngine::new(config).expect("valid test config");
+    engine.set_packing(packing);
     for &cmd in cmds {
         engine.submit(cmd).expect("engine running");
     }
@@ -293,13 +294,15 @@ pub fn assert_packing_equivalence(config: MatchConfig, cmds: &[PendingCommand]) 
 /// stream pushed through capacity-bounded per-communicator rings — draining
 /// inline whenever a push bounces with `SubmissionRingFull`, exactly as a
 /// caller honoring the backpressure contract would — must produce, under
-/// *either* packing policy, the outcome vector of the unbounded one-shot
-/// mutex-path drain. Along the way every forced inline drain must consume
-/// at least one pending command (a full ring implies pending work, so a
-/// drain that applies nothing would livelock the retry loop).
+/// *either* packing policy, the outcome vector of a one-shot consecutive
+/// drain through rings big enough never to push back (the serialized
+/// `Oracle` in `tests/command_queue_oracle.rs` is the independent ground
+/// truth for that reference). Along the way every forced inline drain must
+/// consume at least one pending command (a full ring implies pending work,
+/// so a drain that applies nothing would livelock the retry loop).
 pub fn assert_ring_equivalence(config: MatchConfig, cmds: &[PendingCommand]) {
     let (_, oracle) = drain_under_policy(
-        config.clone().with_submission(SubmissionPath::Mutex),
+        config.clone().with_ring_capacity(cmds.len().max(1)),
         PackingPolicy::Consecutive,
         cmds,
     );
@@ -307,13 +310,8 @@ pub fn assert_ring_equivalence(config: MatchConfig, cmds: &[PendingCommand]) {
     assert_eq!(oracle.outcomes.len(), cmds.len(), "oracle must drain everything");
 
     for packing in [PackingPolicy::Consecutive, PackingPolicy::CrossComm] {
-        let engine = OtmEngine::new(
-            config
-                .clone()
-                .with_submission(SubmissionPath::Ring)
-                .with_packing(packing),
-        )
-        .expect("valid test config");
+        let engine = OtmEngine::new(config.clone()).expect("valid test config");
+        engine.set_packing(packing);
         let mut outcomes = Vec::new();
         for &cmd in cmds {
             loop {

@@ -22,7 +22,7 @@ use dpa_sim::{
     TenantSession,
 };
 use otm_base::envelope::TagSel;
-use otm_base::{CommId, MatchConfig, PackingPolicy, Rank, ReceivePattern, Tag};
+use otm_base::{CommId, MatchConfig, Rank, ReceivePattern, Tag};
 
 /// An engine large enough that only admission — never table pressure —
 /// shapes the runs, with cross-communicator packing and a per-lane quota so
@@ -33,7 +33,6 @@ fn roomy_config() -> MatchConfig {
         .with_max_receives(1 << 14)
         .with_max_unexpected(1 << 14)
         .with_bins(16)
-        .with_packing(PackingPolicy::CrossComm)
         .with_lane_quota(Some(8))
 }
 
