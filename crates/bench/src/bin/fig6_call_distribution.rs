@@ -39,8 +39,9 @@ fn main() {
     println!("one-sided operations anywhere:     {one_sided} (paper: none)");
 
     // The replay registry carries progress counters for the whole sweep.
-    let obs = observability_value(otm_trace::replay_metrics().snapshot_json().as_deref());
-    let report = BenchReport::with_observability("fig6_call_distribution", false, reports, obs);
+    let obs = observability_value(&otm_trace::replay_metrics().snapshot_json());
+    let report =
+        BenchReport::with_observability("fig6_call_distribution", false, reports, Some(obs));
     let path = write_report(&args, &report);
     println!("\nJSON artifact: {}", path.display());
 }

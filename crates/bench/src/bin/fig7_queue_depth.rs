@@ -75,7 +75,7 @@ fn main() {
     println!("\npaper anchors: averages 8.21 / 0.80 / 0.33 at 1 / 32 / 128 bins (−90% / −95%);");
     println!("               BoxLib CNS max depth 25 -> 3 -> 1");
 
-    let obs = observability_value(otm_trace::replay_metrics().snapshot_json().as_deref());
+    let obs = observability_value(&otm_trace::replay_metrics().snapshot_json());
     let report = BenchReport::with_observability(
         "fig7_queue_depth",
         !args.full,
@@ -84,7 +84,7 @@ fn main() {
             per_app,
             averages,
         },
-        obs,
+        Some(obs),
     );
     let path = write_report(&args, &report);
     println!("\nJSON artifact: {}", path.display());

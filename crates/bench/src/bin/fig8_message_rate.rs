@@ -599,9 +599,7 @@ fn run_mixed(
             println!("  WARNING: {name} drain stopped early: {e}");
         }
         let snapshot_json = engine.metrics_snapshot().to_json();
-        if let Some(v) = observability_value(Some(&snapshot_json)) {
-            observability.insert(format!("mixed {name}"), v);
-        }
+        observability.insert(format!("mixed {name}"), observability_value(&snapshot_json));
         rows.push((row, snapshot_json));
     }
     rows
@@ -750,7 +748,7 @@ struct FaultSweep {
 struct FaultRun {
     row: FaultRow,
     completed: Vec<(u64, Vec<u8>)>,
-    observability_json: Option<String>,
+    observability_json: String,
     /// The rolling time series sampled on the service's poll clock, when
     /// `--series` asked for one.
     series: Option<SeriesRecorder>,
@@ -968,9 +966,10 @@ fn run_faults(
             r.rx_staged_out_of_order,
             r.knob_changes,
         );
-        if let Some(v) = observability_value(run.observability_json.as_deref()) {
-            observability.insert(format!("faults {} {}", r.mode, r.label), v);
-        }
+        observability.insert(
+            format!("faults {} {}", r.mode, r.label),
+            observability_value(&run.observability_json),
+        );
     }
     let hostile = &runs[1].row;
     println!("shape: hostile wire changed no matched pair: {matched_equal}");
@@ -997,7 +996,7 @@ fn run_faults(
         matched_equal,
         rows: runs.iter().map(|r| r.row.clone()).collect(),
     };
-    let snapshots: Vec<&Option<String>> = runs.iter().map(|r| &r.observability_json).collect();
+    let snapshots: Vec<&str> = runs.iter().map(|r| r.observability_json.as_str()).collect();
     let path = write_faults_artifact(&sweep, &snapshots);
     println!("fault-sweep artifact: {}", path.display());
     Some(sweep)
@@ -1007,16 +1006,13 @@ fn run_faults(
 /// serde_json on this path) with the two runs' registry-snapshot JSON
 /// embedded verbatim — the same dependency-free idiom as
 /// [`write_mixed_artifact`].
-fn write_faults_artifact(sweep: &FaultSweep, snapshots: &[&Option<String>]) -> std::path::PathBuf {
+fn write_faults_artifact(sweep: &FaultSweep, snapshots: &[&str]) -> std::path::PathBuf {
     let row_objs: Vec<String> = sweep.rows.iter().map(FaultRow::to_json).collect();
     let snapshot_objs: Vec<String> = sweep
         .rows
         .iter()
         .zip(snapshots)
-        .filter_map(|(row, snap)| {
-            snap.as_ref()
-                .map(|s| format!("\"{} {}\":{}", row.mode, row.label, s))
-        })
+        .map(|(row, snap)| format!("\"{} {}\":{}", row.mode, row.label, snap))
         .collect();
     let json = format!(
         concat!(
@@ -1320,9 +1316,10 @@ fn run_tenants(
     println!("shape: flooder answered with backpressure: {flooder_backpressured}");
     println!("shape: well-behaved tenants retained >= 50% of solo: {fairness_retained}");
 
-    if let Some(v) = observability_value(server.service().observability_json().as_deref()) {
-        observability.insert("tenants".to_string(), v);
-    }
+    observability.insert(
+        "tenants".to_string(),
+        observability_value(&server.service().observability_json()),
+    );
     let series = server.finish_series();
     Some((
         TenantsSweep {
@@ -1545,10 +1542,9 @@ fn run_sharded(args: &CommonArgs, budget: usize) -> ShardedReport {
 /// Moves a run's registry snapshot out of the result row and into the
 /// report-level observability map, parsed into structured JSON.
 fn harvest(result: &mut PingPongResult, observability: &mut BTreeMap<String, serde_json::Value>) {
-    if let Some(v) = observability_value(result.observability_json.as_deref()) {
-        observability.insert(result.label.clone(), v);
+    if let Some(json) = result.observability_json.take() {
+        observability.insert(result.label.clone(), observability_value(&json));
     }
-    result.observability_json = None;
 }
 
 fn print_result(result: &PingPongResult) {

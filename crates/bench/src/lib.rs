@@ -6,9 +6,8 @@
 //! have machine-readable provenance.
 //!
 //! Since the observability PR every binary emits the same [`BenchReport`]
-//! envelope: the bench-specific rows under `results`, plus — when the
-//! instrumented crates are compiled with their default `metrics` feature —
-//! an `observability` object holding parsed `otm-metrics` registry
+//! envelope: the bench-specific rows under `results`, plus an
+//! `observability` object holding parsed `otm-metrics` registry
 //! snapshots (counters, queue-depth gauges, histogram quantiles). Command
 //! lines are parsed by the shared [`CommonArgs`] so every harness accepts
 //! the same `--quick` / `--full` / `--messages N` / `--repeats N` /
@@ -186,8 +185,8 @@ impl<T: Serialize, O: Serialize> BenchReport<T, O> {
 /// Parses an `otm-metrics` registry-snapshot JSON string (as returned by
 /// `RegistrySnapshot::to_json` or `MatchingService::observability_json`)
 /// into a JSON value for embedding in a [`BenchReport`].
-pub fn observability_value(json: Option<&str>) -> Option<serde_json::Value> {
-    json.and_then(|s| serde_json::from_str(s).ok())
+pub fn observability_value(json: &str) -> serde_json::Value {
+    serde_json::from_str(json).expect("registry snapshots render as valid JSON")
 }
 
 /// Directory where harness binaries drop their JSON artifacts.

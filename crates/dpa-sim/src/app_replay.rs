@@ -71,10 +71,9 @@ pub struct AppReplayConfig {
     pub eager_max: usize,
     /// Bytes of a rendezvous payload piggybacked on the RTS.
     pub piggyback: usize,
-    /// When set (and the `metrics` feature is on), the destination with the
-    /// most arrivals gets a queue-depth series sampler at this cadence (in
-    /// service polls); the result lands in
-    /// [`AppReplayReport::series_json`].
+    /// When set, the destination with the most arrivals gets a queue-depth
+    /// series sampler at this cadence (in service polls); the result lands
+    /// in [`AppReplayReport::series_json`].
     pub series_cadence: Option<u64>,
 }
 
@@ -172,11 +171,11 @@ pub struct AppReplayReport {
     pub gate_parked: u64,
     /// Packets the gate released to completion queues.
     pub gate_released: u64,
-    /// No-conflict resolutions (0 without the `metrics` feature).
+    /// No-conflict resolutions.
     pub path_nc: u64,
-    /// Wildcard fast-path resolutions (0 without the `metrics` feature).
+    /// Wildcard fast-path resolutions.
     pub path_wc_fp: u64,
-    /// Wildcard slow-path resolutions (0 without the `metrics` feature).
+    /// Wildcard slow-path resolutions.
     pub path_wc_sp: u64,
     /// Destinations that migrated to the software-fallback matcher.
     pub fallbacks: u64,
@@ -185,8 +184,7 @@ pub struct AppReplayReport {
     /// End-to-end message rate (`messages / elapsed_secs`).
     pub msgs_per_sec: f64,
     /// Queue-depth time series of the busiest destination, as JSON, when
-    /// [`AppReplayConfig::series_cadence`] asked for one (always `None`
-    /// without the `metrics` feature).
+    /// [`AppReplayConfig::series_cadence`] asked for one.
     pub series_json: Option<String>,
 }
 
@@ -428,11 +426,7 @@ impl Senders {
     /// Polls every sender once (ack intake + retransmit timers) and applies
     /// the service's controller window hint, if any.
     fn poll_all(&mut self, svc: &MatchingService) -> Result<(), ServiceError> {
-        #[cfg(feature = "metrics")]
         let hint = svc.reliability_window_hint();
-        #[cfg(not(feature = "metrics"))]
-        let hint: Option<usize> = None;
-        let _ = svc;
         for s in self.by_src.values_mut() {
             if let Some(h) = hint {
                 s.set_window_limit(h);
@@ -501,7 +495,6 @@ pub fn replay_app(
         ..AppReplayReport::default()
     };
     let mut pairs: Vec<MatchedPair> = Vec::new();
-    #[cfg(feature = "metrics")]
     let busiest = per_rank
         .iter()
         .enumerate()
@@ -568,13 +561,10 @@ pub fn replay_app(
         let mut svc = MatchingService::with_backend(nic, domain.clone(), Box::new(engine));
         svc.enable_command_queue()
             .expect("the offloaded engine has a command queue");
-        #[cfg(feature = "metrics")]
-        {
-            svc.attach_controller(crate::control::FeedbackController::with_defaults());
-            if let (Some(cadence), Some(b)) = (cfg.series_cadence, busiest) {
-                if b == dest {
-                    svc.attach_series(otm_metrics::SeriesRecorder::new(cadence.max(1)));
-                }
+        svc.attach_controller(crate::control::FeedbackController::with_defaults());
+        if let (Some(cadence), Some(b)) = (cfg.series_cadence, busiest) {
+            if b == dest {
+                svc.attach_series(otm_metrics::SeriesRecorder::new(cadence.max(1)));
             }
         }
         for s in senders.by_src.values_mut() {
@@ -626,23 +616,20 @@ pub fn replay_app(
         settle(dest as u32, &mut svc, &mut senders, &mut pairs)?;
 
         // ---- per-destination accounting ---------------------------------
-        #[cfg(feature = "metrics")]
-        {
-            svc.force_series_sample();
-            if let Some(series) = svc.take_series() {
-                report.series_json = Some(series.to_json());
-            }
-            let snap = svc.observability_snapshot();
-            let path = |p: &str| {
-                snap.counters
-                    .get(&format!("otm_resolutions_total{{path=\"{p}\"}}"))
-                    .copied()
-                    .unwrap_or(0)
-            };
-            report.path_nc += path("nc");
-            report.path_wc_fp += path("wc_fp");
-            report.path_wc_sp += path("wc_sp");
+        svc.force_series_sample();
+        if let Some(series) = svc.take_series() {
+            report.series_json = Some(series.to_json());
         }
+        let snap = svc.observability_snapshot();
+        let path = |p: &str| {
+            snap.counters
+                .get(&format!("otm_resolutions_total{{path=\"{p}\"}}"))
+                .copied()
+                .unwrap_or(0)
+        };
+        report.path_nc += path("nc");
+        report.path_wc_fp += path("wc_fp");
+        report.path_wc_sp += path("wc_sp");
         let wire = svc.nic().wire_fault_stats().unwrap_or_default();
         report.wire_drops += wire.drops;
         report.wire_duplicates += wire.duplicates;

@@ -26,7 +26,7 @@
 //! * [`control`] — the feedback controller: observes registry deltas each
 //!   service tick and actuates reliability/drain/packing knobs, every
 //!   change recorded as a `knob_changed` span;
-//! * [`obs`] — feature-gated observability: queue-depth gauges and
+//! * [`obs`] — observability: queue-depth gauges and
 //!   NIC-memory pressure counters for the matching service, plus the
 //!   fault/reliability counters and backoff histogram;
 //! * [`service`] — the matching service: the offloaded optimistic engine
@@ -53,7 +53,6 @@ pub mod app_replay;
 pub mod bounce;
 pub mod cluster;
 pub mod collectives;
-#[cfg(feature = "metrics")]
 pub mod control;
 pub mod fault;
 pub mod matchd;
@@ -69,7 +68,6 @@ pub use app_replay::{
     engine_direct_pairs, replay_app, AppReplayConfig, AppReplayOutcome, AppReplayReport,
 };
 pub use cluster::{Cluster, ClusterBackend, ClusterNode};
-#[cfg(feature = "metrics")]
 pub use control::{ControllerConfig, ControllerStats, FeedbackController};
 pub use fault::{BackendFaultStats, FaultInjectingBackend, WireFaultStats, WireFaults};
 pub use matchd::{

@@ -41,7 +41,6 @@ use otm_base::{CommId, MatchConfig, MatchError};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
-#[cfg(feature = "metrics")]
 use super::tenant::TenantInstruments;
 
 /// Per-tenant knobs applied at [`MatchServer::open_tenant_with`].
@@ -80,8 +79,7 @@ pub struct MatchdConfig {
     /// tuning) to the underlying service, so each tick's progress call can
     /// adjust the drain-retry budget and the engine's packing knobs from
     /// observed registry deltas. Opt-in (default `false`): a server under
-    /// an external fairness harness may prefer fixed knobs. No effect
-    /// without the `metrics` feature.
+    /// an external fairness harness may prefer fixed knobs.
     pub self_tuning: bool,
 }
 
@@ -111,7 +109,6 @@ struct TenantEntry {
     shared: Arc<Mutex<TenantShared>>,
     /// DRR credit carried between rounds (reset when the ingress empties).
     deficit: u64,
-    #[cfg(feature = "metrics")]
     series: Option<otm_metrics::SeriesRecorder>,
 }
 
@@ -125,7 +122,6 @@ pub struct MatchServer {
     tenants: Vec<TenantEntry>,
     config: MatchdConfig,
     ticks: u64,
-    #[cfg(feature = "metrics")]
     series_cadence: Option<u64>,
 }
 
@@ -156,7 +152,6 @@ impl MatchServer {
         wire: Option<QueuePair>,
         config: MatchdConfig,
     ) -> Self {
-        #[cfg(feature = "metrics")]
         if config.self_tuning {
             service.attach_controller(crate::control::FeedbackController::with_defaults());
         }
@@ -166,7 +161,6 @@ impl MatchServer {
             tenants: Vec::new(),
             config,
             ticks: 0,
-            #[cfg(feature = "metrics")]
             series_cadence: None,
         }
     }
@@ -189,14 +183,12 @@ impl MatchServer {
             closed: false,
             stats: TenantStats::default(),
             completions: VecDeque::new(),
-            #[cfg(feature = "metrics")]
             instruments: TenantInstruments::new(self.service.metrics().registry(), id),
         }));
         self.tenants.push(TenantEntry {
             id,
             shared: Arc::clone(&shared),
             deficit: 0,
-            #[cfg(feature = "metrics")]
             series: self.series_cadence.map(otm_metrics::SeriesRecorder::new),
         });
         TenantSession {
@@ -301,18 +293,14 @@ impl MatchServer {
                 shared.ingress.push_front(req);
             }
             shared.stats.drained += dispatched as u64;
-            #[cfg(feature = "metrics")]
-            {
-                shared.instruments.drained.add(dispatched as u64);
-                shared
-                    .instruments
-                    .ingress_depth
-                    .set(shared.ingress.len() as i64);
-            }
+            shared.instruments.drained.add(dispatched as u64);
+            shared
+                .instruments
+                .ingress_depth
+                .set(shared.ingress.len() as i64);
         }
         let completed = self.service.progress()?;
         self.deliver_completions();
-        #[cfg(feature = "metrics")]
         self.sample_tenant_series();
         Ok(TickReport {
             tick: self.ticks,
@@ -351,7 +339,6 @@ impl MatchServer {
             debug_assert_eq!(entry.id, tenant, "tenant ids are open-order indices");
             let mut shared = entry.shared.lock().expect("tenant lock");
             shared.stats.completed += 1;
-            #[cfg(feature = "metrics")]
             shared.instruments.completions.inc();
             shared.completions.push_back(done);
         }
@@ -359,9 +346,8 @@ impl MatchServer {
 
     /// The live `/metrics` exposition: the combined service + engine
     /// registries (including every per-tenant labeled instrument) rendered
-    /// in the Prometheus text format. Scrapable between any two ticks;
-    /// `None` without the `metrics` feature.
-    pub fn prometheus(&self) -> Option<String> {
+    /// in the Prometheus text format. Scrapable between any two ticks.
+    pub fn prometheus(&self) -> String {
         self.service.observability_prometheus()
     }
 
@@ -369,7 +355,6 @@ impl MatchServer {
     /// global series plus one per-tenant section (ingress depth as the
     /// queue-depth curve, completions as the matched curve). Applies to
     /// already-open and future tenants.
-    #[cfg(feature = "metrics")]
     pub fn attach_series(&mut self, cadence: u64) {
         self.series_cadence = Some(cadence);
         self.service
@@ -383,7 +368,6 @@ impl MatchServer {
     /// completions under the standard matched key, so
     /// [`otm_metrics::SeriesPoint::distill`] reads it like any engine
     /// snapshot.
-    #[cfg(feature = "metrics")]
     fn tenant_snapshot(completed: u64) -> otm_metrics::RegistrySnapshot {
         let mut counters = std::collections::BTreeMap::new();
         counters.insert("otm_matched_total".to_string(), completed);
@@ -394,7 +378,6 @@ impl MatchServer {
         }
     }
 
-    #[cfg(feature = "metrics")]
     fn sample_tenant_series(&mut self) {
         let t = self.ticks;
         for entry in &mut self.tenants {
@@ -416,7 +399,6 @@ impl MatchServer {
     /// every per-tenant recorder, then renders the multi-section artifact
     /// of [`otm_metrics::tenant_sections_json`]. `None` when
     /// [`MatchServer::attach_series`] was never called.
-    #[cfg(feature = "metrics")]
     pub fn finish_series(&mut self) -> Option<String> {
         self.series_cadence?;
         self.service.force_series_sample();
@@ -442,7 +424,7 @@ impl MatchServer {
     }
 }
 
-#[cfg(all(test, feature = "metrics"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use otm_base::{MatchConfig, PackingPolicy};

@@ -137,7 +137,6 @@ pub struct TenantStats {
 
 /// Per-tenant labeled instruments, registered in the service's registry so
 /// they ride the same snapshot/Prometheus path as everything else.
-#[cfg(feature = "metrics")]
 pub(super) struct TenantInstruments {
     pub admitted: std::sync::Arc<otm_metrics::Counter>,
     pub backpressured: std::sync::Arc<otm_metrics::Counter>,
@@ -147,7 +146,6 @@ pub(super) struct TenantInstruments {
     pub ingress_depth: std::sync::Arc<otm_metrics::Gauge>,
 }
 
-#[cfg(feature = "metrics")]
 impl TenantInstruments {
     pub(super) fn new(registry: &otm_metrics::Registry, id: TenantId) -> Self {
         let labels = || vec![("tenant", id.to_string())];
@@ -178,7 +176,6 @@ pub(super) struct TenantShared {
     pub stats: TenantStats,
     /// Completions the server routed to this tenant, awaiting pickup.
     pub completions: VecDeque<CompletedReceive>,
-    #[cfg(feature = "metrics")]
     pub instruments: TenantInstruments,
 }
 
@@ -278,7 +275,6 @@ impl TenantSession {
 
     fn reject<T>(s: &mut TenantShared, reason: &'static str) -> Admission<T> {
         s.stats.rejected += 1;
-        #[cfg(feature = "metrics")]
         s.instruments.rejected.inc();
         Admission::Rejected { reason }
     }
@@ -292,7 +288,6 @@ impl TenantSession {
         let overflow = (s.ingress.len() + 1 - s.capacity) as u64;
         let retry_after = overflow.div_ceil(s.quantum.max(1) as u64).max(1);
         s.stats.backpressured += 1;
-        #[cfg(feature = "metrics")]
         s.instruments.backpressured.inc();
         Some(retry_after)
     }
@@ -300,11 +295,8 @@ impl TenantSession {
     fn admit(s: &mut TenantShared, req: TenantRequest) {
         s.ingress.push_back(req);
         s.stats.admitted += 1;
-        #[cfg(feature = "metrics")]
-        {
-            s.instruments.admitted.inc();
-            s.instruments.ingress_depth.set(s.ingress.len() as i64);
-        }
+        s.instruments.admitted.inc();
+        s.instruments.ingress_depth.set(s.ingress.len() as i64);
     }
 }
 

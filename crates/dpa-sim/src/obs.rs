@@ -1,477 +1,306 @@
-//! Feature-gated service observability.
+//! Service observability.
 //!
 //! [`ServiceMetrics`] is the matching service's handle to the `otm-metrics`
 //! registry: completion-queue poll counters, queue-depth gauges (CQ
 //! backlog, bounce-pool occupancy, unexpected-store size) with their peak
 //! twins, and counters for the two NIC-memory pressure events of §IV —
-//! bounce-buffer exhaustion and fallback to software matching.
-//!
-//! Like the engine-side [`otm::EngineMetrics`], the whole struct compiles
-//! to a zero-sized no-op under `--no-default-features`, so the simulator's
-//! receive path carries no instrumentation cost when observability is off.
+//! bounce-buffer exhaustion and fallback to software matching. With the
+//! `trace-events` feature it also owns the service's lifecycle span
+//! recorder (retransmissions, fallback replays, controller knob moves).
 
-#[cfg(feature = "metrics")]
-mod imp {
-    use otm_metrics::{Counter, Gauge, Histogram, Registry, RegistrySnapshot};
-    use std::sync::Arc;
+use otm_metrics::{Counter, Gauge, Histogram, Registry, RegistrySnapshot};
+use std::sync::Arc;
 
-    /// Events retained by the timeline ring before overwriting.
-    #[cfg(feature = "trace-events")]
-    const TRACE_CAPACITY: usize = 16 * 1024;
-
-    /// Lifecycle span events retained before overwriting (retransmissions
-    /// and fallback replays are rare next to matches, so the service ring
-    /// can stay small).
-    #[cfg(feature = "trace-events")]
-    const SPAN_CAPACITY: usize = 64 * 1024;
-
-    /// Synthetic span subject for feedback-controller knob changes. The
-    /// controller has no message identity; `u64::MAX` cannot collide with a
-    /// message handle or a `RECV_SUBJECT_BIT`-tagged receive handle.
-    #[cfg(feature = "trace-events")]
-    const CONTROLLER_SUBJECT: u64 = u64::MAX;
-
-    /// Cheap-to-clone handle to the service's metric instruments.
-    #[derive(Debug, Clone)]
-    pub struct ServiceMetrics {
-        registry: Registry,
-        cq_polls: Arc<Counter>,
-        completions: Arc<Counter>,
-        bounce_spills: Arc<Counter>,
-        fallbacks: Arc<Counter>,
-        cq_depth: Arc<Gauge>,
-        cq_depth_peak: Arc<Gauge>,
-        bounce_in_use: Arc<Gauge>,
-        bounce_in_use_peak: Arc<Gauge>,
-        unexpected_depth: Arc<Gauge>,
-        wire_drops: Arc<Counter>,
-        wire_dups: Arc<Counter>,
-        wire_reorders: Arc<Counter>,
-        wire_delays: Arc<Counter>,
-        rx_duplicates: Arc<Counter>,
-        rx_gaps: Arc<Counter>,
-        rx_staged: Arc<Counter>,
-        rx_stage_overflow: Arc<Counter>,
-        acks: Arc<Counter>,
-        knob_changes: Arc<Counter>,
-        retransmits: Arc<Counter>,
-        drain_retries: Arc<Counter>,
-        ring_backpressure: Arc<Counter>,
-        fallback_escalations: Arc<Counter>,
-        backoff_polls: Arc<Histogram>,
-        trace_dropped: Arc<Counter>,
-        #[cfg(feature = "trace-events")]
-        trace: Arc<otm_metrics::TraceRing>,
-        #[cfg(feature = "trace-events")]
-        spans: Arc<otm_metrics::SpanRecorder>,
-        #[cfg(feature = "trace-events")]
-        span_dropped: Arc<Counter>,
-    }
-
-    impl Default for ServiceMetrics {
-        fn default() -> Self {
-            Self::new()
-        }
-    }
-
-    impl ServiceMetrics {
-        /// Creates a fresh registry with the service's instruments.
-        pub fn new() -> Self {
-            let registry = Registry::new();
-            Self {
-                cq_polls: registry.counter("dpa_cq_polls_total"),
-                completions: registry.counter("dpa_completions_total"),
-                bounce_spills: registry.counter("dpa_bounce_spills_total"),
-                fallbacks: registry.counter("dpa_fallbacks_total"),
-                cq_depth: registry.gauge("dpa_cq_depth"),
-                cq_depth_peak: registry.gauge("dpa_cq_depth_peak"),
-                bounce_in_use: registry.gauge("dpa_bounce_in_use"),
-                bounce_in_use_peak: registry.gauge("dpa_bounce_in_use_peak"),
-                unexpected_depth: registry.gauge("dpa_unexpected_depth"),
-                wire_drops: registry.counter("dpa_wire_drops_total"),
-                wire_dups: registry.counter("dpa_wire_dups_total"),
-                wire_reorders: registry.counter("dpa_wire_reorders_total"),
-                wire_delays: registry.counter("dpa_wire_delays_total"),
-                rx_duplicates: registry.counter("dpa_rx_duplicates_total"),
-                rx_gaps: registry.counter("dpa_rx_gaps_total"),
-                rx_staged: registry.counter("dpa_rx_staged_total"),
-                rx_stage_overflow: registry.counter("dpa_rx_stage_overflow_total"),
-                acks: registry.counter("dpa_acks_total"),
-                knob_changes: registry.counter("dpa_knob_changes_total"),
-                retransmits: registry.counter("dpa_retransmits_total"),
-                drain_retries: registry.counter("dpa_drain_retries_total"),
-                ring_backpressure: registry.counter("dpa_ring_backpressure_total"),
-                fallback_escalations: registry.counter("dpa_fallback_escalations_total"),
-                backoff_polls: registry.histogram("dpa_backoff_polls"),
-                trace_dropped: registry.counter("dpa_trace_dropped_total"),
-                #[cfg(feature = "trace-events")]
-                trace: Arc::new(otm_metrics::TraceRing::new(TRACE_CAPACITY)),
-                #[cfg(feature = "trace-events")]
-                spans: Arc::new(otm_metrics::SpanRecorder::new(SPAN_CAPACITY)),
-                #[cfg(feature = "trace-events")]
-                span_dropped: registry.counter("dpa_span_dropped_total"),
-                registry,
-            }
-        }
-
-        /// Counts one completion-queue poll.
-        #[inline]
-        pub fn count_poll(&self) {
-            self.cq_polls.inc();
-        }
-
-        /// Counts receives completed by one progress call.
-        #[inline]
-        pub fn add_completions(&self, n: u64) {
-            self.completions.add(n);
-        }
-
-        /// Counts one bounce-pool exhaustion (a message had to wait on the
-        /// wire because NIC staging memory ran out).
-        #[inline]
-        pub fn count_spill(&self) {
-            self.bounce_spills.inc();
-        }
-
-        /// Counts one migration to host software matching (§IV-E).
-        #[inline]
-        pub fn count_fallback(&self) {
-            self.fallbacks.inc();
-        }
-
-        /// Updates the queue-depth gauges and their peak twins.
-        #[inline]
-        pub fn observe_queues(&self, cq: usize, bounce: usize, unexpected: usize) {
-            self.cq_depth.set(cq as i64);
-            self.cq_depth_peak.set_max(cq as i64);
-            self.bounce_in_use.set(bounce as i64);
-            self.bounce_in_use_peak.set_max(bounce as i64);
-            self.unexpected_depth.set(unexpected as i64);
-        }
-
-        /// Counts one fault-injected packet drop on the wire.
-        #[inline]
-        pub fn count_wire_drop(&self) {
-            self.wire_drops.inc();
-        }
-
-        /// Counts one fault-injected packet duplication on the wire.
-        #[inline]
-        pub fn count_wire_dup(&self) {
-            self.wire_dups.inc();
-        }
-
-        /// Counts one fault-injected out-of-order release on the wire.
-        #[inline]
-        pub fn count_wire_reorder(&self) {
-            self.wire_reorders.inc();
-        }
-
-        /// Counts one fault-injected in-order delay on the wire.
-        #[inline]
-        pub fn count_wire_delay(&self) {
-            self.wire_delays.inc();
-        }
-
-        /// Counts one duplicate sequenced packet discarded at the receiver
-        /// (`seq` below the expected counter).
-        #[inline]
-        pub fn count_rx_duplicate(&self) {
-            self.rx_duplicates.inc();
-        }
-
-        /// Counts one out-of-order sequenced packet discarded at the
-        /// receiver (`seq` above the expected counter and no staging room —
-        /// a gap a timeout resend will fill).
-        #[inline]
-        pub fn count_rx_gap(&self) {
-            self.rx_gaps.inc();
-        }
-
-        /// Counts one out-of-order sequenced packet staged by the receiver
-        /// (held for in-order delivery instead of discarded).
-        #[inline]
-        pub fn count_rx_staged(&self) {
-            self.rx_staged.inc();
-        }
-
-        /// Counts one out-of-order packet discarded because the staging
-        /// buffer was full.
-        #[inline]
-        pub fn count_rx_stage_overflow(&self) {
-            self.rx_stage_overflow.inc();
-        }
-
-        /// Counts one cumulative acknowledgement sent or consumed.
-        #[inline]
-        pub fn count_ack(&self) {
-            self.acks.inc();
-        }
-
-        /// Records one feedback-controller knob actuation: counted in
-        /// `dpa_knob_changes_total` (always) and stamped as a
-        /// `knob_changed` lifecycle span (under `trace-events`) so runs
-        /// stay reproducible from the trace alone.
-        #[inline]
-        pub fn knob_changed(&self, knob: otm_metrics::KnobKind, from: u64, to: u64) {
-            self.knob_changes.inc();
-            #[cfg(feature = "trace-events")]
-            if self.spans.push(
-                CONTROLLER_SUBJECT,
-                otm_metrics::SpanKind::KnobChanged { knob, from, to },
-            ) {
-                self.span_dropped.inc();
-            }
-            #[cfg(not(feature = "trace-events"))]
-            let _ = (knob, from, to);
-        }
-
-        /// Counts packets retransmitted (timeout resends and fast retransmits).
-        #[inline]
-        pub fn add_retransmits(&self, n: u64) {
-            self.retransmits.add(n);
-        }
-
-        /// Counts one retry of a failed command-queue drain.
-        #[inline]
-        pub fn count_drain_retry(&self) {
-            self.drain_retries.inc();
-        }
-
-        /// Counts one submission rejected by a full per-communicator ring
-        /// (the engine's wait-free backpressure signal): the service drains
-        /// inline to free slots and retries the push.
-        #[inline]
-        pub fn count_ring_backpressure(&self) {
-            self.ring_backpressure.inc();
-        }
-
-        /// Counts one retry-budget exhaustion that escalated to software
-        /// fallback (as opposed to an explicit caller-invoked fallback).
-        #[inline]
-        pub fn count_fallback_escalation(&self) {
-            self.fallback_escalations.inc();
-        }
-
-        /// Records the backoff length (in virtual polls) applied before a
-        /// retry or retransmit.
-        #[inline]
-        pub fn observe_backoff(&self, polls: u64) {
-            self.backoff_polls.record(polls);
-        }
-
-        /// The underlying registry (for embedding into a larger exporter).
-        pub fn registry(&self) -> &Registry {
-            &self.registry
-        }
-
-        /// Copies out all service metrics.
-        pub fn snapshot(&self) -> RegistrySnapshot {
-            self.registry.snapshot()
-        }
-
-        /// Pushes a timeline event (no-op unless `trace-events` is on).
-        /// Overwritten events are accounted in `dpa_trace_dropped_total`
-        /// rather than lost silently.
-        #[inline]
-        pub fn trace_push(&self, worker: u32, kind: otm_metrics::EventKind) {
-            #[cfg(feature = "trace-events")]
-            if self.trace.push(worker, kind) {
-                self.trace_dropped.inc();
-            }
-            #[cfg(not(feature = "trace-events"))]
-            let _ = (worker, kind, &self.trace_dropped);
-        }
-
-        /// The timeline ring.
-        #[cfg(feature = "trace-events")]
-        pub fn trace_ring(&self) -> &otm_metrics::TraceRing {
-            &self.trace
-        }
-
-        /// Stamps a `retransmitted{attempt}` lifecycle span on wire packet
-        /// `seq` (no-op unless `trace-events` is on). Ring overflow is
-        /// accounted in `dpa_span_dropped_total`.
-        #[inline]
-        pub fn span_retransmitted(&self, seq: u64, attempt: u32) {
-            #[cfg(feature = "trace-events")]
-            if self
-                .spans
-                .push(seq, otm_metrics::SpanKind::Retransmitted { attempt })
-            {
-                self.span_dropped.inc();
-            }
-            #[cfg(not(feature = "trace-events"))]
-            let _ = (seq, attempt);
-        }
-
-        /// Stamps a `fell_back` lifecycle span on `subject` — a message
-        /// being replayed into the software matcher during fallback (no-op
-        /// unless `trace-events` is on).
-        #[inline]
-        pub fn span_fell_back(&self, subject: u64) {
-            #[cfg(feature = "trace-events")]
-            if self.spans.push(subject, otm_metrics::SpanKind::FellBack) {
-                self.span_dropped.inc();
-            }
-            #[cfg(not(feature = "trace-events"))]
-            let _ = subject;
-        }
-
-        /// [`ServiceMetrics::span_fell_back`] for a *receive* handle: the
-        /// subject is namespaced with [`otm_metrics::RECV_SUBJECT_BIT`] so
-        /// it cannot collide with a message sharing the same raw id.
-        #[inline]
-        pub fn span_fell_back_recv(&self, recv: u64) {
-            #[cfg(feature = "trace-events")]
-            self.span_fell_back(otm_metrics::RECV_SUBJECT_BIT | recv);
-            #[cfg(not(feature = "trace-events"))]
-            let _ = recv;
-        }
-
-        /// The service's lifecycle span recorder.
-        #[cfg(feature = "trace-events")]
-        pub fn spans(&self) -> &otm_metrics::SpanRecorder {
-            &self.spans
-        }
-    }
-}
-
-#[cfg(not(feature = "metrics"))]
-mod imp {
-    /// No-op stand-in: all instrumentation compiles away.
-    #[derive(Debug, Clone, Copy, Default)]
-    pub struct ServiceMetrics;
-
-    impl ServiceMetrics {
-        /// Creates the no-op handle.
-        pub fn new() -> Self {
-            ServiceMetrics
-        }
-
-        /// No-op.
-        #[inline]
-        pub fn count_poll(&self) {}
-
-        /// No-op.
-        #[inline]
-        pub fn add_completions(&self, _n: u64) {}
-
-        /// No-op.
-        #[inline]
-        pub fn count_spill(&self) {}
-
-        /// No-op.
-        #[inline]
-        pub fn count_fallback(&self) {}
-
-        /// No-op.
-        #[inline]
-        pub fn observe_queues(&self, _cq: usize, _bounce: usize, _unexpected: usize) {}
-
-        /// No-op.
-        #[inline]
-        pub fn count_wire_drop(&self) {}
-
-        /// No-op.
-        #[inline]
-        pub fn count_wire_dup(&self) {}
-
-        /// No-op.
-        #[inline]
-        pub fn count_wire_reorder(&self) {}
-
-        /// No-op.
-        #[inline]
-        pub fn count_wire_delay(&self) {}
-
-        /// No-op.
-        #[inline]
-        pub fn count_rx_duplicate(&self) {}
-
-        /// No-op.
-        #[inline]
-        pub fn count_rx_gap(&self) {}
-
-        /// No-op.
-        #[inline]
-        pub fn count_rx_staged(&self) {}
-
-        /// No-op.
-        #[inline]
-        pub fn count_rx_stage_overflow(&self) {}
-
-        /// No-op.
-        #[inline]
-        pub fn count_ack(&self) {}
-
-        /// No-op.
-        #[inline]
-        pub fn add_retransmits(&self, _n: u64) {}
-
-        /// No-op.
-        #[inline]
-        pub fn count_drain_retry(&self) {}
-
-        /// No-op.
-        #[inline]
-        pub fn count_ring_backpressure(&self) {}
-
-        /// No-op.
-        #[inline]
-        pub fn count_fallback_escalation(&self) {}
-
-        /// No-op.
-        #[inline]
-        pub fn observe_backoff(&self, _polls: u64) {}
-
-        /// No-op.
-        #[inline]
-        pub fn span_retransmitted(&self, _seq: u64, _attempt: u32) {}
-
-        /// No-op.
-        #[inline]
-        pub fn span_fell_back(&self, _subject: u64) {}
-
-        /// No-op.
-        #[inline]
-        pub fn span_fell_back_recv(&self, _recv: u64) {}
-    }
-}
-
-pub use imp::ServiceMetrics;
-
-/// Pushes a service timeline event when `trace-events` is enabled; expands
-/// to nothing otherwise.
+/// Lifecycle span events retained before overwriting (retransmissions
+/// and fallback replays are rare next to matches, so the service ring
+/// can stay small).
 #[cfg(feature = "trace-events")]
-macro_rules! service_trace_event {
-    ($metrics:expr, $worker:expr, $kind:ident) => {
-        $metrics.trace_push($worker as u32, ::otm_metrics::EventKind::$kind)
-    };
+const SPAN_CAPACITY: usize = 64 * 1024;
+
+/// Cheap-to-clone handle to the service's metric instruments.
+#[derive(Debug, Clone)]
+pub struct ServiceMetrics {
+    registry: Registry,
+    cq_polls: Arc<Counter>,
+    completions: Arc<Counter>,
+    bounce_spills: Arc<Counter>,
+    fallbacks: Arc<Counter>,
+    cq_depth: Arc<Gauge>,
+    cq_depth_peak: Arc<Gauge>,
+    bounce_in_use: Arc<Gauge>,
+    bounce_in_use_peak: Arc<Gauge>,
+    unexpected_depth: Arc<Gauge>,
+    wire_drops: Arc<Counter>,
+    wire_dups: Arc<Counter>,
+    wire_reorders: Arc<Counter>,
+    wire_delays: Arc<Counter>,
+    rx_duplicates: Arc<Counter>,
+    rx_gaps: Arc<Counter>,
+    rx_staged: Arc<Counter>,
+    rx_stage_overflow: Arc<Counter>,
+    acks: Arc<Counter>,
+    knob_changes: Arc<Counter>,
+    retransmits: Arc<Counter>,
+    drain_retries: Arc<Counter>,
+    ring_backpressure: Arc<Counter>,
+    fallback_escalations: Arc<Counter>,
+    backoff_polls: Arc<Histogram>,
+    #[cfg(feature = "trace-events")]
+    spans: Arc<otm_metrics::SpanRecorder>,
+    #[cfg(feature = "trace-events")]
+    span_dropped: Arc<Counter>,
 }
 
-/// No-op expansion: `trace-events` is disabled.
-#[cfg(not(feature = "trace-events"))]
-macro_rules! service_trace_event {
-    ($metrics:expr, $worker:expr, $kind:ident) => {{
-        let _ = &$metrics;
-        let _ = $worker;
-    }};
+impl Default for ServiceMetrics {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
-pub(crate) use service_trace_event;
+impl ServiceMetrics {
+    /// Creates a fresh registry with the service's instruments.
+    pub fn new() -> Self {
+        let registry = Registry::new();
+        Self {
+            cq_polls: registry.counter("dpa_cq_polls_total"),
+            completions: registry.counter("dpa_completions_total"),
+            bounce_spills: registry.counter("dpa_bounce_spills_total"),
+            fallbacks: registry.counter("dpa_fallbacks_total"),
+            cq_depth: registry.gauge("dpa_cq_depth"),
+            cq_depth_peak: registry.gauge("dpa_cq_depth_peak"),
+            bounce_in_use: registry.gauge("dpa_bounce_in_use"),
+            bounce_in_use_peak: registry.gauge("dpa_bounce_in_use_peak"),
+            unexpected_depth: registry.gauge("dpa_unexpected_depth"),
+            wire_drops: registry.counter("dpa_wire_drops_total"),
+            wire_dups: registry.counter("dpa_wire_dups_total"),
+            wire_reorders: registry.counter("dpa_wire_reorders_total"),
+            wire_delays: registry.counter("dpa_wire_delays_total"),
+            rx_duplicates: registry.counter("dpa_rx_duplicates_total"),
+            rx_gaps: registry.counter("dpa_rx_gaps_total"),
+            rx_staged: registry.counter("dpa_rx_staged_total"),
+            rx_stage_overflow: registry.counter("dpa_rx_stage_overflow_total"),
+            acks: registry.counter("dpa_acks_total"),
+            knob_changes: registry.counter("dpa_knob_changes_total"),
+            retransmits: registry.counter("dpa_retransmits_total"),
+            drain_retries: registry.counter("dpa_drain_retries_total"),
+            ring_backpressure: registry.counter("dpa_ring_backpressure_total"),
+            fallback_escalations: registry.counter("dpa_fallback_escalations_total"),
+            backoff_polls: registry.histogram("dpa_backoff_polls"),
+            #[cfg(feature = "trace-events")]
+            spans: Arc::new(otm_metrics::SpanRecorder::new(SPAN_CAPACITY)),
+            #[cfg(feature = "trace-events")]
+            span_dropped: registry.counter("dpa_span_dropped_total"),
+            registry,
+        }
+    }
+
+    /// Counts one completion-queue poll.
+    #[inline]
+    pub fn count_poll(&self) {
+        self.cq_polls.inc();
+    }
+
+    /// Counts receives completed by one progress call.
+    #[inline]
+    pub fn add_completions(&self, n: u64) {
+        self.completions.add(n);
+    }
+
+    /// Counts one bounce-pool exhaustion (a message had to wait on the
+    /// wire because NIC staging memory ran out).
+    #[inline]
+    pub fn count_spill(&self) {
+        self.bounce_spills.inc();
+    }
+
+    /// Counts one migration to host software matching (§IV-E).
+    #[inline]
+    pub fn count_fallback(&self) {
+        self.fallbacks.inc();
+    }
+
+    /// Updates the queue-depth gauges and their peak twins.
+    #[inline]
+    pub fn observe_queues(&self, cq: usize, bounce: usize, unexpected: usize) {
+        self.cq_depth.set(cq as i64);
+        self.cq_depth_peak.set_max(cq as i64);
+        self.bounce_in_use.set(bounce as i64);
+        self.bounce_in_use_peak.set_max(bounce as i64);
+        self.unexpected_depth.set(unexpected as i64);
+    }
+
+    /// Counts one fault-injected packet drop on the wire.
+    #[inline]
+    pub fn count_wire_drop(&self) {
+        self.wire_drops.inc();
+    }
+
+    /// Counts one fault-injected packet duplication on the wire.
+    #[inline]
+    pub fn count_wire_dup(&self) {
+        self.wire_dups.inc();
+    }
+
+    /// Counts one fault-injected out-of-order release on the wire.
+    #[inline]
+    pub fn count_wire_reorder(&self) {
+        self.wire_reorders.inc();
+    }
+
+    /// Counts one fault-injected in-order delay on the wire.
+    #[inline]
+    pub fn count_wire_delay(&self) {
+        self.wire_delays.inc();
+    }
+
+    /// Counts one duplicate sequenced packet discarded at the receiver
+    /// (`seq` below the expected counter).
+    #[inline]
+    pub fn count_rx_duplicate(&self) {
+        self.rx_duplicates.inc();
+    }
+
+    /// Counts one out-of-order sequenced packet discarded at the
+    /// receiver (`seq` above the expected counter and no staging room —
+    /// a gap a timeout resend will fill).
+    #[inline]
+    pub fn count_rx_gap(&self) {
+        self.rx_gaps.inc();
+    }
+
+    /// Counts one out-of-order sequenced packet staged by the receiver
+    /// (held for in-order delivery instead of discarded).
+    #[inline]
+    pub fn count_rx_staged(&self) {
+        self.rx_staged.inc();
+    }
+
+    /// Counts one out-of-order packet discarded because the staging
+    /// buffer was full.
+    #[inline]
+    pub fn count_rx_stage_overflow(&self) {
+        self.rx_stage_overflow.inc();
+    }
+
+    /// Counts one cumulative acknowledgement sent or consumed.
+    #[inline]
+    pub fn count_ack(&self) {
+        self.acks.inc();
+    }
+
+    /// Records one feedback-controller knob actuation: counted in
+    /// `dpa_knob_changes_total` (always) and stamped as a
+    /// `knob_changed` lifecycle span (under `trace-events`) so runs
+    /// stay reproducible from the trace alone.
+    #[inline]
+    pub fn knob_changed(&self, knob: otm_metrics::KnobKind, from: u64, to: u64) {
+        self.knob_changes.inc();
+        #[cfg(feature = "trace-events")]
+        if self.spans.push(
+            otm_metrics::CONTROLLER_SUBJECT,
+            otm_metrics::SpanKind::KnobChanged { knob, from, to },
+        ) {
+            self.span_dropped.inc();
+        }
+        #[cfg(not(feature = "trace-events"))]
+        let _ = (knob, from, to);
+    }
+
+    /// Counts packets retransmitted (timeout resends and fast retransmits).
+    #[inline]
+    pub fn add_retransmits(&self, n: u64) {
+        self.retransmits.add(n);
+    }
+
+    /// Counts one retry of a failed command-queue drain.
+    #[inline]
+    pub fn count_drain_retry(&self) {
+        self.drain_retries.inc();
+    }
+
+    /// Counts one submission rejected by a full per-communicator ring
+    /// (the engine's wait-free backpressure signal): the service drains
+    /// inline to free slots and retries the push.
+    #[inline]
+    pub fn count_ring_backpressure(&self) {
+        self.ring_backpressure.inc();
+    }
+
+    /// Counts one retry-budget exhaustion that escalated to software
+    /// fallback (as opposed to an explicit caller-invoked fallback).
+    #[inline]
+    pub fn count_fallback_escalation(&self) {
+        self.fallback_escalations.inc();
+    }
+
+    /// Records the backoff length (in virtual polls) applied before a
+    /// retry or retransmit.
+    #[inline]
+    pub fn observe_backoff(&self, polls: u64) {
+        self.backoff_polls.record(polls);
+    }
+
+    /// The underlying registry (for embedding into a larger exporter).
+    pub fn registry(&self) -> &Registry {
+        &self.registry
+    }
+
+    /// Copies out all service metrics.
+    pub fn snapshot(&self) -> RegistrySnapshot {
+        self.registry.snapshot()
+    }
+
+    /// Stamps a `retransmitted{attempt}` lifecycle span on wire packet
+    /// `seq` (no-op unless `trace-events` is on). Ring overflow is
+    /// accounted in `dpa_span_dropped_total`.
+    #[inline]
+    pub fn span_retransmitted(&self, seq: u64, attempt: u32) {
+        #[cfg(feature = "trace-events")]
+        if self
+            .spans
+            .push(seq, otm_metrics::SpanKind::Retransmitted { attempt })
+        {
+            self.span_dropped.inc();
+        }
+        #[cfg(not(feature = "trace-events"))]
+        let _ = (seq, attempt);
+    }
+
+    /// Stamps a `fell_back` lifecycle span on `subject` — a message
+    /// being replayed into the software matcher during fallback (no-op
+    /// unless `trace-events` is on).
+    #[inline]
+    pub fn span_fell_back(&self, subject: u64) {
+        #[cfg(feature = "trace-events")]
+        if self.spans.push(subject, otm_metrics::SpanKind::FellBack) {
+            self.span_dropped.inc();
+        }
+        #[cfg(not(feature = "trace-events"))]
+        let _ = subject;
+    }
+
+    /// [`ServiceMetrics::span_fell_back`] for a *receive* handle: the
+    /// subject is namespaced with [`otm_metrics::RECV_SUBJECT_BIT`] so
+    /// it cannot collide with a message sharing the same raw id.
+    #[inline]
+    pub fn span_fell_back_recv(&self, recv: u64) {
+        #[cfg(feature = "trace-events")]
+        self.span_fell_back(otm_metrics::RECV_SUBJECT_BIT | recv);
+        #[cfg(not(feature = "trace-events"))]
+        let _ = recv;
+    }
+
+    /// The service's lifecycle span recorder.
+    #[cfg(feature = "trace-events")]
+    pub fn spans(&self) -> &otm_metrics::SpanRecorder {
+        &self.spans
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[cfg(not(feature = "metrics"))]
-    #[test]
-    fn disabled_service_metrics_are_zero_sized() {
-        assert_eq!(std::mem::size_of::<ServiceMetrics>(), 0);
-    }
-
-    #[cfg(feature = "metrics")]
     #[test]
     fn queue_gauges_track_current_and_peak() {
         let m = ServiceMetrics::new();
@@ -488,7 +317,6 @@ mod tests {
         assert_eq!(snap.gauges["dpa_unexpected_depth"], 0);
     }
 
-    #[cfg(feature = "metrics")]
     #[test]
     fn pressure_counters_accumulate() {
         let m = ServiceMetrics::new();
@@ -504,7 +332,6 @@ mod tests {
         assert_eq!(snap.counters["dpa_fallbacks_total"], 1);
     }
 
-    #[cfg(feature = "metrics")]
     #[test]
     fn fault_and_reliability_instruments_accumulate() {
         let m = ServiceMetrics::new();
@@ -541,7 +368,6 @@ mod tests {
         assert_eq!(hist.sum, 12);
     }
 
-    #[cfg(feature = "metrics")]
     #[test]
     fn knob_changes_are_counted_and_stamped() {
         let m = ServiceMetrics::new();
@@ -553,7 +379,7 @@ mod tests {
         {
             let spans = m.spans().dump();
             assert_eq!(spans.len(), 2);
-            assert_eq!(spans[0].subject, u64::MAX);
+            assert_eq!(spans[0].subject, otm_metrics::CONTROLLER_SUBJECT);
             assert_eq!(
                 spans[0].kind,
                 otm_metrics::SpanKind::KnobChanged {
@@ -581,7 +407,6 @@ mod tests {
         assert_eq!(spans[1].subject, 4);
         assert_eq!(spans[1].kind, otm_metrics::SpanKind::FellBack);
         let snap = m.snapshot();
-        assert_eq!(snap.counters["dpa_trace_dropped_total"], 0);
         assert_eq!(snap.counters["dpa_span_dropped_total"], 0);
     }
 }

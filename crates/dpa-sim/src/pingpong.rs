@@ -109,7 +109,7 @@ pub struct PingPongResult {
     pub engine_stats: Option<otm::StatsSnapshot>,
     /// Combined observability snapshot (service queue gauges + engine
     /// histograms and path counters) rendered as a JSON string; `None`
-    /// when the `metrics` feature is disabled or no metrics were captured.
+    /// when no metrics were captured.
     #[serde(default)]
     pub observability_json: Option<String>,
 }
@@ -201,7 +201,7 @@ pub fn run_pingpong(mode: MatchMode, cfg: &PingPongConfig) -> PingPongResult {
                     .expect("ack");
             }
             engine_stats = service.engine_stats();
-            observability_json = service.observability_json();
+            observability_json = Some(service.observability_json());
         });
 
         // Sender node (measuring side).

@@ -1,17 +1,17 @@
 //! An in-process RDMA transport model.
 //!
 //! Two endpoints exchange messages over a connected queue pair
-//! (crossbeam channels standing in for the wire). Memory regions are
+//! (`std::sync::mpsc` channels standing in for the wire). Memory regions are
 //! registered in a process-wide [`RdmaDomain`] under rkeys; RDMA READ pulls
 //! registered bytes by `(rkey, offset, len)` — exactly the operation the
 //! rendezvous protocol issues after a match (§IV-B). Message headers carry
 //! the MPI envelope plus the sender-side inline hashes of §IV-D.
 
-use crossbeam_channel::{unbounded, Receiver, Sender, TryRecvError};
 use otm_base::{Envelope, InlineHashes};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 
 /// Remote key identifying a registered memory region.
@@ -295,8 +295,8 @@ impl QueuePair {
 
 /// Creates a connected pair of endpoints.
 pub fn connected_pair() -> (QueuePair, QueuePair) {
-    let (atx, brx) = unbounded();
-    let (btx, arx) = unbounded();
+    let (atx, brx) = channel();
+    let (btx, arx) = channel();
     (
         QueuePair { tx: atx, rx: arx },
         QueuePair { tx: btx, rx: brx },

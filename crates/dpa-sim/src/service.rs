@@ -23,7 +23,7 @@
 
 use crate::memory::DeviceMemory;
 use crate::nic::{Completion, NicError, RecvNic};
-use crate::obs::{service_trace_event, ServiceMetrics};
+use crate::obs::ServiceMetrics;
 use crate::rdma::{PayloadKind, RdmaDomain, RdmaError};
 use mpi_matching::protocol::{Action, EagerTransfer, ProtocolStateError, RendezvousTransfer, Rts};
 use mpi_matching::traditional::TraditionalMatcher;
@@ -200,13 +200,11 @@ pub struct MatchingService {
     polls: u64,
     /// Rolling time-series sampler, when a caller attached one: snapshots
     /// the combined registry at a fixed poll cadence.
-    #[cfg(feature = "metrics")]
     series: Option<otm_metrics::SeriesRecorder>,
     /// Self-tuning feedback controller, when a caller attached one: ticks
     /// at its own poll cadence, observing registry deltas and actuating
     /// the drain-retry budget, the engine's packing knobs, and the
     /// published reliability-window hint.
-    #[cfg(feature = "metrics")]
     controller: Option<crate::control::FeedbackController>,
 }
 
@@ -238,9 +236,7 @@ impl MatchingService {
             fellback: false,
             metrics,
             polls: 0,
-            #[cfg(feature = "metrics")]
             series: None,
-            #[cfg(feature = "metrics")]
             controller: None,
         }
     }
@@ -334,8 +330,7 @@ impl MatchingService {
             .map(|e| e.stats())
     }
 
-    /// The service's metric instruments (a no-op handle when the `metrics`
-    /// feature is disabled).
+    /// The service's metric instruments.
     pub fn metrics(&self) -> &ServiceMetrics {
         &self.metrics
     }
@@ -344,7 +339,6 @@ impl MatchingService {
     /// pressure counters merged with — when the backend is the offloaded
     /// engine — the engine's search-depth/latency histograms and
     /// per-resolution-path counters.
-    #[cfg(feature = "metrics")]
     pub fn observability_snapshot(&self) -> otm_metrics::RegistrySnapshot {
         let snap = self.metrics.snapshot();
         match self.backend.as_any().downcast_ref::<OtmEngine>() {
@@ -358,13 +352,11 @@ impl MatchingService {
     /// distilled into one [`otm_metrics::SeriesPoint`]. The virtual clock
     /// is the service's poll count, so a given workload produces the same
     /// series on every run.
-    #[cfg(feature = "metrics")]
     pub fn attach_series(&mut self, recorder: otm_metrics::SeriesRecorder) {
         self.series = Some(recorder);
     }
 
     /// Detaches and returns the time-series sampler, if one was attached.
-    #[cfg(feature = "metrics")]
     pub fn take_series(&mut self) -> Option<otm_metrics::SeriesRecorder> {
         self.series.take()
     }
@@ -379,19 +371,16 @@ impl MatchingService {
     /// owns the [`crate::ReliableSender`]. Every applied movement is
     /// counted in `dpa_knob_changes_total` and stamped as a
     /// `knob_changed` span.
-    #[cfg(feature = "metrics")]
     pub fn attach_controller(&mut self, controller: crate::control::FeedbackController) {
         self.controller = Some(controller);
     }
 
     /// The attached controller, if any.
-    #[cfg(feature = "metrics")]
     pub fn controller(&self) -> Option<&crate::control::FeedbackController> {
         self.controller.as_ref()
     }
 
     /// Detaches and returns the feedback controller, if one was attached.
-    #[cfg(feature = "metrics")]
     pub fn take_controller(&mut self) -> Option<crate::control::FeedbackController> {
         self.controller.take()
     }
@@ -401,7 +390,6 @@ impl MatchingService {
     /// reliability protocol, so the harness driving both applies this to
     /// its [`crate::ReliableSender`] with `set_window_limit` after each
     /// poll.
-    #[cfg(feature = "metrics")]
     pub fn reliability_window_hint(&self) -> Option<usize> {
         self.controller.as_ref().map(|c| c.window_hint())
     }
@@ -410,7 +398,6 @@ impl MatchingService {
     /// the last point's cumulative values equal the end-of-run registry
     /// snapshot regardless of where the cadence fell. No-op without an
     /// attached sampler.
-    #[cfg(feature = "metrics")]
     pub fn force_series_sample(&mut self) {
         if self.series.is_some() {
             let snap = self.observability_snapshot();
@@ -440,36 +427,18 @@ impl MatchingService {
             .map(|e| e.span_events())
     }
 
-    /// The combined observability snapshot rendered as a JSON string, or
-    /// `None` when the `metrics` feature is disabled. Callers that only
-    /// forward the data (benchmark reports) can use this without any
-    /// feature gating of their own.
-    pub fn observability_json(&self) -> Option<String> {
-        #[cfg(feature = "metrics")]
-        {
-            Some(self.observability_snapshot().to_json())
-        }
-        #[cfg(not(feature = "metrics"))]
-        {
-            None
-        }
+    /// The combined observability snapshot rendered as a JSON string.
+    pub fn observability_json(&self) -> String {
+        self.observability_snapshot().to_json()
     }
 
     /// The combined observability snapshot rendered in the Prometheus text
-    /// exposition format, or `None` when the `metrics` feature is disabled.
-    /// This is what the `matchd` tick loop serves as its live `/metrics`
-    /// endpoint: every scrape is a fresh walk of the registries, so
-    /// per-tenant labeled instruments appear as soon as a tenant session
-    /// touches them.
-    pub fn observability_prometheus(&self) -> Option<String> {
-        #[cfg(feature = "metrics")]
-        {
-            Some(self.observability_snapshot().to_prometheus())
-        }
-        #[cfg(not(feature = "metrics"))]
-        {
-            None
-        }
+    /// exposition format. This is what the `matchd` tick loop serves as
+    /// its live `/metrics` endpoint: every scrape is a fresh walk of the
+    /// registries, so per-tenant labeled instruments appear as soon as a
+    /// tenant session touches them.
+    pub fn observability_prometheus(&self) -> String {
+        self.observability_snapshot().to_prometheus()
     }
 
     /// Posts a receive. If an unexpected message already matches, the
@@ -695,7 +664,6 @@ impl MatchingService {
         if let Err(e) = self.nic.poll() {
             if matches!(e, NicError::Staging(_)) {
                 self.metrics.count_spill();
-                service_trace_event!(self.metrics, 0u32, BounceSpill);
             }
             return Err(e.into());
         }
@@ -718,7 +686,6 @@ impl MatchingService {
         self.observe_queues();
         let done = self.completed.len() - before;
         self.metrics.add_completions(done as u64);
-        #[cfg(feature = "metrics")]
         if self.series.as_ref().is_some_and(|s| s.due(self.polls)) {
             // Sampled post-drain: queue_depth is the backlog matching left
             // behind (spilled CQ entries plus waiting unexpected messages).
@@ -728,7 +695,6 @@ impl MatchingService {
                 series.sample(self.polls, depth, &snap);
             }
         }
-        #[cfg(feature = "metrics")]
         self.run_controller();
         Ok(done)
     }
@@ -736,7 +702,6 @@ impl MatchingService {
     /// One controller interval: observe the combined registry, tick the
     /// controller, apply what it decided. Runs at the controller's own
     /// poll cadence; a no-op when no controller is attached.
-    #[cfg(feature = "metrics")]
     fn run_controller(&mut self) {
         let due = self
             .controller
@@ -1527,7 +1492,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "metrics")]
     #[test]
     fn observability_snapshot_tracks_queues_and_fallback() {
         let (tx, rx) = connected_pair();
@@ -1574,11 +1538,99 @@ mod tests {
         // service registry alone, and still machine-readable.
         let snap = svc.metrics().snapshot();
         assert_eq!(snap.counters["dpa_fallbacks_total"], 1);
-        let json = svc.observability_json().expect("metrics enabled");
+        let json = svc.observability_json();
         assert!(json.contains("dpa_cq_depth_peak"));
     }
 
-    #[cfg(feature = "metrics")]
+    #[test]
+    fn observability_snapshot_names_are_stable() {
+        // The ladder, the feedback controller and the CI validators read
+        // these instruments by name: a rename or a removal must show up
+        // here, not as a silently-zero metric downstream.
+        let (tx, _domain, mut svc) = setup("otm");
+        svc.enable_command_queue().unwrap();
+        let snap = svc.observability_snapshot();
+        let counters: Vec<&str> = snap.counters.keys().map(String::as_str).collect();
+        let gauges: Vec<&str> = snap.gauges.keys().map(String::as_str).collect();
+        let hists: Vec<&str> = snap.hists.keys().map(String::as_str).collect();
+        let mut expected_counters = vec![
+            "dpa_acks_total",
+            "dpa_bounce_spills_total",
+            "dpa_completions_total",
+            "dpa_cq_polls_total",
+            "dpa_drain_retries_total",
+            "dpa_fallback_escalations_total",
+            "dpa_fallbacks_total",
+            "dpa_knob_changes_total",
+            "dpa_retransmits_total",
+            "dpa_ring_backpressure_total",
+            "dpa_rx_duplicates_total",
+            "dpa_rx_gaps_total",
+            "dpa_rx_stage_overflow_total",
+            "dpa_rx_staged_total",
+            "dpa_wire_delays_total",
+            "dpa_wire_drops_total",
+            "dpa_wire_dups_total",
+            "dpa_wire_reorders_total",
+            "otm_conflicts_total",
+            "otm_matched_total",
+            "otm_resolutions_total{path=\"nc\"}",
+            "otm_resolutions_total{path=\"post\"}",
+            "otm_resolutions_total{path=\"wc_fp\"}",
+            "otm_resolutions_total{path=\"wc_sp\"}",
+        ];
+        if cfg!(feature = "trace-events") {
+            expected_counters.extend(["dpa_span_dropped_total", "otm_span_dropped_total"]);
+            expected_counters.sort_unstable();
+        }
+        assert_eq!(counters, expected_counters);
+        assert_eq!(
+            gauges,
+            [
+                "dpa_bounce_in_use",
+                "dpa_bounce_in_use_peak",
+                "dpa_cq_depth",
+                "dpa_cq_depth_peak",
+                "dpa_unexpected_depth",
+            ]
+        );
+        assert_eq!(
+            hists,
+            [
+                "dpa_backoff_polls",
+                "otm_block_latency_ns",
+                "otm_block_occupancy",
+                "otm_search_depth",
+                "otm_umq_match_depth",
+            ]
+        );
+
+        // The per-communicator gauges register at the first drain that
+        // sees the communicator's lane.
+        svc.post_recv(ReceivePattern::exact(Rank(0), Tag(1)))
+            .unwrap();
+        tx.send(eager_packet(env(0, 1), vec![1])).unwrap();
+        assert_eq!(svc.progress().unwrap(), 1);
+        let after = svc.observability_snapshot();
+        let new_gauges: Vec<&str> = after
+            .gauges
+            .keys()
+            .map(String::as_str)
+            .filter(|g| !gauges.contains(g))
+            .collect();
+        assert_eq!(
+            new_gauges,
+            [
+                "otm_drain_lane_depth_peak{comm=\"0\"}",
+                "otm_drain_lane_depth{comm=\"0\"}",
+                "otm_submission_ring_depth_peak{comm=\"0\"}",
+                "otm_submission_ring_depth{comm=\"0\"}",
+            ]
+        );
+        assert_eq!(after.counters.len(), counters.len());
+        assert_eq!(after.hists.len(), hists.len());
+    }
+
     #[test]
     fn series_sampler_snapshots_at_poll_cadence() {
         let (tx, _domain, mut svc) = setup("otm");
@@ -1882,13 +1934,10 @@ mod tests {
             assert_eq!(d.recv, posted[i]);
             assert_eq!(d.data, vec![i as u8]);
         }
-        #[cfg(feature = "metrics")]
-        {
-            let snap = svc.metrics().snapshot();
-            assert_eq!(snap.counters["dpa_drain_retries_total"], 2);
-            assert_eq!(snap.counters["dpa_fallback_escalations_total"], 0);
-            assert_eq!(snap.hists["dpa_backoff_polls"].count, 2);
-        }
+        let snap = svc.metrics().snapshot();
+        assert_eq!(snap.counters["dpa_drain_retries_total"], 2);
+        assert_eq!(snap.counters["dpa_fallback_escalations_total"], 0);
+        assert_eq!(snap.hists["dpa_backoff_polls"].count, 2);
     }
 
     #[test]
@@ -1922,15 +1971,12 @@ mod tests {
             assert_eq!(d.recv, posted[i]);
             assert_eq!(d.data, vec![i as u8]);
         }
-        #[cfg(feature = "metrics")]
-        {
-            let snap = svc.metrics().snapshot();
-            assert!(
-                snap.counters["dpa_ring_backpressure_total"] > 0,
-                "the tiny ring must have rejected at least one push"
-            );
-            assert_eq!(snap.counters["dpa_fallback_escalations_total"], 0);
-        }
+        let snap = svc.metrics().snapshot();
+        assert!(
+            snap.counters["dpa_ring_backpressure_total"] > 0,
+            "the tiny ring must have rejected at least one push"
+        );
+        assert_eq!(snap.counters["dpa_fallback_escalations_total"], 0);
     }
 
     #[test]
@@ -1974,18 +2020,14 @@ mod tests {
             assert_eq!(d.recv, posted[i]);
             assert_eq!(d.data, vec![i as u8]);
         }
-        #[cfg(feature = "metrics")]
-        {
-            let snap = svc.metrics().snapshot();
-            assert_eq!(
-                snap.counters["dpa_drain_retries_total"],
-                u64::from(DEFAULT_DRAIN_RETRY_BUDGET)
-            );
-            assert_eq!(snap.counters["dpa_fallback_escalations_total"], 1);
-        }
+        let snap = svc.metrics().snapshot();
+        assert_eq!(
+            snap.counters["dpa_drain_retries_total"],
+            u64::from(DEFAULT_DRAIN_RETRY_BUDGET)
+        );
+        assert_eq!(snap.counters["dpa_fallback_escalations_total"], 1);
     }
 
-    #[cfg(feature = "metrics")]
     #[test]
     fn attached_controller_actuates_packing_and_counts_knob_changes() {
         use crate::control::{ControllerConfig, FeedbackController};

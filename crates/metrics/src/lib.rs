@@ -1,7 +1,7 @@
 //! **otm-metrics** — zero-dependency observability primitives for the OTM
 //! workspace.
 //!
-//! Three building blocks, all safe to share across threads:
+//! Two building blocks, both safe to share across threads:
 //!
 //! * [`Histogram`] — a lock-free log2-bucketed histogram. Recording is a
 //!   handful of relaxed atomic adds; quantiles (p50/p95/p99/max) are
@@ -12,9 +12,6 @@
 //!   the registry lock. [`Registry::snapshot`] produces a
 //!   [`RegistrySnapshot`] that can be diffed ([`RegistrySnapshot::delta`]),
 //!   rendered as Prometheus text exposition, or serialized to JSON.
-//! * [`TraceRing`] — a bounded ring buffer of [`TraceEvent`]s (block
-//!   start/end, conflict detected, fast-path shift, slow-path serialize,
-//!   bounce-buffer spill) for post-mortem timeline dumps.
 //!
 //! On top of these sit the two flight-recorder layers:
 //!
@@ -29,9 +26,8 @@
 //!
 //! The crate deliberately has **no dependencies**: JSON is emitted by a
 //! tiny hand-rolled writer ([`json`]), timestamps come from a monotonic
-//! process-start epoch ([`now_ns`]). Consumers feature-gate their use of
-//! this crate so that disabling metrics compiles instrumentation down to
-//! no-ops.
+//! process-start epoch ([`now_ns`]). The registry is always compiled in;
+//! consumers gate only their [`SpanRecorder`] behind `trace-events`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,16 +37,14 @@ pub mod json;
 pub mod registry;
 pub mod series;
 pub mod span;
-pub mod trace;
 
 pub use hist::{Histogram, HistogramSnapshot};
 pub use registry::{Counter, Gauge, Labels, Registry, RegistrySnapshot};
 pub use series::{tenant_sections_json, SeriesPoint, SeriesRecorder};
 pub use span::{
     latency_by_path, spans_to_chrome_trace, spans_to_jsonl, KnobKind, MatchPath, SpanEvent,
-    SpanKind, SpanRecorder, MATCH_PATHS, RECV_SUBJECT_BIT,
+    SpanKind, SpanRecorder, CONTROLLER_SUBJECT, MATCH_PATHS, RECV_SUBJECT_BIT,
 };
-pub use trace::{EventKind, TraceEvent, TraceRing};
 
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -58,7 +52,7 @@ use std::time::Instant;
 /// Nanoseconds since the first call to `now_ns` in this process.
 ///
 /// A monotonic, process-local epoch: cheap, strictly non-decreasing, and
-/// comparable across threads. Used to timestamp [`TraceEvent`]s.
+/// comparable across threads. Used to timestamp [`SpanEvent`]s.
 pub fn now_ns() -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     let epoch = EPOCH.get_or_init(Instant::now);

@@ -5,15 +5,16 @@
 //! `posted`, `enqueued`, `packed{block_id, occupancy}`, `matched{path}`,
 //! `retransmitted{attempt}`, `fell_back`. Components push [`SpanEvent`]s
 //! into a shared [`SpanRecorder`] — a bounded ring with an **explicit
-//! dropped-events counter** (unlike the silent-overwrite [`crate::TraceRing`],
-//! every overwritten event is accounted for) — and the recorder can replay
-//! the retained window as:
+//! dropped-events counter** (every overwritten event is accounted for) —
+//! and the recorder can replay the retained window as:
 //!
 //! * **JSONL** ([`SpanRecorder::to_jsonl`]): one JSON object per line, easy
 //!   to grep and to stream-parse;
 //! * **Chrome `trace_event` JSON** ([`SpanRecorder::to_chrome_trace`]): the
 //!   `{"traceEvents": [...]}` envelope that <https://ui.perfetto.dev> and
-//!   `chrome://tracing` open directly, with one track (`tid`) per subject;
+//!   `chrome://tracing` open directly, with one track per subject: `pid`
+//!   0 / 1 / 2 groups message, receive and controller subjects, `tid` is
+//!   the subject's id within its group;
 //! * **per-path post→match latency histograms**
 //!   ([`SpanRecorder::latency_by_path`]): for every subject whose span
 //!   contains a `Matched` event, the nanoseconds between its first recorded
@@ -27,7 +28,8 @@
 //!
 //! The recorder itself carries no feature gates — the *instrumented* crates
 //! (`otm`, `dpa-sim`) only construct and feed one under their `trace-events`
-//! feature, and compile the calls away entirely otherwise.
+//! feature, the workspace's one cargo feature, and compile the calls away
+//! entirely otherwise.
 
 use crate::hist::{Histogram, HistogramSnapshot};
 use crate::json::JsonWriter;
@@ -65,6 +67,11 @@ pub const MATCH_PATHS: [MatchPath; 4] = [
 /// split their spans would merge into one bogus lifecycle (and corrupt the
 /// [`latency_by_path`] pairing).
 pub const RECV_SUBJECT_BIT: u64 = 1 << 63;
+
+/// Synthetic span subject for feedback-controller knob changes. The
+/// controller has no message identity; `u64::MAX` cannot collide with a
+/// message handle or a [`RECV_SUBJECT_BIT`]-tagged receive handle.
+pub const CONTROLLER_SUBJECT: u64 = u64::MAX;
 
 impl MatchPath {
     /// The `path` label value used across the registry and artifacts.
@@ -202,8 +209,7 @@ pub struct SpanRecorder {
     capacity: usize,
     /// Total events ever pushed (monotone).
     pushed: AtomicU64,
-    /// Events overwritten because the ring was full (monotone). The
-    /// explicit counter the silent [`crate::TraceRing`] historically lacked.
+    /// Events overwritten because the ring was full (monotone).
     dropped: AtomicU64,
 }
 
@@ -311,15 +317,10 @@ impl SpanRecorder {
     }
 }
 
-/// Writes one event as a flat JSON object (shared by JSONL and the Chrome
-/// `args` payload writer below keeps its own shape).
-fn write_event_json(w: &mut JsonWriter, e: &SpanEvent) {
-    w.begin_object();
-    w.field_u64("t_ns", e.t_ns);
-    w.field_u64("seq", e.seq);
-    w.field_u64("subject", e.subject);
-    w.field_str("event", e.kind.name());
-    match e.kind {
+/// Writes a kind's structured payload as fields of the open object (the
+/// JSONL line and the Chrome `args` object share it).
+fn write_kind_payload(w: &mut JsonWriter, kind: SpanKind) {
+    match kind {
         SpanKind::Packed {
             block_id,
             occupancy,
@@ -336,7 +337,6 @@ fn write_event_json(w: &mut JsonWriter, e: &SpanEvent) {
         }
         SpanKind::Posted | SpanKind::Enqueued | SpanKind::FellBack => {}
     }
-    w.end_object();
 }
 
 /// Renders events (oldest first) as JSON Lines.
@@ -344,7 +344,13 @@ pub fn spans_to_jsonl(events: &[SpanEvent]) -> String {
     let mut out = String::new();
     for e in events {
         let mut w = JsonWriter::new();
-        write_event_json(&mut w, e);
+        w.begin_object();
+        w.field_u64("t_ns", e.t_ns);
+        w.field_u64("seq", e.seq);
+        w.field_u64("subject", e.subject);
+        w.field_str("event", e.kind.name());
+        write_kind_payload(&mut w, e.kind);
+        w.end_object();
         out.push_str(&w.finish());
         out.push('\n');
     }
@@ -358,6 +364,14 @@ pub fn spans_to_jsonl(events: &[SpanEvent]) -> String {
 /// Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing` as-is.
 /// Timestamps are microseconds per the format, with sub-microsecond
 /// precision kept as fractions.
+///
+/// The format's `tid` is a 32-bit integer and JSON consumers hold numbers
+/// as doubles, so the raw 64-bit subject cannot be the track id: receive
+/// subjects (bit 63 set) would collapse onto each other past 2^53, or onto
+/// the message sharing their low id after truncation. Subjects therefore
+/// map to `pid` 0 (messages and wire packets), 1 (receives) or 2 (the
+/// controller), with `tid` the subject minus its namespace bit (0 for the
+/// controller); the full `subject` stays under `args`.
 pub fn spans_to_chrome_trace(events: &[SpanEvent]) -> String {
     let mut w = JsonWriter::new();
     w.begin_object();
@@ -370,28 +384,20 @@ pub fn spans_to_chrome_trace(events: &[SpanEvent]) -> String {
         w.field_str("ph", "i");
         w.field_str("s", "t");
         w.field_f64("ts", e.t_ns as f64 / 1000.0);
-        w.field_u64("pid", 0);
-        w.field_u64("tid", e.subject);
+        let (pid, tid) = if e.subject == CONTROLLER_SUBJECT {
+            (2, 0)
+        } else if e.subject & RECV_SUBJECT_BIT != 0 {
+            (1, e.subject & !RECV_SUBJECT_BIT)
+        } else {
+            (0, e.subject)
+        };
+        w.field_u64("pid", pid);
+        w.field_u64("tid", tid);
         w.key("args");
         w.begin_object();
         w.field_u64("seq", e.seq);
-        match e.kind {
-            SpanKind::Packed {
-                block_id,
-                occupancy,
-            } => {
-                w.field_u64("block_id", block_id);
-                w.field_u64("occupancy", occupancy as u64);
-            }
-            SpanKind::Matched { path } => w.field_str("path", path.label()),
-            SpanKind::Retransmitted { attempt } => w.field_u64("attempt", attempt as u64),
-            SpanKind::KnobChanged { knob, from, to } => {
-                w.field_str("knob", knob.label());
-                w.field_u64("from", from);
-                w.field_u64("to", to);
-            }
-            SpanKind::Posted | SpanKind::Enqueued | SpanKind::FellBack => {}
-        }
+        w.field_u64("subject", e.subject);
+        write_kind_payload(&mut w, e.kind);
         w.end_object();
         w.end_object();
     }
@@ -512,6 +518,46 @@ mod tests {
         assert!(trace.contains(r#""tid":7"#));
         assert!(trace.contains(r#""path":"nc""#));
         assert!(trace.ends_with("]}"));
+    }
+
+    #[test]
+    fn chrome_trace_keeps_one_track_per_subject() {
+        // A message, the receive sharing its low id, a second receive past
+        // the first by less than a double can resolve at 2^63, and the
+        // controller: four subjects, four distinct tracks.
+        let subjects = [
+            5,
+            RECV_SUBJECT_BIT | 5,
+            RECV_SUBJECT_BIT | 900,
+            CONTROLLER_SUBJECT,
+        ];
+        let events: Vec<SpanEvent> = subjects
+            .iter()
+            .enumerate()
+            .map(|(i, &subject)| SpanEvent {
+                t_ns: i as u64,
+                subject,
+                kind: SpanKind::Posted,
+                seq: i as u64,
+            })
+            .collect();
+        let trace = spans_to_chrome_trace(&events);
+        let field = |name: &str| -> Vec<u64> {
+            let key = format!("\"{name}\":");
+            trace
+                .match_indices(&key)
+                .map(|(at, _)| {
+                    let digits = &trace[at + key.len()..];
+                    let end = digits.find(|c: char| !c.is_ascii_digit()).unwrap();
+                    digits[..end].parse().unwrap()
+                })
+                .collect()
+        };
+        let (pids, tids) = (field("pid"), field("tid"));
+        assert_eq!(pids, vec![0, 1, 1, 2]);
+        assert_eq!(tids, vec![5, 5, 900, 0]);
+        assert!(tids.iter().all(|&t| t < 1 << 32));
+        assert_eq!(field("subject"), subjects, "args keep the full subject");
     }
 
     #[test]

@@ -32,7 +32,7 @@
 
 use crate::block::{BlockShared, LaneData};
 use crate::command::{Command, CommandOutcome, CommandQueue, DrainReport};
-use crate::metrics::{span_event, trace_event, EngineMetrics};
+use crate::metrics::{span_event, EngineMetrics};
 use crate::scheduler::{PackingScheduler, PackingStep};
 use crate::shard::{CommShard, ShardMap};
 use crate::stats::{OtmStats, StatsSnapshot};
@@ -207,21 +207,8 @@ impl OtmEngine {
     /// Copies out the engine's metrics registry: search-depth and
     /// block-latency histograms plus resolution-path counters, ready for
     /// Prometheus or JSON exposition.
-    #[cfg(feature = "metrics")]
     pub fn metrics_snapshot(&self) -> otm_metrics::RegistrySnapshot {
         self.metrics.snapshot()
-    }
-
-    /// Copies out the retained timeline events, oldest first.
-    #[cfg(feature = "trace-events")]
-    pub fn trace_events(&self) -> Vec<otm_metrics::TraceEvent> {
-        self.metrics.trace_ring().dump()
-    }
-
-    /// Renders the retained timeline events as a JSON array.
-    #[cfg(feature = "trace-events")]
-    pub fn trace_events_json(&self) -> String {
-        self.metrics.trace_ring().to_json()
     }
 
     /// Copies out the retained lifecycle span events, oldest first.
@@ -645,7 +632,6 @@ impl OtmEngine {
         // Publish the block and run it: inline on this thread for a
         // single-lane engine, otherwise on the worker pool.
         let block_timer = self.metrics.timer();
-        trace_event!(self.metrics, 0u32, BlockStart);
         #[cfg(feature = "trace-events")]
         {
             // Block ids are the engine's running block count: serialized by
@@ -696,7 +682,6 @@ impl OtmEngine {
 
         self.metrics.observe_block(block_timer);
         self.metrics.record_block_occupancy(n as u64);
-        trace_event!(self.metrics, 0u32, BlockEnd);
         self.stats.blocks.fetch_add(1, Ordering::Relaxed);
         self.stats.messages.fetch_add(n as u64, Ordering::Relaxed);
 
@@ -1453,7 +1438,6 @@ mod tests {
         assert_eq!(m.strategy_name(), "optimistic");
     }
 
-    #[cfg(feature = "metrics")]
     #[test]
     fn metrics_snapshot_tracks_engine_activity() {
         let mut e = engine();
@@ -1555,19 +1539,6 @@ mod tests {
             })
             .sum();
         assert_eq!(path_sum, snap.counters["otm_matched_total"]);
-    }
-
-    #[cfg(feature = "trace-events")]
-    #[test]
-    fn trace_events_capture_block_boundaries() {
-        let mut e = engine();
-        e.process_block(&[(env(1, 1), MsgHandle(0))]).unwrap();
-        let events = e.trace_events();
-        use otm_metrics::EventKind;
-        assert!(events.iter().any(|ev| ev.kind == EventKind::BlockStart));
-        assert!(events.iter().any(|ev| ev.kind == EventKind::BlockEnd));
-        let json = e.trace_events_json();
-        assert!(json.contains("\"kind\":\"block_start\""));
     }
 
     #[test]

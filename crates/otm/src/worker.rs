@@ -7,7 +7,7 @@
 //! enforced end-to-end by the oracle property tests.
 
 use crate::block::{below_mask, result_code, BlockShared, LaneData};
-use crate::metrics::{span_event, trace_event, EngineMetrics};
+use crate::metrics::{span_event, EngineMetrics};
 use crate::stats::OtmStats;
 use crate::table::{state, DescId};
 use otm_base::MatchConfig;
@@ -163,7 +163,6 @@ pub(crate) fn run_lane(ctx: &WorkerCtx, lane_data: &LaneData) {
         shared.conflicted.fetch_or(bit, Ordering::AcqRel);
         ctx.stats.direct_conflicts.fetch_add(1, Ordering::Relaxed);
         ctx.metrics.count_conflict();
-        trace_event!(ctx.metrics, lane, ConflictDetected);
     }
     shared.detected.fetch_or(bit, Ordering::AcqRel);
     BlockShared::wait_bits(&shared.detected, below);
@@ -315,7 +314,6 @@ fn resolve_conflict(
                                 path: MatchPath::WcFp
                             }
                         );
-                        trace_event!(ctx.metrics, ctx.lane, FastPathShift);
                         finish_consume(ctx, lane_data, target);
                         return target as u64;
                     }
@@ -338,7 +336,6 @@ fn resolve_slow(ctx: &WorkerCtx, lane_data: &LaneData, below: u64, epoch: u64) -
 
     BlockShared::wait_bits(&shared.settled, below);
     ctx.stats.slow_path.fetch_add(1, Ordering::Relaxed);
-    trace_event!(ctx.metrics, ctx.lane, SlowPathSerialize);
     loop {
         let out = prq.research(
             &lane_data.env,

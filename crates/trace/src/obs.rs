@@ -1,4 +1,4 @@
-//! Feature-gated replay progress observability.
+//! Replay progress observability.
 //!
 //! Long traces replay for minutes; these process-wide counters let a
 //! harness (or an operator attaching mid-run) see how far the replay has
@@ -10,197 +10,141 @@
 //! The handle is process-wide (replays accumulate) so the public
 //! [`crate::replay::replay`] / [`crate::replay::replay_engine`] signatures
 //! stay unchanged; interval measurements use
-//! `snapshot()`/`RegistrySnapshot::delta`. With `--no-default-features`
-//! everything compiles to no-ops.
+//! `snapshot()`/`RegistrySnapshot::delta`.
 
-#[cfg(feature = "metrics")]
-mod imp {
-    use otm_metrics::{Counter, Histogram, Registry, RegistrySnapshot};
-    use std::sync::{Arc, OnceLock};
+use otm_metrics::{Counter, Histogram, Registry, RegistrySnapshot};
+use std::sync::{Arc, OnceLock};
 
-    /// Process-wide replay progress instruments.
-    #[derive(Debug)]
-    pub struct ReplayMetrics {
-        registry: Registry,
-        ops: Arc<Counter>,
-        posts: Arc<Counter>,
-        arrivals: Arc<Counter>,
-        progress_points: Arc<Counter>,
-        rank_events: Arc<Histogram>,
-    }
+/// Process-wide replay progress instruments.
+#[derive(Debug)]
+pub struct ReplayMetrics {
+    registry: Registry,
+    ops: Arc<Counter>,
+    posts: Arc<Counter>,
+    arrivals: Arc<Counter>,
+    progress_points: Arc<Counter>,
+    rank_events: Arc<Histogram>,
+}
 
-    impl ReplayMetrics {
-        fn new() -> Self {
-            let registry = Registry::new();
-            Self {
-                ops: registry.counter("trace_replay_ops_total"),
-                posts: registry.counter("trace_replay_posts_total"),
-                arrivals: registry.counter("trace_replay_arrivals_total"),
-                progress_points: registry.counter("trace_replay_progress_points_total"),
-                rank_events: registry.histogram("trace_replay_rank_events"),
-                registry,
-            }
-        }
-
-        /// Counts one replayed trace operation (any kind).
-        #[inline]
-        pub fn count_op(&self) {
-            self.ops.inc();
-        }
-
-        /// Counts one receive post driven into a matcher.
-        #[inline]
-        pub fn count_post(&self) {
-            self.posts.inc();
-        }
-
-        /// Counts one message arrival driven into a matcher.
-        #[inline]
-        pub fn count_arrive(&self) {
-            self.arrivals.inc();
-        }
-
-        /// Counts one progress point (Wait/Waitall sample).
-        #[inline]
-        pub fn count_progress_point(&self) {
-            self.progress_points.inc();
-        }
-
-        /// Records how many events one rank's engine replay processed.
-        #[inline]
-        pub fn record_rank_events(&self, n: u64) {
-            self.rank_events.record(n);
-        }
-
-        /// The underlying registry (for embedding into a larger exporter).
-        pub fn registry(&self) -> &Registry {
-            &self.registry
-        }
-
-        /// Copies out the replay counters; diff two snapshots with
-        /// `RegistrySnapshot::delta` to isolate one replay's activity.
-        pub fn snapshot(&self) -> RegistrySnapshot {
-            self.registry.snapshot()
-        }
-
-        /// The snapshot rendered as JSON — callers that only forward the
-        /// data can use this without feature gating of their own.
-        pub fn snapshot_json(&self) -> Option<String> {
-            Some(self.registry.snapshot().to_json())
+impl ReplayMetrics {
+    fn new() -> Self {
+        let registry = Registry::new();
+        Self {
+            ops: registry.counter("trace_replay_ops_total"),
+            posts: registry.counter("trace_replay_posts_total"),
+            arrivals: registry.counter("trace_replay_arrivals_total"),
+            progress_points: registry.counter("trace_replay_progress_points_total"),
+            rank_events: registry.histogram("trace_replay_rank_events"),
+            registry,
         }
     }
 
-    /// The process-wide replay metrics handle (created on first use).
-    pub fn replay_metrics() -> &'static ReplayMetrics {
-        static METRICS: OnceLock<ReplayMetrics> = OnceLock::new();
-        METRICS.get_or_init(ReplayMetrics::new)
+    /// Counts one replayed trace operation (any kind).
+    #[inline]
+    pub fn count_op(&self) {
+        self.ops.inc();
     }
 
-    /// Flight-recorder glue for trace replays: a [`otm_metrics::SeriesRecorder`]
-    /// driven by the replay's own virtual clock — the operation index — so a
-    /// given trace produces an identical series on every run.
-    ///
-    /// Because [`replay_metrics`] is process-wide, the sampler snapshots a
-    /// *delta* against the registry state captured at construction: the
-    /// series starts at zero even if earlier replays (or other threads'
-    /// tests) already ran.
-    #[derive(Debug)]
-    pub struct ReplaySampler {
-        series: otm_metrics::SeriesRecorder,
-        base: RegistrySnapshot,
-        ops: u64,
+    /// Counts one receive post driven into a matcher.
+    #[inline]
+    pub fn count_post(&self) {
+        self.posts.inc();
     }
 
-    impl ReplaySampler {
-        /// A sampler snapshotting every `cadence` replayed operations.
-        pub fn new(cadence: u64) -> Self {
-            ReplaySampler {
-                series: otm_metrics::SeriesRecorder::new(cadence),
-                base: replay_metrics().snapshot(),
-                ops: 0,
-            }
-        }
+    /// Counts one message arrival driven into a matcher.
+    #[inline]
+    pub fn count_arrive(&self) {
+        self.arrivals.inc();
+    }
 
-        /// Advances the op-index clock by one operation and samples the
-        /// replay registry if a point is due. `queue_depth` is the replay
-        /// harness's current pending-work depth (e.g. PRQ + UMQ length).
-        pub fn tick(&mut self, queue_depth: u64) {
-            self.ops += 1;
-            if self.series.due(self.ops) {
-                let snap = replay_metrics().snapshot().delta(&self.base);
-                self.series.sample(self.ops, queue_depth, &snap);
-            }
-        }
+    /// Counts one progress point (Wait/Waitall sample).
+    #[inline]
+    pub fn count_progress_point(&self) {
+        self.progress_points.inc();
+    }
 
-        /// Operations ticked so far (the sampler's virtual time).
-        pub fn ops(&self) -> u64 {
-            self.ops
-        }
+    /// Records how many events one rank's engine replay processed.
+    #[inline]
+    pub fn record_rank_events(&self, n: u64) {
+        self.rank_events.record(n);
+    }
 
-        /// Forces the terminal sample and returns the finished series.
-        pub fn finish(mut self, queue_depth: u64) -> otm_metrics::SeriesRecorder {
+    /// The underlying registry (for embedding into a larger exporter).
+    pub fn registry(&self) -> &Registry {
+        &self.registry
+    }
+
+    /// Copies out the replay counters; diff two snapshots with
+    /// `RegistrySnapshot::delta` to isolate one replay's activity.
+    pub fn snapshot(&self) -> RegistrySnapshot {
+        self.registry.snapshot()
+    }
+
+    /// The snapshot rendered as JSON.
+    pub fn snapshot_json(&self) -> String {
+        self.registry.snapshot().to_json()
+    }
+}
+
+/// The process-wide replay metrics handle (created on first use).
+pub fn replay_metrics() -> &'static ReplayMetrics {
+    static METRICS: OnceLock<ReplayMetrics> = OnceLock::new();
+    METRICS.get_or_init(ReplayMetrics::new)
+}
+
+/// Flight-recorder glue for trace replays: a [`otm_metrics::SeriesRecorder`]
+/// driven by the replay's own virtual clock — the operation index — so a
+/// given trace produces an identical series on every run.
+///
+/// Because [`replay_metrics`] is process-wide, the sampler snapshots a
+/// *delta* against the registry state captured at construction: the
+/// series starts at zero even if earlier replays (or other threads'
+/// tests) already ran.
+#[derive(Debug)]
+pub struct ReplaySampler {
+    series: otm_metrics::SeriesRecorder,
+    base: RegistrySnapshot,
+    ops: u64,
+}
+
+impl ReplaySampler {
+    /// A sampler snapshotting every `cadence` replayed operations.
+    pub fn new(cadence: u64) -> Self {
+        ReplaySampler {
+            series: otm_metrics::SeriesRecorder::new(cadence),
+            base: replay_metrics().snapshot(),
+            ops: 0,
+        }
+    }
+
+    /// Advances the op-index clock by one operation and samples the
+    /// replay registry if a point is due. `queue_depth` is the replay
+    /// harness's current pending-work depth (e.g. PRQ + UMQ length).
+    pub fn tick(&mut self, queue_depth: u64) {
+        self.ops += 1;
+        if self.series.due(self.ops) {
             let snap = replay_metrics().snapshot().delta(&self.base);
-            self.series.force_sample(self.ops, queue_depth, &snap);
-            self.series
-        }
-    }
-}
-
-#[cfg(not(feature = "metrics"))]
-mod imp {
-    /// No-op stand-in: all instrumentation compiles away.
-    #[derive(Debug, Clone, Copy)]
-    pub struct ReplayMetrics;
-
-    impl ReplayMetrics {
-        /// No-op.
-        #[inline]
-        pub fn count_op(&self) {}
-
-        /// No-op.
-        #[inline]
-        pub fn count_post(&self) {}
-
-        /// No-op.
-        #[inline]
-        pub fn count_arrive(&self) {}
-
-        /// No-op.
-        #[inline]
-        pub fn count_progress_point(&self) {}
-
-        /// No-op.
-        #[inline]
-        pub fn record_rank_events(&self, _n: u64) {}
-
-        /// Always `None`: the `metrics` feature is disabled.
-        pub fn snapshot_json(&self) -> Option<String> {
-            None
+            self.series.sample(self.ops, queue_depth, &snap);
         }
     }
 
-    /// The no-op handle.
-    pub fn replay_metrics() -> &'static ReplayMetrics {
-        static METRICS: ReplayMetrics = ReplayMetrics;
-        &METRICS
+    /// Operations ticked so far (the sampler's virtual time).
+    pub fn ops(&self) -> u64 {
+        self.ops
+    }
+
+    /// Forces the terminal sample and returns the finished series.
+    pub fn finish(mut self, queue_depth: u64) -> otm_metrics::SeriesRecorder {
+        let snap = replay_metrics().snapshot().delta(&self.base);
+        self.series.force_sample(self.ops, queue_depth, &snap);
+        self.series
     }
 }
-
-#[cfg(feature = "metrics")]
-pub use imp::ReplaySampler;
-pub use imp::{replay_metrics, ReplayMetrics};
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[cfg(not(feature = "metrics"))]
-    #[test]
-    fn disabled_replay_metrics_are_zero_sized() {
-        assert_eq!(std::mem::size_of::<ReplayMetrics>(), 0);
-    }
-
-    #[cfg(feature = "metrics")]
     #[test]
     fn replay_counters_accumulate_monotonically() {
         // The handle is process-wide and tests run in parallel, so assert
@@ -220,7 +164,6 @@ mod tests {
         assert!(d.hists["trace_replay_rank_events"].count >= 1);
     }
 
-    #[cfg(feature = "metrics")]
     #[test]
     fn replay_sampler_ticks_on_the_op_index_clock() {
         let m = replay_metrics();

@@ -534,7 +534,6 @@ mod tests {
         assert_eq!(report.match_stats.unexpected, 1);
     }
 
-    #[cfg(feature = "metrics")]
     #[test]
     fn replay_reports_progress_through_the_metrics_registry() {
         // The registry is process-wide and tests run in parallel: assert

@@ -57,12 +57,12 @@ pub struct ChaosEvidence {
     /// Out-of-order packets discarded because the staging buffer was full
     /// or has zero capacity.
     pub stage_overflow: u64,
-    /// Flight-recorder loss counters summed across the run:
-    /// `otm_trace_dropped_total` + `dpa_trace_dropped_total` plus the span
-    /// equivalents. The chaos workloads are sized well inside the ring
-    /// capacities, so a nonzero value means the recorder lost events it
-    /// should have retained.
-    pub trace_dropped: u64,
+    /// Flight-recorder loss summed across the run: `otm_span_dropped_total`
+    /// plus `dpa_span_dropped_total`, which only a build with `--features
+    /// dpa-sim/trace-events` registers (0 otherwise). The chaos workloads
+    /// are sized well inside the ring capacities, so a nonzero value means
+    /// the recorder lost events it should have retained.
+    pub span_dropped: u64,
 }
 
 /// Generates a deterministic phased workload: `phases` phases of
@@ -180,10 +180,7 @@ pub fn run_chaos(
     let injected = svc.nic().wire_fault_stats().map(|s| s.total()).unwrap_or(0);
     let snap = svc.observability_snapshot();
     let dropped_of = |key: &str| snap.counters.get(key).copied().unwrap_or(0);
-    let trace_dropped = dropped_of("otm_trace_dropped_total")
-        + dropped_of("dpa_trace_dropped_total")
-        + dropped_of("otm_span_dropped_total")
-        + dropped_of("dpa_span_dropped_total");
+    let span_dropped = dropped_of("otm_span_dropped_total") + dropped_of("dpa_span_dropped_total");
     let outcome = RunOutcome {
         completed: svc
             .take_completed()
@@ -197,7 +194,7 @@ pub fn run_chaos(
         retransmits: sender.stats().retransmits,
         staged_out_of_order: svc.nic().rx_stats().staged_out_of_order,
         stage_overflow: svc.nic().rx_stats().stage_overflow,
-        trace_dropped,
+        span_dropped,
     };
     (outcome, evidence)
 }
@@ -227,8 +224,8 @@ pub fn assert_chaos_equivalence(
         "matched (receive, message) pairs must be identical to the fault-free run"
     );
     assert_eq!(
-        evidence.trace_dropped, 0,
-        "flight-recorder rings must not drop events at chaos-test scale"
+        evidence.span_dropped, 0,
+        "the span recorders must not drop events at chaos-test scale"
     );
     evidence
 }

@@ -362,7 +362,6 @@ fn rejections_are_terminal_not_backpressure() {
 /// Per-tenant observability: the labeled matchd instruments show up in the
 /// live Prometheus exposition, and the finished series artifact carries one
 /// section per tenant next to the global one.
-#[cfg(feature = "metrics")]
 #[test]
 fn per_tenant_metrics_reach_prometheus_and_series() {
     let mut server = server(roomy_config(), 4);
@@ -382,7 +381,7 @@ fn per_tenant_metrics_reach_prometheus_and_series() {
         }
         server.tick().expect("tick");
     }
-    let prom = server.prometheus().expect("metrics feature is on");
+    let prom = server.prometheus();
     for label in ["tenant=\"0\"", "tenant=\"1\""] {
         assert!(
             prom.contains(&format!("matchd_admitted_total{{{label}}}")),
