@@ -7,7 +7,6 @@
 
 use crate::error::MatchError;
 use crate::hash::mix64;
-use serde::{Deserialize, Serialize};
 
 /// Maximum number of messages matched concurrently in one block.
 ///
@@ -28,7 +27,7 @@ const MAX_RING_CAPACITY: usize = 1 << 20;
 /// configuration field: the engine drains [`PackingPolicy::CrossComm`] unless
 /// its runtime selector (driven by the feedback controller from the observed
 /// active-lane count) says otherwise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PackingPolicy {
     /// Pack only *consecutive* arrivals from the global submission order.
     /// Any interleaved post — or an arrival on another communicator followed
@@ -43,7 +42,7 @@ pub enum PackingPolicy {
 
 /// Tunable parameters of the optimistic matching engine and of the bin-based
 /// baseline matcher.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MatchConfig {
     /// Number of bins in each of the three hash-table indexes.
     pub bins: usize,
@@ -75,21 +74,12 @@ pub struct MatchConfig {
     /// round-robin) sets this so a flooding tenant's lane cannot crowd the
     /// other lanes out of every block. Ignored under
     /// [`PackingPolicy::Consecutive`].
-    #[serde(default)]
     pub lane_quota: Option<usize>,
     /// Capacity of each communicator's submission ring (rounded up to a
     /// power of two by the ring). A full ring reports the retryable
     /// [`MatchError::SubmissionRingFull`] backpressure signal. Must be in
     /// `1..=1 << 20`.
-    #[serde(default = "default_ring_capacity")]
     pub ring_capacity: usize,
-}
-
-/// Serde default for [`MatchConfig::ring_capacity`]: configs serialized
-/// before the field existed load with the same 1024-slot rings as
-/// [`MatchConfig::default`].
-fn default_ring_capacity() -> usize {
-    1024
 }
 
 impl Default for MatchConfig {
@@ -106,7 +96,7 @@ impl Default for MatchConfig {
             early_booking_check: false,
             lazy_removal: true,
             lane_quota: None,
-            ring_capacity: default_ring_capacity(),
+            ring_capacity: 1024,
         }
     }
 }
@@ -271,8 +261,8 @@ impl FaultRng {
 /// interpret it).
 ///
 /// All rates are expressed in **permille** (0..=1000, i.e. tenths of a
-/// percent) so the plan stays `Eq` + serde-serializable without dragging
-/// floating point into config equality. The default plan is inert: every
+/// percent) so the plan stays `Eq` without dragging floating point into
+/// config equality. The default plan is inert: every
 /// rate zero, so wrapping a path with `FaultPlan::default()` changes
 /// nothing.
 ///
@@ -297,7 +287,7 @@ impl FaultRng {
 /// let (mut a, mut b) = (plan.rng(), plan.rng());
 /// assert_eq!(a.next_u64(), b.next_u64());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Seed of the decision stream ([`FaultPlan::rng`]).
     pub seed: u64,

@@ -8,10 +8,9 @@
 //! structures of §III-B the receive is stored in.
 
 use crate::types::{CommId, Rank, Tag};
-use serde::{Deserialize, Serialize};
 
 /// Source selector of a receive: a concrete rank or `MPI_ANY_SOURCE`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SourceSel {
     /// Match messages from any source rank (`MPI_ANY_SOURCE`).
     Any,
@@ -43,7 +42,7 @@ impl From<Rank> for SourceSel {
 }
 
 /// Tag selector of a receive: a concrete tag or `MPI_ANY_TAG`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TagSel {
     /// Match messages with any tag (`MPI_ANY_TAG`).
     Any,
@@ -75,7 +74,7 @@ impl From<Tag> for TagSel {
 }
 
 /// The fully-defined matching triple carried by every incoming message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Envelope {
     /// Rank of the sending process.
     pub src: Rank,
@@ -110,7 +109,7 @@ impl std::fmt::Display for Envelope {
 /// A posted receive is indexed in exactly one of the four data structures
 /// according to which wildcards it uses; an incoming message must search all
 /// four with the appropriate keys.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WildcardClass {
     /// No wildcards: indexed by `hash(src, tag)`.
     None,
@@ -145,7 +144,7 @@ impl WildcardClass {
 
 /// What a posted receive matches on: wildcard-capable source and tag
 /// selectors plus a concrete communicator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ReceivePattern {
     /// Source selector (`MPI_ANY_SOURCE` or a concrete rank).
     pub src: SourceSel,

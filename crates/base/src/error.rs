@@ -1,9 +1,7 @@
 //! Error types shared across the workspace.
 
-use serde::{Deserialize, Serialize};
-
 /// Errors reported by the matching engines and their substrates.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MatchError {
     /// The fixed-size receive descriptor table is full (§III-B): "if the
     /// number of posted receives exceeds this capacity, the application must

@@ -14,7 +14,6 @@
 
 use crate::envelope::Envelope;
 use crate::types::{CommId, Rank, Tag};
-use serde::{Deserialize, Serialize};
 
 /// `splitmix64` finalizer: a full-avalanche 64-bit mixer.
 #[inline]
@@ -61,7 +60,7 @@ pub fn bin_of(hash: u64, bins: usize) -> usize {
 /// The three precomputed hash values a sender inlines into the message
 /// header (§IV-D) so the receiving accelerator can index its tables without
 /// hashing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct InlineHashes {
     /// `hash(src, tag)` — key of the no-wildcard index.
     pub src_tag: u64,

@@ -13,10 +13,9 @@
 //! (booking, partial barrier, conflict resolution) entirely.
 
 use crate::envelope::WildcardClass;
-use serde::{Deserialize, Serialize};
 
 /// MPI communicator info assertions relevant to matching.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CommHints {
     /// `mpi_assert_no_any_source`: the application will never post a
     /// receive with `MPI_ANY_SOURCE` on this communicator.

@@ -7,8 +7,6 @@
 //! receives need about 520 KiB of DPA memory — to be compared with the
 //! BlueField-3 DPA caches (L2 1.5 MiB, L3 3 MiB).
 
-use serde::{Deserialize, Serialize};
-
 /// Bytes per hash-table bin: a 4-byte remove lock plus head and tail
 /// pointers at 8 bytes each (§IV-E).
 pub const BIN_BYTES: u64 = 4 + 8 + 8;
@@ -27,7 +25,7 @@ pub const DPA_L2_BYTES: u64 = 3 * 1024 * 1024 / 2; // 1.5 MiB
 pub const DPA_L3_BYTES: u64 = 3 * 1024 * 1024; // 3 MiB
 
 /// Memory footprint of one communicator's matching state on the DPA.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Footprint {
     /// Bytes consumed by the three binned index tables.
     pub index_tables: u64,

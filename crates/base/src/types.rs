@@ -8,14 +8,12 @@
 //! compatible receives* (§III-D3a), the unit over which the fast conflict
 //! resolution path may shift candidates.
 
-use serde::{Deserialize, Serialize};
-
 /// An MPI process rank within a communicator.
 ///
 /// Concrete message envelopes always carry a defined rank; `MPI_ANY_SOURCE`
 /// exists only on the receive side and is modelled by
 /// [`SourceSel::Any`](crate::envelope::SourceSel::Any).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Rank(pub u32);
 
 impl Rank {
@@ -36,7 +34,7 @@ impl std::fmt::Display for Rank {
 ///
 /// Concrete message envelopes always carry a defined tag; `MPI_ANY_TAG` is
 /// modelled by [`TagSel::Any`](crate::envelope::TagSel::Any).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Tag(pub u32);
 
 impl Tag {
@@ -57,7 +55,7 @@ impl std::fmt::Display for Tag {
 ///
 /// Each communicator owns its own set of index tables (§IV-E); all matchers in
 /// this workspace key their per-communicator state on this id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CommId(pub u16);
 
 impl CommId {
@@ -87,9 +85,7 @@ impl std::fmt::Display for CommId {
 /// The paper labels "each receive with a monotonically increasing counter that
 /// reflects the posting order" (§III-C); after the optimistic phase a thread
 /// holding up to four index candidates selects the one with the minimum label.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PostLabel(pub u64);
 
 impl PostLabel {
@@ -109,9 +105,7 @@ impl PostLabel {
 /// Constraint C2 is defined over this order: two messages from the same
 /// sender matching the same receive must match in arrival order. Unexpected
 /// messages are also consumed from the UMQ in this order.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ArrivalSeq(pub u64);
 
 impl ArrivalSeq {
@@ -133,9 +127,7 @@ impl ArrivalSeq {
 /// selector, tag selector or communicator). During fast-path conflict
 /// resolution a thread verifies that its shifted candidate still belongs to
 /// the same sequence and falls back to the slow path otherwise.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SeqId(pub u64);
 
 impl SeqId {

@@ -31,7 +31,9 @@
 
 use dpa_sim::app_replay::{engine_direct_pairs, replay_app, AppReplayConfig};
 use otm_base::FaultPlan;
-use otm_bench::{experiments_dir, header, write_text_artifact, CommonArgs};
+use otm_bench::{experiments_dir, header, write_json_artifact, write_text_artifact, CommonArgs};
+use otm_metrics::json::{JsonWriter, WriteJson};
+use otm_metrics::SeriesRecorder;
 use std::time::Instant;
 
 /// `appbench`-specific flags layered over [`CommonArgs`] (which ignores
@@ -125,8 +127,24 @@ fn main() {
         let direct_secs = t0.elapsed().as_secs_f64();
         let direct_rate = arrivals as f64 / direct_secs.max(f64::EPSILON);
 
-        let mut runs: Vec<String> = Vec::new();
-        let mut first_series: Option<String> = None;
+        let mut w = JsonWriter::new();
+        w.begin_object();
+        w.field_str("bench", "app_replay");
+        w.field_str("app", spec.name);
+        w.field_str("slug", &slug(spec.name));
+        w.field_u64("processes", spec.processes as u64);
+        w.field_u64("seed", args.seed);
+        w.field_u64("bins", args.bins as u64);
+        w.field_u64("trace_sends", arrivals);
+        w.key("engine_direct");
+        w.begin_object();
+        w.field_f64("elapsed_secs", direct_secs);
+        w.field_f64("msgs_per_sec", direct_rate);
+        w.field_u64("matched", oracle.len() as u64);
+        w.end_object();
+        w.key("runs");
+        w.begin_array();
+        let mut first_series: Option<SeriesRecorder> = None;
         for fault_plan in std::iter::once(None).chain(plan.as_ref().map(Some)) {
             let mut cfg = AppReplayConfig::default()
                 .with_bins(args.bins)
@@ -154,38 +172,23 @@ fn main() {
                 out.report.gate_parked,
                 if equal { "ok" } else { "MISMATCH" },
             );
+            w.begin_object();
+            w.field_bool("oracle_equal", equal);
+            w.key("report");
+            out.report.write_json(&mut w);
+            w.end_object();
             if first_series.is_none() {
-                first_series = out.report.series_json.clone();
+                first_series = out.report.series;
             }
-            runs.push(format!(
-                "{{\"oracle_equal\":{equal},\"report\":{}}}",
-                out.report.to_json()
-            ));
         }
+        w.end_array();
+        w.end_object();
 
-        let artifact = format!(
-            concat!(
-                "{{\"bench\":\"app_replay\",\"app\":\"{}\",\"slug\":\"{}\",",
-                "\"processes\":{},\"seed\":{},\"bins\":{},\"trace_sends\":{},",
-                "\"engine_direct\":{{\"elapsed_secs\":{:.6},\"msgs_per_sec\":{:.1},",
-                "\"matched\":{}}},\"runs\":[{}]}}"
-            ),
-            spec.name,
-            slug(spec.name),
-            spec.processes,
-            args.seed,
-            args.bins,
-            arrivals,
-            direct_secs,
-            direct_rate,
-            oracle.len(),
-            runs.join(","),
-        );
         let path = match &args.common.out {
             Some(dir) => dir.join(format!("app_replay_{}.json", slug(spec.name))),
             None => experiments_dir().join(format!("app_replay_{}.json", slug(spec.name))),
         };
-        write_text_artifact(&path, &artifact);
+        write_text_artifact(&path, &w.finish());
         println!("  artifact: {}", path.display());
         if let (Some(series_path), Some(series)) = (&args.common.series, &first_series) {
             let p = series_path.with_file_name(format!(
@@ -196,7 +199,7 @@ fn main() {
                     .unwrap_or_else(|| "series".into()),
                 slug(spec.name)
             ));
-            write_text_artifact(&p, series);
+            write_json_artifact(&p, series);
             println!("  series:   {}", p.display());
         }
     }

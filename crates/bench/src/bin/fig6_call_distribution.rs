@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release -p otm-bench --bin fig6_call_distribution`
 //! (`--out PATH` redirects the JSON report).
 
-use otm_bench::{header, observability_value, write_report, BenchReport, CommonArgs};
+use otm_bench::{header, write_report, BenchReport, CommonArgs};
 use otm_trace::replay::AppReport;
 use otm_trace::report::fig6_row;
 use otm_trace::{replay, ReplayConfig};
@@ -39,7 +39,7 @@ fn main() {
     println!("one-sided operations anywhere:     {one_sided} (paper: none)");
 
     // The replay registry carries progress counters for the whole sweep.
-    let obs = observability_value(&otm_trace::replay_metrics().snapshot_json());
+    let obs = otm_trace::replay_metrics().snapshot();
     let report =
         BenchReport::with_observability("fig6_call_distribution", false, reports, Some(obs));
     let path = write_report(&args, &report);

@@ -11,17 +11,18 @@
 //! Run with: `cargo run --release -p otm-bench --bin fig7_queue_depth`
 //! (`--full` sweeps 1..256 bins; `--out PATH` redirects the JSON report).
 
-use otm_bench::{header, observability_value, write_report, BenchReport, CommonArgs};
+use otm_bench::{header, write_report, BenchReport, CommonArgs};
+use otm_metrics::json_fields;
 use otm_trace::replay::AppReport;
 use otm_trace::{replay, ReplayConfig};
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct Fig7 {
     bins: Vec<usize>,
     per_app: Vec<Vec<AppReport>>,
     averages: Vec<f64>,
 }
+
+json_fields!(Fig7: bins, per_app, averages);
 
 fn main() {
     let args = CommonArgs::parse();
@@ -75,7 +76,7 @@ fn main() {
     println!("\npaper anchors: averages 8.21 / 0.80 / 0.33 at 1 / 32 / 128 bins (−90% / −95%);");
     println!("               BoxLib CNS max depth 25 -> 3 -> 1");
 
-    let obs = observability_value(&otm_trace::replay_metrics().snapshot_json());
+    let obs = otm_trace::replay_metrics().snapshot();
     let report = BenchReport::with_observability(
         "fig7_queue_depth",
         !args.full,

@@ -32,7 +32,7 @@
 //! arrival block short; the cross-communicator scheduler hoists posts and
 //! refills blocks from the other lanes' FIFO heads, so blocks stay full.
 //! The rows report blocks executed and mean block occupancy next to
-//! throughput, and the same numbers land in a dependency-free
+//! throughput, and the same numbers land in a standalone
 //! `fig8_mixed.json` artifact.
 //!
 //! With `--faults`, a ninth section runs the same pre-posted stream twice —
@@ -42,7 +42,7 @@
 //! put the reliability tax (retransmits, backoff polls, discarded
 //! duplicates) next to throughput, the run asserts the matched
 //! (receive, payload) sequence is identical in both runs, and everything
-//! lands in a dependency-free `fig8_faults.json` artifact.
+//! lands in a standalone `fig8_faults.json` artifact.
 //!
 //! With `--tenants N`, a tenth section promotes the service into a matchd
 //! server and runs N tenant sessions against it for the same message
@@ -52,7 +52,7 @@
 //! admission counters (admitted / backpressured) next to its completed
 //! throughput and, for well-behaved tenants, the fraction of their *solo*
 //! throughput retained under contention — the fair-drain headline. The
-//! numbers land in a dependency-free `fig8_tenants.json` artifact (with the
+//! numbers land in a standalone `fig8_tenants.json` artifact (with the
 //! per-tenant series sections embedded when `--series` is also given).
 //!
 //! With `--series PATH`, the flight recorder's rolling time-series sampler
@@ -93,16 +93,23 @@ use otm::{Command, OtmEngine};
 use otm_base::{
     CommId, Envelope, FaultPlan, MatchConfig, MatchError, PackingPolicy, Rank, ReceivePattern, Tag,
 };
-#[cfg(feature = "trace-events")]
-use otm_bench::spans_sibling;
 use otm_bench::{
-    experiments_dir, header, observability_value, write_report, write_text_artifact, BenchReport,
-    CommonArgs,
+    experiments_dir, header, write_json_artifact, write_report, BenchReport, CommonArgs,
 };
-use otm_metrics::SeriesRecorder;
-use serde::Serialize;
+#[cfg(feature = "trace-events")]
+use otm_bench::{spans_sibling, write_text_artifact};
+use otm_metrics::json::{JsonWriter, WriteJson};
+use otm_metrics::{json_fields, RegistrySnapshot, SeriesRecorder};
 use std::collections::BTreeMap;
 use std::time::Instant;
+
+/// The report-level `observability` object: one registry snapshot per
+/// series or section label.
+type Observability = BTreeMap<String, RegistrySnapshot>;
+
+/// What [`MatchServer::finish_series`] hands back: the global series and
+/// one section per tenant.
+type TenantSeries = (SeriesRecorder, Vec<(String, SeriesRecorder)>);
 
 /// Flight-recorder output accumulated across the fig8 sections: labeled
 /// rolling time series (`--series`) and labeled span dumps (`--spans`, only
@@ -117,26 +124,15 @@ struct FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// Writes the labeled series as one artifact at `--series PATH`:
-    /// `{"bench":"fig8_series","sections":{<label>:<columnar series>}}`,
-    /// hand-assembled from `SeriesRecorder::to_json` (no serde on this
-    /// path). Returns the path, or `None` when `--series` was not given or
-    /// nothing was sampled.
+    /// Writes the labeled series as one artifact at `--series PATH` (the
+    /// recorder's [`WriteJson`] form). Returns the path, or `None` when
+    /// `--series` was not given or nothing was sampled.
     fn write_series(&self, args: &CommonArgs) -> Option<std::path::PathBuf> {
         let path = args.series.as_ref()?;
         if self.series.is_empty() {
             return None;
         }
-        let sections: Vec<String> = self
-            .series
-            .iter()
-            .map(|(label, s)| format!("\"{label}\":{}", s.to_json()))
-            .collect();
-        let json = format!(
-            "{{\"bench\":\"fig8_series\",\"sections\":{{{}}}}}\n",
-            sections.join(",")
-        );
-        Some(write_text_artifact(path, &json))
+        Some(write_json_artifact(path, self))
     }
 
     /// Self-consistency shape check for every recorded series: the terminal
@@ -205,9 +201,25 @@ impl FlightRecorder {
     }
 }
 
+/// `{"bench":"fig8_series","sections":{<label>:<columnar series>}}`.
+impl WriteJson for FlightRecorder {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.field_str("bench", "fig8_series");
+        w.key("sections");
+        w.begin_object();
+        for (label, series) in &self.series {
+            w.key(label);
+            series.write_json(w);
+        }
+        w.end_object();
+        w.end_object();
+    }
+}
+
 /// The fig8 `results` payload: the classic per-series rows plus the sharded
 /// concurrent command-queue run.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 struct Fig8Results {
     /// The six ping-pong series plus the 1-exec-unit row.
     series: Vec<PingPongResult>,
@@ -226,13 +238,15 @@ struct Fig8Results {
     trace_events: bool,
 }
 
+json_fields!(Fig8Results: series, sharded, mixed, faults, tenants, trace_events);
+
 /// Aggregate + per-shard throughput of the concurrent command-queue run:
 /// `--threads` sender threads blast eager packets at `--shards` communicator
 /// shards — one queue pair per shard on one receive NIC — while the main
 /// thread pumps the [`MatchingService`] over a sharded [`OtmEngine`] with
 /// the command queue enabled, so staging, submit, the pipelined drain and
 /// the eager protocol copy are all on the measured path.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 struct ShardedReport {
     /// Number of communicator shards (= queue pairs) driven concurrently.
     shards: usize,
@@ -257,8 +271,11 @@ struct ShardedReport {
     error: Option<String>,
 }
 
+json_fields!(ShardedReport: shards, threads, submission, ring_capacity, messages, elapsed_secs,
+    msgs_per_sec, per_shard, error);
+
 /// One communicator shard's share of the sharded run.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 struct ShardRow {
     /// The communicator id backing this shard.
     comm: u16,
@@ -270,9 +287,11 @@ struct ShardRow {
     posts_per_sec: f64,
 }
 
+json_fields!(ShardRow: comm, posts, delivered, posts_per_sec);
+
 /// One packing policy's run of the mixed-traffic drain comparison: the same
 /// interleaved post/arrival workload, drained under `packing`.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 struct MixedRow {
     /// The drain packing policy (`consecutive` or `cross-comm`).
     packing: String,
@@ -297,30 +316,10 @@ struct MixedRow {
     mean_block_occupancy: f64,
 }
 
-impl MixedRow {
-    /// Serializes the row by hand so the artifact stays dependency-free
-    /// (mirrors `otm-metrics`' zero-dependency JSON exposition).
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"packing\":\"{}\",\"post_mix_pct\":{},\"shards\":{},",
-                "\"threads\":{},\"messages\":{},\"posts\":{},",
-                "\"elapsed_secs\":{:.6},\"msgs_per_sec\":{:.1},",
-                "\"blocks_executed\":{},\"mean_block_occupancy\":{:.3}}}"
-            ),
-            self.packing,
-            self.post_mix_pct,
-            self.shards,
-            self.threads,
-            self.messages,
-            self.posts,
-            self.elapsed_secs,
-            self.msgs_per_sec,
-            self.blocks_executed,
-            self.mean_block_occupancy,
-        )
-    }
-}
+// The row as it appears both in the report's `results.mixed` and in the
+// standalone `fig8_mixed.json`.
+json_fields!(MixedRow: packing, post_mix_pct, shards, threads, messages, posts, elapsed_secs,
+    msgs_per_sec, blocks_executed, mean_block_occupancy);
 
 fn main() {
     let args = CommonArgs::parse();
@@ -354,7 +353,7 @@ fn main() {
     ];
 
     let mut results: Vec<PingPongResult> = Vec::new();
-    let mut observability: BTreeMap<String, serde_json::Value> = BTreeMap::new();
+    let mut observability = Observability::new();
     for (mode, scenario) in runs {
         let cfg = PingPongConfig {
             k,
@@ -433,9 +432,9 @@ fn is_post(i: usize, pct: u32) -> bool {
 fn run_mixed(
     args: &CommonArgs,
     budget: usize,
-    observability: &mut BTreeMap<String, serde_json::Value>,
+    observability: &mut Observability,
     recorder: &mut FlightRecorder,
-) -> Vec<(MixedRow, String)> {
+) -> Vec<(MixedRow, RegistrySnapshot)> {
     let shards = args.shards.unwrap_or(4).max(1);
     let threads = args.threads.unwrap_or(shards).clamp(1, shards);
     let post_mix = args.post_mix.unwrap_or(30).min(90);
@@ -598,30 +597,36 @@ fn run_mixed(
         if let Some(e) = error {
             println!("  WARNING: {name} drain stopped early: {e}");
         }
-        let snapshot_json = engine.metrics_snapshot().to_json();
-        observability.insert(format!("mixed {name}"), observability_value(&snapshot_json));
-        rows.push((row, snapshot_json));
+        let snapshot = engine.metrics_snapshot();
+        observability.insert(format!("mixed {name}"), snapshot.clone());
+        rows.push((row, snapshot));
     }
     rows
 }
 
-/// Writes the mixed-traffic comparison to `fig8_mixed.json` next to the
-/// main artifact, serialized by hand (no serde_json on this path) with the
-/// engines' registry-snapshot JSON embedded verbatim.
-fn write_mixed_artifact(rows: &[(MixedRow, String)]) -> std::path::PathBuf {
-    let row_objs: Vec<String> = rows.iter().map(|(row, _)| row.to_json()).collect();
-    let snapshots: Vec<String> = rows
-        .iter()
-        .map(|(row, snap)| format!("\"{}\":{}", row.packing, snap))
-        .collect();
-    let json = format!(
-        "{{\"bench\":\"fig8_mixed\",\"rows\":[{}],\"observability\":{{{}}}}}\n",
-        row_objs.join(","),
-        snapshots.join(",")
-    );
-    let path = experiments_dir().join("fig8_mixed.json");
-    std::fs::write(&path, json).expect("write mixed-traffic artifact");
-    path
+/// The standalone `fig8_mixed.json`: the rows plus each engine's registry
+/// snapshot, keyed by packing policy.
+struct MixedArtifact<'a>(&'a [(MixedRow, RegistrySnapshot)]);
+
+impl WriteJson for MixedArtifact<'_> {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.field_str("bench", "fig8_mixed");
+        w.key("rows");
+        w.begin_array();
+        for (row, _) in self.0 {
+            row.write_json(w);
+        }
+        w.end_array();
+        w.key("observability");
+        w.begin_object();
+        for (row, snapshot) in self.0 {
+            w.key(&row.packing);
+            snapshot.write_json(w);
+        }
+        w.end_object();
+        w.end_object();
+    }
 }
 
 /// One run of the fault sweep: the same pre-posted stream, pushed through
@@ -630,7 +635,7 @@ fn write_mixed_artifact(rows: &[(MixedRow, String)]) -> std::path::PathBuf {
 /// what the protocol paid to hide the wire's misbehavior — the headline is
 /// `retransmit_amplification`, retransmits per wire drop, which selective
 /// repeat keeps near 1 by resending only the holes.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 struct FaultRow {
     /// `fault-free` or `hostile-wire`.
     label: String,
@@ -679,50 +684,17 @@ struct FaultRow {
     knob_changes: u64,
 }
 
-impl FaultRow {
-    /// Hand-rolled serialization for the dependency-free artifact (the same
-    /// idiom as [`MixedRow::to_json`]).
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"label\":\"{}\",\"mode\":\"{}\",\"messages\":{},",
-                "\"elapsed_secs\":{:.6},",
-                "\"msgs_per_sec\":{:.1},\"wire_drops\":{},\"wire_duplicates\":{},",
-                "\"wire_reorders\":{},\"wire_delays\":{},\"retransmits\":{},",
-                "\"retransmit_amplification\":{:.3},\"fast_retransmits\":{},",
-                "\"resend_events\":{},\"acks_received\":{},\"backoff_polls\":{},",
-                "\"rx_duplicates_discarded\":{},\"rx_gaps_discarded\":{},",
-                "\"rx_staged_out_of_order\":{},\"acks_sent\":{},",
-                "\"knob_changes\":{}}}"
-            ),
-            self.label,
-            self.mode,
-            self.messages,
-            self.elapsed_secs,
-            self.msgs_per_sec,
-            self.wire_drops,
-            self.wire_duplicates,
-            self.wire_reorders,
-            self.wire_delays,
-            self.retransmits,
-            self.retransmit_amplification,
-            self.fast_retransmits,
-            self.resend_events,
-            self.acks_received,
-            self.backoff_polls,
-            self.rx_duplicates_discarded,
-            self.rx_gaps_discarded,
-            self.rx_staged_out_of_order,
-            self.acks_sent,
-            self.knob_changes,
-        )
-    }
-}
+// The row as it appears both in the report's `results.faults.rows` and in
+// the standalone `fig8_faults.json`.
+json_fields!(FaultRow: label, mode, messages, elapsed_secs, msgs_per_sec, wire_drops,
+    wire_duplicates, wire_reorders, wire_delays, retransmits, retransmit_amplification,
+    fast_retransmits, resend_events, acks_received, backoff_polls, rx_duplicates_discarded,
+    rx_gaps_discarded, rx_staged_out_of_order, acks_sent, knob_changes);
 
 /// The `--faults` sweep: plan parameters, the fault-free vs hostile rows,
 /// and the oracle verdict (`matched_equal`) that the hostile wire changed
 /// no matched (receive, payload) pair.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 struct FaultSweep {
     /// Seed of the fault plan (`--fault-seed`, default `0xf8`).
     seed: u64,
@@ -742,13 +714,46 @@ struct FaultSweep {
     rows: Vec<FaultRow>,
 }
 
+// The sweep as the report's `results.faults`: plan parameters flat.
+json_fields!(FaultSweep: seed, drop_permille, duplicate_permille, reorder_permille, delay_permille,
+    matched_equal, rows);
+
+/// The standalone `fig8_faults.json`: the sweep with the plan nested under
+/// `plan`, plus each run's registry snapshot keyed `"<mode> <label>"`.
+struct FaultsArtifact<'a> {
+    sweep: &'a FaultSweep,
+    snapshots: Vec<&'a RegistrySnapshot>,
+}
+
+impl WriteJson for FaultsArtifact<'_> {
+    fn write_json(&self, w: &mut JsonWriter) {
+        let sweep = self.sweep;
+        w.begin_object();
+        w.field_str("bench", "fig8_faults");
+        json_fields!(w, sweep; seed);
+        w.key("plan");
+        w.begin_object();
+        json_fields!(w, sweep; drop_permille, duplicate_permille, reorder_permille, delay_permille);
+        w.end_object();
+        json_fields!(w, sweep; matched_equal, rows);
+        w.key("observability");
+        w.begin_object();
+        for (row, snapshot) in sweep.rows.iter().zip(&self.snapshots) {
+            w.key(&format!("{} {}", row.mode, row.label));
+            snapshot.write_json(w);
+        }
+        w.end_object();
+        w.end_object();
+    }
+}
+
 /// Everything one fault-sweep run produces: the summary row, the completed
 /// (receive handle, payload) sequence for the equality oracle, and the
 /// service's registry snapshot.
 struct FaultRun {
     row: FaultRow,
     completed: Vec<(u64, Vec<u8>)>,
-    observability_json: String,
+    observability: RegistrySnapshot,
     /// The rolling time series sampled on the service's poll clock, when
     /// `--series` asked for one.
     series: Option<SeriesRecorder>,
@@ -895,7 +900,7 @@ fn fault_run(
             knob_changes,
         },
         completed,
-        observability_json: svc.observability_json(),
+        observability: svc.observability_snapshot(),
         series: svc.take_series(),
         #[cfg(feature = "trace-events")]
         spans,
@@ -908,7 +913,7 @@ fn fault_run(
 fn run_faults(
     args: &CommonArgs,
     budget: usize,
-    observability: &mut BTreeMap<String, serde_json::Value>,
+    observability: &mut Observability,
     recorder: &mut FlightRecorder,
 ) -> Option<FaultSweep> {
     if !args.faults {
@@ -966,10 +971,6 @@ fn run_faults(
             r.rx_staged_out_of_order,
             r.knob_changes,
         );
-        observability.insert(
-            format!("faults {} {}", r.mode, r.label),
-            observability_value(&run.observability_json),
-        );
     }
     let hostile = &runs[1].row;
     println!("shape: hostile wire changed no matched pair: {matched_equal}");
@@ -996,47 +997,25 @@ fn run_faults(
         matched_equal,
         rows: runs.iter().map(|r| r.row.clone()).collect(),
     };
-    let snapshots: Vec<&str> = runs.iter().map(|r| r.observability_json.as_str()).collect();
-    let path = write_faults_artifact(&sweep, &snapshots);
+    let path = write_json_artifact(
+        &experiments_dir().join("fig8_faults.json"),
+        &FaultsArtifact {
+            sweep: &sweep,
+            snapshots: runs.iter().map(|r| &r.observability).collect(),
+        },
+    );
     println!("fault-sweep artifact: {}", path.display());
+    for run in runs {
+        observability.insert(
+            format!("faults {} {}", run.row.mode, run.row.label),
+            run.observability,
+        );
+    }
     Some(sweep)
 }
 
-/// Writes the fault sweep to `fig8_faults.json`, serialized by hand (no
-/// serde_json on this path) with the two runs' registry-snapshot JSON
-/// embedded verbatim — the same dependency-free idiom as
-/// [`write_mixed_artifact`].
-fn write_faults_artifact(sweep: &FaultSweep, snapshots: &[&str]) -> std::path::PathBuf {
-    let row_objs: Vec<String> = sweep.rows.iter().map(FaultRow::to_json).collect();
-    let snapshot_objs: Vec<String> = sweep
-        .rows
-        .iter()
-        .zip(snapshots)
-        .map(|(row, snap)| format!("\"{} {}\":{}", row.mode, row.label, snap))
-        .collect();
-    let json = format!(
-        concat!(
-            "{{\"bench\":\"fig8_faults\",\"seed\":{},",
-            "\"plan\":{{\"drop_permille\":{},\"duplicate_permille\":{},",
-            "\"reorder_permille\":{},\"delay_permille\":{}}},",
-            "\"matched_equal\":{},\"rows\":[{}],\"observability\":{{{}}}}}\n"
-        ),
-        sweep.seed,
-        sweep.drop_permille,
-        sweep.duplicate_permille,
-        sweep.reorder_permille,
-        sweep.delay_permille,
-        sweep.matched_equal,
-        row_objs.join(","),
-        snapshot_objs.join(",")
-    );
-    let path = experiments_dir().join("fig8_faults.json");
-    std::fs::write(&path, json).expect("write fault-sweep artifact");
-    path
-}
-
 /// One tenant's row of the `--tenants` fairness sweep.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 struct TenantRow {
     /// The tenant's id (open order on the server).
     tenant: u16,
@@ -1062,40 +1041,14 @@ struct TenantRow {
     msgs_per_sec: f64,
 }
 
-impl TenantRow {
-    /// Hand-rolled serialization for the dependency-free artifact (the
-    /// same idiom as [`MixedRow::to_json`]).
-    fn to_json(&self) -> String {
-        let solo = self
-            .solo_completed
-            .map_or("null".to_string(), |v| v.to_string());
-        let retained = self
-            .retained
-            .map_or("null".to_string(), |v| format!("{v:.4}"));
-        format!(
-            concat!(
-                "{{\"tenant\":{},\"role\":\"{}\",\"attempted_pairs\":{},",
-                "\"admitted\":{},\"backpressured\":{},\"drained\":{},",
-                "\"completed\":{},\"solo_completed\":{},\"retained\":{},",
-                "\"msgs_per_sec\":{:.1}}}"
-            ),
-            self.tenant,
-            self.role,
-            self.attempted_pairs,
-            self.admitted,
-            self.backpressured,
-            self.drained,
-            self.completed,
-            solo,
-            retained,
-            self.msgs_per_sec,
-        )
-    }
-}
+// The row as it appears both in the report's `results.tenants.rows` and in
+// the standalone `fig8_tenants.json`.
+json_fields!(TenantRow: tenant, role, attempted_pairs, admitted, backpressured, drained, completed,
+    solo_completed, retained, msgs_per_sec);
 
 /// The `--tenants` sweep: knobs, per-tenant rows, and the two fairness
 /// verdicts the paper-style shape checks assert.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 struct TenantsSweep {
     /// Tenant sessions on the shared server.
     tenants: usize,
@@ -1124,6 +1077,45 @@ struct TenantsSweep {
     fairness_retained: bool,
     /// One row per tenant.
     rows: Vec<TenantRow>,
+}
+
+impl TenantsSweep {
+    /// The sweep's knobs, verdicts and rows, as fields of the current
+    /// object (shared by the report and the standalone artifact).
+    fn write_fields(&self, w: &mut JsonWriter) {
+        json_fields!(w, self; tenants, flood_tenant, ticks, pairs_per_tick, flood_pairs_per_tick,
+            capacity, quantum, flood_capacity, flood_quantum, deficit_cap_quanta,
+            flooder_backpressured, fairness_retained, rows);
+    }
+}
+
+/// The sweep as the report's `results.tenants`.
+impl WriteJson for TenantsSweep {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        self.write_fields(w);
+        w.end_object();
+    }
+}
+
+/// The standalone `fig8_tenants.json`: the sweep plus, when `--series`
+/// sampled them, the global and per-tenant series sections.
+struct TenantsArtifact<'a> {
+    sweep: &'a TenantsSweep,
+    series: Option<&'a TenantSeries>,
+}
+
+impl WriteJson for TenantsArtifact<'_> {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.field_str("bench", "fig8_tenants");
+        self.sweep.write_fields(w);
+        if let Some((global, tenants)) = self.series {
+            w.key("series");
+            otm_metrics::write_tenant_sections(w, global, tenants);
+        }
+        w.end_object();
+    }
 }
 
 /// Knobs of one tenants-sweep run, shared by the solo baseline and the
@@ -1194,8 +1186,8 @@ fn tenant_solo_baseline(plan: &TenantBenchPlan) -> u64 {
 fn run_tenants(
     args: &CommonArgs,
     budget: usize,
-    observability: &mut BTreeMap<String, serde_json::Value>,
-) -> Option<(TenantsSweep, Option<String>)> {
+    observability: &mut Observability,
+) -> Option<(TenantsSweep, Option<TenantSeries>)> {
     let tenants = args.tenants?.max(2);
     let flood_tenant = args.flood_tenant.filter(|&i| i < tenants);
     let pairs_per_tick = 8usize;
@@ -1318,7 +1310,7 @@ fn run_tenants(
 
     observability.insert(
         "tenants".to_string(),
-        observability_value(&server.service().observability_json()),
+        server.service().observability_snapshot(),
     );
     let series = server.finish_series();
     Some((
@@ -1339,47 +1331,6 @@ fn run_tenants(
         },
         series,
     ))
-}
-
-/// Writes the tenants sweep to `fig8_tenants.json`, serialized by hand with
-/// the per-tenant series sections embedded verbatim when `--series` sampled
-/// them — the same dependency-free idiom as [`write_mixed_artifact`].
-fn write_tenants_artifact(sweep: &TenantsSweep, series: Option<&str>) -> std::path::PathBuf {
-    let row_objs: Vec<String> = sweep.rows.iter().map(TenantRow::to_json).collect();
-    let flood = sweep
-        .flood_tenant
-        .map_or("null".to_string(), |v| v.to_string());
-    let series_field = match series {
-        Some(s) => format!(",\"series\":{}", s.trim_end()),
-        None => String::new(),
-    };
-    let json = format!(
-        concat!(
-            "{{\"bench\":\"fig8_tenants\",\"tenants\":{},\"flood_tenant\":{},",
-            "\"ticks\":{},\"pairs_per_tick\":{},\"flood_pairs_per_tick\":{},",
-            "\"capacity\":{},\"quantum\":{},\"flood_capacity\":{},",
-            "\"flood_quantum\":{},\"deficit_cap_quanta\":{},",
-            "\"flooder_backpressured\":{},\"fairness_retained\":{},",
-            "\"rows\":[{}]{}}}\n"
-        ),
-        sweep.tenants,
-        flood,
-        sweep.ticks,
-        sweep.pairs_per_tick,
-        sweep.flood_pairs_per_tick,
-        sweep.capacity,
-        sweep.quantum,
-        sweep.flood_capacity,
-        sweep.flood_quantum,
-        sweep.deficit_cap_quanta,
-        sweep.flooder_backpressured,
-        sweep.fairness_retained,
-        row_objs.join(","),
-        series_field,
-    );
-    let path = experiments_dir().join("fig8_tenants.json");
-    std::fs::write(&path, json).expect("write tenants artifact");
-    path
 }
 
 /// Drives the full receive path from multiple sender threads: shard `i` is
@@ -1540,10 +1491,10 @@ fn run_sharded(args: &CommonArgs, budget: usize) -> ShardedReport {
 }
 
 /// Moves a run's registry snapshot out of the result row and into the
-/// report-level observability map, parsed into structured JSON.
-fn harvest(result: &mut PingPongResult, observability: &mut BTreeMap<String, serde_json::Value>) {
-    if let Some(json) = result.observability_json.take() {
-        observability.insert(result.label.clone(), observability_value(&json));
+/// report-level observability map.
+fn harvest(result: &mut PingPongResult, observability: &mut Observability) {
+    if let Some(snapshot) = result.observability_json.take() {
+        observability.insert(result.label.clone(), snapshot);
     }
 }
 
@@ -1564,16 +1515,25 @@ fn finish(
     quick: bool,
     results: Vec<PingPongResult>,
     sharded: ShardedReport,
-    mixed: Vec<(MixedRow, String)>,
+    mixed: Vec<(MixedRow, RegistrySnapshot)>,
     faults: Option<FaultSweep>,
-    tenants: Option<(TenantsSweep, Option<String>)>,
-    observability: BTreeMap<String, serde_json::Value>,
+    tenants: Option<(TenantsSweep, Option<TenantSeries>)>,
+    observability: Observability,
     recorder: FlightRecorder,
 ) {
-    let mixed_path = write_mixed_artifact(&mixed);
-    let tenants_path = tenants
-        .as_ref()
-        .map(|(sweep, series)| write_tenants_artifact(sweep, series.as_deref()));
+    let mixed_path = write_json_artifact(
+        &experiments_dir().join("fig8_mixed.json"),
+        &MixedArtifact(&mixed),
+    );
+    let tenants_path = tenants.as_ref().map(|(sweep, series)| {
+        write_json_artifact(
+            &experiments_dir().join("fig8_tenants.json"),
+            &TenantsArtifact {
+                sweep,
+                series: series.as_ref(),
+            },
+        )
+    });
     let results = Fig8Results {
         series: results,
         sharded,
@@ -1647,5 +1607,214 @@ fn finish(
     println!("mixed-traffic artifact: {}", mixed_path.display());
     if let Some(p) = tenants_path {
         println!("tenants artifact: {}", p.display());
+    }
+}
+
+/// One literal-string golden per row kind, so key names and order cannot
+/// drift from the committed `experiments/fig8_*.json`.
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn render(v: &impl WriteJson) -> String {
+        let mut w = JsonWriter::new();
+        v.write_json(&mut w);
+        w.finish()
+    }
+
+    fn mixed_row() -> MixedRow {
+        MixedRow {
+            packing: "cross-comm".to_string(),
+            post_mix_pct: 30,
+            shards: 4,
+            threads: 2,
+            messages: 700,
+            posts: 300,
+            elapsed_secs: 0.5,
+            msgs_per_sec: 1400.0,
+            blocks_executed: 25,
+            mean_block_occupancy: 28.0,
+        }
+    }
+
+    const MIXED_ROW: &str = concat!(
+        r#"{"packing":"cross-comm","post_mix_pct":30,"shards":4,"threads":2,"#,
+        r#""messages":700,"posts":300,"elapsed_secs":0.5,"msgs_per_sec":1400,"#,
+        r#""blocks_executed":25,"mean_block_occupancy":28}"#
+    );
+
+    #[test]
+    fn mixed_row_and_its_standalone_artifact() {
+        assert_eq!(render(&mixed_row()), MIXED_ROW);
+        let rows = [(mixed_row(), RegistrySnapshot::default())];
+        assert_eq!(
+            render(&MixedArtifact(&rows)),
+            format!(
+                "{{\"bench\":\"fig8_mixed\",\"rows\":[{MIXED_ROW}],\"observability\":\
+                 {{\"cross-comm\":{{\"counters\":{{}},\"gauges\":{{}},\"histograms\":{{}}}}}}}}"
+            )
+        );
+    }
+
+    #[test]
+    fn sharded_report_with_its_shard_rows() {
+        let report = ShardedReport {
+            shards: 1,
+            threads: 1,
+            submission: "ring".to_string(),
+            ring_capacity: 1024,
+            messages: 8,
+            elapsed_secs: 0.25,
+            msgs_per_sec: 32.0,
+            per_shard: vec![ShardRow {
+                comm: 1,
+                posts: 8,
+                delivered: 8,
+                posts_per_sec: 64.5,
+            }],
+            error: None,
+        };
+        assert_eq!(
+            render(&report),
+            concat!(
+                r#"{"shards":1,"threads":1,"submission":"ring","ring_capacity":1024,"#,
+                r#""messages":8,"elapsed_secs":0.25,"msgs_per_sec":32,"per_shard":"#,
+                r#"[{"comm":1,"posts":8,"delivered":8,"posts_per_sec":64.5}],"error":null}"#
+            )
+        );
+    }
+
+    #[test]
+    fn fault_sweep_in_the_report_and_standalone() {
+        let row = FaultRow {
+            label: "hostile-wire".to_string(),
+            mode: PROTOCOL_LABEL.to_string(),
+            messages: 100,
+            elapsed_secs: 0.5,
+            msgs_per_sec: 200.0,
+            wire_drops: 10,
+            wire_duplicates: 9,
+            wire_reorders: 8,
+            wire_delays: 7,
+            retransmits: 15,
+            retransmit_amplification: 1.5,
+            fast_retransmits: 6,
+            resend_events: 5,
+            acks_received: 4,
+            backoff_polls: 3,
+            rx_duplicates_discarded: 2,
+            rx_gaps_discarded: 1,
+            rx_staged_out_of_order: 11,
+            acks_sent: 12,
+            knob_changes: 13,
+        };
+        let row_json = concat!(
+            r#"{"label":"hostile-wire","mode":"selective-repeat","messages":100,"#,
+            r#""elapsed_secs":0.5,"msgs_per_sec":200,"wire_drops":10,"wire_duplicates":9,"#,
+            r#""wire_reorders":8,"wire_delays":7,"retransmits":15,"#,
+            r#""retransmit_amplification":1.5,"fast_retransmits":6,"resend_events":5,"#,
+            r#""acks_received":4,"backoff_polls":3,"rx_duplicates_discarded":2,"#,
+            r#""rx_gaps_discarded":1,"rx_staged_out_of_order":11,"acks_sent":12,"#,
+            r#""knob_changes":13}"#
+        );
+        assert_eq!(render(&row), row_json);
+        let sweep = FaultSweep {
+            seed: 248,
+            drop_permille: 100,
+            duplicate_permille: 100,
+            reorder_permille: 100,
+            delay_permille: 50,
+            matched_equal: true,
+            rows: vec![row],
+        };
+        assert_eq!(
+            render(&sweep),
+            format!(
+                "{{\"seed\":248,\"drop_permille\":100,\"duplicate_permille\":100,\
+                 \"reorder_permille\":100,\"delay_permille\":50,\"matched_equal\":true,\
+                 \"rows\":[{row_json}]}}"
+            )
+        );
+        let snapshot = RegistrySnapshot::default();
+        let artifact = FaultsArtifact {
+            sweep: &sweep,
+            snapshots: vec![&snapshot],
+        };
+        assert_eq!(
+            render(&artifact),
+            format!(
+                "{{\"bench\":\"fig8_faults\",\"seed\":248,\"plan\":{{\"drop_permille\":100,\
+                 \"duplicate_permille\":100,\"reorder_permille\":100,\"delay_permille\":50}},\
+                 \"matched_equal\":true,\"rows\":[{row_json}],\"observability\":\
+                 {{\"selective-repeat hostile-wire\":\
+                 {{\"counters\":{{}},\"gauges\":{{}},\"histograms\":{{}}}}}}}}"
+            )
+        );
+    }
+
+    #[test]
+    fn tenants_sweep_in_the_report_and_standalone() {
+        let rows = vec![
+            TenantRow {
+                tenant: 0,
+                role: "flooder".to_string(),
+                attempted_pairs: 800,
+                admitted: 64,
+                backpressured: 736,
+                drained: 60,
+                completed: 30,
+                solo_completed: None,
+                retained: None,
+                msgs_per_sec: 120.0,
+            },
+            TenantRow {
+                tenant: 1,
+                role: "well-behaved".to_string(),
+                attempted_pairs: 32,
+                admitted: 64,
+                backpressured: 0,
+                drained: 64,
+                completed: 32,
+                solo_completed: Some(32),
+                retained: Some(1.0),
+                msgs_per_sec: 128.5,
+            },
+        ];
+        let fields = concat!(
+            r#""tenants":2,"flood_tenant":0,"ticks":4,"pairs_per_tick":8,"#,
+            r#""flood_pairs_per_tick":200,"capacity":1024,"quantum":64,"#,
+            r#""flood_capacity":64,"flood_quantum":16,"deficit_cap_quanta":4,"#,
+            r#""flooder_backpressured":true,"fairness_retained":true,"rows":["#,
+            r#"{"tenant":0,"role":"flooder","attempted_pairs":800,"admitted":64,"#,
+            r#""backpressured":736,"drained":60,"completed":30,"solo_completed":null,"#,
+            r#""retained":null,"msgs_per_sec":120},"#,
+            r#"{"tenant":1,"role":"well-behaved","attempted_pairs":32,"admitted":64,"#,
+            r#""backpressured":0,"drained":64,"completed":32,"solo_completed":32,"#,
+            r#""retained":1,"msgs_per_sec":128.5}]"#
+        );
+        let sweep = TenantsSweep {
+            tenants: 2,
+            flood_tenant: Some(0),
+            ticks: 4,
+            pairs_per_tick: 8,
+            flood_pairs_per_tick: 200,
+            capacity: 1024,
+            quantum: 64,
+            flood_capacity: 64,
+            flood_quantum: 16,
+            deficit_cap_quanta: 4,
+            flooder_backpressured: true,
+            fairness_retained: true,
+            rows,
+        };
+        assert_eq!(render(&sweep), format!("{{{fields}}}"));
+        let artifact = TenantsArtifact {
+            sweep: &sweep,
+            series: None,
+        };
+        assert_eq!(
+            render(&artifact),
+            format!("{{\"bench\":\"fig8_tenants\",{fields}}}")
+        );
     }
 }

@@ -10,9 +10,8 @@
 
 use otm_base::memory::{Footprint, BIN_BYTES, DESCRIPTOR_BYTES, DPA_L2_BYTES, DPA_L3_BYTES};
 use otm_bench::{header, write_report, BenchReport, CommonArgs};
-use serde::Serialize;
+use otm_metrics::json_fields;
 
-#[derive(Serialize)]
 struct Row {
     bins: usize,
     max_receives: usize,
@@ -20,6 +19,8 @@ struct Row {
     fits_l2: bool,
     fits_l3: bool,
 }
+
+json_fields!(Row: bins, max_receives, total_bytes, fits_l2, fits_l3);
 
 fn main() {
     let args = CommonArgs::parse();

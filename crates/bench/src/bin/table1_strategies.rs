@@ -22,8 +22,8 @@ use mpi_matching::{MatchStats, MatchingBackend};
 use otm::SequentialOtm;
 use otm_base::{Envelope, MatchConfig, Rank, ReceivePattern, Tag};
 use otm_bench::{header, write_report, BenchReport, CommonArgs};
+use otm_metrics::json_fields;
 use otm_trace::emul::FourIndexMatcher;
-use serde::Serialize;
 
 fn many_to_one(n: u32) -> Vec<MatchEvent> {
     let mut ev = Vec::new();
@@ -58,13 +58,14 @@ fn wildcard_heavy(n: u32) -> Vec<MatchEvent> {
     ev
 }
 
-#[derive(Serialize)]
 struct Row {
     strategy: String,
     workload: &'static str,
     mean_depth: f64,
     max_depth: u64,
 }
+
+json_fields!(Row: strategy, workload, mean_depth, max_depth);
 
 fn main() {
     let args = CommonArgs::parse();

@@ -9,15 +9,16 @@
 //! (`--out PATH` redirects the JSON report).
 
 use otm_bench::{header, write_report, BenchReport, CommonArgs};
-use serde::Serialize;
+use otm_metrics::json_fields;
 
-#[derive(Serialize)]
 struct Row {
     name: String,
     description: String,
     processes: usize,
     total_ops: usize,
 }
+
+json_fields!(Row: name, description, processes, total_ops);
 
 fn main() {
     let args = CommonArgs::parse();

@@ -7,8 +7,9 @@
 //!
 //! Since the observability PR every binary emits the same [`BenchReport`]
 //! envelope: the bench-specific rows under `results`, plus an
-//! `observability` object holding parsed `otm-metrics` registry
-//! snapshots (counters, queue-depth gauges, histogram quantiles). Command
+//! `observability` object holding `otm-metrics` registry snapshots
+//! (counters, queue-depth gauges, histogram quantiles). Every artifact is
+//! written by `otm_metrics::json::JsonWriter`, compact, one line. Command
 //! lines are parsed by the shared [`CommonArgs`] so every harness accepts
 //! the same `--quick` / `--full` / `--messages N` / `--repeats N` /
 //! `--out PATH` vocabulary.
@@ -16,8 +17,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use serde::Serialize;
-use std::path::PathBuf;
+use otm_metrics::json::{JsonWriter, WriteJson};
+use otm_metrics::{json_fields, RegistrySnapshot};
+use std::path::{Path, PathBuf};
 
 /// Command-line vocabulary shared by all harness binaries.
 ///
@@ -136,12 +138,12 @@ impl CommonArgs {
 
 /// The common machine-readable envelope every harness binary writes.
 ///
-/// `results` carries the bench-specific rows (unchanged from the
-/// pre-envelope artifacts, one level down); `observability` carries parsed
+/// `results` carries the bench-specific rows; `observability` carries
 /// `otm-metrics` registry snapshots — per-path resolution counters,
-/// queue-depth gauges, histogram quantiles — when the run captured any.
-#[derive(Debug, Serialize)]
-pub struct BenchReport<T: Serialize, O: Serialize = ()> {
+/// queue-depth gauges, histogram quantiles — when the run captured any
+/// (one snapshot, or a map of them keyed by series label).
+#[derive(Debug)]
+pub struct BenchReport<T, O = RegistrySnapshot> {
     /// Harness name; also the default artifact file stem.
     pub bench: &'static str,
     /// True when `--quick` (or a small `--messages`) trimmed the workload,
@@ -149,23 +151,18 @@ pub struct BenchReport<T: Serialize, O: Serialize = ()> {
     pub quick: bool,
     /// Bench-specific result rows.
     pub results: T,
-    /// Parsed observability payload, if the run captured one.
+    /// Observability payload, if the run captured one.
     pub observability: Option<O>,
 }
 
-impl<T: Serialize> BenchReport<T, ()> {
+impl<T> BenchReport<T> {
     /// An envelope with no observability payload.
     pub fn new(bench: &'static str, quick: bool, results: T) -> Self {
-        BenchReport {
-            bench,
-            quick,
-            results,
-            observability: None,
-        }
+        Self::with_observability(bench, quick, results, None)
     }
 }
 
-impl<T: Serialize, O: Serialize> BenchReport<T, O> {
+impl<T, O> BenchReport<T, O> {
     /// An envelope carrying an observability payload.
     pub fn with_observability(
         bench: &'static str,
@@ -182,11 +179,13 @@ impl<T: Serialize, O: Serialize> BenchReport<T, O> {
     }
 }
 
-/// Parses an `otm-metrics` registry-snapshot JSON string (as returned by
-/// `RegistrySnapshot::to_json` or `MatchingService::observability_json`)
-/// into a JSON value for embedding in a [`BenchReport`].
-pub fn observability_value(json: &str) -> serde_json::Value {
-    serde_json::from_str(json).expect("registry snapshots render as valid JSON")
+/// `{"bench":..,"quick":..,"results":..,"observability":..}`.
+impl<T: WriteJson, O: WriteJson> WriteJson for BenchReport<T, O> {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        json_fields!(w, self; bench, quick, results, observability);
+        w.end_object();
+    }
 }
 
 /// Directory where harness binaries drop their JSON artifacts.
@@ -202,59 +201,44 @@ pub fn experiments_dir() -> PathBuf {
 
 /// Writes a [`BenchReport`] to `--out` (if given) or
 /// `target/experiments/<bench>.json`, and returns the path.
-pub fn write_report<T: Serialize, O: Serialize>(
+pub fn write_report<T: WriteJson, O: WriteJson>(
     args: &CommonArgs,
     report: &BenchReport<T, O>,
 ) -> PathBuf {
     let path = match &args.out {
-        Some(p) => {
-            if let Some(parent) = p.parent() {
-                if !parent.as_os_str().is_empty() {
-                    std::fs::create_dir_all(parent).expect("create --out directory");
-                }
-            }
-            p.clone()
-        }
+        Some(p) => p.clone(),
         None => experiments_dir().join(format!("{}.json", report.bench)),
     };
-    std::fs::write(
-        &path,
-        serde_json::to_string_pretty(report).expect("serializable"),
-    )
-    .expect("write experiment artifact");
-    path
+    write_json_artifact(&path, report)
 }
 
-/// Serializes `value` to `target/experiments/<name>.json` and returns the
-/// path.
-pub fn dump_json<T: Serialize>(name: &str, value: &T) -> PathBuf {
-    let path = experiments_dir().join(format!("{name}.json"));
-    std::fs::write(
-        &path,
-        serde_json::to_string_pretty(value).expect("serializable"),
-    )
-    .expect("write experiment artifact");
-    path
+/// Renders `value` through a [`JsonWriter`] and writes it, newline-
+/// terminated, to `path`; returns the path.
+pub fn write_json_artifact(path: &Path, value: &impl WriteJson) -> PathBuf {
+    let mut w = JsonWriter::new();
+    value.write_json(&mut w);
+    let mut text = w.finish();
+    text.push('\n');
+    write_text_artifact(path, &text)
 }
 
-/// Writes a hand-serialized flight-recorder artifact (series JSON, span
-/// JSONL/Chrome trace) to `path`, creating parent directories, and returns
-/// the path. Kept separate from [`write_report`] because these artifacts are
-/// rendered by `otm-metrics`' dependency-free writers, not serde.
-pub fn write_text_artifact(path: &std::path::Path, contents: &str) -> PathBuf {
+/// Writes already-rendered text (span JSONL, a Chrome trace, a streamed
+/// [`JsonWriter`] document) to `path`, creating parent directories, and
+/// returns the path.
+pub fn write_text_artifact(path: &Path, contents: &str) -> PathBuf {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent).expect("create artifact directory");
         }
     }
-    std::fs::write(path, contents).expect("write flight-recorder artifact");
+    std::fs::write(path, contents).expect("write artifact");
     path.to_path_buf()
 }
 
 /// Derives a sibling path from a `--spans` stem: `stem.<section>.<ext>`
 /// (e.g. `fig8_spans` → `fig8_spans.mixed.jsonl`), preserving the stem's
 /// directory.
-pub fn spans_sibling(stem: &std::path::Path, section: &str, ext: &str) -> PathBuf {
+pub fn spans_sibling(stem: &Path, section: &str, ext: &str) -> PathBuf {
     let mut name = stem
         .file_name()
         .map(|n| n.to_string_lossy().into_owned())
@@ -277,13 +261,35 @@ pub fn header(title: &str) {
 mod tests {
     use super::*;
 
+    fn render(v: &impl WriteJson) -> String {
+        let mut w = JsonWriter::new();
+        v.write_json(&mut w);
+        w.finish()
+    }
+
     #[test]
-    fn dump_json_writes_readable_artifacts() {
-        let path = dump_json("selftest", &vec![1, 2, 3]);
-        let text = std::fs::read_to_string(&path).unwrap();
-        let parsed: Vec<i32> = serde_json::from_str(&text).unwrap();
-        assert_eq!(parsed, vec![1, 2, 3]);
-        std::fs::remove_file(path).ok();
+    fn envelope_without_observability_writes_null() {
+        let report = BenchReport::new("selftest", false, vec![1u64, 2]);
+        assert_eq!(
+            render(&report),
+            r#"{"bench":"selftest","quick":false,"results":[1,2],"observability":null}"#
+        );
+    }
+
+    #[test]
+    fn envelope_embeds_registry_snapshots_by_label() {
+        let registry = otm_metrics::Registry::new();
+        registry.counter("hits").add(3);
+        let mut observability = std::collections::BTreeMap::new();
+        observability.insert("a \"run\"".to_string(), registry.snapshot());
+        let report = BenchReport::with_observability("selftest", true, 7u64, Some(observability));
+        assert_eq!(
+            render(&report),
+            concat!(
+                r#"{"bench":"selftest","quick":true,"results":7,"observability":"#,
+                r#"{"a \"run\"":{"counters":{"hits":3},"gauges":{},"histograms":{}}}}"#
+            )
+        );
     }
 
     #[test]
@@ -430,10 +436,10 @@ mod tests {
         let report = BenchReport::new("selftest_report", true, vec![1u64, 2]);
         let path = write_report(&args, &report);
         assert_eq!(path, out);
-        let text = std::fs::read_to_string(&path).unwrap();
-        let v: serde_json::Value = serde_json::from_str(&text).unwrap();
-        assert_eq!(v["bench"], "selftest_report");
-        assert_eq!(v["quick"], true);
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            "{\"bench\":\"selftest_report\",\"quick\":true,\"results\":[1,2],\"observability\":null}\n"
+        );
         std::fs::remove_dir_all(dir).ok();
     }
 }

@@ -48,6 +48,8 @@ use crate::service::{CompletedReceive, MatchingService, ServiceError};
 use mpi_matching::{BlockDelivery, MatchingBackend, MsgHandle, PostResult, RecvHandle};
 use otm::OtmEngine;
 use otm_base::{Envelope, FaultPlan, MatchConfig, ReceivePattern};
+use otm_metrics::json::{JsonWriter, WriteJson};
+use otm_metrics::{json_fields, SeriesRecorder};
 use otm_trace::model::{AppTrace, MpiOp, TimedOp};
 use std::collections::BTreeMap;
 
@@ -73,7 +75,7 @@ pub struct AppReplayConfig {
     pub piggyback: usize,
     /// When set, the destination with the most arrivals gets a queue-depth
     /// series sampler at this cadence (in service polls); the result lands
-    /// in [`AppReplayReport::series_json`].
+    /// in [`AppReplayReport::series`].
     pub series_cadence: Option<u64>,
 }
 
@@ -183,67 +185,24 @@ pub struct AppReplayReport {
     pub elapsed_secs: f64,
     /// End-to-end message rate (`messages / elapsed_secs`).
     pub msgs_per_sec: f64,
-    /// Queue-depth time series of the busiest destination, as JSON, when
+    /// Queue-depth time series of the busiest destination, when
     /// [`AppReplayConfig::series_cadence`] asked for one.
-    pub series_json: Option<String>,
+    pub series: Option<SeriesRecorder>,
 }
 
-impl AppReplayReport {
-    /// Renders the report as one JSON object (hand-rolled, like the other
-    /// artifact rows in this workspace — dpa-sim does not link serde_json).
-    pub fn to_json(&self) -> String {
-        let series = match &self.series_json {
-            Some(s) => s.clone(),
-            None => "null".to_string(),
-        };
-        format!(
-            concat!(
-                "{{\"app\":\"{}\",\"processes\":{},\"mode\":\"{}\",\"faulty\":{},",
-                "\"posts\":{},\"messages\":{},\"eager_messages\":{},",
-                "\"rendezvous_messages\":{},\"completed\":{},",
-                "\"wire_drops\":{},\"wire_duplicates\":{},\"wire_reorders\":{},",
-                "\"wire_delays\":{},\"retransmits\":{},\"fast_retransmits\":{},",
-                "\"resend_events\":{},\"acks_received\":{},\"backoff_polls\":{},",
-                "\"retransmit_amplification\":{:.3},\"rx_duplicates\":{},",
-                "\"rx_gaps\":{},\"rx_staged_out_of_order\":{},\"acks_sent\":{},",
-                "\"gate_parked\":{},\"gate_released\":{},",
-                "\"path_nc\":{},\"path_wc_fp\":{},\"path_wc_sp\":{},",
-                "\"fallbacks\":{},\"elapsed_secs\":{:.6},\"msgs_per_sec\":{:.1},",
-                "\"series\":{}}}"
-            ),
-            self.name,
-            self.processes,
-            self.mode,
-            self.faulty,
-            self.posts,
-            self.messages,
-            self.eager_messages,
-            self.rendezvous_messages,
-            self.completed,
-            self.wire_drops,
-            self.wire_duplicates,
-            self.wire_reorders,
-            self.wire_delays,
-            self.retransmits,
-            self.fast_retransmits,
-            self.resend_events,
-            self.acks_received,
-            self.backoff_polls,
-            self.retransmit_amplification,
-            self.rx_duplicates,
-            self.rx_gaps,
-            self.rx_staged_out_of_order,
-            self.acks_sent,
-            self.gate_parked,
-            self.gate_released,
-            self.path_nc,
-            self.path_wc_fp,
-            self.path_wc_sp,
-            self.fallbacks,
-            self.elapsed_secs,
-            self.msgs_per_sec,
-            series,
-        )
+/// One artifact row: a flat object, keys in field order (`name` under the
+/// key `app`), the series embedded or `null`.
+impl WriteJson for AppReplayReport {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.field_str("app", &self.name);
+        json_fields!(w, self; processes, mode, faulty, posts, messages, eager_messages,
+            rendezvous_messages, completed, wire_drops, wire_duplicates, wire_reorders,
+            wire_delays, retransmits, fast_retransmits, resend_events, acks_received,
+            backoff_polls, retransmit_amplification, rx_duplicates, rx_gaps,
+            rx_staged_out_of_order, acks_sent, gate_parked, gate_released, path_nc, path_wc_fp,
+            path_wc_sp, fallbacks, elapsed_secs, msgs_per_sec, series);
+        w.end_object();
     }
 }
 
@@ -618,7 +577,7 @@ pub fn replay_app(
         // ---- per-destination accounting ---------------------------------
         svc.force_series_sample();
         if let Some(series) = svc.take_series() {
-            report.series_json = Some(series.to_json());
+            report.series = Some(series);
         }
         let snap = svc.observability_snapshot();
         let path = |p: &str| {
@@ -754,11 +713,17 @@ mod tests {
         assert_eq!(out.matched_pairs, oracle);
     }
 
+    fn render(report: &AppReplayReport) -> String {
+        let mut w = JsonWriter::new();
+        report.write_json(&mut w);
+        w.finish()
+    }
+
     #[test]
     fn report_json_is_one_object_with_the_schema_fields() {
         let trace = cross_traffic_trace();
         let out = replay_app(&trace, &AppReplayConfig::default()).unwrap();
-        let json = out.report.to_json();
+        let json = render(&out.report);
         assert!(json.starts_with('{') && json.ends_with('}'));
         for key in [
             "\"app\":", "\"mode\":", "\"messages\":", "\"completed\":",
@@ -767,6 +732,39 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
+    }
+
+    /// The golden row: key names and order as in the committed
+    /// `experiments/app_replay_*.json`, and a caller-supplied name with a
+    /// quote, a backslash and a newline stays one parsable string.
+    #[test]
+    fn report_json_escapes_the_name_and_pins_the_key_order() {
+        let report = AppReplayReport {
+            name: "a\"b\\c\n".to_string(),
+            processes: 2,
+            mode: PROTOCOL_LABEL.to_string(),
+            faulty: true,
+            posts: 3,
+            messages: 4,
+            retransmit_amplification: 1.5,
+            elapsed_secs: 0.25,
+            msgs_per_sec: 16.0,
+            ..AppReplayReport::default()
+        };
+        assert_eq!(
+            render(&report),
+            concat!(
+                r#"{"app":"a\"b\\c\n","processes":2,"mode":"selective-repeat","faulty":true,"#,
+                r#""posts":3,"messages":4,"eager_messages":0,"rendezvous_messages":0,"#,
+                r#""completed":0,"wire_drops":0,"wire_duplicates":0,"wire_reorders":0,"#,
+                r#""wire_delays":0,"retransmits":0,"fast_retransmits":0,"resend_events":0,"#,
+                r#""acks_received":0,"backoff_polls":0,"retransmit_amplification":1.5,"#,
+                r#""rx_duplicates":0,"rx_gaps":0,"rx_staged_out_of_order":0,"acks_sent":0,"#,
+                r#""gate_parked":0,"gate_released":0,"path_nc":0,"path_wc_fp":0,"#,
+                r#""path_wc_sp":0,"fallbacks":0,"elapsed_secs":0.25,"msgs_per_sec":16,"#,
+                r#""series":null}"#
+            )
+        );
     }
 
     #[test]

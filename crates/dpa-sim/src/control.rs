@@ -23,52 +23,31 @@ use otm_base::PackingPolicy;
 
 use crate::reliable::{DEFAULT_WINDOW_LIMIT, MIN_WINDOW_LIMIT};
 
-/// Tuning constants for the [`FeedbackController`]. The defaults are
-/// deliberately conservative: the controller nudges knobs one step per
-/// interval and never moves a knob outside the bounds given here.
-#[derive(Debug, Clone, Copy)]
-pub struct ControllerConfig {
-    /// How many service polls between controller ticks.
-    pub interval_polls: u64,
-    /// Lower bound for the reliability-window hint.
-    pub min_window: usize,
-    /// Upper bound for the reliability-window hint.
-    pub max_window: usize,
-    /// Additive step when the wire looks clean.
-    pub window_step: usize,
-    /// Baseline drain-retry budget the controller decays back toward.
-    pub base_retry_budget: u32,
-    /// Ceiling for the drain-retry budget under sustained ring
-    /// backpressure.
-    pub max_retry_budget: u32,
-    /// Occupancy saturation threshold, in percent of block capacity.
-    /// Sustained average block occupancy at or above this widens the
-    /// packing window.
-    pub widen_occupancy_pct: u64,
-    /// Occupancy relaxation threshold, in percent of block capacity.
-    /// Average occupancy at or below this steps the packing-window
-    /// override back toward the configured default.
-    pub relax_occupancy_pct: u64,
-    /// Ceiling for the packing-window override, as a multiple of the
-    /// engine's configured default window.
-    pub max_window_scale: usize,
-}
+// Tuning constants. Deliberately conservative: the controller nudges knobs
+// one step per interval and never moves a knob outside these bounds.
 
-impl Default for ControllerConfig {
-    fn default() -> Self {
-        Self {
-            interval_polls: 64,
-            min_window: MIN_WINDOW_LIMIT,
-            max_window: DEFAULT_WINDOW_LIMIT * 4,
-            window_step: 4,
-            base_retry_budget: crate::service::DEFAULT_DRAIN_RETRY_BUDGET,
-            max_retry_budget: 8,
-            widen_occupancy_pct: 90,
-            relax_occupancy_pct: 50,
-            max_window_scale: 4,
-        }
-    }
-}
+/// How many service polls between controller ticks.
+const INTERVAL_POLLS: u64 = 64;
+/// Lower bound for the reliability-window hint.
+const MIN_WINDOW: usize = MIN_WINDOW_LIMIT;
+/// Upper bound for the reliability-window hint.
+const MAX_WINDOW: usize = DEFAULT_WINDOW_LIMIT * 4;
+/// Additive step when the wire looks clean.
+const WINDOW_STEP: usize = 4;
+/// Baseline drain-retry budget the controller decays back toward.
+const BASE_RETRY_BUDGET: u32 = crate::service::DEFAULT_DRAIN_RETRY_BUDGET;
+/// Ceiling for the drain-retry budget under sustained ring backpressure.
+const MAX_RETRY_BUDGET: u32 = 8;
+/// Occupancy saturation threshold, in percent of block capacity. Sustained
+/// average block occupancy at or above this widens the packing window.
+const WIDEN_OCCUPANCY_PCT: u64 = 90;
+/// Occupancy relaxation threshold, in percent of block capacity. Average
+/// occupancy at or below this steps the packing-window override back toward
+/// the configured default.
+const RELAX_OCCUPANCY_PCT: u64 = 50;
+/// Ceiling for the packing-window override, as a multiple of the engine's
+/// configured default window.
+const MAX_WINDOW_SCALE: u64 = 4;
 
 /// One interval's worth of observed state. Counters are cumulative (the
 /// controller differences them itself); gauges are instantaneous.
@@ -169,7 +148,6 @@ pub fn encode_packing(policy: PackingPolicy) -> u64 {
 ///   occupancy steps the override back toward the configured default.
 #[derive(Debug)]
 pub struct FeedbackController {
-    config: ControllerConfig,
     last: Option<Observation>,
     window_hint: usize,
     retry_budget: u32,
@@ -184,12 +162,11 @@ impl FeedbackController {
     /// baselines. `window_hint` should match the live sender's cap and
     /// `packing` the engine's effective policy, so the first emitted
     /// action reflects a real change.
-    pub fn new(config: ControllerConfig, window_hint: usize, packing: PackingPolicy) -> Self {
+    pub fn new(window_hint: usize, packing: PackingPolicy) -> Self {
         Self {
-            retry_budget: config.base_retry_budget,
-            config,
+            retry_budget: BASE_RETRY_BUDGET,
             last: None,
-            window_hint: window_hint.clamp(config.min_window, config.max_window),
+            window_hint: window_hint.clamp(MIN_WINDOW, MAX_WINDOW),
             packing,
             packing_window: 0,
             default_packing_window: 0,
@@ -200,21 +177,12 @@ impl FeedbackController {
     /// A controller with the default tuning, believing the sender runs at
     /// [`DEFAULT_WINDOW_LIMIT`] under cross-communicator packing.
     pub fn with_defaults() -> Self {
-        Self::new(
-            ControllerConfig::default(),
-            DEFAULT_WINDOW_LIMIT,
-            PackingPolicy::CrossComm,
-        )
-    }
-
-    /// The controller's tuning constants.
-    pub fn config(&self) -> &ControllerConfig {
-        &self.config
+        Self::new(DEFAULT_WINDOW_LIMIT, PackingPolicy::CrossComm)
     }
 
     /// How many polls between ticks.
     pub fn interval_polls(&self) -> u64 {
-        self.config.interval_polls
+        INTERVAL_POLLS
     }
 
     /// The current reliability-window hint. Harnesses that own the
@@ -255,11 +223,10 @@ impl FeedbackController {
         let old_window = self.window_hint;
         if d_retx > 0 && d_retx.saturating_mul(4) >= d_acks {
             // Lossy interval: back the window off multiplicatively.
-            self.window_hint = (self.window_hint / 2).max(self.config.min_window);
+            self.window_hint = (self.window_hint / 2).max(MIN_WINDOW);
         } else if d_retx == 0 && d_acks > 0 {
             // Clean interval with progress: reopen additively.
-            self.window_hint =
-                (self.window_hint + self.config.window_step).min(self.config.max_window);
+            self.window_hint = (self.window_hint + WINDOW_STEP).min(MAX_WINDOW);
         }
         if self.window_hint != old_window {
             actions.push(Action::ReliabilityWindow {
@@ -272,8 +239,8 @@ impl FeedbackController {
             + obs.drain_retries.saturating_sub(last.drain_retries);
         let old_budget = self.retry_budget;
         if d_pressure > 0 {
-            self.retry_budget = (self.retry_budget + 1).min(self.config.max_retry_budget);
-        } else if self.retry_budget > self.config.base_retry_budget {
+            self.retry_budget = (self.retry_budget + 1).min(MAX_RETRY_BUDGET);
+        } else if self.retry_budget > BASE_RETRY_BUDGET {
             self.retry_budget -= 1;
         }
         if self.retry_budget != old_budget {
@@ -301,12 +268,12 @@ impl FeedbackController {
         if d_occ_count > 0 && obs.block_capacity > 0 {
             let avg_pct = d_occ_sum * 100 / (d_occ_count * obs.block_capacity);
             let default_w = self.default_packing_window.max(1);
-            let cap = default_w * self.config.max_window_scale as u64;
+            let cap = default_w * MAX_WINDOW_SCALE;
             let old = self.packing_window;
-            if avg_pct >= self.config.widen_occupancy_pct && obs.backlog > 0 {
+            if avg_pct >= WIDEN_OCCUPANCY_PCT && obs.backlog > 0 {
                 let current = if old == 0 { default_w } else { old };
                 self.packing_window = (current * 2).min(cap);
-            } else if avg_pct <= self.config.relax_occupancy_pct && old != 0 {
+            } else if avg_pct <= RELAX_OCCUPANCY_PCT && old != 0 {
                 let halved = old / 2;
                 self.packing_window = if halved <= default_w { 0 } else { halved };
             }

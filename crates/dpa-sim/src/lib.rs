@@ -68,7 +68,7 @@ pub use app_replay::{
     engine_direct_pairs, replay_app, AppReplayConfig, AppReplayOutcome, AppReplayReport,
 };
 pub use cluster::{Cluster, ClusterBackend, ClusterNode};
-pub use control::{ControllerConfig, ControllerStats, FeedbackController};
+pub use control::{ControllerStats, FeedbackController};
 pub use fault::{BackendFaultStats, FaultInjectingBackend, WireFaultStats, WireFaults};
 pub use matchd::{
     Admission, MatchServer, MatchdConfig, TenantConfig, TenantId, TenantSession, TenantStats,

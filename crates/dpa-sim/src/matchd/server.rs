@@ -396,14 +396,20 @@ impl MatchServer {
     }
 
     /// Finishes the series: forces a terminal sample on the global and
-    /// every per-tenant recorder, then renders the multi-section artifact
-    /// of [`otm_metrics::tenant_sections_json`]. `None` when
+    /// every per-tenant recorder and returns them — the global series and
+    /// one `(tenant id, series)` section per tenant in id order, the
+    /// arguments of [`otm_metrics::write_tenant_sections`]. `None` when
     /// [`MatchServer::attach_series`] was never called.
-    pub fn finish_series(&mut self) -> Option<String> {
+    pub fn finish_series(
+        &mut self,
+    ) -> Option<(
+        otm_metrics::SeriesRecorder,
+        Vec<(String, otm_metrics::SeriesRecorder)>,
+    )> {
         self.series_cadence?;
         self.service.force_series_sample();
         let global = self.service.take_series()?;
-        let mut sections: Vec<(String, otm_metrics::SeriesRecorder)> = Vec::new();
+        let mut sections = Vec::new();
         let t = self.ticks;
         for entry in &mut self.tenants {
             let Some(series) = &mut entry.series else {
@@ -416,11 +422,7 @@ impl MatchServer {
             series.force_sample(t, depth, &Self::tenant_snapshot(completed));
             sections.push((entry.id.to_string(), series.clone()));
         }
-        let refs: Vec<(String, &otm_metrics::SeriesRecorder)> = sections
-            .iter()
-            .map(|(label, s)| (label.clone(), s))
-            .collect();
-        Some(otm_metrics::tenant_sections_json(&global, &refs))
+        Some((global, sections))
     }
 }
 

@@ -18,11 +18,11 @@ use crate::nic::RecvNic;
 use crate::rdma::{connected_pair, eager_packet, RdmaDomain};
 use crate::service::MatchingService;
 use otm_base::{Envelope, MatchConfig, Rank, ReceivePattern, Tag};
-use serde::{Deserialize, Serialize};
+use otm_metrics::{json_fields, RegistrySnapshot};
 use std::time::{Duration, Instant};
 
 /// Receive/message scenario of Fig. 8.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scenario {
     /// Every receive has a distinct `(src, tag)` combination — the
     /// best case for optimistic matching (receives spread over the bins).
@@ -32,7 +32,7 @@ pub enum Scenario {
 }
 
 /// Matching backend under test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MatchMode {
     /// Offloaded optimistic matching; `fast_path` selects WC-FP vs WC-SP in
     /// the with-conflict scenario.
@@ -64,7 +64,7 @@ impl MatchMode {
 }
 
 /// Harness parameters (defaults are the paper's §VI settings).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PingPongConfig {
     /// Messages per sequence (paper: 100).
     pub k: usize,
@@ -95,7 +95,7 @@ impl Default for PingPongConfig {
 }
 
 /// Result of one harness run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PingPongResult {
     /// Series label ("Optimistic-DPA NC", "MPI-CPU", ...).
     pub label: String,
@@ -108,11 +108,15 @@ pub struct PingPongResult {
     /// Engine statistics for offloaded runs (verifies which path ran).
     pub engine_stats: Option<otm::StatsSnapshot>,
     /// Combined observability snapshot (service queue gauges + engine
-    /// histograms and path counters) rendered as a JSON string; `None`
-    /// when no metrics were captured.
-    #[serde(default)]
-    pub observability_json: Option<String>,
+    /// histograms and path counters). Harnesses that report it elsewhere
+    /// move it out of the row. The name is the row's JSON key, kept from
+    /// when this was a rendered string.
+    pub observability_json: Option<RegistrySnapshot>,
 }
+
+// One Fig. 8 series row; `elapsed` is `{"secs":..,"nanos":..}`.
+json_fields!(PingPongResult: label, msgs_per_sec, total_messages, elapsed, engine_stats,
+    observability_json);
 
 /// The receive pattern lane `i` of a sequence posts under the scenario.
 fn pattern_for(scenario: Scenario, i: usize) -> ReceivePattern {
@@ -201,7 +205,7 @@ pub fn run_pingpong(mode: MatchMode, cfg: &PingPongConfig) -> PingPongResult {
                     .expect("ack");
             }
             engine_stats = service.engine_stats();
-            observability_json = Some(service.observability_json());
+            observability_json = Some(service.observability_snapshot());
         });
 
         // Sender node (measuring side).
@@ -259,6 +263,46 @@ mod tests {
         );
         assert_eq!(MatchMode::MpiCpu.label(Scenario::NoConflict), "MPI-CPU");
         assert_eq!(MatchMode::RdmaCpu.label(Scenario::NoConflict), "RDMA-CPU");
+    }
+
+    /// The golden Fig. 8 series row: key names and order, `elapsed` as
+    /// seconds + nanoseconds, absent stats and snapshot as `null`.
+    #[test]
+    fn result_json_pins_keys_and_order() {
+        let mut row = PingPongResult {
+            label: "MPI-CPU".to_string(),
+            msgs_per_sec: 2500.5,
+            total_messages: 100,
+            elapsed: Duration::new(1, 250),
+            engine_stats: None,
+            observability_json: None,
+        };
+        let render = |row: &PingPongResult| {
+            use otm_metrics::json::{JsonWriter, WriteJson};
+            let mut w = JsonWriter::new();
+            row.write_json(&mut w);
+            w.finish()
+        };
+        assert_eq!(
+            render(&row),
+            concat!(
+                r#"{"label":"MPI-CPU","msgs_per_sec":2500.5,"total_messages":100,"#,
+                r#""elapsed":{"secs":1,"nanos":250},"engine_stats":null,"#,
+                r#""observability_json":null}"#
+            )
+        );
+        row.engine_stats = Some(otm::StatsSnapshot {
+            blocks: 4,
+            search_depth_max: 7,
+            ..Default::default()
+        });
+        assert!(render(&row).contains(concat!(
+            r#""engine_stats":{"blocks":4,"messages":0,"matched":0,"unexpected":0,"#,
+            r#""optimistic_ok":0,"direct_conflicts":0,"induced_resolutions":0,"#,
+            r#""fast_path":0,"slow_path":0,"search_depth_sum":0,"search_count":0,"#,
+            r#""search_depth_max":7,"matched_on_post":0,"posted":0,"umq_depth_sum":0,"#,
+            r#""umq_search_count":0},"#
+        )));
     }
 
     #[test]

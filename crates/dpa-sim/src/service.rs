@@ -427,11 +427,6 @@ impl MatchingService {
             .map(|e| e.span_events())
     }
 
-    /// The combined observability snapshot rendered as a JSON string.
-    pub fn observability_json(&self) -> String {
-        self.observability_snapshot().to_json()
-    }
-
     /// The combined observability snapshot rendered in the Prometheus text
     /// exposition format. This is what the `matchd` tick loop serves as
     /// its live `/metrics` endpoint: every scrape is a fresh walk of the
@@ -706,7 +701,7 @@ impl MatchingService {
         let due = self
             .controller
             .as_ref()
-            .is_some_and(|c| self.polls % c.interval_polls().max(1) == 0);
+            .is_some_and(|c| self.polls % c.interval_polls() == 0);
         if !due {
             return;
         }
@@ -1538,7 +1533,7 @@ mod tests {
         // service registry alone, and still machine-readable.
         let snap = svc.metrics().snapshot();
         assert_eq!(snap.counters["dpa_fallbacks_total"], 1);
-        let json = svc.observability_json();
+        let json = svc.observability_snapshot().to_json();
         assert!(json.contains("dpa_cq_depth_peak"));
     }
 
@@ -2030,26 +2025,22 @@ mod tests {
 
     #[test]
     fn attached_controller_actuates_packing_and_counts_knob_changes() {
-        use crate::control::{ControllerConfig, FeedbackController};
+        use crate::control::FeedbackController;
         use otm_base::PackingPolicy;
 
         let (tx, _domain, mut svc) = setup("otm");
-        let config = ControllerConfig {
-            interval_polls: 1,
-            ..ControllerConfig::default()
-        };
-        svc.attach_controller(FeedbackController::new(
-            config,
-            crate::reliable::DEFAULT_WINDOW_LIMIT,
-            PackingPolicy::CrossComm,
-        ));
+        svc.attach_controller(FeedbackController::with_defaults());
         assert_eq!(
             svc.reliability_window_hint(),
             Some(crate::reliable::DEFAULT_WINDOW_LIMIT)
         );
+        let interval = svc.controller().unwrap().interval_polls();
         tx.send(eager_packet(env(0, 1), vec![1])).unwrap();
-        svc.progress().unwrap(); // priming interval: observe only
-        svc.progress().unwrap(); // second interval: zero active lanes pins Consecutive
+        // The priming interval only observes; the second sees zero active
+        // lanes and pins Consecutive.
+        for _ in 0..2 * interval {
+            svc.progress().unwrap();
+        }
         assert_eq!(
             svc.controller().unwrap().packing(),
             PackingPolicy::Consecutive,

@@ -9,7 +9,7 @@
 //! only the cross-field consistency of a concurrent snapshot is
 //! approximate).
 
-use crate::json::JsonWriter;
+use crate::json::{JsonWriter, WriteJson};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Number of log2 buckets: one for zero plus one per bit of `u64`.
@@ -220,10 +220,19 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Writes the snapshot as a JSON object:
-    /// `{"count":..,"sum":..,"max":..,"mean":..,"p50":..,"p95":..,"p99":..,
-    ///   "buckets":[[upper,count],..]}` (only non-empty buckets listed).
-    pub fn write_json(&self, w: &mut JsonWriter) {
+    /// Renders the snapshot as a standalone JSON string.
+    pub fn to_json(&self) -> String {
+        let mut w = JsonWriter::new();
+        self.write_json(&mut w);
+        w.finish()
+    }
+}
+
+/// Writes the snapshot as a JSON object:
+/// `{"count":..,"sum":..,"max":..,"mean":..,"p50":..,"p95":..,"p99":..,
+///   "buckets":[[upper,count],..]}` (only non-empty buckets listed).
+impl WriteJson for HistogramSnapshot {
+    fn write_json(&self, w: &mut JsonWriter) {
         w.begin_object();
         w.field_u64("count", self.count);
         w.field_u64("sum", self.sum);
@@ -250,13 +259,6 @@ impl HistogramSnapshot {
         }
         w.end_array();
         w.end_object();
-    }
-
-    /// Renders the snapshot as a standalone JSON string.
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        self.write_json(&mut w);
-        w.finish()
     }
 }
 

@@ -1,9 +1,12 @@
 //! A tiny hand-rolled JSON writer.
 //!
-//! Keeps the crate dependency-free: the exposition formats only need
-//! objects, arrays, strings, numbers, and null. Commas are inserted
-//! automatically; the caller is responsible for pairing `begin_*`/`end_*`
-//! calls.
+//! Keeps the crate dependency-free, and is the only way the workspace emits
+//! JSON: registry snapshots, series, spans and every harness artifact go
+//! through [`JsonWriter`]. Commas are inserted automatically; the caller is
+//! responsible for pairing `begin_*`/`end_*` calls.
+
+use std::collections::BTreeMap;
+use std::time::Duration;
 
 /// Streaming JSON writer producing a compact (no-whitespace) document.
 #[derive(Debug, Default)]
@@ -99,6 +102,12 @@ impl JsonWriter {
         }
     }
 
+    /// Emits a boolean value.
+    pub fn value_bool(&mut self, v: bool) {
+        self.before_value();
+        self.out.push_str(if v { "true" } else { "false" });
+    }
+
     /// Emits a `null`.
     pub fn value_null(&mut self) {
         self.before_value();
@@ -129,10 +138,144 @@ impl JsonWriter {
         self.value_f64(v);
     }
 
+    /// `key` + boolean value.
+    pub fn field_bool(&mut self, name: &str, v: bool) {
+        self.key(name);
+        self.value_bool(v);
+    }
+
     /// `key` + `null`.
     pub fn field_null(&mut self, name: &str) {
         self.key(name);
         self.value_null();
+    }
+}
+
+/// A value that writes itself as exactly one JSON value. Implemented by
+/// every snapshot and artifact struct (most through [`json_fields!`]), so
+/// containers and report envelopes embed them without rendering to a string
+/// first.
+///
+/// [`json_fields!`]: crate::json_fields
+pub trait WriteJson {
+    /// Writes `self` as one JSON value.
+    fn write_json(&self, w: &mut JsonWriter);
+}
+
+/// The per-field boilerplate of a [`WriteJson`] impl, in two forms.
+///
+/// `json_fields!(Type: a, b, c);` implements [`WriteJson`] for `Type` as one
+/// object with the keys `a`, `b`, `c` in that order, each written by its
+/// field's own [`WriteJson`] impl. `json_fields!(w, self; a, b, c);` writes
+/// the same keys into an object the caller has already opened, for structs
+/// that add or rename a key by hand.
+#[macro_export]
+macro_rules! json_fields {
+    ($ty:ty: $($field:ident),+ $(,)?) => {
+        impl $crate::json::WriteJson for $ty {
+            fn write_json(&self, w: &mut $crate::json::JsonWriter) {
+                w.begin_object();
+                $crate::json_fields!(w, self; $($field),+);
+                w.end_object();
+            }
+        }
+    };
+    ($w:expr, $s:expr; $($field:ident),+ $(,)?) => {
+        $(
+            $w.key(stringify!($field));
+            $crate::json::WriteJson::write_json(&$s.$field, $w);
+        )+
+    };
+}
+
+impl WriteJson for u64 {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.value_u64(*self);
+    }
+}
+
+impl WriteJson for u32 {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.value_u64(u64::from(*self));
+    }
+}
+
+impl WriteJson for u16 {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.value_u64(u64::from(*self));
+    }
+}
+
+impl WriteJson for usize {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.value_u64(*self as u64);
+    }
+}
+
+impl WriteJson for f64 {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.value_f64(*self);
+    }
+}
+
+impl WriteJson for bool {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.value_bool(*self);
+    }
+}
+
+impl WriteJson for String {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.value_str(self);
+    }
+}
+
+impl WriteJson for &str {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.value_str(self);
+    }
+}
+
+/// `{"secs":..,"nanos":..}`: whole seconds plus the sub-second nanoseconds.
+impl WriteJson for Duration {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.field_u64("secs", self.as_secs());
+        w.field_u64("nanos", u64::from(self.subsec_nanos()));
+        w.end_object();
+    }
+}
+
+/// An array of the elements, in order.
+impl<T: WriteJson> WriteJson for Vec<T> {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_array();
+        for v in self {
+            v.write_json(w);
+        }
+        w.end_array();
+    }
+}
+
+/// The value, or `null`.
+impl<T: WriteJson> WriteJson for Option<T> {
+    fn write_json(&self, w: &mut JsonWriter) {
+        match self {
+            Some(v) => v.write_json(w),
+            None => w.value_null(),
+        }
+    }
+}
+
+/// An object keyed by the map's keys, in key order.
+impl<T: WriteJson> WriteJson for BTreeMap<String, T> {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        for (k, v) in self {
+            w.key(k);
+            v.write_json(w);
+        }
+        w.end_object();
     }
 }
 
@@ -188,6 +331,48 @@ mod tests {
         assert_eq!(
             w.finish(),
             r#"{"name":"hist","count":3,"delta":-2,"mean":1.5,"p99":null}"#
+        );
+    }
+
+    #[test]
+    fn booleans_as_fields_and_values() {
+        let mut w = JsonWriter::new();
+        w.begin_object();
+        w.field_bool("quick", true);
+        w.key("flags");
+        w.begin_array();
+        w.value_bool(false);
+        w.value_bool(true);
+        w.end_array();
+        w.end_object();
+        assert_eq!(w.finish(), r#"{"quick":true,"flags":[false,true]}"#);
+    }
+
+    struct Row {
+        name: String,
+        hits: Option<u64>,
+        took: Duration,
+    }
+    json_fields!(Row: name, hits, took);
+
+    #[test]
+    fn field_lists_and_containers_compose() {
+        let row = |name: &str, hits| Row {
+            name: name.to_string(),
+            hits,
+            took: Duration::new(1, 5),
+        };
+        let mut map = BTreeMap::new();
+        map.insert("b".to_string(), vec![row("x\"y", Some(2)), row("z", None)]);
+        map.insert("a".to_string(), Vec::new());
+        let mut w = JsonWriter::new();
+        map.write_json(&mut w);
+        assert_eq!(
+            w.finish(),
+            concat!(
+                r#"{"a":[],"b":[{"name":"x\"y","hits":2,"took":{"secs":1,"nanos":5}},"#,
+                r#"{"name":"z","hits":null,"took":{"secs":1,"nanos":5}}]}"#
+            )
         );
     }
 

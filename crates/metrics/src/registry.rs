@@ -9,7 +9,7 @@
 //! and JSON exposition.
 
 use crate::hist::{Histogram, HistogramSnapshot};
-use crate::json::JsonWriter;
+use crate::json::{JsonWriter, WriteJson};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
@@ -321,9 +321,18 @@ impl RegistrySnapshot {
         out
     }
 
-    /// Writes the snapshot as a JSON object with `counters`, `gauges`,
-    /// and `histograms` sections.
-    pub fn write_json(&self, w: &mut JsonWriter) {
+    /// Renders the snapshot as a standalone JSON string.
+    pub fn to_json(&self) -> String {
+        let mut w = JsonWriter::new();
+        self.write_json(&mut w);
+        w.finish()
+    }
+}
+
+/// Writes the snapshot as a JSON object with `counters`, `gauges`,
+/// and `histograms` sections.
+impl WriteJson for RegistrySnapshot {
+    fn write_json(&self, w: &mut JsonWriter) {
         w.begin_object();
         w.key("counters");
         w.begin_object();
@@ -345,13 +354,6 @@ impl RegistrySnapshot {
         }
         w.end_object();
         w.end_object();
-    }
-
-    /// Renders the snapshot as a standalone JSON string.
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        self.write_json(&mut w);
-        w.finish()
     }
 }
 

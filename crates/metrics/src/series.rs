@@ -16,7 +16,7 @@
 //! point must equal the end-of-run snapshot — a self-consistency
 //! invariant the test suite pins.
 
-use crate::json::JsonWriter;
+use crate::json::{JsonWriter, WriteJson};
 use crate::registry::RegistrySnapshot;
 use crate::span::MATCH_PATHS;
 
@@ -183,18 +183,28 @@ impl SeriesRecorder {
         self.points.last()
     }
 
-    /// Writes the series as a columnar JSON object:
-    ///
-    /// ```json
-    /// {"cadence": N, "samples": N,
-    ///  "t": [...], "queue_depth": [...], "block_occupancy": [...],
-    ///  "path_counts": {"nc": [...], "wc_fp": [...], "wc_sp": [...], "post": [...]},
-    ///  "matched": [...], "retransmits": [...], "fallbacks": [...]}
-    /// ```
-    ///
-    /// Columns beat rows here: the artifact feeds plotting scripts that
-    /// want one array per curve, and columnar JSON diffs cleanly in git.
-    pub fn write_json(&self, w: &mut JsonWriter) {
+    /// Renders the series as a standalone JSON string (deterministic for a
+    /// deterministic run: same seed + same cadence ⇒ byte-identical).
+    pub fn to_json(&self) -> String {
+        let mut w = JsonWriter::new();
+        self.write_json(&mut w);
+        w.finish()
+    }
+}
+
+/// Writes the series as a columnar JSON object:
+///
+/// ```json
+/// {"cadence": N, "samples": N,
+///  "t": [...], "queue_depth": [...], "block_occupancy": [...],
+///  "path_counts": {"nc": [...], "wc_fp": [...], "wc_sp": [...], "post": [...]},
+///  "matched": [...], "retransmits": [...], "fallbacks": [...]}
+/// ```
+///
+/// Columns beat rows here: the artifact feeds plotting scripts that
+/// want one array per curve, and columnar JSON diffs cleanly in git.
+impl WriteJson for SeriesRecorder {
+    fn write_json(&self, w: &mut JsonWriter) {
         w.begin_object();
         w.field_u64("cadence", self.cadence);
         w.field_u64("samples", self.points.len() as u64);
@@ -247,19 +257,11 @@ impl SeriesRecorder {
         w.end_array();
         w.end_object();
     }
-
-    /// Renders the series as a standalone JSON string (deterministic for a
-    /// deterministic run: same seed + same cadence ⇒ byte-identical).
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        self.write_json(&mut w);
-        w.finish()
-    }
 }
 
-/// Renders one multi-tenant series artifact: a `global` section holding the
+/// Writes one multi-tenant series artifact: a `global` section holding the
 /// server-wide series plus a `tenants` object with one section per tenant
-/// label, each in the same columnar [`SeriesRecorder::write_json`] schema.
+/// label, each in the same columnar [`SeriesRecorder`] schema.
 ///
 /// ```json
 /// {"global": {...}, "tenants": {"0": {...}, "1": {...}}}
@@ -268,23 +270,22 @@ impl SeriesRecorder {
 /// Sections are emitted in the order given; the `matchd` server passes its
 /// tenants in id order, so a deterministic run renders byte-identical
 /// artifacts.
-pub fn tenant_sections_json(
+pub fn write_tenant_sections(
+    w: &mut JsonWriter,
     global: &SeriesRecorder,
-    sections: &[(String, &SeriesRecorder)],
-) -> String {
-    let mut w = JsonWriter::new();
+    sections: &[(String, SeriesRecorder)],
+) {
     w.begin_object();
     w.key("global");
-    global.write_json(&mut w);
+    global.write_json(w);
     w.key("tenants");
     w.begin_object();
     for (label, series) in sections {
         w.key(label);
-        series.write_json(&mut w);
+        series.write_json(w);
     }
     w.end_object();
     w.end_object();
-    w.finish()
 }
 
 #[cfg(test)]

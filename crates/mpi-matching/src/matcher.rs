@@ -2,25 +2,24 @@
 
 use crate::stats::MatchStats;
 use otm_base::{Envelope, MatchError, ReceivePattern};
-use serde::{Deserialize, Serialize};
 
 /// Opaque handle the caller associates with a posted receive.
 ///
 /// Matching engines never interpret the handle; they hand it back when an
 /// incoming message matches the receive. In a real MPI implementation it
 /// would identify the receive request (and thereby the user buffer).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RecvHandle(pub u64);
 
 /// Opaque handle the caller associates with an incoming message.
 ///
 /// Handed back when a later-posted receive matches the (by then unexpected)
 /// message. In a real implementation it would locate the staged message data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MsgHandle(pub u64);
 
 /// Outcome of posting a receive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PostResult {
     /// The receive matched a message already waiting in the unexpected
     /// message queue; the protocol handling stage can start immediately
@@ -43,7 +42,7 @@ impl PostResult {
 }
 
 /// Outcome of delivering an incoming message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArriveResult {
     /// The message matched a posted receive, which is consumed (Fig. 1b,
     /// step 2b).

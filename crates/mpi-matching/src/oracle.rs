@@ -12,12 +12,11 @@
 use crate::matcher::{ArriveResult, Matcher, MsgHandle, PostResult, RecvHandle};
 use crate::stats::MatchStats;
 use otm_base::{Envelope, MatchError, ReceivePattern};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One step of a matching workload: either the application posts a receive
 /// or the network delivers a message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MatchEvent {
     /// The application posts a receive with this pattern.
     Post(ReceivePattern),
@@ -32,7 +31,7 @@ pub enum MatchEvent {
 /// `RecvHandle(i)` counting posts only, likewise for messages), so two
 /// engines run over the same event sequence produce directly comparable
 /// assignments.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Assignment {
     /// For every message delivered: the receive it was paired with, or
     /// `None` if it was still unexpected when the workload ended.

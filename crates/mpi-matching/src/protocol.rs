@@ -14,15 +14,13 @@
 //! reject out-of-order events, which gives the simulator's protocol driving
 //! a checked skeleton.
 
-use serde::{Deserialize, Serialize};
-
 /// Default eager/rendezvous switchover, in bytes. Typical MPI
 /// implementations sit between 4 KiB and 64 KiB; the exact value is a
 /// transport tuning knob.
 pub const DEFAULT_EAGER_THRESHOLD: usize = 8 * 1024;
 
 /// Which protocol a message of a given size uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProtocolKind {
     /// Payload travels with the message.
     Eager,
@@ -42,7 +40,7 @@ pub fn protocol_for(len: usize, eager_threshold: usize) -> ProtocolKind {
 }
 
 /// A transport-level action requested by a protocol state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Action {
     /// Copy `len` bytes from the staging (bounce or unexpected) buffer to
     /// the user buffer.
@@ -64,7 +62,7 @@ pub enum Action {
 }
 
 /// Error returned when a protocol event arrives in the wrong state.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProtocolStateError {
     /// Human-readable description of the violation.
     pub message: String,
@@ -85,13 +83,13 @@ fn state_error<T>(message: impl Into<String>) -> Result<T, ProtocolStateError> {
 }
 
 /// An eager transfer: staged payload awaiting a match, then one copy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EagerTransfer {
     len: usize,
     state: EagerState,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EagerState {
     Staged,
     Copying,
@@ -148,7 +146,7 @@ impl EagerTransfer {
 }
 
 /// The Ready-To-Send descriptor announcing a rendezvous transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Rts {
     /// Remote memory key granting read access to the send buffer.
     pub rkey: u64,
@@ -161,13 +159,13 @@ pub struct Rts {
 }
 
 /// A rendezvous transfer: RTS received, match, RDMA read, done.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RendezvousTransfer {
     rts: Rts,
     state: RndvState,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RndvState {
     RtsReceived,
     ReadInFlight,

@@ -6,10 +6,10 @@
 //! drops towards `n/b` (§II-B). The trace analyzer aggregates these samples
 //! per application and per bin count.
 
-use serde::{Deserialize, Serialize};
+use otm_metrics::json_fields;
 
 /// Running aggregate of a stream of `usize` samples.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DepthAggregate {
     /// Number of samples recorded.
     pub count: u64,
@@ -18,6 +18,8 @@ pub struct DepthAggregate {
     /// Largest sample seen.
     pub max: u64,
 }
+
+json_fields!(DepthAggregate: count, sum, max);
 
 impl DepthAggregate {
     /// Records one sample.
@@ -60,7 +62,7 @@ impl DepthAggregate {
 }
 
 /// Statistics accumulated by a matching engine.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MatchStats {
     /// Depth of searches through the posted receive queue (one sample per
     /// incoming message).
@@ -81,6 +83,9 @@ pub struct MatchStats {
     /// High-water mark of the unexpected message queue length.
     pub umq_high_water: usize,
 }
+
+json_fields!(MatchStats: prq_search, umq_search, matched_on_arrival, unexpected, matched_on_post,
+    posted, prq_high_water, umq_high_water);
 
 impl MatchStats {
     /// Creates empty statistics.

@@ -5,7 +5,7 @@
 //! (WC-FP) and the with-conflict slow-path case (WC-SP); these counters let
 //! the harness verify which path actually ran.
 
-use serde::{Deserialize, Serialize};
+use otm_metrics::json_fields;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Atomic counters shared between the engine coordinator and its block
@@ -85,7 +85,7 @@ impl OtmStats {
 }
 
 /// A point-in-time copy of [`OtmStats`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 #[allow(missing_docs)] // field meanings documented on OtmStats
 pub struct StatsSnapshot {
     pub blocks: u64,
@@ -105,6 +105,10 @@ pub struct StatsSnapshot {
     pub umq_depth_sum: u64,
     pub umq_search_count: u64,
 }
+
+json_fields!(StatsSnapshot: blocks, messages, matched, unexpected, optimistic_ok, direct_conflicts,
+    induced_resolutions, fast_path, slow_path, search_depth_sum, search_count, search_depth_max,
+    matched_on_post, posted, umq_depth_sum, umq_search_count);
 
 impl StatsSnapshot {
     /// Mean optimistic-search depth.

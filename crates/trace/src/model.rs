@@ -4,15 +4,14 @@
 
 use otm_base::envelope::{SourceSel, TagSel};
 use otm_base::{CommId, Rank, Tag};
-use serde::{Deserialize, Serialize};
 
 /// Nonblocking-request identifier within one rank's trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ReqId(pub u32);
 
 /// Collective operations appearing in the analyzed applications. Matching
 /// ignores them; the call-distribution statistics (Fig. 6) count them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum CollectiveKind {
     Barrier,
@@ -29,7 +28,7 @@ pub enum CollectiveKind {
 
 /// One-sided operations. None of the analyzed applications use them
 /// (Fig. 6), but the model and parser support them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum OneSidedKind {
     Put,
@@ -38,7 +37,7 @@ pub enum OneSidedKind {
 }
 
 /// One MPI operation as recorded in a rank's trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MpiOp {
     /// Nonblocking send to `dest`.
     Isend {
@@ -113,7 +112,7 @@ pub enum MpiOp {
 }
 
 /// Coarse call classification used by the Fig. 6 distribution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CallKind {
     /// Point-to-point sends/receives.
     PointToPoint,
@@ -169,7 +168,7 @@ impl MpiOp {
 }
 
 /// An operation stamped with its wall-clock time within the run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimedOp {
     /// Wall time in seconds since application start.
     pub time: f64,
@@ -178,7 +177,7 @@ pub struct TimedOp {
 }
 
 /// One rank's complete operation stream, in program order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RankTrace {
     /// The rank.
     pub rank: Rank,
@@ -187,7 +186,7 @@ pub struct RankTrace {
 }
 
 /// A whole application trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppTrace {
     /// Application name (Table II).
     pub name: String,

@@ -79,11 +79,6 @@ impl ReplayMetrics {
     pub fn snapshot(&self) -> RegistrySnapshot {
         self.registry.snapshot()
     }
-
-    /// The snapshot rendered as JSON.
-    pub fn snapshot_json(&self) -> String {
-        self.registry.snapshot().to_json()
-    }
 }
 
 /// The process-wide replay metrics handle (created on first use).

@@ -12,11 +12,11 @@ use crate::emul::FourIndexMatcher;
 use crate::model::{AppTrace, CallKind, MpiOp, TimedOp};
 use mpi_matching::{MatchStats, MatchingBackend, MsgHandle, RecvHandle};
 use otm_base::{Envelope, ReceivePattern};
-use serde::{Deserialize, Serialize};
+use otm_metrics::json_fields;
 use std::collections::HashSet;
 
 /// Analyzer parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReplayConfig {
     /// Bins per hash table (the Fig. 7 sweep parameter; 1 = traditional).
     pub bins: usize,
@@ -29,7 +29,7 @@ impl Default for ReplayConfig {
 }
 
 /// Fig. 6: the distribution of MPI call types.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CallDistribution {
     /// Point-to-point calls.
     pub p2p: u64,
@@ -41,6 +41,8 @@ pub struct CallDistribution {
     /// reports; the paper folds them out of the distribution.
     pub progress: u64,
 }
+
+json_fields!(CallDistribution: p2p, collective, one_sided, progress);
 
 impl CallDistribution {
     /// Total communication calls (excluding progress).
@@ -79,7 +81,7 @@ impl CallDistribution {
 /// Tag-usage statistics (§V: "the number of unique source/tag posted
 /// receives is low, indicating that the receives are well spread in the
 /// hash tables").
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TagUsage {
     /// Distinct tags across all sends.
     pub distinct_tags: usize,
@@ -89,8 +91,10 @@ pub struct TagUsage {
     pub wildcard_recv_fraction: f64,
 }
 
+json_fields!(TagUsage: distinct_tags, distinct_src_tag_pairs, wildcard_recv_fraction);
+
 /// Per-application analyzer output.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AppReport {
     /// Application name (Table II).
     pub name: String,
@@ -117,6 +121,10 @@ pub struct AppReport {
     /// Progress-point data points collected.
     pub datapoints: usize,
 }
+
+// The Fig. 6/7 artifact row.
+json_fields!(AppReport: name, processes, bins, call_dist, match_stats, mean_queue_depth,
+    max_queue_depth, avg_empty_bin_fraction, tag_usage, final_prq, final_umq, datapoints);
 
 /// Replays an application trace with the given bin count.
 pub fn replay(trace: &AppTrace, config: &ReplayConfig) -> AppReport {

@@ -1,8 +1,7 @@
-//! Report formatting: the rows behind Figs. 6 and 7, plus JSON dumps for
-//! downstream plotting (the role of the paper's analysis notebook).
+//! Report formatting: the rows behind Figs. 6 and 7 (the JSON form of a row
+//! is [`AppReport`]'s `WriteJson` impl).
 
 use crate::replay::AppReport;
-use serde::Serialize;
 
 /// One Fig. 6 row: per-application call-type percentages.
 pub fn fig6_row(report: &AppReport) -> String {
@@ -31,12 +30,6 @@ pub fn fig7_average(reports: &[AppReport]) -> f64 {
         return 0.0;
     }
     reports.iter().map(|r| r.mean_queue_depth).sum::<f64>() / reports.len() as f64
-}
-
-/// Serializes any report set to pretty JSON (for EXPERIMENTS.md provenance
-/// and external plotting).
-pub fn to_json<T: Serialize>(value: &T) -> String {
-    serde_json::to_string_pretty(value).expect("reports are serializable")
 }
 
 #[cfg(test)]
@@ -84,19 +77,35 @@ mod tests {
         assert!(cell.contains("3"));
     }
 
+    /// The golden Fig. 6/7 row: key names, nesting and order as the
+    /// harnesses have always written them.
+    #[test]
+    fn app_report_json_pins_keys_and_order() {
+        use otm_metrics::json::{JsonWriter, WriteJson};
+        let mut r = report("AMG \"v2\"", 128, 0.5, 2);
+        r.match_stats.record_arrival(3, true);
+        let mut w = JsonWriter::new();
+        r.write_json(&mut w);
+        assert_eq!(
+            w.finish(),
+            concat!(
+                r#"{"name":"AMG \"v2\"","processes":64,"bins":128,"#,
+                r#""call_dist":{"p2p":75,"collective":25,"one_sided":0,"progress":10},"#,
+                r#""match_stats":{"prq_search":{"count":1,"sum":2,"max":2},"#,
+                r#""umq_search":{"count":0,"sum":0,"max":0},"matched_on_arrival":1,"#,
+                r#""unexpected":0,"matched_on_post":0,"posted":0,"prq_high_water":0,"#,
+                r#""umq_high_water":0},"mean_queue_depth":0.5,"max_queue_depth":2,"#,
+                r#""avg_empty_bin_fraction":0.9,"tag_usage":{"distinct_tags":0,"#,
+                r#""distinct_src_tag_pairs":0,"wildcard_recv_fraction":0},"#,
+                r#""final_prq":0,"final_umq":0,"datapoints":10}"#
+            )
+        );
+    }
+
     #[test]
     fn fig7_average_is_the_mean_over_apps() {
         let reports = vec![report("a", 1, 4.0, 9), report("b", 1, 12.0, 30)];
         assert!((fig7_average(&reports) - 8.0).abs() < 1e-12);
         assert_eq!(fig7_average(&[]), 0.0);
-    }
-
-    #[test]
-    fn json_dump_is_valid() {
-        let r = report("AMG", 128, 0.3, 2);
-        let json = to_json(&r);
-        let parsed: serde_json::Value = serde_json::from_str(&json).unwrap();
-        assert_eq!(parsed["name"], "AMG");
-        assert_eq!(parsed["bins"], 128);
     }
 }
