@@ -7,12 +7,12 @@
 //! rendezvous protocol issues after a match (§IV-B). Message headers carry
 //! the MPI envelope plus the sender-side inline hashes of §IV-D.
 
+use otm_base::sync;
 use otm_base::{Envelope, InlineHashes};
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 /// Remote key identifying a registered memory region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -77,15 +77,13 @@ impl RdmaDomain {
     /// RTS and deregister after the transfer is acknowledged).
     pub fn register(&self, data: Vec<u8>) -> RKey {
         let key = self.next_rkey.fetch_add(1, Ordering::Relaxed) + 1;
-        self.regions.write().insert(key, Arc::new(data));
+        sync::write(&self.regions).insert(key, Arc::new(data));
         RKey(key)
     }
 
     /// RDMA READ: copies `len` bytes starting at `offset` from the region.
     pub fn read(&self, rkey: RKey, offset: usize, len: usize) -> Result<Vec<u8>, RdmaError> {
-        let region = self
-            .regions
-            .read()
+        let region = sync::read(&self.regions)
             .get(&rkey.0)
             .cloned()
             .ok_or(RdmaError::InvalidRKey(rkey.0))?;
@@ -106,12 +104,12 @@ impl RdmaDomain {
 
     /// Deregisters a region. Reads against the rkey fail afterwards.
     pub fn deregister(&self, rkey: RKey) {
-        self.regions.write().remove(&rkey.0);
+        sync::write(&self.regions).remove(&rkey.0);
     }
 
     /// Number of currently registered regions (diagnostics).
     pub fn region_count(&self) -> usize {
-        self.regions.read().len()
+        sync::read(&self.regions).len()
     }
 }
 

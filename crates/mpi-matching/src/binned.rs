@@ -493,15 +493,13 @@ mod tests {
 
     #[test]
     fn random_workload_agrees_with_oracle() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(42);
+        let mut rng = otm_base::FaultRng::new(42);
         for bins in [1usize, 2, 7, 32, 128] {
             let events: Vec<MatchEvent> = (0..400)
                 .map(|_| {
-                    let src = rng.gen_range(0..4);
-                    let tag = rng.gen_range(0..4);
-                    match rng.gen_range(0..6) {
+                    let src = rng.below(4) as u32;
+                    let tag = rng.below(4) as u32;
+                    match rng.below(6) {
                         0 | 1 => arrive(src, tag),
                         2 | 3 => post(src, tag),
                         4 => MatchEvent::Post(ReceivePattern::any_source(Tag(tag))),

@@ -369,14 +369,12 @@ mod tests {
 
     #[test]
     fn random_workload_agrees_with_oracle() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(7);
+        let mut rng = otm_base::FaultRng::new(7);
         let events: Vec<MatchEvent> = (0..500)
             .map(|_| {
-                let src = rng.gen_range(0..3);
-                let tag = rng.gen_range(0..3);
-                match rng.gen_range(0..7) {
+                let src = rng.below(3) as u32;
+                let tag = rng.below(3) as u32;
+                match rng.below(7) {
                     0..=2 => arrive(src, tag),
                     3 | 4 => post(src, tag),
                     5 => MatchEvent::Post(ReceivePattern::any_source(Tag(tag))),

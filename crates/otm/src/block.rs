@@ -22,9 +22,8 @@ use crate::index::PrqIndexes;
 use crate::table::ReceiveTable;
 use mpi_matching::MsgHandle;
 use otm_base::{Envelope, InlineHashes};
-use parking_lot::{Condvar, Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 
 /// Per-communicator matching state shared with the workers.
 #[derive(Debug)]

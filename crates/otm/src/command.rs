@@ -38,9 +38,10 @@
 
 #![deny(missing_docs)]
 
-use parking_lot::Mutex;
+use otm_base::sync::lock;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use crate::shard::ShardMap;
 use otm_base::{CommId, MatchConfig, MatchError};
@@ -104,7 +105,7 @@ impl CommandQueue {
     /// Number of commands waiting to be drained: a racy monitoring snapshot
     /// (one load per communicator), not a synchronization primitive.
     pub fn len(&self, shards: &ShardMap) -> usize {
-        let stashed = self.stash.lock().len();
+        let stashed = lock(&self.stash).len();
         let ringed: usize = shards
             .all_sorted()
             .iter()
@@ -147,7 +148,7 @@ impl CommandQueue {
             return out;
         }
         {
-            let mut stash = self.stash.lock();
+            let mut stash = lock(&self.stash);
             while out.len() < max {
                 match stash.pop_front() {
                     Some(entry) => out.push_back(entry),
@@ -185,7 +186,7 @@ impl CommandQueue {
     /// commands are older than anything still in the rings, so consuming the
     /// stash first preserves per-communicator FIFO order.
     pub(crate) fn requeue_front(&self, cmds: VecDeque<(u64, Command)>) {
-        let mut stash = self.stash.lock();
+        let mut stash = lock(&self.stash);
         for entry in cmds.into_iter().rev() {
             stash.push_front(entry);
         }

@@ -42,14 +42,14 @@ use mpi_matching::stats::DepthAggregate;
 use mpi_matching::{
     ArriveResult, MatchStats, Matcher, MatchingBackend, MsgHandle, PostResult, RecvHandle,
 };
+use otm_base::sync::{lock, read, wait, write};
 use otm_base::{
     ArrivalSeq, CommHints, CommId, Envelope, InlineHashes, MatchConfig, MatchError, PackingPolicy,
     ReceivePattern,
 };
-use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 pub use mpi_matching::backend::{BlockDelivery as Delivery, FallbackState};
@@ -269,7 +269,7 @@ impl OtmEngine {
                 pattern.comm
             )));
         }
-        let mut host = shard.host.lock();
+        let mut host = lock(&shard.host);
         if let Some(m) = host.umq.match_post(&pattern) {
             self.stats.matched_on_post.fetch_add(1, Ordering::Relaxed);
             self.stats
@@ -392,7 +392,7 @@ impl OtmEngine {
     /// invalid) surfaces them in [`DrainReport::unapplied`] instead, so a
     /// retry loop terminates rather than spinning forever on a dead engine.
     pub fn drain(&self) -> DrainReport {
-        let _gate = self.drain_gate.lock();
+        let _gate = lock(&self.drain_gate);
         // Chunk size: a few blocks' worth of commands per pop keeps the
         // queue-lock hold times short without paying the lock once per
         // command. The staging window is a couple of chunks deep — enough
@@ -464,7 +464,7 @@ impl OtmEngine {
                     let block: Vec<(Envelope, MsgHandle)> =
                         msgs.iter().map(|&(_, env, msg)| (env, msg)).collect();
                     let result = {
-                        let mut coord = self.coord.lock();
+                        let mut coord = lock(&self.coord);
                         self.process_block_locked(&mut coord, &block)
                     };
                     match result {
@@ -553,7 +553,7 @@ impl OtmEngine {
         &mut self,
         msgs: &[(Envelope, MsgHandle)],
     ) -> Result<Vec<Delivery>, MatchError> {
-        let mut coord = self.coord.lock();
+        let mut coord = lock(&self.coord);
         self.process_block_locked(&mut coord, msgs)
     }
 
@@ -597,7 +597,7 @@ impl OtmEngine {
         involved.dedup_by_key(|(id, _)| *id);
         let mut guards: Vec<_> = involved
             .iter()
-            .map(|(id, shard)| (*id, shard.host.lock()))
+            .map(|(id, shard)| (*id, lock(&shard.host)))
             .collect();
 
         // Pre-check the unexpected-store capacity: in the worst case every
@@ -649,10 +649,10 @@ impl OtmEngine {
             }
         }
         self.shared.reset_for_block();
-        *self.shared.lanes.write() = lanes;
+        *write(&self.shared.lanes) = lanes;
         self.shared.epoch.fetch_add(1, Ordering::Release);
         if self.workers.is_empty() {
-            let guard = self.shared.lanes.read();
+            let guard = read(&self.shared.lanes);
             let ctx = WorkerCtx {
                 shared: Arc::clone(&self.shared),
                 stats: Arc::clone(&self.stats),
@@ -663,15 +663,15 @@ impl OtmEngine {
             worker_main_inline(&ctx, &guard[0]);
         } else {
             {
-                let mut control = self.shared.control.lock();
+                let mut control = lock(&self.shared.control);
                 control.epoch += 1;
                 control.done = 0;
                 self.shared.start_cv.notify_all();
             }
             // Wait for the whole pool to drain the block.
-            let mut control = self.shared.control.lock();
+            let mut control = lock(&self.shared.control);
             while control.done < pool_size(n, self.config.block_threads) {
-                self.shared.done_cv.wait(&mut control);
+                control = wait(&self.shared.done_cv, control);
             }
         }
 
@@ -758,7 +758,7 @@ impl OtmEngine {
     pub fn probe(&self, pattern: &ReceivePattern) -> Option<MsgHandle> {
         self.shards
             .get(pattern.comm)
-            .and_then(|shard| shard.host.lock().umq.probe(pattern))
+            .and_then(|shard| lock(&shard.host).umq.probe(pattern))
     }
 
     /// Drains the complete matching state for migration to software tag
@@ -794,7 +794,7 @@ impl OtmEngine {
                     .into_iter()
                     .map(|p| (p.pattern, RecvHandle(p.handle))),
             );
-            unexpected.extend(shard.host.lock().umq.drain());
+            unexpected.extend(lock(&shard.host).umq.drain());
         }
         FallbackState {
             receives,
@@ -817,7 +817,7 @@ impl OtmEngine {
         self.shards
             .all_sorted()
             .iter()
-            .map(|(_, s)| s.host.lock().umq.len())
+            .map(|(_, s)| lock(&s.host).umq.len())
             .sum()
     }
 }
@@ -825,7 +825,7 @@ impl OtmEngine {
 impl Drop for OtmEngine {
     fn drop(&mut self) {
         {
-            let mut control = self.shared.control.lock();
+            let mut control = lock(&self.shared.control);
             control.stop = true;
             self.shared.start_cv.notify_all();
         }

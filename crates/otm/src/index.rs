@@ -16,10 +16,11 @@
 use crate::table::{state, DescId, IndexHome, ReceiveTable};
 use otm_base::envelope::{SourceSel, TagSel};
 use otm_base::hash::{bin_of, hash_src, hash_src_tag, hash_tag};
+use otm_base::sync::{read, write};
 use otm_base::{
     CommHints, Envelope, InlineHashes, PostLabel, ReceivePattern, SeqId, WildcardClass,
 };
-use parking_lot::RwLock;
+use std::sync::RwLock;
 
 /// A candidate found by an index search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,14 +117,14 @@ impl PrqIndexes {
     /// Appends a freshly allocated descriptor to its home chain
     /// (coordinator context: receive posting).
     pub fn insert(&self, home: IndexHome, desc: DescId) {
-        self.chain(home).write().push(desc);
+        write(self.chain(home)).push(desc);
     }
 
     /// Unlinks a descriptor from its home chain. Used for eager removal by
     /// consuming threads (when lazy removal is off) and by the coordinator's
     /// block-end sweep.
     pub fn unlink(&self, home: IndexHome, desc: DescId) {
-        let mut chain = self.chain(home).write();
+        let mut chain = write(self.chain(home));
         if let Some(pos) = chain.iter().position(|&d| d == desc) {
             chain.remove(pos);
         }
@@ -134,7 +135,7 @@ impl PrqIndexes {
     /// step of the paper's lazy removal (§IV-D), run by whoever wins the
     /// chain's write lock.
     pub fn sweep(&self, home: IndexHome, table: &ReceiveTable) -> Vec<DescId> {
-        let mut chain = self.chain(home).write();
+        let mut chain = write(self.chain(home));
         let mut removed = Vec::new();
         chain.retain(|&d| {
             if table.slot(d).state() == state::CONSUMED {
@@ -158,7 +159,7 @@ impl PrqIndexes {
         table: &ReceiveTable,
         below_mask: u64,
     ) -> (Option<Candidate>, usize, bool) {
-        let chain = self.chain(home).read();
+        let chain = read(self.chain(home));
         let mut depth = 0usize;
         let mut skipped = false;
         for &desc in chain.iter() {
@@ -278,7 +279,7 @@ impl PrqIndexes {
         if rank == 0 {
             return Some(cand);
         }
-        let chain = self.chain(cand_home).read();
+        let chain = read(self.chain(cand_home));
         let start = chain.iter().position(|&d| d == cand)?;
         let mut remaining = rank;
         for &desc in chain.iter().skip(start + 1) {
@@ -325,16 +326,13 @@ impl PrqIndexes {
         let mut n = 0;
         for group in [&self.no_wild, &self.src_wild, &self.tag_wild] {
             for bin in group.iter() {
-                n += bin
-                    .read()
+                n += read(bin)
                     .iter()
                     .filter(|&&d| table.slot(d).is_posted())
                     .count();
             }
         }
-        n += self
-            .both_wild
-            .read()
+        n += read(&self.both_wild)
             .iter()
             .filter(|&&d| table.slot(d).is_posted())
             .count();

@@ -9,10 +9,10 @@
 //! coordinate through slot-local loads instead of one shared lock.
 //!
 //! Because the crate forbids `unsafe`, the value cell of each slot is a
-//! `parking_lot::Mutex<Option<_>>` rather than an `UnsafeCell`. The mutex is
+//! `std::sync::Mutex<Option<_>>` rather than an `UnsafeCell`. The mutex is
 //! *never contended*: the stamp protocol guarantees at most one thread owns a
 //! slot's cell at any time, so every lock acquisition is the uncontended
-//! fast path (one CAS on the lock byte). All cross-thread coordination —
+//! fast path (one CAS on the lock word). All cross-thread coordination —
 //! including full/empty detection — still happens on the stamps and on the
 //! head/tail counters, which is what makes submission wait-free in practice:
 //! a producer claims a slot with a single `fetch`-style CAS on `tail` and
@@ -24,8 +24,9 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
-use parking_lot::Mutex;
+use otm_base::sync::lock;
 
 use crate::command::Command;
 
@@ -110,7 +111,7 @@ impl CommandRing {
                     Ok(_) => {
                         // We own the slot exclusively until the stamp below
                         // publishes it, so this lock never contends.
-                        *slot.cell.lock() = Some((ticket, cmd));
+                        *lock(&slot.cell) = Some((ticket, cmd));
                         slot.stamp.store(pos.wrapping_add(1), Ordering::Release);
                         return Ok(());
                     }
@@ -146,7 +147,7 @@ impl CommandRing {
                     Ordering::Relaxed,
                 ) {
                     Ok(_) => {
-                        let value = slot.cell.lock().take();
+                        let value = lock(&slot.cell).take();
                         slot.stamp
                             .store(pos.wrapping_add(self.slots.len()), Ordering::Release);
                         debug_assert!(value.is_some(), "stamped slot must hold a value");
@@ -175,7 +176,7 @@ impl CommandRing {
         // Published and the consumer is single (the drain gate serializes
         // drains), so the value cannot disappear between the stamp check and
         // this read.
-        slot.cell.lock().as_ref().map(|(ticket, _)| *ticket)
+        lock(&slot.cell).as_ref().map(|(ticket, _)| *ticket)
     }
 
     /// Number of commands currently in the ring (racy under concurrent

@@ -19,10 +19,10 @@ use crate::index::PrqIndexes;
 use crate::ring::CommandRing;
 use crate::table::ReceiveTable;
 use crate::umq::UnexpectedStore;
+use otm_base::sync::{read, write};
 use otm_base::{CommHints, CommId, MatchConfig, MatchError, PostLabel, ReceivePattern, SeqId};
-use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock};
 
 /// Host-only per-communicator state, touched under the shard lock and
 /// never by block workers.
@@ -98,7 +98,7 @@ impl ShardMap {
 
     /// The shard for `comm`, if the communicator has been used.
     pub fn get(&self, comm: CommId) -> Option<Arc<CommShard>> {
-        self.shards.read().get(&comm).cloned()
+        read(&self.shards).get(&comm).cloned()
     }
 
     /// The shard for `comm`, creating it (with no hints) on first use.
@@ -106,7 +106,7 @@ impl ShardMap {
         if let Some(shard) = self.get(comm) {
             return shard;
         }
-        let mut map = self.shards.write();
+        let mut map = write(&self.shards);
         Arc::clone(
             map.entry(comm)
                 .or_insert_with(|| Arc::new(CommShard::new(config, CommHints::NONE))),
@@ -122,7 +122,7 @@ impl ShardMap {
         config: &MatchConfig,
         hints: CommHints,
     ) -> Result<(), MatchError> {
-        let mut map = self.shards.write();
+        let mut map = write(&self.shards);
         if map.contains_key(&comm) {
             return Err(MatchError::InvalidConfig(format!(
                 "hints for {comm} must be declared before the communicator is used"
@@ -134,9 +134,7 @@ impl ShardMap {
 
     /// Every shard, sorted by communicator id (the global lock order).
     pub fn all_sorted(&self) -> Vec<(CommId, Arc<CommShard>)> {
-        let mut all: Vec<_> = self
-            .shards
-            .read()
+        let mut all: Vec<_> = read(&self.shards)
             .iter()
             .map(|(id, s)| (*id, Arc::clone(s)))
             .collect();
@@ -146,12 +144,12 @@ impl ShardMap {
 
     /// Number of communicators seen so far.
     pub fn len(&self) -> usize {
-        self.shards.read().len()
+        read(&self.shards).len()
     }
 
     /// Whether no communicator has been used yet.
     pub fn is_empty(&self) -> bool {
-        self.shards.read().is_empty()
+        read(&self.shards).is_empty()
     }
 }
 

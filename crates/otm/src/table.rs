@@ -14,9 +14,10 @@
 //! the free list lives outside this shared structure; workers only ever
 //! read payloads and update atomics.
 
+use otm_base::sync::{lock, read, write};
 use otm_base::{MatchError, PostLabel, ReceivePattern, SeqId, WildcardClass};
-use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::{Mutex, RwLock};
 
 /// Index of a descriptor slot within the table.
 pub type DescId = u32;
@@ -99,7 +100,7 @@ impl Slot {
     /// Reads the payload (shared lock; uncontended in the common case).
     #[inline]
     pub fn payload(&self) -> Payload {
-        *self.payload.read()
+        *read(&self.payload)
     }
 
     /// Current lifecycle state.
@@ -166,7 +167,7 @@ pub struct ReceiveTable {
     /// Free slot ids. Only the coordinator allocates and frees, always
     /// outside the parallel block phase, so no lock is needed — the table is
     /// carried behind an `Arc` and this field behind the engine's `&mut`.
-    free: parking_lot::Mutex<Vec<DescId>>,
+    free: Mutex<Vec<DescId>>,
 }
 
 impl ReceiveTable {
@@ -176,7 +177,7 @@ impl ReceiveTable {
         let free: Vec<DescId> = (0..capacity as DescId).rev().collect();
         ReceiveTable {
             slots: slots.into_boxed_slice(),
-            free: parking_lot::Mutex::new(free),
+            free: Mutex::new(free),
         }
     }
 
@@ -187,7 +188,7 @@ impl ReceiveTable {
 
     /// Number of slots currently allocated (posted or tombstoned).
     pub fn allocated(&self) -> usize {
-        self.slots.len() - self.free.lock().len()
+        self.slots.len() - lock(&self.free).len()
     }
 
     /// Accesses a slot by id.
@@ -202,10 +203,10 @@ impl ReceiveTable {
     /// the condition under which the MPI implementation must fall back to
     /// software tag matching (§III-B).
     pub fn allocate(&self, payload: Payload) -> Result<DescId, MatchError> {
-        let id = self.free.lock().pop().ok_or(MatchError::ReceiveTableFull)?;
+        let id = lock(&self.free).pop().ok_or(MatchError::ReceiveTableFull)?;
         let slot = &self.slots[id as usize];
         debug_assert_eq!(slot.state(), state::FREE);
-        *slot.payload.write() = payload;
+        *write(&slot.payload) = payload;
         slot.booking.store(0, Ordering::Relaxed);
         slot.state.store(state::POSTED, Ordering::Release);
         Ok(id)
@@ -231,7 +232,7 @@ impl ReceiveTable {
         debug_assert_eq!(slot.state(), state::CONSUMED);
         slot.state.store(state::FREE, Ordering::Release);
         slot.booking.store(0, Ordering::Relaxed);
-        self.free.lock().push(id);
+        lock(&self.free).push(id);
     }
 }
 

@@ -10,6 +10,7 @@ use crate::block::{below_mask, result_code, BlockShared, LaneData};
 use crate::metrics::{span_event, EngineMetrics};
 use crate::stats::OtmStats;
 use crate::table::{state, DescId};
+use otm_base::sync::{lock, read, wait};
 use otm_base::MatchConfig;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -29,7 +30,7 @@ pub(crate) fn worker_main(ctx: WorkerCtx) {
     loop {
         // Wait for the coordinator to publish a new block (or stop).
         {
-            let mut control = ctx.shared.control.lock();
+            let mut control = lock(&ctx.shared.control);
             loop {
                 if control.stop {
                     return;
@@ -38,12 +39,12 @@ pub(crate) fn worker_main(ctx: WorkerCtx) {
                     seen_epoch = control.epoch;
                     break;
                 }
-                ctx.shared.start_cv.wait(&mut control);
+                control = wait(&ctx.shared.start_cv, control);
             }
         }
 
         let active = {
-            let lanes = ctx.shared.lanes.read();
+            let lanes = read(&ctx.shared.lanes);
             let active = lanes.len();
             if ctx.lane < active {
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -65,7 +66,7 @@ pub(crate) fn worker_main(ctx: WorkerCtx) {
         // Report completion. Inactive lanes report too — the coordinator
         // waits for the full pool so that no stale worker can be inside
         // `lanes` when the next block is written.
-        let mut control = ctx.shared.control.lock();
+        let mut control = lock(&ctx.shared.control);
         control.done += 1;
         if control.done == pool_size(active, ctx.config.block_threads) {
             ctx.shared.done_cv.notify_one();

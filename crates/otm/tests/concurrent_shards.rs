@@ -14,10 +14,10 @@
 use mpi_matching::oracle::{MatchEvent, Oracle};
 use mpi_matching::{Assignment, MsgHandle, PostResult, RecvHandle};
 use otm::{Command, CommandOutcome, Delivery, OtmEngine};
-use otm_base::envelope::{SourceSel, TagSel};
-use otm_base::{CommId, Envelope, MatchConfig, Rank, ReceivePattern, Tag};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use otm_base::{CommId, FaultRng, MatchConfig};
+
+#[path = "../../../tests/support/prop.rs"]
+mod prop;
 
 /// Handle-space stride separating communicators, so a delivery's handle
 /// identifies its shard.
@@ -25,19 +25,9 @@ const BASE: u64 = 1_000_000;
 
 /// A random single-communicator event stream over a small (rank, tag) space
 /// (small so duplicates and wildcards collide often).
-fn comm_events(rng: &mut SmallRng, comm: CommId, n: usize) -> Vec<MatchEvent> {
+fn comm_events(rng: &mut FaultRng, comm: CommId, n: usize) -> Vec<MatchEvent> {
     (0..n)
-        .map(|_| {
-            let src = Rank(rng.gen_range(0..3));
-            let tag = Tag(rng.gen_range(0..3));
-            match rng.gen_range(0..10) {
-                0..=3 => MatchEvent::Arrive(Envelope::new(src, tag, comm)),
-                4..=6 => MatchEvent::Post(ReceivePattern::new(src, tag, comm)),
-                7 => MatchEvent::Post(ReceivePattern::new(SourceSel::Any, tag, comm)),
-                8 => MatchEvent::Post(ReceivePattern::new(src, TagSel::Any, comm)),
-                _ => MatchEvent::Post(ReceivePattern::new(SourceSel::Any, TagSel::Any, comm)),
-            }
-        })
+        .map(|_| prop::event_mix(rng, comm, 3, 3, prop::MIX))
         .collect()
 }
 
@@ -182,7 +172,7 @@ fn run_concurrent(per_comm: &[Vec<MatchEvent>]) {
 #[test]
 fn two_threads_two_comms_match_the_serialized_oracle() {
     for seed in 0..8u64 {
-        let mut rng = SmallRng::seed_from_u64(0xC0FFEE ^ seed);
+        let mut rng = FaultRng::new(0xC0FFEE ^ seed);
         let per_comm: Vec<Vec<MatchEvent>> = (0..2)
             .map(|c| comm_events(&mut rng, CommId(c as u16 + 1), 200))
             .collect();
@@ -194,7 +184,7 @@ fn two_threads_two_comms_match_the_serialized_oracle() {
 #[test]
 fn four_threads_four_comms_match_the_serialized_oracle() {
     for seed in 0..4u64 {
-        let mut rng = SmallRng::seed_from_u64(0xBEEF ^ seed);
+        let mut rng = FaultRng::new(0xBEEF ^ seed);
         let per_comm: Vec<Vec<MatchEvent>> = (0..4)
             .map(|c| comm_events(&mut rng, CommId(c as u16 + 1), 150))
             .collect();
@@ -206,7 +196,7 @@ fn four_threads_four_comms_match_the_serialized_oracle() {
 /// their oracles (exercises drains that straddle shard activity).
 #[test]
 fn lopsided_shards_match_the_serialized_oracle() {
-    let mut rng = SmallRng::seed_from_u64(0xD15C0);
+    let mut rng = FaultRng::new(0xD15C0);
     let per_comm = vec![
         comm_events(&mut rng, CommId(1), 400),
         comm_events(&mut rng, CommId(2), 10),

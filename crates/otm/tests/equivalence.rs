@@ -11,9 +11,7 @@
 use mpi_matching::oracle::{MatchEvent, Oracle};
 use mpi_matching::{Assignment, MsgHandle, RecvHandle};
 use otm::{Delivery, OtmEngine};
-use otm_base::{CommId, Envelope, MatchConfig, Rank, ReceivePattern, Tag};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use otm_base::{CommId, Envelope, FaultRng, MatchConfig, Rank, ReceivePattern, Tag};
 
 /// A workload: rounds of (posts, message block).
 #[derive(Debug, Clone)]
@@ -78,41 +76,39 @@ impl Workload {
     }
 }
 
-fn random_comm(rng: &mut SmallRng) -> CommId {
+fn random_comm(rng: &mut FaultRng) -> CommId {
     // Two communicators: matching state must stay isolated between them
     // even inside one block.
-    CommId(rng.gen_range(0..2))
+    CommId(rng.below(2) as u16)
 }
 
-fn random_pattern(rng: &mut SmallRng, ranks: u32, tags: u32) -> ReceivePattern {
+fn random_pattern(rng: &mut FaultRng, ranks: u64, tags: u64) -> ReceivePattern {
     let comm = random_comm(rng);
-    match rng.gen_range(0..10) {
-        0 => ReceivePattern::new(otm_base::SourceSel::Any, Tag(rng.gen_range(0..tags)), comm),
-        1 => ReceivePattern::new(Rank(rng.gen_range(0..ranks)), otm_base::TagSel::Any, comm),
+    let src = Rank(rng.below(ranks) as u32);
+    let tag = Tag(rng.below(tags) as u32);
+    match rng.below(10) {
+        0 => ReceivePattern::new(otm_base::SourceSel::Any, tag, comm),
+        1 => ReceivePattern::new(src, otm_base::TagSel::Any, comm),
         2 => ReceivePattern::new(otm_base::SourceSel::Any, otm_base::TagSel::Any, comm),
-        _ => ReceivePattern::new(
-            Rank(rng.gen_range(0..ranks)),
-            Tag(rng.gen_range(0..tags)),
-            comm,
-        ),
+        _ => ReceivePattern::new(src, tag, comm),
     }
 }
 
-fn random_workload(rng: &mut SmallRng, rounds: usize, block_max: usize) -> Workload {
+fn random_workload(rng: &mut FaultRng, rounds: usize, block_max: usize) -> Workload {
     // A small envelope space maximizes contention and wildcard overlap.
-    let ranks = rng.gen_range(1..4);
-    let tags = rng.gen_range(1..4);
+    let ranks = 1 + rng.below(3);
+    let tags = 1 + rng.below(3);
     let rounds = (0..rounds)
         .map(|_| {
             let mut posts = Vec::new();
-            let n_posts = rng.gen_range(0..=block_max + 2);
+            let n_posts = rng.below(block_max as u64 + 3) as usize;
             let mut i = 0;
             while i < n_posts {
                 let p = random_pattern(rng, ranks, tags);
                 // Sometimes post a run of compatible receives to exercise
                 // sequence ids and the fast path.
-                let run = if rng.gen_bool(0.3) {
-                    rng.gen_range(1..=block_max.max(2))
+                let run = if rng.chance(300) {
+                    1 + rng.below(block_max.max(2) as u64) as usize
                 } else {
                     1
                 };
@@ -121,11 +117,11 @@ fn random_workload(rng: &mut SmallRng, rounds: usize, block_max: usize) -> Workl
                     i += 1;
                 }
             }
-            let msgs = (0..rng.gen_range(0..=block_max))
+            let msgs = (0..rng.below(block_max as u64 + 1))
                 .map(|_| {
                     Envelope::new(
-                        Rank(rng.gen_range(0..ranks)),
-                        Tag(rng.gen_range(0..tags)),
+                        Rank(rng.below(ranks) as u32),
+                        Tag(rng.below(tags) as u32),
                         random_comm(rng),
                     )
                 })
@@ -159,7 +155,7 @@ fn base_config(block: usize) -> MatchConfig {
 
 #[test]
 fn random_workloads_match_oracle_default_flags() {
-    let mut rng = SmallRng::seed_from_u64(1);
+    let mut rng = FaultRng::new(1);
     for block in [1usize, 2, 4, 8, 32] {
         for case in 0..12 {
             let w = random_workload(&mut rng, 12, block);
@@ -174,7 +170,7 @@ fn random_workloads_match_oracle_default_flags() {
 
 #[test]
 fn random_workloads_match_oracle_fast_path_off() {
-    let mut rng = SmallRng::seed_from_u64(2);
+    let mut rng = FaultRng::new(2);
     for block in [4usize, 32] {
         for case in 0..10 {
             let w = random_workload(&mut rng, 10, block);
@@ -189,7 +185,7 @@ fn random_workloads_match_oracle_fast_path_off() {
 
 #[test]
 fn random_workloads_match_oracle_early_booking_check() {
-    let mut rng = SmallRng::seed_from_u64(3);
+    let mut rng = FaultRng::new(3);
     for block in [4usize, 32] {
         for case in 0..10 {
             let w = random_workload(&mut rng, 10, block);
@@ -204,7 +200,7 @@ fn random_workloads_match_oracle_early_booking_check() {
 
 #[test]
 fn random_workloads_match_oracle_eager_removal() {
-    let mut rng = SmallRng::seed_from_u64(4);
+    let mut rng = FaultRng::new(4);
     for block in [4usize, 32] {
         for case in 0..10 {
             let w = random_workload(&mut rng, 10, block);
@@ -221,7 +217,7 @@ fn random_workloads_match_oracle_eager_removal() {
 fn random_workloads_match_oracle_single_bin() {
     // One bin per table: maximal chain collisions, the worst case for the
     // index structures.
-    let mut rng = SmallRng::seed_from_u64(5);
+    let mut rng = FaultRng::new(5);
     for case in 0..10 {
         let w = random_workload(&mut rng, 10, 16);
         check(
@@ -255,13 +251,13 @@ fn wildcard_storms_match_oracle() {
     // All receives are ANY_ANY (single shared list, serial semantics) while
     // messages vary: stresses cross-index arbitration and the both-wild
     // chain under conflicts.
-    let mut rng = SmallRng::seed_from_u64(6);
+    let mut rng = FaultRng::new(6);
     let rounds: Vec<(Vec<ReceivePattern>, Vec<Envelope>)> = (0..15)
         .map(|_| {
             (
                 vec![ReceivePattern::any_any(); 8],
                 (0..8)
-                    .map(|_| Envelope::world(Rank(rng.gen_range(0..3)), Tag(rng.gen_range(0..3))))
+                    .map(|_| Envelope::world(Rank(rng.below(3) as u32), Tag(rng.below(3) as u32)))
                     .collect(),
             )
         })
@@ -275,7 +271,7 @@ fn interleaving_repetition_stresses_schedules() {
     // Re-run one contentious workload many times: the workload is fixed but
     // the thread schedules are not; every schedule must agree with the
     // oracle.
-    let mut rng = SmallRng::seed_from_u64(7);
+    let mut rng = FaultRng::new(7);
     let w = random_workload(&mut rng, 8, 32);
     let expect = Oracle::run(&w.events());
     for round in 0..30 {
@@ -289,7 +285,7 @@ fn interleaving_repetition_stresses_schedules() {
 #[test]
 #[ignore = "multi-minute soak; run with -- --ignored"]
 fn soak_random_schedules() {
-    let mut rng = SmallRng::seed_from_u64(0xC0FFEE);
+    let mut rng = FaultRng::new(0xC0FFEE);
     for case in 0..200 {
         let w = random_workload(&mut rng, 10, 32);
         let expect = Oracle::run(&w.events());

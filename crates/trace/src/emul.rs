@@ -464,9 +464,7 @@ impl mpi_matching::MatchingBackend for FourIndexMatcher {
 mod tests {
     use super::*;
     use mpi_matching::oracle::{MatchEvent, Oracle};
-    use otm_base::{Rank, Tag};
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
+    use otm_base::{FaultRng, Rank, Tag};
 
     fn post(src: u32, tag: u32) -> MatchEvent {
         MatchEvent::Post(ReceivePattern::exact(Rank(src), Tag(tag)))
@@ -478,13 +476,13 @@ mod tests {
 
     #[test]
     fn agrees_with_oracle_across_bin_counts() {
-        let mut rng = SmallRng::seed_from_u64(11);
+        let mut rng = FaultRng::new(11);
         for bins in [1usize, 2, 32, 128] {
             let events: Vec<MatchEvent> = (0..500)
                 .map(|_| {
-                    let src = rng.gen_range(0..4);
-                    let tag = rng.gen_range(0..4);
-                    match rng.gen_range(0..8) {
+                    let src = rng.below(4) as u32;
+                    let tag = rng.below(4) as u32;
+                    match rng.below(8) {
                         0..=2 => arrive(src, tag),
                         3..=5 => post(src, tag),
                         6 => MatchEvent::Post(ReceivePattern::any_source(Tag(tag))),

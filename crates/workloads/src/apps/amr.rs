@@ -10,18 +10,16 @@
 //! population AMR codes show.
 
 use crate::builder::{face_neighbors_3d, grid3d_dims, halo_round, TraceBuilder};
-use otm_base::{Rank, Tag};
+use otm_base::{FaultRng, Rank, Tag};
 use otm_trace::model::CollectiveKind;
 use otm_trace::AppTrace;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 /// Table II process count.
 pub const PROCESSES: usize = 64;
 
 /// Generates the AMR MiniApp trace.
 pub fn generate(seed: u64) -> AppTrace {
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0xA3A3);
+    let mut rng = FaultRng::new(seed ^ 0xA3A3);
     let mut b = TraceBuilder::new("AMR MiniApp", PROCESSES);
     let dims = grid3d_dims(PROCESSES);
     let neighbors = move |r: usize| face_neighbors_3d(r, dims);
@@ -31,11 +29,11 @@ pub fn generate(seed: u64) -> AppTrace {
 
     // Refinement phase: ~1/4 of ranks own refined patches; each sends its
     // refined boundary to 2 coarse owners slightly before they post.
-    let refined: Vec<usize> = (0..PROCESSES).filter(|_| rng.gen_bool(0.25)).collect();
+    let refined: Vec<usize> = (0..PROCESSES).filter(|_| rng.chance(250)).collect();
     let mut pairs = Vec::new();
     for (patch, &owner) in refined.iter().enumerate() {
         for k in 0..2 {
-            let coarse = (owner + 1 + k * 7 + rng.gen_range(0..3)) % PROCESSES;
+            let coarse = (owner + 1 + k * 7 + rng.below(3) as usize) % PROCESSES;
             if coarse != owner {
                 pairs.push((owner, coarse, 100 + patch as u32));
             }

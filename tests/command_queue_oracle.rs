@@ -2,35 +2,20 @@
 //! serialized_oracle` property in `tests/properties.rs`: seeded random
 //! interleavings of multi-communicator posts and arrivals are pushed
 //! through the engine's command queue and drained in blocks, and every
-//! communicator's match set must equal its serialized oracle. The proptest
-//! version explores the space; this one pins a reproducible sample of it.
+//! communicator's match set must equal its serialized oracle. The property
+//! explores the space; this one pins a reproducible sample of it.
+
+#[path = "support/prop.rs"]
+mod prop;
 
 use mpi_matching::oracle::{MatchEvent, Oracle};
 use mpi_matching::{Assignment, MsgHandle, PostResult, RecvHandle};
 use otm::{Command, CommandOutcome, OtmEngine};
-use otm_base::envelope::{SourceSel, TagSel};
-use otm_base::{CommId, Envelope, MatchConfig, Rank, ReceivePattern, Tag};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use otm_base::{CommId, Envelope, FaultRng, MatchConfig, Rank, ReceivePattern, Tag};
+use prop::comm_event;
 
 const COMMS: usize = 3;
 const BASE: u64 = 1_000_000;
-
-/// A random comm-tagged event over a small (rank, tag) space.
-fn comm_event(rng: &mut SmallRng) -> (u16, MatchEvent) {
-    let c = rng.gen_range(0..COMMS as u16);
-    let comm = CommId(c + 1);
-    let src = Rank(rng.gen_range(0..3));
-    let tag = Tag(rng.gen_range(0..3));
-    let ev = match rng.gen_range(0..10) {
-        0..=3 => MatchEvent::Arrive(Envelope::new(src, tag, comm)),
-        4..=6 => MatchEvent::Post(ReceivePattern::new(src, tag, comm)),
-        7 => MatchEvent::Post(ReceivePattern::new(SourceSel::Any, tag, comm)),
-        8 => MatchEvent::Post(ReceivePattern::new(src, TagSel::Any, comm)),
-        _ => MatchEvent::Post(ReceivePattern::new(SourceSel::Any, TagSel::Any, comm)),
-    };
-    (c, ev)
-}
 
 fn check_interleaving(events: &[(u16, MatchEvent)]) {
     let config = MatchConfig::default()
@@ -137,8 +122,8 @@ fn check_interleaving(events: &[(u16, MatchEvent)]) {
 #[test]
 fn seeded_interleavings_equal_their_serialized_oracles() {
     for seed in 0..32u64 {
-        let mut rng = SmallRng::seed_from_u64(0x0DDC0DE ^ seed);
-        let len = rng.gen_range(0..160);
+        let mut rng = FaultRng::new(0x0DDC0DE ^ seed);
+        let len = rng.below(160);
         let events: Vec<(u16, MatchEvent)> = (0..len).map(|_| comm_event(&mut rng)).collect();
         check_interleaving(&events);
     }

@@ -21,11 +21,11 @@ use mpi_matching::oracle::MatchEvent;
 use mpi_matching::traditional::TraditionalMatcher;
 use mpi_matching::{Assignment, MatchingBackend, MsgHandle, RecvHandle};
 use otm::{Command, OtmEngine, SequentialOtm};
-use otm_base::{Envelope, MatchConfig, Rank, ReceivePattern, Tag};
+use otm_base::{Envelope, FaultRng, MatchConfig, Rank, ReceivePattern, Tag};
 use otm_trace::emul::FourIndexMatcher;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use support::{drain_then_fallback, fallback_oracle_config, fallback_with_queue, replay_snapshot};
+use support::{
+    drain_then_fallback, fallback_oracle_config, fallback_with_queue, prop, replay_snapshot,
+};
 
 fn env(src: u32, tag: u32) -> Envelope {
     Envelope::world(Rank(src), Tag(tag))
@@ -146,20 +146,7 @@ fn service_fallback_with_queued_arrivals_loses_nothing() {
     }
 }
 
-/// A random single-communicator event over a small (rank, tag) space.
-fn random_event(rng: &mut SmallRng) -> MatchEvent {
-    let src = Rank(rng.gen_range(0..3));
-    let tag = Tag(rng.gen_range(0..3));
-    match rng.gen_range(0..10) {
-        0..=3 => MatchEvent::Arrive(Envelope::world(src, tag)),
-        4..=6 => MatchEvent::Post(ReceivePattern::exact(src, tag)),
-        7 => MatchEvent::Post(ReceivePattern::any_source(tag)),
-        8 => MatchEvent::Post(ReceivePattern::any_tag(src)),
-        _ => MatchEvent::Post(ReceivePattern::any_any()),
-    }
-}
-
-/// Seeded deterministic companion of the proptest fallback oracle: for
+/// Seeded deterministic companion of the fallback-oracle property: for
 /// every drainable backend, fallback-with-queued-commands ≡
 /// drain-then-fallback on reproducible random workloads and split points.
 #[test]
@@ -176,10 +163,10 @@ fn seeded_fallback_oracle_queued_equals_drained() {
         }),
     ];
     for seed in 0..24u64 {
-        let mut rng = SmallRng::seed_from_u64(0xFA11BAC ^ seed);
-        let len = rng.gen_range(1..80);
-        let events: Vec<MatchEvent> = (0..len).map(|_| random_event(&mut rng)).collect();
-        let cut = rng.gen_range(0..=len);
+        let mut rng = FaultRng::new(0xFA11BAC ^ seed);
+        let len = 1 + rng.below(79) as usize;
+        let events: Vec<MatchEvent> = (0..len).map(|_| prop::event(&mut rng)).collect();
+        let cut = rng.below(len as u64 + 1) as usize;
         for &(name, make) in &factories {
             let queued = fallback_with_queue(make(), &events, cut);
             let drained = drain_then_fallback(make(), &events, cut);

@@ -6,7 +6,7 @@
 //! Determinism does the heavy lifting: the fault plan is seeded, the
 //! workload is seeded, and virtual time is the poll counter, so every run
 //! of these tests injects exactly the same faults at exactly the same
-//! points. The proptest companion in `tests/properties.rs` explores random
+//! points. The property companion in `tests/properties.rs` explores further
 //! seeds; these tests pin seeds so failures reproduce byte-for-byte.
 
 mod support;

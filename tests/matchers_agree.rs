@@ -10,23 +10,16 @@ use mpi_matching::rank_based::RankBasedMatcher;
 use mpi_matching::traditional::TraditionalMatcher;
 use mpi_matching::Matcher;
 use otm::SequentialOtm;
-use otm_base::{Envelope, MatchConfig, Rank, ReceivePattern, Tag};
+use otm_base::{CommId, FaultRng, MatchConfig, Rank, ReceivePattern, Tag};
 use otm_trace::emul::FourIndexMatcher;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
-fn random_events(rng: &mut SmallRng, len: usize, ranks: u32, tags: u32) -> Vec<MatchEvent> {
+#[path = "support/prop.rs"]
+mod prop;
+
+/// `len` events with no both-wildcard receives (4 : 3 : 1 : 1 : 0).
+fn random_events(rng: &mut FaultRng, len: usize, ranks: u32, tags: u32) -> Vec<MatchEvent> {
     (0..len)
-        .map(|_| {
-            let src = Rank(rng.gen_range(0..ranks));
-            let tag = Tag(rng.gen_range(0..tags));
-            match rng.gen_range(0..9) {
-                0..=3 => MatchEvent::Arrive(Envelope::world(src, tag)),
-                4..=6 => MatchEvent::Post(ReceivePattern::exact(src, tag)),
-                7 => MatchEvent::Post(ReceivePattern::any_source(tag)),
-                _ => MatchEvent::Post(ReceivePattern::any_tag(src)),
-            }
-        })
+        .map(|_| prop::event_mix(rng, CommId::WORLD, ranks, tags, [4, 3, 1, 1, 0]))
         .collect()
 }
 
@@ -52,7 +45,7 @@ fn engines() -> Vec<Box<dyn Matcher>> {
 
 #[test]
 fn all_engines_agree_with_the_oracle_on_random_workloads() {
-    let mut rng = SmallRng::seed_from_u64(2024);
+    let mut rng = FaultRng::new(2024);
     for case in 0..8 {
         let events = random_events(&mut rng, 300, 3, 3);
         let expect = Oracle::run(&events);
@@ -70,19 +63,9 @@ fn all_engines_agree_with_the_oracle_on_random_workloads() {
 
 #[test]
 fn all_engines_agree_on_wildcard_heavy_workloads() {
-    let mut rng = SmallRng::seed_from_u64(99);
+    let mut rng = FaultRng::new(99);
     let events: Vec<MatchEvent> = (0..400)
-        .map(|_| {
-            let src = Rank(rng.gen_range(0..2));
-            let tag = Tag(rng.gen_range(0..2));
-            match rng.gen_range(0..6) {
-                0 | 1 => MatchEvent::Arrive(Envelope::world(src, tag)),
-                2 => MatchEvent::Post(ReceivePattern::exact(src, tag)),
-                3 => MatchEvent::Post(ReceivePattern::any_source(tag)),
-                4 => MatchEvent::Post(ReceivePattern::any_tag(src)),
-                _ => MatchEvent::Post(ReceivePattern::any_any()),
-            }
-        })
+        .map(|_| prop::event_mix(&mut rng, CommId::WORLD, 2, 2, [2, 1, 1, 1, 1]))
         .collect();
     let expect = Oracle::run(&events);
     for mut engine in engines() {
@@ -95,7 +78,7 @@ fn all_engines_agree_on_wildcard_heavy_workloads() {
 fn queue_lengths_agree_across_engines() {
     // Outcomes determine queue lengths, so every engine must report the
     // same PRQ/UMQ sizes after the same workload.
-    let mut rng = SmallRng::seed_from_u64(5);
+    let mut rng = FaultRng::new(5);
     let events = random_events(&mut rng, 250, 4, 4);
     let mut oracle = Oracle::new();
     Oracle::drive(&mut oracle, &events).unwrap();
@@ -121,7 +104,7 @@ fn probe_agrees_with_the_oracle_after_every_event() {
     // MPI_Iprobe semantics: the oldest matching unexpected message. Since
     // outcomes are deterministic, every engine's probe must agree with the
     // oracle's at every point of the run, for several probe patterns.
-    let mut rng = SmallRng::seed_from_u64(31);
+    let mut rng = FaultRng::new(31);
     let events = random_events(&mut rng, 150, 3, 3);
     let probes = [
         ReceivePattern::exact(Rank(0), Tag(0)),

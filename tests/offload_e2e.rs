@@ -7,9 +7,11 @@ use dpa_sim::nic::RecvNic;
 use dpa_sim::rdma::{connected_pair, eager_packet, rendezvous_packet, QueuePair, RdmaDomain};
 use dpa_sim::service::{CompletedReceive, MatchingService};
 use dpa_sim::DeviceMemory;
-use otm_base::{Envelope, MatchConfig, Rank, ReceivePattern, Tag};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use mpi_matching::oracle::MatchEvent;
+use otm_base::{CommId, Envelope, FaultRng, MatchConfig, Rank, ReceivePattern, Tag};
+
+#[path = "support/prop.rs"]
+mod prop;
 
 struct Harness {
     tx: QueuePair,
@@ -54,22 +56,20 @@ enum Step {
     Rendezvous(Envelope, Vec<u8>),
 }
 
+/// Half messages (eager and rendezvous alike), three exact receives to one
+/// `ANY_SOURCE`.
 fn random_script(seed: u64, len: usize) -> Vec<Step> {
-    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut rng = FaultRng::new(seed);
     (0..len)
-        .map(|i| {
-            let src = Rank(rng.gen_range(0..3));
-            let tag = Tag(rng.gen_range(0..3));
-            match rng.gen_range(0..8) {
-                0..=2 => Step::Post(ReceivePattern::exact(src, tag)),
-                3 => Step::Post(ReceivePattern::any_source(tag)),
-                4 | 5 => Step::Eager(Envelope::world(src, tag), vec![i as u8; 16]),
-                _ => Step::Rendezvous(
-                    Envelope::world(src, tag),
-                    (0..64u32).map(|j| (i as u32 + j) as u8).collect(),
-                ),
-            }
-        })
+        .map(
+            |i| match prop::event_mix(&mut rng, CommId::WORLD, 3, 3, [4, 3, 1, 0, 0]) {
+                MatchEvent::Post(pattern) => Step::Post(pattern),
+                MatchEvent::Arrive(env) if rng.chance(500) => Step::Eager(env, vec![i as u8; 16]),
+                MatchEvent::Arrive(env) => {
+                    Step::Rendezvous(env, (0..64u32).map(|j| (i as u32 + j) as u8).collect())
+                }
+            },
+        )
         .collect()
 }
 

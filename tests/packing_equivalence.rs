@@ -2,65 +2,26 @@
 //! (`tests/properties.rs`): the cross-communicator drain scheduler must be
 //! outcome-identical to the strict consecutive drain on every stream, and
 //! both policies must honor the `DrainReport` failure contract when the
-//! engine's tables overflow mid-queue. Runs without proptest so it works
-//! under plain `cargo test` everywhere — including the nightly
-//! ThreadSanitizer job.
+//! engine's tables overflow mid-queue. Pinned seeds, so the nightly
+//! ThreadSanitizer job runs the same streams every night.
 
 mod support;
 
 use mpi_matching::{MsgHandle, PendingCommand, RecvHandle};
-use otm_base::envelope::{SourceSel, TagSel};
-use otm_base::{CommId, Envelope, MatchConfig, PackingPolicy, Rank, ReceivePattern, Tag};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use otm_base::{CommId, Envelope, FaultRng, MatchConfig, PackingPolicy, Rank, ReceivePattern, Tag};
 use support::{
     assert_drain_failure_contract, assert_packing_equivalence, assert_ring_equivalence,
-    drain_under_policy, fallback_oracle_config,
+    command_stream, drain_under_policy, fallback_oracle_config,
 };
-
-/// One random interleaved multi-communicator command stream, mirroring the
-/// proptest strategy: 3 communicators, a small (rank, tag) space so
-/// wildcards and duplicates collide often, ~40% arrivals.
-fn random_stream(rng: &mut SmallRng, len: usize) -> Vec<PendingCommand> {
-    let (mut next_recv, mut next_msg) = (0u64, 0u64);
-    (0..len)
-        .map(|_| {
-            let comm = CommId(rng.gen_range(1..=3u16));
-            let src = Rank(rng.gen_range(0..3u32));
-            let tag = Tag(rng.gen_range(0..3u32));
-            match rng.gen_range(0..10u8) {
-                0..=3 => {
-                    let msg = MsgHandle(next_msg);
-                    next_msg += 1;
-                    PendingCommand::Arrival {
-                        env: Envelope::new(src, tag, comm),
-                        msg,
-                    }
-                }
-                kind => {
-                    let pattern = match kind {
-                        4..=6 => ReceivePattern::new(src, tag, comm),
-                        7 => ReceivePattern::new(SourceSel::Any, tag, comm),
-                        8 => ReceivePattern::new(src, TagSel::Any, comm),
-                        _ => ReceivePattern::new(SourceSel::Any, TagSel::Any, comm),
-                    };
-                    let handle = RecvHandle(next_recv);
-                    next_recv += 1;
-                    PendingCommand::Post { pattern, handle }
-                }
-            }
-        })
-        .collect()
-}
 
 /// Success path: identical outcomes, command for command, on streams of
 /// growing length.
 #[test]
 fn packed_drain_equals_consecutive_drain_seeded() {
-    let mut rng = SmallRng::seed_from_u64(0x0DDC0DE);
+    let mut rng = FaultRng::new(0x0DDC0DE);
     for round in 0usize..48 {
         let len = 1 + (round * 7) % 160;
-        let cmds = random_stream(&mut rng, len);
+        let cmds = command_stream(&mut rng, len);
         assert_packing_equivalence(fallback_oracle_config(), &cmds);
     }
 }
@@ -72,10 +33,10 @@ fn packed_drain_equals_consecutive_drain_seeded() {
 /// packing policy, with every forced drain consuming pending work.
 #[test]
 fn bounded_ring_drain_equals_unbounded_oracle_seeded() {
-    let mut rng = SmallRng::seed_from_u64(0x0DDC0DE ^ 0x51A6);
+    let mut rng = FaultRng::new(0x0DDC0DE ^ 0x51A6);
     for round in 0usize..32 {
         let len = 1 + (round * 9) % 160;
-        let cmds = random_stream(&mut rng, len);
+        let cmds = command_stream(&mut rng, len);
         let config = fallback_oracle_config()
             .with_ring_capacity(2 + round % 7)
             .with_lane_quota(Some(1 + round % 4));
@@ -87,14 +48,14 @@ fn bounded_ring_drain_equals_unbounded_oracle_seeded() {
 /// keep the partition / ordering / per-communicator-prefix contract.
 #[test]
 fn drain_failure_contract_holds_for_both_policies() {
-    let mut rng = SmallRng::seed_from_u64(0x0DDC0DE ^ 0xF00D);
+    let mut rng = FaultRng::new(0x0DDC0DE ^ 0xF00D);
     let config = MatchConfig::default()
         .with_block_threads(4)
         .with_max_receives(8)
         .with_max_unexpected(8)
         .with_bins(4);
     for _ in 0..48 {
-        let cmds = random_stream(&mut rng, 120);
+        let cmds = command_stream(&mut rng, 120);
         for packing in [PackingPolicy::Consecutive, PackingPolicy::CrossComm] {
             assert_drain_failure_contract(config.clone(), packing, &cmds);
         }

@@ -1,5 +1,5 @@
 //! Shared harness for the fault-injection chaos oracle, used by the seeded
-//! deterministic tests (`tests/fault_chaos.rs`) and the proptest property
+//! deterministic tests (`tests/fault_chaos.rs`) and the chaos property
 //! (`tests/properties.rs`).
 //!
 //! The oracle: running a random multi-communicator post/send stream over a

@@ -1,5 +1,5 @@
 //! Shared harness for the loss-free fallback oracle, used by both the
-//! proptest property (`tests/properties.rs`) and its seeded deterministic
+//! property (`tests/properties.rs`) and its seeded deterministic
 //! companion (`tests/fallback_total.rs`).
 //!
 //! The oracle: for every drainable backend, *falling back with commands
@@ -13,6 +13,7 @@
 #![allow(dead_code)]
 
 pub mod chaos;
+pub mod prop;
 
 use mpi_matching::backend::DrainReport;
 use mpi_matching::oracle::MatchEvent;
@@ -22,7 +23,7 @@ use mpi_matching::{
     PostResult, RecvHandle,
 };
 use otm::{CommandOutcome, OtmEngine};
-use otm_base::{CommId, MatchConfig, MatchError, PackingPolicy};
+use otm_base::{CommId, FaultRng, MatchConfig, MatchError, PackingPolicy};
 use std::collections::{HashMap, HashSet};
 
 /// An engine configuration for the fallback oracle: parallel blocks, tables
@@ -95,6 +96,15 @@ pub fn to_command(ev: &MatchEvent, next_recv: &mut u64, next_msg: &mut u64) -> P
             PendingCommand::Arrival { env, msg }
         }
     }
+}
+
+/// An interleaved multi-communicator command stream: `len`
+/// [`prop::comm_event`]s in submission order, handles dense per kind.
+pub fn command_stream(rng: &mut FaultRng, len: usize) -> Vec<PendingCommand> {
+    let (mut next_recv, mut next_msg) = (0u64, 0u64);
+    (0..len)
+        .map(|_| to_command(&prop::comm_event(rng).1, &mut next_recv, &mut next_msg))
+        .collect()
 }
 
 /// Records one drained command outcome into `asg`.
