@@ -54,8 +54,11 @@ pub struct MatchConfig {
     /// Capacity of the unexpected-message store. Like the receive table this
     /// is a fixed NIC-memory resource.
     pub max_unexpected: usize,
-    /// Number of messages processed in parallel per block (the paper's `N`;
-    /// 32 in the prototype). Must be in `1..=MAX_BLOCK_THREADS`.
+    /// The block width: how many messages one block matches optimistically
+    /// against each other (the paper's `N` DPA threads; 32 in the
+    /// prototype). The engine steps that many lanes through the protocol on
+    /// the calling thread and starts none of its own. Must be in
+    /// `1..=MAX_BLOCK_THREADS`.
     pub block_threads: usize,
     /// Enable the fast conflict-resolution path (§III-D3a). Disabling forces
     /// every conflicted thread through the slow path — the WC-SP
@@ -135,7 +138,7 @@ impl MatchConfig {
         self
     }
 
-    /// Sets the per-block thread count (the paper's `N`).
+    /// Sets the block width (the paper's `N`).
     #[must_use]
     pub fn with_block_threads(mut self, n: usize) -> Self {
         self.block_threads = n;

@@ -221,7 +221,7 @@ impl WriteJson for FlightRecorder {
 /// concurrent command-queue run.
 #[derive(Debug)]
 struct Fig8Results {
-    /// The six ping-pong series plus the 1-exec-unit row.
+    /// The six ping-pong series.
     series: Vec<PingPongResult>,
     /// Throughput of concurrent posting through the sharded engine's
     /// wait-free per-communicator submission rings.
@@ -370,27 +370,6 @@ fn main() {
                 Scenario::WithConflict => "MPI-CPU (WC receives)".to_string(),
             };
         }
-        harvest(&mut result, &mut observability);
-        print_result(&result);
-        results.push(result);
-    }
-
-    // An additional host-constrained configuration: one DPA execution unit
-    // running inline. On simulation hosts with few cores the 32-lane
-    // configuration pays a coordinator/worker handoff per block that a real
-    // on-NIC deployment would not; the single-unit row isolates the data
-    // structure cost from that artifact (see EXPERIMENTS.md).
-    {
-        let cfg = PingPongConfig {
-            k,
-            repeats,
-            scenario: Scenario::NoConflict,
-            block_threads: 1,
-            ..Default::default()
-        };
-        let mut result =
-            dpa_sim::pingpong::run_pingpong(MatchMode::OptimisticDpa { fast_path: true }, &cfg);
-        result.label = "Optimistic-DPA NC (1 exec unit)".to_string();
         harvest(&mut result, &mut observability);
         print_result(&result);
         results.push(result);

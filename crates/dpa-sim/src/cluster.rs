@@ -224,9 +224,7 @@ impl Cluster {
     /// backend on every node.
     ///
     /// Offloaded nodes each charge their tables against a fresh
-    /// BlueField-3-sized DPA budget; `config.block_threads` is forced to 1
-    /// (inline lanes) so large simulated clusters do not oversubscribe the
-    /// simulation host with worker pools.
+    /// BlueField-3-sized DPA budget.
     pub fn new(n: usize, backend: ClusterBackend, config: MatchConfig) -> Self {
         Self::build(n, backend, config, None)
     }
@@ -268,7 +266,6 @@ impl Cluster {
                 recv_qps[i].push(d);
             }
         }
-        let config = config.with_block_threads(1);
         // One domain for the whole fabric: RDMA reads reach any peer's
         // registered region, as verbs rkeys do.
         let fabric = RdmaDomain::new();

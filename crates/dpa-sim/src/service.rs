@@ -789,7 +789,8 @@ impl MatchingService {
             }
             for completion in &block {
                 let msg = completion.msg;
-                Self::stash_unexpected(&mut self.nic, &mut self.inflight, msg, completion);
+                let staged = Self::lift_from_bounce(&mut self.nic, completion);
+                self.inflight.insert(msg, staged);
                 if self.fellback {
                     // An inline drain below already migrated to software
                     // matching mid-poll; the software matcher has no command
@@ -970,93 +971,23 @@ impl MatchingService {
         for (completion, delivery) in block.into_iter().zip(deliveries) {
             match delivery {
                 Delivery::Matched { recv, .. } => {
-                    let done = Self::run_protocol_from_bounce(
-                        &mut self.nic,
-                        &self.domain,
-                        recv,
-                        &completion,
-                    )?;
+                    let stored = Self::lift_from_bounce(&mut self.nic, &completion);
+                    let done = self.run_protocol_from_store(recv, stored)?;
                     self.completed.push(done);
                 }
                 Delivery::Unexpected { msg } => {
-                    Self::stash_unexpected(&mut self.nic, &mut self.unexpected, msg, &completion);
+                    let stored = Self::lift_from_bounce(&mut self.nic, &completion);
+                    self.unexpected.insert(msg, stored);
                 }
             }
         }
         Ok(())
     }
 
-    /// Protocol handling for an expected message: eager copies out of the
-    /// bounce buffer; rendezvous issues the RDMA read (and releases the
-    /// sender's one-shot region afterwards). Frees the bounce buffer on
-    /// every path, including errors.
-    fn run_protocol_from_bounce(
-        nic: &mut RecvNic,
-        domain: &RdmaDomain,
-        recv: RecvHandle,
-        completion: &Completion,
-    ) -> Result<CompletedReceive, ServiceError> {
-        let data: Result<Vec<u8>, ServiceError> = (|| match completion.header.kind {
-            PayloadKind::Eager { len } => {
-                let mut t = EagerTransfer::staged(len);
-                let Action::CopyToUser { len } = t.on_match()? else {
-                    unreachable!("eager on_match requests the copy")
-                };
-                let data = nic.staged(completion.bounce)[..len].to_vec();
-                t.on_copy_done()?;
-                Ok(data)
-            }
-            PayloadKind::Rts {
-                rkey,
-                len,
-                piggyback,
-            } => {
-                let rts = Rts {
-                    rkey: rkey.0,
-                    remote_addr: 0,
-                    len,
-                    piggyback,
-                };
-                let mut t = RendezvousTransfer::rts_received(rts);
-                let Action::IssueRdmaRead {
-                    remote_addr,
-                    len: read_len,
-                    ..
-                } = t.on_match()?
-                else {
-                    unreachable!("rendezvous on_match requests the read")
-                };
-                let mut data = nic.staged(completion.bounce).to_vec();
-                data.extend(domain.read(rkey, remote_addr as usize, read_len)?);
-                t.on_read_complete()?;
-                // The transfer is one-shot in this simulator: release the
-                // sender's registered region so the fabric-wide domain does
-                // not accumulate a region per rendezvous message.
-                domain.deregister(rkey);
-                Ok(data)
-            }
-            PayloadKind::Ack { .. } => {
-                unreachable!("acks are consumed by the NIC receive path and never staged")
-            }
-        })();
-        // The bounce buffer is NIC memory; leak it on an error path and the
-        // receive ring eventually starves.
-        nic.release(completion.bounce);
-        Ok(CompletedReceive {
-            recv,
-            env: completion.header.env,
-            data: data?,
-        })
-    }
-
-    /// Moves an unexpected message's payload (or RTS descriptor) out of the
-    /// bounce buffer into the unexpected store (§IV-C).
-    fn stash_unexpected(
-        nic: &mut RecvNic,
-        store: &mut HashMap<MsgHandle, StoredMessage>,
-        msg: MsgHandle,
-        completion: &Completion,
-    ) {
+    /// Lifts a message's payload (or RTS descriptor) out of its bounce
+    /// buffer and releases the buffer: it is NIC memory, and the receive ring
+    /// starves if the protocol step that follows fails while still holding it.
+    fn lift_from_bounce(nic: &mut RecvNic, completion: &Completion) -> StoredMessage {
         let payload = match completion.header.kind {
             PayloadKind::Eager { len } => {
                 StoredPayload::Eager(nic.staged(completion.bounce)[..len].to_vec())
@@ -1079,17 +1010,15 @@ impl MatchingService {
             }
         };
         nic.release(completion.bounce);
-        store.insert(
-            msg,
-            StoredMessage {
-                env: completion.header.env,
-                payload,
-            },
-        );
+        StoredMessage {
+            env: completion.header.env,
+            payload,
+        }
     }
 
-    /// Protocol handling for a receive that matched a stored unexpected
-    /// message.
+    /// Protocol handling for a matched message, lifted out of its bounce
+    /// buffer just now or out of the unexpected store: eager hands the bytes
+    /// over; rendezvous issues the RDMA read.
     fn run_protocol_from_store(
         &mut self,
         recv: RecvHandle,
@@ -1119,6 +1048,9 @@ impl MatchingService {
                     len,
                 )?);
                 t.on_read_complete()?;
+                // The transfer is one-shot in this simulator: release the
+                // sender's registered region so the fabric-wide domain does
+                // not accumulate a region per rendezvous message.
                 self.domain.deregister(crate::rdma::RKey(rkey));
                 data
             }

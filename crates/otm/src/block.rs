@@ -1,31 +1,30 @@
-//! Shared state coordinating one block of parallel matching.
+//! One block of optimistic matching: its per-lane inputs and the state the
+//! lanes leave for each other and for the coordinator.
 //!
-//! The coordinator (the thread owning [`OtmEngine`](crate::engine::OtmEngine))
-//! publishes a block of up to `N` messages, wakes the persistent worker
-//! pool, and waits for every active lane to settle. Within a block, workers
-//! synchronize through three monotone bitmaps that implement the paper's
-//! partial barriers (§III-D1):
-//!
-//! * `booked` — lane *i* has finished its optimistic search and booked its
-//!   candidate; lane *i* waits for all bits `j < i` before conflict
-//!   detection;
-//! * `detected` — lane *i* has published its conflict flags; waiting on the
-//!   lower bits makes the `conflicted`/`forced` flag bitmaps of all earlier
-//!   lanes readable;
-//! * `settled` — lane *i* has produced its final result; the slow path
-//!   waits on the lower bits before re-searching.
-//!
-//! All bitmaps are reset by the coordinator between blocks, while no worker
-//! is inside the block — workers are gated by the epoch in [`Control`].
+//! The paper's `N` lanes are DPA hardware threads that run each phase of the
+//! protocol at the same instant and synchronize through partial barriers
+//! (§III-D1): before detecting conflicts lane *i* waits for every lane
+//! `j < i` to have booked, and before resolving it waits for their conflict
+//! flags (the slow path additionally for their results). Every one of those
+//! waits is on *lower* lanes, for a phase no later than the waiter's own, so
+//! the executor in `worker.rs` steps the lanes through the three phases on
+//! the coordinator's thread, each phase a sweep over `0..n` in lane order:
+//! when lane *i* enters a phase, all lanes have finished the phase before and
+//! lanes `j < i` have finished this one. That is a legal schedule of the same
+//! protocol — the one in which every lane searches before any lane consumes,
+//! which is the DPA's — and the sweep order *is* the partial barrier: nothing
+//! waits, and nothing is left to race. `BlockState` therefore lives under
+//! the engine's coordinator lock and holds plain values; the atomics and
+//! locks inside the tables and indexes stay, because posters into other
+//! communicators share them through `&self` while a block runs.
 
-use crate::index::PrqIndexes;
-use crate::table::ReceiveTable;
+use crate::index::{PrqIndexes, SearchOutcome};
+use crate::table::{DescId, ReceiveTable};
 use mpi_matching::MsgHandle;
 use otm_base::{Envelope, InlineHashes};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::Arc;
 
-/// Per-communicator matching state shared with the workers.
+/// Per-communicator matching state shared between posters and block lanes.
 #[derive(Debug)]
 pub struct CommShared {
     /// The fixed-size receive descriptor table.
@@ -47,12 +46,12 @@ pub struct LaneData {
     /// Sender-side inline hashes (§IV-D).
     pub hashes: InlineHashes,
     /// The communicator state the message matches against (pre-resolved by
-    /// the coordinator so workers never touch the communicator map).
+    /// the coordinator so lanes never touch the communicator map).
     pub comm: Arc<CommShared>,
 }
 
-/// Lane result encoding stored in [`BlockShared::results`].
-pub mod result_code {
+/// Lane result encoding stored in [`BlockState::results`].
+pub(crate) mod result_code {
     /// Lane has not produced a result yet.
     pub const UNSET: u64 = u64::MAX;
     /// The message was unexpected.
@@ -60,108 +59,66 @@ pub mod result_code {
     // Any other value is the matched descriptor id.
 }
 
-/// Epoch/stop gate between the coordinator and the workers.
-#[derive(Debug, Default)]
-pub struct Control {
-    /// Current block number; workers run a block when this exceeds the last
-    /// epoch they processed.
-    pub epoch: u64,
-    /// Lanes that finished the current block.
-    pub done: usize,
-    /// Tells workers to exit.
-    pub stop: bool,
-}
+/// `booked_desc` value of a lane that booked nothing.
+pub(crate) const NO_DESC: DescId = DescId::MAX;
 
-/// All state shared between the coordinator and the worker pool.
+/// The block arena: everything one block's lanes hand to each other and to
+/// the coordinator. Allocated once per engine for `block_threads` lanes and
+/// reused by every block, so running a block allocates nothing here.
 #[derive(Debug)]
-pub struct BlockShared {
-    /// Gate + done counting.
-    pub control: Mutex<Control>,
-    /// Workers wait here for a new epoch.
-    pub start_cv: Condvar,
-    /// The coordinator waits here for `done == active`.
-    pub done_cv: Condvar,
-    /// The block's lanes. Written by the coordinator strictly between
-    /// blocks.
-    pub lanes: RwLock<Vec<LaneData>>,
+pub(crate) struct BlockState {
     /// Monotone block number used to stamp consumed descriptors.
-    pub epoch: AtomicU64,
-    /// Partial-barrier bitmap: optimistic phase finished.
-    pub booked: AtomicU64,
-    /// Partial-barrier bitmap: conflict flags published.
-    pub detected: AtomicU64,
-    /// Partial-barrier bitmap: final result produced.
-    pub settled: AtomicU64,
+    pub epoch: u64,
     /// Flag bitmap: lane detected a direct conflict.
-    pub conflicted: AtomicU64,
+    pub conflicted: u64,
     /// Flag bitmap: lane skipped a lower-booked receive during the search
     /// (early-booking check) — poisons the fast path of later lanes.
-    pub forced: AtomicU64,
+    pub forced: u64,
+    /// The block's lanes, in arrival order.
+    pub lanes: Vec<LaneData>,
+    /// Per-lane outcome of the optimistic search, carried from the first
+    /// sweep to the other two; `None` for a lane that settled in the first
+    /// sweep (overtaking communicators).
+    pub searches: Vec<Option<SearchOutcome>>,
     /// Per-lane result (see [`result_code`]).
-    pub results: Vec<AtomicU64>,
-    /// Per-lane descriptor booked in the optimistic phase (`u32::MAX` =
-    /// none); the coordinator clears these bitmaps at block end.
-    pub booked_desc: Vec<AtomicU32>,
-    /// Set when a worker panicked; the engine refuses further work.
-    pub poisoned: AtomicBool,
+    pub results: Vec<u64>,
+    /// Per-lane descriptor booked in the optimistic phase ([`NO_DESC`] =
+    /// none); the coordinator clears these bookings at block end.
+    pub booked_desc: Vec<DescId>,
+    /// Fail-point: the detection sweep panics on this lane.
+    #[cfg(test)]
+    pub fail_lane: Option<usize>,
 }
 
-impl BlockShared {
-    /// Creates the shared state for a pool of `n_lanes` workers.
+impl BlockState {
+    /// Creates the arena for blocks of up to `n_lanes` messages.
     pub fn new(n_lanes: usize) -> Self {
-        BlockShared {
-            control: Mutex::new(Control::default()),
-            start_cv: Condvar::new(),
-            done_cv: Condvar::new(),
-            lanes: RwLock::new(Vec::new()),
-            epoch: AtomicU64::new(0),
-            booked: AtomicU64::new(0),
-            detected: AtomicU64::new(0),
-            settled: AtomicU64::new(0),
-            conflicted: AtomicU64::new(0),
-            forced: AtomicU64::new(0),
-            results: (0..n_lanes)
-                .map(|_| AtomicU64::new(result_code::UNSET))
-                .collect(),
-            booked_desc: (0..n_lanes).map(|_| AtomicU32::new(u32::MAX)).collect(),
-            poisoned: AtomicBool::new(false),
+        BlockState {
+            epoch: 0,
+            conflicted: 0,
+            forced: 0,
+            lanes: Vec::with_capacity(n_lanes),
+            searches: Vec::with_capacity(n_lanes),
+            results: Vec::with_capacity(n_lanes),
+            booked_desc: Vec::with_capacity(n_lanes),
+            #[cfg(test)]
+            fail_lane: None,
         }
     }
 
-    /// Resets the per-block state. Coordinator context, no block in flight.
-    pub fn reset_for_block(&self) {
-        self.booked.store(0, Ordering::Relaxed);
-        self.detected.store(0, Ordering::Relaxed);
-        self.settled.store(0, Ordering::Relaxed);
-        self.conflicted.store(0, Ordering::Relaxed);
-        self.forced.store(0, Ordering::Relaxed);
-        for r in &self.results {
-            r.store(result_code::UNSET, Ordering::Relaxed);
-        }
-        for b in &self.booked_desc {
-            b.store(u32::MAX, Ordering::Relaxed);
-        }
-    }
-
-    /// Spin-waits until every bit of `mask` is set in `bitmap`.
-    ///
-    /// Intra-block waits are expected to be short (the peer threads are
-    /// running the same few-microsecond phases), so we spin briefly with a
-    /// CPU relaxation hint; past that, the peer is evidently not running
-    /// (fewer cores than lanes — this simulation host, unlike a 256-thread
-    /// DPA, may be heavily oversubscribed), so we yield on every further
-    /// iteration to let the scheduler run it.
-    #[inline]
-    pub fn wait_bits(bitmap: &AtomicU64, mask: u64) {
-        let mut spins = 0u32;
-        while bitmap.load(Ordering::Acquire) & mask != mask {
-            if spins < 32 {
-                spins += 1;
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
+    /// Starts the next block: bumps the epoch and resets the per-block state
+    /// for `n` lanes. The caller fills [`BlockState::lanes`].
+    pub fn reset_for_block(&mut self, n: usize) {
+        self.epoch += 1;
+        self.conflicted = 0;
+        self.forced = 0;
+        self.lanes.clear();
+        self.searches.clear();
+        self.searches.resize(n, None);
+        self.results.clear();
+        self.results.resize(n, result_code::UNSET);
+        self.booked_desc.clear();
+        self.booked_desc.resize(n, NO_DESC);
     }
 }
 
@@ -169,16 +126,6 @@ impl BlockShared {
 #[inline]
 pub fn below_mask(lane: usize) -> u64 {
     (1u64 << lane) - 1
-}
-
-/// Bit mask of `n` active lanes (lanes `0..n`).
-#[inline]
-pub fn active_mask(n: usize) -> u64 {
-    if n >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << n) - 1
-    }
 }
 
 #[cfg(test)]
@@ -189,38 +136,23 @@ mod tests {
     fn masks_cover_expected_lanes() {
         assert_eq!(below_mask(0), 0);
         assert_eq!(below_mask(3), 0b111);
-        assert_eq!(active_mask(0), 0);
-        assert_eq!(active_mask(4), 0b1111);
-        assert_eq!(active_mask(64), u64::MAX);
+        assert_eq!(below_mask(63), u64::MAX >> 1);
     }
 
     #[test]
     fn reset_clears_everything() {
-        let s = BlockShared::new(4);
-        s.booked.store(7, Ordering::Relaxed);
-        s.conflicted.store(3, Ordering::Relaxed);
-        s.results[2].store(5, Ordering::Relaxed);
-        s.booked_desc[1].store(9, Ordering::Relaxed);
-        s.reset_for_block();
-        assert_eq!(s.booked.load(Ordering::Relaxed), 0);
-        assert_eq!(s.conflicted.load(Ordering::Relaxed), 0);
-        assert_eq!(s.results[2].load(Ordering::Relaxed), result_code::UNSET);
-        assert_eq!(s.booked_desc[1].load(Ordering::Relaxed), u32::MAX);
-    }
-
-    #[test]
-    fn wait_bits_returns_once_mask_is_set() {
-        use std::sync::Arc;
-        let bitmap = Arc::new(AtomicU64::new(0));
-        let b2 = Arc::clone(&bitmap);
-        let setter = std::thread::spawn(move || {
-            for i in 0..3 {
-                std::thread::sleep(std::time::Duration::from_millis(1));
-                b2.fetch_or(1 << i, Ordering::Release);
-            }
-        });
-        BlockShared::wait_bits(&bitmap, 0b111);
-        assert_eq!(bitmap.load(Ordering::Acquire) & 0b111, 0b111);
-        setter.join().unwrap();
+        let mut s = BlockState::new(4);
+        s.reset_for_block(4);
+        s.conflicted = 3;
+        s.forced = 1;
+        s.results[2] = 5;
+        s.booked_desc[1] = 9;
+        s.reset_for_block(3);
+        assert_eq!(s.epoch, 2);
+        assert_eq!((s.conflicted, s.forced), (0, 0));
+        assert_eq!(s.results, [result_code::UNSET; 3]);
+        assert_eq!(s.booked_desc, [NO_DESC; 3]);
+        assert_eq!(s.searches, [None; 3]);
+        assert!(s.lanes.is_empty());
     }
 }

@@ -1,9 +1,10 @@
 //! The Optimistic Tag Matching engine: public API and coordinator logic.
 //!
-//! [`OtmEngine`] owns a persistent pool of block workers (the DPA threads of
-//! §IV) and the host-facing state: per-communicator descriptor tables, index
-//! structures and unexpected-message stores, organized as independent
-//! [`shards`](crate::shard) keyed by communicator.
+//! [`OtmEngine`] owns the block arena its lanes (the DPA threads of §IV) are
+//! stepped through and the host-facing state: per-communicator descriptor
+//! tables, index structures and unexpected-message stores, organized as
+//! independent [`shards`](crate::shard) keyed by communicator. It starts no
+//! thread: a block runs on the thread that calls in.
 //!
 //! Two host-facing paths feed the engine, mirroring §IV-E's QP command
 //! handling:
@@ -30,19 +31,19 @@
 //! [`OtmEngine::process_block`]) remain as thin compatibility wrappers over
 //! the sharded `&self` machinery.
 
-use crate::block::{BlockShared, LaneData};
+use crate::block::{result_code, BlockState, LaneData, NO_DESC};
 use crate::command::{Command, CommandOutcome, CommandQueue, DrainReport};
 use crate::metrics::{span_event, EngineMetrics};
 use crate::scheduler::{PackingScheduler, PackingStep};
 use crate::shard::{CommShard, ShardMap};
 use crate::stats::{OtmStats, StatsSnapshot};
 use crate::table::{DescId, Payload};
-use crate::worker::{pool_size, worker_main, worker_main_inline, WorkerCtx};
+use crate::worker::{run_block, LaneCtx};
 use mpi_matching::stats::DepthAggregate;
 use mpi_matching::{
     ArriveResult, MatchStats, Matcher, MatchingBackend, MsgHandle, PostResult, RecvHandle,
 };
-use otm_base::sync::{lock, read, wait, write};
+use otm_base::sync::lock;
 use otm_base::{
     ArrivalSeq, CommHints, CommId, Envelope, InlineHashes, MatchConfig, MatchError, PackingPolicy,
     ReceivePattern,
@@ -50,23 +51,23 @@ use otm_base::{
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 
 pub use mpi_matching::backend::{BlockDelivery as Delivery, FallbackState};
 
 /// Coordinator-only state: whatever must be serialized across blocks but
-/// not across posts. Guarded by the engine's coordinator lock, which also
-/// serializes block execution on the single [`BlockShared`] arena.
+/// not across posts. Guarded by the engine's coordinator lock, which
+/// thereby serializes block execution on the single [`BlockState`] arena.
 struct CoordState {
     /// Arrival sequence of the next incoming message.
     next_arrival: ArrivalSeq,
+    /// The block arena.
+    block: BlockState,
 }
 
 /// The Optimistic Tag Matching engine (see module docs and crate docs).
 pub struct OtmEngine {
     config: MatchConfig,
-    shared: Arc<BlockShared>,
-    stats: Arc<OtmStats>,
+    stats: OtmStats,
     metrics: EngineMetrics,
     shards: ShardMap,
     queue: CommandQueue,
@@ -84,7 +85,7 @@ pub struct OtmEngine {
     /// Runtime packing-window override in commands (0 = the configured
     /// default of `block_threads × 8`). Read at the top of every drain.
     packing_window_override: AtomicUsize,
-    workers: Vec<JoinHandle<()>>,
+    /// Set by [`OtmEngine::shutdown`], and when a block panicked half-run.
     stopped: AtomicBool,
 }
 
@@ -93,57 +94,28 @@ impl std::fmt::Debug for OtmEngine {
         f.debug_struct("OtmEngine")
             .field("config", &self.config)
             .field("comms", &self.shards.len())
-            .field("workers", &self.workers.len())
             .field("stopped", &self.stopped.load(Ordering::Relaxed))
             .finish()
     }
 }
 
 impl OtmEngine {
-    /// Creates an engine and spawns its worker pool.
-    ///
-    /// A `block_threads == 1` engine spawns no workers at all: its single
-    /// lane runs inline on the caller's thread (one DPA execution unit, no
-    /// handoff), which keeps the configuration meaningful on small hosts.
+    /// Creates an engine with a block arena of `config.block_threads` lanes.
     pub fn new(config: MatchConfig) -> Result<Self, MatchError> {
         config.validate()?;
-        let shared = Arc::new(BlockShared::new(config.block_threads));
-        let stats = Arc::new(OtmStats::default());
-        let metrics = EngineMetrics::new();
-        let pool = if config.block_threads == 1 {
-            0
-        } else {
-            config.block_threads
-        };
-        let workers = (0..pool)
-            .map(|lane| {
-                let ctx = WorkerCtx {
-                    shared: Arc::clone(&shared),
-                    stats: Arc::clone(&stats),
-                    metrics: metrics.clone(),
-                    config: config.clone(),
-                    lane,
-                };
-                std::thread::Builder::new()
-                    .name(format!("otm-worker-{lane}"))
-                    .spawn(move || worker_main(ctx))
-                    .expect("spawning an engine worker thread")
-            })
-            .collect();
         Ok(OtmEngine {
             queue: CommandQueue::new(),
-            config,
-            shared,
-            stats,
-            metrics,
-            shards: ShardMap::new(),
             coord: Mutex::new(CoordState {
                 next_arrival: ArrivalSeq::ZERO,
+                block: BlockState::new(config.block_threads),
             }),
+            config,
+            stats: OtmStats::default(),
+            metrics: EngineMetrics::new(),
+            shards: ShardMap::new(),
             drain_gate: Mutex::new(()),
             pack_consecutive: AtomicBool::new(false),
             packing_window_override: AtomicUsize::new(0),
-            workers,
             stopped: AtomicBool::new(false),
         })
     }
@@ -225,7 +197,7 @@ impl OtmEngine {
     }
 
     fn check_running(&self) -> Result<(), MatchError> {
-        if self.stopped.load(Ordering::SeqCst) || self.shared.poisoned.load(Ordering::SeqCst) {
+        if self.stopped.load(Ordering::SeqCst) {
             Err(MatchError::EngineStopped)
         } else {
             Ok(())
@@ -545,7 +517,7 @@ impl OtmEngine {
         self.stopped.store(true, Ordering::SeqCst);
     }
 
-    /// Matches one block of up to `N` incoming messages in parallel.
+    /// Matches one block of up to `N` incoming messages.
     ///
     /// Messages are taken in arrival order: lane *i* processes the *i*-th
     /// message, and the block's deliveries are returned in the same order.
@@ -558,7 +530,7 @@ impl OtmEngine {
     }
 
     /// The block coordinator. Requires the coordinator lock (serializing
-    /// block execution on the one [`BlockShared`] arena) and takes the host
+    /// block execution on the one [`BlockState`] arena) and takes the host
     /// locks of exactly the shards the block touches, in [`CommId`] order —
     /// the engine's global lock order. Posters hold at most one shard lock
     /// and never the coordinator lock, so this cannot deadlock; posts into
@@ -575,12 +547,12 @@ impl OtmEngine {
         }
         if n > self.config.block_threads {
             return Err(MatchError::InvalidConfig(format!(
-                "block of {n} messages exceeds the {}-thread pool",
+                "block of {n} messages exceeds the block width of {}",
                 self.config.block_threads
             )));
         }
 
-        // Resolve every lane's shard so the workers never touch the shard
+        // Resolve every lane's shard so the lanes never touch the shard
         // map, then lock the involved shards (sorted, deduplicated): while
         // the block runs, no poster can mutate an involved communicator's
         // tables.
@@ -618,19 +590,7 @@ impl OtmEngine {
                 return Err(MatchError::UnexpectedStoreFull);
             }
         }
-        let lanes: Vec<LaneData> = msgs
-            .iter()
-            .zip(&lane_shards)
-            .map(|(&(env, handle), shard)| LaneData {
-                env,
-                handle,
-                hashes: InlineHashes::of(&env),
-                comm: Arc::clone(&shard.shared),
-            })
-            .collect();
-
-        // Publish the block and run it: inline on this thread for a
-        // single-lane engine, otherwise on the worker pool.
+        // Publish the block and step its lanes through the protocol.
         let block_timer = self.metrics.timer();
         #[cfg(feature = "trace-events")]
         {
@@ -648,34 +608,29 @@ impl OtmEngine {
                 );
             }
         }
-        self.shared.reset_for_block();
-        *write(&self.shared.lanes) = lanes;
-        self.shared.epoch.fetch_add(1, Ordering::Release);
-        if self.workers.is_empty() {
-            let guard = read(&self.shared.lanes);
-            let ctx = WorkerCtx {
-                shared: Arc::clone(&self.shared),
-                stats: Arc::clone(&self.stats),
-                metrics: self.metrics.clone(),
-                config: self.config.clone(),
-                lane: 0,
-            };
-            worker_main_inline(&ctx, &guard[0]);
-        } else {
-            {
-                let mut control = lock(&self.shared.control);
-                control.epoch += 1;
-                control.done = 0;
-                self.shared.start_cv.notify_all();
-            }
-            // Wait for the whole pool to drain the block.
-            let mut control = lock(&self.shared.control);
-            while control.done < pool_size(n, self.config.block_threads) {
-                control = wait(&self.shared.done_cv, control);
-            }
-        }
-
-        if self.shared.poisoned.load(Ordering::SeqCst) {
+        let block = &mut coord.block;
+        block.reset_for_block(n);
+        block.lanes.extend(
+            msgs.iter()
+                .zip(&lane_shards)
+                .map(|(&(env, handle), shard)| LaneData {
+                    env,
+                    handle,
+                    hashes: InlineHashes::of(&env),
+                    comm: Arc::clone(&shard.shared),
+                }),
+        );
+        let ctx = LaneCtx {
+            stats: &self.stats,
+            metrics: &self.metrics,
+            config: &self.config,
+        };
+        // `lock` ignores mutex poison, so a block that panicked half-run
+        // must stop the engine itself: its bookings and consumes are not
+        // cleaned up, and the tables stay readable for `drain_for_fallback`.
+        let swept =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_block(&ctx, block)));
+        if swept.is_err() {
             self.stopped.store(true, Ordering::SeqCst);
             return Err(MatchError::EngineStopped);
         }
@@ -687,26 +642,21 @@ impl OtmEngine {
 
         // Block-end cleanup, phase 1: clear the booking bitmaps so they are
         // monotone only within a block.
-        for (booked, shard) in self.shared.booked_desc.iter().zip(&lane_shards) {
-            let desc = booked.load(Ordering::Acquire);
-            if desc != u32::MAX {
+        for (&desc, shard) in block.booked_desc.iter().zip(&lane_shards) {
+            if desc != NO_DESC {
                 shard.shared.table.slot(desc).clear_booking();
             }
         }
 
         // Phase 2: collect results, unlink and free consumed descriptors,
         // store unexpected messages (in lane = arrival order).
-        let epoch = self.shared.epoch.load(Ordering::Acquire);
+        let epoch = block.epoch;
         let base_arrival = coord.next_arrival;
         let mut deliveries = Vec::with_capacity(n);
         for (lane, &(env, handle)) in msgs.iter().enumerate() {
-            let code = self.shared.results[lane].load(Ordering::Acquire);
-            debug_assert_ne!(
-                code,
-                crate::block::result_code::UNSET,
-                "lane {lane} never settled"
-            );
-            if code == crate::block::result_code::UNEXPECTED {
+            let code = block.results[lane];
+            debug_assert_ne!(code, result_code::UNSET, "lane {lane} never settled");
+            if code == result_code::UNEXPECTED {
                 self.stats.unexpected.fetch_add(1, Ordering::Relaxed);
                 let (_, host) = guards
                     .iter_mut()
@@ -819,19 +769,6 @@ impl OtmEngine {
             .iter()
             .map(|(_, s)| lock(&s.host).umq.len())
             .sum()
-    }
-}
-
-impl Drop for OtmEngine {
-    fn drop(&mut self) {
-        {
-            let mut control = lock(&self.shared.control);
-            control.stop = true;
-            self.shared.start_cv.notify_all();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
     }
 }
 
@@ -1830,6 +1767,51 @@ mod tests {
             }),
             Err(MatchError::EngineStopped)
         );
+    }
+
+    #[test]
+    fn panicking_lane_stops_the_engine_and_loses_no_receive() {
+        let mut e = engine();
+        let n = e.config().block_threads;
+        for i in 0..n {
+            e.post(ReceivePattern::exact(Rank(7), Tag(7)), RecvHandle(i as u64))
+                .unwrap();
+        }
+        e.submit(Command::Arrival {
+            env: env(3, 3),
+            msg: MsgHandle(99),
+        })
+        .unwrap();
+        // Lane 1 dies in the detection sweep: every lane has booked the
+        // first receive, lane 0 has detected, nothing is consumed yet.
+        lock(&e.coord).block.fail_lane = Some(1);
+        let msgs: Vec<_> = (0..n).map(|i| (env(7, 7), MsgHandle(i as u64))).collect();
+        assert_eq!(e.process_block(&msgs), Err(MatchError::EngineStopped));
+
+        // Every later entry point refuses, and the drain is terminal.
+        assert_eq!(e.process_block(&msgs), Err(MatchError::EngineStopped));
+        assert_eq!(
+            e.post(ReceivePattern::exact(Rank(0), Tag(0)), RecvHandle(50)),
+            Err(MatchError::EngineStopped)
+        );
+        assert_eq!(
+            e.submit(Command::Arrival {
+                env: env(0, 0),
+                msg: MsgHandle(100),
+            }),
+            Err(MatchError::EngineStopped)
+        );
+        let report = e.drain();
+        assert_eq!(report.error, Some(MatchError::EngineStopped));
+        assert!(report.is_terminal());
+        assert_eq!(report.unapplied.len(), 1);
+
+        // The half-run block left its bookings behind, but the tables stay
+        // readable: the fallback still gets every posted receive, in order.
+        let state = e.drain_for_fallback();
+        let handles: Vec<RecvHandle> = state.receives.iter().map(|&(_, h)| h).collect();
+        assert_eq!(handles, (0..n as u64).map(RecvHandle).collect::<Vec<_>>());
+        assert!(state.unexpected.is_empty());
     }
 
     #[test]

@@ -28,9 +28,13 @@
 //!    sequence, checked via sequence ids. Otherwise the *slow path*
 //!    serializes: wait for all lower threads to settle, then re-search.
 //!
-//! The crate is a faithful host-side implementation of the algorithm; the
-//! `dpa-sim` crate embeds it behind a completion-queue/queue-pair interface
-//! to model the BlueField-3 DPA deployment of §IV.
+//! The crate is a faithful host-side implementation of the algorithm. The
+//! paper's threads are *lanes* here: the engine steps a block's lanes through
+//! steps 2–5 on the calling thread, one sweep per phase in lane order, which
+//! is a legal schedule of the protocol (every wait above is on lower lanes;
+//! see [`block`]) and starts no thread. The `dpa-sim` crate
+//! embeds the engine behind a completion-queue/queue-pair interface to model
+//! the BlueField-3 DPA deployment of §IV.
 //!
 //! # Example
 //!
@@ -43,7 +47,7 @@
 //! // The host posts two receives through the command queue.
 //! engine.post(ReceivePattern::exact(Rank(0), Tag(7)), RecvHandle(0)).unwrap();
 //! engine.post(ReceivePattern::any_source(Tag(9)), RecvHandle(1)).unwrap();
-//! // A block of messages arrives and is matched in parallel.
+//! // A block of messages arrives and is matched optimistically.
 //! let deliveries = engine
 //!     .process_block(&[
 //!         (Envelope::world(Rank(0), Tag(7)), MsgHandle(0)),

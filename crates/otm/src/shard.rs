@@ -3,7 +3,7 @@
 //! The paper's DPA deployment scales by running independent communicators
 //! on independent execution-unit groups (§IV-E): commands for different
 //! communicators never contend. This module mirrors that split on the host
-//! side. Each communicator owns a [`CommShard`] — the worker-visible
+//! side. Each communicator owns a [`CommShard`] — the lane-visible
 //! [`CommShared`] tables plus a small mutex-protected [`ShardHost`] with
 //! the host-only state (unexpected store, post labels, sequence-id run
 //! tracking). Posting into communicator *A* takes only *A*'s shard lock,
@@ -25,7 +25,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
 
 /// Host-only per-communicator state, touched under the shard lock and
-/// never by block workers.
+/// never by block lanes.
 pub struct ShardHost {
     /// The communicator's unexpected-message store (§IV-C).
     pub(crate) umq: UnexpectedStore,
@@ -38,10 +38,10 @@ pub struct ShardHost {
 }
 
 /// One communicator's complete matching state: the lock-free tables the
-/// block workers search ([`CommShared`]) plus the mutex-protected host
+/// block lanes search ([`CommShared`]) plus the mutex-protected host
 /// side ([`ShardHost`]).
 pub struct CommShard {
-    /// Worker-visible tables (receive table, PRQ indexes, hints). These are
+    /// Lane-visible tables (receive table, PRQ indexes, hints). These are
     /// internally synchronized (atomics); the `Arc` is cloned into block
     /// lane data.
     pub(crate) shared: Arc<CommShared>,

@@ -8,8 +8,8 @@
 use otm_metrics::json_fields;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Atomic counters shared between the engine coordinator and its block
-/// workers.
+/// Atomic counters shared between posters, the engine coordinator and its
+/// block lanes.
 #[derive(Debug, Default)]
 pub struct OtmStats {
     /// Blocks processed.

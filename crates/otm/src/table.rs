@@ -11,7 +11,7 @@
 //!
 //! Slot allocation and release happen only on the coordinator side (receive
 //! posting and block-end cleanup are serialized with block execution), so
-//! the free list lives outside this shared structure; workers only ever
+//! the free list lives outside this shared structure; block lanes only ever
 //! read payloads and update atomics.
 
 use otm_base::sync::{lock, read, write};
@@ -45,8 +45,8 @@ pub struct IndexHome {
 /// The matching payload of a posted receive.
 ///
 /// Written by the coordinator when the slot is allocated (under the write
-/// lock) and read by block workers during searches (under read locks);
-/// workers never write it.
+/// lock) and read by block lanes during searches (under read locks);
+/// lanes never write it.
 #[derive(Debug, Clone, Copy)]
 pub struct Payload {
     /// What this receive matches.

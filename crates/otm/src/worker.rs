@@ -1,120 +1,56 @@
-//! The block worker: one persistent thread per lane running the optimistic
-//! matching protocol of §III.
+//! The block executor: steps a block's lanes through the optimistic
+//! matching protocol of §III on the coordinator's thread.
 //!
-//! Lifecycle: wait for a new epoch → (if this lane is active) run the lane
-//! algorithm → report done. The lane algorithm is documented step by step in
-//! [`run_lane`]; its correctness argument lives in DESIGN.md §5 and is
-//! enforced end-to-end by the oracle property tests.
+//! A lane's protocol is cut at its two partial barriers into three phases —
+//! [`search_and_book`], [`detect`], [`resolve_and_settle`] — and [`run_block`]
+//! sweeps each phase over the lanes in lane order. Why that order stands in
+//! for the barriers is argued in [`block`](crate::block)'s module doc; the
+//! protocol's correctness argument lives in DESIGN.md §5 and is enforced
+//! end-to-end by the oracle property tests.
 
-use crate::block::{below_mask, result_code, BlockShared, LaneData};
+use crate::block::{below_mask, result_code, BlockState, LaneData};
+use crate::index::SearchOutcome;
 use crate::metrics::{span_event, EngineMetrics};
 use crate::stats::OtmStats;
 use crate::table::{state, DescId};
-use otm_base::sync::{lock, read, wait};
 use otm_base::MatchConfig;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
-/// Context handed to each worker thread at spawn.
-pub(crate) struct WorkerCtx {
-    pub shared: Arc<BlockShared>,
-    pub stats: Arc<OtmStats>,
-    pub metrics: EngineMetrics,
-    pub config: MatchConfig,
-    pub lane: usize,
+/// What every lane reads of its engine.
+pub(crate) struct LaneCtx<'a> {
+    pub stats: &'a OtmStats,
+    pub metrics: &'a EngineMetrics,
+    pub config: &'a MatchConfig,
 }
 
-/// Worker thread entry point.
-pub(crate) fn worker_main(ctx: WorkerCtx) {
-    let mut seen_epoch = 0u64;
-    loop {
-        // Wait for the coordinator to publish a new block (or stop).
-        {
-            let mut control = lock(&ctx.shared.control);
-            loop {
-                if control.stop {
-                    return;
-                }
-                if control.epoch > seen_epoch {
-                    seen_epoch = control.epoch;
-                    break;
-                }
-                control = wait(&ctx.shared.start_cv, control);
-            }
-        }
-
-        let active = {
-            let lanes = read(&ctx.shared.lanes);
-            let active = lanes.len();
-            if ctx.lane < active {
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    run_lane(&ctx, &lanes[ctx.lane]);
-                }));
-                if outcome.is_err() {
-                    // Poison the engine and release anyone waiting on this
-                    // lane's barrier bits so the block can drain.
-                    ctx.shared.poisoned.store(true, Ordering::SeqCst);
-                    let bit = 1u64 << ctx.lane;
-                    ctx.shared.booked.fetch_or(bit, Ordering::SeqCst);
-                    ctx.shared.detected.fetch_or(bit, Ordering::SeqCst);
-                    ctx.shared.settled.fetch_or(bit, Ordering::SeqCst);
-                }
-            }
-            active
-        };
-
-        // Report completion. Inactive lanes report too — the coordinator
-        // waits for the full pool so that no stale worker can be inside
-        // `lanes` when the next block is written.
-        let mut control = lock(&ctx.shared.control);
-        control.done += 1;
-        if control.done == pool_size(active, ctx.config.block_threads) {
-            ctx.shared.done_cv.notify_one();
-        }
+/// Runs one block (§III-C, §III-D): three sweeps over `block.lanes`, after
+/// which every lane's entry of `block.results` is set.
+pub(crate) fn run_block(ctx: &LaneCtx<'_>, block: &mut BlockState) {
+    let n = block.lanes.len();
+    for lane in 0..n {
+        search_and_book(ctx, block, lane);
+    }
+    for lane in 0..n {
+        detect(ctx, block, lane);
+    }
+    for lane in 0..n {
+        resolve_and_settle(ctx, block, lane);
     }
 }
 
-/// How many workers report done for a block: the whole pool.
-#[inline]
-pub(crate) fn pool_size(_active: usize, pool: usize) -> usize {
-    pool
-}
-
-/// Runs one lane on the coordinator's own thread with the same poisoning
-/// discipline as the pooled path. Used by 1-thread engines.
-pub(crate) fn worker_main_inline(ctx: &WorkerCtx, lane_data: &LaneData) {
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_lane(ctx, lane_data);
-    }));
-    if outcome.is_err() {
-        ctx.shared.poisoned.store(true, Ordering::SeqCst);
-        let bit = 1u64 << ctx.lane;
-        ctx.shared.booked.fetch_or(bit, Ordering::SeqCst);
-        ctx.shared.detected.fetch_or(bit, Ordering::SeqCst);
-        ctx.shared.settled.fetch_or(bit, Ordering::SeqCst);
-    }
-}
-
-/// The per-lane matching protocol (§III-C, §III-D).
-///
-/// Also callable from the coordinator itself: a 1-thread engine runs its
-/// single lane inline (one DPA execution unit, no handoff), which
-/// `OtmEngine::process_block` uses when `block_threads == 1`.
-pub(crate) fn run_lane(ctx: &WorkerCtx, lane_data: &LaneData) {
-    let shared = &ctx.shared;
-    let lane = ctx.lane;
-    let bit = 1u64 << lane;
-    let below = below_mask(lane);
-    let epoch = shared.epoch.load(Ordering::Acquire);
+/// First sweep — optimistic search and booking, up to the first partial
+/// barrier (§III-D1): lanes below `lane` have booked when this returns, which
+/// is all [`detect`] needs (later lanes cannot steal our receive, C2 gives
+/// us precedence).
+fn search_and_book(ctx: &LaneCtx<'_>, block: &mut BlockState, lane: usize) {
+    let lane_data = &block.lanes[lane];
     let comm = &lane_data.comm;
-    let table = &comm.table;
-    let prq = &comm.prq;
 
     // §VII: a communicator asserted with `mpi_assert_allow_overtaking`
     // waives the ordering constraints — no booking, no barrier, no
     // conflict resolution; any pattern-correct pairing is acceptable.
     if comm.hints.allow_overtaking {
-        run_lane_relaxed(ctx, lane_data, epoch);
+        block.results[lane] = run_lane_relaxed(ctx, lane_data, block.epoch);
         return;
     }
 
@@ -122,14 +58,14 @@ pub(crate) fn run_lane(ctx: &WorkerCtx, lane_data: &LaneData) {
     // receive across the four indexes, as if no other message existed.
     // Hint-banned index classes are skipped.
     let skip_mask = if ctx.config.early_booking_check {
-        below
+        below_mask(lane)
     } else {
         0
     };
-    let search = prq.search_hinted(
+    let search = comm.prq.search_hinted(
         &lane_data.env,
         &lane_data.hashes,
-        table,
+        &comm.table,
         skip_mask,
         comm.hints,
     );
@@ -138,41 +74,56 @@ pub(crate) fn run_lane(ctx: &WorkerCtx, lane_data: &LaneData) {
 
     // Phase 2 — book the candidate: set our bit in its booking bitmap.
     if let Some(cand) = search.candidate {
-        table.slot(cand.desc).book(lane);
-        shared.booked_desc[lane].store(cand.desc, Ordering::Release);
+        comm.table.slot(cand.desc).book(lane);
+        block.booked_desc[lane] = cand.desc;
     }
+    block.searches[lane] = Some(search);
+}
 
-    // Phase 3 — partial barrier (§III-D1): wait for every earlier lane to
-    // finish booking. Later lanes cannot steal our receive (C2 gives us
-    // precedence), so we do not wait for them.
-    shared.booked.fetch_or(bit, Ordering::AcqRel);
-    BlockShared::wait_bits(&shared.booked, below);
-
-    // Phase 4 — conflict detection (§III-D2). A direct conflict means a
-    // lower lane booked our candidate (it wins: lowest id first). Skipping
-    // a lower-booked receive during the search is also a conflict: the
-    // skipped receive may come back to us if its booker resolves away.
+/// Second sweep — conflict detection (§III-D2), up to the second partial
+/// barrier: the `conflicted`/`forced` flags of all lanes below `lane` are
+/// final when this returns. A direct conflict means a lower lane booked our
+/// candidate (it wins: lowest id first). Skipping a lower-booked receive
+/// during the search is also a conflict: the skipped receive may come back
+/// to us if its booker resolves away.
+fn detect(ctx: &LaneCtx<'_>, block: &mut BlockState, lane: usize) {
+    let Some(search) = block.searches[lane] else {
+        return;
+    };
+    #[cfg(test)]
+    assert_ne!(block.fail_lane, Some(lane), "fail-point on lane {lane}");
+    let bit = 1u64 << lane;
+    let table = &block.lanes[lane].comm.table;
     let direct = search.skipped_booked
         || search
             .candidate
-            .map(|c| table.slot(c.desc).booking() & below != 0)
-            .unwrap_or(false);
+            .is_some_and(|c| table.slot(c.desc).booking() & below_mask(lane) != 0);
     if search.skipped_booked {
-        shared.forced.fetch_or(bit, Ordering::AcqRel);
+        block.forced |= bit;
     }
     if direct {
-        shared.conflicted.fetch_or(bit, Ordering::AcqRel);
+        block.conflicted |= bit;
         ctx.stats.direct_conflicts.fetch_add(1, Ordering::Relaxed);
         ctx.metrics.count_conflict();
     }
-    shared.detected.fetch_or(bit, Ordering::AcqRel);
-    BlockShared::wait_bits(&shared.detected, below);
+}
+
+/// Third sweep — resolve and settle: lanes below `lane` have settled when
+/// this runs, which is what the slow path waits for.
+fn resolve_and_settle(ctx: &LaneCtx<'_>, block: &mut BlockState, lane: usize) {
+    let Some(search) = block.searches[lane] else {
+        return;
+    };
+    let below = below_mask(lane);
+    let epoch = block.epoch;
+    let lane_data = &block.lanes[lane];
+    let table = &lane_data.comm.table;
 
     // "If a thread i detects a conflict, then all other threads j > i need
     // to enter the conflict resolution phase" — a resolving lower thread
     // may re-match onto our candidate, and it has precedence (§III-D2).
-    let lower_conflicts = shared.conflicted.load(Ordering::Acquire) & below;
-    let resolve = direct || lower_conflicts != 0;
+    let direct = block.conflicted & (1u64 << lane) != 0;
+    let resolve = direct || block.conflicted & below != 0;
 
     let result = if !resolve {
         match search.candidate {
@@ -196,7 +147,7 @@ pub(crate) fn run_lane(ctx: &WorkerCtx, lane_data: &LaneData) {
                     cand.desc as u64
                 } else {
                     // Defensive: fall through to the slow path.
-                    resolve_slow(ctx, lane_data, below, epoch)
+                    resolve_slow(ctx, lane_data, epoch)
                 }
             }
             None => result_code::UNEXPECTED,
@@ -207,30 +158,20 @@ pub(crate) fn run_lane(ctx: &WorkerCtx, lane_data: &LaneData) {
                 .induced_resolutions
                 .fetch_add(1, Ordering::Relaxed);
         }
-        resolve_conflict(ctx, lane_data, &search, below, epoch)
+        resolve_conflict(ctx, lane_data, &search, below, block.forced, epoch)
     };
-
-    // Phase 6 — settle: publish the result and release later lanes'
-    // slow-path waits.
-    shared.results[lane].store(result, Ordering::Release);
-    shared.settled.fetch_or(bit, Ordering::AcqRel);
+    block.results[lane] = result;
 }
 
 /// The relaxed lane protocol for `mpi_assert_allow_overtaking`
-/// communicators (§VII): search, CAS-consume, done. The lane still
-/// publishes its barrier bits so strict lanes in the same block (on other
-/// communicators) never stall on it.
-fn run_lane_relaxed(ctx: &WorkerCtx, lane_data: &LaneData, epoch: u64) {
-    let shared = &ctx.shared;
-    let bit = 1u64 << ctx.lane;
+/// communicators (§VII): search, CAS-consume, done — whole in the first
+/// sweep. The lane books nothing and never conflicts with anyone (its
+/// communicator's receives are invisible to strict lanes, which always run
+/// on other communicators). Returns the lane's result code.
+fn run_lane_relaxed(ctx: &LaneCtx<'_>, lane_data: &LaneData, epoch: u64) -> u64 {
     let comm = &lane_data.comm;
-    // Release strict peers immediately: this lane books nothing and never
-    // conflicts with anyone (its communicator's receives are invisible to
-    // strict lanes, which always run on other communicators).
-    shared.booked.fetch_or(bit, Ordering::AcqRel);
-    shared.detected.fetch_or(bit, Ordering::AcqRel);
     let mut first = true;
-    let result = loop {
+    loop {
         let out = comm.prq.search_hinted(
             &lane_data.env,
             &lane_data.hashes,
@@ -262,21 +203,19 @@ fn run_lane_relaxed(ctx: &WorkerCtx, lane_data: &LaneData, epoch: u64) {
                 // Another relaxed lane took it; any other receive is fine.
             }
         }
-    };
-    shared.results[ctx.lane].store(result, Ordering::Release);
-    shared.settled.fetch_or(bit, Ordering::AcqRel);
+    }
 }
 
 /// Conflict resolution (§III-D3): fast path when eligible, slow path
 /// otherwise.
 fn resolve_conflict(
-    ctx: &WorkerCtx,
+    ctx: &LaneCtx<'_>,
     lane_data: &LaneData,
-    search: &crate::index::SearchOutcome,
+    search: &SearchOutcome,
     below: u64,
+    forced: u64,
     epoch: u64,
 ) -> u64 {
-    let shared = &ctx.shared;
     let table = &lane_data.comm.table;
     let prq = &lane_data.comm.prq;
 
@@ -291,12 +230,12 @@ fn resolve_conflict(
     // Fast path additionally requires lazy removal: the rank walk counts
     // same-sequence entries consumed in this block as steps (they are being
     // taken by lower-ranked lanes), which is only sound while consumed
-    // entries stay linked in the chain. Eager removal unlinks them
-    // concurrently and would shift the walk's target (a C2 violation), so
+    // entries stay linked in the chain. Eager removal unlinks them as they
+    // are consumed and would shift the walk's target (a C2 violation), so
     // eager-removal configurations always resolve through the slow path.
     if ctx.config.fast_path && ctx.config.lazy_removal && !search.skipped_booked {
         if let Some(cand) = search.candidate {
-            let no_lower_skips = shared.forced.load(Ordering::Acquire) & below == 0;
+            let no_lower_skips = forced & below == 0;
             let all_lower_booked = table.slot(cand.desc).booking() & below == below;
             if no_lower_skips && all_lower_booked {
                 let payload = table.slot(cand.desc).payload();
@@ -323,19 +262,17 @@ fn resolve_conflict(
         }
     }
 
-    resolve_slow(ctx, lane_data, below, epoch)
+    resolve_slow(ctx, lane_data, epoch)
 }
 
-/// Slow path (§III-D3b): wait for every lower lane to settle, then
-/// re-search. At that point the consumed flags of all earlier messages are
-/// final, so the oldest posted matching receive is exactly the sequential
-/// assignment for this message.
-fn resolve_slow(ctx: &WorkerCtx, lane_data: &LaneData, below: u64, epoch: u64) -> u64 {
-    let shared = &ctx.shared;
+/// Slow path (§III-D3b): once every lower lane has settled — which the
+/// third sweep's lane order guarantees — re-search. At that point the
+/// consumed flags of all earlier messages are final, so the oldest posted
+/// matching receive is exactly the sequential assignment for this message.
+fn resolve_slow(ctx: &LaneCtx<'_>, lane_data: &LaneData, epoch: u64) -> u64 {
     let table = &lane_data.comm.table;
     let prq = &lane_data.comm.prq;
 
-    BlockShared::wait_bits(&shared.settled, below);
     ctx.stats.slow_path.fetch_add(1, Ordering::Relaxed);
     loop {
         let out = prq.research(
@@ -365,9 +302,10 @@ fn resolve_slow(ctx: &WorkerCtx, lane_data: &LaneData, below: u64, epoch: u64) -
                     finish_consume(ctx, lane_data, c.desc);
                     return c.desc as u64;
                 }
-                // A concurrent fast-path lane above us took it between our
-                // read and our CAS; re-search (it targets a different rank,
-                // so this terminates).
+                // Reachable only if lanes ever run concurrently: a fast-path
+                // lane above us took it between our read and our CAS;
+                // re-search (it targets a different rank, so this
+                // terminates).
             }
         }
     }
@@ -377,7 +315,7 @@ fn resolve_slow(ctx: &WorkerCtx, lane_data: &LaneData, below: u64, epoch: u64) -
 /// unlinks the descriptor from its bin immediately, serializing on the bin's
 /// write lock — the overhead lazy removal avoids (§IV-D). With lazy removal
 /// the tombstone stays until the coordinator's block-end sweep.
-fn finish_consume(ctx: &WorkerCtx, lane_data: &LaneData, desc: DescId) {
+fn finish_consume(ctx: &LaneCtx<'_>, lane_data: &LaneData, desc: DescId) {
     if !ctx.config.lazy_removal {
         let payload = lane_data.comm.table.slot(desc).payload();
         debug_assert_eq!(lane_data.comm.table.slot(desc).state(), state::CONSUMED);

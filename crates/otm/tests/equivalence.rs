@@ -5,12 +5,13 @@
 //! MPI matching is a deterministic function of the post/arrival sequence
 //! (C1 + C2); the optimistic protocol extracts parallelism but must not
 //! change the function. These tests drive both implementations over random
-//! workloads across every feature-flag combination and block size, many
-//! times per configuration so thread interleavings vary.
+//! workloads across every feature-flag combination and block size. A
+//! block's lanes are stepped in a fixed order, so the counters are a function
+//! of the workload too (`stats_are_a_function_of_the_workload`).
 
 use mpi_matching::oracle::{MatchEvent, Oracle};
 use mpi_matching::{Assignment, MsgHandle, RecvHandle};
-use otm::{Delivery, OtmEngine};
+use otm::{Delivery, OtmEngine, StatsSnapshot};
 use otm_base::{CommId, Envelope, FaultRng, MatchConfig, Rank, ReceivePattern, Tag};
 
 /// A workload: rounds of (posts, message block).
@@ -34,6 +35,11 @@ impl Workload {
     /// Runs the workload on an engine, producing an oracle-comparable
     /// assignment with the same dense handle numbering.
     fn run_engine(&self, config: MatchConfig) -> Assignment {
+        self.run_engine_with_stats(config).0
+    }
+
+    /// [`Workload::run_engine`] plus the engine's final counters.
+    fn run_engine_with_stats(&self, config: MatchConfig) -> (Assignment, StatsSnapshot) {
         let mut engine = OtmEngine::new(config).expect("engine config valid");
         let mut asg = Assignment::default();
         let mut next_recv = 0u64;
@@ -72,7 +78,7 @@ impl Workload {
                 }
             }
         }
-        asg
+        (asg, engine.stats())
     }
 }
 
@@ -268,9 +274,8 @@ fn wildcard_storms_match_oracle() {
 
 #[test]
 fn interleaving_repetition_stresses_schedules() {
-    // Re-run one contentious workload many times: the workload is fixed but
-    // the thread schedules are not; every schedule must agree with the
-    // oracle.
+    // Re-run one contentious workload many times on fresh engines: every
+    // run must agree with the oracle.
     let mut rng = FaultRng::new(7);
     let w = random_workload(&mut rng, 8, 32);
     let expect = Oracle::run(&w.events());
@@ -278,6 +283,29 @@ fn interleaving_repetition_stresses_schedules() {
         let got = w.run_engine(base_config(32));
         assert_eq!(got, expect, "schedule round {round}");
     }
+}
+
+#[test]
+fn stats_are_a_function_of_the_workload() {
+    // Every other round is a WC storm (Fig. 8), the rest random traffic. Two
+    // fresh default engines must agree on more than the match set: which
+    // path resolved each conflict and how deep each search went.
+    let mut rng = FaultRng::new(8);
+    let mut w = random_workload(&mut rng, 20, 32);
+    for round in w.rounds.iter_mut().step_by(2) {
+        *round = (
+            vec![ReceivePattern::exact(Rank(0), Tag(0)); 32],
+            vec![Envelope::world(Rank(0), Tag(0)); 32],
+        );
+    }
+    let (first_asg, first) = w.run_engine_with_stats(MatchConfig::default());
+    let (second_asg, second) = w.run_engine_with_stats(MatchConfig::default());
+    assert_eq!(first_asg, second_asg);
+    assert_eq!(first, second);
+    assert!(
+        first.direct_conflicts > 0 && first.fast_path > 0 && first.slow_path > 0,
+        "the workload must exercise both resolution paths: {first:?}"
+    );
 }
 
 /// A long randomized soak across schedules and configurations — too slow
