@@ -24,13 +24,13 @@ const MAX_RING_CAPACITY: usize = 1 << 20;
 /// different communicators may be reordered freely without changing any
 /// observable match outcome. The packing policy decides whether the drain
 /// exploits that freedom (§IV-E execution-group scheduling). It is not a
-/// configuration field: the engine drains [`PackingPolicy::CrossComm`] unless
-/// its runtime selector (driven by the feedback controller from the observed
-/// active-lane count) says otherwise.
+/// configuration field: the engine drains [`PackingPolicy::CrossComm`], and
+/// only tests and fig8's `--packing` A/B row select the reference packer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PackingPolicy {
-    /// Pack only *consecutive* arrivals from the global submission order.
-    /// Any interleaved post — or an arrival on another communicator followed
+    /// The reference packer; nothing at run time selects it. Packs only
+    /// *consecutive* arrivals from the global submission order: any
+    /// interleaved post — or an arrival on another communicator followed
     /// by a post — cuts the block short, degrading mixed traffic toward
     /// one-message blocks.
     Consecutive,

@@ -2,12 +2,19 @@
 //! observe/actuate shape.
 //!
 //! Every control interval the service distills its registry counters and
-//! queue gauges into one [`Observation`]; [`FeedbackController::tick`]
-//! compares it against the previous interval and returns a (usually empty)
-//! list of [`Action`]s — knob movements, never measurements. The service
-//! applies each action to the live component that owns the knob and stamps
-//! a `knob_changed` span, so every decision the controller makes is visible
-//! on the same trace timeline as the messages it affected.
+//! its post-drain backlog into one [`Observation`];
+//! [`FeedbackController::tick`] compares it against the previous interval
+//! and returns a (usually empty) list of [`Action`]s — movements of the
+//! three knobs (reliability window, drain-retry budget, packing window),
+//! never measurements. The service applies each action to the live
+//! component that owns the knob and stamps a `knob_changed` span, so every
+//! decision the controller makes is visible on the same trace timeline as
+//! the messages it affected.
+//!
+//! Every field of an observation is a cumulative counter, or a backlog that
+//! is still standing when the tick reads it. A signal the drain resets
+//! before the tick runs cannot drive a rule: it reads the same whatever the
+//! traffic was.
 //!
 //! The controller itself holds no references into the engine or the NIC:
 //! it is a pure state machine over counter deltas, which keeps it trivially
@@ -18,8 +25,6 @@
 //!
 //! All arithmetic is integer-only and driven by the virtual clock, so a
 //! given workload produces the same knob trajectory on every run.
-
-use otm_base::PackingPolicy;
 
 use crate::reliable::{DEFAULT_WINDOW_LIMIT, MIN_WINDOW_LIMIT};
 
@@ -71,8 +76,6 @@ pub struct Observation {
     pub occupancy_sum: u64,
     /// Cumulative count of the engine's block-occupancy histogram.
     pub occupancy_count: u64,
-    /// How many communicator lanes currently hold queued work.
-    pub active_lanes: u64,
     /// The engine's block capacity (threads per matching block).
     pub block_capacity: u64,
 }
@@ -96,13 +99,6 @@ pub enum Action {
         /// New budget.
         to: u64,
     },
-    /// Override the engine's packing policy.
-    PackingPolicy {
-        /// Previous policy.
-        from: PackingPolicy,
-        /// New policy.
-        to: PackingPolicy,
-    },
     /// Override the engine's cross-communicator packing window
     /// (`0` restores the configured default).
     PackingWindow {
@@ -122,14 +118,6 @@ pub struct ControllerStats {
     pub knob_changes: u64,
 }
 
-/// Encodes a packing policy as the `u64` a `knob_changed` span carries.
-pub fn encode_packing(policy: PackingPolicy) -> u64 {
-    match policy {
-        PackingPolicy::Consecutive => 0,
-        PackingPolicy::CrossComm => 1,
-    }
-}
-
 /// The self-tuning control loop. See the module docs for the shape; the
 /// per-knob rules are:
 ///
@@ -140,9 +128,6 @@ pub fn encode_packing(policy: PackingPolicy) -> u64 {
 /// * **Drain retry budget** — grows one step per interval that saw new
 ///   ring backpressure or drain retries, and decays one step per quiet
 ///   interval back to the baseline.
-/// * **Packing policy** — a single active lane makes cross-communicator
-///   packing pure overhead, so the controller pins `Consecutive`; two or
-///   more active lanes restore `CrossComm`.
 /// * **Packing window** — sustained near-capacity block occupancy with a
 ///   standing backlog doubles the packing window (bounded); slack
 ///   occupancy steps the override back toward the configured default.
@@ -151,23 +136,19 @@ pub struct FeedbackController {
     last: Option<Observation>,
     window_hint: usize,
     retry_budget: u32,
-    packing: PackingPolicy,
     packing_window: u64,
     default_packing_window: u64,
     stats: ControllerStats,
 }
 
 impl FeedbackController {
-    /// A controller that believes the current knob values are the given
-    /// baselines. `window_hint` should match the live sender's cap and
-    /// `packing` the engine's effective policy, so the first emitted
-    /// action reflects a real change.
-    pub fn new(window_hint: usize, packing: PackingPolicy) -> Self {
+    /// A controller that believes the sender's cap is `window_hint`, so
+    /// the first emitted action reflects a real change.
+    pub fn new(window_hint: usize) -> Self {
         Self {
             retry_budget: BASE_RETRY_BUDGET,
             last: None,
             window_hint: window_hint.clamp(MIN_WINDOW, MAX_WINDOW),
-            packing,
             packing_window: 0,
             default_packing_window: 0,
             stats: ControllerStats::default(),
@@ -175,9 +156,9 @@ impl FeedbackController {
     }
 
     /// A controller with the default tuning, believing the sender runs at
-    /// [`DEFAULT_WINDOW_LIMIT`] under cross-communicator packing.
+    /// [`DEFAULT_WINDOW_LIMIT`].
     pub fn with_defaults() -> Self {
-        Self::new(DEFAULT_WINDOW_LIMIT, PackingPolicy::CrossComm)
+        Self::new(DEFAULT_WINDOW_LIMIT)
     }
 
     /// How many polls between ticks.
@@ -197,11 +178,6 @@ impl FeedbackController {
         self.retry_budget
     }
 
-    /// The packing policy the controller wants.
-    pub fn packing(&self) -> PackingPolicy {
-        self.packing
-    }
-
     /// Lifetime counters.
     pub fn stats(&self) -> ControllerStats {
         self.stats
@@ -209,8 +185,8 @@ impl FeedbackController {
 
     /// Evaluates one interval. The first call primes the delta baseline
     /// and emits nothing; later calls return the knob movements to apply,
-    /// in a fixed order (window, retry budget, packing policy, packing
-    /// window) so traces are comparable across runs.
+    /// in a fixed order (window, retry budget, packing window) so traces
+    /// are comparable across runs.
     pub fn tick(&mut self, obs: Observation) -> Vec<Action> {
         self.stats.ticks += 1;
         let Some(last) = self.last.replace(obs) else {
@@ -248,19 +224,6 @@ impl FeedbackController {
                 from: old_budget as u64,
                 to: self.retry_budget as u64,
             });
-        }
-
-        let wanted = if obs.active_lanes <= 1 {
-            PackingPolicy::Consecutive
-        } else {
-            PackingPolicy::CrossComm
-        };
-        if wanted != self.packing {
-            actions.push(Action::PackingPolicy {
-                from: self.packing,
-                to: wanted,
-            });
-            self.packing = wanted;
         }
 
         let d_occ_sum = obs.occupancy_sum.saturating_sub(last.occupancy_sum);
@@ -307,7 +270,6 @@ mod tests {
         Observation {
             polls,
             acks: polls,
-            active_lanes: 2,
             block_capacity: 16,
             ..Observation::default()
         }
@@ -395,33 +357,27 @@ mod tests {
     }
 
     #[test]
-    fn single_lane_pins_consecutive_and_multi_lane_restores_crosscomm() {
+    fn clean_intervals_reopen_the_window_stepwise_and_idle_ones_move_nothing() {
         let mut c = FeedbackController::with_defaults();
         c.tick(quiet(64));
-        let solo = Observation {
-            active_lanes: 1,
-            ..quiet(128)
+        // What an attached controller does on a clean wire: one additive
+        // step per interval with ack progress, and nothing else.
+        assert_eq!(
+            c.tick(quiet(128)),
+            [Action::ReliabilityWindow { from: 64, to: 68 }]
+        );
+        assert_eq!(
+            c.tick(quiet(192)),
+            [Action::ReliabilityWindow { from: 68, to: 72 }]
+        );
+        // No ack progress, no pressure, no blocks: no knob moves, whatever
+        // the lanes looked like while the drain ran.
+        let idle = Observation {
+            acks: 192,
+            ..quiet(256)
         };
-        let actions = c.tick(solo);
-        assert!(actions.contains(&Action::PackingPolicy {
-            from: PackingPolicy::CrossComm,
-            to: PackingPolicy::Consecutive,
-        }));
-        // Same observation again: the packing decision is not repeated.
-        let solo2 = Observation {
-            active_lanes: 1,
-            ..quiet(192)
-        };
-        assert!(!c
-            .tick(solo2)
-            .iter()
-            .any(|a| matches!(a, Action::PackingPolicy { .. })));
-        let busy = quiet(256);
-        let actions = c.tick(busy);
-        assert!(actions.contains(&Action::PackingPolicy {
-            from: PackingPolicy::Consecutive,
-            to: PackingPolicy::CrossComm,
-        }));
+        assert!(c.tick(idle).is_empty());
+        assert_eq!(c.window_hint(), 72);
     }
 
     #[test]
@@ -478,20 +434,23 @@ mod tests {
     fn knob_changes_are_counted() {
         let mut c = FeedbackController::with_defaults();
         c.tick(quiet(64));
-        let solo = Observation {
-            active_lanes: 1,
+        let lossy_and_pressed = Observation {
             retransmits: 50,
             acks: 100,
+            ring_backpressure: 3,
             ..quiet(128)
         };
-        let n = c.tick(solo).len() as u64;
-        assert!(n >= 2); // window shrink + packing flip
-        assert_eq!(c.stats().knob_changes, n);
-    }
-
-    #[test]
-    fn packing_policy_encoding_is_stable() {
-        assert_eq!(encode_packing(PackingPolicy::Consecutive), 0);
-        assert_eq!(encode_packing(PackingPolicy::CrossComm), 1);
+        let actions = c.tick(lossy_and_pressed);
+        assert_eq!(
+            actions,
+            [
+                Action::ReliabilityWindow { from: 64, to: 32 },
+                Action::DrainRetryBudget {
+                    from: u64::from(BASE_RETRY_BUDGET),
+                    to: u64::from(BASE_RETRY_BUDGET) + 1
+                },
+            ]
+        );
+        assert_eq!(c.stats().knob_changes, 2);
     }
 }

@@ -77,7 +77,7 @@ pub struct MatchdConfig {
     pub deficit_cap_quanta: u64,
     /// Attaches the self-tuning [`crate::FeedbackController`] (default
     /// tuning) to the underlying service, so each tick's progress call can
-    /// adjust the drain-retry budget and the engine's packing knobs from
+    /// adjust the drain-retry budget and the engine's packing window from
     /// observed registry deltas. Opt-in (default `false`): a server under
     /// an external fairness harness may prefer fixed knobs.
     pub self_tuning: bool,
@@ -429,31 +429,38 @@ impl MatchServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use otm_base::{MatchConfig, PackingPolicy};
+    use otm_base::{MatchConfig, Tag};
 
     #[test]
     fn self_tuning_server_attaches_the_controller_and_moves_knobs() {
+        // A two-slot submission ring: a burst of arrivals bounces on it.
         let mut server = MatchServer::new(
-            MatchConfig::small(),
+            MatchConfig::small().with_ring_capacity(2),
             MatchdConfig {
                 self_tuning: true,
                 ..MatchdConfig::default()
             },
         )
         .unwrap();
+        let session = server.open_tenant();
         let controller = server.service().controller().expect("controller attached");
         let interval = controller.interval_polls();
-        // Two controller intervals of idle ticks: the first primes the
-        // delta baseline, the second sees zero active lanes and pins
-        // consecutive packing.
-        for _ in 0..(2 * interval) {
-            server.tick().unwrap();
+        let budget = server.service().retry_budget();
+        // The first interval primes the delta baseline; a burst in the
+        // second meets ring backpressure, and the controller answers with
+        // one more inline drain retry.
+        server.run_ticks(interval).unwrap();
+        for i in 0..8u32 {
+            assert!(session.submit_send(Tag(i), vec![i as u8]).is_admitted());
         }
-        let controller = server.service().controller().expect("still attached");
-        assert_eq!(controller.packing(), PackingPolicy::Consecutive);
-        assert!(controller.stats().knob_changes >= 1);
+        server.run_ticks(interval).unwrap();
         let snap = server.service().metrics().snapshot();
-        assert!(snap.counters["dpa_knob_changes_total"] >= 1);
+        assert!(snap.counters["dpa_ring_backpressure_total"] > 0);
+        assert_eq!(snap.counters["dpa_knob_changes_total"], 1);
+        assert_eq!(server.service().retry_budget(), budget + 1);
+        let controller = server.service().controller().expect("still attached");
+        assert_eq!(controller.retry_budget(), budget + 1);
+        assert_eq!(controller.stats().knob_changes, 1);
         // Opt-out stays knob-free.
         let plain = MatchServer::new(MatchConfig::small(), MatchdConfig::default()).unwrap();
         assert!(plain.service().controller().is_none());

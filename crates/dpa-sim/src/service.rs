@@ -365,7 +365,7 @@ impl MatchingService {
     /// `interval_polls` calls of [`MatchingService::progress`], the
     /// controller differences the combined registry snapshot against the
     /// previous interval and actuates its knobs: the drain-retry budget
-    /// and the engine's packing policy/window are applied directly, and
+    /// and the engine's packing window are applied directly, and
     /// the reliability-window hint is published through
     /// [`MatchingService::reliability_window_hint`] for the harness that
     /// owns the [`crate::ReliableSender`]. Every applied movement is
@@ -708,14 +708,6 @@ impl MatchingService {
         let snap = self.observability_snapshot();
         let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
         let occupancy = snap.hists.get("otm_block_occupancy");
-        // A lane is active when its current-depth gauge is nonzero; the
-        // peak gauges are excluded so a historically busy lane does not
-        // keep cross-communicator packing pinned on.
-        let active_lanes = snap
-            .gauges
-            .iter()
-            .filter(|(name, depth)| name.starts_with("otm_drain_lane_depth{") && **depth > 0)
-            .count() as u64;
         let obs = crate::control::Observation {
             polls: self.polls,
             retransmits: counter("dpa_retransmits_total"),
@@ -725,7 +717,6 @@ impl MatchingService {
             backlog: (self.nic.cq_len() + self.unexpected.len()) as u64,
             occupancy_sum: occupancy.map_or(0, |h| h.sum),
             occupancy_count: occupancy.map_or(0, |h| h.count),
-            active_lanes,
             block_capacity: self.backend.block_size() as u64,
         };
         let configured_window = self
@@ -750,16 +741,6 @@ impl MatchingService {
                     self.retry_budget = to as u32;
                     self.metrics
                         .knob_changed(otm_metrics::KnobKind::DrainRetryBudget, from, to);
-                }
-                crate::control::Action::PackingPolicy { from, to } => {
-                    if let Some(engine) = self.backend.as_any().downcast_ref::<OtmEngine>() {
-                        engine.set_packing(to);
-                    }
-                    self.metrics.knob_changed(
-                        otm_metrics::KnobKind::PackingPolicy,
-                        crate::control::encode_packing(from),
-                        crate::control::encode_packing(to),
-                    );
                 }
                 crate::control::Action::PackingWindow { from, to } => {
                     if let Some(engine) = self.backend.as_any().downcast_ref::<OtmEngine>() {
@@ -1532,8 +1513,8 @@ mod tests {
             ]
         );
 
-        // The per-communicator gauges register at the first drain that
-        // sees the communicator's lane.
+        // The per-communicator peak gauges register when the first drain
+        // that staged the communicator's lane ends.
         svc.post_recv(ReceivePattern::exact(Rank(0), Tag(1)))
             .unwrap();
         tx.send(eager_packet(env(0, 1), vec![1])).unwrap();
@@ -1549,9 +1530,7 @@ mod tests {
             new_gauges,
             [
                 "otm_drain_lane_depth_peak{comm=\"0\"}",
-                "otm_drain_lane_depth{comm=\"0\"}",
                 "otm_submission_ring_depth_peak{comm=\"0\"}",
-                "otm_submission_ring_depth{comm=\"0\"}",
             ]
         );
         assert_eq!(after.counters.len(), counters.len());
@@ -1956,35 +1935,87 @@ mod tests {
     }
 
     #[test]
-    fn attached_controller_actuates_packing_and_counts_knob_changes() {
+    fn attached_controller_reopens_the_window_hint_and_counts_knob_changes() {
         use crate::control::FeedbackController;
-        use otm_base::PackingPolicy;
+        use crate::ReliableSender;
 
         let (tx, _domain, mut svc) = setup("otm");
         svc.attach_controller(FeedbackController::with_defaults());
-        assert_eq!(
-            svc.reliability_window_hint(),
-            Some(crate::reliable::DEFAULT_WINDOW_LIMIT)
-        );
+        let limit = crate::reliable::DEFAULT_WINDOW_LIMIT;
+        assert_eq!(svc.reliability_window_hint(), Some(limit));
         let interval = svc.controller().unwrap().interval_polls();
-        tx.send(eager_packet(env(0, 1), vec![1])).unwrap();
-        // The priming interval only observes; the second sees zero active
-        // lanes and pins Consecutive.
-        for _ in 0..2 * interval {
+        let mut sender = ReliableSender::new(tx);
+        sender.attach_metrics(svc.metrics().clone());
+        // The priming interval only observes; each later interval that saw
+        // acks and no retransmit reopens the hint one additive step.
+        for poll in 0..3 * interval {
+            sender
+                .send(eager_packet(env(0, poll as u32), vec![1]))
+                .unwrap();
             svc.progress().unwrap();
+            sender.poll().unwrap();
         }
-        assert_eq!(
-            svc.controller().unwrap().packing(),
-            PackingPolicy::Consecutive,
-            "an idle single-lane service should drop cross-comm packing"
-        );
+        assert_eq!(svc.reliability_window_hint(), Some(limit + 8));
         let snap = svc.metrics().snapshot();
-        assert!(
-            snap.counters["dpa_knob_changes_total"] >= 1,
-            "the applied movement must be counted"
+        assert_eq!(
+            snap.counters["dpa_knob_changes_total"], 2,
+            "every applied movement must be counted, and nothing else moved"
         );
         let controller = svc.take_controller().expect("controller attached");
-        assert!(controller.stats().knob_changes >= 1);
+        assert_eq!(controller.stats().knob_changes, 2);
         svc.progress().unwrap(); // detached: no further controller activity
+    }
+
+    #[test]
+    fn attached_controller_packs_blocks_like_its_controller_less_twin() {
+        use crate::control::FeedbackController;
+        use crate::fault::FaultInjectingBackend;
+        use otm_base::{CommId, FaultPlan, FaultRng};
+
+        // A seeded two-communicator stream, identical for both twins. A
+        // stalled drain (seeded, identical too) leaves a poll's arrivals
+        // queued, so the next poll's posts land *between* arrivals in
+        // submission order: the traffic on which the reference packer cuts
+        // blocks short. The controller must not change how blocks pack.
+        let run = |attach: bool| {
+            let (tx, rx) = connected_pair();
+            let nic = RecvNic::new(rx, BouncePool::new(256, 256));
+            let config = MatchConfig::small().with_block_threads(16);
+            let engine = OtmEngine::new(config).unwrap();
+            let plan = FaultPlan::new(0x7717).with_stall_permille(400);
+            let faulty = FaultInjectingBackend::new(Box::new(engine), plan);
+            let mut svc = MatchingService::with_backend(nic, RdmaDomain::new(), Box::new(faulty));
+            svc.enable_command_queue().unwrap();
+            if attach {
+                svc.attach_controller(FeedbackController::with_defaults());
+            }
+            let mut rng = FaultRng::new(0x0DDC0DE);
+            let mut next_tag = [0u32; 2];
+            for _ in 0..4 * 64 {
+                for (c, tag) in next_tag.iter_mut().enumerate() {
+                    let comm = CommId(c as u16 + 1);
+                    for _ in 0..rng.below(4) {
+                        svc.post_recv_queued(ReceivePattern::new(Rank(0), Tag(*tag), comm))
+                            .unwrap();
+                        tx.send(eager_packet(
+                            Envelope::new(Rank(0), Tag(*tag), comm),
+                            vec![c as u8],
+                        ))
+                        .unwrap();
+                        *tag += 1;
+                    }
+                }
+                svc.progress().unwrap();
+            }
+            let occupancy = svc.observability_snapshot().hists["otm_block_occupancy"].clone();
+            let stats = svc.engine_stats().expect("offloaded backend");
+            (stats.blocks, stats.messages, occupancy.sum, occupancy.count)
+        };
+        let (attached, plain) = (run(true), run(false));
+        assert!(
+            plain.0 > 0 && plain.1 > plain.0,
+            "blocks ran, some of them shared"
+        );
+        assert_eq!(attached, plain);
     }
 }

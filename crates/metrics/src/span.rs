@@ -141,8 +141,6 @@ pub enum KnobKind {
     ReliabilityWindow,
     /// The service's inline drain-retry budget for ring backpressure.
     DrainRetryBudget,
-    /// The drain packing policy (encoded 0 = consecutive, 1 = cross-comm).
-    PackingPolicy,
     /// The drain packing-window override (0 = engine default).
     PackingWindow,
 }
@@ -153,7 +151,6 @@ impl KnobKind {
         match self {
             KnobKind::ReliabilityWindow => "reliability_window",
             KnobKind::DrainRetryBudget => "drain_retry_budget",
-            KnobKind::PackingPolicy => "packing_policy",
             KnobKind::PackingWindow => "packing_window",
         }
     }

@@ -120,7 +120,8 @@ impl CommandQueue {
     }
 
     /// Per-communicator submission-ring occupancy, in communicator order —
-    /// feeds the `otm_submission_ring_depth` gauges.
+    /// the drain samples it after each refill for the
+    /// `otm_submission_ring_depth_peak` gauges.
     pub(crate) fn lane_occupancy(&self, shards: &ShardMap) -> Vec<(u16, usize)> {
         shards
             .all_sorted()

@@ -14,22 +14,22 @@
 //!   threads posting into *different* communicators proceed concurrently.
 //!   Blocks of incoming messages are matched via
 //!   [`OtmEngine::process_block`] (with a chunking
-//!   [`OtmEngine::process_stream`]); the block coordinator serializes block
-//!   execution behind an internal coordinator lock and locks exactly the
-//!   shards the block touches.
+//!   [`OtmEngine::process_stream`]); both take `&mut self`, so a direct
+//!   block never runs beside a drain. The block coordinator locks exactly
+//!   the shards the block touches.
 //! * **The command queue.** Any thread may [`OtmEngine::submit`] post and
 //!   arrival commands into the engine's FIFO [`CommandQueue`]; a drainer
 //!   thread calls [`OtmEngine::drain`] to apply them, staging a bounded
 //!   window in a packing scheduler that assembles arrivals into parallel
-//!   blocks — by default reordering across communicators to keep blocks
-//!   full under mixed post/arrival traffic. Because matching outcomes
-//!   depend only on per-communicator command order, which the scheduler
-//!   strictly preserves, the per-communicator match set is identical to a
-//!   fully serialized engine's.
+//!   blocks, reordering across communicators to keep blocks full under
+//!   mixed post/arrival traffic. Because matching outcomes depend only on
+//!   per-communicator command order, which the scheduler strictly
+//!   preserves, the per-communicator match set is identical to a fully
+//!   serialized engine's.
 //!
-//! The historical `&mut self` methods ([`OtmEngine::post`],
-//! [`OtmEngine::process_block`]) remain as thin compatibility wrappers over
-//! the sharded `&self` machinery.
+//! One lock, the coordinator lock, guards the block arena and the arrival
+//! clock. A drain holds it from entry to exit, which serializes whole
+//! drains against each other; `submit` and `post_shared` never take it.
 
 use crate::block::{result_code, BlockState, LaneData, NO_DESC};
 use crate::command::{Command, CommandOutcome, CommandQueue, DrainReport};
@@ -48,7 +48,7 @@ use otm_base::{
     ArrivalSeq, CommHints, CommId, Envelope, InlineHashes, MatchConfig, MatchError, PackingPolicy,
     ReceivePattern,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -56,12 +56,20 @@ pub use mpi_matching::backend::{BlockDelivery as Delivery, FallbackState};
 
 /// Coordinator-only state: whatever must be serialized across blocks but
 /// not across posts. Guarded by the engine's coordinator lock, which
-/// thereby serializes block execution on the single [`BlockState`] arena.
+/// thereby serializes block execution on the single [`BlockState`] arena
+/// and, held for a whole [`OtmEngine::drain`], keeps concurrent drains from
+/// interleaving their queue pops and breaking FIFO order.
 struct CoordState {
     /// Arrival sequence of the next incoming message.
     next_arrival: ArrivalSeq,
     /// The block arena.
     block: BlockState,
+}
+
+/// Raises `comm`'s entry of a drain-local peak map to at least `depth`.
+fn raise(peaks: &mut BTreeMap<u16, u64>, comm: u16, depth: usize) {
+    let peak = peaks.entry(comm).or_insert(0);
+    *peak = (*peak).max(depth as u64);
 }
 
 /// The Optimistic Tag Matching engine (see module docs and crate docs).
@@ -72,15 +80,9 @@ pub struct OtmEngine {
     shards: ShardMap,
     queue: CommandQueue,
     coord: Mutex<CoordState>,
-    /// Serializes whole [`OtmEngine::drain`] calls. Distinct from `coord`
-    /// (which serializes individual blocks) so a drain can release the
-    /// block arena between chunks — pipelining racing `submit`s and direct
-    /// `process_block` calls against queue pops — while concurrent drains
-    /// still cannot interleave their pops and break FIFO order.
-    drain_gate: Mutex<()>,
-    /// Runtime packing-policy selector (set by the feedback controller from
-    /// the observed active-lane count): `Consecutive` when set, else the
-    /// default `CrossComm`. Read at the top of every drain.
+    /// Set by [`OtmEngine::set_packing`] to drain with the reference packer
+    /// (`Consecutive`); nothing at run time sets it. Read at the top of
+    /// every drain.
     pack_consecutive: AtomicBool,
     /// Runtime packing-window override in commands (0 = the configured
     /// default of `block_threads × 8`). Read at the top of every drain.
@@ -113,24 +115,25 @@ impl OtmEngine {
             stats: OtmStats::default(),
             metrics: EngineMetrics::new(),
             shards: ShardMap::new(),
-            drain_gate: Mutex::new(()),
             pack_consecutive: AtomicBool::new(false),
             packing_window_override: AtomicUsize::new(0),
             stopped: AtomicBool::new(false),
         })
     }
 
-    /// Selects the packing policy for subsequent drains (a new engine
-    /// packs [`PackingPolicy::CrossComm`]). Safe to call at any time: the
-    /// selector is read once at the top of each drain, and both policies
-    /// preserve per-communicator FIFO order, so a mid-stream switch cannot
-    /// violate MPI matching order.
+    /// Selects the packer for subsequent drains. An engine drains
+    /// [`PackingPolicy::CrossComm`]; [`PackingPolicy::Consecutive`] is the
+    /// reference packer of the packed ≡ consecutive oracle and of fig8's
+    /// `--packing` A/B row, and nothing at run time selects it. Safe to
+    /// call at any time: the selector is read once at the top of each
+    /// drain, and both packers preserve per-communicator FIFO order, so a
+    /// mid-stream switch cannot violate MPI matching order.
     pub fn set_packing(&self, policy: PackingPolicy) {
         self.pack_consecutive
             .store(policy == PackingPolicy::Consecutive, Ordering::Relaxed);
     }
 
-    /// The packing policy the next drain will use.
+    /// The packer the next drain will use (see [`OtmEngine::set_packing`]).
     pub fn packing(&self) -> PackingPolicy {
         if self.pack_consecutive.load(Ordering::Relaxed) {
             PackingPolicy::Consecutive
@@ -333,25 +336,29 @@ impl OtmEngine {
     /// Drains the command queue — the coordinator half of the QP command
     /// path. Commands are staged into a [`PackingScheduler`] window and
     /// carved into steps: single posts, and arrival blocks of up to
-    /// `block_threads` messages matched in parallel. Under the default
-    /// [`PackingPolicy::CrossComm`](otm_base::PackingPolicy) policy blocks
-    /// are assembled *across* communicators (§IV-E execution-group
-    /// scheduling): posts at lane heads are hoisted ahead of other
-    /// communicators' arrivals and the arrival runs of every lane are fused,
-    /// so mixed post/arrival traffic still fills blocks. Per-communicator
-    /// command order — the only order MPI matching can observe — is strictly
-    /// preserved; [`PackingPolicy::Consecutive`](otm_base::PackingPolicy)
-    /// (see [`OtmEngine::set_packing`]) packs strictly in submission order,
-    /// which is all a single live lane needs.
+    /// `block_threads` messages matched in parallel. Blocks are assembled
+    /// *across* communicators (§IV-E execution-group scheduling): posts at
+    /// lane heads are hoisted ahead of other communicators' arrivals and the
+    /// arrival runs of every lane are fused, so mixed post/arrival traffic
+    /// still fills blocks. Per-communicator command order — the only order
+    /// MPI matching can observe — is strictly preserved. With a single
+    /// staged lane and no lane quota the steps are those of the reference
+    /// packer ([`OtmEngine::set_packing`]), which packs strictly in
+    /// submission order.
     ///
     /// The drain is *pipelined* (the paper's CQ pipelining, §IV-E): it pops
-    /// commands in bounded chunks and takes the queue and coordinator locks
-    /// only briefly per chunk/block, so racing `submit`s and direct
-    /// `process_block` calls overlap with block execution instead of
-    /// stalling behind the whole drain. Whole drains are still serialized
-    /// against each other, and only commands already queued when the drain
-    /// started are processed — submissions racing in mid-drain wait for the
-    /// next drain, so a busy submitter cannot pin the coordinator forever.
+    /// commands in bounded chunks and holds no queue-wide lock between
+    /// them, so racing `submit`s and `post_shared` calls overlap with block
+    /// execution instead of stalling behind the whole drain. Whole drains are
+    /// serialized against each other by the coordinator lock, and only
+    /// commands already queued when the drain started are processed —
+    /// submissions racing in mid-drain wait for the next drain, so a busy
+    /// submitter cannot pin the coordinator forever.
+    ///
+    /// Per-communicator depths (staged lane, submission ring) are tracked in
+    /// locals while the drain runs and published once, on every exit, as the
+    /// `otm_drain_lane_depth_peak` / `otm_submission_ring_depth_peak`
+    /// gauges: no step resolves a labelled instrument.
     ///
     /// On an error the drain stops: outcomes of the commands already
     /// applied are returned in the report (in submission order) together
@@ -364,7 +371,7 @@ impl OtmEngine {
     /// invalid) surfaces them in [`DrainReport::unapplied`] instead, so a
     /// retry loop terminates rather than spinning forever on a dead engine.
     pub fn drain(&self) -> DrainReport {
-        let _gate = lock(&self.drain_gate);
+        let mut coord = lock(&self.coord);
         // Chunk size: a few blocks' worth of commands per pop keeps the
         // queue-lock hold times short without paying the lock once per
         // command. The staging window is a couple of chunks deep — enough
@@ -378,13 +385,14 @@ impl OtmEngine {
         let mut sched = PackingScheduler::new(self.packing(), self.config.block_threads)
             .with_lane_quota(self.config.lane_quota);
         let mut outcomes: Vec<(u64, CommandOutcome)> = Vec::with_capacity(remaining);
-        // Lanes whose depth gauge was set by the previous iteration: a lane
-        // that empties must decay its current-depth gauge back to 0 (the
-        // peak gauge keeps the high-water mark regardless).
-        let mut live_lanes: Vec<u16> = Vec::new();
-        loop {
+        // Depths only grow at a refill (a step shrinks a lane, a pop
+        // shrinks a ring), so sampling after each refill sees every peak.
+        let mut lane_peaks: BTreeMap<u16, u64> = BTreeMap::new();
+        let mut ring_peaks: BTreeMap<u16, u64> = BTreeMap::new();
+        let failure = loop {
             // Refill the window before every step so blocks are assembled
             // from the fullest lanes we are entitled to see.
+            let mut refilled = false;
             while remaining > 0 && sched.staged() < window {
                 let take = chunk.min(remaining).min(window - sched.staged());
                 let cmds = self.queue.take_chunk(take, &self.shards);
@@ -395,30 +403,18 @@ impl OtmEngine {
                 }
                 remaining -= cmds.len();
                 sched.admit(cmds);
+                refilled = true;
             }
-            for (comm, depth) in self.queue.lane_occupancy(&self.shards) {
-                self.metrics.record_ring_depth(comm, depth as u64);
-            }
-            let live_now: Vec<u16> = {
-                let mut now = Vec::new();
+            if refilled {
+                for (comm, depth) in self.queue.lane_occupancy(&self.shards) {
+                    raise(&mut ring_peaks, comm, depth);
+                }
                 for (comm, depth) in sched.lane_depths() {
-                    self.metrics.record_lane_depth(comm.0, depth as u64);
-                    now.push(comm.0);
-                }
-                now
-            };
-            for &comm in &live_lanes {
-                if !live_now.contains(&comm) {
-                    self.metrics.record_lane_depth(comm, 0);
+                    raise(&mut lane_peaks, comm.0, depth);
                 }
             }
-            live_lanes = live_now;
             let Some(step) = sched.next_step() else {
-                // The window is drained: every lane gauge decays to 0.
-                for &comm in &live_lanes {
-                    self.metrics.record_lane_depth(comm, 0);
-                }
-                break;
+                break None;
             };
             match step {
                 PackingStep::Post {
@@ -427,19 +423,12 @@ impl OtmEngine {
                     handle,
                 } => match self.post_shared(pattern, handle) {
                     Ok(result) => outcomes.push((idx, CommandOutcome::Post { handle, result })),
-                    Err(e) => {
-                        let failed = vec![(idx, Command::Post { pattern, handle })];
-                        return self.fail_drain(e, failed, sched, outcomes);
-                    }
+                    Err(e) => break Some((e, vec![(idx, Command::Post { pattern, handle })])),
                 },
                 PackingStep::Block { msgs } => {
                     let block: Vec<(Envelope, MsgHandle)> =
                         msgs.iter().map(|&(_, env, msg)| (env, msg)).collect();
-                    let result = {
-                        let mut coord = lock(&self.coord);
-                        self.process_block_locked(&mut coord, &block)
-                    };
-                    match result {
+                    match self.process_block_locked(&mut coord, &block) {
                         Ok(deliveries) => outcomes.extend(
                             msgs.iter()
                                 .zip(deliveries)
@@ -450,11 +439,15 @@ impl OtmEngine {
                                 .into_iter()
                                 .map(|(idx, env, msg)| (idx, Command::Arrival { env, msg }))
                                 .collect();
-                            return self.fail_drain(e, failed, sched, outcomes);
+                            break Some((e, failed));
                         }
                     }
                 }
             }
+        };
+        self.metrics.publish_drain_peaks(&lane_peaks, &ring_peaks);
+        if let Some((error, failed)) = failure {
+            return self.fail_drain(error, failed, sched, outcomes);
         }
         outcomes.sort_unstable_by_key(|&(idx, _)| idx);
         DrainReport {

@@ -10,6 +10,7 @@
 //! so the per-message cost is a few relaxed atomic adds.
 
 use otm_metrics::{Counter, Histogram, Registry, RegistrySnapshot};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Lifecycle span events retained before overwriting (each message
@@ -141,46 +142,30 @@ impl EngineMetrics {
         self.block_occupancy.record(arrivals);
     }
 
-    /// Records a per-communicator staged-lane depth observed during a
-    /// drain. Two gauges per lane: `otm_drain_lane_depth` follows the
-    /// *current* depth — the drain resets it to 0 when the lane empties,
-    /// so a communicator that goes quiet reads 0 and the drain is
-    /// visible in Fig. 6/7-style artifacts — while
-    /// `otm_drain_lane_depth_peak` keeps the all-time high-water mark
-    /// (`set_max` never lowers it). Resolves the labeled gauges through
-    /// the registry — called once per drain refill, not per message, so
-    /// the lookup is off the hot path.
-    pub fn record_lane_depth(&self, comm: u16, depth: u64) {
-        self.registry
-            .gauge_with("otm_drain_lane_depth", vec![("comm", comm.to_string())])
-            .set(depth as i64);
-        self.registry
-            .gauge_with(
-                "otm_drain_lane_depth_peak",
-                vec![("comm", comm.to_string())],
-            )
-            .set_max(depth as i64);
-    }
-
-    /// Records a communicator's submission-ring occupancy observed at a
-    /// drain refill: `otm_submission_ring_depth` follows the current
-    /// occupancy, `otm_submission_ring_depth_peak` the high-water mark.
-    /// Persistently high occupancy (near the configured ring capacity)
-    /// means submitters are outrunning the drain and seeing
-    /// `SubmissionRingFull` backpressure.
-    pub fn record_ring_depth(&self, comm: u16, depth: u64) {
-        self.registry
-            .gauge_with(
-                "otm_submission_ring_depth",
-                vec![("comm", comm.to_string())],
-            )
-            .set(depth as i64);
-        self.registry
-            .gauge_with(
-                "otm_submission_ring_depth_peak",
-                vec![("comm", comm.to_string())],
-            )
-            .set_max(depth as i64);
+    /// Publishes a finished drain's per-communicator depth peaks: the
+    /// deepest each staged lane and each submission ring got at any refill
+    /// of that drain. `otm_drain_lane_depth_peak{comm}` and
+    /// `otm_submission_ring_depth_peak{comm}` keep the all-time high-water
+    /// mark (`set_max` never lowers it); a ring peak near the configured
+    /// ring capacity means submitters are outrunning the drain and seeing
+    /// `SubmissionRingFull` backpressure. This is the only place the engine
+    /// resolves a labelled instrument after construction, and the drain
+    /// calls it once, when it ends.
+    pub fn publish_drain_peaks(
+        &self,
+        lane_peaks: &BTreeMap<u16, u64>,
+        ring_peaks: &BTreeMap<u16, u64>,
+    ) {
+        for (name, peaks) in [
+            ("otm_drain_lane_depth_peak", lane_peaks),
+            ("otm_submission_ring_depth_peak", ring_peaks),
+        ] {
+            for (comm, &peak) in peaks {
+                self.registry
+                    .gauge_with(name, vec![("comm", comm.to_string())])
+                    .set_max(peak as i64);
+            }
+        }
     }
 
     /// The underlying registry (for embedding into a larger exporter).
@@ -257,24 +242,22 @@ mod tests {
         let t = m.timer();
         m.observe_block(t);
         m.record_block_occupancy(4);
-        m.record_lane_depth(1, 7);
-        m.record_lane_depth(1, 3); // peak keeps the high-water mark, current follows
-        m.record_ring_depth(1, 5);
-        m.record_ring_depth(1, 2);
+        // Two drains: the gauges keep the high-water mark across them.
+        m.publish_drain_peaks(&BTreeMap::from([(1, 7)]), &BTreeMap::from([(1, 5)]));
+        m.publish_drain_peaks(&BTreeMap::from([(1, 3)]), &BTreeMap::from([(1, 2)]));
         let snap = m.snapshot();
         assert_eq!(snap.hists["otm_search_depth"].count, 1);
         assert_eq!(snap.hists["otm_block_latency_ns"].count, 1);
         assert_eq!(snap.hists["otm_block_occupancy"].count, 1);
         assert_eq!(snap.hists["otm_block_occupancy"].sum, 4);
-        assert_eq!(snap.gauges["otm_drain_lane_depth_peak{comm=\"1\"}"], 7);
-        assert_eq!(snap.gauges["otm_drain_lane_depth{comm=\"1\"}"], 3);
-        assert_eq!(snap.gauges["otm_submission_ring_depth_peak{comm=\"1\"}"], 5);
-        assert_eq!(snap.gauges["otm_submission_ring_depth{comm=\"1\"}"], 2);
-        // A lane that empties decays the current gauge to 0; the peak stays.
-        m.record_lane_depth(1, 0);
-        let snap = m.snapshot();
-        assert_eq!(snap.gauges["otm_drain_lane_depth{comm=\"1\"}"], 0);
-        assert_eq!(snap.gauges["otm_drain_lane_depth_peak{comm=\"1\"}"], 7);
+        let gauges: Vec<(&str, i64)> = snap.gauges.iter().map(|(k, &v)| (&**k, v)).collect();
+        assert_eq!(
+            gauges,
+            [
+                ("otm_drain_lane_depth_peak{comm=\"1\"}", 7),
+                ("otm_submission_ring_depth_peak{comm=\"1\"}", 5),
+            ]
+        );
         assert_eq!(snap.counters["otm_resolutions_total{path=\"nc\"}"], 1);
         assert_eq!(snap.counters["otm_resolutions_total{path=\"wc_fp\"}"], 1);
         assert_eq!(snap.counters["otm_resolutions_total{path=\"wc_sp\"}"], 1);

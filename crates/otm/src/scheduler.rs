@@ -16,10 +16,11 @@
 //! `CommId` persistently winning. The rotation is deterministic — a given
 //! admission sequence always produces the same steps.
 //!
-//! With [`PackingPolicy::Consecutive`] the scheduler degrades to the
-//! pre-reordering behaviour — a single global FIFO where any post (or the
-//! window edge) cuts the arrival run short — which is what the fig8 A/B
-//! comparison measures.
+//! [`PackingPolicy::Consecutive`] is the reference packer — a single global
+//! FIFO where any post (or the window edge) cuts the arrival run short.
+//! Nothing at run time selects it: the packed ≡ consecutive oracle and
+//! fig8's `--packing` A/B row compare against it. With a single staged lane
+//! and no lane quota the cross-communicator steps are exactly its steps.
 //!
 //! Every staged command keeps the global submission ticket the command
 //! queue stamped it with, so the drain can report outcomes in submission
@@ -178,8 +179,8 @@ impl PackingScheduler {
         }
     }
 
-    /// Current per-lane staged depth, for the lane-depth gauge. Empty under
-    /// the consecutive policy (there are no lanes to observe).
+    /// Current per-lane staged depth, for the lane-depth peak gauge. Empty
+    /// under the consecutive policy (there are no lanes to observe).
     pub fn lane_depths(&self) -> impl Iterator<Item = (CommId, usize)> + '_ {
         self.lanes
             .iter()

@@ -8,7 +8,9 @@
 mod support;
 
 use mpi_matching::{MsgHandle, PendingCommand, RecvHandle};
-use otm_base::{CommId, Envelope, FaultRng, MatchConfig, PackingPolicy, Rank, ReceivePattern, Tag};
+use otm_base::{
+    CommId, Envelope, FaultRng, MatchConfig, MatchError, PackingPolicy, Rank, ReceivePattern, Tag,
+};
 use support::{
     assert_drain_failure_contract, assert_packing_equivalence, assert_ring_equivalence,
     command_stream, drain_under_policy, fallback_oracle_config,
@@ -62,14 +64,10 @@ fn drain_failure_contract_holds_for_both_policies() {
     }
 }
 
-/// The perf mechanism itself, pinned deterministically: on a post-riddled
-/// interleaved stream the cross-communicator scheduler executes the same
-/// arrivals in strictly fewer, fuller blocks than the consecutive packer.
-#[test]
-fn cross_comm_packs_fewer_fuller_blocks() {
-    // Round-robin over 3 communicators; communicator c posts whenever
-    // (i + c) % 3 == 2, so the post positions are staggered across lanes
-    // and the *global* stream has a post roughly every third command.
+/// Round-robin over 3 communicators; communicator c posts whenever
+/// (i + c) % 3 == 2, so the post positions are staggered across lanes and
+/// the *global* stream has a post roughly every third command.
+fn staggered_three_comm_stream() -> Vec<PendingCommand> {
     let mut cmds = Vec::new();
     let (mut next_recv, mut next_msg) = (0u64, 0u64);
     for i in 0u32..120 {
@@ -92,6 +90,15 @@ fn cross_comm_packs_fewer_fuller_blocks() {
             }
         }
     }
+    cmds
+}
+
+/// The perf mechanism itself, pinned deterministically: on a post-riddled
+/// interleaved stream the cross-communicator scheduler executes the same
+/// arrivals in strictly fewer, fuller blocks than the consecutive packer.
+#[test]
+fn cross_comm_packs_fewer_fuller_blocks() {
+    let cmds = staggered_three_comm_stream();
     let config = fallback_oracle_config().with_block_threads(8);
     let (consec, a) = drain_under_policy(config.clone(), PackingPolicy::Consecutive, &cmds);
     let (cross, b) = drain_under_policy(config, PackingPolicy::CrossComm, &cmds);
@@ -106,4 +113,41 @@ fn cross_comm_packs_fewer_fuller_blocks() {
         sa.blocks,
         sb.blocks
     );
+}
+
+/// The per-communicator depth gauges after one drain of the staggered
+/// stream, once clean and once stopping on `ReceiveTableFull` with the
+/// window still staged (both reach their peaks before the failing post).
+/// The literals were recorded at the last commit that sampled the gauges at
+/// every step: the drain publishes the same peaks, once, on every exit —
+/// and no other gauge.
+#[test]
+fn depth_peak_gauges_are_published_on_clean_and_failing_drains() {
+    let cmds = staggered_three_comm_stream();
+    let expected: Vec<(String, i64)> = [
+        ("otm_drain_lane_depth_peak", [22, 23, 21]),
+        ("otm_submission_ring_depth_peak", [98, 99, 99]),
+    ]
+    .into_iter()
+    .flat_map(|(name, peaks)| {
+        (1..=3).map(move |comm| (format!("{name}{{comm=\"{comm}\"}}"), peaks[comm - 1]))
+    })
+    .collect();
+    let config = fallback_oracle_config().with_block_threads(8);
+    for (config, error) in [
+        (config.clone(), None),
+        (
+            config.with_max_receives(4),
+            Some(MatchError::ReceiveTableFull),
+        ),
+    ] {
+        let (engine, report) = drain_under_policy(config, PackingPolicy::CrossComm, &cmds);
+        assert_eq!(report.error, error);
+        assert!(
+            report.outcomes.len() >= 64,
+            "at least one window was applied"
+        );
+        let gauges: Vec<(String, i64)> = engine.metrics_snapshot().gauges.into_iter().collect();
+        assert_eq!(gauges, expected, "drain ending with {error:?}");
+    }
 }

@@ -464,3 +464,62 @@ fn tiny_engine_ring_requeues_the_drain_batch_instead_of_failing_the_tick() {
         assert_eq!(d.data, vec![i as u8]);
     }
 }
+
+/// The lane quota is the engine-side half of the fairness contract, and it
+/// must keep applying on a self-tuning server: with two tenants backlogged
+/// and `lane_quota: Some(q)`, no block carries more than `q` arrivals of
+/// either communicator — before and after the controller has run.
+#[test]
+fn lane_quota_still_applies_on_a_self_tuning_server() {
+    const QUOTA: usize = 2;
+    let mut server = MatchServer::new(
+        roomy_config()
+            .with_block_threads(8)
+            .with_lane_quota(Some(QUOTA)),
+        MatchdConfig {
+            self_tuning: true,
+            ..MatchdConfig::default()
+        },
+    )
+    .expect("standalone matchd server");
+    let sessions: Vec<TenantSession> = (1..=2)
+        .map(|c| {
+            server.open_tenant_with(TenantConfig {
+                capacity: 1024,
+                quantum: 64,
+                comm: Some(CommId(c)),
+            })
+        })
+        .collect();
+    let interval = server
+        .service()
+        .controller()
+        .expect("self-tuning attaches the controller")
+        .interval_polls();
+    let occupancy = |server: &MatchServer| {
+        server.service().observability_snapshot().hists["otm_block_occupancy"].clone()
+    };
+    let mut round = 0;
+    let mut run = |server: &mut MatchServer, ticks: u64| {
+        for _ in 0..ticks {
+            for session in &sessions {
+                submit_pairs(session, 8, round);
+            }
+            server.tick().expect("tick");
+            round += 1;
+        }
+    };
+    run(&mut server, 3 * interval);
+    let settled = occupancy(&server);
+    run(&mut server, interval);
+    let end = occupancy(&server);
+    assert!(
+        end.count > settled.count,
+        "blocks must run after the controller's third interval"
+    );
+    assert_eq!(
+        end.max,
+        2 * QUOTA as u64,
+        "two backlogged lanes fill a block to exactly one quota each"
+    );
+}
