@@ -67,9 +67,6 @@ pub struct MatchConfig {
     /// Enable the early-booking check (§IV-D): skip receives already booked
     /// by lower-id threads during the optimistic phase.
     pub early_booking_check: bool,
-    /// Enable lazy removal of consumed receives from bin chains (§IV-D).
-    /// When disabled, the consuming thread eagerly unlinks under the bin lock.
-    pub lazy_removal: bool,
     /// Cap on the number of arrivals one communicator lane may contribute to
     /// a single block under [`PackingPolicy::CrossComm`]. `None` (the
     /// default) keeps the greedy fill — one deep lane may own the whole
@@ -97,7 +94,6 @@ impl Default for MatchConfig {
             block_threads: 32,
             fast_path: true,
             early_booking_check: false,
-            lazy_removal: true,
             lane_quota: None,
             ring_capacity: 1024,
         }
@@ -156,13 +152,6 @@ impl MatchConfig {
     #[must_use]
     pub fn with_early_booking_check(mut self, on: bool) -> Self {
         self.early_booking_check = on;
-        self
-    }
-
-    /// Enables or disables lazy removal.
-    #[must_use]
-    pub fn with_lazy_removal(mut self, on: bool) -> Self {
-        self.lazy_removal = on;
         self
     }
 
@@ -487,7 +476,6 @@ mod tests {
         );
         assert_eq!(c.block_threads, 32, "32 DPA threads (§VI)");
         assert!(c.fast_path);
-        assert!(c.lazy_removal);
         c.validate().unwrap();
     }
 
@@ -500,7 +488,6 @@ mod tests {
             .with_block_threads(8)
             .with_fast_path(false)
             .with_early_booking_check(true)
-            .with_lazy_removal(false)
             .with_ring_capacity(256);
         assert_eq!(c.bins, 64);
         assert_eq!(c.max_receives, 128);
@@ -508,7 +495,6 @@ mod tests {
         assert_eq!(c.block_threads, 8);
         assert!(!c.fast_path);
         assert!(c.early_booking_check);
-        assert!(!c.lazy_removal);
         assert_eq!(c.ring_capacity, 256);
         c.validate().unwrap();
     }

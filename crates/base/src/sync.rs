@@ -1,7 +1,7 @@
 //! Poison-ignoring access to `std::sync` locks.
 //!
-//! A lane that panics under `catch_unwind` while holding a bin lock poisons
-//! it, but the engine's tables must stay readable afterwards: the host
+//! A block that panics under `catch_unwind` does so with its shard locks
+//! held, but the engine's tables must stay readable afterwards: the host
 //! extracts `FallbackState` from them to hand matching back to software.
 //! Every update made under these locks leaves the data valid at each step
 //! (pushes, removals, whole-value stores), so the guard of a poisoned lock

@@ -14,30 +14,21 @@
 //! protocol — the one in which every lane searches before any lane consumes,
 //! which is the DPA's — and the sweep order *is* the partial barrier: nothing
 //! waits, and nothing is left to race. `BlockState` therefore lives under
-//! the engine's coordinator lock and holds plain values; the atomics and
-//! locks inside the tables and indexes stay, because posters into other
-//! communicators share them through `&self` while a block runs.
+//! the engine's coordinator lock and holds plain values, and so do the
+//! tables and indexes, each under its communicator's shard lock: the
+//! coordinator holds the locks of the shards a block touches for the whole
+//! block and lends them to the lanes through `&`, and a poster into another
+//! communicator touches only that communicator's shard. What the lanes
+//! write through `&` is the three atomics of a descriptor slot, which are
+//! the protocol itself (§III-C).
 
-use crate::index::{PrqIndexes, SearchOutcome};
-use crate::table::{DescId, ReceiveTable};
+use crate::index::SearchOutcome;
+use crate::table::DescId;
 use mpi_matching::MsgHandle;
 use otm_base::{Envelope, InlineHashes};
-use std::sync::Arc;
-
-/// Per-communicator matching state shared between posters and block lanes.
-#[derive(Debug)]
-pub struct CommShared {
-    /// The fixed-size receive descriptor table.
-    pub table: ReceiveTable,
-    /// The four posted-receive index structures.
-    pub prq: PrqIndexes,
-    /// The communicator's matching hints (§VII). Fixed at communicator
-    /// creation, like the DPA resources themselves (§IV-E).
-    pub hints: otm_base::CommHints,
-}
 
 /// One lane's input for the current block.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct LaneData {
     /// The incoming message's envelope.
     pub env: Envelope,
@@ -45,9 +36,9 @@ pub struct LaneData {
     pub handle: MsgHandle,
     /// Sender-side inline hashes (§IV-D).
     pub hashes: InlineHashes,
-    /// The communicator state the message matches against (pre-resolved by
-    /// the coordinator so lanes never touch the communicator map).
-    pub comm: Arc<CommShared>,
+    /// Which of the block's locked shards the message matches against: an
+    /// index into the slice the coordinator lends to `worker::run_block`.
+    pub shard: usize,
 }
 
 /// Lane result encoding stored in [`BlockState::results`].
@@ -131,6 +122,12 @@ pub fn below_mask(lane: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn lane_data_is_copy() {
+        fn assert_copy<T: Copy>() {}
+        assert_copy::<LaneData>();
+    }
 
     #[test]
     fn masks_cover_expected_lanes() {

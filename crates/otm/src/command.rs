@@ -157,10 +157,11 @@ impl CommandQueue {
                 }
             }
         }
-        // k-way min-ticket merge over the ring heads. The drain gate
-        // serializes consumers, so a peeked head can only be popped by us; a
-        // head appearing concurrently (racing submit) may or may not be
-        // included, and is picked up by the next take if not.
+        // k-way min-ticket merge over the ring heads. The engine's
+        // coordinator lock, held for a whole drain, serializes consumers, so
+        // a peeked head can only be popped by us; a head appearing
+        // concurrently (racing submit) may or may not be included, and is
+        // picked up by the next take if not.
         let lanes = shards.all_sorted();
         while out.len() < max {
             let mut best: Option<(u64, usize)> = None;

@@ -1,10 +1,10 @@
 //! The Optimistic Tag Matching engine: public API and coordinator logic.
 //!
 //! [`OtmEngine`] owns the block arena its lanes (the DPA threads of §IV) are
-//! stepped through and the host-facing state: per-communicator descriptor
-//! tables, index structures and unexpected-message stores, organized as
-//! independent [`shards`](crate::shard) keyed by communicator. It starts no
-//! thread: a block runs on the thread that calls in.
+//! stepped through and the per-communicator state: descriptor table, index
+//! structures and unexpected-message store, plain data inside one
+//! [`shard`](crate::shard) mutex per communicator. It starts no thread: a
+//! block runs on the thread that calls in.
 //!
 //! Two host-facing paths feed the engine, mirroring §IV-E's QP command
 //! handling:
@@ -16,7 +16,7 @@
 //!   [`OtmEngine::process_block`] (with a chunking
 //!   [`OtmEngine::process_stream`]); both take `&mut self`, so a direct
 //!   block never runs beside a drain. The block coordinator locks exactly
-//!   the shards the block touches.
+//!   the shards the block touches, once each, and lends them to the lanes.
 //! * **The command queue.** Any thread may [`OtmEngine::submit`] post and
 //!   arrival commands into the engine's FIFO [`CommandQueue`]; a drainer
 //!   thread calls [`OtmEngine::drain`] to apply them, staging a bounded
@@ -27,15 +27,18 @@
 //!   preserves, the per-communicator match set is identical to a fully
 //!   serialized engine's.
 //!
-//! One lock, the coordinator lock, guards the block arena and the arrival
-//! clock. A drain holds it from entry to exit, which serializes whole
-//! drains against each other; `submit` and `post_shared` never take it.
+//! There are two lock levels and nothing below them. The coordinator lock
+//! guards the block arena and the arrival clock; a drain holds it from entry
+//! to exit, which serializes whole drains against each other, and `submit`
+//! and `post_shared` never take it. Under it come the shard locks, taken in
+//! [`CommId`] order by a block and one at a time by everything else; the
+//! tables and indexes inside a shard have no lock of their own.
 
 use crate::block::{result_code, BlockState, LaneData, NO_DESC};
 use crate::command::{Command, CommandOutcome, CommandQueue, DrainReport};
 use crate::metrics::{span_event, EngineMetrics};
 use crate::scheduler::{PackingScheduler, PackingStep};
-use crate::shard::{CommShard, ShardMap};
+use crate::shard::{CommShard, ShardHost, ShardMap};
 use crate::stats::{OtmStats, StatsSnapshot};
 use crate::table::{DescId, Payload};
 use crate::worker::{run_block, LaneCtx};
@@ -48,9 +51,9 @@ use otm_base::{
     ArrivalSeq, CommHints, CommId, Envelope, InlineHashes, MatchConfig, MatchError, PackingPolicy,
     ReceivePattern,
 };
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 pub use mpi_matching::backend::{BlockDelivery as Delivery, FallbackState};
 
@@ -221,7 +224,7 @@ impl OtmEngine {
 
     /// The hints a communicator was declared with.
     pub fn comm_hints(&self, comm: CommId) -> Option<CommHints> {
-        self.shards.get(comm).map(|s| s.shared.hints)
+        self.shards.get(comm).map(|s| lock(&s.host).hints)
     }
 
     /// Posts a receive — the host-to-DPA command path (§IV-E) — through
@@ -238,13 +241,13 @@ impl OtmEngine {
     ) -> Result<PostResult, MatchError> {
         self.check_running()?;
         let shard = self.shards.get_or_create(pattern.comm, &self.config);
-        if !shard.shared.hints.permits(pattern.wildcard_class()) {
+        let mut host = lock(&shard.host);
+        if !host.hints.permits(pattern.wildcard_class()) {
             return Err(MatchError::HintViolation(format!(
                 "receive {pattern} violates the hints declared for {}",
                 pattern.comm
             )));
         }
-        let mut host = lock(&shard.host);
         if let Some(m) = host.umq.match_post(&pattern) {
             self.stats.matched_on_post.fetch_add(1, Ordering::Relaxed);
             self.stats
@@ -279,9 +282,9 @@ impl OtmEngine {
             }
         };
         host.last_pattern = Some(pattern);
-        let home = shard.shared.prq.home_of(&pattern);
+        let home = host.prq.home_of(&pattern);
         let label = host.next_label;
-        let desc = shard.shared.table.allocate(Payload {
+        let desc = host.table.allocate(Payload {
             pattern,
             label,
             seq,
@@ -289,7 +292,7 @@ impl OtmEngine {
             home,
         })?;
         host.next_label = host.next_label.next();
-        shard.shared.prq.insert(home, desc);
+        host.prq.insert(home, desc);
         self.stats.posted.fetch_add(1, Ordering::Relaxed);
         span_event!(self.metrics, RECV_SUBJECT_BIT | handle.0, SpanKind::Posted);
         Ok(PostResult::Posted)
@@ -372,12 +375,8 @@ impl OtmEngine {
     /// retry loop terminates rather than spinning forever on a dead engine.
     pub fn drain(&self) -> DrainReport {
         let mut coord = lock(&self.coord);
-        // Chunk size: a few blocks' worth of commands per pop keeps the
-        // queue-lock hold times short without paying the lock once per
-        // command. The staging window is a couple of chunks deep — enough
-        // lookahead to fuse arrival runs across lanes without hoarding
-        // commands that a racing fallback drain would have to wait for.
-        let chunk = self.config.block_threads.saturating_mul(4).max(16);
+        // The staging window is a few blocks deep: enough lookahead to fuse
+        // arrival runs across lanes.
         let window = self.effective_packing_window();
         // Bound the drain to what was queued at entry (racing submissions
         // land behind this count and belong to the next drain).
@@ -394,7 +393,7 @@ impl OtmEngine {
             // from the fullest lanes we are entitled to see.
             let mut refilled = false;
             while remaining > 0 && sched.staged() < window {
-                let take = chunk.min(remaining).min(window - sched.staged());
+                let take = remaining.min(window - sched.staged());
                 let cmds = self.queue.take_chunk(take, &self.shards);
                 if cmds.is_empty() {
                     // A concurrent drain_for_fallback emptied the queue.
@@ -523,11 +522,12 @@ impl OtmEngine {
     }
 
     /// The block coordinator. Requires the coordinator lock (serializing
-    /// block execution on the one [`BlockState`] arena) and takes the host
-    /// locks of exactly the shards the block touches, in [`CommId`] order —
-    /// the engine's global lock order. Posters hold at most one shard lock
-    /// and never the coordinator lock, so this cannot deadlock; posts into
-    /// communicators outside the block proceed concurrently with it.
+    /// block execution on the one [`BlockState`] arena) and takes the locks
+    /// of exactly the shards the block touches, in [`CommId`] order — the
+    /// engine's global lock order — holding them until the block's cleanup
+    /// is done. Posters hold at most one shard lock and never the
+    /// coordinator lock, so this cannot deadlock; posts into communicators
+    /// outside the block proceed concurrently with it.
     fn process_block_locked(
         &self,
         coord: &mut CoordState,
@@ -545,43 +545,39 @@ impl OtmEngine {
             )));
         }
 
-        // Resolve every lane's shard so the lanes never touch the shard
-        // map, then lock the involved shards (sorted, deduplicated): while
-        // the block runs, no poster can mutate an involved communicator's
-        // tables.
-        let lane_shards: Vec<Arc<CommShard>> = msgs
+        // Lock the shards the block touches, each once, in `CommId` order.
+        // From here to the end of the block no poster can reach an involved
+        // communicator's tables; `shard_of` maps a lane to its guard.
+        let mut comms: Vec<CommId> = msgs.iter().map(|(env, _)| env.comm).collect();
+        comms.sort_unstable();
+        comms.dedup();
+        let shards: Vec<Arc<CommShard>> = comms
             .iter()
-            .map(|(env, _)| self.shards.get_or_create(env.comm, &self.config))
+            .map(|&comm| self.shards.get_or_create(comm, &self.config))
             .collect();
-        let mut involved: Vec<(CommId, Arc<CommShard>)> = msgs
-            .iter()
-            .zip(&lane_shards)
-            .map(|((env, _), shard)| (env.comm, Arc::clone(shard)))
-            .collect();
-        involved.sort_by_key(|(id, _)| *id);
-        involved.dedup_by_key(|(id, _)| *id);
-        let mut guards: Vec<_> = involved
-            .iter()
-            .map(|(id, shard)| (*id, lock(&shard.host)))
-            .collect();
+        let mut guards: Vec<MutexGuard<'_, ShardHost>> =
+            shards.iter().map(|shard| lock(&shard.host)).collect();
+        let shard_of = |comm: CommId| {
+            comms
+                .binary_search(&comm)
+                .expect("every block communicator is locked")
+        };
 
         // Pre-check the unexpected-store capacity: in the worst case every
         // message of the block goes unexpected, and rejecting up front
         // keeps the operation atomic — the caller can fall back to software
         // matching (§IV-E) with the engine's state fully intact (see
         // `drain_for_fallback`).
-        let mut per_comm: HashMap<CommId, usize> = HashMap::new();
+        let mut arrivals = vec![0usize; guards.len()];
         for (env, _) in msgs {
-            *per_comm.entry(env.comm).or_insert(0) += 1;
+            arrivals[shard_of(env.comm)] += 1;
         }
-        for (comm, count) in per_comm {
-            let (_, host) = guards
-                .iter()
-                .find(|(id, _)| *id == comm)
-                .expect("every block communicator is locked");
-            if host.umq.available() < count {
-                return Err(MatchError::UnexpectedStoreFull);
-            }
+        if guards
+            .iter()
+            .zip(&arrivals)
+            .any(|(host, &count)| host.umq.available() < count)
+        {
+            return Err(MatchError::UnexpectedStoreFull);
         }
         // Publish the block and step its lanes through the protocol.
         let block_timer = self.metrics.timer();
@@ -603,16 +599,14 @@ impl OtmEngine {
         }
         let block = &mut coord.block;
         block.reset_for_block(n);
-        block.lanes.extend(
-            msgs.iter()
-                .zip(&lane_shards)
-                .map(|(&(env, handle), shard)| LaneData {
-                    env,
-                    handle,
-                    hashes: InlineHashes::of(&env),
-                    comm: Arc::clone(&shard.shared),
-                }),
-        );
+        block
+            .lanes
+            .extend(msgs.iter().map(|&(env, handle)| LaneData {
+                env,
+                handle,
+                hashes: InlineHashes::of(&env),
+                shard: shard_of(env.comm),
+            }));
         let ctx = LaneCtx {
             stats: &self.stats,
             metrics: &self.metrics,
@@ -621,8 +615,10 @@ impl OtmEngine {
         // `lock` ignores mutex poison, so a block that panicked half-run
         // must stop the engine itself: its bookings and consumes are not
         // cleaned up, and the tables stay readable for `drain_for_fallback`.
-        let swept =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_block(&ctx, block)));
+        let hosts: Vec<&ShardHost> = guards.iter().map(|guard| &**guard).collect();
+        let swept = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_block(&ctx, block, &hosts)
+        }));
         if swept.is_err() {
             self.stopped.store(true, Ordering::SeqCst);
             return Err(MatchError::EngineStopped);
@@ -635,9 +631,9 @@ impl OtmEngine {
 
         // Block-end cleanup, phase 1: clear the booking bitmaps so they are
         // monotone only within a block.
-        for (&desc, shard) in block.booked_desc.iter().zip(&lane_shards) {
+        for (&desc, lane) in block.booked_desc.iter().zip(&block.lanes) {
             if desc != NO_DESC {
-                shard.shared.table.slot(desc).clear_booking();
+                guards[lane.shard].table.slot(desc).clear_booking();
             }
         }
 
@@ -649,29 +645,22 @@ impl OtmEngine {
         for (lane, &(env, handle)) in msgs.iter().enumerate() {
             let code = block.results[lane];
             debug_assert_ne!(code, result_code::UNSET, "lane {lane} never settled");
+            let host = &mut *guards[block.lanes[lane].shard];
             if code == result_code::UNEXPECTED {
                 self.stats.unexpected.fetch_add(1, Ordering::Relaxed);
-                let (_, host) = guards
-                    .iter_mut()
-                    .find(|(id, _)| *id == env.comm)
-                    .expect("every block communicator is locked");
                 host.umq
                     .insert(env, handle, ArrivalSeq(base_arrival.0 + lane as u64))
                     .expect("capacity pre-checked before the block ran");
                 deliveries.push(Delivery::Unexpected { msg: handle });
             } else {
                 let desc = code as DescId;
-                let comm = &lane_shards[lane].shared;
-                debug_assert_eq!(comm.table.slot(desc).state(), crate::table::state::CONSUMED);
-                debug_assert_eq!(comm.table.slot(desc).consumed_epoch(), epoch);
-                let payload = comm.table.slot(desc).payload();
-                if self.config.lazy_removal {
-                    // The coordinator is the lock winner of §IV-D's lazy
-                    // scheme: sweep the tombstone out of its chain now that
-                    // no block is in flight.
-                    comm.prq.unlink(payload.home, desc);
-                }
-                comm.table.release(desc);
+                debug_assert_eq!(host.table.slot(desc).state(), crate::table::state::CONSUMED);
+                debug_assert_eq!(host.table.slot(desc).consumed_epoch(), epoch);
+                let payload = host.table.slot(desc).payload();
+                // §IV-D's lazy removal: the tombstone leaves its chain now
+                // that the block's lanes are done walking it.
+                host.prq.unlink(payload.home, desc);
+                host.table.release(desc);
                 self.stats.matched.fetch_add(1, Ordering::Relaxed);
                 deliveries.push(Delivery::Matched {
                     msg: handle,
@@ -730,14 +719,15 @@ impl OtmEngine {
         let mut receives = Vec::new();
         let mut unexpected = Vec::new();
         for (_, shard) in self.shards.all_sorted() {
-            let mut posted = shard.shared.table.posted_snapshot();
+            let mut host = lock(&shard.host);
+            let mut posted = host.table.posted_snapshot();
             posted.sort_by_key(|p| p.label);
             receives.extend(
                 posted
                     .into_iter()
                     .map(|p| (p.pattern, RecvHandle(p.handle))),
             );
-            unexpected.extend(lock(&shard.host).umq.drain());
+            unexpected.extend(host.umq.drain());
         }
         FallbackState {
             receives,
@@ -751,7 +741,10 @@ impl OtmEngine {
         self.shards
             .all_sorted()
             .iter()
-            .map(|(_, s)| s.shared.prq.live_count(&s.shared.table))
+            .map(|(_, s)| {
+                let host = lock(&s.host);
+                host.prq.live_count(&host.table)
+            })
             .sum()
     }
 
@@ -1009,6 +1002,7 @@ impl MatchingBackend for SequentialOtm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use otm_base::envelope::{SourceSel, TagSel};
     use otm_base::{Rank, Tag};
 
     fn engine() -> OtmEngine {
@@ -1271,34 +1265,66 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_requires_lazy_removal() {
-        // Eager removal unlinks consumed entries mid-block, which would
-        // shift the fast-path rank walk; such configurations must resolve
-        // conflicts through the slow path only.
-        let mut e = OtmEngine::new(
-            MatchConfig::default()
-                .with_max_receives(4096)
-                .with_bins(64)
-                .with_fast_path(true)
-                .with_lazy_removal(false),
+    fn multi_comm_block_maps_each_lane_to_its_own_shard() {
+        // Three communicators in unsorted arrival order, one of them twice:
+        // the lane -> locked-shard mapping must survive the sort + dedup.
+        let mut e = OtmEngine::new(MatchConfig::small().with_max_unexpected(2)).unwrap();
+        let on = |comm: u16, tag: u32| Envelope::new(Rank(0), Tag(tag), CommId(comm));
+        let umq_lens = |e: &OtmEngine| -> Vec<usize> {
+            [1u16, 3, 5]
+                .iter()
+                .map(|&c| lock(&e.shards.get(CommId(c)).unwrap().host).umq.len())
+                .collect()
+        };
+        e.post(
+            ReceivePattern::new(Rank(0), Tag(1), CommId(1)),
+            RecvHandle(11),
         )
         .unwrap();
-        let n = e.config().block_threads;
-        let mut next = 0u64;
-        for _round in 0..30 {
-            for _ in 0..n {
-                e.post(ReceivePattern::exact(Rank(1), Tag(1)), RecvHandle(next))
-                    .unwrap();
-                next += 1;
-            }
-            let msgs: Vec<_> = (0..n).map(|i| (env(1, 1), MsgHandle(i as u64))).collect();
-            let d = e.process_block(&msgs).unwrap();
-            let base = next - n as u64;
-            for (i, del) in d.iter().enumerate() {
-                assert_eq!(del.matched(), Some(RecvHandle(base + i as u64)), "lane {i}");
-            }
-        }
-        assert_eq!(e.stats().fast_path, 0, "stats: {:?}", e.stats());
+        e.process_block(&[(on(3, 9), MsgHandle(90)), (on(5, 9), MsgHandle(91))])
+            .unwrap();
+        assert_eq!(umq_lens(&e), [0, 1, 1]);
+
+        // Comm 5 has one free slot and the block brings two messages for it.
+        let block = [
+            (on(5, 0), MsgHandle(0)),
+            (on(1, 1), MsgHandle(1)),
+            (on(5, 2), MsgHandle(2)),
+            (on(3, 3), MsgHandle(3)),
+        ];
+        assert_eq!(
+            e.process_block(&block),
+            Err(MatchError::UnexpectedStoreFull)
+        );
+        assert_eq!(e.prq_len(), 1, "the comm-1 receive is still posted");
+        assert_eq!(umq_lens(&e), [0, 1, 1]);
+
+        // Free one comm-5 slot: the same block now delivers, in lane order.
+        assert_eq!(
+            e.post(
+                ReceivePattern::new(Rank(0), Tag(9), CommId(5)),
+                RecvHandle(59)
+            ),
+            Ok(PostResult::Matched(MsgHandle(91)))
+        );
+        assert_eq!(
+            e.process_block(&block).unwrap(),
+            vec![
+                Delivery::Unexpected { msg: MsgHandle(0) },
+                Delivery::Matched {
+                    msg: MsgHandle(1),
+                    recv: RecvHandle(11)
+                },
+                Delivery::Unexpected { msg: MsgHandle(2) },
+                Delivery::Unexpected { msg: MsgHandle(3) },
+            ]
+        );
+        assert_eq!(umq_lens(&e), [0, 2, 2]);
+        let any = |comm: u16| ReceivePattern::new(SourceSel::Any, TagSel::Any, CommId(comm));
+        assert_eq!(e.probe(&any(5)), Some(MsgHandle(0)));
+        assert_eq!(e.probe(&any(3)), Some(MsgHandle(90)));
+        assert_eq!(e.probe(&any(1)), None);
+        assert_eq!(e.prq_len(), 0);
     }
 
     #[test]

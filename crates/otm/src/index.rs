@@ -9,18 +9,20 @@
 //! Within a bin, receives appear in posting order, so the first live match
 //! in a chain is the oldest for that key — constraint C1 holds inside an
 //! index by construction (§III-C). Across indexes, the post labels
-//! arbitrate. Chains are `RwLock`ed vectors: block threads search under
-//! shared locks (concurrently), while insertions (coordinator) and unlinks
-//! take the write lock — the "remove lock" of the paper's per-bin layout.
+//! arbitrate. Chains are plain vectors. The paper gives every bin a remove
+//! lock (§IV-D) because its lanes unlink while other lanes search; here the
+//! only writers are receive posting ([`PrqIndexes::insert`]) and block-end
+//! cleanup ([`PrqIndexes::unlink`]), both through `&mut` under the
+//! communicator's shard lock, and lanes only search, through `&`. Consumed
+//! entries stay linked as tombstones until the block ends (the paper's lazy
+//! removal), which is what keeps [`PrqIndexes::walk_sequence`] stable.
 
 use crate::table::{state, DescId, IndexHome, ReceiveTable};
 use otm_base::envelope::{SourceSel, TagSel};
 use otm_base::hash::{bin_of, hash_src, hash_src_tag, hash_tag};
-use otm_base::sync::{read, write};
 use otm_base::{
     CommHints, Envelope, InlineHashes, PostLabel, ReceivePattern, SeqId, WildcardClass,
 };
-use std::sync::RwLock;
 
 /// A candidate found by an index search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,14 +52,14 @@ pub struct SearchOutcome {
 #[derive(Debug)]
 pub struct PrqIndexes {
     bins: usize,
-    no_wild: Box<[RwLock<Vec<DescId>>]>,
-    src_wild: Box<[RwLock<Vec<DescId>>]>,
-    tag_wild: Box<[RwLock<Vec<DescId>>]>,
-    both_wild: RwLock<Vec<DescId>>,
+    no_wild: Box<[Vec<DescId>]>,
+    src_wild: Box<[Vec<DescId>]>,
+    tag_wild: Box<[Vec<DescId>]>,
+    both_wild: Vec<DescId>,
 }
 
-fn make_bins(bins: usize) -> Box<[RwLock<Vec<DescId>>]> {
-    (0..bins).map(|_| RwLock::new(Vec::new())).collect()
+fn make_bins(bins: usize) -> Box<[Vec<DescId>]> {
+    vec![Vec::new(); bins].into_boxed_slice()
 }
 
 impl PrqIndexes {
@@ -69,7 +71,7 @@ impl PrqIndexes {
             no_wild: make_bins(bins),
             src_wild: make_bins(bins),
             tag_wild: make_bins(bins),
-            both_wild: RwLock::new(Vec::new()),
+            both_wild: Vec::new(),
         }
     }
 
@@ -105,7 +107,7 @@ impl PrqIndexes {
         IndexHome { class, bin }
     }
 
-    fn chain(&self, home: IndexHome) -> &RwLock<Vec<DescId>> {
+    fn chain(&self, home: IndexHome) -> &[DescId] {
         match home.class {
             WildcardClass::None => &self.no_wild[home.bin],
             WildcardClass::SrcWild => &self.src_wild[home.bin],
@@ -114,38 +116,28 @@ impl PrqIndexes {
         }
     }
 
-    /// Appends a freshly allocated descriptor to its home chain
-    /// (coordinator context: receive posting).
-    pub fn insert(&self, home: IndexHome, desc: DescId) {
-        write(self.chain(home)).push(desc);
-    }
-
-    /// Unlinks a descriptor from its home chain. Used for eager removal by
-    /// consuming threads (when lazy removal is off) and by the coordinator's
-    /// block-end sweep.
-    pub fn unlink(&self, home: IndexHome, desc: DescId) {
-        let mut chain = write(self.chain(home));
-        if let Some(pos) = chain.iter().position(|&d| d == desc) {
-            chain.remove(pos);
+    fn chain_mut(&mut self, home: IndexHome) -> &mut Vec<DescId> {
+        match home.class {
+            WildcardClass::None => &mut self.no_wild[home.bin],
+            WildcardClass::SrcWild => &mut self.src_wild[home.bin],
+            WildcardClass::TagWild => &mut self.tag_wild[home.bin],
+            WildcardClass::BothWild => &mut self.both_wild,
         }
     }
 
-    /// Sweeps every tombstone (CONSUMED slot) out of the chain containing
-    /// `home`, returning the removed ids. This is the "clean up the list"
-    /// step of the paper's lazy removal (§IV-D), run by whoever wins the
-    /// chain's write lock.
-    pub fn sweep(&self, home: IndexHome, table: &ReceiveTable) -> Vec<DescId> {
-        let mut chain = write(self.chain(home));
-        let mut removed = Vec::new();
-        chain.retain(|&d| {
-            if table.slot(d).state() == state::CONSUMED {
-                removed.push(d);
-                false
-            } else {
-                true
-            }
-        });
-        removed
+    /// Appends a freshly allocated descriptor to its home chain (receive
+    /// posting).
+    pub fn insert(&mut self, home: IndexHome, desc: DescId) {
+        self.chain_mut(home).push(desc);
+    }
+
+    /// Unlinks a descriptor from its home chain: the block-end removal of a
+    /// receive its block consumed.
+    pub fn unlink(&mut self, home: IndexHome, desc: DescId) {
+        let chain = self.chain_mut(home);
+        if let Some(pos) = chain.iter().position(|&d| d == desc) {
+            chain.remove(pos);
+        }
     }
 
     /// Searches one chain for the oldest live receive matching `env`.
@@ -159,10 +151,9 @@ impl PrqIndexes {
         table: &ReceiveTable,
         below_mask: u64,
     ) -> (Option<Candidate>, usize, bool) {
-        let chain = read(self.chain(home));
         let mut depth = 0usize;
         let mut skipped = false;
-        for &desc in chain.iter() {
+        for &desc in self.chain(home) {
             let slot = table.slot(desc);
             if slot.state() != state::POSTED {
                 continue;
@@ -279,10 +270,10 @@ impl PrqIndexes {
         if rank == 0 {
             return Some(cand);
         }
-        let chain = read(self.chain(cand_home));
+        let chain = self.chain(cand_home);
         let start = chain.iter().position(|&d| d == cand)?;
         let mut remaining = rank;
-        for &desc in chain.iter().skip(start + 1) {
+        for &desc in &chain[start + 1..] {
             let slot = table.slot(desc);
             let st = slot.state();
             // Same-sequence receives are consecutive posts, hence adjacent
@@ -320,23 +311,16 @@ impl PrqIndexes {
         self.search_hinted(env, hashes, table, 0, hints)
     }
 
-    /// Total live receives across all chains (test/diagnostic helper; takes
-    /// every lock, so not for the hot path).
+    /// Total live receives across all chains (test/diagnostic helper; walks
+    /// every bin, so not for the hot path).
     pub fn live_count(&self, table: &ReceiveTable) -> usize {
-        let mut n = 0;
-        for group in [&self.no_wild, &self.src_wild, &self.tag_wild] {
-            for bin in group.iter() {
-                n += read(bin)
-                    .iter()
-                    .filter(|&&d| table.slot(d).is_posted())
-                    .count();
-            }
-        }
-        n += read(&self.both_wild)
-            .iter()
+        [&self.no_wild, &self.src_wild, &self.tag_wild]
+            .into_iter()
+            .flat_map(|group| group.iter())
+            .chain(std::iter::once(&self.both_wild))
+            .flatten()
             .filter(|&&d| table.slot(d).is_posted())
-            .count();
-        n
+            .count()
     }
 }
 
@@ -351,8 +335,8 @@ mod tests {
     }
 
     fn post(
-        idx: &PrqIndexes,
-        table: &ReceiveTable,
+        idx: &mut PrqIndexes,
+        table: &mut ReceiveTable,
         pattern: ReceivePattern,
         label: u64,
         seq: u64,
@@ -377,26 +361,44 @@ mod tests {
 
     #[test]
     fn finds_exact_receive() {
-        let (idx, table) = setup(16);
-        let d = post(&idx, &table, ReceivePattern::exact(Rank(1), Tag(2)), 0, 0);
+        let (mut idx, mut table) = setup(16);
+        let d = post(
+            &mut idx,
+            &mut table,
+            ReceivePattern::exact(Rank(1), Tag(2)),
+            0,
+            0,
+        );
         let out = search(&idx, &table, Envelope::world(Rank(1), Tag(2)));
         assert_eq!(out.candidate.unwrap().desc, d);
     }
 
     #[test]
     fn misses_when_nothing_matches() {
-        let (idx, table) = setup(16);
-        post(&idx, &table, ReceivePattern::exact(Rank(1), Tag(2)), 0, 0);
+        let (mut idx, mut table) = setup(16);
+        post(
+            &mut idx,
+            &mut table,
+            ReceivePattern::exact(Rank(1), Tag(2)),
+            0,
+            0,
+        );
         let out = search(&idx, &table, Envelope::world(Rank(1), Tag(3)));
         assert!(out.candidate.is_none());
     }
 
     #[test]
     fn cross_index_arbitration_picks_minimum_label() {
-        let (idx, table) = setup(16);
+        let (mut idx, mut table) = setup(16);
         // Both-wildcard receive posted first must beat an exact one.
-        let wild = post(&idx, &table, ReceivePattern::any_any(), 0, 0);
-        let exact = post(&idx, &table, ReceivePattern::exact(Rank(1), Tag(2)), 1, 1);
+        let wild = post(&mut idx, &mut table, ReceivePattern::any_any(), 0, 0);
+        let exact = post(
+            &mut idx,
+            &mut table,
+            ReceivePattern::exact(Rank(1), Tag(2)),
+            1,
+            1,
+        );
         let out = search(&idx, &table, Envelope::world(Rank(1), Tag(2)));
         assert_eq!(out.candidate.unwrap().desc, wild);
         // Consume the wildcard; the exact one is next.
@@ -407,7 +409,7 @@ mod tests {
 
     #[test]
     fn all_four_classes_are_probed() {
-        let (idx, table) = setup(16);
+        let (mut idx, mut table) = setup(16);
         let e = Envelope::world(Rank(3), Tag(4));
         for (label, pattern) in [
             ReceivePattern::exact(Rank(3), Tag(4)),
@@ -418,7 +420,13 @@ mod tests {
         .into_iter()
         .enumerate()
         {
-            let d = post(&idx, &table, pattern, label as u64 + 10, label as u64);
+            let d = post(
+                &mut idx,
+                &mut table,
+                pattern,
+                label as u64 + 10,
+                label as u64,
+            );
             let out = search(&idx, &table, e);
             // Each earlier-posted receive keeps winning (smaller label).
             let expected = if label == 0 {
@@ -439,19 +447,49 @@ mod tests {
 
     #[test]
     fn within_bin_order_is_post_order() {
-        let (idx, table) = setup(16);
-        let first = post(&idx, &table, ReceivePattern::exact(Rank(0), Tag(0)), 5, 0);
-        let _second = post(&idx, &table, ReceivePattern::exact(Rank(0), Tag(0)), 6, 0);
+        let (mut idx, mut table) = setup(16);
+        let first = post(
+            &mut idx,
+            &mut table,
+            ReceivePattern::exact(Rank(0), Tag(0)),
+            5,
+            0,
+        );
+        let _second = post(
+            &mut idx,
+            &mut table,
+            ReceivePattern::exact(Rank(0), Tag(0)),
+            6,
+            0,
+        );
         let out = search(&idx, &table, Envelope::world(Rank(0), Tag(0)));
         assert_eq!(out.candidate.unwrap().desc, first);
     }
 
     #[test]
     fn depth_counts_live_entries_only() {
-        let (idx, table) = setup(1); // force everything into one bin
-        let a = post(&idx, &table, ReceivePattern::exact(Rank(0), Tag(0)), 0, 0);
-        post(&idx, &table, ReceivePattern::exact(Rank(0), Tag(1)), 1, 1);
-        post(&idx, &table, ReceivePattern::exact(Rank(0), Tag(2)), 2, 2);
+        let (mut idx, mut table) = setup(1); // force everything into one bin
+        let a = post(
+            &mut idx,
+            &mut table,
+            ReceivePattern::exact(Rank(0), Tag(0)),
+            0,
+            0,
+        );
+        post(
+            &mut idx,
+            &mut table,
+            ReceivePattern::exact(Rank(0), Tag(1)),
+            1,
+            1,
+        );
+        post(
+            &mut idx,
+            &mut table,
+            ReceivePattern::exact(Rank(0), Tag(2)),
+            2,
+            2,
+        );
         let out = search(&idx, &table, Envelope::world(Rank(0), Tag(2)));
         assert_eq!(out.depth, 3);
         // Tombstone the head: depth shrinks.
@@ -462,9 +500,21 @@ mod tests {
 
     #[test]
     fn early_booking_check_skips_and_reports() {
-        let (idx, table) = setup(16);
-        let a = post(&idx, &table, ReceivePattern::exact(Rank(0), Tag(0)), 0, 0);
-        let b = post(&idx, &table, ReceivePattern::exact(Rank(0), Tag(0)), 1, 0);
+        let (mut idx, mut table) = setup(16);
+        let a = post(
+            &mut idx,
+            &mut table,
+            ReceivePattern::exact(Rank(0), Tag(0)),
+            0,
+            0,
+        );
+        let b = post(
+            &mut idx,
+            &mut table,
+            ReceivePattern::exact(Rank(0), Tag(0)),
+            1,
+            0,
+        );
         // Lane 0 books the head; lane 2 searches with the check enabled.
         table.slot(a).book(0);
         let e = Envelope::world(Rank(0), Tag(0));
@@ -479,24 +529,22 @@ mod tests {
     }
 
     #[test]
-    fn sweep_removes_tombstones_only() {
-        let (idx, table) = setup(1);
-        let a = post(&idx, &table, ReceivePattern::exact(Rank(0), Tag(0)), 0, 0);
-        let b = post(&idx, &table, ReceivePattern::exact(Rank(0), Tag(1)), 1, 1);
-        table.slot(a).try_consume(3);
-        let home = idx.home_of(&ReceivePattern::exact(Rank(0), Tag(0)));
-        let removed = idx.sweep(home, &table);
-        assert_eq!(removed, vec![a]);
-        let out = search(&idx, &table, Envelope::world(Rank(0), Tag(1)));
-        assert_eq!(out.candidate.unwrap().desc, b);
-        assert_eq!(out.depth, 1);
-    }
-
-    #[test]
     fn unlink_removes_a_specific_descriptor() {
-        let (idx, table) = setup(1);
-        let a = post(&idx, &table, ReceivePattern::exact(Rank(0), Tag(0)), 0, 0);
-        let b = post(&idx, &table, ReceivePattern::exact(Rank(0), Tag(0)), 1, 0);
+        let (mut idx, mut table) = setup(1);
+        let a = post(
+            &mut idx,
+            &mut table,
+            ReceivePattern::exact(Rank(0), Tag(0)),
+            0,
+            0,
+        );
+        let b = post(
+            &mut idx,
+            &mut table,
+            ReceivePattern::exact(Rank(0), Tag(0)),
+            1,
+            0,
+        );
         let home = idx.home_of(&ReceivePattern::exact(Rank(0), Tag(0)));
         idx.unlink(home, a);
         let out = search(&idx, &table, Envelope::world(Rank(0), Tag(0)));
@@ -505,9 +553,11 @@ mod tests {
 
     #[test]
     fn walk_sequence_shifts_by_rank() {
-        let (idx, table) = setup(16);
+        let (mut idx, mut table) = setup(16);
         let p = ReceivePattern::exact(Rank(0), Tag(0));
-        let ids: Vec<DescId> = (0..4).map(|i| post(&idx, &table, p, i, 7)).collect();
+        let ids: Vec<DescId> = (0..4)
+            .map(|i| post(&mut idx, &mut table, p, i, 7))
+            .collect();
         let home = idx.home_of(&p);
         for (rank, &expect) in ids.iter().enumerate() {
             let got = idx.walk_sequence(home, ids[0], rank, SeqId(7), &table, 1);
@@ -522,9 +572,11 @@ mod tests {
 
     #[test]
     fn walk_sequence_counts_entries_consumed_this_block() {
-        let (idx, table) = setup(16);
+        let (mut idx, mut table) = setup(16);
         let p = ReceivePattern::exact(Rank(0), Tag(0));
-        let ids: Vec<DescId> = (0..3).map(|i| post(&idx, &table, p, i, 9)).collect();
+        let ids: Vec<DescId> = (0..3)
+            .map(|i| post(&mut idx, &mut table, p, i, 9))
+            .collect();
         let home = idx.home_of(&p);
         // A lower thread of the current block (epoch 5) already consumed the
         // middle receive; it still counts as a step.
@@ -534,8 +586,10 @@ mod tests {
             Some(ids[2])
         );
         // But a tombstone from an older block aborts the walk.
-        let (idx2, table2) = setup(16);
-        let ids2: Vec<DescId> = (0..3).map(|i| post(&idx2, &table2, p, i, 9)).collect();
+        let (mut idx2, mut table2) = setup(16);
+        let ids2: Vec<DescId> = (0..3)
+            .map(|i| post(&mut idx2, &mut table2, p, i, 9))
+            .collect();
         table2.slot(ids2[1]).try_consume(2);
         assert_eq!(
             idx2.walk_sequence(home, ids2[0], 2, SeqId(9), &table2, 5),
@@ -545,20 +599,26 @@ mod tests {
 
     #[test]
     fn walk_sequence_stops_at_sequence_boundary() {
-        let (idx, table) = setup(1); // one bin: both sequences share a chain
+        let (mut idx, mut table) = setup(1); // one bin: both sequences share a chain
         let p1 = ReceivePattern::exact(Rank(0), Tag(0));
         let p2 = ReceivePattern::exact(Rank(0), Tag(1));
-        let a = post(&idx, &table, p1, 0, 0);
-        let _b = post(&idx, &table, p2, 1, 1);
+        let a = post(&mut idx, &mut table, p1, 0, 0);
+        let _b = post(&mut idx, &mut table, p2, 1, 1);
         let home = idx.home_of(&p1);
         assert_eq!(idx.walk_sequence(home, a, 1, SeqId(0), &table, 1), None);
     }
 
     #[test]
     fn live_count_tracks_postings_and_consumption() {
-        let (idx, table) = setup(8);
-        let a = post(&idx, &table, ReceivePattern::exact(Rank(0), Tag(0)), 0, 0);
-        post(&idx, &table, ReceivePattern::any_any(), 1, 1);
+        let (mut idx, mut table) = setup(8);
+        let a = post(
+            &mut idx,
+            &mut table,
+            ReceivePattern::exact(Rank(0), Tag(0)),
+            0,
+            0,
+        );
+        post(&mut idx, &mut table, ReceivePattern::any_any(), 1, 1);
         assert_eq!(idx.live_count(&table), 2);
         table.slot(a).try_consume(1);
         assert_eq!(idx.live_count(&table), 1);

@@ -173,9 +173,9 @@ impl CommandRing {
         if slot.stamp.load(Ordering::Acquire) != pos.wrapping_add(1) {
             return None;
         }
-        // Published and the consumer is single (the drain gate serializes
-        // drains), so the value cannot disappear between the stamp check and
-        // this read.
+        // Published and the consumer is single (the engine's coordinator
+        // lock serializes drains), so the value cannot disappear between the
+        // stamp check and this read.
         lock(&slot.cell).as_ref().map(|(ticket, _)| *ticket)
     }
 

@@ -3,18 +3,19 @@
 //! The paper's DPA deployment scales by running independent communicators
 //! on independent execution-unit groups (§IV-E): commands for different
 //! communicators never contend. This module mirrors that split on the host
-//! side. Each communicator owns a [`CommShard`] — the lane-visible
-//! [`CommShared`] tables plus a small mutex-protected [`ShardHost`] with
-//! the host-only state (unexpected store, post labels, sequence-id run
-//! tracking). Posting into communicator *A* takes only *A*'s shard lock,
-//! so threads posting into different communicators proceed concurrently;
-//! the block coordinator locks exactly the shards a block touches, in
-//! [`CommId`] order, which keeps the engine deadlock-free (posters ever
+//! side. Each communicator owns a [`CommShard`]: one mutex around a
+//! [`ShardHost`] — the receive table, the four indexes, the hints, the
+//! unexpected store, post labels and sequence-id run tracking, all plain
+//! data — plus its submission ring. That mutex is the communicator's only
+//! lock. Posting into communicator *A* takes only *A*'s shard lock, so
+//! threads posting into different communicators proceed concurrently; the
+//! block coordinator locks exactly the shards a block touches, in
+//! [`CommId`] order, holds them for the whole block and lends them to the
+//! lanes through `&`, which keeps the engine deadlock-free (posters ever
 //! hold at most one shard lock).
 
 #![deny(missing_docs)]
 
-use crate::block::CommShared;
 use crate::index::PrqIndexes;
 use crate::ring::CommandRing;
 use crate::table::ReceiveTable;
@@ -24,9 +25,18 @@ use otm_base::{CommHints, CommId, MatchConfig, MatchError, PostLabel, ReceivePat
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
 
-/// Host-only per-communicator state, touched under the shard lock and
-/// never by block lanes.
+/// One communicator's matching state, reachable only through the shard
+/// lock. Posting and block-end cleanup hold the guard (`&mut`); block lanes
+/// borrow `&` from the coordinator's guard and write nothing but the slot
+/// atomics inside `table`.
 pub struct ShardHost {
+    /// The fixed-size receive descriptor table.
+    pub(crate) table: ReceiveTable,
+    /// The four posted-receive index structures.
+    pub(crate) prq: PrqIndexes,
+    /// The communicator's matching hints (§VII). Fixed at communicator
+    /// creation, like the DPA resources themselves (§IV-E).
+    pub(crate) hints: CommHints,
     /// The communicator's unexpected-message store (§IV-C).
     pub(crate) umq: UnexpectedStore,
     /// Next post label (monotone per communicator).
@@ -37,15 +47,10 @@ pub struct ShardHost {
     pub(crate) last_pattern: Option<ReceivePattern>,
 }
 
-/// One communicator's complete matching state: the lock-free tables the
-/// block lanes search ([`CommShared`]) plus the mutex-protected host
-/// side ([`ShardHost`]).
+/// One communicator: its matching state behind the shard lock, and its
+/// submission ring beside it.
 pub struct CommShard {
-    /// Lane-visible tables (receive table, PRQ indexes, hints). These are
-    /// internally synchronized (atomics); the `Arc` is cloned into block
-    /// lane data.
-    pub(crate) shared: Arc<CommShared>,
-    /// Host-only state, guarded by the shard lock.
+    /// The matching state, guarded by the shard lock.
     pub(crate) host: Mutex<ShardHost>,
     /// The communicator's bounded submission ring (§IV-E command queue):
     /// host threads push commands here without contending on any global
@@ -56,12 +61,10 @@ pub struct CommShard {
 impl CommShard {
     fn new(config: &MatchConfig, hints: CommHints) -> Self {
         CommShard {
-            shared: Arc::new(CommShared {
+            host: Mutex::new(ShardHost {
                 table: ReceiveTable::new(config.max_receives),
                 prq: PrqIndexes::new(config.bins),
                 hints,
-            }),
-            host: Mutex::new(ShardHost {
                 umq: UnexpectedStore::new(config.bins, config.max_unexpected),
                 next_label: PostLabel::ZERO,
                 cur_seq: SeqId::ZERO,
@@ -179,7 +182,7 @@ mod tests {
             .try_declare(CommId(3), &config, CommHints::no_wildcards())
             .is_ok());
         assert_eq!(
-            map.get(CommId(3)).unwrap().shared.hints,
+            otm_base::sync::lock(&map.get(CommId(3)).unwrap().host).hints,
             CommHints::no_wildcards()
         );
     }

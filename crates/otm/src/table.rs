@@ -9,15 +9,15 @@
 //! that consumed the receive (needed to keep fast-path rank walks stable
 //! while tombstones from older blocks are skipped).
 //!
-//! Slot allocation and release happen only on the coordinator side (receive
-//! posting and block-end cleanup are serialized with block execution), so
-//! the free list lives outside this shared structure; block lanes only ever
-//! read payloads and update atomics.
+//! The table has no lock of its own: it lives inside its communicator's
+//! [`ShardHost`](crate::shard::ShardHost) and is reachable only through that
+//! shard's lock. Posting and block-end cleanup allocate and release slots
+//! through `&mut`; block lanes get `&` and only ever read payloads and update
+//! the three atomics, which are the protocol's own shared state (§III-C) and
+//! what a multi-core block executor would share.
 
-use otm_base::sync::{lock, read, write};
 use otm_base::{MatchError, PostLabel, ReceivePattern, SeqId, WildcardClass};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Mutex, RwLock};
 
 /// Index of a descriptor slot within the table.
 pub type DescId = u32;
@@ -44,9 +44,8 @@ pub struct IndexHome {
 
 /// The matching payload of a posted receive.
 ///
-/// Written by the coordinator when the slot is allocated (under the write
-/// lock) and read by block lanes during searches (under read locks);
-/// lanes never write it.
+/// Written when the slot is allocated (through `&mut`) and read by block
+/// lanes during searches; lanes never write it.
 #[derive(Debug, Clone, Copy)]
 pub struct Payload {
     /// What this receive matches.
@@ -65,7 +64,7 @@ pub struct Payload {
 /// One slot of the descriptor table.
 #[derive(Debug)]
 pub struct Slot {
-    payload: RwLock<Payload>,
+    payload: Payload,
     state: AtomicU8,
     /// Booking bitmap: bit *i* set means block thread *i* optimistically
     /// booked this receive (§III-C). Cleared by the coordinator at block end
@@ -81,7 +80,7 @@ pub struct Slot {
 impl Slot {
     fn new() -> Self {
         Slot {
-            payload: RwLock::new(Payload {
+            payload: Payload {
                 pattern: ReceivePattern::any_any(),
                 label: PostLabel::ZERO,
                 seq: SeqId::ZERO,
@@ -90,17 +89,17 @@ impl Slot {
                     class: WildcardClass::BothWild,
                     bin: 0,
                 },
-            }),
+            },
             state: AtomicU8::new(state::FREE),
             booking: AtomicU64::new(0),
             consumed_epoch: AtomicU64::new(0),
         }
     }
 
-    /// Reads the payload (shared lock; uncontended in the common case).
+    /// The payload written when the slot was allocated.
     #[inline]
     pub fn payload(&self) -> Payload {
-        *read(&self.payload)
+        self.payload
     }
 
     /// Current lifecycle state.
@@ -160,14 +159,13 @@ impl Slot {
     }
 }
 
-/// The fixed-size descriptor table plus its coordinator-owned free list.
+/// The fixed-size descriptor table plus its free list.
 #[derive(Debug)]
 pub struct ReceiveTable {
     slots: Box<[Slot]>,
-    /// Free slot ids. Only the coordinator allocates and frees, always
-    /// outside the parallel block phase, so no lock is needed — the table is
-    /// carried behind an `Arc` and this field behind the engine's `&mut`.
-    free: Mutex<Vec<DescId>>,
+    /// Free slot ids, popped by [`ReceiveTable::allocate`] and pushed by
+    /// [`ReceiveTable::release`].
+    free: Vec<DescId>,
 }
 
 impl ReceiveTable {
@@ -177,7 +175,7 @@ impl ReceiveTable {
         let free: Vec<DescId> = (0..capacity as DescId).rev().collect();
         ReceiveTable {
             slots: slots.into_boxed_slice(),
-            free: Mutex::new(free),
+            free,
         }
     }
 
@@ -188,7 +186,7 @@ impl ReceiveTable {
 
     /// Number of slots currently allocated (posted or tombstoned).
     pub fn allocated(&self) -> usize {
-        self.slots.len() - lock(&self.free).len()
+        self.slots.len() - self.free.len()
     }
 
     /// Accesses a slot by id.
@@ -202,19 +200,18 @@ impl ReceiveTable {
     /// Returns [`MatchError::ReceiveTableFull`] when the table is exhausted —
     /// the condition under which the MPI implementation must fall back to
     /// software tag matching (§III-B).
-    pub fn allocate(&self, payload: Payload) -> Result<DescId, MatchError> {
-        let id = lock(&self.free).pop().ok_or(MatchError::ReceiveTableFull)?;
-        let slot = &self.slots[id as usize];
+    pub fn allocate(&mut self, payload: Payload) -> Result<DescId, MatchError> {
+        let id = self.free.pop().ok_or(MatchError::ReceiveTableFull)?;
+        let slot = &mut self.slots[id as usize];
         debug_assert_eq!(slot.state(), state::FREE);
-        *write(&slot.payload) = payload;
+        slot.payload = payload;
         slot.booking.store(0, Ordering::Relaxed);
         slot.state.store(state::POSTED, Ordering::Release);
         Ok(id)
     }
 
-    /// Snapshot of every posted receive's payload, in no particular order
-    /// (coordinator context, no block in flight). Used by the software
-    /// fallback to migrate state off the device.
+    /// Snapshot of every posted receive's payload, in no particular order.
+    /// Used by the software fallback to migrate state off the device.
     pub fn posted_snapshot(&self) -> Vec<Payload> {
         self.slots
             .iter()
@@ -226,13 +223,13 @@ impl ReceiveTable {
     /// Releases a consumed slot back to the free list.
     ///
     /// Must only be called after the slot has been unlinked from its index
-    /// chain and no block is in flight (coordinator context).
-    pub fn release(&self, id: DescId) {
+    /// chain.
+    pub fn release(&mut self, id: DescId) {
         let slot = &self.slots[id as usize];
         debug_assert_eq!(slot.state(), state::CONSUMED);
         slot.state.store(state::FREE, Ordering::Release);
         slot.booking.store(0, Ordering::Relaxed);
-        lock(&self.free).push(id);
+        self.free.push(id);
     }
 }
 
@@ -256,7 +253,7 @@ mod tests {
 
     #[test]
     fn allocate_publishes_posted_payload() {
-        let t = ReceiveTable::new(4);
+        let mut t = ReceiveTable::new(4);
         let id = t.allocate(payload(9)).unwrap();
         let slot = t.slot(id);
         assert!(slot.is_posted());
@@ -267,7 +264,7 @@ mod tests {
 
     #[test]
     fn table_capacity_is_enforced() {
-        let t = ReceiveTable::new(2);
+        let mut t = ReceiveTable::new(2);
         t.allocate(payload(0)).unwrap();
         t.allocate(payload(1)).unwrap();
         assert_eq!(t.allocate(payload(2)), Err(MatchError::ReceiveTableFull));
@@ -275,7 +272,7 @@ mod tests {
 
     #[test]
     fn release_recycles_slots() {
-        let t = ReceiveTable::new(1);
+        let mut t = ReceiveTable::new(1);
         let id = t.allocate(payload(0)).unwrap();
         assert!(t.slot(id).try_consume(5));
         t.release(id);
@@ -288,7 +285,7 @@ mod tests {
 
     #[test]
     fn consume_is_single_winner() {
-        let t = ReceiveTable::new(1);
+        let mut t = ReceiveTable::new(1);
         let id = t.allocate(payload(0)).unwrap();
         assert!(t.slot(id).try_consume(7));
         assert!(!t.slot(id).try_consume(8), "second consume must fail");
@@ -297,7 +294,7 @@ mod tests {
 
     #[test]
     fn consumed_epoch_is_stamped() {
-        let t = ReceiveTable::new(1);
+        let mut t = ReceiveTable::new(1);
         let id = t.allocate(payload(0)).unwrap();
         t.slot(id).try_consume(42);
         assert_eq!(t.slot(id).consumed_epoch(), 42);
@@ -305,7 +302,7 @@ mod tests {
 
     #[test]
     fn booking_sets_lane_bits_and_reports_prior() {
-        let t = ReceiveTable::new(1);
+        let mut t = ReceiveTable::new(1);
         let id = t.allocate(payload(0)).unwrap();
         let slot = t.slot(id);
         assert_eq!(slot.book(3), 0, "first booking sees empty bitmap");
@@ -317,42 +314,35 @@ mod tests {
 
     #[test]
     fn concurrent_bookings_all_land() {
-        use std::sync::Arc;
-        let t = Arc::new(ReceiveTable::new(1));
+        let mut t = ReceiveTable::new(1);
         let id = t.allocate(payload(0)).unwrap();
-        let mut handles = Vec::new();
-        for lane in 0..32usize {
-            let t = Arc::clone(&t);
-            handles.push(std::thread::spawn(move || {
-                t.slot(id).book(lane);
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(t.slot(id).booking(), (1u64 << 32) - 1);
+        let slot = t.slot(id);
+        std::thread::scope(|s| {
+            for lane in 0..32usize {
+                s.spawn(move || {
+                    slot.book(lane);
+                });
+            }
+        });
+        assert_eq!(slot.booking(), (1u64 << 32) - 1);
     }
 
     #[test]
     fn concurrent_consume_has_exactly_one_winner() {
         use std::sync::atomic::AtomicUsize;
-        use std::sync::Arc;
-        let t = Arc::new(ReceiveTable::new(1));
+        let mut t = ReceiveTable::new(1);
         let id = t.allocate(payload(0)).unwrap();
-        let wins = Arc::new(AtomicUsize::new(0));
-        let mut handles = Vec::new();
-        for _ in 0..16 {
-            let t = Arc::clone(&t);
-            let wins = Arc::clone(&wins);
-            handles.push(std::thread::spawn(move || {
-                if t.slot(id).try_consume(1) {
-                    wins.fetch_add(1, Ordering::SeqCst);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
+        let slot = t.slot(id);
+        let wins = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..16 {
+                s.spawn(|| {
+                    if slot.try_consume(1) {
+                        wins.fetch_add(1, Ordering::SeqCst);
+                    }
+                });
+            }
+        });
         assert_eq!(wins.load(Ordering::SeqCst), 1);
     }
 }

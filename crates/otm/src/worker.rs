@@ -11,8 +11,8 @@
 use crate::block::{below_mask, result_code, BlockState, LaneData};
 use crate::index::SearchOutcome;
 use crate::metrics::{span_event, EngineMetrics};
+use crate::shard::ShardHost;
 use crate::stats::OtmStats;
-use crate::table::{state, DescId};
 use otm_base::MatchConfig;
 use std::sync::atomic::Ordering;
 
@@ -24,17 +24,19 @@ pub(crate) struct LaneCtx<'a> {
 }
 
 /// Runs one block (§III-C, §III-D): three sweeps over `block.lanes`, after
-/// which every lane's entry of `block.results` is set.
-pub(crate) fn run_block(ctx: &LaneCtx<'_>, block: &mut BlockState) {
+/// which every lane's entry of `block.results` is set. `shards` are the
+/// communicators the block touches, locked by the caller; a lane finds its
+/// own through [`LaneData::shard`].
+pub(crate) fn run_block(ctx: &LaneCtx<'_>, block: &mut BlockState, shards: &[&ShardHost]) {
     let n = block.lanes.len();
     for lane in 0..n {
-        search_and_book(ctx, block, lane);
+        search_and_book(ctx, block, shards, lane);
     }
     for lane in 0..n {
-        detect(ctx, block, lane);
+        detect(ctx, block, shards, lane);
     }
     for lane in 0..n {
-        resolve_and_settle(ctx, block, lane);
+        resolve_and_settle(ctx, block, shards, lane);
     }
 }
 
@@ -42,15 +44,15 @@ pub(crate) fn run_block(ctx: &LaneCtx<'_>, block: &mut BlockState) {
 /// barrier (§III-D1): lanes below `lane` have booked when this returns, which
 /// is all [`detect`] needs (later lanes cannot steal our receive, C2 gives
 /// us precedence).
-fn search_and_book(ctx: &LaneCtx<'_>, block: &mut BlockState, lane: usize) {
+fn search_and_book(ctx: &LaneCtx<'_>, block: &mut BlockState, shards: &[&ShardHost], lane: usize) {
     let lane_data = &block.lanes[lane];
-    let comm = &lane_data.comm;
+    let comm = shards[lane_data.shard];
 
     // §VII: a communicator asserted with `mpi_assert_allow_overtaking`
     // waives the ordering constraints — no booking, no barrier, no
     // conflict resolution; any pattern-correct pairing is acceptable.
     if comm.hints.allow_overtaking {
-        block.results[lane] = run_lane_relaxed(ctx, lane_data, block.epoch);
+        block.results[lane] = run_lane_relaxed(ctx, lane_data, comm, block.epoch);
         return;
     }
 
@@ -86,14 +88,14 @@ fn search_and_book(ctx: &LaneCtx<'_>, block: &mut BlockState, lane: usize) {
 /// candidate (it wins: lowest id first). Skipping a lower-booked receive
 /// during the search is also a conflict: the skipped receive may come back
 /// to us if its booker resolves away.
-fn detect(ctx: &LaneCtx<'_>, block: &mut BlockState, lane: usize) {
+fn detect(ctx: &LaneCtx<'_>, block: &mut BlockState, shards: &[&ShardHost], lane: usize) {
     let Some(search) = block.searches[lane] else {
         return;
     };
     #[cfg(test)]
     assert_ne!(block.fail_lane, Some(lane), "fail-point on lane {lane}");
     let bit = 1u64 << lane;
-    let table = &block.lanes[lane].comm.table;
+    let table = &shards[block.lanes[lane].shard].table;
     let direct = search.skipped_booked
         || search
             .candidate
@@ -110,14 +112,19 @@ fn detect(ctx: &LaneCtx<'_>, block: &mut BlockState, lane: usize) {
 
 /// Third sweep — resolve and settle: lanes below `lane` have settled when
 /// this runs, which is what the slow path waits for.
-fn resolve_and_settle(ctx: &LaneCtx<'_>, block: &mut BlockState, lane: usize) {
+fn resolve_and_settle(
+    ctx: &LaneCtx<'_>,
+    block: &mut BlockState,
+    shards: &[&ShardHost],
+    lane: usize,
+) {
     let Some(search) = block.searches[lane] else {
         return;
     };
     let below = below_mask(lane);
     let epoch = block.epoch;
     let lane_data = &block.lanes[lane];
-    let table = &lane_data.comm.table;
+    let comm = shards[lane_data.shard];
 
     // "If a thread i detects a conflict, then all other threads j > i need
     // to enter the conflict resolution phase" — a resolving lower thread
@@ -130,7 +137,7 @@ fn resolve_and_settle(ctx: &LaneCtx<'_>, block: &mut BlockState, lane: usize) {
             Some(cand) => {
                 // No lane below us booked this receive and none of them will
                 // re-match (none conflicted), so consuming cannot fail.
-                let ok = table.slot(cand.desc).try_consume(epoch);
+                let ok = comm.table.slot(cand.desc).try_consume(epoch);
                 debug_assert!(ok, "unconflicted consume lost a race");
                 if ok {
                     ctx.stats.optimistic_ok.fetch_add(1, Ordering::Relaxed);
@@ -143,11 +150,10 @@ fn resolve_and_settle(ctx: &LaneCtx<'_>, block: &mut BlockState, lane: usize) {
                             path: MatchPath::Nc
                         }
                     );
-                    finish_consume(ctx, lane_data, cand.desc);
                     cand.desc as u64
                 } else {
                     // Defensive: fall through to the slow path.
-                    resolve_slow(ctx, lane_data, epoch)
+                    resolve_slow(ctx, lane_data, comm, epoch)
                 }
             }
             None => result_code::UNEXPECTED,
@@ -158,7 +164,7 @@ fn resolve_and_settle(ctx: &LaneCtx<'_>, block: &mut BlockState, lane: usize) {
                 .induced_resolutions
                 .fetch_add(1, Ordering::Relaxed);
         }
-        resolve_conflict(ctx, lane_data, &search, below, block.forced, epoch)
+        resolve_conflict(ctx, lane_data, comm, &search, below, block.forced, epoch)
     };
     block.results[lane] = result;
 }
@@ -168,8 +174,7 @@ fn resolve_and_settle(ctx: &LaneCtx<'_>, block: &mut BlockState, lane: usize) {
 /// sweep. The lane books nothing and never conflicts with anyone (its
 /// communicator's receives are invisible to strict lanes, which always run
 /// on other communicators). Returns the lane's result code.
-fn run_lane_relaxed(ctx: &LaneCtx<'_>, lane_data: &LaneData, epoch: u64) -> u64 {
-    let comm = &lane_data.comm;
+fn run_lane_relaxed(ctx: &LaneCtx<'_>, lane_data: &LaneData, comm: &ShardHost, epoch: u64) -> u64 {
     let mut first = true;
     loop {
         let out = comm.prq.search_hinted(
@@ -197,7 +202,6 @@ fn run_lane_relaxed(ctx: &LaneCtx<'_>, lane_data: &LaneData, epoch: u64) -> u64 
                             path: MatchPath::Nc
                         }
                     );
-                    finish_consume(ctx, lane_data, c.desc);
                     break c.desc as u64;
                 }
                 // Another relaxed lane took it; any other receive is fine.
@@ -211,13 +215,14 @@ fn run_lane_relaxed(ctx: &LaneCtx<'_>, lane_data: &LaneData, epoch: u64) -> u64 
 fn resolve_conflict(
     ctx: &LaneCtx<'_>,
     lane_data: &LaneData,
+    comm: &ShardHost,
     search: &SearchOutcome,
     below: u64,
     forced: u64,
     epoch: u64,
 ) -> u64 {
-    let table = &lane_data.comm.table;
-    let prq = &lane_data.comm.prq;
+    let table = &comm.table;
+    let prq = &comm.prq;
 
     // Fast path (§III-D3a). Sound when:
     //  * we have a candidate and did not skip anything ourselves,
@@ -227,13 +232,11 @@ fn resolve_conflict(
     //    with the j-th receive of the sequence, deterministically, and our
     //    own rank equals our lane index,
     //  * the sequence of compatible receives is long enough for our rank.
-    // Fast path additionally requires lazy removal: the rank walk counts
-    // same-sequence entries consumed in this block as steps (they are being
-    // taken by lower-ranked lanes), which is only sound while consumed
-    // entries stay linked in the chain. Eager removal unlinks them as they
-    // are consumed and would shift the walk's target (a C2 violation), so
-    // eager-removal configurations always resolve through the slow path.
-    if ctx.config.fast_path && ctx.config.lazy_removal && !search.skipped_booked {
+    // The rank walk counts same-sequence entries consumed in this block as
+    // steps (they are being taken by lower-ranked lanes), which is sound
+    // because consumed entries stay linked in the chain until the block
+    // ends: no lane unlinks.
+    if ctx.config.fast_path && !search.skipped_booked {
         if let Some(cand) = search.candidate {
             let no_lower_skips = forced & below == 0;
             let all_lower_booked = table.slot(cand.desc).booking() & below == below;
@@ -254,7 +257,6 @@ fn resolve_conflict(
                                 path: MatchPath::WcFp
                             }
                         );
-                        finish_consume(ctx, lane_data, target);
                         return target as u64;
                     }
                 }
@@ -262,25 +264,21 @@ fn resolve_conflict(
         }
     }
 
-    resolve_slow(ctx, lane_data, epoch)
+    resolve_slow(ctx, lane_data, comm, epoch)
 }
 
 /// Slow path (§III-D3b): once every lower lane has settled — which the
 /// third sweep's lane order guarantees — re-search. At that point the
 /// consumed flags of all earlier messages are final, so the oldest posted
 /// matching receive is exactly the sequential assignment for this message.
-fn resolve_slow(ctx: &LaneCtx<'_>, lane_data: &LaneData, epoch: u64) -> u64 {
-    let table = &lane_data.comm.table;
-    let prq = &lane_data.comm.prq;
+fn resolve_slow(ctx: &LaneCtx<'_>, lane_data: &LaneData, comm: &ShardHost, epoch: u64) -> u64 {
+    let table = &comm.table;
 
     ctx.stats.slow_path.fetch_add(1, Ordering::Relaxed);
     loop {
-        let out = prq.research(
-            &lane_data.env,
-            &lane_data.hashes,
-            table,
-            lane_data.comm.hints,
-        );
+        let out = comm
+            .prq
+            .research(&lane_data.env, &lane_data.hashes, table, comm.hints);
         match out.candidate {
             None => return result_code::UNEXPECTED,
             Some(c) => {
@@ -299,7 +297,6 @@ fn resolve_slow(ctx: &LaneCtx<'_>, lane_data: &LaneData, epoch: u64) -> u64 {
                             path: MatchPath::WcSp
                         }
                     );
-                    finish_consume(ctx, lane_data, c.desc);
                     return c.desc as u64;
                 }
                 // Reachable only if lanes ever run concurrently: a fast-path
@@ -308,17 +305,5 @@ fn resolve_slow(ctx: &LaneCtx<'_>, lane_data: &LaneData, epoch: u64) -> u64 {
                 // terminates).
             }
         }
-    }
-}
-
-/// Post-consumption bookkeeping: with eager removal the consuming thread
-/// unlinks the descriptor from its bin immediately, serializing on the bin's
-/// write lock — the overhead lazy removal avoids (§IV-D). With lazy removal
-/// the tombstone stays until the coordinator's block-end sweep.
-fn finish_consume(ctx: &LaneCtx<'_>, lane_data: &LaneData, desc: DescId) {
-    if !ctx.config.lazy_removal {
-        let payload = lane_data.comm.table.slot(desc).payload();
-        debug_assert_eq!(lane_data.comm.table.slot(desc).state(), state::CONSUMED);
-        lane_data.comm.prq.unlink(payload.home, desc);
     }
 }

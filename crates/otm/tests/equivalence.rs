@@ -205,21 +205,6 @@ fn random_workloads_match_oracle_early_booking_check() {
 }
 
 #[test]
-fn random_workloads_match_oracle_eager_removal() {
-    let mut rng = FaultRng::new(4);
-    for block in [4usize, 32] {
-        for case in 0..10 {
-            let w = random_workload(&mut rng, 10, block);
-            check(
-                &w,
-                base_config(block).with_lazy_removal(false),
-                &format!("eager block={block} case={case}"),
-            );
-        }
-    }
-}
-
-#[test]
 fn random_workloads_match_oracle_single_bin() {
     // One bin per table: maximal chain collisions, the worst case for the
     // index structures.
@@ -318,17 +303,15 @@ fn soak_random_schedules() {
         let w = random_workload(&mut rng, 10, 32);
         let expect = Oracle::run(&w.events());
         for (flags, label) in [
-            ((true, false, true), "default"),
-            ((false, false, true), "no-fp"),
-            ((true, true, true), "ebc"),
-            ((true, false, false), "eager"),
+            ((true, false), "default"),
+            ((false, false), "no-fp"),
+            ((true, true), "ebc"),
         ] {
-            let (fp, ebc, lazy) = flags;
+            let (fp, ebc) = flags;
             let got = w.run_engine(
                 base_config(32)
                     .with_fast_path(fp)
-                    .with_early_booking_check(ebc)
-                    .with_lazy_removal(lazy),
+                    .with_early_booking_check(ebc),
             );
             assert_eq!(got, expect, "soak case {case} ({label})");
         }
