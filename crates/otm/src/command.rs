@@ -10,21 +10,22 @@
 //! the command back as the retryable
 //! [`MatchError::SubmissionRingFull`](otm_base::MatchError) backpressure
 //! signal. The drain recovers the global submission order by merging ring
-//! heads on their tickets (a k-way min-ticket merge), so the strict-FIFO
+//! heads on their tickets (a k-way min-ticket `Merge`), so the strict-FIFO
 //! oracle and the packed≡consecutive equivalence hold.
 //!
-//! Commands that a failed drain hands back via
-//! `CommandQueue::requeue_front` (crate-internal) go into a small *stash* that every take
-//! consumes before touching the rings — a stashed command is always older
-//! than anything still in its communicator's ring, so per-communicator FIFO
-//! order survives requeueing.
+//! Commands that a failed drain hands back via `Merge::requeue_front`
+//! (crate-internal) go into a small *stash* that the merge consumes before
+//! touching the rings — a stashed command is always older than anything
+//! still in its communicator's ring, so per-communicator FIFO order
+//! survives requeueing.
 //!
-//! [`crate::OtmEngine::drain`] plays the coordinator: it pops commands in
-//! bounded chunks, stages them in a [`crate::scheduler::PackingScheduler`],
-//! applies posts through the per-communicator shards, and assembles arrivals
-//! into parallel matching blocks. Between chunks no queue-wide lock is held,
-//! so submissions pipeline against block execution (the paper's CQ
-//! pipelining, §IV-E).
+//! [`crate::OtmEngine::drain`] plays the coordinator: it pops commands one
+//! at a time off one `Merge` over the directory snapshot it took at entry,
+//! stages them in a [`crate::scheduler::PackingScheduler`], applies posts
+//! through the per-communicator shards, and assembles arrivals into parallel
+//! matching blocks. The rings are read in place and no lock a submitter
+//! takes is held, so submissions pipeline against block execution (the
+//! paper's CQ pipelining, §IV-E).
 //!
 //! MPI matching depends only on *per-communicator* command order, which the
 //! rings preserve and which the scheduler never violates even when its
@@ -41,9 +42,9 @@
 use otm_base::sync::lock;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::shard::ShardMap;
+use crate::shard::{CommShard, ShardMap};
 use otm_base::{CommId, MatchConfig, MatchError};
 
 pub use mpi_matching::backend::{CommandOutcome, DrainReport, PendingCommand as Command};
@@ -71,8 +72,8 @@ pub struct CommandQueue {
     /// the commands that actually entered the queue.
     tickets: AtomicU64,
     /// Commands handed back by a failed drain, ahead of everything still in
-    /// the rings. Only the drain touches it (requeue + take), so the mutex
-    /// is uncontended on the submit path.
+    /// the rings. Only a [`Merge`] touches it, so the mutex is uncontended
+    /// on the submit path.
     stash: Mutex<VecDeque<(u64, Command)>>,
 }
 
@@ -102,96 +103,91 @@ impl CommandQueue {
             .map_err(|_| MatchError::SubmissionRingFull { comm: comm.0 })
     }
 
-    /// Number of commands waiting to be drained: a racy monitoring snapshot
-    /// (one load per communicator), not a synchronization primitive.
-    pub fn len(&self, shards: &ShardMap) -> usize {
-        let stashed = lock(&self.stash).len();
-        let ringed: usize = shards
-            .all_sorted()
-            .iter()
-            .map(|(_, shard)| shard.submission.len())
-            .sum();
-        stashed + ringed
+    /// Number of commands waiting to be drained in the stash and in the
+    /// rings of `lanes` (a snapshot of the directory): a racy monitoring
+    /// count, not a synchronization primitive. Waits out a drain in
+    /// progress.
+    pub fn len(&self, lanes: &[(CommId, Arc<CommShard>)]) -> usize {
+        self.merge(lanes).len()
     }
 
-    /// Whether no command is waiting (same caveat as [`CommandQueue::len`]).
-    pub fn is_empty(&self, shards: &ShardMap) -> bool {
-        self.len(shards) == 0
-    }
-
-    /// Per-communicator submission-ring occupancy, in communicator order —
-    /// the drain samples it after each refill for the
-    /// `otm_submission_ring_depth_peak` gauges.
-    pub(crate) fn lane_occupancy(&self, shards: &ShardMap) -> Vec<(u16, usize)> {
-        shards
-            .all_sorted()
-            .iter()
-            .map(|(comm, shard)| (comm.0, shard.submission.len()))
-            .collect()
-    }
-
-    /// Takes every queued command, oldest first (global ticket order).
-    /// Submissions racing with the take land after it and are picked up by
-    /// the next drain.
-    pub(crate) fn take_all(&self, shards: &ShardMap) -> VecDeque<(u64, Command)> {
-        self.take_chunk(usize::MAX, shards)
-    }
-
-    /// Takes up to `max` commands from the head, oldest first: the stash
-    /// (requeued, oldest of all) is consumed before the rings, and the
-    /// per-communicator ring heads are merged by ticket so the chunk comes
-    /// out in global submission order. No queue-wide lock is held while the
-    /// rings are read, so concurrent submitters pipeline against whatever
-    /// the caller does with the chunk.
-    pub(crate) fn take_chunk(&self, max: usize, shards: &ShardMap) -> VecDeque<(u64, Command)> {
-        let mut out = VecDeque::new();
-        if max == 0 {
-            return out;
+    /// Starts the consumer side over `lanes`, a directory snapshot in
+    /// `CommId` order. The caller must be the only consumer — hold the
+    /// engine's coordinator lock, or own the engine — until the merge is
+    /// dropped.
+    pub(crate) fn merge<'a>(&'a self, lanes: &'a [(CommId, Arc<CommShard>)]) -> Merge<'a> {
+        Merge {
+            stash: lock(&self.stash),
+            lanes,
+            heads: vec![None; lanes.len()],
         }
-        {
-            let mut stash = lock(&self.stash);
-            while out.len() < max {
-                match stash.pop_front() {
-                    Some(entry) => out.push_back(entry),
-                    None => break,
-                }
-            }
-        }
-        // k-way min-ticket merge over the ring heads. The engine's
-        // coordinator lock, held for a whole drain, serializes consumers, so
-        // a peeked head can only be popped by us; a head appearing
-        // concurrently (racing submit) may or may not be included, and is
-        // picked up by the next take if not.
-        let lanes = shards.all_sorted();
-        while out.len() < max {
-            let mut best: Option<(u64, usize)> = None;
-            for (i, (_, shard)) in lanes.iter().enumerate() {
-                if let Some(ticket) = shard.submission.peek_ticket() {
-                    if best.map(|(t, _)| ticket < t).unwrap_or(true) {
-                        best = Some((ticket, i));
-                    }
-                }
-            }
-            match best {
-                Some((_, i)) => match lanes[i].1.submission.pop() {
-                    Some(entry) => out.push_back(entry),
-                    None => break,
-                },
-                None => break,
-            }
-        }
-        out
+    }
+}
+
+/// The consumer side of a [`CommandQueue`]: the k-way min-ticket merge over
+/// one directory snapshot, yielding queued commands oldest first — the stash
+/// (requeued, oldest of all) before the rings, the ring heads by ticket, so
+/// commands come out in global submission order. The rings are read in
+/// place; the only lock held is the stash's, which no submitter takes, so
+/// concurrent submitters pipeline against whatever the caller does between
+/// two commands.
+///
+/// A submission racing the merge may or may not be yielded; one into a
+/// communicator created after the snapshot is not, and waits for the next
+/// merge.
+pub(crate) struct Merge<'a> {
+    stash: MutexGuard<'a, VecDeque<(u64, Command)>>,
+    lanes: &'a [(CommId, Arc<CommShard>)],
+    /// The head ticket last seen on each lane. A lane's published head can
+    /// only be popped by this merge, so a cached ticket stays true until we
+    /// pop it; `None` (empty when last looked at, or just popped) is
+    /// re-peeked on every call, so a racing submit is seen as soon as it
+    /// would be without the cache.
+    heads: Vec<Option<u64>>,
+}
+
+impl Merge<'_> {
+    /// Commands waiting in the stash and the snapshot's rings (the drain's
+    /// entry bound).
+    pub(crate) fn len(&self) -> usize {
+        let ringed: usize = self.lanes.iter().map(|(_, s)| s.submission.len()).sum();
+        self.stash.len() + ringed
     }
 
     /// Puts unprocessed commands back at the *front* of the queue (in their
-    /// original order), ahead of anything submitted since the take: requeued
-    /// commands are older than anything still in the rings, so consuming the
-    /// stash first preserves per-communicator FIFO order.
-    pub(crate) fn requeue_front(&self, cmds: VecDeque<(u64, Command)>) {
-        let mut stash = lock(&self.stash);
+    /// original order), ahead of anything submitted since they were taken:
+    /// requeued commands are older than anything still in the rings, so
+    /// consuming the stash first preserves per-communicator FIFO order.
+    pub(crate) fn requeue_front(&mut self, cmds: Vec<(u64, Command)>) {
         for entry in cmds.into_iter().rev() {
-            stash.push_front(entry);
+            self.stash.push_front(entry);
         }
+    }
+}
+
+impl Iterator for Merge<'_> {
+    type Item = (u64, Command);
+
+    fn next(&mut self) -> Option<(u64, Command)> {
+        if let Some(entry) = self.stash.pop_front() {
+            return Some(entry);
+        }
+        let mut oldest: Option<(u64, usize)> = None;
+        for (i, (head, (_, shard))) in self.heads.iter_mut().zip(self.lanes).enumerate() {
+            if head.is_none() {
+                *head = shard.submission.peek_ticket();
+            }
+            if let Some(ticket) = *head {
+                if oldest.map_or(true, |(t, _)| ticket < t) {
+                    oldest = Some((ticket, i));
+                }
+            }
+        }
+        let (ticket, i) = oldest?;
+        self.heads[i] = None;
+        let entry = self.lanes[i].1.submission.pop();
+        debug_assert_eq!(entry.as_ref().map(|e| e.0), Some(ticket));
+        entry
     }
 }
 
@@ -219,8 +215,29 @@ mod tests {
         (CommandQueue::new(), ShardMap::new(), MatchConfig::small())
     }
 
+    /// The directory snapshot a drain would take: these tests use
+    /// communicators 0 to 5, and the queue side never reads the directory
+    /// itself.
+    fn snapshot(shards: &ShardMap) -> Vec<(CommId, Arc<CommShard>)> {
+        (0..=5)
+            .filter_map(|c| Some((CommId(c), shards.get(CommId(c))?)))
+            .collect()
+    }
+
+    /// Takes up to `max` ticketed commands over a fresh directory snapshot.
+    fn take(q: &CommandQueue, shards: &ShardMap, max: usize) -> Vec<(u64, Command)> {
+        q.merge(&snapshot(shards)).take(max).collect()
+    }
+
     fn commands(q: &CommandQueue, shards: &ShardMap) -> Vec<Command> {
-        q.take_all(shards).into_iter().map(|(_, c)| c).collect()
+        take(q, shards, usize::MAX)
+            .into_iter()
+            .map(|(_, c)| c)
+            .collect()
+    }
+
+    fn len(q: &CommandQueue, shards: &ShardMap) -> usize {
+        q.len(&snapshot(shards))
     }
 
     #[test]
@@ -229,8 +246,8 @@ mod tests {
         for i in 0..4 {
             q.submit(arrival(i), &shards, &config).unwrap();
         }
-        assert_eq!(q.len(&shards), 4);
-        let taken = q.take_all(&shards);
+        assert_eq!(len(&q, &shards), 4);
+        let taken = take(&q, &shards, usize::MAX);
         assert_eq!(
             taken.iter().map(|(t, _)| *t).collect::<Vec<_>>(),
             vec![0, 1, 2, 3],
@@ -240,7 +257,7 @@ mod tests {
             taken.into_iter().map(|(_, c)| c).collect::<Vec<_>>(),
             (0..4).map(arrival).collect::<Vec<_>>()
         );
-        assert!(q.is_empty(&shards));
+        assert_eq!(len(&q, &shards), 0);
     }
 
     #[test]
@@ -248,35 +265,30 @@ mod tests {
         let (q, shards, config) = ring_queue();
         q.submit(arrival(0), &shards, &config).unwrap();
         q.submit(arrival(1), &shards, &config).unwrap();
-        let mut taken = q.take_all(&shards);
-        taken.pop_front(); // command 0 was applied
+        let lanes = snapshot(&shards);
+        let mut merge = q.merge(&lanes);
+        let mut taken: Vec<_> = merge.by_ref().collect();
+        taken.remove(0); // command 0 was applied
         q.submit(arrival(2), &shards, &config).unwrap(); // raced in after the take
-        q.requeue_front(taken);
+        merge.requeue_front(taken);
+        drop(merge);
         assert_eq!(commands(&q, &shards), vec![arrival(1), arrival(2)]);
     }
 
     #[test]
-    fn take_chunk_pops_bounded_prefixes_in_order() {
+    fn bounded_takes_pop_prefixes_in_order() {
         let (q, shards, config) = ring_queue();
         for i in 0..5 {
             q.submit(arrival(i), &shards, &config).unwrap();
         }
-        let first: Vec<_> = q
-            .take_chunk(2, &shards)
-            .into_iter()
-            .map(|(_, c)| c)
-            .collect();
+        let first: Vec<_> = take(&q, &shards, 2).into_iter().map(|(_, c)| c).collect();
         assert_eq!(first, vec![arrival(0), arrival(1)]);
-        assert_eq!(q.len(&shards), 3);
-        // Oversized chunk takes whatever is left; zero takes nothing.
-        assert_eq!(q.take_chunk(0, &shards).len(), 0);
-        let rest: Vec<_> = q
-            .take_chunk(99, &shards)
-            .into_iter()
-            .map(|(_, c)| c)
-            .collect();
+        assert_eq!(len(&q, &shards), 3);
+        // An oversized take gets whatever is left; zero takes nothing.
+        assert_eq!(take(&q, &shards, 0).len(), 0);
+        let rest: Vec<_> = take(&q, &shards, 99).into_iter().map(|(_, c)| c).collect();
         assert_eq!(rest, vec![arrival(2), arrival(3), arrival(4)]);
-        assert!(q.is_empty(&shards));
+        assert_eq!(len(&q, &shards), 0);
     }
 
     #[test]
@@ -289,8 +301,30 @@ mod tests {
         }
         assert_eq!(shards.len(), 3, "one shard per communicator");
         // …but the drain-side merge recovers the global submission order.
-        let tickets: Vec<u64> = q.take_all(&shards).into_iter().map(|(t, _)| t).collect();
+        let tickets: Vec<u64> = take(&q, &shards, usize::MAX)
+            .into_iter()
+            .map(|(t, _)| t)
+            .collect();
         assert_eq!(tickets, (0..9).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn merge_sees_a_submit_into_a_lane_it_found_empty_but_not_a_late_communicator() {
+        let (q, shards, config) = ring_queue();
+        q.submit(arrival_on(1, 0), &shards, &config).unwrap();
+        shards.get_or_create(CommId(2), &config);
+        let lanes = snapshot(&shards);
+        let mut merge = q.merge(&lanes);
+        assert_eq!(merge.next(), Some((0, arrival_on(1, 0))));
+        assert_eq!(merge.next(), None, "both lanes are empty");
+        // Lane 2 was empty when last peeked: no stale head hides the submit.
+        q.submit(arrival_on(2, 1), &shards, &config).unwrap();
+        // Communicator 3 does not exist in the snapshot.
+        q.submit(arrival_on(3, 2), &shards, &config).unwrap();
+        assert_eq!(merge.next(), Some((1, arrival_on(2, 1))));
+        assert_eq!(merge.next(), None, "the late communicator waits");
+        drop(merge);
+        assert_eq!(commands(&q, &shards), vec![arrival_on(3, 2)]);
     }
 
     #[test]
@@ -306,10 +340,9 @@ mod tests {
         // Another communicator's ring is unaffected by the full one.
         q.submit(arrival_on(5, 0), &shards, &config).unwrap();
         // Draining frees slots; the retry then succeeds.
-        let drained = q.take_all(&shards);
-        assert_eq!(drained.len(), 3);
+        assert_eq!(commands(&q, &shards).len(), 3);
         q.submit(arrival(2), &shards, &config).unwrap();
-        assert_eq!(q.len(&shards), 1);
+        assert_eq!(len(&q, &shards), 1);
     }
 
     #[test]
@@ -318,10 +351,13 @@ mod tests {
         for i in 0..4 {
             q.submit(arrival(i), &shards, &config).unwrap();
         }
-        let mut taken = q.take_chunk(2, &shards);
-        taken.pop_front(); // 0 applied; 1 must come back ahead of 2, 3
-        q.requeue_front(taken);
-        assert_eq!(q.len(&shards), 3);
+        let lanes = snapshot(&shards);
+        let mut merge = q.merge(&lanes);
+        let mut taken: Vec<_> = merge.by_ref().take(2).collect();
+        taken.remove(0); // 0 applied; 1 must come back ahead of 2, 3
+        merge.requeue_front(taken);
+        assert_eq!(merge.len(), 3);
+        drop(merge);
         assert_eq!(
             commands(&q, &shards),
             vec![arrival(1), arrival(2), arrival(3)]

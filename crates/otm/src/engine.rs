@@ -35,10 +35,10 @@
 //! tables and indexes inside a shard have no lock of their own.
 
 use crate::block::{result_code, BlockState, LaneData, NO_DESC};
-use crate::command::{Command, CommandOutcome, CommandQueue, DrainReport};
+use crate::command::{Command, CommandOutcome, CommandQueue, DrainReport, Merge};
 use crate::metrics::{span_event, EngineMetrics};
 use crate::scheduler::{PackingScheduler, PackingStep};
-use crate::shard::{CommShard, ShardHost, ShardMap};
+use crate::shard::{locate, CommShard, ShardHost, ShardMap};
 use crate::stats::{OtmStats, StatsSnapshot};
 use crate::table::{DescId, Payload};
 use crate::worker::{run_block, LaneCtx};
@@ -51,7 +51,6 @@ use otm_base::{
     ArrivalSeq, CommHints, CommId, Envelope, InlineHashes, MatchConfig, MatchError, PackingPolicy,
     ReceivePattern,
 };
-use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -69,10 +68,10 @@ struct CoordState {
     block: BlockState,
 }
 
-/// Raises `comm`'s entry of a drain-local peak map to at least `depth`.
-fn raise(peaks: &mut BTreeMap<u16, u64>, comm: u16, depth: usize) {
-    let peak = peaks.entry(comm).or_insert(0);
-    *peak = (*peak).max(depth as u64);
+/// Position of `comm` in a drain's directory snapshot, where the communicator
+/// of every command the drain stages (off the stash or a snapshot ring) is.
+fn lane_of(lanes: &[(CommId, Arc<CommShard>)], comm: CommId) -> usize {
+    locate(lanes, comm).expect("a staged command's communicator predates the drain")
 }
 
 /// The Optimistic Tag Matching engine (see module docs and crate docs).
@@ -241,6 +240,18 @@ impl OtmEngine {
     ) -> Result<PostResult, MatchError> {
         self.check_running()?;
         let shard = self.shards.get_or_create(pattern.comm, &self.config);
+        self.post_on(&shard, pattern, handle)
+    }
+
+    /// [`OtmEngine::post_shared`] on a running engine with the
+    /// communicator's shard already resolved (the drain finds it in its
+    /// directory snapshot).
+    fn post_on(
+        &self,
+        shard: &CommShard,
+        pattern: ReceivePattern,
+        handle: RecvHandle,
+    ) -> Result<PostResult, MatchError> {
         let mut host = lock(&shard.host);
         if !host.hints.permits(pattern.wildcard_class()) {
             return Err(MatchError::HintViolation(format!(
@@ -333,7 +344,7 @@ impl OtmEngine {
 
     /// Number of submitted commands not yet drained.
     pub fn pending_commands(&self) -> usize {
-        self.queue.len(&self.shards)
+        self.queue.len(&self.shards.all_sorted())
     }
 
     /// Drains the command queue — the coordinator half of the QP command
@@ -350,18 +361,24 @@ impl OtmEngine {
     /// submission order.
     ///
     /// The drain is *pipelined* (the paper's CQ pipelining, §IV-E): it pops
-    /// commands in bounded chunks and holds no queue-wide lock between
-    /// them, so racing `submit`s and `post_shared` calls overlap with block
-    /// execution instead of stalling behind the whole drain. Whole drains are
-    /// serialized against each other by the coordinator lock, and only
-    /// commands already queued when the drain started are processed —
-    /// submissions racing in mid-drain wait for the next drain, so a busy
-    /// submitter cannot pin the coordinator forever.
+    /// commands one at a time, straight off the rings into the scheduler,
+    /// and holds no lock a submitter takes, so racing `submit`s and
+    /// `post_shared` calls overlap with block execution instead of stalling
+    /// behind the whole drain. Whole drains are serialized against each other
+    /// by the coordinator lock, and only commands already queued when the
+    /// drain started are processed — submissions racing in mid-drain wait
+    /// for the next drain, so a busy submitter cannot pin the coordinator
+    /// forever. A drain that finds nothing queued returns at once.
     ///
-    /// Per-communicator depths (staged lane, submission ring) are tracked in
-    /// locals while the drain runs and published once, on every exit, as the
-    /// `otm_drain_lane_depth_peak` / `otm_submission_ring_depth_peak`
-    /// gauges: no step resolves a labelled instrument.
+    /// The communicator directory is read once, at entry: the bounding
+    /// count, the merge and the depth samples all work on that snapshot. A
+    /// communicator created after it holds only commands submitted after
+    /// drain entry, which the bound already leaves to the next drain.
+    ///
+    /// Per-communicator depth peaks (staged lane, submission ring) are kept
+    /// in two vectors indexed like the snapshot and published once, on every
+    /// exit, through the gauge handles each communicator keeps after its
+    /// first publish: no step resolves a labelled instrument.
     ///
     /// On an error the drain stops: outcomes of the commands already
     /// applied are returned in the report (in submission order) together
@@ -375,41 +392,49 @@ impl OtmEngine {
     /// retry loop terminates rather than spinning forever on a dead engine.
     pub fn drain(&self) -> DrainReport {
         let mut coord = lock(&self.coord);
+        let lanes = self.shards.all_sorted();
+        let mut merge = self.queue.merge(&lanes);
+        // Bound the drain to what was queued at entry (racing submissions
+        // land behind this count and belong to the next drain).
+        let mut remaining = merge.len();
+        if remaining == 0 {
+            return DrainReport::default();
+        }
         // The staging window is a few blocks deep: enough lookahead to fuse
         // arrival runs across lanes.
         let window = self.effective_packing_window();
-        // Bound the drain to what was queued at entry (racing submissions
-        // land behind this count and belong to the next drain).
-        let mut remaining = self.queue.len(&self.shards);
         let mut sched = PackingScheduler::new(self.packing(), self.config.block_threads)
             .with_lane_quota(self.config.lane_quota);
         let mut outcomes: Vec<(u64, CommandOutcome)> = Vec::with_capacity(remaining);
         // Depths only grow at a refill (a step shrinks a lane, a pop
         // shrinks a ring), so sampling after each refill sees every peak.
-        let mut lane_peaks: BTreeMap<u16, u64> = BTreeMap::new();
-        let mut ring_peaks: BTreeMap<u16, u64> = BTreeMap::new();
+        let mut lane_peaks = vec![0u64; lanes.len()];
+        let mut ring_peaks = vec![0u64; lanes.len()];
+        let mut sampled = false;
         let failure = loop {
             // Refill the window before every step so blocks are assembled
             // from the fullest lanes we are entitled to see.
             let mut refilled = false;
             while remaining > 0 && sched.staged() < window {
-                let take = remaining.min(window - sched.staged());
-                let cmds = self.queue.take_chunk(take, &self.shards);
-                if cmds.is_empty() {
-                    // A concurrent drain_for_fallback emptied the queue.
-                    remaining = 0;
-                    break;
+                match merge.next() {
+                    Some((ticket, cmd)) => {
+                        sched.admit_one(ticket, cmd);
+                        remaining -= 1;
+                        refilled = true;
+                    }
+                    // The rest of the count is claimed but not yet
+                    // published: it belongs to the next drain.
+                    None => remaining = 0,
                 }
-                remaining -= cmds.len();
-                sched.admit(cmds);
-                refilled = true;
             }
             if refilled {
-                for (comm, depth) in self.queue.lane_occupancy(&self.shards) {
-                    raise(&mut ring_peaks, comm, depth);
+                sampled = true;
+                for (peak, (_, shard)) in ring_peaks.iter_mut().zip(&lanes) {
+                    *peak = (*peak).max(shard.submission.len() as u64);
                 }
                 for (comm, depth) in sched.lane_depths() {
-                    raise(&mut lane_peaks, comm.0, depth);
+                    let peak = &mut lane_peaks[lane_of(&lanes, comm)];
+                    *peak = (*peak).max(depth as u64);
                 }
             }
             let Some(step) = sched.next_step() else {
@@ -420,7 +445,9 @@ impl OtmEngine {
                     idx,
                     pattern,
                     handle,
-                } => match self.post_shared(pattern, handle) {
+                } => match self.check_running().and_then(|()| {
+                    self.post_on(&lanes[lane_of(&lanes, pattern.comm)].1, pattern, handle)
+                }) {
                     Ok(result) => outcomes.push((idx, CommandOutcome::Post { handle, result })),
                     Err(e) => break Some((e, vec![(idx, Command::Post { pattern, handle })])),
                 },
@@ -444,9 +471,16 @@ impl OtmEngine {
                 }
             }
         };
-        self.metrics.publish_drain_peaks(&lane_peaks, &ring_peaks);
+        if sampled {
+            for ((comm, shard), (&lane, &ring)) in
+                lanes.iter().zip(lane_peaks.iter().zip(&ring_peaks))
+            {
+                self.metrics
+                    .publish_drain_peaks(*comm, &shard.depth_peaks, lane, ring);
+            }
+        }
         if let Some((error, failed)) = failure {
-            return self.fail_drain(error, failed, sched, outcomes);
+            return self.fail_drain(error, failed, sched, outcomes, merge);
         }
         outcomes.sort_unstable_by_key(|&(idx, _)| idx);
         DrainReport {
@@ -462,42 +496,38 @@ impl OtmEngine {
     /// is older than anything left in the queue, so putting the sorted set
     /// back at the queue front reconstructs the global order exactly).
     /// Retryable errors requeue them at the queue front; terminal errors
-    /// pull *everything* (including commands still queued) out and surface
-    /// it in the report, so retry loops terminate and a subsequent fallback
-    /// can replay the commands.
+    /// pull *everything* (including commands still queued, over a fresh
+    /// directory snapshot) out and surface it in the report, so retry loops
+    /// terminate and a subsequent fallback can replay the commands.
     fn fail_drain(
         &self,
         error: MatchError,
         failed: Vec<(u64, Command)>,
         sched: PackingScheduler,
         mut outcomes: Vec<(u64, CommandOutcome)>,
+        mut merge: Merge<'_>,
     ) -> DrainReport {
         let mut unprocessed: Vec<(u64, Command)> = failed;
         unprocessed.extend(sched.into_unapplied());
         unprocessed.sort_unstable_by_key(|&(idx, _)| idx);
         outcomes.sort_unstable_by_key(|&(idx, _)| idx);
         let outcomes = outcomes.into_iter().map(|(_, o)| o).collect();
-        let unprocessed: VecDeque<(u64, Command)> = unprocessed.into_iter().collect();
-        if error.is_retryable() {
-            self.queue.requeue_front(unprocessed);
-            DrainReport {
-                outcomes,
-                error: Some(error),
-                unapplied: Vec::new(),
-            }
+        let unapplied = if error.is_retryable() {
+            merge.requeue_front(unprocessed);
+            Vec::new()
         } else {
-            let mut unapplied: Vec<Command> = unprocessed.into_iter().map(|(_, cmd)| cmd).collect();
-            unapplied.extend(
-                self.queue
-                    .take_all(&self.shards)
-                    .into_iter()
-                    .map(|(_, cmd)| cmd),
-            );
-            DrainReport {
-                outcomes,
-                error: Some(error),
-                unapplied,
-            }
+            drop(merge);
+            let lanes = self.shards.all_sorted();
+            unprocessed
+                .into_iter()
+                .chain(self.queue.merge(&lanes))
+                .map(|(_, cmd)| cmd)
+                .collect()
+        };
+        DrainReport {
+            outcomes,
+            error: Some(error),
+            unapplied,
         }
     }
 
@@ -710,15 +740,11 @@ impl OtmEngine {
     pub fn drain_for_fallback(self) -> FallbackState {
         // Take the queue first: it holds the youngest accepted work, and
         // consuming `self` guarantees no submitter can race in behind us.
-        let pending: Vec<Command> = self
-            .queue
-            .take_all(&self.shards)
-            .into_iter()
-            .map(|(_, cmd)| cmd)
-            .collect();
+        let lanes = self.shards.all_sorted();
+        let pending: Vec<Command> = self.queue.merge(&lanes).map(|(_, cmd)| cmd).collect();
         let mut receives = Vec::new();
         let mut unexpected = Vec::new();
-        for (_, shard) in self.shards.all_sorted() {
+        for (_, shard) in &lanes {
             let mut host = lock(&shard.host);
             let mut posted = host.table.posted_snapshot();
             posted.sort_by_key(|p| p.label);

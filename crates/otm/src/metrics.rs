@@ -9,14 +9,23 @@
 //! The struct carries `Arc` handles resolved once at engine construction,
 //! so the per-message cost is a few relaxed atomic adds.
 
-use otm_metrics::{Counter, Histogram, Registry, RegistrySnapshot};
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use otm_base::CommId;
+use otm_metrics::{Counter, Gauge, Histogram, Registry, RegistrySnapshot};
+use std::sync::{Arc, OnceLock};
 
 /// Lifecycle span events retained before overwriting (each message
 /// contributes a handful: posted/enqueued/packed/matched).
 #[cfg(feature = "trace-events")]
 const SPAN_CAPACITY: usize = 256 * 1024;
+
+/// One communicator's two depth-peak gauges, each resolved from the registry
+/// the first time [`EngineMetrics::publish_drain_peaks`] has a value for it
+/// and kept with the communicator from then on.
+#[derive(Debug, Default)]
+pub(crate) struct DepthPeakGauges {
+    lane: OnceLock<Arc<Gauge>>,
+    ring: OnceLock<Arc<Gauge>>,
+}
 
 /// Cheap-to-clone handle to the engine's metric instruments.
 #[derive(Debug, Clone)]
@@ -142,30 +151,36 @@ impl EngineMetrics {
         self.block_occupancy.record(arrivals);
     }
 
-    /// Publishes a finished drain's per-communicator depth peaks: the
-    /// deepest each staged lane and each submission ring got at any refill
-    /// of that drain. `otm_drain_lane_depth_peak{comm}` and
-    /// `otm_submission_ring_depth_peak{comm}` keep the all-time high-water
-    /// mark (`set_max` never lowers it); a ring peak near the configured
-    /// ring capacity means submitters are outrunning the drain and seeing
-    /// `SubmissionRingFull` backpressure. This is the only place the engine
-    /// resolves a labelled instrument after construction, and the drain
-    /// calls it once, when it ends.
-    pub fn publish_drain_peaks(
+    /// Publishes one communicator's depth peaks of a finished drain: the
+    /// deepest its staged lane and its submission ring got at any refill.
+    /// `otm_drain_lane_depth_peak{comm}` (once the lane has staged
+    /// something) and `otm_submission_ring_depth_peak{comm}` keep the
+    /// all-time high-water mark (`set_max` never lowers it); a ring peak near
+    /// the configured ring capacity means submitters are outrunning the
+    /// drain and seeing `SubmissionRingFull` backpressure. A communicator's
+    /// first publish resolves its labelled gauges into `gauges` — the only
+    /// registry look-ups after construction; later ones are a `set_max` each.
+    pub(crate) fn publish_drain_peaks(
         &self,
-        lane_peaks: &BTreeMap<u16, u64>,
-        ring_peaks: &BTreeMap<u16, u64>,
+        comm: CommId,
+        gauges: &DepthPeakGauges,
+        lane_peak: u64,
+        ring_peak: u64,
     ) {
-        for (name, peaks) in [
-            ("otm_drain_lane_depth_peak", lane_peaks),
-            ("otm_submission_ring_depth_peak", ring_peaks),
-        ] {
-            for (comm, &peak) in peaks {
-                self.registry
-                    .gauge_with(name, vec![("comm", comm.to_string())])
-                    .set_max(peak as i64);
-            }
+        let resolve = |name| {
+            self.registry
+                .gauge_with(name, vec![("comm", comm.0.to_string())])
+        };
+        if lane_peak > 0 {
+            gauges
+                .lane
+                .get_or_init(|| resolve("otm_drain_lane_depth_peak"))
+                .set_max(lane_peak as i64);
         }
+        gauges
+            .ring
+            .get_or_init(|| resolve("otm_submission_ring_depth_peak"))
+            .set_max(ring_peak as i64);
     }
 
     /// The underlying registry (for embedding into a larger exporter).
@@ -243,8 +258,11 @@ mod tests {
         m.observe_block(t);
         m.record_block_occupancy(4);
         // Two drains: the gauges keep the high-water mark across them.
-        m.publish_drain_peaks(&BTreeMap::from([(1, 7)]), &BTreeMap::from([(1, 5)]));
-        m.publish_drain_peaks(&BTreeMap::from([(1, 3)]), &BTreeMap::from([(1, 2)]));
+        // A lane that never staged anything publishes its ring peak only.
+        let (one, two) = (DepthPeakGauges::default(), DepthPeakGauges::default());
+        m.publish_drain_peaks(CommId(1), &one, 7, 5);
+        m.publish_drain_peaks(CommId(1), &one, 3, 2);
+        m.publish_drain_peaks(CommId(2), &two, 0, 0);
         let snap = m.snapshot();
         assert_eq!(snap.hists["otm_search_depth"].count, 1);
         assert_eq!(snap.hists["otm_block_latency_ns"].count, 1);
@@ -256,6 +274,7 @@ mod tests {
             [
                 ("otm_drain_lane_depth_peak{comm=\"1\"}", 7),
                 ("otm_submission_ring_depth_peak{comm=\"1\"}", 5),
+                ("otm_submission_ring_depth_peak{comm=\"2\"}", 0),
             ]
         );
         assert_eq!(snap.counters["otm_resolutions_total{path=\"nc\"}"], 1);

@@ -3,10 +3,14 @@
 //! One [`CommandRing`] hangs off every `CommShard`: host threads submitting
 //! commands for that communicator push onto its ring without touching any
 //! other communicator's state, and the drain coordinator pops from the
-//! consumer end. The layout is the classic bounded MPMC ring of per-slot
-//! sequence stamps (Vyukov): each slot carries an atomic *stamp* that encodes
-//! which lap of the ring last wrote or read it, so producers and the consumer
-//! coordinate through slot-local loads instead of one shared lock.
+//! consumer end. The layout is Vyukov's bounded ring of per-slot sequence
+//! stamps, used multi-producer **single**-consumer: each slot carries an
+//! atomic *stamp* that encodes which lap of the ring last wrote or read it, so
+//! producers and the consumer coordinate through slot-local loads instead of
+//! one shared lock. There is one consumer at a time because every
+//! [`CommandRing::pop`] runs either under the engine's coordinator lock
+//! (`OtmEngine::drain`, held from entry to exit) or on an engine being
+//! consumed (`OtmEngine::drain_for_fallback(self)`).
 //!
 //! Because the crate forbids `unsafe`, the value cell of each slot is a
 //! `std::sync::Mutex<Option<_>>` rather than an `UnsafeCell`. The mutex is
@@ -16,14 +20,15 @@
 //! including full/empty detection — still happens on the stamps and on the
 //! head/tail counters, which is what makes submission wait-free in practice:
 //! a producer claims a slot with a single `fetch`-style CAS on `tail` and
-//! never waits for other producers to finish publishing.
+//! never waits for other producers to finish publishing. The command's
+//! ticket sits beside the stamp in an atomic of its own, so the drain's merge
+//! reads a ring's head ticket with two loads and no lock.
 //!
 //! A full ring is a *backpressure signal*, not a blocking condition:
 //! [`CommandRing::push`] hands the command back so the caller can surface
 //! `MatchError::SubmissionRingFull` and retry after a drain frees slots.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use otm_base::sync::lock;
@@ -36,18 +41,23 @@ use crate::command::Command;
 #[repr(align(64))]
 struct CachePadded<T>(T);
 
-/// One ring slot: the stamp encodes the slot's lap state, the cell holds the
-/// ticketed command while the slot is occupied.
+/// One ring slot: the stamp encodes the slot's lap state; the ticket and the
+/// cell hold the ticketed command while the slot is occupied.
 ///
 /// Stamp protocol for the slot at index `i = pos & mask`:
 /// - `stamp == pos`      → empty, writable by the producer that claims `pos`
 /// - `stamp == pos + 1`  → full, readable by the consumer at `pos`
 /// - anything else       → the slot belongs to a different lap (ring full
 ///   from the producer's view, empty from the consumer's)
+///
+/// The producer writes `ticket` (relaxed) and the cell before its `Release`
+/// store of the stamp; whoever then reads `stamp == pos + 1` with `Acquire`
+/// sees both.
 #[derive(Debug)]
 struct Slot {
     stamp: AtomicUsize,
-    cell: Mutex<Option<(u64, Command)>>,
+    ticket: AtomicU64,
+    cell: Mutex<Option<Command>>,
 }
 
 /// A bounded multi-producer single-consumer ring of ticketed commands.
@@ -74,6 +84,7 @@ impl CommandRing {
             .map(|i| {
                 CachePadded(Slot {
                     stamp: AtomicUsize::new(i),
+                    ticket: AtomicU64::new(0),
                     cell: Mutex::new(None),
                 })
             })
@@ -111,7 +122,8 @@ impl CommandRing {
                     Ok(_) => {
                         // We own the slot exclusively until the stamp below
                         // publishes it, so this lock never contends.
-                        *lock(&slot.cell) = Some((ticket, cmd));
+                        slot.ticket.store(ticket, Ordering::Relaxed);
+                        *lock(&slot.cell) = Some(cmd);
                         slot.stamp.store(pos.wrapping_add(1), Ordering::Release);
                         return Ok(());
                     }
@@ -147,11 +159,12 @@ impl CommandRing {
                     Ordering::Relaxed,
                 ) {
                     Ok(_) => {
-                        let value = lock(&slot.cell).take();
+                        let ticket = slot.ticket.load(Ordering::Relaxed);
+                        let cmd = lock(&slot.cell).take();
                         slot.stamp
                             .store(pos.wrapping_add(self.slots.len()), Ordering::Release);
-                        debug_assert!(value.is_some(), "stamped slot must hold a value");
-                        return value;
+                        debug_assert!(cmd.is_some(), "stamped slot must hold a value");
+                        return cmd.map(|cmd| (ticket, cmd));
                     }
                     Err(now) => pos = now,
                 }
@@ -166,17 +179,15 @@ impl CommandRing {
 
     /// The ticket at the ring's head without consuming it, or `None` when
     /// the ring has no published head. The drain's k-way merge uses this to
-    /// pick the lane with the globally oldest command.
+    /// pick the lane with the globally oldest command. Consumer-side only:
+    /// with the single consumer the head cannot move between the stamp check
+    /// and the ticket load, and a producer cannot reuse the slot before the
+    /// head passes it.
     pub fn peek_ticket(&self) -> Option<u64> {
         let pos = self.head.0.load(Ordering::Relaxed);
         let slot = &self.slots[pos & self.mask].0;
-        if slot.stamp.load(Ordering::Acquire) != pos.wrapping_add(1) {
-            return None;
-        }
-        // Published and the consumer is single (the engine's coordinator
-        // lock serializes drains), so the value cannot disappear between the
-        // stamp check and this read.
-        lock(&slot.cell).as_ref().map(|(ticket, _)| *ticket)
+        (slot.stamp.load(Ordering::Acquire) == pos.wrapping_add(1))
+            .then(|| slot.ticket.load(Ordering::Relaxed))
     }
 
     /// Number of commands currently in the ring (racy under concurrent
@@ -191,15 +202,6 @@ impl CommandRing {
     /// [`CommandRing::len`]).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Drains every published command, oldest first.
-    pub fn drain(&self) -> VecDeque<(u64, Command)> {
-        let mut out = VecDeque::new();
-        while let Some(entry) = self.pop() {
-            out.push_back(entry);
-        }
-        out
     }
 }
 
@@ -285,17 +287,19 @@ mod tests {
     }
 
     #[test]
-    fn drain_empties_in_order() {
+    fn popping_to_empty_yields_every_command_in_order() {
         let ring = CommandRing::new(8);
         for i in 0..6 {
             ring.push(i, arrival(i)).unwrap();
         }
-        let drained = ring.drain();
-        assert_eq!(
-            drained.iter().map(|(t, _)| *t).collect::<Vec<_>>(),
-            vec![0, 1, 2, 3, 4, 5]
-        );
+        let tickets: Vec<u64> = std::iter::from_fn(|| ring.pop()).map(|(t, _)| t).collect();
+        assert_eq!(tickets, vec![0, 1, 2, 3, 4, 5]);
         assert!(ring.is_empty());
+    }
+
+    #[test]
+    fn padded_slot_is_one_cache_line() {
+        assert_eq!(std::mem::size_of::<CachePadded<Slot>>(), 64);
     }
 
     #[test]
@@ -327,11 +331,57 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let mut tickets: Vec<u64> = ring.drain().into_iter().map(|(t, _)| t).collect();
+        let mut tickets: Vec<u64> = std::iter::from_fn(|| ring.pop()).map(|(t, _)| t).collect();
         tickets.sort_unstable();
         assert_eq!(
             tickets,
             (0..producers as u64 * per_producer).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn peeked_ticket_is_the_ticket_pop_yields_under_concurrent_producers() {
+        use std::sync::{Arc, Barrier};
+        // A tiny ring, so slots are reused lap after lap while the consumer
+        // peeks: a ticket read from the wrong lap would differ from the
+        // ticket the pop returns, or from the command it travelled with.
+        let ring = Arc::new(CommandRing::new(4));
+        let (producers, per_producer) = (3u64, 2_000u64);
+        let start = Arc::new(Barrier::new(producers as usize + 1));
+        let handles: Vec<_> = (0..producers)
+            .map(|p| {
+                let (ring, start) = (Arc::clone(&ring), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    for i in 0..per_producer {
+                        let ticket = p * per_producer + i;
+                        while ring.push(ticket, arrival(ticket)).is_err() {
+                            std::thread::yield_now();
+                        }
+                    }
+                })
+            })
+            .collect();
+        start.wait();
+        let mut last = vec![None; producers as usize];
+        let mut popped = 0;
+        while popped < producers * per_producer {
+            let Some(peeked) = ring.peek_ticket() else {
+                std::thread::yield_now();
+                continue;
+            };
+            assert_eq!(ring.peek_ticket(), Some(peeked), "the head is stable");
+            let (ticket, cmd) = ring.pop().expect("a peeked head is poppable");
+            assert_eq!(ticket, peeked);
+            assert!(matches!(cmd, Command::Arrival { msg, .. } if msg.0 == ticket));
+            let producer = (ticket / per_producer) as usize;
+            assert!(last[producer] < Some(ticket), "per-producer FIFO");
+            last[producer] = Some(ticket);
+            popped += 1;
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(ring.peek_ticket(), None);
     }
 }

@@ -30,7 +30,7 @@
 use mpi_matching::{MsgHandle, RecvHandle};
 use otm_base::config::PackingPolicy;
 use otm_base::{CommId, Envelope, ReceivePattern};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::command::{comm_of, Command};
 
@@ -125,10 +125,11 @@ pub struct PackingScheduler {
     staged: usize,
     /// Consecutive policy: the single global FIFO.
     fifo: VecDeque<(u64, Command)>,
-    /// CrossComm policy: one FIFO lane per communicator. `BTreeMap` so lane
-    /// iteration (and thus post emission and block assembly) is in stable
-    /// `CommId` order — deterministic for a given admission sequence.
-    lanes: BTreeMap<CommId, VecDeque<(u64, Command)>>,
+    /// CrossComm policy: one FIFO lane per communicator staged so far, in
+    /// `CommId` order so lane iteration (and thus post emission and block
+    /// assembly) is deterministic for a given admission sequence. An emptied
+    /// lane stays in place (it usually refills) and every step skips it.
+    lanes: Vec<(CommId, VecDeque<(u64, Command)>)>,
 }
 
 impl PackingScheduler {
@@ -142,7 +143,7 @@ impl PackingScheduler {
             cursor: 0,
             staged: 0,
             fifo: VecDeque::new(),
-            lanes: BTreeMap::new(),
+            lanes: Vec::new(),
         }
     }
 
@@ -166,15 +167,27 @@ impl PackingScheduler {
     /// submission sequence number the command queue stamped at submit time.
     /// Chunks must be admitted in pop (= per-communicator submission) order.
     pub fn admit(&mut self, cmds: VecDeque<(u64, Command)>) {
-        self.staged += cmds.len();
         for (idx, cmd) in cmds {
-            match self.policy {
-                PackingPolicy::Consecutive => self.fifo.push_back((idx, cmd)),
-                PackingPolicy::CrossComm => self
+            self.admit_one(idx, cmd);
+        }
+    }
+
+    /// Admits one popped command with its ticket (see
+    /// [`PackingScheduler::admit`]).
+    pub(crate) fn admit_one(&mut self, idx: u64, cmd: Command) {
+        self.staged += 1;
+        match self.policy {
+            PackingPolicy::Consecutive => self.fifo.push_back((idx, cmd)),
+            PackingPolicy::CrossComm => {
+                let comm = comm_of(&cmd);
+                let at = self
                     .lanes
-                    .entry(comm_of(&cmd))
-                    .or_default()
-                    .push_back((idx, cmd)),
+                    .binary_search_by_key(&comm, |(id, _)| *id)
+                    .unwrap_or_else(|at| {
+                        self.lanes.insert(at, (comm, VecDeque::new()));
+                        at
+                    });
+                self.lanes[at].1.push_back((idx, cmd));
             }
         }
     }
@@ -185,25 +198,13 @@ impl PackingScheduler {
         self.lanes
             .iter()
             .filter(|(_, lane)| !lane.is_empty())
-            .map(|(&comm, lane)| (comm, lane.len()))
+            .map(|(comm, lane)| (*comm, lane.len()))
     }
 
-    /// Number of lanes currently held in the map. Emptied lanes are pruned
-    /// on both the post and the block path, so this tracks the *live*
-    /// communicators in the window, not every communicator ever staged.
+    /// Number of non-empty lanes: the *live* communicators in the window,
+    /// not every communicator ever staged.
     pub fn lane_count(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Lane keys in service order: ascending `CommId` rotated so the lane at
-    /// the cursor is served first.
-    fn rotated_keys(&self) -> Vec<CommId> {
-        let mut keys: Vec<CommId> = self.lanes.keys().copied().collect();
-        if !keys.is_empty() {
-            let start = self.cursor % keys.len();
-            keys.rotate_left(start);
-        }
-        keys
+        self.lane_depths().count()
     }
 
     /// Carves the next step off the staged window, or `None` when empty.
@@ -248,18 +249,29 @@ impl PackingScheduler {
     /// greedily from the arrival runs at the lane heads, in rotated lane
     /// order, up to capacity; the cursor advances one lane per block so no
     /// lane persistently goes first under capacity pressure.
+    ///
+    /// Service order is the non-empty lanes in ascending `CommId`, rotated so
+    /// the `cursor`-th of them (modulo their count) goes first: a circular
+    /// walk of the lane vector from that lane, in which an empty lane offers
+    /// neither a post nor an arrival.
     fn next_step_cross_comm(&mut self) -> Option<PackingStep> {
-        let keys = self.rotated_keys();
-        for comm in &keys {
-            let lane = self.lanes.get_mut(comm).expect("key came from the map");
+        let live = self.lane_count();
+        if live == 0 {
+            return None;
+        }
+        let first = self
+            .lanes
+            .iter()
+            .enumerate()
+            .filter(|(_, (_, lane))| !lane.is_empty())
+            .nth(self.cursor % live)
+            .map(|(at, _)| at)
+            .expect("fewer than `live` lanes skipped");
+        let (behind, ahead) = self.lanes.split_at_mut(first);
+        for (_, lane) in ahead.iter_mut().chain(behind.iter_mut()) {
             if let Some(&(idx, Command::Post { pattern, handle })) = lane.front() {
                 lane.pop_front();
                 self.staged -= 1;
-                // Prune here too: a lane fully drained by post-only steps
-                // must not linger empty to be rescanned by every later step.
-                if lane.is_empty() {
-                    self.lanes.remove(comm);
-                }
                 return Some(PackingStep::Post {
                     idx,
                     pattern,
@@ -268,9 +280,9 @@ impl PackingScheduler {
             }
         }
         let quota = self.lane_quota.unwrap_or(self.capacity);
+        // No post heads a lane, so the first lane alone fills `msgs`.
         let mut msgs = Vec::new();
-        for comm in &keys {
-            let lane = self.lanes.get_mut(comm).expect("key came from the map");
+        for (_, lane) in ahead.iter_mut().chain(behind.iter_mut()) {
             let mut taken = 0;
             while msgs.len() < self.capacity && taken < quota {
                 match lane.front() {
@@ -290,13 +302,8 @@ impl PackingScheduler {
                 break;
             }
         }
-        self.lanes.retain(|_, lane| !lane.is_empty());
-        if msgs.is_empty() {
-            None
-        } else {
-            self.cursor = self.cursor.wrapping_add(1);
-            Some(PackingStep::Block { msgs })
-        }
+        self.cursor = self.cursor.wrapping_add(1);
+        Some(PackingStep::Block { msgs })
     }
 
     /// Tears the scheduler down, returning every still-staged command with
@@ -304,11 +311,7 @@ impl PackingScheduler {
     pub fn into_unapplied(self) -> Vec<(u64, Command)> {
         let mut out: Vec<(u64, Command)> = match self.policy {
             PackingPolicy::Consecutive => self.fifo.into_iter().collect(),
-            PackingPolicy::CrossComm => self
-                .lanes
-                .into_values()
-                .flat_map(|lane| lane.into_iter())
-                .collect(),
+            PackingPolicy::CrossComm => self.lanes.into_iter().flat_map(|(_, lane)| lane).collect(),
         };
         out.sort_unstable_by_key(|&(idx, _)| idx);
         out
@@ -539,9 +542,7 @@ mod tests {
 
     #[test]
     fn rotation_is_deterministic() {
-        let cmds: Vec<Command> = (0..12u64)
-            .map(|i| arrival((i % 3) as u16 + 1, i))
-            .collect();
+        let cmds: Vec<Command> = (0..12u64).map(|i| arrival((i % 3) as u16 + 1, i)).collect();
         let run = || {
             let mut s = PackingScheduler::new(PackingPolicy::CrossComm, 2);
             admit_all(&mut s, cmds.clone());
@@ -560,7 +561,7 @@ mod tests {
         admit_all(&mut s, vec![post(2, 0), arrival(1, 1)]);
         assert_eq!(s.lane_count(), 2);
         // Lane 2 is drained by the post step alone — no block ever touches
-        // it — and must leave the map immediately, not linger empty.
+        // it — and stops counting as live immediately.
         assert!(matches!(
             s.next_step(),
             Some(PackingStep::Post { idx: 0, .. })

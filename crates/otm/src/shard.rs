@@ -17,12 +17,12 @@
 #![deny(missing_docs)]
 
 use crate::index::PrqIndexes;
+use crate::metrics::DepthPeakGauges;
 use crate::ring::CommandRing;
 use crate::table::ReceiveTable;
 use crate::umq::UnexpectedStore;
 use otm_base::sync::{read, write};
 use otm_base::{CommHints, CommId, MatchConfig, MatchError, PostLabel, ReceivePattern, SeqId};
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
 
 /// One communicator's matching state, reachable only through the shard
@@ -56,6 +56,9 @@ pub struct CommShard {
     /// host threads push commands here without contending on any global
     /// lock; the drain coordinator pops from the consumer end.
     pub(crate) submission: CommandRing,
+    /// The communicator's two depth-peak gauges, resolved by the first drain
+    /// that publishes for it.
+    pub(crate) depth_peaks: DepthPeakGauges,
 }
 
 impl CommShard {
@@ -71,6 +74,7 @@ impl CommShard {
                 last_pattern: None,
             }),
             submission: CommandRing::new(config.ring_capacity),
+            depth_peaks: DepthPeakGauges::default(),
         }
     }
 }
@@ -81,16 +85,23 @@ impl std::fmt::Debug for CommShard {
     }
 }
 
-/// The engine's communicator → shard directory.
+/// The engine's communicator → shard directory: a vector kept in
+/// [`CommId`] order, which is also the global lock order.
 ///
-/// The map itself is behind a read-write lock that is only write-locked to
+/// The vector is behind a read-write lock that is only write-locked to
 /// insert a *new* communicator; steady-state lookups take the read lock,
-/// clone the `Arc`, and release it before touching the shard — the map
-/// lock is never held across shard work, so it cannot participate in a
-/// deadlock cycle.
+/// binary-search, clone the `Arc`, and release it before touching the shard
+/// — the directory lock is never held across shard work, so it cannot
+/// participate in a deadlock cycle. Entries are never removed.
 #[derive(Debug, Default)]
 pub struct ShardMap {
-    shards: RwLock<HashMap<CommId, Arc<CommShard>>>,
+    shards: RwLock<Vec<(CommId, Arc<CommShard>)>>,
+}
+
+/// Where `comm` is, or would be inserted, in a directory (or a snapshot of
+/// it) in `CommId` order.
+pub(crate) fn locate(shards: &[(CommId, Arc<CommShard>)], comm: CommId) -> Result<usize, usize> {
+    shards.binary_search_by_key(&comm, |(id, _)| *id)
 }
 
 impl ShardMap {
@@ -101,7 +112,10 @@ impl ShardMap {
 
     /// The shard for `comm`, if the communicator has been used.
     pub fn get(&self, comm: CommId) -> Option<Arc<CommShard>> {
-        read(&self.shards).get(&comm).cloned()
+        let shards = read(&self.shards);
+        locate(&shards, comm)
+            .ok()
+            .map(|at| Arc::clone(&shards[at].1))
     }
 
     /// The shard for `comm`, creating it (with no hints) on first use.
@@ -109,11 +123,15 @@ impl ShardMap {
         if let Some(shard) = self.get(comm) {
             return shard;
         }
-        let mut map = write(&self.shards);
-        Arc::clone(
-            map.entry(comm)
-                .or_insert_with(|| Arc::new(CommShard::new(config, CommHints::NONE))),
-        )
+        let mut shards = write(&self.shards);
+        let at = locate(&shards, comm).unwrap_or_else(|at| {
+            shards.insert(
+                at,
+                (comm, Arc::new(CommShard::new(config, CommHints::NONE))),
+            );
+            at
+        });
+        Arc::clone(&shards[at].1)
     }
 
     /// Declares `comm` with `hints`; fails if the communicator already
@@ -125,24 +143,20 @@ impl ShardMap {
         config: &MatchConfig,
         hints: CommHints,
     ) -> Result<(), MatchError> {
-        let mut map = write(&self.shards);
-        if map.contains_key(&comm) {
+        let mut shards = write(&self.shards);
+        let Err(at) = locate(&shards, comm) else {
             return Err(MatchError::InvalidConfig(format!(
                 "hints for {comm} must be declared before the communicator is used"
             )));
-        }
-        map.insert(comm, Arc::new(CommShard::new(config, hints)));
+        };
+        shards.insert(at, (comm, Arc::new(CommShard::new(config, hints))));
         Ok(())
     }
 
-    /// Every shard, sorted by communicator id (the global lock order).
+    /// Every shard in communicator-id order (the global lock order): a copy
+    /// of the directory as it stands.
     pub fn all_sorted(&self) -> Vec<(CommId, Arc<CommShard>)> {
-        let mut all: Vec<_> = read(&self.shards)
-            .iter()
-            .map(|(id, s)| (*id, Arc::clone(s)))
-            .collect();
-        all.sort_by_key(|(id, _)| *id);
-        all
+        read(&self.shards).clone()
     }
 
     /// Number of communicators seen so far.

@@ -137,7 +137,11 @@ fn ring_full_is_retryable_backpressure_at_the_engine_boundary() {
         "got {err:?}"
     );
     assert!(err.is_retryable(), "ring-full must be retryable");
-    assert_eq!(engine.pending_commands(), 2, "the bounced command is not enqueued");
+    assert_eq!(
+        engine.pending_commands(),
+        2,
+        "the bounced command is not enqueued"
+    );
 
     let report = engine.drain();
     assert!(report.error.is_none());
@@ -146,4 +150,105 @@ fn ring_full_is_retryable_backpressure_at_the_engine_boundary() {
         .submit(arrival(2))
         .expect("the drain freed ring slots");
     assert_eq!(engine.pending_commands(), 1);
+}
+
+/// A drain works on the communicator directory as it stood at entry. Three
+/// full rings are the backlog; two racers keep refilling two of them while
+/// the drain runs, and a third submitter creates a communicator the drain
+/// has never seen — after it has proof that the drain is past its entry: a
+/// submit into the third full ring only succeeds once the drain has popped
+/// from it, which is after the snapshot. Whatever the interleaving, the late
+/// communicator's commands belong to the *next* drain, and nothing is lost,
+/// duplicated or reordered within a communicator.
+#[test]
+fn communicator_created_mid_drain_waits_for_the_next_drain() {
+    const RING: u64 = 1024;
+    const EXTRA: u64 = 600;
+    const LATE: CommId = CommId(9);
+    let config = MatchConfig::default()
+        .with_ring_capacity(RING as usize)
+        .with_max_unexpected(4096);
+    let engine = Arc::new(OtmEngine::new(config).unwrap());
+    // Every id names its communicator and its position in that
+    // communicator's submission order.
+    let arrival = |comm: CommId, i: u64| Command::Arrival {
+        env: Envelope::new(Rank(0), Tag(i as u32), comm),
+        msg: MsgHandle(u64::from(comm.0) * 1_000_000 + i),
+    };
+    // Round-robin, so the drain's very first pop frees a slot of ring 1.
+    for i in 0..RING {
+        for comm in 1..=3 {
+            engine.submit(arrival(CommId(comm), i)).unwrap();
+        }
+    }
+    assert!(matches!(
+        engine.submit(arrival(CommId(1), RING)),
+        Err(MatchError::SubmissionRingFull { comm: 1 })
+    ));
+
+    let start = Arc::new(std::sync::Barrier::new(4));
+    let mut workers = Vec::new();
+    for comm in [CommId(2), CommId(3)] {
+        let (engine, start) = (Arc::clone(&engine), Arc::clone(&start));
+        workers.push(thread::spawn(move || {
+            start.wait();
+            for i in RING..RING + EXTRA {
+                submit_retrying(&engine, arrival(comm, i));
+            }
+        }));
+    }
+    {
+        let (engine, start) = (Arc::clone(&engine), Arc::clone(&start));
+        workers.push(thread::spawn(move || {
+            start.wait();
+            submit_retrying(&engine, arrival(CommId(1), RING));
+            for i in 0..EXTRA {
+                submit_retrying(&engine, arrival(LATE, i));
+            }
+        }));
+    }
+    start.wait();
+    let mut reports = vec![engine.drain()];
+    for w in workers {
+        w.join().unwrap();
+    }
+    loop {
+        let report = engine.drain();
+        if report.outcomes.is_empty() {
+            break;
+        }
+        reports.push(report);
+    }
+
+    let ids = |report: &otm::DrainReport| -> Vec<u64> {
+        assert!(report.error.is_none(), "clean run: {:?}", report.error);
+        report
+            .outcomes
+            .iter()
+            .map(|outcome| match outcome {
+                CommandOutcome::Delivery(Delivery::Unexpected { msg }) => msg.0,
+                other => panic!("nothing was posted, got {other:?}"),
+            })
+            .collect()
+    };
+    assert!(
+        ids(&reports[0]).iter().all(|id| id / 1_000_000 != 9),
+        "the first drain's snapshot predates communicator 9"
+    );
+    assert!(reports.len() >= 2, "communicator 9 needs a later drain");
+    // In drain order every communicator's ids count up from 0 without a gap:
+    // nothing lost, nothing duplicated, nothing overtaken.
+    let mut next = std::collections::BTreeMap::new();
+    for id in reports.iter().flat_map(ids) {
+        let expected = next.entry(id / 1_000_000).or_insert(0u64);
+        assert_eq!(id % 1_000_000, *expected, "communicator {}", id / 1_000_000);
+        *expected += 1;
+    }
+    let expected = [
+        (1, RING + 1),
+        (2, RING + EXTRA),
+        (3, RING + EXTRA),
+        (9, EXTRA),
+    ];
+    assert_eq!(next.into_iter().collect::<Vec<_>>(), expected);
 }

@@ -151,3 +151,206 @@ fn depth_peak_gauges_are_published_on_clean_and_failing_drains() {
         assert_eq!(gauges, expected, "drain ending with {error:?}");
     }
 }
+
+/// Order-sensitive FNV-1a over 64-bit words.
+fn fnv(hash: &mut u64, word: u64) {
+    for byte in word.to_le_bytes() {
+        *hash = (*hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// A seeded stream over four communicators of very uneven depth (8 : 4 : 3 : 1),
+/// 70% arrivals with exact and `ANY_SOURCE` posts interleaved throughout.
+fn uneven_four_comm_stream(rng: &mut FaultRng, len: usize) -> Vec<PendingCommand> {
+    let (mut next_recv, mut next_msg) = (0u64, 0u64);
+    (0..len)
+        .map(|_| {
+            let comm = match rng.below(16) {
+                0..=7 => CommId(1),
+                8..=11 => CommId(2),
+                12..=14 => CommId(3),
+                _ => CommId(4),
+            };
+            let ev = support::prop::event_mix(rng, comm, 3, 3, [7, 2, 1, 0, 0]);
+            support::to_command(&ev, &mut next_recv, &mut next_msg)
+        })
+        .collect()
+}
+
+/// Golden step trace. The drain's step sequence — which commands share a
+/// block — is a function of the packing window, the lane quota and the
+/// submission order, and nothing about how cheaply the queue is read may
+/// move it. Three submit-then-drain phases (a deep backlog, a trickle, a
+/// second backlog on the communicators the first left state in) at windows
+/// of one and eight blocks, with and without a lane quota. The literals
+/// were recorded at `ce0287e`, before the drain read the rings in place.
+#[test]
+fn golden_step_trace_is_pinned_across_windows_and_quotas() {
+    // Per (window, lane quota): blocks, messages, occupancy sum, occupancy
+    // count, occupancy-bucket hash, outcome hash.
+    let runs = [(32, None), (32, Some(8)), (256, None), (256, Some(8))];
+    let mut actual = Vec::new();
+    for (window, quota) in runs {
+        let config = MatchConfig::default()
+            .with_max_receives(4096)
+            .with_max_unexpected(4096)
+            .with_bins(16)
+            .with_ring_capacity(4096)
+            .with_lane_quota(quota);
+        let engine = otm::OtmEngine::new(config).expect("valid test config");
+        engine.set_packing_window_override(window);
+        let stream = uneven_four_comm_stream(&mut FaultRng::new(0x601D_57E9), 2440);
+        let mut phases = stream.as_slice();
+        let mut outcome_hash = FNV_SEED;
+        for len in [1500usize, 40, 900] {
+            let (cmds, rest) = phases.split_at(len);
+            phases = rest;
+            for &cmd in cmds {
+                engine.submit(cmd).expect("ring sized for the phase");
+            }
+            let report = engine.drain();
+            assert!(report.error.is_none(), "clean drain: {:?}", report.error);
+            assert_eq!(report.outcomes.len(), len, "every command drains");
+            for outcome in &report.outcomes {
+                let words = match *outcome {
+                    otm::CommandOutcome::Post {
+                        handle,
+                        result: mpi_matching::PostResult::Posted,
+                    } => [1, handle.0, u64::MAX],
+                    otm::CommandOutcome::Post {
+                        handle,
+                        result: mpi_matching::PostResult::Matched(msg),
+                    } => [2, handle.0, msg.0],
+                    otm::CommandOutcome::Delivery(otm::Delivery::Matched { msg, recv }) => {
+                        [3, msg.0, recv.0]
+                    }
+                    otm::CommandOutcome::Delivery(otm::Delivery::Unexpected { msg }) => {
+                        [4, msg.0, u64::MAX]
+                    }
+                };
+                words.into_iter().for_each(|w| fnv(&mut outcome_hash, w));
+            }
+        }
+        assert!(phases.is_empty());
+        let stats = engine.stats();
+        let occupancy = engine.metrics_snapshot().hists["otm_block_occupancy"].clone();
+        let mut bucket_hash = FNV_SEED;
+        occupancy
+            .buckets
+            .iter()
+            .for_each(|&b| fnv(&mut bucket_hash, b));
+        actual.push([
+            stats.blocks,
+            stats.messages,
+            occupancy.sum,
+            occupancy.count,
+            bucket_hash,
+            outcome_hash,
+        ]);
+    }
+    assert_eq!(actual, GOLDEN, "one row per {runs:?}");
+}
+
+/// The scheduler's own step sequence, through its public surface alone:
+/// a seeded admission sequence refilled to a window before every step (the
+/// drain's loop), hashed step by step together with the lane depths and the
+/// live-lane count each refill observes.
+#[test]
+fn scheduler_step_sequence_is_pinned() {
+    use otm::scheduler::{PackingScheduler, PackingStep};
+    use std::collections::VecDeque;
+    let runs = [
+        (PackingPolicy::CrossComm, None),
+        (PackingPolicy::CrossComm, Some(3)),
+        (PackingPolicy::Consecutive, None),
+    ];
+    let mut actual = Vec::new();
+    for (policy, quota) in runs {
+        let mut rng = FaultRng::new(0x5C4E_D01E);
+        let mut pending: VecDeque<(u64, PendingCommand)> = uneven_four_comm_stream(&mut rng, 700)
+            .into_iter()
+            .enumerate()
+            .map(|(ticket, cmd)| (ticket as u64 * 3, cmd))
+            .collect();
+        let mut sched = PackingScheduler::new(policy, 8).with_lane_quota(quota);
+        let (mut hash, mut steps) = (FNV_SEED, 0u64);
+        loop {
+            let room = 20usize.saturating_sub(sched.staged()).min(pending.len());
+            if room > 0 {
+                // Uneven chunks: the refill size must not matter, only the
+                // admission order.
+                let first = room.min(1 + (steps as usize % 5));
+                sched.admit(pending.drain(..first).collect());
+                sched.admit(pending.drain(..room - first).collect());
+                fnv(&mut hash, sched.lane_count() as u64);
+                for (comm, depth) in sched.lane_depths() {
+                    fnv(&mut hash, u64::from(comm.0) << 32 | depth as u64);
+                }
+            }
+            let Some(step) = sched.next_step() else { break };
+            steps += 1;
+            match step {
+                PackingStep::Post { idx, handle, .. } => {
+                    [1, idx, handle.0]
+                        .into_iter()
+                        .for_each(|w| fnv(&mut hash, w));
+                }
+                PackingStep::Block { msgs } => {
+                    fnv(&mut hash, 2);
+                    for (idx, env, msg) in msgs {
+                        [idx, u64::from(env.comm.0), msg.0]
+                            .into_iter()
+                            .for_each(|w| fnv(&mut hash, w));
+                    }
+                }
+            }
+            fnv(&mut hash, sched.staged() as u64);
+        }
+        assert!(pending.is_empty() && sched.staged() == 0);
+        assert_eq!(sched.into_unapplied(), Vec::new());
+        actual.push([steps, hash]);
+    }
+    assert_eq!(actual, GOLDEN_STEPS, "one row per {runs:?}");
+}
+
+const GOLDEN: [[u64; 6]; 4] = [
+    [
+        254,
+        1727,
+        1727,
+        254,
+        18409326758813499915,
+        17748070946224254559,
+    ],
+    [
+        274,
+        1727,
+        1727,
+        274,
+        14575283364666816969,
+        17748070946224254559,
+    ],
+    [
+        254,
+        1727,
+        1727,
+        254,
+        2633685000301500275,
+        17748070946224254559,
+    ],
+    [
+        274,
+        1727,
+        1727,
+        274,
+        2773749593102119633,
+        17748070946224254559,
+    ],
+];
+const GOLDEN_STEPS: [[u64; 2]; 3] = [
+    [311, 6638756716922004637],
+    [336, 6603629957991773451],
+    [377, 11014769808375531082],
+];
