@@ -47,24 +47,25 @@ impl BouncePool {
         self.buf_size
     }
 
-    /// Stages `data` into a free buffer.
+    /// Stages `data` into a free buffer: the bytes move in, nothing is
+    /// copied.
     ///
     /// Fails with [`MatchError::UnexpectedStoreFull`] when the pool is
     /// exhausted (staging capacity is part of the same NIC-memory resource
-    /// class whose exhaustion forces software fallback) and panics if the
-    /// payload exceeds the buffer size — the transport must fragment or use
-    /// rendezvous before that point.
-    pub fn stage(&mut self, data: &[u8]) -> Result<BounceId, MatchError> {
+    /// class whose exhaustion forces software fallback), handing `data` back
+    /// for the retry, and panics if the payload exceeds the buffer size —
+    /// the transport must fragment or use rendezvous before that point.
+    pub fn stage(&mut self, data: Vec<u8>) -> Result<BounceId, (Vec<u8>, MatchError)> {
         assert!(
             data.len() <= self.buf_size,
             "payload of {} B exceeds the {} B bounce buffers (use rendezvous)",
             data.len(),
             self.buf_size
         );
-        let id = self.free.pop().ok_or(MatchError::UnexpectedStoreFull)?;
-        let buf = &mut self.buffers[id as usize];
-        buf.clear();
-        buf.extend_from_slice(data);
+        let Some(id) = self.free.pop() else {
+            return Err((data, MatchError::UnexpectedStoreFull));
+        };
+        self.buffers[id as usize] = data;
         Ok(BounceId(id))
     }
 
@@ -73,12 +74,20 @@ impl BouncePool {
         &self.buffers[id.0 as usize]
     }
 
-    /// Releases a buffer back to the pool.
+    /// Moves a staged buffer's bytes out and releases the buffer.
+    pub fn take(&mut self, id: BounceId) -> Vec<u8> {
+        let bytes = std::mem::take(&mut self.buffers[id.0 as usize]);
+        self.release(id);
+        bytes
+    }
+
+    /// Releases a buffer back to the pool, freeing bytes nobody took.
     pub fn release(&mut self, id: BounceId) {
         debug_assert!(
             !self.free.contains(&id.0),
             "double release of bounce buffer {id:?}"
         );
+        self.buffers[id.0 as usize] = Vec::new();
         self.free.push(id.0);
     }
 }
@@ -90,7 +99,7 @@ mod tests {
     #[test]
     fn stage_read_release_round_trip() {
         let mut p = BouncePool::new(2, 64);
-        let id = p.stage(&[1, 2, 3]).unwrap();
+        let id = p.stage(vec![1, 2, 3]).unwrap();
         assert_eq!(p.data(id), &[1, 2, 3]);
         assert_eq!(p.in_use(), 1);
         p.release(id);
@@ -98,18 +107,33 @@ mod tests {
     }
 
     #[test]
+    fn taken_bytes_are_the_staged_allocation() {
+        let mut p = BouncePool::new(1, 64);
+        let bytes = vec![7u8; 48];
+        let at = bytes.as_ptr();
+        let id = p.stage(bytes).unwrap();
+        let back = p.take(id);
+        assert_eq!((back.as_ptr(), back.len()), (at, 48), "moved, not copied");
+        assert_eq!(p.in_use(), 0, "taking releases");
+    }
+
+    #[test]
     fn exhaustion_is_reported() {
         let mut p = BouncePool::new(1, 8);
-        let _a = p.stage(&[0]).unwrap();
-        assert_eq!(p.stage(&[1]), Err(MatchError::UnexpectedStoreFull));
+        let _a = p.stage(vec![0]).unwrap();
+        assert_eq!(
+            p.stage(vec![1]),
+            Err((vec![1], MatchError::UnexpectedStoreFull)),
+            "the bytes come back for the retry"
+        );
     }
 
     #[test]
     fn released_buffers_are_reused_with_fresh_contents() {
         let mut p = BouncePool::new(1, 8);
-        let a = p.stage(&[9, 9, 9]).unwrap();
+        let a = p.stage(vec![9, 9, 9]).unwrap();
         p.release(a);
-        let b = p.stage(&[1]).unwrap();
+        let b = p.stage(vec![1]).unwrap();
         assert_eq!(p.data(b), &[1]);
     }
 
@@ -117,7 +141,7 @@ mod tests {
     #[should_panic(expected = "use rendezvous")]
     fn oversized_payload_panics() {
         let mut p = BouncePool::new(1, 4);
-        let _ = p.stage(&[0u8; 5]);
+        let _ = p.stage(vec![0u8; 5]);
     }
 
     #[test]
@@ -129,7 +153,7 @@ mod tests {
     #[test]
     fn zero_length_payloads_are_fine() {
         let mut p = BouncePool::new(1, 8);
-        let id = p.stage(&[]).unwrap();
+        let id = p.stage(Vec::new()).unwrap();
         assert!(p.data(id).is_empty());
     }
 }

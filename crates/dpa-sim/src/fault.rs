@@ -110,15 +110,16 @@ impl WireFaults {
     }
 
     /// Decides the fate of a packet arriving on queue pair `qp` and
-    /// returns the packets to deliver immediately (empty on drop/hold,
-    /// two on duplication).
+    /// returns the packets to deliver immediately, by value (none on
+    /// drop/hold, two on duplication).
     ///
-    /// Only sequenced packets are ever perturbed: acks and legacy
-    /// unsequenced traffic pass through verbatim, so fault injection can
-    /// only create conditions the reliability protocol is able to repair.
-    pub fn admit(&mut self, qp: usize, packet: WirePacket) -> Vec<WirePacket> {
+    /// Only sequenced packets are ever perturbed: legacy unsequenced
+    /// traffic passes through verbatim (and acks are not packets), so fault
+    /// injection can only create conditions the reliability protocol is
+    /// able to repair.
+    pub fn admit(&mut self, qp: usize, packet: WirePacket) -> [Option<WirePacket>; 2] {
         if packet.seq.is_none() || self.budget == 0 {
-            return vec![packet];
+            return [Some(packet), None];
         }
         // One decision per fault kind, in a fixed order, so the schedule
         // depends only on the seed and the sequence of admitted packets.
@@ -128,7 +129,7 @@ impl WireFaults {
             if let Some(m) = &self.metrics {
                 m.count_wire_drop();
             }
-            return Vec::new();
+            return [None, None];
         }
         if self.rng.chance(self.plan.duplicate_permille) {
             self.budget -= 1;
@@ -136,7 +137,7 @@ impl WireFaults {
             if let Some(m) = &self.metrics {
                 m.count_wire_dup();
             }
-            return vec![packet.clone(), packet];
+            return [Some(packet.clone()), Some(packet)];
         }
         if self.rng.chance(self.plan.reorder_permille) {
             self.budget -= 1;
@@ -147,7 +148,7 @@ impl WireFaults {
             let window = self.plan.reorder_window.max(1) as u64;
             let due = self.tick + 1 + self.rng.below(window);
             self.held.push(HeldPacket { due, qp, packet });
-            return Vec::new();
+            return [None, None];
         }
         if self.rng.chance(self.plan.delay_permille) {
             self.budget -= 1;
@@ -157,9 +158,9 @@ impl WireFaults {
             }
             let due = self.tick + self.plan.delay_polls.max(1) as u64;
             self.held.push(HeldPacket { due, qp, packet });
-            return Vec::new();
+            return [None, None];
         }
-        vec![packet]
+        [Some(packet), None]
     }
 
     /// Releases one held packet whose due time has passed, if any, with
@@ -344,18 +345,23 @@ impl MatchingBackend for FaultInjectingBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rdma::{ack_packet, eager_packet};
+    use crate::rdma::eager_packet;
     use otm_base::{Rank, Tag};
 
     fn sequenced(seq: u64) -> WirePacket {
         eager_packet(Envelope::world(Rank(0), Tag(seq as u32)), vec![seq as u8]).with_seq(seq)
     }
 
+    /// What `admit` delivers now, as a list.
+    fn admit(w: &mut WireFaults, qp: usize, packet: WirePacket) -> Vec<WirePacket> {
+        w.admit(qp, packet).into_iter().flatten().collect()
+    }
+
     #[test]
     fn inert_plan_passes_everything_through() {
         let mut w = WireFaults::new(FaultPlan::default());
         for seq in 0..100 {
-            let out = w.admit(0, sequenced(seq));
+            let out = admit(&mut w, 0, sequenced(seq));
             assert_eq!(out.len(), 1);
             assert_eq!(out[0].seq, Some(seq));
         }
@@ -367,9 +373,11 @@ mod tests {
     fn unsequenced_traffic_is_never_perturbed() {
         let plan = FaultPlan::new(1).with_drop_permille(1000);
         let mut w = WireFaults::new(plan);
-        let out = w.admit(0, ack_packet(5));
-        assert_eq!(out.len(), 1, "acks bypass fault injection");
-        let out = w.admit(0, eager_packet(Envelope::world(Rank(0), Tag(0)), vec![]));
+        let out = admit(
+            &mut w,
+            0,
+            eager_packet(Envelope::world(Rank(0), Tag(0)), vec![]),
+        );
         assert_eq!(out.len(), 1, "unsequenced data bypasses fault injection");
         assert_eq!(w.stats().drops, 0);
     }
@@ -378,7 +386,7 @@ mod tests {
     fn certain_drop_rate_drops_every_sequenced_packet() {
         let mut w = WireFaults::new(FaultPlan::new(2).with_drop_permille(1000));
         for seq in 0..10 {
-            assert!(w.admit(0, sequenced(seq)).is_empty());
+            assert!(admit(&mut w, 0, sequenced(seq)).is_empty());
         }
         assert_eq!(w.stats().drops, 10);
     }
@@ -386,7 +394,7 @@ mod tests {
     #[test]
     fn duplication_delivers_the_packet_twice() {
         let mut w = WireFaults::new(FaultPlan::new(3).with_duplicate_permille(1000));
-        let out = w.admit(0, sequenced(7));
+        let out = admit(&mut w, 0, sequenced(7));
         assert_eq!(out.len(), 2);
         assert_eq!(out[0], out[1]);
         assert_eq!(w.stats().duplicates, 1);
@@ -398,7 +406,7 @@ mod tests {
             .with_reorder_permille(1000)
             .with_reorder_window(3);
         let mut w = WireFaults::new(plan);
-        assert!(w.admit(3, sequenced(0)).is_empty());
+        assert!(admit(&mut w, 3, sequenced(0)).is_empty());
         assert_eq!(w.held_len(), 1);
         // The packet must come back out within `reorder_window` ticks.
         let mut released = None;
@@ -421,7 +429,7 @@ mod tests {
             .with_delay_permille(1000)
             .with_delay_polls(2);
         let mut w = WireFaults::new(plan);
-        assert!(w.admit(0, sequenced(0)).is_empty());
+        assert!(admit(&mut w, 0, sequenced(0)).is_empty());
         w.tick();
         assert!(w.pop_due().is_none(), "not due after one poll");
         w.tick();
@@ -436,7 +444,7 @@ mod tests {
         let mut w = WireFaults::new(plan);
         let mut delivered = 0;
         for seq in 0..10 {
-            delivered += w.admit(0, sequenced(seq)).len();
+            delivered += admit(&mut w, 0, sequenced(seq)).len();
         }
         assert_eq!(w.stats().drops, 3, "budget caps injections");
         assert_eq!(delivered, 7, "post-budget packets sail through");
@@ -453,7 +461,7 @@ mod tests {
             let mut w = WireFaults::new(plan);
             let mut fates = Vec::new();
             for seq in 0..200 {
-                fates.push(w.admit(0, sequenced(seq)).len());
+                fates.push(admit(&mut w, 0, sequenced(seq)).len());
             }
             (fates, w.stats())
         };

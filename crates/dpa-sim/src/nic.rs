@@ -12,7 +12,7 @@
 use crate::bounce::{BounceId, BouncePool};
 use crate::fault::{WireFaultStats, WireFaults};
 use crate::obs::ServiceMetrics;
-use crate::rdma::{MessageHeader, QueuePair, RdmaError, SackBlocks, WirePacket};
+use crate::rdma::{Frame, MessageHeader, QueuePair, RdmaError, SackBlocks, WirePacket};
 use mpi_matching::MsgHandle;
 use otm_base::{FaultPlan, MatchError};
 use std::collections::{BTreeMap, VecDeque};
@@ -237,91 +237,68 @@ impl RecvNic {
         if let Some(f) = self.faults.as_mut() {
             f.tick();
         }
+        let polled = self.poll_wire();
+        // Whatever was accepted is acked, also when staging stopped the
+        // poll; only a dead queue pair ends it where it was found.
+        if !matches!(polled, Err(NicError::Rdma(_))) {
+            self.send_due_acks();
+        }
+        polled
+    }
+
+    /// [`RecvNic::poll`] between the fault clock's tick and the acks.
+    fn poll_wire(&mut self) -> Result<usize, NicError> {
         let mut n = 0;
         // Retry the packet a previous poll could not stage.
         if let Some(packet) = self.held.take() {
-            match self.stage_packet(packet) {
-                Ok(()) => n += 1,
-                Err((packet, e)) => {
-                    self.held = Some(packet);
-                    self.send_due_acks();
-                    return Err(e);
-                }
+            if let Err((packet, e)) = self.stage_packet(packet) {
+                self.held = Some(packet);
+                return Err(e);
             }
+            n += 1;
         }
         // Resume a total-order gate drain a previous poll's bounce-pool
         // exhaustion cut short (the failing packet stayed parked).
         if self.total_order {
-            match self.drain_gate() {
-                Ok(k) => n += k,
-                Err(e) => {
-                    self.send_due_acks();
-                    return Err(e);
-                }
-            }
+            n += self.drain_gate()?;
         }
         // Release held-back (reordered/delayed) packets that are now due.
         while let Some((qp, packet)) = self.faults.as_mut().and_then(WireFaults::pop_due) {
-            match self.accept_packet(qp, packet) {
-                Ok(k) => n += k,
-                Err(e) => {
-                    self.send_due_acks();
-                    return Err(e);
-                }
-            }
+            n += self.accept_packet(qp, packet)?;
         }
         for i in 0..self.qps.len() {
             loop {
                 match self.qps[i].try_recv().map_err(NicError::Rdma)? {
                     None => break,
-                    Some(packet) => {
-                        let deliveries = match self.faults.as_mut() {
-                            Some(f) => f.admit(i, packet),
-                            None => vec![packet],
-                        };
-                        for packet in deliveries {
-                            match self.accept_packet(i, packet) {
-                                Ok(k) => n += k,
-                                Err(e) => {
-                                    // Any extra copy lost with this early
-                                    // return could only be a duplicate of
-                                    // the now-held packet, so nothing
-                                    // unique is dropped.
-                                    self.send_due_acks();
-                                    return Err(e);
-                                }
+                    // Acks are consumed by the sender half; one arriving
+                    // here (e.g. on a shared endpoint) is transport noise,
+                    // not a message.
+                    Some(Frame::Ack(_)) => {}
+                    Some(Frame::Data(packet)) => match self.faults.as_mut() {
+                        None => n += self.accept_packet(i, packet)?,
+                        Some(f) => {
+                            for packet in f.admit(i, packet).into_iter().flatten() {
+                                // Any extra copy lost with an early return
+                                // could only be a duplicate of the now-held
+                                // packet, so nothing unique is dropped.
+                                n += self.accept_packet(i, packet)?;
                             }
                         }
-                    }
+                    },
                 }
             }
         }
         // Deliver staged out-of-order packets whose holes filled this poll.
-        match self.drain_staged() {
-            Ok(k) => n += k,
-            Err(e) => {
-                self.send_due_acks();
-                return Err(e);
-            }
-        }
-        self.send_due_acks();
-        Ok(n)
+        Ok(n + self.drain_staged()?)
     }
 
     /// Runs the reliability acceptance check on one delivered packet and
     /// stages it if accepted. Returns how many completions were generated:
-    /// `0` when the packet was discarded (stray ack, duplicate,
-    /// out-of-order gap) or parked in the staging buffer, `1` for a direct
-    /// acceptance, more when an in-order arrival filled a hole and its
+    /// `0` when the packet was discarded (duplicate, out-of-order gap) or
+    /// parked in the staging buffer, `1` for a direct acceptance, more when an in-order arrival filled a hole and its
     /// QP's staged run drained behind it — eager draining frees staging
     /// capacity for later packets arriving in the same poll.
     fn accept_packet(&mut self, qp: usize, packet: WirePacket) -> Result<usize, NicError> {
-        if packet.is_ack() {
-            // Acks are consumed by the sender half; one arriving here
-            // (e.g. on a shared endpoint) is transport noise, not a
-            // message.
-            return Ok(0);
-        }
         let sequenced = packet.seq.is_some();
         if let Some(seq) = packet.seq {
             // Any sequenced arrival — accepted or not — owes the peer a
@@ -505,7 +482,7 @@ impl RecvNic {
             if self.ack_due[i] {
                 self.ack_due[i] = false;
                 let sack = Self::sack_of(&self.staging[i]);
-                crate::reliable::send_sack_best_effort(&self.qps[i], self.expected[i], sack);
+                let _ = self.qps[i].send_ack(self.expected[i], sack);
                 self.rx_stats.acks_sent += 1;
             }
         }
@@ -535,10 +512,11 @@ impl RecvNic {
         sack
     }
 
-    /// Stages one packet into a bounce buffer, or hands it back on failure.
+    /// Stages one packet — its inline bytes move into a bounce buffer — or
+    /// hands it back whole on failure.
     #[allow(clippy::result_large_err)] // internal: the packet must travel back
-    fn stage_packet(&mut self, packet: WirePacket) -> Result<(), (WirePacket, NicError)> {
-        match self.pool.stage(&packet.inline) {
+    fn stage_packet(&mut self, mut packet: WirePacket) -> Result<(), (WirePacket, NicError)> {
+        match self.pool.stage(std::mem::take(&mut packet.inline)) {
             Ok(bounce) => {
                 let msg = MsgHandle(self.next_msg);
                 self.next_msg += 1;
@@ -549,7 +527,10 @@ impl RecvNic {
                 });
                 Ok(())
             }
-            Err(e) => Err((packet, NicError::Staging(e))),
+            Err((inline, e)) => {
+                packet.inline = inline;
+                Err((packet, NicError::Staging(e)))
+            }
         }
     }
 
@@ -574,7 +555,13 @@ impl RecvNic {
         self.pool.data(bounce)
     }
 
-    /// Returns a bounce buffer after the protocol stage copied it out.
+    /// Moves the staged bytes of a completion out and returns its bounce
+    /// buffer.
+    pub fn take_staged(&mut self, bounce: BounceId) -> Vec<u8> {
+        self.pool.take(bounce)
+    }
+
+    /// Returns a bounce buffer whose bytes the caller does not want.
     pub fn release(&mut self, bounce: BounceId) {
         self.pool.release(bounce);
     }
@@ -621,6 +608,19 @@ mod tests {
 
     fn env(tag: u32) -> Envelope {
         Envelope::world(Rank(0), Tag(tag))
+    }
+
+    /// The ack the NIC sent back to `tx`.
+    fn sent_ack(tx: &QueuePair) -> crate::rdma::Ack {
+        match tx.try_recv().unwrap().expect("ack sent") {
+            Frame::Ack(ack) => ack,
+            Frame::Data(p) => panic!("expected an ack, got {p:?}"),
+        }
+    }
+
+    #[test]
+    fn completions_stay_under_two_cache_lines() {
+        assert!(std::mem::size_of::<Completion>() <= 96);
     }
 
     #[test]
@@ -700,15 +700,9 @@ mod tests {
         assert_eq!(nic.poll().unwrap(), 2);
         assert_eq!(nic.expected_seq(0), 2);
         // One cumulative ack for the poll, carrying the next expected seq.
-        let ack = tx.try_recv().unwrap().expect("ack sent");
-        assert!(ack.is_ack());
-        match ack.header.kind {
-            crate::rdma::PayloadKind::Ack { cumulative, sack } => {
-                assert_eq!(cumulative, 2);
-                assert!(sack.is_empty(), "nothing staged, nothing advertised");
-            }
-            _ => unreachable!(),
-        }
+        let ack = sent_ack(&tx);
+        assert_eq!(ack.cumulative, 2);
+        assert!(ack.sack.is_empty(), "nothing staged, nothing advertised");
         assert_eq!(nic.rx_stats().acks_sent, 1);
     }
 
@@ -762,14 +756,9 @@ mod tests {
         assert_eq!(nic.rx_stats().staged_out_of_order, 2);
         assert_eq!(nic.rx_stats().gaps, 0, "staging is not a discard");
         // The ack advertises the staged run [2, 4) above cumulative 1.
-        let ack = tx.try_recv().unwrap().expect("ack sent");
-        match ack.header.kind {
-            crate::rdma::PayloadKind::Ack { cumulative, sack } => {
-                assert_eq!(cumulative, 1);
-                assert_eq!(sack.iter().collect::<Vec<_>>(), vec![(2, 4)]);
-            }
-            _ => unreachable!(),
-        }
+        let ack = sent_ack(&tx);
+        assert_eq!(ack.cumulative, 1);
+        assert_eq!(ack.sack.iter().collect::<Vec<_>>(), vec![(2, 4)]);
         // Filling the hole releases the whole staged run, in order.
         tx.send(eager_packet(env(1), vec![1]).with_seq(1)).unwrap();
         assert_eq!(nic.poll().unwrap(), 3);
@@ -830,17 +819,12 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(nic.poll().unwrap(), 0);
-        let ack = tx.try_recv().unwrap().expect("ack sent");
-        match ack.header.kind {
-            crate::rdma::PayloadKind::Ack { cumulative, sack } => {
-                assert_eq!(cumulative, 0);
-                assert_eq!(
-                    sack.iter().collect::<Vec<_>>(),
-                    vec![(2, 4), (5, 6), (8, 10)]
-                );
-            }
-            _ => unreachable!(),
-        }
+        let ack = sent_ack(&tx);
+        assert_eq!(ack.cumulative, 0);
+        assert_eq!(
+            ack.sack.iter().collect::<Vec<_>>(),
+            vec![(2, 4), (5, 6), (8, 10)]
+        );
     }
 
     #[test]
@@ -867,7 +851,7 @@ mod tests {
     #[test]
     fn stray_acks_never_become_completions() {
         let (tx, mut nic) = nic_pair(4);
-        tx.send(crate::rdma::ack_packet(3)).unwrap();
+        tx.send_ack(3, SackBlocks::empty()).unwrap();
         assert_eq!(nic.poll().unwrap(), 0);
         assert_eq!(nic.cq_len(), 0);
     }

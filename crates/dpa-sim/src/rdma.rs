@@ -81,25 +81,29 @@ impl RdmaDomain {
         RKey(key)
     }
 
-    /// RDMA READ: copies `len` bytes starting at `offset` from the region.
-    pub fn read(&self, rkey: RKey, offset: usize, len: usize) -> Result<Vec<u8>, RdmaError> {
-        let region = sync::read(&self.regions)
-            .get(&rkey.0)
-            .cloned()
-            .ok_or(RdmaError::InvalidRKey(rkey.0))?;
-        let end = offset.checked_add(len).ok_or(RdmaError::OutOfBounds {
-            offset,
-            len,
-            region: region.len(),
-        })?;
-        if end > region.len() {
-            return Err(RdmaError::OutOfBounds {
+    /// RDMA READ: appends the `len` bytes at `offset` of the region to `out`
+    /// (the rendezvous head the caller already holds), growing it once, to
+    /// exactly the size needed. `out` is untouched on an error.
+    pub fn read_into(
+        &self,
+        rkey: RKey,
+        offset: usize,
+        len: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), RdmaError> {
+        let regions = sync::read(&self.regions);
+        let region = regions.get(&rkey.0).ok_or(RdmaError::InvalidRKey(rkey.0))?;
+        let bytes = offset
+            .checked_add(len)
+            .and_then(|end| region.get(offset..end))
+            .ok_or(RdmaError::OutOfBounds {
                 offset,
                 len,
                 region: region.len(),
-            });
-        }
-        Ok(region[offset..offset + len].to_vec())
+            })?;
+        out.reserve_exact(len);
+        out.extend_from_slice(bytes);
+        Ok(())
     }
 
     /// Deregisters a region. Reads against the rkey fail afterwards.
@@ -131,18 +135,6 @@ pub enum PayloadKind {
         /// Bytes of head data piggybacked in the packet.
         piggyback: usize,
     },
-    /// Reliability acknowledgement: the receiver has accepted every
-    /// sequenced packet with `seq < cumulative` (i.e. `cumulative` is the
-    /// next sequence number it expects). Acks are transport control
-    /// traffic — they never reach the matching engine.
-    Ack {
-        /// The receiver's next expected sequence number.
-        cumulative: u64,
-        /// Selective-acknowledgement blocks describing sequenced packets
-        /// held above `cumulative` in the receiver's staging buffer (empty
-        /// when nothing is staged).
-        sack: SackBlocks,
-    },
 }
 
 /// Maximum number of `[start, end)` ranges one ack can advertise. Four
@@ -154,7 +146,7 @@ pub const MAX_SACK_BLOCKS: usize = 4;
 ///
 /// Each block is a half-open `[start, end)` run of sequence numbers the
 /// receiver holds in its out-of-order staging buffer. Fixed-size (rather
-/// than a `Vec`) so `PayloadKind` stays `Copy`, matching real NIC ack
+/// than a `Vec`) so an [`Ack`] stays `Copy`, matching real NIC ack
 /// descriptors which budget a handful of SACK slots per packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SackBlocks {
@@ -256,28 +248,54 @@ impl WirePacket {
         self.gseq = Some(gseq);
         self
     }
+}
 
-    /// Whether the packet is a reliability acknowledgement.
-    pub fn is_ack(&self) -> bool {
-        matches!(self.header.kind, PayloadKind::Ack { .. })
-    }
+/// A reliability acknowledgement: the receiver has accepted every sequenced
+/// packet with `seq < cumulative` (`cumulative` is the next sequence number
+/// it expects). Transport control traffic: it is unsequenced, untouched by
+/// fault injection, and never reaches the matching engine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Ack {
+    /// The receiver's next expected sequence number.
+    pub cumulative: u64,
+    /// Sequenced packets held above `cumulative` in the receiver's staging
+    /// buffer (empty when nothing is staged).
+    pub sack: SackBlocks,
+}
+
+/// What a queue pair carries: a data packet, or an acknowledgement — kept
+/// out of [`WirePacket`] so no data packet (nor the window entry, staged
+/// packet and completion made from it) carries an ack's SACK blocks.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Frame {
+    /// A message: eager payload or rendezvous descriptor.
+    Data(WirePacket),
+    /// A reliability acknowledgement.
+    Ack(Ack),
 }
 
 /// One endpoint of a connected queue pair.
 #[derive(Debug)]
 pub struct QueuePair {
-    tx: Sender<WirePacket>,
-    rx: Receiver<WirePacket>,
+    tx: Sender<Frame>,
+    rx: Receiver<Frame>,
 }
 
 impl QueuePair {
     /// Sends a packet to the peer.
     pub fn send(&self, packet: WirePacket) -> Result<(), RdmaError> {
-        self.tx.send(packet).map_err(|_| RdmaError::Disconnected)
+        let sent = self.tx.send(Frame::Data(packet));
+        sent.map_err(|_| RdmaError::Disconnected)
     }
 
-    /// Non-blocking receive of the next packet, if one has arrived.
-    pub fn try_recv(&self) -> Result<Option<WirePacket>, RdmaError> {
+    /// Sends a cumulative acknowledgement carrying `sack` to the peer.
+    pub fn send_ack(&self, cumulative: u64, sack: SackBlocks) -> Result<(), RdmaError> {
+        let sent = self.tx.send(Frame::Ack(Ack { cumulative, sack }));
+        sent.map_err(|_| RdmaError::Disconnected)
+    }
+
+    /// Non-blocking receive of the next frame, if one has arrived.
+    pub fn try_recv(&self) -> Result<Option<Frame>, RdmaError> {
         match self.rx.try_recv() {
             Ok(p) => Ok(Some(p)),
             Err(TryRecvError::Empty) => Ok(None),
@@ -285,8 +303,8 @@ impl QueuePair {
         }
     }
 
-    /// Blocking receive of the next packet.
-    pub fn recv(&self) -> Result<WirePacket, RdmaError> {
+    /// Blocking receive of the next frame.
+    pub fn recv(&self) -> Result<Frame, RdmaError> {
         self.rx.recv().map_err(|_| RdmaError::Disconnected)
     }
 }
@@ -310,29 +328,6 @@ pub fn eager_packet(env: Envelope, payload: Vec<u8>) -> WirePacket {
             kind: PayloadKind::Eager { len: payload.len() },
         },
         inline: payload,
-        seq: None,
-        gseq: None,
-    }
-}
-
-/// Convenience: builds a cumulative reliability acknowledgement. The
-/// envelope is a placeholder — acks are consumed by the transport layer
-/// and never matched.
-pub fn ack_packet(cumulative: u64) -> WirePacket {
-    sack_packet(cumulative, SackBlocks::empty())
-}
-
-/// Convenience: builds a cumulative ack carrying selective-acknowledgement
-/// blocks for the receiver's staged out-of-order packets.
-pub fn sack_packet(cumulative: u64, sack: SackBlocks) -> WirePacket {
-    let env = Envelope::world(otm_base::Rank(u32::MAX), otm_base::Tag(u32::MAX));
-    WirePacket {
-        header: MessageHeader {
-            env,
-            hashes: InlineHashes::of(&env),
-            kind: PayloadKind::Ack { cumulative, sack },
-        },
-        inline: Vec::new(),
         seq: None,
         gseq: None,
     }
@@ -379,13 +374,27 @@ mod tests {
         Envelope::world(Rank(0), Tag(1))
     }
 
+    /// `read_into` an empty buffer.
+    fn read(d: &RdmaDomain, rkey: RKey, offset: usize, len: usize) -> Result<Vec<u8>, RdmaError> {
+        let mut out = Vec::new();
+        d.read_into(rkey, offset, len, &mut out).map(|()| out)
+    }
+
+    /// The inline bytes of the next frame on `qp`, a data packet.
+    fn inline(qp: &QueuePair) -> Vec<u8> {
+        match qp.recv().unwrap() {
+            Frame::Data(packet) => packet.inline,
+            Frame::Ack(ack) => panic!("expected a data packet, got {ack:?}"),
+        }
+    }
+
     #[test]
     fn queue_pair_delivers_in_order() {
         let (a, b) = connected_pair();
         a.send(eager_packet(env(), vec![1])).unwrap();
         a.send(eager_packet(env(), vec![2])).unwrap();
-        assert_eq!(b.recv().unwrap().inline, vec![1]);
-        assert_eq!(b.recv().unwrap().inline, vec![2]);
+        assert_eq!(inline(&b), vec![1]);
+        assert_eq!(inline(&b), vec![2]);
         assert_eq!(b.try_recv().unwrap(), None);
     }
 
@@ -394,8 +403,8 @@ mod tests {
         let (a, b) = connected_pair();
         a.send(eager_packet(env(), vec![1])).unwrap();
         b.send(eager_packet(env(), vec![2])).unwrap();
-        assert_eq!(b.recv().unwrap().inline, vec![1]);
-        assert_eq!(a.recv().unwrap().inline, vec![2]);
+        assert_eq!(inline(&b), vec![1]);
+        assert_eq!(inline(&a), vec![2]);
     }
 
     #[test]
@@ -413,8 +422,8 @@ mod tests {
     fn rdma_read_returns_registered_bytes() {
         let d = RdmaDomain::new();
         let rkey = d.register((0..100u8).collect());
-        assert_eq!(d.read(rkey, 0, 4).unwrap(), vec![0, 1, 2, 3]);
-        assert_eq!(d.read(rkey, 96, 4).unwrap(), vec![96, 97, 98, 99]);
+        assert_eq!(read(&d, rkey, 0, 4).unwrap(), vec![0, 1, 2, 3]);
+        assert_eq!(read(&d, rkey, 96, 4).unwrap(), vec![96, 97, 98, 99]);
     }
 
     #[test]
@@ -422,7 +431,7 @@ mod tests {
         let d = RdmaDomain::new();
         let rkey = d.register(vec![0u8; 10]);
         assert!(matches!(
-            d.read(rkey, 8, 4),
+            read(&d, rkey, 8, 4),
             Err(RdmaError::OutOfBounds { .. })
         ));
     }
@@ -432,7 +441,7 @@ mod tests {
         let d = RdmaDomain::new();
         let rkey = d.register(vec![0u8; 10]);
         assert!(matches!(
-            d.read(rkey, usize::MAX, 2),
+            read(&d, rkey, usize::MAX, 2),
             Err(RdmaError::OutOfBounds { .. })
         ));
     }
@@ -442,7 +451,7 @@ mod tests {
         let d = RdmaDomain::new();
         let rkey = d.register(vec![1, 2, 3]);
         d.deregister(rkey);
-        assert_eq!(d.read(rkey, 0, 1), Err(RdmaError::InvalidRKey(rkey.0)));
+        assert_eq!(read(&d, rkey, 0, 1), Err(RdmaError::InvalidRKey(rkey.0)));
         assert_eq!(d.region_count(), 0);
     }
 
@@ -452,8 +461,8 @@ mod tests {
         let a = d.register(vec![1]);
         let b = d.register(vec![2]);
         assert_ne!(a, b);
-        assert_eq!(d.read(a, 0, 1).unwrap(), vec![1]);
-        assert_eq!(d.read(b, 0, 1).unwrap(), vec![2]);
+        assert_eq!(read(&d, a, 0, 1).unwrap(), vec![1]);
+        assert_eq!(read(&d, b, 0, 1).unwrap(), vec![2]);
     }
 
     #[test]
@@ -475,7 +484,7 @@ mod tests {
             _ => panic!("expected RTS"),
         }
         // The remainder is readable via RDMA.
-        assert_eq!(d.read(rkey, 8, 24).unwrap(), (8..32).collect::<Vec<u8>>());
+        assert_eq!(read(&d, rkey, 8, 24).unwrap(), (8..32).collect::<Vec<u8>>());
     }
 
     #[test]
@@ -501,18 +510,41 @@ mod tests {
     }
 
     #[test]
-    fn ack_packets_are_control_traffic() {
-        let ack = ack_packet(41);
-        assert!(ack.is_ack());
-        assert_eq!(ack.seq, None, "acks are themselves unsequenced");
-        match ack.header.kind {
-            PayloadKind::Ack { cumulative, sack } => {
-                assert_eq!(cumulative, 41);
-                assert!(sack.is_empty(), "plain cumulative acks carry no SACK");
-            }
-            _ => panic!("expected ack"),
+    fn acks_are_frames_of_their_own_and_data_packets_stay_small() {
+        let (a, b) = connected_pair();
+        a.send_ack(41, SackBlocks::empty()).unwrap();
+        a.send(eager_packet(env(), vec![])).unwrap();
+        let Frame::Ack(ack) = b.recv().unwrap() else {
+            panic!("expected ack");
+        };
+        assert_eq!(ack.cumulative, 41);
+        assert!(ack.sack.is_empty(), "plain cumulative acks carry no SACK");
+        assert!(matches!(b.recv().unwrap(), Frame::Data(_)));
+        // The SACK blocks ride in the ack's frame only.
+        assert!(std::mem::size_of::<WirePacket>() <= 128);
+        assert!(std::mem::size_of::<Frame>() <= 136);
+    }
+
+    #[test]
+    fn read_into_appends_behind_the_head_and_checks_its_bounds() {
+        let d = RdmaDomain::new();
+        let rkey = d.register((0..32u8).collect());
+        let mut data = vec![0, 1, 2, 3];
+        d.read_into(rkey, 4, 28, &mut data).unwrap();
+        assert_eq!(data, (0..32u8).collect::<Vec<_>>());
+        assert_eq!(data.capacity(), 32, "one growth, to the exact size");
+        for (offset, len) in [(30, 4), (usize::MAX, 2)] {
+            assert!(matches!(
+                d.read_into(rkey, offset, len, &mut data),
+                Err(RdmaError::OutOfBounds { .. })
+            ));
         }
-        assert!(!eager_packet(env(), vec![]).is_ack());
+        d.deregister(rkey);
+        assert_eq!(
+            d.read_into(rkey, 0, 1, &mut data),
+            Err(RdmaError::InvalidRKey(rkey.0))
+        );
+        assert_eq!(data.len(), 32, "failed reads append nothing");
     }
 
     #[test]
@@ -534,15 +566,5 @@ mod tests {
             sack.iter().collect::<Vec<_>>(),
             vec![(5, 7), (9, 10), (12, 20), (30, 31)]
         );
-
-        let pkt = sack_packet(3, sack);
-        assert!(pkt.is_ack());
-        match pkt.header.kind {
-            PayloadKind::Ack { cumulative, sack } => {
-                assert_eq!(cumulative, 3);
-                assert_eq!(sack.len(), MAX_SACK_BLOCKS);
-            }
-            _ => panic!("expected ack"),
-        }
     }
 }

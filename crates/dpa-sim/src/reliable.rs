@@ -33,7 +33,7 @@
 //! deterministic and never sleep.
 
 use crate::obs::ServiceMetrics;
-use crate::rdma::{sack_packet, PayloadKind, QueuePair, RdmaError, SackBlocks, WirePacket};
+use crate::rdma::{Ack, Frame, QueuePair, RdmaError, WirePacket};
 use std::collections::VecDeque;
 
 /// The label artifacts and bench reports carry in their `mode` key: there is
@@ -290,45 +290,42 @@ impl ReliableSender {
         loop {
             match self.qp.try_recv().map_err(ReliabilityError::Rdma)? {
                 None => break,
-                Some(packet) => match packet.header.kind {
-                    PayloadKind::Ack { cumulative, sack } => {
-                        self.stats.acks += 1;
-                        if let Some(m) = &self.metrics {
-                            m.count_ack();
-                        }
-                        if cumulative > self.acked {
-                            self.acked = cumulative;
-                            while self.window.front().is_some_and(|e| e.seq < cumulative) {
-                                let e = self.window.pop_front().expect("front checked");
-                                // Karn's rule: only never-retransmitted
-                                // packets yield unambiguous RTT samples.
-                                if e.retx == 0 {
-                                    let sample = self.clock.saturating_sub(e.sent_at);
-                                    self.observe_rtt(sample);
-                                }
-                            }
-                            progressed = true;
-                        }
-                        if !sack.is_empty() {
-                            let clock = self.clock;
-                            let mut samples = Vec::new();
-                            for e in &mut self.window {
-                                if !e.sacked && sack.contains(e.seq) {
-                                    e.sacked = true;
-                                    // Freshly-SACKed never-retransmitted
-                                    // packets are Karn-eligible too.
-                                    if e.retx == 0 {
-                                        samples.push(clock.saturating_sub(e.sent_at));
-                                    }
-                                }
-                            }
-                            for sample in samples {
+                Some(Frame::Data(packet)) => app_packets.push(packet),
+                Some(Frame::Ack(Ack { cumulative, sack })) => {
+                    self.stats.acks += 1;
+                    if let Some(m) = &self.metrics {
+                        m.count_ack();
+                    }
+                    if cumulative > self.acked {
+                        self.acked = cumulative;
+                        while self.window.front().is_some_and(|e| e.seq < cumulative) {
+                            let e = self.window.pop_front().expect("front checked");
+                            // Karn's rule: only never-retransmitted
+                            // packets yield unambiguous RTT samples.
+                            if e.retx == 0 {
+                                let sample = self.clock.saturating_sub(e.sent_at);
                                 self.observe_rtt(sample);
                             }
                         }
+                        progressed = true;
                     }
-                    _ => app_packets.push(packet),
-                },
+                    if !sack.is_empty() {
+                        // The window steps aside so the estimator can be
+                        // fed while it is walked.
+                        let mut window = std::mem::take(&mut self.window);
+                        for e in &mut window {
+                            if !e.sacked && sack.contains(e.seq) {
+                                e.sacked = true;
+                                // Freshly-SACKed never-retransmitted
+                                // packets are Karn-eligible too.
+                                if e.retx == 0 {
+                                    self.observe_rtt(self.clock.saturating_sub(e.sent_at));
+                                }
+                            }
+                        }
+                        self.window = window;
+                    }
+                }
             }
         }
         if progressed {
@@ -469,17 +466,10 @@ impl ReliableSender {
     }
 }
 
-/// Builds the ack the receive side owes its peer — cumulative edge plus
-/// SACK blocks for staged runs — and sends it on `qp`, ignoring
-/// disconnection (an unreachable peer cannot use the ack anyway).
-pub(crate) fn send_sack_best_effort(qp: &QueuePair, cumulative: u64, sack: SackBlocks) {
-    let _ = qp.send(sack_packet(cumulative, sack));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rdma::{ack_packet, connected_pair, eager_packet};
+    use crate::rdma::{connected_pair, eager_packet, SackBlocks};
     use otm_base::{Envelope, Rank, Tag};
 
     fn env(tag: u32) -> Envelope {
@@ -497,8 +487,11 @@ mod tests {
     /// Drains and returns the sequence numbers currently on the wire.
     fn drain_seqs(qp: &QueuePair) -> Vec<u64> {
         let mut seqs = Vec::new();
-        while let Some(p) = qp.try_recv().unwrap() {
-            seqs.push(p.seq.expect("sequenced"));
+        while let Some(frame) = qp.try_recv().unwrap() {
+            let Frame::Data(packet) = frame else {
+                panic!("expected a data packet, got {frame:?}");
+            };
+            seqs.push(packet.seq.expect("sequenced"));
         }
         seqs
     }
@@ -509,8 +502,7 @@ mod tests {
         let mut s = ReliableSender::new(a);
         s.send(eager_packet(env(0), vec![])).unwrap();
         s.send(eager_packet(env(1), vec![])).unwrap();
-        assert_eq!(b.recv().unwrap().seq, Some(0));
-        assert_eq!(b.recv().unwrap().seq, Some(1));
+        assert_eq!(drain_seqs(&b), vec![0, 1]);
         assert_eq!(s.unacked(), 2);
     }
 
@@ -521,10 +513,10 @@ mod tests {
         for i in 0..4 {
             s.send(eager_packet(env(i), vec![])).unwrap();
         }
-        b.send(ack_packet(3)).unwrap();
+        b.send_ack(3, SackBlocks::empty()).unwrap();
         s.poll().unwrap();
         assert_eq!(s.unacked(), 1, "seqs 0..3 acked, seq 3 still out");
-        b.send(ack_packet(4)).unwrap();
+        b.send_ack(4, SackBlocks::empty()).unwrap();
         s.poll().unwrap();
         assert_eq!(s.unacked(), 0);
         assert_eq!(s.stats().acks, 2);
@@ -543,8 +535,7 @@ mod tests {
         s.poll().unwrap(); // second silent poll hits the timeout
         assert_eq!(s.stats().resend_events, 1);
         assert_eq!(s.stats().retransmits, 2, "nothing SACKed: full resend");
-        assert_eq!(b.try_recv().unwrap().unwrap().seq, Some(0));
-        assert_eq!(b.try_recv().unwrap().unwrap().seq, Some(1));
+        assert_eq!(drain_seqs(&b), vec![0, 1]);
     }
 
     #[test]
@@ -557,7 +548,7 @@ mod tests {
         assert_eq!(s.stats().resend_events, 1, "second resend not yet due");
         s.poll().unwrap(); // 2 of 2 → resend, timeout now 4
         assert_eq!(s.stats().resend_events, 2);
-        b.send(ack_packet(1)).unwrap();
+        b.send_ack(1, SackBlocks::empty()).unwrap();
         s.poll().unwrap();
         assert_eq!(s.unacked(), 0);
         // Progress reset the schedule: a new packet gets the base timeout.
@@ -575,8 +566,7 @@ mod tests {
         }
         assert_eq!(drain_seqs(&b), vec![0, 1, 2]);
         // The receiver holds 1 and 2, the hole is 0.
-        b.send(crate::rdma::sack_packet(0, sack(&[(1, 3)])))
-            .unwrap();
+        b.send_ack(0, sack(&[(1, 3)])).unwrap();
         s.poll().unwrap();
         assert_eq!(drain_seqs(&b), vec![0], "only the hole is retransmitted");
         let st = s.stats();
@@ -584,7 +574,7 @@ mod tests {
         assert_eq!(st.retransmits, 1);
         assert_eq!(st.resend_events, 1);
         // The retransmit lands; the cumulative edge releases everything.
-        b.send(ack_packet(3)).unwrap();
+        b.send_ack(3, SackBlocks::empty()).unwrap();
         s.poll().unwrap();
         assert_eq!(s.unacked(), 0);
     }
@@ -597,13 +587,11 @@ mod tests {
             s.send(eager_packet(env(i), vec![])).unwrap();
         }
         drain_seqs(&b);
-        b.send(crate::rdma::sack_packet(0, sack(&[(1, 2)])))
-            .unwrap();
+        b.send_ack(0, sack(&[(1, 2)])).unwrap();
         s.poll().unwrap();
         assert_eq!(drain_seqs(&b), vec![0], "hole fast-retransmitted");
         // Duplicate SACKs must not trigger another fast retransmit.
-        b.send(crate::rdma::sack_packet(0, sack(&[(1, 2)])))
-            .unwrap();
+        b.send_ack(0, sack(&[(1, 2)])).unwrap();
         s.poll().unwrap();
         assert_eq!(drain_seqs(&b), vec![], "same epoch: no second fast retx");
         // The timeout epoch rolls over: the still-missing hole is resent
@@ -629,7 +617,7 @@ mod tests {
         let mut s = ReliableSender::with_limits(a, 2, 30);
         // Clean exchange: establish a ~1-poll RTT sample.
         s.send(eager_packet(env(0), vec![])).unwrap();
-        b.send(ack_packet(1)).unwrap();
+        b.send_ack(1, SackBlocks::empty()).unwrap();
         s.poll().unwrap();
         assert_eq!(s.unacked(), 0);
         assert!(s.srtt_polls().is_some(), "clean ack produced a sample");
@@ -641,7 +629,7 @@ mod tests {
         let grown = s.current_timeout_polls();
         assert!(grown >= 8, "backoff must have grown (got {grown})");
         // The wire recovers: one ack and the timeout decays.
-        b.send(ack_packet(2)).unwrap();
+        b.send_ack(2, SackBlocks::empty()).unwrap();
         s.poll().unwrap();
         let decayed = s.current_timeout_polls();
         assert!(
@@ -673,7 +661,7 @@ mod tests {
         assert_eq!(s.window_limit(), 4);
         // Each cumulative advance reopens the window additively.
         for k in 1..=4u64 {
-            b.send(ack_packet(2 * k)).unwrap();
+            b.send_ack(2 * k, SackBlocks::empty()).unwrap();
             s.poll().unwrap();
         }
         assert_eq!(s.unacked(), 0);
@@ -737,7 +725,7 @@ mod tests {
         let (a, b) = connected_pair();
         let mut s = ReliableSender::new(a);
         b.send(eager_packet(env(9), vec![42])).unwrap();
-        b.send(ack_packet(0)).unwrap();
+        b.send_ack(0, SackBlocks::empty()).unwrap();
         let app = s.poll().unwrap();
         assert_eq!(app.len(), 1, "the eager packet belongs to the application");
         assert_eq!(app[0].inline, vec![42]);
@@ -748,7 +736,7 @@ mod tests {
         let (a, b) = connected_pair();
         let mut s = ReliableSender::new(a);
         s.send(eager_packet(env(0), vec![])).unwrap();
-        b.send(ack_packet(1)).unwrap();
+        b.send_ack(1, SackBlocks::empty()).unwrap();
         s.flush(16).unwrap();
         assert_eq!(s.unacked(), 0);
     }

@@ -33,7 +33,7 @@ use mpi_matching::{
 use otm::{Delivery, OtmEngine};
 use otm_base::memory::Footprint;
 use otm_base::{Envelope, MatchConfig, MatchError, ReceivePattern};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 /// A receive that completed: matched, protocol executed, data delivered.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -132,6 +132,39 @@ struct StoredMessage {
     payload: StoredPayload,
 }
 
+/// Staged arrivals waiting for their drain outcome, addressed by
+/// `msg − base`: the NIC hands message handles out consecutively, so a ring
+/// does what a hash map did. A slot emptied out of order waits as `None`
+/// until the slots before it have gone too.
+#[derive(Debug, Default)]
+struct Inflight {
+    base: u64,
+    slots: VecDeque<Option<StoredMessage>>,
+}
+
+impl Inflight {
+    fn insert(&mut self, msg: MsgHandle, stored: StoredMessage) {
+        if self.slots.is_empty() {
+            self.base = msg.0;
+        }
+        let end = self.base + self.slots.len() as u64;
+        assert!(msg.0 >= end, "message handles only grow");
+        self.slots
+            .resize_with((msg.0 - self.base) as usize, || None);
+        self.slots.push_back(Some(stored));
+    }
+
+    fn remove(&mut self, msg: MsgHandle) -> Option<StoredMessage> {
+        let at = msg.0.checked_sub(self.base)? as usize;
+        let stored = self.slots.get_mut(at)?.take();
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        stored
+    }
+}
+
 /// The placeholder installed while the offloaded backend is drained for the
 /// software fallback. If the replay completes, a software matcher replaces
 /// it; if the drain fails, the poison stays and every subsequent matching
@@ -183,7 +216,7 @@ pub struct MatchingService {
     /// not yet applied by a drain. Staging host-side releases the bounce
     /// buffer at submit time (§IV-C) and lets a fallback replay the queued
     /// arrival with its payload intact.
-    inflight: HashMap<MsgHandle, StoredMessage>,
+    inflight: Inflight,
     /// Whether [`MatchingService::progress`] routes arrivals through the
     /// backend's command queue instead of matching blocks synchronously.
     use_queue: bool,
@@ -230,7 +263,7 @@ impl MatchingService {
             next_recv: 0,
             completed: Vec::new(),
             unexpected: HashMap::new(),
-            inflight: HashMap::new(),
+            inflight: Inflight::default(),
             use_queue: false,
             retry_budget: DEFAULT_DRAIN_RETRY_BUDGET,
             fellback: false,
@@ -622,7 +655,7 @@ impl MatchingService {
         for (recv, msg) in matched_pairs {
             let stored = self
                 .inflight
-                .remove(&msg)
+                .remove(msg)
                 .or_else(|| self.unexpected.remove(&msg))
                 .ok_or_else(|| {
                     ServiceError::FallbackReplay(format!(
@@ -633,7 +666,7 @@ impl MatchingService {
             self.completed.push(done);
         }
         for msg in still_unexpected {
-            let stored = self.inflight.remove(&msg).ok_or_else(|| {
+            let stored = self.inflight.remove(msg).ok_or_else(|| {
                 ServiceError::FallbackReplay(format!(
                     "queued arrival {msg:?} has no staged payload"
                 ))
@@ -899,7 +932,7 @@ impl MatchingService {
                 let stored = self
                     .unexpected
                     .remove(&msg)
-                    .or_else(|| self.inflight.remove(&msg))
+                    .or_else(|| self.inflight.remove(msg))
                     .expect("matched message has a stored payload");
                 let done = self.run_protocol_from_store(handle, stored)?;
                 self.completed.push(done);
@@ -908,7 +941,7 @@ impl MatchingService {
             CommandOutcome::Delivery(Delivery::Matched { msg, recv }) => {
                 let stored = self
                     .inflight
-                    .remove(&msg)
+                    .remove(msg)
                     .expect("queued arrival has a staged payload");
                 let done = self.run_protocol_from_store(recv, stored)?;
                 self.completed.push(done);
@@ -917,7 +950,7 @@ impl MatchingService {
             CommandOutcome::Delivery(Delivery::Unexpected { msg }) => {
                 let stored = self
                     .inflight
-                    .remove(&msg)
+                    .remove(msg)
                     .expect("queued arrival has a staged payload");
                 self.unexpected.insert(msg, stored);
                 Ok(())
@@ -965,13 +998,17 @@ impl MatchingService {
         Ok(())
     }
 
-    /// Lifts a message's payload (or RTS descriptor) out of its bounce
-    /// buffer and releases the buffer: it is NIC memory, and the receive ring
-    /// starves if the protocol step that follows fails while still holding it.
+    /// Lifts a message's payload (or RTS descriptor and head) out of its
+    /// bounce buffer — the bytes move, nothing is copied — and releases the
+    /// buffer: it is NIC memory, and the receive ring starves if the protocol
+    /// step that follows fails while still holding it.
     fn lift_from_bounce(nic: &mut RecvNic, completion: &Completion) -> StoredMessage {
+        let mut bytes = nic.take_staged(completion.bounce);
         let payload = match completion.header.kind {
             PayloadKind::Eager { len } => {
-                StoredPayload::Eager(nic.staged(completion.bounce)[..len].to_vec())
+                assert!(len <= bytes.len(), "eager header outruns the staged bytes");
+                bytes.truncate(len);
+                StoredPayload::Eager(bytes)
             }
             PayloadKind::Rts {
                 rkey,
@@ -984,13 +1021,9 @@ impl MatchingService {
                     len,
                     piggyback,
                 },
-                head: nic.staged(completion.bounce).to_vec(),
+                head: bytes,
             },
-            PayloadKind::Ack { .. } => {
-                unreachable!("acks are consumed by the NIC receive path and never staged")
-            }
         };
-        nic.release(completion.bounce);
         StoredMessage {
             env: completion.header.env,
             payload,
@@ -1023,11 +1056,12 @@ impl MatchingService {
                     unreachable!("rendezvous on_match requests the read")
                 };
                 let mut data = head;
-                data.extend(self.domain.read(
+                self.domain.read_into(
                     crate::rdma::RKey(rkey),
                     remote_addr as usize,
                     len,
-                )?);
+                    &mut data,
+                )?;
                 t.on_read_complete()?;
                 // The transfer is one-shot in this simulator: release the
                 // sender's registered region so the fabric-wide domain does

@@ -96,10 +96,8 @@ impl CommandQueue {
     ) -> Result<(), MatchError> {
         let ticket = self.tickets.fetch_add(1, Ordering::Relaxed);
         let comm = comm_of(&cmd);
-        let shard = shards.get_or_create(comm, config);
-        shard
-            .submission
-            .push(ticket, cmd)
+        shards
+            .with_shard(comm, config, |shard| shard.submission.push(ticket, cmd))
             .map_err(|_| MatchError::SubmissionRingFull { comm: comm.0 })
     }
 

@@ -74,6 +74,29 @@ fn lane_of(lanes: &[(CommId, Arc<CommShard>)], comm: CommId) -> usize {
     locate(lanes, comm).expect("a staged command's communicator predates the drain")
 }
 
+/// Strips the tickets off a drain's outcomes, in ticket order. The tickets of
+/// one drain are distinct, and they are one contiguous run unless a failed
+/// drain requeued around an applied command or a rejected submit burned a
+/// ticket in their midst: in a run each outcome's place is `ticket − first`,
+/// so it is swapped there and nothing is compared. Otherwise, sort.
+fn in_submission_order(mut outcomes: Vec<(u64, CommandOutcome)>) -> Vec<CommandOutcome> {
+    let first = outcomes.iter().map(|o| o.0).min().unwrap_or(0);
+    let last = outcomes.iter().map(|o| o.0).max().unwrap_or(0);
+    if (last - first) as usize + 1 == outcomes.len() {
+        let mut i = 0;
+        while i < outcomes.len() {
+            // Every swap puts one outcome where it belongs, for good.
+            match (outcomes[i].0 - first) as usize {
+                home if home == i => i += 1,
+                home => outcomes.swap(i, home),
+            }
+        }
+    } else {
+        outcomes.sort_unstable_by_key(|&(ticket, _)| ticket);
+    }
+    outcomes.into_iter().map(|(_, o)| o).collect()
+}
+
 /// The Optimistic Tag Matching engine (see module docs and crate docs).
 pub struct OtmEngine {
     config: MatchConfig,
@@ -482,9 +505,8 @@ impl OtmEngine {
         if let Some((error, failed)) = failure {
             return self.fail_drain(error, failed, sched, outcomes, merge);
         }
-        outcomes.sort_unstable_by_key(|&(idx, _)| idx);
         DrainReport {
-            outcomes: outcomes.into_iter().map(|(_, o)| o).collect(),
+            outcomes: in_submission_order(outcomes),
             error: None,
             unapplied: Vec::new(),
         }
@@ -504,14 +526,13 @@ impl OtmEngine {
         error: MatchError,
         failed: Vec<(u64, Command)>,
         sched: PackingScheduler,
-        mut outcomes: Vec<(u64, CommandOutcome)>,
+        outcomes: Vec<(u64, CommandOutcome)>,
         mut merge: Merge<'_>,
     ) -> DrainReport {
         let mut unprocessed: Vec<(u64, Command)> = failed;
         unprocessed.extend(sched.into_unapplied());
         unprocessed.sort_unstable_by_key(|&(idx, _)| idx);
-        outcomes.sort_unstable_by_key(|&(idx, _)| idx);
-        let outcomes = outcomes.into_iter().map(|(_, o)| o).collect();
+        let outcomes = in_submission_order(outcomes);
         let unapplied = if error.is_retryable() {
             merge.requeue_front(unprocessed);
             Vec::new()
@@ -1893,6 +1914,54 @@ mod tests {
         let retry = e.drain();
         assert!(retry.error.is_none());
         assert_eq!(retry.outcomes.len(), 1);
+    }
+
+    #[test]
+    fn requeue_around_an_applied_command_still_reports_in_ticket_order() {
+        let e = OtmEngine::new(MatchConfig::small().with_max_unexpected(1)).unwrap();
+        let on = |comm: u16, tag: u32| Envelope::new(Rank(0), Tag(tag), CommId(comm));
+        let arrival = |comm, tag, msg| Command::Arrival {
+            env: on(comm, tag),
+            msg: MsgHandle(msg),
+        };
+        let post = |comm, tag, handle| Command::Post {
+            pattern: ReceivePattern::new(Rank(0), Tag(tag), CommId(comm)),
+            handle: RecvHandle(handle),
+        };
+        // Ticket 0 fills communicator 1's one-message store.
+        e.submit(arrival(1, 0, 0)).unwrap();
+        assert!(e.drain().error.is_none());
+        // Tickets 1, 2, 3: the post is hoisted and applied, the fused block
+        // behind it fails on communicator 1's full store and is requeued —
+        // tickets 1 and 3, around the applied 2.
+        e.submit(arrival(1, 1, 1)).unwrap();
+        e.submit(post(2, 9, 0)).unwrap();
+        e.submit(arrival(2, 5, 2)).unwrap();
+        let report = e.drain();
+        assert_eq!(report.error, Some(MatchError::UnexpectedStoreFull));
+        assert_eq!(report.outcomes.len(), 1, "the hoisted post");
+        assert_eq!(e.pending_commands(), 2);
+        e.post_shared(
+            ReceivePattern::new(Rank(0), Tag(0), CommId(1)),
+            RecvHandle(7),
+        )
+        .unwrap();
+        // Ticket 4 is hoisted ahead of the requeued block, so the drain
+        // applies 4, 1, 3: not a run, and not in order.
+        e.submit(post(3, 8, 1)).unwrap();
+        let report = e.drain();
+        assert!(report.error.is_none());
+        assert_eq!(
+            report.outcomes,
+            vec![
+                CommandOutcome::Delivery(Delivery::Unexpected { msg: MsgHandle(1) }),
+                CommandOutcome::Delivery(Delivery::Unexpected { msg: MsgHandle(2) }),
+                CommandOutcome::Post {
+                    handle: RecvHandle(1),
+                    result: PostResult::Posted
+                },
+            ]
+        );
     }
 
     #[test]

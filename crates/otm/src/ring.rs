@@ -12,28 +12,85 @@
 //! (`OtmEngine::drain`, held from entry to exit) or on an engine being
 //! consumed (`OtmEngine::drain_for_fallback(self)`).
 //!
-//! Because the crate forbids `unsafe`, the value cell of each slot is a
-//! `std::sync::Mutex<Option<_>>` rather than an `UnsafeCell`. The mutex is
-//! *never contended*: the stamp protocol guarantees at most one thread owns a
-//! slot's cell at any time, so every lock acquisition is the uncontended
-//! fast path (one CAS on the lock word). All cross-thread coordination —
-//! including full/empty detection — still happens on the stamps and on the
-//! head/tail counters, which is what makes submission wait-free in practice:
-//! a producer claims a slot with a single `fetch`-style CAS on `tail` and
-//! never waits for other producers to finish publishing. The command's
-//! ticket sits beside the stamp in an atomic of its own, so the drain's merge
-//! reads a ring's head ticket with two loads and no lock.
+//! A slot holds its command as plain words: the ticket and three more
+//! `AtomicU64`s (see `encode`). The producer that won the `tail` CAS for
+//! position `pos` is the slot's only writer until it publishes: it stores the
+//! four words `Relaxed`, then the stamp `pos + 1` with `Release`. The consumer
+//! loads the stamp with `Acquire` and reads the words only once it sees
+//! `pos + 1`, so the stores happen-before its loads; it frees the slot with a
+//! `Release` store of the next lap's stamp, which that lap's producer
+//! `Acquire`s before overwriting the words. No word is written while another
+//! thread may read it, which is why relaxed accesses are race-free and the
+//! slot needs no lock, no `Option` and no `unsafe`. All coordination,
+//! including full/empty detection, happens on the stamps and the head/tail
+//! counters: a producer claims a slot with one CAS on `tail` and never waits
+//! for other producers to publish, and the drain's merge reads a ring's head
+//! ticket with two loads.
 //!
 //! A full ring is a *backpressure signal*, not a blocking condition:
 //! [`CommandRing::push`] hands the command back so the caller can surface
 //! `MatchError::SubmissionRingFull` and retry after a drain frees slots.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
-use otm_base::sync::lock;
+use mpi_matching::{MsgHandle, RecvHandle};
+use otm_base::envelope::{SourceSel, TagSel};
+use otm_base::{CommId, Envelope, Rank, ReceivePattern, Tag};
 
 use crate::command::Command;
+
+/// Bits of a command's first word, above the 16-bit communicator id.
+const POST: u64 = 1 << 16;
+const ANY_SOURCE: u64 = 1 << 17;
+const ANY_TAG: u64 = 1 << 18;
+
+/// A command as three words: kind, wildcard bits and communicator | source
+/// rank ‖ tag (a wildcard leaves its half zero) | handle.
+fn encode(cmd: &Command) -> [u64; 3] {
+    let (bits, src, tag, comm, handle) = match *cmd {
+        Command::Arrival { env, msg } => (0, env.src.0, env.tag.0, env.comm, msg.0),
+        Command::Post { pattern, handle } => {
+            let (any_src, src) = match pattern.src {
+                SourceSel::Any => (ANY_SOURCE, 0),
+                SourceSel::Rank(r) => (0, r.0),
+            };
+            let (any_tag, tag) = match pattern.tag {
+                TagSel::Any => (ANY_TAG, 0),
+                TagSel::Tag(t) => (0, t.0),
+            };
+            (POST | any_src | any_tag, src, tag, pattern.comm, handle.0)
+        }
+    };
+    let src_tag = u64::from(src) << 32 | u64::from(tag);
+    [bits | u64::from(comm.0), src_tag, handle]
+}
+
+/// The command [`encode`] made `words` of.
+fn decode([bits, src_tag, handle]: [u64; 3]) -> Command {
+    let (src, tag, comm) = (
+        Rank((src_tag >> 32) as u32),
+        Tag(src_tag as u32),
+        CommId(bits as u16),
+    );
+    if bits & POST == 0 {
+        let env = Envelope::new(src, tag, comm);
+        return Command::Arrival {
+            env,
+            msg: MsgHandle(handle),
+        };
+    }
+    let src = (bits & ANY_SOURCE == 0)
+        .then_some(src)
+        .map_or(SourceSel::Any, SourceSel::Rank);
+    let tag = (bits & ANY_TAG == 0)
+        .then_some(tag)
+        .map_or(TagSel::Any, TagSel::Tag);
+    let pattern = ReceivePattern { src, tag, comm };
+    Command::Post {
+        pattern,
+        handle: RecvHandle(handle),
+    }
+}
 
 /// Pads the wrapped value to a 64-byte cache line so the hot atomics
 /// (per-slot stamps, head, tail) don't false-share.
@@ -42,7 +99,7 @@ use crate::command::Command;
 struct CachePadded<T>(T);
 
 /// One ring slot: the stamp encodes the slot's lap state; the ticket and the
-/// cell hold the ticketed command while the slot is occupied.
+/// words hold the ticketed command while the slot is occupied.
 ///
 /// Stamp protocol for the slot at index `i = pos & mask`:
 /// - `stamp == pos`      → empty, writable by the producer that claims `pos`
@@ -50,14 +107,14 @@ struct CachePadded<T>(T);
 /// - anything else       → the slot belongs to a different lap (ring full
 ///   from the producer's view, empty from the consumer's)
 ///
-/// The producer writes `ticket` (relaxed) and the cell before its `Release`
+/// The producer writes `ticket` and `words` (relaxed) before its `Release`
 /// store of the stamp; whoever then reads `stamp == pos + 1` with `Acquire`
-/// sees both.
+/// sees all four.
 #[derive(Debug)]
 struct Slot {
     stamp: AtomicUsize,
     ticket: AtomicU64,
-    cell: Mutex<Option<Command>>,
+    words: [AtomicU64; 3],
 }
 
 /// A bounded multi-producer single-consumer ring of ticketed commands.
@@ -85,7 +142,7 @@ impl CommandRing {
                 CachePadded(Slot {
                     stamp: AtomicUsize::new(i),
                     ticket: AtomicU64::new(0),
-                    cell: Mutex::new(None),
+                    words: Default::default(),
                 })
             })
             .collect::<Vec<_>>()
@@ -121,9 +178,11 @@ impl CommandRing {
                 ) {
                     Ok(_) => {
                         // We own the slot exclusively until the stamp below
-                        // publishes it, so this lock never contends.
+                        // publishes it.
                         slot.ticket.store(ticket, Ordering::Relaxed);
-                        *lock(&slot.cell) = Some(cmd);
+                        for (word, value) in slot.words.iter().zip(encode(&cmd)) {
+                            word.store(value, Ordering::Relaxed);
+                        }
                         slot.stamp.store(pos.wrapping_add(1), Ordering::Release);
                         return Ok(());
                     }
@@ -160,11 +219,10 @@ impl CommandRing {
                 ) {
                     Ok(_) => {
                         let ticket = slot.ticket.load(Ordering::Relaxed);
-                        let cmd = lock(&slot.cell).take();
+                        let words = [0, 1, 2].map(|i| slot.words[i].load(Ordering::Relaxed));
                         slot.stamp
                             .store(pos.wrapping_add(self.slots.len()), Ordering::Release);
-                        debug_assert!(cmd.is_some(), "stamped slot must hold a value");
-                        return cmd.map(|cmd| (ticket, cmd));
+                        return Some((ticket, decode(words)));
                     }
                     Err(now) => pos = now,
                 }
@@ -208,8 +266,6 @@ impl CommandRing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpi_matching::MsgHandle;
-    use otm_base::{CommId, Envelope, Rank, Tag};
 
     fn arrival(seq: u64) -> Command {
         Command::Arrival {
@@ -300,6 +356,99 @@ mod tests {
     #[test]
     fn padded_slot_is_one_cache_line() {
         assert_eq!(std::mem::size_of::<CachePadded<Slot>>(), 64);
+    }
+
+    #[test]
+    fn every_command_shape_survives_the_slot_encoding() {
+        let sources = [
+            SourceSel::Any,
+            SourceSel::Rank(Rank(0)),
+            SourceSel::Rank(Rank(u32::MAX)),
+        ];
+        let tags = [TagSel::Any, TagSel::Tag(Tag(0)), TagSel::Tag(Tag(u32::MAX))];
+        for comm in [CommId(0), CommId(7), CommId(u16::MAX)] {
+            for handle in [0, 1 << 32, u64::MAX] {
+                for src in sources {
+                    for tag in tags {
+                        let post = Command::Post {
+                            pattern: ReceivePattern { src, tag, comm },
+                            handle: RecvHandle(handle),
+                        };
+                        assert_eq!(decode(encode(&post)), post);
+                        if let (SourceSel::Rank(src), TagSel::Tag(tag)) = (src, tag) {
+                            let arrival = Command::Arrival {
+                                env: Envelope::new(src, tag, comm),
+                                msg: MsgHandle(handle),
+                            };
+                            assert_eq!(decode(encode(&arrival)), arrival);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A command that is a function of its ticket alone, in all four word
+    /// positions, so a pop that mixed two laps' words cannot go unnoticed.
+    fn command_of(ticket: u64) -> Command {
+        let h = otm_base::hash::mix64(ticket);
+        let (src, tag, comm) = (Rank(h as u32), Tag((h >> 32) as u32), CommId(ticket as u16));
+        if ticket % 2 == 0 {
+            return Command::Arrival {
+                env: Envelope::new(src, tag, comm),
+                msg: MsgHandle(ticket),
+            };
+        }
+        Command::Post {
+            pattern: ReceivePattern {
+                src: if h & 1 == 0 {
+                    SourceSel::Any
+                } else {
+                    src.into()
+                },
+                tag: if h & 2 == 0 { TagSel::Any } else { tag.into() },
+                comm,
+            },
+            handle: RecvHandle(ticket),
+        }
+    }
+
+    #[test]
+    fn popped_words_belong_to_one_command_under_concurrent_producers() {
+        use std::sync::{Arc, Barrier};
+        let ring = Arc::new(CommandRing::new(4));
+        let (producers, per_producer) = (4u64, 5_000u64);
+        let start = Arc::new(Barrier::new(producers as usize + 1));
+        let handles: Vec<_> = (0..producers)
+            .map(|p| {
+                let (ring, start) = (Arc::clone(&ring), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    for i in 0..per_producer {
+                        let ticket = p * per_producer + i;
+                        while ring.push(ticket, command_of(ticket)).is_err() {
+                            std::thread::yield_now();
+                        }
+                    }
+                })
+            })
+            .collect();
+        start.wait();
+        let mut seen = vec![false; (producers * per_producer) as usize];
+        let mut popped = 0;
+        while popped < producers * per_producer {
+            let Some((ticket, cmd)) = ring.pop() else {
+                std::thread::yield_now();
+                continue;
+            };
+            assert_eq!(cmd, command_of(ticket), "ticket {ticket}");
+            assert!(!std::mem::replace(&mut seen[ticket as usize], true));
+            popped += 1;
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert!(ring.pop().is_none(), "nothing duplicated");
     }
 
     #[test]

@@ -89,10 +89,12 @@ impl std::fmt::Debug for CommShard {
 /// [`CommId`] order, which is also the global lock order.
 ///
 /// The vector is behind a read-write lock that is only write-locked to
-/// insert a *new* communicator; steady-state lookups take the read lock,
-/// binary-search, clone the `Arc`, and release it before touching the shard
-/// — the directory lock is never held across shard work, so it cannot
-/// participate in a deadlock cycle. Entries are never removed.
+/// insert a *new* communicator. Lookups that go on to lock the shard
+/// binary-search under the read lock, clone the `Arc` and release the
+/// directory first; a submit's ring push runs under the read guard instead
+/// (`with_shard`), which is safe because the push takes no lock and never
+/// waits. Either way no second lock is acquired while the directory is held,
+/// so it cannot participate in a deadlock cycle. Entries are never removed.
 #[derive(Debug, Default)]
 pub struct ShardMap {
     shards: RwLock<Vec<(CommId, Arc<CommShard>)>>,
@@ -132,6 +134,25 @@ impl ShardMap {
             at
         });
         Arc::clone(&shards[at].1)
+    }
+
+    /// Runs `f` on the shard for `comm` (created with no hints on first use)
+    /// under the directory read guard, sparing the `Arc` clone. `f` must take
+    /// no lock and must not block (see the type's docs).
+    pub(crate) fn with_shard<R>(
+        &self,
+        comm: CommId,
+        config: &MatchConfig,
+        f: impl FnOnce(&CommShard) -> R,
+    ) -> R {
+        let shards = read(&self.shards);
+        match locate(&shards, comm) {
+            Ok(at) => f(&shards[at].1),
+            Err(_) => {
+                drop(shards);
+                f(&self.get_or_create(comm, config))
+            }
+        }
     }
 
     /// Declares `comm` with `hints`; fails if the communicator already

@@ -152,7 +152,12 @@ impl UnexpectedStore {
     /// Searches for the oldest waiting message matching a newly posted
     /// receive, consuming it on a hit. Only the index matching the
     /// pattern's wildcard class is searched (§IV-C).
+    /// An empty store answers before hashing or touching a bin; tombstones
+    /// that scan would have popped go with the next scan or compaction.
     pub fn match_post(&mut self, pattern: &ReceivePattern) -> Option<UmqMatch> {
+        if self.live == 0 {
+            return None;
+        }
         let bin_idx = match pattern.wildcard_class() {
             WildcardClass::None => {
                 let (SourceSel::Rank(src), TagSel::Tag(tag)) = (pattern.src, pattern.tag) else {
@@ -534,6 +539,44 @@ mod tests {
             "by_tag grew to {}",
             u.by_tag[0].len()
         );
+    }
+
+    #[test]
+    fn tombstones_behind_skipped_empty_store_scans_are_still_swept() {
+        // Each round leaves three stale references behind its one match, and
+        // the posts that find the store empty no longer pop any of them.
+        let mut u = UnexpectedStore::new(2, 8);
+        let bound = 4 * 16 + 4; // compaction threshold plus one match
+        for i in 0..10_000u64 {
+            u.insert(env(0, (i % 4) as u32), MsgHandle(i), ArrivalSeq(i))
+                .unwrap();
+            let m = u.match_post(&ReceivePattern::any_tag(Rank(0))).unwrap();
+            assert_eq!(m.handle, MsgHandle(i));
+            for pattern in [
+                ReceivePattern::exact(Rank(0), Tag((i % 4) as u32)),
+                ReceivePattern::any_any(),
+            ] {
+                assert!(u.match_post(&pattern).is_none(), "the store is empty");
+            }
+            assert!(u.stale_refs <= bound, "{} stale at {i}", u.stale_refs);
+            assert!(u.order.len() <= bound, "order grew to {}", u.order.len());
+        }
+        assert!(u.slab.len() <= 8, "slab grew to {}", u.slab.len());
+        for i in 0..4u64 {
+            u.insert(env(0, 1), MsgHandle(i), ArrivalSeq(i)).unwrap();
+        }
+        for (i, pattern) in [
+            ReceivePattern::exact(Rank(0), Tag(1)),
+            ReceivePattern::any_source(Tag(1)),
+            ReceivePattern::any_tag(Rank(0)),
+            ReceivePattern::any_any(),
+        ]
+        .iter()
+        .enumerate()
+        {
+            let m = u.match_post(pattern).unwrap();
+            assert_eq!(m.handle, MsgHandle(i as u64), "oldest first for {pattern}");
+        }
     }
 
     #[test]

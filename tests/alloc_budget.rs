@@ -1,0 +1,155 @@
+//! Heap allocations per delivered message, counted exactly.
+//!
+//! The whole receive path — `ReliableSender` → `RecvNic` → `MatchingService`
+//! → `OtmEngine` behind its command queue — is driven closed-loop over a
+//! clean wire, the way the ladder's `stream_nc` drives it, under a global
+//! allocator that counts. A clock cannot tell 2.5 allocations from 4.5 inside
+//! its noise; a count can, and it is a function of the code alone.
+//!
+//! This file is its own test binary with one `#[test]`, so nothing else
+//! allocates while it counts, and it holds the only `unsafe` in the
+//! repository: the layer crates stay `#![forbid(unsafe_code)]`, and a
+//! `GlobalAlloc` cannot be written without it.
+
+use dpa_sim::bounce::BouncePool;
+use dpa_sim::nic::RecvNic;
+use dpa_sim::rdma::{connected_pair, eager_packet, rendezvous_packet, RdmaDomain};
+use dpa_sim::{MatchingService, ReliableSender};
+use otm::OtmEngine;
+use otm_base::{CommId, Envelope, MatchConfig, Rank, ReceivePattern, Tag};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// The system allocator, counting every block it hands out or regrows.
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, whose
+// contract is the one the caller already upholds; the counter is a relaxed
+// atomic and touches no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const LANES: usize = 4;
+const ROUND: usize = 512;
+const EAGER_MAX: usize = 192;
+const PIGGYBACK: usize = 64;
+
+struct Stack {
+    svc: MatchingService,
+    senders: Vec<ReliableSender>,
+    domain: RdmaDomain,
+}
+
+fn stack() -> Stack {
+    let (tx, rx) = connected_pair();
+    let mut nic = RecvNic::new(rx, BouncePool::new(1024, EAGER_MAX));
+    let mut peers = vec![tx];
+    for _ in 1..LANES {
+        let (tx, rx) = connected_pair();
+        nic.add_qp(rx);
+        peers.push(tx);
+    }
+    let domain = RdmaDomain::new();
+    let engine = OtmEngine::new(MatchConfig::default()).unwrap();
+    let mut svc = MatchingService::with_backend(nic, domain.clone(), Box::new(engine));
+    svc.enable_command_queue().unwrap();
+    Stack {
+        svc,
+        senders: peers.into_iter().map(ReliableSender::new).collect(),
+        domain,
+    }
+}
+
+impl Stack {
+    /// One turn of the loop; returns how many receives completed.
+    fn pump(&mut self) -> usize {
+        self.svc.progress().unwrap();
+        let done = self.svc.take_completed().len();
+        for s in &mut self.senders {
+            s.poll().unwrap();
+        }
+        done
+    }
+
+    /// Pre-posts a round of distinct receives, sends its messages window by
+    /// window and pumps until every one completed. Every round uses the same
+    /// keys, so after the first the index bins it hashes into are at size.
+    fn round(&mut self, payload_len: usize) {
+        let key = |i: usize| (i % LANES, Rank((i / LANES) as u32), Tag(i as u32 % 7));
+        for i in 0..ROUND {
+            let (lane, src, tag) = key(i);
+            let pattern = ReceivePattern::new(src, tag, CommId(lane as u16 + 1));
+            let handle = self.svc.reserve_recv();
+            self.svc.post_recv_queued_reserved(pattern, handle).unwrap();
+        }
+        let mut done = 0;
+        for i in 0..ROUND {
+            let (lane, src, tag) = key(i);
+            while !self.senders[lane].can_send() {
+                done += self.pump();
+            }
+            let env = Envelope::new(src, tag, CommId(lane as u16 + 1));
+            let payload = vec![i as u8; payload_len];
+            let packet = if payload_len <= EAGER_MAX {
+                eager_packet(env, payload)
+            } else {
+                rendezvous_packet(&self.domain, env, payload, PIGGYBACK).0
+            };
+            self.senders[lane].send(packet).unwrap();
+        }
+        while done < ROUND || self.senders.iter().any(|s| s.unacked() > 0) {
+            done += self.pump();
+        }
+        assert_eq!(done, ROUND, "every message completes exactly once");
+    }
+}
+
+/// Allocations per delivered message over `rounds` rounds, after two rounds
+/// of warm-up (tables, rings, windows and the completion vector at size).
+fn allocations_per_message(payload_len: usize, rounds: u32) -> f64 {
+    let mut stack = stack();
+    for _ in 0..2 {
+        stack.round(payload_len);
+    }
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..rounds {
+        stack.round(payload_len);
+    }
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    allocations as f64 / (f64::from(rounds) * ROUND as f64)
+}
+
+#[test]
+fn steady_state_allocations_per_message_stay_in_budget() {
+    // Payload, the window's copy of it, and a share of the per-drain and
+    // per-poll vectors.
+    let eager = allocations_per_message(8, 8);
+    assert!(
+        eager <= 3.0,
+        "8-byte eager: {eager:.3} allocations a message"
+    );
+    // Plus the registered region (and its map entry), the head, the tail's
+    // one growth, and their window copies.
+    let rendezvous = allocations_per_message(1024, 8);
+    assert!(
+        rendezvous <= 6.5,
+        "1 KiB rendezvous: {rendezvous:.3} allocations a message"
+    );
+    println!("allocations per message: eager {eager:.3}, rendezvous {rendezvous:.3}");
+}
