@@ -25,6 +25,12 @@ pub fn write<T: ?Sized>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     l.write().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// The data of a lock its caller has to itself (so none is taken), whether
+/// or not a writer panicked.
+pub fn get_mut<T: ?Sized>(l: &mut RwLock<T>) -> &mut T {
+    l.get_mut().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -50,5 +56,8 @@ mod tests {
         assert_eq!(*read(&l), 8);
         *write(&l) += 1;
         assert_eq!(*read(&l), 9);
+        let mut l = Arc::into_inner(l).expect("the writer thread is gone");
+        *get_mut(&mut l) += 1;
+        assert_eq!(*read(&l), 10);
     }
 }

@@ -340,14 +340,11 @@ mod tests {
 
     #[test]
     fn common_args_parse_ring_capacity() {
-        let args = CommonArgs::from_iter(
-            ["--ring-capacity", "256"].into_iter().map(String::from),
-        );
+        let args = CommonArgs::from_iter(["--ring-capacity", "256"].into_iter().map(String::from));
         assert_eq!(args.ring_capacity, Some(256));
         let default = CommonArgs::from_iter(std::iter::empty());
         assert_eq!(default.ring_capacity, None);
-        let bad =
-            CommonArgs::from_iter(["--ring-capacity", "many"].into_iter().map(String::from));
+        let bad = CommonArgs::from_iter(["--ring-capacity", "many"].into_iter().map(String::from));
         assert_eq!(bad.ring_capacity, None);
     }
 

@@ -695,7 +695,10 @@ mod tests {
         assert_eq!(out.report.completed, 4, "tag 7 stays unexpected");
         assert_eq!(out.report.rendezvous_messages, 1);
         assert_eq!(out.report.eager_messages, 4);
-        assert_eq!(out.report.gate_released, 5, "every arrival crossed the gate");
+        assert_eq!(
+            out.report.gate_released, 5,
+            "every arrival crossed the gate"
+        );
     }
 
     #[test]
@@ -726,9 +729,15 @@ mod tests {
         let json = render(&out.report);
         assert!(json.starts_with('{') && json.ends_with('}'));
         for key in [
-            "\"app\":", "\"mode\":", "\"messages\":", "\"completed\":",
-            "\"rendezvous_messages\":", "\"retransmit_amplification\":",
-            "\"gate_released\":", "\"path_nc\":", "\"series\":",
+            "\"app\":",
+            "\"mode\":",
+            "\"messages\":",
+            "\"completed\":",
+            "\"rendezvous_messages\":",
+            "\"retransmit_amplification\":",
+            "\"gate_released\":",
+            "\"path_nc\":",
+            "\"series\":",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }

@@ -28,6 +28,11 @@
 //! reordered or delayed. Message handles — and therefore every matching
 //! outcome — are identical to a fault-free run.
 //!
+//! The window's copy of a packet's inline bytes lives in a buffer the sender
+//! recycles, like a NIC send queue's pre-registered inline buffers: the ack
+//! that retires a packet frees its buffer for a later `send`, which then
+//! allocates nothing.
+//!
 //! Time is virtual: the "clock" is the number of [`ReliableSender::poll`]
 //! calls, mirroring the NIC's poll-driven delivery clock, so tests are
 //! deterministic and never sleep.
@@ -141,6 +146,8 @@ pub struct ReliableSender {
     /// Every sequenced packet `< cumulative` ack received so far.
     acked: u64,
     window: VecDeque<Inflight>,
+    /// Inline buffers of retired window entries, at most `window_cap`.
+    spare: Vec<Vec<u8>>,
     /// Virtual time: the number of `poll` calls so far.
     clock: u64,
     timeout_polls: u64,
@@ -175,6 +182,7 @@ impl ReliableSender {
             next_seq: 0,
             acked: 0,
             window: VecDeque::new(),
+            spare: Vec::new(),
             clock: 0,
             timeout_polls,
             base_timeout: timeout_polls,
@@ -197,16 +205,20 @@ impl ReliableSender {
     }
 
     /// Sends one packet reliably: stamps it with the next sequence number,
-    /// stores it in the unacked window, transmits. The caller is expected
-    /// to gate on [`ReliableSender::can_send`]; sending past the adaptive
-    /// window is allowed but forfeits its loss-avoidance.
+    /// copies it into the unacked window (the inline bytes into a recycled
+    /// buffer), transmits. The caller is expected to gate on
+    /// [`ReliableSender::can_send`]; sending past the adaptive window is
+    /// allowed but forfeits its loss-avoidance.
     pub fn send(&mut self, packet: WirePacket) -> Result<(), ReliabilityError> {
         let seq = self.next_seq;
         self.next_seq += 1;
         let packet = packet.with_seq(seq);
+        let mut inline = self.spare.pop().unwrap_or_default();
+        inline.clear();
+        inline.extend_from_slice(&packet.inline);
         self.window.push_back(Inflight {
             seq,
-            packet: packet.clone(),
+            packet: WirePacket { inline, ..packet },
             sacked: false,
             fast_retx: false,
             retx: 0,
@@ -233,6 +245,7 @@ impl ReliableSender {
         let cap = cap.max(MIN_WINDOW_LIMIT);
         self.window_cap = cap;
         self.cwnd = self.cwnd.min(cap);
+        self.spare.truncate(cap);
     }
 
     /// The smoothed RTT estimate in polls, once a sample exists.
@@ -305,6 +318,9 @@ impl ReliableSender {
                             if e.retx == 0 {
                                 let sample = self.clock.saturating_sub(e.sent_at);
                                 self.observe_rtt(sample);
+                            }
+                            if self.spare.len() < self.window_cap {
+                                self.spare.push(e.packet.inline);
                             }
                         }
                         progressed = true;
@@ -668,6 +684,109 @@ mod tests {
         assert_eq!(s.window_limit(), 8, "reopened up to the cap");
         assert!(s.can_send());
     }
+
+    #[test]
+    fn a_recycled_buffer_carries_only_the_bytes_of_its_own_packet() {
+        let (a, b) = connected_pair();
+        let mut s = ReliableSender::with_limits(a, 1, 8);
+        s.send(eager_packet(env(0), vec![7; 100])).unwrap();
+        assert_eq!(drain_seqs(&b), vec![0]);
+        b.send_ack(1, SackBlocks::empty()).unwrap();
+        s.poll().unwrap();
+        assert_eq!(
+            s.spare.len(),
+            1,
+            "the ack retired seq 0 and freed its buffer"
+        );
+        // The short packet's window copy goes into the long one's buffer.
+        s.send(eager_packet(env(1), vec![1, 2, 3])).unwrap();
+        assert!(s.spare.is_empty());
+        assert_eq!(drain_seqs(&b), vec![1]);
+        // Silence until the RTT-driven timeout resends the window.
+        let resent = (0..16).find_map(|_| {
+            s.poll().unwrap();
+            b.try_recv().unwrap()
+        });
+        let copy = eager_packet(env(1), vec![1, 2, 3]).with_seq(1);
+        assert_eq!(resent, Some(Frame::Data(copy)));
+    }
+
+    #[test]
+    fn the_free_list_stays_within_the_window_cap() {
+        let (a, b) = connected_pair();
+        let mut s = ReliableSender::new(a);
+        let mut acked = 0;
+        let mut round = |s: &mut ReliableSender, n: u64| {
+            for i in 0..n {
+                s.send(eager_packet(env(i as u32), vec![i as u8; 8]))
+                    .unwrap();
+            }
+            acked += n;
+            b.send_ack(acked, SackBlocks::empty()).unwrap();
+            s.poll().unwrap();
+            assert_eq!(s.unacked(), 0);
+            drain_seqs(&b);
+        };
+        // Sending past the window is allowed; keeping its buffers is not.
+        round(&mut s, DEFAULT_WINDOW_LIMIT as u64 + 10);
+        assert_eq!(s.spare.len(), DEFAULT_WINDOW_LIMIT);
+        s.set_window_limit(8);
+        assert_eq!(s.spare.len(), 8, "a shrunk cap sheds the surplus");
+        round(&mut s, 20);
+        assert_eq!(s.spare.len(), 8);
+    }
+
+    /// The payload of the `i`-th message of the lossy-wire test: a function
+    /// of `i` alone, of a length that differs from its neighbours'.
+    fn payload_of(i: u32) -> Vec<u8> {
+        vec![i as u8; 1 + (i as usize * 37) % 90]
+    }
+
+    #[test]
+    fn retransmits_over_a_lossy_wire_carry_their_own_bytes_from_recycled_buffers() {
+        use crate::bounce::BouncePool;
+        use crate::nic::RecvNic;
+        use otm_base::FaultPlan;
+        let (a, b) = connected_pair();
+        let mut nic = RecvNic::new(b, BouncePool::new(128, 128));
+        // The ladder's `stream_lossy_rdv` wire at seed 1.
+        nic.set_faults(
+            FaultPlan::new(1 ^ 0xa99)
+                .with_drop_permille(100)
+                .with_duplicate_permille(80)
+                .with_reorder_permille(80)
+                .with_reorder_window(4),
+        );
+        let mut s = ReliableSender::with_limits(a, 4, 32);
+        let n = 600u32;
+        let (mut sent, mut delivered, mut recycled) = (0u32, 0u32, 0u32);
+        for _ in 0..100_000 {
+            while sent < n && s.can_send() {
+                recycled += u32::from(!s.spare.is_empty());
+                s.send(eager_packet(env(sent), payload_of(sent))).unwrap();
+                sent += 1;
+            }
+            s.poll().expect("sender within budget");
+            nic.poll().unwrap();
+            for c in nic.take_block(64) {
+                // Whichever copy filled the slot — the original, a fast
+                // retransmit or a timeout resend — it is this message's.
+                assert_eq!(nic.take_staged(c.bounce), payload_of(delivered));
+                delivered += 1;
+            }
+            if delivered == n && s.unacked() == 0 {
+                break;
+            }
+        }
+        assert_eq!((sent, delivered, s.unacked()), (n, n, 0));
+        assert!(recycled > n / 2, "{recycled} sends reused a freed buffer");
+        // Recorded at af273cd, where the window cloned every packet: the
+        // buffers change no protocol decision.
+        assert_eq!(format!("{:?}", s.stats()), LOSSY_WIRE_STATS);
+    }
+
+    const LOSSY_WIRE_STATS: &str = "ReliabilityStats { sent: 600, retransmits: 107, \
+        resend_events: 48, fast_retransmits: 96, acks: 75, backoff_polls: 70, rtt_samples: 907 }";
 
     #[cfg(feature = "trace-events")]
     #[test]

@@ -3,11 +3,13 @@
 //! Values are `u64`s (durations in nanoseconds, search depths, queue
 //! lengths, ...). Bucket 0 counts exact zeros; bucket `i >= 1` counts
 //! values in `[2^(i-1), 2^i - 1]`, so 65 buckets cover the full `u64`
-//! range. Recording is three relaxed `fetch_add`s plus a `fetch_max`;
-//! there is no locking anywhere and recording from many threads
-//! concurrently is safe (totals are exact, per-bucket counts are exact,
-//! only the cross-field consistency of a concurrent snapshot is
-//! approximate).
+//! range. Recording a value is three relaxed `fetch_add`s, plus a `fetch_max`
+//! when it raises the maximum; a writer that holds its samples back until a
+//! unit of work ends (the engine: a block, a drain) hands them over in one
+//! [`Histogram::record_all`], which adds the totals once. There is no locking
+//! anywhere and recording from many threads concurrently is safe (totals and
+//! per-bucket counts are exact, only the cross-field consistency of a
+//! concurrent snapshot is approximate).
 
 use crate::json::{JsonWriter, WriteJson};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -66,10 +68,34 @@ impl Histogram {
     /// Records one observation.
     #[inline]
     pub fn record(&self, value: u64) {
-        self.counts[bucket_index(value)].fetch_add(1, Relaxed);
-        self.sum.fetch_add(value, Relaxed);
-        self.count.fetch_add(1, Relaxed);
-        self.max.fetch_max(value, Relaxed);
+        self.record_all([value]);
+    }
+
+    /// Records every value of `values`, leaving what as many `record` calls
+    /// would: one bucket add per run of same-bucket values, the totals once.
+    #[inline]
+    pub fn record_all(&self, values: impl IntoIterator<Item = u64>) {
+        let (mut count, mut sum, mut max) = (0u64, 0u64, 0u64);
+        let mut run = (0, 0u64);
+        for value in values {
+            let bucket = bucket_index(value);
+            if bucket != run.0 && run.1 != 0 {
+                self.counts[run.0].fetch_add(run.1, Relaxed);
+                run.1 = 0;
+            }
+            run = (bucket, run.1 + 1);
+            (count, sum, max) = (count + 1, sum + value, max.max(value));
+        }
+        if count == 0 {
+            return;
+        }
+        self.counts[run.0].fetch_add(run.1, Relaxed);
+        self.sum.fetch_add(sum, Relaxed);
+        self.count.fetch_add(count, Relaxed);
+        // The maximum only grows: a value at or under it has nothing to add.
+        if max > self.max.load(Relaxed) {
+            self.max.fetch_max(max, Relaxed);
+        }
     }
 
     /// Number of observations recorded so far.
@@ -317,6 +343,21 @@ mod tests {
         assert_eq!(s.buckets[2], 2); // 2, 3
         assert_eq!(s.buckets[7], 1); // 100 in [64, 127]
         assert!((s.mean().unwrap() - 21.2).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_batch_leaves_what_single_records_would() {
+        let (one_by_one, batched) = (Histogram::new(), Histogram::new());
+        let values = [3, 3, 2, 0, 9, 9, 2, 1 << 40];
+        values.iter().for_each(|&v| one_by_one.record(v));
+        batched.record_all(values);
+        batched.record_all([]);
+        assert_eq!(batched.snapshot(), one_by_one.snapshot());
+        assert_eq!(
+            batched.snapshot().buckets[2],
+            4,
+            "3, 3, 2 and 2 share a bucket"
+        );
     }
 
     #[test]

@@ -74,7 +74,9 @@ impl Gauge {
     /// mark).
     #[inline]
     pub fn set_max(&self, v: i64) {
-        self.0.fetch_max(v, Relaxed);
+        if v > self.0.load(Relaxed) {
+            self.0.fetch_max(v, Relaxed);
+        }
     }
 }
 

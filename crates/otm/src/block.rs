@@ -20,9 +20,11 @@
 //! block and lends them to the lanes through `&`, and a poster into another
 //! communicator touches only that communicator's shard. What the lanes
 //! write through `&` is the three atomics of a descriptor slot, which are
-//! the protocol itself (§III-C).
+//! the protocol itself (§III-C); what they count goes into the arena's
+//! `Tally`, plain integers the coordinator publishes at block end.
 
 use crate::index::SearchOutcome;
+use crate::stats::Tally;
 use crate::table::DescId;
 use mpi_matching::MsgHandle;
 use otm_base::{Envelope, InlineHashes};
@@ -37,7 +39,7 @@ pub struct LaneData {
     /// Sender-side inline hashes (§IV-D).
     pub hashes: InlineHashes,
     /// Which of the block's locked shards the message matches against: an
-    /// index into the slice the coordinator lends to `worker::run_block`.
+    /// index into the guards the coordinator lends to `worker::run_block`.
     pub shard: usize,
 }
 
@@ -67,9 +69,11 @@ pub(crate) struct BlockState {
     pub forced: u64,
     /// The block's lanes, in arrival order.
     pub lanes: Vec<LaneData>,
-    /// Per-lane outcome of the optimistic search, carried from the first
-    /// sweep to the other two; `None` for a lane that settled in the first
-    /// sweep (overtaking communicators).
+    /// What the block's lanes and its coordinator count; zero between blocks.
+    pub tally: Tally,
+    /// Per-lane outcome of the optimistic search (of an overtaking lane, its
+    /// first), carried from the first sweep to the other two and to the
+    /// tally's search depths; `None` until the lane has searched.
     pub searches: Vec<Option<SearchOutcome>>,
     /// Per-lane result (see [`result_code`]).
     pub results: Vec<u64>,
@@ -89,6 +93,7 @@ impl BlockState {
             conflicted: 0,
             forced: 0,
             lanes: Vec::with_capacity(n_lanes),
+            tally: Tally::default(),
             searches: Vec::with_capacity(n_lanes),
             results: Vec::with_capacity(n_lanes),
             booked_desc: Vec::with_capacity(n_lanes),
@@ -97,13 +102,12 @@ impl BlockState {
         }
     }
 
-    /// Starts the next block: bumps the epoch and resets the per-block state
-    /// for `n` lanes. The caller fills [`BlockState::lanes`].
+    /// Starts the next block: bumps the epoch and resets the per-lane state
+    /// for the `n` lanes the caller has put in [`BlockState::lanes`].
     pub fn reset_for_block(&mut self, n: usize) {
         self.epoch += 1;
         self.conflicted = 0;
         self.forced = 0;
-        self.lanes.clear();
         self.searches.clear();
         self.searches.resize(n, None);
         self.results.clear();
@@ -150,6 +154,5 @@ mod tests {
         assert_eq!(s.results, [result_code::UNSET; 3]);
         assert_eq!(s.booked_desc, [NO_DESC; 3]);
         assert_eq!(s.searches, [None; 3]);
-        assert!(s.lanes.is_empty());
     }
 }

@@ -101,6 +101,22 @@ impl CommandQueue {
             .map_err(|_| MatchError::SubmissionRingFull { comm: comm.0 })
     }
 
+    /// [`CommandQueue::submit`] for a caller with exclusive access: the same
+    /// ticket counter and ring push, reached through `get_mut`, so nothing is
+    /// locked and no read-modify-write is issued before the push.
+    pub fn submit_exclusive(
+        &mut self,
+        cmd: Command,
+        shards: &mut ShardMap,
+        config: &MatchConfig,
+    ) -> Result<(), MatchError> {
+        let (ticket, comm) = (*self.tickets.get_mut(), comm_of(&cmd));
+        *self.tickets.get_mut() += 1;
+        let ring = &shards.shard_mut(comm, config).submission;
+        ring.push(ticket, cmd)
+            .map_err(|_| MatchError::SubmissionRingFull { comm: comm.0 })
+    }
+
     /// Number of commands waiting to be drained in the stash and in the
     /// rings of `lanes` (a snapshot of the directory): a racy monitoring
     /// count, not a synchronization primitive. Waits out a drain in
@@ -207,6 +223,21 @@ mod tests {
             env: Envelope::new(Rank(0), Tag(i as u32), CommId(comm)),
             msg: MsgHandle(i),
         }
+    }
+
+    #[test]
+    fn shared_and_exclusive_submits_draw_from_one_ticket_sequence() {
+        let (mut q, mut shards, config) = ring_queue();
+        q.submit(arrival_on(1, 0), &shards, &config).unwrap();
+        q.submit_exclusive(arrival_on(2, 1), &mut shards, &config)
+            .unwrap();
+        q.submit_exclusive(arrival_on(1, 2), &mut shards, &config)
+            .unwrap();
+        q.submit(arrival_on(2, 3), &shards, &config).unwrap();
+        let taken = take(&q, &shards, usize::MAX);
+        let tickets: Vec<u64> = taken.iter().map(|(t, _)| *t).collect();
+        assert_eq!(tickets, [0, 1, 2, 3]);
+        assert_eq!(taken[2].1, arrival_on(1, 2));
     }
 
     fn ring_queue() -> (CommandQueue, ShardMap, MatchConfig) {

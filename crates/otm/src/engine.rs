@@ -33,13 +33,18 @@
 //! and `post_shared` never take it. Under it come the shard locks, taken in
 //! [`CommId`] order by a block and one at a time by everything else; the
 //! tables and indexes inside a shard have no lock of their own.
+//! Counting follows them: a block's lanes and a drain's posts add to plain
+//! tallies under the coordinator lock, published once as the block ends and
+//! the drain exits ([`stats`](crate::stats)). A caller that holds the engine
+//! exclusively shares with no one, and [`MatchingBackend::submit_command`]
+//! reaches the ticket counter and the directory through `get_mut`.
 
 use crate::block::{result_code, BlockState, LaneData, NO_DESC};
 use crate::command::{Command, CommandOutcome, CommandQueue, DrainReport, Merge};
 use crate::metrics::{span_event, EngineMetrics};
 use crate::scheduler::{PackingScheduler, PackingStep};
-use crate::shard::{locate, CommShard, ShardHost, ShardMap};
-use crate::stats::{OtmStats, StatsSnapshot};
+use crate::shard::{locate, CommShard, ShardMap};
+use crate::stats::{StatsSnapshot, Tally};
 use crate::table::{DescId, Payload};
 use crate::worker::{run_block, LaneCtx};
 use mpi_matching::stats::DepthAggregate;
@@ -52,7 +57,7 @@ use otm_base::{
     ReceivePattern,
 };
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
 pub use mpi_matching::backend::{BlockDelivery as Delivery, FallbackState};
 
@@ -66,12 +71,27 @@ struct CoordState {
     next_arrival: ArrivalSeq,
     /// The block arena.
     block: BlockState,
+    /// Block scratch: each lane's communicator as its place in the
+    /// directory, sorted; deduplicated once the shards are locked.
+    comms: Vec<usize>,
+    /// What the running drain's posts counted, and each match's UMQ depth.
+    posts: Tally,
+    umq_depths: Vec<u64>,
 }
 
 /// Position of `comm` in a drain's directory snapshot, where the communicator
 /// of every command the drain stages (off the stash or a snapshot ring) is.
 fn lane_of(lanes: &[(CommId, Arc<CommShard>)], comm: CommId) -> usize {
     locate(lanes, comm).expect("a staged command's communicator predates the drain")
+}
+
+/// The span subject of a queued command: its message, or its receive.
+#[cfg(feature = "trace-events")]
+fn span_subject(cmd: &Command) -> u64 {
+    match cmd {
+        Command::Post { handle, .. } => ::otm_metrics::RECV_SUBJECT_BIT | handle.0,
+        Command::Arrival { msg, .. } => msg.0,
+    }
 }
 
 /// Strips the tickets off a drain's outcomes, in ticket order. The tickets of
@@ -100,7 +120,8 @@ fn in_submission_order(mut outcomes: Vec<(u64, CommandOutcome)>) -> Vec<CommandO
 /// The Optimistic Tag Matching engine (see module docs and crate docs).
 pub struct OtmEngine {
     config: MatchConfig,
-    stats: OtmStats,
+    /// The published statistics: a leaf lock, held for one merge or copy.
+    stats: Mutex<StatsSnapshot>,
     metrics: EngineMetrics,
     shards: ShardMap,
     queue: CommandQueue,
@@ -135,9 +156,12 @@ impl OtmEngine {
             coord: Mutex::new(CoordState {
                 next_arrival: ArrivalSeq::ZERO,
                 block: BlockState::new(config.block_threads),
+                comms: Vec::with_capacity(config.block_threads),
+                posts: Tally::default(),
+                umq_depths: Vec::new(),
             }),
             config,
-            stats: OtmStats::default(),
+            stats: Mutex::default(),
             metrics: EngineMetrics::new(),
             shards: ShardMap::new(),
             pack_consecutive: AtomicBool::new(false),
@@ -196,7 +220,7 @@ impl OtmEngine {
 
     /// A snapshot of the engine's statistics.
     pub fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
+        lock(&self.stats).clone()
     }
 
     /// The engine's metric instruments (histograms, path counters).
@@ -263,17 +287,49 @@ impl OtmEngine {
     ) -> Result<PostResult, MatchError> {
         self.check_running()?;
         let shard = self.shards.get_or_create(pattern.comm, &self.config);
-        self.post_on(&shard, pattern, handle)
+        let (mut tally, mut depth) = (Tally::default(), None);
+        let result = self.post_on(&shard, pattern, handle, &mut tally, |d| depth = Some(d));
+        self.publish(tally, [], depth);
+        result
+    }
+
+    /// Merges `tally`, with the depth samples that go with it, into the
+    /// published statistics and the registry.
+    fn publish(
+        &self,
+        tally: Tally,
+        search_depths: impl IntoIterator<Item = u64>,
+        umq_depths: impl IntoIterator<Item = u64>,
+    ) {
+        self.metrics.add(&tally, search_depths, umq_depths);
+        let mut stats = lock(&self.stats);
+        *stats = stats.merge(&tally.stats);
+    }
+
+    /// Publishes what a block counted, and the depth of every lane's search,
+    /// and zeroes the arena's tally.
+    fn publish_block(&self, block: &mut BlockState) {
+        let depths = block.searches.iter().flatten().map(|s| s.depth as u64);
+        let mut tally = std::mem::take(&mut block.tally);
+        for depth in depths.clone() {
+            tally.stats.search_count += 1;
+            tally.stats.search_depth_sum += depth;
+            tally.stats.search_depth_max = tally.stats.search_depth_max.max(depth);
+        }
+        self.publish(tally, depths, []);
     }
 
     /// [`OtmEngine::post_shared`] on a running engine with the
     /// communicator's shard already resolved (the drain finds it in its
-    /// directory snapshot).
+    /// directory snapshot). Counts into `tally` and hands a match's UMQ depth
+    /// to `depth`; the caller publishes both.
     fn post_on(
         &self,
         shard: &CommShard,
         pattern: ReceivePattern,
         handle: RecvHandle,
+        tally: &mut Tally,
+        depth: impl FnOnce(u64),
     ) -> Result<PostResult, MatchError> {
         let mut host = lock(&shard.host);
         if !host.hints.permits(pattern.wildcard_class()) {
@@ -282,15 +338,11 @@ impl OtmEngine {
                 pattern.comm
             )));
         }
+        tally.stats.umq_search_count += 1;
         if let Some(m) = host.umq.match_post(&pattern) {
-            self.stats.matched_on_post.fetch_add(1, Ordering::Relaxed);
-            self.stats
-                .umq_depth_sum
-                .fetch_add(m.depth as u64, Ordering::Relaxed);
-            self.stats.umq_search_count.fetch_add(1, Ordering::Relaxed);
-            self.metrics.record_umq_match_depth(m.depth as u64);
-            self.metrics.count_post_match();
-            self.metrics.count_matched();
+            tally.stats.matched_on_post += 1;
+            tally.stats.umq_depth_sum += m.depth as u64;
+            depth(m.depth as u64);
             // The subject is the *message* consumed from the UMQ: if it
             // arrived through a block earlier, this closes the span those
             // events opened.
@@ -306,7 +358,6 @@ impl OtmEngine {
             host.last_pattern = None;
             return Ok(PostResult::Matched(m.handle));
         }
-        self.stats.umq_search_count.fetch_add(1, Ordering::Relaxed);
         // Sequence ids (§III-D3a): consecutive compatible posts share one.
         let seq = match &host.last_pattern {
             Some(p) if p.compatible(&pattern) => host.cur_seq,
@@ -327,7 +378,7 @@ impl OtmEngine {
         })?;
         host.next_label = host.next_label.next();
         host.prq.insert(home, desc);
-        self.stats.posted.fetch_add(1, Ordering::Relaxed);
+        tally.stats.posted += 1;
         span_event!(self.metrics, RECV_SUBJECT_BIT | handle.0, SpanKind::Posted);
         Ok(PostResult::Posted)
     }
@@ -355,10 +406,7 @@ impl OtmEngine {
         // queue; the event itself is stamped only once the submit succeeded
         // (a ring-full rejection enqueues nothing, so it opens no span).
         #[cfg(feature = "trace-events")]
-        let subject = match &cmd {
-            Command::Post { handle, .. } => ::otm_metrics::RECV_SUBJECT_BIT | handle.0,
-            Command::Arrival { msg, .. } => msg.0,
-        };
+        let subject = span_subject(&cmd);
         self.queue.submit(cmd, &self.shards, &self.config)?;
         #[cfg(feature = "trace-events")]
         span_event!(self.metrics, subject, SpanKind::Enqueued);
@@ -401,7 +449,9 @@ impl OtmEngine {
     /// Per-communicator depth peaks (staged lane, submission ring) are kept
     /// in two vectors indexed like the snapshot and published once, on every
     /// exit, through the gauge handles each communicator keeps after its
-    /// first publish: no step resolves a labelled instrument.
+    /// first publish: no step resolves a labelled instrument. What the
+    /// drain's posts counted is published with them; a block's tally, as the
+    /// block ends.
     ///
     /// On an error the drain stops: outcomes of the commands already
     /// applied are returned in the report (in submission order) together
@@ -415,6 +465,7 @@ impl OtmEngine {
     /// retry loop terminates rather than spinning forever on a dead engine.
     pub fn drain(&self) -> DrainReport {
         let mut coord = lock(&self.coord);
+        let coord = &mut *coord;
         let lanes = self.shards.all_sorted();
         let mut merge = self.queue.merge(&lanes);
         // Bound the drain to what was queued at entry (racing submissions
@@ -469,27 +520,25 @@ impl OtmEngine {
                     pattern,
                     handle,
                 } => match self.check_running().and_then(|()| {
-                    self.post_on(&lanes[lane_of(&lanes, pattern.comm)].1, pattern, handle)
+                    let shard = &lanes[lane_of(&lanes, pattern.comm)].1;
+                    let depth = |d| coord.umq_depths.push(d);
+                    self.post_on(shard, pattern, handle, &mut coord.posts, depth)
                 }) {
                     Ok(result) => outcomes.push((idx, CommandOutcome::Post { handle, result })),
                     Err(e) => break Some((e, vec![(idx, Command::Post { pattern, handle })])),
                 },
                 PackingStep::Block { msgs } => {
-                    let block: Vec<(Envelope, MsgHandle)> =
-                        msgs.iter().map(|&(_, env, msg)| (env, msg)).collect();
-                    match self.process_block_locked(&mut coord, &block) {
-                        Ok(deliveries) => outcomes.extend(
-                            msgs.iter()
-                                .zip(deliveries)
-                                .map(|(&(idx, _, _), d)| (idx, CommandOutcome::Delivery(d))),
-                        ),
-                        Err(e) => {
-                            let failed = msgs
-                                .into_iter()
-                                .map(|(idx, env, msg)| (idx, Command::Arrival { env, msg }))
-                                .collect();
-                            break Some((e, failed));
-                        }
+                    let block = msgs.iter().map(|&(_, env, msg)| (env, msg));
+                    let deliver = |lane: usize, d| {
+                        outcomes.push((msgs[lane].0, CommandOutcome::Delivery(d)));
+                    };
+                    // A block that fails has delivered nothing.
+                    if let Err(e) = self.process_block_locked(coord, &lanes, block, deliver) {
+                        let failed = msgs
+                            .into_iter()
+                            .map(|(idx, env, msg)| (idx, Command::Arrival { env, msg }))
+                            .collect();
+                        break Some((e, failed));
                     }
                 }
             }
@@ -502,6 +551,8 @@ impl OtmEngine {
                     .publish_drain_peaks(*comm, &shard.depth_peaks, lane, ring);
             }
         }
+        let posts = std::mem::take(&mut coord.posts);
+        self.publish(posts, [], coord.umq_depths.drain(..));
         if let Some((error, failed)) = failure {
             return self.fail_drain(error, failed, sched, outcomes, merge);
         }
@@ -568,8 +619,17 @@ impl OtmEngine {
         &mut self,
         msgs: &[(Envelope, MsgHandle)],
     ) -> Result<Vec<Delivery>, MatchError> {
+        self.check_running()?;
+        // With the engine to ourselves the directory is read in place.
+        for (env, _) in msgs {
+            self.shards.shard_mut(env.comm, &self.config);
+        }
+        let lanes = self.shards.read();
         let mut coord = lock(&self.coord);
-        self.process_block_locked(&mut coord, msgs)
+        let mut deliveries = Vec::with_capacity(msgs.len());
+        let deliver = |_, d| deliveries.push(d);
+        self.process_block_locked(&mut coord, &lanes, msgs.iter().copied(), deliver)?;
+        Ok(deliveries)
     }
 
     /// The block coordinator. Requires the coordinator lock (serializing
@@ -579,15 +639,22 @@ impl OtmEngine {
     /// is done. Posters hold at most one shard lock and never the
     /// coordinator lock, so this cannot deadlock; posts into communicators
     /// outside the block proceed concurrently with it.
+    ///
+    /// `lanes` is the caller's view of the directory (a drain's snapshot, or
+    /// the directory itself) and holds every communicator of `msgs`. Each
+    /// lane's delivery goes to `deliver`, in lane order, once the block can
+    /// no longer fail. Apart from the guards, a block allocates nothing.
     fn process_block_locked(
         &self,
         coord: &mut CoordState,
-        msgs: &[(Envelope, MsgHandle)],
-    ) -> Result<Vec<Delivery>, MatchError> {
+        lanes: &[(CommId, Arc<CommShard>)],
+        msgs: impl ExactSizeIterator<Item = (Envelope, MsgHandle)>,
+        mut deliver: impl FnMut(usize, Delivery),
+    ) -> Result<(), MatchError> {
         self.check_running()?;
         let n = msgs.len();
         if n == 0 {
-            return Ok(Vec::new());
+            return Ok(());
         }
         if n > self.config.block_threads {
             return Err(MatchError::InvalidConfig(format!(
@@ -595,52 +662,60 @@ impl OtmEngine {
                 self.config.block_threads
             )));
         }
+        let CoordState {
+            next_arrival,
+            block,
+            comms,
+            ..
+        } = coord;
+        // The lanes' inputs. Until the shards are locked, `shard` is the
+        // communicator's place in `lanes`.
+        block.lanes.clear();
+        block.lanes.extend(msgs.map(|(env, handle)| LaneData {
+            env,
+            handle,
+            hashes: InlineHashes::of(&env),
+            shard: lane_of(lanes, env.comm),
+        }));
 
-        // Lock the shards the block touches, each once, in `CommId` order.
-        // From here to the end of the block no poster can reach an involved
-        // communicator's tables; `shard_of` maps a lane to its guard.
-        let mut comms: Vec<CommId> = msgs.iter().map(|(env, _)| env.comm).collect();
-        comms.sort_unstable();
-        comms.dedup();
-        let shards: Vec<Arc<CommShard>> = comms
-            .iter()
-            .map(|&comm| self.shards.get_or_create(comm, &self.config))
-            .collect();
-        let mut guards: Vec<MutexGuard<'_, ShardHost>> =
-            shards.iter().map(|shard| lock(&shard.host)).collect();
-        let shard_of = |comm: CommId| {
-            comms
-                .binary_search(&comm)
-                .expect("every block communicator is locked")
-        };
-
-        // Pre-check the unexpected-store capacity: in the worst case every
-        // message of the block goes unexpected, and rejecting up front
-        // keeps the operation atomic — the caller can fall back to software
-        // matching (§IV-E) with the engine's state fully intact (see
+        // Lock the shards the block touches, each once, in `CommId` order
+        // (the directory's). From here to the end of the block no poster can
+        // reach an involved communicator's tables.
+        //
+        // Pre-check the unexpected-store capacity on the way: in the worst
+        // case every message of the block goes unexpected, and rejecting up
+        // front keeps the operation atomic — the caller can fall back to
+        // software matching (§IV-E) with the engine's state fully intact (see
         // `drain_for_fallback`).
-        let mut arrivals = vec![0usize; guards.len()];
-        for (env, _) in msgs {
-            arrivals[shard_of(env.comm)] += 1;
+        comms.clear();
+        comms.extend(block.lanes.iter().map(|lane| lane.shard));
+        comms.sort_unstable();
+        let mut guards = Vec::new();
+        for arrivals in comms.chunk_by(|a, b| a == b) {
+            let host = lock(&lanes[arrivals[0]].1.host);
+            if host.umq.available() < arrivals.len() {
+                return Err(MatchError::UnexpectedStoreFull);
+            }
+            guards.push(host);
         }
-        if guards
-            .iter()
-            .zip(&arrivals)
-            .any(|(host, &count)| host.umq.available() < count)
-        {
-            return Err(MatchError::UnexpectedStoreFull);
+        comms.dedup();
+        for lane in &mut block.lanes {
+            lane.shard = comms
+                .binary_search(&lane.shard)
+                .expect("every block communicator is locked");
         }
+
         // Publish the block and step its lanes through the protocol.
-        let block_timer = self.metrics.timer();
+        let started = std::time::Instant::now();
         #[cfg(feature = "trace-events")]
         {
-            // Block ids are the engine's running block count: serialized by
-            // the coordinator lock we hold, so the sequence is gap-free.
-            let block_id = self.stats.blocks.load(Ordering::Relaxed);
-            for &(_, handle) in msgs {
+            // Block ids are the arena's block count before this one:
+            // serialized by the coordinator lock we hold, so gap-free.
+            let block_id = block.epoch;
+            for lane in &block.lanes {
                 span_event!(
                     self.metrics,
-                    handle.0,
+                    lane.handle.0,
                     SpanKind::Packed {
                         block_id,
                         occupancy: n as u32
@@ -648,37 +723,24 @@ impl OtmEngine {
                 );
             }
         }
-        let block = &mut coord.block;
         block.reset_for_block(n);
-        block
-            .lanes
-            .extend(msgs.iter().map(|&(env, handle)| LaneData {
-                env,
-                handle,
-                hashes: InlineHashes::of(&env),
-                shard: shard_of(env.comm),
-            }));
         let ctx = LaneCtx {
-            stats: &self.stats,
             metrics: &self.metrics,
             config: &self.config,
         };
         // `lock` ignores mutex poison, so a block that panicked half-run
         // must stop the engine itself: its bookings and consumes are not
         // cleaned up, and the tables stay readable for `drain_for_fallback`.
-        let hosts: Vec<&ShardHost> = guards.iter().map(|guard| &**guard).collect();
+        // What its lanes counted before the panic is published all the same.
         let swept = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_block(&ctx, block, &hosts)
+            run_block(&ctx, block, &guards)
         }));
         if swept.is_err() {
             self.stopped.store(true, Ordering::SeqCst);
+            self.publish_block(block);
             return Err(MatchError::EngineStopped);
         }
-
-        self.metrics.observe_block(block_timer);
-        self.metrics.record_block_occupancy(n as u64);
-        self.stats.blocks.fetch_add(1, Ordering::Relaxed);
-        self.stats.messages.fetch_add(n as u64, Ordering::Relaxed);
+        block.tally.latency_ns = started.elapsed().as_nanos() as u64;
 
         // Block-end cleanup, phase 1: clear the booking bitmaps so they are
         // monotone only within a block.
@@ -691,18 +753,16 @@ impl OtmEngine {
         // Phase 2: collect results, unlink and free consumed descriptors,
         // store unexpected messages (in lane = arrival order).
         let epoch = block.epoch;
-        let base_arrival = coord.next_arrival;
-        let mut deliveries = Vec::with_capacity(n);
-        for (lane, &(env, handle)) in msgs.iter().enumerate() {
-            let code = block.results[lane];
+        for (lane, (data, &code)) in block.lanes.iter().zip(&block.results).enumerate() {
             debug_assert_ne!(code, result_code::UNSET, "lane {lane} never settled");
-            let host = &mut *guards[block.lanes[lane].shard];
+            let host = &mut *guards[data.shard];
             if code == result_code::UNEXPECTED {
-                self.stats.unexpected.fetch_add(1, Ordering::Relaxed);
+                block.tally.stats.unexpected += 1;
+                let arrival = ArrivalSeq(next_arrival.0 + lane as u64);
                 host.umq
-                    .insert(env, handle, ArrivalSeq(base_arrival.0 + lane as u64))
+                    .insert(data.env, data.handle, arrival)
                     .expect("capacity pre-checked before the block ran");
-                deliveries.push(Delivery::Unexpected { msg: handle });
+                deliver(lane, Delivery::Unexpected { msg: data.handle });
             } else {
                 let desc = code as DescId;
                 debug_assert_eq!(host.table.slot(desc).state(), crate::table::state::CONSUMED);
@@ -712,15 +772,20 @@ impl OtmEngine {
                 // that the block's lanes are done walking it.
                 host.prq.unlink(payload.home, desc);
                 host.table.release(desc);
-                self.stats.matched.fetch_add(1, Ordering::Relaxed);
-                deliveries.push(Delivery::Matched {
-                    msg: handle,
-                    recv: RecvHandle(payload.handle),
-                });
+                block.tally.stats.matched += 1;
+                deliver(
+                    lane,
+                    Delivery::Matched {
+                        msg: data.handle,
+                        recv: RecvHandle(payload.handle),
+                    },
+                );
             }
         }
-        coord.next_arrival = ArrivalSeq(coord.next_arrival.0 + n as u64);
-        Ok(deliveries)
+        *next_arrival = ArrivalSeq(next_arrival.0 + n as u64);
+        (block.tally.stats.blocks, block.tally.stats.messages) = (1, n as u64);
+        self.publish_block(block);
+        Ok(())
     }
 
     /// Matches an arbitrarily long message stream, chunked into blocks of
@@ -846,7 +911,7 @@ impl MatchingBackend for OtmEngine {
     /// UMQ search depths in `umq_search`. Queue high-water marks are not
     /// tracked device-side and merge as zero.
     fn merge_stats(&self, into: &mut MatchStats) {
-        let s = self.stats.snapshot();
+        let s = self.stats();
         into.merge(&MatchStats {
             prq_search: DepthAggregate {
                 count: s.search_count,
@@ -875,8 +940,17 @@ impl MatchingBackend for OtmEngine {
         true
     }
 
+    /// [`OtmEngine::submit`] with the engine to ourselves: the same ticket
+    /// sequence and ring push, reached without a lock or a read-modify-write.
     fn submit_command(&mut self, cmd: Command) -> Result<(), MatchError> {
-        OtmEngine::submit(self, cmd)
+        self.check_running()?;
+        #[cfg(feature = "trace-events")]
+        let subject = span_subject(&cmd);
+        self.queue
+            .submit_exclusive(cmd, &mut self.shards, &self.config)?;
+        #[cfg(feature = "trace-events")]
+        span_event!(self.metrics, subject, SpanKind::Enqueued);
+        Ok(())
     }
 
     fn drain_commands(&mut self) -> DrainReport {
@@ -1853,6 +1927,14 @@ mod tests {
         lock(&e.coord).block.fail_lane = Some(1);
         let msgs: Vec<_> = (0..n).map(|i| (env(7, 7), MsgHandle(i as u64))).collect();
         assert_eq!(e.process_block(&msgs), Err(MatchError::EngineStopped));
+        // What the half-run block's lanes got to was published on the way
+        // out — every lane searched, none consumed — its completion was not.
+        let stats = e.stats();
+        assert_eq!(stats.search_count, n as u64);
+        assert_eq!((stats.blocks, stats.messages, stats.matched), (0, 0, 0));
+        let snap = e.metrics_snapshot();
+        assert_eq!(snap.hists["otm_search_depth"].count, n as u64);
+        assert_eq!(snap.hists["otm_block_occupancy"].count, 0);
 
         // Every later entry point refuses, and the drain is terminal.
         assert_eq!(e.process_block(&msgs), Err(MatchError::EngineStopped));
@@ -1962,6 +2044,55 @@ mod tests {
                 },
             ]
         );
+    }
+
+    #[test]
+    fn shared_and_exclusive_submits_drain_in_one_ticket_order() {
+        let mut e = OtmEngine::new(MatchConfig::small().with_max_unexpected(4096)).unwrap();
+        let arrival = |i: u64| Command::Arrival {
+            env: Envelope::new(Rank(0), Tag(i as u32), CommId(1 + (i % 3) as u16)),
+            msg: MsgHandle(i),
+        };
+        let (mut next, mut drained) = (0u64, Vec::new());
+        for round in 0..24 {
+            // A thread submits through `&self` and is joined...
+            std::thread::scope(|s| {
+                let e = &e;
+                s.spawn(move || (next..next + 5).for_each(|i| e.submit(arrival(i)).unwrap()));
+            });
+            next += 5;
+            // ...before the owner submits through `&mut self`: one sequence.
+            for i in next..next + 3 {
+                MatchingBackend::submit_command(&mut e, arrival(i)).unwrap();
+            }
+            next += 3;
+            if round % 5 == 4 {
+                drained.extend(e.drain().outcomes);
+            }
+        }
+        drained.extend(e.drain().outcomes);
+        // Outcomes come in ticket order, and tickets were handed out in the
+        // order the submits happened, whichever way each came in.
+        let msgs: Vec<u64> = drained
+            .iter()
+            .map(|o| match o {
+                CommandOutcome::Delivery(d) => d.msg().0,
+                other => panic!("unexpected outcome {other:?}"),
+            })
+            .collect();
+        assert_eq!(msgs, (0..next).collect::<Vec<_>>());
+        // Per-communicator FIFO: each store gives its messages back oldest
+        // first.
+        for comm in 1..=3u64 {
+            let any = ReceivePattern::new(SourceSel::Any, TagSel::Any, CommId(comm as u16));
+            let mut stored = Vec::new();
+            while let Some(msg) = e.probe(&any) {
+                e.post_shared(any, RecvHandle(0)).unwrap();
+                stored.push(msg.0);
+            }
+            let expect: Vec<u64> = (0..next).filter(|i| 1 + i % 3 == comm).collect();
+            assert_eq!(stored, expect, "communicator {comm}");
+        }
     }
 
     #[test]

@@ -77,4 +77,4 @@ mod worker;
 pub use command::{Command, CommandOutcome, CommandQueue, DrainReport};
 pub use engine::{Delivery, FallbackState, OtmEngine, SequentialOtm};
 pub use metrics::EngineMetrics;
-pub use stats::{OtmStats, StatsSnapshot};
+pub use stats::StatsSnapshot;

@@ -6,9 +6,15 @@
 //! of Fig. 8), and, with the `trace-events` feature, the lifecycle span
 //! recorder.
 //!
-//! The struct carries `Arc` handles resolved once at engine construction,
-//! so the per-message cost is a few relaxed atomic adds.
+//! The struct carries `Arc` handles resolved once at engine construction, and
+//! no instrument is touched per message: a block's tally reaches the registry
+//! in one `EngineMetrics::add` when the block ends, a drain's posts in one
+//! when the drain exits (a direct `post_shared` publishes right away), the
+//! depth-peak gauges once per drain. In between a reader sees the registry as
+//! the last publish left it, so `otm_matched_total ==
+//! Σ otm_resolutions_total{path}` whenever none is under way.
 
+use crate::stats::Tally;
 use otm_base::CommId;
 use otm_metrics::{Counter, Gauge, Histogram, Registry, RegistrySnapshot};
 use std::sync::{Arc, OnceLock};
@@ -80,75 +86,41 @@ impl EngineMetrics {
         }
     }
 
-    /// Records one optimistic-search depth sample.
-    #[inline]
-    pub fn record_search_depth(&self, depth: u64) {
-        self.search_depth.record(depth);
-    }
-
-    /// Records the UMQ depth examined by a post-time match.
-    #[inline]
-    pub fn record_umq_match_depth(&self, depth: u64) {
-        self.umq_match_depth.record(depth);
-    }
-
-    /// Counts a message resolved without entering conflict resolution.
-    #[inline]
-    pub fn count_no_conflict(&self) {
-        self.no_conflict.inc();
-    }
-
-    /// Counts a conflict resolved via the fast path (WC-FP).
-    #[inline]
-    pub fn count_fast_path(&self) {
-        self.fast_path.inc();
-    }
-
-    /// Counts a conflict resolved via the slow path (WC-SP).
-    #[inline]
-    pub fn count_slow_path(&self) {
-        self.slow_path.inc();
-    }
-
-    /// Counts a receive matched at post time against the UMQ — the
-    /// fourth resolution path, which never enters a block.
-    #[inline]
-    pub fn count_post_match(&self) {
-        self.post_match.inc();
-    }
-
-    /// Counts one matched (receive, message) pair, whatever the path.
-    /// The flight recorder's invariant: this total equals the sum of
-    /// the four `otm_resolutions_total` path counters.
-    #[inline]
-    pub fn count_matched(&self) {
-        self.matched.inc();
-    }
-
-    /// Counts a directly detected booking conflict.
-    #[inline]
-    pub fn count_conflict(&self) {
-        self.conflicts.inc();
-    }
-
-    /// Starts a block-latency measurement.
-    #[inline]
-    pub fn timer(&self) -> BlockTimer {
-        BlockTimer(std::time::Instant::now())
-    }
-
-    /// Ends a block-latency measurement and records it (nanoseconds).
-    #[inline]
-    pub fn observe_block(&self, timer: BlockTimer) {
-        self.block_latency_ns
-            .record(timer.0.elapsed().as_nanos() as u64);
-    }
-
-    /// Records how many arrivals an executed block carried — the direct
-    /// evidence of how well the drain's packing fills blocks.
-    #[inline]
-    pub fn record_block_occupancy(&self, arrivals: u64) {
-        self.block_occupancy.record(arrivals);
+    /// Publishes a tally: a block's, with the depth of each lane's optimistic
+    /// search, or some posts', with the UMQ depth of each match on post. Every
+    /// resolution (no-conflict, fast, slow, and the post path, which never
+    /// enters a block) is a matched pair, so `otm_matched_total` stays their
+    /// sum; a block that ran to its end adds its latency and its occupancy —
+    /// how well the drain's packing fills blocks.
+    pub(crate) fn add(
+        &self,
+        t: &Tally,
+        search_depths: impl IntoIterator<Item = u64>,
+        umq_depths: impl IntoIterator<Item = u64>,
+    ) {
+        self.search_depth.record_all(search_depths);
+        self.umq_match_depth.record_all(umq_depths);
+        if t.stats.blocks != 0 {
+            self.block_latency_ns.record(t.latency_ns);
+            self.block_occupancy.record(t.stats.messages);
+        }
+        let (nc, wc_fp, post) = (
+            t.stats.optimistic_ok,
+            t.stats.fast_path,
+            t.stats.matched_on_post,
+        );
+        for (counter, n) in [
+            (&self.no_conflict, nc),
+            (&self.fast_path, wc_fp),
+            (&self.slow_path, t.wc_sp),
+            (&self.post_match, post),
+            (&self.matched, nc + wc_fp + t.wc_sp + post),
+            (&self.conflicts, t.stats.direct_conflicts),
+        ] {
+            if n != 0 {
+                counter.add(n);
+            }
+        }
     }
 
     /// Publishes one communicator's depth peaks of a finished drain: the
@@ -211,10 +183,6 @@ impl EngineMetrics {
     }
 }
 
-/// In-flight block-latency measurement (see [`EngineMetrics::timer`]).
-#[derive(Debug)]
-pub struct BlockTimer(std::time::Instant);
-
 /// Stamps a lifecycle span event when `trace-events` is enabled; expands
 /// to nothing otherwise. `SpanKind`, `MatchPath` and `RECV_SUBJECT_BIT`
 /// are in scope inside the `$subject` and `$kind` expressions, so call
@@ -246,17 +214,20 @@ mod tests {
     #[test]
     fn instruments_are_registered_and_recorded() {
         let m = EngineMetrics::new();
-        m.record_search_depth(3);
-        m.count_no_conflict();
-        m.count_fast_path();
-        m.count_slow_path();
-        m.count_post_match();
-        m.count_matched();
-        m.count_matched();
-        m.count_conflict();
-        let t = m.timer();
-        m.observe_block(t);
-        m.record_block_occupancy(4);
+        let mut block = Tally {
+            wc_sp: 1,
+            latency_ns: 9,
+            ..Tally::default()
+        };
+        (block.stats.optimistic_ok, block.stats.fast_path) = (1, 1);
+        (block.stats.direct_conflicts, block.stats.blocks) = (1, 1);
+        block.stats.messages = 4;
+        m.add(&block, [3], []);
+        // A block that panicked half-run: its searches, no latency sample.
+        m.add(&Tally::default(), [1, 1], []);
+        let mut posts = Tally::default();
+        posts.stats.matched_on_post = 1;
+        m.add(&posts, [], [2]);
         // Two drains: the gauges keep the high-water mark across them.
         // A lane that never staged anything publishes its ring peak only.
         let (one, two) = (DepthPeakGauges::default(), DepthPeakGauges::default());
@@ -264,7 +235,7 @@ mod tests {
         m.publish_drain_peaks(CommId(1), &one, 3, 2);
         m.publish_drain_peaks(CommId(2), &two, 0, 0);
         let snap = m.snapshot();
-        assert_eq!(snap.hists["otm_search_depth"].count, 1);
+        assert_eq!(snap.hists["otm_search_depth"].count, 3);
         assert_eq!(snap.hists["otm_block_latency_ns"].count, 1);
         assert_eq!(snap.hists["otm_block_occupancy"].count, 1);
         assert_eq!(snap.hists["otm_block_occupancy"].sum, 4);
@@ -281,16 +252,17 @@ mod tests {
         assert_eq!(snap.counters["otm_resolutions_total{path=\"wc_fp\"}"], 1);
         assert_eq!(snap.counters["otm_resolutions_total{path=\"wc_sp\"}"], 1);
         assert_eq!(snap.counters["otm_resolutions_total{path=\"post\"}"], 1);
-        assert_eq!(snap.counters["otm_matched_total"], 2);
+        assert_eq!(snap.counters["otm_matched_total"], 4);
         assert_eq!(snap.counters["otm_conflicts_total"], 1);
+        assert_eq!(snap.hists["otm_umq_match_depth"].sum, 2);
     }
 
     #[test]
     fn clones_share_instruments() {
         let a = EngineMetrics::new();
         let b = a.clone();
-        b.record_search_depth(1);
-        assert_eq!(a.snapshot().hists["otm_search_depth"].count, 1);
+        b.add(&Tally::default(), [], [1]);
+        assert_eq!(a.snapshot().hists["otm_umq_match_depth"].count, 1);
     }
 
     #[cfg(feature = "trace-events")]

@@ -10,7 +10,11 @@
 //! one shared lock. There is one consumer at a time because every
 //! [`CommandRing::pop`] runs either under the engine's coordinator lock
 //! (`OtmEngine::drain`, held from entry to exit) or on an engine being
-//! consumed (`OtmEngine::drain_for_fallback(self)`).
+//! consumed (`OtmEngine::drain_for_fallback(self)`). That is the ring's
+//! contract, and `pop` leans on it: `head` has one writer, so once the stamp
+//! says the head slot is published nobody else can take it, and `pop` advances
+//! `head` with a plain store where a multi-consumer ring would need a
+//! compare-and-swap to win the slot.
 //!
 //! A slot holds its command as plain words: the ticket and three more
 //! `AtomicU64`s (see `encode`). The producer that won the `tail` CAS for
@@ -200,39 +204,24 @@ impl CommandRing {
     }
 
     /// Pops the oldest published command, or `None` if the ring is empty.
+    /// Single-consumer by contract (see the module docs): the stamp check
+    /// proves the head slot is ours, so `head` moves with a store.
     ///
     /// A slot that a producer has claimed but not yet published reads as
     /// empty — the command logically belongs to the *next* drain, like any
     /// submit that races past the drain's last queue inspection.
     pub fn pop(&self) -> Option<(u64, Command)> {
-        let mut pos = self.head.0.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[pos & self.mask].0;
-            let stamp = slot.stamp.load(Ordering::Acquire);
-            let diff = stamp as isize - pos.wrapping_add(1) as isize;
-            if diff == 0 {
-                match self.head.0.compare_exchange_weak(
-                    pos,
-                    pos.wrapping_add(1),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        let ticket = slot.ticket.load(Ordering::Relaxed);
-                        let words = [0, 1, 2].map(|i| slot.words[i].load(Ordering::Relaxed));
-                        slot.stamp
-                            .store(pos.wrapping_add(self.slots.len()), Ordering::Release);
-                        return Some((ticket, decode(words)));
-                    }
-                    Err(now) => pos = now,
-                }
-            } else if diff < 0 {
-                // Slot not yet published: the ring is (transiently) empty.
-                return None;
-            } else {
-                pos = self.head.0.load(Ordering::Relaxed);
-            }
+        let pos = self.head.0.load(Ordering::Relaxed);
+        let slot = &self.slots[pos & self.mask].0;
+        if slot.stamp.load(Ordering::Acquire) != pos.wrapping_add(1) {
+            return None;
         }
+        let ticket = slot.ticket.load(Ordering::Relaxed);
+        let words = [0, 1, 2].map(|i| slot.words[i].load(Ordering::Relaxed));
+        self.head.0.store(pos.wrapping_add(1), Ordering::Relaxed);
+        slot.stamp
+            .store(pos.wrapping_add(self.slots.len()), Ordering::Release);
+        Some((ticket, decode(words)))
     }
 
     /// The ticket at the ring's head without consuming it, or `None` when
@@ -325,6 +314,19 @@ mod tests {
         assert_eq!(ring.peek_ticket(), Some(11));
         ring.pop().unwrap();
         assert_eq!(ring.peek_ticket(), None);
+    }
+
+    #[test]
+    fn pop_leaves_the_head_alone_until_its_slot_is_published() {
+        let ring = CommandRing::new(4);
+        ring.push(0, arrival(0)).unwrap();
+        ring.pop().unwrap();
+        // A producer has claimed position 1 and not yet published it.
+        ring.tail.0.store(2, Ordering::Relaxed);
+        assert!(ring.pop().is_none());
+        assert_eq!(ring.peek_ticket(), None);
+        assert_eq!(ring.head.0.load(Ordering::Relaxed), 1);
+        assert_eq!(ring.len(), 1, "claimed, so counted");
     }
 
     #[test]

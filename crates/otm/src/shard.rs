@@ -21,9 +21,9 @@ use crate::metrics::DepthPeakGauges;
 use crate::ring::CommandRing;
 use crate::table::ReceiveTable;
 use crate::umq::UnexpectedStore;
-use otm_base::sync::{read, write};
+use otm_base::sync::{get_mut, read, write};
 use otm_base::{CommHints, CommId, MatchConfig, MatchError, PostLabel, ReceivePattern, SeqId};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 
 /// One communicator's matching state, reachable only through the shard
 /// lock. Posting and block-end cleanup hold the guard (`&mut`); block lanes
@@ -46,6 +46,9 @@ pub struct ShardHost {
     /// The previous post's pattern, for sequence-run detection.
     pub(crate) last_pattern: Option<ReceivePattern>,
 }
+
+/// A locked shard: what a block's coordinator lends its lanes.
+pub(crate) type Locked<'a> = std::sync::MutexGuard<'a, ShardHost>;
 
 /// One communicator: its matching state behind the shard lock, and its
 /// submission ring beside it.
@@ -95,6 +98,10 @@ impl std::fmt::Debug for CommShard {
 /// (`with_shard`), which is safe because the push takes no lock and never
 /// waits. Either way no second lock is acquired while the directory is held,
 /// so it cannot participate in a deadlock cycle. Entries are never removed.
+/// A caller with the engine to itself needs neither: the exclusive submit
+/// looks up through `RwLock::get_mut` (`ShardMap::shard_mut`: no lock word
+/// touched, no `Arc` cloned), a direct block under one read guard kept while
+/// it runs (`ShardMap::read`), which nobody can be waiting on.
 #[derive(Debug, Default)]
 pub struct ShardMap {
     shards: RwLock<Vec<(CommId, Arc<CommShard>)>>,
@@ -104,6 +111,15 @@ pub struct ShardMap {
 /// it) in `CommId` order.
 pub(crate) fn locate(shards: &[(CommId, Arc<CommShard>)], comm: CommId) -> Result<usize, usize> {
     shards.binary_search_by_key(&comm, |(id, _)| *id)
+}
+
+/// Where `comm` is in the directory, inserted with no hints if it was not.
+fn place(shards: &mut Vec<(CommId, Arc<CommShard>)>, comm: CommId, config: &MatchConfig) -> usize {
+    locate(shards, comm).unwrap_or_else(|at| {
+        let shard = Arc::new(CommShard::new(config, CommHints::NONE));
+        shards.insert(at, (comm, shard));
+        at
+    })
 }
 
 impl ShardMap {
@@ -126,14 +142,23 @@ impl ShardMap {
             return shard;
         }
         let mut shards = write(&self.shards);
-        let at = locate(&shards, comm).unwrap_or_else(|at| {
-            shards.insert(
-                at,
-                (comm, Arc::new(CommShard::new(config, CommHints::NONE))),
-            );
-            at
-        });
+        let at = place(&mut shards, comm, config);
         Arc::clone(&shards[at].1)
+    }
+
+    /// The shard for `comm` (created with no hints on first use) for a caller
+    /// with exclusive access: no lock is taken and nothing is cloned.
+    pub(crate) fn shard_mut(&mut self, comm: CommId, config: &MatchConfig) -> &CommShard {
+        let shards = get_mut(&mut self.shards);
+        let at = place(shards, comm, config);
+        &shards[at].1
+    }
+
+    /// The directory under its read guard. Only a caller with exclusive
+    /// access to the engine may keep the guard across other locks: no writer
+    /// can be waiting for it.
+    pub(crate) fn read(&self) -> RwLockReadGuard<'_, Vec<(CommId, Arc<CommShard>)>> {
+        read(&self.shards)
     }
 
     /// Runs `f` on the shard for `comm` (created with no hints on first use)
@@ -203,6 +228,17 @@ mod tests {
         let b = map.get_or_create(CommId(1), &config);
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(map.len(), 1);
+    }
+
+    #[test]
+    fn exclusive_and_guarded_lookups_see_one_directory() {
+        let mut map = ShardMap::new();
+        let config = MatchConfig::small();
+        let shared = map.get_or_create(CommId(4), &config);
+        assert!(std::ptr::eq(map.shard_mut(CommId(4), &config), &*shared));
+        map.shard_mut(CommId(2), &config);
+        let ids: Vec<CommId> = map.read().iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids, [CommId(2), CommId(4)]);
     }
 
     #[test]

@@ -4,105 +4,69 @@
 //! (optimistic matching succeeds outright), the with-conflict fast-path case
 //! (WC-FP) and the with-conflict slow-path case (WC-SP); these counters let
 //! the harness verify which path actually ran.
+//!
+//! Nothing is counted atomically where it happens. A block's lanes and its
+//! coordinator fill a `Tally` of plain integers in the block arena, a
+//! drain's posts one under the coordinator lock, and the engine merges a tally
+//! into its published [`StatsSnapshot`] (and its registry) once: when the
+//! block ends, when the drain exits, right away for a direct `post_shared`.
+//! A reader never sees a partial block, and a message costs no
+//! read-modify-write for being counted.
 
 use otm_metrics::json_fields;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Atomic counters shared between posters, the engine coordinator and its
-/// block lanes.
+/// Counts not yet published: what one block, or the posts between two
+/// publishes, add to the engine's statistics. A per-phase cost record (ROADMAP
+/// item 1) is more fields here, not a second record.
 #[derive(Debug, Default)]
-pub struct OtmStats {
+pub(crate) struct Tally {
+    /// What the engine's counters grow by.
+    pub stats: StatsSnapshot,
+    /// Slow-path re-searches that consumed a receive — the WC-SP resolutions;
+    /// `stats.slow_path` counts entries, including those that went unexpected.
+    pub wc_sp: u64,
+    /// How long the block's lanes took, if it ran to its end.
+    pub latency_ns: u64,
+}
+
+/// The engine's statistics at one instant, or (see [`StatsSnapshot::delta`],
+/// [`StatsSnapshot::merge`]) their growth over an interval.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct StatsSnapshot {
     /// Blocks processed.
-    pub blocks: AtomicU64,
+    pub blocks: u64,
     /// Messages processed.
-    pub messages: AtomicU64,
+    pub messages: u64,
     /// Messages matched to a receive during block processing.
-    pub matched: AtomicU64,
+    pub matched: u64,
     /// Messages that became unexpected.
-    pub unexpected: AtomicU64,
+    pub unexpected: u64,
     /// Messages whose optimistic match was consumed without entering
     /// conflict resolution.
-    pub optimistic_ok: AtomicU64,
+    pub optimistic_ok: u64,
     /// Threads that detected a direct conflict (a lower-id thread booked
     /// their candidate, or the early-booking check skipped a receive).
-    pub direct_conflicts: AtomicU64,
+    pub direct_conflicts: u64,
     /// Threads that entered resolution only because a lower thread
     /// conflicted.
-    pub induced_resolutions: AtomicU64,
-    /// Conflicts resolved via the fast path (§III-D3a).
-    pub fast_path: AtomicU64,
-    /// Conflicts resolved via the slow path (§III-D3b).
-    pub slow_path: AtomicU64,
-    /// Sum of optimistic-search depths (live entries examined).
-    pub search_depth_sum: AtomicU64,
-    /// Number of optimistic searches.
-    pub search_count: AtomicU64,
-    /// Maximum optimistic-search depth.
-    pub search_depth_max: AtomicU64,
-    /// Receives that matched an unexpected message at post time.
-    pub matched_on_post: AtomicU64,
-    /// Receives posted into the index structures.
-    pub posted: AtomicU64,
-    /// Sum of UMQ search depths at post time.
-    pub umq_depth_sum: AtomicU64,
-    /// Number of UMQ searches.
-    pub umq_search_count: AtomicU64,
-}
-
-impl OtmStats {
-    /// Records one optimistic search of the given depth.
-    #[inline]
-    pub fn record_search(&self, depth: usize) {
-        let d = depth as u64;
-        self.search_depth_sum.fetch_add(d, Ordering::Relaxed);
-        self.search_count.fetch_add(1, Ordering::Relaxed);
-        self.search_depth_max.fetch_max(d, Ordering::Relaxed);
-    }
-
-    /// Takes a coherent-enough snapshot for reporting (individual counters
-    /// are read relaxed; exact cross-counter consistency is not needed for
-    /// statistics).
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            blocks: self.blocks.load(Ordering::Relaxed),
-            messages: self.messages.load(Ordering::Relaxed),
-            matched: self.matched.load(Ordering::Relaxed),
-            unexpected: self.unexpected.load(Ordering::Relaxed),
-            optimistic_ok: self.optimistic_ok.load(Ordering::Relaxed),
-            direct_conflicts: self.direct_conflicts.load(Ordering::Relaxed),
-            induced_resolutions: self.induced_resolutions.load(Ordering::Relaxed),
-            fast_path: self.fast_path.load(Ordering::Relaxed),
-            slow_path: self.slow_path.load(Ordering::Relaxed),
-            search_depth_sum: self.search_depth_sum.load(Ordering::Relaxed),
-            search_count: self.search_count.load(Ordering::Relaxed),
-            search_depth_max: self.search_depth_max.load(Ordering::Relaxed),
-            matched_on_post: self.matched_on_post.load(Ordering::Relaxed),
-            posted: self.posted.load(Ordering::Relaxed),
-            umq_depth_sum: self.umq_depth_sum.load(Ordering::Relaxed),
-            umq_search_count: self.umq_search_count.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A point-in-time copy of [`OtmStats`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[allow(missing_docs)] // field meanings documented on OtmStats
-pub struct StatsSnapshot {
-    pub blocks: u64,
-    pub messages: u64,
-    pub matched: u64,
-    pub unexpected: u64,
-    pub optimistic_ok: u64,
-    pub direct_conflicts: u64,
     pub induced_resolutions: u64,
+    /// Conflicts resolved via the fast path (§III-D3a).
     pub fast_path: u64,
+    /// Conflicts resolved via the slow path (§III-D3b).
     pub slow_path: u64,
+    /// Sum of optimistic-search depths (live entries examined).
     pub search_depth_sum: u64,
+    /// Number of optimistic searches.
     pub search_count: u64,
+    /// Maximum optimistic-search depth.
     pub search_depth_max: u64,
+    /// Receives that matched an unexpected message at post time.
     pub matched_on_post: u64,
+    /// Receives posted into the index structures.
     pub posted: u64,
+    /// Sum of UMQ search depths at post time.
     pub umq_depth_sum: u64,
+    /// Number of UMQ searches.
     pub umq_search_count: u64,
 }
 
@@ -187,18 +151,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn record_search_accumulates() {
-        let s = OtmStats::default();
-        s.record_search(4);
-        s.record_search(2);
-        let snap = s.snapshot();
-        assert_eq!(snap.search_depth_sum, 6);
-        assert_eq!(snap.search_count, 2);
-        assert_eq!(snap.search_depth_max, 4);
-        assert!((snap.mean_search_depth() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn empty_snapshot_rates_are_zero() {
         let snap = StatsSnapshot::default();
         assert_eq!(snap.mean_search_depth(), 0.0);
@@ -261,10 +213,13 @@ mod tests {
 
     #[test]
     fn delta_of_self_is_empty() {
-        let s = OtmStats::default();
-        s.record_search(4);
-        s.blocks.fetch_add(2, Ordering::Relaxed);
-        let snap = s.snapshot();
+        let snap = StatsSnapshot {
+            blocks: 2,
+            search_count: 1,
+            search_depth_sum: 4,
+            search_depth_max: 4,
+            ..Default::default()
+        };
         let d = snap.delta(&snap);
         assert_eq!(d.blocks, 0);
         assert_eq!(d.search_count, 0);

@@ -14,7 +14,9 @@
 //! shard's lock. Posting and block-end cleanup allocate and release slots
 //! through `&mut`; block lanes get `&` and only ever read payloads and update
 //! the three atomics, which are the protocol's own shared state (§III-C) and
-//! what a multi-core block executor would share.
+//! what a multi-core block executor would share. They are also the only
+//! read-modify-writes a lane issues — one booking `fetch_or`, one consume
+//! CAS — since what a lane counts goes into the block's plain-integer tally.
 
 use otm_base::{MatchError, PostLabel, ReceivePattern, SeqId, WildcardClass};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};

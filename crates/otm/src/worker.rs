@@ -8,32 +8,30 @@
 //! protocol's correctness argument lives in DESIGN.md §5 and is enforced
 //! end-to-end by the oracle property tests.
 
-use crate::block::{below_mask, result_code, BlockState, LaneData};
+use crate::block::{below_mask, result_code, BlockState};
 use crate::index::SearchOutcome;
 use crate::metrics::{span_event, EngineMetrics};
-use crate::shard::ShardHost;
-use crate::stats::OtmStats;
+use crate::shard::{Locked, ShardHost};
 use otm_base::MatchConfig;
-use std::sync::atomic::Ordering;
 
-/// What every lane reads of its engine.
+/// What every lane reads of its engine (`metrics` for lifecycle spans only).
 pub(crate) struct LaneCtx<'a> {
-    pub stats: &'a OtmStats,
     pub metrics: &'a EngineMetrics,
     pub config: &'a MatchConfig,
 }
 
 /// Runs one block (§III-C, §III-D): three sweeps over `block.lanes`, after
-/// which every lane's entry of `block.results` is set. `shards` are the
-/// communicators the block touches, locked by the caller; a lane finds its
-/// own through [`LaneData::shard`].
-pub(crate) fn run_block(ctx: &LaneCtx<'_>, block: &mut BlockState, shards: &[&ShardHost]) {
+/// which every lane's entry of `block.results` is set and `block.tally` holds
+/// what the lanes resolved. `shards` are the communicators the block touches,
+/// as the caller's guards on them; a lane finds its own through
+/// [`LaneData::shard`](crate::block::LaneData::shard).
+pub(crate) fn run_block(ctx: &LaneCtx<'_>, block: &mut BlockState, shards: &[Locked<'_>]) {
     let n = block.lanes.len();
     for lane in 0..n {
         search_and_book(ctx, block, shards, lane);
     }
     for lane in 0..n {
-        detect(ctx, block, shards, lane);
+        detect(block, shards, lane);
     }
     for lane in 0..n {
         resolve_and_settle(ctx, block, shards, lane);
@@ -44,15 +42,15 @@ pub(crate) fn run_block(ctx: &LaneCtx<'_>, block: &mut BlockState, shards: &[&Sh
 /// barrier (§III-D1): lanes below `lane` have booked when this returns, which
 /// is all [`detect`] needs (later lanes cannot steal our receive, C2 gives
 /// us precedence).
-fn search_and_book(ctx: &LaneCtx<'_>, block: &mut BlockState, shards: &[&ShardHost], lane: usize) {
+fn search_and_book(ctx: &LaneCtx<'_>, block: &mut BlockState, shards: &[Locked<'_>], lane: usize) {
     let lane_data = &block.lanes[lane];
-    let comm = shards[lane_data.shard];
+    let comm = &*shards[lane_data.shard];
 
     // §VII: a communicator asserted with `mpi_assert_allow_overtaking`
     // waives the ordering constraints — no booking, no barrier, no
     // conflict resolution; any pattern-correct pairing is acceptable.
     if comm.hints.allow_overtaking {
-        block.results[lane] = run_lane_relaxed(ctx, lane_data, comm, block.epoch);
+        block.results[lane] = run_lane_relaxed(ctx, block, lane, comm);
         return;
     }
 
@@ -71,8 +69,6 @@ fn search_and_book(ctx: &LaneCtx<'_>, block: &mut BlockState, shards: &[&ShardHo
         skip_mask,
         comm.hints,
     );
-    ctx.stats.record_search(search.depth);
-    ctx.metrics.record_search_depth(search.depth as u64);
 
     // Phase 2 — book the candidate: set our bit in its booking bitmap.
     if let Some(cand) = search.candidate {
@@ -84,12 +80,13 @@ fn search_and_book(ctx: &LaneCtx<'_>, block: &mut BlockState, shards: &[&ShardHo
 
 /// Second sweep — conflict detection (§III-D2), up to the second partial
 /// barrier: the `conflicted`/`forced` flags of all lanes below `lane` are
-/// final when this returns. A direct conflict means a lower lane booked our
+/// final when this returns. A lane that settled in the first sweep takes no
+/// part. A direct conflict means a lower lane booked our
 /// candidate (it wins: lowest id first). Skipping a lower-booked receive
 /// during the search is also a conflict: the skipped receive may come back
 /// to us if its booker resolves away.
-fn detect(ctx: &LaneCtx<'_>, block: &mut BlockState, shards: &[&ShardHost], lane: usize) {
-    let Some(search) = block.searches[lane] else {
+fn detect(block: &mut BlockState, shards: &[Locked<'_>], lane: usize) {
+    let (Some(search), result_code::UNSET) = (block.searches[lane], block.results[lane]) else {
         return;
     };
     #[cfg(test)]
@@ -105,8 +102,7 @@ fn detect(ctx: &LaneCtx<'_>, block: &mut BlockState, shards: &[&ShardHost], lane
     }
     if direct {
         block.conflicted |= bit;
-        ctx.stats.direct_conflicts.fetch_add(1, Ordering::Relaxed);
-        ctx.metrics.count_conflict();
+        block.tally.stats.direct_conflicts += 1;
     }
 }
 
@@ -115,16 +111,14 @@ fn detect(ctx: &LaneCtx<'_>, block: &mut BlockState, shards: &[&ShardHost], lane
 fn resolve_and_settle(
     ctx: &LaneCtx<'_>,
     block: &mut BlockState,
-    shards: &[&ShardHost],
+    shards: &[Locked<'_>],
     lane: usize,
 ) {
-    let Some(search) = block.searches[lane] else {
+    let (Some(search), result_code::UNSET) = (block.searches[lane], block.results[lane]) else {
         return;
     };
     let below = below_mask(lane);
-    let epoch = block.epoch;
-    let lane_data = &block.lanes[lane];
-    let comm = shards[lane_data.shard];
+    let comm = &*shards[block.lanes[lane].shard];
 
     // "If a thread i detects a conflict, then all other threads j > i need
     // to enter the conflict resolution phase" — a resolving lower thread
@@ -137,15 +131,13 @@ fn resolve_and_settle(
             Some(cand) => {
                 // No lane below us booked this receive and none of them will
                 // re-match (none conflicted), so consuming cannot fail.
-                let ok = comm.table.slot(cand.desc).try_consume(epoch);
+                let ok = comm.table.slot(cand.desc).try_consume(block.epoch);
                 debug_assert!(ok, "unconflicted consume lost a race");
                 if ok {
-                    ctx.stats.optimistic_ok.fetch_add(1, Ordering::Relaxed);
-                    ctx.metrics.count_no_conflict();
-                    ctx.metrics.count_matched();
+                    block.tally.stats.optimistic_ok += 1;
                     span_event!(
                         ctx.metrics,
-                        lane_data.handle.0,
+                        block.lanes[lane].handle.0,
                         SpanKind::Matched {
                             path: MatchPath::Nc
                         }
@@ -153,18 +145,16 @@ fn resolve_and_settle(
                     cand.desc as u64
                 } else {
                     // Defensive: fall through to the slow path.
-                    resolve_slow(ctx, lane_data, comm, epoch)
+                    resolve_slow(ctx, block, lane, comm)
                 }
             }
             None => result_code::UNEXPECTED,
         }
     } else {
         if !direct {
-            ctx.stats
-                .induced_resolutions
-                .fetch_add(1, Ordering::Relaxed);
+            block.tally.stats.induced_resolutions += 1;
         }
-        resolve_conflict(ctx, lane_data, comm, &search, below, block.forced, epoch)
+        resolve_conflict(ctx, block, lane, comm, &search)
     };
     block.results[lane] = result;
 }
@@ -173,9 +163,15 @@ fn resolve_and_settle(
 /// communicators (§VII): search, CAS-consume, done — whole in the first
 /// sweep. The lane books nothing and never conflicts with anyone (its
 /// communicator's receives are invisible to strict lanes, which always run
-/// on other communicators). Returns the lane's result code.
-fn run_lane_relaxed(ctx: &LaneCtx<'_>, lane_data: &LaneData, comm: &ShardHost, epoch: u64) -> u64 {
-    let mut first = true;
+/// on other communicators). Returns the lane's result code; its first search
+/// is left in `block.searches` for the depth statistics.
+fn run_lane_relaxed(
+    ctx: &LaneCtx<'_>,
+    block: &mut BlockState,
+    lane: usize,
+    comm: &ShardHost,
+) -> u64 {
+    let (lane_data, epoch) = (&block.lanes[lane], block.epoch);
     loop {
         let out = comm.prq.search_hinted(
             &lane_data.env,
@@ -184,17 +180,12 @@ fn run_lane_relaxed(ctx: &LaneCtx<'_>, lane_data: &LaneData, comm: &ShardHost, e
             0,
             comm.hints,
         );
-        if first {
-            ctx.stats.record_search(out.depth);
-            first = false;
-        }
+        block.searches[lane].get_or_insert(out);
         match out.candidate {
             None => break result_code::UNEXPECTED,
             Some(c) => {
                 if comm.table.slot(c.desc).try_consume(epoch) {
-                    ctx.stats.optimistic_ok.fetch_add(1, Ordering::Relaxed);
-                    ctx.metrics.count_no_conflict();
-                    ctx.metrics.count_matched();
+                    block.tally.stats.optimistic_ok += 1;
                     span_event!(
                         ctx.metrics,
                         lane_data.handle.0,
@@ -214,13 +205,12 @@ fn run_lane_relaxed(ctx: &LaneCtx<'_>, lane_data: &LaneData, comm: &ShardHost, e
 /// otherwise.
 fn resolve_conflict(
     ctx: &LaneCtx<'_>,
-    lane_data: &LaneData,
+    block: &mut BlockState,
+    lane: usize,
     comm: &ShardHost,
     search: &SearchOutcome,
-    below: u64,
-    forced: u64,
-    epoch: u64,
 ) -> u64 {
+    let (below, forced, epoch) = (below_mask(lane), block.forced, block.epoch);
     let table = &comm.table;
     let prq = &comm.prq;
 
@@ -247,12 +237,10 @@ fn resolve_conflict(
                     prq.walk_sequence(payload.home, cand.desc, rank, payload.seq, table, epoch)
                 {
                     if table.slot(target).try_consume(epoch) {
-                        ctx.stats.fast_path.fetch_add(1, Ordering::Relaxed);
-                        ctx.metrics.count_fast_path();
-                        ctx.metrics.count_matched();
+                        block.tally.stats.fast_path += 1;
                         span_event!(
                             ctx.metrics,
-                            lane_data.handle.0,
+                            block.lanes[lane].handle.0,
                             SpanKind::Matched {
                                 path: MatchPath::WcFp
                             }
@@ -264,17 +252,17 @@ fn resolve_conflict(
         }
     }
 
-    resolve_slow(ctx, lane_data, comm, epoch)
+    resolve_slow(ctx, block, lane, comm)
 }
 
 /// Slow path (§III-D3b): once every lower lane has settled — which the
 /// third sweep's lane order guarantees — re-search. At that point the
 /// consumed flags of all earlier messages are final, so the oldest posted
 /// matching receive is exactly the sequential assignment for this message.
-fn resolve_slow(ctx: &LaneCtx<'_>, lane_data: &LaneData, comm: &ShardHost, epoch: u64) -> u64 {
-    let table = &comm.table;
+fn resolve_slow(ctx: &LaneCtx<'_>, block: &mut BlockState, lane: usize, comm: &ShardHost) -> u64 {
+    let (table, lane_data, epoch) = (&comm.table, &block.lanes[lane], block.epoch);
 
-    ctx.stats.slow_path.fetch_add(1, Ordering::Relaxed);
+    block.tally.stats.slow_path += 1;
     loop {
         let out = comm
             .prq
@@ -288,8 +276,7 @@ fn resolve_slow(ctx: &LaneCtx<'_>, lane_data: &LaneData, comm: &ShardHost, epoch
                     // unexpected resolved nothing), keeping the invariant
                     // `otm_matched_total == Σ otm_resolutions_total{path}`.
                     // `stats.slow_path` above still counts entries.
-                    ctx.metrics.count_slow_path();
-                    ctx.metrics.count_matched();
+                    block.tally.wc_sp += 1;
                     span_event!(
                         ctx.metrics,
                         lane_data.handle.0,

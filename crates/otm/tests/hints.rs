@@ -184,6 +184,19 @@ fn relaxed_and_strict_comms_coexist_in_one_block() {
         .collect();
     assert_eq!(relaxed_recvs.len(), 4);
     assert!(relaxed_recvs.iter().all(|r| r.0 >= 100));
+    // A relaxed lane's first search is a sample like a strict lane's: the
+    // histogram and the counters come from the same per-lane depths.
+    let (stats, snap) = (e.stats(), e.metrics_snapshot());
+    let depths = &snap.hists["otm_search_depth"];
+    assert_eq!(stats.search_count, 8);
+    assert_eq!(
+        (depths.count, depths.sum, depths.max),
+        (
+            stats.search_count,
+            stats.search_depth_sum,
+            stats.search_depth_max
+        )
+    );
 }
 
 #[test]

@@ -137,18 +137,19 @@ fn allocations_per_message(payload_len: usize, rounds: u32) -> f64 {
 
 #[test]
 fn steady_state_allocations_per_message_stay_in_budget() {
-    // Payload, the window's copy of it, and a share of the per-drain and
-    // per-poll vectors.
+    // The payload, and a share of the per-drain and per-poll vectors: the
+    // window copies into a recycled buffer and a block allocates its guards
+    // only. Measured 1.354; the budget is that plus 0.1.
     let eager = allocations_per_message(8, 8);
     assert!(
-        eager <= 3.0,
+        eager <= 1.46,
         "8-byte eager: {eager:.3} allocations a message"
     );
-    // Plus the registered region (and its map entry), the head, the tail's
-    // one growth, and their window copies.
+    // Plus the registered region (and its map entry), the head and the
+    // tail's one growth. Measured 4.354.
     let rendezvous = allocations_per_message(1024, 8);
     assert!(
-        rendezvous <= 6.5,
+        rendezvous <= 4.46,
         "1 KiB rendezvous: {rendezvous:.3} allocations a message"
     );
     println!("allocations per message: eager {eager:.3}, rendezvous {rendezvous:.3}");

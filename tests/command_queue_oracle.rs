@@ -92,7 +92,7 @@ fn check_interleaving(events: &[(u16, MatchEvent)]) {
 
     // Per communicator, the serialized oracle over that communicator's
     // subsequence (translated into its handle range) must agree.
-    for c in 0..COMMS {
+    for (c, observed) in observed.iter().enumerate() {
         let sub: Vec<MatchEvent> = events
             .iter()
             .filter(|&&(cc, _)| cc as usize == c)
@@ -111,9 +111,9 @@ fn check_interleaving(events: &[(u16, MatchEvent)]) {
                 .msg_to_recv
                 .insert(MsgHandle(m.0 + base), r.map(|r| RecvHandle(r.0 + base)));
         }
-        assert!(observed[c].is_consistent());
+        assert!(observed.is_consistent());
         assert_eq!(
-            observed[c], expect,
+            observed, &expect,
             "communicator {c} diverged from its serialized oracle"
         );
     }

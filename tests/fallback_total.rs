@@ -19,7 +19,7 @@ use dpa_sim::{DeviceMemory, MatchingService};
 use mpi_matching::binned::BinnedMatcher;
 use mpi_matching::oracle::MatchEvent;
 use mpi_matching::traditional::TraditionalMatcher;
-use mpi_matching::{Assignment, MatchingBackend, MsgHandle, RecvHandle};
+use mpi_matching::{Assignment, MsgHandle, RecvHandle};
 use otm::{Command, OtmEngine, SequentialOtm};
 use otm_base::{Envelope, FaultRng, MatchConfig, Rank, ReceivePattern, Tag};
 use otm_trace::emul::FourIndexMatcher;
@@ -151,7 +151,7 @@ fn service_fallback_with_queued_arrivals_loses_nothing() {
 /// drain-then-fallback on reproducible random workloads and split points.
 #[test]
 fn seeded_fallback_oracle_queued_equals_drained() {
-    let factories: Vec<(&'static str, fn() -> Box<dyn MatchingBackend>)> = vec![
+    let factories: Vec<support::BackendFactory> = vec![
         ("traditional", || Box::new(TraditionalMatcher::new())),
         ("binned", || Box::new(BinnedMatcher::new(16))),
         ("four-index", || Box::new(FourIndexMatcher::new(16))),

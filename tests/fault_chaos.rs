@@ -26,7 +26,7 @@ fn hostile_plan(seed: u64) -> FaultPlan {
 #[test]
 fn chaos_direct_path_matches_fault_free_run() {
     let evidence =
-        assert_chaos_equivalence(0x0dd5_eed, hostile_plan(0xfa01), 6, 24, false, None, None);
+        assert_chaos_equivalence(0x00dd_5eed, hostile_plan(0xfa01), 6, 24, false, None, None);
     assert!(
         evidence.injected_faults > 0,
         "the wire must have misbehaved"
@@ -42,7 +42,7 @@ fn chaos_command_queue_path_matches_fault_free_run() {
     // Same oracle through the packing scheduler's command-queue drain: the
     // cross-communicator reordering must stay invisible under faults too.
     let evidence =
-        assert_chaos_equivalence(0x0dd5_eed, hostile_plan(0xfa01), 6, 24, true, None, None);
+        assert_chaos_equivalence(0x00dd_5eed, hostile_plan(0xfa01), 6, 24, true, None, None);
     assert!(
         evidence.injected_faults > 0,
         "the wire must have misbehaved"
@@ -83,7 +83,7 @@ fn chaos_holds_without_staging_and_staging_retransmits_less() {
     // pairs must be identical to the fault-free run either way, and staging
     // — which lets the sender resend only holes — must recover from the
     // identical fault schedule with strictly fewer retransmits.
-    let (seed, plan) = (0x0dd5_eed, hostile_plan(0xfa01));
+    let (seed, plan) = (0x00dd_5eed, hostile_plan(0xfa01));
     let discard = assert_chaos_equivalence(seed, plan.clone(), 6, 24, true, None, Some(0));
     let staged = assert_chaos_equivalence(seed, plan, 6, 24, true, None, None);
     assert!(discard.injected_faults > 0 && staged.injected_faults > 0);
@@ -115,7 +115,7 @@ fn chaos_staging_buffer_survives_reorder_heavy_wire_across_windows() {
     // BTreeMap and drain in bursts when a hole fills. Sweep sender window
     // caps so the buffer sees shallow and deep in-flight ranges; the
     // matched pairs must stay identical in every configuration.
-    let plan = FaultPlan::new(0x5eed_0d3)
+    let plan = FaultPlan::new(0x05ee_d0d3)
         .with_drop_permille(60)
         .with_duplicate_permille(100)
         .with_reorder_permille(350)

@@ -9,7 +9,7 @@ use mpi_matching::binned::BinnedMatcher;
 use mpi_matching::oracle::{MatchEvent, Oracle};
 use mpi_matching::rank_based::RankBasedMatcher;
 use mpi_matching::traditional::TraditionalMatcher;
-use mpi_matching::{Matcher, MatchingBackend, MsgHandle, RecvHandle};
+use mpi_matching::{Matcher, MsgHandle, RecvHandle};
 use otm::ring::CommandRing;
 use otm::{Command, CommandOutcome, OtmEngine, SequentialOtm};
 use otm_base::envelope::{SourceSel, TagSel};
@@ -322,7 +322,7 @@ fn command_queue_interleavings_equal_serialized_oracle() {
 
             // Per communicator, the serialized oracle over that communicator's
             // subsequence (translated into its handle range) must agree.
-            for c in 0..COMMS {
+            for (c, observed) in observed.iter().enumerate() {
                 let sub: Vec<MatchEvent> = events
                     .iter()
                     .filter(|&&(cc, _)| cc as usize == c)
@@ -341,8 +341,8 @@ fn command_queue_interleavings_equal_serialized_oracle() {
                         .msg_to_recv
                         .insert(MsgHandle(m.0 + base), r.map(|r| RecvHandle(r.0 + base)));
                 }
-                assert!(observed[c].is_consistent());
-                assert_eq!(&observed[c], &expect, "communicator {} diverged", c);
+                assert!(observed.is_consistent());
+                assert_eq!(observed, &expect, "communicator {} diverged", c);
             }
         },
     );
@@ -368,7 +368,7 @@ fn fallback_with_pending_queue_equals_drain_then_fallback() {
         },
         |(events, cut_pct)| {
             let cut = events.len() * cut_pct / 100;
-            let factories: Vec<(&'static str, fn() -> Box<dyn MatchingBackend>)> = vec![
+            let factories: Vec<support::BackendFactory> = vec![
                 ("traditional", || Box::new(TraditionalMatcher::new())),
                 ("binned", || Box::new(BinnedMatcher::new(16))),
                 ("four-index", || Box::new(FourIndexMatcher::new(16))),

@@ -36,6 +36,9 @@ pub fn fallback_oracle_config() -> MatchConfig {
         .with_bins(16)
 }
 
+/// A named way to build a fresh backend, for oracles that run several.
+pub type BackendFactory = (&'static str, fn() -> Box<dyn MatchingBackend>);
+
 /// What a fallback path leaves behind: the match assignment accumulated
 /// across the run plus the replayed software matcher's residual queues.
 pub type FallbackOutcome = (Assignment, Vec<RecvHandle>, Vec<MsgHandle>);
@@ -316,8 +319,16 @@ pub fn assert_ring_equivalence(config: MatchConfig, cmds: &[PendingCommand]) {
         PackingPolicy::Consecutive,
         cmds,
     );
-    assert!(oracle.error.is_none(), "oracle drain failed: {:?}", oracle.error);
-    assert_eq!(oracle.outcomes.len(), cmds.len(), "oracle must drain everything");
+    assert!(
+        oracle.error.is_none(),
+        "oracle drain failed: {:?}",
+        oracle.error
+    );
+    assert_eq!(
+        oracle.outcomes.len(),
+        cmds.len(),
+        "oracle must drain everything"
+    );
 
     for packing in [PackingPolicy::Consecutive, PackingPolicy::CrossComm] {
         let engine = OtmEngine::new(config.clone()).expect("valid test config");
