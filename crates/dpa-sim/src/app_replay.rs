@@ -14,9 +14,12 @@
 //! to completion by the eager or rendezvous/RDMA-READ protocol of §IV-B.
 //!
 //! Like the engine-direct replay, destinations are replayed one at a time —
-//! rank-major, each with a fresh NIC + engine + service — because matching
-//! state is private to a rank. Memory stays flat for thousand-rank traces
-//! while every arrival still crosses the complete stack.
+//! rank-major, because matching state is private to a rank. Each gets a
+//! fresh NIC, engine and service, and one queue pair + reliable sender per
+//! source rank that sends to it, all dropped before the next destination
+//! starts: what is live at once is one destination's endpoints (a link of
+//! a few hundred bytes, a four-slot queue per direction in use and a
+//! one-`Arc` metrics handle per peer), never the trace's.
 //!
 //! ## The ordering contract
 //!
@@ -51,7 +54,6 @@ use otm_base::{Envelope, FaultPlan, MatchConfig, ReceivePattern};
 use otm_metrics::json::{JsonWriter, WriteJson};
 use otm_metrics::{json_fields, SeriesRecorder};
 use otm_trace::model::{AppTrace, MpiOp, TimedOp};
-use std::collections::BTreeMap;
 
 /// Ceiling on the simulated payload size a trace `count` maps to.
 pub const MAX_PAYLOAD_BYTES: usize = 4096;
@@ -376,9 +378,9 @@ pub fn engine_direct_pairs(trace: &AppTrace, bins: usize) -> Vec<MatchedPair> {
 }
 
 /// One destination's live transport endpoints: a reliable sender per source
-/// rank that sends to it.
+/// rank that sends to it, sorted by that rank.
 struct Senders {
-    by_src: BTreeMap<u32, ReliableSender>,
+    by_src: Vec<(u32, ReliableSender)>,
 }
 
 impl Senders {
@@ -386,7 +388,7 @@ impl Senders {
     /// the service's controller window hint, if any.
     fn poll_all(&mut self, svc: &MatchingService) -> Result<(), ServiceError> {
         let hint = svc.reliability_window_hint();
-        for s in self.by_src.values_mut() {
+        for (_, s) in &mut self.by_src {
             if let Some(h) = hint {
                 s.set_window_limit(h);
             }
@@ -397,7 +399,7 @@ impl Senders {
     }
 
     fn all_acked(&self) -> bool {
-        self.by_src.values().all(|s| s.unacked() == 0)
+        self.by_src.iter().all(|(_, s)| s.unacked() == 0)
     }
 }
 
@@ -454,15 +456,15 @@ pub fn replay_app(
         ..AppReplayReport::default()
     };
     let mut pairs: Vec<MatchedPair> = Vec::new();
-    let busiest = per_rank
-        .iter()
-        .enumerate()
-        .max_by_key(|(_, evs)| {
+    // Only a series needs to know which destination is the busiest.
+    let busiest = cfg.series_cadence.and_then(|_| {
+        let arrivals = |evs: &[Ev]| {
             evs.iter()
                 .filter(|e| matches!(e, Ev::Arrive { .. }))
                 .count()
-        })
-        .map(|(d, _)| d);
+        };
+        (0..per_rank.len()).max_by_key(|&d| arrivals(&per_rank[d]))
+    });
     let start = std::time::Instant::now();
 
     for (dest, events) in per_rank.iter().enumerate() {
@@ -489,17 +491,17 @@ pub fn replay_app(
         let buf = cfg.eager_max.max(cfg.piggyback).max(ID_BYTES);
         let pool = BouncePool::new(arrivals.clamp(64, 8192), buf);
         let mut senders = Senders {
-            by_src: BTreeMap::new(),
+            by_src: Vec::with_capacity(sources.len()),
         };
         let mut nic = match sources.split_first() {
             Some((first, rest)) => {
                 let (tx, rx) = connected_pair();
                 let mut nic = RecvNic::new(rx, pool);
-                senders.by_src.insert(*first, ReliableSender::new(tx));
+                senders.by_src.push((*first, ReliableSender::new(tx)));
                 for s in rest {
                     let (tx, rx) = connected_pair();
                     nic.add_qp(rx);
-                    senders.by_src.insert(*s, ReliableSender::new(tx));
+                    senders.by_src.push((*s, ReliableSender::new(tx)));
                 }
                 nic
             }
@@ -526,7 +528,7 @@ pub fn replay_app(
                 svc.attach_series(otm_metrics::SeriesRecorder::new(cadence.max(1)));
             }
         }
-        for s in senders.by_src.values_mut() {
+        for (_, s) in &mut senders.by_src {
             s.attach_metrics(svc.metrics().clone());
         }
 
@@ -546,7 +548,11 @@ pub fn replay_app(
                     // Window backpressure: progress the whole path (all
                     // senders — a parked packet may wait on another QP's
                     // retransmission) until this sender has room.
-                    while !senders.by_src[&src.0].can_send() {
+                    let at = senders
+                        .by_src
+                        .binary_search_by_key(&src.0, |(s, _)| *s)
+                        .expect("sender exists for every arrival source");
+                    while !senders.by_src[at].1.can_send() {
                         svc.progress()?;
                         collect(dest as u32, svc.take_completed(), &mut pairs);
                         senders.poll_all(&svc)?;
@@ -561,12 +567,8 @@ pub fn replay_app(
                         // the region once the payload is delivered.
                         rendezvous_packet(&domain, *env, payload, cfg.piggyback).0
                     };
-                    senders
-                        .by_src
-                        .get_mut(&src.0)
-                        .expect("sender exists for every arrival source")
-                        .send(pkt.with_gseq(gseq))
-                        .map_err(ServiceError::Reliability)?;
+                    let sent = senders.by_src[at].1.send(pkt.with_gseq(gseq));
+                    sent.map_err(ServiceError::Reliability)?;
                     gseq += 1;
                     dirty = true;
                 }
@@ -579,16 +581,15 @@ pub fn replay_app(
         if let Some(series) = svc.take_series() {
             report.series = Some(series);
         }
-        let snap = svc.observability_snapshot();
-        let path = |p: &str| {
-            snap.counters
-                .get(&format!("otm_resolutions_total{{path=\"{p}\"}}"))
-                .copied()
-                .unwrap_or(0)
-        };
-        report.path_nc += path("nc");
-        report.path_wc_fp += path("wc_fp");
-        report.path_wc_sp += path("wc_sp");
+        // A message a block matched took exactly one of the three paths.
+        let engine = svc.engine_stats().unwrap_or_default();
+        let (nc, wc_fp) = (engine.optimistic_ok, engine.fast_path);
+        let wc_sp = engine.matched - nc - wc_fp;
+        #[cfg(test)]
+        tests::check_paths_against_the_registry(&svc, [nc, wc_fp, wc_sp]);
+        report.path_nc += nc;
+        report.path_wc_fp += wc_fp;
+        report.path_wc_sp += wc_sp;
         let wire = svc.nic().wire_fault_stats().unwrap_or_default();
         report.wire_drops += wire.drops;
         report.wire_duplicates += wire.duplicates;
@@ -601,7 +602,7 @@ pub fn replay_app(
         report.acks_sent += rx.acks_sent;
         report.gate_parked += rx.gate_parked;
         report.gate_released += rx.gate_released;
-        for s in senders.by_src.values() {
+        for (_, s) in &senders.by_src {
             let rel = s.stats();
             report.retransmits += rel.retransmits;
             report.fast_retransmits += rel.fast_retransmits;
@@ -683,6 +684,96 @@ mod tests {
                 },
             ],
         }
+    }
+
+    thread_local! {
+        /// Destinations whose path counts this thread's replays checked.
+        static CHECKED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// Called by every replay in this crate's tests, once per destination:
+    /// the path counts `replay_app` reports are the registry's
+    /// `otm_resolutions_total{path}`, read the way it used to read them.
+    pub(super) fn check_paths_against_the_registry(svc: &MatchingService, paths: [u64; 3]) {
+        let snap = svc.observability_snapshot();
+        let keyed = ["nc", "wc_fp", "wc_sp"].map(|p| {
+            let key = format!("otm_resolutions_total{{path=\"{p}\"}}");
+            snap.counters.get(&key).copied().unwrap_or(0)
+        });
+        assert_eq!(paths, keyed);
+        CHECKED.with(|c| c.set(c.get() + 1));
+    }
+
+    /// Four sources burst same-tag messages at two destinations that hold
+    /// wildcard receives (a seeded few name their source): the messages of
+    /// a block compete for the same receives, so conflicts resolve.
+    fn wildcard_heavy_trace(seed: u64) -> AppTrace {
+        let mut rng = otm_base::FaultRng::new(seed);
+        let mut ranks: Vec<RankTrace> = (0..6)
+            .map(|r| RankTrace {
+                rank: Rank(r),
+                ops: Vec::new(),
+            })
+            .collect();
+        for round in 0..8u32 {
+            let t = f64::from(round);
+            for dest in 0..2u32 {
+                for i in 0..16u32 {
+                    let src = match rng.below(4) {
+                        0 => SourceSel::Rank(Rank(2 + i % 4)),
+                        _ => SourceSel::Any,
+                    };
+                    ranks[dest as usize].ops.push(TimedOp {
+                        time: t + 0.25,
+                        op: MpiOp::Irecv {
+                            src,
+                            tag: TagSel::Tag(Tag(rng.below(2) as u32)),
+                            comm: CommId::WORLD,
+                            count: 16,
+                            request: ReqId(i),
+                        },
+                    });
+                }
+            }
+            for src in 2..6u32 {
+                for _ in 0..8 {
+                    ranks[src as usize].ops.push(TimedOp {
+                        time: t + 0.5,
+                        op: MpiOp::Send {
+                            dest: Rank(rng.below(2) as u32),
+                            tag: Tag(rng.below(2) as u32),
+                            comm: CommId::WORLD,
+                            count: 16,
+                        },
+                    });
+                }
+            }
+        }
+        AppTrace {
+            name: "wildcard-heavy".into(),
+            ranks,
+        }
+    }
+
+    #[test]
+    fn path_counts_are_the_registrys_on_plain_and_wildcard_heavy_traces() {
+        let before = CHECKED.with(std::cell::Cell::get);
+        let plain = replay_app(&cross_traffic_trace(), &AppReplayConfig::default()).unwrap();
+        assert_eq!(CHECKED.with(std::cell::Cell::get) - before, 1, "rank 2");
+        let r = &plain.report;
+        let by_path = r.path_nc + r.path_wc_fp + r.path_wc_sp;
+        assert_eq!(by_path, r.completed, "every receive was posted first");
+        let trace = wildcard_heavy_trace(0x23);
+        let heavy = replay_app(&trace, &AppReplayConfig::default()).unwrap();
+        assert_eq!(
+            CHECKED.with(std::cell::Cell::get) - before,
+            3,
+            "ranks 0 and 1"
+        );
+        assert_eq!(heavy.matched_pairs, engine_direct_pairs(&trace, 128));
+        let r = &heavy.report;
+        assert!(r.path_wc_fp + r.path_wc_sp > 0, "conflicts resolved: {r:?}");
+        assert!(r.path_nc > 0);
     }
 
     #[test]

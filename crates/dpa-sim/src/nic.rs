@@ -98,6 +98,10 @@ pub struct RxStats {
 #[derive(Debug)]
 pub struct RecvNic {
     qps: Vec<QueuePair>,
+    /// Per-QP frames taken off the wire in one lock and not yet looked at.
+    /// Refilled only when empty, so a poll that returns early leaves the
+    /// rest here, in order, as if they were still on the wire.
+    inbox: Vec<VecDeque<Frame>>,
     pool: BouncePool,
     cq: VecDeque<Completion>,
     next_msg: u64,
@@ -144,6 +148,7 @@ impl RecvNic {
     pub fn new(qp: QueuePair, pool: BouncePool) -> Self {
         RecvNic {
             qps: vec![qp],
+            inbox: vec![VecDeque::new()],
             pool,
             cq: VecDeque::new(),
             next_msg: 0,
@@ -221,6 +226,7 @@ impl RecvNic {
     /// Terminates an additional queue pair on this NIC (another peer).
     pub fn add_qp(&mut self, qp: QueuePair) {
         self.qps.push(qp);
+        self.inbox.push(VecDeque::new());
         self.expected.push(0);
         self.ack_due.push(false);
         self.staging.push(BTreeMap::new());
@@ -268,7 +274,11 @@ impl RecvNic {
         }
         for i in 0..self.qps.len() {
             loop {
-                match self.qps[i].try_recv().map_err(NicError::Rdma)? {
+                if self.inbox[i].is_empty() {
+                    let arrived = self.qps[i].recv_all(&mut self.inbox[i]);
+                    arrived.map_err(NicError::Rdma)?;
+                }
+                match self.inbox[i].pop_front() {
                     None => break,
                     // Acks are consumed by the sender half; one arriving
                     // here (e.g. on a shared endpoint) is transport noise,
@@ -679,6 +689,62 @@ mod tests {
         let second = nic.take_block(1)[0];
         assert_eq!(nic.staged(second.bounce), &[11]);
         assert_eq!(second.msg, MsgHandle(1));
+    }
+
+    /// Polls a one-buffer NIC until `n` messages came out, releasing each;
+    /// returns their first bytes in delivery order.
+    fn drain_one_by_one(nic: &mut RecvNic, n: usize) -> Vec<u8> {
+        let mut got = Vec::new();
+        while got.len() < n {
+            // The poll stages one packet and reports the next as not staged.
+            let _ = nic.poll();
+            let block = nic.take_block(8);
+            assert_eq!(block.len(), 1, "one bounce buffer, one completion");
+            assert_eq!(block[0].msg, MsgHandle(got.len() as u64));
+            got.push(nic.staged(block[0].bounce)[0]);
+            nic.release(block[0].bounce);
+        }
+        got
+    }
+
+    #[test]
+    fn staging_exhaustion_mid_batch_keeps_the_rest_of_the_batch_in_order() {
+        // Four frames come off the wire in one `recv_all`; the pool holds
+        // one. The poll stops at the second: the third and fourth stay in
+        // the NIC's inbox, ahead of the frame sent afterwards.
+        let (tx, mut nic) = nic_pair(1);
+        for i in 10..14 {
+            tx.send(eager_packet(env(i), vec![i as u8])).unwrap();
+        }
+        assert!(matches!(nic.poll(), Err(NicError::Staging(_))));
+        assert_eq!(tx.try_recv().unwrap(), None, "the wire was emptied");
+        tx.send(eager_packet(env(14), vec![14])).unwrap();
+        assert_eq!(drain_one_by_one(&mut nic, 5), [10, 11, 12, 13, 14]);
+        assert_eq!(nic.poll().unwrap(), 0, "each exactly once");
+    }
+
+    #[test]
+    fn total_order_gate_drain_survives_bounce_exhaustion_mid_batch() {
+        // Three sequenced frames per QP in one batch each, global order
+        // interleaved across the QPs, one bounce buffer.
+        let (tx_a, rx_a) = connected_pair();
+        let (tx_b, rx_b) = connected_pair();
+        let mut nic = RecvNic::new(rx_a, BouncePool::new(1, 64));
+        nic.add_qp(rx_b);
+        nic.enable_total_order();
+        for seq in 0..3u64 {
+            for (qp, tx) in [&tx_a, &tx_b].into_iter().enumerate() {
+                let gseq = 2 * seq + qp as u64;
+                let packet = eager_packet(env(gseq as u32), vec![gseq as u8]);
+                tx.send(packet.with_seq(seq).with_gseq(gseq)).unwrap();
+            }
+        }
+        assert_eq!(drain_one_by_one(&mut nic, 6), [0, 1, 2, 3, 4, 5]);
+        assert_eq!(nic.poll().unwrap(), 0);
+        assert_eq!((nic.expected_seq(0), nic.expected_seq(1)), (3, 3));
+        assert_eq!(nic.gate_parked_len(), 0);
+        assert_eq!(nic.rx_stats().gate_released, 6);
+        assert_eq!(nic.rx_stats().duplicates, 0);
     }
 
     #[test]

@@ -17,9 +17,14 @@ use std::sync::Arc;
 #[cfg(feature = "trace-events")]
 const SPAN_CAPACITY: usize = 64 * 1024;
 
-/// Cheap-to-clone handle to the service's metric instruments.
+/// Handle to the service's metric instruments: one `Arc`, so attaching it to
+/// a sender, a NIC or a fault layer is one reference-count increment.
 #[derive(Debug, Clone)]
-pub struct ServiceMetrics {
+pub struct ServiceMetrics(Arc<Instruments>);
+
+/// The instruments themselves, resolved from the registry once.
+#[derive(Debug)]
+struct Instruments {
     registry: Registry,
     cq_polls: Arc<Counter>,
     completions: Arc<Counter>,
@@ -61,7 +66,7 @@ impl ServiceMetrics {
     /// Creates a fresh registry with the service's instruments.
     pub fn new() -> Self {
         let registry = Registry::new();
-        Self {
+        Self(Arc::new(Instruments {
             cq_polls: registry.counter("dpa_cq_polls_total"),
             completions: registry.counter("dpa_completions_total"),
             bounce_spills: registry.counter("dpa_bounce_spills_total"),
@@ -91,73 +96,73 @@ impl ServiceMetrics {
             #[cfg(feature = "trace-events")]
             span_dropped: registry.counter("dpa_span_dropped_total"),
             registry,
-        }
+        }))
     }
 
     /// Counts one completion-queue poll.
     #[inline]
     pub fn count_poll(&self) {
-        self.cq_polls.inc();
+        self.0.cq_polls.inc();
     }
 
     /// Counts receives completed by one progress call.
     #[inline]
     pub fn add_completions(&self, n: u64) {
-        self.completions.add(n);
+        self.0.completions.add(n);
     }
 
     /// Counts one bounce-pool exhaustion (a message had to wait on the
     /// wire because NIC staging memory ran out).
     #[inline]
     pub fn count_spill(&self) {
-        self.bounce_spills.inc();
+        self.0.bounce_spills.inc();
     }
 
     /// Counts one migration to host software matching (§IV-E).
     #[inline]
     pub fn count_fallback(&self) {
-        self.fallbacks.inc();
+        self.0.fallbacks.inc();
     }
 
     /// Updates the queue-depth gauges and their peak twins.
     #[inline]
     pub fn observe_queues(&self, cq: usize, bounce: usize, unexpected: usize) {
-        self.cq_depth.set(cq as i64);
-        self.cq_depth_peak.set_max(cq as i64);
-        self.bounce_in_use.set(bounce as i64);
-        self.bounce_in_use_peak.set_max(bounce as i64);
-        self.unexpected_depth.set(unexpected as i64);
+        self.0.cq_depth.set(cq as i64);
+        self.0.cq_depth_peak.set_max(cq as i64);
+        self.0.bounce_in_use.set(bounce as i64);
+        self.0.bounce_in_use_peak.set_max(bounce as i64);
+        self.0.unexpected_depth.set(unexpected as i64);
     }
 
     /// Counts one fault-injected packet drop on the wire.
     #[inline]
     pub fn count_wire_drop(&self) {
-        self.wire_drops.inc();
+        self.0.wire_drops.inc();
     }
 
     /// Counts one fault-injected packet duplication on the wire.
     #[inline]
     pub fn count_wire_dup(&self) {
-        self.wire_dups.inc();
+        self.0.wire_dups.inc();
     }
 
     /// Counts one fault-injected out-of-order release on the wire.
     #[inline]
     pub fn count_wire_reorder(&self) {
-        self.wire_reorders.inc();
+        self.0.wire_reorders.inc();
     }
 
     /// Counts one fault-injected in-order delay on the wire.
     #[inline]
     pub fn count_wire_delay(&self) {
-        self.wire_delays.inc();
+        self.0.wire_delays.inc();
     }
 
     /// Counts one duplicate sequenced packet discarded at the receiver
     /// (`seq` below the expected counter).
     #[inline]
     pub fn count_rx_duplicate(&self) {
-        self.rx_duplicates.inc();
+        self.0.rx_duplicates.inc();
     }
 
     /// Counts one out-of-order sequenced packet discarded at the
@@ -165,27 +170,27 @@ impl ServiceMetrics {
     /// a gap a timeout resend will fill).
     #[inline]
     pub fn count_rx_gap(&self) {
-        self.rx_gaps.inc();
+        self.0.rx_gaps.inc();
     }
 
     /// Counts one out-of-order sequenced packet staged by the receiver
     /// (held for in-order delivery instead of discarded).
     #[inline]
     pub fn count_rx_staged(&self) {
-        self.rx_staged.inc();
+        self.0.rx_staged.inc();
     }
 
     /// Counts one out-of-order packet discarded because the staging
     /// buffer was full.
     #[inline]
     pub fn count_rx_stage_overflow(&self) {
-        self.rx_stage_overflow.inc();
+        self.0.rx_stage_overflow.inc();
     }
 
     /// Counts one cumulative acknowledgement sent or consumed.
     #[inline]
     pub fn count_ack(&self) {
-        self.acks.inc();
+        self.0.acks.inc();
     }
 
     /// Records one feedback-controller knob actuation: counted in
@@ -194,13 +199,13 @@ impl ServiceMetrics {
     /// stay reproducible from the trace alone.
     #[inline]
     pub fn knob_changed(&self, knob: otm_metrics::KnobKind, from: u64, to: u64) {
-        self.knob_changes.inc();
+        self.0.knob_changes.inc();
         #[cfg(feature = "trace-events")]
-        if self.spans.push(
+        if self.0.spans.push(
             otm_metrics::CONTROLLER_SUBJECT,
             otm_metrics::SpanKind::KnobChanged { knob, from, to },
         ) {
-            self.span_dropped.inc();
+            self.0.span_dropped.inc();
         }
         #[cfg(not(feature = "trace-events"))]
         let _ = (knob, from, to);
@@ -209,13 +214,13 @@ impl ServiceMetrics {
     /// Counts packets retransmitted (timeout resends and fast retransmits).
     #[inline]
     pub fn add_retransmits(&self, n: u64) {
-        self.retransmits.add(n);
+        self.0.retransmits.add(n);
     }
 
     /// Counts one retry of a failed command-queue drain.
     #[inline]
     pub fn count_drain_retry(&self) {
-        self.drain_retries.inc();
+        self.0.drain_retries.inc();
     }
 
     /// Counts one submission rejected by a full per-communicator ring
@@ -223,31 +228,31 @@ impl ServiceMetrics {
     /// inline to free slots and retries the push.
     #[inline]
     pub fn count_ring_backpressure(&self) {
-        self.ring_backpressure.inc();
+        self.0.ring_backpressure.inc();
     }
 
     /// Counts one retry-budget exhaustion that escalated to software
     /// fallback (as opposed to an explicit caller-invoked fallback).
     #[inline]
     pub fn count_fallback_escalation(&self) {
-        self.fallback_escalations.inc();
+        self.0.fallback_escalations.inc();
     }
 
     /// Records the backoff length (in virtual polls) applied before a
     /// retry or retransmit.
     #[inline]
     pub fn observe_backoff(&self, polls: u64) {
-        self.backoff_polls.record(polls);
+        self.0.backoff_polls.record(polls);
     }
 
     /// The underlying registry (for embedding into a larger exporter).
     pub fn registry(&self) -> &Registry {
-        &self.registry
+        &self.0.registry
     }
 
     /// Copies out all service metrics.
     pub fn snapshot(&self) -> RegistrySnapshot {
-        self.registry.snapshot()
+        self.0.registry.snapshot()
     }
 
     /// Stamps a `retransmitted{attempt}` lifecycle span on wire packet
@@ -257,10 +262,11 @@ impl ServiceMetrics {
     pub fn span_retransmitted(&self, seq: u64, attempt: u32) {
         #[cfg(feature = "trace-events")]
         if self
+            .0
             .spans
             .push(seq, otm_metrics::SpanKind::Retransmitted { attempt })
         {
-            self.span_dropped.inc();
+            self.0.span_dropped.inc();
         }
         #[cfg(not(feature = "trace-events"))]
         let _ = (seq, attempt);
@@ -272,8 +278,8 @@ impl ServiceMetrics {
     #[inline]
     pub fn span_fell_back(&self, subject: u64) {
         #[cfg(feature = "trace-events")]
-        if self.spans.push(subject, otm_metrics::SpanKind::FellBack) {
-            self.span_dropped.inc();
+        if self.0.spans.push(subject, otm_metrics::SpanKind::FellBack) {
+            self.0.span_dropped.inc();
         }
         #[cfg(not(feature = "trace-events"))]
         let _ = subject;
@@ -293,7 +299,7 @@ impl ServiceMetrics {
     /// The service's lifecycle span recorder.
     #[cfg(feature = "trace-events")]
     pub fn spans(&self) -> &otm_metrics::SpanRecorder {
-        &self.spans
+        &self.0.spans
     }
 }
 
@@ -315,6 +321,17 @@ mod tests {
         assert_eq!(snap.gauges["dpa_bounce_in_use"], 7);
         assert_eq!(snap.gauges["dpa_bounce_in_use_peak"], 7);
         assert_eq!(snap.gauges["dpa_unexpected_depth"], 0);
+    }
+
+    #[test]
+    fn a_clone_is_one_more_reference_to_the_same_instruments() {
+        let m = ServiceMetrics::new();
+        let clones: Vec<ServiceMetrics> = (0..3).map(|_| m.clone()).collect();
+        assert_eq!(Arc::strong_count(&m.0), 1 + clones.len());
+        clones[2].count_ack();
+        assert_eq!(m.snapshot().counters["dpa_acks_total"], 1);
+        drop(clones);
+        assert_eq!(Arc::strong_count(&m.0), 1);
     }
 
     #[test]

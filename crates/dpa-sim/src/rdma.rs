@@ -1,18 +1,26 @@
 //! An in-process RDMA transport model.
 //!
-//! Two endpoints exchange messages over a connected queue pair
-//! (`std::sync::mpsc` channels standing in for the wire). Memory regions are
+//! Two endpoints exchange frames over a connected queue pair: one shared
+//! allocation of two lanes standing in for the wire, sized like a NIC's
+//! queue-pair context. Memory regions are
 //! registered in a process-wide [`RdmaDomain`] under rkeys; RDMA READ pulls
 //! registered bytes by `(rkey, offset, len)` — exactly the operation the
 //! rendezvous protocol issues after a match (§IV-B). Message headers carry
 //! the MPI envelope plus the sender-side inline hashes of §IV-D.
+//!
+//! A queue pair is unbounded and FIFO per direction, with one reader per
+//! direction at a time. Sends fail with [`RdmaError::Disconnected`] once the
+//! peer endpoint is dropped; receives first deliver every frame the peer
+//! sent before it dropped and only then report it. An empty `try_recv` or
+//! `recv_all` is two atomic loads and no lock, and `send` and `Drop` notify
+//! the condition variable only when a reader is blocked in `recv`, so a
+//! polled endpoint (all but the ping-pong harness's) never pays that call.
 
 use otm_base::sync;
 use otm_base::{Envelope, InlineHashes};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
-use std::sync::{Arc, RwLock};
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 
 /// Remote key identifying a registered memory region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -59,11 +67,17 @@ impl std::fmt::Display for RdmaError {
 impl std::error::Error for RdmaError {}
 
 /// A protection-domain-like registry of memory regions, shared by all
-/// endpoints of a simulated fabric.
+/// endpoints of a simulated fabric: one allocation, one lock.
 #[derive(Debug, Clone, Default)]
 pub struct RdmaDomain {
-    regions: Arc<RwLock<HashMap<u64, Arc<Vec<u8>>>>>,
-    next_rkey: Arc<AtomicU64>,
+    inner: Arc<RwLock<Regions>>,
+}
+
+/// The registered regions by rkey, and the last rkey handed out.
+#[derive(Debug, Default)]
+struct Regions {
+    next_rkey: u64,
+    by_rkey: HashMap<u64, Vec<u8>>,
 }
 
 impl RdmaDomain {
@@ -76,8 +90,10 @@ impl RdmaDomain {
     /// while registered (senders register their payload right before the
     /// RTS and deregister after the transfer is acknowledged).
     pub fn register(&self, data: Vec<u8>) -> RKey {
-        let key = self.next_rkey.fetch_add(1, Ordering::Relaxed) + 1;
-        sync::write(&self.regions).insert(key, Arc::new(data));
+        let mut inner = sync::write(&self.inner);
+        inner.next_rkey += 1;
+        let key = inner.next_rkey;
+        inner.by_rkey.insert(key, data);
         RKey(key)
     }
 
@@ -91,8 +107,9 @@ impl RdmaDomain {
         len: usize,
         out: &mut Vec<u8>,
     ) -> Result<(), RdmaError> {
-        let regions = sync::read(&self.regions);
-        let region = regions.get(&rkey.0).ok_or(RdmaError::InvalidRKey(rkey.0))?;
+        let inner = sync::read(&self.inner);
+        let region = inner.by_rkey.get(&rkey.0);
+        let region = region.ok_or(RdmaError::InvalidRKey(rkey.0))?;
         let bytes = offset
             .checked_add(len)
             .and_then(|end| region.get(offset..end))
@@ -108,12 +125,12 @@ impl RdmaDomain {
 
     /// Deregisters a region. Reads against the rkey fail afterwards.
     pub fn deregister(&self, rkey: RKey) {
-        sync::write(&self.regions).remove(&rkey.0);
+        sync::write(&self.inner).by_rkey.remove(&rkey.0);
     }
 
     /// Number of currently registered regions (diagnostics).
     pub fn region_count(&self) -> usize {
-        sync::read(&self.regions).len()
+        sync::read(&self.inner).by_rkey.len()
     }
 }
 
@@ -274,49 +291,149 @@ pub enum Frame {
     Ack(Ack),
 }
 
-/// One endpoint of a connected queue pair.
+/// One direction of a queue pair: the frames one endpoint has sent and the
+/// other has not yet taken.
+#[derive(Debug, Default)]
+struct Lane {
+    queue: Mutex<LaneQueue>,
+    /// Signalled on a send or the writer's drop, if the reader is `waiting`.
+    arrived: Condvar,
+    /// `frames.len()`, stored under the lock and read without it.
+    len: AtomicUsize,
+    /// The writing endpoint was dropped (set after its last send).
+    closed: AtomicBool,
+}
+
+#[derive(Debug, Default)]
+struct LaneQueue {
+    frames: VecDeque<Frame>,
+    /// The reader is blocked in `recv`.
+    waiting: bool,
+}
+
+impl Lane {
+    /// Wakes a blocked reader; the caller holds the lock.
+    fn wake(&self, queue: &mut LaneQueue) {
+        if std::mem::take(&mut queue.waiting) {
+            self.arrived.notify_one();
+        }
+    }
+
+    /// Whether a frame is there to take; `Disconnected` when none is and
+    /// none will come. `closed` is read *before* `len`, both `Acquire`: the
+    /// writer's drop sets the flag (`Release`) after its last send, so a
+    /// flag seen set makes every send visible in the length read after it.
+    fn ready(&self) -> Result<bool, RdmaError> {
+        let closed = self.closed.load(Ordering::Acquire);
+        match self.len.load(Ordering::Acquire) {
+            0 if closed => Err(RdmaError::Disconnected),
+            n => Ok(n != 0),
+        }
+    }
+}
+
+/// One endpoint of a connected queue pair: it writes lane `side` and reads
+/// the other.
 #[derive(Debug)]
 pub struct QueuePair {
-    tx: Sender<Frame>,
-    rx: Receiver<Frame>,
+    lanes: Arc<[Lane; 2]>,
+    side: usize,
 }
 
 impl QueuePair {
     /// Sends a packet to the peer.
     pub fn send(&self, packet: WirePacket) -> Result<(), RdmaError> {
-        let sent = self.tx.send(Frame::Data(packet));
-        sent.map_err(|_| RdmaError::Disconnected)
+        self.push(Frame::Data(packet))
     }
 
     /// Sends a cumulative acknowledgement carrying `sack` to the peer.
     pub fn send_ack(&self, cumulative: u64, sack: SackBlocks) -> Result<(), RdmaError> {
-        let sent = self.tx.send(Frame::Ack(Ack { cumulative, sack }));
-        sent.map_err(|_| RdmaError::Disconnected)
+        self.push(Frame::Ack(Ack { cumulative, sack }))
+    }
+
+    fn push(&self, frame: Frame) -> Result<(), RdmaError> {
+        if self.rx().closed.load(Ordering::Acquire) {
+            return Err(RdmaError::Disconnected);
+        }
+        let tx = &self.lanes[self.side];
+        let mut queue = sync::lock(&tx.queue);
+        queue.frames.push_back(frame);
+        tx.len.store(queue.frames.len(), Ordering::Release);
+        tx.wake(&mut queue);
+        Ok(())
+    }
+
+    /// The lane this endpoint reads.
+    fn rx(&self) -> &Lane {
+        &self.lanes[1 - self.side]
     }
 
     /// Non-blocking receive of the next frame, if one has arrived.
     pub fn try_recv(&self) -> Result<Option<Frame>, RdmaError> {
-        match self.rx.try_recv() {
-            Ok(p) => Ok(Some(p)),
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(RdmaError::Disconnected),
+        if !self.rx().ready()? {
+            return Ok(None);
         }
+        let mut queue = sync::lock(&self.rx().queue);
+        let frame = queue.frames.pop_front();
+        self.rx().len.store(queue.frames.len(), Ordering::Release);
+        Ok(frame)
+    }
+
+    /// Takes every frame that has arrived, in one lock, and returns how
+    /// many: they go behind what `out` holds, and an empty `out` trades
+    /// buffers with the lane, so neither side allocates in steady state.
+    pub fn recv_all(&self, out: &mut VecDeque<Frame>) -> Result<usize, RdmaError> {
+        if !self.rx().ready()? {
+            return Ok(0);
+        }
+        let mut queue = sync::lock(&self.rx().queue);
+        let n = queue.frames.len();
+        if out.is_empty() {
+            std::mem::swap(&mut queue.frames, out);
+        } else {
+            out.append(&mut queue.frames);
+        }
+        self.rx().len.store(0, Ordering::Release);
+        Ok(n)
     }
 
     /// Blocking receive of the next frame.
     pub fn recv(&self) -> Result<Frame, RdmaError> {
-        self.rx.recv().map_err(|_| RdmaError::Disconnected)
+        let rx = self.rx();
+        let mut queue = sync::lock(&rx.queue);
+        loop {
+            if let Some(frame) = queue.frames.pop_front() {
+                rx.len.store(queue.frames.len(), Ordering::Release);
+                return Ok(frame);
+            }
+            // Under the lock, which the peer's drop takes after setting the
+            // flag: the flag is seen here, or the drop finds `waiting` set.
+            if rx.closed.load(Ordering::Acquire) {
+                return Err(RdmaError::Disconnected);
+            }
+            queue.waiting = true;
+            queue = sync::wait(&rx.arrived, queue);
+        }
     }
 }
 
-/// Creates a connected pair of endpoints.
+impl Drop for QueuePair {
+    fn drop(&mut self) {
+        let tx = &self.lanes[self.side];
+        tx.closed.store(true, Ordering::Release);
+        tx.wake(&mut sync::lock(&tx.queue));
+    }
+}
+
+/// Creates a connected pair of endpoints: one allocation, and none more
+/// until a direction carries its first frame (then a four-slot queue).
 pub fn connected_pair() -> (QueuePair, QueuePair) {
-    let (atx, brx) = channel();
-    let (btx, arx) = channel();
-    (
-        QueuePair { tx: atx, rx: arx },
-        QueuePair { tx: btx, rx: brx },
-    )
+    let lanes = Arc::<[Lane; 2]>::default();
+    let peer = QueuePair {
+        lanes: Arc::clone(&lanes),
+        side: 1,
+    };
+    (QueuePair { lanes, side: 0 }, peer)
 }
 
 /// Convenience: builds an eager packet for `env` carrying `payload`.
@@ -416,6 +533,128 @@ mod tests {
             Err(RdmaError::Disconnected)
         );
         assert_eq!(a.recv(), Err(RdmaError::Disconnected));
+    }
+
+    #[test]
+    fn frames_sent_before_the_peer_dropped_arrive_before_the_disconnect() {
+        for blocking in [false, true] {
+            let (a, b) = connected_pair();
+            a.send(eager_packet(env(), vec![7])).unwrap();
+            a.send_ack(3, SackBlocks::empty()).unwrap();
+            drop(a);
+            assert!(matches!(b.try_recv(), Ok(Some(Frame::Data(p))) if p.inline == [7]));
+            if blocking {
+                assert!(matches!(b.recv(), Ok(Frame::Ack(ack)) if ack.cumulative == 3));
+                assert_eq!(b.recv(), Err(RdmaError::Disconnected));
+            } else {
+                let mut rest = VecDeque::new();
+                assert_eq!(b.recv_all(&mut rest), Ok(1));
+                assert!(matches!(rest[0], Frame::Ack(ack) if ack.cumulative == 3));
+                assert_eq!(b.recv_all(&mut rest), Err(RdmaError::Disconnected));
+            }
+            assert_eq!(b.try_recv(), Err(RdmaError::Disconnected));
+            let sent = b.send_ack(0, SackBlocks::empty());
+            assert_eq!(sent, Err(RdmaError::Disconnected));
+        }
+    }
+
+    /// Spins until the endpoint reading what `writer` sends is parked in
+    /// `recv`: `waiting` is set under the lane's lock that the condition
+    /// variable's wait releases, so seeing it set means the reader waits.
+    fn until_reader_waits(writer: &QueuePair) {
+        while !sync::lock(&writer.lanes[writer.side].queue).waiting {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_blocked_recv_wakes_on_a_send_and_on_the_peers_drop() {
+        fn assert_send<T: Send>() {}
+        assert_send::<QueuePair>();
+        let (a, b) = connected_pair();
+        std::thread::scope(|s| {
+            let reader = s.spawn(move || (inline(&b), b.recv()));
+            until_reader_waits(&a);
+            a.send(eager_packet(env(), vec![1])).unwrap();
+            until_reader_waits(&a);
+            drop(a);
+            let (first, second) = reader.join().expect("reader");
+            assert_eq!(first, vec![1]);
+            assert_eq!(second, Err(RdmaError::Disconnected));
+        });
+    }
+
+    #[test]
+    fn a_link_is_queue_pair_context_sized() {
+        // Both directions' locks, queues and flags: what `connected_pair`
+        // allocates, before any frame.
+        assert!(std::mem::size_of::<[Lane; 2]>() <= 192);
+        assert!(std::mem::size_of::<QueuePair>() <= 16);
+    }
+
+    #[test]
+    fn a_polled_endpoint_is_never_marked_waiting() {
+        let (a, b) = connected_pair();
+        a.send(eager_packet(env(), vec![1])).unwrap();
+        assert!(b.try_recv().unwrap().is_some());
+        assert_eq!(b.try_recv().unwrap(), None);
+        assert_eq!(b.recv_all(&mut VecDeque::new()), Ok(0));
+        // `notify_one` is reached through `waiting` only.
+        assert!(!sync::lock(&a.lanes[a.side].queue).waiting);
+    }
+
+    #[test]
+    fn ten_thousand_frames_cross_threads_in_order() {
+        const FRAMES: u64 = 10_000;
+        let (a, b) = connected_pair();
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                for seq in 0..FRAMES {
+                    a.send(eager_packet(env(), vec![]).with_seq(seq)).unwrap();
+                }
+            });
+            // Alternates `try_recv` and `recv_all` until the producer is
+            // gone and the lane is empty.
+            let (mut next, mut batch) = (0, VecDeque::new());
+            let mut check = |frame: Frame| {
+                assert!(matches!(frame, Frame::Data(p) if p.seq == Some(next)));
+                next += 1;
+            };
+            loop {
+                match b.try_recv() {
+                    Ok(Some(frame)) => check(frame),
+                    Ok(None) => std::thread::yield_now(),
+                    Err(e) => break assert_eq!(e, RdmaError::Disconnected),
+                }
+                if b.recv_all(&mut batch).is_ok() {
+                    batch.drain(..).for_each(&mut check);
+                }
+            }
+            assert_eq!(next, FRAMES, "every frame, once, in order");
+        });
+    }
+
+    #[test]
+    fn recv_all_appends_behind_what_the_caller_holds() {
+        let (a, b) = connected_pair();
+        let mut held: VecDeque<Frame> = [Frame::Data(eager_packet(env(), vec![0]))].into();
+        a.send(eager_packet(env(), vec![1])).unwrap();
+        a.send(eager_packet(env(), vec![2])).unwrap();
+        assert_eq!(b.recv_all(&mut held), Ok(2));
+        let bytes = held.iter().map(|f| match f {
+            Frame::Data(p) => p.inline[0],
+            Frame::Ack(ack) => panic!("expected data, got {ack:?}"),
+        });
+        assert_eq!(bytes.collect::<Vec<_>>(), [0, 1, 2]);
+        assert_eq!(b.recv_all(&mut held), Ok(0), "the lane is empty");
+        assert_eq!(held.len(), 3, "and the caller's frames stay");
+        // An empty deque trades buffers with the lane: no copy, and the
+        // lane keeps a buffer for its next frame.
+        a.send(eager_packet(env(), vec![3])).unwrap();
+        let mut empty = VecDeque::with_capacity(16);
+        assert_eq!(b.recv_all(&mut empty), Ok(1));
+        assert!(empty.capacity() < 16, "took the lane's buffer");
+        assert!(matches!(&empty[0], Frame::Data(p) if p.inline == [3]));
     }
 
     #[test]

@@ -142,6 +142,8 @@ struct Inflight {
 #[derive(Debug)]
 pub struct ReliableSender {
     qp: QueuePair,
+    /// What `poll` took off the wire in one lock; empty between polls.
+    inbox: VecDeque<Frame>,
     next_seq: u64,
     /// Every sequenced packet `< cumulative` ack received so far.
     acked: u64,
@@ -179,6 +181,7 @@ impl ReliableSender {
         let timeout_polls = timeout_polls.max(1);
         ReliableSender {
             qp,
+            inbox: VecDeque::new(),
             next_seq: 0,
             acked: 0,
             window: VecDeque::new(),
@@ -301,7 +304,11 @@ impl ReliableSender {
         let mut app_packets = Vec::new();
         let mut progressed = false;
         loop {
-            match self.qp.try_recv().map_err(ReliabilityError::Rdma)? {
+            if self.inbox.is_empty() {
+                let arrived = self.qp.recv_all(&mut self.inbox);
+                arrived.map_err(ReliabilityError::Rdma)?;
+            }
+            match self.inbox.pop_front() {
                 None => break,
                 Some(Frame::Data(packet)) => app_packets.push(packet),
                 Some(Frame::Ack(Ack { cumulative, sack })) => {

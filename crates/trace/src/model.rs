@@ -207,22 +207,29 @@ impl AppTrace {
 
     /// Merges all ranks' operations into one stream ordered by timestamp
     /// (ties broken by rank then program order) — the sequential processing
-    /// order of the analyzer (§V-A).
+    /// order of the analyzer (§V-A). What is sorted is a 16-byte key per
+    /// operation, `(time, index into ranks, index into ops)`, and by the
+    /// stable sort: each rank's operations are already in time order, so
+    /// the keys are one sorted run per rank and the sort is a merge of them.
     pub fn merged_ops(&self) -> Vec<(Rank, TimedOp)> {
-        let mut all: Vec<(Rank, usize, TimedOp)> = Vec::with_capacity(self.total_ops());
-        for r in &self.ranks {
-            for (i, op) in r.ops.iter().enumerate() {
-                all.push((r.rank, i, *op));
-            }
+        let mut keys: Vec<(f64, u32, u32)> = Vec::with_capacity(self.total_ops());
+        for (r, rank) in self.ranks.iter().enumerate() {
+            assert!(rank.ops.len() <= u32::MAX as usize, "key holds a u32");
+            let ops = rank.ops.iter().enumerate();
+            keys.extend(ops.map(|(i, op)| (op.time, r as u32, i as u32)));
         }
-        all.sort_by(|a, b| {
-            a.2.time
-                .partial_cmp(&b.2.time)
+        let rank_of = |r: u32| self.ranks[r as usize].rank;
+        keys.sort_by(|a, b| {
+            a.0.partial_cmp(&b.0)
                 .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-                .then(a.1.cmp(&b.1))
+                .then_with(|| rank_of(a.1).cmp(&rank_of(b.1)))
+                .then(a.2.cmp(&b.2))
         });
-        all.into_iter().map(|(r, _, op)| (r, op)).collect()
+        let op_of = |(_, r, i): (f64, u32, u32)| {
+            let rank = &self.ranks[r as usize];
+            (rank.rank, rank.ops[i as usize])
+        };
+        keys.into_iter().map(op_of).collect()
     }
 }
 
@@ -299,6 +306,51 @@ mod tests {
         // Tie at t=2.0 broken by rank.
         assert_eq!(merged[1].0, Rank(0));
         assert_eq!(merged[2].0, Rank(1));
+    }
+
+    /// `merged_ops` as it was before it sorted keys: the same stable sort,
+    /// of the 64-byte operations themselves.
+    fn merged_ops_by_stable_sort(trace: &AppTrace) -> Vec<(Rank, TimedOp)> {
+        let mut all: Vec<(Rank, usize, TimedOp)> = Vec::with_capacity(trace.total_ops());
+        for r in &trace.ranks {
+            for (i, op) in r.ops.iter().enumerate() {
+                all.push((r.rank, i, *op));
+            }
+        }
+        all.sort_by(|a, b| {
+            a.2.time
+                .partial_cmp(&b.2.time)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.0.cmp(&b.0))
+                .then(a.1.cmp(&b.1))
+        });
+        all.into_iter().map(|(r, _, op)| (r, op)).collect()
+    }
+
+    #[test]
+    fn merged_ops_equals_the_stable_sort_under_ties_of_every_kind() {
+        // Seeded: a handful of coarse timestamps, so times tie across ranks
+        // and within one; rank entries out of rank order, and rank 3 twice
+        // (two entries tie on time, rank *and* program index). `dest`
+        // tells the operations apart.
+        let mut rng = otm_base::FaultRng::new(0x5eed_0023);
+        let mut dest = 0;
+        let ranks = [5u32, 3, 0, 3, 9, 1].map(|rank| RankTrace {
+            rank: Rank(rank),
+            ops: (0..200 + rng.below(100))
+                .map(|_| {
+                    dest += 1;
+                    isend(rng.below(8) as f64 * 0.5, dest)
+                })
+                .collect(),
+        });
+        let trace = AppTrace {
+            name: "ties".into(),
+            ranks: ranks.into(),
+        };
+        let merged = trace.merged_ops();
+        assert_eq!(merged.len(), trace.total_ops());
+        assert_eq!(merged, merged_ops_by_stable_sort(&trace));
     }
 
     #[test]
