@@ -15,10 +15,13 @@
 use crate::envelope::Envelope;
 use crate::types::{CommId, Rank, Tag};
 
+/// 2⁶⁴ / φ, odd: `splitmix64`'s increment and [`IntHasher`]'s multiplier.
+const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+
 /// `splitmix64` finalizer: a full-avalanche 64-bit mixer.
 #[inline]
 pub fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = z.wrapping_add(GOLDEN);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
@@ -54,6 +57,33 @@ pub fn bin_of(hash: u64, bins: usize) -> usize {
         (hash as usize) & (bins - 1)
     } else {
         (hash % bins as u64) as usize
+    }
+}
+
+/// The hasher of a map keyed by an integer this program hands out itself, in
+/// sequence (message handles, rkeys): one multiply by an odd constant.
+/// Consecutive keys get distinct low bits (an odd multiplier permutes them)
+/// and evenly spread high bits (Fibonacci hashing) — the two ends a
+/// `std::collections::HashMap` reads. Not for keys an outsider chooses: they
+/// can be made to collide.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IntHasher(u64);
+
+impl std::hash::Hasher for IntHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, key: u64) {
+        self.0 = (self.0 ^ key).wrapping_mul(GOLDEN);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 

@@ -16,9 +16,11 @@
 //! the condition variable only when a reader is blocked in `recv`, so a
 //! polled endpoint (all but the ping-pong harness's) never pays that call.
 
+use otm_base::hash::IntHasher;
 use otm_base::sync;
 use otm_base::{Envelope, InlineHashes};
 use std::collections::{HashMap, VecDeque};
+use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 
@@ -77,7 +79,7 @@ pub struct RdmaDomain {
 #[derive(Debug, Default)]
 struct Regions {
     next_rkey: u64,
-    by_rkey: HashMap<u64, Vec<u8>>,
+    by_rkey: HashMap<u64, Vec<u8>, BuildHasherDefault<IntHasher>>,
 }
 
 impl RdmaDomain {

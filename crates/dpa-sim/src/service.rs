@@ -31,9 +31,11 @@ use mpi_matching::{
     CommandOutcome, MatchingBackend, MsgHandle, PendingCommand, PostResult, RdmaNoOp, RecvHandle,
 };
 use otm::{Delivery, OtmEngine};
+use otm_base::hash::IntHasher;
 use otm_base::memory::Footprint;
 use otm_base::{Envelope, MatchConfig, MatchError, ReceivePattern};
 use std::collections::{HashMap, VecDeque};
+use std::hash::BuildHasherDefault;
 
 /// A receive that completed: matched, protocol executed, data delivered.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -211,7 +213,8 @@ pub struct MatchingService {
     domain: RdmaDomain,
     next_recv: u64,
     completed: Vec<CompletedReceive>,
-    unexpected: HashMap<MsgHandle, StoredMessage>,
+    /// Handles are the service's own running count: one multiply hashes one.
+    unexpected: HashMap<MsgHandle, StoredMessage, BuildHasherDefault<IntHasher>>,
     /// Payloads of arrivals submitted into the backend's command queue but
     /// not yet applied by a drain. Staging host-side releases the bounce
     /// buffer at submit time (§IV-C) and lets a fallback replay the queued
@@ -262,7 +265,7 @@ impl MatchingService {
             domain,
             next_recv: 0,
             completed: Vec::new(),
-            unexpected: HashMap::new(),
+            unexpected: HashMap::default(),
             inflight: Inflight::default(),
             use_queue: false,
             retry_budget: DEFAULT_DRAIN_RETRY_BUDGET,
@@ -1139,6 +1142,30 @@ mod tests {
             assert_eq!(done.len(), 1);
             assert_eq!(done[0].recv, recv);
             assert_eq!(done[0].data, vec![10, 20, 30]);
+        }
+    }
+
+    #[test]
+    fn consecutive_handles_spread_over_both_ends_of_the_unexpected_maps_hash() {
+        // The map picks a bucket with a hash's low bits and tags the entry
+        // with its high bits; handles are a running count.
+        use std::hash::BuildHasher;
+        let (_tx, _domain, svc) = setup("otm");
+        let hasher = svc.unexpected.hasher();
+        for first in [0u64, 1 << 40] {
+            let (mut prefixes, mut suffixes) = (vec![false; 1 << 16], vec![false; 1 << 16]);
+            for handle in first..first + 100_000 {
+                let hash = hasher.hash_one(MsgHandle(handle));
+                prefixes[(hash >> 48) as usize] = true;
+                suffixes[(hash & 0xffff) as usize] = true;
+            }
+            for (end, hit) in [("prefixes", prefixes), ("suffixes", suffixes)] {
+                let distinct = hit.iter().filter(|&&h| h).count();
+                assert!(
+                    distinct * 100 >= 99 << 16,
+                    "{distinct} distinct 16-bit {end} from {first}"
+                );
+            }
         }
     }
 

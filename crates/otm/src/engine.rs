@@ -288,7 +288,8 @@ impl OtmEngine {
         self.check_running()?;
         let shard = self.shards.get_or_create(pattern.comm, &self.config);
         let (mut tally, mut depth) = (Tally::default(), None);
-        let result = self.post_on(&shard, pattern, handle, &mut tally, |d| depth = Some(d));
+        let note = |d| depth = Some(d);
+        let result = Self::post_on(&self.metrics, &shard, pattern, handle, &mut tally, note);
         self.publish(tally, [], depth);
         result
     }
@@ -322,9 +323,11 @@ impl OtmEngine {
     /// [`OtmEngine::post_shared`] on a running engine with the
     /// communicator's shard already resolved (the drain finds it in its
     /// directory snapshot). Counts into `tally` and hands a match's UMQ depth
-    /// to `depth`; the caller publishes both.
+    /// to `depth`; the caller publishes both. Reads no engine field but
+    /// `metrics` (for lifecycle spans), so [`OtmEngine::post`] can call it
+    /// with its exclusive borrow of the directory alive.
     fn post_on(
-        &self,
+        metrics: &EngineMetrics,
         shard: &CommShard,
         pattern: ReceivePattern,
         handle: RecvHandle,
@@ -347,7 +350,7 @@ impl OtmEngine {
             // arrived through a block earlier, this closes the span those
             // events opened.
             span_event!(
-                self.metrics,
+                metrics,
                 m.handle.0,
                 SpanKind::Matched {
                     path: MatchPath::Post
@@ -379,17 +382,24 @@ impl OtmEngine {
         host.next_label = host.next_label.next();
         host.prq.insert(home, desc);
         tally.stats.posted += 1;
-        span_event!(self.metrics, RECV_SUBJECT_BIT | handle.0, SpanKind::Posted);
+        span_event!(metrics, RECV_SUBJECT_BIT | handle.0, SpanKind::Posted);
         Ok(PostResult::Posted)
     }
 
-    /// Posts a receive. Compatibility wrapper over [`OtmEngine::post_shared`].
+    /// [`OtmEngine::post_shared`] for a caller with the engine to itself: the
+    /// shard is found without the directory's lock or an `Arc` clone.
     pub fn post(
         &mut self,
         pattern: ReceivePattern,
         handle: RecvHandle,
     ) -> Result<PostResult, MatchError> {
-        self.post_shared(pattern, handle)
+        self.check_running()?;
+        let shard = self.shards.shard_mut(pattern.comm, &self.config);
+        let (mut tally, mut depth) = (Tally::default(), None);
+        let note = |d| depth = Some(d);
+        let result = Self::post_on(&self.metrics, shard, pattern, handle, &mut tally, note);
+        self.publish(tally, [], depth);
+        result
     }
 
     /// Enqueues a command into the engine's submission queue (§IV-E's QP
@@ -522,7 +532,14 @@ impl OtmEngine {
                 } => match self.check_running().and_then(|()| {
                     let shard = &lanes[lane_of(&lanes, pattern.comm)].1;
                     let depth = |d| coord.umq_depths.push(d);
-                    self.post_on(shard, pattern, handle, &mut coord.posts, depth)
+                    Self::post_on(
+                        &self.metrics,
+                        shard,
+                        pattern,
+                        handle,
+                        &mut coord.posts,
+                        depth,
+                    )
                 }) {
                     Ok(result) => outcomes.push((idx, CommandOutcome::Post { handle, result })),
                     Err(e) => break Some((e, vec![(idx, Command::Post { pattern, handle })])),
@@ -760,7 +777,7 @@ impl OtmEngine {
                 block.tally.stats.unexpected += 1;
                 let arrival = ArrivalSeq(next_arrival.0 + lane as u64);
                 host.umq
-                    .insert(data.env, data.handle, arrival)
+                    .insert(data.env, &data.hashes, data.handle, arrival)
                     .expect("capacity pre-checked before the block ran");
                 deliver(lane, Delivery::Unexpected { msg: data.handle });
             } else {
@@ -884,7 +901,7 @@ impl MatchingBackend for OtmEngine {
         pattern: ReceivePattern,
         handle: RecvHandle,
     ) -> Result<PostResult, MatchError> {
-        self.post_shared(pattern, handle)
+        OtmEngine::post(self, pattern, handle)
     }
 
     fn arrive_block(
@@ -1161,6 +1178,48 @@ mod tests {
             .unwrap();
         assert_eq!(r, PostResult::Matched(MsgHandle(5)));
         assert_eq!(e.umq_len(), 0);
+    }
+
+    #[test]
+    fn a_block_into_a_communicator_with_nothing_posted_reads_no_index() {
+        // Each lane still records a search (of depth 0), and a receive no
+        // message wants — which makes the lanes really search — changes
+        // nothing a caller can see.
+        for allow_overtaking in [false, true] {
+            let run = |unrelated_post: bool| {
+                let mut e = engine();
+                let comm = CommId(3);
+                let hints = CommHints {
+                    allow_overtaking,
+                    ..Default::default()
+                };
+                e.declare_comm(comm, hints).unwrap();
+                if unrelated_post {
+                    e.post(ReceivePattern::new(Rank(99), Tag(99), comm), RecvHandle(0))
+                        .unwrap();
+                }
+                let msgs: Vec<_> = (0..e.config().block_threads as u32)
+                    .map(|i| {
+                        (
+                            Envelope::new(Rank(i), Tag(i % 3), comm),
+                            MsgHandle(i.into()),
+                        )
+                    })
+                    .collect();
+                (e.process_block(&msgs).unwrap(), e.stats())
+            };
+            let (skipped, stats) = run(false);
+            let lanes = skipped.len() as u64;
+            for (i, d) in skipped.iter().enumerate() {
+                let msg = MsgHandle(i as u64);
+                assert_eq!(*d, Delivery::Unexpected { msg });
+            }
+            assert_eq!((stats.search_count, stats.search_depth_sum), (lanes, 0));
+            assert_eq!(stats.unexpected, lanes);
+            let (searched, after) = run(true);
+            assert_eq!(skipped, searched, "allow_overtaking: {allow_overtaking}");
+            assert_eq!(after.search_count, lanes);
+        }
     }
 
     #[test]

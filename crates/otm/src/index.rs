@@ -48,6 +48,25 @@ pub struct SearchOutcome {
     pub skipped_booked: bool,
 }
 
+impl IndexHome {
+    /// The class `pattern` belongs to and the bin its key hashes to in a
+    /// table of `bins` bins: where a posted receive is indexed, and which
+    /// list of waiting unexpected messages it searches (§IV-C).
+    pub fn of(pattern: &ReceivePattern, bins: usize) -> Self {
+        let comm = pattern.comm;
+        let bin = match (pattern.src, pattern.tag) {
+            (SourceSel::Rank(src), TagSel::Tag(tag)) => bin_of(hash_src_tag(src, tag, comm), bins),
+            (SourceSel::Any, TagSel::Tag(tag)) => bin_of(hash_tag(tag, comm), bins),
+            (SourceSel::Rank(src), TagSel::Any) => bin_of(hash_src(src, comm), bins),
+            (SourceSel::Any, TagSel::Any) => 0,
+        };
+        IndexHome {
+            class: pattern.wildcard_class(),
+            bin,
+        }
+    }
+}
+
 /// The four index structures for one communicator's posted receives.
 #[derive(Debug)]
 pub struct PrqIndexes {
@@ -82,29 +101,7 @@ impl PrqIndexes {
 
     /// Computes the home (class and bin) for a receive pattern.
     pub fn home_of(&self, pattern: &ReceivePattern) -> IndexHome {
-        let class = pattern.wildcard_class();
-        let bin = match class {
-            WildcardClass::None => {
-                let (SourceSel::Rank(src), TagSel::Tag(tag)) = (pattern.src, pattern.tag) else {
-                    unreachable!("class None has concrete src and tag");
-                };
-                bin_of(hash_src_tag(src, tag, pattern.comm), self.bins)
-            }
-            WildcardClass::SrcWild => {
-                let TagSel::Tag(tag) = pattern.tag else {
-                    unreachable!("class SrcWild has a concrete tag");
-                };
-                bin_of(hash_tag(tag, pattern.comm), self.bins)
-            }
-            WildcardClass::TagWild => {
-                let SourceSel::Rank(src) = pattern.src else {
-                    unreachable!("class TagWild has a concrete src");
-                };
-                bin_of(hash_src(src, pattern.comm), self.bins)
-            }
-            WildcardClass::BothWild => 0,
-        };
-        IndexHome { class, bin }
+        IndexHome::of(pattern, self.bins)
     }
 
     fn chain(&self, home: IndexHome) -> &[DescId] {

@@ -8,7 +8,7 @@
 //! protocol's correctness argument lives in DESIGN.md §5 and is enforced
 //! end-to-end by the oracle property tests.
 
-use crate::block::{below_mask, result_code, BlockState};
+use crate::block::{below_mask, result_code, BlockState, LaneData};
 use crate::index::SearchOutcome;
 use crate::metrics::{span_event, EngineMetrics};
 use crate::shard::{Locked, ShardHost};
@@ -62,13 +62,7 @@ fn search_and_book(ctx: &LaneCtx<'_>, block: &mut BlockState, shards: &[Locked<'
     } else {
         0
     };
-    let search = comm.prq.search_hinted(
-        &lane_data.env,
-        &lane_data.hashes,
-        &comm.table,
-        skip_mask,
-        comm.hints,
-    );
+    let search = search_indexes(comm, lane_data, skip_mask);
 
     // Phase 2 — book the candidate: set our bit in its booking bitmap.
     if let Some(cand) = search.candidate {
@@ -76,6 +70,22 @@ fn search_and_book(ctx: &LaneCtx<'_>, block: &mut BlockState, shards: &[Locked<'
         block.booked_desc[lane] = cand.desc;
     }
     block.searches[lane] = Some(search);
+}
+
+/// A lane's search of its communicator's four indexes, skipping the index
+/// classes the hints ban. A communicator with no receive allocated — every
+/// early arrival's — has nothing in any chain: the lane answers without
+/// computing a bin or reading a chain header.
+fn search_indexes(comm: &ShardHost, lane: &LaneData, skip_mask: u64) -> SearchOutcome {
+    if comm.table.allocated() == 0 {
+        return SearchOutcome {
+            candidate: None,
+            depth: 0,
+            skipped_booked: false,
+        };
+    }
+    comm.prq
+        .search_hinted(&lane.env, &lane.hashes, &comm.table, skip_mask, comm.hints)
 }
 
 /// Second sweep — conflict detection (§III-D2), up to the second partial
@@ -173,13 +183,7 @@ fn run_lane_relaxed(
 ) -> u64 {
     let (lane_data, epoch) = (&block.lanes[lane], block.epoch);
     loop {
-        let out = comm.prq.search_hinted(
-            &lane_data.env,
-            &lane_data.hashes,
-            &comm.table,
-            0,
-            comm.hints,
-        );
+        let out = search_indexes(comm, lane_data, 0);
         block.searches[lane].get_or_insert(out);
         match out.candidate {
             None => break result_code::UNEXPECTED,

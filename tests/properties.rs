@@ -491,6 +491,112 @@ fn four_index_stats_are_complete() {
     );
 }
 
+/// One step of the unexpected-store model test.
+#[derive(Debug, Clone, Copy)]
+enum StoreOp {
+    Insert(Envelope),
+    MatchPost(ReceivePattern),
+    Probe(ReceivePattern),
+    Drain,
+}
+
+/// The unexpected store's four intrusive lists against a plain `Vec` in
+/// arrival order: 2,048 random inserts, posts of all four wildcard classes,
+/// probes and drains per case, over one bin (every view one list), two, and
+/// 128 (mostly one key a bin), with capacities small enough to be hit. The
+/// model's depth is what §IV-C says a post examines: the waiting messages, up
+/// to the hit, that share the bin its class's index hashes it to.
+#[test]
+fn unexpected_store_equals_an_arrival_ordered_vec() {
+    use otm::umq::UnexpectedStore;
+    use otm_base::hash::{bin_of, hash_src, hash_src_tag, hash_tag};
+    use otm_base::{ArrivalSeq, InlineHashes, MatchError};
+
+    cases(
+        "unexpected_store_equals_an_arrival_ordered_vec",
+        CASES,
+        |rng, size| {
+            let bins = [1, 2, 128][rng.below(3) as usize];
+            let capacity = range(rng, 1..48) as usize;
+            let ops: Vec<StoreOp> = (0..4 * size)
+                .map(|_| {
+                    let draw = rng.below(100);
+                    match prop::event_mix(rng, CommId::WORLD, 4, 4, [5, 2, 1, 1, 1]) {
+                        _ if draw == 0 => StoreOp::Drain,
+                        MatchEvent::Arrive(env) => StoreOp::Insert(env),
+                        MatchEvent::Post(p) if draw < 25 => StoreOp::Probe(p),
+                        MatchEvent::Post(p) => StoreOp::MatchPost(p),
+                    }
+                })
+                .collect();
+            (bins, capacity, ops)
+        },
+        |(bins, capacity, ops)| {
+            let mut store = UnexpectedStore::new(bins, capacity);
+            let mut model: Vec<(Envelope, MsgHandle, ArrivalSeq)> = Vec::new();
+            // The index of the model's oldest match, and the depth of the
+            // search that finds it.
+            let find = |model: &[(Envelope, MsgHandle, ArrivalSeq)], p: &ReceivePattern| {
+                let hit = model.iter().position(|(env, ..)| p.matches(env))?;
+                let c = p.comm;
+                let shares_bin = |env: &Envelope| match (p.src, p.tag) {
+                    (SourceSel::Rank(s), TagSel::Tag(t)) => {
+                        bin_of(hash_src_tag(s, t, c), bins)
+                            == bin_of(hash_src_tag(env.src, env.tag, c), bins)
+                    }
+                    (SourceSel::Any, TagSel::Tag(t)) => {
+                        bin_of(hash_tag(t, c), bins) == bin_of(hash_tag(env.tag, c), bins)
+                    }
+                    (SourceSel::Rank(s), TagSel::Any) => {
+                        bin_of(hash_src(s, c), bins) == bin_of(hash_src(env.src, c), bins)
+                    }
+                    (SourceSel::Any, TagSel::Any) => true,
+                };
+                let depth = model[..=hit].iter().filter(|(e, ..)| shares_bin(e)).count();
+                Some((hit, depth))
+            };
+            for (step, op) in ops.into_iter().enumerate() {
+                let id = step as u64;
+                match op {
+                    StoreOp::Insert(env) => {
+                        let hashes = InlineHashes::of(&env);
+                        let stored = store.insert(env, &hashes, MsgHandle(id), ArrivalSeq(id));
+                        if model.len() < capacity {
+                            assert_eq!(stored, Ok(()), "step {step}");
+                            model.push((env, MsgHandle(id), ArrivalSeq(id)));
+                        } else {
+                            assert_eq!(stored, Err(MatchError::UnexpectedStoreFull));
+                        }
+                    }
+                    StoreOp::MatchPost(p) => {
+                        let expected = find(&model, &p).map(|(hit, depth)| {
+                            let (_, handle, arrival) = model.remove(hit);
+                            (handle, arrival, depth)
+                        });
+                        let got = store.match_post(&p).map(|m| (m.handle, m.arrival, m.depth));
+                        assert_eq!(got, expected, "step {step}: {p}");
+                    }
+                    StoreOp::Probe(p) => {
+                        let expected = find(&model, &p).map(|(hit, _)| model[hit].1);
+                        assert_eq!(store.probe(&p), expected, "step {step}: probe {p}");
+                    }
+                    StoreOp::Drain => {
+                        let expected: Vec<_> = model.drain(..).map(|(e, h, _)| (e, h)).collect();
+                        assert_eq!(store.drain(), expected, "step {step}: drain");
+                    }
+                }
+                let waiting: Vec<MsgHandle> = model.iter().map(|&(_, h, _)| h).collect();
+                assert_eq!(store.waiting(), waiting, "step {step}");
+                assert_eq!(
+                    (store.len(), store.available()),
+                    (model.len(), capacity - model.len()),
+                    "step {step}"
+                );
+            }
+        },
+    );
+}
+
 /// The chaos oracle over random seeds: a hostile wire (drops,
 /// duplicates, reorders and delays at 10%+ each, recovered by the
 /// reliability protocol) never changes a matched (receive, message)
