@@ -2,7 +2,7 @@
 //!
 //! The paper's Table I surveys the literature's strategies (traditional
 //! lists, rank-based, bin-based). This harness runs our implementations of
-//! those strategies — plus the optimistic four-index organization — over
+//! those strategies — plus the optimistic engine at 128 bins — over
 //! three adversarial workload shapes and reports the search depths, showing
 //! *why* each strategy exists:
 //!
@@ -23,7 +23,6 @@ use otm::SequentialOtm;
 use otm_base::{Envelope, MatchConfig, Rank, ReceivePattern, Tag};
 use otm_bench::{header, write_report, BenchReport, CommonArgs};
 use otm_metrics::json_fields;
-use otm_trace::emul::FourIndexMatcher;
 
 fn many_to_one(n: u32) -> Vec<MatchEvent> {
     let mut ev = Vec::new();
@@ -82,7 +81,7 @@ fn main() {
         let expect = Oracle::run(events);
         // Every strategy is constructed and driven uniformly through the
         // `MatchingBackend` trait — the same dispatch surface dpa-sim's
-        // service and the trace replayer use.
+        // service uses.
         let seq_config = MatchConfig::default().with_bins(128).with_block_threads(1);
         let mut engines: Vec<(String, Box<dyn MatchingBackend>)> = vec![
             (
@@ -91,10 +90,6 @@ fn main() {
             ),
             ("rank-based".into(), Box::new(RankBasedMatcher::new())),
             ("bin-based b=128".into(), Box::new(BinnedMatcher::new(128))),
-            (
-                "optimistic idx b=128".into(),
-                Box::new(FourIndexMatcher::new(128)),
-            ),
             (
                 "optimistic engine".into(),
                 Box::new(SequentialOtm::new(seq_config).expect("table1 engine configuration")),
@@ -122,7 +117,7 @@ fn main() {
     }
 
     println!("\nreading: rank-based flattens many-to-one but degenerates on many-tags;");
-    println!("bin-based and the optimistic indexes flatten both; wildcards serialize everyone,");
+    println!("bin-based and the optimistic engine flatten both; wildcards serialize everyone,");
     println!("which is why the MPI hints of §VII matter.");
 
     let report = BenchReport::new("table1_strategies", false, rows);

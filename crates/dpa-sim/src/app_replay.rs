@@ -1,7 +1,7 @@
 //! End-to-end application replay: a Table II trace driven through the full
 //! production path.
 //!
-//! The trace analyzer's [`otm_trace::replay::replay_engine`] feeds matchers
+//! The trace analyzer's [`otm_trace::replay::replay`] feeds matchers
 //! *directly* — posts and arrivals go straight into the engine with no wire
 //! in between. This module closes the gap the paper's Fig. 6/7 evaluation
 //! actually measures: every send of the application trace becomes a wire

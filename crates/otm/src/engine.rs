@@ -885,6 +885,23 @@ impl OtmEngine {
             .map(|(_, s)| lock(&s.host).umq.len())
             .sum()
     }
+
+    /// Fraction of the `(src, tag)` table's bins, over every communicator,
+    /// that hold no posted receive (a §V statistic); 1.0 before any
+    /// communicator exists.
+    pub fn prq_empty_bin_fraction(&self) -> f64 {
+        let (mut empty, mut bins) = (0usize, 0usize);
+        for (_, shard) in self.shards.all_sorted() {
+            let host = lock(&shard.host);
+            empty += host.prq.empty_bins(&host.table);
+            bins += host.prq.bins();
+        }
+        if bins == 0 {
+            1.0
+        } else {
+            empty as f64 / bins as f64
+        }
+    }
 }
 
 impl MatchingBackend for OtmEngine {
@@ -992,10 +1009,22 @@ impl MatchingBackend for OtmEngine {
 ///
 /// Single-message blocks exercise the optimistic search and booking paths
 /// (never the conflict paths); the adapter lets the engine participate in
-/// the oracle-equivalence harness and the Table I strategy comparison.
+/// the oracle-equivalence harness and the Table I strategy comparison, and
+/// it is the matcher the trace analyzer replays each rank through.
+///
+/// The adapter owns its engine outright, so its own calls are the only ones
+/// that change it: each call's search depth is what the engine's depth sum
+/// grew by since the previous call, and the queue lengths behind the
+/// high-water marks follow from the calls' outcomes without a walk of the
+/// engine's bins.
 pub struct SequentialOtm {
     engine: OtmEngine,
     stats: MatchStats,
+    /// The engine's statistics as the previous call left them.
+    seen: StatsSnapshot,
+    /// Posted receives and waiting messages.
+    prq: usize,
+    umq: usize,
 }
 
 impl SequentialOtm {
@@ -1004,12 +1033,23 @@ impl SequentialOtm {
         Ok(SequentialOtm {
             engine: OtmEngine::new(config)?,
             stats: MatchStats::new(),
+            seen: StatsSnapshot::default(),
+            prq: 0,
+            umq: 0,
         })
     }
 
-    /// The wrapped engine.
-    pub fn engine(&self) -> &OtmEngine {
-        &self.engine
+    /// [`OtmEngine::prq_empty_bin_fraction`] of the wrapped engine.
+    pub fn prq_empty_bin_fraction(&self) -> f64 {
+        self.engine.prq_empty_bin_fraction()
+    }
+
+    /// What the engine's statistics grew by since the previous call.
+    fn growth(&mut self) -> StatsSnapshot {
+        let now = self.engine.stats();
+        let grown = now.delta(&self.seen);
+        self.seen = now;
+        grown
     }
 }
 
@@ -1027,39 +1067,44 @@ impl Matcher for SequentialOtm {
         pattern: ReceivePattern,
         handle: RecvHandle,
     ) -> Result<PostResult, MatchError> {
-        let before = self.engine.stats();
         let result = self.engine.post(pattern, handle)?;
-        let after = self.engine.stats();
-        let depth = (after.umq_depth_sum - before.umq_depth_sum) as usize;
-        self.stats
-            .record_post(depth, matches!(result, PostResult::Matched(_)));
-        self.stats
-            .observe_queue_lens(self.engine.prq_len(), self.engine.umq_len());
+        let depth = self.growth().umq_depth_sum as usize;
+        let matched = matches!(result, PostResult::Matched(_));
+        if matched {
+            self.umq -= 1;
+        } else {
+            self.prq += 1;
+        }
+        self.stats.record_post(depth, matched);
+        self.stats.observe_queue_lens(self.prq, self.umq);
         Ok(result)
     }
 
     fn arrive(&mut self, env: Envelope, handle: MsgHandle) -> Result<ArriveResult, MatchError> {
-        let before = self.engine.stats();
         let deliveries = self.engine.process_block(&[(env, handle)])?;
-        let after = self.engine.stats();
-        let depth = (after.search_depth_sum - before.search_depth_sum) as usize;
+        let depth = self.growth().search_depth_sum as usize;
         let result = match deliveries[0] {
-            Delivery::Matched { recv, .. } => ArriveResult::Matched(recv),
-            Delivery::Unexpected { .. } => ArriveResult::Unexpected,
+            Delivery::Matched { recv, .. } => {
+                self.prq -= 1;
+                ArriveResult::Matched(recv)
+            }
+            Delivery::Unexpected { .. } => {
+                self.umq += 1;
+                ArriveResult::Unexpected
+            }
         };
         self.stats
             .record_arrival(depth, matches!(result, ArriveResult::Matched(_)));
-        self.stats
-            .observe_queue_lens(self.engine.prq_len(), self.engine.umq_len());
+        self.stats.observe_queue_lens(self.prq, self.umq);
         Ok(result)
     }
 
     fn prq_len(&self) -> usize {
-        self.engine.prq_len()
+        self.prq
     }
 
     fn umq_len(&self) -> usize {
-        self.engine.umq_len()
+        self.umq
     }
 
     fn probe(&self, pattern: &ReceivePattern) -> Option<MsgHandle> {
@@ -1572,6 +1617,55 @@ mod tests {
         assert_eq!(r, ArriveResult::Matched(RecvHandle(0)));
         assert_eq!(m.stats().matched_on_arrival, 1);
         assert_eq!(m.strategy_name(), "optimistic");
+    }
+
+    #[test]
+    fn adapter_queue_lengths_follow_its_engine() {
+        let mut rng = otm_base::FaultRng::new(7);
+        let config = MatchConfig::small()
+            .with_bins(2)
+            .with_max_receives(512)
+            .with_max_unexpected(512);
+        let mut m = SequentialOtm::new(config).unwrap();
+        for i in 0..400u64 {
+            let (src, tag) = (rng.below(3) as u32, rng.below(3) as u32);
+            if rng.below(2) == 0 {
+                let pattern = match rng.below(4) {
+                    0 => ReceivePattern::any_source(Tag(tag)),
+                    1 => ReceivePattern::any_tag(Rank(src)),
+                    _ => ReceivePattern::exact(Rank(src), Tag(tag)),
+                };
+                Matcher::post(&mut m, pattern, RecvHandle(i)).unwrap();
+            } else {
+                m.arrive(env(src, tag), MsgHandle(i)).unwrap();
+            }
+            assert_eq!(Matcher::prq_len(&m), m.engine.prq_len(), "after event {i}");
+            assert_eq!(Matcher::umq_len(&m), m.engine.umq_len(), "after event {i}");
+        }
+    }
+
+    #[test]
+    fn empty_bin_fraction_counts_posted_exact_receives_only() {
+        let config = MatchConfig::small().with_bins(32).with_max_receives(128);
+        let mut m = SequentialOtm::new(config).unwrap();
+        assert_eq!(m.prq_empty_bin_fraction(), 1.0, "no communicator yet");
+        // Wildcard receives live outside the `(src, tag)` table.
+        Matcher::post(&mut m, ReceivePattern::any_source(Tag(99)), RecvHandle(99)).unwrap();
+        assert_eq!(m.prq_empty_bin_fraction(), 1.0);
+        for t in 0..64u32 {
+            Matcher::post(
+                &mut m,
+                ReceivePattern::exact(Rank(0), Tag(t)),
+                RecvHandle(u64::from(t)),
+            )
+            .unwrap();
+        }
+        assert!(m.prq_empty_bin_fraction() < 0.5);
+        // Consumed receives do not occupy a bin.
+        for t in 0..64u32 {
+            m.arrive(env(0, t), MsgHandle(u64::from(t))).unwrap();
+        }
+        assert_eq!(m.prq_empty_bin_fraction(), 1.0);
     }
 
     #[test]

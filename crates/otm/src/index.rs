@@ -308,6 +308,15 @@ impl PrqIndexes {
         self.search_hinted(env, hashes, table, 0, hints)
     }
 
+    /// Bins of the `(src, tag)` table holding no posted receive (the trace
+    /// analyzer's empty-bin statistic; walks every bin).
+    pub(crate) fn empty_bins(&self, table: &ReceiveTable) -> usize {
+        self.no_wild
+            .iter()
+            .filter(|chain| !chain.iter().any(|&d| table.slot(d).is_posted()))
+            .count()
+    }
+
     /// Total live receives across all chains (test/diagnostic helper; walks
     /// every bin, so not for the hot path).
     pub fn live_count(&self, table: &ReceiveTable) -> usize {

@@ -4,13 +4,12 @@
 //! harness (or an operator attaching mid-run) see how far the replay has
 //! progressed — operations consumed, receive posts and message arrivals
 //! driven into the matchers, progress points sampled — plus a histogram of
-//! per-rank replayed-event counts from the engine-backed replay, which
-//! shows how skewed the rank workloads are.
+//! per-rank replayed-event counts from the rank-major pass, which shows how
+//! skewed the rank workloads are.
 //!
 //! The handle is process-wide (replays accumulate) so the public
-//! [`crate::replay::replay`] / [`crate::replay::replay_engine`] signatures
-//! stay unchanged; interval measurements use
-//! `snapshot()`/`RegistrySnapshot::delta`.
+//! [`crate::replay::replay`] signature stays unchanged; interval
+//! measurements use `snapshot()`/`RegistrySnapshot::delta`.
 
 use otm_metrics::{Counter, Histogram, Registry, RegistrySnapshot};
 use std::sync::{Arc, OnceLock};
@@ -63,7 +62,7 @@ impl ReplayMetrics {
         self.progress_points.inc();
     }
 
-    /// Records how many events one rank's engine replay processed.
+    /// Records how many events one rank's engine processed.
     #[inline]
     pub fn record_rank_events(&self, n: u64) {
         self.rank_events.record(n);

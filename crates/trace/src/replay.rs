@@ -1,5 +1,5 @@
 //! The trace processing stage (§V-A b): replay the merged operation stream
-//! through per-rank matcher emulations and gather statistics.
+//! through one optimistic engine per rank and gather statistics.
 //!
 //! "Each MPI operation within the in-memory representation of the trace
 //! gets sequentially processed until none remain. Only p2p and progress
@@ -7,11 +7,17 @@
 //! post into their rank's matcher; sends become incoming messages at the
 //! destination rank's matcher; progress operations snapshot the state of
 //! the data structures, forming the data points of §V-A.
+//!
+//! Each rank's matcher is the real engine, `otm::SequentialOtm`: the three
+//! binned hash tables plus wildcard list of §III-B, with an unexpected store
+//! indexed in all four ways (§IV-C). Its search depths are the queue depths
+//! of Fig. 7; with one bin it degenerates into traditional linear-scan
+//! matching.
 
-use crate::emul::FourIndexMatcher;
 use crate::model::{AppTrace, CallKind, MpiOp, TimedOp};
-use mpi_matching::{MatchStats, MatchingBackend, MsgHandle, RecvHandle};
-use otm_base::{Envelope, ReceivePattern};
+use mpi_matching::{MatchStats, Matcher, MsgHandle, RecvHandle};
+use otm::SequentialOtm;
+use otm_base::{Envelope, MatchConfig, ReceivePattern};
 use otm_metrics::json_fields;
 use std::collections::HashSet;
 
@@ -126,7 +132,26 @@ pub struct AppReport {
 json_fields!(AppReport: name, processes, bins, call_dist, match_stats, mean_queue_depth,
     max_queue_depth, avg_empty_bin_fraction, tag_usage, final_prq, final_umq, datapoints);
 
+/// One rank's share of the merged operation stream.
+#[derive(Debug, Clone, Copy)]
+enum Event {
+    /// A receive the rank posts.
+    Post(ReceivePattern),
+    /// A message addressed to the rank.
+    Arrive(Envelope),
+    /// A progress point of the rank's own (`Wait`/`Waitall`), carrying the
+    /// index of its sample in global time order.
+    Progress(usize),
+}
+
 /// Replays an application trace with the given bin count.
+///
+/// Matchers of different ranks never interact: a rank's matcher sees only
+/// its own posts and the arrivals addressed to it, in global time order. So
+/// one pass over the merged stream counts calls and tags and splits the
+/// stream into per-rank event lists, and a second pass replays them rank by
+/// rank, one engine alive at a time. A progress point samples the same
+/// state rank-major as it would interleaved.
 pub fn replay(trace: &AppTrace, config: &ReplayConfig) -> AppReport {
     let n = trace
         .ranks
@@ -134,20 +159,12 @@ pub fn replay(trace: &AppTrace, config: &ReplayConfig) -> AppReport {
         .map(|r| r.rank.0 as usize + 1)
         .max()
         .unwrap_or(0);
-    // Each rank's matcher is selected through the backend trait — the same
-    // interface the simulator's service layer uses — with the bin-occupancy
-    // sampling reached through the observability downcast.
-    let mut matchers: Vec<Box<dyn MatchingBackend>> = (0..n)
-        .map(|_| Box::new(FourIndexMatcher::new(config.bins)) as Box<dyn MatchingBackend>)
-        .collect();
+    let mut per_rank: Vec<Vec<Event>> = vec![Vec::new(); n];
     let mut dist = CallDistribution::default();
     let mut tags: HashSet<u32> = HashSet::new();
     let mut src_tag_pairs: HashSet<(u32, u32)> = HashSet::new();
     let mut recv_count = 0u64;
     let mut wildcard_recvs = 0u64;
-    let mut next_recv = 0u64;
-    let mut next_msg = 0u64;
-    let mut empty_bin_sum = 0.0f64;
     let mut datapoints = 0usize;
     let metrics = crate::obs::replay_metrics();
 
@@ -166,12 +183,7 @@ pub fn replay(trace: &AppTrace, config: &ReplayConfig) -> AppReport {
                 if src.is_wild() || tag.is_wild() {
                     wildcard_recvs += 1;
                 }
-                let pattern = ReceivePattern { src, tag, comm };
-                let handle = RecvHandle(next_recv);
-                next_recv += 1;
-                matchers[rank.0 as usize]
-                    .post(pattern, handle)
-                    .expect("four-index matcher is unbounded");
+                per_rank[rank.0 as usize].push(Event::Post(ReceivePattern { src, tag, comm }));
             }
             MpiOp::Isend {
                 dest, tag, comm, ..
@@ -182,40 +194,72 @@ pub fn replay(trace: &AppTrace, config: &ReplayConfig) -> AppReport {
                 tags.insert(tag.0);
                 src_tag_pairs.insert((rank.0, tag.0));
                 metrics.count_arrive();
-                let env = Envelope {
-                    src: rank,
-                    tag,
-                    comm,
-                };
-                let handle = MsgHandle(next_msg);
-                next_msg += 1;
-                if (dest.0 as usize) < matchers.len() {
-                    matchers[dest.0 as usize]
-                        .arrive_block(&[(env, handle)])
-                        .expect("four-index matcher is unbounded");
+                if let Some(events) = per_rank.get_mut(dest.0 as usize) {
+                    events.push(Event::Arrive(Envelope {
+                        src: rank,
+                        tag,
+                        comm,
+                    }));
                 }
             }
             MpiOp::Wait { .. } | MpiOp::Waitall { .. } => {
                 // Progress point: snapshot the data-structure state (§V-A).
                 metrics.count_progress_point();
-                empty_bin_sum += matchers[rank.0 as usize]
-                    .as_any()
-                    .downcast_ref::<FourIndexMatcher>()
-                    .expect("replay runs on the four-index emulation")
-                    .prq_empty_bin_fraction();
+                per_rank[rank.0 as usize].push(Event::Progress(datapoints));
                 datapoints += 1;
             }
             MpiOp::Collective { .. } | MpiOp::OneSided { .. } => {}
         }
     }
 
+    // Each sample lands in its global slot, so the mean sums them in trace
+    // order, as an interleaved replay would.
+    let mut empty_bin_fractions = vec![0.0f64; datapoints];
     let mut merged = MatchStats::new();
     let mut final_prq = 0usize;
     let mut final_umq = 0usize;
-    for m in &matchers {
-        m.merge_stats(&mut merged);
-        final_prq += m.prq_len();
-        final_umq += m.umq_len();
+    let mut next_recv = 0u64;
+    let mut next_msg = 0u64;
+    for events in per_rank.iter().filter(|events| !events.is_empty()) {
+        metrics.record_rank_events(events.len() as u64);
+        // Sized from the rank's own traffic: its table never holds more
+        // receives than it posts, nor its store more messages than reach it.
+        let posts = events
+            .iter()
+            .filter(|e| matches!(e, Event::Post(_)))
+            .count();
+        let arrivals = events
+            .iter()
+            .filter(|e| matches!(e, Event::Arrive(_)))
+            .count();
+        let engine_config = MatchConfig::default()
+            .with_bins(config.bins)
+            .with_block_threads(1)
+            .with_max_receives(posts.max(1))
+            .with_max_unexpected(arrivals.max(1));
+        let mut engine = SequentialOtm::new(engine_config).expect("replay engine configuration");
+        for &event in events {
+            match event {
+                Event::Post(pattern) => {
+                    engine
+                        .post(pattern, RecvHandle(next_recv))
+                        .expect("the table holds every receive the rank posts");
+                    next_recv += 1;
+                }
+                Event::Arrive(env) => {
+                    engine
+                        .arrive(env, MsgHandle(next_msg))
+                        .expect("the store holds every message the rank receives");
+                    next_msg += 1;
+                }
+                Event::Progress(sample) => {
+                    empty_bin_fractions[sample] = engine.prq_empty_bin_fraction();
+                }
+            }
+        }
+        merged.merge(engine.stats());
+        final_prq += engine.prq_len();
+        final_umq += engine.umq_len();
     }
 
     AppReport {
@@ -229,7 +273,7 @@ pub fn replay(trace: &AppTrace, config: &ReplayConfig) -> AppReport {
         avg_empty_bin_fraction: if datapoints == 0 {
             1.0
         } else {
-            empty_bin_sum / datapoints as f64
+            empty_bin_fractions.iter().sum::<f64>() / datapoints as f64
         },
         tag_usage: TagUsage {
             distinct_tags: tags.len(),
@@ -243,140 +287,6 @@ pub fn replay(trace: &AppTrace, config: &ReplayConfig) -> AppReport {
         final_prq,
         final_umq,
         datapoints,
-    }
-}
-
-/// Convenience: replays the same trace at several bin counts (the Fig. 7
-/// sweep).
-pub fn bin_sweep(trace: &AppTrace, bins: &[usize]) -> Vec<AppReport> {
-    bins.iter()
-        .map(|&b| replay(trace, &ReplayConfig { bins: b }))
-        .collect()
-}
-
-/// Replays an application trace through the *real* optimistic engine
-/// (`otm::SequentialOtm`) instead of the analyzer's lightweight emulation.
-///
-/// Because matchers of different ranks never interact (each rank owns its
-/// own matching state), ranks are replayed one at a time — rank-major —
-/// with a fresh engine each, keeping memory flat even for thousand-rank
-/// traces while still driving every post and arrival through the engine's
-/// descriptor table, index structures and unexpected store.
-///
-/// The returned report carries the same matching statistics as [`replay`];
-/// the engine and the emulation implement the same §III-B organization with
-/// the same hash function, so their outcome counters *and search depths*
-/// must agree exactly — an equivalence the integration tests assert for
-/// every Table II application.
-pub fn replay_engine(trace: &AppTrace, config: &ReplayConfig) -> AppReport {
-    use otm_base::MatchConfig;
-
-    let n = trace
-        .ranks
-        .iter()
-        .map(|r| r.rank.0 as usize + 1)
-        .max()
-        .unwrap_or(0);
-    // Per-rank event streams in global time order: the rank's own receive
-    // posts plus the sends targeting it.
-    #[derive(Clone, Copy)]
-    enum Ev {
-        Post(ReceivePattern),
-        Arrive(Envelope),
-    }
-    // merged_ops() is globally time-ordered, so pushing into the per-rank
-    // lists preserves each rank's event order without extra keys.
-    let mut per_rank: Vec<Vec<Ev>> = vec![Vec::new(); n];
-    let mut dist = CallDistribution::default();
-    let metrics = crate::obs::replay_metrics();
-    for (rank, TimedOp { op, .. }) in trace.merged_ops() {
-        metrics.count_op();
-        match op.kind() {
-            CallKind::PointToPoint => dist.p2p += 1,
-            CallKind::Collective => dist.collective += 1,
-            CallKind::OneSided => dist.one_sided += 1,
-            CallKind::Progress => dist.progress += 1,
-        }
-        match op {
-            MpiOp::Irecv { src, tag, comm, .. } | MpiOp::Recv { src, tag, comm, .. } => {
-                per_rank[rank.0 as usize].push(Ev::Post(ReceivePattern { src, tag, comm }));
-            }
-            MpiOp::Isend {
-                dest, tag, comm, ..
-            }
-            | MpiOp::Send {
-                dest, tag, comm, ..
-            } if (dest.0 as usize) < n => {
-                per_rank[dest.0 as usize].push(Ev::Arrive(Envelope {
-                    src: rank,
-                    tag,
-                    comm,
-                }));
-            }
-            _ => {}
-        }
-    }
-
-    let mut merged = MatchStats::new();
-    let mut final_prq = 0usize;
-    let mut final_umq = 0usize;
-    let mut next_recv = 0u64;
-    let mut next_msg = 0u64;
-    for events in &per_rank {
-        if events.is_empty() {
-            continue;
-        }
-        metrics.record_rank_events(events.len() as u64);
-        // Generous fixed table: a single rank's in-flight receives in the
-        // Table II workloads stay far below this.
-        let engine_config = MatchConfig::default()
-            .with_bins(config.bins)
-            .with_block_threads(1)
-            .with_max_receives(1 << 14)
-            .with_max_unexpected(1 << 14);
-        // Constructed through the same backend trait the simulator's
-        // service layer uses, so this path exercises the real trait-object
-        // dispatch end to end.
-        let mut engine: Box<dyn MatchingBackend> =
-            Box::new(otm::SequentialOtm::new(engine_config).expect("engine replay configuration"));
-        for &ev in events {
-            match ev {
-                Ev::Post(pattern) => {
-                    metrics.count_post();
-                    engine
-                        .post(pattern, RecvHandle(next_recv))
-                        .expect("replay within engine capacity");
-                    next_recv += 1;
-                }
-                Ev::Arrive(env) => {
-                    metrics.count_arrive();
-                    engine
-                        .arrive_block(&[(env, MsgHandle(next_msg))])
-                        .expect("replay within engine capacity");
-                    next_msg += 1;
-                }
-            }
-        }
-        engine.merge_stats(&mut merged);
-        final_prq += engine.prq_len();
-        final_umq += engine.umq_len();
-    }
-
-    AppReport {
-        name: trace.name.clone(),
-        processes: trace.processes(),
-        bins: config.bins,
-        mean_queue_depth: merged.mean_depth(),
-        max_queue_depth: merged.max_depth(),
-        call_dist: dist,
-        match_stats: merged,
-        // The engine does not expose bin-occupancy sampling; progress
-        // points are counted but not sampled.
-        avg_empty_bin_fraction: 1.0,
-        tag_usage: TagUsage::default(),
-        final_prq,
-        final_umq,
-        datapoints: 0,
     }
 }
 
@@ -500,11 +410,46 @@ mod tests {
     }
 
     #[test]
-    fn bin_sweep_produces_one_report_per_count() {
-        let reports = bin_sweep(&two_rank_trace(), &[1, 32, 128]);
-        assert_eq!(reports.len(), 3);
-        assert_eq!(reports[0].bins, 1);
-        assert_eq!(reports[2].bins, 128);
+    fn progress_points_see_their_own_ranks_pending_receives() {
+        // Rank 1 waits first with nothing posted (4 of 4 bins empty); rank 0
+        // waits later with one exact receive pending (3 of 4).
+        let irecv = MpiOp::Irecv {
+            src: SourceSel::Rank(Rank(1)),
+            tag: TagSel::Tag(Tag(1)),
+            comm: CommId::WORLD,
+            count: 1,
+            request: ReqId(0),
+        };
+        let wait = MpiOp::Wait { request: ReqId(0) };
+        let trace = AppTrace {
+            name: "pending".into(),
+            ranks: vec![
+                RankTrace {
+                    rank: Rank(0),
+                    ops: vec![
+                        TimedOp {
+                            time: 0.0,
+                            op: irecv,
+                        },
+                        TimedOp {
+                            time: 2.0,
+                            op: wait,
+                        },
+                    ],
+                },
+                RankTrace {
+                    rank: Rank(1),
+                    ops: vec![TimedOp {
+                        time: 1.0,
+                        op: wait,
+                    }],
+                },
+            ],
+        };
+        let report = replay(&trace, &ReplayConfig { bins: 4 });
+        assert_eq!(report.datapoints, 2);
+        assert_eq!(report.avg_empty_bin_fraction, (1.0 + 0.75) / 2.0);
+        assert_eq!(report.final_prq, 1);
     }
 
     #[test]
@@ -548,11 +493,10 @@ mod tests {
         // only that this replay's contribution is present in the delta.
         let before = crate::obs::replay_metrics().snapshot();
         let _ = replay(&two_rank_trace(), &ReplayConfig::default());
-        let _ = replay_engine(&two_rank_trace(), &ReplayConfig::default());
         let d = crate::obs::replay_metrics().snapshot().delta(&before);
-        assert!(d.counters["trace_replay_ops_total"] >= 14, "{d:?}");
-        assert!(d.counters["trace_replay_posts_total"] >= 4);
-        assert!(d.counters["trace_replay_arrivals_total"] >= 4);
+        assert!(d.counters["trace_replay_ops_total"] >= 7, "{d:?}");
+        assert!(d.counters["trace_replay_posts_total"] >= 2);
+        assert!(d.counters["trace_replay_arrivals_total"] >= 2);
         assert!(d.counters["trace_replay_progress_points_total"] >= 1);
         assert!(d.hists["trace_replay_rank_events"].count >= 1);
     }

@@ -22,7 +22,6 @@ use mpi_matching::traditional::TraditionalMatcher;
 use mpi_matching::{Assignment, MsgHandle, RecvHandle};
 use otm::{Command, OtmEngine, SequentialOtm};
 use otm_base::{Envelope, FaultRng, MatchConfig, Rank, ReceivePattern, Tag};
-use otm_trace::emul::FourIndexMatcher;
 use support::{
     drain_then_fallback, fallback_oracle_config, fallback_with_queue, prop, replay_snapshot,
 };
@@ -154,7 +153,6 @@ fn seeded_fallback_oracle_queued_equals_drained() {
     let factories: Vec<support::BackendFactory> = vec![
         ("traditional", || Box::new(TraditionalMatcher::new())),
         ("binned", || Box::new(BinnedMatcher::new(16))),
-        ("four-index", || Box::new(FourIndexMatcher::new(16))),
         ("optimistic-seq", || {
             Box::new(SequentialOtm::new(fallback_oracle_config()).unwrap())
         }),

@@ -1,8 +1,9 @@
 //! Every matching engine in the workspace — the traditional list, the
-//! bin-based and rank-based baselines, the analyzer's four-index emulation,
-//! and the parallel optimistic engine — must compute the same
-//! post/arrival pairing as the sequential oracle, because MPI matching is a
-//! deterministic function of the event sequence.
+//! bin-based and rank-based baselines, and the optimistic engine at one bin
+//! (where its four indexes degenerate to the list), at 64 bins and at its
+//! default — must compute the same post/arrival pairing as the sequential
+//! oracle, because MPI matching is a deterministic function of the event
+//! sequence.
 
 use mpi_matching::binned::BinnedMatcher;
 use mpi_matching::oracle::{MatchEvent, Oracle};
@@ -11,7 +12,6 @@ use mpi_matching::traditional::TraditionalMatcher;
 use mpi_matching::Matcher;
 use otm::SequentialOtm;
 use otm_base::{CommId, FaultRng, MatchConfig, Rank, ReceivePattern, Tag};
-use otm_trace::emul::FourIndexMatcher;
 
 #[path = "support/prop.rs"]
 mod prop;
@@ -23,6 +23,14 @@ fn random_events(rng: &mut FaultRng, len: usize, ranks: u32, tags: u32) -> Vec<M
         .collect()
 }
 
+fn sequential_otm(bins: usize) -> Box<dyn Matcher> {
+    let config = MatchConfig::default()
+        .with_bins(bins)
+        .with_max_receives(4096)
+        .with_max_unexpected(4096);
+    Box::new(SequentialOtm::new(config).expect("engine"))
+}
+
 fn engines() -> Vec<Box<dyn Matcher>> {
     vec![
         Box::new(TraditionalMatcher::new()),
@@ -30,16 +38,9 @@ fn engines() -> Vec<Box<dyn Matcher>> {
         Box::new(BinnedMatcher::new(32)),
         Box::new(BinnedMatcher::new(128)),
         Box::new(RankBasedMatcher::new()),
-        Box::new(FourIndexMatcher::new(1)),
-        Box::new(FourIndexMatcher::new(64)),
-        Box::new(
-            SequentialOtm::new(
-                MatchConfig::default()
-                    .with_max_receives(4096)
-                    .with_max_unexpected(4096),
-            )
-            .expect("engine"),
-        ),
+        sequential_otm(1),
+        sequential_otm(64),
+        sequential_otm(MatchConfig::default().bins),
     ]
 }
 
@@ -138,11 +139,45 @@ fn strategy_names_are_distinct() {
     let names: Vec<&str> = engines().iter().map(|e| e.strategy_name()).collect();
     let mut unique: Vec<&str> = names.clone();
     unique.dedup();
-    // binned/four-index appear at several bin counts; collapse those first.
+    // binned/optimistic appear at several bin counts; collapse those first.
     let mut set: std::collections::HashSet<&str> = names.iter().copied().collect();
     set.insert("oracle");
     assert!(
         set.len() >= 5,
         "expected at least five distinct strategies, got {set:?}"
     );
+}
+
+/// Posts for tags `0..n` from `src_of(tag)`, then the matching arrivals in
+/// reverse: the worst case for a list, whose every search walks to the tail.
+fn reverse_fan_in(n: u32, src_of: fn(u32) -> u32) -> Vec<MatchEvent> {
+    let post = |t| MatchEvent::Post(ReceivePattern::exact(Rank(src_of(t)), Tag(t)));
+    let arrive = |t| MatchEvent::Arrive(otm_base::Envelope::world(Rank(src_of(t)), Tag(t)));
+    (0..n).map(post).chain((0..n).rev().map(arrive)).collect()
+}
+
+#[test]
+fn one_bin_degenerates_to_the_list() {
+    // Fully specified receives at one bin: the four indexes are one list, so
+    // every search examines what the traditional matcher's does.
+    let events = reverse_fan_in(32, |_| 0);
+    let mut one_bin = sequential_otm(1);
+    let mut list = TraditionalMatcher::new();
+    Oracle::drive(one_bin.as_mut(), &events).unwrap();
+    Oracle::drive(&mut list, &events).unwrap();
+    assert_eq!(one_bin.stats().prq_search, list.stats().prq_search);
+    assert_eq!(one_bin.stats().umq_search, list.stats().umq_search);
+}
+
+#[test]
+fn more_bins_shorten_the_optimistic_search() {
+    let events = reverse_fan_in(128, |t| t % 8);
+    let depth_at = |bins| {
+        let mut engine = sequential_otm(bins);
+        Oracle::drive(engine.as_mut(), &events).unwrap();
+        engine.stats().prq_search.mean()
+    };
+    let (d1, d32, d128) = (depth_at(1), depth_at(32), depth_at(128));
+    assert!(d32 < d1 / 4.0, "1 bin {d1}, 32 bins {d32}");
+    assert!(d128 <= d32, "32 bins {d32}, 128 bins {d128}");
 }

@@ -116,7 +116,7 @@ fn catalog_reproduces_figure_6_structure() {
 /// catalog the average must drop by well over half at 32 bins and further
 /// at 128.
 #[test]
-fn bin_sweep_collapses_average_queue_depth() {
+fn binning_collapses_average_queue_depth() {
     let mut avg = [0.0f64; 3];
     let catalog = otm_workloads::catalog();
     for spec in &catalog {

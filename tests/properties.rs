@@ -14,7 +14,6 @@ use otm::ring::CommandRing;
 use otm::{Command, CommandOutcome, OtmEngine, SequentialOtm};
 use otm_base::envelope::{SourceSel, TagSel};
 use otm_base::{CommId, Envelope, FaultRng, MatchConfig, PackingPolicy, Rank, ReceivePattern, Tag};
-use otm_trace::emul::FourIndexMatcher;
 use support::prop::{self, cases, comm_event, event, range, vec};
 use support::{
     assert_drain_failure_contract, assert_packing_equivalence, assert_ring_equivalence,
@@ -125,8 +124,8 @@ fn sequential_engines_equal_oracle() {
                 Box::new(BinnedMatcher::new(1)),
                 Box::new(BinnedMatcher::new(16)),
                 Box::new(RankBasedMatcher::new()),
-                Box::new(FourIndexMatcher::new(1)),
-                Box::new(FourIndexMatcher::new(16)),
+                Box::new(SequentialOtm::new(fallback_oracle_config().with_bins(1)).unwrap()),
+                Box::new(SequentialOtm::new(fallback_oracle_config()).unwrap()),
             ];
             for engine in &mut engines {
                 let got = Oracle::drive(engine.as_mut(), &events).unwrap();
@@ -371,7 +370,6 @@ fn fallback_with_pending_queue_equals_drain_then_fallback() {
             let factories: Vec<support::BackendFactory> = vec![
                 ("traditional", || Box::new(TraditionalMatcher::new())),
                 ("binned", || Box::new(BinnedMatcher::new(16))),
-                ("four-index", || Box::new(FourIndexMatcher::new(16))),
                 ("optimistic-seq", || {
                     Box::new(SequentialOtm::new(fallback_oracle_config()).unwrap())
                 }),
@@ -463,26 +461,32 @@ fn packed_drain_failure_contract() {
     );
 }
 
-/// The analyzer's four-index matcher records depth samples for every
-/// event and its outcome counters always sum up.
+/// The sequential engine the trace analyzer replays through, sized to the
+/// case the way the analyzer sizes a rank's engine, records depth samples
+/// for every event and its outcome counters always sum up.
 #[test]
-fn four_index_stats_are_complete() {
+fn sequential_engine_stats_are_complete() {
     cases(
-        "four_index_stats_are_complete",
+        "sequential_engine_stats_are_complete",
         CASES,
         |rng, size| {
             let bins = range(rng, 1..64) as usize;
             (vec(rng, 0..150, size, event), bins)
         },
         |(events, bins)| {
-            let mut m = FourIndexMatcher::new(bins);
-            Oracle::drive(&mut m, &events).unwrap();
-            let stats = m.stats();
             let posts = events
                 .iter()
                 .filter(|e| matches!(e, MatchEvent::Post(_)))
                 .count() as u64;
             let arrivals = events.len() as u64 - posts;
+            let config = MatchConfig::default()
+                .with_bins(bins)
+                .with_block_threads(1)
+                .with_max_receives(posts.max(1) as usize)
+                .with_max_unexpected(arrivals.max(1) as usize);
+            let mut m = SequentialOtm::new(config).unwrap();
+            Oracle::drive(&mut m, &events).unwrap();
+            let stats = m.stats();
             assert_eq!(stats.umq_search.count, posts);
             assert_eq!(stats.prq_search.count, arrivals);
             assert_eq!(stats.matched_on_post + stats.posted, posts);
