@@ -18,6 +18,17 @@ pub const MAX_BLOCK_THREADS: usize = 64;
 /// value from a command line overflows the rounding or aborts the allocator.
 const MAX_RING_CAPACITY: usize = 1 << 20;
 
+/// Largest accepted [`MatchConfig::bins`]. Every communicator allocates
+/// `3 · bins + 1` list ends per queue up front, so an unbounded value from a
+/// command line aborts the allocator, and a list's position is 32-bit. The
+/// repository's configurations use at most 2,048.
+pub const MAX_BINS: usize = 1 << 20;
+
+/// Largest accepted [`MatchConfig::max_receives`] and
+/// [`MatchConfig::max_unexpected`]: slots are numbered with 32-bit ids below
+/// `u32::MAX`, which the queues' lists reserve as their end marker.
+pub const MAX_SLOTS: usize = u32::MAX as usize;
+
 /// How the drain coordinator packs queued arrivals into optimistic blocks.
 ///
 /// MPI only constrains matching order *within* a communicator, so commands on
@@ -44,15 +55,17 @@ pub enum PackingPolicy {
 /// baseline matcher.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MatchConfig {
-    /// Number of bins in each of the three hash-table indexes.
+    /// Number of bins in each of the three hash-table indexes. Must be in
+    /// `1..=MAX_BINS`.
     pub bins: usize,
     /// Capacity of the receive descriptor table — the maximum number of
     /// receives posted at the same time (§III-B). Exceeding it makes the
     /// engine report [`MatchError::ReceiveTableFull`], upon which an MPI
-    /// implementation falls back to software tag matching.
+    /// implementation falls back to software tag matching. Must be in
+    /// `1..=MAX_SLOTS`.
     pub max_receives: usize,
     /// Capacity of the unexpected-message store. Like the receive table this
-    /// is a fixed NIC-memory resource.
+    /// is a fixed NIC-memory resource. Must be in `1..=MAX_SLOTS`.
     pub max_unexpected: usize,
     /// The block width: how many messages one block matches optimistically
     /// against each other (the paper's `N` DPA threads; 32 in the
@@ -174,35 +187,23 @@ impl MatchConfig {
     /// Validates the configuration, returning a descriptive error for any
     /// parameter outside its legal range.
     pub fn validate(&self) -> Result<(), MatchError> {
-        if self.bins == 0 {
-            return Err(MatchError::InvalidConfig("bins must be >= 1".into()));
-        }
-        if self.max_receives == 0 {
-            return Err(MatchError::InvalidConfig(
-                "max_receives must be >= 1".into(),
-            ));
-        }
-        if self.max_unexpected == 0 {
-            return Err(MatchError::InvalidConfig(
-                "max_unexpected must be >= 1".into(),
-            ));
-        }
-        if self.block_threads == 0 || self.block_threads > MAX_BLOCK_THREADS {
-            return Err(MatchError::InvalidConfig(format!(
-                "block_threads must be in 1..={MAX_BLOCK_THREADS}, got {}",
-                self.block_threads
-            )));
+        for (name, value, max) in [
+            ("bins", self.bins, MAX_BINS),
+            ("max_receives", self.max_receives, MAX_SLOTS),
+            ("max_unexpected", self.max_unexpected, MAX_SLOTS),
+            ("block_threads", self.block_threads, MAX_BLOCK_THREADS),
+            ("ring_capacity", self.ring_capacity, MAX_RING_CAPACITY),
+        ] {
+            if !(1..=max).contains(&value) {
+                return Err(MatchError::InvalidConfig(format!(
+                    "{name} must be in 1..={max}, got {value}"
+                )));
+            }
         }
         if self.lane_quota == Some(0) {
             return Err(MatchError::InvalidConfig(
                 "lane_quota must be >= 1 when set".into(),
             ));
-        }
-        if self.ring_capacity == 0 || self.ring_capacity > MAX_RING_CAPACITY {
-            return Err(MatchError::InvalidConfig(format!(
-                "ring_capacity must be in 1..={MAX_RING_CAPACITY}, got {}",
-                self.ring_capacity
-            )));
         }
         Ok(())
     }
@@ -527,6 +528,23 @@ mod tests {
             .with_ring_capacity(MAX_RING_CAPACITY + 1)
             .validate()
             .is_err());
+    }
+
+    #[test]
+    fn bins_are_bounded_above() {
+        let bins = |n| MatchConfig::default().with_bins(n).validate();
+        assert!(bins(MAX_BINS).is_ok());
+        assert!(bins(MAX_BINS + 1).is_err());
+        // The value that aborted the allocator before it was bounded.
+        assert!(bins(1 << 40).is_err());
+    }
+
+    #[test]
+    fn slot_capacities_stay_below_the_end_marker() {
+        let receives = |n| MatchConfig::default().with_max_receives(n).validate();
+        let unexpected = |n| MatchConfig::default().with_max_unexpected(n).validate();
+        assert!(receives(MAX_SLOTS).is_ok() && unexpected(MAX_SLOTS).is_ok());
+        assert!(receives(MAX_SLOTS + 1).is_err() && unexpected(MAX_SLOTS + 1).is_err());
     }
 
     #[test]

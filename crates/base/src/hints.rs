@@ -66,18 +66,19 @@ impl CommHints {
             WildcardClass::BothWild => !self.no_any_source && !self.no_any_tag,
         }
     }
-
-    /// The index classes an incoming message must search under these hints
-    /// (classes that can never hold a receive are skipped — one of the
-    /// §VII cost reductions).
-    pub fn searchable_classes(&self) -> impl Iterator<Item = WildcardClass> + '_ {
-        WildcardClass::ALL.into_iter().filter(|&c| self.permits(c))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The index classes a message searches under `h`.
+    fn searchable(h: CommHints) -> Vec<WildcardClass> {
+        WildcardClass::ALL
+            .into_iter()
+            .filter(|&c| h.permits(c))
+            .collect()
+    }
 
     #[test]
     fn default_permits_everything() {
@@ -85,7 +86,7 @@ mod tests {
         for c in WildcardClass::ALL {
             assert!(h.permits(c));
         }
-        assert_eq!(h.searchable_classes().count(), 4);
+        assert_eq!(searchable(h).len(), 4);
     }
 
     #[test]
@@ -101,7 +102,7 @@ mod tests {
             !h.permits(WildcardClass::BothWild),
             "both-wild uses ANY_SOURCE too"
         );
-        assert_eq!(h.searchable_classes().count(), 2);
+        assert_eq!(searchable(h).len(), 2);
     }
 
     #[test]
@@ -118,8 +119,7 @@ mod tests {
     #[test]
     fn no_wildcards_leaves_only_the_exact_index() {
         let h = CommHints::no_wildcards();
-        let classes: Vec<_> = h.searchable_classes().collect();
-        assert_eq!(classes, vec![WildcardClass::None]);
+        assert_eq!(searchable(h), vec![WildcardClass::None]);
         assert!(!h.allow_overtaking);
     }
 
@@ -127,6 +127,6 @@ mod tests {
     fn relaxed_adds_overtaking() {
         let h = CommHints::relaxed();
         assert!(h.allow_overtaking);
-        assert_eq!(h.searchable_classes().count(), 1);
+        assert_eq!(searchable(h).len(), 1);
     }
 }

@@ -6,9 +6,13 @@
 //! Each receive descriptor is 64 bytes, so 8 K simultaneously posted
 //! receives need about 520 KiB of DPA memory — to be compared with the
 //! BlueField-3 DPA caches (L2 1.5 MiB, L3 3 MiB).
+//!
+//! These constants are the paper's model, which the device budgets charge.
+//! The engine's bin is 8 bytes (`otm::list`: `{head, tail}` of 32-bit slot
+//! ids) and has no lock: its lanes never unlink.
 
-/// Bytes per hash-table bin: a 4-byte remove lock plus head and tail
-/// pointers at 8 bytes each (§IV-E).
+/// Bytes per hash-table bin in the paper's model: a 4-byte remove lock plus
+/// head and tail pointers at 8 bytes each (§IV-E).
 pub const BIN_BYTES: u64 = 4 + 8 + 8;
 
 /// Bytes per receive descriptor (§IV-E).

@@ -1,9 +1,11 @@
 //! **§IV-E memory footprint** — the analytic DPA memory model.
 //!
-//! Regenerates the paper's arithmetic: 20 B per bin (4 B remove lock + two
-//! 8 B chain pointers), 7.5 KiB for the three 128-bin index tables, 64 B
-//! per receive descriptor, ~520 KiB for 8 K simultaneous receives — against
-//! the BlueField-3 DPA caches (L2 1.5 MiB, L3 3 MiB).
+//! Regenerates the paper's arithmetic: 20 B per bin in the paper's model
+//! (4 B remove lock + two 8 B chain pointers), 7.5 KiB for the three 128-bin
+//! index tables, 64 B per receive descriptor, ~520 KiB for 8 K simultaneous
+//! receives — against the BlueField-3 DPA caches (L2 1.5 MiB, L3 3 MiB).
+//! The engine's own bin is 8 B (`otm::list`: a `{head, tail}` pair of 32-bit
+//! slot ids, no lock); the model, not the engine, is what is tabulated.
 //!
 //! Run with: `cargo run --release -p otm-bench --bin memory_footprint`
 //! (`--out PATH` redirects the JSON report).

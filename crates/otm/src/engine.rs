@@ -370,17 +370,16 @@ impl OtmEngine {
             }
         };
         host.last_pattern = Some(pattern);
-        let home = host.prq.home_of(&pattern);
-        let label = host.next_label;
+        let host = &mut *host;
         let desc = host.table.allocate(Payload {
             pattern,
-            label,
+            label: host.next_label,
             seq,
             handle: handle.0,
-            home,
+            home: host.prq.home_of(&pattern),
         })?;
         host.next_label = host.next_label.next();
-        host.prq.insert(home, desc);
+        host.prq.insert(&mut host.table, desc);
         tally.stats.posted += 1;
         span_event!(metrics, RECV_SUBJECT_BIT | handle.0, SpanKind::Posted);
         Ok(PostResult::Posted)
@@ -785,9 +784,9 @@ impl OtmEngine {
                 debug_assert_eq!(host.table.slot(desc).state(), crate::table::state::CONSUMED);
                 debug_assert_eq!(host.table.slot(desc).consumed_epoch(), epoch);
                 let payload = host.table.slot(desc).payload();
-                // §IV-D's lazy removal: the tombstone leaves its chain now
+                // §IV-D's lazy removal: the tombstone leaves its list now
                 // that the block's lanes are done walking it.
-                host.prq.unlink(payload.home, desc);
+                host.prq.unlink(&mut host.table, desc);
                 host.table.release(desc);
                 block.tally.stats.matched += 1;
                 deliver(
@@ -849,7 +848,7 @@ impl OtmEngine {
         let mut unexpected = Vec::new();
         for (_, shard) in &lanes {
             let mut host = lock(&shard.host);
-            let mut posted = host.table.posted_snapshot();
+            let mut posted: Vec<_> = host.table.posted().collect();
             posted.sort_by_key(|p| p.label);
             receives.extend(
                 posted
@@ -870,10 +869,7 @@ impl OtmEngine {
         self.shards
             .all_sorted()
             .iter()
-            .map(|(_, s)| {
-                let host = lock(&s.host);
-                host.prq.live_count(&host.table)
-            })
+            .map(|(_, s)| lock(&s.host).table.posted().count())
             .sum()
     }
 

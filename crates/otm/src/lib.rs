@@ -65,6 +65,7 @@ pub mod block;
 pub mod command;
 pub mod engine;
 pub mod index;
+pub mod list;
 pub mod metrics;
 pub mod ring;
 pub mod scheduler;

@@ -17,7 +17,10 @@
 //! what a multi-core block executor would share. They are also the only
 //! read-modify-writes a lane issues — one booking `fetch_or`, one consume
 //! CAS — since what a lane counts goes into the block's plain-integer tally.
+//! A slot's `Link` on its index list is a plain field, written through
+//! `&mut` by posting and block-end cleanup and read by lanes through `&`.
 
+use crate::list::{IndexHome, Link, Slab};
 use otm_base::{MatchError, PostLabel, ReceivePattern, SeqId, WildcardClass};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
@@ -35,15 +38,6 @@ pub mod state {
     pub const CONSUMED: u8 = 2;
 }
 
-/// Where a posted receive was indexed, so consumption can unlink it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IndexHome {
-    /// Which of the four index structures holds the receive.
-    pub class: WildcardClass,
-    /// Bin within the class's table (0 for the both-wildcard list).
-    pub bin: usize,
-}
-
 /// The matching payload of a posted receive.
 ///
 /// Written when the slot is allocated (through `&mut`) and read by block
@@ -59,7 +53,7 @@ pub struct Payload {
     pub seq: SeqId,
     /// Caller's receive handle, returned on a match.
     pub handle: u64,
-    /// Where the receive is indexed.
+    /// The index list the receive is on.
     pub home: IndexHome,
 }
 
@@ -67,6 +61,8 @@ pub struct Payload {
 #[derive(Debug)]
 pub struct Slot {
     payload: Payload,
+    /// Neighbours on the list `payload.home`.
+    link: Link,
     state: AtomicU8,
     /// Booking bitmap: bit *i* set means block thread *i* optimistically
     /// booked this receive (§III-C). Cleared by the coordinator at block end
@@ -89,9 +85,10 @@ impl Slot {
                 handle: 0,
                 home: IndexHome {
                     class: WildcardClass::BothWild,
-                    bin: 0,
+                    list: 0,
                 },
             },
+            link: Link::default(),
             state: AtomicU8::new(state::FREE),
             booking: AtomicU64::new(0),
             consumed_epoch: AtomicU64::new(0),
@@ -212,26 +209,36 @@ impl ReceiveTable {
         Ok(id)
     }
 
-    /// Snapshot of every posted receive's payload, in no particular order.
-    /// Used by the software fallback to migrate state off the device.
-    pub fn posted_snapshot(&self) -> Vec<Payload> {
+    /// Every posted receive's payload, in no particular order (walks every
+    /// slot). The software fallback migrates them off the device.
+    pub fn posted(&self) -> impl Iterator<Item = Payload> + '_ {
         self.slots
             .iter()
-            .filter(|s| s.state() == state::POSTED)
-            .map(|s| s.payload())
-            .collect()
+            .filter(|s| s.is_posted())
+            .map(Slot::payload)
     }
 
     /// Releases a consumed slot back to the free list.
     ///
     /// Must only be called after the slot has been unlinked from its index
-    /// chain.
+    /// list.
     pub fn release(&mut self, id: DescId) {
         let slot = &self.slots[id as usize];
         debug_assert_eq!(slot.state(), state::CONSUMED);
         slot.state.store(state::FREE, Ordering::Release);
         slot.booking.store(0, Ordering::Relaxed);
         self.free.push(id);
+    }
+}
+
+/// A posted receive is on one list, so one link serves every view.
+impl Slab for ReceiveTable {
+    fn link(&self, slot: u32, _view: usize) -> &Link {
+        &self.slots[slot as usize].link
+    }
+
+    fn link_mut(&mut self, slot: u32, _view: usize) -> &mut Link {
+        &mut self.slots[slot as usize].link
     }
 }
 
@@ -248,7 +255,7 @@ mod tests {
             handle: u64::from(tag),
             home: IndexHome {
                 class: WildcardClass::None,
-                bin: 3,
+                list: 3,
             },
         }
     }
@@ -260,7 +267,7 @@ mod tests {
         let slot = t.slot(id);
         assert!(slot.is_posted());
         assert_eq!(slot.payload().handle, 9);
-        assert_eq!(slot.payload().home.bin, 3);
+        assert_eq!(slot.payload().home.list, 3);
         assert_eq!(t.allocated(), 1);
     }
 

@@ -12,63 +12,40 @@
 //! posting and block-end unexpected insertion are serialized with block
 //! execution), so it needs no internal synchronization.
 //!
-//! # Four lists through one slab
-//!
-//! Every waiting message is one slab entry, and the entry itself carries the
-//! `prev`/`next` links of the four lists it is on: its `(src, tag)` bin, its
-//! `tag` bin, its `src` bin and the arrival-order list. The lists' ends are
-//! one boxed slice of `3 · bins + 1` `{head, tail}` pairs — nothing is
-//! allocated per bin, and an empty bin is eight bytes. Inserting appends to
-//! four tails, with the three bin indexes taken from the hashes the sender
-//! inlined (§IV-D). Every list is in arrival order, so the first match on the
-//! list a receive's class selects is the oldest one (C2).
-//!
-//! Removal is O(1) because the links are in the entry: a hit rewrites the
-//! `next` of up to four predecessors (or the list's head) and the `prev` of
-//! up to four successors (or its tail), wherever in its lists the entry sits,
-//! and the slot goes back on the free list at once. No list ever holds a
-//! reference to a slot that is not live, so there is nothing to sweep and a
-//! search never steps over anything dead: [`UmqMatch::depth`] — the entries a
-//! search examined, the hit included — counts waiting messages only.
+//! A waiting message is one slab entry carrying its links on four lists of
+//! [`list`](crate::list): its `(src, tag)`, `tag` and `src` bins, taken from
+//! the hashes the sender inlined (§IV-D), and the arrival-order list the
+//! both-wildcard receives search. Every list is in arrival order, so the
+//! first match on the one a receive's class selects is the oldest (C2). A
+//! hit leaves all four lists in O(1) and its slot is free at once: no list
+//! holds a dead slot, so nothing is swept and [`UmqMatch::depth`] — the
+//! entries a search examined, the hit included — counts waiting messages.
 
-use crate::table::IndexHome;
+use crate::list::{IndexHome, Link, Lists, Slab};
 use mpi_matching::MsgHandle;
-use otm_base::hash::bin_of;
-use otm_base::{ArrivalSeq, Envelope, InlineHashes, MatchError, ReceivePattern};
-
-/// No slot: past either end of a list, and both ends of an empty one.
-const NIL: u32 = u32::MAX;
-
-/// The view — position in [`UmqEntry::lists`] and [`UmqEntry::links`] — of
-/// the arrival-order list; views 0–2 are the `(src, tag)`, `tag` and `src`
-/// bins. A view is the [`WildcardClass::index`](otm_base::WildcardClass::index)
-/// of the receives that search it.
-const ORDER: usize = 3;
-
-/// The two ends of one list.
-#[derive(Debug, Clone, Copy)]
-struct Ends {
-    head: u32,
-    tail: u32,
-}
-
-/// An entry's neighbours on one of its lists.
-#[derive(Debug, Clone, Copy)]
-struct Link {
-    prev: u32,
-    next: u32,
-}
+use otm_base::config::MAX_SLOTS;
+use otm_base::{ArrivalSeq, Envelope, InlineHashes, MatchError, ReceivePattern, WildcardClass};
 
 #[derive(Debug, Clone, Copy)]
 struct UmqEntry {
     env: Envelope,
     handle: MsgHandle,
     arrival: ArrivalSeq,
-    /// The list the entry is on in each view, as an index into
-    /// [`UnexpectedStore::ends`].
+    /// The position of the list the entry is on in each view, in class
+    /// order (the view gives the class, so an entry stays 80 bytes).
     lists: [u32; 4],
-    /// Its neighbours on that list.
+    /// Its neighbours there.
     links: [Link; 4],
+}
+
+impl Slab for Vec<UmqEntry> {
+    fn link(&self, slot: u32, view: usize) -> &Link {
+        &self[slot as usize].links[view]
+    }
+
+    fn link_mut(&mut self, slot: u32, view: usize) -> &mut Link {
+        &mut self[slot as usize].links[view]
+    }
 }
 
 /// A found unexpected message.
@@ -85,31 +62,23 @@ pub struct UmqMatch {
 /// The unexpected-message store for one communicator (see module docs).
 #[derive(Debug)]
 pub struct UnexpectedStore {
-    bins: usize,
     capacity: usize,
     /// Waiting messages and freed slots; a slot is one or the other.
     slab: Vec<UmqEntry>,
     free: Vec<u32>,
-    /// View `v`'s bin `b` at `v · bins + b`, the arrival-order list last.
-    ends: Box<[Ends]>,
+    lists: Lists,
 }
 
 impl UnexpectedStore {
     /// Creates a store with `bins` bins per index and room for `capacity`
     /// simultaneously waiting messages.
     pub fn new(bins: usize, capacity: usize) -> Self {
-        assert!(bins > 0, "UMQ index tables need at least one bin");
-        let empty = Ends {
-            head: NIL,
-            tail: NIL,
-        };
+        assert!(capacity <= MAX_SLOTS, "capacity must be <= {MAX_SLOTS}");
         UnexpectedStore {
-            bins,
-            // Slots are 32-bit and the last value is `NIL`.
-            capacity: capacity.min(NIL as usize),
+            capacity,
             slab: Vec::new(),
             free: Vec::new(),
-            ends: vec![empty; ORDER * bins + 1].into_boxed_slice(),
+            lists: Lists::new(bins),
         }
     }
 
@@ -144,24 +113,13 @@ impl UnexpectedStore {
         if self.len() >= self.capacity {
             return Err(MatchError::UnexpectedStoreFull);
         }
-        let bins = self.bins;
-        let lists = [
-            bin_of(hashes.src_tag, bins),
-            bins + bin_of(hashes.tag, bins),
-            2 * bins + bin_of(hashes.src, bins),
-            ORDER * bins,
-        ]
-        .map(|list| list as u32);
-        let links = lists.map(|list| Link {
-            prev: self.ends[list as usize].tail,
-            next: NIL,
-        });
+        let homes = self.lists.of_message(hashes);
         let entry = UmqEntry {
             env,
             handle,
             arrival,
-            lists,
-            links,
+            lists: homes.map(|h| h.list),
+            links: [Link::default(); 4],
         };
         let slot = match self.free.pop() {
             Some(slot) => {
@@ -173,13 +131,8 @@ impl UnexpectedStore {
                 (self.slab.len() - 1) as u32
             }
         };
-        for (view, (list, link)) in lists.into_iter().zip(links).enumerate() {
-            let ends = &mut self.ends[list as usize];
-            ends.tail = slot;
-            match link.prev {
-                NIL => ends.head = slot,
-                prev => self.slab[prev as usize].links[view].next = slot,
-            }
+        for home in homes {
+            self.lists.push_back(&mut self.slab, home, slot);
         }
         Ok(())
     }
@@ -191,17 +144,13 @@ impl UnexpectedStore {
         if self.is_empty() {
             return None;
         }
-        let home = IndexHome::of(pattern, self.bins);
-        let view = home.class.index();
-        let mut slot = self.ends[view * self.bins + home.bin].head;
+        let home = self.lists.of_pattern(pattern);
         let mut depth = 0usize;
-        while slot != NIL {
-            let entry = &self.slab[slot as usize];
+        for slot in self.lists.iter(&self.slab, home) {
             depth += 1;
-            if pattern.matches(&entry.env) {
+            if pattern.matches(&self.slab[slot as usize].env) {
                 return Some((slot, depth));
             }
-            slot = entry.links[view].next;
         }
         None
     }
@@ -215,18 +164,11 @@ impl UnexpectedStore {
             handle,
             arrival,
             lists,
-            links,
             ..
         } = self.slab[slot as usize];
-        for (view, (list, link)) in lists.into_iter().zip(links).enumerate() {
-            match link.prev {
-                NIL => self.ends[list as usize].head = link.next,
-                prev => self.slab[prev as usize].links[view].next = link.next,
-            }
-            match link.next {
-                NIL => self.ends[list as usize].tail = link.prev,
-                next => self.slab[next as usize].links[view].prev = link.prev,
-            }
+        for (class, list) in WildcardClass::ALL.into_iter().zip(lists) {
+            self.lists
+                .unlink(&mut self.slab, IndexHome { class, list }, slot);
         }
         self.free.push(slot);
         Some(UmqMatch {
@@ -238,17 +180,18 @@ impl UnexpectedStore {
 
     /// The waiting messages, oldest first.
     fn in_order(&self) -> impl Iterator<Item = &UmqEntry> {
-        // `NIL` indexes no slot: the capacity stops the slab short of it.
-        let at = |slot: u32| self.slab.get(slot as usize);
-        let first = self.ends[ORDER * self.bins].head;
-        std::iter::successors(at(first), move |e| at(e.links[ORDER].next))
+        // The arrival-order list is the one list of the both-wildcard view.
+        let (slab, order) = (&self.slab, self.lists.home(WildcardClass::BothWild, 0));
+        self.lists
+            .iter(slab, order)
+            .map(|slot| &slab[slot as usize])
     }
 
     /// Drains every waiting message in arrival order. Used by the software
     /// fallback to migrate state off the device.
     pub fn drain(&mut self) -> Vec<(Envelope, MsgHandle)> {
         let out = self.in_order().map(|e| (e.env, e.handle)).collect();
-        *self = UnexpectedStore::new(self.bins, self.capacity);
+        *self = UnexpectedStore::new(self.lists.bins(), self.capacity);
         out
     }
 
@@ -267,34 +210,23 @@ impl UnexpectedStore {
 
 #[cfg(test)]
 impl UnexpectedStore {
-    /// Walks all `3 · bins + 1` lists and panics unless every waiting message
-    /// is reached exactly once in each view, on the list it names there, with
-    /// `prev`/`next` and the lists' ends agreeing, and no freed slot is
-    /// reached at all.
+    /// [`Lists::check_links`] over the slab: panics unless every waiting
+    /// message is reached exactly once in each view, on the list it names
+    /// there, and no freed slot is reached at all.
     fn check_links(&self) {
-        assert_eq!(self.ends.len(), ORDER * self.bins + 1);
         let mut freed = vec![false; self.slab.len()];
         for &slot in &self.free {
             let twice = std::mem::replace(&mut freed[slot as usize], true);
             assert!(!twice, "slot {slot} is on the free list twice");
         }
-        let mut seen = vec![[false; 4]; self.slab.len()];
-        let mut reached = [0usize; 4];
-        for (list, ends) in self.ends.iter().enumerate() {
-            let view = list / self.bins;
-            let (mut prev, mut slot) = (NIL, ends.head);
-            while slot != NIL {
-                let entry = &self.slab[slot as usize];
-                assert!(!freed[slot as usize], "list {list} reaches freed {slot}");
-                assert_eq!(entry.lists[view] as usize, list, "slot {slot} is misfiled");
-                assert_eq!(entry.links[view].prev, prev, "slot {slot}, list {list}");
-                let twice = std::mem::replace(&mut seen[slot as usize][view], true);
-                assert!(!twice, "slot {slot} reached twice in view {view}");
-                reached[view] += 1;
-                (prev, slot) = (slot, entry.links[view].next);
-            }
-            assert_eq!(ends.tail, prev, "tail of list {list}");
-        }
+        let home = |slot: u32, view: usize| {
+            let (class, list) = (
+                WildcardClass::ALL[view],
+                self.slab[slot as usize].lists[view],
+            );
+            (!freed[slot as usize]).then_some(IndexHome { class, list })
+        };
+        let reached = self.lists.check_links(&self.slab, home);
         assert_eq!(reached, [self.len(); 4], "waiting messages per view");
     }
 }
@@ -499,7 +431,6 @@ mod tests {
         // The head, and with it the last entry: every list is empty again.
         assert_eq!(u.match_post(&exact(0)).unwrap().depth, 1);
         assert!(u.store.is_empty());
-        assert!(u.store.ends.iter().all(|e| (e.head, e.tail) == (NIL, NIL)));
     }
 
     #[test]

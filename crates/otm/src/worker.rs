@@ -8,8 +8,8 @@
 //! protocol's correctness argument lives in DESIGN.md §5 and is enforced
 //! end-to-end by the oracle property tests.
 
-use crate::block::{below_mask, result_code, BlockState, LaneData};
-use crate::index::SearchOutcome;
+use crate::block::{below_mask, result_code, BlockState};
+use crate::index::{walk_sequence, SearchOutcome};
 use crate::metrics::{span_event, EngineMetrics};
 use crate::shard::{Locked, ShardHost};
 use otm_base::MatchConfig;
@@ -62,7 +62,10 @@ fn search_and_book(ctx: &LaneCtx<'_>, block: &mut BlockState, shards: &[Locked<'
     } else {
         0
     };
-    let search = search_indexes(comm, lane_data, skip_mask);
+    let (env, hashes) = (&lane_data.env, &lane_data.hashes);
+    let search = comm
+        .prq
+        .search(env, hashes, &comm.table, skip_mask, comm.hints);
 
     // Phase 2 — book the candidate: set our bit in its booking bitmap.
     if let Some(cand) = search.candidate {
@@ -70,22 +73,6 @@ fn search_and_book(ctx: &LaneCtx<'_>, block: &mut BlockState, shards: &[Locked<'
         block.booked_desc[lane] = cand.desc;
     }
     block.searches[lane] = Some(search);
-}
-
-/// A lane's search of its communicator's four indexes, skipping the index
-/// classes the hints ban. A communicator with no receive allocated — every
-/// early arrival's — has nothing in any chain: the lane answers without
-/// computing a bin or reading a chain header.
-fn search_indexes(comm: &ShardHost, lane: &LaneData, skip_mask: u64) -> SearchOutcome {
-    if comm.table.allocated() == 0 {
-        return SearchOutcome {
-            candidate: None,
-            depth: 0,
-            skipped_booked: false,
-        };
-    }
-    comm.prq
-        .search_hinted(&lane.env, &lane.hashes, &comm.table, skip_mask, comm.hints)
 }
 
 /// Second sweep — conflict detection (§III-D2), up to the second partial
@@ -183,7 +170,8 @@ fn run_lane_relaxed(
 ) -> u64 {
     let (lane_data, epoch) = (&block.lanes[lane], block.epoch);
     loop {
-        let out = search_indexes(comm, lane_data, 0);
+        let (env, hashes) = (&lane_data.env, &lane_data.hashes);
+        let out = comm.prq.search(env, hashes, &comm.table, 0, comm.hints);
         block.searches[lane].get_or_insert(out);
         match out.candidate {
             None => break result_code::UNEXPECTED,
@@ -216,7 +204,6 @@ fn resolve_conflict(
 ) -> u64 {
     let (below, forced, epoch) = (below_mask(lane), block.forced, block.epoch);
     let table = &comm.table;
-    let prq = &comm.prq;
 
     // Fast path (§III-D3a). Sound when:
     //  * we have a candidate and did not skip anything ourselves,
@@ -228,7 +215,7 @@ fn resolve_conflict(
     //  * the sequence of compatible receives is long enough for our rank.
     // The rank walk counts same-sequence entries consumed in this block as
     // steps (they are being taken by lower-ranked lanes), which is sound
-    // because consumed entries stay linked in the chain until the block
+    // because consumed entries stay linked in the list until the block
     // ends: no lane unlinks.
     if ctx.config.fast_path && !search.skipped_booked {
         if let Some(cand) = search.candidate {
@@ -237,9 +224,7 @@ fn resolve_conflict(
             if no_lower_skips && all_lower_booked {
                 let payload = table.slot(cand.desc).payload();
                 let rank = below.count_ones() as usize;
-                if let Some(target) =
-                    prq.walk_sequence(payload.home, cand.desc, rank, payload.seq, table, epoch)
-                {
+                if let Some(target) = walk_sequence(table, cand.desc, rank, payload.seq, epoch) {
                     if table.slot(target).try_consume(epoch) {
                         block.tally.stats.fast_path += 1;
                         span_event!(
@@ -268,9 +253,8 @@ fn resolve_slow(ctx: &LaneCtx<'_>, block: &mut BlockState, lane: usize, comm: &S
 
     block.tally.stats.slow_path += 1;
     loop {
-        let out = comm
-            .prq
-            .research(&lane_data.env, &lane_data.hashes, table, comm.hints);
+        let (env, hashes) = (&lane_data.env, &lane_data.hashes);
+        let out = comm.prq.search(env, hashes, table, 0, comm.hints);
         match out.candidate {
             None => return result_code::UNEXPECTED,
             Some(c) => {

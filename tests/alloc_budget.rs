@@ -9,7 +9,8 @@
 //! unexpected, the way `stream_unexp` does.
 //!
 //! The same counter bounds what a peer costs to have: a destination's queue
-//! pairs, senders and NIC built, used for one message each and dropped.
+//! pairs, senders and NIC built, used for one message each and dropped; and
+//! what a communicator costs the engine that matches for it.
 //!
 //! This file is its own test binary with one `#[test]`, so nothing else
 //! allocates while it counts, and it holds the only `unsafe` in the
@@ -20,6 +21,7 @@ use dpa_sim::bounce::BouncePool;
 use dpa_sim::nic::RecvNic;
 use dpa_sim::rdma::{connected_pair, eager_packet, rendezvous_packet, RdmaDomain};
 use dpa_sim::{MatchingService, ReliableSender, ServiceMetrics};
+use mpi_matching::RecvHandle;
 use otm::OtmEngine;
 use otm_base::{CommId, Envelope, MatchConfig, Rank, ReceivePattern, Tag};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -198,6 +200,22 @@ fn construction_allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed) - before
 }
 
+/// Allocations to create one communicator at the default configuration: the
+/// first post on a fresh `CommId` builds its shard (receive table, both
+/// queues' list ends, submission ring) and posts into it.
+fn communicator_allocations() -> u64 {
+    let mut engine = OtmEngine::new(MatchConfig::default()).unwrap();
+    let post = |engine: &mut OtmEngine, comm| {
+        let pattern = ReceivePattern::new(Rank(0), Tag(0), CommId(comm));
+        engine.post(pattern, RecvHandle(u64::from(comm))).unwrap();
+    };
+    // The first communicator also sizes the directory.
+    post(&mut engine, 1);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    post(&mut engine, 2);
+    ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
 #[test]
 fn steady_state_allocations_per_message_stay_in_budget() {
     // The payload, and a share of the per-drain and per-poll vectors: the
@@ -243,4 +261,14 @@ fn steady_state_allocations_per_message_stay_in_budget() {
         "{PEERS}-peer destination: {construction} allocations"
     );
     println!("allocations per {PEERS}-peer destination: {construction}");
+    // The table's slots and free list, one slice of list ends per queue, the
+    // ring and the shard; the post links its receive through its slot.
+    // Measured 6 (9 when a bin was a vector: three slices of them, and a
+    // post's push into an empty one).
+    let communicator = communicator_allocations();
+    assert!(
+        communicator <= 6,
+        "{communicator} allocations a communicator"
+    );
+    println!("allocations per communicator: {communicator}");
 }

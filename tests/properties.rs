@@ -601,6 +601,221 @@ fn unexpected_store_equals_an_arrival_ordered_vec() {
     );
 }
 
+/// One step of the posted-receive model test.
+#[derive(Debug, Clone, Copy)]
+enum PrqOp {
+    /// Post a receive; it shares the previous post's sequence id when the
+    /// patterns are the same.
+    Post(ReceivePattern),
+    /// A lane's search for a message, consuming the candidate it finds.
+    Match(Envelope),
+    /// Consume the `n`-th allocated receive (modulo their number) directly.
+    Tombstone(usize),
+    /// The fast path's walk from the `n`-th allocated receive, `rank` steps.
+    Walk(usize, usize),
+    /// Block end: unlink and free the tombstones whose model position has
+    /// its bit set in the mask, then start the next block.
+    BlockEnd(u64),
+}
+
+/// The posted-receive indexes against a `Vec` in post-label order: random
+/// posts of all four classes (runs of one pattern among them), lane-style
+/// searches that consume their candidate, direct tombstones, fast-path walks
+/// and block ends that unlink a random subset of the tombstones, at one bin,
+/// two and 128, with `check_links` after every operation. A receive's list
+/// is worked out from the hash functions, and the model's depth is what
+/// §III-C says a search examines: in each of the four lists the message
+/// keys, the posted receives up to that list's first match.
+#[test]
+fn posted_indexes_equal_a_label_ordered_vec() {
+    use otm::index::{walk_sequence, PrqIndexes};
+    use otm::table::{state, Payload, ReceiveTable};
+    use otm_base::hash::{bin_of, hash_src, hash_src_tag, hash_tag};
+    use otm_base::{CommHints, InlineHashes, MatchError, PostLabel, SeqId};
+
+    struct Entry {
+        pattern: ReceivePattern,
+        label: u64,
+        seq: u64,
+        desc: u32,
+        /// The epoch of the block that consumed it, once it has.
+        consumed: Option<u64>,
+    }
+
+    cases(
+        "posted_indexes_equal_a_label_ordered_vec",
+        CASES,
+        |rng, size| {
+            let bins = [1, 2, 128][rng.below(3) as usize];
+            let capacity = range(rng, 1..48) as usize;
+            let mut last = ReceivePattern::any_any();
+            let ops: Vec<PrqOp> = (0..4 * size)
+                .map(|_| match rng.below(100) {
+                    0..=4 => PrqOp::BlockEnd(rng.next_u64() | rng.next_u64()),
+                    5..=14 => PrqOp::Tombstone(rng.below(64) as usize),
+                    15..=29 => PrqOp::Walk(rng.below(64) as usize, rng.below(5) as usize),
+                    draw => match prop::event_mix(rng, CommId::WORLD, 4, 4, [4, 3, 1, 1, 1]) {
+                        MatchEvent::Arrive(env) => PrqOp::Match(env),
+                        MatchEvent::Post(_) if draw < 55 => PrqOp::Post(last),
+                        MatchEvent::Post(p) => {
+                            last = p;
+                            PrqOp::Post(p)
+                        }
+                    },
+                })
+                .collect();
+            (bins, capacity, ops)
+        },
+        |(bins, capacity, ops)| {
+            // The list a pattern is on: its class and its key's bin.
+            let home = |p: &ReceivePattern| {
+                let c = p.comm;
+                let bin = match (p.src, p.tag) {
+                    (SourceSel::Rank(s), TagSel::Tag(t)) => bin_of(hash_src_tag(s, t, c), bins),
+                    (SourceSel::Any, TagSel::Tag(t)) => bin_of(hash_tag(t, c), bins),
+                    (SourceSel::Rank(s), TagSel::Any) => bin_of(hash_src(s, c), bins),
+                    (SourceSel::Any, TagSel::Any) => 0,
+                };
+                (p.wildcard_class(), bin)
+            };
+            let mut idx = PrqIndexes::new(bins);
+            let mut table = ReceiveTable::new(capacity);
+            let mut model: Vec<Entry> = Vec::new();
+            let (mut epoch, mut next_label, mut seq) = (1u64, 0u64, 0u64);
+            let mut last: Option<ReceivePattern> = None;
+            for (step, op) in ops.into_iter().enumerate() {
+                match op {
+                    PrqOp::Post(pattern) => {
+                        if last != Some(pattern) {
+                            seq += 1;
+                        }
+                        last = Some(pattern);
+                        let desc = table.allocate(Payload {
+                            pattern,
+                            label: PostLabel(next_label),
+                            seq: SeqId(seq),
+                            handle: next_label,
+                            home: idx.home_of(&pattern),
+                        });
+                        if model.len() < capacity {
+                            let desc = desc.unwrap();
+                            idx.insert(&mut table, desc);
+                            model.push(Entry {
+                                pattern,
+                                label: next_label,
+                                seq,
+                                desc,
+                                consumed: None,
+                            });
+                            next_label += 1;
+                        } else {
+                            assert_eq!(desc, Err(MatchError::ReceiveTableFull), "step {step}");
+                        }
+                    }
+                    PrqOp::Match(env) => {
+                        // Each class's list the message keys: the posted
+                        // receives on it up to its first match are examined.
+                        let mut depth = 0;
+                        let mut hit: Option<usize> = None;
+                        for (src, tag) in [
+                            (env.src.into(), env.tag.into()),
+                            (SourceSel::Any, env.tag.into()),
+                            (env.src.into(), TagSel::Any),
+                            (SourceSel::Any, TagSel::Any),
+                        ] {
+                            let list = home(&ReceivePattern::new(src, tag, env.comm));
+                            let on_list = model
+                                .iter()
+                                .enumerate()
+                                .filter(|(_, e)| e.consumed.is_none() && home(&e.pattern) == list);
+                            for (at, e) in on_list {
+                                depth += 1;
+                                if e.pattern.matches(&env) {
+                                    hit = Some(hit.map_or(at, |h| h.min(at)));
+                                    break;
+                                }
+                            }
+                        }
+                        let out =
+                            idx.search(&env, &InlineHashes::of(&env), &table, 0, CommHints::NONE);
+                        let got = out.candidate.map(|c| (c.desc, c.label.0));
+                        let expected = hit.map(|at| (model[at].desc, model[at].label));
+                        assert_eq!((got, out.depth), (expected, depth), "step {step}: {env}");
+                        assert!(!out.skipped_booked);
+                        if let Some(at) = hit {
+                            assert!(table.slot(model[at].desc).try_consume(epoch));
+                            model[at].consumed = Some(epoch);
+                        }
+                    }
+                    PrqOp::Tombstone(n) if !model.is_empty() => {
+                        let len = model.len();
+                        let e = &mut model[n % len];
+                        if e.consumed.is_none() {
+                            assert!(table.slot(e.desc).try_consume(epoch), "step {step}");
+                            e.consumed = Some(epoch);
+                        }
+                    }
+                    PrqOp::Walk(n, rank) if !model.is_empty() => {
+                        // From the candidate, `rank` steps down its list, each
+                        // in the same sequence and not consumed in an older
+                        // block.
+                        let at = n % model.len();
+                        let (cand, list) = (&model[at], home(&model[at].pattern));
+                        let expected = if rank == 0 {
+                            Some(cand.desc)
+                        } else {
+                            model[at + 1..]
+                                .iter()
+                                .filter(|e| home(&e.pattern) == list)
+                                .take(rank)
+                                .take_while(|e| {
+                                    e.seq == cand.seq && e.consumed.unwrap_or(epoch) == epoch
+                                })
+                                .nth(rank - 1)
+                                .map(|e| e.desc)
+                        };
+                        let got = walk_sequence(&table, cand.desc, rank, SeqId(cand.seq), epoch);
+                        assert_eq!(
+                            got, expected,
+                            "step {step}: walk {rank} from {}",
+                            cand.label
+                        );
+                    }
+                    PrqOp::BlockEnd(mask) => {
+                        let mut at = 0;
+                        model.retain(|e| {
+                            let unlink = e.consumed.is_some() && mask >> (at % 64) & 1 == 1;
+                            at += 1;
+                            if unlink {
+                                idx.unlink(&mut table, e.desc);
+                                table.release(e.desc);
+                            }
+                            !unlink
+                        });
+                        epoch += 1;
+                    }
+                    PrqOp::Tombstone(_) | PrqOp::Walk(..) => {}
+                }
+                idx.check_links(&table);
+                let posted = model.iter().filter(|e| e.consumed.is_none()).count();
+                assert_eq!(
+                    (table.allocated(), table.posted().count()),
+                    (model.len(), posted),
+                    "step {step}"
+                );
+                for e in &model {
+                    let expected = if e.consumed.is_some() {
+                        state::CONSUMED
+                    } else {
+                        state::POSTED
+                    };
+                    assert_eq!(table.slot(e.desc).state(), expected, "step {step}");
+                }
+            }
+        },
+    );
+}
+
 /// The chaos oracle over random seeds: a hostile wire (drops,
 /// duplicates, reorders and delays at 10%+ each, recovered by the
 /// reliability protocol) never changes a matched (receive, message)
