@@ -84,6 +84,7 @@ use dpa_sim::bounce::BouncePool;
 use dpa_sim::nic::RecvNic;
 use dpa_sim::rdma::{connected_pair, eager_packet, QueuePair, RdmaDomain};
 use dpa_sim::reliable::PROTOCOL_LABEL;
+use dpa_sim::service::ServiceError;
 use dpa_sim::{
     Admission, FeedbackController, MatchMode, MatchServer, MatchdConfig, MatchingService,
     PingPongConfig, PingPongResult, ReliableSender, Scenario, TenantConfig, TenantSession,
@@ -243,8 +244,8 @@ json_fields!(Fig8Results: series, sharded, mixed, faults, tenants, trace_events)
 /// Aggregate + per-shard throughput of the concurrent command-queue run:
 /// `--threads` sender threads blast eager packets at `--shards` communicator
 /// shards — one queue pair per shard on one receive NIC — while the main
-/// thread pumps the [`MatchingService`] over a sharded [`OtmEngine`] with
-/// the command queue enabled, so staging, submit, the pipelined drain and
+/// thread pumps the [`MatchingService`] over a sharded [`OtmEngine`], driven
+/// through its command queue, so staging, submit, the pipelined drain and
 /// the eager protocol copy are all on the measured path.
 #[derive(Debug)]
 struct ShardedReport {
@@ -742,6 +743,27 @@ struct FaultRun {
     spans: Option<(Vec<otm_metrics::SpanEvent>, u64)>,
 }
 
+/// Pre-posts `patterns` in order, under consecutive handles, before any
+/// message is sent. A post is a command on the engine's per-communicator
+/// submission ring: a full ring is drained by a progress call and the post
+/// retried under its handle, and a last progress applies the tail.
+fn pre_post(svc: &mut MatchingService, patterns: impl IntoIterator<Item = ReceivePattern>) {
+    for pattern in patterns {
+        let handle = svc.reserve_recv();
+        while let Err(e) = svc.post_recv_queued_reserved(pattern, handle) {
+            assert!(
+                matches!(
+                    e,
+                    ServiceError::Match(MatchError::SubmissionRingFull { .. })
+                ),
+                "pre-post failed: {e}"
+            );
+            svc.progress().expect("service alive");
+        }
+    }
+    svc.progress().expect("service alive");
+}
+
 /// Pushes `messages` eager packets through the full service path — queue
 /// pair, (optionally faulty) receive NIC, command queue, pipelined drain,
 /// eager copy — with the sender wrapped in the reliability protocol, and
@@ -770,20 +792,17 @@ fn fault_run(
         nic.set_faults(plan.clone());
     }
     let mut svc = MatchingService::with_backend(nic, domain, Box::new(engine));
-    svc.enable_command_queue()
-        .expect("the offloaded engine has a command queue");
+    pre_post(
+        &mut svc,
+        (0..messages)
+            .map(|i| ReceivePattern::new(Rank(i as u32 % 8), Tag(i as u32 % 64), CommId(1))),
+    );
     svc.attach_controller(FeedbackController::with_defaults());
     if args.series.is_some() {
         // The service samples itself on its poll clock; the cadence keeps
         // the series to a few hundred points on the fault-free run (which
         // completes up to a full reliability window per poll).
         svc.attach_series(SeriesRecorder::new((messages as u64 / 512).max(1)));
-    }
-
-    for i in 0..messages {
-        let (src, tag) = (Rank(i as u32 % 8), Tag(i as u32 % 64));
-        svc.post_recv(ReceivePattern::new(src, tag, CommId(1)))
-            .expect("table sized for the full budget");
     }
 
     let mut sender = ReliableSender::new(tx);
@@ -1353,19 +1372,19 @@ fn run_sharded(args: &CommonArgs, budget: usize) -> ShardedReport {
     }
     let mut svc =
         MatchingService::with_backend(nic.expect("at least one shard"), domain, Box::new(engine));
-    svc.enable_command_queue()
-        .expect("the offloaded engine has a command queue");
 
     // Pre-post every receive, shard-major: the service hands out handles in
     // post order, so shard `s` owns `[s * per_shard, (s + 1) * per_shard)`.
-    for shard in 0..shards {
-        let comm = CommId(shard as u16 + 1);
-        for i in 0..per_shard {
-            let (src, tag) = (Rank(i as u32 % 8), Tag(i as u32 % 64));
-            svc.post_recv(ReceivePattern::new(src, tag, comm))
-                .expect("table sized for the full budget");
-        }
-    }
+    let patterns = (0..shards).flat_map(|shard| {
+        (0..per_shard).map(move |i| {
+            ReceivePattern::new(
+                Rank(i as u32 % 8),
+                Tag(i as u32 % 64),
+                CommId(shard as u16 + 1),
+            )
+        })
+    });
+    pre_post(&mut svc, patterns);
 
     // Partition the sender endpoints across the threads (QueuePair is not
     // Sync: each endpoint moves into exactly one thread).

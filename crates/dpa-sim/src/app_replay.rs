@@ -520,8 +520,6 @@ pub fn replay_app(
         let engine = OtmEngine::new(config).map_err(ServiceError::Match)?;
         let domain = RdmaDomain::new();
         let mut svc = MatchingService::with_backend(nic, domain.clone(), Box::new(engine));
-        svc.enable_command_queue()
-            .expect("the offloaded engine has a command queue");
         svc.attach_controller(crate::control::FeedbackController::with_defaults());
         if let (Some(cadence), Some(b)) = (cfg.series_cadence, busiest) {
             if b == dest {
@@ -542,7 +540,7 @@ pub fn replay_app(
                         settle(dest as u32, &mut svc, &mut senders, &mut pairs)?;
                         dirty = false;
                     }
-                    svc.post_recv_queued(*pattern)?;
+                    svc.post_recv(*pattern)?;
                 }
                 Ev::Arrive { src, env, bytes } => {
                     // Window backpressure: progress the whole path (all

@@ -18,11 +18,8 @@ use crate::rdma::{
 };
 use crate::reliable::{ReliabilityStats, ReliableSender};
 use crate::service::{CompletedReceive, MatchingService, ServiceError};
-use mpi_matching::traditional::TraditionalMatcher;
-use mpi_matching::{MatchingBackend, RecvHandle};
-use otm::OtmEngine;
+use mpi_matching::RecvHandle;
 use otm_base::hash::mix64;
-use otm_base::memory::Footprint;
 use otm_base::{Envelope, FaultPlan, MatchConfig, Rank, ReceivePattern, Tag};
 
 /// Which matching backend every node of the cluster runs.
@@ -35,19 +32,16 @@ pub enum ClusterBackend {
 }
 
 impl ClusterBackend {
-    /// Builds one node's matching backend — the uniform trait-object path
-    /// every node is constructed through. Offloaded nodes charge their
-    /// tables against a fresh BlueField-3-sized DPA budget first.
-    fn build(self, config: &MatchConfig) -> Box<dyn MatchingBackend> {
+    /// Builds one node's matching service. Offloaded nodes charge their
+    /// tables against a fresh BlueField-3-sized DPA budget.
+    fn service(self, nic: RecvNic, domain: RdmaDomain, config: &MatchConfig) -> MatchingService {
         match self {
             ClusterBackend::Offloaded => {
                 let mut budget = DeviceMemory::bluefield3_l3();
-                budget
-                    .try_alloc_comm(Footprint::compute(config.bins, config.max_receives))
-                    .expect("cluster tables fit the per-node DPA budget");
-                Box::new(OtmEngine::new(config.clone()).expect("validated config"))
+                MatchingService::offloaded(nic, domain, config.clone(), &mut budget)
+                    .expect("cluster tables fit the per-node DPA budget")
             }
-            ClusterBackend::MpiCpu => Box::new(TraditionalMatcher::new()),
+            ClusterBackend::MpiCpu => MatchingService::mpi_cpu(nic, domain),
         }
     }
 }
@@ -307,8 +301,7 @@ impl Cluster {
                         })
                     })
                     .collect();
-                let service =
-                    MatchingService::with_backend(nic, domain.clone(), backend.build(&config));
+                let service = backend.service(nic, domain.clone(), &config);
                 // The node is a matchd client of its own server: one
                 // private tenant, sized so a node can queue a full job's
                 // posts without ever seeing backpressure, drained whole

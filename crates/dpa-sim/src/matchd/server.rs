@@ -128,7 +128,7 @@ pub struct MatchServer {
 impl MatchServer {
     /// A standalone server: builds its own loopback wire, NIC and offloaded
     /// engine from `match_config` (charged against a fresh BlueField-3
-    /// budget), with the command-queue session path enabled.
+    /// budget).
     pub fn new(match_config: MatchConfig, config: MatchdConfig) -> Result<Self, MatchError> {
         let (tx, rx) = connected_pair();
         let nic = RecvNic::new(
@@ -136,11 +136,8 @@ impl MatchServer {
             BouncePool::new(1024, mpi_matching::protocol::DEFAULT_EAGER_THRESHOLD),
         );
         let mut budget = DeviceMemory::bluefield3_l3();
-        let mut service =
+        let service =
             MatchingService::offloaded(nic, RdmaDomain::new(), match_config, &mut budget)?;
-        service
-            .enable_command_queue()
-            .expect("the offloaded engine has a command queue");
         Ok(Self::with_service(service, Some(tx), config))
     }
 
@@ -148,7 +145,7 @@ impl MatchServer {
     /// the NIC is already wired into a mesh. `wire`, when given, is a send
     /// endpoint into the service's NIC used for tenant self-sends.
     pub fn with_service(
-        #[allow(unused_mut)] mut service: MatchingService,
+        mut service: MatchingService,
         wire: Option<QueuePair>,
         config: MatchdConfig,
     ) -> Self {

@@ -14,6 +14,13 @@
 //!   order (the transport ceiling: "a reference baseline where no matching
 //!   is performed").
 //!
+//! The backend decides how it is driven. A backend with a command queue
+//! (the offloaded engine) is driven through it, always: posts and arrivals
+//! are commands, applied in submission order by the drain that ends each
+//! [`MatchingService::progress`] (§IV-E), and a drain the engine cannot
+//! finish migrates the service to software matching. A host backend is
+//! driven synchronously, so the paper's ceilings pay no staging.
+//!
 //! After a match, the service drives the protocol stage of §IV-B through the
 //! checked state machines of [`mpi_matching::protocol`]: eager payloads are
 //! copied out of the bounce buffer; rendezvous payloads are pulled with an
@@ -220,9 +227,6 @@ pub struct MatchingService {
     /// buffer at submit time (§IV-C) and lets a fallback replay the queued
     /// arrival with its payload intact.
     inflight: Inflight,
-    /// Whether [`MatchingService::progress`] routes arrivals through the
-    /// backend's command queue instead of matching blocks synchronously.
-    use_queue: bool,
     /// How many times a retryable drain error is retried within one
     /// [`MatchingService::progress`] call before escalating to software
     /// fallback. Transient device failures (a busy worker, a momentary
@@ -267,7 +271,6 @@ impl MatchingService {
             completed: Vec::new(),
             unexpected: HashMap::default(),
             inflight: Inflight::default(),
-            use_queue: false,
             retry_budget: DEFAULT_DRAIN_RETRY_BUDGET,
             fellback: false,
             metrics,
@@ -277,21 +280,19 @@ impl MatchingService {
         }
     }
 
-    /// Routes arrivals through the backend's asynchronous command queue
-    /// (§IV-E's QP command path): each completion's payload is staged
-    /// host-side (releasing its bounce buffer immediately, §IV-C), the
-    /// arrival is submitted, and a drain at the end of each
-    /// [`MatchingService::progress`] call applies the queue in submission
-    /// order. Refused if the backend has no command queue.
+    /// Reports whether the backend has a command queue, refusing a backend
+    /// without one. It changes nothing: the service drives a backend with a
+    /// queue through it always (see the module docs). The benchmark package
+    /// still calls it; it goes when that package is next rebuilt
+    /// (ROADMAP item 1).
     pub fn enable_command_queue(&mut self) -> Result<(), ServiceError> {
-        if !self.backend.supports_command_queue() {
-            return Err(ServiceError::Match(MatchError::InvalidConfig(format!(
-                "the {} backend has no command queue",
-                self.backend.backend_name()
-            ))));
+        if self.backend.supports_command_queue() {
+            return Ok(());
         }
-        self.use_queue = true;
-        Ok(())
+        Err(ServiceError::Match(MatchError::InvalidConfig(format!(
+            "the {} backend has no command queue",
+            self.backend.backend_name()
+        ))))
     }
 
     /// Sets how many times a retryable drain error is retried within a
@@ -320,9 +321,14 @@ impl MatchingService {
         config: MatchConfig,
         budget: &mut DeviceMemory,
     ) -> Result<Self, MatchError> {
-        budget.try_alloc_comm(Footprint::compute(config.bins, config.max_receives))?;
+        Self::charge(&config, budget)?;
         let engine = OtmEngine::new(config)?;
         Ok(Self::with_backend(nic, domain, Box::new(engine)))
+    }
+
+    /// Charges one communicator's matching state against the DPA budget.
+    fn charge(config: &MatchConfig, budget: &mut DeviceMemory) -> Result<(), MatchError> {
+        budget.try_alloc_comm(Footprint::compute(config.bins, config.max_receives))
     }
 
     /// Creates the offloaded service if the budget allows, otherwise falls
@@ -334,7 +340,7 @@ impl MatchingService {
         config: MatchConfig,
         budget: &mut DeviceMemory,
     ) -> (Self, bool) {
-        match budget.try_alloc_comm(Footprint::compute(config.bins, config.max_receives)) {
+        match Self::charge(&config, budget) {
             Ok(()) => {
                 let engine = OtmEngine::new(config).expect("validated config");
                 (Self::with_backend(nic, domain, Box::new(engine)), true)
@@ -472,17 +478,11 @@ impl MatchingService {
         self.observability_snapshot().to_prometheus()
     }
 
-    /// Posts a receive. If an unexpected message already matches, the
-    /// protocol runs immediately and the receive completes.
-    ///
-    /// When the offloaded engine's descriptor table fills up, the service
-    /// transparently migrates all matching state to host software matching
-    /// and retries — "if the number of posted receives exceeds this
-    /// capacity, the application must fall back to software tag matching"
-    /// (§III-B).
+    /// Posts a receive under the next reserved handle (see
+    /// [`MatchingService::post_recv_queued_reserved`]).
     pub fn post_recv(&mut self, pattern: ReceivePattern) -> Result<RecvHandle, ServiceError> {
         let handle = self.reserve_recv();
-        self.post_recv_reserved(pattern, handle)?;
+        self.post_recv_queued_reserved(pattern, handle)?;
         Ok(handle)
     }
 
@@ -499,30 +499,30 @@ impl MatchingService {
         handle
     }
 
-    /// Posts a receive under a caller-supplied handle — the engine-facing
-    /// half of [`MatchingService::post_recv`]. The handle must be unique
+    /// Posts a receive under a caller-supplied handle, which must be unique
     /// for the service's lifetime (reserved via
     /// [`MatchingService::reserve_recv`] or minted in a namespace that
-    /// cannot collide with it); matching-order and fallback semantics are
-    /// identical to `post_recv`.
-    fn post_recv_reserved(
+    /// cannot collide with it).
+    ///
+    /// On the offloaded engine the post is a command on its queue (§IV-E):
+    /// it takes effect, in submission order with the arrivals, at the drain
+    /// that ends the next [`MatchingService::progress`], completing there if
+    /// a waiting unexpected message matches. A full submission ring is
+    /// returned as the retryable [`MatchError::SubmissionRingFull`]; the
+    /// next `progress` frees it. On a host backend the post applies now,
+    /// and a match completes the receive at once.
+    pub fn post_recv_queued_reserved(
         &mut self,
         pattern: ReceivePattern,
         handle: RecvHandle,
     ) -> Result<(), ServiceError> {
-        let matched = match self.backend.post(pattern, handle) {
-            Ok(PostResult::Matched(msg)) => Some(msg),
-            Ok(PostResult::Posted) => None,
-            Err(MatchError::ReceiveTableFull) if self.backend.wants_offload_fallback() => {
-                self.fall_back_to_software(Vec::new())?;
-                match self.backend.post(pattern, handle)? {
-                    PostResult::Matched(msg) => Some(msg),
-                    PostResult::Posted => None,
-                }
-            }
-            Err(e) => return Err(e.into()),
-        };
-        if let Some(msg) = matched {
+        if self.backend.supports_command_queue() {
+            return self
+                .backend
+                .submit_command(PendingCommand::Post { pattern, handle })
+                .map_err(ServiceError::Match);
+        }
+        if let PostResult::Matched(msg) = self.backend.post(pattern, handle)? {
             let stored = self
                 .unexpected
                 .remove(&msg)
@@ -531,43 +531,6 @@ impl MatchingService {
             self.completed.push(completed);
         }
         Ok(())
-    }
-
-    /// Posts a receive through the backend's command queue (§IV-E's
-    /// asynchronous post command path): the post is enqueued and takes
-    /// effect — possibly completing against a waiting unexpected message —
-    /// at the next [`MatchingService::progress`] drain. Falls back to the
-    /// synchronous [`MatchingService::post_recv`] when the command queue is
-    /// not enabled or the backend has none, so callers can use this
-    /// unconditionally.
-    ///
-    /// Queued posts interleave with queued arrivals in one submission
-    /// stream, which is what lets the drain's packing scheduler reorder
-    /// across communicators under mixed traffic.
-    pub fn post_recv_queued(
-        &mut self,
-        pattern: ReceivePattern,
-    ) -> Result<RecvHandle, ServiceError> {
-        let handle = self.reserve_recv();
-        self.post_recv_queued_reserved(pattern, handle)?;
-        Ok(handle)
-    }
-
-    /// Posts a receive under a caller-supplied handle through the command
-    /// queue — the session path the `matchd` server drains tenants into.
-    /// Degrades to a synchronous post when the queue is not enabled,
-    /// exactly as [`MatchingService::post_recv_queued`] does.
-    pub fn post_recv_queued_reserved(
-        &mut self,
-        pattern: ReceivePattern,
-        handle: RecvHandle,
-    ) -> Result<(), ServiceError> {
-        if !(self.use_queue && self.backend.supports_command_queue()) {
-            return self.post_recv_reserved(pattern, handle);
-        }
-        self.backend
-            .submit_command(PendingCommand::Post { pattern, handle })
-            .map_err(ServiceError::Match)
     }
 
     /// Migrates all matching state from the offloaded backend to a host
@@ -701,7 +664,7 @@ impl MatchingService {
         // Backlog at its largest: everything arrived, nothing matched yet.
         self.observe_queues();
         let before = self.completed.len();
-        if self.use_queue && self.backend.supports_command_queue() {
+        if self.backend.supports_command_queue() {
             self.progress_queued()?;
         } else {
             loop {
@@ -970,21 +933,11 @@ impl MatchingService {
         );
     }
 
+    /// The host backends' arrival path: match one block synchronously.
     fn match_block(&mut self, block: Vec<Completion>) -> Result<(), ServiceError> {
         let msgs: Vec<(Envelope, MsgHandle)> =
             block.iter().map(|c| (c.header.env, c.msg)).collect();
-        let deliveries = match self.backend.arrive_block(&msgs) {
-            Ok(d) => d,
-            Err(MatchError::UnexpectedStoreFull) if self.backend.wants_offload_fallback() => {
-                // The engine rejected the block atomically (its state is
-                // untouched and no bounce buffer was consumed yet): migrate
-                // to software matching and reprocess the very same block
-                // there (§IV-E).
-                self.fall_back_to_software(Vec::new())?;
-                return self.match_block(block);
-            }
-            Err(e) => return Err(e.into()),
-        };
+        let deliveries = self.backend.arrive_block(&msgs)?;
         for (completion, delivery) in block.into_iter().zip(deliveries) {
             match delivery {
                 Delivery::Matched { recv, .. } => {
@@ -1177,6 +1130,7 @@ mod tests {
             assert_eq!(svc.progress().unwrap(), 0, "{mode}: no receive yet");
             assert_eq!(svc.unexpected_len(), 1);
             let recv = svc.post_recv(ReceivePattern::any_source(Tag(9))).unwrap();
+            svc.progress().unwrap();
             let done = svc.take_completed();
             assert_eq!(done.len(), 1);
             assert_eq!(done[0].recv, recv);
@@ -1212,8 +1166,27 @@ mod tests {
         assert_eq!(svc.unexpected_len(), 1);
         svc.post_recv(ReceivePattern::exact(Rank(1), Tag(3)))
             .unwrap();
+        assert_eq!(svc.progress().unwrap(), 1, "the post applies at the drain");
         let done = svc.take_completed();
         assert_eq!(done[0].data, payload);
+    }
+
+    #[test]
+    fn a_receive_posted_later_never_overtakes_an_earlier_one() {
+        // C1 across the two ways in: the same pattern posted through the
+        // reserved session path, then through `post_recv`. The one message
+        // must complete the first. `enable_command_queue` only reports
+        // that the engine has a queue; both posts take it either way.
+        let (tx, _domain, mut svc) = setup("otm");
+        svc.enable_command_queue().unwrap();
+        let pattern = ReceivePattern::exact(Rank(0), Tag(5));
+        let first = svc.reserve_recv();
+        svc.post_recv_queued_reserved(pattern, first).unwrap();
+        let second = svc.post_recv(pattern).unwrap();
+        assert!(second > first);
+        tx.send(eager_packet(env(0, 5), vec![5])).unwrap();
+        assert_eq!(svc.progress().unwrap(), 1);
+        assert_eq!(svc.take_completed()[0].recv, first);
     }
 
     #[test]
@@ -1302,6 +1275,15 @@ mod tests {
         assert_eq!(done[0].data, vec![42]);
     }
 
+    /// What a queue-driven backend whose drains always stop on a full
+    /// receive table reports.
+    fn table_full_drain() -> mpi_matching::DrainReport {
+        mpi_matching::DrainReport {
+            error: Some(MatchError::ReceiveTableFull),
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn failed_fallback_drain_poisons_the_service() {
         /// A backend that demands the offload fallback but cannot deliver
@@ -1312,13 +1294,13 @@ mod tests {
                 "Failing"
             }
             fn post(&mut self, _: ReceivePattern, _: RecvHandle) -> Result<PostResult, MatchError> {
-                Err(MatchError::ReceiveTableFull)
+                unreachable!("posts go through the queue")
             }
             fn arrive_block(
                 &mut self,
                 _: &[(Envelope, MsgHandle)],
             ) -> Result<Vec<Delivery>, MatchError> {
-                Err(MatchError::UnexpectedStoreFull)
+                unreachable!("arrivals go through the queue")
             }
             fn probe(&self, _: &ReceivePattern) -> Option<MsgHandle> {
                 None
@@ -1332,6 +1314,15 @@ mod tests {
             fn merge_stats(&self, _: &mut mpi_matching::MatchStats) {}
             fn wants_offload_fallback(&self) -> bool {
                 true
+            }
+            fn supports_command_queue(&self) -> bool {
+                true
+            }
+            fn submit_command(&mut self, _: PendingCommand) -> Result<(), MatchError> {
+                Ok(())
+            }
+            fn drain_commands(&mut self) -> mpi_matching::DrainReport {
+                table_full_drain()
             }
             fn drain_for_fallback(
                 self: Box<Self>,
@@ -1347,12 +1338,12 @@ mod tests {
         let domain = RdmaDomain::new();
         let nic = RecvNic::new(rx, BouncePool::new(64, 256));
         let mut svc = MatchingService::with_backend(nic, domain, Box::new(FailingBackend));
-        // The post triggers the fallback, whose drain fails: the error
-        // surfaces and the poison is installed in place of the half-dead
-        // backend.
-        let err = svc
-            .post_recv(ReceivePattern::exact(Rank(0), Tag(0)))
-            .unwrap_err();
+        // The drain that applies the post triggers the fallback, whose
+        // state drain fails: the error surfaces and the poison is installed
+        // in place of the half-dead backend.
+        svc.post_recv(ReceivePattern::exact(Rank(0), Tag(0)))
+            .unwrap();
+        let err = svc.progress().unwrap_err();
         assert!(matches!(
             err,
             ServiceError::Match(MatchError::EngineStopped)
@@ -1374,10 +1365,10 @@ mod tests {
 
     #[test]
     fn table_full_falls_back_to_software_transparently() {
-        // A tiny descriptor table: the engine fills after 4 posts; the 5th
-        // triggers migration to software matching. Everything posted before
-        // AND after — plus the unexpected messages parked on the device —
-        // must keep matching as if nothing happened.
+        // A tiny descriptor table: the engine fills after 4 posts; the
+        // drain that meets the 5th migrates to software matching.
+        // Everything posted before AND after — plus the unexpected messages
+        // parked on the device — must keep matching as if nothing happened.
         let (tx, rx) = connected_pair();
         let domain = RdmaDomain::new();
         let nic = RecvNic::new(rx, BouncePool::new(64, 256));
@@ -1394,17 +1385,14 @@ mod tests {
 
         // Fill the table, then exceed it.
         let mut posted = Vec::new();
-        for i in 0..4u32 {
+        for i in 0..5u32 {
             posted.push(
                 svc.post_recv(ReceivePattern::exact(Rank(0), Tag(i)))
                     .unwrap(),
             );
         }
-        assert!(!svc.fell_back());
-        posted.push(
-            svc.post_recv(ReceivePattern::exact(Rank(0), Tag(4)))
-                .unwrap(),
-        );
+        assert!(!svc.fell_back(), "the posts wait in the queue");
+        assert_eq!(svc.progress().unwrap(), 0);
         assert!(svc.fell_back(), "5th post must trigger the §III-B fallback");
         assert_eq!(svc.backend_name(), "MPI-CPU");
 
@@ -1420,7 +1408,8 @@ mod tests {
             assert_eq!(d.data, vec![i as u8]);
         }
 
-        // The migrated unexpected message matches a late post too.
+        // The migrated unexpected message matches a late post too, at once:
+        // the host matcher is synchronous.
         let late = svc
             .post_recv(ReceivePattern::exact(Rank(9), Tag(9)))
             .unwrap();
@@ -1449,6 +1438,7 @@ mod tests {
                     .unwrap(),
             );
         }
+        svc.progress().unwrap();
         assert!(svc.fell_back());
         for i in 0..4u32 {
             tx.send(eager_packet(env(1, 1), vec![i as u8])).unwrap();
@@ -1498,6 +1488,7 @@ mod tests {
         for i in 0..16u32 {
             svc.post_recv(ReceivePattern::exact(Rank(3), Tag(i)))
                 .unwrap();
+            svc.progress().unwrap();
             if svc.fell_back() {
                 break;
             }
@@ -1517,7 +1508,6 @@ mod tests {
         // these instruments by name: a rename or a removal must show up
         // here, not as a silently-zero metric downstream.
         let (tx, _domain, mut svc) = setup("otm");
-        svc.enable_command_queue().unwrap();
         let snap = svc.observability_snapshot();
         let counters: Vec<&str> = snap.counters.keys().map(String::as_str).collect();
         let gauges: Vec<&str> = snap.gauges.keys().map(String::as_str).collect();
@@ -1635,39 +1625,42 @@ mod tests {
 
     #[test]
     fn command_queue_path_matches_like_the_direct_path() {
-        // Same traffic, queued arrival path: payloads still land on the
-        // right receives, in order.
-        let (tx, _domain, mut svc) = setup("otm");
-        svc.enable_command_queue().unwrap();
-        let n = 8usize;
-        let mut posted = Vec::new();
-        for i in 0..n {
+        // The same traffic through the offloaded engine's queue and through
+        // the host matcher's synchronous path: payloads land on the same
+        // receives, in the same order.
+        let run = |mode: &str| {
+            let (tx, _domain, mut svc) = setup(mode);
+            let n = 8usize;
+            let mut posted = Vec::new();
+            for i in 0..n {
+                posted.push(
+                    svc.post_recv(ReceivePattern::exact(Rank(0), Tag(i as u32)))
+                        .unwrap(),
+                );
+            }
+            for i in 0..n {
+                tx.send(eager_packet(env(0, i as u32), vec![i as u8]))
+                    .unwrap();
+            }
+            assert_eq!(svc.progress().unwrap(), n, "{mode}");
+            let mut done = svc.take_completed();
+            // Unexpected messages survive both paths: on the queue the
+            // payload is staged at submit time and moved to the store at
+            // drain time.
+            tx.send(eager_packet(env(7, 7), vec![77])).unwrap();
+            assert_eq!(svc.progress().unwrap(), 0, "{mode}");
+            assert_eq!(svc.unexpected_len(), 1, "{mode}");
             posted.push(
-                svc.post_recv(ReceivePattern::exact(Rank(0), Tag(i as u32)))
+                svc.post_recv(ReceivePattern::exact(Rank(7), Tag(7)))
                     .unwrap(),
             );
-        }
-        for i in 0..n {
-            tx.send(eager_packet(env(0, i as u32), vec![i as u8]))
-                .unwrap();
-        }
-        assert_eq!(svc.progress().unwrap(), n);
-        let done = svc.take_completed();
-        for (i, d) in done.iter().enumerate() {
-            assert_eq!(d.recv, posted[i]);
-            assert_eq!(d.data, vec![i as u8]);
-        }
-        // Unexpected messages survive the queue path too: payload staged at
-        // submit time, moved to the store at drain time.
-        tx.send(eager_packet(env(7, 7), vec![77])).unwrap();
-        assert_eq!(svc.progress().unwrap(), 0);
-        assert_eq!(svc.unexpected_len(), 1);
-        let late = svc
-            .post_recv(ReceivePattern::exact(Rank(7), Tag(7)))
-            .unwrap();
-        let done = svc.take_completed();
-        assert_eq!(done[0].recv, late);
-        assert_eq!(done[0].data, vec![77]);
+            svc.progress().unwrap();
+            done.extend(svc.take_completed());
+            let recvs: Vec<RecvHandle> = done.iter().map(|d| d.recv).collect();
+            assert_eq!(recvs, posted, "{mode}");
+            done.into_iter().map(|d| d.data).collect::<Vec<_>>()
+        };
+        assert_eq!(run("otm"), run("cpu"));
     }
 
     #[test]
@@ -1677,7 +1670,6 @@ mod tests {
         // both when the message is already waiting in the device store and
         // when it arrives afterwards.
         let (tx, _domain, mut svc) = setup("otm");
-        svc.enable_command_queue().unwrap();
 
         // Message first: arrival drains to the store, then the queued post
         // matches it on the next drain.
@@ -1685,8 +1677,9 @@ mod tests {
         assert_eq!(svc.progress().unwrap(), 0);
         assert_eq!(svc.unexpected_len(), 1);
         let first = svc
-            .post_recv_queued(ReceivePattern::exact(Rank(0), Tag(1)))
+            .post_recv(ReceivePattern::exact(Rank(0), Tag(1)))
             .unwrap();
+        assert_eq!(svc.completed_len(), 0, "the post waits for the drain");
         assert_eq!(svc.progress().unwrap(), 1);
         let done = svc.take_completed();
         assert_eq!(done[0].recv, first);
@@ -1694,26 +1687,12 @@ mod tests {
 
         // Post first: the queued post applies in the same drain as the
         // arrival behind it.
-        let second = svc
-            .post_recv_queued(ReceivePattern::any_source(Tag(2)))
-            .unwrap();
+        let second = svc.post_recv(ReceivePattern::any_source(Tag(2))).unwrap();
         tx.send(eager_packet(env(3, 2), vec![22])).unwrap();
         assert_eq!(svc.progress().unwrap(), 1);
         let done = svc.take_completed();
         assert_eq!(done[0].recv, second);
         assert_eq!(done[0].data, vec![22]);
-
-        // Without the queue enabled the call degrades to the synchronous
-        // path and still works.
-        let (tx2, _d2, mut sync_svc) = setup("otm");
-        tx2.send(eager_packet(env(4, 4), vec![44])).unwrap();
-        sync_svc.progress().unwrap();
-        let h = sync_svc
-            .post_recv_queued(ReceivePattern::exact(Rank(4), Tag(4)))
-            .unwrap();
-        let done = sync_svc.take_completed();
-        assert_eq!(done[0].recv, h);
-        assert_eq!(done[0].data, vec![44]);
     }
 
     #[test]
@@ -1723,6 +1702,30 @@ mod tests {
             svc.enable_command_queue(),
             Err(ServiceError::Match(MatchError::InvalidConfig(_)))
         ));
+    }
+
+    #[test]
+    fn a_full_ring_refuses_a_post_until_progress_drains_it() {
+        // A post is a command on a 2-slot ring: the third bounces back to
+        // the caller, retryable, and goes in once a drain freed the ring.
+        let (tx, rx) = connected_pair();
+        let nic = RecvNic::new(rx, BouncePool::new(64, 256));
+        let engine = OtmEngine::new(MatchConfig::small().with_ring_capacity(2)).unwrap();
+        let mut svc = MatchingService::with_backend(nic, RdmaDomain::new(), Box::new(engine));
+        for tag in 0..2 {
+            svc.post_recv(ReceivePattern::exact(Rank(0), Tag(tag)))
+                .unwrap();
+        }
+        let (pattern, third) = (ReceivePattern::exact(Rank(0), Tag(2)), svc.reserve_recv());
+        assert!(matches!(
+            svc.post_recv_queued_reserved(pattern, third),
+            Err(ServiceError::Match(MatchError::SubmissionRingFull { .. }))
+        ));
+        assert_eq!(svc.progress().unwrap(), 0);
+        svc.post_recv_queued_reserved(pattern, third).unwrap();
+        tx.send(eager_packet(env(0, 2), vec![2])).unwrap();
+        assert_eq!(svc.progress().unwrap(), 1);
+        assert_eq!(svc.take_completed()[0].recv, third);
     }
 
     #[test]
@@ -1739,7 +1742,6 @@ mod tests {
             .with_max_unexpected(2)
             .with_block_threads(2);
         let mut svc = MatchingService::offloaded(nic, domain, config, &mut budget).unwrap();
-        svc.enable_command_queue().unwrap();
 
         // Five unmatched messages against a 2-slot device store: the first
         // block fills it, the next one trips UnexpectedStoreFull mid-drain
@@ -1780,13 +1782,22 @@ mod tests {
                 "Corrupt"
             }
             fn post(&mut self, _: ReceivePattern, _: RecvHandle) -> Result<PostResult, MatchError> {
-                Err(MatchError::ReceiveTableFull)
+                unreachable!("posts go through the queue")
             }
             fn arrive_block(
                 &mut self,
                 _: &[(Envelope, MsgHandle)],
             ) -> Result<Vec<Delivery>, MatchError> {
-                Err(MatchError::UnexpectedStoreFull)
+                unreachable!("arrivals go through the queue")
+            }
+            fn supports_command_queue(&self) -> bool {
+                true
+            }
+            fn submit_command(&mut self, _: PendingCommand) -> Result<(), MatchError> {
+                Ok(())
+            }
+            fn drain_commands(&mut self) -> mpi_matching::DrainReport {
+                table_full_drain()
             }
             fn probe(&self, _: &ReceivePattern) -> Option<MsgHandle> {
                 None
@@ -1819,9 +1830,9 @@ mod tests {
         let domain = RdmaDomain::new();
         let nic = RecvNic::new(rx, BouncePool::new(64, 256));
         let mut svc = MatchingService::with_backend(nic, domain, Box::new(CorruptBackend));
-        let err = svc
-            .post_recv(ReceivePattern::exact(Rank(9), Tag(9)))
-            .unwrap_err();
+        svc.post_recv(ReceivePattern::exact(Rank(9), Tag(9)))
+            .unwrap();
+        let err = svc.progress().unwrap_err();
         assert!(
             matches!(err, ServiceError::FallbackReplay(_)),
             "got {err:?}"
@@ -1883,7 +1894,6 @@ mod tests {
             .with_max_faults(2);
         let faulty = FaultInjectingBackend::new(Box::new(engine), plan);
         let mut svc = MatchingService::with_backend(nic, domain, Box::new(faulty));
-        svc.enable_command_queue().unwrap();
 
         let mut posted = Vec::new();
         for i in 0..3u32 {
@@ -1918,7 +1928,6 @@ mod tests {
         let nic = RecvNic::new(rx, BouncePool::new(64, 256));
         let engine = OtmEngine::new(MatchConfig::small().with_ring_capacity(2)).unwrap();
         let mut svc = MatchingService::with_backend(nic, domain, Box::new(engine));
-        svc.enable_command_queue().unwrap();
 
         let n = 8u32;
         let mut posted = Vec::new();
@@ -1927,6 +1936,10 @@ mod tests {
                 svc.post_recv(ReceivePattern::exact(Rank(0), Tag(i)))
                     .unwrap(),
             );
+            // The ring holds two posts: apply each before the next.
+            svc.progress().unwrap();
+        }
+        for i in 0..n {
             tx.send(eager_packet(env(0, i), vec![i as u8])).unwrap();
         }
         assert_eq!(svc.progress().unwrap(), n as usize);
@@ -1962,12 +1975,11 @@ mod tests {
         let plan = FaultPlan::new(0xdead).with_transient_fail_permille(1000);
         let faulty = FaultInjectingBackend::new(Box::new(engine), plan);
         let mut svc = MatchingService::with_backend(nic, domain, Box::new(faulty));
-        svc.enable_command_queue().unwrap();
 
         let mut posted = Vec::new();
         for i in 0..4u32 {
             posted.push(
-                svc.post_recv_queued(ReceivePattern::exact(Rank(0), Tag(i)))
+                svc.post_recv(ReceivePattern::exact(Rank(0), Tag(i)))
                     .unwrap(),
             );
         }
@@ -2008,8 +2020,12 @@ mod tests {
         let mut sender = ReliableSender::new(tx);
         sender.attach_metrics(svc.metrics().clone());
         // The priming interval only observes; each later interval that saw
-        // acks and no retransmit reopens the hint one additive step.
+        // acks and no retransmit reopens the hint one additive step. Every
+        // message finds its receive, so the store never fills and no drain
+        // is retried.
         for poll in 0..3 * interval {
+            svc.post_recv(ReceivePattern::exact(Rank(0), Tag(poll as u32)))
+                .unwrap();
             sender
                 .send(eager_packet(env(0, poll as u32), vec![1]))
                 .unwrap();
@@ -2046,7 +2062,6 @@ mod tests {
             let plan = FaultPlan::new(0x7717).with_stall_permille(400);
             let faulty = FaultInjectingBackend::new(Box::new(engine), plan);
             let mut svc = MatchingService::with_backend(nic, RdmaDomain::new(), Box::new(faulty));
-            svc.enable_command_queue().unwrap();
             if attach {
                 svc.attach_controller(FeedbackController::with_defaults());
             }
@@ -2056,7 +2071,7 @@ mod tests {
                 for (c, tag) in next_tag.iter_mut().enumerate() {
                     let comm = CommId(c as u16 + 1);
                     for _ in 0..rng.below(4) {
-                        svc.post_recv_queued(ReceivePattern::new(Rank(0), Tag(*tag), comm))
+                        svc.post_recv(ReceivePattern::new(Rank(0), Tag(*tag), comm))
                             .unwrap();
                         tx.send(eager_packet(
                             Envelope::new(Rank(0), Tag(*tag), comm),

@@ -313,10 +313,13 @@ pub trait MatchingBackend: Send {
     /// merge their [`MatchStats`] verbatim.
     fn merge_stats(&self, into: &mut MatchStats);
 
-    /// Whether resource-exhaustion errors ([`MatchError::ReceiveTableFull`],
-    /// [`MatchError::UnexpectedStoreFull`]) from this backend signal that
-    /// the service should migrate to software matching (§IV-E). Host
-    /// backends are unbounded and never ask for fallback.
+    /// Whether a [`MatchingBackend::drain_commands`] that stops on an error
+    /// the service cannot retry away — resource exhaustion
+    /// ([`MatchError::ReceiveTableFull`], [`MatchError::UnexpectedStoreFull`])
+    /// past the retry budget, or [`MatchError::EngineStopped`] — should make
+    /// the service migrate to software matching (§IV-E). Only a drain
+    /// triggers the migration. Host backends are unbounded and never ask
+    /// for fallback.
     fn wants_offload_fallback(&self) -> bool {
         false
     }

@@ -9,28 +9,28 @@
 //! Two host-facing paths feed the engine, mirroring §IV-E's QP command
 //! handling:
 //!
-//! * **Direct calls.** [`OtmEngine::post_shared`] posts a receive through
-//!   `&self` — it takes only the target communicator's shard lock, so
-//!   threads posting into *different* communicators proceed concurrently.
-//!   Blocks of incoming messages are matched via
-//!   [`OtmEngine::process_block`] (with a chunking
-//!   [`OtmEngine::process_stream`]); both take `&mut self`, so a direct
-//!   block never runs beside a drain. The block coordinator locks exactly
-//!   the shards the block touches, once each, and lends them to the lanes.
-//! * **The command queue.** Any thread may [`OtmEngine::submit`] post and
-//!   arrival commands into the engine's FIFO [`CommandQueue`]; a drainer
-//!   thread calls [`OtmEngine::drain`] to apply them, staging a bounded
-//!   window in a packing scheduler that assembles arrivals into parallel
-//!   blocks, reordering across communicators to keep blocks full under
-//!   mixed post/arrival traffic. Because matching outcomes depend only on
+//! * **The command queue**, the way the matching service drives the engine.
+//!   Any thread may [`OtmEngine::submit`] post and arrival commands into the
+//!   engine's FIFO [`CommandQueue`]; a drainer thread calls
+//!   [`OtmEngine::drain`] to apply them, staging a bounded window in a
+//!   packing scheduler that assembles arrivals into parallel blocks,
+//!   reordering across communicators to keep blocks full under mixed
+//!   post/arrival traffic. Because matching outcomes depend only on
 //!   per-communicator command order, which the scheduler strictly
 //!   preserves, the per-communicator match set is identical to a fully
 //!   serialized engine's.
+//! * **Direct calls** for a caller that holds the engine exclusively (the
+//!   sequential adapter, oracles, benchmarks of the block alone):
+//!   [`OtmEngine::post`] posts one receive, and blocks of incoming messages
+//!   are matched via [`OtmEngine::process_block`] (with a chunking
+//!   [`OtmEngine::process_stream`]). All three take `&mut self`, so a direct
+//!   call never runs beside a drain. The block coordinator locks exactly the
+//!   shards the block touches, once each, and lends them to the lanes.
 //!
 //! There are two lock levels and nothing below them. The coordinator lock
 //! guards the block arena and the arrival clock; a drain holds it from entry
 //! to exit, which serializes whole drains against each other, and `submit`
-//! and `post_shared` never take it. Under it come the shard locks, taken in
+//! never takes it. Under it come the shard locks, taken in
 //! [`CommId`] order by a block and one at a time by everything else; the
 //! tables and indexes inside a shard have no lock of their own.
 //! Counting follows them: a block's lanes and a drain's posts add to plain
@@ -273,27 +273,6 @@ impl OtmEngine {
         self.shards.get(comm).map(|s| lock(&s.host).hints)
     }
 
-    /// Posts a receive — the host-to-DPA command path (§IV-E) — through
-    /// `&self`: only the target communicator's shard lock is taken, so
-    /// concurrent posters into different communicators never contend.
-    ///
-    /// The unexpected-message store is searched first (§IV-C); on a miss the
-    /// receive is labelled, assigned its sequence id, and indexed in the
-    /// structure matching its wildcard class (§III-B).
-    pub fn post_shared(
-        &self,
-        pattern: ReceivePattern,
-        handle: RecvHandle,
-    ) -> Result<PostResult, MatchError> {
-        self.check_running()?;
-        let shard = self.shards.get_or_create(pattern.comm, &self.config);
-        let (mut tally, mut depth) = (Tally::default(), None);
-        let note = |d| depth = Some(d);
-        let result = Self::post_on(&self.metrics, &shard, pattern, handle, &mut tally, note);
-        self.publish(tally, [], depth);
-        result
-    }
-
     /// Merges `tally`, with the depth samples that go with it, into the
     /// published statistics and the registry.
     fn publish(
@@ -320,12 +299,16 @@ impl OtmEngine {
         self.publish(tally, depths, []);
     }
 
-    /// [`OtmEngine::post_shared`] on a running engine with the
-    /// communicator's shard already resolved (the drain finds it in its
-    /// directory snapshot). Counts into `tally` and hands a match's UMQ depth
-    /// to `depth`; the caller publishes both. Reads no engine field but
-    /// `metrics` (for lifecycle spans), so [`OtmEngine::post`] can call it
-    /// with its exclusive borrow of the directory alive.
+    /// Posts a receive — the host-to-DPA command path (§IV-E) — on a running
+    /// engine with the communicator's shard already resolved (the drain
+    /// finds it in its directory snapshot, [`OtmEngine::post`] through its
+    /// exclusive borrow of the directory).
+    ///
+    /// The unexpected-message store is searched first (§IV-C); on a miss the
+    /// receive is labelled, assigned its sequence id, and indexed in the
+    /// structure matching its wildcard class (§III-B). Counts into `tally`
+    /// and hands a match's UMQ depth to `depth`; the caller publishes both.
+    /// Reads no engine field but `metrics` (for lifecycle spans).
     fn post_on(
         metrics: &EngineMetrics,
         shard: &CommShard,
@@ -385,8 +368,9 @@ impl OtmEngine {
         Ok(PostResult::Posted)
     }
 
-    /// [`OtmEngine::post_shared`] for a caller with the engine to itself: the
-    /// shard is found without the directory's lock or an `Arc` clone.
+    /// Posts a receive for a caller with the engine to itself, applied at
+    /// once: the shard is found without the directory's lock or an `Arc`
+    /// clone. A caller sharing the engine submits a [`Command::Post`].
     pub fn post(
         &mut self,
         pattern: ReceivePattern,
@@ -442,9 +426,8 @@ impl OtmEngine {
     ///
     /// The drain is *pipelined* (the paper's CQ pipelining, §IV-E): it pops
     /// commands one at a time, straight off the rings into the scheduler,
-    /// and holds no lock a submitter takes, so racing `submit`s and
-    /// `post_shared` calls overlap with block execution instead of stalling
-    /// behind the whole drain. Whole drains are serialized against each other
+    /// and holds no lock a submitter takes, so racing `submit`s overlap with
+    /// block execution instead of stalling behind the whole drain. Whole drains are serialized against each other
     /// by the coordinator lock, and only commands already queued when the
     /// drain started are processed — submissions racing in mid-drain wait
     /// for the next drain, so a busy submitter cannot pin the coordinator
@@ -1690,7 +1673,7 @@ mod tests {
     #[test]
     fn span_lifecycle_covers_enqueued_packed_matched() {
         use otm_metrics::{MatchPath, SpanKind, RECV_SUBJECT_BIT};
-        let e = engine();
+        let mut e = engine();
         e.submit(Command::Post {
             pattern: ReceivePattern::exact(Rank(0), Tag(1)),
             handle: RecvHandle(3),
@@ -1739,7 +1722,7 @@ mod tests {
         .unwrap();
         e.drain();
         let r = e
-            .post_shared(ReceivePattern::exact(Rank(9), Tag(9)), RecvHandle(8))
+            .post(ReceivePattern::exact(Rank(9), Tag(9)), RecvHandle(8))
             .unwrap();
         assert_eq!(r, PostResult::Matched(MsgHandle(50)));
         let spans = e.span_events();
@@ -1855,7 +1838,7 @@ mod tests {
 
     #[test]
     fn failed_drain_requeues_the_unprocessed_tail() {
-        let e = OtmEngine::new(MatchConfig::small().with_max_unexpected(1)).unwrap();
+        let mut e = OtmEngine::new(MatchConfig::small().with_max_unexpected(1)).unwrap();
         // Arrival / post / arrival / post: the posts force one-message
         // batches. The first arrival fills the store, so the second cannot
         // be stored; it and the post behind it must stay queued.
@@ -1897,7 +1880,7 @@ mod tests {
         // Remedy the error — consume the stored message to free capacity —
         // then the retry resumes exactly where the drain stopped.
         let r = e
-            .post_shared(ReceivePattern::exact(Rank(0), Tag(0)), RecvHandle(7))
+            .post(ReceivePattern::exact(Rank(0), Tag(0)), RecvHandle(7))
             .unwrap();
         assert_eq!(r, PostResult::Matched(MsgHandle(0)));
         let report = e.drain();
@@ -1918,7 +1901,7 @@ mod tests {
     fn concurrent_posts_to_distinct_comms_succeed() {
         // Smoke test for the sharded `&self` path (the full interleaving
         // stress test lives in tests/concurrent_shards.rs): two threads
-        // post into two communicators simultaneously.
+        // submit posts into two communicators simultaneously.
         let e = engine();
         let comm_a = CommId(1);
         let comm_b = CommId(2);
@@ -1927,15 +1910,18 @@ mod tests {
                 let e = &e;
                 s.spawn(move || {
                     for i in 0..32u64 {
-                        e.post_shared(
-                            ReceivePattern::new(Rank(0), Tag(i as u32), comm),
-                            RecvHandle(t as u64 * 1000 + i),
-                        )
+                        e.submit(Command::Post {
+                            pattern: ReceivePattern::new(Rank(0), Tag(i as u32), comm),
+                            handle: RecvHandle(t as u64 * 1000 + i),
+                        })
                         .unwrap();
                     }
                 });
             }
         });
+        let report = e.drain();
+        assert!(report.error.is_none());
+        assert_eq!(report.outcomes.len(), 64);
         assert_eq!(e.prq_len(), 64);
         assert_eq!(e.stats().posted, 64);
     }
@@ -1985,8 +1971,8 @@ mod tests {
         // The lost-receive/lost-arrival bug: commands accepted into the
         // submission queue but never drained MUST survive the fallback
         // migration inside the snapshot's `pending`, in submission order.
-        let e = engine();
-        e.post_shared(ReceivePattern::exact(Rank(0), Tag(0)), RecvHandle(0))
+        let mut e = engine();
+        e.post(ReceivePattern::exact(Rank(0), Tag(0)), RecvHandle(0))
             .unwrap();
         e.submit(Command::Post {
             pattern: ReceivePattern::exact(Rank(1), Tag(1)),
@@ -2116,7 +2102,7 @@ mod tests {
         // Single-lane engine: each arrival is its own block, so the first
         // one fills the 1-slot unexpected store and the second block is
         // rejected by the capacity pre-check.
-        let e = OtmEngine::new(
+        let mut e = OtmEngine::new(
             MatchConfig::small()
                 .with_block_threads(1)
                 .with_max_unexpected(1),
@@ -2138,8 +2124,7 @@ mod tests {
         assert_eq!(e.pending_commands(), 1);
         // Free capacity, retry: the drain resumes where it stopped.
         assert_eq!(
-            e.post_shared(ReceivePattern::any_any(), RecvHandle(0))
-                .unwrap(),
+            e.post(ReceivePattern::any_any(), RecvHandle(0)).unwrap(),
             PostResult::Matched(MsgHandle(0))
         );
         let retry = e.drain();
@@ -2149,7 +2134,7 @@ mod tests {
 
     #[test]
     fn requeue_around_an_applied_command_still_reports_in_ticket_order() {
-        let e = OtmEngine::new(MatchConfig::small().with_max_unexpected(1)).unwrap();
+        let mut e = OtmEngine::new(MatchConfig::small().with_max_unexpected(1)).unwrap();
         let on = |comm: u16, tag: u32| Envelope::new(Rank(0), Tag(tag), CommId(comm));
         let arrival = |comm, tag, msg| Command::Arrival {
             env: on(comm, tag),
@@ -2172,7 +2157,7 @@ mod tests {
         assert_eq!(report.error, Some(MatchError::UnexpectedStoreFull));
         assert_eq!(report.outcomes.len(), 1, "the hoisted post");
         assert_eq!(e.pending_commands(), 2);
-        e.post_shared(
+        e.post(
             ReceivePattern::new(Rank(0), Tag(0), CommId(1)),
             RecvHandle(7),
         )
@@ -2236,7 +2221,7 @@ mod tests {
             let any = ReceivePattern::new(SourceSel::Any, TagSel::Any, CommId(comm as u16));
             let mut stored = Vec::new();
             while let Some(msg) = e.probe(&any) {
-                e.post_shared(any, RecvHandle(0)).unwrap();
+                e.post(any, RecvHandle(0)).unwrap();
                 stored.push(msg.0);
             }
             let expect: Vec<u64> = (0..next).filter(|i| 1 + i % 3 == comm).collect();

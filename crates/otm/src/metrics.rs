@@ -9,7 +9,7 @@
 //! The struct carries `Arc` handles resolved once at engine construction, and
 //! no instrument is touched per message: a block's tally reaches the registry
 //! in one `EngineMetrics::add` when the block ends, a drain's posts in one
-//! when the drain exits (a direct `post_shared` publishes right away), the
+//! when the drain exits (a direct `post` publishes right away), the
 //! depth-peak gauges once per drain. In between a reader sees the registry as
 //! the last publish left it, so `otm_matched_total ==
 //! Σ otm_resolutions_total{path}` whenever none is under way.

@@ -1,8 +1,8 @@
 //! Concurrent-shard stress tests (no loom, plain `std::thread`): poster
 //! threads drive distinct communicator shards of one shared engine through
-//! the `&self` posting path and the arrival command queue while the main
-//! thread drains blocks, and the resulting per-communicator match sets must
-//! be identical to the serialized oracle.
+//! the command queue, posts and arrivals alike, while the main thread
+//! drains blocks, and the resulting per-communicator match sets must be
+//! identical to the serialized oracle.
 //!
 //! Matching is deterministic in the per-communicator post order and the
 //! arrival order (C1 + C2), and matching is communicator-local. Each
@@ -48,17 +48,18 @@ fn oracle_on(events: &[MatchEvent], base: u64) -> Assignment {
 }
 
 /// Runs `per_comm` event streams concurrently — one poster thread per
-/// communicator, posts through `post_shared`, arrivals through the command
-/// queue, the main thread draining — and asserts every communicator's match
-/// set equals its serialized oracle.
+/// communicator submitting its posts and arrivals, the main thread
+/// draining — and asserts every communicator's match set equals its
+/// serialized oracle.
 fn run_concurrent(per_comm: &[Vec<MatchEvent>]) {
     let comms = per_comm.len();
+    let total_commands: usize = per_comm.iter().map(Vec::len).sum();
     let total_posts: usize = per_comm
         .iter()
         .flatten()
         .filter(|e| matches!(e, MatchEvent::Post(_)))
         .count();
-    let total_arrivals: usize = per_comm.iter().map(Vec::len).sum::<usize>() - total_posts;
+    let total_arrivals = total_commands - total_posts;
 
     let config = MatchConfig::default()
         .with_max_receives((total_posts + 1).next_power_of_two())
@@ -67,89 +68,69 @@ fn run_concurrent(per_comm: &[Vec<MatchEvent>]) {
         .with_block_threads(4);
     let engine = OtmEngine::new(config).expect("stress configuration");
 
-    let mut deliveries: Vec<Delivery> = Vec::new();
-    let mut post_results: Vec<Vec<PostResult>> = Vec::new();
+    let mut outcomes: Vec<CommandOutcome> = Vec::new();
     std::thread::scope(|s| {
         let engine = &engine;
-        let posters: Vec<_> = per_comm
-            .iter()
-            .enumerate()
-            .map(|(c, events)| {
-                s.spawn(move || {
-                    let base = c as u64 * BASE;
-                    let (mut next_recv, mut next_msg) = (0u64, 0u64);
-                    let mut results = Vec::new();
-                    for ev in events {
-                        match *ev {
-                            MatchEvent::Post(pattern) => {
-                                let h = RecvHandle(base + next_recv);
-                                next_recv += 1;
-                                results.push(
-                                    engine
-                                        .post_shared(pattern, h)
-                                        .expect("table sized for the workload"),
-                                );
-                            }
-                            MatchEvent::Arrive(env) => {
-                                let msg = MsgHandle(base + next_msg);
-                                next_msg += 1;
-                                engine
-                                    .submit(Command::Arrival { env, msg })
-                                    .expect("engine running");
+        for (c, events) in per_comm.iter().enumerate() {
+            s.spawn(move || {
+                let base = c as u64 * BASE;
+                let (mut next_recv, mut next_msg) = (0u64, 0u64);
+                for ev in events {
+                    let cmd = match *ev {
+                        MatchEvent::Post(pattern) => {
+                            next_recv += 1;
+                            Command::Post {
+                                pattern,
+                                handle: RecvHandle(base + next_recv - 1),
                             }
                         }
-                    }
-                    results
-                })
-            })
-            .collect();
+                        MatchEvent::Arrive(env) => {
+                            next_msg += 1;
+                            Command::Arrival {
+                                env,
+                                msg: MsgHandle(base + next_msg - 1),
+                            }
+                        }
+                    };
+                    engine.submit(cmd).expect("rings sized for the workload");
+                }
+            });
+        }
 
-        while deliveries.len() < total_arrivals {
+        while outcomes.len() < total_commands {
             let report = engine.drain();
             if let Some(e) = report.error {
                 panic!("drain failed mid-stress: {e:?}");
             }
-            for outcome in report.outcomes {
-                if let CommandOutcome::Delivery(d) = outcome {
-                    deliveries.push(d);
-                }
-            }
-            if deliveries.len() < total_arrivals {
+            outcomes.extend(report.outcomes);
+            if outcomes.len() < total_commands {
                 std::thread::yield_now();
             }
         }
-        for p in posters {
-            post_results.push(p.join().expect("poster thread"));
-        }
     });
 
-    // Rebuild each communicator's observed assignment from the post results
-    // (the posting thread's program order maps post i to handle base + i)
-    // and the drained deliveries (handles carry their shard).
+    // Rebuild each communicator's observed assignment from the drained
+    // outcomes (handles carry their shard).
     let mut observed: Vec<Assignment> = (0..comms).map(|_| Assignment::default()).collect();
-    for (c, results) in post_results.iter().enumerate() {
-        let base = c as u64 * BASE;
-        for (i, r) in results.iter().enumerate() {
-            let h = RecvHandle(base + i as u64);
-            match *r {
-                PostResult::Matched(m) => {
-                    observed[c].recv_to_msg.insert(h, Some(m));
-                    observed[c].msg_to_recv.insert(m, Some(h));
-                }
-                PostResult::Posted => {
-                    observed[c].recv_to_msg.entry(h).or_insert(None);
-                }
+    for outcome in outcomes {
+        match outcome {
+            CommandOutcome::Post {
+                handle,
+                result: PostResult::Matched(msg),
             }
-        }
-    }
-    for d in deliveries {
-        match d {
-            Delivery::Matched { msg, recv } => {
+            | CommandOutcome::Delivery(Delivery::Matched { msg, recv: handle }) => {
                 let c = (msg.0 / BASE) as usize;
-                observed[c].msg_to_recv.insert(msg, Some(recv));
-                observed[c].recv_to_msg.insert(recv, Some(msg));
+                observed[c].msg_to_recv.insert(msg, Some(handle));
+                observed[c].recv_to_msg.insert(handle, Some(msg));
             }
-            Delivery::Unexpected { msg } => {
+            CommandOutcome::Post {
+                handle,
+                result: PostResult::Posted,
+            } => {
+                let c = (handle.0 / BASE) as usize;
+                observed[c].recv_to_msg.entry(handle).or_insert(None);
+            }
+            CommandOutcome::Delivery(Delivery::Unexpected { msg }) => {
                 let c = (msg.0 / BASE) as usize;
                 observed[c].msg_to_recv.entry(msg).or_insert(None);
             }

@@ -67,7 +67,8 @@ fn main() {
     domain.deregister(rkey);
 
     // An unexpected message: no receive yet, so it parks in the unexpected
-    // store; the late post completes it (Fig. 1a).
+    // store; the late post completes it (Fig. 1a). The post is a command on
+    // the DPA's queue, applied by the next progress call.
     sender
         .send(eager_packet(Envelope::world(Rank(3), Tag(9)), vec![42; 8]))
         .unwrap();
@@ -76,6 +77,7 @@ fn main() {
     service
         .post_recv(ReceivePattern::any_source(Tag(9)))
         .unwrap();
+    service.progress().unwrap();
     let done = service.take_completed();
     println!("late post completed with {} bytes", done[0].data.len());
 

@@ -4,9 +4,12 @@
 
 use dpa_sim::bounce::BouncePool;
 use dpa_sim::nic::RecvNic;
+use dpa_sim::pingpong::run_pingpong;
 use dpa_sim::rdma::{connected_pair, eager_packet, rendezvous_packet, QueuePair, RdmaDomain};
 use dpa_sim::service::{CompletedReceive, MatchingService};
-use dpa_sim::DeviceMemory;
+use dpa_sim::{
+    Cluster, ClusterBackend, DeviceMemory, MatchMode, MatchServer, MatchdConfig, PingPongConfig,
+};
 use mpi_matching::oracle::MatchEvent;
 use otm_base::{CommId, Envelope, FaultRng, MatchConfig, Rank, ReceivePattern, Tag};
 
@@ -170,6 +173,69 @@ fn rendezvous_payloads_survive_the_unexpected_path_identically() {
         .service
         .post_recv(ReceivePattern::any_any())
         .unwrap();
+    // The post is a command on the engine's queue: it meets the stored
+    // message at the next drain.
+    assert_eq!(offloaded.service.progress().unwrap(), 1);
     let done = offloaded.service.take_completed();
     assert_eq!(done[0].data, payload);
+}
+
+/// Whether a registry snapshot holds a per-communicator submission-ring
+/// peak, which only a drain of the engine's command queue registers.
+fn drained_through_the_queue(snap: &otm_metrics::RegistrySnapshot) -> bool {
+    snap.gauges
+        .keys()
+        .any(|k| k.starts_with("otm_submission_ring_depth_peak{comm="))
+}
+
+#[test]
+fn every_shipped_offloaded_construction_drains_through_the_queue() {
+    // The service constructor, one round of a post and a message.
+    let mut h = offloaded_harness(4);
+    h.service
+        .post_recv(ReceivePattern::exact(Rank(0), Tag(1)))
+        .unwrap();
+    h.tx.send(eager_packet(Envelope::world(Rank(0), Tag(1)), vec![1]))
+        .unwrap();
+    assert_eq!(h.service.progress().unwrap(), 1);
+    assert!(drained_through_the_queue(
+        &h.service.observability_snapshot()
+    ));
+
+    // A standalone matchd server, one tick.
+    let mut server = MatchServer::new(MatchConfig::small(), MatchdConfig::default()).unwrap();
+    let session = server.open_tenant();
+    assert!(session
+        .submit_post(ReceivePattern::exact(Rank(0), Tag(2)))
+        .is_admitted());
+    server.tick().unwrap();
+    assert!(drained_through_the_queue(
+        &server.service().observability_snapshot()
+    ));
+
+    // An offloaded cluster node, one message.
+    let mut cluster = Cluster::new(2, ClusterBackend::Offloaded, MatchConfig::small());
+    cluster
+        .node_mut(1)
+        .post_recv(ReceivePattern::exact(Rank(0), Tag(3)))
+        .unwrap();
+    cluster.node_mut(0).send(1, Tag(3), vec![3]).unwrap();
+    assert_eq!(cluster.progress_until(1, 1).unwrap().len(), 1);
+    let node = cluster.node_mut(1);
+    assert!(drained_through_the_queue(
+        &node.server().service().observability_snapshot()
+    ));
+
+    // Fig. 8's ping-pong, one sequence.
+    let cfg = PingPongConfig {
+        k: 4,
+        repeats: 1,
+        block_threads: 4,
+        ..Default::default()
+    };
+    let run = run_pingpong(MatchMode::OptimisticDpa { fast_path: true }, &cfg);
+    let snap = run
+        .observability_json
+        .expect("the ping-pong reports its registry");
+    assert!(drained_through_the_queue(&snap));
 }

@@ -819,8 +819,8 @@ fn posted_indexes_equal_a_label_ordered_vec() {
 /// The chaos oracle over random seeds: a hostile wire (drops,
 /// duplicates, reorders and delays at 10%+ each, recovered by the
 /// reliability protocol) never changes a matched (receive, message)
-/// pair relative to the fault-free run — on the synchronous path and
-/// through the command-queue drain alike, with and without receive-side
+/// pair relative to the fault-free run — on the host matcher's synchronous
+/// path and the engine's command-queue drain alike, with and without receive-side
 /// staging, across sender window sizes, and with the reorder
 /// rate cranked far above the drop rate (the regime where the staging
 /// buffer does the most work). A fault budget keeps every case live;

@@ -112,9 +112,10 @@ pub fn workload(seed: u64, phases: usize, per_phase: usize) -> Vec<Phase> {
 ///
 /// `faults` installs the plan on the receiving NIC; the sender always goes
 /// through the [`ReliableSender`] so both runs stamp identical sequence
-/// numbers. `queued` routes arrivals through the backend's command queue
-/// (the packing-scheduler path) instead of synchronous block matching.
-/// `window` caps the sender's window and `staging` overrides the receive
+/// numbers. `queued` runs the offloaded engine, which the service drives
+/// through its command queue (the packing-scheduler path); otherwise the
+/// host MPI-CPU matcher runs, on the service's synchronous path. `window`
+/// caps the sender's window and `staging` overrides the receive
 /// NIC's staging capacity (`None`: the shipped defaults; `Some(0)` is the
 /// discard path: every out-of-order packet is dropped, nothing is SACKed,
 /// and each loss is repaired by a timeout resend).
@@ -134,16 +135,17 @@ pub fn run_chaos(
     if let Some(plan) = &faults {
         nic.set_faults(plan.clone());
     }
-    let mut budget = DeviceMemory::bluefield3_l3();
-    let config = MatchConfig::small()
-        .with_max_receives(1024)
-        .with_max_unexpected(1024)
-        .with_bins(32);
-    let mut svc = MatchingService::offloaded(nic, domain, config, &mut budget)
-        .expect("chaos config fits the budget");
-    if queued {
-        svc.enable_command_queue().expect("engine has a queue");
-    }
+    let mut svc = if queued {
+        let mut budget = DeviceMemory::bluefield3_l3();
+        let config = MatchConfig::small()
+            .with_max_receives(1024)
+            .with_max_unexpected(1024)
+            .with_bins(32);
+        MatchingService::offloaded(nic, domain, config, &mut budget)
+            .expect("chaos config fits the budget")
+    } else {
+        MatchingService::mpi_cpu(nic, domain)
+    };
     let mut sender = ReliableSender::new(tx);
     if let Some(cap) = window {
         sender.set_window_limit(cap);
@@ -151,7 +153,7 @@ pub fn run_chaos(
 
     for phase in phases {
         for pattern in &phase.posts {
-            svc.post_recv_queued(*pattern).expect("tables are large");
+            svc.post_recv(*pattern).expect("tables are large");
         }
         for (env, data) in &phase.sends {
             sender
