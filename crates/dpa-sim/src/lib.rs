@@ -15,7 +15,9 @@
 //! * [`nic`] — the receive-side NIC engine: RDMA receive completions are
 //!   staged into bounce buffers and exposed through a completion queue,
 //!   with a selective-repeat acceptance check (bounded out-of-order
-//!   staging buffer, overflow discarded) for sequenced traffic;
+//!   staging buffer, overflow discarded) for sequenced traffic; its staging
+//!   buffers and total-order gate are sequence-indexed reorder windows
+//!   (the private `reorder` module);
 //! * [`fault`] — the deterministic fault-injection layer: a seeded
 //!   [`otm_base::FaultPlan`] drops, duplicates, reorders and delays wire
 //!   packets and injects transient backend failures and worker stalls;
@@ -62,6 +64,7 @@ pub mod obs;
 pub mod pingpong;
 pub mod rdma;
 pub mod reliable;
+mod reorder;
 pub mod service;
 
 pub use app_replay::{

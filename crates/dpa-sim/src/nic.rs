@@ -12,10 +12,11 @@
 use crate::bounce::{BounceId, BouncePool};
 use crate::fault::{WireFaultStats, WireFaults};
 use crate::obs::ServiceMetrics;
-use crate::rdma::{Frame, MessageHeader, QueuePair, RdmaError, SackBlocks, WirePacket};
+use crate::rdma::{Frame, MessageHeader, QueuePair, RdmaError, WirePacket};
+use crate::reorder::ReorderWindow;
 use mpi_matching::MsgHandle;
 use otm_base::{FaultPlan, MatchError};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Default per-QP capacity of the out-of-order staging buffer. Sized to hold
 /// a full sender window so a single early drop never forces discards; a
@@ -114,30 +115,28 @@ pub struct RecvNic {
     held: Option<WirePacket>,
     /// Fault interpreter wrapping delivery, if a plan was installed.
     faults: Option<WireFaults>,
-    /// Per-QP next expected sequence number.
-    expected: Vec<u64>,
     /// Per-QP flag: sequenced traffic arrived since the last ack.
     ack_due: Vec<bool>,
-    /// Per-QP out-of-order staging buffer. Keys are
-    /// sequence numbers strictly above `expected`; drained in order the
-    /// moment the hole fills. A staging failure while draining leaves the
-    /// packet keyed here and retries next poll, so nothing is dropped.
-    staging: Vec<BTreeMap<u64, WirePacket>>,
-    /// Per-QP staging-buffer bound.
+    /// Per-QP out-of-order staging buffer. Its base is the QP's next
+    /// expected sequence number, so whatever it holds is strictly above it;
+    /// drained in order the moment the hole fills. A staging failure while
+    /// draining puts the packet back at the front and retries next poll, so
+    /// nothing is dropped.
+    staging: Vec<ReorderWindow<WirePacket>>,
+    /// Per-QP staging-buffer bound, in packets held.
     staging_capacity: usize,
     /// Whether the cross-QP total-order gate is enabled (see
     /// [`RecvNic::enable_total_order`]).
     total_order: bool,
     /// The total-order gate: accepted packets carrying a global sequence
     /// number park here until every earlier `gseq` has been released to the
-    /// completion queue. Naturally bounded by the sum of the peers' send
-    /// windows plus the per-QP staging buffers — a sender whose packets are
-    /// parked stops receiving ack progress on *other* packets only when its
-    /// own window fills, so the gate never grows past what the per-QP
-    /// reliability layer already admits.
-    gate: BTreeMap<u64, WirePacket>,
-    /// The next global sequence number the gate releases.
-    next_gseq: u64,
+    /// completion queue; its base is the next `gseq` to release. Naturally
+    /// bounded by the sum of the peers' send windows plus the per-QP staging
+    /// buffers — a sender whose packets are parked stops receiving ack
+    /// progress on *other* packets only when its own window fills, so the
+    /// gate never grows past what the per-QP reliability layer already
+    /// admits. Its slots run from the base to the highest `gseq` parked.
+    gate: ReorderWindow<WirePacket>,
     rx_stats: RxStats,
     metrics: Option<ServiceMetrics>,
 }
@@ -154,13 +153,11 @@ impl RecvNic {
             next_msg: 0,
             held: None,
             faults: None,
-            expected: vec![0],
             ack_due: vec![false],
-            staging: vec![BTreeMap::new()],
+            staging: vec![ReorderWindow::default()],
             staging_capacity: DEFAULT_STAGING_CAPACITY,
             total_order: false,
-            gate: BTreeMap::new(),
-            next_gseq: 0,
+            gate: ReorderWindow::default(),
             rx_stats: RxStats::default(),
             metrics: None,
         }
@@ -191,7 +188,7 @@ impl RecvNic {
     /// The next global sequence number the total-order gate will release
     /// (diagnostics; equals the number of gated packets delivered so far).
     pub fn next_gseq(&self) -> u64 {
-        self.next_gseq
+        self.gate.base()
     }
 
     /// Overrides the per-QP out-of-order staging bound. A zero capacity
@@ -227,9 +224,8 @@ impl RecvNic {
     pub fn add_qp(&mut self, qp: QueuePair) {
         self.qps.push(qp);
         self.inbox.push(VecDeque::new());
-        self.expected.push(0);
         self.ack_due.push(false);
-        self.staging.push(BTreeMap::new());
+        self.staging.push(ReorderWindow::default());
     }
 
     /// Number of queue pairs terminated here.
@@ -314,26 +310,19 @@ impl RecvNic {
             // Any sequenced arrival — accepted or not — owes the peer a
             // fresh cumulative ack, so retransmits re-ack too.
             self.ack_due[qp] = true;
-            let expected = self.expected[qp];
+            let expected = self.staging[qp].base();
             if seq < expected {
-                self.rx_stats.duplicates += 1;
-                if let Some(m) = &self.metrics {
-                    m.count_rx_duplicate();
-                }
+                self.count_duplicate();
                 return Ok(0);
             }
             if seq > expected {
                 self.accept_out_of_order(qp, seq, packet);
                 return Ok(0);
             }
-            self.expected[qp] = expected + 1;
             // A retransmit can race its own staged copy: the in-order copy
             // wins and the staged one becomes a duplicate.
-            if self.staging[qp].remove(&seq).is_some() {
-                self.rx_stats.duplicates += 1;
-                if let Some(m) = &self.metrics {
-                    m.count_rx_duplicate();
-                }
+            if self.staging[qp].skip().is_some() {
+                self.count_duplicate();
             }
         }
         match self.deliver_packet(packet) {
@@ -368,22 +357,7 @@ impl RecvNic {
     ) -> Result<usize, (Option<WirePacket>, NicError)> {
         if self.total_order {
             if let Some(gseq) = packet.gseq {
-                if gseq < self.next_gseq || self.gate.contains_key(&gseq) {
-                    // Per-QP acceptance is exactly-once, so a gate-level
-                    // duplicate means two packets shared a global sequence
-                    // number (a sender-side numbering bug); discarding the
-                    // later copy keeps delivery exactly-once per gseq.
-                    self.rx_stats.duplicates += 1;
-                    if let Some(m) = &self.metrics {
-                        m.count_rx_duplicate();
-                    }
-                    return Ok(0);
-                }
-                self.gate.insert(gseq, packet);
-                if gseq != self.next_gseq {
-                    self.rx_stats.gate_parked += 1;
-                }
-                return self.drain_gate().map_err(|e| (None, e));
+                return self.deliver_gated(gseq, packet).map_err(|e| (None, e));
             }
         }
         match self.stage_packet(packet) {
@@ -392,21 +366,44 @@ impl RecvNic {
         }
     }
 
+    /// The gated half of [`RecvNic::deliver_packet`]: the packet parks at
+    /// its `gseq` (counted as parked unless it is the one the gate waits
+    /// for), then whatever run is ready is released. A failure leaves the
+    /// gate's head parked.
+    // Out of line: inlined, it made `deliver_packet`'s ungated path dearer
+    // (`stream_nc`'s `nic` rung).
+    #[inline(never)]
+    fn deliver_gated(&mut self, gseq: u64, packet: WirePacket) -> Result<usize, NicError> {
+        let next = self.gate.base();
+        if gseq < next || self.gate.contains(gseq) {
+            // Per-QP acceptance is exactly-once, so a gate-level duplicate
+            // means two packets shared a global sequence number (a
+            // sender-side numbering bug); discarding the later copy keeps
+            // delivery exactly-once per gseq.
+            self.count_duplicate();
+            return Ok(0);
+        }
+        self.gate.park(gseq, packet);
+        if gseq != next {
+            self.rx_stats.gate_parked += 1;
+        }
+        self.drain_gate()
+    }
+
     /// Releases gated packets whose global-order predecessors have all been
-    /// delivered, strictly in `gseq` order. A bounce-pool failure leaves
-    /// the head parked (keyed by its unchanged global sequence number) and
-    /// surfaces the error; the next poll resumes the drain.
+    /// delivered, strictly in `gseq` order. A bounce-pool failure puts the
+    /// head back at the front of the gate and surfaces the error; the next
+    /// poll resumes the drain.
     fn drain_gate(&mut self) -> Result<usize, NicError> {
         let mut n = 0;
-        while let Some(packet) = self.gate.remove(&self.next_gseq) {
+        while let Some(packet) = self.gate.pop_front() {
             match self.stage_packet(packet) {
                 Ok(()) => {
-                    self.next_gseq += 1;
                     self.rx_stats.gate_released += 1;
                     n += 1;
                 }
                 Err((packet, e)) => {
-                    self.gate.insert(self.next_gseq, packet);
+                    self.gate.put_back(packet);
                     return Err(e);
                 }
             }
@@ -414,19 +411,24 @@ impl RecvNic {
         Ok(n)
     }
 
+    /// Counts one discarded duplicate.
+    fn count_duplicate(&mut self) {
+        self.rx_stats.duplicates += 1;
+        if let Some(m) = &self.metrics {
+            m.count_rx_duplicate();
+        }
+    }
+
     /// Handles a sequenced packet above the expected counter: staged while
     /// the bounded buffer has room, discarded (and counted as overflow + gap)
     /// otherwise. Never generates a completion directly.
     fn accept_out_of_order(&mut self, qp: usize, seq: u64, packet: WirePacket) {
-        if self.staging[qp].contains_key(&seq) {
-            self.rx_stats.duplicates += 1;
-            if let Some(m) = &self.metrics {
-                m.count_rx_duplicate();
-            }
+        if self.staging[qp].contains(seq) {
+            self.count_duplicate();
             return;
         }
         if self.staging[qp].len() < self.staging_capacity {
-            self.staging[qp].insert(seq, packet);
+            self.staging[qp].park(seq, packet);
             self.rx_stats.staged_out_of_order += 1;
             if let Some(m) = &self.metrics {
                 m.count_rx_staged();
@@ -442,9 +444,9 @@ impl RecvNic {
     }
 
     /// Delivers staged packets whose hole has filled, strictly in sequence
-    /// order per QP. A bounce-pool failure leaves the packet staged (keyed
-    /// by its unchanged sequence number) and surfaces the error; the next
-    /// poll resumes the drain, so nothing is dropped.
+    /// order per QP. A bounce-pool failure puts the packet back at the front
+    /// of its staging buffer and surfaces the error; the next poll resumes
+    /// the drain, so nothing is dropped.
     fn drain_staged(&mut self) -> Result<usize, NicError> {
         let mut n = 0;
         for qp in 0..self.qps.len() {
@@ -456,17 +458,14 @@ impl RecvNic {
     /// The per-QP half of [`RecvNic::drain_staged`].
     fn drain_staged_qp(&mut self, qp: usize) -> Result<usize, NicError> {
         let mut n = 0;
-        let mut next = self.expected[qp];
-        while let Some(packet) = self.staging[qp].remove(&next) {
+        while let Some(packet) = self.staging[qp].pop_front() {
             match self.deliver_packet(packet) {
                 Ok(k) => {
-                    next += 1;
-                    self.expected[qp] = next;
                     self.ack_due[qp] = true;
                     n += k;
                 }
                 Err((Some(packet), e)) => {
-                    self.staging[qp].insert(next, packet);
+                    self.staging[qp].put_back(packet);
                     return Err(e);
                 }
                 Err((None, e)) => {
@@ -474,7 +473,6 @@ impl RecvNic {
                     // the per-QP layer, so the ack must cover it); the
                     // error is the gate head's bounce failure, retried on
                     // the next poll.
-                    self.expected[qp] = next + 1;
                     self.ack_due[qp] = true;
                     return Err(e);
                 }
@@ -491,35 +489,11 @@ impl RecvNic {
         for i in 0..self.qps.len() {
             if self.ack_due[i] {
                 self.ack_due[i] = false;
-                let sack = Self::sack_of(&self.staging[i]);
-                let _ = self.qps[i].send_ack(self.expected[i], sack);
+                let staging = &self.staging[i];
+                let _ = self.qps[i].send_ack(staging.base(), staging.sack());
                 self.rx_stats.acks_sent += 1;
             }
         }
-    }
-
-    /// Summarizes a staging buffer's contiguous runs as SACK blocks
-    /// (bounded by [`crate::rdma::MAX_SACK_BLOCKS`]; lower runs win since
-    /// they unblock the cumulative edge soonest).
-    fn sack_of(staging: &BTreeMap<u64, WirePacket>) -> SackBlocks {
-        let mut sack = SackBlocks::empty();
-        let mut run: Option<(u64, u64)> = None;
-        for &seq in staging.keys() {
-            run = match run {
-                Some((start, end)) if seq == end => Some((start, end + 1)),
-                Some((start, end)) => {
-                    if !sack.push(start, end) {
-                        return sack;
-                    }
-                    Some((seq, seq + 1))
-                }
-                None => Some((seq, seq + 1)),
-            };
-        }
-        if let Some((start, end)) = run {
-            sack.push(start, end);
-        }
-        sack
     }
 
     /// Stages one packet — its inline bytes move into a bounce buffer — or
@@ -601,14 +575,14 @@ impl RecvNic {
 
     /// The next expected sequence number on queue pair `qp` (diagnostics).
     pub fn expected_seq(&self, qp: usize) -> u64 {
-        self.expected[qp]
+        self.staging[qp].base()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rdma::{connected_pair, eager_packet};
+    use crate::rdma::{connected_pair, eager_packet, SackBlocks};
     use otm_base::{Envelope, Rank, Tag};
 
     fn nic_pair(buffers: usize) -> (QueuePair, RecvNic) {
@@ -1061,6 +1035,45 @@ mod tests {
         let second = nic.take_block(1)[0];
         assert_eq!(nic.staged(second.bounce), &[1]);
         assert_eq!(second.msg, MsgHandle(1), "handle order preserved");
+    }
+
+    #[test]
+    fn total_order_gate_discards_a_shared_gseq_once_per_extra_copy() {
+        // Both QPs stamp the same global sequence numbers: every packet is
+        // new at its own QP, so only the gate can tell the copies apart.
+        let (tx_a, rx_a) = connected_pair();
+        let (tx_b, rx_b) = connected_pair();
+        let mut nic = RecvNic::new(rx_a, BouncePool::new(8, 64));
+        nic.add_qp(rx_b);
+        nic.enable_total_order();
+        let send = |tx: &QueuePair, seq: u64, gseq: u64, byte: u8| {
+            let packet = eager_packet(env(gseq as u32), vec![byte]);
+            tx.send(packet.with_seq(seq).with_gseq(gseq)).unwrap();
+        };
+        // Below the gate's base: gseq 0 was released before B's copy came.
+        send(&tx_a, 0, 0, 0);
+        send(&tx_b, 0, 0, 100);
+        assert_eq!(nic.poll().unwrap(), 1);
+        assert_eq!(nic.rx_stats().duplicates, 1);
+        // Already parked: gseq 2 waits behind 1 when B's copy comes.
+        send(&tx_a, 1, 2, 2);
+        send(&tx_b, 1, 2, 102);
+        assert_eq!(nic.poll().unwrap(), 0);
+        assert_eq!(nic.gate_parked_len(), 1, "one copy parked, not two");
+        assert_eq!(nic.rx_stats().duplicates, 2);
+        send(&tx_b, 2, 1, 1);
+        assert_eq!(nic.poll().unwrap(), 2, "gseq 1 releases the parked 2");
+        let block = nic.take_block(8);
+        let bytes: Vec<u8> = block.iter().map(|c| nic.staged(c.bounce)[0]).collect();
+        assert_eq!(bytes, vec![0, 1, 2], "each gseq delivered exactly once");
+        assert_eq!(nic.gate_parked_len(), 0);
+        assert_eq!(nic.next_gseq(), 3);
+        let stats = nic.rx_stats();
+        assert_eq!(
+            (stats.duplicates, stats.gate_parked, stats.gate_released),
+            (2, 1, 3)
+        );
+        assert_eq!((nic.expected_seq(0), nic.expected_seq(1)), (2, 3));
     }
 
     #[test]
