@@ -14,12 +14,22 @@
 //! to completion by the eager or rendezvous/RDMA-READ protocol of §IV-B.
 //!
 //! Like the engine-direct replay, destinations are replayed one at a time —
-//! rank-major, because matching state is private to a rank. Each gets a
-//! fresh NIC, engine and service, and one queue pair + reliable sender per
-//! source rank that sends to it, all dropped before the next destination
-//! starts: what is live at once is one destination's endpoints (a link of
-//! a few hundred bytes, a four-slot queue per direction in use and a
-//! one-`Arc` metrics handle per peer), never the trace's.
+//! rank-major, because matching state is private to a rank. Each gets an
+//! engine of its own, sized from its posts and arrivals. The transport
+//! around it is built once per replay, the way a NIC's bounce buffers and
+//! queues are set up in NIC memory ahead of time (§IV-A): one
+//! [`MatchingService`] with its [`RecvNic`], bounce pool (sized to the
+//! busiest destination) and metrics registry, one [`RdmaDomain`], and one
+//! queue pair + reliable sender per slot. A destination's `i`-th source in
+//! rank order sends on slot `i`; the slots grow to the widest destination
+//! so far. Between destinations every layer re-arms in place to read as new
+//! — `MatchingService::rearm`, `RecvNic::rearm` (only the destination's
+//! slots are polled), `ReliableSender::rearm` — so no count, stale frame
+//! or unmatched rendezvous region carries over, and what a destination
+//! costs to start is its engine. What is live at once is the widest
+//! destination's endpoints (a link of a few hundred bytes, a four-slot
+//! queue per direction in use and a one-`Arc` metrics handle per peer),
+//! never the trace's.
 //!
 //! ## The ordering contract
 //!
@@ -44,11 +54,12 @@
 //! sets must be identical — clean wire or hostile.
 
 use crate::bounce::BouncePool;
+use crate::control::FeedbackController;
 use crate::nic::RecvNic;
 use crate::rdma::{connected_pair, eager_packet, rendezvous_packet, RdmaDomain};
 use crate::reliable::{ReliableSender, PROTOCOL_LABEL};
 use crate::service::{CompletedReceive, MatchingService, ServiceError};
-use mpi_matching::{BlockDelivery, MatchingBackend, MsgHandle, PostResult, RecvHandle};
+use mpi_matching::{BlockDelivery, MatchingBackend, MsgHandle, PostResult, RdmaNoOp, RecvHandle};
 use otm::OtmEngine;
 use otm_base::{Envelope, FaultPlan, MatchConfig, ReceivePattern};
 use otm_metrics::json::{JsonWriter, WriteJson};
@@ -65,8 +76,9 @@ const ID_BYTES: usize = 8;
 /// Parameters of an end-to-end application replay.
 #[derive(Debug, Clone)]
 pub struct AppReplayConfig {
-    /// Seeded wire-fault plan installed on every destination NIC. Faults
-    /// hit only sequenced packets, i.e. every replayed arrival.
+    /// Seeded wire-fault plan installed on the NIC and restarted from its
+    /// seed for every destination. Faults hit only sequenced packets, i.e.
+    /// every replayed arrival.
     pub faults: Option<FaultPlan>,
     /// Bins per hash-table index of the engine (and the oracle).
     pub bins: usize,
@@ -94,7 +106,7 @@ impl Default for AppReplayConfig {
 }
 
 impl AppReplayConfig {
-    /// Installs a wire-fault plan on every destination NIC.
+    /// Installs a wire-fault plan, restarted for every destination.
     #[must_use]
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
@@ -377,18 +389,90 @@ pub fn engine_direct_pairs(trace: &AppTrace, bins: usize) -> Vec<MatchedPair> {
     pairs
 }
 
-/// One destination's live transport endpoints: a reliable sender per source
-/// rank that sends to it, sorted by that rank.
-struct Senders {
-    by_src: Vec<(u32, ReliableSender)>,
+/// The replay's transport endpoints, built once and re-armed for each
+/// destination: the service with the NIC behind it, and one queue pair and
+/// reliable sender per slot. The destination's `i`-th source in rank order
+/// sends on slot `i`; the slots grow to the widest destination so far, and
+/// those past the current one's sources sit idle.
+struct Endpoints {
+    svc: MatchingService,
+    domain: RdmaDomain,
+    /// One per queue pair of the NIC, in slot order.
+    senders: Vec<ReliableSender>,
+    /// The current destination's sources, in rank order.
+    sources: Vec<u32>,
 }
 
-impl Senders {
-    /// Polls every sender once (ack intake + retransmit timers) and applies
-    /// the service's controller window hint, if any.
-    fn poll_all(&mut self, svc: &MatchingService) -> Result<(), ServiceError> {
-        let hint = svc.reliability_window_hint();
-        for (_, s) in &mut self.by_src {
+impl Endpoints {
+    /// A set with no slot and no matcher yet: a destination arms it first.
+    /// Its bounce pool holds `buffers` staging buffers, whichever
+    /// destination it serves.
+    fn new(cfg: &AppReplayConfig, buffers: usize) -> Self {
+        let buf = cfg.eager_max.max(cfg.piggyback).max(ID_BYTES);
+        let mut nic = RecvNic::unconnected(BouncePool::new(buffers, buf));
+        nic.enable_total_order();
+        if let Some(plan) = &cfg.faults {
+            nic.set_faults(plan.clone());
+        }
+        let domain = RdmaDomain::new();
+        let placeholder = Box::new(RdmaNoOp::new());
+        Endpoints {
+            svc: MatchingService::with_backend(nic, domain.clone(), placeholder),
+            domain,
+            senders: Vec::new(),
+            sources: Vec::new(),
+        }
+    }
+
+    /// Arms the set for one destination around its own engine: a slot per
+    /// source that sends to it (connecting more queue pairs if the set is
+    /// narrower), and the service, the NIC and those slots' senders re-armed
+    /// to read as new.
+    fn arm(&mut self, events: &[Ev], engine: OtmEngine) {
+        self.sources.clear();
+        self.sources.extend(events.iter().filter_map(|e| match e {
+            Ev::Arrive { src, .. } => Some(src.0),
+            Ev::Post(_) => None,
+        }));
+        self.sources.sort_unstable();
+        self.sources.dedup();
+        let active = self.sources.len();
+        while self.senders.len() < active {
+            let (tx, rx) = connected_pair();
+            self.svc.nic_mut().add_qp(rx);
+            let mut sender = ReliableSender::new(tx);
+            sender.attach_metrics(self.svc.metrics().clone());
+            self.senders.push(sender);
+        }
+        self.svc.rearm(Box::new(engine));
+        self.svc.nic_mut().rearm(active);
+        for s in &mut self.senders[..active] {
+            s.rearm();
+        }
+        self.svc
+            .attach_controller(FeedbackController::with_defaults());
+    }
+
+    /// The slot `src` sends on.
+    fn slot(&self, src: u32) -> usize {
+        self.sources
+            .binary_search(&src)
+            .expect("a slot for every arrival source")
+    }
+
+    /// The current destination's senders.
+    fn active(&self) -> &[ReliableSender] {
+        &self.senders[..self.sources.len()]
+    }
+
+    /// One turn of the whole path: the service progresses, its completions
+    /// go into `pairs`, and every active sender polls once (ack intake and
+    /// retransmit timers) under the controller's window hint, if any.
+    fn pump(&mut self, dest: u32, pairs: &mut Vec<MatchedPair>) -> Result<(), ServiceError> {
+        self.svc.progress()?;
+        collect(dest, self.svc.take_completed(), pairs);
+        let hint = self.svc.reliability_window_hint();
+        for s in &mut self.senders[..self.sources.len()] {
             if let Some(h) = hint {
                 s.set_window_limit(h);
             }
@@ -398,8 +482,21 @@ impl Senders {
         Ok(())
     }
 
-    fn all_acked(&self) -> bool {
-        self.by_src.iter().all(|(_, s)| s.unacked() == 0)
+    /// Pumps until every arrival sent so far has been accepted (senders
+    /// fully acked) *and* released by the total-order gate — the point at
+    /// which the engine's submission stream provably contains every prior
+    /// arrival, so a post may follow.
+    fn settle(&mut self, dest: u32, pairs: &mut Vec<MatchedPair>) -> Result<(), ServiceError> {
+        loop {
+            self.pump(dest, pairs)?;
+            let all_acked = self.active().iter().all(|s| s.unacked() == 0);
+            if all_acked && self.svc.nic().gate_parked_len() == 0 {
+                // One more pass drains anything the final acks released.
+                self.svc.progress()?;
+                collect(dest, self.svc.take_completed(), pairs);
+                return Ok(());
+            }
+        }
     }
 }
 
@@ -407,29 +504,6 @@ impl Senders {
 fn collect(dest: u32, done: Vec<CompletedReceive>, pairs: &mut Vec<MatchedPair>) {
     for c in done {
         pairs.push((dest, c.recv.0, payload_id(&c.data)));
-    }
-}
-
-/// Runs the service and all senders until every arrival sent so far has
-/// been accepted (senders fully acked) *and* released by the total-order
-/// gate — the point at which the engine's submission stream provably
-/// contains every prior arrival, so a post may follow.
-fn settle(
-    dest: u32,
-    svc: &mut MatchingService,
-    senders: &mut Senders,
-    pairs: &mut Vec<MatchedPair>,
-) -> Result<(), ServiceError> {
-    loop {
-        svc.progress()?;
-        collect(dest, svc.take_completed(), pairs);
-        senders.poll_all(svc)?;
-        if senders.all_acked() && svc.nic().gate_parked_len() == 0 {
-            // One more pass drains anything the final acks released.
-            svc.progress()?;
-            collect(dest, svc.take_completed(), pairs);
-            return Ok(());
-        }
     }
 }
 
@@ -456,15 +530,17 @@ pub fn replay_app(
         ..AppReplayReport::default()
     };
     let mut pairs: Vec<MatchedPair> = Vec::new();
-    // Only a series needs to know which destination is the busiest.
-    let busiest = cfg.series_cadence.and_then(|_| {
-        let arrivals = |evs: &[Ev]| {
-            evs.iter()
-                .filter(|e| matches!(e, Ev::Arrive { .. }))
-                .count()
-        };
-        (0..per_rank.len()).max_by_key(|&d| arrivals(&per_rank[d]))
-    });
+    let arrivals_at = |d: usize| {
+        per_rank[d]
+            .iter()
+            .filter(|e| matches!(e, Ev::Arrive { .. }))
+            .count()
+    };
+    let busiest = (0..per_rank.len()).max_by_key(|&d| arrivals_at(d));
+    // Sized once, to the busiest destination: never smaller than the pool a
+    // destination of its own would get.
+    let buffers = busiest.map_or(0, arrivals_at).clamp(64, 8192);
+    let mut ends = Endpoints::new(cfg, buffers);
     let start = std::time::Instant::now();
 
     for (dest, events) in per_rank.iter().enumerate() {
@@ -476,59 +552,20 @@ pub fn replay_app(
         report.posts += posts as u64;
         report.messages += arrivals as u64;
 
-        // One queue pair (and one reliable sender) per source rank that
-        // sends to this destination, in deterministic rank order.
-        let mut sources: Vec<u32> = events
-            .iter()
-            .filter_map(|e| match e {
-                Ev::Arrive { src, .. } => Some(src.0),
-                Ev::Post(_) => None,
-            })
-            .collect();
-        sources.sort_unstable();
-        sources.dedup();
-
-        let buf = cfg.eager_max.max(cfg.piggyback).max(ID_BYTES);
-        let pool = BouncePool::new(arrivals.clamp(64, 8192), buf);
-        let mut senders = Senders {
-            by_src: Vec::with_capacity(sources.len()),
-        };
-        let mut nic = match sources.split_first() {
-            Some((first, rest)) => {
-                let (tx, rx) = connected_pair();
-                let mut nic = RecvNic::new(rx, pool);
-                senders.by_src.push((*first, ReliableSender::new(tx)));
-                for s in rest {
-                    let (tx, rx) = connected_pair();
-                    nic.add_qp(rx);
-                    senders.by_src.push((*s, ReliableSender::new(tx)));
-                }
-                nic
-            }
-            // Post-only destination: the NIC still needs an endpoint.
-            None => RecvNic::new(connected_pair().1, pool),
-        };
-        nic.enable_total_order();
-        if let Some(plan) = &cfg.faults {
-            nic.set_faults(plan.clone());
-        }
-
+        // The engine is the destination's own, sized from its posts and
+        // arrivals: matching state is private to a rank.
         let config = MatchConfig::default()
             .with_bins(cfg.bins)
             .with_max_receives(posts.max(1))
             .with_max_unexpected(arrivals.max(1));
         let engine = OtmEngine::new(config).map_err(ServiceError::Match)?;
-        let domain = RdmaDomain::new();
-        let mut svc = MatchingService::with_backend(nic, domain.clone(), Box::new(engine));
-        svc.attach_controller(crate::control::FeedbackController::with_defaults());
+        ends.arm(events, engine);
         if let (Some(cadence), Some(b)) = (cfg.series_cadence, busiest) {
             if b == dest {
-                svc.attach_series(otm_metrics::SeriesRecorder::new(cadence.max(1)));
+                ends.svc.attach_series(SeriesRecorder::new(cadence.max(1)));
             }
         }
-        for (_, s) in &mut senders.by_src {
-            s.attach_metrics(svc.metrics().clone());
-        }
+        let dest = dest as u32;
 
         // ---- the event loop: posts and arrivals in trace order ----------
         let mut gseq = 0u64;
@@ -537,23 +574,18 @@ pub fn replay_app(
             match ev {
                 Ev::Post(pattern) => {
                     if dirty {
-                        settle(dest as u32, &mut svc, &mut senders, &mut pairs)?;
+                        ends.settle(dest, &mut pairs)?;
                         dirty = false;
                     }
-                    svc.post_recv(*pattern)?;
+                    ends.svc.post_recv(*pattern)?;
                 }
                 Ev::Arrive { src, env, bytes } => {
                     // Window backpressure: progress the whole path (all
                     // senders — a parked packet may wait on another QP's
                     // retransmission) until this sender has room.
-                    let at = senders
-                        .by_src
-                        .binary_search_by_key(&src.0, |(s, _)| *s)
-                        .expect("sender exists for every arrival source");
-                    while !senders.by_src[at].1.can_send() {
-                        svc.progress()?;
-                        collect(dest as u32, svc.take_completed(), &mut pairs);
-                        senders.poll_all(&svc)?;
+                    let at = ends.slot(src.0);
+                    while !ends.senders[at].can_send() {
+                        ends.pump(dest, &mut pairs)?;
                     }
                     let payload = payload_for(gseq, *bytes);
                     let pkt = if *bytes <= cfg.eager_max {
@@ -563,18 +595,19 @@ pub fn replay_app(
                         report.rendezvous_messages += 1;
                         // The service RDMA-READs the tail and deregisters
                         // the region once the payload is delivered.
-                        rendezvous_packet(&domain, *env, payload, cfg.piggyback).0
+                        rendezvous_packet(&ends.domain, *env, payload, cfg.piggyback).0
                     };
-                    let sent = senders.by_src[at].1.send(pkt.with_gseq(gseq));
+                    let sent = ends.senders[at].send(pkt.with_gseq(gseq));
                     sent.map_err(ServiceError::Reliability)?;
                     gseq += 1;
                     dirty = true;
                 }
             }
         }
-        settle(dest as u32, &mut svc, &mut senders, &mut pairs)?;
+        ends.settle(dest, &mut pairs)?;
 
         // ---- per-destination accounting ---------------------------------
+        let svc = &mut ends.svc;
         svc.force_series_sample();
         if let Some(series) = svc.take_series() {
             report.series = Some(series);
@@ -584,7 +617,7 @@ pub fn replay_app(
         let (nc, wc_fp) = (engine.optimistic_ok, engine.fast_path);
         let wc_sp = engine.matched - nc - wc_fp;
         #[cfg(test)]
-        tests::check_paths_against_the_registry(&svc, [nc, wc_fp, wc_sp]);
+        tests::check_paths_against_the_registry(svc, [nc, wc_fp, wc_sp]);
         report.path_nc += nc;
         report.path_wc_fp += wc_fp;
         report.path_wc_sp += wc_sp;
@@ -600,7 +633,8 @@ pub fn replay_app(
         report.acks_sent += rx.acks_sent;
         report.gate_parked += rx.gate_parked;
         report.gate_released += rx.gate_released;
-        for (_, s) in &senders.by_src {
+        report.fallbacks += u64::from(svc.fell_back());
+        for s in ends.active() {
             let rel = s.stats();
             report.retransmits += rel.retransmits;
             report.fast_retransmits += rel.fast_retransmits;
@@ -608,7 +642,6 @@ pub fn replay_app(
             report.acks_received += rel.acks;
             report.backoff_polls += rel.backoff_polls;
         }
-        report.fallbacks += u64::from(svc.fell_back());
     }
 
     report.elapsed_secs = start.elapsed().as_secs_f64();
@@ -620,6 +653,8 @@ pub fn replay_app(
     };
     pairs.sort_unstable();
     report.completed = pairs.len() as u64;
+    #[cfg(test)]
+    tests::note_regions_left(ends.domain.region_count());
     Ok(AppReplayOutcome {
         report,
         matched_pairs: pairs,
@@ -687,6 +722,64 @@ mod tests {
     thread_local! {
         /// Destinations whose path counts this thread's replays checked.
         static CHECKED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+        /// Regions still registered when this thread's last replay ended.
+        static REGIONS_LEFT: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
+    }
+
+    /// Called by every replay in this crate's tests as it ends.
+    pub(super) fn note_regions_left(regions: usize) {
+        REGIONS_LEFT.with(|r| r.set(Some(regions)));
+    }
+
+    #[test]
+    fn no_region_outlives_its_destination() {
+        // Rank 1 never receives rank 0's rendezvous-sized tag-8 message; the
+        // replay goes on to rank 2, which matches one of its own.
+        let send = |t: f64, dest: u32, tag: u32| TimedOp {
+            time: t,
+            op: MpiOp::Send {
+                dest: Rank(dest),
+                tag: Tag(tag),
+                comm: CommId::WORLD,
+                count: 1024,
+            },
+        };
+        let recv = |t: f64, tag: u32| TimedOp {
+            time: t,
+            op: MpiOp::Recv {
+                src: SourceSel::Rank(Rank(0)),
+                tag: TagSel::Tag(Tag(tag)),
+                comm: CommId::WORLD,
+                count: 1024,
+            },
+        };
+        let trace = AppTrace {
+            name: "unmatched-rendezvous".into(),
+            ranks: vec![
+                RankTrace {
+                    rank: Rank(0),
+                    ops: vec![send(1.0, 1, 7), send(2.0, 1, 8), send(3.0, 2, 7)],
+                },
+                RankTrace {
+                    rank: Rank(1),
+                    ops: vec![recv(0.5, 7)],
+                },
+                RankTrace {
+                    rank: Rank(2),
+                    ops: vec![recv(0.5, 7)],
+                },
+            ],
+        };
+        REGIONS_LEFT.with(|r| r.set(None));
+        let out = replay_app(&trace, &AppReplayConfig::default()).unwrap();
+        assert_eq!(out.matched_pairs, engine_direct_pairs(&trace, 128));
+        let r = &out.report;
+        assert_eq!(
+            (r.rendezvous_messages, r.completed),
+            (3, 2),
+            "tag 8 never matched"
+        );
+        assert_eq!(REGIONS_LEFT.with(std::cell::Cell::get), Some(0));
     }
 
     /// Called by every replay in this crate's tests, once per destination:
@@ -788,6 +881,57 @@ mod tests {
             out.report.gate_released, 5,
             "every arrival crossed the gate"
         );
+    }
+
+    #[test]
+    fn a_destination_nobody_sends_to_still_replays() {
+        // Rank 2 posts a wildcard receive no message ever reaches: its NIC
+        // terminates no queue pair in use.
+        let trace = AppTrace {
+            name: "post-only".into(),
+            ranks: vec![
+                RankTrace {
+                    rank: Rank(0),
+                    ops: vec![TimedOp {
+                        time: 1.0,
+                        op: MpiOp::Send {
+                            dest: Rank(1),
+                            tag: Tag(3),
+                            comm: CommId::WORLD,
+                            count: 16,
+                        },
+                    }],
+                },
+                RankTrace {
+                    rank: Rank(1),
+                    ops: vec![TimedOp {
+                        time: 0.5,
+                        op: MpiOp::Recv {
+                            src: SourceSel::Rank(Rank(0)),
+                            tag: TagSel::Tag(Tag(3)),
+                            comm: CommId::WORLD,
+                            count: 16,
+                        },
+                    }],
+                },
+                RankTrace {
+                    rank: Rank(2),
+                    ops: vec![TimedOp {
+                        time: 0.5,
+                        op: MpiOp::Irecv {
+                            src: SourceSel::Any,
+                            tag: TagSel::Any,
+                            comm: CommId::WORLD,
+                            count: 16,
+                            request: ReqId(0),
+                        },
+                    }],
+                },
+            ],
+        };
+        let out = replay_app(&trace, &AppReplayConfig::default()).unwrap();
+        assert_eq!(out.matched_pairs, engine_direct_pairs(&trace, 128));
+        assert_eq!((out.report.posts, out.report.completed), (2, 1));
     }
 
     #[test]

@@ -99,6 +99,9 @@ pub struct RxStats {
 #[derive(Debug)]
 pub struct RecvNic {
     qps: Vec<QueuePair>,
+    /// Queue pairs polled, drained and acked: the first `active` of `qps`
+    /// (all of them unless [`RecvNic::rearm`] said fewer).
+    active: usize,
     /// Per-QP frames taken off the wire in one lock and not yet looked at.
     /// Refilled only when empty, so a poll that returns early leaves the
     /// rest here, in order, as if they were still on the wire.
@@ -145,21 +148,70 @@ impl RecvNic {
     /// Creates a receive engine over one queue pair with the given staging
     /// pool.
     pub fn new(qp: QueuePair, pool: BouncePool) -> Self {
+        let mut nic = Self::unconnected(pool);
+        nic.add_qp(qp);
+        nic
+    }
+
+    /// Creates a receive engine that terminates no queue pair yet:
+    /// [`RecvNic::add_qp`] connects each peer.
+    pub(crate) fn unconnected(pool: BouncePool) -> Self {
         RecvNic {
-            qps: vec![qp],
-            inbox: vec![VecDeque::new()],
+            qps: Vec::new(),
+            active: 0,
+            inbox: Vec::new(),
             pool,
             cq: VecDeque::new(),
             next_msg: 0,
             held: None,
             faults: None,
-            ack_due: vec![false],
-            staging: vec![ReorderWindow::default()],
+            ack_due: Vec::new(),
+            staging: Vec::new(),
             staging_capacity: DEFAULT_STAGING_CAPACITY,
             total_order: false,
             gate: ReorderWindow::default(),
             rx_stats: RxStats::default(),
             metrics: None,
+        }
+    }
+
+    /// Re-arms the NIC for a new set of peers over the queue pairs it
+    /// already terminates, the first `active` of them: it reads as it did
+    /// when built, and keeps every buffer's allocation. Frames still on
+    /// those links are discarded, their staging windows and the gate
+    /// restart at sequence 0, message handles at 0 and the receive counters
+    /// at zero; an installed fault plan starts over from its seed. Queue
+    /// pairs past `active` are not polled until a later re-arm takes them
+    /// in.
+    ///
+    /// # Panics
+    ///
+    /// If `active` exceeds [`RecvNic::qp_count`].
+    pub(crate) fn rearm(&mut self, active: usize) {
+        assert!(
+            active <= self.qps.len(),
+            "{active} of {} queue pairs",
+            self.qps.len()
+        );
+        self.active = active;
+        for qp in 0..active {
+            let inbox = &mut self.inbox[qp];
+            inbox.clear();
+            // A peer that is gone cannot send anything stale either.
+            let _ = self.qps[qp].recv_all(inbox);
+            inbox.clear();
+            self.ack_due[qp] = false;
+            self.staging[qp].reset();
+        }
+        while let Some(c) = self.cq.pop_front() {
+            self.pool.release(c.bounce);
+        }
+        self.held = None;
+        self.gate.reset();
+        self.next_msg = 0;
+        self.rx_stats = RxStats::default();
+        if let Some(faults) = self.faults.take() {
+            self.set_faults(faults.plan().clone());
         }
     }
 
@@ -220,12 +272,14 @@ impl RecvNic {
         self.metrics = Some(metrics);
     }
 
-    /// Terminates an additional queue pair on this NIC (another peer).
+    /// Terminates an additional queue pair on this NIC (another peer); every
+    /// queue pair is polled from then on.
     pub fn add_qp(&mut self, qp: QueuePair) {
         self.qps.push(qp);
         self.inbox.push(VecDeque::new());
         self.ack_due.push(false);
         self.staging.push(ReorderWindow::default());
+        self.active = self.qps.len();
     }
 
     /// Number of queue pairs terminated here.
@@ -268,7 +322,7 @@ impl RecvNic {
         while let Some((qp, packet)) = self.faults.as_mut().and_then(WireFaults::pop_due) {
             n += self.accept_packet(qp, packet)?;
         }
-        for i in 0..self.qps.len() {
+        for i in 0..self.active {
             loop {
                 if self.inbox[i].is_empty() {
                     let arrived = self.qps[i].recv_all(&mut self.inbox[i]);
@@ -449,7 +503,7 @@ impl RecvNic {
     /// the drain, so nothing is dropped.
     fn drain_staged(&mut self) -> Result<usize, NicError> {
         let mut n = 0;
-        for qp in 0..self.qps.len() {
+        for qp in 0..self.active {
             n += self.drain_staged_qp(qp)?;
         }
         Ok(n)
@@ -486,7 +540,7 @@ impl RecvNic {
     /// SACK blocks. Best-effort: a disconnected peer cannot use the ack
     /// anyway.
     fn send_due_acks(&mut self) {
-        for i in 0..self.qps.len() {
+        for i in 0..self.active {
             if self.ack_due[i] {
                 self.ack_due[i] = false;
                 let staging = &self.staging[i];
@@ -552,6 +606,10 @@ impl RecvNic {
 
     /// The first endpoint, e.g. for sending acknowledgements back on a
     /// two-node setup.
+    ///
+    /// # Panics
+    ///
+    /// If the NIC terminates no queue pair.
     pub fn qp(&self) -> &QueuePair {
         &self.qps[0]
     }
@@ -1074,6 +1132,62 @@ mod tests {
             (2, 1, 3)
         );
         assert_eq!((nic.expected_seq(0), nic.expected_seq(1)), (2, 3));
+    }
+
+    #[test]
+    fn a_rearmed_nic_reads_as_new_on_the_queue_pairs_it_keeps() {
+        let (tx_a, rx_a) = connected_pair();
+        let (tx_b, rx_b) = connected_pair();
+        let mut nic = RecvNic::unconnected(BouncePool::new(8, 64));
+        nic.add_qp(rx_a);
+        nic.add_qp(rx_b);
+        nic.enable_total_order();
+        let send = |tx: &QueuePair, seq: u64, gseq: u64| {
+            let packet = eager_packet(env(gseq as u32), vec![gseq as u8]);
+            tx.send(packet.with_seq(seq).with_gseq(gseq)).unwrap();
+        };
+        // The first peers: gseq 0 and 2 delivered, 3 parked behind the lost
+        // 1, seq 2 staged on QP 0 above its hole, one completion left.
+        send(&tx_a, 0, 0);
+        send(&tx_b, 0, 2);
+        send(&tx_b, 1, 3);
+        send(&tx_a, 2, 9);
+        assert_eq!(nic.poll().unwrap(), 1);
+        assert_eq!(
+            (nic.gate_parked_len(), nic.staged_out_of_order_len(0)),
+            (2, 1)
+        );
+        // Still on the links when the peers go: a retransmit, and acks.
+        send(&tx_a, 0, 0);
+        nic.rearm(1);
+        assert_eq!(nic.bounce_in_use(), 0, "the left-over completion went");
+        assert_eq!((nic.rx_stats(), nic.next_gseq()), (RxStats::default(), 0));
+        assert_eq!(
+            (nic.expected_seq(0), nic.staged_out_of_order_len(0)),
+            (0, 0)
+        );
+        // The next peer starts over on QP 0; QP 1 is not polled.
+        send(&tx_b, 2, 4);
+        send(&tx_a, 0, 0);
+        assert_eq!(nic.poll().unwrap(), 1);
+        let c = nic.take_block(8);
+        assert_eq!(
+            (c.len(), c[0].msg, nic.staged(c[0].bounce)),
+            (1, MsgHandle(0), &[0u8][..])
+        );
+        let stats = nic.rx_stats();
+        assert_eq!(
+            (stats.duplicates, stats.gate_released, stats.acks_sent),
+            (0, 1, 1)
+        );
+        // The first peers' ack is still on the link (the sender's end
+        // discards it when it re-arms); the new one acks sequence 0 only.
+        let acks: Vec<_> = std::iter::from_fn(|| tx_a.try_recv().unwrap()).collect();
+        let Some(Frame::Ack(last)) = acks.last() else {
+            panic!("an ack last, got {acks:?}")
+        };
+        assert_eq!((acks.len(), last.cumulative, last.sack.len()), (2, 1, 0));
+        assert_eq!(nic.qp_count(), 2);
     }
 
     #[test]

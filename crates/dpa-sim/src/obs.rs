@@ -245,6 +245,14 @@ impl ServiceMetrics {
         self.0.backoff_polls.record(polls);
     }
 
+    /// Zeroes every instrument in place (and empties the span ring): the
+    /// handle reads as a new one does, and every clone of it stays attached.
+    pub(crate) fn reset(&self) {
+        self.0.registry.reset();
+        #[cfg(feature = "trace-events")]
+        self.0.spans.clear();
+    }
+
     /// The underlying registry (for embedding into a larger exporter).
     pub fn registry(&self) -> &Registry {
         &self.0.registry
@@ -332,6 +340,19 @@ mod tests {
         assert_eq!(m.snapshot().counters["dpa_acks_total"], 1);
         drop(clones);
         assert_eq!(Arc::strong_count(&m.0), 1);
+    }
+
+    #[test]
+    fn a_reset_handle_reads_as_new_through_every_clone() {
+        let m = ServiceMetrics::new();
+        let attached = m.clone();
+        attached.add_retransmits(30);
+        attached.observe_queues(5, 3, 1);
+        attached.observe_backoff(8);
+        m.reset();
+        assert_eq!(attached.snapshot(), ServiceMetrics::new().snapshot());
+        attached.count_ack();
+        assert_eq!(m.snapshot().counters["dpa_acks_total"], 1);
     }
 
     #[test]

@@ -201,6 +201,35 @@ impl ReliableSender {
         }
     }
 
+    /// Re-arms the sender for a new peer on the same link: it reads as it
+    /// did when built, with its limits and metrics handle. Frames still on
+    /// the link are discarded; sequence numbers, the clock, the RTT estimate
+    /// and timeout, the retry count, the adaptive window and the counters
+    /// start over. The window's and the free list's buffers stay, so the
+    /// next sends allocate nothing.
+    pub(crate) fn rearm(&mut self) {
+        self.inbox.clear();
+        // A peer that is gone cannot have acked anything either.
+        let _ = self.qp.recv_all(&mut self.inbox);
+        self.inbox.clear();
+        for e in self.window.drain(..) {
+            if self.spare.len() < DEFAULT_WINDOW_LIMIT {
+                self.spare.push(e.packet.inline);
+            }
+        }
+        self.next_seq = 0;
+        self.acked = 0;
+        self.clock = 0;
+        self.timeout_polls = self.base_timeout;
+        self.srtt = None;
+        self.rttvar = 0;
+        self.polls_since_progress = 0;
+        self.retries = 0;
+        self.window_cap = DEFAULT_WINDOW_LIMIT;
+        self.cwnd = DEFAULT_WINDOW_LIMIT;
+        self.stats = ReliabilityStats::default();
+    }
+
     /// Attaches a metrics handle so retransmits, acks and backoff show up
     /// in an `otm-metrics` registry snapshot.
     pub fn attach_metrics(&mut self, metrics: ServiceMetrics) {
@@ -716,6 +745,63 @@ mod tests {
         });
         let copy = eager_packet(env(1), vec![1, 2, 3]).with_seq(1);
         assert_eq!(resent, Some(Frame::Data(copy)));
+    }
+
+    /// Sends, loses, SACKs and acks a few packets; returns every sequence
+    /// number the sender put on the wire, step by step.
+    fn scripted_exchange(s: &mut ReliableSender, b: &QueuePair) -> Vec<Vec<u64>> {
+        let mut wire = Vec::new();
+        for i in 0..4 {
+            s.send(eager_packet(env(i), vec![i as u8; 8])).unwrap();
+        }
+        wire.push(drain_seqs(b));
+        b.send_ack(1, sack(&[(2, 4)])).unwrap();
+        for _ in 0..12 {
+            s.poll().unwrap();
+            wire.push(drain_seqs(b));
+        }
+        b.send_ack(4, SackBlocks::empty()).unwrap();
+        s.poll().unwrap();
+        s.send(eager_packet(env(9), vec![9])).unwrap();
+        wire.push(drain_seqs(b));
+        wire
+    }
+
+    #[test]
+    fn a_rearmed_sender_behaves_like_a_new_one() {
+        let (a, b) = connected_pair();
+        let mut fresh = ReliableSender::with_limits(a, 2, 8);
+        let want = scripted_exchange(&mut fresh, &b);
+        // A history to forget: a shrunk window, timeouts, an RTT estimate,
+        // packets never acked, and an ack left on the link.
+        let (a, b) = connected_pair();
+        let mut s = ReliableSender::with_limits(a, 2, 8);
+        s.set_window_limit(4);
+        for i in 0..6 {
+            s.send(eager_packet(env(i), vec![1; 32])).unwrap();
+        }
+        b.send_ack(2, SackBlocks::empty()).unwrap();
+        for _ in 0..5 {
+            s.poll().unwrap();
+        }
+        b.send_ack(3, SackBlocks::empty()).unwrap();
+        drain_seqs(&b);
+        s.rearm();
+        assert_eq!(
+            (s.unacked(), s.next_seq(), s.window_limit()),
+            (0, 0, DEFAULT_WINDOW_LIMIT)
+        );
+        assert_eq!(s.spare.len(), 6, "acked or not, every window copy is kept");
+        assert_eq!(scripted_exchange(&mut s, &b), want);
+        assert_eq!(s.stats(), fresh.stats());
+        assert_eq!(
+            (s.srtt_polls(), s.current_timeout_polls(), s.window_limit()),
+            (
+                fresh.srtt_polls(),
+                fresh.current_timeout_polls(),
+                fresh.window_limit()
+            )
+        );
     }
 
     #[test]

@@ -90,6 +90,14 @@ impl<T> ReorderWindow<T> {
         item
     }
 
+    /// Drops whatever is held and moves the base back to 0: the window reads
+    /// as new, and keeps its slots' allocation.
+    pub(crate) fn reset(&mut self) {
+        self.base = 0;
+        self.slots.clear();
+        self.len = 0;
+    }
+
     /// The held runs as SACK blocks, lowest first (bounded by
     /// [`crate::rdma::MAX_SACK_BLOCKS`]; lower runs win since they unblock
     /// the cumulative edge soonest).
@@ -216,6 +224,24 @@ mod tests {
             most_runs = most_runs.max(runs);
         }
         most_runs
+    }
+
+    #[test]
+    fn a_reset_window_reads_as_new_and_keeps_its_slots() {
+        let mut window = ReorderWindow::default();
+        window.park(0, 0u64);
+        assert_eq!(window.pop_front(), Some(0));
+        window.park(3, 3);
+        window.park(9, 9);
+        let slots = window.slots.capacity();
+        window.reset();
+        assert_eq!((window.base(), window.len()), (0, 0));
+        assert!(!window.contains(3) && window.sack().is_empty());
+        assert_eq!(window.slots.capacity(), slots, "the allocation stays");
+        window.park(1, 1);
+        assert_eq!(window.pop_front(), None, "sequence 0 is the next again");
+        assert_eq!(window.skip(), None);
+        assert_eq!(window.pop_front(), Some(1));
     }
 
     #[test]

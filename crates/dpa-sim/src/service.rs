@@ -280,6 +280,32 @@ impl MatchingService {
         }
     }
 
+    /// Re-arms the service for a new receiver around `backend`, on the same
+    /// NIC and domain: it reads as [`MatchingService::with_backend`] left it.
+    /// Receive handles and the poll clock start over; the completed,
+    /// in-flight and unexpected stores empty, and the rendezvous regions of
+    /// messages that never matched are deregistered; the retry budget and
+    /// the fallback flag return to their defaults; the controller and the
+    /// series detach; the metrics registry reads zero, through every handle
+    /// attached to it. The NIC re-arms on its own ([`RecvNic::rearm`]).
+    pub(crate) fn rearm(&mut self, backend: Box<dyn MatchingBackend>) {
+        self.backend = backend;
+        self.next_recv = 0;
+        self.completed.clear();
+        let unexpected = self.unexpected.drain().map(|(_, stored)| stored);
+        for stored in unexpected.chain(self.inflight.slots.drain(..).flatten()) {
+            if let StoredPayload::Rts { rts, .. } = stored.payload {
+                self.domain.deregister(crate::rdma::RKey(rts.rkey));
+            }
+        }
+        self.retry_budget = DEFAULT_DRAIN_RETRY_BUDGET;
+        self.fellback = false;
+        self.metrics.reset();
+        self.polls = 0;
+        self.series = None;
+        self.controller = None;
+    }
+
     /// Reports whether the backend has a command queue, refusing a backend
     /// without one. It changes nothing: the service drives a backend with a
     /// queue through it always (see the module docs). The benchmark package
@@ -1052,6 +1078,12 @@ impl MatchingService {
     pub fn nic(&self) -> &RecvNic {
         &self.nic
     }
+
+    /// Mutable access to the NIC, to connect peers ([`RecvNic::add_qp`]) or
+    /// re-arm it ([`RecvNic::rearm`]).
+    pub(crate) fn nic_mut(&mut self) -> &mut RecvNic {
+        &mut self.nic
+    }
 }
 
 #[cfg(test)]
@@ -1169,6 +1201,44 @@ mod tests {
         assert_eq!(svc.progress().unwrap(), 1, "the post applies at the drain");
         let done = svc.take_completed();
         assert_eq!(done[0].data, payload);
+    }
+
+    #[test]
+    fn a_rearmed_service_reads_as_new_and_frees_what_never_matched() {
+        let (tx, domain, mut svc) = setup("otm");
+        svc.attach_controller(crate::control::FeedbackController::with_defaults());
+        svc.attach_series(otm_metrics::SeriesRecorder::new(1));
+        svc.post_recv(ReceivePattern::exact(Rank(0), Tag(1)))
+            .unwrap();
+        let (pkt, _) = rendezvous_packet(&domain, env(1, 3), vec![3; 100], 0);
+        tx.send(pkt).unwrap();
+        tx.send(eager_packet(env(0, 1), vec![1])).unwrap();
+        svc.set_retry_budget(9);
+        assert_eq!(svc.progress().unwrap(), 1);
+        assert_eq!((svc.unexpected_len(), domain.region_count()), (1, 1));
+        let engine = OtmEngine::new(MatchConfig::small()).unwrap();
+        svc.rearm(Box::new(engine));
+        svc.nic_mut().rearm(1);
+        assert_eq!(domain.region_count(), 0, "the unmatched message's region");
+        assert_eq!(
+            (svc.unexpected_len(), svc.completed_len(), svc.polls()),
+            (0, 0, 0)
+        );
+        assert_eq!(svc.retry_budget(), DEFAULT_DRAIN_RETRY_BUDGET);
+        assert!(svc.controller().is_none() && svc.take_series().is_none());
+        assert_eq!(svc.metrics().snapshot(), ServiceMetrics::new().snapshot());
+        // The next receiver's first receive and message are numbered 0.
+        let recv = svc.post_recv(ReceivePattern::any_source(Tag(1))).unwrap();
+        tx.send(eager_packet(env(0, 1), vec![2])).unwrap();
+        assert_eq!(svc.progress().unwrap(), 1);
+        let done = svc.take_completed();
+        assert_eq!(
+            (recv, done[0].recv, &done[0].data[..]),
+            (RecvHandle(0), recv, &[2u8][..])
+        );
+        let snap = svc.observability_snapshot();
+        assert_eq!(snap.counters["dpa_cq_polls_total"], 1);
+        assert_eq!(snap.counters["otm_matched_total"], 1);
     }
 
     #[test]

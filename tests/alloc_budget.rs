@@ -11,14 +11,16 @@
 //! `replay_app` does.
 //!
 //! The same counter bounds what a peer costs to have: a destination's queue
-//! pairs, senders and NIC built, used for one message each and dropped; and
-//! what a communicator costs the engine that matches for it.
+//! pairs, senders and NIC built, used for one message each and dropped; what
+//! `replay_app` allocates per message once those endpoints exist; and what a
+//! communicator costs the engine that matches for it.
 //!
 //! This file is its own test binary with one `#[test]`, so nothing else
 //! allocates while it counts, and it holds the only `unsafe` in the
 //! repository: the layer crates stay `#![forbid(unsafe_code)]`, and a
 //! `GlobalAlloc` cannot be written without it.
 
+use dpa_sim::app_replay::{replay_app, AppReplayConfig};
 use dpa_sim::bounce::BouncePool;
 use dpa_sim::nic::RecvNic;
 use dpa_sim::rdma::{connected_pair, eager_packet, rendezvous_packet, RdmaDomain};
@@ -26,6 +28,7 @@ use dpa_sim::{MatchingService, ReliableSender, ServiceMetrics};
 use mpi_matching::RecvHandle;
 use otm::OtmEngine;
 use otm_base::{CommId, Envelope, MatchConfig, Rank, ReceivePattern, Tag};
+use otm_trace::{AppTrace, MpiOp, RankTrace};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -199,10 +202,10 @@ fn allocations_per_message(payload_len: usize, mode: Mode, rounds: u32) -> f64 {
 /// Peers of one destination in the construction budget: BigFFT's 62 sources.
 const PEERS: usize = 62;
 
-/// Allocations to build, use once and drop what `replay_app` builds around
-/// one destination's engine: `PEERS` queue pairs, their reliable senders
-/// (each with a clone of the metrics handle) and the NIC that terminates
-/// them, every pair carrying one 8-byte message and its ack.
+/// Allocations to build, use once and drop what `replay_app` builds for its
+/// first destination and re-arms for the rest: `PEERS` queue pairs, their
+/// reliable senders (each with a clone of the metrics handle) and the NIC
+/// that terminates them, every pair carrying one 8-byte message and its ack.
 fn construction_allocations() -> u64 {
     let metrics = ServiceMetrics::new();
     let before = ALLOCATIONS.load(Ordering::Relaxed);
@@ -231,6 +234,48 @@ fn construction_allocations() -> u64 {
         }
     }
     ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
+/// BigFFT cut to the receives of its first `destinations` ranks and the
+/// sends addressed to them: each destination posts 62 receives and takes 62
+/// rendezvous messages, one from each of 62 peers.
+fn bigfft_destinations(destinations: u32) -> AppTrace {
+    let entry = otm_workloads::catalog()
+        .into_iter()
+        .find(|a| a.name == "BigFFT");
+    let full = (entry.expect("BigFFT is in the catalog").generate)(0);
+    let ranks = full.ranks.into_iter().map(|r| {
+        let ops = r.ops.into_iter().filter(|t| match t.op {
+            MpiOp::Irecv { .. } | MpiOp::Recv { .. } => r.rank.0 < destinations,
+            MpiOp::Isend { dest, .. } | MpiOp::Send { dest, .. } => dest.0 < destinations,
+            _ => false,
+        });
+        RankTrace {
+            rank: r.rank,
+            ops: ops.collect(),
+        }
+    });
+    AppTrace {
+        name: full.name,
+        ranks: ranks.collect(),
+    }
+}
+
+/// Allocations `replay_app` makes per replayed message once its endpoints
+/// exist: a replay of 16 BigFFT destinations less one of 8, over the 8 × 62
+/// messages between them, so whatever the first destination builds cancels.
+fn replay_allocations_per_message() -> f64 {
+    let count = |destinations: u32| {
+        let trace = bigfft_destinations(destinations);
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let out = replay_app(&trace, &AppReplayConfig::default()).unwrap();
+        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        assert_eq!(out.report.messages, u64::from(destinations) * 62);
+        assert_eq!(out.report.completed, out.report.messages);
+        allocations
+    };
+    let (eight, sixteen) = (count(8), count(16));
+    (sixteen - eight) as f64 / (8.0 * 62.0)
 }
 
 /// Allocations to create one communicator at the default configuration: the
@@ -296,15 +341,26 @@ fn steady_state_allocations_per_message_stay_in_budget() {
     assert_eq!(ALLOCATIONS.load(Ordering::Relaxed) - before, 1);
     // Per peer: the link, a four-slot queue per direction, the payload, the
     // window's entry and its copy, and a share of the NIC's per-QP vectors.
-    // Measured 466 (472 with a per-QP expected-sequence vector beside the
-    // staging buffers, 528 over two std channels per pair); the budget is
-    // 472 plus 5 %.
+    // Measured 462 (466 when those vectors started at one slot, 472 with a
+    // per-QP expected-sequence vector beside the staging buffers, 528 over
+    // two std channels per pair); the budget is 472 plus 5 %.
     let construction = construction_allocations();
     assert!(
         construction <= 495,
         "{PEERS}-peer destination: {construction} allocations"
     );
     println!("allocations per {PEERS}-peer destination: {construction}");
+    // A replayed destination re-arms the endpoints the first one built and
+    // builds only its engine: the payload, the rendezvous head and its one
+    // growth, and a share of the engine and the per-poll vectors. Measured
+    // 4.534 (11.810 when every destination built and dropped its own queue
+    // pairs, senders, NIC, bounce pool, service and registry).
+    let replayed = replay_allocations_per_message();
+    assert!(
+        replayed <= 4.64,
+        "{PEERS}-peer replay: {replayed:.3} allocations a message"
+    );
+    println!("allocations per replayed {PEERS}-peer message: {replayed:.3}");
     // The table's slots and free list, one slice of list ends per queue, the
     // ring and the shard; the post links its receive through its slot.
     // Measured 6 (9 when a bin was a vector: three slices of them, and a
