@@ -61,7 +61,7 @@ use crate::reliable::{ReliableSender, PROTOCOL_LABEL};
 use crate::service::{CompletedReceive, MatchingService, ServiceError};
 use mpi_matching::{BlockDelivery, MatchingBackend, MsgHandle, PostResult, RdmaNoOp, RecvHandle};
 use otm::OtmEngine;
-use otm_base::{Envelope, FaultPlan, MatchConfig, ReceivePattern};
+use otm_base::{Envelope, FaultPlan, MatchConfig, Rank, ReceivePattern};
 use otm_metrics::json::{JsonWriter, WriteJson};
 use otm_metrics::{json_fields, SeriesRecorder};
 use otm_trace::model::{AppTrace, MpiOp, TimedOp};
@@ -231,10 +231,11 @@ pub struct AppReplayOutcome {
 }
 
 /// One destination's event stream, in global trace order.
+#[derive(Debug, PartialEq)]
 enum Ev {
     Post(ReceivePattern),
     Arrive {
-        src: otm_base::Rank,
+        src: Rank,
         env: Envelope,
         bytes: usize,
     },
@@ -264,9 +265,63 @@ fn payload_id(data: &[u8]) -> u64 {
     u64::from_le_bytes(id)
 }
 
+/// The destination an operation of `rank` feeds, and its event there: a
+/// receive is a post at `rank`, a send an arrival at a destination below
+/// `n` (collectives and one-sided ops are ignored, as in the analyzer
+/// replays).
+fn event_of(rank: Rank, op: &MpiOp, n: usize) -> Option<(usize, Ev)> {
+    match *op {
+        MpiOp::Irecv { src, tag, comm, .. } | MpiOp::Recv { src, tag, comm, .. } => {
+            Some((rank.0 as usize, Ev::Post(ReceivePattern { src, tag, comm })))
+        }
+        MpiOp::Isend {
+            dest,
+            tag,
+            comm,
+            count,
+            ..
+        }
+        | MpiOp::Send {
+            dest,
+            tag,
+            comm,
+            count,
+        } if (dest.0 as usize) < n => {
+            let arrival = Ev::Arrive {
+                src: rank,
+                env: Envelope::new(rank, tag, comm),
+                bytes: payload_len(count),
+            };
+            Some((dest.0 as usize, arrival))
+        }
+        _ => None,
+    }
+}
+
+/// An operation's place in the analyzer's global order: its time, then its
+/// rank, then its index in that rank's operations. The time contributes its
+/// order-preserving bits — a negative float's bits flipped, a positive
+/// one's sign bit set — of `time + 0.0`, so `-0.0` ties `0.0` as a float
+/// comparison has it.
+fn order_key(time: f64, rank: Rank, index: usize) -> u128 {
+    let bits = (time + 0.0).to_bits();
+    let bits = if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    };
+    let index = u32::try_from(index).expect("a rank's operation index fits a u32");
+    u128::from(bits) << 64 | u128::from(rank.0) << 32 | u128::from(index)
+}
+
 /// Splits the trace into per-destination event streams: each destination's
-/// own receive posts plus the sends targeting it, in global time order
-/// (collectives and one-sided ops are ignored, as in the analyzer replays).
+/// own receive posts plus the sends targeting it, in global time order (ties
+/// broken by rank, then program order). A counting pass sizes every stream
+/// exactly; the second pushes each event behind its [`order_key`] in
+/// rank-entry order, and each stream is then sorted on its own by a stable
+/// sort — the trace is never sorted as a whole. A rank that appears twice in
+/// `ranks` ties on the whole key, and the stable sort keeps its entries in
+/// `ranks` order, as the global order does.
 fn per_destination_events(trace: &AppTrace) -> Vec<Vec<Ev>> {
     let n = trace
         .ranks
@@ -274,39 +329,29 @@ fn per_destination_events(trace: &AppTrace) -> Vec<Vec<Ev>> {
         .map(|r| r.rank.0 as usize + 1)
         .max()
         .unwrap_or(0);
-    let mut per_rank: Vec<Vec<Ev>> = (0..n).map(|_| Vec::new()).collect();
-    for (rank, TimedOp { op, .. }) in trace.merged_ops() {
-        match op {
-            MpiOp::Irecv { src, tag, comm, .. } | MpiOp::Recv { src, tag, comm, .. } => {
-                per_rank[rank.0 as usize].push(Ev::Post(ReceivePattern { src, tag, comm }));
+    let mut sizes = vec![0usize; n];
+    for r in &trace.ranks {
+        for TimedOp { op, .. } in &r.ops {
+            if let Some((dest, _)) = event_of(r.rank, op, n) {
+                sizes[dest] += 1;
             }
-            MpiOp::Isend {
-                dest,
-                tag,
-                comm,
-                count,
-                ..
-            }
-            | MpiOp::Send {
-                dest,
-                tag,
-                comm,
-                count,
-            } if (dest.0 as usize) < n => {
-                per_rank[dest.0 as usize].push(Ev::Arrive {
-                    src: rank,
-                    env: Envelope {
-                        src: rank,
-                        tag,
-                        comm,
-                    },
-                    bytes: payload_len(count),
-                });
-            }
-            _ => {}
         }
     }
-    per_rank
+    let mut keyed: Vec<Vec<(u128, Ev)>> = sizes.into_iter().map(Vec::with_capacity).collect();
+    for r in &trace.ranks {
+        for (i, TimedOp { time, op }) in r.ops.iter().enumerate() {
+            if let Some((dest, ev)) = event_of(r.rank, op, n) {
+                keyed[dest].push((order_key(*time, r.rank, i), ev));
+            }
+        }
+    }
+    keyed
+        .into_iter()
+        .map(|mut events| {
+            events.sort_by_key(|&(key, _)| key);
+            events.into_iter().map(|(_, ev)| ev).collect()
+        })
+        .collect()
 }
 
 /// The matched-pairs oracle: the same per-destination event streams pushed
@@ -357,6 +402,7 @@ pub fn engine_direct_pairs(trace: &AppTrace, bins: usize) -> Vec<MatchedPair> {
             .with_max_unexpected(1 << 14);
         let mut engine: Box<dyn MatchingBackend> =
             Box::new(otm::SequentialOtm::new(config).expect("oracle replay configuration"));
+        let first = pairs.len();
         let (mut next_recv, mut next_msg) = (0u64, 0u64);
         for ev in events {
             match ev {
@@ -384,8 +430,11 @@ pub fn engine_direct_pairs(trace: &AppTrace, bins: usize) -> Vec<MatchedPair> {
                 }
             }
         }
+        // Destinations go in ascending order, so sorting each one's pairs
+        // sorts them all.
+        pairs[first..].sort_unstable();
     }
-    pairs.sort_unstable();
+    debug_assert!(pairs.windows(2).all(|w| w[0] <= w[1]));
     pairs
 }
 
@@ -566,6 +615,7 @@ pub fn replay_app(
             }
         }
         let dest = dest as u32;
+        let first = pairs.len();
 
         // ---- the event loop: posts and arrivals in trace order ----------
         let mut gseq = 0u64;
@@ -605,6 +655,9 @@ pub fn replay_app(
             }
         }
         ends.settle(dest, &mut pairs)?;
+        // Destinations go in ascending order, so sorting each one's pairs
+        // sorts them all.
+        pairs[first..].sort_unstable();
 
         // ---- per-destination accounting ---------------------------------
         let svc = &mut ends.svc;
@@ -651,7 +704,7 @@ pub fn replay_app(
     } else {
         0.0
     };
-    pairs.sort_unstable();
+    debug_assert!(pairs.windows(2).all(|w| w[0] <= w[1]));
     report.completed = pairs.len() as u64;
     #[cfg(test)]
     tests::note_regions_left(ends.domain.region_count());
@@ -1007,6 +1060,179 @@ mod tests {
                 r#""series":null}"#
             )
         );
+    }
+
+    /// The split as it was: the whole trace in the analyzer's merged order,
+    /// each operation pushed to its destination's stream in turn.
+    fn per_destination_events_by_merged_ops(trace: &AppTrace) -> Vec<Vec<Ev>> {
+        let n = trace
+            .ranks
+            .iter()
+            .map(|r| r.rank.0 as usize + 1)
+            .max()
+            .unwrap_or(0);
+        let mut per_rank: Vec<Vec<Ev>> = (0..n).map(|_| Vec::new()).collect();
+        for (rank, TimedOp { op, .. }) in trace.merged_ops() {
+            match op {
+                MpiOp::Irecv { src, tag, comm, .. } | MpiOp::Recv { src, tag, comm, .. } => {
+                    per_rank[rank.0 as usize].push(Ev::Post(ReceivePattern { src, tag, comm }));
+                }
+                MpiOp::Isend {
+                    dest,
+                    tag,
+                    comm,
+                    count,
+                    ..
+                }
+                | MpiOp::Send {
+                    dest,
+                    tag,
+                    comm,
+                    count,
+                } if (dest.0 as usize) < n => {
+                    per_rank[dest.0 as usize].push(Ev::Arrive {
+                        src: rank,
+                        env: Envelope {
+                            src: rank,
+                            tag,
+                            comm,
+                        },
+                        bytes: payload_len(count),
+                    });
+                }
+                _ => {}
+            }
+        }
+        per_rank
+    }
+
+    /// Keeps the receives of ranks below `destinations` and the sends
+    /// addressed to them.
+    fn first_destinations(trace: AppTrace, destinations: u32) -> AppTrace {
+        let ranks = trace.ranks.into_iter().map(|r| {
+            let ops = r.ops.into_iter().filter(|t| match t.op {
+                MpiOp::Irecv { .. } | MpiOp::Recv { .. } => r.rank.0 < destinations,
+                MpiOp::Isend { dest, .. } | MpiOp::Send { dest, .. } => dest.0 < destinations,
+                _ => true,
+            });
+            RankTrace {
+                rank: r.rank,
+                ops: ops.collect(),
+            }
+        });
+        AppTrace {
+            name: trace.name,
+            ranks: ranks.collect(),
+        }
+    }
+
+    /// Returns how many events the split holds.
+    fn assert_split_equals_the_merged_order(trace: &AppTrace) -> usize {
+        let split = per_destination_events(trace);
+        assert_eq!(
+            split,
+            per_destination_events_by_merged_ops(trace),
+            "{}",
+            trace.name
+        );
+        split.iter().map(Vec::len).sum()
+    }
+
+    #[test]
+    fn the_split_equals_the_merged_order_on_every_table_ii_app() {
+        let mut without_events = Vec::new();
+        for spec in otm_workloads::catalog() {
+            let trace = first_destinations((spec.generate)(42), 16);
+            if assert_split_equals_the_merged_order(&trace) == 0 {
+                without_events.push(spec.name);
+            }
+        }
+        assert_eq!(without_events, ["HILO", "HILO 2D"], "all collectives");
+    }
+
+    #[test]
+    fn the_split_equals_the_merged_order_under_ties_of_every_kind() {
+        // Seeded: a handful of coarse timestamps, so times tie across ranks
+        // and within one; rank entries out of rank order, and rank 3 twice
+        // (two entries tie on time, rank *and* program index). Every
+        // operation has a tag of its own, so a swap shows.
+        let mut rng = otm_base::FaultRng::new(0x5eed_0023);
+        let mut tag = 0;
+        let entries = [5u32, 3, 0, 3, 9, 1];
+        let ranks = entries.map(|rank| RankTrace {
+            rank: Rank(rank),
+            ops: (0..200 + rng.below(100))
+                .map(|_| {
+                    tag += 1;
+                    let time = rng.below(8) as f64 * 0.5;
+                    let op = if rng.below(2) == 0 {
+                        MpiOp::Send {
+                            dest: Rank(entries[rng.below(entries.len() as u64) as usize]),
+                            tag: Tag(tag),
+                            comm: CommId::WORLD,
+                            count: rng.below(512),
+                        }
+                    } else {
+                        MpiOp::Irecv {
+                            src: SourceSel::Any,
+                            tag: TagSel::Tag(Tag(tag)),
+                            comm: CommId::WORLD,
+                            count: 1,
+                            request: ReqId(0),
+                        }
+                    };
+                    TimedOp { time, op }
+                })
+                .collect(),
+        });
+        let ties = AppTrace {
+            name: "ties".into(),
+            ranks: ranks.into(),
+        };
+        assert_split_equals_the_merged_order(&ties);
+
+        // `-0.0` ties `0.0`: rank 0's send goes before rank 1's, and rank
+        // 2's two receives stay in program order.
+        let at = |time: f64, op: MpiOp| TimedOp { time, op };
+        let send = |tag: u32| MpiOp::Send {
+            dest: Rank(2),
+            tag: Tag(tag),
+            comm: CommId::WORLD,
+            count: 16,
+        };
+        let recv = |tag: u32| MpiOp::Recv {
+            src: SourceSel::Any,
+            tag: TagSel::Tag(Tag(tag)),
+            comm: CommId::WORLD,
+            count: 16,
+        };
+        let signed_zeros = AppTrace {
+            name: "signed zeros".into(),
+            ranks: vec![
+                RankTrace {
+                    rank: Rank(1),
+                    ops: vec![at(-0.0, send(1))],
+                },
+                RankTrace {
+                    rank: Rank(0),
+                    ops: vec![at(0.0, send(0))],
+                },
+                RankTrace {
+                    rank: Rank(2),
+                    ops: vec![at(0.0, recv(0)), at(-0.0, recv(1))],
+                },
+            ],
+        };
+        assert_split_equals_the_merged_order(&signed_zeros);
+        let tags: Vec<_> = per_destination_events(&signed_zeros)[2]
+            .iter()
+            .map(|ev| match ev {
+                Ev::Post(p) => p.tag,
+                Ev::Arrive { env, .. } => TagSel::Tag(env.tag),
+            })
+            .collect();
+        let order = [0, 1, 0, 1].map(|t| TagSel::Tag(Tag(t)));
+        assert_eq!(tags, order, "rank 0, rank 1, then rank 2's two receives");
     }
 
     #[test]

@@ -100,8 +100,11 @@ impl RdmaDomain {
     }
 
     /// RDMA READ: appends the `len` bytes at `offset` of the region to `out`
-    /// (the rendezvous head the caller already holds), growing it once, to
-    /// exactly the size needed. `out` is untouched on an error.
+    /// (the rendezvous head the caller already holds). The result is one
+    /// fresh allocation at its final size that takes the head and the
+    /// region's bytes and replaces `out`; the head is never regrown, since a
+    /// regrowth bypasses the allocator's per-thread cache that a fresh
+    /// allocation is served from. `out` is untouched on an error.
     pub fn read_into(
         &self,
         rkey: RKey,
@@ -120,8 +123,10 @@ impl RdmaDomain {
                 len,
                 region: region.len(),
             })?;
-        out.reserve_exact(len);
-        out.extend_from_slice(bytes);
+        let mut data = Vec::with_capacity(out.len() + len);
+        data.extend_from_slice(out);
+        data.extend_from_slice(bytes);
+        *out = data;
         Ok(())
     }
 
@@ -773,7 +778,7 @@ mod tests {
         let mut data = vec![0, 1, 2, 3];
         d.read_into(rkey, 4, 28, &mut data).unwrap();
         assert_eq!(data, (0..32u8).collect::<Vec<_>>());
-        assert_eq!(data.capacity(), 32, "one growth, to the exact size");
+        assert_eq!(data.capacity(), 32, "one allocation, at the exact size");
         for (offset, len) in [(30, 4), (usize::MAX, 2)] {
             assert!(matches!(
                 d.read_into(rkey, offset, len, &mut data),

@@ -17,7 +17,7 @@
 use dpa_sim::app_replay::{engine_direct_pairs, replay_app, AppReplayConfig};
 use otm_base::FaultPlan;
 use otm_metrics::json::{JsonWriter, WriteJson};
-use otm_trace::AppTrace;
+use otm_trace::{AppTrace, MpiOp, RankTrace};
 
 const TRACE_SEED: u64 = 42;
 const BINS: usize = 128;
@@ -37,6 +37,28 @@ fn app(name: &str) -> AppTrace {
         .find(|s| s.name == name)
         .unwrap_or_else(|| panic!("{name} not in the Table II catalog"));
     (spec.generate)(TRACE_SEED)
+}
+
+/// BigFFT cut to the receives of its first `destinations` ranks and the
+/// sends addressed to them: every destination posts 62 receives and takes 62
+/// rendezvous messages, one from each of 62 peers.
+fn bigfft_destinations(destinations: u32) -> AppTrace {
+    let full = app("BigFFT");
+    let ranks = full.ranks.into_iter().map(|r| {
+        let ops = r.ops.into_iter().filter(|t| match t.op {
+            MpiOp::Irecv { .. } | MpiOp::Recv { .. } => r.rank.0 < destinations,
+            MpiOp::Isend { dest, .. } | MpiOp::Send { dest, .. } => dest.0 < destinations,
+            _ => false,
+        });
+        RankTrace {
+            rank: r.rank,
+            ops: ops.collect(),
+        }
+    });
+    AppTrace {
+        name: full.name,
+        ranks: ranks.collect(),
+    }
 }
 
 fn assert_equivalent(trace: &AppTrace, cfg: &AppReplayConfig) {
@@ -198,27 +220,57 @@ const GOLDEN: [(&str, bool, usize, u64, &str); 8] = [
 #[test]
 fn golden_reports_are_pinned() {
     for (name, hostile, pairs, hash, json) in GOLDEN {
-        let mut cfg = AppReplayConfig::default()
-            .with_bins(BINS)
-            .with_series_cadence(4);
-        if hostile {
-            cfg = cfg.with_faults(hostile_plan());
-        }
-        let out = replay_app(&app(name), &cfg).expect("end-to-end replay completes");
-        let mut report = out.report;
-        report.elapsed_secs = 0.0;
-        report.msgs_per_sec = 0.0;
-        let mut w = JsonWriter::new();
-        report.write_json(&mut w);
-        assert_eq!(w.finish(), json, "{name} (hostile {hostile})");
-        assert_eq!(out.matched_pairs.len(), pairs, "{name} (hostile {hostile})");
-        assert_eq!(
-            pairs_hash(&out.matched_pairs),
-            hash,
-            "{name} (hostile {hostile})"
-        );
+        assert_golden(&app(name), hostile, pairs, hash, json);
+    }
+    let bigfft = bigfft_destinations(8);
+    for (hostile, pairs, hash, json) in GOLDEN_BIGFFT {
+        assert_golden(&bigfft, hostile, pairs, hash, json);
     }
 }
+
+/// Replays `trace` as the golden rows were recorded and compares the pair
+/// count, their hash and the report JSON.
+fn assert_golden(trace: &AppTrace, hostile: bool, pairs: usize, hash: u64, json: &str) {
+    let name = &trace.name;
+    let mut cfg = AppReplayConfig::default()
+        .with_bins(BINS)
+        .with_series_cadence(4);
+    if hostile {
+        cfg = cfg.with_faults(hostile_plan());
+    }
+    let out = replay_app(trace, &cfg).expect("end-to-end replay completes");
+    let mut report = out.report;
+    report.elapsed_secs = 0.0;
+    report.msgs_per_sec = 0.0;
+    let mut w = JsonWriter::new();
+    report.write_json(&mut w);
+    assert_eq!(w.finish(), json, "{name} (hostile {hostile})");
+    assert_eq!(out.matched_pairs.len(), pairs, "{name} (hostile {hostile})");
+    assert_eq!(
+        pairs_hash(&out.matched_pairs),
+        hash,
+        "{name} (hostile {hostile})"
+    );
+}
+
+/// BigFFT's first 8 destinations (`bigfft_destinations(8)`), clean and under
+/// `hostile_plan()`: 62 peers a destination, every message rendezvous-sized.
+/// Recorded as the rows above, before the replay split its events per
+/// destination; never edit them.
+const GOLDEN_BIGFFT: [(bool, usize, u64, &str); 2] = [
+    (
+        false,
+        496,
+        0xefd5_4f79_6503_5525,
+        r#"{"app":"BigFFT","processes":1024,"mode":"selective-repeat","faulty":false,"posts":496,"messages":496,"eager_messages":0,"rendezvous_messages":496,"completed":496,"wire_drops":0,"wire_duplicates":0,"wire_reorders":0,"wire_delays":0,"retransmits":0,"fast_retransmits":0,"resend_events":0,"acks_received":496,"backoff_polls":0,"retransmit_amplification":0,"rx_duplicates":0,"rx_gaps":0,"rx_staged_out_of_order":0,"acks_sent":496,"gate_parked":473,"gate_released":496,"path_nc":496,"path_wc_fp":0,"path_wc_sp":0,"fallbacks":0,"elapsed_secs":0,"msgs_per_sec":0,"series":{"cadence":4,"samples":2,"t":[1,4],"queue_depth":[0,0],"block_occupancy":[31,31],"path_counts":{"nc":[31,62],"wc_fp":[0,0],"wc_sp":[0,0],"post":[0,0]},"matched":[31,62],"retransmits":[0,0],"fallbacks":[0,0]}}"#,
+    ),
+    (
+        true,
+        496,
+        0xefd5_4f79_6503_5525,
+        r#"{"app":"BigFFT","processes":1024,"mode":"selective-repeat","faulty":true,"posts":496,"messages":496,"eager_messages":0,"rendezvous_messages":496,"completed":496,"wire_drops":56,"wire_duplicates":56,"wire_reorders":40,"wire_delays":0,"retransmits":56,"fast_retransmits":0,"resend_events":56,"acks_received":496,"backoff_polls":600,"retransmit_amplification":1,"rx_duplicates":56,"rx_gaps":0,"rx_staged_out_of_order":0,"acks_sent":496,"gate_parked":441,"gate_released":496,"path_nc":496,"path_wc_fp":0,"path_wc_sp":0,"fallbacks":0,"elapsed_secs":0,"msgs_per_sec":0,"series":{"cadence":4,"samples":11,"t":[1,5,9,13,17,21,25,29,33,37,38],"queue_depth":[0,0,0,0,0,0,0,0,0,0,0],"block_occupancy":[16,9,9,9,9,9,10.333333333333334,8.75,8.75,10.333333333333334,10.333333333333334],"path_counts":{"nc":[16,18,18,18,18,18,31,35,35,62,62],"wc_fp":[0,0,0,0,0,0,0,0,0,0,0],"wc_sp":[0,0,0,0,0,0,0,0,0,0,0],"post":[0,0,0,0,0,0,0,0,0,0,0]},"matched":[16,18,18,18,18,18,31,35,35,62,62],"retransmits":[0,0,4,4,4,4,5,5,5,7,7],"fallbacks":[0,0,0,0,0,0,0,0,0,0,0]}}"#,
+    ),
+];
 
 #[test]
 #[ignore = "minutes-long full sweep; appbench and CI smoke cover the catalog"]
