@@ -38,6 +38,12 @@ pub fn get_mut<T: ?Sized>(l: &mut RwLock<T>) -> &mut T {
     l.get_mut().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// The data of a mutex its caller has to itself (so it is not locked),
+/// whether or not a holder panicked.
+pub fn mutex_mut<T: ?Sized>(m: &mut Mutex<T>) -> &mut T {
+    m.get_mut().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -66,6 +72,13 @@ mod tests {
         let mut l = Arc::into_inner(l).expect("the writer thread is gone");
         *get_mut(&mut l) += 1;
         assert_eq!(*read(&l), 10);
+        let mut m_own = Mutex::new(vec![0]);
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _g = m_own.lock().expect("first holder");
+            panic!("die holding the guard");
+        }));
+        mutex_mut(&mut m_own).push(1);
+        assert_eq!(*lock(&m_own), [0, 1]);
 
         // `wait` on the poisoned mutex returns the guard once notified.
         let cv = Arc::new(Condvar::new());

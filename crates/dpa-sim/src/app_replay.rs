@@ -14,22 +14,23 @@
 //! to completion by the eager or rendezvous/RDMA-READ protocol of §IV-B.
 //!
 //! Like the engine-direct replay, destinations are replayed one at a time —
-//! rank-major, because matching state is private to a rank. Each gets an
-//! engine of its own, sized from its posts and arrivals. The transport
-//! around it is built once per replay, the way a NIC's bounce buffers and
-//! queues are set up in NIC memory ahead of time (§IV-A): one
-//! [`MatchingService`] with its [`RecvNic`], bounce pool (sized to the
-//! busiest destination) and metrics registry, one [`RdmaDomain`], and one
-//! queue pair + reliable sender per slot. A destination's `i`-th source in
-//! rank order sends on slot `i`; the slots grow to the widest destination
-//! so far. Between destinations every layer re-arms in place to read as new
-//! — `MatchingService::rearm`, `RecvNic::rearm` (only the destination's
-//! slots are polled), `ReliableSender::rearm` — so no count, stale frame
-//! or unmatched rendezvous region carries over, and what a destination
-//! costs to start is its engine. What is live at once is the widest
-//! destination's endpoints (a link of a few hundred bytes, a four-slot
-//! queue per direction in use and a one-`Arc` metrics handle per peer),
-//! never the trace's.
+//! rank-major, because matching state is private to a rank. Everything a
+//! destination uses is built once per replay, the way a NIC's bounce
+//! buffers, queues and matching tables are set up in NIC memory ahead of
+//! time (§IV-A, §IV-E): one [`MatchingService`] with its [`RecvNic`],
+//! bounce pool (sized to the busiest destination), metrics registry and
+//! [`OtmEngine`] (sized to the most posts and the most arrivals of any
+//! destination), one [`RdmaDomain`], and one queue pair + reliable sender
+//! per slot. A destination's `i`-th source in rank order sends on slot `i`;
+//! the slots grow to the widest destination so far. Between destinations
+//! every layer re-arms in place to read as new — `MatchingService::rearm`
+//! (which resets the engine, [`OtmEngine::reset`]), `RecvNic::rearm` (only
+//! the destination's slots are polled), `ReliableSender::rearm` — so no
+//! count, stale frame, receive, waiting message or unmatched rendezvous
+//! region carries over, and a destination costs nothing to start. What is
+//! live at once is the widest destination's endpoints (a link of a few
+//! hundred bytes, a four-slot queue per direction in use and a one-`Arc`
+//! metrics handle per peer) and one engine, never the trace's.
 //!
 //! ## The ordering contract
 //!
@@ -50,8 +51,8 @@
 //!   stay concurrent and keep the packing scheduler busy.
 //!
 //! The correctness oracle is [`engine_direct_pairs`]: the same trace pushed
-//! straight into a fresh [`otm::SequentialOtm`] per destination. The pair
-//! sets must be identical — clean wire or hostile.
+//! straight into an [`otm::SequentialOtm`], reset for each destination. The
+//! pair sets must be identical — clean wire or hostile.
 
 use crate::bounce::BouncePool;
 use crate::control::FeedbackController;
@@ -59,9 +60,9 @@ use crate::nic::RecvNic;
 use crate::rdma::{connected_pair, eager_packet, rendezvous_packet, RdmaDomain};
 use crate::reliable::{ReliableSender, PROTOCOL_LABEL};
 use crate::service::{CompletedReceive, MatchingService, ServiceError};
-use mpi_matching::{BlockDelivery, MatchingBackend, MsgHandle, PostResult, RdmaNoOp, RecvHandle};
+use mpi_matching::{ArriveResult, Matcher, MatchingBackend, MsgHandle, PostResult, RecvHandle};
 use otm::OtmEngine;
-use otm_base::{Envelope, FaultPlan, MatchConfig, Rank, ReceivePattern};
+use otm_base::{Envelope, FaultPlan, MatchConfig, MatchError, Rank, ReceivePattern};
 use otm_metrics::json::{JsonWriter, WriteJson};
 use otm_metrics::{json_fields, SeriesRecorder};
 use otm_trace::model::{AppTrace, MpiOp, TimedOp};
@@ -354,11 +355,25 @@ fn per_destination_events(trace: &AppTrace) -> Vec<Vec<Ev>> {
         .collect()
 }
 
+/// `config` sized for the largest destination of `per_rank`: its table holds
+/// the most receives any destination posts, and its unexpected store the
+/// most messages any destination is sent. One engine so sized serves every
+/// destination in turn, reset between them; a larger table changes no count.
+fn sized_for(config: MatchConfig, per_rank: &[Vec<Ev>]) -> MatchConfig {
+    let (posts, arrivals) = per_rank.iter().fold((1, 1), |(p, a), events| {
+        let posts = events.iter().filter(|e| matches!(e, Ev::Post(_))).count();
+        (p.max(posts), a.max(events.len() - posts))
+    });
+    config
+        .with_max_receives(posts)
+        .with_max_unexpected(arrivals)
+}
+
 /// The matched-pairs oracle: the same per-destination event streams pushed
-/// straight into a fresh [`otm::SequentialOtm`] each, no wire, no service.
-/// Receive and message handles are numbered per destination exactly as the
-/// end-to-end replay numbers them, so the sorted pair vectors of the two
-/// paths are directly comparable.
+/// straight into one [`otm::SequentialOtm`], reset for each destination, no
+/// wire, no service. Receive and message handles are numbered per
+/// destination exactly as the end-to-end replay numbers them, so the sorted
+/// pair vectors of the two paths are directly comparable.
 ///
 /// ```
 /// use dpa_sim::app_replay::{engine_direct_pairs, replay_app, AppReplayConfig};
@@ -390,18 +405,18 @@ fn per_destination_events(trace: &AppTrace) -> Vec<Vec<Ev>> {
 /// assert_eq!(end_to_end.matched_pairs, engine_direct_pairs(&trace, 128));
 /// ```
 pub fn engine_direct_pairs(trace: &AppTrace, bins: usize) -> Vec<MatchedPair> {
+    let per_rank = per_destination_events(trace);
+    let config = MatchConfig::default().with_bins(bins).with_block_threads(1);
+    let mut engine =
+        otm::SequentialOtm::new(sized_for(config, &per_rank)).expect("oracle replay configuration");
     let mut pairs = Vec::new();
-    for (dest, events) in per_destination_events(trace).iter().enumerate() {
+    for (dest, events) in per_rank.iter().enumerate() {
         if events.is_empty() {
             continue;
         }
-        let config = MatchConfig::default()
-            .with_bins(bins)
-            .with_block_threads(1)
-            .with_max_receives(1 << 14)
-            .with_max_unexpected(1 << 14);
-        let mut engine: Box<dyn MatchingBackend> =
-            Box::new(otm::SequentialOtm::new(config).expect("oracle replay configuration"));
+        engine
+            .reset()
+            .expect("nothing is queued between destinations");
         let first = pairs.len();
         let (mut next_recv, mut next_msg) = (0u64, 0u64);
         for ev in events {
@@ -409,9 +424,8 @@ pub fn engine_direct_pairs(trace: &AppTrace, bins: usize) -> Vec<MatchedPair> {
                 Ev::Post(pattern) => {
                     let handle = RecvHandle(next_recv);
                     next_recv += 1;
-                    if let PostResult::Matched(msg) = engine
-                        .post(*pattern, handle)
-                        .expect("oracle within engine capacity")
+                    let posted = Matcher::post(&mut engine, *pattern, handle);
+                    if let PostResult::Matched(msg) = posted.expect("oracle within engine capacity")
                     {
                         pairs.push((dest as u32, handle.0, msg.0));
                     }
@@ -419,13 +433,11 @@ pub fn engine_direct_pairs(trace: &AppTrace, bins: usize) -> Vec<MatchedPair> {
                 Ev::Arrive { env, .. } => {
                     let msg = MsgHandle(next_msg);
                     next_msg += 1;
-                    for d in engine
-                        .arrive_block(&[(*env, msg)])
-                        .expect("oracle within engine capacity")
+                    let arrived = engine.arrive(*env, msg);
+                    if let ArriveResult::Matched(recv) =
+                        arrived.expect("oracle within engine capacity")
                     {
-                        if let BlockDelivery::Matched { msg, recv } = d {
-                            pairs.push((dest as u32, recv.0, msg.0));
-                        }
+                        pairs.push((dest as u32, recv.0, msg.0));
                     }
                 }
             }
@@ -438,14 +450,16 @@ pub fn engine_direct_pairs(trace: &AppTrace, bins: usize) -> Vec<MatchedPair> {
     pairs
 }
 
-/// The replay's transport endpoints, built once and re-armed for each
-/// destination: the service with the NIC behind it, and one queue pair and
+/// The replay's endpoints, built once and re-armed for each destination: the
+/// service with the NIC and the engine behind it, and one queue pair and
 /// reliable sender per slot. The destination's `i`-th source in rank order
 /// sends on slot `i`; the slots grow to the widest destination so far, and
 /// those past the current one's sources sit idle.
 struct Endpoints {
     svc: MatchingService,
     domain: RdmaDomain,
+    /// The engine's configuration, for the one a fallback makes necessary.
+    engine_config: MatchConfig,
     /// One per queue pair of the NIC, in slot order.
     senders: Vec<ReliableSender>,
     /// The current destination's sources, in rank order.
@@ -453,10 +467,14 @@ struct Endpoints {
 }
 
 impl Endpoints {
-    /// A set with no slot and no matcher yet: a destination arms it first.
-    /// Its bounce pool holds `buffers` staging buffers, whichever
-    /// destination it serves.
-    fn new(cfg: &AppReplayConfig, buffers: usize) -> Self {
+    /// A set with no slot yet, around an engine configured by `engine`: a
+    /// destination arms it first. Its bounce pool holds `buffers` staging
+    /// buffers, whichever destination it serves.
+    fn new(
+        cfg: &AppReplayConfig,
+        buffers: usize,
+        engine_config: MatchConfig,
+    ) -> Result<Self, MatchError> {
         let buf = cfg.eager_max.max(cfg.piggyback).max(ID_BYTES);
         let mut nic = RecvNic::unconnected(BouncePool::new(buffers, buf));
         nic.enable_total_order();
@@ -464,20 +482,27 @@ impl Endpoints {
             nic.set_faults(plan.clone());
         }
         let domain = RdmaDomain::new();
-        let placeholder = Box::new(RdmaNoOp::new());
-        Endpoints {
-            svc: MatchingService::with_backend(nic, domain.clone(), placeholder),
+        let backend = Self::engine(&engine_config)?;
+        Ok(Endpoints {
+            svc: MatchingService::with_backend(nic, domain.clone(), backend),
             domain,
+            engine_config,
             senders: Vec::new(),
             sources: Vec::new(),
-        }
+        })
     }
 
-    /// Arms the set for one destination around its own engine: a slot per
-    /// source that sends to it (connecting more queue pairs if the set is
-    /// narrower), and the service, the NIC and those slots' senders re-armed
-    /// to read as new.
-    fn arm(&mut self, events: &[Ev], engine: OtmEngine) {
+    /// An engine as `config` says: the one the set starts with, and the one
+    /// that replaces the software matcher a fallback leaves.
+    fn engine(config: &MatchConfig) -> Result<Box<dyn MatchingBackend>, MatchError> {
+        Ok(Box::new(OtmEngine::new(config.clone())?))
+    }
+
+    /// Arms the set for one destination: a slot per source that sends to it
+    /// (connecting more queue pairs if the set is narrower), and the
+    /// service, its engine, the NIC and those slots' senders re-armed to
+    /// read as new.
+    fn arm(&mut self, events: &[Ev]) {
         self.sources.clear();
         self.sources.extend(events.iter().filter_map(|e| match e {
             Ev::Arrive { src, .. } => Some(src.0),
@@ -493,7 +518,9 @@ impl Endpoints {
             sender.attach_metrics(self.svc.metrics().clone());
             self.senders.push(sender);
         }
-        self.svc.rearm(Box::new(engine));
+        let config = &self.engine_config;
+        self.svc
+            .rearm(|| Self::engine(config).expect("the configuration built the first engine"));
         self.svc.nic_mut().rearm(active);
         for s in &mut self.senders[..active] {
             s.rearm();
@@ -589,7 +616,8 @@ pub fn replay_app(
     // Sized once, to the busiest destination: never smaller than the pool a
     // destination of its own would get.
     let buffers = busiest.map_or(0, arrivals_at).clamp(64, 8192);
-    let mut ends = Endpoints::new(cfg, buffers);
+    let engine = sized_for(MatchConfig::default().with_bins(cfg.bins), &per_rank);
+    let mut ends = Endpoints::new(cfg, buffers, engine).map_err(ServiceError::Match)?;
     let start = std::time::Instant::now();
 
     for (dest, events) in per_rank.iter().enumerate() {
@@ -600,15 +628,7 @@ pub fn replay_app(
         let arrivals = events.len() - posts;
         report.posts += posts as u64;
         report.messages += arrivals as u64;
-
-        // The engine is the destination's own, sized from its posts and
-        // arrivals: matching state is private to a rank.
-        let config = MatchConfig::default()
-            .with_bins(cfg.bins)
-            .with_max_receives(posts.max(1))
-            .with_max_unexpected(arrivals.max(1));
-        let engine = OtmEngine::new(config).map_err(ServiceError::Match)?;
-        ends.arm(events, engine);
+        ends.arm(events);
         if let (Some(cadence), Some(b)) = (cfg.series_cadence, busiest) {
             if b == dest {
                 ends.svc.attach_series(SeriesRecorder::new(cadence.max(1)));
@@ -627,7 +647,19 @@ pub fn replay_app(
                         ends.settle(dest, &mut pairs)?;
                         dirty = false;
                     }
-                    ends.svc.post_recv(*pattern)?;
+                    // A post is a command on its communicator's ring, and
+                    // nothing drains the ring between two posts: a full one
+                    // is drained and the post retried under its handle.
+                    let handle = ends.svc.reserve_recv();
+                    loop {
+                        match ends.svc.post_recv_queued_reserved(*pattern, handle) {
+                            Ok(()) => break,
+                            Err(ServiceError::Match(MatchError::SubmissionRingFull { .. })) => {
+                                ends.pump(dest, &mut pairs)?;
+                            }
+                            Err(e) => return Err(e),
+                        }
+                    }
                 }
                 Ev::Arrive { src, env, bytes } => {
                     // Window backpressure: progress the whole path (all
@@ -985,6 +1017,57 @@ mod tests {
         let out = replay_app(&trace, &AppReplayConfig::default()).unwrap();
         assert_eq!(out.matched_pairs, engine_direct_pairs(&trace, 128));
         assert_eq!((out.report.posts, out.report.completed), (2, 1));
+    }
+
+    /// Rank 0 posts `n` receives in a row, then rank 1 sends the `n`
+    /// messages they wait for, one tag of seven each.
+    fn consecutive_posts_trace(n: u32) -> AppTrace {
+        let tag = |i: u32| Tag(i % 7);
+        let recvs = (0..n).map(|i| TimedOp {
+            time: f64::from(i),
+            op: MpiOp::Irecv {
+                src: SourceSel::Rank(Rank(1)),
+                tag: TagSel::Tag(tag(i)),
+                comm: CommId::WORLD,
+                count: 16,
+                request: ReqId(i),
+            },
+        });
+        let sends = (0..n).map(|i| TimedOp {
+            time: f64::from(n + i),
+            op: MpiOp::Send {
+                dest: Rank(0),
+                tag: tag(i),
+                comm: CommId::WORLD,
+                count: 16,
+            },
+        });
+        AppTrace {
+            name: "consecutive posts".into(),
+            ranks: vec![
+                RankTrace {
+                    rank: Rank(0),
+                    ops: recvs.collect(),
+                },
+                RankTrace {
+                    rank: Rank(1),
+                    ops: sends.collect(),
+                },
+            ],
+        }
+    }
+
+    #[test]
+    fn more_consecutive_posts_than_a_ring_or_a_fixed_oracle_holds_still_replay() {
+        // A submission ring holds 1,024 commands, and nothing drains it
+        // between two posts; 20,000 outstanding receives are more than the
+        // 16,384 an oracle of fixed size held.
+        for n in [1_100, 20_000] {
+            let trace = consecutive_posts_trace(n);
+            let out = replay_app(&trace, &AppReplayConfig::default()).unwrap();
+            assert_eq!(out.report.completed, u64::from(n), "{n} posts");
+            assert_eq!(out.matched_pairs, engine_direct_pairs(&trace, 128));
+        }
     }
 
     #[test]

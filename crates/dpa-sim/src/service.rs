@@ -280,16 +280,20 @@ impl MatchingService {
         }
     }
 
-    /// Re-arms the service for a new receiver around `backend`, on the same
-    /// NIC and domain: it reads as [`MatchingService::with_backend`] left it.
+    /// Re-arms the service for a new receiver, on the same NIC and domain:
+    /// it reads as [`MatchingService::with_backend`] left it. The backend
+    /// resets in place ([`MatchingBackend::reset`]); one that refuses — the
+    /// software matcher a fallback left — is replaced by `fresh()`.
     /// Receive handles and the poll clock start over; the completed,
     /// in-flight and unexpected stores empty, and the rendezvous regions of
     /// messages that never matched are deregistered; the retry budget and
     /// the fallback flag return to their defaults; the controller and the
     /// series detach; the metrics registry reads zero, through every handle
     /// attached to it. The NIC re-arms on its own ([`RecvNic::rearm`]).
-    pub(crate) fn rearm(&mut self, backend: Box<dyn MatchingBackend>) {
-        self.backend = backend;
+    pub(crate) fn rearm(&mut self, fresh: impl FnOnce() -> Box<dyn MatchingBackend>) {
+        if self.backend.reset().is_err() {
+            self.backend = fresh();
+        }
         self.next_recv = 0;
         self.completed.clear();
         let unexpected = self.unexpected.drain().map(|(_, stored)| stored);
@@ -1216,8 +1220,7 @@ mod tests {
         svc.set_retry_budget(9);
         assert_eq!(svc.progress().unwrap(), 1);
         assert_eq!((svc.unexpected_len(), domain.region_count()), (1, 1));
-        let engine = OtmEngine::new(MatchConfig::small()).unwrap();
-        svc.rearm(Box::new(engine));
+        svc.rearm(|| unreachable!("the engine resets in place"));
         svc.nic_mut().rearm(1);
         assert_eq!(domain.region_count(), 0, "the unmatched message's region");
         assert_eq!(
@@ -1239,6 +1242,18 @@ mod tests {
         let snap = svc.observability_snapshot();
         assert_eq!(snap.counters["dpa_cq_polls_total"], 1);
         assert_eq!(snap.counters["otm_matched_total"], 1);
+    }
+
+    #[test]
+    fn a_backend_that_cannot_reset_is_replaced_by_a_fresh_one() {
+        let (_tx, _domain, mut svc) = setup("cpu");
+        svc.post_recv(ReceivePattern::exact(Rank(0), Tag(1)))
+            .unwrap();
+        let fresh = || Box::new(OtmEngine::new(MatchConfig::small()).unwrap()) as _;
+        svc.rearm(fresh);
+        assert_eq!(svc.backend_name(), "Optimistic-DPA");
+        assert_eq!(svc.engine_stats(), Some(otm::StatsSnapshot::default()));
+        svc.rearm(|| unreachable!("the engine resets in place"));
     }
 
     #[test]

@@ -380,6 +380,20 @@ pub trait MatchingBackend: Send {
         )))
     }
 
+    /// Empties the backend in place so that it reads as new, keeping what
+    /// it allocated: how a caller that serves one receiver after another
+    /// reuses one backend.
+    ///
+    /// The default refuses, and a refused caller builds a new backend. An
+    /// override refuses too, changing nothing, while the backend holds work
+    /// it has not applied.
+    fn reset(&mut self) -> Result<(), MatchError> {
+        Err(MatchError::InvalidConfig(format!(
+            "the {} backend cannot be reset",
+            self.backend_name()
+        )))
+    }
+
     /// The backend as [`Any`], for observability downcasts (e.g. the
     /// service reading the optimistic engine's device-side metrics).
     fn as_any(&self) -> &dyn Any;

@@ -39,7 +39,7 @@
 
 #![deny(missing_docs)]
 
-use otm_base::sync::lock;
+use otm_base::sync::{lock, mutex_mut};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -115,6 +115,17 @@ impl CommandQueue {
         let ring = &shards.shard_mut(comm, config).submission;
         ring.push(ticket, cmd)
             .map_err(|_| MatchError::SubmissionRingFull { comm: comm.0 })
+    }
+
+    /// Whether a failed drain left commands in the stash.
+    pub(crate) fn stashed(&mut self) -> bool {
+        !mutex_mut(&mut self.stash).is_empty()
+    }
+
+    /// Restarts the tickets at 0, for a caller with exclusive access whose
+    /// stash and rings are empty.
+    pub(crate) fn reset(&mut self) {
+        *self.tickets.get_mut() = 0;
     }
 
     /// Number of commands waiting to be drained in the stash and in the

@@ -51,7 +51,7 @@ use mpi_matching::stats::DepthAggregate;
 use mpi_matching::{
     ArriveResult, MatchStats, Matcher, MatchingBackend, MsgHandle, PostResult, RecvHandle,
 };
-use otm_base::sync::lock;
+use otm_base::sync::{lock, mutex_mut};
 use otm_base::{
     ArrivalSeq, CommHints, CommId, Envelope, InlineHashes, MatchConfig, MatchError, PackingPolicy,
     ReceivePattern,
@@ -168,6 +168,40 @@ impl OtmEngine {
             packing_window_override: AtomicUsize::new(0),
             stopped: AtomicBool::new(false),
         })
+    }
+
+    /// Empties the engine in place so that it reads as new: every
+    /// communicator's table, indexes and unexpected store, its labels and
+    /// sequence ids; the tickets, the arrival clock, the block epoch and the
+    /// coordinator's tally; the
+    /// published statistics and every registry instrument (a labelled gauge
+    /// of a communicator used before the reset stays registered, at 0); the
+    /// span ring; both packing selectors. What the engine allocated stays:
+    /// the shards (a communicator's comes back on its next use), their
+    /// rings, the block arena and every instrument handle, so a reset
+    /// allocates nothing. It takes no lock, holding the engine to itself.
+    ///
+    /// Refused, with the engine untouched, when it is stopped
+    /// ([`MatchError::EngineStopped`]) or holds a command no drain has
+    /// applied ([`MatchError::InvalidConfig`]): a reset never drops work.
+    pub fn reset(&mut self) -> Result<(), MatchError> {
+        self.check_running()?;
+        if self.queue.stashed() || self.shards.any_queued() {
+            return Err(MatchError::InvalidConfig(
+                "an engine with queued commands cannot be reset".into(),
+            ));
+        }
+        self.shards.reset();
+        self.queue.reset();
+        let coord = mutex_mut(&mut self.coord);
+        coord.next_arrival = ArrivalSeq::ZERO;
+        coord.block.epoch = 0;
+        coord.posts = Tally::default();
+        *mutex_mut(&mut self.stats) = StatsSnapshot::default();
+        self.metrics.reset();
+        *self.pack_consecutive.get_mut() = false;
+        *self.packing_window_override.get_mut() = 0;
+        Ok(())
     }
 
     /// Selects the packer for subsequent drains. An engine drains
@@ -627,7 +661,7 @@ impl OtmEngine {
         let mut coord = lock(&self.coord);
         let mut deliveries = Vec::with_capacity(msgs.len());
         let deliver = |_, d| deliveries.push(d);
-        self.process_block_locked(&mut coord, &lanes, msgs.iter().copied(), deliver)?;
+        self.process_block_locked(&mut coord, &lanes.live, msgs.iter().copied(), deliver)?;
         Ok(deliveries)
     }
 
@@ -978,6 +1012,10 @@ impl MatchingBackend for OtmEngine {
         Ok((*self).drain_for_fallback())
     }
 
+    fn reset(&mut self) -> Result<(), MatchError> {
+        OtmEngine::reset(self)
+    }
+
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }
@@ -1016,6 +1054,17 @@ impl SequentialOtm {
             prq: 0,
             umq: 0,
         })
+    }
+
+    /// Resets the wrapped engine ([`OtmEngine::reset`]) and the adapter's
+    /// statistics and queue lengths: the adapter reads as new. Refused, with
+    /// nothing changed, when the engine refuses.
+    pub fn reset(&mut self) -> Result<(), MatchError> {
+        self.engine.reset()?;
+        self.stats = MatchStats::new();
+        self.seen = StatsSnapshot::default();
+        (self.prq, self.umq) = (0, 0);
+        Ok(())
     }
 
     /// [`OtmEngine::prq_empty_bin_fraction`] of the wrapped engine.
@@ -1154,6 +1203,10 @@ impl MatchingBackend for SequentialOtm {
 
     fn drain_for_fallback(self: Box<Self>) -> Result<FallbackState, MatchError> {
         Ok(self.engine.drain_for_fallback())
+    }
+
+    fn reset(&mut self) -> Result<(), MatchError> {
+        SequentialOtm::reset(self)
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -1621,6 +1674,45 @@ mod tests {
             assert_eq!(Matcher::prq_len(&m), m.engine.prq_len(), "after event {i}");
             assert_eq!(Matcher::umq_len(&m), m.engine.umq_len(), "after event {i}");
         }
+    }
+
+    #[test]
+    fn an_adapter_whose_engine_refuses_a_reset_keeps_everything() {
+        // The adapter queues nothing and never stops on its own: the
+        // refusals are reached through the wrapped engine.
+        let mut m = SequentialOtm::new(MatchConfig::small()).unwrap();
+        Matcher::post(
+            &mut m,
+            ReceivePattern::exact(Rank(0), Tag(1)),
+            RecvHandle(0),
+        )
+        .unwrap();
+        m.arrive(env(0, 2), MsgHandle(0)).unwrap();
+        let cmd = Command::Arrival {
+            env: env(0, 1),
+            msg: MsgHandle(1),
+        };
+        m.engine.submit(cmd).unwrap();
+        let before = (m.stats.clone(), m.prq, m.umq, m.engine.stats());
+        let refused = m.reset();
+        assert!(
+            matches!(refused, Err(MatchError::InvalidConfig(_))),
+            "{refused:?}"
+        );
+        assert_eq!((m.stats.clone(), m.prq, m.umq, m.engine.stats()), before);
+        let matched = Delivery::Matched {
+            msg: MsgHandle(1),
+            recv: RecvHandle(0),
+        };
+        assert_eq!(
+            m.engine.drain().outcomes,
+            [CommandOutcome::Delivery(matched)]
+        );
+        m.engine.shutdown();
+        let before = (m.stats.clone(), m.prq, m.umq, m.engine.stats());
+        assert_eq!(m.reset(), Err(MatchError::EngineStopped));
+        assert_eq!((m.stats.clone(), m.prq, m.umq, m.engine.stats()), before);
+        assert_eq!(m.engine.umq_len(), 1);
     }
 
     #[test]

@@ -62,6 +62,12 @@ impl PrqIndexes {
         }
     }
 
+    /// Empties every index in place (the receives' table is reset beside
+    /// it).
+    pub fn reset(&mut self) {
+        self.lists.clear();
+    }
+
     /// Number of bins per hash table.
     pub fn bins(&self) -> usize {
         self.lists.bins()

@@ -70,16 +70,24 @@ pub(crate) struct Lists {
     ends: Box<[Ends]>,
 }
 
+/// Both ends of an empty list.
+const EMPTY: Ends = Ends {
+    head: NIL,
+    tail: NIL,
+};
+
 impl Lists {
     /// `3 · bins + 1` empty lists.
     pub(crate) fn new(bins: usize) -> Self {
         assert!(bins > 0, "an index needs at least one bin");
-        let empty = Ends {
-            head: NIL,
-            tail: NIL,
-        };
-        let ends = vec![empty; 3 * bins + 1].into_boxed_slice();
+        let ends = vec![EMPTY; 3 * bins + 1].into_boxed_slice();
         Lists { bins, ends }
+    }
+
+    /// Empties every list in place; the entries' links are left as they are
+    /// (appending writes a link before it is read).
+    pub(crate) fn clear(&mut self) {
+        self.ends.fill(EMPTY);
     }
 
     /// Bins per view (the both-wildcard view has one list).
@@ -251,6 +259,17 @@ mod tests {
             lists.unlink(&mut slab, BIN0, slot);
         }
         assert!(contents(&lists, &slab).is_empty());
+    }
+
+    #[test]
+    fn clear_empties_every_list_and_they_fill_again() {
+        let (mut lists, mut slab) = setup(3);
+        lists.clear();
+        assert!(contents(&lists, &slab).is_empty());
+        for slot in [2, 0] {
+            lists.push_back(&mut slab, BIN0, slot);
+        }
+        assert_eq!(contents(&lists, &slab), [2, 0]);
     }
 
     #[test]

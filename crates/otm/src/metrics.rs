@@ -155,6 +155,15 @@ impl EngineMetrics {
             .set_max(ring_peak as i64);
     }
 
+    /// Zeroes every instrument in place, labelled ones included
+    /// ([`Registry::reset`]), and empties the span ring: every handle stays
+    /// live.
+    pub(crate) fn reset(&self) {
+        self.registry.reset();
+        #[cfg(feature = "trace-events")]
+        self.spans.clear();
+    }
+
     /// The underlying registry (for embedding into a larger exporter).
     pub fn registry(&self) -> &Registry {
         &self.registry

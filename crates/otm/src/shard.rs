@@ -13,6 +13,10 @@
 //! [`CommId`] order, holds them for the whole block and lends them to the
 //! lanes through `&`, which keeps the engine deadlock-free (posters ever
 //! hold at most one shard lock).
+//!
+//! A reset empties every shard in place and parks it, still allocated, until
+//! its communicator is next used: the directory then reads as a new one's,
+//! and a communicator that comes back costs no allocation.
 
 #![deny(missing_docs)]
 
@@ -21,7 +25,7 @@ use crate::metrics::DepthPeakGauges;
 use crate::ring::CommandRing;
 use crate::table::ReceiveTable;
 use crate::umq::UnexpectedStore;
-use otm_base::sync::{get_mut, read, write};
+use otm_base::sync::{get_mut, lock, mutex_mut, read, write};
 use otm_base::{CommHints, CommId, MatchConfig, MatchError, PostLabel, ReceivePattern, SeqId};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 
@@ -45,6 +49,21 @@ pub struct ShardHost {
     pub(crate) cur_seq: SeqId,
     /// The previous post's pattern, for sequence-run detection.
     pub(crate) last_pattern: Option<ReceivePattern>,
+}
+
+impl ShardHost {
+    /// Empties the communicator's matching state in place: the table and
+    /// both queues read as new, labels and sequence ids start over, and the
+    /// hints are those of a communicator created by use.
+    fn reset(&mut self) {
+        self.table.reset();
+        self.prq.reset();
+        self.umq.reset();
+        self.hints = CommHints::NONE;
+        self.next_label = PostLabel::ZERO;
+        self.cur_seq = SeqId::ZERO;
+        self.last_pattern = None;
+    }
 }
 
 /// A locked shard: what a block's coordinator lends its lanes.
@@ -97,29 +116,58 @@ impl std::fmt::Debug for CommShard {
 /// directory first; a submit's ring push runs under the read guard instead
 /// (`with_shard`), which is safe because the push takes no lock and never
 /// waits. Either way no second lock is acquired while the directory is held,
-/// so it cannot participate in a deadlock cycle. Entries are never removed.
-/// A caller with the engine to itself needs neither: the exclusive submit
-/// looks up through `RwLock::get_mut` (`ShardMap::shard_mut`: no lock word
-/// touched, no `Arc` cloned), a direct block under one read guard kept while
-/// it runs (`ShardMap::read`), which nobody can be waiting on.
+/// so it cannot participate in a deadlock cycle. Entries leave only at a
+/// reset. A caller with the engine to itself needs neither: the exclusive
+/// submit looks up through `RwLock::get_mut` (`ShardMap::shard_mut`: no lock
+/// word touched, no `Arc` cloned), a direct block under one read guard kept
+/// while it runs (`ShardMap::read`), which nobody can be waiting on.
 #[derive(Debug, Default)]
 pub struct ShardMap {
-    shards: RwLock<Vec<(CommId, Arc<CommShard>)>>,
+    shards: RwLock<Directory>,
+}
+
+/// A directory entry.
+type Entry = (CommId, Arc<CommShard>);
+
+/// The communicators in use, and the shards a reset emptied.
+#[derive(Debug, Default)]
+pub(crate) struct Directory {
+    /// Every communicator used since the last reset, in `CommId` order.
+    pub(crate) live: Vec<Entry>,
+    /// Emptied shards, in no order, each the directory's alone: taken back
+    /// when their communicator is next used.
+    parked: Vec<Entry>,
 }
 
 /// Where `comm` is, or would be inserted, in a directory (or a snapshot of
 /// it) in `CommId` order.
-pub(crate) fn locate(shards: &[(CommId, Arc<CommShard>)], comm: CommId) -> Result<usize, usize> {
+pub(crate) fn locate(shards: &[Entry], comm: CommId) -> Result<usize, usize> {
     shards.binary_search_by_key(&comm, |(id, _)| *id)
 }
 
-/// Where `comm` is in the directory, inserted with no hints if it was not.
-fn place(shards: &mut Vec<(CommId, Arc<CommShard>)>, comm: CommId, config: &MatchConfig) -> usize {
-    locate(shards, comm).unwrap_or_else(|at| {
-        let shard = Arc::new(CommShard::new(config, CommHints::NONE));
-        shards.insert(at, (comm, shard));
-        at
-    })
+impl Directory {
+    /// Inserts `comm` at `at` with `hints`: its parked shard, if a reset
+    /// left one, else a new shard.
+    fn insert(&mut self, at: usize, comm: CommId, config: &MatchConfig, hints: CommHints) {
+        let shard = match self.parked.iter().position(|(id, _)| *id == comm) {
+            Some(i) => {
+                let (_, shard) = self.parked.swap_remove(i);
+                // Parked, the shard was reachable from nowhere: no wait.
+                lock(&shard.host).hints = hints;
+                shard
+            }
+            None => Arc::new(CommShard::new(config, hints)),
+        };
+        self.live.insert(at, (comm, shard));
+    }
+
+    /// Where `comm` is, inserted with no hints if it was not.
+    fn place(&mut self, comm: CommId, config: &MatchConfig) -> usize {
+        locate(&self.live, comm).unwrap_or_else(|at| {
+            self.insert(at, comm, config, CommHints::NONE);
+            at
+        })
+    }
 }
 
 impl ShardMap {
@@ -131,9 +179,9 @@ impl ShardMap {
     /// The shard for `comm`, if the communicator has been used.
     pub fn get(&self, comm: CommId) -> Option<Arc<CommShard>> {
         let shards = read(&self.shards);
-        locate(&shards, comm)
+        locate(&shards.live, comm)
             .ok()
-            .map(|at| Arc::clone(&shards[at].1))
+            .map(|at| Arc::clone(&shards.live[at].1))
     }
 
     /// The shard for `comm`, creating it (with no hints) on first use.
@@ -142,22 +190,22 @@ impl ShardMap {
             return shard;
         }
         let mut shards = write(&self.shards);
-        let at = place(&mut shards, comm, config);
-        Arc::clone(&shards[at].1)
+        let at = shards.place(comm, config);
+        Arc::clone(&shards.live[at].1)
     }
 
     /// The shard for `comm` (created with no hints on first use) for a caller
     /// with exclusive access: no lock is taken and nothing is cloned.
     pub(crate) fn shard_mut(&mut self, comm: CommId, config: &MatchConfig) -> &CommShard {
         let shards = get_mut(&mut self.shards);
-        let at = place(shards, comm, config);
-        &shards[at].1
+        let at = shards.place(comm, config);
+        &shards.live[at].1
     }
 
     /// The directory under its read guard. Only a caller with exclusive
     /// access to the engine may keep the guard across other locks: no writer
     /// can be waiting for it.
-    pub(crate) fn read(&self) -> RwLockReadGuard<'_, Vec<(CommId, Arc<CommShard>)>> {
+    pub(crate) fn read(&self) -> RwLockReadGuard<'_, Directory> {
         read(&self.shards)
     }
 
@@ -171,8 +219,8 @@ impl ShardMap {
         f: impl FnOnce(&CommShard) -> R,
     ) -> R {
         let shards = read(&self.shards);
-        match locate(&shards, comm) {
-            Ok(at) => f(&shards[at].1),
+        match locate(&shards.live, comm) {
+            Ok(at) => f(&shards.live[at].1),
             Err(_) => {
                 drop(shards);
                 f(&self.get_or_create(comm, config))
@@ -190,29 +238,52 @@ impl ShardMap {
         hints: CommHints,
     ) -> Result<(), MatchError> {
         let mut shards = write(&self.shards);
-        let Err(at) = locate(&shards, comm) else {
+        let Err(at) = locate(&shards.live, comm) else {
             return Err(MatchError::InvalidConfig(format!(
                 "hints for {comm} must be declared before the communicator is used"
             )));
         };
-        shards.insert(at, (comm, Arc::new(CommShard::new(config, hints))));
+        shards.insert(at, comm, config, hints);
         Ok(())
     }
 
     /// Every shard in communicator-id order (the global lock order): a copy
     /// of the directory as it stands.
-    pub fn all_sorted(&self) -> Vec<(CommId, Arc<CommShard>)> {
-        read(&self.shards).clone()
+    pub fn all_sorted(&self) -> Vec<Entry> {
+        read(&self.shards).live.clone()
+    }
+
+    /// Whether any communicator's ring holds a command.
+    pub(crate) fn any_queued(&mut self) -> bool {
+        let live = &get_mut(&mut self.shards).live;
+        live.iter().any(|(_, shard)| !shard.submission.is_empty())
+    }
+
+    /// Empties every shard in place and parks it, for a caller with
+    /// exclusive access whose rings are empty: the directory reads as new,
+    /// and allocates nothing while the communicators it parks come back.
+    pub(crate) fn reset(&mut self) {
+        let shards = get_mut(&mut self.shards);
+        for (_, shard) in &mut shards.live {
+            let shard = Arc::get_mut(shard).expect("only a drain's snapshot shares a shard");
+            debug_assert!(shard.submission.is_empty());
+            mutex_mut(&mut shard.host).reset();
+        }
+        if shards.parked.is_empty() {
+            std::mem::swap(&mut shards.live, &mut shards.parked);
+        } else {
+            shards.parked.append(&mut shards.live);
+        }
     }
 
     /// Number of communicators seen so far.
     pub fn len(&self) -> usize {
-        read(&self.shards).len()
+        read(&self.shards).live.len()
     }
 
     /// Whether no communicator has been used yet.
     pub fn is_empty(&self) -> bool {
-        read(&self.shards).is_empty()
+        read(&self.shards).live.is_empty()
     }
 }
 
@@ -237,7 +308,7 @@ mod tests {
         let shared = map.get_or_create(CommId(4), &config);
         assert!(std::ptr::eq(map.shard_mut(CommId(4), &config), &*shared));
         map.shard_mut(CommId(2), &config);
-        let ids: Vec<CommId> = map.read().iter().map(|(id, _)| *id).collect();
+        let ids: Vec<CommId> = map.read().live.iter().map(|(id, _)| *id).collect();
         assert_eq!(ids, [CommId(2), CommId(4)]);
     }
 
@@ -256,6 +327,38 @@ mod tests {
             otm_base::sync::lock(&map.get(CommId(3)).unwrap().host).hints,
             CommHints::no_wildcards()
         );
+    }
+
+    #[test]
+    fn a_reset_parks_every_shard_until_its_communicator_comes_back() {
+        let mut map = ShardMap::new();
+        let config = MatchConfig::small();
+        let one = map.get_or_create(CommId(1), &config);
+        map.try_declare(CommId(2), &config, CommHints::no_wildcards())
+            .unwrap();
+        let two = map.get(CommId(2)).unwrap();
+        lock(&one.host).next_label = PostLabel(9);
+        drop(one);
+        drop(two);
+        map.reset();
+        assert!(map.is_empty() && map.get(CommId(1)).is_none());
+        // Taken back by use with no hints, or declared anew with others.
+        let one = map.get_or_create(CommId(1), &config);
+        assert_eq!(lock(&one.host).next_label, PostLabel::ZERO);
+        assert!(map.try_declare(CommId(2), &config, CommHints::NONE).is_ok());
+        assert_eq!(
+            lock(&map.get(CommId(2)).unwrap().host).hints,
+            CommHints::NONE
+        );
+        map.get_or_create(CommId(3), &config);
+        let ids: Vec<_> = map.all_sorted().into_iter().map(|(id, _)| id).collect();
+        assert_eq!(ids, [CommId(1), CommId(2), CommId(3)]);
+        drop(one);
+        map.reset();
+        assert!(map
+            .try_declare(CommId(3), &config, CommHints::no_wildcards())
+            .is_ok());
+        assert_eq!(map.len(), 1);
     }
 
     #[test]

@@ -159,23 +159,42 @@ impl Slot {
 }
 
 /// The fixed-size descriptor table plus its free list.
+///
+/// Slots at and past `watermark` have never been allocated; below it, a slot
+/// is live or on `free`. Allocation takes a released slot first, the most
+/// recently released, and only then the watermark's: the order a free list
+/// pre-filled with every id would give, without writing one.
 #[derive(Debug)]
 pub struct ReceiveTable {
     slots: Box<[Slot]>,
-    /// Free slot ids, popped by [`ReceiveTable::allocate`] and pushed by
+    /// Released slot ids, popped by [`ReceiveTable::allocate`] and pushed by
     /// [`ReceiveTable::release`].
     free: Vec<DescId>,
+    /// The first slot never allocated.
+    watermark: DescId,
 }
 
 impl ReceiveTable {
     /// Creates a table with `capacity` slots.
     pub fn new(capacity: usize) -> Self {
         let slots: Vec<Slot> = (0..capacity).map(|_| Slot::new()).collect();
-        let free: Vec<DescId> = (0..capacity as DescId).rev().collect();
         ReceiveTable {
             slots: slots.into_boxed_slice(),
-            free,
+            free: Vec::new(),
+            watermark: 0,
         }
+    }
+
+    /// Frees every slot ever allocated and lowers the watermark to 0: the
+    /// table reads as new, and the next allocations take the ids a new table
+    /// would. Touches only the slots below the watermark.
+    pub fn reset(&mut self) {
+        for slot in &mut self.slots[..self.watermark as usize] {
+            *slot.state.get_mut() = state::FREE;
+            *slot.booking.get_mut() = 0;
+        }
+        self.free.clear();
+        self.watermark = 0;
     }
 
     /// Total capacity.
@@ -185,7 +204,7 @@ impl ReceiveTable {
 
     /// Number of slots currently allocated (posted or tombstoned).
     pub fn allocated(&self) -> usize {
-        self.slots.len() - self.free.len()
+        self.watermark as usize - self.free.len()
     }
 
     /// Accesses a slot by id.
@@ -200,7 +219,14 @@ impl ReceiveTable {
     /// the condition under which the MPI implementation must fall back to
     /// software tag matching (§III-B).
     pub fn allocate(&mut self, payload: Payload) -> Result<DescId, MatchError> {
-        let id = self.free.pop().ok_or(MatchError::ReceiveTableFull)?;
+        let id = match self.free.pop() {
+            Some(id) => id,
+            None if (self.watermark as usize) < self.slots.len() => {
+                self.watermark += 1;
+                self.watermark - 1
+            }
+            None => return Err(MatchError::ReceiveTableFull),
+        };
         let slot = &mut self.slots[id as usize];
         debug_assert_eq!(slot.state(), state::FREE);
         slot.payload = payload;
@@ -210,9 +236,10 @@ impl ReceiveTable {
     }
 
     /// Every posted receive's payload, in no particular order (walks every
-    /// slot). The software fallback migrates them off the device.
+    /// slot ever allocated). The software fallback migrates them off the
+    /// device.
     pub fn posted(&self) -> impl Iterator<Item = Payload> + '_ {
-        self.slots
+        self.slots[..self.watermark as usize]
             .iter()
             .filter(|s| s.is_posted())
             .map(Slot::payload)
@@ -290,6 +317,39 @@ mod tests {
         assert_eq!(id, id2, "single slot must be reused");
         assert_eq!(t.slot(id2).payload().handle, 1);
         assert_eq!(t.slot(id2).booking(), 0, "booking cleared on reuse");
+    }
+
+    #[test]
+    fn released_slots_go_first_then_the_watermark() {
+        let mut t = ReceiveTable::new(4);
+        let ids: Vec<_> = (0..3).map(|i| t.allocate(payload(i)).unwrap()).collect();
+        assert_eq!(ids, [0, 1, 2]);
+        for id in [0, 2] {
+            t.slot(id).try_consume(1);
+            t.release(id);
+        }
+        // The most recently released first, as a free list pre-filled with
+        // every id in reverse would pop them.
+        let next: Vec<_> = (0..3).map(|i| t.allocate(payload(i)).unwrap()).collect();
+        assert_eq!(next, [2, 0, 3]);
+        assert_eq!(t.allocate(payload(9)), Err(MatchError::ReceiveTableFull));
+    }
+
+    #[test]
+    fn reset_frees_every_slot_and_allocates_from_zero_again() {
+        let mut t = ReceiveTable::new(4);
+        for i in 0..3 {
+            t.allocate(payload(i)).unwrap();
+        }
+        t.slot(1).book(2);
+        t.slot(2).try_consume(7);
+        t.reset();
+        assert_eq!((t.allocated(), t.posted().count()), (0, 0));
+        for id in 0..4 {
+            assert_eq!((t.slot(id).state(), t.slot(id).booking()), (state::FREE, 0));
+        }
+        let again: Vec<_> = (0..4).map(|i| t.allocate(payload(i)).unwrap()).collect();
+        assert_eq!(again, [0, 1, 2, 3]);
     }
 
     #[test]

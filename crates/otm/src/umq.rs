@@ -191,8 +191,17 @@ impl UnexpectedStore {
     /// fallback to migrate state off the device.
     pub fn drain(&mut self) -> Vec<(Envelope, MsgHandle)> {
         let out = self.in_order().map(|e| (e.env, e.handle)).collect();
-        *self = UnexpectedStore::new(self.lists.bins(), self.capacity);
+        self.reset();
         out
+    }
+
+    /// Empties the store in place: the slab, its free list and every list,
+    /// keeping what they allocated. The next message takes slot 0, as in a
+    /// new store.
+    pub fn reset(&mut self) {
+        self.slab.clear();
+        self.free.clear();
+        self.lists.clear();
     }
 
     /// Non-destructive probe (`MPI_Iprobe` semantics): the oldest waiting

@@ -150,8 +150,9 @@ enum Event {
 /// its own posts and the arrivals addressed to it, in global time order. So
 /// one pass over the merged stream counts calls and tags and splits the
 /// stream into per-rank event lists, and a second pass replays them rank by
-/// rank, one engine alive at a time. A progress point samples the same
-/// state rank-major as it would interleaved.
+/// rank through one engine, sized for the largest rank and reset before each
+/// (a reset engine reads as new, and a larger table changes no count). A
+/// progress point samples the same state rank-major as it would interleaved.
 pub fn replay(trace: &AppTrace, config: &ReplayConfig) -> AppReport {
     let n = trace
         .ranks
@@ -220,24 +221,24 @@ pub fn replay(trace: &AppTrace, config: &ReplayConfig) -> AppReport {
     let mut final_umq = 0usize;
     let mut next_recv = 0u64;
     let mut next_msg = 0u64;
+    // The engine's table holds the most receives any rank posts, and its
+    // store the most messages that reach any rank.
+    let (mut max_posts, mut max_arrivals) = (1, 1);
+    for events in &per_rank {
+        let posts = events.iter().filter(|e| matches!(e, Event::Post(_)));
+        let arrivals = events.iter().filter(|e| matches!(e, Event::Arrive(_)));
+        max_posts = max_posts.max(posts.count());
+        max_arrivals = max_arrivals.max(arrivals.count());
+    }
+    let engine_config = MatchConfig::default()
+        .with_bins(config.bins)
+        .with_block_threads(1)
+        .with_max_receives(max_posts)
+        .with_max_unexpected(max_arrivals);
+    let mut engine = SequentialOtm::new(engine_config).expect("replay engine configuration");
     for events in per_rank.iter().filter(|events| !events.is_empty()) {
         metrics.record_rank_events(events.len() as u64);
-        // Sized from the rank's own traffic: its table never holds more
-        // receives than it posts, nor its store more messages than reach it.
-        let posts = events
-            .iter()
-            .filter(|e| matches!(e, Event::Post(_)))
-            .count();
-        let arrivals = events
-            .iter()
-            .filter(|e| matches!(e, Event::Arrive(_)))
-            .count();
-        let engine_config = MatchConfig::default()
-            .with_bins(config.bins)
-            .with_block_threads(1)
-            .with_max_receives(posts.max(1))
-            .with_max_unexpected(arrivals.max(1));
-        let mut engine = SequentialOtm::new(engine_config).expect("replay engine configuration");
+        engine.reset().expect("a sequential engine queues nothing");
         for &event in events {
             match event {
                 Event::Post(pattern) => {

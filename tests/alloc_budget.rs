@@ -14,8 +14,9 @@
 //!
 //! The same counter bounds what a peer costs to have: a destination's queue
 //! pairs, senders and NIC built, used for one message each and dropped; what
-//! `replay_app` allocates per message once those endpoints exist; and what a
-//! communicator costs the engine that matches for it.
+//! `replay_app` allocates per message once its endpoints and its engine
+//! exist; what a communicator costs the engine that matches for it; and what
+//! resetting that engine costs: nothing.
 //!
 //! This file is its own test binary with one `#[test]`, so nothing else
 //! allocates while it counts, and it holds the only `unsafe` in the
@@ -27,7 +28,7 @@ use dpa_sim::bounce::BouncePool;
 use dpa_sim::nic::RecvNic;
 use dpa_sim::rdma::{connected_pair, eager_packet, rendezvous_packet, RdmaDomain};
 use dpa_sim::{MatchingService, ReliableSender, ServiceMetrics};
-use mpi_matching::RecvHandle;
+use mpi_matching::{MsgHandle, RecvHandle};
 use otm::OtmEngine;
 use otm_base::{CommId, Envelope, MatchConfig, Rank, ReceivePattern, Tag};
 use otm_trace::{AppTrace, MpiOp, RankTrace};
@@ -273,8 +274,9 @@ fn bigfft_destinations(destinations: u32) -> AppTrace {
 }
 
 /// Allocations `replay_app` makes per replayed message once its endpoints
-/// exist: a replay of 16 BigFFT destinations less one of 8, over the 8 × 62
-/// messages between them, so whatever the first destination builds cancels.
+/// and its engine exist: a replay of 16 BigFFT destinations less one of 8,
+/// over the 8 × 62 messages between them, so whatever the first destination
+/// builds cancels.
 fn replay_allocations_per_message() -> f64 {
     let count = |destinations: u32| {
         let trace = bigfft_destinations(destinations);
@@ -303,6 +305,37 @@ fn communicator_allocations() -> u64 {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     post(&mut engine, 2);
     ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
+/// Allocations of `OtmEngine::reset`, twice, on an engine that matched on
+/// two communicators with a receive left posted and a message left waiting
+/// on each: once as it first parks their shards, once after the next round
+/// took them back.
+fn reset_allocations() -> u64 {
+    let mut engine = OtmEngine::new(MatchConfig::default()).unwrap();
+    let mut allocations = 0;
+    for round in 0..2 {
+        for comm in [CommId(1), CommId(2)] {
+            for (tag, recv) in [(0, 0), (9, 1)] {
+                let pattern = ReceivePattern::new(Rank(0), Tag(tag), comm);
+                engine.post(pattern, RecvHandle(recv)).unwrap();
+            }
+            let msgs = [0, 5].map(|tag| {
+                let env = Envelope::new(Rank(0), Tag(tag), comm);
+                (env, MsgHandle(u64::from(tag)))
+            });
+            engine.process_block(&msgs).unwrap();
+        }
+        assert_eq!(
+            (engine.prq_len(), engine.umq_len()),
+            (2, 2),
+            "round {round}"
+        );
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        engine.reset().unwrap();
+        allocations += ALLOCATIONS.load(Ordering::Relaxed) - before;
+    }
+    allocations
 }
 
 #[test]
@@ -371,28 +404,34 @@ fn steady_state_allocations_per_message_stay_in_budget() {
         "{PEERS}-peer destination: {construction} allocations"
     );
     println!("allocations per {PEERS}-peer destination: {construction}");
-    // A replayed destination re-arms the endpoints the first one built and
-    // builds only its engine: the payload, the rendezvous head and the
-    // READ's target, and a share of the engine, the per-poll vectors and
-    // the destination's event stream (its keyed vector, sized exactly, the
-    // stable sort's scratch and the stream). Measured 4.486 (4.534 while
-    // each stream grew by doubling behind a sort of the whole trace, 11.810
-    // when every destination built and dropped its own queue pairs,
-    // senders, NIC, bounce pool, service and registry).
+    // A replayed destination re-arms the endpoints and resets the engine the
+    // first one built: the payload, the rendezvous head and the READ's
+    // target, and a share of the per-poll vectors and of the destination's
+    // event stream (its keyed vector, sized exactly, the stable sort's
+    // scratch and the stream). Measured 3.825 (4.486 while every destination
+    // built and dropped an engine of its own, 4.534 while each stream grew
+    // by doubling behind a sort of the whole trace, 11.810 when every
+    // destination built and dropped its own queue pairs, senders, NIC,
+    // bounce pool, service and registry).
     let replayed = replay_allocations_per_message();
     assert!(
-        replayed <= 4.59,
+        replayed <= 3.93,
         "{PEERS}-peer replay: {replayed:.3} allocations a message"
     );
     println!("allocations per replayed {PEERS}-peer message: {replayed:.3}");
-    // The table's slots and free list, one slice of list ends per queue, the
-    // ring and the shard; the post links its receive through its slot.
-    // Measured 6 (9 when a bin was a vector: three slices of them, and a
-    // post's push into an empty one).
+    // The table's slots, one slice of list ends per queue, the ring and the
+    // shard; the post links its receive through its slot, and the table's
+    // free list waits for a release. Measured 5 (6 when the free list was
+    // filled with every slot up front, 9 when a bin was a vector: three
+    // slices of them, and a post's push into an empty one).
     let communicator = communicator_allocations();
     assert!(
-        communicator <= 6,
+        communicator <= 5,
         "{communicator} allocations a communicator"
     );
     println!("allocations per communicator: {communicator}");
+    // A reset empties the tables, lists, stores, rings and registry in place
+    // and parks the shards it emptied.
+    let reset = reset_allocations();
+    assert_eq!(reset, 0, "{reset} allocations in two resets");
 }
