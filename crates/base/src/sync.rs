@@ -8,9 +8,7 @@
 //! is recovered instead of propagating the panic. This module is the only
 //! place that does so.
 
-use std::sync::{
-    Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
-};
+use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Locks `m`, recovering the guard if a holder panicked.
 pub fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -25,11 +23,6 @@ pub fn read<T: ?Sized>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
 /// Write-locks `l`, recovering the guard if a writer panicked.
 pub fn write<T: ?Sized>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     l.write().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Blocks on `cv`, returning the re-acquired guard even if a holder panicked.
-pub fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-    cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The data of a lock its caller has to itself (so none is taken), whether
@@ -79,20 +72,5 @@ mod tests {
         }));
         mutex_mut(&mut m_own).push(1);
         assert_eq!(*lock(&m_own), [0, 1]);
-
-        // `wait` on the poisoned mutex returns the guard once notified.
-        let cv = Arc::new(Condvar::new());
-        let (m3, cv3) = (Arc::clone(&m), Arc::clone(&cv));
-        let waker = std::thread::spawn(move || {
-            lock(&m3).push(4);
-            cv3.notify_one();
-        });
-        let mut g = lock(&m);
-        while g.len() < 4 {
-            g = wait(&cv, g);
-        }
-        assert_eq!(*g, [1, 2, 3, 4]);
-        drop(g);
-        waker.join().expect("waker");
     }
 }

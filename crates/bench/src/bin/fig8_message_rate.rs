@@ -14,28 +14,23 @@
 //! Expected shape (the paper's claim): NC comparable to MPI-CPU, WC-FP and
 //! WC-SP lower due to conflict-resolution costs, RDMA-CPU on top. Absolute
 //! rates differ from the paper's BlueField-3 testbed — the "DPA" here is a
-//! simulated device on host threads.
+//! simulated device whose blocks are stepped on the host's thread. Every
+//! section runs on one thread, closed-loop (see [`dpa_sim::pingpong`]), so
+//! the offloaded series' engine counters are the same on every run.
 //!
-//! A seventh section exercises the concurrent command-queue API end to end:
-//! `--shards` communicator shards (defaults 4), each terminating its own
-//! queue pair on one receive NIC, are blasted by `--threads` sender threads
-//! (default one-per-shard) while the main thread pumps the matching
-//! service — poll, bounce-buffer staging, command-queue submit, pipelined
-//! drain, and the eager protocol copy all on the measured path. The report
-//! carries aggregate and per-shard throughput.
+//! A seventh section compares the drain's block-packing policies under
+//! *mixed* traffic: each of four communicators' command streams
+//! interleaves posts into its arrivals (`--post-mix` percent posts, default
+//! 30), submitted in bursts of eight commands, round-robin across the
+//! communicators, with one drain per round. The same workload is drained
+//! once per policy (`--packing` restricts to one). Under the consecutive
+//! policy every interleaved post cuts the arrival block short; the
+//! cross-communicator scheduler hoists posts and refills blocks from the
+//! other lanes' FIFO heads, so blocks stay full. The rows report blocks
+//! executed and mean block occupancy next to throughput, and the same
+//! numbers land in a standalone `fig8_mixed.json` artifact.
 //!
-//! An eighth section compares the drain's block-packing policies under
-//! *mixed* traffic: sender threads interleave posts into each
-//! communicator's arrival stream (`--post-mix` percent posts, default 30),
-//! and the same workload is drained once per policy (`--packing` restricts
-//! to one). Under the consecutive policy every interleaved post cuts the
-//! arrival block short; the cross-communicator scheduler hoists posts and
-//! refills blocks from the other lanes' FIFO heads, so blocks stay full.
-//! The rows report blocks executed and mean block occupancy next to
-//! throughput, and the same numbers land in a standalone
-//! `fig8_mixed.json` artifact.
-//!
-//! With `--faults`, a ninth section runs the same pre-posted stream twice —
+//! With `--faults`, an eighth section runs the same pre-posted stream twice —
 //! once over a perfect wire and once over a seeded hostile one (10% drop,
 //! 10% duplicate, 10% reorder, 5% delay; `--fault-seed` picks the plan) —
 //! with the sender wrapped in the selective-repeat [`ReliableSender`]. The rows
@@ -44,7 +39,7 @@
 //! (receive, payload) sequence is identical in both runs, and everything
 //! lands in a standalone `fig8_faults.json` artifact.
 //!
-//! With `--tenants N`, a tenth section promotes the service into a matchd
+//! With `--tenants N`, a ninth section promotes the service into a matchd
 //! server and runs N tenant sessions against it for the same message
 //! budget: each tenant submits (post, self-send) pairs per deterministic
 //! tick, with `--flood-tenant I` turning tenant I into a flooder that
@@ -70,10 +65,9 @@
 //! Run with: `cargo run --release -p otm-bench --bin fig8_message_rate`
 //! (`--quick` shrinks the repeat count for smoke testing; `--messages N`
 //! budgets ~N messages per series; `--repeats N` sets the count directly;
-//! `--shards N` / `--threads N` size the sharded section; `--packing P` /
-//! `--post-mix PCT` steer the mixed-traffic comparison; `--series PATH` /
-//! `--spans PATH` capture the flight-recorder artifacts; `--out PATH`
-//! redirects the JSON report).
+//! `--packing P` / `--post-mix PCT` steer the mixed-traffic comparison;
+//! `--series PATH` / `--spans PATH` capture the flight-recorder artifacts;
+//! `--out PATH` redirects the JSON report).
 //!
 //! The JSON report is a [`BenchReport`] whose `observability` object maps
 //! each offloaded series label to its merged registry snapshot: the
@@ -82,11 +76,11 @@
 
 use dpa_sim::bounce::BouncePool;
 use dpa_sim::nic::RecvNic;
-use dpa_sim::rdma::{connected_pair, eager_packet, QueuePair, RdmaDomain};
+use dpa_sim::rdma::{connected_pair, eager_packet, RdmaDomain};
 use dpa_sim::reliable::PROTOCOL_LABEL;
 use dpa_sim::service::ServiceError;
 use dpa_sim::{
-    Admission, FeedbackController, MatchMode, MatchServer, MatchdConfig, MatchingService,
+    Admission, FeedbackController, MatchMode, MatchServer, MatchdConfig, MatchingService, PingPong,
     PingPongConfig, PingPongResult, ReliableSender, Scenario, TenantConfig, TenantSession,
 };
 use mpi_matching::{MsgHandle, RecvHandle};
@@ -103,6 +97,12 @@ use otm_metrics::json::{JsonWriter, WriteJson};
 use otm_metrics::{json_fields, RegistrySnapshot, SeriesRecorder};
 use std::collections::BTreeMap;
 use std::time::Instant;
+
+/// Sequences a Fig. 8 series runs before the next series' turn: well under
+/// a millisecond, much shorter than the host's changes of speed, and enough
+/// that a turn's first sequence, which follows the other series' work, is
+/// one in ten and the median passes over it.
+const TURN: usize = 10;
 
 /// The report-level `observability` object: one registry snapshot per
 /// series or section label.
@@ -218,15 +218,11 @@ impl WriteJson for FlightRecorder {
     }
 }
 
-/// The fig8 `results` payload: the classic per-series rows plus the sharded
-/// concurrent command-queue run.
+/// The fig8 `results` payload: the per-series rows and the sections.
 #[derive(Debug)]
 struct Fig8Results {
     /// The six ping-pong series.
     series: Vec<PingPongResult>,
-    /// Throughput of concurrent posting through the sharded engine's
-    /// wait-free per-communicator submission rings.
-    sharded: ShardedReport,
     /// The mixed-traffic packing-policy comparison (one row per policy).
     mixed: Vec<MixedRow>,
     /// The fault-injection sweep (`--faults`), if it ran.
@@ -234,61 +230,12 @@ struct Fig8Results {
     /// The multi-tenant matchd fairness sweep (`--tenants`), if it ran.
     tenants: Option<TenantsSweep>,
     /// Whether this build stamped lifecycle spans (`--features
-    /// trace-events`) — compare the sharded `msgs_per_sec` of a `true` and
-    /// a `false` artifact to measure the span layer's overhead.
+    /// trace-events`) — compare the NC series' `msgs_per_sec` of a `true`
+    /// and a `false` artifact to measure the span layer's overhead.
     trace_events: bool,
 }
 
-json_fields!(Fig8Results: series, sharded, mixed, faults, tenants, trace_events);
-
-/// Aggregate + per-shard throughput of the concurrent command-queue run:
-/// `--threads` sender threads blast eager packets at `--shards` communicator
-/// shards — one queue pair per shard on one receive NIC — while the main
-/// thread pumps the [`MatchingService`] over a sharded [`OtmEngine`], driven
-/// through its command queue, so staging, submit, the pipelined drain and
-/// the eager protocol copy are all on the measured path.
-#[derive(Debug)]
-struct ShardedReport {
-    /// Number of communicator shards (= queue pairs) driven concurrently.
-    shards: usize,
-    /// Number of sender threads feeding them.
-    threads: usize,
-    /// Always `ring`; kept so the report stays comparable with the
-    /// committed artifacts.
-    submission: String,
-    /// Per-communicator submission-ring slots (`--ring-capacity`; the
-    /// engine default when unset).
-    ring_capacity: usize,
-    /// Total receives completed across all shards.
-    messages: u64,
-    /// Wall-clock for the whole run (sending + service progress overlap).
-    elapsed_secs: f64,
-    /// Aggregate completed-receive rate over the wall-clock above.
-    msgs_per_sec: f64,
-    /// Per-shard throughput, one row per communicator.
-    per_shard: Vec<ShardRow>,
-    /// Set when the service stopped early; the counts above are then
-    /// partial.
-    error: Option<String>,
-}
-
-json_fields!(ShardedReport: shards, threads, submission, ring_capacity, messages, elapsed_secs,
-    msgs_per_sec, per_shard, error);
-
-/// One communicator shard's share of the sharded run.
-#[derive(Debug)]
-struct ShardRow {
-    /// The communicator id backing this shard.
-    comm: u16,
-    /// Receives pre-posted (== packets sent) on this shard.
-    posts: u64,
-    /// Receives the service completed for this shard.
-    delivered: u64,
-    /// Wire throughput seen by the shard's sender thread.
-    posts_per_sec: f64,
-}
-
-json_fields!(ShardRow: comm, posts, delivered, posts_per_sec);
+json_fields!(Fig8Results: series, mixed, faults, tenants, trace_events);
 
 /// One packing policy's run of the mixed-traffic drain comparison: the same
 /// interleaved post/arrival workload, drained under `packing`.
@@ -298,15 +245,13 @@ struct MixedRow {
     packing: String,
     /// Percentage of posts interleaved into each communicator's stream.
     post_mix_pct: u32,
-    /// Number of communicator lanes fed concurrently.
+    /// Communicator lanes interleaved (always [`MIXED_LANES`]).
     shards: usize,
-    /// Number of submitter threads feeding them.
-    threads: usize,
     /// Arrival commands drained (every one produces a delivery).
     messages: u64,
     /// Post commands drained.
     posts: u64,
-    /// Wall-clock for the whole run (submission + drain overlap).
+    /// Wall-clock for the whole run (submissions and drains).
     elapsed_secs: f64,
     /// Deliveries per second over the wall-clock above.
     msgs_per_sec: f64,
@@ -319,8 +264,8 @@ struct MixedRow {
 
 // The row as it appears both in the report's `results.mixed` and in the
 // standalone `fig8_mixed.json`.
-json_fields!(MixedRow: packing, post_mix_pct, shards, threads, messages, posts, elapsed_secs,
-    msgs_per_sec, blocks_executed, mean_block_occupancy);
+json_fields!(MixedRow: packing, post_mix_pct, shards, messages, posts, elapsed_secs, msgs_per_sec,
+    blocks_executed, mean_block_occupancy);
 
 fn main() {
     let args = CommonArgs::parse();
@@ -353,16 +298,29 @@ fn main() {
         (MatchMode::RdmaCpu, Scenario::NoConflict),
     ];
 
+    // The series take turns, TURN sequences at a time, so a change in the
+    // host's speed over the run moves every series alike.
+    let mut pingpongs: Vec<PingPong> = runs
+        .iter()
+        .map(|&(mode, scenario)| {
+            let cfg = PingPongConfig {
+                k,
+                repeats,
+                scenario,
+                ..Default::default()
+            };
+            PingPong::new(mode, &cfg)
+        })
+        .collect();
+    for turn in (0..repeats).step_by(TURN) {
+        for pingpong in &mut pingpongs {
+            pingpong.sequences(TURN.min(repeats - turn));
+        }
+    }
     let mut results: Vec<PingPongResult> = Vec::new();
     let mut observability = Observability::new();
-    for (mode, scenario) in runs {
-        let cfg = PingPongConfig {
-            k,
-            repeats,
-            scenario,
-            ..Default::default()
-        };
-        let mut result = dpa_sim::pingpong::run_pingpong(mode, &cfg);
+    for (pingpong, (mode, scenario)) in pingpongs.into_iter().zip(runs) {
+        let mut result = pingpong.finish();
         // The CPU baseline behaves identically in both scenarios; tag its
         // rows so the printed table and the JSON artifact agree.
         if matches!(mode, MatchMode::MpiCpu) {
@@ -377,7 +335,6 @@ fn main() {
     }
 
     let mut recorder = FlightRecorder::default();
-    let sharded = run_sharded(&args, k * repeats);
     let mixed = run_mixed(&args, k * repeats, &mut observability, &mut recorder);
     let faults = run_faults(&args, k * repeats, &mut observability, &mut recorder);
     let tenants = run_tenants(&args, k * repeats, &mut observability);
@@ -385,7 +342,6 @@ fn main() {
         &args,
         quick,
         results,
-        sharded,
         mixed,
         faults,
         tenants,
@@ -393,6 +349,12 @@ fn main() {
         recorder,
     );
 }
+
+/// Communicator lanes of the mixed-traffic comparison.
+const MIXED_LANES: usize = 4;
+
+/// Commands one lane submits before the next lane's turn.
+const MIXED_BURST: usize = 8;
 
 /// True when command `i` of a lane's stream is a post under a `pct`-percent
 /// mix: posts are spread uniformly through the stream (Bresenham-style), so
@@ -402,11 +364,32 @@ fn is_post(i: usize, pct: u32) -> bool {
     (i + 1) * pct / 100 > i * pct / 100
 }
 
-/// Drives the drain's packing-policy comparison: `--threads` submitter
-/// threads interleave posts into `--shards` communicators' arrival streams
-/// (`--post-mix` percent posts each, spread uniformly) while the main
-/// thread drains — submission pipelines against block execution, exactly
-/// the engine-level path under the sharded service run above. The same
+/// Command `i` of `lane`'s stream of `per_lane` under a `pct`-percent mix.
+/// Post j and arrival j of a lane share a unique tag, so every command
+/// applies whichever side lands first (PRQ hit or UMQ hit) and the tables
+/// never overflow. `i * pct / 100` posts come before command `i`.
+fn mixed_command(lane: usize, per_lane: usize, i: usize, pct: u32) -> Command {
+    let comm = CommId(lane as u16 + 1);
+    let base = (lane * per_lane) as u64;
+    let posts_before = (i as u64 * pct as u64 / 100) as u32;
+    if is_post(i, pct) {
+        Command::Post {
+            pattern: ReceivePattern::new(Rank(0), Tag(posts_before), comm),
+            handle: RecvHandle(base + posts_before as u64),
+        }
+    } else {
+        let j = i as u32 - posts_before;
+        Command::Arrival {
+            env: Envelope::new(Rank(0), Tag(j), comm),
+            msg: MsgHandle(base + j as u64),
+        }
+    }
+}
+
+/// Drives the drain's packing-policy comparison on one thread:
+/// [`MIXED_LANES`] communicators' streams (`--post-mix` percent posts each,
+/// spread uniformly) are submitted in bursts of [`MIXED_BURST`] commands,
+/// round-robin across the lanes, with one drain per round. The same
 /// deterministic workload is replayed once per packing policy so the only
 /// variable is how the drain packs blocks.
 fn run_mixed(
@@ -415,11 +398,9 @@ fn run_mixed(
     observability: &mut Observability,
     recorder: &mut FlightRecorder,
 ) -> Vec<(MixedRow, RegistrySnapshot)> {
-    let shards = args.shards.unwrap_or(4).max(1);
-    let threads = args.threads.unwrap_or(shards).clamp(1, shards);
     let post_mix = args.post_mix.unwrap_or(30).min(90);
-    let per_lane = (budget / shards).max(1);
-    let total = per_lane * shards;
+    let per_lane = (budget / MIXED_LANES).max(1);
+    let total = per_lane * MIXED_LANES;
     let posts_per_lane = (0..per_lane).filter(|&i| is_post(i, post_mix)).count();
     let arrivals_per_lane = per_lane - posts_per_lane;
 
@@ -433,112 +414,69 @@ fn run_mixed(
     };
 
     println!(
-        "\nMixed-traffic packing: {shards} lanes x {per_lane} cmds, {post_mix}% posts, \
-         {threads} submitter threads"
+        "\nMixed-traffic packing: {MIXED_LANES} lanes x {per_lane} cmds, {post_mix}% posts, \
+         bursts of {MIXED_BURST}"
     );
 
     let mut rows = Vec::new();
     for (policy, name) in policies {
         let config = MatchConfig::default()
-            .with_max_receives((posts_per_lane * shards).max(1))
-            .with_max_unexpected((arrivals_per_lane * shards).max(1))
+            .with_max_receives((posts_per_lane * MIXED_LANES).max(1))
+            .with_max_unexpected((arrivals_per_lane * MIXED_LANES).max(1))
             .with_bins((2 * total).next_power_of_two());
         let engine = OtmEngine::new(config).expect("mixed bench configuration");
         engine.set_packing(policy);
 
-        let mut drained = 0usize;
-        let mut error: Option<String> = None;
         // The flight recorder's virtual clock for this section is the
-        // drained-command count: drain rounds are few and batchy (one
-        // `drain()` call applies the whole queued backlog), so progress
-        // through the fixed budget is the clock that yields an evenly
-        // spaced curve. Queue depth is the pending-work backlog (commands
-        // of the budget not yet applied).
+        // drained-command count, and queue depth is the pending-work
+        // backlog (commands of the budget not yet applied).
         let mut series = args
             .series
             .as_ref()
             .map(|_| SeriesRecorder::new((total as u64 / 128).max(1)));
-        let barrier = std::sync::Barrier::new(threads + 1);
+        let mut drained = 0usize;
+        let drain = |series: &mut Option<SeriesRecorder>, drained: &mut usize| {
+            let report = engine.drain();
+            if let Some(e) = report.error {
+                return Err(e.to_string());
+            }
+            *drained += report.outcomes.len();
+            if let Some(s) = series.as_mut() {
+                let t = *drained as u64;
+                if s.due(t) {
+                    s.sample(t, (total - *drained) as u64, &engine.metrics_snapshot());
+                }
+            }
+            Ok(())
+        };
+        let mut error: Option<String> = None;
+        let mut next = 0usize;
         let start = Instant::now();
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let engine = &engine;
-                let barrier = &barrier;
-                s.spawn(move || {
-                    barrier.wait();
-                    for lane in (t..shards).step_by(threads) {
-                        let comm = CommId(lane as u16 + 1);
-                        let base = (lane * per_lane) as u64;
-                        let (mut next_recv, mut next_arr) = (0u64, 0u64);
-                        for i in 0..per_lane {
-                            // Unique tags pair post j with arrival j, so
-                            // every command applies whichever side lands
-                            // first (PRQ hit or UMQ hit) and the tables
-                            // sized above never overflow.
-                            let cmd = if is_post(i, post_mix) {
-                                let handle = RecvHandle(base + next_recv);
-                                let tag = Tag(next_recv as u32);
-                                next_recv += 1;
-                                Command::Post {
-                                    pattern: ReceivePattern::new(Rank(0), tag, comm),
-                                    handle,
-                                }
-                            } else {
-                                let msg = MsgHandle(base + next_arr);
-                                let tag = Tag(next_arr as u32);
-                                next_arr += 1;
-                                Command::Arrival {
-                                    env: Envelope::new(Rank(0), tag, comm),
-                                    msg,
-                                }
-                            };
-                            // A full per-communicator submission ring is
-                            // backpressure, not failure: the concurrent
-                            // drain below is what frees slots, so yield and
-                            // push the same command again.
-                            loop {
-                                match engine.submit(cmd) {
-                                    Ok(()) => break,
-                                    Err(MatchError::SubmissionRingFull { .. }) => {
-                                        std::thread::yield_now();
-                                    }
-                                    Err(e) => panic!("engine running: {e}"),
-                                }
-                            }
-                            // Submission is orders of magnitude cheaper than
-                            // matching, so on few-core hosts an unyielding
-                            // submitter timeslice would enqueue its whole
-                            // lane as one segment; yielding between short
-                            // bursts interleaves the lanes' streams the way
-                            // concurrent wire traffic would.
-                            if i % 8 == 7 {
-                                std::thread::yield_now();
-                            }
+        'rounds: while drained < total {
+            let burst = next..(next + MIXED_BURST).min(per_lane);
+            next = burst.end;
+            for lane in 0..MIXED_LANES {
+                for i in burst.clone() {
+                    let cmd = mixed_command(lane, per_lane, i, post_mix);
+                    // A full submission ring is backpressure: the drain
+                    // frees its slots, then the same command goes again.
+                    while let Err(e) = engine.submit(cmd) {
+                        assert!(
+                            matches!(e, MatchError::SubmissionRingFull { .. }),
+                            "engine running: {e}"
+                        );
+                        if let Err(e) = drain(&mut series, &mut drained) {
+                            error = Some(e);
+                            break 'rounds;
                         }
                     }
-                });
-            }
-            // Drain concurrently with the submitters until every command
-            // has been applied.
-            barrier.wait();
-            while drained < total && error.is_none() {
-                let report = engine.drain();
-                if let Some(e) = report.error {
-                    error = Some(e.to_string());
-                    break;
-                }
-                if report.outcomes.is_empty() {
-                    std::thread::yield_now();
-                }
-                drained += report.outcomes.len();
-                if let Some(s) = series.as_mut() {
-                    let t = drained as u64;
-                    if s.due(t) {
-                        s.sample(t, (total - drained) as u64, &engine.metrics_snapshot());
-                    }
                 }
             }
-        });
+            if let Err(e) = drain(&mut series, &mut drained) {
+                error = Some(e);
+                break;
+            }
+        }
         let elapsed = start.elapsed().as_secs_f64();
         if let Some(mut s) = series.take() {
             s.force_sample(
@@ -557,14 +495,13 @@ fn run_mixed(
         }
 
         let stats = engine.stats();
-        let messages = (arrivals_per_lane * shards) as u64;
+        let messages = (arrivals_per_lane * MIXED_LANES) as u64;
         let row = MixedRow {
             packing: name.to_string(),
             post_mix_pct: post_mix,
-            shards,
-            threads,
+            shards: MIXED_LANES,
             messages,
-            posts: (posts_per_lane * shards) as u64,
+            posts: (posts_per_lane * MIXED_LANES) as u64,
             elapsed_secs: elapsed,
             msgs_per_sec: messages as f64 / elapsed.max(f64::EPSILON),
             blocks_executed: stats.blocks,
@@ -1331,163 +1268,6 @@ fn run_tenants(
     ))
 }
 
-/// Drives the full receive path from multiple sender threads: shard `i` is
-/// the communicator `CommId(i + 1)` terminating its own queue pair on one
-/// receive NIC; its receives are pre-posted through the service (handle
-/// range `[i * per_shard, (i + 1) * per_shard)`, so completions bin back by
-/// handle). Each sender thread owns the shards `t, t + threads, ...` and
-/// blasts their eager packets while the main thread pumps
-/// [`MatchingService::progress`] — staging into bounce buffers, submitting
-/// arrivals to the engine's command queue, and the pipelined drain all run
-/// concurrently with the senders. Per-shard wire order is per-QP FIFO, so
-/// every message finds its pre-posted receive.
-fn run_sharded(args: &CommonArgs, budget: usize) -> ShardedReport {
-    let shards = args.shards.unwrap_or(4).max(1);
-    let threads = args.threads.unwrap_or(shards).clamp(1, shards);
-    let per_shard = (budget / shards).max(1);
-    let total = per_shard * shards;
-
-    // Worst case every receive is outstanding at once (sending outruns the
-    // service), so the table — and the bounce pool — must hold the full
-    // budget.
-    let mut config = MatchConfig::default()
-        .with_max_receives(total)
-        .with_bins((2 * total).next_power_of_two());
-    if let Some(capacity) = args.ring_capacity {
-        config = config.with_ring_capacity(capacity);
-    }
-    let ring_capacity = config.ring_capacity;
-    let engine = OtmEngine::new(config).expect("sharded bench configuration");
-
-    let domain = RdmaDomain::new();
-    let mut senders: Vec<Option<QueuePair>> = Vec::with_capacity(shards);
-    let mut nic: Option<RecvNic> = None;
-    for _ in 0..shards {
-        let (tx, rx) = connected_pair();
-        match nic.as_mut() {
-            None => nic = Some(RecvNic::new(rx, BouncePool::new(total, 64))),
-            Some(n) => n.add_qp(rx),
-        }
-        senders.push(Some(tx));
-    }
-    let mut svc =
-        MatchingService::with_backend(nic.expect("at least one shard"), domain, Box::new(engine));
-
-    // Pre-post every receive, shard-major: the service hands out handles in
-    // post order, so shard `s` owns `[s * per_shard, (s + 1) * per_shard)`.
-    let patterns = (0..shards).flat_map(|shard| {
-        (0..per_shard).map(move |i| {
-            ReceivePattern::new(
-                Rank(i as u32 % 8),
-                Tag(i as u32 % 64),
-                CommId(shard as u16 + 1),
-            )
-        })
-    });
-    pre_post(&mut svc, patterns);
-
-    // Partition the sender endpoints across the threads (QueuePair is not
-    // Sync: each endpoint moves into exactly one thread).
-    let mut plans: Vec<Vec<(usize, QueuePair)>> = (0..threads).map(|_| Vec::new()).collect();
-    for shard in 0..shards {
-        plans[shard % threads].push((shard, senders[shard].take().expect("unclaimed endpoint")));
-    }
-
-    println!(
-        "\nSharded command queue: {shards} shards x {per_shard} msgs, {threads} sender threads"
-    );
-
-    let mut delivered = vec![0u64; shards];
-    let mut error: Option<String> = None;
-    let mut timings: Vec<(usize, f64)> = Vec::new();
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = plans
-            .into_iter()
-            .map(|plan| {
-                s.spawn(move || {
-                    let mut rows = Vec::new();
-                    let mut endpoints = Vec::new();
-                    for (shard, qp) in plan {
-                        let comm = CommId(shard as u16 + 1);
-                        let begin = Instant::now();
-                        for i in 0..per_shard {
-                            let (src, tag) = (Rank(i as u32 % 8), Tag(i as u32 % 64));
-                            qp.send(eager_packet(Envelope::new(src, tag, comm), vec![i as u8]))
-                                .expect("receive NIC alive");
-                        }
-                        rows.push((shard, begin.elapsed().as_secs_f64()));
-                        // The endpoint must outlive the drain below: dropping
-                        // it would tear the queue pair down under the NIC.
-                        endpoints.push(qp);
-                    }
-                    (rows, endpoints)
-                })
-            })
-            .collect();
-
-        // The receive side runs here, concurrently with the senders: poll,
-        // stage, submit, pipelined drain, eager copy — until every message
-        // completed its receive (or the service reported an error).
-        let mut seen = 0usize;
-        while seen < total && error.is_none() {
-            match svc.progress() {
-                Ok(0) => std::thread::yield_now(),
-                Ok(_) => {
-                    for done in svc.take_completed() {
-                        seen += 1;
-                        delivered[done.recv.0 as usize / per_shard] += 1;
-                    }
-                }
-                Err(e) => error = Some(e.to_string()),
-            }
-        }
-        for h in handles {
-            let (rows, _endpoints) = h.join().expect("sender thread");
-            timings.extend(rows);
-        }
-    });
-    let elapsed = start.elapsed().as_secs_f64();
-
-    let mut per_shard_rows: Vec<ShardRow> = timings
-        .iter()
-        .map(|&(shard, secs)| ShardRow {
-            comm: shard as u16 + 1,
-            posts: per_shard as u64,
-            delivered: delivered[shard],
-            posts_per_sec: per_shard as f64 / secs.max(f64::EPSILON),
-        })
-        .collect();
-    per_shard_rows.sort_by_key(|r| r.comm);
-
-    let matched: u64 = delivered.iter().sum();
-    let report = ShardedReport {
-        shards,
-        threads,
-        submission: "ring".to_string(),
-        ring_capacity,
-        messages: matched,
-        elapsed_secs: elapsed,
-        msgs_per_sec: matched as f64 / elapsed.max(f64::EPSILON),
-        per_shard: per_shard_rows,
-        error: error.clone(),
-    };
-    for row in &report.per_shard {
-        println!(
-            "  shard comm={:<3} {:>8} posts {:>12.0} posts/s  delivered {}",
-            row.comm, row.posts, row.posts_per_sec, row.delivered
-        );
-    }
-    println!(
-        "  aggregate: {} msgs in {:.3}s = {:.0} msgs/s ({} shards, {} sender threads)",
-        report.messages, report.elapsed_secs, report.msgs_per_sec, report.shards, report.threads
-    );
-    if let Some(e) = &report.error {
-        println!("  WARNING: drain stopped early: {e}");
-    }
-    report
-}
-
 /// Moves a run's registry snapshot out of the result row and into the
 /// report-level observability map.
 fn harvest(result: &mut PingPongResult, observability: &mut Observability) {
@@ -1512,7 +1292,6 @@ fn finish(
     args: &CommonArgs,
     quick: bool,
     results: Vec<PingPongResult>,
-    sharded: ShardedReport,
     mixed: Vec<(MixedRow, RegistrySnapshot)>,
     faults: Option<FaultSweep>,
     tenants: Option<(TenantsSweep, Option<TenantSeries>)>,
@@ -1534,7 +1313,6 @@ fn finish(
     });
     let results = Fig8Results {
         series: results,
-        sharded,
         mixed: mixed.into_iter().map(|(row, _)| row).collect(),
         faults,
         tenants: tenants.map(|(sweep, _)| sweep),
@@ -1561,11 +1339,6 @@ fn finish(
     println!(
         "shape: conflicts cost throughput (NC > WC): {}",
         nc > fp.min(sp)
-    );
-    let submitted: u64 = results.sharded.per_shard.iter().map(|r| r.posts).sum();
-    println!(
-        "shape: sharded drain delivered every message: {}",
-        results.sharded.error.is_none() && results.sharded.messages == submitted
     );
     let occupancy = |name: &str| {
         results
@@ -1625,7 +1398,6 @@ mod tests {
             packing: "cross-comm".to_string(),
             post_mix_pct: 30,
             shards: 4,
-            threads: 2,
             messages: 700,
             posts: 300,
             elapsed_secs: 0.5,
@@ -1636,7 +1408,7 @@ mod tests {
     }
 
     const MIXED_ROW: &str = concat!(
-        r#"{"packing":"cross-comm","post_mix_pct":30,"shards":4,"threads":2,"#,
+        r#"{"packing":"cross-comm","post_mix_pct":30,"shards":4,"#,
         r#""messages":700,"posts":300,"elapsed_secs":0.5,"msgs_per_sec":1400,"#,
         r#""blocks_executed":25,"mean_block_occupancy":28}"#
     );
@@ -1654,31 +1426,30 @@ mod tests {
         );
     }
 
+    /// The mixed section at CI's smoke budget (`--messages 2000`): on one
+    /// thread its blocks are a function of the workload and the packer.
+    /// Literals recorded from the first one-thread run.
     #[test]
-    fn sharded_report_with_its_shard_rows() {
-        let report = ShardedReport {
-            shards: 1,
-            threads: 1,
-            submission: "ring".to_string(),
-            ring_capacity: 1024,
-            messages: 8,
-            elapsed_secs: 0.25,
-            msgs_per_sec: 32.0,
-            per_shard: vec![ShardRow {
-                comm: 1,
-                posts: 8,
-                delivered: 8,
-                posts_per_sec: 64.5,
-            }],
-            error: None,
-        };
+    fn mixed_rows_are_exact() {
+        let rows = run_mixed(
+            &CommonArgs::default(),
+            2000,
+            &mut Observability::new(),
+            &mut FlightRecorder::default(),
+        );
+        let rows: Vec<_> = rows
+            .iter()
+            .map(|(r, _)| {
+                let counts = (r.messages, r.posts, r.blocks_executed);
+                (r.packing.as_str(), counts, r.mean_block_occupancy)
+            })
+            .collect();
         assert_eq!(
-            render(&report),
-            concat!(
-                r#"{"shards":1,"threads":1,"submission":"ring","ring_capacity":1024,"#,
-                r#""messages":8,"elapsed_secs":0.25,"msgs_per_sec":32,"per_shard":"#,
-                r#"[{"comm":1,"posts":8,"delivered":8,"posts_per_sec":64.5}],"error":null}"#
-            )
+            rows,
+            [
+                ("consecutive", (1400, 600, 586), 1400.0 / 586.0),
+                ("cross-comm", (1400, 600, 175), 8.0),
+            ]
         );
     }
 

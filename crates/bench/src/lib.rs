@@ -39,12 +39,6 @@ pub struct CommonArgs {
     /// `--out PATH`: write the JSON artifact here instead of
     /// `target/experiments/<bench>.json`.
     pub out: Option<PathBuf>,
-    /// `--shards N`: communicator shards for the concurrent command-queue
-    /// benchmark (fig8); defaults to the harness preset.
-    pub shards: Option<usize>,
-    /// `--threads N`: poster threads feeding the shards; defaults to one
-    /// thread per shard.
-    pub threads: Option<usize>,
     /// `--packing {consecutive,cross-comm}`: restrict the fig8 mixed-traffic
     /// comparison to one drain packing policy (default: run both).
     pub packing: Option<String>,
@@ -78,9 +72,6 @@ pub struct CommonArgs {
     /// admission path answers with backpressure while the fair drain
     /// protects the other tenants' throughput.
     pub flood_tenant: Option<usize>,
-    /// `--ring-capacity N`: per-communicator submission-ring slots for the
-    /// sharded fig8 section (default: the engine's config default).
-    pub ring_capacity: Option<usize>,
 }
 
 impl CommonArgs {
@@ -103,8 +94,6 @@ impl CommonArgs {
                 "--messages" => args.messages = it.next().and_then(|v| v.parse().ok()),
                 "--repeats" => args.repeats = it.next().and_then(|v| v.parse().ok()),
                 "--out" => args.out = it.next().map(PathBuf::from),
-                "--shards" => args.shards = it.next().and_then(|v| v.parse().ok()),
-                "--threads" => args.threads = it.next().and_then(|v| v.parse().ok()),
                 "--packing" => args.packing = it.next(),
                 "--post-mix" => args.post_mix = it.next().and_then(|v| v.parse().ok()),
                 "--faults" => args.faults = true,
@@ -113,7 +102,6 @@ impl CommonArgs {
                 "--spans" => args.spans = it.next().map(PathBuf::from),
                 "--tenants" => args.tenants = it.next().and_then(|v| v.parse().ok()),
                 "--flood-tenant" => args.flood_tenant = it.next().and_then(|v| v.parse().ok()),
-                "--ring-capacity" => args.ring_capacity = it.next().and_then(|v| v.parse().ok()),
                 _ => {}
             }
         }
@@ -310,19 +298,6 @@ mod tests {
     }
 
     #[test]
-    fn common_args_parse_shard_and_thread_knobs() {
-        let args = CommonArgs::from_iter(
-            ["--shards", "8", "--threads", "4"]
-                .into_iter()
-                .map(String::from),
-        );
-        assert_eq!(args.shards, Some(8));
-        assert_eq!(args.threads, Some(4));
-        let bad = CommonArgs::from_iter(["--shards", "zero"].into_iter().map(String::from));
-        assert_eq!(bad.shards, None);
-    }
-
-    #[test]
     fn common_args_parse_packing_and_post_mix() {
         let args = CommonArgs::from_iter(
             ["--packing", "cross-comm", "--post-mix", "30"]
@@ -336,16 +311,6 @@ mod tests {
         assert_eq!(default.post_mix, None);
         let bad = CommonArgs::from_iter(["--post-mix", "lots"].into_iter().map(String::from));
         assert_eq!(bad.post_mix, None);
-    }
-
-    #[test]
-    fn common_args_parse_ring_capacity() {
-        let args = CommonArgs::from_iter(["--ring-capacity", "256"].into_iter().map(String::from));
-        assert_eq!(args.ring_capacity, Some(256));
-        let default = CommonArgs::from_iter(std::iter::empty());
-        assert_eq!(default.ring_capacity, None);
-        let bad = CommonArgs::from_iter(["--ring-capacity", "many"].into_iter().map(String::from));
-        assert_eq!(bad.ring_capacity, None);
     }
 
     #[test]

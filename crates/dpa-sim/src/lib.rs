@@ -36,8 +36,8 @@
 //!   matcher (MPI-CPU baseline), or no matching at all (RDMA-CPU ceiling),
 //!   each driving the eager/rendezvous protocol handling of §IV-B;
 //! * [`pingpong`] — the Fig. 8 message-rate harness: k-message sequences,
-//!   acknowledged per sequence, with no-conflict and with-conflict receive
-//!   scenarios;
+//!   acknowledged per sequence, both nodes stepped on one thread, with
+//!   no-conflict and with-conflict receive scenarios;
 //! * [`matchd`] — the long-lived multi-tenant matching server: tenant
 //!   sessions with bounded ingress and explicit admission control, a
 //!   deficit-round-robin fair drain over one shared engine, and a
@@ -79,7 +79,7 @@ pub use matchd::{
 pub use memory::DeviceMemory;
 pub use nic::RxStats;
 pub use obs::ServiceMetrics;
-pub use pingpong::{MatchMode, PingPongConfig, PingPongResult, Scenario};
+pub use pingpong::{MatchMode, PingPong, PingPongConfig, PingPongResult, Scenario};
 pub use rdma::SackBlocks;
 pub use reliable::{ReliabilityError, ReliabilityStats, ReliableSender};
 pub use service::MatchingService;

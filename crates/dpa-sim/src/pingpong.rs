@@ -11,11 +11,22 @@
 //!
 //! The WC scenario is run twice against the offloaded engine: with the fast
 //! conflict-resolution path enabled (WC-FP) and disabled (WC-SP).
+//!
+//! Both nodes are stepped on the caller's thread, closed-loop. Per sequence
+//! the receiver posts its k receives and calls `progress` once, so every
+//! series applies its posts before the clock starts (the offloaded engine
+//! takes a post as a command, applied at the next drain). Then the clock
+//! runs: the sender sends k packets, the receiver calls `progress` until k
+//! receives complete and sends the ack, and the sender takes it. The rate
+//! is k over the median sequence's time. The wall clock is the stack's own
+//! work, not the host's thread wake-ups, and the engine's counters are a
+//! function of `k` and the scenario: a sequence arrives whole, so it runs
+//! as ⌈k / block_threads⌉ blocks.
 
 use crate::bounce::BouncePool;
 use crate::memory::DeviceMemory;
 use crate::nic::RecvNic;
-use crate::rdma::{connected_pair, eager_packet, RdmaDomain};
+use crate::rdma::{connected_pair, eager_packet, Frame, QueuePair, RdmaDomain};
 use crate::service::MatchingService;
 use otm_base::{Envelope, MatchConfig, Rank, ReceivePattern, Tag};
 use otm_metrics::{json_fields, RegistrySnapshot};
@@ -99,7 +110,9 @@ impl Default for PingPongConfig {
 pub struct PingPongResult {
     /// Series label ("Optimistic-DPA NC", "MPI-CPU", ...).
     pub label: String,
-    /// Messages matched per second.
+    /// Messages matched per second in the median sequence: k over its time
+    /// from the first send to the ack. The median, not the mean, so a
+    /// sequence the host preempted does not move the figure.
     pub msgs_per_sec: f64,
     /// Total messages exchanged.
     pub total_messages: u64,
@@ -136,116 +149,109 @@ fn envelope_for(scenario: Scenario, i: usize) -> Envelope {
 
 /// Runs the ping-pong benchmark and returns the measured message rate.
 pub fn run_pingpong(mode: MatchMode, cfg: &PingPongConfig) -> PingPongResult {
-    assert!(cfg.k > 0 && cfg.repeats > 0);
-    let (sender_qp, receiver_qp) = connected_pair();
-    let domain = RdmaDomain::new();
-    // The CQ/bounce pool must absorb a full sequence burst.
-    let nic = RecvNic::new(receiver_qp, BouncePool::new(cfg.k * 2, cfg.payload.max(64)));
-    let mut service = match mode {
-        MatchMode::OptimisticDpa { fast_path } => {
-            let config = MatchConfig::default()
-                .with_max_receives(cfg.inflight)
-                .with_max_unexpected(cfg.inflight)
-                .with_bins(2 * cfg.inflight)
-                .with_block_threads(cfg.block_threads)
-                .with_fast_path(fast_path);
-            let mut budget = DeviceMemory::bluefield3_l3();
-            MatchingService::offloaded(nic, domain.clone(), config, &mut budget)
-                .expect("prototype configuration fits the DPA budget")
-        }
-        MatchMode::MpiCpu => MatchingService::mpi_cpu(nic, domain.clone()),
-        MatchMode::RdmaCpu => MatchingService::rdma_cpu(nic, domain.clone()),
-    };
+    let mut run = PingPong::new(mode, cfg);
+    run.sequences(cfg.repeats);
+    run.finish()
+}
 
-    let scenario = cfg.scenario;
-    let k = cfg.k;
-    let repeats = cfg.repeats;
-    let payload = vec![0u8; cfg.payload];
-    let ack_env = Envelope::world(Rank(1), Tag(u32::MAX));
+/// One Fig. 8 series, stepped a sequence at a time: both nodes' endpoints
+/// and the times of the sequences run so far. Harnesses that measure
+/// several series let them take turns, so a change in the host's speed
+/// moves them all alike.
+pub struct PingPong {
+    mode: MatchMode,
+    scenario: Scenario,
+    k: usize,
+    sender: QueuePair,
+    service: MatchingService,
+    payload: Vec<u8>,
+    times: Vec<Duration>,
+}
 
-    let mut elapsed = Duration::ZERO;
-    let mut engine_stats = None;
-    let mut observability_json = None;
-    std::thread::scope(|scope| {
-        // Receiver node: post the sequence's receives, signal readiness,
-        // match the burst, acknowledge.
-        scope.spawn(|| {
-            for _ in 0..repeats {
-                let mut posted = 0usize;
-                if !matches!(mode, MatchMode::RdmaCpu) {
-                    for i in 0..k {
-                        service
-                            .post_recv(pattern_for(scenario, i))
-                            .expect("post_recv");
-                        posted += 1;
-                    }
-                }
-                let _ = posted;
-                // Ready: the sender may fire the sequence.
-                service
-                    .nic()
-                    .qp()
-                    .send(eager_packet(ack_env, Vec::new()))
-                    .expect("ready");
-                let mut done = 0usize;
-                while done < k {
-                    done += service.progress().expect("progress");
-                    if done < k {
-                        // Let the sender run: the simulation host may have
-                        // far fewer cores than a real two-node setup.
-                        std::thread::yield_now();
-                    }
-                }
-                service.take_completed();
-                // Acknowledge the completed sequence.
-                service
-                    .nic()
-                    .qp()
-                    .send(eager_packet(ack_env, Vec::new()))
-                    .expect("ack");
+impl PingPong {
+    /// Connects the two nodes for `mode` under `cfg` (its `repeats` only
+    /// sizes the record of sequence times).
+    pub fn new(mode: MatchMode, cfg: &PingPongConfig) -> Self {
+        assert!(cfg.k > 0 && cfg.repeats > 0);
+        let (sender, receiver_qp) = connected_pair();
+        let domain = RdmaDomain::new();
+        // The CQ/bounce pool must absorb a full sequence burst.
+        let nic = RecvNic::new(receiver_qp, BouncePool::new(cfg.k * 2, cfg.payload.max(64)));
+        let service = match mode {
+            MatchMode::OptimisticDpa { fast_path } => {
+                let config = MatchConfig::default()
+                    .with_max_receives(cfg.inflight)
+                    .with_max_unexpected(cfg.inflight)
+                    .with_bins(2 * cfg.inflight)
+                    .with_block_threads(cfg.block_threads)
+                    .with_fast_path(fast_path);
+                let mut budget = DeviceMemory::bluefield3_l3();
+                MatchingService::offloaded(nic, domain, config, &mut budget)
+                    .expect("prototype configuration fits the DPA budget")
             }
-            engine_stats = service.engine_stats();
-            observability_json = Some(service.observability_snapshot());
-        });
+            MatchMode::MpiCpu => MatchingService::mpi_cpu(nic, domain),
+            MatchMode::RdmaCpu => MatchingService::rdma_cpu(nic, domain),
+        };
+        PingPong {
+            mode,
+            scenario: cfg.scenario,
+            k: cfg.k,
+            sender,
+            service,
+            payload: vec![0u8; cfg.payload],
+            times: Vec::with_capacity(cfg.repeats),
+        }
+    }
 
-        // Sender node (measuring side).
-        for _ in 0..repeats {
-            sender_qp.recv().expect("ready"); // receiver is armed
+    /// Runs `n` sequences.
+    pub fn sequences(&mut self, n: usize) {
+        let (k, scenario) = (self.k, self.scenario);
+        let ack_env = Envelope::world(Rank(1), Tag(u32::MAX));
+        for _ in 0..n {
+            if !matches!(self.mode, MatchMode::RdmaCpu) {
+                for i in 0..k {
+                    let posted = self.service.post_recv(pattern_for(scenario, i));
+                    posted.expect("post_recv");
+                }
+            }
+            // Applies the posts; nothing has been sent, so nothing completes.
+            self.service.progress().expect("progress");
             let start = Instant::now();
             for i in 0..k {
-                sender_qp
-                    .send(eager_packet(envelope_for(scenario, i), payload.clone()))
-                    .expect("send");
+                let packet = eager_packet(envelope_for(scenario, i), self.payload.clone());
+                self.sender.send(packet).expect("send");
             }
-            sender_qp.recv().expect("ack");
-            elapsed += start.elapsed();
+            let mut done = 0usize;
+            while done < k {
+                done += self.service.progress().expect("progress");
+            }
+            self.service.take_completed();
+            let ack = eager_packet(ack_env, Vec::new());
+            self.service.nic().qp().send(ack).expect("ack");
+            let ack = self.sender.try_recv();
+            assert!(matches!(ack, Ok(Some(Frame::Data(_)))), "no ack: {ack:?}");
+            self.times.push(start.elapsed());
         }
-    });
+    }
 
-    let total_messages = (k * repeats) as u64;
-    PingPongResult {
-        label: mode.label(scenario).to_string(),
-        msgs_per_sec: total_messages as f64 / elapsed.as_secs_f64(),
-        total_messages,
-        elapsed,
-        engine_stats,
-        observability_json,
+    /// The series' result over the sequences run; panics if none ran.
+    pub fn finish(mut self) -> PingPongResult {
+        self.times.sort_unstable();
+        let median = self.times[self.times.len() / 2];
+        PingPongResult {
+            label: self.mode.label(self.scenario).to_string(),
+            msgs_per_sec: self.k as f64 / median.as_secs_f64(),
+            total_messages: (self.k * self.times.len()) as u64,
+            elapsed: self.times.iter().sum(),
+            engine_stats: self.service.engine_stats(),
+            observability_json: Some(self.service.observability_snapshot()),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn quick(scenario: Scenario) -> PingPongConfig {
-        PingPongConfig {
-            k: 32,
-            repeats: 5,
-            scenario,
-            block_threads: 8,
-            ..Default::default()
-        }
-    }
 
     #[test]
     fn labels_cover_all_figure_8_series() {
@@ -305,46 +311,59 @@ mod tests {
         )));
     }
 
+    /// Fig. 8 at the paper's k = 100 and block width 32, three sequences.
+    fn fig8(mode: MatchMode, scenario: Scenario) -> PingPongResult {
+        let cfg = PingPongConfig {
+            repeats: 3,
+            scenario,
+            ..Default::default()
+        };
+        let r = run_pingpong(mode, &cfg);
+        assert_eq!(r.total_messages, 300);
+        assert!(r.msgs_per_sec > 0.0, "{}: rate must be positive", r.label);
+        r
+    }
+
+    /// On one thread the engine's counters are a function of k and the
+    /// scenario: a sequence of 100 arrives whole and runs as 4 blocks (32,
+    /// 32, 32, 4). Under NC every lane books its own receive; under WC lane
+    /// 0 of each block books the receive and the other 96 of the sequence
+    /// conflict, resolved on the fast path (WC-FP) or the slow path
+    /// (WC-SP). Literals recorded from the first one-thread run.
     #[test]
-    fn all_modes_complete_a_short_run() {
-        for mode in [
-            MatchMode::OptimisticDpa { fast_path: true },
-            MatchMode::MpiCpu,
-            MatchMode::RdmaCpu,
-        ] {
-            let r = run_pingpong(mode, &quick(Scenario::NoConflict));
-            assert_eq!(r.total_messages, 32 * 5);
-            assert!(r.msgs_per_sec > 0.0, "{}: rate must be positive", r.label);
+    fn fig8_engine_counts_are_exact_and_repeat() {
+        let dpa = |fast_path, scenario| {
+            fig8(MatchMode::OptimisticDpa { fast_path }, scenario)
+                .engine_stats
+                .expect("offloaded run reports stats")
+        };
+        let nc = dpa(true, Scenario::NoConflict);
+        let fp = dpa(true, Scenario::WithConflict);
+        let sp = dpa(false, Scenario::WithConflict);
+        for s in [&nc, &fp, &sp] {
+            let shape = (s.blocks, s.messages, s.matched, s.unexpected, s.posted);
+            assert_eq!(shape, (12, 300, 300, 0, 300), "{s:?}");
         }
+        let split = |s: &otm::StatsSnapshot| {
+            (
+                s.optimistic_ok,
+                s.direct_conflicts,
+                s.fast_path,
+                s.slow_path,
+            )
+        };
+        assert_eq!(split(&nc), (300, 0, 0, 0));
+        assert_eq!(split(&fp), (12, 288, 288, 0));
+        assert_eq!(split(&sp), (12, 288, 0, 288));
+        assert_eq!(dpa(true, Scenario::NoConflict), nc);
+        assert_eq!(dpa(true, Scenario::WithConflict), fp);
+        assert_eq!(dpa(false, Scenario::WithConflict), sp);
     }
 
     #[test]
-    fn wc_runs_complete_with_both_resolution_paths() {
-        for fast_path in [true, false] {
-            let r = run_pingpong(
-                MatchMode::OptimisticDpa { fast_path },
-                &quick(Scenario::WithConflict),
-            );
-            assert_eq!(r.total_messages, 32 * 5);
-            let stats = r.engine_stats.expect("offloaded run reports stats");
-            assert_eq!(stats.matched, 32 * 5, "every message must match: {stats:?}");
-            if !fast_path {
-                assert_eq!(stats.fast_path, 0, "WC-SP must never take the fast path");
-            }
+    fn host_series_complete_and_report_no_engine() {
+        for mode in [MatchMode::MpiCpu, MatchMode::RdmaCpu] {
+            assert_eq!(fig8(mode, Scenario::NoConflict).engine_stats, None);
         }
-    }
-
-    #[test]
-    fn nc_runs_mostly_avoid_conflicts() {
-        let r = run_pingpong(
-            MatchMode::OptimisticDpa { fast_path: true },
-            &quick(Scenario::NoConflict),
-        );
-        let stats = r.engine_stats.unwrap();
-        assert_eq!(stats.unexpected, 0, "receives are pre-posted: {stats:?}");
-        assert_eq!(
-            stats.direct_conflicts, 0,
-            "distinct (src, tag) receives cannot conflict: {stats:?}"
-        );
     }
 }

@@ -11,10 +11,8 @@
 //! A queue pair is unbounded and FIFO per direction, with one reader per
 //! direction at a time. Sends fail with [`RdmaError::Disconnected`] once the
 //! peer endpoint is dropped; receives first deliver every frame the peer
-//! sent before it dropped and only then report it. An empty `try_recv` or
-//! `recv_all` is two atomic loads and no lock, and `send` and `Drop` notify
-//! the condition variable only when a reader is blocked in `recv`, so a
-//! polled endpoint (all but the ping-pong harness's) never pays that call.
+//! sent before it dropped and only then report it. Every reader polls: an
+//! empty `try_recv` or `recv_all` is two atomic loads and no lock.
 
 use otm_base::hash::IntHasher;
 use otm_base::sync;
@@ -22,7 +20,7 @@ use otm_base::{Envelope, InlineHashes};
 use std::collections::{HashMap, VecDeque};
 use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 /// Remote key identifying a registered memory region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -302,30 +300,14 @@ pub enum Frame {
 /// other has not yet taken.
 #[derive(Debug, Default)]
 struct Lane {
-    queue: Mutex<LaneQueue>,
-    /// Signalled on a send or the writer's drop, if the reader is `waiting`.
-    arrived: Condvar,
+    frames: Mutex<VecDeque<Frame>>,
     /// `frames.len()`, stored under the lock and read without it.
     len: AtomicUsize,
     /// The writing endpoint was dropped (set after its last send).
     closed: AtomicBool,
 }
 
-#[derive(Debug, Default)]
-struct LaneQueue {
-    frames: VecDeque<Frame>,
-    /// The reader is blocked in `recv`.
-    waiting: bool,
-}
-
 impl Lane {
-    /// Wakes a blocked reader; the caller holds the lock.
-    fn wake(&self, queue: &mut LaneQueue) {
-        if std::mem::take(&mut queue.waiting) {
-            self.arrived.notify_one();
-        }
-    }
-
     /// Whether a frame is there to take; `Disconnected` when none is and
     /// none will come. `closed` is read *before* `len`, both `Acquire`: the
     /// writer's drop sets the flag (`Release`) after its last send, so a
@@ -363,10 +345,9 @@ impl QueuePair {
             return Err(RdmaError::Disconnected);
         }
         let tx = &self.lanes[self.side];
-        let mut queue = sync::lock(&tx.queue);
-        queue.frames.push_back(frame);
-        tx.len.store(queue.frames.len(), Ordering::Release);
-        tx.wake(&mut queue);
+        let mut frames = sync::lock(&tx.frames);
+        frames.push_back(frame);
+        tx.len.store(frames.len(), Ordering::Release);
         Ok(())
     }
 
@@ -380,9 +361,9 @@ impl QueuePair {
         if !self.rx().ready()? {
             return Ok(None);
         }
-        let mut queue = sync::lock(&self.rx().queue);
-        let frame = queue.frames.pop_front();
-        self.rx().len.store(queue.frames.len(), Ordering::Release);
+        let mut frames = sync::lock(&self.rx().frames);
+        let frame = frames.pop_front();
+        self.rx().len.store(frames.len(), Ordering::Release);
         Ok(frame)
     }
 
@@ -393,42 +374,21 @@ impl QueuePair {
         if !self.rx().ready()? {
             return Ok(0);
         }
-        let mut queue = sync::lock(&self.rx().queue);
-        let n = queue.frames.len();
+        let mut frames = sync::lock(&self.rx().frames);
+        let n = frames.len();
         if out.is_empty() {
-            std::mem::swap(&mut queue.frames, out);
+            std::mem::swap(&mut *frames, out);
         } else {
-            out.append(&mut queue.frames);
+            out.append(&mut frames);
         }
         self.rx().len.store(0, Ordering::Release);
         Ok(n)
-    }
-
-    /// Blocking receive of the next frame.
-    pub fn recv(&self) -> Result<Frame, RdmaError> {
-        let rx = self.rx();
-        let mut queue = sync::lock(&rx.queue);
-        loop {
-            if let Some(frame) = queue.frames.pop_front() {
-                rx.len.store(queue.frames.len(), Ordering::Release);
-                return Ok(frame);
-            }
-            // Under the lock, which the peer's drop takes after setting the
-            // flag: the flag is seen here, or the drop finds `waiting` set.
-            if rx.closed.load(Ordering::Acquire) {
-                return Err(RdmaError::Disconnected);
-            }
-            queue.waiting = true;
-            queue = sync::wait(&rx.arrived, queue);
-        }
     }
 }
 
 impl Drop for QueuePair {
     fn drop(&mut self) {
-        let tx = &self.lanes[self.side];
-        tx.closed.store(true, Ordering::Release);
-        tx.wake(&mut sync::lock(&tx.queue));
+        self.lanes[self.side].closed.store(true, Ordering::Release);
     }
 }
 
@@ -506,7 +466,7 @@ mod tests {
 
     /// The inline bytes of the next frame on `qp`, a data packet.
     fn inline(qp: &QueuePair) -> Vec<u8> {
-        match qp.recv().unwrap() {
+        match qp.try_recv().unwrap().expect("a frame has arrived") {
             Frame::Data(packet) => packet.inline,
             Frame::Ack(ack) => panic!("expected a data packet, got {ack:?}"),
         }
@@ -539,56 +499,23 @@ mod tests {
             a.send(eager_packet(env(), vec![])),
             Err(RdmaError::Disconnected)
         );
-        assert_eq!(a.recv(), Err(RdmaError::Disconnected));
+        assert_eq!(a.try_recv(), Err(RdmaError::Disconnected));
     }
 
     #[test]
     fn frames_sent_before_the_peer_dropped_arrive_before_the_disconnect() {
-        for blocking in [false, true] {
-            let (a, b) = connected_pair();
-            a.send(eager_packet(env(), vec![7])).unwrap();
-            a.send_ack(3, SackBlocks::empty()).unwrap();
-            drop(a);
-            assert!(matches!(b.try_recv(), Ok(Some(Frame::Data(p))) if p.inline == [7]));
-            if blocking {
-                assert!(matches!(b.recv(), Ok(Frame::Ack(ack)) if ack.cumulative == 3));
-                assert_eq!(b.recv(), Err(RdmaError::Disconnected));
-            } else {
-                let mut rest = VecDeque::new();
-                assert_eq!(b.recv_all(&mut rest), Ok(1));
-                assert!(matches!(rest[0], Frame::Ack(ack) if ack.cumulative == 3));
-                assert_eq!(b.recv_all(&mut rest), Err(RdmaError::Disconnected));
-            }
-            assert_eq!(b.try_recv(), Err(RdmaError::Disconnected));
-            let sent = b.send_ack(0, SackBlocks::empty());
-            assert_eq!(sent, Err(RdmaError::Disconnected));
-        }
-    }
-
-    /// Spins until the endpoint reading what `writer` sends is parked in
-    /// `recv`: `waiting` is set under the lane's lock that the condition
-    /// variable's wait releases, so seeing it set means the reader waits.
-    fn until_reader_waits(writer: &QueuePair) {
-        while !sync::lock(&writer.lanes[writer.side].queue).waiting {
-            std::thread::yield_now();
-        }
-    }
-
-    #[test]
-    fn a_blocked_recv_wakes_on_a_send_and_on_the_peers_drop() {
-        fn assert_send<T: Send>() {}
-        assert_send::<QueuePair>();
         let (a, b) = connected_pair();
-        std::thread::scope(|s| {
-            let reader = s.spawn(move || (inline(&b), b.recv()));
-            until_reader_waits(&a);
-            a.send(eager_packet(env(), vec![1])).unwrap();
-            until_reader_waits(&a);
-            drop(a);
-            let (first, second) = reader.join().expect("reader");
-            assert_eq!(first, vec![1]);
-            assert_eq!(second, Err(RdmaError::Disconnected));
-        });
+        a.send(eager_packet(env(), vec![7])).unwrap();
+        a.send_ack(3, SackBlocks::empty()).unwrap();
+        drop(a);
+        assert!(matches!(b.try_recv(), Ok(Some(Frame::Data(p))) if p.inline == [7]));
+        let mut rest = VecDeque::new();
+        assert_eq!(b.recv_all(&mut rest), Ok(1));
+        assert!(matches!(rest[0], Frame::Ack(ack) if ack.cumulative == 3));
+        assert_eq!(b.recv_all(&mut rest), Err(RdmaError::Disconnected));
+        assert_eq!(b.try_recv(), Err(RdmaError::Disconnected));
+        let sent = b.send_ack(0, SackBlocks::empty());
+        assert_eq!(sent, Err(RdmaError::Disconnected));
     }
 
     #[test]
@@ -600,18 +527,9 @@ mod tests {
     }
 
     #[test]
-    fn a_polled_endpoint_is_never_marked_waiting() {
-        let (a, b) = connected_pair();
-        a.send(eager_packet(env(), vec![1])).unwrap();
-        assert!(b.try_recv().unwrap().is_some());
-        assert_eq!(b.try_recv().unwrap(), None);
-        assert_eq!(b.recv_all(&mut VecDeque::new()), Ok(0));
-        // `notify_one` is reached through `waiting` only.
-        assert!(!sync::lock(&a.lanes[a.side].queue).waiting);
-    }
-
-    #[test]
     fn ten_thousand_frames_cross_threads_in_order() {
+        fn assert_send<T: Send>() {}
+        assert_send::<QueuePair>();
         const FRAMES: u64 = 10_000;
         let (a, b) = connected_pair();
         std::thread::scope(|s| {
@@ -760,12 +678,12 @@ mod tests {
         let (a, b) = connected_pair();
         a.send_ack(41, SackBlocks::empty()).unwrap();
         a.send(eager_packet(env(), vec![])).unwrap();
-        let Frame::Ack(ack) = b.recv().unwrap() else {
+        let Some(Frame::Ack(ack)) = b.try_recv().unwrap() else {
             panic!("expected ack");
         };
         assert_eq!(ack.cumulative, 41);
         assert!(ack.sack.is_empty(), "plain cumulative acks carry no SACK");
-        assert!(matches!(b.recv().unwrap(), Frame::Data(_)));
+        assert!(matches!(b.try_recv().unwrap(), Some(Frame::Data(_))));
         // The SACK blocks ride in the ack's frame only.
         assert!(std::mem::size_of::<WirePacket>() <= 128);
         assert!(std::mem::size_of::<Frame>() <= 136);
