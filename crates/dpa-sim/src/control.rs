@@ -1,8 +1,10 @@
 //! The feedback controller: a self-tuning runtime loop in the OHMS
 //! observe/actuate shape.
 //!
-//! Every control interval the service distills its registry counters and
-//! its post-drain backlog into one [`Observation`];
+//! Every control interval the service reads four of its counters, the
+//! engine's block-occupancy histogram and its post-drain backlog straight
+//! off their instruments into one [`Observation`] (no registry snapshot: a
+//! tick costs a few loads);
 //! [`FeedbackController::tick`] compares it against the previous interval
 //! and returns a (usually empty) list of [`Action`]s — movements of the
 //! three knobs (reliability window, drain-retry budget, packing window),
@@ -18,7 +20,7 @@
 //!
 //! The controller itself holds no references into the engine or the NIC:
 //! it is a pure state machine over counter deltas, which keeps it trivially
-//! testable and keeps the observe side (registry snapshots) decoupled from
+//! testable and keeps the observe side (counter reads) decoupled from
 //! the actuate side (atomic overrides, budget setters) — the same split the
 //! offloaded hardware designs use between telemetry readout and doorbell
 //! writes.
@@ -56,7 +58,7 @@ const MAX_WINDOW_SCALE: u64 = 4;
 
 /// One interval's worth of observed state. Counters are cumulative (the
 /// controller differences them itself); gauges are instantaneous.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Observation {
     /// The service's virtual clock (poll count) at sampling time.
     pub polls: u64,

@@ -5,9 +5,11 @@
 //! Incoming messages are staged into bounce buffers in NIC memory."
 //!
 //! [`RecvNic::poll`] drains the wire into bounce buffers and appends
-//! completion entries; [`RecvNic::take_block`] hands the matching service up
-//! to `N` consecutive completions — the paper's scheme of letting DPA thread
-//! *i* wait on completion *i*, *i + N*, … maps onto lane *i* of each block.
+//! completion entries; [`RecvNic::take_block`] hands a host-matching
+//! service up to `N` consecutive completions — the paper's scheme of
+//! letting DPA thread *i* wait on completion *i*, *i + N*, … maps onto lane
+//! *i* of each block. The offloaded service pops them one at a time into
+//! the engine's command queue, whose drain packs the blocks.
 
 use crate::bounce::{BounceId, BouncePool};
 use crate::fault::{WireFaultStats, WireFaults};
@@ -576,6 +578,11 @@ impl RecvNic {
     pub fn take_block(&mut self, max: usize) -> Vec<Completion> {
         let n = self.cq.len().min(max);
         self.cq.drain(..n).collect()
+    }
+
+    /// Pops the oldest completion.
+    pub(crate) fn next_completion(&mut self) -> Option<Completion> {
+        self.cq.pop_front()
     }
 
     /// Completions waiting to be matched.

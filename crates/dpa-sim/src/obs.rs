@@ -217,6 +217,19 @@ impl ServiceMetrics {
         self.0.retransmits.add(n);
     }
 
+    /// The four counters the feedback controller observes, read off their
+    /// instruments: retransmits, acks, ring backpressure, drain retries.
+    pub(crate) fn controller_counters(&self) -> [u64; 4] {
+        let i = &self.0;
+        [
+            &i.retransmits,
+            &i.acks,
+            &i.ring_backpressure,
+            &i.drain_retries,
+        ]
+        .map(|c| c.get())
+    }
+
     /// Counts one retry of a failed command-queue drain.
     #[inline]
     pub fn count_drain_retry(&self) {

@@ -435,7 +435,8 @@ impl MatchingService {
 
     /// Attaches the self-tuning feedback controller. Every
     /// `interval_polls` calls of [`MatchingService::progress`], the
-    /// controller differences the combined registry snapshot against the
+    /// controller differences the counters it observes (read off their
+    /// instruments, not through a registry snapshot) against the
     /// previous interval and actuates its knobs: the drain-retry budget
     /// and the engine's packing window are applied directly, and
     /// the reliability-window hint is published through
@@ -723,9 +724,33 @@ impl MatchingService {
         Ok(done)
     }
 
-    /// One controller interval: observe the combined registry, tick the
-    /// controller, apply what it decided. Runs at the controller's own
-    /// poll cadence; a no-op when no controller is attached.
+    /// What the feedback controller observes now: four service counters and
+    /// the engine's block-occupancy histogram (absent, so zero, once the
+    /// service fell back), read off their instruments, and the backlog.
+    fn observation(&self) -> crate::control::Observation {
+        let [retransmits, acks, ring_backpressure, drain_retries] =
+            self.metrics.controller_counters();
+        let occupancy = self
+            .backend
+            .as_any()
+            .downcast_ref::<OtmEngine>()
+            .map(|e| e.metrics().block_occupancy());
+        crate::control::Observation {
+            polls: self.polls,
+            retransmits,
+            acks,
+            ring_backpressure,
+            drain_retries,
+            backlog: (self.nic.cq_len() + self.unexpected.len()) as u64,
+            occupancy_sum: occupancy.map_or(0, |h| h.sum()),
+            occupancy_count: occupancy.map_or(0, |h| h.count()),
+            block_capacity: self.backend.block_size() as u64,
+        }
+    }
+
+    /// One controller interval: observe, tick the controller, apply what it
+    /// decided. Runs at the controller's own poll cadence; a no-op when no
+    /// controller is attached.
     fn run_controller(&mut self) {
         let due = self
             .controller
@@ -734,20 +759,7 @@ impl MatchingService {
         if !due {
             return;
         }
-        let snap = self.observability_snapshot();
-        let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
-        let occupancy = snap.hists.get("otm_block_occupancy");
-        let obs = crate::control::Observation {
-            polls: self.polls,
-            retransmits: counter("dpa_retransmits_total"),
-            acks: counter("dpa_acks_total"),
-            ring_backpressure: counter("dpa_ring_backpressure_total"),
-            drain_retries: counter("dpa_drain_retries_total"),
-            backlog: (self.nic.cq_len() + self.unexpected.len()) as u64,
-            occupancy_sum: occupancy.map_or(0, |h| h.sum),
-            occupancy_count: occupancy.map_or(0, |h| h.count),
-            block_capacity: self.backend.block_size() as u64,
-        };
+        let obs = self.observation();
         let configured_window = self
             .backend
             .as_any()
@@ -792,23 +804,19 @@ impl MatchingService {
     /// terminal ones) replay into the software matcher together with the
     /// drained state.
     fn progress_queued(&mut self) -> Result<(), ServiceError> {
-        loop {
-            let block = self.nic.take_block(self.backend.block_size());
-            if block.is_empty() {
-                break;
-            }
-            for completion in &block {
-                let msg = completion.msg;
-                let staged = Self::lift_from_bounce(&mut self.nic, completion);
-                self.inflight.insert(msg, staged);
-                if self.fellback {
-                    // An inline drain below already migrated to software
-                    // matching mid-poll; the software matcher has no command
-                    // queue, so the staged arrival goes in directly.
-                    self.deliver_stashed(completion.header.env, msg)?;
-                } else {
-                    self.submit_arrival(completion.header.env, msg)?;
-                }
+        // One completion at a time, straight off the CQ (the drain packs
+        // the blocks); one an error stops before stays there.
+        while let Some(completion) = self.nic.next_completion() {
+            let msg = completion.msg;
+            let staged = Self::lift_from_bounce(&mut self.nic, &completion);
+            self.inflight.insert(msg, staged);
+            if self.fellback {
+                // An inline drain below already migrated to software
+                // matching mid-poll; the software matcher has no command
+                // queue, so the staged arrival goes in directly.
+                self.deliver_stashed(completion.header.env, msg)?;
+            } else {
+                self.submit_arrival(completion.header.env, msg)?;
             }
         }
         if self.fellback {
@@ -1063,9 +1071,11 @@ impl MatchingService {
         })
     }
 
-    /// Takes everything completed so far.
+    /// Takes everything completed so far, in a vector of its own sized to
+    /// fit: the service's buffer stays at size for the next polls instead
+    /// of regrowing from empty.
     pub fn take_completed(&mut self) -> Vec<CompletedReceive> {
-        std::mem::take(&mut self.completed)
+        self.completed.drain(..).collect()
     }
 
     /// Completed receives waiting to be taken.
@@ -2178,5 +2188,165 @@ mod tests {
             "blocks ran, some of them shared"
         );
         assert_eq!(attached, plain);
+    }
+
+    /// The controller's observation derived from `observability_snapshot()`,
+    /// the way the service read it before it read the instruments directly.
+    fn snapshot_observation(svc: &MatchingService) -> crate::control::Observation {
+        let snap = svc.observability_snapshot();
+        let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+        let occupancy = snap.hists.get("otm_block_occupancy");
+        crate::control::Observation {
+            polls: svc.polls,
+            retransmits: counter("dpa_retransmits_total"),
+            acks: counter("dpa_acks_total"),
+            ring_backpressure: counter("dpa_ring_backpressure_total"),
+            drain_retries: counter("dpa_drain_retries_total"),
+            backlog: (svc.nic.cq_len() + svc.unexpected.len()) as u64,
+            occupancy_sum: occupancy.map_or(0, |h| h.sum),
+            occupancy_count: occupancy.map_or(0, |h| h.count),
+            block_capacity: svc.backend.block_size() as u64,
+        }
+    }
+
+    /// Drives `rounds` rounds of 512 messages closed-loop over `lanes` queue
+    /// pairs (one communicator each) into the offloaded engine with the
+    /// controller attached, the way the ladder's streams do. After every
+    /// poll on which the controller ticked, the observation it read off the
+    /// instruments must equal the one the registry snapshot gives, and a
+    /// shadow controller fed the snapshot's must have moved every knob the
+    /// same way. `conflict` posts one hot key, alternately exact and
+    /// any-source, and sends it on every message; otherwise each lane's
+    /// keys are distinct. Returns the knob movements.
+    fn controller_reads_what_the_snapshot_shows(
+        lanes: usize,
+        rounds: usize,
+        payload_len: usize,
+        conflict: bool,
+        faults: Option<otm_base::FaultPlan>,
+    ) -> u64 {
+        use crate::control::FeedbackController;
+        use crate::ReliableSender;
+        use otm_base::{CommId, SourceSel, TagSel};
+
+        let (tx, rx) = connected_pair();
+        let mut nic = RecvNic::new(rx, BouncePool::new(1024, 192));
+        let mut peers = vec![tx];
+        for _ in 1..lanes {
+            let (tx, rx) = connected_pair();
+            nic.add_qp(rx);
+            peers.push(tx);
+        }
+        if let Some(plan) = faults {
+            nic.set_faults(plan);
+        }
+        let domain = RdmaDomain::new();
+        let engine = OtmEngine::new(MatchConfig::default()).unwrap();
+        let mut svc = MatchingService::with_backend(nic, domain.clone(), Box::new(engine));
+        svc.attach_controller(FeedbackController::with_defaults());
+        let mut senders: Vec<ReliableSender> = peers
+            .into_iter()
+            .map(|qp| {
+                let mut s = ReliableSender::new(qp);
+                s.attach_metrics(svc.metrics().clone());
+                s
+            })
+            .collect();
+        let mut shadow = FeedbackController::with_defaults();
+        let interval = shadow.interval_polls();
+        let mut ticks = 0;
+        let mut pump = |svc: &mut MatchingService, senders: &mut [ReliableSender]| {
+            svc.progress().unwrap();
+            if svc.polls() % interval == 0 {
+                let seen = snapshot_observation(svc);
+                assert_eq!(svc.observation(), seen, "tick {ticks}");
+                let engine = svc.backend.as_any().downcast_ref::<OtmEngine>();
+                shadow
+                    .set_default_packing_window(engine.unwrap().configured_packing_window() as u64);
+                shadow.tick(seen);
+                ticks += 1;
+                let ours = svc.controller().unwrap();
+                assert_eq!(ours.stats(), shadow.stats(), "tick {ticks}");
+                assert_eq!(ours.window_hint(), shadow.window_hint());
+                assert_eq!(svc.retry_budget, shadow.retry_budget());
+            }
+            let done = svc.take_completed().len();
+            let hint = svc.reliability_window_hint().unwrap();
+            for s in senders.iter_mut() {
+                s.set_window_limit(hint);
+                s.poll().unwrap();
+            }
+            done
+        };
+        let per_lane = 512 / lanes;
+        for round in 0..rounds {
+            for j in 0..per_lane {
+                for lane in 0..lanes {
+                    let comm = CommId(lane as u16 + 1);
+                    let (src, tag) = if conflict {
+                        (3, 7)
+                    } else {
+                        (j as u32, (round * per_lane + j) as u32)
+                    };
+                    let pattern = ReceivePattern {
+                        src: if conflict && j % 2 == 1 {
+                            SourceSel::Any
+                        } else {
+                            SourceSel::Rank(Rank(src))
+                        },
+                        tag: TagSel::Tag(Tag(tag)),
+                        comm,
+                    };
+                    svc.post_recv(pattern).unwrap();
+                }
+            }
+            let mut done = 0;
+            for j in 0..per_lane {
+                for (lane, sender) in (0..lanes).zip(0..) {
+                    while !senders[sender].can_send() {
+                        done += pump(&mut svc, &mut senders);
+                    }
+                    let comm = CommId(lane as u16 + 1);
+                    let (src, tag) = if conflict {
+                        (3, 7)
+                    } else {
+                        (j as u32, (round * per_lane + j) as u32)
+                    };
+                    let env = Envelope::new(Rank(src), Tag(tag), comm);
+                    let payload = vec![j as u8; payload_len];
+                    let packet = if payload_len <= 192 {
+                        eager_packet(env, payload)
+                    } else {
+                        rendezvous_packet(&domain, env, payload, 64).0
+                    };
+                    senders[sender].send(packet).unwrap();
+                }
+            }
+            while done < lanes * per_lane || senders.iter().any(|s| s.unacked() > 0) {
+                done += pump(&mut svc, &mut senders);
+            }
+            assert_eq!(done, lanes * per_lane, "round {round}");
+        }
+        assert!(ticks > 4, "{ticks} ticks in {} polls", svc.polls());
+        let knob_changes = svc.metrics().snapshot().counters["dpa_knob_changes_total"];
+        assert_eq!(knob_changes, shadow.stats().knob_changes);
+        knob_changes
+    }
+
+    #[test]
+    fn the_controller_observes_what_the_registry_snapshot_shows() {
+        use otm_base::FaultPlan;
+        // `stream_lossy_rdv`'s shape: four lanes of 1 KiB rendezvous
+        // messages over a wire that drops, duplicates and reorders.
+        let hostile = FaultPlan::new(1 ^ 0xa99)
+            .with_drop_permille(100)
+            .with_duplicate_permille(80)
+            .with_reorder_permille(80)
+            .with_reorder_window(4);
+        let lossy = controller_reads_what_the_snapshot_shows(4, 16, 1024, false, Some(hostile));
+        // `stream_wc`'s: one lane, every message after the same receives.
+        let conflict = controller_reads_what_the_snapshot_shows(1, 64, 8, true, None);
+        // Seeded and stepped by the poll clock, so the counts are exact.
+        assert_eq!((lossy, conflict), (4, 6), "knob movements");
     }
 }

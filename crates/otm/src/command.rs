@@ -20,10 +20,11 @@
 //! survives requeueing.
 //!
 //! [`crate::OtmEngine::drain`] plays the coordinator: it pops commands one
-//! at a time off one `Merge` over the directory snapshot it took at entry,
-//! stages them in a [`crate::scheduler::PackingScheduler`], applies posts
-//! through the per-communicator shards, and assembles arrivals into parallel
-//! matching blocks. The rings are read in place and no lock a submitter
+//! at a time off one `Merge` over its directory snapshot (brought up to
+//! date at entry, kept between drains), stages them in a
+//! [`crate::scheduler::PackingScheduler`], applies posts through the
+//! per-communicator shards, and assembles arrivals into parallel matching
+//! blocks. The rings are read in place and no lock a submitter
 //! takes is held, so submissions pipeline against block execution (the
 //! paper's CQ pipelining, §IV-E).
 //!
@@ -133,18 +134,25 @@ impl CommandQueue {
     /// count, not a synchronization primitive. Waits out a drain in
     /// progress.
     pub fn len(&self, lanes: &[(CommId, Arc<CommShard>)]) -> usize {
-        self.merge(lanes).len()
+        self.merge(lanes, &mut Vec::new()).len()
     }
 
     /// Starts the consumer side over `lanes`, a directory snapshot in
-    /// `CommId` order. The caller must be the only consumer — hold the
-    /// engine's coordinator lock, or own the engine — until the merge is
-    /// dropped.
-    pub(crate) fn merge<'a>(&'a self, lanes: &'a [(CommId, Arc<CommShard>)]) -> Merge<'a> {
+    /// `CommId` order, caching ring heads in `heads` (cleared and sized to
+    /// `lanes` here, so a drain can lend the same buffer every time). The
+    /// caller must be the only consumer — hold the engine's coordinator
+    /// lock, or own the engine — until the merge is dropped.
+    pub(crate) fn merge<'a>(
+        &'a self,
+        lanes: &'a [(CommId, Arc<CommShard>)],
+        heads: &'a mut Vec<Option<u64>>,
+    ) -> Merge<'a> {
+        heads.clear();
+        heads.resize(lanes.len(), None);
         Merge {
             stash: lock(&self.stash),
             lanes,
-            heads: vec![None; lanes.len()],
+            heads,
         }
     }
 }
@@ -168,7 +176,7 @@ pub(crate) struct Merge<'a> {
     /// pop it; `None` (empty when last looked at, or just popped) is
     /// re-peeked on every call, so a racing submit is seen as soon as it
     /// would be without the cache.
-    heads: Vec<Option<u64>>,
+    heads: &'a mut Vec<Option<u64>>,
 }
 
 impl Merge<'_> {
@@ -266,7 +274,9 @@ mod tests {
 
     /// Takes up to `max` ticketed commands over a fresh directory snapshot.
     fn take(q: &CommandQueue, shards: &ShardMap, max: usize) -> Vec<(u64, Command)> {
-        q.merge(&snapshot(shards)).take(max).collect()
+        q.merge(&snapshot(shards), &mut Vec::new())
+            .take(max)
+            .collect()
     }
 
     fn commands(q: &CommandQueue, shards: &ShardMap) -> Vec<Command> {
@@ -305,8 +315,8 @@ mod tests {
         let (q, shards, config) = ring_queue();
         q.submit(arrival(0), &shards, &config).unwrap();
         q.submit(arrival(1), &shards, &config).unwrap();
-        let lanes = snapshot(&shards);
-        let mut merge = q.merge(&lanes);
+        let (lanes, mut heads) = (snapshot(&shards), Vec::new());
+        let mut merge = q.merge(&lanes, &mut heads);
         let mut taken: Vec<_> = merge.by_ref().collect();
         taken.remove(0); // command 0 was applied
         q.submit(arrival(2), &shards, &config).unwrap(); // raced in after the take
@@ -353,8 +363,8 @@ mod tests {
         let (q, shards, config) = ring_queue();
         q.submit(arrival_on(1, 0), &shards, &config).unwrap();
         shards.get_or_create(CommId(2), &config);
-        let lanes = snapshot(&shards);
-        let mut merge = q.merge(&lanes);
+        let (lanes, mut heads) = (snapshot(&shards), Vec::new());
+        let mut merge = q.merge(&lanes, &mut heads);
         assert_eq!(merge.next(), Some((0, arrival_on(1, 0))));
         assert_eq!(merge.next(), None, "both lanes are empty");
         // Lane 2 was empty when last peeked: no stale head hides the submit.
@@ -391,8 +401,8 @@ mod tests {
         for i in 0..4 {
             q.submit(arrival(i), &shards, &config).unwrap();
         }
-        let lanes = snapshot(&shards);
-        let mut merge = q.merge(&lanes);
+        let (lanes, mut heads) = (snapshot(&shards), Vec::new());
+        let mut merge = q.merge(&lanes, &mut heads);
         let mut taken: Vec<_> = merge.by_ref().take(2).collect();
         taken.remove(0); // 0 applied; 1 must come back ahead of 2, 3
         merge.requeue_front(taken);

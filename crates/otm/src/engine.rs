@@ -28,10 +28,10 @@
 //!   shards the block touches, once each, and lends them to the lanes.
 //!
 //! There are two lock levels and nothing below them. The coordinator lock
-//! guards the block arena and the arrival clock; a drain holds it from entry
-//! to exit, which serializes whole drains against each other, and `submit`
-//! never takes it. Under it come the shard locks, taken in
-//! [`CommId`] order by a block and one at a time by everything else; the
+//! guards the block arena, the drain arena and the arrival clock; a drain
+//! holds it from entry to exit, which serializes whole drains against each
+//! other, and `submit` never takes it. Under it come the shard locks, taken
+//! in [`CommId`] order by a block and one at a time by everything else; the
 //! tables and indexes inside a shard have no lock of their own.
 //! Counting follows them: a block's lanes and a drain's posts add to plain
 //! tallies under the coordinator lock, published once as the block ends and
@@ -67,6 +67,12 @@ pub use mpi_matching::backend::{BlockDelivery as Delivery, FallbackState};
 /// and, held for a whole [`OtmEngine::drain`], keeps concurrent drains from
 /// interleaving their queue pops and breaking FIFO order.
 struct CoordState {
+    blocks: BlockCoord,
+    drain: DrainArena,
+}
+
+/// What running a block takes besides its lanes.
+struct BlockCoord {
     /// Arrival sequence of the next incoming message.
     next_arrival: ArrivalSeq,
     /// The block arena.
@@ -74,7 +80,27 @@ struct CoordState {
     /// Block scratch: each lane's communicator as its place in the
     /// directory, sorted; deduplicated once the shards are locked.
     comms: Vec<usize>,
-    /// What the running drain's posts counted, and each match's UMQ depth.
+}
+
+/// What a drain works in, kept for the next one: the coordinator runs on
+/// memory it already owns (§IV-E), so a warm drain allocates its report and
+/// nothing else. Its vectors are emptied, not dropped, so they stay at size.
+struct DrainArena {
+    /// The directory snapshot the drain works on, and the directory
+    /// generation it was taken at (`None`: never taken).
+    lanes: Vec<(CommId, Arc<CommShard>)>,
+    generation: Option<u64>,
+    /// The packing scheduler, re-armed at every drain.
+    sched: PackingScheduler,
+    /// The merge's cached ring heads, one per lane.
+    heads: Vec<Option<u64>>,
+    /// The applied commands' outcomes under their tickets, moved into the
+    /// report in submission order.
+    outcomes: Vec<(u64, CommandOutcome)>,
+    /// Per-lane depth peaks of the staged lane and the submission ring.
+    lane_peaks: Vec<u64>,
+    ring_peaks: Vec<u64>,
+    /// What the drain's posts counted, and each match's UMQ depth.
     posts: Tally,
     umq_depths: Vec<u64>,
 }
@@ -94,12 +120,13 @@ fn span_subject(cmd: &Command) -> u64 {
     }
 }
 
-/// Strips the tickets off a drain's outcomes, in ticket order. The tickets of
-/// one drain are distinct, and they are one contiguous run unless a failed
-/// drain requeued around an applied command or a rejected submit burned a
-/// ticket in their midst: in a run each outcome's place is `ticket − first`,
-/// so it is swapped there and nothing is compared. Otherwise, sort.
-fn in_submission_order(mut outcomes: Vec<(u64, CommandOutcome)>) -> Vec<CommandOutcome> {
+/// Moves a drain's outcomes, tickets stripped, into a vector of their own in
+/// ticket order, leaving `outcomes` empty. The tickets of one drain are
+/// distinct, and they are one contiguous run unless a failed drain requeued
+/// around an applied command or a rejected submit burned a ticket in their
+/// midst: in a run each outcome's place is `ticket − first`, so it is
+/// swapped there and nothing is compared. Otherwise, sort.
+fn in_submission_order(outcomes: &mut Vec<(u64, CommandOutcome)>) -> Vec<CommandOutcome> {
     let first = outcomes.iter().map(|o| o.0).min().unwrap_or(0);
     let last = outcomes.iter().map(|o| o.0).max().unwrap_or(0);
     if (last - first) as usize + 1 == outcomes.len() {
@@ -114,7 +141,7 @@ fn in_submission_order(mut outcomes: Vec<(u64, CommandOutcome)>) -> Vec<CommandO
     } else {
         outcomes.sort_unstable_by_key(|&(ticket, _)| ticket);
     }
-    outcomes.into_iter().map(|(_, o)| o).collect()
+    outcomes.drain(..).map(|(_, o)| o).collect()
 }
 
 /// The Optimistic Tag Matching engine (see module docs and crate docs).
@@ -154,11 +181,23 @@ impl OtmEngine {
         Ok(OtmEngine {
             queue: CommandQueue::new(),
             coord: Mutex::new(CoordState {
-                next_arrival: ArrivalSeq::ZERO,
-                block: BlockState::new(config.block_threads),
-                comms: Vec::with_capacity(config.block_threads),
-                posts: Tally::default(),
-                umq_depths: Vec::new(),
+                blocks: BlockCoord {
+                    next_arrival: ArrivalSeq::ZERO,
+                    block: BlockState::new(config.block_threads),
+                    comms: Vec::with_capacity(config.block_threads),
+                },
+                drain: DrainArena {
+                    lanes: Vec::new(),
+                    generation: None,
+                    sched: PackingScheduler::new(PackingPolicy::CrossComm, config.block_threads)
+                        .with_lane_quota(config.lane_quota),
+                    heads: Vec::new(),
+                    outcomes: Vec::new(),
+                    lane_peaks: Vec::new(),
+                    ring_peaks: Vec::new(),
+                    posts: Tally::default(),
+                    umq_depths: Vec::new(),
+                },
             }),
             config,
             stats: Mutex::default(),
@@ -176,10 +215,11 @@ impl OtmEngine {
     /// coordinator's tally; the
     /// published statistics and every registry instrument (a labelled gauge
     /// of a communicator used before the reset stays registered, at 0); the
-    /// span ring; both packing selectors. What the engine allocated stays:
-    /// the shards (a communicator's comes back on its next use), their
-    /// rings, the block arena and every instrument handle, so a reset
-    /// allocates nothing. It takes no lock, holding the engine to itself.
+    /// span ring; both packing selectors; the drain's directory snapshot.
+    /// What the engine allocated stays: the shards (a communicator's comes
+    /// back on its next use), their rings, the block and drain arenas and
+    /// every instrument handle, so a reset allocates nothing. It takes no
+    /// lock, holding the engine to itself.
     ///
     /// Refused, with the engine untouched, when it is stopped
     /// ([`MatchError::EngineStopped`]) or holds a command no drain has
@@ -191,12 +231,16 @@ impl OtmEngine {
                 "an engine with queued commands cannot be reset".into(),
             ));
         }
+        let coord = mutex_mut(&mut self.coord);
+        // The snapshot shares the shards the directory is about to empty;
+        // the reset moves the directory's generation, so the next drain
+        // copies it again.
+        coord.drain.lanes.clear();
+        coord.drain.posts = Tally::default();
+        coord.blocks.next_arrival = ArrivalSeq::ZERO;
+        coord.blocks.block.epoch = 0;
         self.shards.reset();
         self.queue.reset();
-        let coord = mutex_mut(&mut self.coord);
-        coord.next_arrival = ArrivalSeq::ZERO;
-        coord.block.epoch = 0;
-        coord.posts = Tally::default();
         *mutex_mut(&mut self.stats) = StatsSnapshot::default();
         self.metrics.reset();
         *self.pack_consecutive.get_mut() = false;
@@ -470,7 +514,14 @@ impl OtmEngine {
     /// The communicator directory is read once, at entry: the bounding
     /// count, the merge and the depth samples all work on that snapshot. A
     /// communicator created after it holds only commands submitted after
-    /// drain entry, which the bound already leaves to the next drain.
+    /// drain entry, which the bound already leaves to the next drain. The
+    /// snapshot is kept for the next drain and copied again only when the
+    /// directory's generation moved (a communicator was added, or a reset).
+    ///
+    /// Everything else a drain works in is kept from one drain to the next
+    /// too (the scheduler, re-armed; the block, outcome, peak and head
+    /// vectors, emptied), so a warm drain allocates its report's outcome
+    /// vector and nothing else; a block, its guards.
     ///
     /// Per-communicator depth peaks (staged lane, submission ring) are kept
     /// in two vectors indexed like the snapshot and published once, on every
@@ -491,9 +542,21 @@ impl OtmEngine {
     /// retry loop terminates rather than spinning forever on a dead engine.
     pub fn drain(&self) -> DrainReport {
         let mut coord = lock(&self.coord);
-        let coord = &mut *coord;
-        let lanes = self.shards.all_sorted();
-        let mut merge = self.queue.merge(&lanes);
+        let CoordState { blocks, drain } = &mut *coord;
+        let DrainArena {
+            lanes,
+            generation,
+            sched,
+            heads,
+            outcomes,
+            lane_peaks,
+            ring_peaks,
+            posts,
+            umq_depths,
+        } = drain;
+        self.shards.refresh(lanes, generation);
+        let lanes = &lanes[..];
+        let mut merge = self.queue.merge(lanes, heads);
         // Bound the drain to what was queued at entry (racing submissions
         // land behind this count and belong to the next drain).
         let mut remaining = merge.len();
@@ -503,13 +566,13 @@ impl OtmEngine {
         // The staging window is a few blocks deep: enough lookahead to fuse
         // arrival runs across lanes.
         let window = self.effective_packing_window();
-        let mut sched = PackingScheduler::new(self.packing(), self.config.block_threads)
-            .with_lane_quota(self.config.lane_quota);
-        let mut outcomes: Vec<(u64, CommandOutcome)> = Vec::with_capacity(remaining);
+        sched.rearm(self.packing());
         // Depths only grow at a refill (a step shrinks a lane, a pop
         // shrinks a ring), so sampling after each refill sees every peak.
-        let mut lane_peaks = vec![0u64; lanes.len()];
-        let mut ring_peaks = vec![0u64; lanes.len()];
+        for peaks in [&mut *lane_peaks, &mut *ring_peaks] {
+            peaks.clear();
+            peaks.resize(lanes.len(), 0);
+        }
         let mut sampled = false;
         let failure = loop {
             // Refill the window before every step so blocks are assembled
@@ -529,11 +592,11 @@ impl OtmEngine {
             }
             if refilled {
                 sampled = true;
-                for (peak, (_, shard)) in ring_peaks.iter_mut().zip(&lanes) {
+                for (peak, (_, shard)) in ring_peaks.iter_mut().zip(lanes) {
                     *peak = (*peak).max(shard.submission.len() as u64);
                 }
                 for (comm, depth) in sched.lane_depths() {
-                    let peak = &mut lane_peaks[lane_of(&lanes, comm)];
+                    let peak = &mut lane_peaks[lane_of(lanes, comm)];
                     *peak = (*peak).max(depth as u64);
                 }
             }
@@ -546,16 +609,9 @@ impl OtmEngine {
                     pattern,
                     handle,
                 } => match self.check_running().and_then(|()| {
-                    let shard = &lanes[lane_of(&lanes, pattern.comm)].1;
-                    let depth = |d| coord.umq_depths.push(d);
-                    Self::post_on(
-                        &self.metrics,
-                        shard,
-                        pattern,
-                        handle,
-                        &mut coord.posts,
-                        depth,
-                    )
+                    let shard = &lanes[lane_of(lanes, pattern.comm)].1;
+                    let depth = |d| umq_depths.push(d);
+                    Self::post_on(&self.metrics, shard, pattern, handle, posts, depth)
                 }) {
                     Ok(result) => outcomes.push((idx, CommandOutcome::Post { handle, result })),
                     Err(e) => break Some((e, vec![(idx, Command::Post { pattern, handle })])),
@@ -566,26 +622,26 @@ impl OtmEngine {
                         outcomes.push((msgs[lane].0, CommandOutcome::Delivery(d)));
                     };
                     // A block that fails has delivered nothing.
-                    if let Err(e) = self.process_block_locked(coord, &lanes, block, deliver) {
+                    if let Err(e) = self.process_block_locked(blocks, lanes, block, deliver) {
                         let failed = msgs
                             .into_iter()
                             .map(|(idx, env, msg)| (idx, Command::Arrival { env, msg }))
                             .collect();
                         break Some((e, failed));
                     }
+                    sched.recycle(msgs);
                 }
             }
         };
         if sampled {
             for ((comm, shard), (&lane, &ring)) in
-                lanes.iter().zip(lane_peaks.iter().zip(&ring_peaks))
+                lanes.iter().zip(lane_peaks.iter().zip(ring_peaks.iter()))
             {
                 self.metrics
                     .publish_drain_peaks(*comm, &shard.depth_peaks, lane, ring);
             }
         }
-        let posts = std::mem::take(&mut coord.posts);
-        self.publish(posts, [], coord.umq_depths.drain(..));
+        self.publish(std::mem::take(posts), [], umq_depths.drain(..));
         if let Some((error, failed)) = failure {
             return self.fail_drain(error, failed, sched, outcomes, merge);
         }
@@ -604,17 +660,18 @@ impl OtmEngine {
     /// Retryable errors requeue them at the queue front; terminal errors
     /// pull *everything* (including commands still queued, over a fresh
     /// directory snapshot) out and surface it in the report, so retry loops
-    /// terminate and a subsequent fallback can replay the commands.
+    /// terminate and a subsequent fallback can replay the commands. The
+    /// scheduler is left empty for the next drain.
     fn fail_drain(
         &self,
         error: MatchError,
         failed: Vec<(u64, Command)>,
-        sched: PackingScheduler,
-        outcomes: Vec<(u64, CommandOutcome)>,
+        sched: &mut PackingScheduler,
+        outcomes: &mut Vec<(u64, CommandOutcome)>,
         mut merge: Merge<'_>,
     ) -> DrainReport {
         let mut unprocessed: Vec<(u64, Command)> = failed;
-        unprocessed.extend(sched.into_unapplied());
+        sched.take_unapplied(&mut unprocessed);
         unprocessed.sort_unstable_by_key(|&(idx, _)| idx);
         let outcomes = in_submission_order(outcomes);
         let unapplied = if error.is_retryable() {
@@ -625,7 +682,7 @@ impl OtmEngine {
             let lanes = self.shards.all_sorted();
             unprocessed
                 .into_iter()
-                .chain(self.queue.merge(&lanes))
+                .chain(self.queue.merge(&lanes, &mut Vec::new()))
                 .map(|(_, cmd)| cmd)
                 .collect()
         };
@@ -658,10 +715,10 @@ impl OtmEngine {
             self.shards.shard_mut(env.comm, &self.config);
         }
         let lanes = self.shards.read();
-        let mut coord = lock(&self.coord);
+        let blocks = &mut lock(&self.coord).blocks;
         let mut deliveries = Vec::with_capacity(msgs.len());
         let deliver = |_, d| deliveries.push(d);
-        self.process_block_locked(&mut coord, &lanes.live, msgs.iter().copied(), deliver)?;
+        self.process_block_locked(blocks, &lanes.live, msgs.iter().copied(), deliver)?;
         Ok(deliveries)
     }
 
@@ -679,7 +736,7 @@ impl OtmEngine {
     /// no longer fail. Apart from the guards, a block allocates nothing.
     fn process_block_locked(
         &self,
-        coord: &mut CoordState,
+        blocks: &mut BlockCoord,
         lanes: &[(CommId, Arc<CommShard>)],
         msgs: impl ExactSizeIterator<Item = (Envelope, MsgHandle)>,
         mut deliver: impl FnMut(usize, Delivery),
@@ -695,12 +752,11 @@ impl OtmEngine {
                 self.config.block_threads
             )));
         }
-        let CoordState {
+        let BlockCoord {
             next_arrival,
             block,
             comms,
-            ..
-        } = coord;
+        } = blocks;
         // The lanes' inputs. Until the shards are locked, `shard` is the
         // communicator's place in `lanes`.
         block.lanes.clear();
@@ -860,7 +916,11 @@ impl OtmEngine {
         // Take the queue first: it holds the youngest accepted work, and
         // consuming `self` guarantees no submitter can race in behind us.
         let lanes = self.shards.all_sorted();
-        let pending: Vec<Command> = self.queue.merge(&lanes).map(|(_, cmd)| cmd).collect();
+        let pending: Vec<Command> = self
+            .queue
+            .merge(&lanes, &mut Vec::new())
+            .map(|(_, cmd)| cmd)
+            .collect();
         let mut receives = Vec::new();
         let mut unexpected = Vec::new();
         for (_, shard) in &lanes {
@@ -2151,7 +2211,7 @@ mod tests {
         .unwrap();
         // Lane 1 dies in the detection sweep: every lane has booked the
         // first receive, lane 0 has detected, nothing is consumed yet.
-        lock(&e.coord).block.fail_lane = Some(1);
+        lock(&e.coord).blocks.block.fail_lane = Some(1);
         let msgs: Vec<_> = (0..n).map(|i| (env(7, 7), MsgHandle(i as u64))).collect();
         assert_eq!(e.process_block(&msgs), Err(MatchError::EngineStopped));
         // What the half-run block's lanes got to was published on the way

@@ -56,6 +56,18 @@ pub enum PackingStep {
     },
 }
 
+/// An empty buffer for one block of up to `capacity` arrivals: the recycled
+/// `spare`, or a new one at full width, so a block never regrows.
+fn block_buffer(
+    spare: &mut Vec<(u64, Envelope, MsgHandle)>,
+    capacity: usize,
+) -> Vec<(u64, Envelope, MsgHandle)> {
+    let mut msgs = std::mem::take(spare);
+    msgs.clear();
+    msgs.reserve_exact(capacity);
+    msgs
+}
+
 /// Stages a window of queued commands and carves it into [`PackingStep`]s.
 ///
 /// Invariants:
@@ -130,6 +142,9 @@ pub struct PackingScheduler {
     /// assembly) is deterministic for a given admission sequence. An emptied
     /// lane stays in place (it usually refills) and every step skips it.
     lanes: Vec<(CommId, VecDeque<(u64, Command)>)>,
+    /// The buffer the next block is carved into: the last block's, once
+    /// [`PackingScheduler::recycle`] handed it back.
+    spare: Vec<(u64, Envelope, MsgHandle)>,
 }
 
 impl PackingScheduler {
@@ -144,7 +159,22 @@ impl PackingScheduler {
             staged: 0,
             fifo: VecDeque::new(),
             lanes: Vec::new(),
+            spare: Vec::new(),
         }
+    }
+
+    /// Readies an emptied scheduler for another drain under `policy`: it
+    /// steps as a new one would (the rotation starts again at the first
+    /// lane), and keeps its lanes' buffers and its block buffer.
+    pub(crate) fn rearm(&mut self, policy: PackingPolicy) {
+        debug_assert_eq!(self.staged, 0, "a re-armed scheduler is empty");
+        self.policy = policy;
+        self.cursor = 0;
+    }
+
+    /// Hands a block's buffer back, for the next block to be carved into.
+    pub(crate) fn recycle(&mut self, msgs: Vec<(u64, Envelope, MsgHandle)>) {
+        self.spare = msgs;
     }
 
     /// Caps the arrivals one lane contributes per cross-comm block. A quota
@@ -229,7 +259,7 @@ impl PackingScheduler {
                 handle,
             });
         }
-        let mut msgs = Vec::new();
+        let mut msgs = block_buffer(&mut self.spare, self.capacity);
         while msgs.len() < self.capacity {
             match self.fifo.front() {
                 Some(&(idx, Command::Arrival { env, msg })) => {
@@ -281,7 +311,7 @@ impl PackingScheduler {
         }
         let quota = self.lane_quota.unwrap_or(self.capacity);
         // No post heads a lane, so the first lane alone fills `msgs`.
-        let mut msgs = Vec::new();
+        let mut msgs = block_buffer(&mut self.spare, self.capacity);
         for (_, lane) in ahead.iter_mut().chain(behind.iter_mut()) {
             let mut taken = 0;
             while msgs.len() < self.capacity && taken < quota {
@@ -308,13 +338,22 @@ impl PackingScheduler {
 
     /// Tears the scheduler down, returning every still-staged command with
     /// its submission index, sorted by index (= original submission order).
-    pub fn into_unapplied(self) -> Vec<(u64, Command)> {
-        let mut out: Vec<(u64, Command)> = match self.policy {
-            PackingPolicy::Consecutive => self.fifo.into_iter().collect(),
-            PackingPolicy::CrossComm => self.lanes.into_iter().flat_map(|(_, lane)| lane).collect(),
-        };
+    pub fn into_unapplied(mut self) -> Vec<(u64, Command)> {
+        let mut out = Vec::new();
+        self.take_unapplied(&mut out);
         out.sort_unstable_by_key(|&(idx, _)| idx);
         out
+    }
+
+    /// Moves every still-staged command, with its submission index, onto
+    /// `out` in no particular order, leaving the scheduler empty and its
+    /// buffers allocated.
+    pub(crate) fn take_unapplied(&mut self, out: &mut Vec<(u64, Command)>) {
+        out.extend(self.fifo.drain(..));
+        for (_, lane) in &mut self.lanes {
+            out.extend(lane.drain(..));
+        }
+        self.staged = 0;
     }
 }
 
@@ -350,6 +389,66 @@ mod tests {
         match step {
             PackingStep::Block { msgs } => msgs.iter().map(|&(idx, _, _)| idx).collect(),
             other => panic!("expected a block, got {other:?}"),
+        }
+    }
+
+    /// Steps `cmds` to the end through `s`, handing every block's buffer
+    /// back, and returns the steps as `(kind, indices)`.
+    fn run_out(s: &mut PackingScheduler, cmds: Vec<Command>) -> Vec<(u8, Vec<u64>)> {
+        admit_all(s, cmds);
+        let mut steps = Vec::new();
+        while let Some(step) = s.next_step() {
+            match step {
+                PackingStep::Post { idx, .. } => steps.push((0, vec![idx])),
+                PackingStep::Block { msgs } => {
+                    steps.push((1, msgs.iter().map(|m| m.0).collect()));
+                    s.recycle(msgs);
+                }
+            }
+        }
+        steps
+    }
+
+    #[test]
+    fn a_rearmed_scheduler_steps_like_a_new_one() {
+        // Three drains' worth of mixed traffic over lanes that come and go,
+        // under both packers: one scheduler re-armed between them (its
+        // rotation part-way round, emptied lanes and a recycled block buffer
+        // left behind) against a new scheduler per drain.
+        let drains = [
+            vec![
+                arrival(3, 0),
+                post(1, 1),
+                arrival(1, 2),
+                arrival(2, 3),
+                arrival(3, 4),
+            ],
+            vec![
+                arrival(2, 0),
+                arrival(2, 1),
+                post(2, 2),
+                arrival(1, 3),
+                arrival(2, 4),
+            ],
+            vec![
+                post(4, 0),
+                arrival(4, 1),
+                arrival(1, 2),
+                arrival(1, 3),
+                arrival(1, 4),
+            ],
+        ];
+        for quota in [None, Some(1)] {
+            let mut kept =
+                PackingScheduler::new(PackingPolicy::CrossComm, 2).with_lane_quota(quota);
+            for (i, cmds) in drains.iter().enumerate() {
+                let policy = [PackingPolicy::CrossComm, PackingPolicy::Consecutive][i % 2];
+                let mut new = PackingScheduler::new(policy, 2).with_lane_quota(quota);
+                let want = run_out(&mut new, cmds.clone());
+                kept.rearm(policy);
+                assert_eq!(run_out(&mut kept, cmds.clone()), want, "drain {i}");
+                assert_eq!(kept.staged(), 0);
+            }
         }
     }
 

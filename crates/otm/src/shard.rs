@@ -137,6 +137,9 @@ pub(crate) struct Directory {
     /// Emptied shards, in no order, each the directory's alone: taken back
     /// when their communicator is next used.
     parked: Vec<Entry>,
+    /// Moves whenever `live` does (a communicator added, the shards reset),
+    /// so a kept snapshot knows when it is stale.
+    generation: u64,
 }
 
 /// Where `comm` is, or would be inserted, in a directory (or a snapshot of
@@ -159,6 +162,7 @@ impl Directory {
             None => Arc::new(CommShard::new(config, hints)),
         };
         self.live.insert(at, (comm, shard));
+        self.generation += 1;
     }
 
     /// Where `comm` is, inserted with no hints if it was not.
@@ -253,6 +257,18 @@ impl ShardMap {
         read(&self.shards).live.clone()
     }
 
+    /// Brings `snapshot`, a copy of the directory taken at generation `seen`
+    /// (`None`: never taken), up to the directory as it stands. It is copied
+    /// again, into its own buffer, only when a communicator was added or the
+    /// shards were reset since.
+    pub(crate) fn refresh(&self, snapshot: &mut Vec<Entry>, seen: &mut Option<u64>) {
+        let shards = read(&self.shards);
+        if *seen != Some(shards.generation) {
+            snapshot.clone_from(&shards.live);
+            *seen = Some(shards.generation);
+        }
+    }
+
     /// Whether any communicator's ring holds a command.
     pub(crate) fn any_queued(&mut self) -> bool {
         let live = &get_mut(&mut self.shards).live;
@@ -260,12 +276,14 @@ impl ShardMap {
     }
 
     /// Empties every shard in place and parks it, for a caller with
-    /// exclusive access whose rings are empty: the directory reads as new,
-    /// and allocates nothing while the communicators it parks come back.
+    /// exclusive access whose rings are empty and who holds no snapshot
+    /// (a kept one must be cleared first): the directory reads as new, and
+    /// allocates nothing while the communicators it parks come back.
     pub(crate) fn reset(&mut self) {
         let shards = get_mut(&mut self.shards);
+        shards.generation += 1;
         for (_, shard) in &mut shards.live {
-            let shard = Arc::get_mut(shard).expect("only a drain's snapshot shares a shard");
+            let shard = Arc::get_mut(shard).expect("no snapshot shares a shard at a reset");
             debug_assert!(shard.submission.is_empty());
             mutex_mut(&mut shard.host).reset();
         }
@@ -359,6 +377,37 @@ mod tests {
             .try_declare(CommId(3), &config, CommHints::no_wildcards())
             .is_ok());
         assert_eq!(map.len(), 1);
+    }
+
+    #[test]
+    fn a_kept_snapshot_is_copied_again_only_when_the_directory_moved() {
+        let mut map = ShardMap::new();
+        let config = MatchConfig::small();
+        map.get_or_create(CommId(2), &config);
+        let (mut snapshot, mut seen) = (Vec::new(), None);
+        let ids = |snapshot: &[Entry]| snapshot.iter().map(|(id, _)| id.0).collect::<Vec<_>>();
+        map.refresh(&mut snapshot, &mut seen);
+        assert_eq!(ids(&snapshot), [2]);
+        // A look-up of a communicator in use changes nothing.
+        let taken = seen;
+        map.get_or_create(CommId(2), &config);
+        map.refresh(&mut snapshot, &mut seen);
+        assert_eq!(seen, taken);
+        // One added by use or by declaration does.
+        map.get_or_create(CommId(1), &config);
+        map.refresh(&mut snapshot, &mut seen);
+        assert_eq!(ids(&snapshot), [1, 2]);
+        map.try_declare(CommId(3), &config, CommHints::NONE)
+            .unwrap();
+        map.refresh(&mut snapshot, &mut seen);
+        assert_eq!(ids(&snapshot), [1, 2, 3]);
+        // A reset needs the snapshot cleared first, and moves the
+        // generation: the next refresh copies the emptied directory.
+        let taken = seen;
+        snapshot.clear();
+        map.reset();
+        map.refresh(&mut snapshot, &mut seen);
+        assert!(snapshot.is_empty() && seen != taken);
     }
 
     #[test]
