@@ -51,8 +51,7 @@ pub enum PackingPolicy {
     CrossComm,
 }
 
-/// Tunable parameters of the optimistic matching engine and of the bin-based
-/// baseline matcher.
+/// Tunable parameters of the optimistic matching engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MatchConfig {
     /// Number of bins in each of the three hash-table indexes. Must be in

@@ -80,8 +80,8 @@ use dpa_sim::rdma::{connected_pair, eager_packet, RdmaDomain};
 use dpa_sim::reliable::PROTOCOL_LABEL;
 use dpa_sim::service::ServiceError;
 use dpa_sim::{
-    Admission, FeedbackController, MatchMode, MatchServer, MatchdConfig, MatchingService, PingPong,
-    PingPongConfig, PingPongResult, ReliableSender, Scenario, TenantConfig, TenantSession,
+    Admission, MatchMode, MatchServer, MatchdConfig, MatchingService, PingPong, PingPongConfig,
+    PingPongResult, ReliableSender, Scenario, TenantConfig, TenantSession,
 };
 use mpi_matching::{MsgHandle, RecvHandle};
 use otm::{Command, OtmEngine};
@@ -595,10 +595,6 @@ struct FaultRow {
     rx_staged_out_of_order: u64,
     /// Cumulative acks the receive NIC emitted.
     acks_sent: u64,
-    /// Knob movements the feedback controller applied during the run
-    /// (`dpa_knob_changes_total`), each also stamped as a `knob_changed`
-    /// span.
-    knob_changes: u64,
 }
 
 // The row as it appears both in the report's `results.faults.rows` and in
@@ -606,7 +602,7 @@ struct FaultRow {
 json_fields!(FaultRow: label, mode, messages, elapsed_secs, msgs_per_sec, wire_drops,
     wire_duplicates, wire_reorders, wire_delays, retransmits, retransmit_amplification,
     fast_retransmits, resend_events, acks_received, backoff_polls, rx_duplicates_discarded,
-    rx_gaps_discarded, rx_staged_out_of_order, acks_sent, knob_changes);
+    rx_gaps_discarded, rx_staged_out_of_order, acks_sent);
 
 /// The `--faults` sweep: plan parameters, the fault-free vs hostile rows,
 /// and the oracle verdict (`matched_equal`) that the hostile wire changed
@@ -708,10 +704,7 @@ fn pre_post(svc: &mut MatchingService, patterns: impl IntoIterator<Item = Receiv
 /// plus the reliability counters. The receives are pre-posted, so message
 /// `i` deterministically matches receive `i` (per-QP FIFO + FIFO
 /// matching), making the completed sequence directly comparable between
-/// the fault-free and hostile runs. The self-tuning
-/// feedback controller is attached; its reliability-window hint is applied
-/// to the sender after every poll, so the flow-control window the run
-/// settles into is the controller's, not a constant.
+/// the fault-free and hostile runs.
 fn fault_run(
     args: &CommonArgs,
     label: &str,
@@ -734,7 +727,6 @@ fn fault_run(
         (0..messages)
             .map(|i| ReceivePattern::new(Rank(i as u32 % 8), Tag(i as u32 % 64), CommId(1))),
     );
-    svc.attach_controller(FeedbackController::with_defaults());
     if args.series.is_some() {
         // The service samples itself on its poll clock; the cadence keeps
         // the series to a few hundred points on the fault-free run (which
@@ -761,9 +753,6 @@ fn fault_run(
             sent += 1;
         }
         svc.progress().expect("service alive");
-        if let Some(hint) = svc.reliability_window_hint() {
-            sender.set_window_limit(hint);
-        }
         let stray = sender
             .poll()
             .expect("retry budget covers the configured fault rates");
@@ -800,13 +789,6 @@ fn fault_run(
     let wire = svc.nic().wire_fault_stats().unwrap_or_default();
     let rx_stats = svc.nic().rx_stats();
     let rel = sender.stats();
-    let knob_changes = svc
-        .metrics()
-        .snapshot()
-        .counters
-        .get("dpa_knob_changes_total")
-        .copied()
-        .unwrap_or(0);
     FaultRun {
         row: FaultRow {
             label: label.to_string(),
@@ -832,7 +814,6 @@ fn fault_run(
             rx_gaps_discarded: rx_stats.gaps,
             rx_staged_out_of_order: rx_stats.staged_out_of_order,
             acks_sent: rx_stats.acks_sent,
-            knob_changes,
         },
         completed,
         observability: svc.observability_snapshot(),
@@ -892,7 +873,7 @@ fn run_faults(
         let r = &run.row;
         println!(
             "  {:<16} {:<13} {:>12.0} msgs/s   [drops {} | dups {} | reorders {} | delays {}] \
-             retransmits {} ({:.2}x amplification, {} fast), staged {}, knobs {}",
+             retransmits {} ({:.2}x amplification, {} fast), staged {}",
             r.mode,
             r.label,
             r.msgs_per_sec,
@@ -904,7 +885,6 @@ fn run_faults(
             r.retransmit_amplification,
             r.fast_retransmits,
             r.rx_staged_out_of_order,
-            r.knob_changes,
         );
     }
     let hostile = &runs[1].row;
@@ -917,10 +897,6 @@ fn run_faults(
         "shape: retransmit amplification <= 2x ({:.2}x): {}",
         hostile.retransmit_amplification,
         hostile.retransmit_amplification <= 2.0
-    );
-    println!(
-        "shape: controller moved knobs and stamped spans: {}",
-        runs.iter().any(|r| r.row.knob_changes > 0)
     );
 
     let sweep = FaultSweep {
@@ -1143,7 +1119,6 @@ fn run_tenants(
         matchd: MatchdConfig {
             tenant: TenantConfig::default(),
             deficit_cap_quanta: 4,
-            ..MatchdConfig::default()
         },
     };
     println!(
@@ -1475,7 +1450,6 @@ mod tests {
             rx_gaps_discarded: 1,
             rx_staged_out_of_order: 11,
             acks_sent: 12,
-            knob_changes: 13,
         };
         let row_json = concat!(
             r#"{"label":"hostile-wire","mode":"selective-repeat","messages":100,"#,
@@ -1483,8 +1457,7 @@ mod tests {
             r#""wire_reorders":8,"wire_delays":7,"retransmits":15,"#,
             r#""retransmit_amplification":1.5,"fast_retransmits":6,"resend_events":5,"#,
             r#""acks_received":4,"backoff_polls":3,"rx_duplicates_discarded":2,"#,
-            r#""rx_gaps_discarded":1,"rx_staged_out_of_order":11,"acks_sent":12,"#,
-            r#""knob_changes":13}"#
+            r#""rx_gaps_discarded":1,"rx_staged_out_of_order":11,"acks_sent":12}"#
         );
         assert_eq!(render(&row), row_json);
         let sweep = FaultSweep {

@@ -55,7 +55,6 @@
 //! pair sets must be identical — clean wire or hostile.
 
 use crate::bounce::BouncePool;
-use crate::control::FeedbackController;
 use crate::nic::RecvNic;
 use crate::rdma::{connected_pair, eager_packet, rendezvous_packet, RdmaDomain};
 use crate::reliable::{ReliableSender, PROTOCOL_LABEL};
@@ -525,8 +524,6 @@ impl Endpoints {
         for s in &mut self.senders[..active] {
             s.rearm();
         }
-        self.svc
-            .attach_controller(FeedbackController::with_defaults());
     }
 
     /// The slot `src` sends on.
@@ -543,15 +540,11 @@ impl Endpoints {
 
     /// One turn of the whole path: the service progresses, its completions
     /// go into `pairs`, and every active sender polls once (ack intake and
-    /// retransmit timers) under the controller's window hint, if any.
+    /// retransmit timers).
     fn pump(&mut self, dest: u32, pairs: &mut Vec<MatchedPair>) -> Result<(), ServiceError> {
         self.svc.progress()?;
         collect(dest, self.svc.take_completed(), pairs);
-        let hint = self.svc.reliability_window_hint();
         for s in &mut self.senders[..self.sources.len()] {
-            if let Some(h) = hint {
-                s.set_window_limit(h);
-            }
             let stray = s.poll().map_err(ServiceError::Reliability)?;
             debug_assert!(stray.is_empty(), "nothing sends app data back");
         }

@@ -25,9 +25,6 @@
 //!   numbers, cumulative acks with SACK blocks, selective-repeat
 //!   retransmission with an RTT-tracking timeout, adaptive window,
 //!   exponential backoff and a bounded retry budget;
-//! * [`control`] — the feedback controller: observes registry deltas each
-//!   service tick and actuates reliability/drain/packing knobs, every
-//!   change recorded as a `knob_changed` span;
 //! * [`obs`] — observability: queue-depth gauges and
 //!   NIC-memory pressure counters for the matching service, plus the
 //!   fault/reliability counters and backoff histogram;
@@ -55,7 +52,6 @@ pub mod app_replay;
 pub mod bounce;
 pub mod cluster;
 pub mod collectives;
-pub mod control;
 pub mod fault;
 pub mod matchd;
 pub mod memory;
@@ -71,7 +67,6 @@ pub use app_replay::{
     engine_direct_pairs, replay_app, AppReplayConfig, AppReplayOutcome, AppReplayReport,
 };
 pub use cluster::{Cluster, ClusterBackend, ClusterNode};
-pub use control::{ControllerStats, FeedbackController};
 pub use fault::{BackendFaultStats, FaultInjectingBackend, WireFaultStats, WireFaults};
 pub use matchd::{
     Admission, MatchServer, MatchdConfig, TenantConfig, TenantId, TenantSession, TenantStats,
@@ -82,4 +77,4 @@ pub use obs::ServiceMetrics;
 pub use pingpong::{MatchMode, PingPong, PingPongConfig, PingPongResult, Scenario};
 pub use rdma::SackBlocks;
 pub use reliable::{ReliabilityError, ReliabilityStats, ReliableSender};
-pub use service::MatchingService;
+pub use service::{FeedbackController, MatchingService};

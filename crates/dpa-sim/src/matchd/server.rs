@@ -75,12 +75,6 @@ pub struct MatchdConfig {
     /// tenant may bank. Bounds the burst one tenant can inject in a single
     /// round after saving up.
     pub deficit_cap_quanta: u64,
-    /// Attaches the self-tuning [`crate::FeedbackController`] (default
-    /// tuning) to the underlying service, so each tick's progress call can
-    /// adjust the drain-retry budget and the engine's packing window from
-    /// observed registry deltas. Opt-in (default `false`): a server under
-    /// an external fairness harness may prefer fixed knobs.
-    pub self_tuning: bool,
 }
 
 impl Default for MatchdConfig {
@@ -88,7 +82,6 @@ impl Default for MatchdConfig {
         MatchdConfig {
             tenant: TenantConfig::default(),
             deficit_cap_quanta: 4,
-            self_tuning: false,
         }
     }
 }
@@ -145,13 +138,10 @@ impl MatchServer {
     /// the NIC is already wired into a mesh. `wire`, when given, is a send
     /// endpoint into the service's NIC used for tenant self-sends.
     pub fn with_service(
-        mut service: MatchingService,
+        service: MatchingService,
         wire: Option<QueuePair>,
         config: MatchdConfig,
     ) -> Self {
-        if config.self_tuning {
-            service.attach_controller(crate::control::FeedbackController::with_defaults());
-        }
         MatchServer {
             service,
             wire,
@@ -420,46 +410,5 @@ impl MatchServer {
             sections.push((entry.id.to_string(), series.clone()));
         }
         Some((global, sections))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use otm_base::{MatchConfig, Tag};
-
-    #[test]
-    fn self_tuning_server_attaches_the_controller_and_moves_knobs() {
-        // A two-slot submission ring: a burst of arrivals bounces on it.
-        let mut server = MatchServer::new(
-            MatchConfig::small().with_ring_capacity(2),
-            MatchdConfig {
-                self_tuning: true,
-                ..MatchdConfig::default()
-            },
-        )
-        .unwrap();
-        let session = server.open_tenant();
-        let controller = server.service().controller().expect("controller attached");
-        let interval = controller.interval_polls();
-        let budget = server.service().retry_budget();
-        // The first interval primes the delta baseline; a burst in the
-        // second meets ring backpressure, and the controller answers with
-        // one more inline drain retry.
-        server.run_ticks(interval).unwrap();
-        for i in 0..8u32 {
-            assert!(session.submit_send(Tag(i), vec![i as u8]).is_admitted());
-        }
-        server.run_ticks(interval).unwrap();
-        let snap = server.service().metrics().snapshot();
-        assert!(snap.counters["dpa_ring_backpressure_total"] > 0);
-        assert_eq!(snap.counters["dpa_knob_changes_total"], 1);
-        assert_eq!(server.service().retry_budget(), budget + 1);
-        let controller = server.service().controller().expect("still attached");
-        assert_eq!(controller.retry_budget(), budget + 1);
-        assert_eq!(controller.stats().knob_changes, 1);
-        // Opt-out stays knob-free.
-        let plain = MatchServer::new(MatchConfig::small(), MatchdConfig::default()).unwrap();
-        assert!(plain.service().controller().is_none());
     }
 }

@@ -6,7 +6,7 @@
 //! twins, and counters for the two NIC-memory pressure events of §IV —
 //! bounce-buffer exhaustion and fallback to software matching. With the
 //! `trace-events` feature it also owns the service's lifecycle span
-//! recorder (retransmissions, fallback replays, controller knob moves).
+//! recorder (retransmissions, fallback replays).
 
 use otm_metrics::{Counter, Gauge, Histogram, Registry, RegistrySnapshot};
 use std::sync::Arc;
@@ -44,7 +44,6 @@ struct Instruments {
     rx_staged: Arc<Counter>,
     rx_stage_overflow: Arc<Counter>,
     acks: Arc<Counter>,
-    knob_changes: Arc<Counter>,
     retransmits: Arc<Counter>,
     drain_retries: Arc<Counter>,
     ring_backpressure: Arc<Counter>,
@@ -85,7 +84,6 @@ impl ServiceMetrics {
             rx_staged: registry.counter("dpa_rx_staged_total"),
             rx_stage_overflow: registry.counter("dpa_rx_stage_overflow_total"),
             acks: registry.counter("dpa_acks_total"),
-            knob_changes: registry.counter("dpa_knob_changes_total"),
             retransmits: registry.counter("dpa_retransmits_total"),
             drain_retries: registry.counter("dpa_drain_retries_total"),
             ring_backpressure: registry.counter("dpa_ring_backpressure_total"),
@@ -193,41 +191,10 @@ impl ServiceMetrics {
         self.0.acks.inc();
     }
 
-    /// Records one feedback-controller knob actuation: counted in
-    /// `dpa_knob_changes_total` (always) and stamped as a
-    /// `knob_changed` lifecycle span (under `trace-events`) so runs
-    /// stay reproducible from the trace alone.
-    #[inline]
-    pub fn knob_changed(&self, knob: otm_metrics::KnobKind, from: u64, to: u64) {
-        self.0.knob_changes.inc();
-        #[cfg(feature = "trace-events")]
-        if self.0.spans.push(
-            otm_metrics::CONTROLLER_SUBJECT,
-            otm_metrics::SpanKind::KnobChanged { knob, from, to },
-        ) {
-            self.0.span_dropped.inc();
-        }
-        #[cfg(not(feature = "trace-events"))]
-        let _ = (knob, from, to);
-    }
-
     /// Counts packets retransmitted (timeout resends and fast retransmits).
     #[inline]
     pub fn add_retransmits(&self, n: u64) {
         self.0.retransmits.add(n);
-    }
-
-    /// The four counters the feedback controller observes, read off their
-    /// instruments: retransmits, acks, ring backpressure, drain retries.
-    pub(crate) fn controller_counters(&self) -> [u64; 4] {
-        let i = &self.0;
-        [
-            &i.retransmits,
-            &i.acks,
-            &i.ring_backpressure,
-            &i.drain_retries,
-        ]
-        .map(|c| c.get())
     }
 
     /// Counts one retry of a failed command-queue drain.
@@ -417,29 +384,6 @@ mod tests {
         let hist = &snap.hists["dpa_backoff_polls"];
         assert_eq!(hist.count, 2);
         assert_eq!(hist.sum, 12);
-    }
-
-    #[test]
-    fn knob_changes_are_counted_and_stamped() {
-        let m = ServiceMetrics::new();
-        m.knob_changed(otm_metrics::KnobKind::ReliabilityWindow, 64, 32);
-        m.knob_changed(otm_metrics::KnobKind::PackingWindow, 0, 128);
-        let snap = m.snapshot();
-        assert_eq!(snap.counters["dpa_knob_changes_total"], 2);
-        #[cfg(feature = "trace-events")]
-        {
-            let spans = m.spans().dump();
-            assert_eq!(spans.len(), 2);
-            assert_eq!(spans[0].subject, otm_metrics::CONTROLLER_SUBJECT);
-            assert_eq!(
-                spans[0].kind,
-                otm_metrics::SpanKind::KnobChanged {
-                    knob: otm_metrics::KnobKind::ReliabilityWindow,
-                    from: 64,
-                    to: 32,
-                }
-            );
-        }
     }
 
     #[cfg(feature = "trace-events")]

@@ -270,9 +270,8 @@ impl ReliableSender {
         self.cwnd
     }
 
-    /// Sets the ceiling on packets in flight (e.g. from the feedback
-    /// controller's hint). The adaptive limit is clamped into the new cap
-    /// and can reopen up to it.
+    /// Sets the ceiling on packets in flight. The adaptive limit is clamped
+    /// into the new cap and can reopen up to it.
     pub fn set_window_limit(&mut self, cap: usize) {
         let cap = cap.max(MIN_WINDOW_LIMIT);
         self.window_cap = cap;

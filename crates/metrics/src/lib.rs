@@ -42,8 +42,8 @@ pub use hist::{Histogram, HistogramSnapshot};
 pub use registry::{Counter, Gauge, Labels, Registry, RegistrySnapshot};
 pub use series::{write_tenant_sections, SeriesPoint, SeriesRecorder};
 pub use span::{
-    latency_by_path, spans_to_chrome_trace, spans_to_jsonl, KnobKind, MatchPath, SpanEvent,
-    SpanKind, SpanRecorder, CONTROLLER_SUBJECT, MATCH_PATHS, RECV_SUBJECT_BIT,
+    latency_by_path, spans_to_chrome_trace, spans_to_jsonl, MatchPath, SpanEvent, SpanKind,
+    SpanRecorder, MATCH_PATHS, RECV_SUBJECT_BIT,
 };
 
 use std::sync::OnceLock;

@@ -13,8 +13,8 @@
 //! * **Chrome `trace_event` JSON** ([`SpanRecorder::to_chrome_trace`]): the
 //!   `{"traceEvents": [...]}` envelope that <https://ui.perfetto.dev> and
 //!   `chrome://tracing` open directly, with one track per subject: `pid`
-//!   0 / 1 / 2 groups message, receive and controller subjects, `tid` is
-//!   the subject's id within its group;
+//!   0 / 1 groups message and receive subjects, `tid` is the subject's id
+//!   within its group;
 //! * **per-path post→match latency histograms**
 //!   ([`SpanRecorder::latency_by_path`]): for every subject whose span
 //!   contains a `Matched` event, the nanoseconds between its first recorded
@@ -68,11 +68,6 @@ pub const MATCH_PATHS: [MatchPath; 4] = [
 /// [`latency_by_path`] pairing).
 pub const RECV_SUBJECT_BIT: u64 = 1 << 63;
 
-/// Synthetic span subject for feedback-controller knob changes. The
-/// controller has no message identity; `u64::MAX` cannot collide with a
-/// message handle or a [`RECV_SUBJECT_BIT`]-tagged receive handle.
-pub const CONTROLLER_SUBJECT: u64 = u64::MAX;
-
 impl MatchPath {
     /// The `path` label value used across the registry and artifacts.
     pub fn label(self) -> &'static str {
@@ -121,39 +116,6 @@ pub enum SpanKind {
     },
     /// The message was migrated to software matching by a fallback.
     FellBack,
-    /// The feedback controller changed a runtime knob. Stamped on a
-    /// synthetic subject (the controller has no message identity) so every
-    /// actuation is reproducible from the trace alone.
-    KnobChanged {
-        /// Which knob moved.
-        knob: KnobKind,
-        /// Value before the change.
-        from: u64,
-        /// Value after the change.
-        to: u64,
-    },
-}
-
-/// The runtime knobs the feedback controller may actuate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KnobKind {
-    /// The reliability layer's unacked-window size hint.
-    ReliabilityWindow,
-    /// The service's inline drain-retry budget for ring backpressure.
-    DrainRetryBudget,
-    /// The drain packing-window override (0 = engine default).
-    PackingWindow,
-}
-
-impl KnobKind {
-    /// The `knob` label value used across artifacts.
-    pub fn label(self) -> &'static str {
-        match self {
-            KnobKind::ReliabilityWindow => "reliability_window",
-            KnobKind::DrainRetryBudget => "drain_retry_budget",
-            KnobKind::PackingWindow => "packing_window",
-        }
-    }
 }
 
 impl SpanKind {
@@ -166,7 +128,6 @@ impl SpanKind {
             SpanKind::Matched { .. } => "matched",
             SpanKind::Retransmitted { .. } => "retransmitted",
             SpanKind::FellBack => "fell_back",
-            SpanKind::KnobChanged { .. } => "knob_changed",
         }
     }
 }
@@ -327,11 +288,6 @@ fn write_kind_payload(w: &mut JsonWriter, kind: SpanKind) {
         }
         SpanKind::Matched { path } => w.field_str("path", path.label()),
         SpanKind::Retransmitted { attempt } => w.field_u64("attempt", attempt as u64),
-        SpanKind::KnobChanged { knob, from, to } => {
-            w.field_str("knob", knob.label());
-            w.field_u64("from", from);
-            w.field_u64("to", to);
-        }
         SpanKind::Posted | SpanKind::Enqueued | SpanKind::FellBack => {}
     }
 }
@@ -366,9 +322,9 @@ pub fn spans_to_jsonl(events: &[SpanEvent]) -> String {
 /// as doubles, so the raw 64-bit subject cannot be the track id: receive
 /// subjects (bit 63 set) would collapse onto each other past 2^53, or onto
 /// the message sharing their low id after truncation. Subjects therefore
-/// map to `pid` 0 (messages and wire packets), 1 (receives) or 2 (the
-/// controller), with `tid` the subject minus its namespace bit (0 for the
-/// controller); the full `subject` stays under `args`.
+/// map to `pid` 0 (messages and wire packets) or 1 (receives), with `tid`
+/// the subject minus its namespace bit; the full `subject` stays under
+/// `args`.
 pub fn spans_to_chrome_trace(events: &[SpanEvent]) -> String {
     let mut w = JsonWriter::new();
     w.begin_object();
@@ -381,9 +337,7 @@ pub fn spans_to_chrome_trace(events: &[SpanEvent]) -> String {
         w.field_str("ph", "i");
         w.field_str("s", "t");
         w.field_f64("ts", e.t_ns as f64 / 1000.0);
-        let (pid, tid) = if e.subject == CONTROLLER_SUBJECT {
-            (2, 0)
-        } else if e.subject & RECV_SUBJECT_BIT != 0 {
+        let (pid, tid) = if e.subject & RECV_SUBJECT_BIT != 0 {
             (1, e.subject & !RECV_SUBJECT_BIT)
         } else {
             (0, e.subject)
@@ -519,15 +473,10 @@ mod tests {
 
     #[test]
     fn chrome_trace_keeps_one_track_per_subject() {
-        // A message, the receive sharing its low id, a second receive past
-        // the first by less than a double can resolve at 2^63, and the
-        // controller: four subjects, four distinct tracks.
-        let subjects = [
-            5,
-            RECV_SUBJECT_BIT | 5,
-            RECV_SUBJECT_BIT | 900,
-            CONTROLLER_SUBJECT,
-        ];
+        // A message, the receive sharing its low id, and a second receive
+        // past the first by less than a double can resolve at 2^63: three
+        // subjects, three distinct tracks.
+        let subjects = [5, RECV_SUBJECT_BIT | 5, RECV_SUBJECT_BIT | 900];
         let events: Vec<SpanEvent> = subjects
             .iter()
             .enumerate()
@@ -551,8 +500,8 @@ mod tests {
                 .collect()
         };
         let (pids, tids) = (field("pid"), field("tid"));
-        assert_eq!(pids, vec![0, 1, 1, 2]);
-        assert_eq!(tids, vec![5, 5, 900, 0]);
+        assert_eq!(pids, vec![0, 1, 1]);
+        assert_eq!(tids, vec![5, 5, 900]);
         assert!(tids.iter().all(|&t| t < 1 << 32));
         assert_eq!(field("subject"), subjects, "args keep the full subject");
     }

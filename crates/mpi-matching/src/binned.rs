@@ -1,6 +1,6 @@
 //! A bin-based matcher in the style of Flajslik et al. ("Mitigating MPI
-//! message matching misery", ISC 2016) — the engine behind the Fig. 7 bin
-//! sweep.
+//! message matching misery", ISC 2016) — Table I's bin-based row, and one
+//! more backend the matcher-agreement tests hold against the oracle.
 //!
 //! Fully-specified receives live in a hash table keyed on
 //! `(source, tag, communicator)`; receives using any wildcard live in a
@@ -12,9 +12,8 @@
 //! list that wildcard receives search, preserving C2.
 //!
 //! With `b = 1` every key collides and the matcher degenerates into the
-//! traditional linear scan — the paper uses exactly this as the 1-bin
-//! baseline of Fig. 7. The average search cost for well-spread keys is
-//! `O(n/b)` (§II-B).
+//! traditional linear scan, the paper's 1-bin baseline. The average
+//! search cost for well-spread keys is `O(n/b)` (§II-B).
 
 use crate::matcher::{ArriveResult, Matcher, MsgHandle, PostResult, RecvHandle};
 use crate::stats::MatchStats;

@@ -270,8 +270,8 @@ impl OtmEngine {
     }
 
     /// Overrides the drain's staging-window depth in commands (0 restores
-    /// the configured default of `block_threads × 8`). Values below one
-    /// block are rounded up so blocks can still fill.
+    /// the configured default of `block_threads × 8`, floored at 32).
+    /// Values below one block are rounded up so blocks can still fill.
     pub fn set_packing_window_override(&self, window: usize) {
         self.packing_window_override
             .store(window, Ordering::Relaxed);
@@ -280,15 +280,9 @@ impl OtmEngine {
     /// The staging-window depth the next drain will use.
     pub fn effective_packing_window(&self) -> usize {
         match self.packing_window_override.load(Ordering::Relaxed) {
-            0 => self.configured_packing_window(),
+            0 => self.config.block_threads.saturating_mul(8).max(32),
             w => w.max(self.config.block_threads),
         }
-    }
-
-    /// The non-overridden staging-window depth (`block_threads × 8`,
-    /// floored at 32) — the baseline a controller widens from.
-    pub fn configured_packing_window(&self) -> usize {
-        self.config.block_threads.saturating_mul(8).max(32)
     }
 
     /// The engine's configuration.

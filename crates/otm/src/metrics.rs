@@ -164,12 +164,6 @@ impl EngineMetrics {
         self.spans.clear();
     }
 
-    /// The block-occupancy histogram (`otm_block_occupancy`): messages per
-    /// block run to its end.
-    pub fn block_occupancy(&self) -> &Histogram {
-        &self.block_occupancy
-    }
-
     /// The underlying registry (for embedding into a larger exporter).
     pub fn registry(&self) -> &Registry {
         &self.registry

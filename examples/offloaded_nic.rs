@@ -9,7 +9,7 @@ use dpa_sim::bounce::BouncePool;
 use dpa_sim::nic::RecvNic;
 use dpa_sim::rdma::{connected_pair, eager_packet, rendezvous_packet, RdmaDomain};
 use dpa_sim::{DeviceMemory, MatchingService};
-use otm_base::{Envelope, MatchConfig, Rank, ReceivePattern, Tag};
+use otm_base::{Envelope, MatchConfig, MatchError, Rank, ReceivePattern, Tag};
 
 fn main() {
     // Wire up a sender endpoint and a receive-side NIC with 64 bounce
@@ -83,17 +83,19 @@ fn main() {
 
     // §IV-E: a communicator whose tables do not fit falls back to software
     // tag matching on the host.
-    let (fallback_tx, fb_receiver) = connected_pair();
+    let fallback_nic = || RecvNic::new(connected_pair().1, BouncePool::new(4, 256));
     let mut tiny = DeviceMemory::new(4 * 1024);
-    let (fb, offloaded) = MatchingService::offloaded_or_fallback(
-        RecvNic::new(fb_receiver, BouncePool::new(4, 256)),
+    let fb = match MatchingService::offloaded(
+        fallback_nic(),
         RdmaDomain::new(),
         MatchConfig::default(),
         &mut tiny,
-    );
-    println!(
-        "tiny DPA budget: offloaded = {offloaded}, backend = {}",
-        fb.backend_name()
-    );
-    drop(fallback_tx);
+    ) {
+        Err(MatchError::OutOfDeviceMemory { requested, .. }) => {
+            println!("tiny DPA budget: {requested} B of tables do not fit");
+            MatchingService::mpi_cpu(fallback_nic(), RdmaDomain::new())
+        }
+        other => panic!("a 4 KiB budget must refuse offloading: {:?}", other.err()),
+    };
+    println!("tiny DPA budget: backend = {}", fb.backend_name());
 }

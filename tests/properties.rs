@@ -930,7 +930,6 @@ fn matchd_fair_drain_is_bounded_lossless_and_fifo() {
                 MatchdConfig {
                     tenant: TenantConfig::default(),
                     deficit_cap_quanta: CAP_QUANTA,
-                    ..MatchdConfig::default()
                 },
             )
             .unwrap();
