@@ -983,7 +983,7 @@ mod tests {
     use super::*;
     use crate::bounce::BouncePool;
     use crate::rdma::{connected_pair, eager_packet, rendezvous_packet, QueuePair};
-    use otm_base::{Rank, Tag};
+    use otm_base::{CommHints, CommId, Rank, SourceSel, Tag};
 
     fn setup(mode: &str) -> (QueuePair, RdmaDomain, MatchingService) {
         let (tx, rx) = connected_pair();
@@ -1720,6 +1720,34 @@ mod tests {
         tx.send(eager_packet(env(0, 2), vec![2])).unwrap();
         assert_eq!(svc.progress().unwrap(), 1);
         assert_eq!(svc.take_completed()[0].recv, third);
+    }
+
+    #[test]
+    fn a_post_its_hints_forbid_is_refused_when_queued_and_costs_no_one_else() {
+        // A queued receive on comm 2 that breaks its no-wildcards hints,
+        // between comm 1's receive and its message: the post is refused on
+        // the spot, as a direct post would be, and comm 1's pair completes.
+        let (tx, rx) = connected_pair();
+        let nic = RecvNic::new(rx, BouncePool::new(64, 256));
+        let engine = OtmEngine::new(MatchConfig::small()).unwrap();
+        let (one, two) = (CommId(1), CommId(2));
+        engine.declare_comm(two, CommHints::no_wildcards()).unwrap();
+        let mut svc = MatchingService::with_backend(nic, RdmaDomain::new(), Box::new(engine));
+        let recv = svc
+            .post_recv(ReceivePattern::new(Rank(0), Tag(1), one))
+            .unwrap();
+        let any_source = ReceivePattern::new(SourceSel::Any, Tag(1), two);
+        let refused = svc.reserve_recv();
+        assert!(matches!(
+            svc.post_recv_queued_reserved(any_source, refused),
+            Err(ServiceError::Match(MatchError::HintViolation(_)))
+        ));
+        tx.send(eager_packet(Envelope::new(Rank(0), Tag(1), one), vec![7]))
+            .unwrap();
+        assert_eq!(svc.progress().unwrap(), 1);
+        let done = svc.take_completed();
+        assert_eq!((done[0].recv, &done[0].data[..]), (recv, &[7][..]));
+        assert!(svc.inflight.slots.is_empty() && !svc.fell_back());
     }
 
     #[test]

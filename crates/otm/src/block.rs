@@ -27,7 +27,7 @@ use crate::index::SearchOutcome;
 use crate::stats::Tally;
 use crate::table::DescId;
 use mpi_matching::MsgHandle;
-use otm_base::{Envelope, InlineHashes};
+use otm_base::{CommHints, Envelope, InlineHashes};
 
 /// One lane's input for the current block.
 #[derive(Debug, Clone, Copy)]
@@ -38,6 +38,8 @@ pub struct LaneData {
     pub handle: MsgHandle,
     /// Sender-side inline hashes (§IV-D).
     pub hashes: InlineHashes,
+    /// The hints of the message's communicator (§VII).
+    pub hints: CommHints,
     /// Which of the block's locked shards the message matches against: an
     /// index into the guards the coordinator lends to `worker::run_block`.
     pub shard: usize,

@@ -45,7 +45,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::shard::{CommShard, ShardMap};
+use crate::shard::{locate, CommShard, ShardMap};
 use otm_base::{CommId, MatchConfig, MatchError};
 
 pub use mpi_matching::backend::{CommandOutcome, DrainReport, PendingCommand as Command};
@@ -57,6 +57,22 @@ pub(crate) fn comm_of(cmd: &Command) -> CommId {
         Command::Post { pattern, .. } => pattern.comm,
         Command::Arrival { env, .. } => env.comm,
     }
+}
+
+/// Pushes `cmd` under the ticket `ticket` draws once its hints admit it.
+fn enqueue(
+    shard: &CommShard,
+    ticket: impl FnOnce() -> u64,
+    cmd: Command,
+) -> Result<(), MatchError> {
+    if let Command::Post { pattern, .. } = &cmd {
+        shard.admits(pattern)?;
+    }
+    let comm = comm_of(&cmd);
+    shard
+        .submission
+        .push(ticket(), cmd)
+        .map_err(|_| MatchError::SubmissionRingFull { comm: comm.0 })
 }
 
 /// A multi-producer command queue (see module docs).
@@ -86,20 +102,18 @@ impl CommandQueue {
 
     /// Enqueues a command. Callable from any thread.
     ///
-    /// A full communicator ring rejects the command with the retryable
-    /// [`MatchError::SubmissionRingFull`]; draining the queue frees slots,
-    /// after which the same submit succeeds.
+    /// A post its communicator's hints forbid is refused as a direct post
+    /// would be. A full communicator ring rejects the command with the
+    /// retryable [`MatchError::SubmissionRingFull`]; draining the queue
+    /// frees slots, after which the same submit succeeds.
     pub fn submit(
         &self,
         cmd: Command,
         shards: &ShardMap,
         config: &MatchConfig,
     ) -> Result<(), MatchError> {
-        let ticket = self.tickets.fetch_add(1, Ordering::Relaxed);
-        let comm = comm_of(&cmd);
-        shards
-            .with_shard(comm, config, |shard| shard.submission.push(ticket, cmd))
-            .map_err(|_| MatchError::SubmissionRingFull { comm: comm.0 })
+        let ticket = || self.tickets.fetch_add(1, Ordering::Relaxed);
+        shards.with_shard(comm_of(&cmd), config, |shard| enqueue(shard, ticket, cmd))
     }
 
     /// [`CommandQueue::submit`] for a caller with exclusive access: the same
@@ -111,11 +125,12 @@ impl CommandQueue {
         shards: &mut ShardMap,
         config: &MatchConfig,
     ) -> Result<(), MatchError> {
-        let (ticket, comm) = (*self.tickets.get_mut(), comm_of(&cmd));
-        *self.tickets.get_mut() += 1;
-        let ring = &shards.shard_mut(comm, config).submission;
-        ring.push(ticket, cmd)
-            .map_err(|_| MatchError::SubmissionRingFull { comm: comm.0 })
+        let tickets = self.tickets.get_mut();
+        let ticket = || {
+            *tickets += 1;
+            *tickets - 1
+        };
+        enqueue(shards.shard_mut(comm_of(&cmd), config), ticket, cmd)
     }
 
     /// Whether a failed drain left commands in the stash.
@@ -198,12 +213,16 @@ impl Merge<'_> {
     }
 }
 
+/// The oldest queued command with its ticket, after its communicator's place
+/// in the snapshot: the ring it came off (found by search if requeued).
 impl Iterator for Merge<'_> {
-    type Item = (u64, Command);
+    type Item = (usize, u64, Command);
 
-    fn next(&mut self) -> Option<(u64, Command)> {
-        if let Some(entry) = self.stash.pop_front() {
-            return Some(entry);
+    fn next(&mut self) -> Option<(usize, u64, Command)> {
+        if let Some((ticket, cmd)) = self.stash.pop_front() {
+            let lane = locate(self.lanes, comm_of(&cmd))
+                .expect("a requeued command's communicator is in every later snapshot");
+            return Some((lane, ticket, cmd));
         }
         let mut oldest: Option<(u64, usize)> = None;
         for (i, (head, (_, shard))) in self.heads.iter_mut().zip(self.lanes).enumerate() {
@@ -220,7 +239,7 @@ impl Iterator for Merge<'_> {
         self.heads[i] = None;
         let entry = self.lanes[i].1.submission.pop();
         debug_assert_eq!(entry.as_ref().map(|e| e.0), Some(ticket));
-        entry
+        entry.map(|(ticket, cmd)| (i, ticket, cmd))
     }
 }
 
@@ -276,6 +295,7 @@ mod tests {
     fn take(q: &CommandQueue, shards: &ShardMap, max: usize) -> Vec<(u64, Command)> {
         q.merge(&snapshot(shards), &mut Vec::new())
             .take(max)
+            .map(|(_, ticket, cmd)| (ticket, cmd))
             .collect()
     }
 
@@ -317,7 +337,7 @@ mod tests {
         q.submit(arrival(1), &shards, &config).unwrap();
         let (lanes, mut heads) = (snapshot(&shards), Vec::new());
         let mut merge = q.merge(&lanes, &mut heads);
-        let mut taken: Vec<_> = merge.by_ref().collect();
+        let mut taken: Vec<_> = merge.by_ref().map(|(_, t, c)| (t, c)).collect();
         taken.remove(0); // command 0 was applied
         q.submit(arrival(2), &shards, &config).unwrap(); // raced in after the take
         merge.requeue_front(taken);
@@ -365,13 +385,13 @@ mod tests {
         shards.get_or_create(CommId(2), &config);
         let (lanes, mut heads) = (snapshot(&shards), Vec::new());
         let mut merge = q.merge(&lanes, &mut heads);
-        assert_eq!(merge.next(), Some((0, arrival_on(1, 0))));
+        assert_eq!(merge.next(), Some((0, 0, arrival_on(1, 0))));
         assert_eq!(merge.next(), None, "both lanes are empty");
         // Lane 2 was empty when last peeked: no stale head hides the submit.
         q.submit(arrival_on(2, 1), &shards, &config).unwrap();
         // Communicator 3 does not exist in the snapshot.
         q.submit(arrival_on(3, 2), &shards, &config).unwrap();
-        assert_eq!(merge.next(), Some((1, arrival_on(2, 1))));
+        assert_eq!(merge.next(), Some((1, 1, arrival_on(2, 1))));
         assert_eq!(merge.next(), None, "the late communicator waits");
         drop(merge);
         assert_eq!(commands(&q, &shards), vec![arrival_on(3, 2)]);
@@ -403,7 +423,7 @@ mod tests {
         }
         let (lanes, mut heads) = (snapshot(&shards), Vec::new());
         let mut merge = q.merge(&lanes, &mut heads);
-        let mut taken: Vec<_> = merge.by_ref().take(2).collect();
+        let mut taken: Vec<_> = merge.by_ref().take(2).map(|(_, t, c)| (t, c)).collect();
         taken.remove(0); // 0 applied; 1 must come back ahead of 2, 3
         merge.requeue_front(taken);
         assert_eq!(merge.len(), 3);

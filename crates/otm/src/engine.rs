@@ -31,8 +31,8 @@
 //! guards the block arena, the drain arena and the arrival clock; a drain
 //! holds it from entry to exit, which serializes whole drains against each
 //! other, and `submit` never takes it. Under it come the shard locks, taken
-//! in [`CommId`] order by a block and one at a time by everything else; the
-//! tables and indexes inside a shard have no lock of their own.
+//! in [`CommId`] order by a block and one at a time by everything else (a
+//! drain's posts, once a run); a shard's tables have no lock of their own.
 //! Counting follows them: a block's lanes and a drain's posts add to plain
 //! tallies under the coordinator lock, published once as the block ends and
 //! the drain exits ([`stats`](crate::stats)). A caller that holds the engine
@@ -43,7 +43,7 @@ use crate::block::{result_code, BlockState, LaneData, NO_DESC};
 use crate::command::{Command, CommandOutcome, CommandQueue, DrainReport, Merge};
 use crate::metrics::{span_event, EngineMetrics};
 use crate::scheduler::{PackingScheduler, PackingStep};
-use crate::shard::{locate, CommShard, ShardMap};
+use crate::shard::{locate, CommShard, Locked, ShardHost, ShardMap};
 use crate::stats::{StatsSnapshot, Tally};
 use crate::table::{DescId, Payload};
 use crate::worker::{run_block, LaneCtx};
@@ -105,12 +105,6 @@ struct DrainArena {
     umq_depths: Vec<u64>,
 }
 
-/// Position of `comm` in a drain's directory snapshot, where the communicator
-/// of every command the drain stages (off the stash or a snapshot ring) is.
-fn lane_of(lanes: &[(CommId, Arc<CommShard>)], comm: CommId) -> usize {
-    locate(lanes, comm).expect("a staged command's communicator predates the drain")
-}
-
 /// The span subject of a queued command: its message, or its receive.
 #[cfg(feature = "trace-events")]
 fn span_subject(cmd: &Command) -> u64 {
@@ -121,26 +115,22 @@ fn span_subject(cmd: &Command) -> u64 {
 }
 
 /// Moves a drain's outcomes, tickets stripped, into a vector of their own in
-/// ticket order, leaving `outcomes` empty. The tickets of one drain are
-/// distinct, and they are one contiguous run unless a failed drain requeued
-/// around an applied command or a rejected submit burned a ticket in their
-/// midst: in a run each outcome's place is `ticket − first`, so it is
-/// swapped there and nothing is compared. Otherwise, sort.
-fn in_submission_order(outcomes: &mut Vec<(u64, CommandOutcome)>) -> Vec<CommandOutcome> {
-    let first = outcomes.iter().map(|o| o.0).min().unwrap_or(0);
-    let last = outcomes.iter().map(|o| o.0).max().unwrap_or(0);
-    if (last - first) as usize + 1 == outcomes.len() {
-        let mut i = 0;
-        while i < outcomes.len() {
-            // Every swap puts one outcome where it belongs, for good.
-            match (outcomes[i].0 - first) as usize {
-                home if home == i => i += 1,
-                home => outcomes.swap(i, home),
-            }
+/// ticket order, leaving `outcomes` empty; `first..=last` spans the tickets
+/// the drain staged. When the outcomes fill that span (no requeue, burned
+/// ticket or failed step in it) each one's place is `ticket − first`, so it
+/// is written there and nothing is compared. Otherwise, sort.
+fn in_submission_order(
+    outcomes: &mut Vec<(u64, CommandOutcome)>,
+    (first, last): (u64, u64),
+) -> Vec<CommandOutcome> {
+    if first <= last && (last - first) as usize + 1 == outcomes.len() {
+        let mut ordered = vec![outcomes[0].1; outcomes.len()];
+        for (ticket, outcome) in outcomes.drain(..) {
+            ordered[(ticket - first) as usize] = outcome;
         }
-    } else {
-        outcomes.sort_unstable_by_key(|&(ticket, _)| ticket);
+        return ordered;
     }
+    outcomes.sort_unstable_by_key(|&(ticket, _)| ticket);
     outcomes.drain(..).map(|(_, o)| o).collect()
 }
 
@@ -342,7 +332,7 @@ impl OtmEngine {
 
     /// The hints a communicator was declared with.
     pub fn comm_hints(&self, comm: CommId) -> Option<CommHints> {
-        self.shards.get(comm).map(|s| lock(&s.host).hints)
+        self.shards.get(comm).map(|s| s.hints)
     }
 
     /// Merges `tally`, with the depth samples that go with it, into the
@@ -371,33 +361,27 @@ impl OtmEngine {
         self.publish(tally, depths, []);
     }
 
-    /// Posts a receive — the host-to-DPA command path (§IV-E) — on a running
-    /// engine with the communicator's shard already resolved (the drain
-    /// finds it in its directory snapshot, [`OtmEngine::post`] through its
-    /// exclusive borrow of the directory).
+    /// Posts a receive — the host-to-DPA command path (§IV-E) — into a
+    /// running engine's locked shard, the communicator's hints already
+    /// checked (the drain holds the guard across a run of one
+    /// communicator's posts; [`OtmEngine::post`] locks for one).
     ///
     /// The unexpected-message store is searched first (§IV-C); on a miss the
     /// receive is labelled, assigned its sequence id, and indexed in the
     /// structure matching its wildcard class (§III-B). Counts into `tally`
     /// and hands a match's UMQ depth to `depth`; the caller publishes both.
-    /// Reads no engine field but `metrics` (for lifecycle spans).
-    fn post_on(
+    /// A post the full table refuses leaves no trace. Reads no engine field
+    /// but `metrics` (for lifecycle spans).
+    fn post_locked(
         metrics: &EngineMetrics,
-        shard: &CommShard,
+        host: &mut ShardHost,
         pattern: ReceivePattern,
         handle: RecvHandle,
         tally: &mut Tally,
         depth: impl FnOnce(u64),
     ) -> Result<PostResult, MatchError> {
-        let mut host = lock(&shard.host);
-        if !host.hints.permits(pattern.wildcard_class()) {
-            return Err(MatchError::HintViolation(format!(
-                "receive {pattern} violates the hints declared for {}",
-                pattern.comm
-            )));
-        }
-        tally.stats.umq_search_count += 1;
         if let Some(m) = host.umq.match_post(&pattern) {
+            tally.stats.umq_search_count += 1;
             tally.stats.matched_on_post += 1;
             tally.stats.umq_depth_sum += m.depth as u64;
             depth(m.depth as u64);
@@ -419,13 +403,8 @@ impl OtmEngine {
         // Sequence ids (§III-D3a): consecutive compatible posts share one.
         let seq = match &host.last_pattern {
             Some(p) if p.compatible(&pattern) => host.cur_seq,
-            _ => {
-                host.cur_seq = host.cur_seq.next();
-                host.cur_seq
-            }
+            _ => host.cur_seq.next(),
         };
-        host.last_pattern = Some(pattern);
-        let host = &mut *host;
         let desc = host.table.allocate(Payload {
             pattern,
             label: host.next_label,
@@ -433,8 +412,10 @@ impl OtmEngine {
             handle: handle.0,
             home: host.prq.home_of(&pattern),
         })?;
+        (host.cur_seq, host.last_pattern) = (seq, Some(pattern));
         host.next_label = host.next_label.next();
         host.prq.insert(&mut host.table, desc);
+        tally.stats.umq_search_count += 1;
         tally.stats.posted += 1;
         span_event!(metrics, RECV_SUBJECT_BIT | handle.0, SpanKind::Posted);
         Ok(PostResult::Posted)
@@ -450,9 +431,13 @@ impl OtmEngine {
     ) -> Result<PostResult, MatchError> {
         self.check_running()?;
         let shard = self.shards.shard_mut(pattern.comm, &self.config);
+        shard.admits(&pattern)?;
         let (mut tally, mut depth) = (Tally::default(), None);
         let note = |d| depth = Some(d);
-        let result = Self::post_on(&self.metrics, shard, pattern, handle, &mut tally, note);
+        let result = {
+            let host = &mut lock(&shard.host);
+            Self::post_locked(&self.metrics, host, pattern, handle, &mut tally, note)
+        };
         self.publish(tally, [], depth);
         result
     }
@@ -560,22 +545,29 @@ impl OtmEngine {
         // The staging window is a few blocks deep: enough lookahead to fuse
         // arrival runs across lanes.
         let window = self.effective_packing_window();
-        sched.rearm(self.packing());
-        // Depths only grow at a refill (a step shrinks a lane, a pop
-        // shrinks a ring), so sampling after each refill sees every peak.
+        sched.rearm(self.packing(), lanes);
         for peaks in [&mut *lane_peaks, &mut *ring_peaks] {
             peaks.clear();
             peaks.resize(lanes.len(), 0);
         }
+        // The span of the staged tickets, for the outcomes' reorder.
+        let mut tickets = (u64::MAX, 0);
         let mut sampled = false;
+        // The last post's shard guard, kept while the next step is a post on
+        // the same communicator and dropped before anything else is locked.
+        let mut held: Option<(usize, Locked<'_>)> = None;
         let failure = loop {
             // Refill the window before every step so blocks are assembled
             // from the fullest lanes we are entitled to see.
             let mut refilled = false;
             while remaining > 0 && sched.staged() < window {
                 match merge.next() {
-                    Some((ticket, cmd)) => {
-                        sched.admit_one(ticket, cmd);
+                    Some((lane, ticket, cmd)) => {
+                        // A lane grows only here; a ring shrinks here and
+                        // is sampled after the refill.
+                        let depth = sched.admit_at(lane, ticket, cmd) as u64;
+                        lane_peaks[lane] = lane_peaks[lane].max(depth);
+                        tickets = (tickets.0.min(ticket), tickets.1.max(ticket));
                         remaining -= 1;
                         refilled = true;
                     }
@@ -589,12 +581,8 @@ impl OtmEngine {
                 for (peak, (_, shard)) in ring_peaks.iter_mut().zip(lanes) {
                     *peak = (*peak).max(shard.submission.len() as u64);
                 }
-                for (comm, depth) in sched.lane_depths() {
-                    let peak = &mut lane_peaks[lane_of(lanes, comm)];
-                    *peak = (*peak).max(depth as u64);
-                }
             }
-            let Some(step) = sched.next_step() else {
+            let Some((lane, step)) = sched.next_step_at() else {
                 break None;
             };
             match step {
@@ -602,15 +590,21 @@ impl OtmEngine {
                     idx,
                     pattern,
                     handle,
-                } => match self.check_running().and_then(|()| {
-                    let shard = &lanes[lane_of(lanes, pattern.comm)].1;
+                } => {
+                    if held.as_ref().is_some_and(|&(at, _)| at != lane) {
+                        held = None;
+                    }
+                    let (_, host) = held.get_or_insert_with(|| (lane, lock(&lanes[lane].1.host)));
                     let depth = |d| umq_depths.push(d);
-                    Self::post_on(&self.metrics, shard, pattern, handle, posts, depth)
-                }) {
-                    Ok(result) => outcomes.push((idx, CommandOutcome::Post { handle, result })),
-                    Err(e) => break Some((e, vec![(idx, Command::Post { pattern, handle })])),
-                },
+                    match self.check_running().and_then(|()| {
+                        Self::post_locked(&self.metrics, host, pattern, handle, posts, depth)
+                    }) {
+                        Ok(result) => outcomes.push((idx, CommandOutcome::Post { handle, result })),
+                        Err(e) => break Some((e, vec![(idx, Command::Post { pattern, handle })])),
+                    }
+                }
                 PackingStep::Block { msgs } => {
+                    held = None;
                     let block = msgs.iter().map(|&(_, env, msg)| (env, msg));
                     let deliver = |lane: usize, d| {
                         outcomes.push((msgs[lane].0, CommandOutcome::Delivery(d)));
@@ -627,6 +621,7 @@ impl OtmEngine {
                 }
             }
         };
+        drop(held);
         if sampled {
             for ((comm, shard), (&lane, &ring)) in
                 lanes.iter().zip(lane_peaks.iter().zip(ring_peaks.iter()))
@@ -637,10 +632,10 @@ impl OtmEngine {
         }
         self.publish(std::mem::take(posts), [], umq_depths.drain(..));
         if let Some((error, failed)) = failure {
-            return self.fail_drain(error, failed, sched, outcomes, merge);
+            return self.fail_drain(error, failed, sched, outcomes, tickets, merge);
         }
         DrainReport {
-            outcomes: in_submission_order(outcomes),
+            outcomes: in_submission_order(outcomes, tickets),
             error: None,
             unapplied: Vec::new(),
         }
@@ -662,23 +657,22 @@ impl OtmEngine {
         failed: Vec<(u64, Command)>,
         sched: &mut PackingScheduler,
         outcomes: &mut Vec<(u64, CommandOutcome)>,
+        tickets: (u64, u64),
         mut merge: Merge<'_>,
     ) -> DrainReport {
         let mut unprocessed: Vec<(u64, Command)> = failed;
         sched.take_unapplied(&mut unprocessed);
         unprocessed.sort_unstable_by_key(|&(idx, _)| idx);
-        let outcomes = in_submission_order(outcomes);
+        let outcomes = in_submission_order(outcomes, tickets);
         let unapplied = if error.is_retryable() {
             merge.requeue_front(unprocessed);
             Vec::new()
         } else {
             drop(merge);
-            let lanes = self.shards.all_sorted();
-            unprocessed
-                .into_iter()
-                .chain(self.queue.merge(&lanes, &mut Vec::new()))
-                .map(|(_, cmd)| cmd)
-                .collect()
+            let (lanes, mut heads) = (self.shards.all_sorted(), Vec::new());
+            let queued = self.queue.merge(&lanes, &mut heads);
+            unprocessed.extend(queued.map(|(_, ticket, cmd)| (ticket, cmd)));
+            unprocessed.into_iter().map(|(_, cmd)| cmd).collect()
         };
         DrainReport {
             outcomes,
@@ -754,11 +748,15 @@ impl OtmEngine {
         // The lanes' inputs. Until the shards are locked, `shard` is the
         // communicator's place in `lanes`.
         block.lanes.clear();
-        block.lanes.extend(msgs.map(|(env, handle)| LaneData {
-            env,
-            handle,
-            hashes: InlineHashes::of(&env),
-            shard: lane_of(lanes, env.comm),
+        block.lanes.extend(msgs.map(|(env, handle)| {
+            let shard = locate(lanes, env.comm).expect("the caller's view holds every lane's");
+            LaneData {
+                env,
+                handle,
+                hashes: InlineHashes::of(&env),
+                hints: lanes[shard].1.hints,
+                shard,
+            }
         }));
 
         // Lock the shards the block touches, each once, in `CommId` order
@@ -913,7 +911,7 @@ impl OtmEngine {
         let pending: Vec<Command> = self
             .queue
             .merge(&lanes, &mut Vec::new())
-            .map(|(_, cmd)| cmd)
+            .map(|(_, _, cmd)| cmd)
             .collect();
         let mut receives = Vec::new();
         let mut unexpected = Vec::new();

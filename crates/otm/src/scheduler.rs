@@ -22,10 +22,10 @@
 //! fig8's `--packing` A/B row compare against it. With a single staged lane
 //! and no lane quota the cross-communicator steps are exactly its steps.
 //!
-//! Every staged command keeps the global submission ticket the command
-//! queue stamped it with, so the drain can report outcomes in submission
-//! order and, on error, requeue the unapplied tail exactly as the
-//! strict-FIFO drain did.
+//! A drain aligns the lanes with its directory snapshot and admits each
+//! command, with the submission ticket the queue stamped it with, by its
+//! communicator's place there: outcomes leave in ticket order, and on error
+//! the unapplied tail is requeued exactly as the strict-FIFO drain did.
 
 use mpi_matching::{MsgHandle, RecvHandle};
 use otm_base::config::PackingPolicy;
@@ -33,6 +33,7 @@ use otm_base::{CommId, Envelope, ReceivePattern};
 use std::collections::VecDeque;
 
 use crate::command::{comm_of, Command};
+use crate::shard::locate;
 
 /// One unit of work the scheduler hands the drain: a single post, or a block
 /// of arrivals ready to match in parallel. Each element carries its global
@@ -137,10 +138,11 @@ pub struct PackingScheduler {
     staged: usize,
     /// Consecutive policy: the single global FIFO.
     fifo: VecDeque<(u64, Command)>,
-    /// CrossComm policy: one FIFO lane per communicator staged so far, in
-    /// `CommId` order so lane iteration (and thus post emission and block
-    /// assembly) is deterministic for a given admission sequence. An emptied
-    /// lane stays in place (it usually refills) and every step skips it.
+    /// CrossComm policy: one FIFO lane per communicator (a drain's directory
+    /// snapshot, or those staged so far), in `CommId` order so lane
+    /// iteration (and thus post emission and block assembly) is
+    /// deterministic for a given admission sequence. An empty lane stays in
+    /// place (it usually refills) and every step skips it.
     lanes: Vec<(CommId, VecDeque<(u64, Command)>)>,
     /// The buffer the next block is carved into: the last block's, once
     /// [`PackingScheduler::recycle`] handed it back.
@@ -163,13 +165,19 @@ impl PackingScheduler {
         }
     }
 
-    /// Readies an emptied scheduler for another drain under `policy`: it
-    /// steps as a new one would (the rotation starts again at the first
-    /// lane), and keeps its lanes' buffers and its block buffer.
-    pub(crate) fn rearm(&mut self, policy: PackingPolicy) {
+    /// Readies an emptied scheduler for another drain under `policy`, its
+    /// lanes aligned with `snapshot` (the drain's directory): it steps as a
+    /// new one would (the rotation starts again at the first lane), and
+    /// keeps its lanes' buffers and its block buffer.
+    pub(crate) fn rearm<T>(&mut self, policy: PackingPolicy, snapshot: &[(CommId, T)]) {
         debug_assert_eq!(self.staged, 0, "a re-armed scheduler is empty");
         self.policy = policy;
         self.cursor = 0;
+        self.lanes
+            .resize_with(snapshot.len(), || (CommId(0), VecDeque::new()));
+        for ((id, _), (comm, _)) in self.lanes.iter_mut().zip(snapshot) {
+            *id = *comm;
+        }
     }
 
     /// Hands a block's buffer back, for the next block to be carved into.
@@ -198,26 +206,29 @@ impl PackingScheduler {
     /// Chunks must be admitted in pop (= per-communicator submission) order.
     pub fn admit(&mut self, cmds: VecDeque<(u64, Command)>) {
         for (idx, cmd) in cmds {
-            self.admit_one(idx, cmd);
+            let comm = comm_of(&cmd);
+            let lane = locate(&self.lanes, comm).unwrap_or_else(|at| {
+                self.lanes.insert(at, (comm, VecDeque::new()));
+                at
+            });
+            self.admit_at(lane, idx, cmd);
         }
     }
 
-    /// Admits one popped command with its ticket (see
-    /// [`PackingScheduler::admit`]).
-    pub(crate) fn admit_one(&mut self, idx: u64, cmd: Command) {
+    /// Admits one popped command with its ticket into `lane`, its communicator's
+    /// place among the lanes, and returns the lane's depth (0 if consecutive).
+    pub(crate) fn admit_at(&mut self, lane: usize, idx: u64, cmd: Command) -> usize {
+        debug_assert_eq!(self.lanes[lane].0, comm_of(&cmd));
         self.staged += 1;
         match self.policy {
-            PackingPolicy::Consecutive => self.fifo.push_back((idx, cmd)),
+            PackingPolicy::Consecutive => {
+                self.fifo.push_back((idx, cmd));
+                0
+            }
             PackingPolicy::CrossComm => {
-                let comm = comm_of(&cmd);
-                let at = self
-                    .lanes
-                    .binary_search_by_key(&comm, |(id, _)| *id)
-                    .unwrap_or_else(|at| {
-                        self.lanes.insert(at, (comm, VecDeque::new()));
-                        at
-                    });
-                self.lanes[at].1.push_back((idx, cmd));
+                let lane = &mut self.lanes[lane].1;
+                lane.push_back((idx, cmd));
+                lane.len()
             }
         }
     }
@@ -239,6 +250,11 @@ impl PackingScheduler {
 
     /// Carves the next step off the staged window, or `None` when empty.
     pub fn next_step(&mut self) -> Option<PackingStep> {
+        self.next_step_at().map(|(_, step)| step)
+    }
+
+    /// [`PackingScheduler::next_step`], with the lane of a post (0 with a block).
+    pub(crate) fn next_step_at(&mut self) -> Option<(usize, PackingStep)> {
         match self.policy {
             PackingPolicy::Consecutive => self.next_step_consecutive(),
             PackingPolicy::CrossComm => self.next_step_cross_comm(),
@@ -248,16 +264,18 @@ impl PackingScheduler {
     /// Strict global FIFO: a post at the head goes out alone; otherwise the
     /// head run of arrivals (cut by the next post or the window edge) forms
     /// the block.
-    fn next_step_consecutive(&mut self) -> Option<PackingStep> {
+    fn next_step_consecutive(&mut self) -> Option<(usize, PackingStep)> {
         let &(idx, head) = self.fifo.front()?;
         if let Command::Post { pattern, handle } = head {
             self.fifo.pop_front();
             self.staged -= 1;
-            return Some(PackingStep::Post {
+            let lane = locate(&self.lanes, pattern.comm).expect("admitted into a lane");
+            let step = PackingStep::Post {
                 idx,
                 pattern,
                 handle,
-            });
+            };
+            return Some((lane, step));
         }
         let mut msgs = block_buffer(&mut self.spare, self.capacity);
         while msgs.len() < self.capacity {
@@ -270,7 +288,7 @@ impl PackingScheduler {
                 _ => break,
             }
         }
-        Some(PackingStep::Block { msgs })
+        Some((0, PackingStep::Block { msgs }))
     }
 
     /// Cross-communicator packing. Posts first: emitting every lane-head
@@ -284,7 +302,7 @@ impl PackingScheduler {
     /// the `cursor`-th of them (modulo their count) goes first: a circular
     /// walk of the lane vector from that lane, in which an empty lane offers
     /// neither a post nor an arrival.
-    fn next_step_cross_comm(&mut self) -> Option<PackingStep> {
+    fn next_step_cross_comm(&mut self) -> Option<(usize, PackingStep)> {
         let live = self.lane_count();
         if live == 0 {
             return None;
@@ -297,22 +315,25 @@ impl PackingScheduler {
             .nth(self.cursor % live)
             .map(|(at, _)| at)
             .expect("fewer than `live` lanes skipped");
-        let (behind, ahead) = self.lanes.split_at_mut(first);
-        for (_, lane) in ahead.iter_mut().chain(behind.iter_mut()) {
+        let order = (first..self.lanes.len()).chain(0..first);
+        for at in order.clone() {
+            let lane = &mut self.lanes[at].1;
             if let Some(&(idx, Command::Post { pattern, handle })) = lane.front() {
                 lane.pop_front();
                 self.staged -= 1;
-                return Some(PackingStep::Post {
+                let step = PackingStep::Post {
                     idx,
                     pattern,
                     handle,
-                });
+                };
+                return Some((at, step));
             }
         }
         let quota = self.lane_quota.unwrap_or(self.capacity);
         // No post heads a lane, so the first lane alone fills `msgs`.
         let mut msgs = block_buffer(&mut self.spare, self.capacity);
-        for (_, lane) in ahead.iter_mut().chain(behind.iter_mut()) {
+        for at in order {
+            let lane = &mut self.lanes[at].1;
             let mut taken = 0;
             while msgs.len() < self.capacity && taken < quota {
                 match lane.front() {
@@ -333,7 +354,7 @@ impl PackingScheduler {
             }
         }
         self.cursor = self.cursor.wrapping_add(1);
-        Some(PackingStep::Block { msgs })
+        Some((0, PackingStep::Block { msgs }))
     }
 
     /// Tears the scheduler down, returning every still-staged command with
@@ -445,7 +466,10 @@ mod tests {
                 let policy = [PackingPolicy::CrossComm, PackingPolicy::Consecutive][i % 2];
                 let mut new = PackingScheduler::new(policy, 2).with_lane_quota(quota);
                 let want = run_out(&mut new, cmds.clone());
-                kept.rearm(policy);
+                kept.rearm(
+                    policy,
+                    &(1..=4).map(|c| (CommId(c), ())).collect::<Vec<_>>(),
+                );
                 assert_eq!(run_out(&mut kept, cmds.clone()), want, "drain {i}");
                 assert_eq!(kept.staged(), 0);
             }

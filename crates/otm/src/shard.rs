@@ -4,9 +4,10 @@
 //! on independent execution-unit groups (§IV-E): commands for different
 //! communicators never contend. This module mirrors that split on the host
 //! side. Each communicator owns a [`CommShard`]: one mutex around a
-//! [`ShardHost`] — the receive table, the four indexes, the hints, the
-//! unexpected store, post labels and sequence-id run tracking, all plain
-//! data — plus its submission ring. That mutex is the communicator's only
+//! [`ShardHost`] — the receive table, the four indexes, the unexpected
+//! store, post labels and sequence-id run tracking, all plain data — plus
+//! its submission ring and its hints, fixed once the communicator is used
+//! and so read without a lock. That mutex is the communicator's only
 //! lock. Posting into communicator *A* takes only *A*'s shard lock, so
 //! threads posting into different communicators proceed concurrently; the
 //! block coordinator locks exactly the shards a block touches, in
@@ -25,7 +26,7 @@ use crate::metrics::DepthPeakGauges;
 use crate::ring::CommandRing;
 use crate::table::ReceiveTable;
 use crate::umq::UnexpectedStore;
-use otm_base::sync::{get_mut, lock, mutex_mut, read, write};
+use otm_base::sync::{get_mut, mutex_mut, read, write};
 use otm_base::{CommHints, CommId, MatchConfig, MatchError, PostLabel, ReceivePattern, SeqId};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 
@@ -38,9 +39,6 @@ pub struct ShardHost {
     pub(crate) table: ReceiveTable,
     /// The four posted-receive index structures.
     pub(crate) prq: PrqIndexes,
-    /// The communicator's matching hints (§VII). Fixed at communicator
-    /// creation, like the DPA resources themselves (§IV-E).
-    pub(crate) hints: CommHints,
     /// The communicator's unexpected-message store (§IV-C).
     pub(crate) umq: UnexpectedStore,
     /// Next post label (monotone per communicator).
@@ -53,13 +51,11 @@ pub struct ShardHost {
 
 impl ShardHost {
     /// Empties the communicator's matching state in place: the table and
-    /// both queues read as new, labels and sequence ids start over, and the
-    /// hints are those of a communicator created by use.
+    /// both queues read as new, labels and sequence ids start over.
     fn reset(&mut self) {
         self.table.reset();
         self.prq.reset();
         self.umq.reset();
-        self.hints = CommHints::NONE;
         self.next_label = PostLabel::ZERO;
         self.cur_seq = SeqId::ZERO;
         self.last_pattern = None;
@@ -70,10 +66,13 @@ impl ShardHost {
 pub(crate) type Locked<'a> = std::sync::MutexGuard<'a, ShardHost>;
 
 /// One communicator: its matching state behind the shard lock, and its
-/// submission ring beside it.
+/// submission ring and hints beside it.
 pub struct CommShard {
     /// The matching state, guarded by the shard lock.
     pub(crate) host: Mutex<ShardHost>,
+    /// The communicator's matching hints (§VII), fixed at its creation (§IV-E):
+    /// written only while the shard is its owner's alone (new, or parked).
+    pub(crate) hints: CommHints,
     /// The communicator's bounded submission ring (§IV-E command queue):
     /// host threads push commands here without contending on any global
     /// lock; the drain coordinator pops from the consumer end.
@@ -89,15 +88,27 @@ impl CommShard {
             host: Mutex::new(ShardHost {
                 table: ReceiveTable::new(config.max_receives),
                 prq: PrqIndexes::new(config.bins),
-                hints,
                 umq: UnexpectedStore::new(config.bins, config.max_unexpected),
                 next_label: PostLabel::ZERO,
                 cur_seq: SeqId::ZERO,
                 last_pattern: None,
             }),
+            hints,
             submission: CommandRing::new(config.ring_capacity),
             depth_peaks: DepthPeakGauges::default(),
         }
+    }
+
+    /// Refuses a receive the communicator's hints forbid, before it changes
+    /// anything: the direct post and the submission of a queued one alike.
+    pub(crate) fn admits(&self, pattern: &ReceivePattern) -> Result<(), MatchError> {
+        if self.hints.permits(pattern.wildcard_class()) {
+            return Ok(());
+        }
+        Err(MatchError::HintViolation(format!(
+            "receive {pattern} violates the hints declared for {}",
+            pattern.comm
+        )))
     }
 }
 
@@ -143,8 +154,8 @@ pub(crate) struct Directory {
 }
 
 /// Where `comm` is, or would be inserted, in a directory (or a snapshot of
-/// it) in `CommId` order.
-pub(crate) fn locate(shards: &[Entry], comm: CommId) -> Result<usize, usize> {
+/// it, or anything else keyed like it) in `CommId` order.
+pub(crate) fn locate<T>(shards: &[(CommId, T)], comm: CommId) -> Result<usize, usize> {
     shards.binary_search_by_key(&comm, |(id, _)| *id)
 }
 
@@ -154,9 +165,10 @@ impl Directory {
     fn insert(&mut self, at: usize, comm: CommId, config: &MatchConfig, hints: CommHints) {
         let shard = match self.parked.iter().position(|(id, _)| *id == comm) {
             Some(i) => {
-                let (_, shard) = self.parked.swap_remove(i);
-                // Parked, the shard was reachable from nowhere: no wait.
-                lock(&shard.host).hints = hints;
+                let (_, mut shard) = self.parked.swap_remove(i);
+                Arc::get_mut(&mut shard)
+                    .expect("a parked shard is reachable from nowhere else")
+                    .hints = hints;
                 shard
             }
             None => Arc::new(CommShard::new(config, hints)),
@@ -308,6 +320,7 @@ impl ShardMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use otm_base::sync::lock;
 
     #[test]
     fn get_or_create_is_idempotent() {
@@ -341,10 +354,7 @@ mod tests {
         assert!(map
             .try_declare(CommId(3), &config, CommHints::no_wildcards())
             .is_ok());
-        assert_eq!(
-            otm_base::sync::lock(&map.get(CommId(3)).unwrap().host).hints,
-            CommHints::no_wildcards()
-        );
+        assert_eq!(map.get(CommId(3)).unwrap().hints, CommHints::no_wildcards());
     }
 
     #[test]
@@ -364,10 +374,7 @@ mod tests {
         let one = map.get_or_create(CommId(1), &config);
         assert_eq!(lock(&one.host).next_label, PostLabel::ZERO);
         assert!(map.try_declare(CommId(2), &config, CommHints::NONE).is_ok());
-        assert_eq!(
-            lock(&map.get(CommId(2)).unwrap().host).hints,
-            CommHints::NONE
-        );
+        assert_eq!(map.get(CommId(2)).unwrap().hints, CommHints::NONE);
         map.get_or_create(CommId(3), &config);
         let ids: Vec<_> = map.all_sorted().into_iter().map(|(id, _)| id).collect();
         assert_eq!(ids, [CommId(1), CommId(2), CommId(3)]);

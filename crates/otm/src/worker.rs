@@ -49,7 +49,7 @@ fn search_and_book(ctx: &LaneCtx<'_>, block: &mut BlockState, shards: &[Locked<'
     // §VII: a communicator asserted with `mpi_assert_allow_overtaking`
     // waives the ordering constraints — no booking, no barrier, no
     // conflict resolution; any pattern-correct pairing is acceptable.
-    if comm.hints.allow_overtaking {
+    if lane_data.hints.allow_overtaking {
         block.results[lane] = run_lane_relaxed(ctx, block, lane, comm);
         return;
     }
@@ -65,7 +65,7 @@ fn search_and_book(ctx: &LaneCtx<'_>, block: &mut BlockState, shards: &[Locked<'
     let (env, hashes) = (&lane_data.env, &lane_data.hashes);
     let search = comm
         .prq
-        .search(env, hashes, &comm.table, skip_mask, comm.hints);
+        .search(env, hashes, &comm.table, skip_mask, lane_data.hints);
 
     // Phase 2 — book the candidate: set our bit in its booking bitmap.
     if let Some(cand) = search.candidate {
@@ -171,7 +171,9 @@ fn run_lane_relaxed(
     let (lane_data, epoch) = (&block.lanes[lane], block.epoch);
     loop {
         let (env, hashes) = (&lane_data.env, &lane_data.hashes);
-        let out = comm.prq.search(env, hashes, &comm.table, 0, comm.hints);
+        let out = comm
+            .prq
+            .search(env, hashes, &comm.table, 0, lane_data.hints);
         block.searches[lane].get_or_insert(out);
         match out.candidate {
             None => break result_code::UNEXPECTED,
@@ -254,7 +256,7 @@ fn resolve_slow(ctx: &LaneCtx<'_>, block: &mut BlockState, lane: usize, comm: &S
     block.tally.stats.slow_path += 1;
     loop {
         let (env, hashes) = (&lane_data.env, &lane_data.hashes);
-        let out = comm.prq.search(env, hashes, table, 0, comm.hints);
+        let out = comm.prq.search(env, hashes, table, 0, lane_data.hints);
         match out.candidate {
             None => return result_code::UNEXPECTED,
             Some(c) => {

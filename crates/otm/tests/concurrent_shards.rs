@@ -14,7 +14,8 @@
 use mpi_matching::oracle::{MatchEvent, Oracle};
 use mpi_matching::{Assignment, MsgHandle, PostResult, RecvHandle};
 use otm::{Command, CommandOutcome, Delivery, OtmEngine};
-use otm_base::{CommId, FaultRng, MatchConfig};
+use otm_base::{CommId, FaultRng, MatchConfig, ReceivePattern, SourceSel, TagSel};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 #[path = "../../../tests/support/prop.rs"]
 mod prop;
@@ -47,11 +48,34 @@ fn oracle_on(events: &[MatchEvent], base: u64) -> Assignment {
     asg
 }
 
+/// Runs of 1 to 64 posts on `comm` (exact and wildcard), each followed by
+/// up to eight arrivals, until there are `n` events.
+fn comm_runs(rng: &mut FaultRng, comm: CommId, n: usize) -> Vec<MatchEvent> {
+    let mut events = Vec::new();
+    while events.len() < n {
+        for _ in 0..1 + rng.below(64) {
+            events.push(prop::event_mix(rng, comm, 3, 3, [0, 6, 1, 1, 1]));
+        }
+        for _ in 0..rng.below(9) {
+            events.push(prop::event_mix(rng, comm, 3, 3, [1, 0, 0, 0, 0]));
+        }
+    }
+    events.truncate(n);
+    events
+}
+
 /// Runs `per_comm` event streams concurrently — one poster thread per
 /// communicator submitting its posts and arrivals, the main thread
 /// draining — and asserts every communicator's match set equals its
 /// serialized oracle.
 fn run_concurrent(per_comm: &[Vec<MatchEvent>]) {
+    run_concurrent_probed(per_comm, false);
+}
+
+/// [`run_concurrent`], with one more thread, when `probing`, that reads
+/// every communicator (`probe`, which takes its lock, and `comm_hints`)
+/// until the last command is drained.
+fn run_concurrent_probed(per_comm: &[Vec<MatchEvent>], probing: bool) {
     let comms = per_comm.len();
     let total_commands: usize = per_comm.iter().map(Vec::len).sum();
     let total_posts: usize = per_comm
@@ -69,8 +93,21 @@ fn run_concurrent(per_comm: &[Vec<MatchEvent>]) {
     let engine = OtmEngine::new(config).expect("stress configuration");
 
     let mut outcomes: Vec<CommandOutcome> = Vec::new();
+    let drained = AtomicBool::new(false);
     std::thread::scope(|s| {
         let engine = &engine;
+        if probing {
+            let drained = &drained;
+            s.spawn(move || {
+                while !drained.load(Ordering::Relaxed) {
+                    for c in 1..=comms as u16 {
+                        let any = ReceivePattern::new(SourceSel::Any, TagSel::Any, CommId(c));
+                        engine.probe(&any);
+                        engine.comm_hints(CommId(c));
+                    }
+                }
+            });
+        }
         for (c, events) in per_comm.iter().enumerate() {
             s.spawn(move || {
                 let base = c as u64 * BASE;
@@ -107,6 +144,7 @@ fn run_concurrent(per_comm: &[Vec<MatchEvent>]) {
                 std::thread::yield_now();
             }
         }
+        drained.store(true, Ordering::Relaxed);
     });
 
     // Rebuild each communicator's observed assignment from the drained
@@ -183,4 +221,19 @@ fn lopsided_shards_match_the_serialized_oracle() {
         comm_events(&mut rng, CommId(2), 10),
     ];
     run_concurrent(&per_comm);
+}
+
+/// Post runs on four communicators while a fifth thread probes the same
+/// communicators: a drain keeps a communicator's lock across a run of its
+/// posts, and the prober's lock on it must neither deadlock with that nor
+/// move a match.
+#[test]
+fn post_runs_under_concurrent_probes_match_the_serialized_oracle() {
+    for seed in 0..4u64 {
+        let mut rng = FaultRng::new(0x9057 ^ seed);
+        let per_comm: Vec<Vec<MatchEvent>> = (0..4)
+            .map(|c| comm_runs(&mut rng, CommId(c as u16 + 1), 300))
+            .collect();
+        run_concurrent_probed(&per_comm, true);
+    }
 }

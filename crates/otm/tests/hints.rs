@@ -3,8 +3,8 @@
 //! ordering machinery while still pairing every message with a
 //! pattern-correct receive.
 
-use mpi_matching::{MsgHandle, RecvHandle};
-use otm::{Delivery, OtmEngine};
+use mpi_matching::{MatchingBackend, MsgHandle, PostResult, RecvHandle};
+use otm::{Command, CommandOutcome, Delivery, OtmEngine};
 use otm_base::{CommHints, CommId, Envelope, MatchConfig, MatchError, Rank, ReceivePattern, Tag};
 use std::collections::HashSet;
 
@@ -37,6 +37,59 @@ fn wildcard_assertions_reject_violating_receives() {
         e.post(any_tag, RecvHandle(2)),
         Err(MatchError::HintViolation(_))
     ));
+}
+
+#[test]
+fn a_queued_post_its_hints_forbid_is_refused_at_submission() {
+    // The queue refuses what the direct path refuses, when the command is
+    // submitted: nothing enters a ring, and the queued commands around it,
+    // on its communicator or another, drain untouched.
+    let mut e = engine();
+    let (strict, other) = (CommId(1), CommId(2));
+    e.declare_comm(strict, CommHints::no_wildcards()).unwrap();
+    let post = |pattern, h| Command::Post {
+        pattern,
+        handle: RecvHandle(h),
+    };
+    let arrival = |comm, h| Command::Arrival {
+        env: Envelope::new(Rank(0), Tag(0), comm),
+        msg: MsgHandle(h),
+    };
+    let exact = |comm| ReceivePattern::new(Rank(0), Tag(0), comm);
+    e.submit(post(exact(strict), 0)).unwrap();
+    // Both ways in: the shared submit and the exclusive one.
+    let any_src = ReceivePattern::new(otm_base::SourceSel::Any, Tag(0), strict);
+    assert!(matches!(
+        e.submit(post(any_src, 1)),
+        Err(MatchError::HintViolation(_))
+    ));
+    let any_tag = ReceivePattern::new(Rank(0), otm_base::TagSel::Any, strict);
+    assert!(matches!(
+        MatchingBackend::submit_command(&mut e, post(any_tag, 2)),
+        Err(MatchError::HintViolation(_))
+    ));
+    assert_eq!(e.pending_commands(), 1);
+    let wildcard_elsewhere = ReceivePattern::new(otm_base::SourceSel::Any, Tag(0), other);
+    e.submit(post(wildcard_elsewhere, 3)).unwrap();
+    e.submit(arrival(strict, 4)).unwrap();
+    e.submit(arrival(other, 5)).unwrap();
+    let report = e.drain();
+    assert_eq!(report.error, None);
+    let matched = |msg, recv| {
+        CommandOutcome::Delivery(Delivery::Matched {
+            msg: MsgHandle(msg),
+            recv: RecvHandle(recv),
+        })
+    };
+    let posted = |h| CommandOutcome::Post {
+        handle: RecvHandle(h),
+        result: PostResult::Posted,
+    };
+    assert_eq!(
+        report.outcomes,
+        [posted(0), posted(3), matched(4, 0), matched(5, 3)]
+    );
+    assert_eq!(e.stats().posted, 2);
 }
 
 #[test]
