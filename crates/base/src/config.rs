@@ -14,8 +14,8 @@ use crate::hash::mix64;
 pub const MAX_BLOCK_THREADS: usize = 64;
 
 /// Largest accepted [`MatchConfig::ring_capacity`]: every communicator shard
-/// allocates that many slots rounded up to a power of two, so an unbounded
-/// value from a command line overflows the rounding or aborts the allocator.
+/// allocates its command queue at that many commands up front, so an
+/// unbounded value from a command line aborts the allocator.
 const MAX_RING_CAPACITY: usize = 1 << 20;
 
 /// Largest accepted [`MatchConfig::bins`]. Every communicator allocates
@@ -87,8 +87,8 @@ pub struct MatchConfig {
     /// other lanes out of every block. Ignored under
     /// [`PackingPolicy::Consecutive`].
     pub lane_quota: Option<usize>,
-    /// Capacity of each communicator's submission ring (rounded up to a
-    /// power of two by the ring). A full ring reports the retryable
+    /// Capacity of each communicator's command queue, in commands, exactly:
+    /// a queue holding this many refuses the next with the retryable
     /// [`MatchError::SubmissionRingFull`] backpressure signal. Must be in
     /// `1..=1 << 20`.
     pub ring_capacity: usize,
@@ -175,8 +175,7 @@ impl MatchConfig {
         self
     }
 
-    /// Sets the per-communicator submission-ring capacity (rounded up to a
-    /// power of two by the ring).
+    /// Sets the per-communicator command-queue capacity, in commands.
     #[must_use]
     pub fn with_ring_capacity(mut self, capacity: usize) -> Self {
         self.ring_capacity = capacity;

@@ -29,12 +29,12 @@ pub enum MatchError {
     /// `mpi_assert_no_any_source`. Per MPI, violating an assertion is an
     /// application error.
     HintViolation(String),
-    /// A communicator's bounded submission ring is full: the submitter is
-    /// producing faster than the drain coordinator consumes. Retryable
-    /// backpressure — draining the command queue frees slots, so the
-    /// submission can succeed later without any state change.
+    /// A communicator's bounded command queue (its submission ring) is
+    /// full: the submitter is producing faster than the drain coordinator
+    /// consumes. Retryable backpressure — draining the command queue frees
+    /// room, so the submission can succeed later without any state change.
     SubmissionRingFull {
-        /// The communicator whose ring rejected the submission.
+        /// The communicator whose queue refused the submission.
         comm: u16,
     },
     /// An engine operation was attempted after the engine was shut down.

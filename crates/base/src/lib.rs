@@ -17,7 +17,7 @@
 //! * [`memory`] — the analytic DPA memory-footprint model of §IV-E;
 //! * [`error`] — common error types, including the resource-exhaustion
 //!   condition that triggers fallback to software tag matching;
-//! * [`sync`] — poison-ignoring `lock` / `read` / `write` / `wait` over
+//! * [`sync`] — poison-ignoring `lock` / `read` / `write` over
 //!   `std::sync`, the workspace's only lock layer.
 //!
 //! The paper being reproduced is *"Offloaded MPI message matching: an

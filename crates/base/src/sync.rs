@@ -1,12 +1,12 @@
 //! Poison-ignoring access to `std::sync` locks.
 //!
-//! A block that panics under `catch_unwind` does so with its shard locks
-//! held, but the engine's tables must stay readable afterwards: the host
-//! extracts `FallbackState` from them to hand matching back to software.
-//! Every update made under these locks leaves the data valid at each step
-//! (pushes, removals, whole-value stores), so the guard of a poisoned lock
-//! is recovered instead of propagating the panic. This module is the only
-//! place that does so.
+//! The simulated link and RDMA domain (`dpa-sim`'s `rdma.rs`) are shared by
+//! both endpoints of a queue pair, which may live on different threads. A
+//! thread that panics while it holds one of their locks must not take the
+//! other endpoint down with it: every update made under these locks leaves
+//! the data valid at each step (pushes, removals, whole-value stores), so the
+//! guard of a poisoned lock is recovered instead of propagating the panic.
+//! This module is the only place that does so.
 
 use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -23,18 +23,6 @@ pub fn read<T: ?Sized>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
 /// Write-locks `l`, recovering the guard if a writer panicked.
 pub fn write<T: ?Sized>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     l.write().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// The data of a lock its caller has to itself (so none is taken), whether
-/// or not a writer panicked.
-pub fn get_mut<T: ?Sized>(l: &mut RwLock<T>) -> &mut T {
-    l.get_mut().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// The data of a mutex its caller has to itself (so it is not locked),
-/// whether or not a holder panicked.
-pub fn mutex_mut<T: ?Sized>(m: &mut Mutex<T>) -> &mut T {
-    m.get_mut().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -62,15 +50,5 @@ mod tests {
         assert_eq!(*read(&l), 8);
         *write(&l) += 1;
         assert_eq!(*read(&l), 9);
-        let mut l = Arc::into_inner(l).expect("the writer thread is gone");
-        *get_mut(&mut l) += 1;
-        assert_eq!(*read(&l), 10);
-        let mut m_own = Mutex::new(vec![0]);
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _g = m_own.lock().expect("first holder");
-            panic!("die holding the guard");
-        }));
-        mutex_mut(&mut m_own).push(1);
-        assert_eq!(*lock(&m_own), [0, 1]);
     }
 }

@@ -424,7 +424,7 @@ fn run_mixed(
             .with_max_receives((posts_per_lane * MIXED_LANES).max(1))
             .with_max_unexpected((arrivals_per_lane * MIXED_LANES).max(1))
             .with_bins((2 * total).next_power_of_two());
-        let engine = OtmEngine::new(config).expect("mixed bench configuration");
+        let mut engine = OtmEngine::new(config).expect("mixed bench configuration");
         engine.set_packing(policy);
 
         // The flight recorder's virtual clock for this section is the
@@ -435,20 +435,21 @@ fn run_mixed(
             .as_ref()
             .map(|_| SeriesRecorder::new((total as u64 / 128).max(1)));
         let mut drained = 0usize;
-        let drain = |series: &mut Option<SeriesRecorder>, drained: &mut usize| {
-            let report = engine.drain();
-            if let Some(e) = report.error {
-                return Err(e.to_string());
-            }
-            *drained += report.outcomes.len();
-            if let Some(s) = series.as_mut() {
-                let t = *drained as u64;
-                if s.due(t) {
-                    s.sample(t, (total - *drained) as u64, &engine.metrics_snapshot());
+        let drain =
+            |engine: &mut OtmEngine, series: &mut Option<SeriesRecorder>, drained: &mut usize| {
+                let report = engine.drain();
+                if let Some(e) = report.error {
+                    return Err(e.to_string());
                 }
-            }
-            Ok(())
-        };
+                *drained += report.outcomes.len();
+                if let Some(s) = series.as_mut() {
+                    let t = *drained as u64;
+                    if s.due(t) {
+                        s.sample(t, (total - *drained) as u64, &engine.metrics_snapshot());
+                    }
+                }
+                Ok(())
+            };
         let mut error: Option<String> = None;
         let mut next = 0usize;
         let start = Instant::now();
@@ -465,14 +466,14 @@ fn run_mixed(
                             matches!(e, MatchError::SubmissionRingFull { .. }),
                             "engine running: {e}"
                         );
-                        if let Err(e) = drain(&mut series, &mut drained) {
+                        if let Err(e) = drain(&mut engine, &mut series, &mut drained) {
                             error = Some(e);
                             break 'rounds;
                         }
                     }
                 }
             }
-            if let Err(e) = drain(&mut series, &mut drained) {
+            if let Err(e) = drain(&mut engine, &mut series, &mut drained) {
                 error = Some(e);
                 break;
             }
@@ -698,7 +699,7 @@ fn pre_post(svc: &mut MatchingService, patterns: impl IntoIterator<Item = Receiv
 }
 
 /// Pushes `messages` eager packets through the full service path — queue
-/// pair, (optionally faulty) receive NIC, command queue, pipelined drain,
+/// pair, (optionally faulty) receive NIC, command queue, windowed drain,
 /// eager copy — with the sender wrapped in the reliability protocol, and
 /// records the completed (receive, payload) sequence
 /// plus the reliability counters. The receives are pre-posted, so message

@@ -204,7 +204,7 @@ impl ServiceMetrics {
     }
 
     /// Counts one submission rejected by a full per-communicator ring
-    /// (the engine's wait-free backpressure signal): the service drains
+    /// (the engine's retryable backpressure signal): the service drains
     /// inline to free slots and retries the push.
     #[inline]
     pub fn count_ring_backpressure(&self) {

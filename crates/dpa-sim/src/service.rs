@@ -1729,7 +1729,7 @@ mod tests {
         // the spot, as a direct post would be, and comm 1's pair completes.
         let (tx, rx) = connected_pair();
         let nic = RecvNic::new(rx, BouncePool::new(64, 256));
-        let engine = OtmEngine::new(MatchConfig::small()).unwrap();
+        let mut engine = OtmEngine::new(MatchConfig::small()).unwrap();
         let (one, two) = (CommId(1), CommId(2));
         engine.declare_comm(two, CommHints::no_wildcards()).unwrap();
         let mut svc = MatchingService::with_backend(nic, RdmaDomain::new(), Box::new(engine));

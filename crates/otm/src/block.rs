@@ -13,14 +13,12 @@
 //! lanes `j < i` have finished this one. That is a legal schedule of the same
 //! protocol — the one in which every lane searches before any lane consumes,
 //! which is the DPA's — and the sweep order *is* the partial barrier: nothing
-//! waits, and nothing is left to race. `BlockState` therefore lives under
-//! the engine's coordinator lock and holds plain values, and so do the
-//! tables and indexes, each under its communicator's shard lock: the
-//! coordinator holds the locks of the shards a block touches for the whole
-//! block and lends them to the lanes through `&`, and a poster into another
-//! communicator touches only that communicator's shard. What the lanes
-//! write through `&` is the three atomics of a descriptor slot, which are
-//! the protocol itself (§III-C); what they count goes into the arena's
+//! waits, and nothing is left to race. `BlockState` therefore belongs to
+//! the engine and holds plain values, and so do the tables and indexes, each
+//! in its communicator's shard: the lanes borrow the shards they match
+//! against through `&`, by their place in the engine's directory. What the
+//! lanes write through `&` is the three atomics of a descriptor slot, which
+//! are the protocol itself (§III-C); what they count goes into the arena's
 //! `Tally`, plain integers the coordinator publishes at block end.
 
 use crate::index::SearchOutcome;
@@ -40,8 +38,8 @@ pub struct LaneData {
     pub hashes: InlineHashes,
     /// The hints of the message's communicator (§VII).
     pub hints: CommHints,
-    /// Which of the block's locked shards the message matches against: an
-    /// index into the guards the coordinator lends to `worker::run_block`.
+    /// The place of the message's communicator in the engine's directory,
+    /// the shards the coordinator lends to `worker::run_block`.
     pub shard: usize,
 }
 

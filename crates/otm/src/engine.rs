@@ -2,48 +2,43 @@
 //!
 //! [`OtmEngine`] owns the block arena its lanes (the DPA threads of §IV) are
 //! stepped through and the per-communicator state: descriptor table, index
-//! structures and unexpected-message store, plain data inside one
-//! [`shard`](crate::shard) mutex per communicator. It starts no thread: a
-//! block runs on the thread that calls in.
+//! structures, unexpected-message store and command queue, plain data in one
+//! [`shard`](crate::shard) per communicator. It starts no thread: a block
+//! runs on the thread that calls in.
 //!
 //! Two host-facing paths feed the engine, mirroring §IV-E's QP command
 //! handling:
 //!
 //! * **The command queue**, the way the matching service drives the engine.
-//!   Any thread may [`OtmEngine::submit`] post and arrival commands into the
-//!   engine's FIFO [`CommandQueue`]; a drainer thread calls
-//!   [`OtmEngine::drain`] to apply them, staging a bounded window in a
+//!   [`OtmEngine::submit`] queues post and arrival commands on their
+//!   communicators' FIFO queues ([`command`](crate::command)), and
+//!   [`OtmEngine::drain`] applies them, staging a bounded window in a
 //!   packing scheduler that assembles arrivals into parallel blocks,
 //!   reordering across communicators to keep blocks full under mixed
 //!   post/arrival traffic. Because matching outcomes depend only on
 //!   per-communicator command order, which the scheduler strictly
 //!   preserves, the per-communicator match set is identical to a fully
 //!   serialized engine's.
-//! * **Direct calls** for a caller that holds the engine exclusively (the
-//!   sequential adapter, oracles, benchmarks of the block alone):
-//!   [`OtmEngine::post`] posts one receive, and blocks of incoming messages
-//!   are matched via [`OtmEngine::process_block`] (with a chunking
-//!   [`OtmEngine::process_stream`]). All three take `&mut self`, so a direct
-//!   call never runs beside a drain. The block coordinator locks exactly the
-//!   shards the block touches, once each, and lends them to the lanes.
+//! * **Direct calls** for oracles, the sequential adapter and benchmarks of
+//!   the block alone: [`OtmEngine::post`] posts one receive, and blocks of
+//!   incoming messages are matched via [`OtmEngine::process_block`] (with a
+//!   chunking [`OtmEngine::process_stream`]).
 //!
-//! There are two lock levels and nothing below them. The coordinator lock
-//! guards the block arena, the drain arena and the arrival clock; a drain
-//! holds it from entry to exit, which serializes whole drains against each
-//! other, and `submit` never takes it. Under it come the shard locks, taken
-//! in [`CommId`] order by a block and one at a time by everything else (a
-//! drain's posts, once a run); a shard's tables have no lock of their own.
-//! Counting follows them: a block's lanes and a drain's posts add to plain
-//! tallies under the coordinator lock, published once as the block ends and
-//! the drain exits ([`stats`](crate::stats)). A caller that holds the engine
-//! exclusively shares with no one, and [`MatchingBackend::submit_command`]
-//! reaches the ticket counter and the directory through `get_mut`.
+//! The engine has one owner, as the paper's command queue has one host
+//! process (§IV-E): every entry point that changes it takes `&mut self`, and
+//! it holds no lock. The concurrency the protocol depends on is the block's
+//! lanes, and the booking atomics in [`table`](crate::table) are where it
+//! lives. Counting follows the coordinator: a block's lanes and a drain's
+//! posts add to plain tallies, published once as the block ends and the
+//! drain exits ([`stats`](crate::stats)).
 
 use crate::block::{result_code, BlockState, LaneData, NO_DESC};
-use crate::command::{Command, CommandOutcome, CommandQueue, DrainReport, Merge};
+use crate::command::{
+    comm_of, pop_oldest, read_heads, requeue_front, Command, CommandOutcome, DrainReport,
+};
 use crate::metrics::{span_event, EngineMetrics};
 use crate::scheduler::{PackingScheduler, PackingStep};
-use crate::shard::{locate, CommShard, Locked, ShardHost, ShardMap};
+use crate::shard::{locate, Entry, ShardHost, ShardMap};
 use crate::stats::{StatsSnapshot, Tally};
 use crate::table::{DescId, Payload};
 use crate::worker::{run_block, LaneCtx};
@@ -51,34 +46,29 @@ use mpi_matching::stats::DepthAggregate;
 use mpi_matching::{
     ArriveResult, MatchStats, Matcher, MatchingBackend, MsgHandle, PostResult, RecvHandle,
 };
-use otm_base::sync::{lock, mutex_mut};
 use otm_base::{
     ArrivalSeq, CommHints, CommId, Envelope, InlineHashes, MatchConfig, MatchError, PackingPolicy,
     ReceivePattern,
 };
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
 
 pub use mpi_matching::backend::{BlockDelivery as Delivery, FallbackState};
 
-/// Coordinator-only state: whatever must be serialized across blocks but
-/// not across posts. Guarded by the engine's coordinator lock, which
-/// thereby serializes block execution on the single [`BlockState`] arena
-/// and, held for a whole [`OtmEngine::drain`], keeps concurrent drains from
-/// interleaving their queue pops and breaking FIFO order.
-struct CoordState {
-    blocks: BlockCoord,
-    drain: DrainArena,
-}
-
-/// What running a block takes besides its lanes.
-struct BlockCoord {
+/// Everything a block and a published count touch besides the shards: kept
+/// apart from the directory and the drain arena so a drain can lend all
+/// three at once.
+struct Coord {
+    config: MatchConfig,
+    metrics: EngineMetrics,
+    /// The published statistics.
+    stats: StatsSnapshot,
+    /// Set by [`OtmEngine::shutdown`], and when a block panicked half-run.
+    stopped: bool,
     /// Arrival sequence of the next incoming message.
     next_arrival: ArrivalSeq,
     /// The block arena.
     block: BlockState,
     /// Block scratch: each lane's communicator as its place in the
-    /// directory, sorted; deduplicated once the shards are locked.
+    /// directory, sorted.
     comms: Vec<usize>,
 }
 
@@ -86,18 +76,14 @@ struct BlockCoord {
 /// memory it already owns (§IV-E), so a warm drain allocates its report and
 /// nothing else. Its vectors are emptied, not dropped, so they stay at size.
 struct DrainArena {
-    /// The directory snapshot the drain works on, and the directory
-    /// generation it was taken at (`None`: never taken).
-    lanes: Vec<(CommId, Arc<CommShard>)>,
-    generation: Option<u64>,
     /// The packing scheduler, re-armed at every drain.
     sched: PackingScheduler,
-    /// The merge's cached ring heads, one per lane.
-    heads: Vec<Option<u64>>,
+    /// Each queue's head ticket, indexed like the directory (`pop_oldest`).
+    heads: Vec<u64>,
     /// The applied commands' outcomes under their tickets, moved into the
     /// report in submission order.
     outcomes: Vec<(u64, CommandOutcome)>,
-    /// Per-lane depth peaks of the staged lane and the submission ring.
+    /// Per-communicator depth peaks of the staged lane and the queue.
     lane_peaks: Vec<u64>,
     ring_peaks: Vec<u64>,
     /// What the drain's posts counted, and each match's UMQ depth.
@@ -116,9 +102,9 @@ fn span_subject(cmd: &Command) -> u64 {
 
 /// Moves a drain's outcomes, tickets stripped, into a vector of their own in
 /// ticket order, leaving `outcomes` empty; `first..=last` spans the tickets
-/// the drain staged. When the outcomes fill that span (no requeue, burned
-/// ticket or failed step in it) each one's place is `ticket − first`, so it
-/// is written there and nothing is compared. Otherwise, sort.
+/// the drain staged. When the outcomes fill that span (no requeue or failed
+/// step in it) each one's place is `ticket − first`, so it is written there
+/// and nothing is compared. Otherwise, sort.
 fn in_submission_order(
     outcomes: &mut Vec<(u64, CommandOutcome)>,
     (first, last): (u64, u64),
@@ -134,598 +120,143 @@ fn in_submission_order(
     outcomes.drain(..).map(|(_, o)| o).collect()
 }
 
-/// The Optimistic Tag Matching engine (see module docs and crate docs).
-pub struct OtmEngine {
-    config: MatchConfig,
-    /// The published statistics: a leaf lock, held for one merge or copy.
-    stats: Mutex<StatsSnapshot>,
-    metrics: EngineMetrics,
-    shards: ShardMap,
-    queue: CommandQueue,
-    coord: Mutex<CoordState>,
-    /// Set by [`OtmEngine::set_packing`] to drain with the reference packer
-    /// (`Consecutive`); nothing at run time sets it. Read at the top of
-    /// every drain.
-    pack_consecutive: AtomicBool,
-    /// Runtime packing-window override in commands (0 = the configured
-    /// default of `block_threads × 8`). Read at the top of every drain.
-    packing_window_override: AtomicUsize,
-    /// Set by [`OtmEngine::shutdown`], and when a block panicked half-run.
-    stopped: AtomicBool,
+/// Posts a receive — the host-to-DPA command path (§IV-E) — into `host`,
+/// the communicator's hints already checked.
+///
+/// The unexpected-message store is searched first (§IV-C); on a miss the
+/// receive is labelled, assigned its sequence id, and indexed in the
+/// structure matching its wildcard class (§III-B). Counts into `tally` and
+/// hands a match's UMQ depth to `depth`; the caller publishes both. A post
+/// the full table refuses leaves no trace. `metrics` is for lifecycle spans.
+fn apply_post(
+    metrics: &EngineMetrics,
+    host: &mut ShardHost,
+    pattern: ReceivePattern,
+    handle: RecvHandle,
+    tally: &mut Tally,
+    depth: impl FnOnce(u64),
+) -> Result<PostResult, MatchError> {
+    if let Some(m) = host.umq.match_post(&pattern) {
+        tally.stats.umq_search_count += 1;
+        tally.stats.matched_on_post += 1;
+        tally.stats.umq_depth_sum += m.depth as u64;
+        depth(m.depth as u64);
+        // The subject is the *message* consumed from the UMQ: if it arrived
+        // through a block earlier, this closes the span those events opened.
+        span_event!(
+            metrics,
+            m.handle.0,
+            SpanKind::Matched {
+                path: MatchPath::Post
+            }
+        );
+        // The consumed receive is not indexed, so it breaks any ongoing run
+        // of compatible receives.
+        host.last_pattern = None;
+        return Ok(PostResult::Matched(m.handle));
+    }
+    // Sequence ids (§III-D3a): consecutive compatible posts share one.
+    let seq = match &host.last_pattern {
+        Some(p) if p.compatible(&pattern) => host.cur_seq,
+        _ => host.cur_seq.next(),
+    };
+    let desc = host.table.allocate(Payload {
+        pattern,
+        label: host.next_label,
+        seq,
+        handle: handle.0,
+        home: host.prq.home_of(&pattern),
+    })?;
+    (host.cur_seq, host.last_pattern) = (seq, Some(pattern));
+    host.next_label = host.next_label.next();
+    host.prq.insert(&mut host.table, desc);
+    tally.stats.umq_search_count += 1;
+    tally.stats.posted += 1;
+    span_event!(metrics, RECV_SUBJECT_BIT | handle.0, SpanKind::Posted);
+    Ok(PostResult::Posted)
 }
 
-impl std::fmt::Debug for OtmEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OtmEngine")
-            .field("config", &self.config)
-            .field("comms", &self.shards.len())
-            .field("stopped", &self.stopped.load(Ordering::Relaxed))
-            .finish()
+/// Finishes a drain that stopped on `error`, deciding the fate of the
+/// unapplied commands: the `failed` step plus everything still staged in
+/// `sched`, restored to submission order (every staged command is older than
+/// anything left queued, so putting the sorted set back at the queues'
+/// fronts reconstructs the global order exactly). Retryable errors requeue
+/// them; terminal errors pull *everything* (including commands still
+/// queued) out and surface it in the report, so retry loops terminate and a
+/// subsequent fallback can replay the commands. The scheduler is left empty
+/// for the next drain. `shards` is the directory, and `heads` its queues'
+/// head tickets as the drain kept them.
+fn fail_drain(
+    error: MatchError,
+    failed: Vec<(u64, Command)>,
+    sched: &mut PackingScheduler,
+    outcomes: &mut Vec<(u64, CommandOutcome)>,
+    tickets: (u64, u64),
+    shards: &mut [Entry],
+    heads: &mut [u64],
+) -> DrainReport {
+    let mut unprocessed = failed;
+    sched.take_unapplied(&mut unprocessed);
+    unprocessed.sort_unstable_by_key(|&(idx, _)| idx);
+    let outcomes = in_submission_order(outcomes, tickets);
+    let unapplied = if error.is_retryable() {
+        requeue_front(shards, unprocessed);
+        Vec::new()
+    } else {
+        let queued = std::iter::from_fn(|| pop_oldest(shards, heads));
+        unprocessed.extend(queued.map(|(_, ticket, cmd)| (ticket, cmd)));
+        unprocessed.into_iter().map(|(_, cmd)| cmd).collect()
+    };
+    DrainReport {
+        outcomes,
+        error: Some(error),
+        unapplied,
     }
 }
 
-impl OtmEngine {
-    /// Creates an engine with a block arena of `config.block_threads` lanes.
-    pub fn new(config: MatchConfig) -> Result<Self, MatchError> {
-        config.validate()?;
-        Ok(OtmEngine {
-            queue: CommandQueue::new(),
-            coord: Mutex::new(CoordState {
-                blocks: BlockCoord {
-                    next_arrival: ArrivalSeq::ZERO,
-                    block: BlockState::new(config.block_threads),
-                    comms: Vec::with_capacity(config.block_threads),
-                },
-                drain: DrainArena {
-                    lanes: Vec::new(),
-                    generation: None,
-                    sched: PackingScheduler::new(PackingPolicy::CrossComm, config.block_threads)
-                        .with_lane_quota(config.lane_quota),
-                    heads: Vec::new(),
-                    outcomes: Vec::new(),
-                    lane_peaks: Vec::new(),
-                    ring_peaks: Vec::new(),
-                    posts: Tally::default(),
-                    umq_depths: Vec::new(),
-                },
-            }),
-            config,
-            stats: Mutex::default(),
-            metrics: EngineMetrics::new(),
-            shards: ShardMap::new(),
-            pack_consecutive: AtomicBool::new(false),
-            packing_window_override: AtomicUsize::new(0),
-            stopped: AtomicBool::new(false),
-        })
-    }
-
-    /// Empties the engine in place so that it reads as new: every
-    /// communicator's table, indexes and unexpected store, its labels and
-    /// sequence ids; the tickets, the arrival clock, the block epoch and the
-    /// coordinator's tally; the
-    /// published statistics and every registry instrument (a labelled gauge
-    /// of a communicator used before the reset stays registered, at 0); the
-    /// span ring; both packing selectors; the drain's directory snapshot.
-    /// What the engine allocated stays: the shards (a communicator's comes
-    /// back on its next use), their rings, the block and drain arenas and
-    /// every instrument handle, so a reset allocates nothing. It takes no
-    /// lock, holding the engine to itself.
-    ///
-    /// Refused, with the engine untouched, when it is stopped
-    /// ([`MatchError::EngineStopped`]) or holds a command no drain has
-    /// applied ([`MatchError::InvalidConfig`]): a reset never drops work.
-    pub fn reset(&mut self) -> Result<(), MatchError> {
-        self.check_running()?;
-        if self.queue.stashed() || self.shards.any_queued() {
-            return Err(MatchError::InvalidConfig(
-                "an engine with queued commands cannot be reset".into(),
-            ));
-        }
-        let coord = mutex_mut(&mut self.coord);
-        // The snapshot shares the shards the directory is about to empty;
-        // the reset moves the directory's generation, so the next drain
-        // copies it again.
-        coord.drain.lanes.clear();
-        coord.drain.posts = Tally::default();
-        coord.blocks.next_arrival = ArrivalSeq::ZERO;
-        coord.blocks.block.epoch = 0;
-        self.shards.reset();
-        self.queue.reset();
-        *mutex_mut(&mut self.stats) = StatsSnapshot::default();
-        self.metrics.reset();
-        *self.pack_consecutive.get_mut() = false;
-        *self.packing_window_override.get_mut() = 0;
-        Ok(())
-    }
-
-    /// Selects the packer for subsequent drains. An engine drains
-    /// [`PackingPolicy::CrossComm`]; [`PackingPolicy::Consecutive`] is the
-    /// reference packer of the packed ≡ consecutive oracle and of fig8's
-    /// `--packing` A/B row, and nothing at run time selects it. Safe to
-    /// call at any time: the selector is read once at the top of each
-    /// drain, and both packers preserve per-communicator FIFO order, so a
-    /// mid-stream switch cannot violate MPI matching order.
-    pub fn set_packing(&self, policy: PackingPolicy) {
-        self.pack_consecutive
-            .store(policy == PackingPolicy::Consecutive, Ordering::Relaxed);
-    }
-
-    /// The packer the next drain will use (see [`OtmEngine::set_packing`]).
-    pub fn packing(&self) -> PackingPolicy {
-        if self.pack_consecutive.load(Ordering::Relaxed) {
-            PackingPolicy::Consecutive
-        } else {
-            PackingPolicy::CrossComm
-        }
-    }
-
-    /// Overrides the drain's staging-window depth in commands (0 restores
-    /// the configured default of `block_threads × 8`, floored at 32).
-    /// Values below one block are rounded up so blocks can still fill.
-    pub fn set_packing_window_override(&self, window: usize) {
-        self.packing_window_override
-            .store(window, Ordering::Relaxed);
-    }
-
-    /// The staging-window depth the next drain will use.
-    pub fn effective_packing_window(&self) -> usize {
-        match self.packing_window_override.load(Ordering::Relaxed) {
-            0 => self.config.block_threads.saturating_mul(8).max(32),
-            w => w.max(self.config.block_threads),
-        }
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &MatchConfig {
-        &self.config
-    }
-
-    /// A snapshot of the engine's statistics.
-    pub fn stats(&self) -> StatsSnapshot {
-        lock(&self.stats).clone()
-    }
-
-    /// The engine's metric instruments (histograms, path counters).
-    pub fn metrics(&self) -> &EngineMetrics {
-        &self.metrics
-    }
-
-    /// Copies out the engine's metrics registry: search-depth and
-    /// block-latency histograms plus resolution-path counters, ready for
-    /// Prometheus or JSON exposition.
-    pub fn metrics_snapshot(&self) -> otm_metrics::RegistrySnapshot {
-        self.metrics.snapshot()
-    }
-
-    /// Copies out the retained lifecycle span events, oldest first.
-    #[cfg(feature = "trace-events")]
-    pub fn span_events(&self) -> Vec<otm_metrics::SpanEvent> {
-        self.metrics.spans().dump()
-    }
-
-    /// The engine's lifecycle span recorder (ring stats, JSONL and Chrome
-    /// `trace_event` export, per-path latency histograms).
-    #[cfg(feature = "trace-events")]
-    pub fn span_recorder(&self) -> &otm_metrics::SpanRecorder {
-        self.metrics.spans()
-    }
-
+impl Coord {
     fn check_running(&self) -> Result<(), MatchError> {
-        if self.stopped.load(Ordering::SeqCst) {
+        if self.stopped {
             Err(MatchError::EngineStopped)
         } else {
             Ok(())
         }
     }
 
-    /// Declares a communicator with matching hints (§VII): "applications
-    /// can provide MPI communicator info objects to influence the
-    /// offloading of tag matching for a given communicator" (§IV-E).
-    ///
-    /// Like the DPA resource allocation, hints are fixed at communicator
-    /// creation: calling this after the communicator has been used is an
-    /// error.
-    pub fn declare_comm(&self, comm: CommId, hints: CommHints) -> Result<(), MatchError> {
-        self.check_running()?;
-        self.shards.try_declare(comm, &self.config, hints)
-    }
-
-    /// The hints a communicator was declared with.
-    pub fn comm_hints(&self, comm: CommId) -> Option<CommHints> {
-        self.shards.get(comm).map(|s| s.hints)
-    }
-
     /// Merges `tally`, with the depth samples that go with it, into the
     /// published statistics and the registry.
     fn publish(
-        &self,
+        &mut self,
         tally: Tally,
         search_depths: impl IntoIterator<Item = u64>,
         umq_depths: impl IntoIterator<Item = u64>,
     ) {
         self.metrics.add(&tally, search_depths, umq_depths);
-        let mut stats = lock(&self.stats);
-        *stats = stats.merge(&tally.stats);
+        self.stats = self.stats.merge(&tally.stats);
     }
 
-    /// Publishes what a block counted, and the depth of every lane's search,
-    /// and zeroes the arena's tally.
-    fn publish_block(&self, block: &mut BlockState) {
-        let depths = block.searches.iter().flatten().map(|s| s.depth as u64);
-        let mut tally = std::mem::take(&mut block.tally);
+    /// Publishes what the block counted, and the depth of every lane's
+    /// search, and zeroes the arena's tally.
+    fn publish_block(&mut self) {
+        let mut tally = std::mem::take(&mut self.block.tally);
+        let depths = self.block.searches.iter().flatten().map(|s| s.depth as u64);
         for depth in depths.clone() {
             tally.stats.search_count += 1;
             tally.stats.search_depth_sum += depth;
             tally.stats.search_depth_max = tally.stats.search_depth_max.max(depth);
         }
-        self.publish(tally, depths, []);
+        self.metrics.add(&tally, depths, []);
+        self.stats = self.stats.merge(&tally.stats);
     }
 
-    /// Posts a receive — the host-to-DPA command path (§IV-E) — into a
-    /// running engine's locked shard, the communicator's hints already
-    /// checked (the drain holds the guard across a run of one
-    /// communicator's posts; [`OtmEngine::post`] locks for one).
-    ///
-    /// The unexpected-message store is searched first (§IV-C); on a miss the
-    /// receive is labelled, assigned its sequence id, and indexed in the
-    /// structure matching its wildcard class (§III-B). Counts into `tally`
-    /// and hands a match's UMQ depth to `depth`; the caller publishes both.
-    /// A post the full table refuses leaves no trace. Reads no engine field
-    /// but `metrics` (for lifecycle spans).
-    fn post_locked(
-        metrics: &EngineMetrics,
-        host: &mut ShardHost,
-        pattern: ReceivePattern,
-        handle: RecvHandle,
-        tally: &mut Tally,
-        depth: impl FnOnce(u64),
-    ) -> Result<PostResult, MatchError> {
-        if let Some(m) = host.umq.match_post(&pattern) {
-            tally.stats.umq_search_count += 1;
-            tally.stats.matched_on_post += 1;
-            tally.stats.umq_depth_sum += m.depth as u64;
-            depth(m.depth as u64);
-            // The subject is the *message* consumed from the UMQ: if it
-            // arrived through a block earlier, this closes the span those
-            // events opened.
-            span_event!(
-                metrics,
-                m.handle.0,
-                SpanKind::Matched {
-                    path: MatchPath::Post
-                }
-            );
-            // The consumed receive is not indexed, so it breaks any ongoing
-            // run of compatible receives.
-            host.last_pattern = None;
-            return Ok(PostResult::Matched(m.handle));
-        }
-        // Sequence ids (§III-D3a): consecutive compatible posts share one.
-        let seq = match &host.last_pattern {
-            Some(p) if p.compatible(&pattern) => host.cur_seq,
-            _ => host.cur_seq.next(),
-        };
-        let desc = host.table.allocate(Payload {
-            pattern,
-            label: host.next_label,
-            seq,
-            handle: handle.0,
-            home: host.prq.home_of(&pattern),
-        })?;
-        (host.cur_seq, host.last_pattern) = (seq, Some(pattern));
-        host.next_label = host.next_label.next();
-        host.prq.insert(&mut host.table, desc);
-        tally.stats.umq_search_count += 1;
-        tally.stats.posted += 1;
-        span_event!(metrics, RECV_SUBJECT_BIT | handle.0, SpanKind::Posted);
-        Ok(PostResult::Posted)
-    }
-
-    /// Posts a receive for a caller with the engine to itself, applied at
-    /// once: the shard is found without the directory's lock or an `Arc`
-    /// clone. A caller sharing the engine submits a [`Command::Post`].
-    pub fn post(
+    /// The block coordinator: runs `msgs` as one block on the block arena
+    /// against `shards`, the directory, which holds every communicator of
+    /// `msgs`. A lane borrows its communicator's shard by its place there.
+    /// Each lane's delivery goes to `deliver`, in lane order, once the block
+    /// can no longer fail. A block allocates nothing.
+    fn match_block(
         &mut self,
-        pattern: ReceivePattern,
-        handle: RecvHandle,
-    ) -> Result<PostResult, MatchError> {
-        self.check_running()?;
-        let shard = self.shards.shard_mut(pattern.comm, &self.config);
-        shard.admits(&pattern)?;
-        let (mut tally, mut depth) = (Tally::default(), None);
-        let note = |d| depth = Some(d);
-        let result = {
-            let host = &mut lock(&shard.host);
-            Self::post_locked(&self.metrics, host, pattern, handle, &mut tally, note)
-        };
-        self.publish(tally, [], depth);
-        result
-    }
-
-    /// Enqueues a command into the engine's submission queue (§IV-E's QP
-    /// command path). Callable from any thread; the command takes effect at
-    /// the next [`OtmEngine::drain`].
-    ///
-    /// On the default ring submission path a full communicator ring rejects
-    /// the command with the retryable
-    /// [`MatchError::SubmissionRingFull`] — nothing is enqueued; draining
-    /// frees slots, after which the same submit succeeds.
-    pub fn submit(&self, cmd: Command) -> Result<(), MatchError> {
-        self.check_running()?;
-        // The span subject must be captured before `cmd` moves into the
-        // queue; the event itself is stamped only once the submit succeeded
-        // (a ring-full rejection enqueues nothing, so it opens no span).
-        #[cfg(feature = "trace-events")]
-        let subject = span_subject(&cmd);
-        self.queue.submit(cmd, &self.shards, &self.config)?;
-        #[cfg(feature = "trace-events")]
-        span_event!(self.metrics, subject, SpanKind::Enqueued);
-        Ok(())
-    }
-
-    /// Number of submitted commands not yet drained.
-    pub fn pending_commands(&self) -> usize {
-        self.queue.len(&self.shards.all_sorted())
-    }
-
-    /// Drains the command queue — the coordinator half of the QP command
-    /// path. Commands are staged into a [`PackingScheduler`] window and
-    /// carved into steps: single posts, and arrival blocks of up to
-    /// `block_threads` messages matched in parallel. Blocks are assembled
-    /// *across* communicators (§IV-E execution-group scheduling): posts at
-    /// lane heads are hoisted ahead of other communicators' arrivals and the
-    /// arrival runs of every lane are fused, so mixed post/arrival traffic
-    /// still fills blocks. Per-communicator command order — the only order
-    /// MPI matching can observe — is strictly preserved. With a single
-    /// staged lane and no lane quota the steps are those of the reference
-    /// packer ([`OtmEngine::set_packing`]), which packs strictly in
-    /// submission order.
-    ///
-    /// The drain is *pipelined* (the paper's CQ pipelining, §IV-E): it pops
-    /// commands one at a time, straight off the rings into the scheduler,
-    /// and holds no lock a submitter takes, so racing `submit`s overlap with
-    /// block execution instead of stalling behind the whole drain. Whole drains are serialized against each other
-    /// by the coordinator lock, and only commands already queued when the
-    /// drain started are processed — submissions racing in mid-drain wait
-    /// for the next drain, so a busy submitter cannot pin the coordinator
-    /// forever. A drain that finds nothing queued returns at once.
-    ///
-    /// The communicator directory is read once, at entry: the bounding
-    /// count, the merge and the depth samples all work on that snapshot. A
-    /// communicator created after it holds only commands submitted after
-    /// drain entry, which the bound already leaves to the next drain. The
-    /// snapshot is kept for the next drain and copied again only when the
-    /// directory's generation moved (a communicator was added, or a reset).
-    ///
-    /// Everything else a drain works in is kept from one drain to the next
-    /// too (the scheduler, re-armed; the block, outcome, peak and head
-    /// vectors, emptied), so a warm drain allocates its report's outcome
-    /// vector and nothing else; a block, its guards.
-    ///
-    /// Per-communicator depth peaks (staged lane, submission ring) are kept
-    /// in two vectors indexed like the snapshot and published once, on every
-    /// exit, through the gauge handles each communicator keeps after its
-    /// first publish: no step resolves a labelled instrument. What the
-    /// drain's posts counted is published with them; a block's tally, as the
-    /// block ends.
-    ///
-    /// On an error the drain stops: outcomes of the commands already
-    /// applied are returned in the report (in submission order) together
-    /// with the error. What happens to the failing command and everything
-    /// unapplied behind it depends on the error class (see
-    /// [`DrainReport::error`]): *retryable* resource exhaustion requeues
-    /// them at the front of the queue in submission order (ahead of racing
-    /// submissions) so a retry resumes exactly where this drain stopped;
-    /// a *terminal* error (the engine is stopped or poisoned, a command is
-    /// invalid) surfaces them in [`DrainReport::unapplied`] instead, so a
-    /// retry loop terminates rather than spinning forever on a dead engine.
-    pub fn drain(&self) -> DrainReport {
-        let mut coord = lock(&self.coord);
-        let CoordState { blocks, drain } = &mut *coord;
-        let DrainArena {
-            lanes,
-            generation,
-            sched,
-            heads,
-            outcomes,
-            lane_peaks,
-            ring_peaks,
-            posts,
-            umq_depths,
-        } = drain;
-        self.shards.refresh(lanes, generation);
-        let lanes = &lanes[..];
-        let mut merge = self.queue.merge(lanes, heads);
-        // Bound the drain to what was queued at entry (racing submissions
-        // land behind this count and belong to the next drain).
-        let mut remaining = merge.len();
-        if remaining == 0 {
-            return DrainReport::default();
-        }
-        // The staging window is a few blocks deep: enough lookahead to fuse
-        // arrival runs across lanes.
-        let window = self.effective_packing_window();
-        sched.rearm(self.packing(), lanes);
-        for peaks in [&mut *lane_peaks, &mut *ring_peaks] {
-            peaks.clear();
-            peaks.resize(lanes.len(), 0);
-        }
-        // The span of the staged tickets, for the outcomes' reorder.
-        let mut tickets = (u64::MAX, 0);
-        let mut sampled = false;
-        // The last post's shard guard, kept while the next step is a post on
-        // the same communicator and dropped before anything else is locked.
-        let mut held: Option<(usize, Locked<'_>)> = None;
-        let failure = loop {
-            // Refill the window before every step so blocks are assembled
-            // from the fullest lanes we are entitled to see.
-            let mut refilled = false;
-            while remaining > 0 && sched.staged() < window {
-                match merge.next() {
-                    Some((lane, ticket, cmd)) => {
-                        // A lane grows only here; a ring shrinks here and
-                        // is sampled after the refill.
-                        let depth = sched.admit_at(lane, ticket, cmd) as u64;
-                        lane_peaks[lane] = lane_peaks[lane].max(depth);
-                        tickets = (tickets.0.min(ticket), tickets.1.max(ticket));
-                        remaining -= 1;
-                        refilled = true;
-                    }
-                    // The rest of the count is claimed but not yet
-                    // published: it belongs to the next drain.
-                    None => remaining = 0,
-                }
-            }
-            if refilled {
-                sampled = true;
-                for (peak, (_, shard)) in ring_peaks.iter_mut().zip(lanes) {
-                    *peak = (*peak).max(shard.submission.len() as u64);
-                }
-            }
-            let Some((lane, step)) = sched.next_step_at() else {
-                break None;
-            };
-            match step {
-                PackingStep::Post {
-                    idx,
-                    pattern,
-                    handle,
-                } => {
-                    if held.as_ref().is_some_and(|&(at, _)| at != lane) {
-                        held = None;
-                    }
-                    let (_, host) = held.get_or_insert_with(|| (lane, lock(&lanes[lane].1.host)));
-                    let depth = |d| umq_depths.push(d);
-                    match self.check_running().and_then(|()| {
-                        Self::post_locked(&self.metrics, host, pattern, handle, posts, depth)
-                    }) {
-                        Ok(result) => outcomes.push((idx, CommandOutcome::Post { handle, result })),
-                        Err(e) => break Some((e, vec![(idx, Command::Post { pattern, handle })])),
-                    }
-                }
-                PackingStep::Block { msgs } => {
-                    held = None;
-                    let block = msgs.iter().map(|&(_, env, msg)| (env, msg));
-                    let deliver = |lane: usize, d| {
-                        outcomes.push((msgs[lane].0, CommandOutcome::Delivery(d)));
-                    };
-                    // A block that fails has delivered nothing.
-                    if let Err(e) = self.process_block_locked(blocks, lanes, block, deliver) {
-                        let failed = msgs
-                            .into_iter()
-                            .map(|(idx, env, msg)| (idx, Command::Arrival { env, msg }))
-                            .collect();
-                        break Some((e, failed));
-                    }
-                    sched.recycle(msgs);
-                }
-            }
-        };
-        drop(held);
-        if sampled {
-            for ((comm, shard), (&lane, &ring)) in
-                lanes.iter().zip(lane_peaks.iter().zip(ring_peaks.iter()))
-            {
-                self.metrics
-                    .publish_drain_peaks(*comm, &shard.depth_peaks, lane, ring);
-            }
-        }
-        self.publish(std::mem::take(posts), [], umq_depths.drain(..));
-        if let Some((error, failed)) = failure {
-            return self.fail_drain(error, failed, sched, outcomes, tickets, merge);
-        }
-        DrainReport {
-            outcomes: in_submission_order(outcomes, tickets),
-            error: None,
-            unapplied: Vec::new(),
-        }
-    }
-
-    /// Finishes a drain that stopped on `error`, deciding the fate of the
-    /// unapplied commands: the `failed` step plus everything still staged
-    /// in the scheduler, restored to submission order (every staged command
-    /// is older than anything left in the queue, so putting the sorted set
-    /// back at the queue front reconstructs the global order exactly).
-    /// Retryable errors requeue them at the queue front; terminal errors
-    /// pull *everything* (including commands still queued, over a fresh
-    /// directory snapshot) out and surface it in the report, so retry loops
-    /// terminate and a subsequent fallback can replay the commands. The
-    /// scheduler is left empty for the next drain.
-    fn fail_drain(
-        &self,
-        error: MatchError,
-        failed: Vec<(u64, Command)>,
-        sched: &mut PackingScheduler,
-        outcomes: &mut Vec<(u64, CommandOutcome)>,
-        tickets: (u64, u64),
-        mut merge: Merge<'_>,
-    ) -> DrainReport {
-        let mut unprocessed: Vec<(u64, Command)> = failed;
-        sched.take_unapplied(&mut unprocessed);
-        unprocessed.sort_unstable_by_key(|&(idx, _)| idx);
-        let outcomes = in_submission_order(outcomes, tickets);
-        let unapplied = if error.is_retryable() {
-            merge.requeue_front(unprocessed);
-            Vec::new()
-        } else {
-            drop(merge);
-            let (lanes, mut heads) = (self.shards.all_sorted(), Vec::new());
-            let queued = self.queue.merge(&lanes, &mut heads);
-            unprocessed.extend(queued.map(|(_, ticket, cmd)| (ticket, cmd)));
-            unprocessed.into_iter().map(|(_, cmd)| cmd).collect()
-        };
-        DrainReport {
-            outcomes,
-            error: Some(error),
-            unapplied,
-        }
-    }
-
-    /// Stops the engine: every subsequent post, submit, block, or drain
-    /// reports [`MatchError::EngineStopped`]. Commands already in the
-    /// submission queue stay there — [`OtmEngine::drain_for_fallback`]
-    /// still surfaces them, so shutdown loses nothing.
-    pub fn shutdown(&self) {
-        self.stopped.store(true, Ordering::SeqCst);
-    }
-
-    /// Matches one block of up to `N` incoming messages.
-    ///
-    /// Messages are taken in arrival order: lane *i* processes the *i*-th
-    /// message, and the block's deliveries are returned in the same order.
-    pub fn process_block(
-        &mut self,
-        msgs: &[(Envelope, MsgHandle)],
-    ) -> Result<Vec<Delivery>, MatchError> {
-        self.check_running()?;
-        // With the engine to ourselves the directory is read in place.
-        for (env, _) in msgs {
-            self.shards.shard_mut(env.comm, &self.config);
-        }
-        let lanes = self.shards.read();
-        let blocks = &mut lock(&self.coord).blocks;
-        let mut deliveries = Vec::with_capacity(msgs.len());
-        let deliver = |_, d| deliveries.push(d);
-        self.process_block_locked(blocks, &lanes.live, msgs.iter().copied(), deliver)?;
-        Ok(deliveries)
-    }
-
-    /// The block coordinator. Requires the coordinator lock (serializing
-    /// block execution on the one [`BlockState`] arena) and takes the locks
-    /// of exactly the shards the block touches, in [`CommId`] order — the
-    /// engine's global lock order — holding them until the block's cleanup
-    /// is done. Posters hold at most one shard lock and never the
-    /// coordinator lock, so this cannot deadlock; posts into communicators
-    /// outside the block proceed concurrently with it.
-    ///
-    /// `lanes` is the caller's view of the directory (a drain's snapshot, or
-    /// the directory itself) and holds every communicator of `msgs`. Each
-    /// lane's delivery goes to `deliver`, in lane order, once the block can
-    /// no longer fail. Apart from the guards, a block allocates nothing.
-    fn process_block_locked(
-        &self,
-        blocks: &mut BlockCoord,
-        lanes: &[(CommId, Arc<CommShard>)],
+        shards: &mut [Entry],
         msgs: impl ExactSizeIterator<Item = (Envelope, MsgHandle)>,
         mut deliver: impl FnMut(usize, Delivery),
     ) -> Result<(), MatchError> {
@@ -740,58 +271,38 @@ impl OtmEngine {
                 self.config.block_threads
             )));
         }
-        let BlockCoord {
-            next_arrival,
-            block,
-            comms,
-        } = blocks;
-        // The lanes' inputs. Until the shards are locked, `shard` is the
-        // communicator's place in `lanes`.
+        let block = &mut self.block;
         block.lanes.clear();
         block.lanes.extend(msgs.map(|(env, handle)| {
-            let shard = locate(lanes, env.comm).expect("the caller's view holds every lane's");
+            let shard = locate(shards, env.comm).expect("the directory holds every lane's");
             LaneData {
                 env,
                 handle,
                 hashes: InlineHashes::of(&env),
-                hints: lanes[shard].1.hints,
+                hints: shards[shard].1.hints,
                 shard,
             }
         }));
 
-        // Lock the shards the block touches, each once, in `CommId` order
-        // (the directory's). From here to the end of the block no poster can
-        // reach an involved communicator's tables.
-        //
-        // Pre-check the unexpected-store capacity on the way: in the worst
-        // case every message of the block goes unexpected, and rejecting up
-        // front keeps the operation atomic — the caller can fall back to
-        // software matching (§IV-E) with the engine's state fully intact (see
-        // `drain_for_fallback`).
-        comms.clear();
-        comms.extend(block.lanes.iter().map(|lane| lane.shard));
-        comms.sort_unstable();
-        let mut guards = Vec::new();
-        for arrivals in comms.chunk_by(|a, b| a == b) {
-            let host = lock(&lanes[arrivals[0]].1.host);
-            if host.umq.available() < arrivals.len() {
+        // Pre-check the unexpected-store capacity of every communicator the
+        // block touches: in the worst case every message of the block goes
+        // unexpected, and rejecting up front keeps the operation atomic —
+        // the caller can fall back to software matching (§IV-E) with the
+        // engine's state fully intact (see `drain_for_fallback`).
+        self.comms.clear();
+        self.comms.extend(block.lanes.iter().map(|lane| lane.shard));
+        self.comms.sort_unstable();
+        for arrivals in self.comms.chunk_by(|a, b| a == b) {
+            if shards[arrivals[0]].1.host.umq.available() < arrivals.len() {
                 return Err(MatchError::UnexpectedStoreFull);
             }
-            guards.push(host);
-        }
-        comms.dedup();
-        for lane in &mut block.lanes {
-            lane.shard = comms
-                .binary_search(&lane.shard)
-                .expect("every block communicator is locked");
         }
 
         // Publish the block and step its lanes through the protocol.
         let started = std::time::Instant::now();
         #[cfg(feature = "trace-events")]
         {
-            // Block ids are the arena's block count before this one:
-            // serialized by the coordinator lock we hold, so gap-free.
+            // Block ids are the arena's block count before this one: gap-free.
             let block_id = block.epoch;
             for lane in &block.lanes {
                 span_event!(
@@ -809,16 +320,16 @@ impl OtmEngine {
             metrics: &self.metrics,
             config: &self.config,
         };
-        // `lock` ignores mutex poison, so a block that panicked half-run
-        // must stop the engine itself: its bookings and consumes are not
-        // cleaned up, and the tables stay readable for `drain_for_fallback`.
-        // What its lanes counted before the panic is published all the same.
+        // A block that panicked half-run stops the engine: its bookings and
+        // consumes are not cleaned up, and the tables stay readable for
+        // `drain_for_fallback`. What its lanes counted before the panic is
+        // published all the same.
         let swept = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_block(&ctx, block, &guards)
+            run_block(&ctx, block, shards)
         }));
         if swept.is_err() {
-            self.stopped.store(true, Ordering::SeqCst);
-            self.publish_block(block);
+            self.stopped = true;
+            self.publish_block();
             return Err(MatchError::EngineStopped);
         }
         block.tally.latency_ns = started.elapsed().as_nanos() as u64;
@@ -827,19 +338,19 @@ impl OtmEngine {
         // monotone only within a block.
         for (&desc, lane) in block.booked_desc.iter().zip(&block.lanes) {
             if desc != NO_DESC {
-                guards[lane.shard].table.slot(desc).clear_booking();
+                shards[lane.shard].1.host.table.slot(desc).clear_booking();
             }
         }
 
         // Phase 2: collect results, unlink and free consumed descriptors,
         // store unexpected messages (in lane = arrival order).
-        let epoch = block.epoch;
+        let (epoch, first_arrival) = (block.epoch, self.next_arrival.0);
         for (lane, (data, &code)) in block.lanes.iter().zip(&block.results).enumerate() {
             debug_assert_ne!(code, result_code::UNSET, "lane {lane} never settled");
-            let host = &mut *guards[data.shard];
+            let host = &mut shards[data.shard].1.host;
             if code == result_code::UNEXPECTED {
                 block.tally.stats.unexpected += 1;
-                let arrival = ArrivalSeq(next_arrival.0 + lane as u64);
+                let arrival = ArrivalSeq(first_arrival + lane as u64);
                 host.umq
                     .insert(data.env, &data.hashes, data.handle, arrival)
                     .expect("capacity pre-checked before the block ran");
@@ -863,10 +374,405 @@ impl OtmEngine {
                 );
             }
         }
-        *next_arrival = ArrivalSeq(next_arrival.0 + n as u64);
+        self.next_arrival = ArrivalSeq(first_arrival + n as u64);
         (block.tally.stats.blocks, block.tally.stats.messages) = (1, n as u64);
-        self.publish_block(block);
+        self.publish_block();
         Ok(())
+    }
+}
+
+/// The Optimistic Tag Matching engine (see module docs and crate docs).
+pub struct OtmEngine {
+    coord: Coord,
+    shards: ShardMap,
+    /// The ticket the next accepted command is stamped with.
+    tickets: u64,
+    drain: DrainArena,
+    /// The packer of the next drain: [`PackingPolicy::CrossComm`] unless
+    /// [`OtmEngine::set_packing`] chose otherwise.
+    packing: PackingPolicy,
+    /// Packing-window override in commands (0 = the configured default of
+    /// `block_threads × 8`).
+    packing_window_override: usize,
+}
+
+impl std::fmt::Debug for OtmEngine {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("OtmEngine")
+            .field("config", &self.coord.config)
+            .field("comms", &self.shards.len())
+            .field("stopped", &self.coord.stopped)
+            .finish()
+    }
+}
+
+impl OtmEngine {
+    /// Creates an engine with a block arena of `config.block_threads` lanes.
+    pub fn new(config: MatchConfig) -> Result<Self, MatchError> {
+        config.validate()?;
+        Ok(OtmEngine {
+            drain: DrainArena {
+                sched: PackingScheduler::new(PackingPolicy::CrossComm, config.block_threads)
+                    .with_lane_quota(config.lane_quota),
+                heads: Vec::new(),
+                outcomes: Vec::new(),
+                lane_peaks: Vec::new(),
+                ring_peaks: Vec::new(),
+                posts: Tally::default(),
+                umq_depths: Vec::new(),
+            },
+            coord: Coord {
+                next_arrival: ArrivalSeq::ZERO,
+                block: BlockState::new(config.block_threads),
+                comms: Vec::with_capacity(config.block_threads),
+                config,
+                metrics: EngineMetrics::new(),
+                stats: StatsSnapshot::default(),
+                stopped: false,
+            },
+            shards: ShardMap::new(),
+            tickets: 0,
+            packing: PackingPolicy::CrossComm,
+            packing_window_override: 0,
+        })
+    }
+
+    /// Empties the engine in place so that it reads as new: every
+    /// communicator's table, indexes and unexpected store, its labels and
+    /// sequence ids; the tickets, the arrival clock and the block epoch; the
+    /// published statistics and every registry instrument (a labelled gauge
+    /// of a communicator used before the reset stays registered, at 0); the
+    /// span ring; both packing selectors. What the engine allocated stays:
+    /// the shards (a communicator's comes back on its next use), their
+    /// queues, the block and drain arenas and every instrument handle, so a
+    /// reset allocates nothing.
+    ///
+    /// Refused, with the engine untouched, when it is stopped
+    /// ([`MatchError::EngineStopped`]) or holds a command no drain has
+    /// applied ([`MatchError::InvalidConfig`]): a reset never drops work.
+    pub fn reset(&mut self) -> Result<(), MatchError> {
+        self.coord.check_running()?;
+        if self.shards.queued() > 0 {
+            return Err(MatchError::InvalidConfig(
+                "an engine with queued commands cannot be reset".into(),
+            ));
+        }
+        let coord = &mut self.coord;
+        coord.next_arrival = ArrivalSeq::ZERO;
+        coord.block.epoch = 0;
+        coord.stats = StatsSnapshot::default();
+        coord.metrics.reset();
+        self.shards.reset();
+        self.tickets = 0;
+        self.packing = PackingPolicy::CrossComm;
+        self.packing_window_override = 0;
+        Ok(())
+    }
+
+    /// Selects the packer for subsequent drains. An engine drains
+    /// [`PackingPolicy::CrossComm`]; [`PackingPolicy::Consecutive`] is the
+    /// reference packer of the packed ≡ consecutive oracle and of fig8's
+    /// `--packing` A/B row, and nothing at run time selects it. Both packers
+    /// preserve per-communicator FIFO order, so a switch between drains
+    /// cannot violate MPI matching order.
+    pub fn set_packing(&mut self, policy: PackingPolicy) {
+        self.packing = policy;
+    }
+
+    /// The packer the next drain will use (see [`OtmEngine::set_packing`]).
+    pub fn packing(&self) -> PackingPolicy {
+        self.packing
+    }
+
+    /// Overrides the drain's staging-window depth in commands (0 restores
+    /// the configured default of `block_threads × 8`, floored at 32).
+    /// Values below one block are rounded up so blocks can still fill.
+    pub fn set_packing_window_override(&mut self, window: usize) {
+        self.packing_window_override = window;
+    }
+
+    /// The staging-window depth the next drain will use.
+    pub fn effective_packing_window(&self) -> usize {
+        let block = self.coord.config.block_threads;
+        match self.packing_window_override {
+            0 => block.saturating_mul(8).max(32),
+            w => w.max(block),
+        }
+    }
+
+    /// The engine's configuration.
+    pub fn config(&self) -> &MatchConfig {
+        &self.coord.config
+    }
+
+    /// A snapshot of the engine's statistics.
+    pub fn stats(&self) -> StatsSnapshot {
+        self.coord.stats.clone()
+    }
+
+    /// The engine's metric instruments (histograms, path counters).
+    pub fn metrics(&self) -> &EngineMetrics {
+        &self.coord.metrics
+    }
+
+    /// Copies out the engine's metrics registry: search-depth and
+    /// block-latency histograms plus resolution-path counters, ready for
+    /// Prometheus or JSON exposition.
+    pub fn metrics_snapshot(&self) -> otm_metrics::RegistrySnapshot {
+        self.coord.metrics.snapshot()
+    }
+
+    /// Copies out the retained lifecycle span events, oldest first.
+    #[cfg(feature = "trace-events")]
+    pub fn span_events(&self) -> Vec<otm_metrics::SpanEvent> {
+        self.coord.metrics.spans().dump()
+    }
+
+    /// The engine's lifecycle span recorder (ring stats, JSONL and Chrome
+    /// `trace_event` export, per-path latency histograms).
+    #[cfg(feature = "trace-events")]
+    pub fn span_recorder(&self) -> &otm_metrics::SpanRecorder {
+        self.coord.metrics.spans()
+    }
+
+    /// Declares a communicator with matching hints (§VII): "applications
+    /// can provide MPI communicator info objects to influence the
+    /// offloading of tag matching for a given communicator" (§IV-E).
+    ///
+    /// Like the DPA resource allocation, hints are fixed at communicator
+    /// creation: calling this after the communicator has been used is an
+    /// error.
+    pub fn declare_comm(&mut self, comm: CommId, hints: CommHints) -> Result<(), MatchError> {
+        self.coord.check_running()?;
+        self.shards.try_declare(comm, &self.coord.config, hints)
+    }
+
+    /// The hints a communicator was declared with.
+    pub fn comm_hints(&self, comm: CommId) -> Option<CommHints> {
+        self.shards.find(comm).map(|s| s.hints)
+    }
+
+    /// Posts a receive, applied at once.
+    pub fn post(
+        &mut self,
+        pattern: ReceivePattern,
+        handle: RecvHandle,
+    ) -> Result<PostResult, MatchError> {
+        self.coord.check_running()?;
+        let at = self.shards.place(pattern.comm, &self.coord.config);
+        let shard = &mut self.shards.live[at].1;
+        shard.admits(&pattern)?;
+        let (mut tally, mut depth) = (Tally::default(), None);
+        let note = |d| depth = Some(d);
+        let metrics = &self.coord.metrics;
+        let result = apply_post(metrics, &mut shard.host, pattern, handle, &mut tally, note);
+        self.coord.publish(tally, [], depth);
+        result
+    }
+
+    /// Queues a command on its communicator's queue (§IV-E's QP command
+    /// path), stamped with the next submission ticket; it takes effect at
+    /// the next [`OtmEngine::drain`].
+    ///
+    /// A post its communicator's hints forbid is refused as a direct post
+    /// would be. A communicator queue holding `ring_capacity` commands
+    /// refuses the command with the retryable
+    /// [`MatchError::SubmissionRingFull`]: nothing is queued and no ticket
+    /// is drawn; a drain frees room, after which the same submit succeeds.
+    pub fn submit(&mut self, cmd: Command) -> Result<(), MatchError> {
+        self.coord.check_running()?;
+        // The span subject must be captured before `cmd` moves into the
+        // queue; the event itself is stamped only once the submit succeeded
+        // (a refused command opens no span).
+        #[cfg(feature = "trace-events")]
+        let subject = span_subject(&cmd);
+        let config = &self.coord.config;
+        let at = self.shards.place(comm_of(&cmd), config);
+        let shard = &mut self.shards.live[at].1;
+        shard.enqueue(self.tickets, cmd, config.ring_capacity)?;
+        self.tickets += 1;
+        #[cfg(feature = "trace-events")]
+        span_event!(self.coord.metrics, subject, SpanKind::Enqueued);
+        Ok(())
+    }
+
+    /// Number of submitted commands not yet drained.
+    pub fn pending_commands(&self) -> usize {
+        self.shards.queued()
+    }
+
+    /// Drains the command queues — the coordinator half of the QP command
+    /// path. Commands are staged, oldest first across every communicator,
+    /// into a [`PackingScheduler`] window and carved into steps: single
+    /// posts, and arrival blocks of up to `block_threads` messages matched
+    /// in parallel. Blocks are assembled *across* communicators (§IV-E
+    /// execution-group scheduling): posts at lane heads are hoisted ahead of
+    /// other communicators' arrivals and the arrival runs of every lane are
+    /// fused, so mixed post/arrival traffic still fills blocks.
+    /// Per-communicator command order — the only order MPI matching can
+    /// observe — is strictly preserved. With a single staged lane and no
+    /// lane quota the steps are those of the reference packer
+    /// ([`OtmEngine::set_packing`]), which packs strictly in submission
+    /// order. A drain that finds nothing queued returns at once.
+    ///
+    /// The scheduler's lanes are the directory's communicators, in place:
+    /// nothing adds a communicator during a drain. Everything else a drain
+    /// works in is kept from one drain to the next too (the scheduler,
+    /// re-armed; the head, outcome and peak vectors, refilled), so a warm
+    /// drain allocates its report's outcome vector and nothing else.
+    ///
+    /// Per-communicator depth peaks (staged lane, queue) are kept in two
+    /// vectors indexed like the directory and published once, on every exit,
+    /// through the gauge handles each communicator keeps after its first
+    /// publish: no step resolves a labelled instrument. What the drain's
+    /// posts counted is published with them; a block's tally, as the block
+    /// ends.
+    ///
+    /// On an error the drain stops: outcomes of the commands already
+    /// applied are returned in the report (in submission order) together
+    /// with the error. What happens to the failing command and everything
+    /// unapplied behind it depends on the error class (see
+    /// [`DrainReport::error`]): *retryable* resource exhaustion requeues
+    /// them at the front of their queues in submission order, so a retry
+    /// resumes exactly where this drain stopped; a *terminal* error (the
+    /// engine is stopped, a command is invalid) surfaces them in
+    /// [`DrainReport::unapplied`] instead, so a retry loop terminates
+    /// rather than spinning forever on a dead engine.
+    pub fn drain(&mut self) -> DrainReport {
+        // The staging window is a few blocks deep: enough lookahead to fuse
+        // arrival runs across lanes.
+        let window = self.effective_packing_window();
+        let OtmEngine {
+            coord,
+            shards,
+            drain,
+            packing,
+            ..
+        } = self;
+        if shards.queued() == 0 {
+            return DrainReport::default();
+        }
+        let lanes = &mut shards.live[..];
+        let DrainArena {
+            sched,
+            heads,
+            outcomes,
+            lane_peaks,
+            ring_peaks,
+            posts,
+            umq_depths,
+        } = drain;
+        sched.rearm(*packing, lanes);
+        read_heads(lanes, heads);
+        for peaks in [&mut *lane_peaks, &mut *ring_peaks] {
+            peaks.clear();
+            peaks.resize(lanes.len(), 0);
+        }
+        // The span of the staged tickets, for the outcomes' reorder.
+        let mut tickets = (u64::MAX, 0);
+        let mut sampled = false;
+        let failure = loop {
+            // Refill the window before every step so blocks are assembled
+            // from the fullest lanes we are entitled to see.
+            let mut refilled = false;
+            while sched.staged() < window {
+                let Some((lane, ticket, cmd)) = pop_oldest(lanes, heads) else {
+                    break;
+                };
+                // A lane grows only here; a queue shrinks here and is
+                // sampled after the refill.
+                let depth = sched.admit_at(lane, ticket, cmd) as u64;
+                lane_peaks[lane] = lane_peaks[lane].max(depth);
+                tickets = (tickets.0.min(ticket), tickets.1.max(ticket));
+                refilled = true;
+            }
+            if refilled {
+                sampled = true;
+                for (peak, (_, shard)) in ring_peaks.iter_mut().zip(lanes.iter()) {
+                    *peak = (*peak).max(shard.queue.len() as u64);
+                }
+            }
+            let Some((lane, step)) = sched.next_step_at() else {
+                break None;
+            };
+            match step {
+                PackingStep::Post {
+                    idx,
+                    pattern,
+                    handle,
+                } => {
+                    let host = &mut lanes[lane].1.host;
+                    let depth = |d| umq_depths.push(d);
+                    match coord.check_running().and_then(|()| {
+                        apply_post(&coord.metrics, host, pattern, handle, posts, depth)
+                    }) {
+                        Ok(result) => outcomes.push((idx, CommandOutcome::Post { handle, result })),
+                        Err(e) => break Some((e, vec![(idx, Command::Post { pattern, handle })])),
+                    }
+                }
+                PackingStep::Block { msgs } => {
+                    let block = msgs.iter().map(|&(_, env, msg)| (env, msg));
+                    let deliver = |lane: usize, d| {
+                        outcomes.push((msgs[lane].0, CommandOutcome::Delivery(d)));
+                    };
+                    // A block that fails has delivered nothing.
+                    if let Err(e) = coord.match_block(lanes, block, deliver) {
+                        let failed = msgs
+                            .into_iter()
+                            .map(|(idx, env, msg)| (idx, Command::Arrival { env, msg }))
+                            .collect();
+                        break Some((e, failed));
+                    }
+                    sched.recycle(msgs);
+                }
+            }
+        };
+        if sampled {
+            for ((comm, shard), (&lane, &ring)) in
+                lanes.iter().zip(lane_peaks.iter().zip(ring_peaks.iter()))
+            {
+                coord
+                    .metrics
+                    .publish_drain_peaks(*comm, &shard.depth_peaks, lane, ring);
+            }
+        }
+        coord.publish(std::mem::take(posts), [], umq_depths.drain(..));
+        if let Some((error, failed)) = failure {
+            return fail_drain(error, failed, sched, outcomes, tickets, lanes, heads);
+        }
+        DrainReport {
+            outcomes: in_submission_order(outcomes, tickets),
+            error: None,
+            unapplied: Vec::new(),
+        }
+    }
+
+    /// Stops the engine: every subsequent post, submit, block, or drain
+    /// reports [`MatchError::EngineStopped`]. Commands already queued stay
+    /// there — [`OtmEngine::drain_for_fallback`] still surfaces them, so
+    /// shutdown loses nothing.
+    pub fn shutdown(&mut self) {
+        self.coord.stopped = true;
+    }
+
+    /// Matches one block of up to `N` incoming messages.
+    ///
+    /// Messages are taken in arrival order: lane *i* processes the *i*-th
+    /// message, and the block's deliveries are returned in the same order.
+    pub fn process_block(
+        &mut self,
+        msgs: &[(Envelope, MsgHandle)],
+    ) -> Result<Vec<Delivery>, MatchError> {
+        self.coord.check_running()?;
+        for (env, _) in msgs {
+            self.shards.place(env.comm, &self.coord.config);
+        }
+        let mut deliveries = Vec::with_capacity(msgs.len());
+        let deliver = |_, d| deliveries.push(d);
+        let lanes = &mut self.shards.live;
+        self.coord
+            .match_block(lanes, msgs.iter().copied(), deliver)?;
+        Ok(deliveries)
     }
 
     /// Matches an arbitrarily long message stream, chunked into blocks of
@@ -876,7 +782,7 @@ impl OtmEngine {
         msgs: &[(Envelope, MsgHandle)],
     ) -> Result<Vec<Delivery>, MatchError> {
         let mut out = Vec::with_capacity(msgs.len());
-        for chunk in msgs.chunks(self.config.block_threads) {
+        for chunk in msgs.chunks(self.coord.config.block_threads) {
             out.extend(self.process_block(chunk)?);
         }
         Ok(out)
@@ -885,9 +791,7 @@ impl OtmEngine {
     /// Non-destructive unexpected-message probe (`MPI_Iprobe` semantics):
     /// the oldest waiting message matching `pattern`, if any.
     pub fn probe(&self, pattern: &ReceivePattern) -> Option<MsgHandle> {
-        self.shards
-            .get(pattern.comm)
-            .and_then(|shard| lock(&shard.host).umq.probe(pattern))
+        self.shards.find(pattern.comm)?.host.umq.probe(pattern)
     }
 
     /// Drains the complete matching state for migration to software tag
@@ -896,27 +800,24 @@ impl OtmEngine {
     /// being given up).
     ///
     /// Returns the pending receives, the waiting unexpected messages, *and*
-    /// every command still sitting in the submission queue. Receives are
-    /// ordered per communicator by post label (C1 only constrains order
-    /// *within* a communicator, so replaying communicator-by-communicator
-    /// into a software matcher preserves MPI semantics); unexpected
-    /// messages are in arrival order per communicator; pending commands are
-    /// in global submission order (including any batch a failed retryable
-    /// drain put back at the queue front). Nothing the engine ever accepted
-    /// is dropped — the fallback is loss-free even with a non-empty queue.
-    pub fn drain_for_fallback(self) -> FallbackState {
-        // Take the queue first: it holds the youngest accepted work, and
-        // consuming `self` guarantees no submitter can race in behind us.
-        let lanes = self.shards.all_sorted();
-        let pending: Vec<Command> = self
-            .queue
-            .merge(&lanes, &mut Vec::new())
+    /// every command still queued. Receives are ordered per communicator by
+    /// post label (C1 only constrains order *within* a communicator, so
+    /// replaying communicator-by-communicator into a software matcher
+    /// preserves MPI semantics); unexpected messages are in arrival order
+    /// per communicator; pending commands are in global submission order
+    /// (including any batch a failed retryable drain put back). Nothing the
+    /// engine ever accepted is dropped — the fallback is loss-free even with
+    /// commands queued.
+    pub fn drain_for_fallback(mut self) -> FallbackState {
+        let (lanes, mut heads) = (&mut self.shards.live, Vec::new());
+        read_heads(lanes, &mut heads);
+        let pending = std::iter::from_fn(|| pop_oldest(lanes, &mut heads))
             .map(|(_, _, cmd)| cmd)
             .collect();
         let mut receives = Vec::new();
         let mut unexpected = Vec::new();
-        for (_, shard) in &lanes {
-            let mut host = lock(&shard.host);
+        for (_, shard) in lanes.iter_mut() {
+            let host = &mut shard.host;
             let mut posted: Vec<_> = host.table.posted().collect();
             posted.sort_by_key(|p| p.label);
             receives.extend(
@@ -933,22 +834,19 @@ impl OtmEngine {
         }
     }
 
+    /// The matching state of every communicator in use.
+    fn hosts(&self) -> impl Iterator<Item = &ShardHost> {
+        self.shards.live.iter().map(|(_, shard)| &shard.host)
+    }
+
     /// Live posted receives across all communicators.
     pub fn prq_len(&self) -> usize {
-        self.shards
-            .all_sorted()
-            .iter()
-            .map(|(_, s)| lock(&s.host).table.posted().count())
-            .sum()
+        self.hosts().map(|host| host.table.posted().count()).sum()
     }
 
     /// Waiting unexpected messages across all communicators.
     pub fn umq_len(&self) -> usize {
-        self.shards
-            .all_sorted()
-            .iter()
-            .map(|(_, s)| lock(&s.host).umq.len())
-            .sum()
+        self.hosts().map(|host| host.umq.len()).sum()
     }
 
     /// Fraction of the `(src, tag)` table's bins, over every communicator,
@@ -956,8 +854,7 @@ impl OtmEngine {
     /// communicator exists.
     pub fn prq_empty_bin_fraction(&self) -> f64 {
         let (mut empty, mut bins) = (0usize, 0usize);
-        for (_, shard) in self.shards.all_sorted() {
-            let host = lock(&shard.host);
+        for host in self.hosts() {
             empty += host.prq.empty_bins(&host.table);
             bins += host.prq.bins();
         }
@@ -975,7 +872,7 @@ impl MatchingBackend for OtmEngine {
     }
 
     fn block_size(&self) -> usize {
-        self.config.block_threads
+        self.coord.config.block_threads
     }
 
     fn post(
@@ -1039,17 +936,8 @@ impl MatchingBackend for OtmEngine {
         true
     }
 
-    /// [`OtmEngine::submit`] with the engine to ourselves: the same ticket
-    /// sequence and ring push, reached without a lock or a read-modify-write.
     fn submit_command(&mut self, cmd: Command) -> Result<(), MatchError> {
-        self.check_running()?;
-        #[cfg(feature = "trace-events")]
-        let subject = span_subject(&cmd);
-        self.queue
-            .submit_exclusive(cmd, &mut self.shards, &self.config)?;
-        #[cfg(feature = "trace-events")]
-        span_event!(self.metrics, subject, SpanKind::Enqueued);
-        Ok(())
+        OtmEngine::submit(self, cmd)
     }
 
     fn drain_commands(&mut self) -> DrainReport {
@@ -1576,13 +1464,14 @@ mod tests {
     #[test]
     fn multi_comm_block_maps_each_lane_to_its_own_shard() {
         // Three communicators in unsorted arrival order, one of them twice:
-        // the lane -> locked-shard mapping must survive the sort + dedup.
+        // each lane must reach its own communicator's shard, and the store
+        // pre-check must count each communicator's arrivals together.
         let mut e = OtmEngine::new(MatchConfig::small().with_max_unexpected(2)).unwrap();
         let on = |comm: u16, tag: u32| Envelope::new(Rank(0), Tag(tag), CommId(comm));
         let umq_lens = |e: &OtmEngine| -> Vec<usize> {
             [1u16, 3, 5]
                 .iter()
-                .map(|&c| lock(&e.shards.get(CommId(c)).unwrap().host).umq.len())
+                .map(|&c| e.shards.find(CommId(c)).unwrap().host.umq.len())
                 .collect()
         };
         e.post(
@@ -1913,17 +1802,16 @@ mod tests {
     }
 
     #[test]
-    fn engine_is_shareable_across_threads() {
-        // The `&self` command path only helps if the engine can actually be
-        // shared; this is a compile-time property, checked here explicitly
-        // since `forbid(unsafe_code)` means it must hold by construction.
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<OtmEngine>();
+    fn engine_is_send() {
+        // `MatchingBackend: Send`: a boxed engine may move to another
+        // thread, though one owner uses it at a time.
+        fn assert_send<T: Send>() {}
+        assert_send::<OtmEngine>();
     }
 
     #[test]
     fn submitted_commands_apply_in_order_on_drain() {
-        let e = engine();
+        let mut e = engine();
         e.submit(Command::Post {
             pattern: ReceivePattern::exact(Rank(0), Tag(1)),
             handle: RecvHandle(0),
@@ -1962,7 +1850,7 @@ mod tests {
 
     #[test]
     fn drain_batches_consecutive_arrivals_into_blocks() {
-        let e = engine();
+        let mut e = engine();
         let n = e.config().block_threads;
         // 2n+1 arrivals with no posts in between: the drain must pack them
         // into full blocks (2 full + 1 remainder).
@@ -2039,35 +1927,6 @@ mod tests {
                 },
             ]
         );
-    }
-
-    #[test]
-    fn concurrent_posts_to_distinct_comms_succeed() {
-        // Smoke test for the sharded `&self` path (the full interleaving
-        // stress test lives in tests/concurrent_shards.rs): two threads
-        // submit posts into two communicators simultaneously.
-        let e = engine();
-        let comm_a = CommId(1);
-        let comm_b = CommId(2);
-        std::thread::scope(|s| {
-            for (t, comm) in [comm_a, comm_b].into_iter().enumerate() {
-                let e = &e;
-                s.spawn(move || {
-                    for i in 0..32u64 {
-                        e.submit(Command::Post {
-                            pattern: ReceivePattern::new(Rank(0), Tag(i as u32), comm),
-                            handle: RecvHandle(t as u64 * 1000 + i),
-                        })
-                        .unwrap();
-                    }
-                });
-            }
-        });
-        let report = e.drain();
-        assert!(report.error.is_none());
-        assert_eq!(report.outcomes.len(), 64);
-        assert_eq!(e.prq_len(), 64);
-        assert_eq!(e.stats().posted, 64);
     }
 
     #[test]
@@ -2153,7 +2012,7 @@ mod tests {
         // A retry loop on a dead engine must terminate: the drain reports
         // EngineStopped as terminal and hands the commands over instead of
         // requeueing them forever.
-        let e = engine();
+        let mut e = engine();
         e.submit(Command::Arrival {
             env: env(0, 0),
             msg: MsgHandle(0),
@@ -2203,7 +2062,7 @@ mod tests {
         .unwrap();
         // Lane 1 dies in the detection sweep: every lane has booked the
         // first receive, lane 0 has detected, nothing is consumed yet.
-        lock(&e.coord).blocks.block.fail_lane = Some(1);
+        e.coord.block.fail_lane = Some(1);
         let msgs: Vec<_> = (0..n).map(|i| (env(7, 7), MsgHandle(i as u64))).collect();
         assert_eq!(e.process_block(&msgs), Err(MatchError::EngineStopped));
         // What the half-run block's lanes got to was published on the way
@@ -2322,93 +2181,5 @@ mod tests {
                 },
             ]
         );
-    }
-
-    #[test]
-    fn shared_and_exclusive_submits_drain_in_one_ticket_order() {
-        let mut e = OtmEngine::new(MatchConfig::small().with_max_unexpected(4096)).unwrap();
-        let arrival = |i: u64| Command::Arrival {
-            env: Envelope::new(Rank(0), Tag(i as u32), CommId(1 + (i % 3) as u16)),
-            msg: MsgHandle(i),
-        };
-        let (mut next, mut drained) = (0u64, Vec::new());
-        for round in 0..24 {
-            // A thread submits through `&self` and is joined...
-            std::thread::scope(|s| {
-                let e = &e;
-                s.spawn(move || (next..next + 5).for_each(|i| e.submit(arrival(i)).unwrap()));
-            });
-            next += 5;
-            // ...before the owner submits through `&mut self`: one sequence.
-            for i in next..next + 3 {
-                MatchingBackend::submit_command(&mut e, arrival(i)).unwrap();
-            }
-            next += 3;
-            if round % 5 == 4 {
-                drained.extend(e.drain().outcomes);
-            }
-        }
-        drained.extend(e.drain().outcomes);
-        // Outcomes come in ticket order, and tickets were handed out in the
-        // order the submits happened, whichever way each came in.
-        let msgs: Vec<u64> = drained
-            .iter()
-            .map(|o| match o {
-                CommandOutcome::Delivery(d) => d.msg().0,
-                other => panic!("unexpected outcome {other:?}"),
-            })
-            .collect();
-        assert_eq!(msgs, (0..next).collect::<Vec<_>>());
-        // Per-communicator FIFO: each store gives its messages back oldest
-        // first.
-        for comm in 1..=3u64 {
-            let any = ReceivePattern::new(SourceSel::Any, TagSel::Any, CommId(comm as u16));
-            let mut stored = Vec::new();
-            while let Some(msg) = e.probe(&any) {
-                e.post(any, RecvHandle(0)).unwrap();
-                stored.push(msg.0);
-            }
-            let expect: Vec<u64> = (0..next).filter(|i| 1 + i % 3 == comm).collect();
-            assert_eq!(stored, expect, "communicator {comm}");
-        }
-    }
-
-    #[test]
-    fn pipelined_drain_interleaves_with_racing_submitters() {
-        // Submissions racing with an in-flight drain must neither deadlock
-        // nor get lost: whatever the first drain's entry snapshot missed is
-        // picked up by a follow-up drain.
-        let e = OtmEngine::new(
-            MatchConfig::small()
-                .with_max_receives(4096)
-                .with_max_unexpected(4096),
-        )
-        .unwrap();
-        const PER_THREAD: u64 = 200;
-        std::thread::scope(|s| {
-            for t in 0..2u64 {
-                let e = &e;
-                s.spawn(move || {
-                    for i in 0..PER_THREAD {
-                        e.submit(Command::Arrival {
-                            env: env(t as u32, (i % 7) as u32),
-                            msg: MsgHandle(t * PER_THREAD + i),
-                        })
-                        .unwrap();
-                    }
-                });
-            }
-            let e = &e;
-            s.spawn(move || {
-                let mut applied = 0usize;
-                while applied < (2 * PER_THREAD) as usize {
-                    let report = e.drain();
-                    assert!(report.error.is_none(), "drain failed: {:?}", report.error);
-                    applied += report.outcomes.len();
-                }
-            });
-        });
-        assert_eq!(e.pending_commands(), 0);
-        assert_eq!(e.umq_len(), 2 * PER_THREAD as usize);
     }
 }

@@ -12,8 +12,8 @@
 //! oldest for its key — C1 holds inside an index by construction (§III-C);
 //! across indexes, post labels arbitrate. The paper gives every bin a remove
 //! lock (§IV-D) because its lanes unlink while others search. Here the only
-//! writers are posting and block-end cleanup, through `&mut` under the
-//! communicator's shard lock, and lanes only read: a consumed receive stays
+//! writers are posting and block-end cleanup, through `&mut` on the
+//! communicator's shard, and lanes only read: a consumed receive stays
 //! linked as a tombstone until its block ends (lazy removal), which keeps
 //! [`walk_sequence`] stable, and is then unlinked in O(1).
 

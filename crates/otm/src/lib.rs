@@ -67,7 +67,6 @@ pub mod engine;
 pub mod index;
 pub mod list;
 pub mod metrics;
-pub mod ring;
 pub mod scheduler;
 pub mod shard;
 pub mod stats;
@@ -75,7 +74,7 @@ pub mod table;
 pub mod umq;
 mod worker;
 
-pub use command::{Command, CommandOutcome, CommandQueue, DrainReport};
+pub use command::{Command, CommandOutcome, DrainReport};
 pub use engine::{Delivery, FallbackState, OtmEngine, SequentialOtm};
 pub use metrics::EngineMetrics;
 pub use stats::StatsSnapshot;

@@ -22,9 +22,9 @@
 //! fig8's `--packing` A/B row compare against it. With a single staged lane
 //! and no lane quota the cross-communicator steps are exactly its steps.
 //!
-//! A drain aligns the lanes with its directory snapshot and admits each
-//! command, with the submission ticket the queue stamped it with, by its
-//! communicator's place there: outcomes leave in ticket order, and on error
+//! A drain aligns the lanes with the engine's communicator directory and
+//! admits each command, with the submission ticket it was stamped with, by
+//! its communicator's place there: outcomes leave in ticket order, and on error
 //! the unapplied tail is requeued exactly as the strict-FIFO drain did.
 
 use mpi_matching::{MsgHandle, RecvHandle};
@@ -138,8 +138,8 @@ pub struct PackingScheduler {
     staged: usize,
     /// Consecutive policy: the single global FIFO.
     fifo: VecDeque<(u64, Command)>,
-    /// CrossComm policy: one FIFO lane per communicator (a drain's directory
-    /// snapshot, or those staged so far), in `CommId` order so lane
+    /// CrossComm policy: one FIFO lane per communicator (the drain's
+    /// directory, or those staged so far), in `CommId` order so lane
     /// iteration (and thus post emission and block assembly) is
     /// deterministic for a given admission sequence. An empty lane stays in
     /// place (it usually refills) and every step skips it.
@@ -166,16 +166,16 @@ impl PackingScheduler {
     }
 
     /// Readies an emptied scheduler for another drain under `policy`, its
-    /// lanes aligned with `snapshot` (the drain's directory): it steps as a
+    /// lanes aligned with `directory` (the engine's): it steps as a
     /// new one would (the rotation starts again at the first lane), and
     /// keeps its lanes' buffers and its block buffer.
-    pub(crate) fn rearm<T>(&mut self, policy: PackingPolicy, snapshot: &[(CommId, T)]) {
+    pub(crate) fn rearm<T>(&mut self, policy: PackingPolicy, directory: &[(CommId, T)]) {
         debug_assert_eq!(self.staged, 0, "a re-armed scheduler is empty");
         self.policy = policy;
         self.cursor = 0;
         self.lanes
-            .resize_with(snapshot.len(), || (CommId(0), VecDeque::new()));
-        for ((id, _), (comm, _)) in self.lanes.iter_mut().zip(snapshot) {
+            .resize_with(directory.len(), || (CommId(0), VecDeque::new()));
+        for ((id, _), (comm, _)) in self.lanes.iter_mut().zip(directory) {
             *id = *comm;
         }
     }

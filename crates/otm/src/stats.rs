@@ -7,7 +7,7 @@
 //!
 //! Nothing is counted atomically where it happens. A block's lanes and its
 //! coordinator fill a `Tally` of plain integers in the block arena, a
-//! drain's posts one under the coordinator lock, and the engine merges a tally
+//! drain's posts one in the drain arena, and the engine merges a tally
 //! into its published [`StatsSnapshot`] (and its registry) once: when the
 //! block ends, when the drain exits, right away for a direct `post`.
 //! A reader never sees a partial block, and a message costs no

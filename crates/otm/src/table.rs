@@ -9,9 +9,9 @@
 //! that consumed the receive (needed to keep fast-path rank walks stable
 //! while tombstones from older blocks are skipped).
 //!
-//! The table has no lock of its own: it lives inside its communicator's
-//! [`ShardHost`](crate::shard::ShardHost) and is reachable only through that
-//! shard's lock. Posting and block-end cleanup allocate and release slots
+//! The table has no lock: it lives inside its communicator's
+//! [`ShardHost`](crate::shard::ShardHost), which the engine owns outright.
+//! Posting and block-end cleanup allocate and release slots
 //! through `&mut`; block lanes get `&` and only ever read payloads and update
 //! the three atomics, which are the protocol's own shared state (§III-C) and
 //! what a multi-core block executor would share. They are also the only

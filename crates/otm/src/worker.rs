@@ -11,7 +11,7 @@
 use crate::block::{below_mask, result_code, BlockState};
 use crate::index::{walk_sequence, SearchOutcome};
 use crate::metrics::{span_event, EngineMetrics};
-use crate::shard::{Locked, ShardHost};
+use crate::shard::{Entry, ShardHost};
 use otm_base::MatchConfig;
 
 /// What every lane reads of its engine (`metrics` for lifecycle spans only).
@@ -22,10 +22,9 @@ pub(crate) struct LaneCtx<'a> {
 
 /// Runs one block (§III-C, §III-D): three sweeps over `block.lanes`, after
 /// which every lane's entry of `block.results` is set and `block.tally` holds
-/// what the lanes resolved. `shards` are the communicators the block touches,
-/// as the caller's guards on them; a lane finds its own through
-/// [`LaneData::shard`](crate::block::LaneData::shard).
-pub(crate) fn run_block(ctx: &LaneCtx<'_>, block: &mut BlockState, shards: &[Locked<'_>]) {
+/// what the lanes resolved. `shards` is the engine's directory; a lane finds
+/// its communicator's through [`LaneData::shard`](crate::block::LaneData::shard).
+pub(crate) fn run_block(ctx: &LaneCtx<'_>, block: &mut BlockState, shards: &[Entry]) {
     let n = block.lanes.len();
     for lane in 0..n {
         search_and_book(ctx, block, shards, lane);
@@ -42,9 +41,9 @@ pub(crate) fn run_block(ctx: &LaneCtx<'_>, block: &mut BlockState, shards: &[Loc
 /// barrier (§III-D1): lanes below `lane` have booked when this returns, which
 /// is all [`detect`] needs (later lanes cannot steal our receive, C2 gives
 /// us precedence).
-fn search_and_book(ctx: &LaneCtx<'_>, block: &mut BlockState, shards: &[Locked<'_>], lane: usize) {
+fn search_and_book(ctx: &LaneCtx<'_>, block: &mut BlockState, shards: &[Entry], lane: usize) {
     let lane_data = &block.lanes[lane];
-    let comm = &*shards[lane_data.shard];
+    let comm = &shards[lane_data.shard].1.host;
 
     // §VII: a communicator asserted with `mpi_assert_allow_overtaking`
     // waives the ordering constraints — no booking, no barrier, no
@@ -82,14 +81,14 @@ fn search_and_book(ctx: &LaneCtx<'_>, block: &mut BlockState, shards: &[Locked<'
 /// candidate (it wins: lowest id first). Skipping a lower-booked receive
 /// during the search is also a conflict: the skipped receive may come back
 /// to us if its booker resolves away.
-fn detect(block: &mut BlockState, shards: &[Locked<'_>], lane: usize) {
+fn detect(block: &mut BlockState, shards: &[Entry], lane: usize) {
     let (Some(search), result_code::UNSET) = (block.searches[lane], block.results[lane]) else {
         return;
     };
     #[cfg(test)]
     assert_ne!(block.fail_lane, Some(lane), "fail-point on lane {lane}");
     let bit = 1u64 << lane;
-    let table = &shards[block.lanes[lane].shard].table;
+    let table = &shards[block.lanes[lane].shard].1.host.table;
     let direct = search.skipped_booked
         || search
             .candidate
@@ -105,17 +104,12 @@ fn detect(block: &mut BlockState, shards: &[Locked<'_>], lane: usize) {
 
 /// Third sweep — resolve and settle: lanes below `lane` have settled when
 /// this runs, which is what the slow path waits for.
-fn resolve_and_settle(
-    ctx: &LaneCtx<'_>,
-    block: &mut BlockState,
-    shards: &[Locked<'_>],
-    lane: usize,
-) {
+fn resolve_and_settle(ctx: &LaneCtx<'_>, block: &mut BlockState, shards: &[Entry], lane: usize) {
     let (Some(search), result_code::UNSET) = (block.searches[lane], block.results[lane]) else {
         return;
     };
     let below = below_mask(lane);
-    let comm = &*shards[block.lanes[lane].shard];
+    let comm = &shards[block.lanes[lane].shard].1.host;
 
     // "If a thread i detects a conflict, then all other threads j > i need
     // to enter the conflict resolution phase" — a resolving lower thread

@@ -1,14 +1,13 @@
-//! A drain keeps a communicator's lock across a run of its posts.
+//! A drain's runs of posts apply what the same steps apply one call at a
+//! time.
 //!
-//! `OtmEngine::drain` takes a communicator's shard lock at the first post of
-//! a run and keeps it while the next step is a post on the same
-//! communicator; a block, a post elsewhere and every exit drop it. What the
-//! run applies must be what the same steps applied one call at a time give:
-//! the drain's own step sequence (a standalone `PackingScheduler` with the
-//! engine's window) replayed through the direct `post` and `process_block`
-//! of a second engine. And a run that stops on a full receive table must
-//! release the lock and leave the failed post and everything behind it
-//! queued, as if it had never been tried.
+//! `OtmEngine::drain` applies a run of posts on one communicator step after
+//! step straight into its shard. What the run applies must be what the same
+//! steps applied one call at a time give: the drain's own step sequence (a
+//! standalone `PackingScheduler` with the engine's window) replayed through
+//! the direct `post` and `process_block` of a second engine. And a run that
+//! stops on a full receive table must leave the failed post and everything
+//! behind it queued, as if it had never been tried.
 
 use mpi_matching::oracle::MatchEvent;
 use mpi_matching::{MsgHandle, RecvHandle};
@@ -147,7 +146,7 @@ fn post_runs_equal_the_same_steps_applied_one_call_at_a_time() {
         let mut handles = (0, 0);
         let phases: Vec<Vec<Command>> =
             (0..3).map(|_| script(&mut rng, 12, &mut handles)).collect();
-        let drained = OtmEngine::new(config(4096)).unwrap();
+        let mut drained = OtmEngine::new(config(4096)).unwrap();
         let mut direct = OtmEngine::new(config(4096)).unwrap();
         let (mut known, mut gauges, mut ticket) = (Vec::new(), Gauges::new(), 0);
         for (phase, cmds) in phases.iter().enumerate() {
@@ -198,7 +197,7 @@ struct Seen {
 }
 
 impl Seen {
-    fn drain(&mut self, engine: &OtmEngine) {
+    fn drain(&mut self, engine: &mut OtmEngine) {
         let report = engine.drain();
         assert!(report.unapplied.is_empty(), "a full table is retryable");
         let outcomes = report.outcomes.iter().map(|o| format!("{o:?}"));
@@ -246,7 +245,7 @@ fn run_with_a_block_between(engine: &mut OtmEngine, check: impl FnOnce(&OtmEngin
 }
 
 #[test]
-fn a_run_stopped_by_a_full_table_releases_its_lock_and_resumes_exactly() {
+fn a_run_stopped_by_a_full_table_requeues_and_resumes_exactly() {
     // Communicator 2 has room for 16 receives; its run of 24 stops at the
     // 17th. The drain requeues that post and everything behind it, and
     // the communicator answers a caller at once.

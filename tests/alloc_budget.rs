@@ -18,7 +18,7 @@
 //! pairs, senders and NIC built, used for one message each and dropped; what
 //! `replay_app` allocates per message once its endpoints and its engine
 //! exist; what a communicator costs the engine that matches for it; what a
-//! warm drain costs: its report, and a block its guards; and what resetting
+//! warm drain costs: its report; and what resetting
 //! that engine costs: nothing.
 //!
 //! This file is its own test binary with one `#[test]`, so nothing else
@@ -309,7 +309,7 @@ fn replay_allocations_per_message() -> f64 {
 
 /// Allocations to create one communicator at the default configuration: the
 /// first post on a fresh `CommId` builds its shard (receive table, both
-/// queues' list ends, submission ring) and posts into it.
+/// queues' list ends, command queue) and posts into it.
 fn communicator_allocations() -> u64 {
     let mut engine = OtmEngine::new(MatchConfig::default()).unwrap();
     let post = |engine: &mut OtmEngine, comm| {
@@ -326,7 +326,7 @@ fn communicator_allocations() -> u64 {
 /// Submits, on each of `comms`, `posts` receives and then `arrivals`
 /// messages, tag `i` for the `i`-th of each: receives past `arrivals` stay
 /// posted, messages past `posts` wait.
-fn submit_round(engine: &OtmEngine, comms: &[u16], posts: u32, arrivals: u32) {
+fn submit_round(engine: &mut OtmEngine, comms: &[u16], posts: u32, arrivals: u32) {
     for &comm in comms {
         let comm = CommId(comm);
         for tag in 0..posts {
@@ -346,13 +346,13 @@ fn submit_round(engine: &OtmEngine, comms: &[u16], posts: u32, arrivals: u32) {
 /// before it) of `posts` receives and then `arrivals` messages on each of
 /// three communicators, and the blocks it ran.
 fn drain_allocations(posts: u32, arrivals: u32) -> (u64, u64) {
-    let engine = OtmEngine::new(MatchConfig::default()).unwrap();
+    let mut engine = OtmEngine::new(MatchConfig::default()).unwrap();
     let comms = [1, 2, 3];
     for _ in 0..2 {
-        submit_round(&engine, &comms, posts, arrivals);
+        submit_round(&mut engine, &comms, posts, arrivals);
         assert_eq!(engine.drain().error, None);
     }
-    submit_round(&engine, &comms, posts, arrivals);
+    submit_round(&mut engine, &comms, posts, arrivals);
     let blocks = engine.stats().blocks;
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let report = engine.drain();
@@ -384,11 +384,10 @@ fn reset_allocations() -> u64 {
             engine.process_block(&msgs).unwrap();
         }
         // Two drains that match everything they bring: the second finds its
-        // arena at size, and both keep the directory snapshot a reset must
-        // let go of.
+        // arena at size.
         for _ in 0..2 {
-            submit_round(&engine, &[1, 2], 4, 0);
-            submit_round(&engine, &[1, 2], 0, 4);
+            submit_round(&mut engine, &[1, 2], 4, 0);
+            submit_round(&mut engine, &[1, 2], 0, 4);
             assert_eq!(engine.drain().error, None);
         }
         assert_eq!(
@@ -405,25 +404,27 @@ fn reset_allocations() -> u64 {
 
 #[test]
 fn steady_state_allocations_per_message_stay_in_budget() {
-    // The payload, and a share of each drain's report, each block's guards
-    // and each poll's completions handed out: the window copies into a
-    // recycled buffer, the service pops completions off the NIC one by one,
-    // and a drain works in the arena its engine keeps. Measured 1.039
-    // (1.322 when every drain built its scheduler, block, outcome, peak and
-    // head vectors and its directory snapshot anew, the service copied each
-    // block of completions out of the NIC and its completion vector regrew
-    // from empty after every take); the budget is that plus 0.1.
+    // The payload, and a share of each drain's report and each poll's
+    // completions handed out: the window copies into a recycled buffer, the
+    // service pops completions off the NIC one by one, and a drain works in
+    // the arena its engine keeps. Measured 1.008 (1.039 while each block
+    // locked its communicators into a vector of guards, 1.322 when every
+    // drain built its scheduler, block, outcome, peak and head vectors and
+    // its directory snapshot anew, the service copied each block of
+    // completions out of the NIC and its completion vector regrew from empty
+    // after every take); the budget is that plus 0.1.
     let (eager, eager_regrowths) = allocations_per_message(8, Mode::Expected, 8);
     assert!(
-        eager <= 1.14,
+        eager <= 1.11,
         "8-byte eager: {eager:.3} allocations a message"
     );
     // Plus the head and the READ's target, allocated at its final size; the
     // registered region is the payload itself, moved into the domain's map.
-    // Measured 3.039 (3.322 before the drain arena).
+    // Measured 3.008 (3.039 with a block's guards, 3.322 before the drain
+    // arena).
     let (rendezvous, rendezvous_regrowths) = allocations_per_message(1024, Mode::Expected, 8);
     assert!(
-        rendezvous <= 3.15,
+        rendezvous <= 3.11,
         "1 KiB rendezvous: {rendezvous:.3} allocations a message"
     );
     // Nothing regrows once warm, not even the READ's target, allocated at
@@ -439,31 +440,32 @@ fn steady_state_allocations_per_message_stay_in_budget() {
     // Sent, settled as unexpected, then posted: the store links the message
     // into a slab slot it already owns and the service's map is at size, so
     // the early arrival costs what the expected one does plus a share of the
-    // post-time drains' reports. Measured 1.039 (1.361 before the drain
-    // arena, 1.625 when the store was a deque per bin, swept of tombstones
-    // every thousand matches or so).
+    // post-time drains' reports. Measured 1.008 (1.039 with a block's
+    // guards, 1.361 before the drain arena, 1.625 when the store was a deque
+    // per bin, swept of tombstones every thousand matches or so).
     let (unexpected, _) = allocations_per_message(8, Mode::UnexpectedFirst, 8);
     assert!(
-        unexpected <= 1.14,
+        unexpected <= 1.11,
         "8-byte eager, unexpected first: {unexpected:.3} allocations a message"
     );
     // The gate parks and releases in a window indexed by sequence number
     // that is at size after the warm-up, so passing through it costs what
-    // the ungated path does. Measured 1.039 (1.324 before the drain arena,
-    // 1.414 when the gate was an ordered map, a node allocated and freed
-    // every few packets); the budget is the ungated figure plus 0.1.
+    // the ungated path does. Measured 1.008 (1.039 with a block's guards,
+    // 1.324 before the drain arena, 1.414 when the gate was an ordered map, a
+    // node allocated and freed every few packets); the budget is the ungated
+    // figure plus 0.1.
     let (gated, _) = allocations_per_message(8, Mode::Gated, 8);
     assert!(
-        gated <= 1.14,
+        gated <= 1.11,
         "8-byte eager through the total-order gate: {gated:.3} allocations a message"
     );
     // A hostile wire adds retransmitted copies, duplicates the NIC drops
     // and out-of-order packets it stages, and short drains: 6.7 messages a
-    // block against 31 on a clean one. Measured 3.425 (4.484 before the
-    // drain arena).
+    // block against 31 on a clean one. Measured 3.364 (3.425 with a block's
+    // guards, 4.484 before the drain arena).
     let (hostile, _) = allocations_per_message(1024, Mode::Hostile, 8);
     assert!(
-        hostile <= 3.53,
+        hostile <= 3.47,
         "1 KiB rendezvous over a hostile wire: {hostile:.3} allocations a message"
     );
     println!(
@@ -472,13 +474,13 @@ fn steady_state_allocations_per_message_stay_in_budget() {
          hostile rendezvous {hostile:.3}; \
          regrowths: eager {eager_regrowths:.3}, rendezvous {rendezvous_regrowths:.3}"
     );
-    // A warm drain allocates its report, and a block its guards: nothing
-    // else. Measured 15 for the posts alone and 27 with two blocks while
-    // every drain built its arena anew.
+    // A warm drain allocates its report and nothing else, however many
+    // blocks it runs. Measured 15 for the posts alone and 27 with two blocks
+    // while every drain built its arena anew, and 1 more a block while a
+    // block locked its communicators into a vector of guards.
     assert_eq!(drain_allocations(16, 0), (1, 0), "a drain of posts");
-    let (allocations, blocks) = drain_allocations(16, 16);
-    assert_eq!(allocations, 1 + blocks, "a drain of {blocks} blocks");
-    println!("allocations per warm drain: 1, and 1 a block");
+    assert_eq!(drain_allocations(16, 16), (1, 2), "a drain of two blocks");
+    println!("allocations per warm drain: 1");
     // A queue pair is one allocation, and none more until it carries a frame.
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     drop(connected_pair());
@@ -498,30 +500,31 @@ fn steady_state_allocations_per_message_stay_in_budget() {
     // first one built: the payload, the rendezvous head and the READ's
     // target, and a share of the drains' reports and of the destination's
     // event stream (its keyed vector, sized exactly, the stable sort's
-    // scratch and the stream). Measured 3.147 (3.825 before the drain
-    // arena, 4.486 while every destination built and dropped an engine of
+    // scratch and the stream). Measured 3.115 (3.147 with a block's guards,
+    // 3.825 before the drain arena, 4.486 while every destination built and dropped an engine of
     // its own, 4.534 while each stream grew by doubling behind a sort of
     // the whole trace, 11.810 when every destination built and dropped its
     // own queue pairs, senders, NIC, bounce pool, service and registry).
     let replayed = replay_allocations_per_message();
     assert!(
-        replayed <= 3.25,
+        replayed <= 3.22,
         "{PEERS}-peer replay: {replayed:.3} allocations a message"
     );
     println!("allocations per replayed {PEERS}-peer message: {replayed:.3}");
-    // The table's slots, one slice of list ends per queue, the ring and the
-    // shard; the post links its receive through its slot, and the table's
-    // free list waits for a release. Measured 5 (6 when the free list was
-    // filled with every slot up front, 9 when a bin was a vector: three
-    // slices of them, and a post's push into an empty one).
+    // The table's slots, one slice of list ends per queue and the command
+    // queue; the shard itself lives in the directory, the post links its
+    // receive through its slot, and the table's free list waits for a
+    // release. Measured 4 (5 while the shard was reference-counted, 6 when
+    // the free list was filled with every slot up front, 9 when a bin was a
+    // vector: three slices of them, and a post's push into an empty one).
     let communicator = communicator_allocations();
     assert!(
-        communicator <= 5,
+        communicator <= 4,
         "{communicator} allocations a communicator"
     );
     println!("allocations per communicator: {communicator}");
-    // A reset empties the tables, lists, stores, rings and registry in place,
-    // drops the drain's directory snapshot and parks the shards it emptied.
+    // A reset empties the tables, lists, stores, queues and registry in
+    // place and parks the shards it emptied.
     let reset = reset_allocations();
     assert_eq!(reset, 0, "{reset} allocations in two resets");
 }

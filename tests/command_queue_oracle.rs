@@ -23,7 +23,7 @@ fn check_interleaving(events: &[(u16, MatchEvent)]) {
         .with_max_receives(1024)
         .with_max_unexpected(1024)
         .with_bins(16);
-    let engine = OtmEngine::new(config).unwrap();
+    let mut engine = OtmEngine::new(config).unwrap();
 
     // Submit everything in the generated global interleaving.
     let mut next_recv = [0u64; COMMS];

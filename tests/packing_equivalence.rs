@@ -199,7 +199,7 @@ fn golden_step_trace_is_pinned_across_windows_and_quotas() {
             .with_bins(16)
             .with_ring_capacity(4096)
             .with_lane_quota(quota);
-        let engine = otm::OtmEngine::new(config).expect("valid test config");
+        let mut engine = otm::OtmEngine::new(config).expect("valid test config");
         engine.set_packing_window_override(window);
         let stream = uneven_four_comm_stream(&mut FaultRng::new(0x601D_57E9), 2440);
         let mut phases = stream.as_slice();

@@ -9,8 +9,7 @@ use mpi_matching::binned::BinnedMatcher;
 use mpi_matching::oracle::{MatchEvent, Oracle};
 use mpi_matching::rank_based::RankBasedMatcher;
 use mpi_matching::traditional::TraditionalMatcher;
-use mpi_matching::{Matcher, MsgHandle, RecvHandle};
-use otm::ring::CommandRing;
+use mpi_matching::{Matcher, MsgHandle};
 use otm::{Command, CommandOutcome, OtmEngine, SequentialOtm};
 use otm_base::envelope::{SourceSel, TagSel};
 use otm_base::{CommId, Envelope, FaultRng, MatchConfig, PackingPolicy, Rank, ReceivePattern, Tag};
@@ -45,69 +44,6 @@ fn stats_snapshot(rng: &mut FaultRng) -> otm::StatsSnapshot {
         umq_depth_sum: field(),
         umq_search_count: field(),
     }
-}
-
-/// A 64-bit value that is an extreme (0, 1, `MAX`) half the time; narrower
-/// fields truncate it.
-fn edgy(rng: &mut FaultRng) -> u64 {
-    match rng.below(6) {
-        0 => 0,
-        1 => 1,
-        2 => u64::MAX,
-        _ => rng.next_u64(),
-    }
-}
-
-/// Any `Command` a submitter can build: both kinds, concrete and wildcard
-/// selectors, extremes in every field.
-fn any_command(rng: &mut FaultRng) -> Command {
-    let (src, tag) = (Rank(edgy(rng) as u32), Tag(edgy(rng) as u32));
-    let (comm, handle) = (CommId(edgy(rng) as u16), edgy(rng));
-    if rng.chance(400) {
-        let env = Envelope::new(src, tag, comm);
-        return Command::Arrival {
-            env,
-            msg: MsgHandle(handle),
-        };
-    }
-    let src = if rng.chance(500) {
-        src.into()
-    } else {
-        SourceSel::Any
-    };
-    let tag = if rng.chance(500) {
-        tag.into()
-    } else {
-        TagSel::Any
-    };
-    Command::Post {
-        pattern: ReceivePattern { src, tag, comm },
-        handle: RecvHandle(handle),
-    }
-}
-
-/// A ring slot stores a command as three atomic words: whatever goes in
-/// comes out, with its ticket, in order, lap after lap of a small ring.
-#[test]
-fn ring_slot_words_round_trip_every_command() {
-    cases(
-        "ring_slot_words_round_trip_every_command",
-        CASES,
-        |rng, size| vec(rng, 0..200, size, |rng| (edgy(rng), any_command(rng))),
-        |entries| {
-            let ring = CommandRing::new(4);
-            let mut queued = std::collections::VecDeque::new();
-            for entry in entries {
-                if ring.push(entry.0, entry.1).is_err() {
-                    assert_eq!(queued.len(), 4, "only a full ring refuses");
-                    assert_eq!(ring.pop(), queued.pop_front());
-                    ring.push(entry.0, entry.1).unwrap();
-                }
-                queued.push_back(entry);
-            }
-            assert!(std::iter::from_fn(|| ring.pop()).eq(queued));
-        },
-    );
 }
 
 /// All sequential engines equal the oracle on arbitrary event streams.
@@ -252,7 +188,7 @@ fn command_queue_interleavings_equal_serialized_oracle() {
                 .with_max_receives(1024)
                 .with_max_unexpected(1024)
                 .with_bins(16);
-            let engine = OtmEngine::new(config).unwrap();
+            let mut engine = OtmEngine::new(config).unwrap();
 
             // Submit everything in the generated global interleaving.
             let mut next_recv = [0u64; COMMS];

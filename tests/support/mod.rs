@@ -275,7 +275,7 @@ pub fn drain_under_policy(
     packing: PackingPolicy,
     cmds: &[PendingCommand],
 ) -> (OtmEngine, DrainReport) {
-    let engine = OtmEngine::new(config).expect("valid test config");
+    let mut engine = OtmEngine::new(config).expect("valid test config");
     engine.set_packing(packing);
     for &cmd in cmds {
         engine.submit(cmd).expect("engine running");
@@ -331,7 +331,7 @@ pub fn assert_ring_equivalence(config: MatchConfig, cmds: &[PendingCommand]) {
     );
 
     for packing in [PackingPolicy::Consecutive, PackingPolicy::CrossComm] {
-        let engine = OtmEngine::new(config.clone()).expect("valid test config");
+        let mut engine = OtmEngine::new(config.clone()).expect("valid test config");
         engine.set_packing(packing);
         let mut outcomes = Vec::new();
         for &cmd in cmds {
