@@ -403,13 +403,6 @@ impl FaultPlan {
         self
     }
 
-    /// Re-seeds the plan, e.g. to derive per-node plans from one base seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Whether the plan can inject anything at all. Inert plans let the
     /// wrapped paths skip fault bookkeeping entirely.
     pub fn is_active(&self) -> bool {

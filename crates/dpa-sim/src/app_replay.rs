@@ -9,9 +9,10 @@
 //! [`crate::ReliableSender`] selective-repeat reliability protocol, lands
 //! in the destination's [`RecvNic`] (optionally
 //! behind a seeded [`FaultPlan`]), is staged into bounce buffers, submitted
-//! through the service's command queue into the sharded engine's
-//! per-communicator rings, cross-communicator packed, matched, and carried
-//! to completion by the eager or rendezvous/RDMA-READ protocol of §IV-B.
+//! through the service's command queue into the engine's bounded
+//! per-communicator queue (one `VecDeque` a shard), cross-communicator
+//! packed, matched, and carried to completion by the eager or
+//! rendezvous/RDMA-READ protocol of §IV-B.
 //!
 //! Like the engine-direct replay, destinations are replayed one at a time —
 //! rank-major, because matching state is private to a rank. Everything a
@@ -579,8 +580,9 @@ fn collect(dest: u32, done: Vec<CompletedReceive>, pairs: &mut Vec<MatchedPair>)
 /// Replays one application trace end to end through the full production
 /// path — per-source-rank queue pairs under the reliability protocol, the
 /// receive NIC's staging and total-order gate, the service's command queue,
-/// the sharded engine behind per-communicator submission rings, and the
-/// eager/rendezvous payload protocol — one destination rank at a time.
+/// the engine's bounded per-communicator queues (one `VecDeque` a shard),
+/// and the eager/rendezvous payload protocol — one destination rank at a
+/// time.
 ///
 /// The returned [`AppReplayOutcome::matched_pairs`] must equal
 /// [`engine_direct_pairs`] on the same trace for any [`AppReplayConfig`]:
@@ -1052,7 +1054,7 @@ mod tests {
 
     #[test]
     fn more_consecutive_posts_than_a_ring_or_a_fixed_oracle_holds_still_replay() {
-        // A submission ring holds 1,024 commands, and nothing drains it
+        // A communicator's queue holds 1,024 commands, and nothing drains it
         // between two posts; 20,000 outstanding receives are more than the
         // 16,384 an oracle of fixed size held.
         for n in [1_100, 20_000] {

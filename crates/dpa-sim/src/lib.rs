@@ -39,19 +39,17 @@
 //!   sessions with bounded ingress and explicit admission control, a
 //!   deficit-round-robin fair drain over one shared engine, and a
 //!   deterministic tick loop with live Prometheus exposition;
-//! * [`app_replay`] — the end-to-end application replay driver: a Table II
-//!   trace becomes sequenced wire packets over per-source-rank queue pairs,
-//!   cross-QP ordered by the NIC's total-order gate, and is matched by the
-//!   full service path, with the engine-direct replay as the matched-pairs
-//!   oracle.
+//! * [`app_replay`] — the one driver of an application trace through the
+//!   full stack: a Table II trace becomes sequenced wire packets over
+//!   per-source-rank queue pairs, cross-QP ordered by the NIC's total-order
+//!   gate, and is matched by the full service path, with the engine-direct
+//!   replay as the matched-pairs oracle.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod app_replay;
 pub mod bounce;
-pub mod cluster;
-pub mod collectives;
 pub mod fault;
 pub mod matchd;
 pub mod memory;
@@ -66,7 +64,6 @@ pub mod service;
 pub use app_replay::{
     engine_direct_pairs, replay_app, AppReplayConfig, AppReplayOutcome, AppReplayReport,
 };
-pub use cluster::{Cluster, ClusterBackend, ClusterNode};
 pub use fault::{BackendFaultStats, FaultInjectingBackend, WireFaultStats, WireFaults};
 pub use matchd::{
     Admission, MatchServer, MatchdConfig, TenantConfig, TenantId, TenantSession, TenantStats,

@@ -109,9 +109,7 @@ struct TenantEntry {
 pub struct MatchServer {
     service: MatchingService,
     /// Loopback wire into the service's NIC, for tenant self-sends.
-    /// Servers adopted around an externally wired service (the cluster
-    /// nodes) have none; their tenants' sends are rejected at admission.
-    wire: Option<QueuePair>,
+    wire: QueuePair,
     tenants: Vec<TenantEntry>,
     config: MatchdConfig,
     ticks: u64,
@@ -131,17 +129,12 @@ impl MatchServer {
         let mut budget = DeviceMemory::bluefield3_l3();
         let service =
             MatchingService::offloaded(nic, RdmaDomain::new(), match_config, &mut budget)?;
-        Ok(Self::with_service(service, Some(tx), config))
+        Ok(Self::with_service(service, tx, config))
     }
 
-    /// Adopts an existing service — the path the cluster nodes take, where
-    /// the NIC is already wired into a mesh. `wire`, when given, is a send
-    /// endpoint into the service's NIC used for tenant self-sends.
-    pub fn with_service(
-        service: MatchingService,
-        wire: Option<QueuePair>,
-        config: MatchdConfig,
-    ) -> Self {
+    /// Adopts an existing service. `wire` is a send endpoint into the
+    /// service's NIC, used for tenant self-sends.
+    pub fn with_service(service: MatchingService, wire: QueuePair, config: MatchdConfig) -> Self {
         MatchServer {
             service,
             wire,
@@ -166,7 +159,6 @@ impl MatchServer {
             capacity: tenant.capacity.max(1),
             quantum: tenant.quantum.max(1),
             next_seq: 0,
-            sends_enabled: self.wire.is_some(),
             closed: false,
             stats: TenantStats::default(),
             completions: VecDeque::new(),
@@ -262,11 +254,8 @@ impl MatchServer {
                         dispatched += 1;
                     }
                     TenantRequest::Send { env, payload } => {
-                        let wire = self
-                            .wire
-                            .as_ref()
-                            .expect("sends are rejected at admission on wireless servers");
-                        wire.send(eager_packet(env, payload))
+                        self.wire
+                            .send(eager_packet(env, payload))
                             .map_err(ServiceError::Rdma)?;
                         dispatched += 1;
                     }

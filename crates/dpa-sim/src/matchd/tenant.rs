@@ -7,7 +7,7 @@
 //! admitted synchronously ([`Admission::Admitted`]), pushed back with a
 //! retry hint when the queue is full ([`Admission::Backpressured`]), or
 //! refused outright ([`Admission::Rejected`] — closed session, cross-tenant
-//! communicator, sends on a server without a loopback wire).
+//! communicator).
 //!
 //! Admission is the flow-control boundary the NIC-offload literature puts
 //! *at* the offload resource rather than in each caller: a flooding tenant
@@ -76,7 +76,7 @@ pub enum Admission<T> {
         retry_after: u64,
     },
     /// The request can never be admitted (closed session, pattern on
-    /// another tenant's communicator, send without a loopback wire).
+    /// another tenant's communicator).
     /// Nothing was enqueued.
     Rejected {
         /// Why the request was refused.
@@ -170,8 +170,6 @@ pub(super) struct TenantShared {
     pub quantum: usize,
     /// Next handle sequence number in this tenant's namespace.
     pub next_seq: u64,
-    /// Whether the tenant can put sends on the server's loopback wire.
-    pub sends_enabled: bool,
     pub closed: bool,
     pub stats: TenantStats,
     /// Completions the server routed to this tenant, awaiting pickup.
@@ -186,8 +184,8 @@ pub(super) struct TenantShared {
 #[derive(Clone)]
 pub struct TenantSession {
     pub(super) id: TenantId,
-    /// The communicator this session is pinned to (`None` = unpinned: the
-    /// cluster nodes run one private tenant over world traffic).
+    /// The communicator this session is pinned to (`None` = unpinned, world
+    /// traffic).
     pub(super) comm: Option<CommId>,
     pub(super) shared: Arc<Mutex<TenantShared>>,
 }
@@ -226,14 +224,11 @@ impl TenantSession {
     /// Submits an eager message addressed to this server (source rank = the
     /// tenant id, communicator = the session's pin, or world when
     /// unpinned). The payload goes onto the server's loopback wire when the
-    /// fair drain schedules it; refused on servers without one.
+    /// fair drain schedules it.
     pub fn submit_send(&self, tag: Tag, payload: Vec<u8>) -> Admission<()> {
         let mut s = self.shared.lock().expect("tenant lock");
         if s.closed {
             return Self::reject(&mut s, "session closed");
-        }
-        if !s.sends_enabled {
-            return Self::reject(&mut s, "server has no loopback wire");
         }
         if let Some(retry_after) = Self::backpressure(&mut s) {
             return Admission::Backpressured { retry_after };

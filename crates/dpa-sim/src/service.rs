@@ -74,12 +74,6 @@ pub enum ServiceError {
     /// The sender-side reliability protocol gave up (transport failure or
     /// retry-budget exhaustion on an unacknowledged window).
     Reliability(crate::reliable::ReliabilityError),
-    /// A `matchd` tenant session refused the request at admission
-    /// (backpressured or rejected). Callers that treat their session as
-    /// always-admitting — the cluster nodes run one private tenant with a
-    /// generous ingress — surface the refusal as this error instead of
-    /// retrying.
-    Admission(String),
 }
 
 impl std::fmt::Display for ServiceError {
@@ -91,7 +85,6 @@ impl std::fmt::Display for ServiceError {
             ServiceError::Protocol(e) => write!(f, "protocol: {e}"),
             ServiceError::FallbackReplay(msg) => write!(f, "fallback replay: {msg}"),
             ServiceError::Reliability(e) => write!(f, "reliability: {e}"),
-            ServiceError::Admission(msg) => write!(f, "admission: {msg}"),
         }
     }
 }

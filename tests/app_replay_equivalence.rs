@@ -3,21 +3,22 @@
 //! Drives Table II application traces through the **complete** production
 //! path — per-source-rank queue pairs under the sender reliability
 //! protocol, the receive NIC's bounded staging and cross-QP total-order
-//! gate, the service's command queue, per-communicator submission rings,
-//! cross-communicator packing, the sharded engine and the eager/rendezvous
-//! payload protocol — and asserts the matched (receive, message) pairs are
-//! *identical* to the engine-direct replay of the same trace, which never
-//! touches a wire.
+//! gate, the service's command queue, the engine's bounded per-communicator
+//! queues, cross-communicator packing, the sharded engine and the
+//! eager/rendezvous payload protocol — and asserts the matched (receive,
+//! message) pairs are *identical* to the engine-direct replay of the same
+//! trace, which never touches a wire, and that the totals agree with the
+//! trace analyzer's.
 //!
 //! The hostile-wire variants repeat the check with ≥10% drop plus
 //! duplicate/reorder faults: the wire may change how often packets cross,
-//! never what matches. All seeds are pinned, so every
-//! run (including the nightly TSan pass) replays the same packets.
+//! never what matches. All seeds are pinned, so every run replays the same
+//! packets.
 
-use dpa_sim::app_replay::{engine_direct_pairs, replay_app, AppReplayConfig};
+use dpa_sim::app_replay::{engine_direct_pairs, replay_app, AppReplayConfig, AppReplayOutcome};
 use otm_base::FaultPlan;
 use otm_metrics::json::{JsonWriter, WriteJson};
-use otm_trace::{AppTrace, MpiOp, RankTrace};
+use otm_trace::{replay, AppTrace, MpiOp, RankTrace, ReplayConfig};
 
 const TRACE_SEED: u64 = 42;
 const BINS: usize = 128;
@@ -61,7 +62,7 @@ fn bigfft_destinations(destinations: u32) -> AppTrace {
     }
 }
 
-fn assert_equivalent(trace: &AppTrace, cfg: &AppReplayConfig) {
+fn assert_equivalent(trace: &AppTrace, cfg: &AppReplayConfig) -> AppReplayOutcome {
     let oracle = engine_direct_pairs(trace, BINS);
     let out = replay_app(trace, cfg).expect("end-to-end replay completes");
     assert_eq!(
@@ -77,11 +78,34 @@ fn assert_equivalent(trace: &AppTrace, cfg: &AppReplayConfig) {
         "{}: not every message crossed the gate",
         trace.name
     );
+    out
+}
+
+/// One Table II application on a clean wire: the end-to-end pairs equal the
+/// engine-direct oracle's, every match the trace analyzer counts completes,
+/// and every message it leaves unexpected is one the replay never completed.
+fn assert_clean_wire_matches_engine_direct_and_the_analyzer(name: &str) -> AppReplayOutcome {
+    let trace = app(name);
+    let out = assert_equivalent(&trace, &AppReplayConfig::default().with_bins(BINS));
+    let analyzer = replay(&trace, &ReplayConfig { bins: BINS });
+    let stats = &analyzer.match_stats;
+    let report = &out.report;
+    assert_eq!(
+        report.completed,
+        stats.matched_on_arrival + stats.matched_on_post,
+        "{name}: completions must equal the analyzer's match count"
+    );
+    assert_eq!(
+        report.messages - report.completed,
+        analyzer.final_umq as u64,
+        "{name}: unmatched messages must equal the analyzer's final UMQ"
+    );
+    out
 }
 
 #[test]
 fn amg_clean_wire_matches_engine_direct() {
-    assert_equivalent(&app("AMG"), &AppReplayConfig::default().with_bins(BINS));
+    assert_clean_wire_matches_engine_direct_and_the_analyzer("AMG");
 }
 
 #[test]
@@ -89,22 +113,32 @@ fn mocfe_wildcard_heavy_clean_wire_matches_engine_direct() {
     // MOCFE's ANY_SOURCE gather receives make matching order-sensitive:
     // without the total-order gate, two sources racing the same wildcard
     // would match in wire order, not trace order.
-    assert_equivalent(&app("MOCFE"), &AppReplayConfig::default().with_bins(BINS));
+    let analyzer = replay(&app("MOCFE"), &ReplayConfig { bins: BINS });
+    assert!(
+        analyzer.tag_usage.wildcard_recv_fraction > 0.0,
+        "MOCFE exercises wildcards"
+    );
+    assert_clean_wire_matches_engine_direct_and_the_analyzer("MOCFE");
 }
 
 #[test]
 fn crystal_router_rendezvous_clean_wire_matches_engine_direct() {
     // CrystalRouter's 256-element payloads take the rendezvous RTS +
     // RDMA-READ path end to end.
-    let trace = app("CrystalRouter");
-    let oracle = engine_direct_pairs(&trace, BINS);
-    let out = replay_app(&trace, &AppReplayConfig::default().with_bins(BINS))
-        .expect("end-to-end replay completes");
-    assert_eq!(out.matched_pairs, oracle);
+    let out = assert_clean_wire_matches_engine_direct_and_the_analyzer("CrystalRouter");
     assert_eq!(
         out.report.rendezvous_messages, out.report.messages,
         "every CrystalRouter payload is rendezvous-sized"
     );
+}
+
+/// LULESH, Nekbone and BoxLib CNS: with AMG, MOCFE and CrystalRouter above,
+/// the six small- and mid-scale Table II applications.
+#[test]
+fn table_ii_apps_clean_wire_match_engine_direct_and_the_analyzer() {
+    for name in ["LULESH", "Nekbone", "BoxLib CNS"] {
+        assert_clean_wire_matches_engine_direct_and_the_analyzer(name);
+    }
 }
 
 #[test]

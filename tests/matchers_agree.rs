@@ -11,7 +11,8 @@ use mpi_matching::rank_based::RankBasedMatcher;
 use mpi_matching::traditional::TraditionalMatcher;
 use mpi_matching::Matcher;
 use otm::SequentialOtm;
-use otm_base::{CommId, FaultRng, MatchConfig, Rank, ReceivePattern, Tag};
+use otm_base::{CommId, Envelope, FaultRng, MatchConfig, Rank, ReceivePattern, Tag};
+use otm_trace::{AppTrace, MpiOp};
 
 #[path = "support/prop.rs"]
 mod prop;
@@ -58,6 +59,71 @@ fn all_engines_agree_with_the_oracle_on_random_workloads() {
                 "case {case}: {} diverged from the oracle",
                 engine.strategy_name()
             );
+        }
+    }
+}
+
+/// A trace's per-destination event streams in the analyzer's merged order:
+/// each rank's posts, and the sends addressed to it as arrivals.
+fn per_destination_streams(trace: &AppTrace) -> Vec<Vec<MatchEvent>> {
+    let mut streams = vec![Vec::new(); trace.processes()];
+    for (rank, op) in trace.merged_ops() {
+        match op.op {
+            MpiOp::Irecv { src, tag, comm, .. } | MpiOp::Recv { src, tag, comm, .. } => {
+                let pattern = ReceivePattern { src, tag, comm };
+                streams[rank.0 as usize].push(MatchEvent::Post(pattern));
+            }
+            MpiOp::Isend {
+                dest, tag, comm, ..
+            }
+            | MpiOp::Send {
+                dest, tag, comm, ..
+            } => {
+                if let Some(stream) = streams.get_mut(dest.0 as usize) {
+                    let env = Envelope {
+                        src: rank,
+                        tag,
+                        comm,
+                    };
+                    stream.push(MatchEvent::Arrive(env));
+                }
+            }
+            _ => {}
+        }
+    }
+    streams
+}
+
+/// Application traffic, pair by pair: every destination of AMG and MOCFE
+/// (MOCFE's gathers post ANY_SOURCE receives) matches as the oracle does in
+/// every engine — the traditional list the MPI-CPU backend runs and the
+/// optimistic engine the offloaded one runs among them.
+#[test]
+fn all_engines_agree_with_the_oracle_on_application_traffic() {
+    for name in ["AMG", "MOCFE"] {
+        let spec = otm_workloads::catalog()
+            .into_iter()
+            .find(|s| s.name == name)
+            .expect("a Table II application");
+        for seed in [7, 42] {
+            let mut pairs = 0;
+            for (dest, events) in per_destination_streams(&(spec.generate)(seed))
+                .iter()
+                .enumerate()
+            {
+                let expect = Oracle::run(events);
+                for mut engine in engines() {
+                    let got = Oracle::drive(engine.as_mut(), events).unwrap();
+                    assert_eq!(
+                        got,
+                        expect,
+                        "{name} seed {seed} rank {dest}: {} diverged",
+                        engine.strategy_name()
+                    );
+                }
+                pairs += expect.pairs();
+            }
+            assert!(pairs > 0, "{name} seed {seed}: no pair to compare");
         }
     }
 }

@@ -7,9 +7,7 @@ use dpa_sim::nic::RecvNic;
 use dpa_sim::pingpong::run_pingpong;
 use dpa_sim::rdma::{connected_pair, eager_packet, rendezvous_packet, QueuePair, RdmaDomain};
 use dpa_sim::service::{CompletedReceive, MatchingService};
-use dpa_sim::{
-    Cluster, ClusterBackend, DeviceMemory, MatchMode, MatchServer, MatchdConfig, PingPongConfig,
-};
+use dpa_sim::{DeviceMemory, MatchMode, MatchServer, MatchdConfig, PingPongConfig};
 use mpi_matching::oracle::MatchEvent;
 use otm_base::{CommId, Envelope, FaultRng, MatchConfig, Rank, ReceivePattern, Tag};
 
@@ -211,19 +209,6 @@ fn every_shipped_offloaded_construction_drains_through_the_queue() {
     server.tick().unwrap();
     assert!(drained_through_the_queue(
         &server.service().observability_snapshot()
-    ));
-
-    // An offloaded cluster node, one message.
-    let mut cluster = Cluster::new(2, ClusterBackend::Offloaded, MatchConfig::small());
-    cluster
-        .node_mut(1)
-        .post_recv(ReceivePattern::exact(Rank(0), Tag(3)))
-        .unwrap();
-    cluster.node_mut(0).send(1, Tag(3), vec![3]).unwrap();
-    assert_eq!(cluster.progress_until(1, 1).unwrap().len(), 1);
-    let node = cluster.node_mut(1);
-    assert!(drained_through_the_queue(
-        &node.server().service().observability_snapshot()
     ));
 
     // Fig. 8's ping-pong, one sequence.

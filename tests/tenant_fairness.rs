@@ -264,7 +264,7 @@ fn fallback_mid_tick_loses_nothing_for_any_tenant() {
     let mut service =
         MatchingService::offloaded(nic, RdmaDomain::new(), config, &mut budget).unwrap();
     service.enable_command_queue().unwrap();
-    let mut server = MatchServer::with_service(service, Some(tx), MatchdConfig::default());
+    let mut server = MatchServer::with_service(service, tx, MatchdConfig::default());
 
     let storm = server.open_tenant_with(TenantConfig {
         capacity: 64,
@@ -336,7 +336,7 @@ fn fallback_mid_tick_loses_nothing_for_any_tenant() {
 }
 
 /// Sessions refuse what they must: cross-communicator posts, submissions
-/// after close, sends on a wireless server.
+/// after close.
 #[test]
 fn rejections_are_terminal_not_backpressure() {
     let mut server = server(roomy_config(), 4);
