@@ -5,11 +5,13 @@
 //! replays them matcher-direct, this harness drives each application's
 //! generated trace through the complete production path —
 //! `ReliableSender` → (optionally faulty) `RecvNic` with the cross-QP
-//! total-order gate → command queue → per-communicator submission rings →
-//! cross-comm packing → sharded `OtmEngine` → eager/rendezvous payload
-//! protocol — via [`dpa_sim::app_replay::replay_app`], and checks the
-//! matched pairs against the engine-direct oracle
-//! ([`dpa_sim::app_replay::engine_direct_pairs`]).
+//! total-order gate → the engine's per-communicator command queues →
+//! cross-comm packing → `OtmEngine` → eager/rendezvous payload protocol —
+//! via [`dpa_sim::app_replay::replay_app`], and checks the matched pairs
+//! against the engine-direct oracle
+//! ([`dpa_sim::app_replay::engine_direct_pairs`]). With `--faults` it is
+//! the repo's one hostile-wire harness: the same trace over a clean and a
+//! seeded faulty wire must give the same matched pairs.
 //!
 //! Run with: `cargo run --release -p otm-bench --bin appbench`
 //!

@@ -16,7 +16,9 @@
 //! rates differ from the paper's BlueField-3 testbed — the "DPA" here is a
 //! simulated device whose blocks are stepped on the host's thread. Every
 //! section runs on one thread, closed-loop (see [`dpa_sim::pingpong`]), so
-//! the offloaded series' engine counters are the same on every run.
+//! the offloaded series' engine counters are the same on every run. Like
+//! the paper, the ping-pong assumes a lossless fabric; the full stack over
+//! a hostile wire is `appbench --faults`.
 //!
 //! A seventh section compares the drain's block-packing policies under
 //! *mixed* traffic: each of four communicators' command streams
@@ -27,19 +29,10 @@
 //! policy every interleaved post cuts the arrival block short; the
 //! cross-communicator scheduler hoists posts and refills blocks from the
 //! other lanes' FIFO heads, so blocks stay full. The rows report blocks
-//! executed and mean block occupancy next to throughput, and the same
-//! numbers land in a standalone `fig8_mixed.json` artifact.
+//! executed and mean block occupancy next to throughput; they and each
+//! engine's registry snapshot are written to `fig8_mixed.json`.
 //!
-//! With `--faults`, an eighth section runs the same pre-posted stream twice —
-//! once over a perfect wire and once over a seeded hostile one (10% drop,
-//! 10% duplicate, 10% reorder, 5% delay; `--fault-seed` picks the plan) —
-//! with the sender wrapped in the selective-repeat [`ReliableSender`]. The rows
-//! put the reliability tax (retransmits, backoff polls, discarded
-//! duplicates) next to throughput, the run asserts the matched
-//! (receive, payload) sequence is identical in both runs, and everything
-//! lands in a standalone `fig8_faults.json` artifact.
-//!
-//! With `--tenants N`, a ninth section promotes the service into a matchd
+//! With `--tenants N`, an eighth section promotes the service into a matchd
 //! server and runs N tenant sessions against it for the same message
 //! budget: each tenant submits (post, self-send) pairs per deterministic
 //! tick, with `--flood-tenant I` turning tenant I into a flooder that
@@ -47,19 +40,19 @@
 //! admission counters (admitted / backpressured) next to its completed
 //! throughput and, for well-behaved tenants, the fraction of their *solo*
 //! throughput retained under contention — the fair-drain headline. The
-//! numbers land in a standalone `fig8_tenants.json` artifact (with the
-//! per-tenant series sections embedded when `--series` is also given).
+//! rows and the server's registry snapshot are written to
+//! `fig8_tenants.json` (with the per-tenant series sections embedded when
+//! `--series` is also given).
 //!
 //! With `--series PATH`, the flight recorder's rolling time-series sampler
-//! rides along: the mixed-traffic drain is sampled once per drain round and
-//! the `--faults` service once per `progress()` poll (both deterministic
-//! virtual clocks), and the labeled columnar series land in one JSON
-//! artifact at PATH (schema per section: `t`, `queue_depth`,
-//! `block_occupancy`, `path_counts`, `matched`, `retransmits`,
-//! `fallbacks`). With `--spans PATH` (requires building with
-//! `--features trace-events`; otherwise a warning), per-message lifecycle
-//! span dumps are written per section as `PATH.<section>.jsonl` plus a
-//! Chrome `trace_event` file `PATH.<section>.trace.json` that
+//! rides along on the mixed section: each policy's drain is sampled once
+//! per drain round (a deterministic virtual clock), and the labeled
+//! columnar series land in one JSON artifact at PATH (schema per section:
+//! `t`, `queue_depth`, `block_occupancy`, `path_counts`, `matched`,
+//! `retransmits`, `fallbacks`). With `--spans PATH` (requires building with
+//! `--features trace-events`; otherwise a warning), each policy's
+//! per-message lifecycle span dump is written as `PATH.<section>.jsonl`
+//! plus a Chrome `trace_event` file `PATH.<section>.trace.json` that
 //! <https://ui.perfetto.dev> opens directly.
 //!
 //! Run with: `cargo run --release -p otm-bench --bin fig8_message_rate`
@@ -69,24 +62,20 @@
 //! `--series PATH` / `--spans PATH` capture the flight-recorder artifacts;
 //! `--out PATH` redirects the JSON report).
 //!
-//! The JSON report is a [`BenchReport`] whose `observability` object maps
-//! each offloaded series label to its merged registry snapshot: the
-//! per-path resolution counters (NC / WC-FP / WC-SP), the search-depth and
-//! block-latency histogram quantiles, and the dpa-sim queue-depth gauges.
+//! The JSON report is a [`BenchReport`] of the six series rows whose
+//! `observability` object maps each offloaded series label to its merged
+//! registry snapshot: the per-path resolution counters (NC / WC-FP /
+//! WC-SP), the search-depth and block-latency histogram quantiles, and the
+//! dpa-sim queue-depth gauges.
 
-use dpa_sim::bounce::BouncePool;
-use dpa_sim::nic::RecvNic;
-use dpa_sim::rdma::{connected_pair, eager_packet, RdmaDomain};
-use dpa_sim::reliable::PROTOCOL_LABEL;
-use dpa_sim::service::ServiceError;
 use dpa_sim::{
-    Admission, MatchMode, MatchServer, MatchdConfig, MatchingService, PingPong, PingPongConfig,
-    PingPongResult, ReliableSender, Scenario, TenantConfig, TenantSession,
+    Admission, MatchMode, MatchServer, MatchdConfig, PingPong, PingPongConfig, PingPongResult,
+    Scenario, TenantConfig, TenantSession,
 };
 use mpi_matching::{MsgHandle, RecvHandle};
 use otm::{Command, OtmEngine};
 use otm_base::{
-    CommId, Envelope, FaultPlan, MatchConfig, MatchError, PackingPolicy, Rank, ReceivePattern, Tag,
+    CommId, Envelope, MatchConfig, MatchError, PackingPolicy, Rank, ReceivePattern, Tag,
 };
 use otm_bench::{
     experiments_dir, header, write_json_artifact, write_report, BenchReport, CommonArgs,
@@ -104,138 +93,22 @@ use std::time::Instant;
 /// one in ten and the median passes over it.
 const TURN: usize = 10;
 
-/// The report-level `observability` object: one registry snapshot per
-/// series or section label.
-type Observability = BTreeMap<String, RegistrySnapshot>;
-
 /// What [`MatchServer::finish_series`] hands back: the global series and
 /// one section per tenant.
 type TenantSeries = (SeriesRecorder, Vec<(String, SeriesRecorder)>);
 
-/// Flight-recorder output accumulated across the fig8 sections: labeled
-/// rolling time series (`--series`) and labeled span dumps (`--spans`, only
-/// under the `trace-events` feature).
-#[derive(Default)]
-struct FlightRecorder {
-    /// `(section, series)` pairs, e.g. `("mixed cross-comm", ...)`.
-    series: Vec<(String, SeriesRecorder)>,
-    /// `(section, events, dropped)` per span dump.
-    #[cfg(feature = "trace-events")]
-    spans: Vec<(String, Vec<otm_metrics::SpanEvent>, u64)>,
-}
-
-impl FlightRecorder {
-    /// Writes the labeled series as one artifact at `--series PATH` (the
-    /// recorder's [`WriteJson`] form). Returns the path, or `None` when
-    /// `--series` was not given or nothing was sampled.
-    fn write_series(&self, args: &CommonArgs) -> Option<std::path::PathBuf> {
-        let path = args.series.as_ref()?;
-        if self.series.is_empty() {
-            return None;
-        }
-        Some(write_json_artifact(path, self))
-    }
-
-    /// Self-consistency shape check for every recorded series: the terminal
-    /// point's per-path counts must sum to its matched total (the invariant
-    /// `otm_matched_total == Σ otm_resolutions_total{path}` carried into the
-    /// artifact), and `t` must be strictly increasing.
-    fn series_consistent(&self) -> bool {
-        self.series.iter().all(|(_, s)| {
-            let monotone = s.points().windows(2).all(|w| w[0].t < w[1].t);
-            let terminal_ok = match s.last() {
-                Some(p) => p.path_counts.iter().sum::<u64>() == p.matched,
-                None => true,
-            };
-            monotone && terminal_ok
-        })
-    }
-
-    /// Writes the span dumps next to the `--spans` stem (JSONL + Chrome
-    /// `trace_event` per section) and prints one summary line per section
-    /// with the per-path post→match latency means.
-    #[cfg(feature = "trace-events")]
-    fn write_spans(&self, args: &CommonArgs) {
-        let Some(stem) = args.spans.as_ref() else {
-            return;
-        };
-        for (section, events, dropped) in &self.spans {
-            let jsonl = spans_sibling(stem, section, "jsonl");
-            write_text_artifact(&jsonl, &otm_metrics::spans_to_jsonl(events));
-            let chrome = spans_sibling(stem, section, "trace.json");
-            write_text_artifact(&chrome, &otm_metrics::spans_to_chrome_trace(events));
-            let hists = otm_metrics::latency_by_path(events);
-            let lat: Vec<String> = otm_metrics::MATCH_PATHS
-                .iter()
-                .zip(&hists)
-                .filter(|(_, h)| h.count > 0)
-                .map(|(p, h)| {
-                    format!(
-                        "{} n={} mean={}ns",
-                        p.label(),
-                        h.count,
-                        h.sum / h.count.max(1)
-                    )
-                })
-                .collect();
-            println!(
-                "span dump [{section}]: {} events ({dropped} dropped) -> {} / {}   [{}]",
-                events.len(),
-                jsonl.display(),
-                chrome.display(),
-                lat.join(", ")
-            );
-        }
-    }
-
-    /// Without the `trace-events` feature the span layer is compiled out;
-    /// tell the operator why `--spans` produced nothing instead of failing
-    /// silently.
-    #[cfg(not(feature = "trace-events"))]
-    fn write_spans(&self, args: &CommonArgs) {
-        if args.spans.is_some() {
-            println!(
-                "WARNING: --spans requires building with --features trace-events; \
-                 span dump skipped"
-            );
-        }
-    }
-}
-
-/// `{"bench":"fig8_series","sections":{<label>:<columnar series>}}`.
-impl WriteJson for FlightRecorder {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.begin_object();
-        w.field_str("bench", "fig8_series");
-        w.key("sections");
-        w.begin_object();
-        for (label, series) in &self.series {
-            w.key(label);
-            series.write_json(w);
-        }
-        w.end_object();
-        w.end_object();
-    }
-}
-
-/// The fig8 `results` payload: the per-series rows and the sections.
+/// The fig8 `results` payload: the per-series rows.
 #[derive(Debug)]
 struct Fig8Results {
     /// The six ping-pong series.
     series: Vec<PingPongResult>,
-    /// The mixed-traffic packing-policy comparison (one row per policy).
-    mixed: Vec<MixedRow>,
-    /// The fault-injection sweep (`--faults`), if it ran.
-    faults: Option<FaultSweep>,
-    /// The multi-tenant matchd fairness sweep (`--tenants`), if it ran.
-    tenants: Option<TenantsSweep>,
     /// Whether this build stamped lifecycle spans (`--features
     /// trace-events`) — compare the NC series' `msgs_per_sec` of a `true`
     /// and a `false` artifact to measure the span layer's overhead.
     trace_events: bool,
 }
 
-json_fields!(Fig8Results: series, mixed, faults, tenants, trace_events);
+json_fields!(Fig8Results: series, trace_events);
 
 /// One packing policy's run of the mixed-traffic drain comparison: the same
 /// interleaved post/arrival workload, drained under `packing`.
@@ -262,8 +135,7 @@ struct MixedRow {
     mean_block_occupancy: f64,
 }
 
-// The row as it appears both in the report's `results.mixed` and in the
-// standalone `fig8_mixed.json`.
+// The row as it appears in `fig8_mixed.json`.
 json_fields!(MixedRow: packing, post_mix_pct, shards, messages, posts, elapsed_secs, msgs_per_sec,
     blocks_executed, mean_block_occupancy);
 
@@ -318,7 +190,7 @@ fn main() {
         }
     }
     let mut results: Vec<PingPongResult> = Vec::new();
-    let mut observability = Observability::new();
+    let mut observability = BTreeMap::new();
     for (pingpong, (mode, scenario)) in pingpongs.into_iter().zip(runs) {
         let mut result = pingpong.finish();
         // The CPU baseline behaves identically in both scenarios; tag its
@@ -329,25 +201,71 @@ fn main() {
                 Scenario::WithConflict => "MPI-CPU (WC receives)".to_string(),
             };
         }
-        harvest(&mut result, &mut observability);
+        // The run's registry snapshot moves out of the row and into the
+        // report-level observability map.
+        if let Some(snapshot) = result.observability_json.take() {
+            observability.insert(result.label.clone(), snapshot);
+        }
         print_result(&result);
         results.push(result);
     }
 
-    let mut recorder = FlightRecorder::default();
-    let mixed = run_mixed(&args, k * repeats, &mut observability, &mut recorder);
-    let faults = run_faults(&args, k * repeats, &mut observability, &mut recorder);
-    let tenants = run_tenants(&args, k * repeats, &mut observability);
-    finish(
-        &args,
-        quick,
-        results,
-        mixed,
-        faults,
-        tenants,
-        observability,
-        recorder,
+    // Shape checks mirrored from the paper's discussion of Fig. 8.
+    let rate = |label: &str| {
+        results
+            .iter()
+            .find(|r| r.label.starts_with(label))
+            .map(|r| r.msgs_per_sec)
+            .unwrap_or(0.0)
+    };
+    let nc = rate("Optimistic-DPA NC");
+    let fp = rate("Optimistic-DPA WC-FP");
+    let sp = rate("Optimistic-DPA WC-SP");
+    let rdma = rate("RDMA-CPU");
+    println!();
+    println!(
+        "shape: RDMA-CPU ceiling > others: {}",
+        rdma >= nc.max(fp).max(sp) * 0.9
     );
+    println!(
+        "shape: conflicts cost throughput (NC > WC): {}",
+        nc > fp.min(sp)
+    );
+    let report = BenchReport::with_observability(
+        "fig8_message_rate",
+        quick,
+        Fig8Results {
+            series: results,
+            trace_events: cfg!(feature = "trace-events"),
+        },
+        Some(observability),
+    );
+    let path = write_report(&args, &report);
+    println!("JSON artifact: {}", path.display());
+
+    let mixed = run_mixed(&args, k * repeats);
+    let occupancy = |name: &str| {
+        mixed
+            .iter()
+            .find(|(r, _)| r.packing == name)
+            .map(|(r, _)| r.mean_block_occupancy)
+    };
+    if let (Some(consec), Some(cross)) = (occupancy("consecutive"), occupancy("cross-comm")) {
+        println!(
+            "shape: cross-comm packing refills blocks posts cut short: {}",
+            cross >= 2.0 * consec
+        );
+    }
+    let path = write_json_artifact(
+        &experiments_dir().join("fig8_mixed.json"),
+        &MixedArtifact(&mixed),
+    );
+    println!("mixed-traffic artifact: {}", path.display());
+
+    if let Some(tenants) = run_tenants(&args, k * repeats) {
+        let path = write_json_artifact(&experiments_dir().join("fig8_tenants.json"), &tenants);
+        println!("tenants artifact: {}", path.display());
+    }
 }
 
 /// Communicator lanes of the mixed-traffic comparison.
@@ -391,13 +309,10 @@ fn mixed_command(lane: usize, per_lane: usize, i: usize, pct: u32) -> Command {
 /// spread uniformly) are submitted in bursts of [`MIXED_BURST`] commands,
 /// round-robin across the lanes, with one drain per round. The same
 /// deterministic workload is replayed once per packing policy so the only
-/// variable is how the drain packs blocks.
-fn run_mixed(
-    args: &CommonArgs,
-    budget: usize,
-    observability: &mut Observability,
-    recorder: &mut FlightRecorder,
-) -> Vec<(MixedRow, RegistrySnapshot)> {
+/// variable is how the drain packs blocks. The flight recorder's
+/// artifacts (`--series`, `--spans`) are this section's and are written
+/// here.
+fn run_mixed(args: &CommonArgs, budget: usize) -> Vec<(MixedRow, RegistrySnapshot)> {
     let post_mix = args.post_mix.unwrap_or(30).min(90);
     let per_lane = (budget / MIXED_LANES).max(1);
     let total = per_lane * MIXED_LANES;
@@ -417,8 +332,16 @@ fn run_mixed(
         "\nMixed-traffic packing: {MIXED_LANES} lanes x {per_lane} cmds, {post_mix}% posts, \
          bursts of {MIXED_BURST}"
     );
+    #[cfg(not(feature = "trace-events"))]
+    if args.spans.is_some() {
+        println!(
+            "WARNING: --spans requires building with --features trace-events; \
+             span dump skipped"
+        );
+    }
 
     let mut rows = Vec::new();
+    let mut sections = Vec::new();
     for (policy, name) in policies {
         let config = MatchConfig::default()
             .with_max_receives((posts_per_lane * MIXED_LANES).max(1))
@@ -485,14 +408,11 @@ fn run_mixed(
                 (total - drained) as u64,
                 &engine.metrics_snapshot(),
             );
-            recorder.series.push((format!("mixed {name}"), s));
+            sections.push((format!("mixed {name}"), s));
         }
         #[cfg(feature = "trace-events")]
-        if args.spans.is_some() {
-            let spans = engine.span_recorder();
-            recorder
-                .spans
-                .push((format!("mixed-{name}"), spans.dump(), spans.dropped()));
+        if let Some(stem) = &args.spans {
+            write_spans(stem, &format!("mixed-{name}"), engine.span_recorder());
         }
 
         let stats = engine.stats();
@@ -515,9 +435,15 @@ fn run_mixed(
         if let Some(e) = error {
             println!("  WARNING: {name} drain stopped early: {e}");
         }
-        let snapshot = engine.metrics_snapshot();
-        observability.insert(format!("mixed {name}"), snapshot.clone());
-        rows.push((row, snapshot));
+        rows.push((row, engine.metrics_snapshot()));
+    }
+    if let Some(path) = &args.series {
+        let path = write_json_artifact(path, &SeriesArtifact(&sections));
+        println!(
+            "shape: series terminal points self-consistent (Σ path == matched, t monotone): {}",
+            series_consistent(&sections)
+        );
+        println!("flight-recorder series artifact: {}", path.display());
     }
     rows
 }
@@ -547,383 +473,71 @@ impl WriteJson for MixedArtifact<'_> {
     }
 }
 
-/// One run of the fault sweep: the same pre-posted stream, pushed through
-/// the [`ReliableSender`], over either a perfect wire (`fault-free`) or the
-/// seeded [`FaultPlan`] (`hostile-wire`). The reliability columns quantify
-/// what the protocol paid to hide the wire's misbehavior — the headline is
-/// `retransmit_amplification`, retransmits per wire drop, which selective
-/// repeat keeps near 1 by resending only the holes.
-#[derive(Debug, Clone)]
-struct FaultRow {
-    /// `fault-free` or `hostile-wire`.
-    label: String,
-    /// Always [`PROTOCOL_LABEL`] (`selective-repeat`); kept so the rows stay
-    /// comparable with the committed artifacts.
-    mode: String,
-    /// Messages completed end to end (always the full budget).
-    messages: u64,
-    /// Wall-clock including the final ack settle.
-    elapsed_secs: f64,
-    /// Completed receives per second over the wall-clock above.
-    msgs_per_sec: f64,
-    /// Packets the fault layer silently dropped.
-    wire_drops: u64,
-    /// Packets the fault layer delivered twice.
-    wire_duplicates: u64,
-    /// Packets the fault layer released out of order.
-    wire_reorders: u64,
-    /// Packets the fault layer held back before in-order release.
-    wire_delays: u64,
-    /// Packets resent by the reliability protocol (timeout resends plus
-    /// SACK-driven fast retransmits).
-    retransmits: u64,
-    /// Retransmits per wire drop (`retransmits / wire_drops`; `0` on a
-    /// clean wire) — the Fig. 9-style amplification headline.
-    retransmit_amplification: f64,
-    /// SACK-hole fast retransmits.
-    fast_retransmits: u64,
-    /// Resend events (each retransmits only the unSACKed holes).
-    resend_events: u64,
-    /// Cumulative acks the sender consumed.
-    acks_received: u64,
-    /// Polls the sender spent backing off between resends (virtual time).
-    backoff_polls: u64,
-    /// Already-seen sequence numbers the receive NIC discarded.
-    rx_duplicates_discarded: u64,
-    /// Ahead-of-expected sequence numbers the receive NIC discarded.
-    rx_gaps_discarded: u64,
-    /// Out-of-order packets parked in the receive NIC's staging buffer.
-    rx_staged_out_of_order: u64,
-    /// Cumulative acks the receive NIC emitted.
-    acks_sent: u64,
-}
+/// The `--series` artifact:
+/// `{"bench":"fig8_series","sections":{<label>:<columnar series>}}`.
+struct SeriesArtifact<'a>(&'a [(String, SeriesRecorder)]);
 
-// The row as it appears both in the report's `results.faults.rows` and in
-// the standalone `fig8_faults.json`.
-json_fields!(FaultRow: label, mode, messages, elapsed_secs, msgs_per_sec, wire_drops,
-    wire_duplicates, wire_reorders, wire_delays, retransmits, retransmit_amplification,
-    fast_retransmits, resend_events, acks_received, backoff_polls, rx_duplicates_discarded,
-    rx_gaps_discarded, rx_staged_out_of_order, acks_sent);
-
-/// The `--faults` sweep: plan parameters, the fault-free vs hostile rows,
-/// and the oracle verdict (`matched_equal`) that the hostile wire changed
-/// no matched (receive, payload) pair.
-#[derive(Debug)]
-struct FaultSweep {
-    /// Seed of the fault plan (`--fault-seed`, default `0xf8`).
-    seed: u64,
-    /// Drop probability in permille.
-    drop_permille: u32,
-    /// Duplicate probability in permille.
-    duplicate_permille: u32,
-    /// Reorder probability in permille.
-    reorder_permille: u32,
-    /// Delay probability in permille.
-    delay_permille: u32,
-    /// True when both runs completed the identical (receive, payload)
-    /// sequence — the chaos oracle of `tests/fault_chaos.rs`, at bench
-    /// scale.
-    matched_equal: bool,
-    /// Two rows: fault-free then hostile-wire.
-    rows: Vec<FaultRow>,
-}
-
-// The sweep as the report's `results.faults`: plan parameters flat.
-json_fields!(FaultSweep: seed, drop_permille, duplicate_permille, reorder_permille, delay_permille,
-    matched_equal, rows);
-
-/// The standalone `fig8_faults.json`: the sweep with the plan nested under
-/// `plan`, plus each run's registry snapshot keyed `"<mode> <label>"`.
-struct FaultsArtifact<'a> {
-    sweep: &'a FaultSweep,
-    snapshots: Vec<&'a RegistrySnapshot>,
-}
-
-impl WriteJson for FaultsArtifact<'_> {
+impl WriteJson for SeriesArtifact<'_> {
     fn write_json(&self, w: &mut JsonWriter) {
-        let sweep = self.sweep;
         w.begin_object();
-        w.field_str("bench", "fig8_faults");
-        json_fields!(w, sweep; seed);
-        w.key("plan");
+        w.field_str("bench", "fig8_series");
+        w.key("sections");
         w.begin_object();
-        json_fields!(w, sweep; drop_permille, duplicate_permille, reorder_permille, delay_permille);
-        w.end_object();
-        json_fields!(w, sweep; matched_equal, rows);
-        w.key("observability");
-        w.begin_object();
-        for (row, snapshot) in sweep.rows.iter().zip(&self.snapshots) {
-            w.key(&format!("{} {}", row.mode, row.label));
-            snapshot.write_json(w);
+        for (label, series) in self.0 {
+            w.key(label);
+            series.write_json(w);
         }
         w.end_object();
         w.end_object();
     }
 }
 
-/// Everything one fault-sweep run produces: the summary row, the completed
-/// (receive handle, payload) sequence for the equality oracle, and the
-/// service's registry snapshot.
-struct FaultRun {
-    row: FaultRow,
-    completed: Vec<(u64, Vec<u8>)>,
-    observability: RegistrySnapshot,
-    /// The rolling time series sampled on the service's poll clock, when
-    /// `--series` asked for one.
-    series: Option<SeriesRecorder>,
-    /// Merged engine + service span dump and its total dropped-events
-    /// count, when `--spans` asked for one.
-    #[cfg(feature = "trace-events")]
-    spans: Option<(Vec<otm_metrics::SpanEvent>, u64)>,
+/// Self-consistency shape check for every recorded series: the terminal
+/// point's per-path counts must sum to its matched total (the invariant
+/// `otm_matched_total == Σ otm_resolutions_total{path}` carried into the
+/// artifact), and `t` must be strictly increasing.
+fn series_consistent(sections: &[(String, SeriesRecorder)]) -> bool {
+    sections.iter().all(|(_, s)| {
+        let monotone = s.points().windows(2).all(|w| w[0].t < w[1].t);
+        let terminal_ok = match s.last() {
+            Some(p) => p.path_counts.iter().sum::<u64>() == p.matched,
+            None => true,
+        };
+        monotone && terminal_ok
+    })
 }
 
-/// Pre-posts `patterns` in order, under consecutive handles, before any
-/// message is sent. A post is a command on the engine's per-communicator
-/// submission ring: a full ring is drained by a progress call and the post
-/// retried under its handle, and a last progress applies the tail.
-fn pre_post(svc: &mut MatchingService, patterns: impl IntoIterator<Item = ReceivePattern>) {
-    for pattern in patterns {
-        let handle = svc.reserve_recv();
-        while let Err(e) = svc.post_recv_queued_reserved(pattern, handle) {
-            assert!(
-                matches!(
-                    e,
-                    ServiceError::Match(MatchError::SubmissionRingFull { .. })
-                ),
-                "pre-post failed: {e}"
-            );
-            svc.progress().expect("service alive");
-        }
-    }
-    svc.progress().expect("service alive");
-}
-
-/// Pushes `messages` eager packets through the full service path — queue
-/// pair, (optionally faulty) receive NIC, command queue, windowed drain,
-/// eager copy — with the sender wrapped in the reliability protocol, and
-/// records the completed (receive, payload) sequence
-/// plus the reliability counters. The receives are pre-posted, so message
-/// `i` deterministically matches receive `i` (per-QP FIFO + FIFO
-/// matching), making the completed sequence directly comparable between
-/// the fault-free and hostile runs.
-fn fault_run(
-    args: &CommonArgs,
-    label: &str,
-    plan: Option<&FaultPlan>,
-    messages: usize,
-) -> FaultRun {
-    let config = MatchConfig::default()
-        .with_max_receives(messages.max(1))
-        .with_bins((2 * messages.max(1)).next_power_of_two());
-    let engine = OtmEngine::new(config).expect("fault bench configuration");
-    let domain = RdmaDomain::new();
-    let (tx, rx) = connected_pair();
-    let mut nic = RecvNic::new(rx, BouncePool::new(messages.max(1), 64));
-    if let Some(plan) = plan {
-        nic.set_faults(plan.clone());
-    }
-    let mut svc = MatchingService::with_backend(nic, domain, Box::new(engine));
-    pre_post(
-        &mut svc,
-        (0..messages)
-            .map(|i| ReceivePattern::new(Rank(i as u32 % 8), Tag(i as u32 % 64), CommId(1))),
-    );
-    if args.series.is_some() {
-        // The service samples itself on its poll clock; the cadence keeps
-        // the series to a few hundred points on the fault-free run (which
-        // completes up to a full reliability window per poll).
-        svc.attach_series(SeriesRecorder::new((messages as u64 / 512).max(1)));
-    }
-
-    let mut sender = ReliableSender::new(tx);
-    // One registry for the whole path: the sender's retransmit/backoff
-    // counters land in the same snapshot as the NIC's wire/rx counters.
-    sender.attach_metrics(svc.metrics().clone());
-    let mut completed: Vec<(u64, Vec<u8>)> = Vec::with_capacity(messages);
-    let mut sent = 0usize;
-    let start = Instant::now();
-    while completed.len() < messages {
-        // The adaptive (AIMD) window is the flow control, exactly as on a
-        // real wire.
-        while sent < messages && sender.can_send() {
-            let (src, tag) = (Rank(sent as u32 % 8), Tag(sent as u32 % 64));
-            let payload = (sent as u32).to_le_bytes().to_vec();
-            sender
-                .send(eager_packet(Envelope::new(src, tag, CommId(1)), payload))
-                .expect("retry budget covers the configured fault rates");
-            sent += 1;
-        }
-        svc.progress().expect("service alive");
-        let stray = sender
-            .poll()
-            .expect("retry budget covers the configured fault rates");
-        debug_assert!(stray.is_empty(), "nothing sends app data back");
-        for done in svc.take_completed() {
-            completed.push((done.recv.0, done.data));
-        }
-    }
-    // Settle the tail acks so the reliability counters are final.
-    while sender.unacked() > 0 {
-        svc.progress().expect("service alive");
-        sender
-            .poll()
-            .expect("retry budget covers the configured fault rates");
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    svc.force_series_sample();
-    #[cfg(feature = "trace-events")]
-    let spans = if args.spans.is_some() {
-        // Engine lifecycle spans (enqueued/packed/matched) and service
-        // reliability spans (retransmitted/fell_back) share one process
-        // timeline; merge them into a single chronological dump.
-        let mut events = svc.engine_span_events().unwrap_or_default();
-        events.extend(svc.metrics().spans().dump());
-        events.sort_by_key(|e| (e.t_ns, e.subject, e.seq));
-        let snap = svc.observability_snapshot();
-        let dropped_of = |key: &str| snap.counters.get(key).copied().unwrap_or(0);
-        let dropped = dropped_of("otm_span_dropped_total") + dropped_of("dpa_span_dropped_total");
-        Some((events, dropped))
-    } else {
-        None
-    };
-
-    let wire = svc.nic().wire_fault_stats().unwrap_or_default();
-    let rx_stats = svc.nic().rx_stats();
-    let rel = sender.stats();
-    FaultRun {
-        row: FaultRow {
-            label: label.to_string(),
-            mode: PROTOCOL_LABEL.to_string(),
-            messages: messages as u64,
-            elapsed_secs: elapsed,
-            msgs_per_sec: messages as f64 / elapsed.max(f64::EPSILON),
-            wire_drops: wire.drops,
-            wire_duplicates: wire.duplicates,
-            wire_reorders: wire.reorders,
-            wire_delays: wire.delays,
-            retransmits: rel.retransmits,
-            retransmit_amplification: if wire.drops > 0 {
-                rel.retransmits as f64 / wire.drops as f64
-            } else {
-                0.0
-            },
-            fast_retransmits: rel.fast_retransmits,
-            resend_events: rel.resend_events,
-            acks_received: rel.acks,
-            backoff_polls: rel.backoff_polls,
-            rx_duplicates_discarded: rx_stats.duplicates,
-            rx_gaps_discarded: rx_stats.gaps,
-            rx_staged_out_of_order: rx_stats.staged_out_of_order,
-            acks_sent: rx_stats.acks_sent,
-        },
-        completed,
-        observability: svc.observability_snapshot(),
-        series: svc.take_series(),
-        #[cfg(feature = "trace-events")]
-        spans,
-    }
-}
-
-/// Runs the `--faults` sweep: the identical pre-posted stream over a
-/// perfect and a seeded hostile wire, the matched-sequence equality oracle,
-/// and the `fig8_faults.json` artifact.
-fn run_faults(
-    args: &CommonArgs,
-    budget: usize,
-    observability: &mut Observability,
-    recorder: &mut FlightRecorder,
-) -> Option<FaultSweep> {
-    if !args.faults {
-        return None;
-    }
-    let messages = budget.max(1);
-    let seed = args.fault_seed.unwrap_or(0xf8);
-    let plan = FaultPlan::new(seed)
-        .with_drop_permille(100)
-        .with_duplicate_permille(100)
-        .with_reorder_permille(100)
-        .with_delay_permille(50);
+/// Writes one section's span dump next to the `--spans` stem (JSONL +
+/// Chrome `trace_event`) and prints a summary line with the per-path
+/// post→match latency means.
+#[cfg(feature = "trace-events")]
+fn write_spans(stem: &std::path::Path, section: &str, spans: &otm_metrics::SpanRecorder) {
+    let (events, dropped) = (spans.dump(), spans.dropped());
+    let jsonl = spans_sibling(stem, section, "jsonl");
+    write_text_artifact(&jsonl, &otm_metrics::spans_to_jsonl(&events));
+    let chrome = spans_sibling(stem, section, "trace.json");
+    write_text_artifact(&chrome, &otm_metrics::spans_to_chrome_trace(&events));
+    let hists = otm_metrics::latency_by_path(&events);
+    let lat: Vec<String> = otm_metrics::MATCH_PATHS
+        .iter()
+        .zip(&hists)
+        .filter(|(_, h)| h.count > 0)
+        .map(|(p, h)| {
+            format!(
+                "{} n={} mean={}ns",
+                p.label(),
+                h.count,
+                h.sum / h.count.max(1)
+            )
+        })
+        .collect();
     println!(
-        "\nFault sweep: {messages} msgs per run, plan seed {seed:#x} \
-         (10% drop, 10% dup, 10% reorder, 5% delay)"
+        "span dump [{section}]: {} events ({dropped} dropped) -> {} / {}   [{}]",
+        events.len(),
+        jsonl.display(),
+        chrome.display(),
+        lat.join(", ")
     );
-
-    let mut runs = [
-        fault_run(args, "fault-free", None, messages),
-        fault_run(args, "hostile-wire", Some(&plan), messages),
-    ];
-    // The oracle: both wires must complete the identical (receive, payload)
-    // sequence — faults change nothing.
-    let matched_equal = runs[0].completed == runs[1].completed;
-    for run in &mut runs {
-        let key = format!("faults {} {}", run.row.mode, run.row.label);
-        if let Some(series) = run.series.take() {
-            recorder.series.push((key.clone(), series));
-        }
-        #[cfg(feature = "trace-events")]
-        if let Some((events, dropped)) = run.spans.take() {
-            recorder.spans.push((
-                format!("faults-{}-{}", run.row.mode, run.row.label),
-                events,
-                dropped,
-            ));
-        }
-    }
-
-    for run in &runs {
-        let r = &run.row;
-        println!(
-            "  {:<16} {:<13} {:>12.0} msgs/s   [drops {} | dups {} | reorders {} | delays {}] \
-             retransmits {} ({:.2}x amplification, {} fast), staged {}",
-            r.mode,
-            r.label,
-            r.msgs_per_sec,
-            r.wire_drops,
-            r.wire_duplicates,
-            r.wire_reorders,
-            r.wire_delays,
-            r.retransmits,
-            r.retransmit_amplification,
-            r.fast_retransmits,
-            r.rx_staged_out_of_order,
-        );
-    }
-    let hostile = &runs[1].row;
-    println!("shape: hostile wire changed no matched pair: {matched_equal}");
-    println!(
-        "shape: reliability protocol actually fired: {}",
-        hostile.retransmits > 0 && hostile.wire_drops > 0
-    );
-    println!(
-        "shape: retransmit amplification <= 2x ({:.2}x): {}",
-        hostile.retransmit_amplification,
-        hostile.retransmit_amplification <= 2.0
-    );
-
-    let sweep = FaultSweep {
-        seed,
-        drop_permille: plan.drop_permille,
-        duplicate_permille: plan.duplicate_permille,
-        reorder_permille: plan.reorder_permille,
-        delay_permille: plan.delay_permille,
-        matched_equal,
-        rows: runs.iter().map(|r| r.row.clone()).collect(),
-    };
-    let path = write_json_artifact(
-        &experiments_dir().join("fig8_faults.json"),
-        &FaultsArtifact {
-            sweep: &sweep,
-            snapshots: runs.iter().map(|r| &r.observability).collect(),
-        },
-    );
-    println!("fault-sweep artifact: {}", path.display());
-    for run in runs {
-        observability.insert(
-            format!("faults {} {}", run.row.mode, run.row.label),
-            run.observability,
-        );
-    }
-    Some(sweep)
 }
 
 /// One tenant's row of the `--tenants` fairness sweep.
@@ -953,13 +567,14 @@ struct TenantRow {
     msgs_per_sec: f64,
 }
 
-// The row as it appears both in the report's `results.tenants.rows` and in
-// the standalone `fig8_tenants.json`.
+// The row as it appears in `fig8_tenants.json`.
 json_fields!(TenantRow: tenant, role, attempted_pairs, admitted, backpressured, drained, completed,
     solo_completed, retained, msgs_per_sec);
 
-/// The `--tenants` sweep: knobs, per-tenant rows, and the two fairness
-/// verdicts the paper-style shape checks assert.
+/// The `--tenants` sweep as `fig8_tenants.json`: knobs, per-tenant rows,
+/// the two fairness verdicts the paper-style shape checks assert, the
+/// server's registry snapshot and, when `--series` sampled them, the global
+/// and per-tenant series sections.
 #[derive(Debug)]
 struct TenantsSweep {
     /// Tenant sessions on the shared server.
@@ -989,40 +604,20 @@ struct TenantsSweep {
     fairness_retained: bool,
     /// One row per tenant.
     rows: Vec<TenantRow>,
+    /// The contended server's registry snapshot.
+    observability: RegistrySnapshot,
+    /// The global and per-tenant series (`--series`).
+    series: Option<TenantSeries>,
 }
 
-impl TenantsSweep {
-    /// The sweep's knobs, verdicts and rows, as fields of the current
-    /// object (shared by the report and the standalone artifact).
-    fn write_fields(&self, w: &mut JsonWriter) {
-        json_fields!(w, self; tenants, flood_tenant, ticks, pairs_per_tick, flood_pairs_per_tick,
-            capacity, quantum, flood_capacity, flood_quantum, deficit_cap_quanta,
-            flooder_backpressured, fairness_retained, rows);
-    }
-}
-
-/// The sweep as the report's `results.tenants`.
 impl WriteJson for TenantsSweep {
     fn write_json(&self, w: &mut JsonWriter) {
         w.begin_object();
-        self.write_fields(w);
-        w.end_object();
-    }
-}
-
-/// The standalone `fig8_tenants.json`: the sweep plus, when `--series`
-/// sampled them, the global and per-tenant series sections.
-struct TenantsArtifact<'a> {
-    sweep: &'a TenantsSweep,
-    series: Option<&'a TenantSeries>,
-}
-
-impl WriteJson for TenantsArtifact<'_> {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.begin_object();
         w.field_str("bench", "fig8_tenants");
-        self.sweep.write_fields(w);
-        if let Some((global, tenants)) = self.series {
+        json_fields!(w, self; tenants, flood_tenant, ticks, pairs_per_tick, flood_pairs_per_tick,
+            capacity, quantum, flood_capacity, flood_quantum, deficit_cap_quanta,
+            flooder_backpressured, fairness_retained, rows, observability);
+        if let Some((global, tenants)) = &self.series {
             w.key("series");
             otm_metrics::write_tenant_sections(w, global, tenants);
         }
@@ -1093,13 +688,8 @@ fn tenant_solo_baseline(plan: &TenantBenchPlan) -> u64 {
 
 /// Runs the `--tenants` sweep: a solo baseline, then N tenant sessions on
 /// one matchd server — one of them (`--flood-tenant`) flooding far past its
-/// ingress bound — for the same tick count. Returns the sweep plus the
-/// multi-section series artifact when `--series` asked for one.
-fn run_tenants(
-    args: &CommonArgs,
-    budget: usize,
-    observability: &mut Observability,
-) -> Option<(TenantsSweep, Option<TenantSeries>)> {
+/// ingress bound — for the same tick count.
+fn run_tenants(args: &CommonArgs, budget: usize) -> Option<TenantsSweep> {
     let tenants = args.tenants?.max(2);
     let flood_tenant = args.flood_tenant.filter(|&i| i < tenants);
     let pairs_per_tick = 8usize;
@@ -1219,37 +809,23 @@ fn run_tenants(
     println!("shape: flooder answered with backpressure: {flooder_backpressured}");
     println!("shape: well-behaved tenants retained >= 50% of solo: {fairness_retained}");
 
-    observability.insert(
-        "tenants".to_string(),
-        server.service().observability_snapshot(),
-    );
-    let series = server.finish_series();
-    Some((
-        TenantsSweep {
-            tenants,
-            flood_tenant,
-            ticks: plan.ticks,
-            pairs_per_tick: plan.pairs_per_tick,
-            flood_pairs_per_tick: plan.flood_pairs_per_tick,
-            capacity: plan.well.capacity,
-            quantum: plan.well.quantum,
-            flood_capacity: plan.flood.capacity,
-            flood_quantum: plan.flood.quantum,
-            deficit_cap_quanta: plan.matchd.deficit_cap_quanta,
-            flooder_backpressured,
-            fairness_retained,
-            rows,
-        },
-        series,
-    ))
-}
-
-/// Moves a run's registry snapshot out of the result row and into the
-/// report-level observability map.
-fn harvest(result: &mut PingPongResult, observability: &mut Observability) {
-    if let Some(snapshot) = result.observability_json.take() {
-        observability.insert(result.label.clone(), snapshot);
-    }
+    Some(TenantsSweep {
+        tenants,
+        flood_tenant,
+        ticks: plan.ticks,
+        pairs_per_tick: plan.pairs_per_tick,
+        flood_pairs_per_tick: plan.flood_pairs_per_tick,
+        capacity: plan.well.capacity,
+        quantum: plan.well.quantum,
+        flood_capacity: plan.flood.capacity,
+        flood_quantum: plan.flood.quantum,
+        deficit_cap_quanta: plan.matchd.deficit_cap_quanta,
+        flooder_backpressured,
+        fairness_retained,
+        rows,
+        observability: server.service().observability_snapshot(),
+        series: server.finish_series(),
+    })
 }
 
 fn print_result(result: &PingPongResult) {
@@ -1261,100 +837,6 @@ fn print_result(result: &PingPongResult) {
         );
     }
     println!();
-}
-
-#[allow(clippy::too_many_arguments)]
-fn finish(
-    args: &CommonArgs,
-    quick: bool,
-    results: Vec<PingPongResult>,
-    mixed: Vec<(MixedRow, RegistrySnapshot)>,
-    faults: Option<FaultSweep>,
-    tenants: Option<(TenantsSweep, Option<TenantSeries>)>,
-    observability: Observability,
-    recorder: FlightRecorder,
-) {
-    let mixed_path = write_json_artifact(
-        &experiments_dir().join("fig8_mixed.json"),
-        &MixedArtifact(&mixed),
-    );
-    let tenants_path = tenants.as_ref().map(|(sweep, series)| {
-        write_json_artifact(
-            &experiments_dir().join("fig8_tenants.json"),
-            &TenantsArtifact {
-                sweep,
-                series: series.as_ref(),
-            },
-        )
-    });
-    let results = Fig8Results {
-        series: results,
-        mixed: mixed.into_iter().map(|(row, _)| row).collect(),
-        faults,
-        tenants: tenants.map(|(sweep, _)| sweep),
-        trace_events: cfg!(feature = "trace-events"),
-    };
-    // Shape checks mirrored from the paper's discussion of Fig. 8.
-    let rate = |label: &str| {
-        results
-            .series
-            .iter()
-            .find(|r| r.label.starts_with(label))
-            .map(|r| r.msgs_per_sec)
-            .unwrap_or(0.0)
-    };
-    let nc = rate("Optimistic-DPA NC");
-    let fp = rate("Optimistic-DPA WC-FP");
-    let sp = rate("Optimistic-DPA WC-SP");
-    let rdma = rate("RDMA-CPU");
-    println!();
-    println!(
-        "shape: RDMA-CPU ceiling > others: {}",
-        rdma >= nc.max(fp).max(sp) * 0.9
-    );
-    println!(
-        "shape: conflicts cost throughput (NC > WC): {}",
-        nc > fp.min(sp)
-    );
-    let occupancy = |name: &str| {
-        results
-            .mixed
-            .iter()
-            .find(|r| r.packing == name)
-            .map(|r| r.mean_block_occupancy)
-    };
-    if let (Some(consec), Some(cross)) = (occupancy("consecutive"), occupancy("cross-comm")) {
-        println!(
-            "shape: cross-comm packing refills blocks posts cut short: {}",
-            cross >= 2.0 * consec
-        );
-    }
-
-    let report = BenchReport::with_observability(
-        "fig8_message_rate",
-        quick,
-        results,
-        if observability.is_empty() {
-            None
-        } else {
-            Some(observability)
-        },
-    );
-    if let Some(series_path) = recorder.write_series(args) {
-        println!(
-            "shape: series terminal points self-consistent (Σ path == matched, t monotone): {}",
-            recorder.series_consistent()
-        );
-        println!("flight-recorder series artifact: {}", series_path.display());
-    }
-    recorder.write_spans(args);
-
-    let path = write_report(args, &report);
-    println!("\nJSON artifact: {}", path.display());
-    println!("mixed-traffic artifact: {}", mixed_path.display());
-    if let Some(p) = tenants_path {
-        println!("tenants artifact: {}", p.display());
-    }
 }
 
 /// One literal-string golden per row kind, so key names and order cannot
@@ -1407,12 +889,7 @@ mod tests {
     /// Literals recorded from the first one-thread run.
     #[test]
     fn mixed_rows_are_exact() {
-        let rows = run_mixed(
-            &CommonArgs::default(),
-            2000,
-            &mut Observability::new(),
-            &mut FlightRecorder::default(),
-        );
+        let rows = run_mixed(&CommonArgs::default(), 2000);
         let rows: Vec<_> = rows
             .iter()
             .map(|(r, _)| {
@@ -1426,72 +903,6 @@ mod tests {
                 ("consecutive", (1400, 600, 586), 1400.0 / 586.0),
                 ("cross-comm", (1400, 600, 175), 8.0),
             ]
-        );
-    }
-
-    #[test]
-    fn fault_sweep_in_the_report_and_standalone() {
-        let row = FaultRow {
-            label: "hostile-wire".to_string(),
-            mode: PROTOCOL_LABEL.to_string(),
-            messages: 100,
-            elapsed_secs: 0.5,
-            msgs_per_sec: 200.0,
-            wire_drops: 10,
-            wire_duplicates: 9,
-            wire_reorders: 8,
-            wire_delays: 7,
-            retransmits: 15,
-            retransmit_amplification: 1.5,
-            fast_retransmits: 6,
-            resend_events: 5,
-            acks_received: 4,
-            backoff_polls: 3,
-            rx_duplicates_discarded: 2,
-            rx_gaps_discarded: 1,
-            rx_staged_out_of_order: 11,
-            acks_sent: 12,
-        };
-        let row_json = concat!(
-            r#"{"label":"hostile-wire","mode":"selective-repeat","messages":100,"#,
-            r#""elapsed_secs":0.5,"msgs_per_sec":200,"wire_drops":10,"wire_duplicates":9,"#,
-            r#""wire_reorders":8,"wire_delays":7,"retransmits":15,"#,
-            r#""retransmit_amplification":1.5,"fast_retransmits":6,"resend_events":5,"#,
-            r#""acks_received":4,"backoff_polls":3,"rx_duplicates_discarded":2,"#,
-            r#""rx_gaps_discarded":1,"rx_staged_out_of_order":11,"acks_sent":12}"#
-        );
-        assert_eq!(render(&row), row_json);
-        let sweep = FaultSweep {
-            seed: 248,
-            drop_permille: 100,
-            duplicate_permille: 100,
-            reorder_permille: 100,
-            delay_permille: 50,
-            matched_equal: true,
-            rows: vec![row],
-        };
-        assert_eq!(
-            render(&sweep),
-            format!(
-                "{{\"seed\":248,\"drop_permille\":100,\"duplicate_permille\":100,\
-                 \"reorder_permille\":100,\"delay_permille\":50,\"matched_equal\":true,\
-                 \"rows\":[{row_json}]}}"
-            )
-        );
-        let snapshot = RegistrySnapshot::default();
-        let artifact = FaultsArtifact {
-            sweep: &sweep,
-            snapshots: vec![&snapshot],
-        };
-        assert_eq!(
-            render(&artifact),
-            format!(
-                "{{\"bench\":\"fig8_faults\",\"seed\":248,\"plan\":{{\"drop_permille\":100,\
-                 \"duplicate_permille\":100,\"reorder_permille\":100,\"delay_permille\":50}},\
-                 \"matched_equal\":true,\"rows\":[{row_json}],\"observability\":\
-                 {{\"selective-repeat hostile-wire\":\
-                 {{\"counters\":{{}},\"gauges\":{{}},\"histograms\":{{}}}}}}}}"
-            )
         );
     }
 
@@ -1549,15 +960,15 @@ mod tests {
             flooder_backpressured: true,
             fairness_retained: true,
             rows,
-        };
-        assert_eq!(render(&sweep), format!("{{{fields}}}"));
-        let artifact = TenantsArtifact {
-            sweep: &sweep,
+            observability: RegistrySnapshot::default(),
             series: None,
         };
         assert_eq!(
-            render(&artifact),
-            format!("{{\"bench\":\"fig8_tenants\",{fields}}}")
+            render(&sweep),
+            format!(
+                "{{\"bench\":\"fig8_tenants\",{fields},\"observability\":\
+                 {{\"counters\":{{}},\"gauges\":{{}},\"histograms\":{{}}}}}}"
+            )
         );
     }
 }

@@ -45,17 +45,17 @@ pub struct CommonArgs {
     /// `--post-mix PCT`: percentage of posts interleaved into the mixed
     /// command stream (fig8; default 30).
     pub post_mix: Option<u32>,
-    /// `--faults`: run the fault-injection sweep (fig8) — the same message
-    /// stream over a perfect and a seeded-hostile wire, recovered by the
-    /// selective-repeat reliability protocol — and write the `fig8_faults.json`
-    /// artifact.
+    /// `--faults`: add a hostile-wire run to each `appbench` application
+    /// replay — the same trace over a seeded faulty wire, recovered by the
+    /// selective-repeat reliability protocol and checked against the
+    /// engine-direct oracle.
     pub faults: bool,
-    /// `--fault-seed N`: seed for the fault plan of the `--faults` sweep
-    /// (default `0xf8`). Equal seeds inject identical faults.
+    /// `--fault-seed N`: seed for `appbench`'s `--faults` plan (default
+    /// `0xa99`). Equal seeds inject identical faults.
     pub fault_seed: Option<u64>,
     /// `--series PATH`: write the flight recorder's rolling time-series
-    /// artifact (columnar JSON; fig8 samples the mixed-traffic drain per
-    /// round and the `--faults` service per poll) to PATH.
+    /// artifact (columnar JSON; `appbench` writes each app's busiest
+    /// destination, fig8 samples the mixed-traffic drain per round) to PATH.
     pub series: Option<PathBuf>,
     /// `--spans PATH`: write per-message lifecycle span dumps — JSONL plus a
     /// Chrome `trace_event` file Perfetto opens directly — using PATH as the

@@ -427,19 +427,6 @@ impl MatchingService {
         self.polls
     }
 
-    /// The offloaded engine's lifecycle span events (posted / enqueued /
-    /// packed / matched), when the backend is the offloaded engine. The
-    /// service's own spans (retransmitted / fell_back) live in
-    /// [`MatchingService::metrics`]; both share one [`otm_metrics::now_ns`]
-    /// timeline, so a harness can merge the two dumps by timestamp.
-    #[cfg(feature = "trace-events")]
-    pub fn engine_span_events(&self) -> Option<Vec<otm_metrics::SpanEvent>> {
-        self.backend
-            .as_any()
-            .downcast_ref::<OtmEngine>()
-            .map(|e| e.span_events())
-    }
-
     /// The combined observability snapshot rendered in the Prometheus text
     /// exposition format. This is what the `matchd` tick loop serves as
     /// its live `/metrics` endpoint: every scrape is a fresh walk of the

@@ -3,18 +3,18 @@
 //! The DPA receives its work through QP command queues (§IV-E): the host
 //! enqueues *post* and *arrival* commands, and the device coordinator drains
 //! them in submission order. Here every communicator's queue is a bounded
-//! `VecDeque` on its [`CommShard`](crate::shard::CommShard): [`crate::OtmEngine::submit`] stamps each
+//! `VecDeque` on its [`CommShard`]: [`crate::OtmEngine::submit`] stamps each
 //! command it accepts with the next submission *ticket* and pushes it at the
 //! back of its communicator's queue, and a queue holding `ring_capacity`
 //! commands hands the command back as the retryable
 //! [`MatchError::SubmissionRingFull`](otm_base::MatchError) backpressure
 //! signal. The drain recovers the global submission order by always taking
-//! the queue head with the smallest ticket ([`pop_oldest`], over a copy of
+//! the queue head with the smallest ticket (`pop_oldest`, over a copy of
 //! the head tickets kept beside the directory), so the
 //! strict-FIFO oracle and the packed≡consecutive equivalence hold.
 //!
 //! Commands a failed drain hands back go to the *front* of their own
-//! communicators' queues ([`requeue_front`]): every one of them is older
+//! communicators' queues (`requeue_front`): every one of them is older
 //! than anything still queued, so per-communicator FIFO order and the
 //! global ticket order both survive requeueing.
 //!

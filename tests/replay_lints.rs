@@ -13,6 +13,11 @@
 //! the whole-trace merge is the analyzer's alone: it is not to come back
 //! into `dpa-sim` outside its tests. The RDMA READ allocates its target
 //! once, at its final size, so `rdma.rs` regrows nothing.
+//!
+//! The harness binaries drive the reliable stack through `replay_app` (or
+//! the ping-pong of `dpa_sim::pingpong`), never by wiring a queue pair and
+//! a `ReliableSender` to a NIC themselves: a hand-wired loop is a second
+//! driver with no oracle of its own.
 
 use std::path::{Path, PathBuf};
 
@@ -91,4 +96,22 @@ fn one_endpoint_set_and_one_pass_per_destination_in_the_replays() {
     let rdma = source("crates/dpa-sim/src/rdma.rs");
     let reserve = rdma.lines().find(|line| line.contains("reserve"));
     assert!(reserve.is_none(), "rdma.rs: {reserve:?}");
+}
+
+#[test]
+fn no_harness_wires_the_reliable_stack_by_hand() {
+    let bins = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/bench/src/bin");
+    let files = rust_files(&bins);
+    assert!(files.iter().any(|f| f.ends_with("appbench.rs")));
+    for file in files {
+        let text = read(&file);
+        let wired = outside_tests(&text)
+            .find(|line| line.contains("ReliableSender::new") || line.contains("connected_pair("));
+        assert!(
+            wired.is_none(),
+            "{}: drives the reliable stack itself instead of through \
+             `replay_app` or `dpa_sim::pingpong`: {wired:?}",
+            file.display()
+        );
+    }
 }
