@@ -823,7 +823,7 @@ fn run_tenants(args: &CommonArgs, budget: usize) -> Option<TenantsSweep> {
         flooder_backpressured,
         fairness_retained,
         rows,
-        observability: server.service().observability_snapshot(),
+        observability: server.observability_snapshot(),
         series: server.finish_series(),
     })
 }

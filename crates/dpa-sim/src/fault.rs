@@ -78,7 +78,6 @@ pub struct WireFaults {
     /// Remaining fault budget (`u64::MAX` when the plan is unbounded).
     budget: u64,
     stats: WireFaultStats,
-    metrics: Option<crate::obs::ServiceMetrics>,
 }
 
 impl WireFaults {
@@ -94,14 +93,7 @@ impl WireFaults {
             held: Vec::new(),
             budget,
             stats: WireFaultStats::default(),
-            metrics: None,
         }
-    }
-
-    /// Attaches a metrics handle so injected faults show up as
-    /// `dpa_wire_*_total` counters in a registry snapshot.
-    pub fn attach_metrics(&mut self, metrics: crate::obs::ServiceMetrics) {
-        self.metrics = Some(metrics);
     }
 
     /// Advances the delivery clock by one NIC poll.
@@ -126,25 +118,16 @@ impl WireFaults {
         if self.rng.chance(self.plan.drop_permille) {
             self.budget -= 1;
             self.stats.drops += 1;
-            if let Some(m) = &self.metrics {
-                m.count_wire_drop();
-            }
             return [None, None];
         }
         if self.rng.chance(self.plan.duplicate_permille) {
             self.budget -= 1;
             self.stats.duplicates += 1;
-            if let Some(m) = &self.metrics {
-                m.count_wire_dup();
-            }
             return [Some(packet.clone()), Some(packet)];
         }
         if self.rng.chance(self.plan.reorder_permille) {
             self.budget -= 1;
             self.stats.reorders += 1;
-            if let Some(m) = &self.metrics {
-                m.count_wire_reorder();
-            }
             let window = self.plan.reorder_window.max(1) as u64;
             let due = self.tick + 1 + self.rng.below(window);
             self.held.push(HeldPacket { due, qp, packet });
@@ -153,9 +136,6 @@ impl WireFaults {
         if self.rng.chance(self.plan.delay_permille) {
             self.budget -= 1;
             self.stats.delays += 1;
-            if let Some(m) = &self.metrics {
-                m.count_wire_delay();
-            }
             let due = self.tick + self.plan.delay_polls.max(1) as u64;
             self.held.push(HeldPacket { due, qp, packet });
             return [None, None];

@@ -38,7 +38,7 @@
 //! * [`matchd`] — the long-lived multi-tenant matching server: tenant
 //!   sessions with bounded ingress and explicit admission control, a
 //!   deficit-round-robin fair drain over one shared engine, and a
-//!   deterministic tick loop with live Prometheus exposition;
+//!   deterministic tick loop with a live per-tenant registry snapshot;
 //! * [`app_replay`] — the one driver of an application trace through the
 //!   full stack: a Table II trace becomes sequenced wire packets over
 //!   per-source-rank queue pairs, cross-QP ordered by the NIC's total-order

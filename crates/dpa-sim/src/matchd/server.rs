@@ -16,8 +16,8 @@
 //!    fair *inside* the engine);
 //! 3. **completion delivery** — completed receives are routed back to their
 //!    tenants by the namespace bits of their handles;
-//! 4. **observation** — per-tenant gauges are refreshed and, at the series
-//!    cadence, a per-tenant sample lands next to the service's global one.
+//! 4. **observation** — at the series cadence, a per-tenant sample lands
+//!    next to the service's global one.
 //!
 //! Fairness composes across the two layers: DRR bounds how many of a
 //! flooding tenant's requests *enter* the engine per tick, and the lane
@@ -40,8 +40,6 @@ use crate::service::{MatchingService, ServiceError};
 use otm_base::{CommId, MatchConfig, MatchError};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
-
-use super::tenant::TenantInstruments;
 
 /// Per-tenant knobs applied at [`MatchServer::open_tenant_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,7 +160,6 @@ impl MatchServer {
             closed: false,
             stats: TenantStats::default(),
             completions: VecDeque::new(),
-            instruments: TenantInstruments::new(self.service.metrics().registry(), id),
         }));
         self.tenants.push(TenantEntry {
             id,
@@ -269,11 +266,6 @@ impl MatchServer {
                 shared.ingress.push_front(req);
             }
             shared.stats.drained += dispatched as u64;
-            shared.instruments.drained.add(dispatched as u64);
-            shared
-                .instruments
-                .ingress_depth
-                .set(shared.ingress.len() as i64);
         }
         let completed = self.service.progress()?;
         self.deliver_completions();
@@ -315,16 +307,34 @@ impl MatchServer {
             debug_assert_eq!(entry.id, tenant, "tenant ids are open-order indices");
             let mut shared = entry.shared.lock().expect("tenant lock");
             shared.stats.completed += 1;
-            shared.instruments.completions.inc();
             shared.completions.push_back(done);
         }
     }
 
-    /// The live `/metrics` exposition: the combined service + engine
-    /// registries (including every per-tenant labeled instrument) rendered
-    /// in the Prometheus text format. Scrapable between any two ticks.
-    pub fn prometheus(&self) -> String {
-        self.service.observability_prometheus()
+    /// The service's [`MatchingService::observability_snapshot`] with every
+    /// tenant's counts read from its [`TenantStats`]:
+    /// `matchd_{admitted,backpressured,rejected,drained,completions}_total`
+    /// and the `matchd_ingress_depth` gauge, each labelled `{tenant}`.
+    /// Readable between any two ticks.
+    pub fn observability_snapshot(&self) -> otm_metrics::RegistrySnapshot {
+        let mut snap = self.service.observability_snapshot();
+        for entry in &self.tenants {
+            let shared = entry.shared.lock().expect("tenant lock");
+            let (stats, label) = (shared.stats, format!("{{tenant=\"{}\"}}", entry.id));
+            for (name, n) in [
+                ("matchd_admitted_total", stats.admitted),
+                ("matchd_backpressured_total", stats.backpressured),
+                ("matchd_rejected_total", stats.rejected),
+                ("matchd_drained_total", stats.drained),
+                ("matchd_completions_total", stats.completed),
+            ] {
+                snap.counters.insert(format!("{name}{label}"), n);
+            }
+            let depth = shared.ingress.len() as i64;
+            snap.gauges
+                .insert(format!("matchd_ingress_depth{label}"), depth);
+        }
+        snap
     }
 
     /// Attaches time-series sampling at `cadence` ticks: the service's

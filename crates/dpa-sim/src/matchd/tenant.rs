@@ -118,7 +118,9 @@ pub(super) enum TenantRequest {
 }
 
 /// Per-tenant counters, readable at any time through
-/// [`TenantSession::stats`].
+/// [`TenantSession::stats`]; the server's
+/// [`super::MatchServer::observability_snapshot`] reads its
+/// `matchd_*{tenant}` names from them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TenantStats {
     /// Requests admitted into the ingress queue.
@@ -135,31 +137,6 @@ pub struct TenantStats {
     pub ingress_depth: usize,
 }
 
-/// Per-tenant labeled instruments, registered in the service's registry so
-/// they ride the same snapshot/Prometheus path as everything else.
-pub(super) struct TenantInstruments {
-    pub admitted: std::sync::Arc<otm_metrics::Counter>,
-    pub backpressured: std::sync::Arc<otm_metrics::Counter>,
-    pub rejected: std::sync::Arc<otm_metrics::Counter>,
-    pub drained: std::sync::Arc<otm_metrics::Counter>,
-    pub completions: std::sync::Arc<otm_metrics::Counter>,
-    pub ingress_depth: std::sync::Arc<otm_metrics::Gauge>,
-}
-
-impl TenantInstruments {
-    pub(super) fn new(registry: &otm_metrics::Registry, id: TenantId) -> Self {
-        let labels = || vec![("tenant", id.to_string())];
-        TenantInstruments {
-            admitted: registry.counter_with("matchd_admitted_total", labels()),
-            backpressured: registry.counter_with("matchd_backpressured_total", labels()),
-            rejected: registry.counter_with("matchd_rejected_total", labels()),
-            drained: registry.counter_with("matchd_drained_total", labels()),
-            completions: registry.counter_with("matchd_completions_total", labels()),
-            ingress_depth: registry.gauge_with("matchd_ingress_depth", labels()),
-        }
-    }
-}
-
 /// The state one tenant shares with the server (behind a mutex: sessions
 /// submit from the client side, the tick loop drains from the server side).
 pub(super) struct TenantShared {
@@ -174,7 +151,6 @@ pub(super) struct TenantShared {
     pub stats: TenantStats,
     /// Completions the server routed to this tenant, awaiting pickup.
     pub completions: VecDeque<CompletedReceive>,
-    pub instruments: TenantInstruments,
 }
 
 /// A tenant's handle on the server: submit posts and sends, collect
@@ -270,7 +246,6 @@ impl TenantSession {
 
     fn reject<T>(s: &mut TenantShared, reason: &'static str) -> Admission<T> {
         s.stats.rejected += 1;
-        s.instruments.rejected.inc();
         Admission::Rejected { reason }
     }
 
@@ -283,15 +258,12 @@ impl TenantSession {
         let overflow = (s.ingress.len() + 1 - s.capacity) as u64;
         let retry_after = overflow.div_ceil(s.quantum.max(1) as u64).max(1);
         s.stats.backpressured += 1;
-        s.instruments.backpressured.inc();
         Some(retry_after)
     }
 
     fn admit(s: &mut TenantShared, req: TenantRequest) {
         s.ingress.push_back(req);
         s.stats.admitted += 1;
-        s.instruments.admitted.inc();
-        s.instruments.ingress_depth.set(s.ingress.len() as i64);
     }
 }
 

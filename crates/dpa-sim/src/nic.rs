@@ -13,7 +13,6 @@
 
 use crate::bounce::{BounceId, BouncePool};
 use crate::fault::{WireFaultStats, WireFaults};
-use crate::obs::ServiceMetrics;
 use crate::rdma::{Frame, MessageHeader, QueuePair, RdmaError, WirePacket};
 use crate::reorder::ReorderWindow;
 use mpi_matching::MsgHandle;
@@ -143,7 +142,6 @@ pub struct RecvNic {
     /// admits. Its slots run from the base to the highest `gseq` parked.
     gate: ReorderWindow<WirePacket>,
     rx_stats: RxStats,
-    metrics: Option<ServiceMetrics>,
 }
 
 impl RecvNic {
@@ -173,7 +171,6 @@ impl RecvNic {
             total_order: false,
             gate: ReorderWindow::default(),
             rx_stats: RxStats::default(),
-            metrics: None,
         }
     }
 
@@ -257,21 +254,7 @@ impl RecvNic {
     /// protocol repairs the damage before anything reaches the completion
     /// queue.
     pub fn set_faults(&mut self, plan: FaultPlan) {
-        let mut faults = WireFaults::new(plan);
-        if let Some(m) = &self.metrics {
-            faults.attach_metrics(m.clone());
-        }
-        self.faults = Some(faults);
-    }
-
-    /// Attaches a metrics handle so reliability events (discarded
-    /// duplicates, gaps) and injected wire faults show up in a registry
-    /// snapshot.
-    pub fn attach_metrics(&mut self, metrics: ServiceMetrics) {
-        if let Some(f) = self.faults.as_mut() {
-            f.attach_metrics(metrics.clone());
-        }
-        self.metrics = Some(metrics);
+        self.faults = Some(WireFaults::new(plan));
     }
 
     /// Terminates an additional queue pair on this NIC (another peer); every
@@ -368,7 +351,7 @@ impl RecvNic {
             self.ack_due[qp] = true;
             let expected = self.staging[qp].base();
             if seq < expected {
-                self.count_duplicate();
+                self.rx_stats.duplicates += 1;
                 return Ok(0);
             }
             if seq > expected {
@@ -378,7 +361,7 @@ impl RecvNic {
             // A retransmit can race its own staged copy: the in-order copy
             // wins and the staged one becomes a duplicate.
             if self.staging[qp].skip().is_some() {
-                self.count_duplicate();
+                self.rx_stats.duplicates += 1;
             }
         }
         match self.deliver_packet(packet) {
@@ -436,7 +419,7 @@ impl RecvNic {
             // means two packets shared a global sequence number (a
             // sender-side numbering bug); discarding the later copy keeps
             // delivery exactly-once per gseq.
-            self.count_duplicate();
+            self.rx_stats.duplicates += 1;
             return Ok(0);
         }
         self.gate.park(gseq, packet);
@@ -467,36 +450,21 @@ impl RecvNic {
         Ok(n)
     }
 
-    /// Counts one discarded duplicate.
-    fn count_duplicate(&mut self) {
-        self.rx_stats.duplicates += 1;
-        if let Some(m) = &self.metrics {
-            m.count_rx_duplicate();
-        }
-    }
-
     /// Handles a sequenced packet above the expected counter: staged while
     /// the bounded buffer has room, discarded (and counted as overflow + gap)
     /// otherwise. Never generates a completion directly.
     fn accept_out_of_order(&mut self, qp: usize, seq: u64, packet: WirePacket) {
         if self.staging[qp].contains(seq) {
-            self.count_duplicate();
+            self.rx_stats.duplicates += 1;
             return;
         }
         if self.staging[qp].len() < self.staging_capacity {
             self.staging[qp].park(seq, packet);
             self.rx_stats.staged_out_of_order += 1;
-            if let Some(m) = &self.metrics {
-                m.count_rx_staged();
-            }
             return;
         }
         self.rx_stats.stage_overflow += 1;
         self.rx_stats.gaps += 1;
-        if let Some(m) = &self.metrics {
-            m.count_rx_stage_overflow();
-            m.count_rx_gap();
-        }
     }
 
     /// Delivers staged packets whose hole has filled, strictly in sequence

@@ -1,12 +1,23 @@
 //! Service observability.
 //!
 //! [`ServiceMetrics`] is the matching service's handle to the `otm-metrics`
-//! registry: completion-queue poll counters, queue-depth gauges (CQ
-//! backlog, bounce-pool occupancy, unexpected-store size) with their peak
-//! twins, and counters for the two NIC-memory pressure events of §IV —
-//! bounce-buffer exhaustion and fallback to software matching. With the
-//! `trace-events` feature it also owns the service's lifecycle span
-//! recorder (retransmissions, fallback replays).
+//! registry: queue-depth gauges (CQ backlog, bounce-pool occupancy,
+//! unexpected-store size) with their peak twins, the counts that have no
+//! other record, and, with the `trace-events` feature, the service's
+//! lifecycle span recorder (retransmissions, fallback replays).
+//!
+//! A count with an owner that keeps it in a plain field is not pushed here:
+//! [`crate::MatchingService::observability_snapshot`] reads it from that
+//! field — the poll clock (`dpa_cq_polls_total`), the fallback flag
+//! (`dpa_fallbacks_total`), the NIC's [`crate::RxStats`]
+//! (`dpa_rx_*_total`) and the wire's [`crate::WireFaultStats`]
+//! (`dpa_wire_*_total`) — and the span ring's own drop count is
+//! `dpa_span_dropped_total`. What is pushed has no such owner: completions
+//! and bounce spills (counted per `progress`), drain retries, ring
+//! backpressure and fallback escalations (per retry loop), and the
+//! [`crate::ReliableSender`] counts, since a sender attaches to a service
+//! it is not owned by: acks, retransmits (sampled into the series inside
+//! `progress`) and the backoff histogram.
 
 use otm_metrics::{Counter, Gauge, Histogram, Registry, RegistrySnapshot};
 use std::sync::Arc;
@@ -18,7 +29,7 @@ use std::sync::Arc;
 const SPAN_CAPACITY: usize = 64 * 1024;
 
 /// Handle to the service's metric instruments: one `Arc`, so attaching it to
-/// a sender, a NIC or a fault layer is one reference-count increment.
+/// a sender is one reference-count increment.
 #[derive(Debug, Clone)]
 pub struct ServiceMetrics(Arc<Instruments>);
 
@@ -26,23 +37,13 @@ pub struct ServiceMetrics(Arc<Instruments>);
 #[derive(Debug)]
 struct Instruments {
     registry: Registry,
-    cq_polls: Arc<Counter>,
     completions: Arc<Counter>,
     bounce_spills: Arc<Counter>,
-    fallbacks: Arc<Counter>,
     cq_depth: Arc<Gauge>,
     cq_depth_peak: Arc<Gauge>,
     bounce_in_use: Arc<Gauge>,
     bounce_in_use_peak: Arc<Gauge>,
     unexpected_depth: Arc<Gauge>,
-    wire_drops: Arc<Counter>,
-    wire_dups: Arc<Counter>,
-    wire_reorders: Arc<Counter>,
-    wire_delays: Arc<Counter>,
-    rx_duplicates: Arc<Counter>,
-    rx_gaps: Arc<Counter>,
-    rx_staged: Arc<Counter>,
-    rx_stage_overflow: Arc<Counter>,
     acks: Arc<Counter>,
     retransmits: Arc<Counter>,
     drain_retries: Arc<Counter>,
@@ -51,8 +52,6 @@ struct Instruments {
     backoff_polls: Arc<Histogram>,
     #[cfg(feature = "trace-events")]
     spans: Arc<otm_metrics::SpanRecorder>,
-    #[cfg(feature = "trace-events")]
-    span_dropped: Arc<Counter>,
 }
 
 impl Default for ServiceMetrics {
@@ -66,23 +65,13 @@ impl ServiceMetrics {
     pub fn new() -> Self {
         let registry = Registry::new();
         Self(Arc::new(Instruments {
-            cq_polls: registry.counter("dpa_cq_polls_total"),
             completions: registry.counter("dpa_completions_total"),
             bounce_spills: registry.counter("dpa_bounce_spills_total"),
-            fallbacks: registry.counter("dpa_fallbacks_total"),
             cq_depth: registry.gauge("dpa_cq_depth"),
             cq_depth_peak: registry.gauge("dpa_cq_depth_peak"),
             bounce_in_use: registry.gauge("dpa_bounce_in_use"),
             bounce_in_use_peak: registry.gauge("dpa_bounce_in_use_peak"),
             unexpected_depth: registry.gauge("dpa_unexpected_depth"),
-            wire_drops: registry.counter("dpa_wire_drops_total"),
-            wire_dups: registry.counter("dpa_wire_dups_total"),
-            wire_reorders: registry.counter("dpa_wire_reorders_total"),
-            wire_delays: registry.counter("dpa_wire_delays_total"),
-            rx_duplicates: registry.counter("dpa_rx_duplicates_total"),
-            rx_gaps: registry.counter("dpa_rx_gaps_total"),
-            rx_staged: registry.counter("dpa_rx_staged_total"),
-            rx_stage_overflow: registry.counter("dpa_rx_stage_overflow_total"),
             acks: registry.counter("dpa_acks_total"),
             retransmits: registry.counter("dpa_retransmits_total"),
             drain_retries: registry.counter("dpa_drain_retries_total"),
@@ -91,16 +80,8 @@ impl ServiceMetrics {
             backoff_polls: registry.histogram("dpa_backoff_polls"),
             #[cfg(feature = "trace-events")]
             spans: Arc::new(otm_metrics::SpanRecorder::new(SPAN_CAPACITY)),
-            #[cfg(feature = "trace-events")]
-            span_dropped: registry.counter("dpa_span_dropped_total"),
             registry,
         }))
-    }
-
-    /// Counts one completion-queue poll.
-    #[inline]
-    pub fn count_poll(&self) {
-        self.0.cq_polls.inc();
     }
 
     /// Counts receives completed by one progress call.
@@ -116,12 +97,6 @@ impl ServiceMetrics {
         self.0.bounce_spills.inc();
     }
 
-    /// Counts one migration to host software matching (§IV-E).
-    #[inline]
-    pub fn count_fallback(&self) {
-        self.0.fallbacks.inc();
-    }
-
     /// Updates the queue-depth gauges and their peak twins.
     #[inline]
     pub fn observe_queues(&self, cq: usize, bounce: usize, unexpected: usize) {
@@ -130,59 +105,6 @@ impl ServiceMetrics {
         self.0.bounce_in_use.set(bounce as i64);
         self.0.bounce_in_use_peak.set_max(bounce as i64);
         self.0.unexpected_depth.set(unexpected as i64);
-    }
-
-    /// Counts one fault-injected packet drop on the wire.
-    #[inline]
-    pub fn count_wire_drop(&self) {
-        self.0.wire_drops.inc();
-    }
-
-    /// Counts one fault-injected packet duplication on the wire.
-    #[inline]
-    pub fn count_wire_dup(&self) {
-        self.0.wire_dups.inc();
-    }
-
-    /// Counts one fault-injected out-of-order release on the wire.
-    #[inline]
-    pub fn count_wire_reorder(&self) {
-        self.0.wire_reorders.inc();
-    }
-
-    /// Counts one fault-injected in-order delay on the wire.
-    #[inline]
-    pub fn count_wire_delay(&self) {
-        self.0.wire_delays.inc();
-    }
-
-    /// Counts one duplicate sequenced packet discarded at the receiver
-    /// (`seq` below the expected counter).
-    #[inline]
-    pub fn count_rx_duplicate(&self) {
-        self.0.rx_duplicates.inc();
-    }
-
-    /// Counts one out-of-order sequenced packet discarded at the
-    /// receiver (`seq` above the expected counter and no staging room —
-    /// a gap a timeout resend will fill).
-    #[inline]
-    pub fn count_rx_gap(&self) {
-        self.0.rx_gaps.inc();
-    }
-
-    /// Counts one out-of-order sequenced packet staged by the receiver
-    /// (held for in-order delivery instead of discarded).
-    #[inline]
-    pub fn count_rx_staged(&self) {
-        self.0.rx_staged.inc();
-    }
-
-    /// Counts one out-of-order packet discarded because the staging
-    /// buffer was full.
-    #[inline]
-    pub fn count_rx_stage_overflow(&self) {
-        self.0.rx_stage_overflow.inc();
     }
 
     /// Counts one cumulative acknowledgement sent or consumed.
@@ -225,21 +147,17 @@ impl ServiceMetrics {
         self.0.backoff_polls.record(polls);
     }
 
-    /// Zeroes every instrument in place (and empties the span ring): the
+    /// Zeroes every instrument in place (and resets the span ring): the
     /// handle reads as a new one does, and every clone of it stays attached.
     pub(crate) fn reset(&self) {
         self.0.registry.reset();
         #[cfg(feature = "trace-events")]
-        self.0.spans.clear();
+        self.0.spans.reset();
     }
 
-    /// The underlying registry (for embedding into a larger exporter).
-    pub fn registry(&self) -> &Registry {
-        &self.0.registry
-    }
-
-    /// Copies out all service metrics.
-    pub fn snapshot(&self) -> RegistrySnapshot {
+    /// Copies out the registry: the pushed half of
+    /// [`crate::MatchingService::observability_snapshot`].
+    pub(crate) fn snapshot(&self) -> RegistrySnapshot {
         self.0.registry.snapshot()
     }
 
@@ -249,13 +167,9 @@ impl ServiceMetrics {
     #[inline]
     pub fn span_retransmitted(&self, seq: u64, attempt: u32) {
         #[cfg(feature = "trace-events")]
-        if self
-            .0
+        self.0
             .spans
-            .push(seq, otm_metrics::SpanKind::Retransmitted { attempt })
-        {
-            self.0.span_dropped.inc();
-        }
+            .push(seq, otm_metrics::SpanKind::Retransmitted { attempt });
         #[cfg(not(feature = "trace-events"))]
         let _ = (seq, attempt);
     }
@@ -266,9 +180,7 @@ impl ServiceMetrics {
     #[inline]
     pub fn span_fell_back(&self, subject: u64) {
         #[cfg(feature = "trace-events")]
-        if self.0.spans.push(subject, otm_metrics::SpanKind::FellBack) {
-            self.0.span_dropped.inc();
-        }
+        self.0.spans.push(subject, otm_metrics::SpanKind::FellBack);
         #[cfg(not(feature = "trace-events"))]
         let _ = subject;
     }
@@ -338,30 +250,16 @@ mod tests {
     #[test]
     fn pressure_counters_accumulate() {
         let m = ServiceMetrics::new();
-        m.count_poll();
-        m.count_poll();
         m.add_completions(4);
         m.count_spill();
-        m.count_fallback();
         let snap = m.snapshot();
-        assert_eq!(snap.counters["dpa_cq_polls_total"], 2);
         assert_eq!(snap.counters["dpa_completions_total"], 4);
         assert_eq!(snap.counters["dpa_bounce_spills_total"], 1);
-        assert_eq!(snap.counters["dpa_fallbacks_total"], 1);
     }
 
     #[test]
     fn fault_and_reliability_instruments_accumulate() {
         let m = ServiceMetrics::new();
-        m.count_wire_drop();
-        m.count_wire_dup();
-        m.count_wire_reorder();
-        m.count_wire_delay();
-        m.count_rx_duplicate();
-        m.count_rx_gap();
-        m.count_rx_staged();
-        m.count_rx_staged();
-        m.count_rx_stage_overflow();
         m.count_ack();
         m.add_retransmits(3);
         m.count_drain_retry();
@@ -369,14 +267,6 @@ mod tests {
         m.observe_backoff(4);
         m.observe_backoff(8);
         let snap = m.snapshot();
-        assert_eq!(snap.counters["dpa_wire_drops_total"], 1);
-        assert_eq!(snap.counters["dpa_wire_dups_total"], 1);
-        assert_eq!(snap.counters["dpa_wire_reorders_total"], 1);
-        assert_eq!(snap.counters["dpa_wire_delays_total"], 1);
-        assert_eq!(snap.counters["dpa_rx_duplicates_total"], 1);
-        assert_eq!(snap.counters["dpa_rx_gaps_total"], 1);
-        assert_eq!(snap.counters["dpa_rx_staged_total"], 2);
-        assert_eq!(snap.counters["dpa_rx_stage_overflow_total"], 1);
         assert_eq!(snap.counters["dpa_acks_total"], 1);
         assert_eq!(snap.counters["dpa_retransmits_total"], 3);
         assert_eq!(snap.counters["dpa_drain_retries_total"], 1);
@@ -384,6 +274,144 @@ mod tests {
         let hist = &snap.hists["dpa_backoff_polls"];
         assert_eq!(hist.count, 2);
         assert_eq!(hist.sum, 12);
+    }
+
+    /// The ten service, NIC and wire names of `service`'s snapshot, each
+    /// against the field of its owner.
+    fn assert_service_counts_read_their_owners(service: &crate::MatchingService) {
+        let snap = service.observability_snapshot();
+        let (rx, wire) = (
+            service.nic().rx_stats(),
+            service.nic().wire_fault_stats().unwrap_or_default(),
+        );
+        for (name, field) in [
+            ("dpa_rx_duplicates_total", rx.duplicates),
+            ("dpa_rx_gaps_total", rx.gaps),
+            ("dpa_rx_staged_total", rx.staged_out_of_order),
+            ("dpa_rx_stage_overflow_total", rx.stage_overflow),
+            ("dpa_wire_drops_total", wire.drops),
+            ("dpa_wire_dups_total", wire.duplicates),
+            ("dpa_wire_reorders_total", wire.reorders),
+            ("dpa_wire_delays_total", wire.delays),
+            ("dpa_cq_polls_total", service.polls()),
+            ("dpa_fallbacks_total", u64::from(service.fell_back())),
+        ] {
+            assert_eq!(snap.counters[name], field, "{name}");
+        }
+    }
+
+    #[test]
+    fn every_count_of_the_snapshot_reads_its_owners_field() {
+        use crate::bounce::BouncePool;
+        use crate::matchd::{MatchServer, MatchdConfig, TenantConfig};
+        use crate::memory::DeviceMemory;
+        use crate::nic::RecvNic;
+        use crate::rdma::{connected_pair, eager_packet, RdmaDomain};
+        use crate::{MatchingService, ReliableSender};
+        use otm_base::{CommId, Envelope, FaultPlan, MatchConfig, Rank, ReceivePattern, Tag};
+
+        // A service over a hostile wire with one staging slot, so gaps and
+        // overflow fire too, and a table too small for every receive, so it
+        // falls back to software matching on the way.
+        let (tx, rx) = connected_pair();
+        let mut nic = RecvNic::new(rx, BouncePool::new(256, 64));
+        nic.set_staging_capacity(1);
+        nic.set_faults(
+            FaultPlan::new(0x0b00c)
+                .with_drop_permille(100)
+                .with_duplicate_permille(80)
+                .with_reorder_permille(80)
+                .with_reorder_window(4)
+                .with_delay_permille(80)
+                .with_delay_polls(2),
+        );
+        let config = MatchConfig::small().with_max_receives(48);
+        let mut budget = DeviceMemory::bluefield3_l3();
+        let mut svc =
+            MatchingService::offloaded(nic, RdmaDomain::new(), config.clone(), &mut budget)
+                .unwrap();
+        let mut sender = ReliableSender::new(tx);
+        let n = 64u32;
+        let (mut sent, mut done) = (0u32, 0usize);
+        for _ in 0..10_000 {
+            while sent < n && sender.can_send() {
+                svc.post_recv(ReceivePattern::exact(Rank(0), Tag(sent)))
+                    .unwrap();
+                let env = Envelope::world(Rank(0), Tag(n - 1 - sent));
+                sender.send(eager_packet(env, vec![sent as u8])).unwrap();
+                sent += 1;
+            }
+            done += svc.progress().unwrap();
+            sender.poll().unwrap();
+            if done == n as usize && sender.unacked() == 0 {
+                break;
+            }
+        }
+        assert_eq!(done, n as usize);
+        let (rx, wire) = (svc.nic().rx_stats(), svc.nic().wire_fault_stats().unwrap());
+        for (what, count) in [
+            ("duplicates", rx.duplicates),
+            ("gaps", rx.gaps),
+            ("staged", rx.staged_out_of_order),
+            ("overflow", rx.stage_overflow),
+            ("drops", wire.drops),
+            ("dups", wire.duplicates),
+            ("reorders", wire.reorders),
+            ("delays", wire.delays),
+        ] {
+            assert!(count > 0, "the run never saw {what}");
+        }
+        assert!(svc.fell_back());
+        assert_service_counts_read_their_owners(&svc);
+        svc.rearm(|| Box::new(otm::OtmEngine::new(config).unwrap()));
+        svc.nic_mut().rearm(1);
+        assert_service_counts_read_their_owners(&svc);
+        let snap = svc.observability_snapshot();
+        assert!(snap.counters.values().all(|&v| v == 0), "{snap:?}");
+
+        // A matchd flood: tenant 0's tight ingress backpressures it, and one
+        // post off tenant 1's communicator is rejected.
+        let mut server = MatchServer::new(MatchConfig::small(), MatchdConfig::default()).unwrap();
+        let sessions = [(2, 1), (64, 8)].map(|(capacity, quantum)| {
+            server.open_tenant_with(TenantConfig {
+                capacity,
+                quantum,
+                comm: Some(CommId(server.tenant_count() as u16 + 1)),
+            })
+        });
+        for round in 0..8u32 {
+            for session in &sessions {
+                let (src, comm) = (Rank(session.tenant().0 as u32), session.comm().unwrap());
+                for i in 0..3 {
+                    let tag = Tag(round * 3 + i);
+                    session.submit_post(ReceivePattern::new(src, tag, comm));
+                    session.submit_send(tag, vec![i as u8]);
+                }
+            }
+            server.tick().unwrap();
+        }
+        let foreign = ReceivePattern::new(Rank(1), Tag(0), CommId(1));
+        assert!(!sessions[1].submit_post(foreign).is_admitted());
+        let (flooder, well) = (sessions[0].stats(), sessions[1].stats());
+        assert!(flooder.backpressured > 0 && flooder.ingress_depth > 0);
+        assert_eq!((well.rejected, well.backpressured), (1, 0));
+        assert!(well.drained > 0 && well.completed > 0);
+        let snap = server.observability_snapshot();
+        for session in &sessions {
+            let (t, stats) = (session.tenant(), session.stats());
+            for (name, field) in [
+                ("admitted", stats.admitted),
+                ("backpressured", stats.backpressured),
+                ("rejected", stats.rejected),
+                ("drained", stats.drained),
+                ("completions", stats.completed),
+            ] {
+                let key = format!("matchd_{name}_total{{tenant=\"{t}\"}}");
+                assert_eq!(snap.counters[&key], field, "{key}");
+            }
+            let key = format!("matchd_ingress_depth{{tenant=\"{t}\"}}");
+            assert_eq!(snap.gauges[&key], stats.ingress_depth as i64, "{key}");
+        }
     }
 
     #[cfg(feature = "trace-events")]
@@ -401,7 +429,6 @@ mod tests {
         );
         assert_eq!(spans[1].subject, 4);
         assert_eq!(spans[1].kind, otm_metrics::SpanKind::FellBack);
-        let snap = m.snapshot();
-        assert_eq!(snap.counters["dpa_span_dropped_total"], 0);
+        assert_eq!(m.spans().dropped(), 0);
     }
 }

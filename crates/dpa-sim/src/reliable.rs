@@ -907,7 +907,7 @@ mod tests {
             ],
             "one span per resent packet, attempt index per window resend"
         );
-        assert_eq!(m.snapshot().counters["dpa_span_dropped_total"], 0);
+        assert_eq!(m.spans().dropped(), 0);
     }
 
     #[test]

@@ -259,12 +259,10 @@ impl MatchingService {
     /// single construction path: the named constructors below only pick the
     /// backend (and, for the offloaded one, charge the memory budget).
     pub fn with_backend(
-        mut nic: RecvNic,
+        nic: RecvNic,
         domain: RdmaDomain,
         backend: Box<dyn MatchingBackend>,
     ) -> Self {
-        let metrics = ServiceMetrics::new();
-        nic.attach_metrics(metrics.clone());
         MatchingService {
             backend,
             nic,
@@ -274,7 +272,7 @@ impl MatchingService {
             unexpected: HashMap::default(),
             inflight: Inflight::default(),
             fellback: false,
-            metrics,
+            metrics: ServiceMetrics::new(),
             polls: 0,
             series: None,
         }
@@ -382,11 +380,31 @@ impl MatchingService {
     }
 
     /// One combined registry snapshot: the service's queue gauges and
-    /// pressure counters merged with — when the backend is the offloaded
-    /// engine — the engine's search-depth/latency histograms and
-    /// per-resolution-path counters.
+    /// pushed counters, the counts read from their owners — the poll clock,
+    /// the fallback flag, the NIC's receive counters and the wire's injected
+    /// faults (zeros without a fault plan) — merged with, when the backend
+    /// is the offloaded engine, the engine's
+    /// [`OtmEngine::metrics_snapshot`].
     pub fn observability_snapshot(&self) -> otm_metrics::RegistrySnapshot {
-        let snap = self.metrics.snapshot();
+        let mut snap = self.metrics.snapshot();
+        let rx = self.nic.rx_stats();
+        let wire = self.nic.wire_fault_stats().unwrap_or_default();
+        for (name, n) in [
+            ("dpa_cq_polls_total", self.polls),
+            ("dpa_fallbacks_total", u64::from(self.fellback)),
+            ("dpa_rx_duplicates_total", rx.duplicates),
+            ("dpa_rx_gaps_total", rx.gaps),
+            ("dpa_rx_staged_total", rx.staged_out_of_order),
+            ("dpa_rx_stage_overflow_total", rx.stage_overflow),
+            ("dpa_wire_drops_total", wire.drops),
+            ("dpa_wire_dups_total", wire.duplicates),
+            ("dpa_wire_reorders_total", wire.reorders),
+            ("dpa_wire_delays_total", wire.delays),
+            #[cfg(feature = "trace-events")]
+            ("dpa_span_dropped_total", self.metrics.spans().dropped()),
+        ] {
+            snap.counters.insert(name.to_string(), n);
+        }
         match self.backend.as_any().downcast_ref::<OtmEngine>() {
             Some(e) => snap.merge(&e.metrics_snapshot()),
             None => snap,
@@ -425,15 +443,6 @@ impl MatchingService {
     /// [`MatchingService::progress`] has run.
     pub fn polls(&self) -> u64 {
         self.polls
-    }
-
-    /// The combined observability snapshot rendered in the Prometheus text
-    /// exposition format. This is what the `matchd` tick loop serves as
-    /// its live `/metrics` endpoint: every scrape is a fresh walk of the
-    /// registries, so per-tenant labeled instruments appear as soon as a
-    /// tenant session touches them.
-    pub fn observability_prometheus(&self) -> String {
-        self.observability_snapshot().to_prometheus()
     }
 
     /// Posts a receive under the next reserved handle (see
@@ -599,7 +608,6 @@ impl MatchingService {
         }
         self.backend = matcher;
         self.fellback = true;
-        self.metrics.count_fallback();
         Ok(())
     }
 
@@ -612,7 +620,6 @@ impl MatchingService {
     /// number of newly completed receives.
     pub fn progress(&mut self) -> Result<usize, ServiceError> {
         self.polls += 1;
-        self.metrics.count_poll();
         if let Err(e) = self.nic.poll() {
             if matches!(e, NicError::Staging(_)) {
                 self.metrics.count_spill();
@@ -1470,8 +1477,8 @@ mod tests {
         }
         assert!(svc.fell_back());
         // After fallback the backend is software: the snapshot is the
-        // service registry alone, and still machine-readable.
-        let snap = svc.metrics().snapshot();
+        // service's alone, and still machine-readable.
+        let snap = svc.observability_snapshot();
         assert_eq!(snap.counters["dpa_fallbacks_total"], 1);
         let json = svc.observability_snapshot().to_json();
         assert!(json.contains("dpa_cq_depth_peak"));
@@ -1913,7 +1920,7 @@ mod tests {
             assert_eq!(d.recv, posted[i]);
             assert_eq!(d.data, vec![i as u8]);
         }
-        let snap = svc.metrics().snapshot();
+        let snap = svc.observability_snapshot();
         assert_eq!(snap.counters["dpa_drain_retries_total"], 2);
         assert_eq!(snap.counters["dpa_fallback_escalations_total"], 0);
         assert_eq!(snap.hists["dpa_backoff_polls"].count, 2);
@@ -1953,7 +1960,7 @@ mod tests {
             assert_eq!(d.recv, posted[i]);
             assert_eq!(d.data, vec![i as u8]);
         }
-        let snap = svc.metrics().snapshot();
+        let snap = svc.observability_snapshot();
         assert!(
             snap.counters["dpa_ring_backpressure_total"] > 0,
             "the tiny ring must have rejected at least one push"
@@ -2001,7 +2008,7 @@ mod tests {
             assert_eq!(d.recv, posted[i]);
             assert_eq!(d.data, vec![i as u8]);
         }
-        let snap = svc.metrics().snapshot();
+        let snap = svc.observability_snapshot();
         assert_eq!(
             snap.counters["dpa_drain_retries_total"],
             u64::from(DEFAULT_DRAIN_RETRY_BUDGET)

@@ -281,9 +281,9 @@ impl<T: WriteJson> WriteJson for BTreeMap<String, T> {
 
 /// Appends `s` with backslash, double-quote, and newline escaped — the
 /// exact three escapes the Prometheus text exposition format defines for
-/// label values. Shared by the registry's metric-identity renderer so
-/// every exposition path (Prometheus text and the JSON mirror, which keys
-/// metrics by the same rendered identity) escapes identically.
+/// label values. The registry's metric-identity renderer uses it, so a
+/// rendered `name{label="v"}` key stays one parseable identity inside the
+/// JSON artifacts that key metrics by it.
 pub fn escape_label_value(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {

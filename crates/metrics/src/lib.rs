@@ -10,8 +10,8 @@
 //!   counters, gauges, and histograms with an optional small label set.
 //!   Handles are `Arc`s resolved once at setup; the hot path never touches
 //!   the registry lock. [`Registry::snapshot`] produces a
-//!   [`RegistrySnapshot`] that can be diffed ([`RegistrySnapshot::delta`]),
-//!   rendered as Prometheus text exposition, or serialized to JSON.
+//!   [`RegistrySnapshot`] that can be diffed ([`RegistrySnapshot::delta`])
+//!   or serialized to JSON.
 //!
 //! On top of these sit the two flight-recorder layers:
 //!

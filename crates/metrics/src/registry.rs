@@ -5,8 +5,7 @@
 //! setup: `counter()`/`gauge()`/`histogram()` return `Arc` handles that
 //! the hot path updates with relaxed atomics, never touching the registry
 //! again. Snapshots walk the registry and copy every value out, producing
-//! a [`RegistrySnapshot`] that supports diffing and both Prometheus text
-//! and JSON exposition.
+//! a [`RegistrySnapshot`] that supports diffing and JSON exposition.
 
 use crate::hist::{Histogram, HistogramSnapshot};
 use crate::json::{JsonWriter, WriteJson};
@@ -88,7 +87,7 @@ struct Key {
 }
 
 impl Key {
-    /// `name{k="v",..}` (Prometheus identity syntax; also used in JSON).
+    /// `name{k="v",..}`, the identity the JSON exposition keys metrics by.
     fn render(&self) -> String {
         if self.labels.is_empty() {
             return self.name.to_string();
@@ -284,62 +283,6 @@ impl RegistrySnapshot {
         out
     }
 
-    /// Renders the snapshot in the Prometheus text exposition format.
-    ///
-    /// Histograms are emitted as the conventional `_bucket`/`_sum`/
-    /// `_count` triplet with cumulative `le` buckets.
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        for (name, v) in &self.counters {
-            out.push_str(name);
-            out.push(' ');
-            out.push_str(&v.to_string());
-            out.push('\n');
-        }
-        for (name, v) in &self.gauges {
-            out.push_str(name);
-            out.push(' ');
-            out.push_str(&v.to_string());
-            out.push('\n');
-        }
-        for (name, h) in &self.hists {
-            // Split `name{labels}` so `le` can be appended to the set.
-            let (base, labels) = match name.find('{') {
-                Some(i) => (&name[..i], Some(&name[i + 1..name.len() - 1])),
-                None => (&name[..], None),
-            };
-            let mut cumulative = 0u64;
-            for (i, &c) in h.buckets.iter().enumerate() {
-                if c == 0 {
-                    continue;
-                }
-                cumulative += c;
-                let upper = crate::hist::bucket_upper_bound(i);
-                out.push_str(base);
-                out.push_str("_bucket{");
-                if let Some(l) = labels {
-                    out.push_str(l);
-                    out.push(',');
-                }
-                out.push_str(&format!("le=\"{upper}\"}} {cumulative}\n"));
-            }
-            out.push_str(base);
-            out.push_str("_bucket{");
-            if let Some(l) = labels {
-                out.push_str(l);
-                out.push(',');
-            }
-            out.push_str(&format!("le=\"+Inf\"}} {}\n", h.count));
-            out.push_str(&format!("{base}_sum{} {}\n", label_suffix(labels), h.sum));
-            out.push_str(&format!(
-                "{base}_count{} {}\n",
-                label_suffix(labels),
-                h.count
-            ));
-        }
-        out
-    }
-
     /// Renders the snapshot as a standalone JSON string.
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
@@ -373,14 +316,6 @@ impl WriteJson for RegistrySnapshot {
         }
         w.end_object();
         w.end_object();
-    }
-}
-
-/// `{labels}` suffix for `_sum`/`_count` lines, or empty.
-fn label_suffix(labels: Option<&str>) -> String {
-    match labels {
-        Some(l) => format!("{{{l}}}"),
-        None => String::new(),
     }
 }
 
@@ -479,29 +414,10 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_exposition() {
-        let r = Registry::new();
-        r.counter_with("otm_msgs_total", vec![("path", "fast".into())])
-            .add(3);
-        r.gauge("dpa_cq_depth").set(2);
-        let h = r.histogram("otm_search_depth");
-        h.record(1);
-        h.record(5);
-        let text = r.snapshot().to_prometheus();
-        assert!(text.contains("otm_msgs_total{path=\"fast\"} 3\n"));
-        assert!(text.contains("dpa_cq_depth 2\n"));
-        assert!(text.contains("otm_search_depth_bucket{le=\"1\"} 1\n"));
-        assert!(text.contains("otm_search_depth_bucket{le=\"7\"} 2\n"));
-        assert!(text.contains("otm_search_depth_bucket{le=\"+Inf\"} 2\n"));
-        assert!(text.contains("otm_search_depth_sum 6\n"));
-        assert!(text.contains("otm_search_depth_count 2\n"));
-    }
-
-    #[test]
     fn exotic_label_values_stay_parseable() {
         // Regression: backslash, quote, and newline in a label value must
-        // come out escaped per the Prometheus text-format spec on every
-        // exposition path, or the line is unparseable.
+        // come out escaped in the rendered identity, which JSON re-escapes
+        // as string content, or the artifact is unparseable.
         let hostile = "say \"hi\"\\\nbye".to_string();
         let r = Registry::new();
         r.counter_with("c_total", vec![("src", hostile.clone())])
@@ -510,41 +426,11 @@ mod tests {
         r.histogram_with("h", vec![("src", hostile.clone())])
             .record(1);
         let snap = r.snapshot();
-        let escaped = r#"src="say \"hi\"\\\nbye""#;
-        let text = snap.to_prometheus();
-        assert!(
-            text.contains(&format!("c_total{{{escaped}}} 1\n")),
-            "{text}"
-        );
-        assert!(text.contains(&format!("g{{{escaped}}} 2\n")));
-        // Histogram exposition splices `le` into the same escaped set.
-        assert!(text.contains(&format!("h_bucket{{{escaped},le=\"1\"}} 1\n")));
-        assert!(text.contains(&format!("h_sum{{{escaped}}} 1\n")));
-        // No line may carry a raw (unescaped) newline from a label value.
-        for line in text.lines() {
-            assert!(!line.is_empty(), "label newline leaked into exposition");
-        }
-        // The JSON mirror re-escapes the rendered identity as JSON string
-        // content and must stay parseable too.
         let json = snap.to_json();
-        assert!(
-            json.contains(r#"c_total{src=\"say \\\"hi\\\"\\\\\\nbye\"}"#),
-            "{json}"
-        );
-    }
-
-    #[test]
-    fn labeled_histogram_prometheus_merges_label_sets() {
-        let r = Registry::new();
-        r.histogram_with("lat", vec![("lane", "0".into())])
-            .record(2);
-        let text = r.snapshot().to_prometheus();
-        assert!(
-            text.contains("lat_bucket{lane=\"0\",le=\"3\"} 1\n"),
-            "{text}"
-        );
-        assert!(text.contains("lat_sum{lane=\"0\"} 2\n"));
-        assert!(text.contains("lat_count{lane=\"0\"} 1\n"));
+        for name in ["c_total", "g", "h"] {
+            let key = format!(r#"{name}{{src=\"say \\\"hi\\\"\\\\\\nbye\"}}"#);
+            assert!(json.contains(&key), "{json}");
+        }
     }
 
     #[test]
@@ -564,7 +450,6 @@ mod tests {
     fn empty_registry_snapshots_cleanly() {
         let r = Registry::new();
         let s = r.snapshot();
-        assert_eq!(s.to_prometheus(), "");
         assert_eq!(
             s.to_json(),
             r#"{"counters":{},"gauges":{},"histograms":{}}"#

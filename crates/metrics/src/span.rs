@@ -193,22 +193,19 @@ impl SpanRecorder {
         self.capacity
     }
 
-    /// Stamps and records one event. Returns `true` if an old event was
-    /// dropped to make room (so callers can mirror the loss into a registry
-    /// counter).
+    /// Stamps and records one event, dropping the oldest when the ring is
+    /// full ([`SpanRecorder::dropped`] counts it).
     #[inline]
-    pub fn push(&self, subject: u64, kind: SpanKind) -> bool {
+    pub fn push(&self, subject: u64, kind: SpanKind) {
         self.push_at(crate::now_ns(), subject, kind)
     }
 
     /// Records one event with an explicit timestamp (deterministic tests).
-    /// Returns `true` if an old event was dropped to make room.
-    pub fn push_at(&self, t_ns: u64, subject: u64, kind: SpanKind) -> bool {
+    pub fn push_at(&self, t_ns: u64, subject: u64, kind: SpanKind) {
         let mut inner = self.inner.lock().expect("span ring lock");
         let seq = inner.next_seq;
         inner.next_seq += 1;
-        let overflowed = inner.ring.len() == self.capacity;
-        if overflowed {
+        if inner.ring.len() == self.capacity {
             inner.ring.pop_front();
             self.dropped.fetch_add(1, Relaxed);
         }
@@ -219,7 +216,6 @@ impl SpanRecorder {
             seq,
         });
         self.pushed.fetch_add(1, Relaxed);
-        overflowed
     }
 
     /// Total events ever pushed.
@@ -253,9 +249,14 @@ impl SpanRecorder {
             .collect()
     }
 
-    /// Empties the ring (drop accounting is preserved).
-    pub fn clear(&self) {
-        self.inner.lock().expect("span ring lock").ring.clear();
+    /// Empties the ring and zeroes its accounting: the recorder reads as
+    /// new, its next event is `seq` 0, and it keeps its allocation.
+    pub fn reset(&self) {
+        let mut inner = self.inner.lock().expect("span ring lock");
+        inner.ring.clear();
+        inner.next_seq = 0;
+        self.pushed.store(0, Relaxed);
+        self.dropped.store(0, Relaxed);
     }
 
     /// The retained window as JSON Lines (one event object per line).
@@ -397,9 +398,10 @@ mod tests {
     #[test]
     fn overflow_is_counted_not_silent() {
         let r = SpanRecorder::new(2);
-        assert!(!r.push_at(1, 10, SpanKind::Posted));
-        assert!(!r.push_at(2, 11, SpanKind::Posted));
-        assert!(r.push_at(3, 12, SpanKind::Posted), "third push overwrites");
+        r.push_at(1, 10, SpanKind::Posted);
+        r.push_at(2, 11, SpanKind::Posted);
+        assert_eq!(r.dropped(), 0);
+        r.push_at(3, 12, SpanKind::Posted);
         assert_eq!(r.recorded(), 3);
         assert_eq!(r.dropped(), 1);
         assert_eq!(r.len(), 2);
@@ -588,14 +590,15 @@ mod tests {
     }
 
     #[test]
-    fn clear_keeps_drop_accounting() {
+    fn a_reset_recorder_reads_as_new() {
         let r = SpanRecorder::new(1);
         r.push_at(1, 0, SpanKind::Posted);
         r.push_at(2, 0, SpanKind::Posted);
         assert_eq!(r.dropped(), 1);
-        r.clear();
+        r.reset();
         assert!(r.is_empty());
-        assert_eq!(r.dropped(), 1, "history of loss survives a clear");
-        assert_eq!(r.recorded(), 2);
+        assert_eq!((r.recorded(), r.dropped()), (0, 0));
+        r.push_at(3, 5, SpanKind::Posted);
+        assert_eq!(r.dump()[0].seq, 0, "numbering starts over");
     }
 }

@@ -223,8 +223,8 @@ impl Coord {
         }
     }
 
-    /// Merges `tally`, with the depth samples that go with it, into the
-    /// published statistics and the registry.
+    /// Merges `tally` into the published statistics, and the depth samples
+    /// that go with it into the registry's histograms.
     fn publish(
         &mut self,
         tally: Tally,
@@ -510,16 +510,11 @@ impl OtmEngine {
         self.coord.stats.clone()
     }
 
-    /// The engine's metric instruments (histograms, path counters).
-    pub fn metrics(&self) -> &EngineMetrics {
-        &self.coord.metrics
-    }
-
-    /// Copies out the engine's metrics registry: search-depth and
-    /// block-latency histograms plus resolution-path counters, ready for
-    /// Prometheus or JSON exposition.
+    /// Copies out the engine's metrics registry: the depth, latency and
+    /// occupancy histograms, the depth-peak gauges, and the resolution-path,
+    /// matched and conflict counters read from [`OtmEngine::stats`].
     pub fn metrics_snapshot(&self) -> otm_metrics::RegistrySnapshot {
-        self.coord.metrics.snapshot()
+        self.coord.metrics.snapshot(&self.coord.stats)
     }
 
     /// Copies out the retained lifecycle span events, oldest first.

@@ -1,22 +1,27 @@
 //! Engine observability.
 //!
 //! [`EngineMetrics`] is the engine's handle to the `otm-metrics` registry:
-//! search-depth and block-latency histograms, per-resolution-path counters
-//! (no-conflict / fast path / slow path — the NC, WC-FP and WC-SP series
-//! of Fig. 8), and, with the `trace-events` feature, the lifecycle span
-//! recorder.
+//! search-depth, UMQ-depth, block-latency and block-occupancy histograms,
+//! the per-communicator depth-peak gauges, and, with the `trace-events`
+//! feature, the lifecycle span recorder.
 //!
-//! The struct carries `Arc` handles resolved once at engine construction, and
-//! no instrument is touched per message: a block's tally reaches the registry
-//! in one `EngineMetrics::add` when the block ends, a drain's posts in one
-//! when the drain exits (a direct `post` publishes right away), the
-//! depth-peak gauges once per drain. In between a reader sees the registry as
-//! the last publish left it, so `otm_matched_total ==
-//! Σ otm_resolutions_total{path}` whenever none is under way.
+//! Counts are not pushed. The engine's published [`StatsSnapshot`] is their
+//! one record, and `EngineMetrics::snapshot` fills the registry names in
+//! from it: `otm_resolutions_total{path}` (no-conflict / fast path / slow
+//! path — the NC, WC-FP and WC-SP series of Fig. 8 — and the post path),
+//! `otm_matched_total` and `otm_conflicts_total`; the span ring's own drop
+//! count is `otm_span_dropped_total`. Only what a count cannot hold is
+//! pushed: the histograms and the high-water gauges.
+//!
+//! No instrument is touched per message: a block's depths and latency reach
+//! the registry in one `EngineMetrics::add` when the block ends, a drain's
+//! posts in one when the drain exits (a direct `post` publishes right away),
+//! the depth-peak gauges once per drain — each with the statistics it goes
+//! with, so a snapshot never shows half a publish.
 
-use crate::stats::Tally;
+use crate::stats::{StatsSnapshot, Tally};
 use otm_base::CommId;
-use otm_metrics::{Counter, Gauge, Histogram, Registry, RegistrySnapshot};
+use otm_metrics::{Gauge, Histogram, Registry, RegistrySnapshot};
 use std::sync::{Arc, OnceLock};
 
 /// Lifecycle span events retained before overwriting (each message
@@ -41,16 +46,8 @@ pub struct EngineMetrics {
     block_latency_ns: Arc<Histogram>,
     block_occupancy: Arc<Histogram>,
     umq_match_depth: Arc<Histogram>,
-    no_conflict: Arc<Counter>,
-    fast_path: Arc<Counter>,
-    slow_path: Arc<Counter>,
-    post_match: Arc<Counter>,
-    matched: Arc<Counter>,
-    conflicts: Arc<Counter>,
     #[cfg(feature = "trace-events")]
     spans: Arc<otm_metrics::SpanRecorder>,
-    #[cfg(feature = "trace-events")]
-    span_dropped: Arc<Counter>,
 }
 
 impl Default for EngineMetrics {
@@ -68,30 +65,16 @@ impl EngineMetrics {
             block_latency_ns: registry.histogram("otm_block_latency_ns"),
             block_occupancy: registry.histogram("otm_block_occupancy"),
             umq_match_depth: registry.histogram("otm_umq_match_depth"),
-            no_conflict: registry
-                .counter_with("otm_resolutions_total", vec![("path", "nc".into())]),
-            fast_path: registry
-                .counter_with("otm_resolutions_total", vec![("path", "wc_fp".into())]),
-            slow_path: registry
-                .counter_with("otm_resolutions_total", vec![("path", "wc_sp".into())]),
-            post_match: registry
-                .counter_with("otm_resolutions_total", vec![("path", "post".into())]),
-            matched: registry.counter("otm_matched_total"),
-            conflicts: registry.counter("otm_conflicts_total"),
             #[cfg(feature = "trace-events")]
             spans: Arc::new(otm_metrics::SpanRecorder::new(SPAN_CAPACITY)),
-            #[cfg(feature = "trace-events")]
-            span_dropped: registry.counter("otm_span_dropped_total"),
             registry,
         }
     }
 
-    /// Publishes a tally: a block's, with the depth of each lane's optimistic
-    /// search, or some posts', with the UMQ depth of each match on post. Every
-    /// resolution (no-conflict, fast, slow, and the post path, which never
-    /// enters a block) is a matched pair, so `otm_matched_total` stays their
-    /// sum; a block that ran to its end adds its latency and its occupancy —
-    /// how well the drain's packing fills blocks.
+    /// Publishes a tally's samples: a block's, with the depth of each lane's
+    /// optimistic search, or some posts', with the UMQ depth of each match
+    /// on post. A block that ran to its end adds its latency and its
+    /// occupancy — how well the drain's packing fills blocks.
     pub(crate) fn add(
         &self,
         t: &Tally,
@@ -103,23 +86,6 @@ impl EngineMetrics {
         if t.stats.blocks != 0 {
             self.block_latency_ns.record(t.latency_ns);
             self.block_occupancy.record(t.stats.messages);
-        }
-        let (nc, wc_fp, post) = (
-            t.stats.optimistic_ok,
-            t.stats.fast_path,
-            t.stats.matched_on_post,
-        );
-        for (counter, n) in [
-            (&self.no_conflict, nc),
-            (&self.fast_path, wc_fp),
-            (&self.slow_path, t.wc_sp),
-            (&self.post_match, post),
-            (&self.matched, nc + wc_fp + t.wc_sp + post),
-            (&self.conflicts, t.stats.direct_conflicts),
-        ] {
-            if n != 0 {
-                counter.add(n);
-            }
         }
     }
 
@@ -156,22 +122,41 @@ impl EngineMetrics {
     }
 
     /// Zeroes every instrument in place, labelled ones included
-    /// ([`Registry::reset`]), and empties the span ring: every handle stays
+    /// ([`Registry::reset`]), and resets the span ring: every handle stays
     /// live.
     pub(crate) fn reset(&self) {
         self.registry.reset();
         #[cfg(feature = "trace-events")]
-        self.spans.clear();
+        self.spans.reset();
     }
 
-    /// The underlying registry (for embedding into a larger exporter).
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// Copies out all engine metrics.
-    pub fn snapshot(&self) -> RegistrySnapshot {
-        self.registry.snapshot()
+    /// Copies out the registry, with the counts read from `stats`, the
+    /// engine's published statistics. A message a block matched took
+    /// exactly one path, so the slow path's is what the other two leave of
+    /// `matched`, and `otm_matched_total == Σ otm_resolutions_total{path}`.
+    pub(crate) fn snapshot(&self, stats: &StatsSnapshot) -> RegistrySnapshot {
+        let mut snap = self.registry.snapshot();
+        // Saturating: a block that panicked half-run publishes what its
+        // lanes counted, but matched nothing, and stops the engine.
+        let wc_sp = stats
+            .matched
+            .saturating_sub(stats.optimistic_ok + stats.fast_path);
+        for (name, n) in [
+            ("otm_resolutions_total{path=\"nc\"}", stats.optimistic_ok),
+            ("otm_resolutions_total{path=\"wc_fp\"}", stats.fast_path),
+            ("otm_resolutions_total{path=\"wc_sp\"}", wc_sp),
+            (
+                "otm_resolutions_total{path=\"post\"}",
+                stats.matched_on_post,
+            ),
+            ("otm_matched_total", stats.matched + stats.matched_on_post),
+            ("otm_conflicts_total", stats.direct_conflicts),
+            #[cfg(feature = "trace-events")]
+            ("otm_span_dropped_total", self.spans.dropped()),
+        ] {
+            snap.counters.insert(name.to_string(), n);
+        }
+        snap
     }
 
     /// Stamps a lifecycle span event on `subject` (a message or
@@ -180,9 +165,7 @@ impl EngineMetrics {
     #[cfg(feature = "trace-events")]
     #[inline]
     pub fn span_push(&self, subject: u64, kind: otm_metrics::SpanKind) {
-        if self.spans.push(subject, kind) {
-            self.span_dropped.inc();
-        }
+        self.spans.push(subject, kind);
     }
 
     /// The lifecycle span recorder.
@@ -224,26 +207,27 @@ mod tests {
     fn instruments_are_registered_and_recorded() {
         let m = EngineMetrics::new();
         let mut block = Tally {
-            wc_sp: 1,
             latency_ns: 9,
             ..Tally::default()
         };
+        // Three matched: one no-conflict, one fast path, one slow path.
         (block.stats.optimistic_ok, block.stats.fast_path) = (1, 1);
-        (block.stats.direct_conflicts, block.stats.blocks) = (1, 1);
-        block.stats.messages = 4;
+        (block.stats.matched, block.stats.direct_conflicts) = (3, 1);
+        (block.stats.blocks, block.stats.messages) = (1, 4);
         m.add(&block, [3], []);
         // A block that panicked half-run: its searches, no latency sample.
         m.add(&Tally::default(), [1, 1], []);
         let mut posts = Tally::default();
         posts.stats.matched_on_post = 1;
         m.add(&posts, [], [2]);
+        let stats = block.stats.merge(&posts.stats);
         // Two drains: the gauges keep the high-water mark across them.
         // A lane that never staged anything publishes its ring peak only.
         let (one, two) = (DepthPeakGauges::default(), DepthPeakGauges::default());
         m.publish_drain_peaks(CommId(1), &one, 7, 5);
         m.publish_drain_peaks(CommId(1), &one, 3, 2);
         m.publish_drain_peaks(CommId(2), &two, 0, 0);
-        let snap = m.snapshot();
+        let snap = m.snapshot(&stats);
         assert_eq!(snap.hists["otm_search_depth"].count, 3);
         assert_eq!(snap.hists["otm_block_latency_ns"].count, 1);
         assert_eq!(snap.hists["otm_block_occupancy"].count, 1);
@@ -271,7 +255,8 @@ mod tests {
         let a = EngineMetrics::new();
         let b = a.clone();
         b.add(&Tally::default(), [], [1]);
-        assert_eq!(a.snapshot().hists["otm_umq_match_depth"].count, 1);
+        let snap = a.snapshot(&StatsSnapshot::default());
+        assert_eq!(snap.hists["otm_umq_match_depth"].count, 1);
     }
 
     #[cfg(feature = "trace-events")]
@@ -296,7 +281,8 @@ mod tests {
                 path: ::otm_metrics::MatchPath::Nc
             }
         );
-        assert_eq!(m.snapshot().counters["otm_span_dropped_total"], 0);
+        let snap = m.snapshot(&StatsSnapshot::default());
+        assert_eq!(snap.counters["otm_span_dropped_total"], 0);
     }
 
     #[cfg(feature = "trace-events")]
@@ -307,6 +293,7 @@ mod tests {
             m.span_push(i, ::otm_metrics::SpanKind::Enqueued);
         }
         assert_eq!(m.spans().dropped(), 5);
-        assert_eq!(m.snapshot().counters["otm_span_dropped_total"], 5);
+        let snap = m.snapshot(&StatsSnapshot::default());
+        assert_eq!(snap.counters["otm_span_dropped_total"], 5);
     }
 }

@@ -8,9 +8,10 @@
 //! Nothing is counted atomically where it happens. A block's lanes and its
 //! coordinator fill a `Tally` of plain integers in the block arena, a
 //! drain's posts one in the drain arena, and the engine merges a tally
-//! into its published [`StatsSnapshot`] (and its registry) once: when the
-//! block ends, when the drain exits, right away for a direct `post`.
-//! A reader never sees a partial block, and a message costs no
+//! into its published [`StatsSnapshot`] once: when the block ends, when the
+//! drain exits, right away for a direct `post`. That snapshot is the one
+//! record of every count; the registry's counters are read from it. A
+//! reader never sees a partial block, and a message costs no
 //! read-modify-write for being counted.
 
 use otm_metrics::json_fields;
@@ -22,9 +23,6 @@ use otm_metrics::json_fields;
 pub(crate) struct Tally {
     /// What the engine's counters grow by.
     pub stats: StatsSnapshot,
-    /// Slow-path re-searches that consumed a receive — the WC-SP resolutions;
-    /// `stats.slow_path` counts entries, including those that went unexpected.
-    pub wc_sp: u64,
     /// How long the block's lanes took, if it ran to its end.
     pub latency_ns: u64,
 }

@@ -255,12 +255,6 @@ fn resolve_slow(ctx: &LaneCtx<'_>, block: &mut BlockState, lane: usize, comm: &S
             None => return result_code::UNEXPECTED,
             Some(c) => {
                 if table.slot(c.desc).try_consume(epoch) {
-                    // The WC-SP *resolution* counter fires only on a
-                    // successful consume (a slow-path entry that goes
-                    // unexpected resolved nothing), keeping the invariant
-                    // `otm_matched_total == Σ otm_resolutions_total{path}`.
-                    // `stats.slow_path` above still counts entries.
-                    block.tally.wc_sp += 1;
                     span_event!(
                         ctx.metrics,
                         lane_data.handle.0,

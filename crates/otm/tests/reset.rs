@@ -202,6 +202,21 @@ fn a_reset_engine_reads_as_new() {
     assert_eq!(a.drain_for_fallback(), b.drain_for_fallback());
 }
 
+/// The span recorder starts over with the engine: nothing recorded, and the
+/// next event is numbered 0.
+#[cfg(feature = "trace-events")]
+#[test]
+fn a_reset_engine_records_spans_as_new() {
+    let mut a = OtmEngine::new(MatchConfig::small()).unwrap();
+    first_workload(&mut a);
+    assert!(a.span_recorder().recorded() > 0);
+    a.reset().unwrap();
+    let spans = a.span_recorder();
+    assert_eq!((spans.recorded(), spans.dropped(), spans.len()), (0, 0, 0));
+    second_workload(&mut a);
+    assert_eq!(a.span_events()[0].seq, 0);
+}
+
 #[test]
 fn a_stopped_engine_refuses_a_reset_and_keeps_its_queue() {
     let mut engine = OtmEngine::new(MatchConfig::small()).unwrap();

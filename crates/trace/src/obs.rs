@@ -86,55 +86,6 @@ pub fn replay_metrics() -> &'static ReplayMetrics {
     METRICS.get_or_init(ReplayMetrics::new)
 }
 
-/// Flight-recorder glue for trace replays: a [`otm_metrics::SeriesRecorder`]
-/// driven by the replay's own virtual clock — the operation index — so a
-/// given trace produces an identical series on every run.
-///
-/// Because [`replay_metrics`] is process-wide, the sampler snapshots a
-/// *delta* against the registry state captured at construction: the
-/// series starts at zero even if earlier replays (or other threads'
-/// tests) already ran.
-#[derive(Debug)]
-pub struct ReplaySampler {
-    series: otm_metrics::SeriesRecorder,
-    base: RegistrySnapshot,
-    ops: u64,
-}
-
-impl ReplaySampler {
-    /// A sampler snapshotting every `cadence` replayed operations.
-    pub fn new(cadence: u64) -> Self {
-        ReplaySampler {
-            series: otm_metrics::SeriesRecorder::new(cadence),
-            base: replay_metrics().snapshot(),
-            ops: 0,
-        }
-    }
-
-    /// Advances the op-index clock by one operation and samples the
-    /// replay registry if a point is due. `queue_depth` is the replay
-    /// harness's current pending-work depth (e.g. PRQ + UMQ length).
-    pub fn tick(&mut self, queue_depth: u64) {
-        self.ops += 1;
-        if self.series.due(self.ops) {
-            let snap = replay_metrics().snapshot().delta(&self.base);
-            self.series.sample(self.ops, queue_depth, &snap);
-        }
-    }
-
-    /// Operations ticked so far (the sampler's virtual time).
-    pub fn ops(&self) -> u64 {
-        self.ops
-    }
-
-    /// Forces the terminal sample and returns the finished series.
-    pub fn finish(mut self, queue_depth: u64) -> otm_metrics::SeriesRecorder {
-        let snap = replay_metrics().snapshot().delta(&self.base);
-        self.series.force_sample(self.ops, queue_depth, &snap);
-        self.series
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,25 +107,5 @@ mod tests {
         assert!(d.counters["trace_replay_arrivals_total"] >= 1);
         assert!(d.counters["trace_replay_progress_points_total"] >= 1);
         assert!(d.hists["trace_replay_rank_events"].count >= 1);
-    }
-
-    #[test]
-    fn replay_sampler_ticks_on_the_op_index_clock() {
-        let m = replay_metrics();
-        let mut sampler = ReplaySampler::new(3);
-        for i in 0..7u64 {
-            m.count_op();
-            sampler.tick(i);
-        }
-        let series = sampler.finish(0);
-        // First sample due immediately (op 1), then every 3 ops, then the
-        // forced terminal point.
-        let ts: Vec<u64> = series.points().iter().map(|p| p.t).collect();
-        assert_eq!(ts, vec![1, 4, 7]);
-        // The delta base pins the series to this replay's own activity even
-        // though the underlying registry is process-wide: the replay
-        // counters are not part of the engine-schema point, but the sample
-        // machinery must still have run without panicking on absent keys.
-        assert!(series.points().iter().all(|p| p.matched == 0));
     }
 }
