@@ -16,9 +16,7 @@
 //!   flags) shared by all matchers;
 //! * [`memory`] — the analytic DPA memory-footprint model of §IV-E;
 //! * [`error`] — common error types, including the resource-exhaustion
-//!   condition that triggers fallback to software tag matching;
-//! * [`sync`] — poison-ignoring `lock` / `read` / `write` over
-//!   `std::sync`, the workspace's only lock layer.
+//!   condition that triggers fallback to software tag matching.
 //!
 //! The paper being reproduced is *"Offloaded MPI message matching: an
 //! optimistic approach"* (García et al., SC 2024). Section references in the
@@ -33,7 +31,6 @@ pub mod error;
 pub mod hash;
 pub mod hints;
 pub mod memory;
-pub mod sync;
 pub mod types;
 
 pub use config::{FaultPlan, FaultRng, MatchConfig, PackingPolicy};

@@ -103,7 +103,7 @@ pub struct RecvNic {
     /// Queue pairs polled, drained and acked: the first `active` of `qps`
     /// (all of them unless [`RecvNic::rearm`] said fewer).
     active: usize,
-    /// Per-QP frames taken off the wire in one lock and not yet looked at.
+    /// Per-QP frames taken off the wire at once and not yet looked at.
     /// Refilled only when empty, so a poll that returns early leaves the
     /// rest here, in order, as if they were still on the wire.
     inbox: Vec<VecDeque<Frame>>,

@@ -1,26 +1,27 @@
 //! An in-process RDMA transport model.
 //!
-//! Two endpoints exchange frames over a connected queue pair: one shared
+//! Two endpoints exchange frames over a connected queue pair: one
 //! allocation of two lanes standing in for the wire, sized like a NIC's
 //! queue-pair context. Memory regions are
-//! registered in a process-wide [`RdmaDomain`] under rkeys; RDMA READ pulls
+//! registered in an [`RdmaDomain`] under rkeys; RDMA READ pulls
 //! registered bytes by `(rkey, offset, len)` — exactly the operation the
 //! rendezvous protocol issues after a match (§IV-B). Message headers carry
 //! the MPI envelope plus the sender-side inline hashes of §IV-D.
 //!
-//! A queue pair is unbounded and FIFO per direction, with one reader per
-//! direction at a time. Sends fail with [`RdmaError::Disconnected`] once the
-//! peer endpoint is dropped; receives first deliver every frame the peer
-//! sent before it dropped and only then report it. Every reader polls: an
-//! empty `try_recv` or `recv_all` is two atomic loads and no lock.
+//! The stack runs on one thread, which steps both endpoints of every queue
+//! pair, so a link and a domain are plain data behind an `Rc`: a frame is
+//! handed on by moving it into the peer's queue, with no lock and no atomic.
+//! A queue pair is unbounded and FIFO per direction. Sends fail with
+//! [`RdmaError::Disconnected`] once the peer endpoint is dropped; receives
+//! first deliver every frame the peer sent before it dropped and only then
+//! report it. Every reader polls.
 
 use otm_base::hash::IntHasher;
-use otm_base::sync;
 use otm_base::{Envelope, InlineHashes};
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::hash::BuildHasherDefault;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::rc::Rc;
 
 /// Remote key identifying a registered memory region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -67,10 +68,11 @@ impl std::fmt::Display for RdmaError {
 impl std::error::Error for RdmaError {}
 
 /// A protection-domain-like registry of memory regions, shared by all
-/// endpoints of a simulated fabric: one allocation, one lock.
+/// endpoints of a simulated fabric: a clone is one more handle on the same
+/// regions.
 #[derive(Debug, Clone, Default)]
 pub struct RdmaDomain {
-    inner: Arc<RwLock<Regions>>,
+    inner: Rc<RefCell<Regions>>,
 }
 
 /// The registered regions by rkey, and the last rkey handed out.
@@ -87,10 +89,11 @@ impl RdmaDomain {
     }
 
     /// Registers a buffer, returning its rkey. The buffer is immutable
-    /// while registered (senders register their payload right before the
-    /// RTS and deregister after the transfer is acknowledged).
+    /// while registered: a sender registers its payload right before the
+    /// RTS, and the receiving service deregisters it once the RDMA READ
+    /// that completes the message has pulled it.
     pub fn register(&self, data: Vec<u8>) -> RKey {
-        let mut inner = sync::write(&self.inner);
+        let mut inner = self.inner.borrow_mut();
         inner.next_rkey += 1;
         let key = inner.next_rkey;
         inner.by_rkey.insert(key, data);
@@ -110,7 +113,7 @@ impl RdmaDomain {
         len: usize,
         out: &mut Vec<u8>,
     ) -> Result<(), RdmaError> {
-        let inner = sync::read(&self.inner);
+        let inner = self.inner.borrow();
         let region = inner.by_rkey.get(&rkey.0);
         let region = region.ok_or(RdmaError::InvalidRKey(rkey.0))?;
         let bytes = offset
@@ -130,12 +133,12 @@ impl RdmaDomain {
 
     /// Deregisters a region. Reads against the rkey fail afterwards.
     pub fn deregister(&self, rkey: RKey) {
-        sync::write(&self.inner).by_rkey.remove(&rkey.0);
+        self.inner.borrow_mut().by_rkey.remove(&rkey.0);
     }
 
     /// Number of currently registered regions (diagnostics).
     pub fn region_count(&self) -> usize {
-        sync::read(&self.inner).by_rkey.len()
+        self.inner.borrow().by_rkey.len()
     }
 }
 
@@ -300,23 +303,19 @@ pub enum Frame {
 /// other has not yet taken.
 #[derive(Debug, Default)]
 struct Lane {
-    frames: Mutex<VecDeque<Frame>>,
-    /// `frames.len()`, stored under the lock and read without it.
-    len: AtomicUsize,
+    frames: RefCell<VecDeque<Frame>>,
     /// The writing endpoint was dropped (set after its last send).
-    closed: AtomicBool,
+    closed: Cell<bool>,
 }
 
 impl Lane {
-    /// Whether a frame is there to take; `Disconnected` when none is and
-    /// none will come. `closed` is read *before* `len`, both `Acquire`: the
-    /// writer's drop sets the flag (`Release`) after its last send, so a
-    /// flag seen set makes every send visible in the length read after it.
-    fn ready(&self) -> Result<bool, RdmaError> {
-        let closed = self.closed.load(Ordering::Acquire);
-        match self.len.load(Ordering::Acquire) {
-            0 if closed => Err(RdmaError::Disconnected),
-            n => Ok(n != 0),
+    /// `Disconnected` when the lane is empty and its writer is gone, else
+    /// `none`: what a receive that found no frame reports.
+    fn nothing<T>(&self, none: T) -> Result<T, RdmaError> {
+        if self.closed.get() {
+            Err(RdmaError::Disconnected)
+        } else {
+            Ok(none)
         }
     }
 }
@@ -325,7 +324,7 @@ impl Lane {
 /// the other.
 #[derive(Debug)]
 pub struct QueuePair {
-    lanes: Arc<[Lane; 2]>,
+    lanes: Rc<[Lane; 2]>,
     side: usize,
 }
 
@@ -341,13 +340,10 @@ impl QueuePair {
     }
 
     fn push(&self, frame: Frame) -> Result<(), RdmaError> {
-        if self.rx().closed.load(Ordering::Acquire) {
+        if self.rx().closed.get() {
             return Err(RdmaError::Disconnected);
         }
-        let tx = &self.lanes[self.side];
-        let mut frames = sync::lock(&tx.frames);
-        frames.push_back(frame);
-        tx.len.store(frames.len(), Ordering::Release);
+        self.lanes[self.side].frames.borrow_mut().push_back(frame);
         Ok(())
     }
 
@@ -358,46 +354,43 @@ impl QueuePair {
 
     /// Non-blocking receive of the next frame, if one has arrived.
     pub fn try_recv(&self) -> Result<Option<Frame>, RdmaError> {
-        if !self.rx().ready()? {
-            return Ok(None);
+        let frame = self.rx().frames.borrow_mut().pop_front();
+        match frame {
+            Some(frame) => Ok(Some(frame)),
+            None => self.rx().nothing(None),
         }
-        let mut frames = sync::lock(&self.rx().frames);
-        let frame = frames.pop_front();
-        self.rx().len.store(frames.len(), Ordering::Release);
-        Ok(frame)
     }
 
-    /// Takes every frame that has arrived, in one lock, and returns how
-    /// many: they go behind what `out` holds, and an empty `out` trades
-    /// buffers with the lane, so neither side allocates in steady state.
+    /// Takes every frame that has arrived and returns how many: they go
+    /// behind what `out` holds, and an empty `out` trades buffers with the
+    /// lane, so neither side allocates in steady state.
     pub fn recv_all(&self, out: &mut VecDeque<Frame>) -> Result<usize, RdmaError> {
-        if !self.rx().ready()? {
-            return Ok(0);
-        }
-        let mut frames = sync::lock(&self.rx().frames);
+        let mut frames = self.rx().frames.borrow_mut();
         let n = frames.len();
+        if n == 0 {
+            return self.rx().nothing(0);
+        }
         if out.is_empty() {
             std::mem::swap(&mut *frames, out);
         } else {
             out.append(&mut frames);
         }
-        self.rx().len.store(0, Ordering::Release);
         Ok(n)
     }
 }
 
 impl Drop for QueuePair {
     fn drop(&mut self) {
-        self.lanes[self.side].closed.store(true, Ordering::Release);
+        self.lanes[self.side].closed.set(true);
     }
 }
 
 /// Creates a connected pair of endpoints: one allocation, and none more
 /// until a direction carries its first frame (then a four-slot queue).
 pub fn connected_pair() -> (QueuePair, QueuePair) {
-    let lanes = Arc::<[Lane; 2]>::default();
+    let lanes = Rc::<[Lane; 2]>::default();
     let peer = QueuePair {
-        lanes: Arc::clone(&lanes),
+        lanes: Rc::clone(&lanes),
         side: 1,
     };
     (QueuePair { lanes, side: 0 }, peer)
@@ -419,7 +412,7 @@ pub fn eager_packet(env: Envelope, payload: Vec<u8>) -> WirePacket {
 
 /// Convenience: registers `payload` in `domain` and builds the RTS packet,
 /// piggybacking the first `piggyback` bytes. Returns the packet and the
-/// rkey (the sender deregisters it once the sequence is acknowledged).
+/// rkey (the receiving service deregisters it once it has read the region).
 pub fn rendezvous_packet(
     domain: &RdmaDomain,
     env: Envelope,
@@ -520,43 +513,10 @@ mod tests {
 
     #[test]
     fn a_link_is_queue_pair_context_sized() {
-        // Both directions' locks, queues and flags: what `connected_pair`
+        // Both directions' queues and flags: what `connected_pair`
         // allocates, before any frame.
         assert!(std::mem::size_of::<[Lane; 2]>() <= 192);
         assert!(std::mem::size_of::<QueuePair>() <= 16);
-    }
-
-    #[test]
-    fn ten_thousand_frames_cross_threads_in_order() {
-        fn assert_send<T: Send>() {}
-        assert_send::<QueuePair>();
-        const FRAMES: u64 = 10_000;
-        let (a, b) = connected_pair();
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                for seq in 0..FRAMES {
-                    a.send(eager_packet(env(), vec![]).with_seq(seq)).unwrap();
-                }
-            });
-            // Alternates `try_recv` and `recv_all` until the producer is
-            // gone and the lane is empty.
-            let (mut next, mut batch) = (0, VecDeque::new());
-            let mut check = |frame: Frame| {
-                assert!(matches!(frame, Frame::Data(p) if p.seq == Some(next)));
-                next += 1;
-            };
-            loop {
-                match b.try_recv() {
-                    Ok(Some(frame)) => check(frame),
-                    Ok(None) => std::thread::yield_now(),
-                    Err(e) => break assert_eq!(e, RdmaError::Disconnected),
-                }
-                if b.recv_all(&mut batch).is_ok() {
-                    batch.drain(..).for_each(&mut check);
-                }
-            }
-            assert_eq!(next, FRAMES, "every frame, once, in order");
-        });
     }
 
     #[test]

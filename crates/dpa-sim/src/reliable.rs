@@ -142,7 +142,7 @@ struct Inflight {
 #[derive(Debug)]
 pub struct ReliableSender {
     qp: QueuePair,
-    /// What `poll` took off the wire in one lock; empty between polls.
+    /// What `poll` took off the wire at once; empty between polls.
     inbox: VecDeque<Frame>,
     next_seq: u64,
     /// Every sequenced packet `< cumulative` ack received so far.

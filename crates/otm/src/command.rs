@@ -8,23 +8,20 @@
 //! back of its communicator's queue, and a queue holding `ring_capacity`
 //! commands hands the command back as the retryable
 //! [`MatchError::SubmissionRingFull`](otm_base::MatchError) backpressure
-//! signal. The drain recovers the global submission order by always taking
-//! the queue head with the smallest ticket (`pop_oldest`, over a copy of
-//! the head tickets kept beside the directory), so the
-//! strict-FIFO oracle and the packed≡consecutive equivalence hold.
+//! signal.
 //!
-//! Commands a failed drain hands back go to the *front* of their own
-//! communicators' queues (`requeue_front`): every one of them is older
-//! than anything still queued, so per-communicator FIFO order and the
-//! global ticket order both survive requeueing.
+//! [`crate::OtmEngine::drain`] plays the coordinator and reads the queues
+//! where the host wrote them: a `scheduler::Packer` stages their
+//! oldest commands into its window, leaving them queued, and a step pops
+//! the commands it applies off the queue fronts. Taking the oldest across
+//! every queue recovers the global submission order, so the strict-FIFO
+//! oracle and the packed≡consecutive equivalence hold; MPI matching depends
+//! only on *per-communicator* order, which the queues preserve and the
+//! packer never violates (§IV-E execution groups).
 //!
-//! [`crate::OtmEngine::drain`] plays the coordinator: it pops commands one
-//! at a time into a [`crate::scheduler::PackingScheduler`], applies posts
-//! to their communicators' shards, and assembles arrivals into parallel
-//! matching blocks. MPI matching depends only on *per-communicator* command
-//! order, which the queues preserve and which the scheduler never violates
-//! even when its cross-communicator policy reorders commands from different
-//! communicators to fill blocks (§IV-E execution groups).
+//! A failed step's commands go back to the *front* of their own queues
+//! (`requeue_front`), each older than anything still queued there; commands
+//! staged but never stepped never left.
 //!
 //! The command vocabulary ([`Command`], [`CommandOutcome`], [`DrainReport`])
 //! lives in `mpi_matching::backend` so every
@@ -33,8 +30,10 @@
 
 #![deny(missing_docs)]
 
+use crate::scheduler::CommandQueue;
 use crate::shard::{locate, CommShard, Entry};
 use otm_base::CommId;
+use std::collections::VecDeque;
 
 pub use mpi_matching::backend::{CommandOutcome, DrainReport, PendingCommand as Command};
 
@@ -47,35 +46,15 @@ pub(crate) fn comm_of(cmd: &Command) -> CommId {
     }
 }
 
-/// The ticket at the head of `shard`'s queue, `u64::MAX` when it is empty.
-fn head(shard: &CommShard) -> u64 {
-    shard.queue.front().map_or(u64::MAX, |&(ticket, _)| ticket)
-}
-
-/// Reads the head ticket of every queue in `shards` (the directory, in
-/// `CommId` order) into `heads`, for [`pop_oldest`].
-pub(crate) fn read_heads(shards: &[Entry], heads: &mut Vec<u64>) {
-    heads.clear();
-    heads.extend(shards.iter().map(|(_, shard)| head(shard)));
-}
-
-/// Takes the oldest queued command off `shards`: its communicator's place
-/// there, its ticket and the command. `heads` holds each queue's head
-/// ticket, as [`read_heads`] read it and earlier pops kept it, so the
-/// search reads one short vector instead of every shard.
-pub(crate) fn pop_oldest(shards: &mut [Entry], heads: &mut [u64]) -> Option<(usize, u64, Command)> {
-    let (lane, &oldest) = heads.iter().enumerate().min_by_key(|&(_, ticket)| ticket)?;
-    if oldest == u64::MAX {
-        return None;
+impl CommandQueue for CommShard {
+    fn commands(&mut self) -> &mut VecDeque<(u64, Command)> {
+        &mut self.queue
     }
-    let shard = &mut shards[lane].1;
-    let (ticket, cmd) = shard.queue.pop_front()?;
-    heads[lane] = head(shard);
-    Some((lane, ticket, cmd))
 }
 
-/// Puts `cmds`, in ticket order and each older than anything still queued,
-/// back at the front of their communicators' queues in that order.
+/// Puts a failed step's `cmds`, each older than anything still queued on
+/// its communicator and in its communicator's order, back at the front of
+/// their communicators' queues in that order.
 pub(crate) fn requeue_front(shards: &mut [Entry], cmds: Vec<(u64, Command)>) {
     for (ticket, cmd) in cmds.into_iter().rev() {
         let lane =
@@ -84,12 +63,23 @@ pub(crate) fn requeue_front(shards: &mut [Entry], cmds: Vec<(u64, Command)>) {
     }
 }
 
+/// Takes every queued command off `shards`, in ticket order.
+pub(crate) fn take_queued(shards: &mut [Entry]) -> Vec<Command> {
+    let mut queued: Vec<_> = shards
+        .iter_mut()
+        .flat_map(|(_, shard)| shard.queue.drain(..))
+        .collect();
+    queued.sort_unstable_by_key(|&(ticket, _)| ticket);
+    queued.into_iter().map(|(_, cmd)| cmd).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::Packer;
     use crate::shard::ShardMap;
     use mpi_matching::MsgHandle;
-    use otm_base::{Envelope, MatchConfig, Rank, Tag};
+    use otm_base::{Envelope, MatchConfig, PackingPolicy, Rank, Tag};
 
     fn arrival_on(comm: u16, i: u64) -> Command {
         Command::Arrival {
@@ -112,38 +102,51 @@ mod tests {
         map
     }
 
-    fn tickets(map: &mut ShardMap) -> Vec<u64> {
-        let mut heads = Vec::new();
-        read_heads(&map.live, &mut heads);
-        std::iter::from_fn(|| pop_oldest(&mut map.live, &mut heads))
-            .map(|(_, ticket, _)| ticket)
-            .collect()
-    }
-
     #[test]
     fn the_oldest_head_comes_first_across_communicators() {
         let cmds: Vec<_> = (0..9).map(|i| arrival_on(3 - (i % 3) as u16, i)).collect();
-        let (mut map, mut heads) = (queued(&cmds), Vec::new());
+        let mut map = queued(&cmds);
         assert_eq!(map.len(), 3, "one queue per communicator");
-        read_heads(&map.live, &mut heads);
-        let (lane, ticket, cmd) = pop_oldest(&mut map.live, &mut heads).unwrap();
-        assert_eq!((lane, ticket, cmd), (2, 0, cmds[0]));
-        assert_eq!(tickets(&mut map), (1..9).collect::<Vec<_>>());
-        assert_eq!(pop_oldest(&mut map.live, &mut heads), None);
+        let mut packer = Packer::new(PackingPolicy::CrossComm, 4, None);
+        packer.rearm(PackingPolicy::CrossComm, &mut map.live);
+        let mut runs = Vec::new();
+        let mut record = |lane, tickets, depth| runs.push((lane, tickets, depth));
+        // Eight of nine fit: merged one at a time, oldest head first.
+        packer.refill(&mut map.live, 8, &mut record);
+        // Then the last one fits, and a refill with nothing left stages
+        // nothing.
+        packer.refill(&mut map.live, 16, &mut record);
+        packer.refill(&mut map.live, 16, &mut record);
+        let want: Vec<_> = (0..9u64)
+            .map(|t| (2 - (t % 3) as usize, t, 1 + t as usize / 3))
+            .collect();
+        assert_eq!(runs, want);
+        assert_eq!(
+            (packer.staged(), map.queued()),
+            (9, 9),
+            "staging moves nothing"
+        );
     }
 
     #[test]
     fn requeued_commands_go_ahead_of_their_communicators_queues() {
         let cmds: Vec<_> = (0..6).map(|i| arrival_on(1 + (i % 2) as u16, i)).collect();
-        let (mut map, mut heads) = (queued(&cmds), Vec::new());
-        read_heads(&map.live, &mut heads);
-        let mut taken: Vec<_> = std::iter::from_fn(|| pop_oldest(&mut map.live, &mut heads))
-            .take(4)
-            .map(|(_, ticket, cmd)| (ticket, cmd))
-            .collect();
-        taken.remove(1); // ticket 1 was applied
+        let mut map = queued(&cmds);
+        // A cross-communicator step pops two commands off each queue, in
+        // lane order: tickets 0, 2, then 1, 3. Ticket 1 was applied.
+        let mut taken = Vec::new();
+        for lane in [0, 0, 1, 1] {
+            taken.extend(map.live[lane].1.queue.pop_front());
+        }
+        assert_eq!(
+            taken.iter().map(|&(t, _)| t).collect::<Vec<_>>(),
+            [0, 2, 1, 3]
+        );
+        taken.remove(2);
         requeue_front(&mut map.live, taken);
         assert_eq!(map.queued(), 5);
-        assert_eq!(tickets(&mut map), [0, 2, 3, 4, 5]);
+        let all: Vec<_> = cmds.iter().copied().filter(|&c| c != cmds[1]).collect();
+        assert_eq!(take_queued(&mut map.live), all);
+        assert_eq!(map.queued(), 0);
     }
 }

@@ -12,13 +12,13 @@
 //! * **The command queue**, the way the matching service drives the engine.
 //!   [`OtmEngine::submit`] queues post and arrival commands on their
 //!   communicators' FIFO queues ([`command`](crate::command)), and
-//!   [`OtmEngine::drain`] applies them, staging a bounded window in a
-//!   packing scheduler that assembles arrivals into parallel blocks,
-//!   reordering across communicators to keep blocks full under mixed
-//!   post/arrival traffic. Because matching outcomes depend only on
-//!   per-communicator command order, which the scheduler strictly
-//!   preserves, the per-communicator match set is identical to a fully
-//!   serialized engine's.
+//!   [`OtmEngine::drain`] applies them where they are queued, staging a
+//!   bounded window that a packer carves into parallel blocks, reordering
+//!   across communicators to keep blocks full under mixed post/arrival
+//!   traffic. Because matching outcomes depend only on per-communicator
+//!   command order, which the packer strictly preserves, the
+//!   per-communicator match set is identical to a fully serialized
+//!   engine's.
 //! * **Direct calls** for oracles, the sequential adapter and benchmarks of
 //!   the block alone: [`OtmEngine::post`] posts one receive, and blocks of
 //!   incoming messages are matched via [`OtmEngine::process_block`] (with a
@@ -33,11 +33,9 @@
 //! drain exits ([`stats`](crate::stats)).
 
 use crate::block::{result_code, BlockState, LaneData, NO_DESC};
-use crate::command::{
-    comm_of, pop_oldest, read_heads, requeue_front, Command, CommandOutcome, DrainReport,
-};
+use crate::command::{comm_of, requeue_front, take_queued, Command, CommandOutcome, DrainReport};
 use crate::metrics::{span_event, EngineMetrics};
-use crate::scheduler::{PackingScheduler, PackingStep};
+use crate::scheduler::{Packer, PackingStep};
 use crate::shard::{locate, Entry, ShardHost, ShardMap};
 use crate::stats::{StatsSnapshot, Tally};
 use crate::table::{DescId, Payload};
@@ -76,10 +74,9 @@ struct Coord {
 /// memory it already owns (§IV-E), so a warm drain allocates its report and
 /// nothing else. Its vectors are emptied, not dropped, so they stay at size.
 struct DrainArena {
-    /// The packing scheduler, re-armed at every drain.
-    sched: PackingScheduler,
-    /// Each queue's head ticket, indexed like the directory (`pop_oldest`).
-    heads: Vec<u64>,
+    /// The packer, re-armed at every drain: how much of each queue is
+    /// staged, and the rotation.
+    packer: Packer,
     /// The applied commands' outcomes under their tickets, moved into the
     /// report in submission order.
     outcomes: Vec<(u64, CommandOutcome)>,
@@ -176,44 +173,6 @@ fn apply_post(
     Ok(PostResult::Posted)
 }
 
-/// Finishes a drain that stopped on `error`, deciding the fate of the
-/// unapplied commands: the `failed` step plus everything still staged in
-/// `sched`, restored to submission order (every staged command is older than
-/// anything left queued, so putting the sorted set back at the queues'
-/// fronts reconstructs the global order exactly). Retryable errors requeue
-/// them; terminal errors pull *everything* (including commands still
-/// queued) out and surface it in the report, so retry loops terminate and a
-/// subsequent fallback can replay the commands. The scheduler is left empty
-/// for the next drain. `shards` is the directory, and `heads` its queues'
-/// head tickets as the drain kept them.
-fn fail_drain(
-    error: MatchError,
-    failed: Vec<(u64, Command)>,
-    sched: &mut PackingScheduler,
-    outcomes: &mut Vec<(u64, CommandOutcome)>,
-    tickets: (u64, u64),
-    shards: &mut [Entry],
-    heads: &mut [u64],
-) -> DrainReport {
-    let mut unprocessed = failed;
-    sched.take_unapplied(&mut unprocessed);
-    unprocessed.sort_unstable_by_key(|&(idx, _)| idx);
-    let outcomes = in_submission_order(outcomes, tickets);
-    let unapplied = if error.is_retryable() {
-        requeue_front(shards, unprocessed);
-        Vec::new()
-    } else {
-        let queued = std::iter::from_fn(|| pop_oldest(shards, heads));
-        unprocessed.extend(queued.map(|(_, ticket, cmd)| (ticket, cmd)));
-        unprocessed.into_iter().map(|(_, cmd)| cmd).collect()
-    };
-    DrainReport {
-        outcomes,
-        error: Some(error),
-        unapplied,
-    }
-}
-
 impl Coord {
     fn check_running(&self) -> Result<(), MatchError> {
         if self.stopped {
@@ -273,8 +232,13 @@ impl Coord {
         }
         let block = &mut self.block;
         block.lanes.clear();
+        let mut shard = 0;
         block.lanes.extend(msgs.map(|(env, handle)| {
-            let shard = locate(shards, env.comm).expect("the directory holds every lane's");
+            // A block's lanes come in runs per communicator: search where
+            // a run starts.
+            if shards.get(shard).map(|(id, _)| *id) != Some(env.comm) {
+                shard = locate(shards, env.comm).expect("the directory holds every lane's");
+            }
             LaneData {
                 env,
                 handle,
@@ -412,9 +376,11 @@ impl OtmEngine {
         config.validate()?;
         Ok(OtmEngine {
             drain: DrainArena {
-                sched: PackingScheduler::new(PackingPolicy::CrossComm, config.block_threads)
-                    .with_lane_quota(config.lane_quota),
-                heads: Vec::new(),
+                packer: Packer::new(
+                    PackingPolicy::CrossComm,
+                    config.block_threads,
+                    config.lane_quota,
+                ),
                 outcomes: Vec::new(),
                 lane_peaks: Vec::new(),
                 ring_peaks: Vec::new(),
@@ -598,41 +564,34 @@ impl OtmEngine {
 
     /// Drains the command queues — the coordinator half of the QP command
     /// path. Commands are staged, oldest first across every communicator,
-    /// into a [`PackingScheduler`] window and carved into steps: single
-    /// posts, and arrival blocks of up to `block_threads` messages matched
-    /// in parallel. Blocks are assembled *across* communicators (§IV-E
-    /// execution-group scheduling): posts at lane heads are hoisted ahead of
-    /// other communicators' arrivals and the arrival runs of every lane are
-    /// fused, so mixed post/arrival traffic still fills blocks.
-    /// Per-communicator command order — the only order MPI matching can
-    /// observe — is strictly preserved. With a single staged lane and no
-    /// lane quota the steps are those of the reference packer
-    /// ([`OtmEngine::set_packing`]), which packs strictly in submission
-    /// order. A drain that finds nothing queued returns at once.
+    /// into a packing window and carved into steps: single posts, and
+    /// arrival blocks of up to `block_threads` messages matched in parallel.
+    /// Blocks are assembled *across* communicators (§IV-E execution-group
+    /// scheduling): posts at lane heads are hoisted ahead of other
+    /// communicators' arrivals and the arrival runs of every lane are fused,
+    /// so mixed post/arrival traffic still fills blocks. Per-communicator
+    /// command order — the only order MPI matching can observe — is
+    /// strictly preserved. Both packers ([`OtmEngine::set_packing`]) step
+    /// through the one `scheduler::Packer`. A drain that finds nothing queued returns
+    /// at once.
     ///
-    /// The scheduler's lanes are the directory's communicators, in place:
-    /// nothing adds a communicator during a drain. Everything else a drain
-    /// works in is kept from one drain to the next too (the scheduler,
-    /// re-armed; the head, outcome and peak vectors, refilled), so a warm
-    /// drain allocates its report's outcome vector and nothing else.
+    /// The window is read where the host wrote it: a communicator's lane is
+    /// its own queue in the directory, staging moves no command, and a step
+    /// pops its commands off the queue fronts. What a drain works in (the
+    /// packer, the outcome and peak vectors) is kept for the next, so a warm
+    /// drain allocates its report's outcome vector and nothing else. The
+    /// per-communicator depth peaks (staged lane, queue) and what the posts
+    /// counted are published once, on every exit; a block's tally, as the
+    /// block ends.
     ///
-    /// Per-communicator depth peaks (staged lane, queue) are kept in two
-    /// vectors indexed like the directory and published once, on every exit,
-    /// through the gauge handles each communicator keeps after its first
-    /// publish: no step resolves a labelled instrument. What the drain's
-    /// posts counted is published with them; a block's tally, as the block
-    /// ends.
-    ///
-    /// On an error the drain stops: outcomes of the commands already
-    /// applied are returned in the report (in submission order) together
-    /// with the error. What happens to the failing command and everything
-    /// unapplied behind it depends on the error class (see
-    /// [`DrainReport::error`]): *retryable* resource exhaustion requeues
-    /// them at the front of their queues in submission order, so a retry
-    /// resumes exactly where this drain stopped; a *terminal* error (the
-    /// engine is stopped, a command is invalid) surfaces them in
-    /// [`DrainReport::unapplied`] instead, so a retry loop terminates
-    /// rather than spinning forever on a dead engine.
+    /// On an error the drain stops, and reports the outcomes of the commands
+    /// it applied (in submission order) with the error. The failing step's
+    /// commands go back to the fronts of their queues, where every unapplied
+    /// command behind them still is. After *retryable* resource exhaustion
+    /// they stay queued, so a retry resumes exactly where this drain stopped;
+    /// a *terminal* error (the engine is stopped, a command is invalid)
+    /// surfaces every queued command in [`DrainReport::unapplied`] instead,
+    /// so a retry loop terminates (see [`DrainReport::error`]).
     pub fn drain(&mut self) -> DrainReport {
         // The staging window is a few blocks deep: enough lookahead to fuse
         // arrival runs across lanes.
@@ -649,45 +608,37 @@ impl OtmEngine {
         }
         let lanes = &mut shards.live[..];
         let DrainArena {
-            sched,
-            heads,
+            packer,
             outcomes,
             lane_peaks,
             ring_peaks,
             posts,
             umq_depths,
         } = drain;
-        sched.rearm(*packing, lanes);
-        read_heads(lanes, heads);
+        packer.rearm(*packing, lanes);
         for peaks in [&mut *lane_peaks, &mut *ring_peaks] {
             peaks.clear();
             peaks.resize(lanes.len(), 0);
         }
         // The span of the staged tickets, for the outcomes' reorder.
         let mut tickets = (u64::MAX, 0);
-        let mut sampled = false;
-        let failure = loop {
-            // Refill the window before every step so blocks are assembled
-            // from the fullest lanes we are entitled to see.
-            let mut refilled = false;
-            while sched.staged() < window {
-                let Some((lane, ticket, cmd)) = pop_oldest(lanes, heads) else {
-                    break;
-                };
-                // A lane grows only here; a queue shrinks here and is
-                // sampled after the refill.
-                let depth = sched.admit_at(lane, ticket, cmd) as u64;
-                lane_peaks[lane] = lane_peaks[lane].max(depth);
+        // Refills the window, as before every step, so blocks are assembled
+        // from the fullest lanes we are entitled to see. A lane grows only
+        // here.
+        let mut refill = |packer: &mut Packer, lanes: &mut [Entry]| {
+            packer.refill(lanes, window, |lane, ticket, depth| {
+                lane_peaks[lane] = lane_peaks[lane].max(depth as u64);
                 tickets = (tickets.0.min(ticket), tickets.1.max(ticket));
-                refilled = true;
-            }
-            if refilled {
-                sampled = true;
-                for (peak, (_, shard)) in ring_peaks.iter_mut().zip(lanes.iter()) {
-                    *peak = (*peak).max(shard.queue.len() as u64);
-                }
-            }
-            let Some((lane, step)) = sched.next_step_at() else {
+            });
+        };
+        refill(packer, lanes);
+        // A queue's unstaged tail only shrinks while the drain runs, so its
+        // peak is what the first refill leaves.
+        for (lane, (peak, (_, shard))) in ring_peaks.iter_mut().zip(&*lanes).enumerate() {
+            *peak = (shard.queue.len() - packer.staged_on(lane)) as u64;
+        }
+        let failure = loop {
+            let Some((lane, step)) = packer.next_step(lanes) else {
                 break None;
             };
             match step {
@@ -718,28 +669,31 @@ impl OtmEngine {
                             .collect();
                         break Some((e, failed));
                     }
-                    sched.recycle(msgs);
+                    packer.recycle(msgs);
                 }
             }
+            refill(packer, lanes);
         };
-        if sampled {
-            for ((comm, shard), (&lane, &ring)) in
-                lanes.iter().zip(lane_peaks.iter().zip(ring_peaks.iter()))
-            {
-                coord
-                    .metrics
-                    .publish_drain_peaks(*comm, &shard.depth_peaks, lane, ring);
-            }
+        for ((comm, shard), (&lane, &ring)) in
+            lanes.iter().zip(lane_peaks.iter().zip(ring_peaks.iter()))
+        {
+            coord
+                .metrics
+                .publish_drain_peaks(*comm, &shard.depth_peaks, lane, ring);
         }
         coord.publish(std::mem::take(posts), [], umq_depths.drain(..));
+        let mut report = DrainReport::default();
         if let Some((error, failed)) = failure {
-            return fail_drain(error, failed, sched, outcomes, tickets, lanes, heads);
+            // In front of the unapplied commands still queued; a terminal
+            // error takes them all out, in ticket order.
+            requeue_front(lanes, failed);
+            if !error.is_retryable() {
+                report.unapplied = take_queued(lanes);
+            }
+            report.error = Some(error);
         }
-        DrainReport {
-            outcomes: in_submission_order(outcomes, tickets),
-            error: None,
-            unapplied: Vec::new(),
-        }
+        report.outcomes = in_submission_order(outcomes, tickets);
+        report
     }
 
     /// Stops the engine: every subsequent post, submit, block, or drain
@@ -804,11 +758,8 @@ impl OtmEngine {
     /// engine ever accepted is dropped — the fallback is loss-free even with
     /// commands queued.
     pub fn drain_for_fallback(mut self) -> FallbackState {
-        let (lanes, mut heads) = (&mut self.shards.live, Vec::new());
-        read_heads(lanes, &mut heads);
-        let pending = std::iter::from_fn(|| pop_oldest(lanes, &mut heads))
-            .map(|(_, _, cmd)| cmd)
-            .collect();
+        let lanes = &mut self.shards.live;
+        let pending = take_queued(lanes);
         let mut receives = Vec::new();
         let mut unexpected = Vec::new();
         for (_, shard) in lanes.iter_mut() {
@@ -2176,5 +2127,140 @@ mod tests {
                 },
             ]
         );
+    }
+
+    /// Per round `r`, in ticket order: a post and the arrival it takes on
+    /// communicator 1, in the first four rounds an arrival no receive waits
+    /// for on communicator 2, and on communicator 3 an arrival ahead of the
+    /// post that takes it. Twenty-eight commands, so one window stages them
+    /// all, on all three queues.
+    fn three_comm_rounds() -> Vec<Command> {
+        let mut cmds = Vec::new();
+        for r in 0..6u32 {
+            let handle = |comm: u16| 10 * u64::from(comm) + u64::from(r);
+            let post = |comm| Command::Post {
+                pattern: ReceivePattern::new(Rank(0), Tag(r), CommId(comm)),
+                handle: RecvHandle(handle(comm)),
+            };
+            let arrival = |comm| Command::Arrival {
+                env: Envelope::new(Rank(0), Tag(r), CommId(comm)),
+                msg: MsgHandle(handle(comm)),
+            };
+            cmds.extend([post(1), arrival(1)]);
+            cmds.extend((r < 4).then(|| arrival(2)));
+            cmds.extend([arrival(3), post(3)]);
+        }
+        cmds
+    }
+
+    /// The receive a command posts or the message it delivers, and whether
+    /// it is a receive; the same for the outcome a drain reports for it.
+    fn command_subject(cmd: &Command) -> (bool, u64) {
+        match cmd {
+            Command::Post { handle, .. } => (true, handle.0),
+            Command::Arrival { msg, .. } => (false, msg.0),
+        }
+    }
+
+    fn outcome_subject(outcome: &CommandOutcome) -> (bool, u64) {
+        match outcome {
+            CommandOutcome::Post { handle, .. } => (true, handle.0),
+            CommandOutcome::Delivery(Delivery::Matched { msg, .. })
+            | CommandOutcome::Delivery(Delivery::Unexpected { msg }) => (false, msg.0),
+        }
+    }
+
+    /// The commands of `cmds` no outcome of `applied` reports, in ticket
+    /// order, each on a communicator of its own.
+    fn unapplied_of(cmds: &[Command], applied: &[CommandOutcome]) -> Vec<Command> {
+        let applied: Vec<_> = applied.iter().map(outcome_subject).collect();
+        let unapplied: Vec<_> = cmds
+            .iter()
+            .copied()
+            .filter(|cmd| !applied.contains(&command_subject(cmd)))
+            .collect();
+        for comm in 1..=3 {
+            let queued = unapplied.iter().any(|cmd| comm_of(cmd) == CommId(comm));
+            assert!(queued, "communicator {comm} has commands left unapplied");
+        }
+        unapplied
+    }
+
+    #[test]
+    fn a_failed_step_puts_back_only_its_own_commands() {
+        let cmds = three_comm_rounds();
+        let on_two = |msg: u64| Envelope::new(Rank(0), Tag(msg as u32), CommId(2));
+        // Messages 90 and 91 wait in two of communicator 2's four unexpected
+        // slots before the rounds are submitted.
+        let submitted = |config: MatchConfig| {
+            let mut e = OtmEngine::new(config).unwrap();
+            for msg in [90, 91] {
+                let env = on_two(msg);
+                e.submit(Command::Arrival {
+                    env,
+                    msg: MsgHandle(msg),
+                })
+                .unwrap();
+            }
+            assert_eq!(e.drain().error, None);
+            cmds.iter().for_each(|&cmd| e.submit(cmd).unwrap());
+            e
+        };
+        // So the drain's first block, which carries three of communicator
+        // 2's arrivals, overflows its store, behind a hoisted post and ahead
+        // of commands staged and not yet stepped on all three queues.
+        let tiny = MatchConfig::small().with_max_unexpected(4);
+        let mut failed = submitted(tiny.clone());
+        let first = failed.drain();
+        assert_eq!(first.error, Some(MatchError::UnexpectedStoreFull));
+        assert!(first.unapplied.is_empty());
+        let unapplied = unapplied_of(&cmds, &first.outcomes);
+        assert_eq!(failed.pending_commands(), unapplied.len());
+        // Each queue holds exactly its unapplied commands, in ticket order:
+        // a twin that failed the same way hands them all to a fallback.
+        let mut twin = submitted(tiny.clone());
+        assert_eq!(twin.drain().outcomes, first.outcomes);
+        assert_eq!(twin.drain_for_fallback().pending, unapplied);
+
+        // Direct posts take messages 90 and 91 to make room, and the retry
+        // ends where an engine with room to spare, given the same commands
+        // and posts, ends without failing.
+        let mut roomy = submitted(tiny.with_max_unexpected(64));
+        let all = roomy.drain();
+        assert_eq!(all.error, None);
+        for e in [&mut failed, &mut roomy] {
+            for msg in [90, 91] {
+                let pattern = ReceivePattern::new(Rank(0), Tag(msg as u32), CommId(2));
+                let result = e.post(pattern, RecvHandle(msg));
+                assert_eq!(result, Ok(PostResult::Matched(MsgHandle(msg))));
+            }
+        }
+        let retry = failed.drain();
+        assert_eq!(retry.error, None);
+        let sorted = |outcomes: Vec<CommandOutcome>| {
+            let mut seen: Vec<_> = outcomes.iter().map(|o| format!("{o:?}")).collect();
+            seen.sort();
+            seen
+        };
+        let retried = first.outcomes.into_iter().chain(retry.outcomes).collect();
+        assert_eq!(sorted(retried), sorted(all.outcomes));
+        assert_eq!(failed.stats(), roomy.stats());
+        assert_eq!(failed.pending_commands(), 0);
+    }
+
+    #[test]
+    fn a_terminal_failure_surfaces_every_unapplied_command_once_in_ticket_order() {
+        let cmds = three_comm_rounds();
+        let mut e = engine();
+        cmds.iter().for_each(|&cmd| e.submit(cmd).unwrap());
+        // A lane of the drain's first block dies: the engine stops, with
+        // commands staged and not yet stepped on all three queues.
+        e.coord.block.fail_lane = Some(1);
+        let report = e.drain();
+        assert_eq!(report.error, Some(MatchError::EngineStopped));
+        assert!(report.is_terminal());
+        assert_eq!(report.unapplied, unapplied_of(&cmds, &report.outcomes));
+        assert!(!report.outcomes.is_empty(), "a post was hoisted ahead");
+        assert_eq!(e.pending_commands(), 0);
     }
 }

@@ -4,28 +4,27 @@
 //! deterministic function of its *communicator's* command order, and commands
 //! on different communicators are independent. The scheduler exploits that
 //! freedom to keep optimistic blocks full under mixed traffic: a bounded
-//! window of queued commands is staged into per-communicator FIFO *lanes*,
-//! posts at lane heads are emitted first (a post can never be hoisted over
-//! an earlier command of its own communicator), and then arrivals are pulled
-//! from lane heads *across* communicators into one block of up to
-//! `block_threads` messages.
+//! window of queued commands is *staged* — counted in at the front of each
+//! communicator's own FIFO queue, a *lane* — posts at lane heads are emitted
+//! first (a post can never be hoisted over an earlier command of its own
+//! communicator), and then arrivals are pulled from lane heads *across*
+//! communicators into one block of up to `block_threads` messages.
 //!
-//! Lane service order rotates: a cursor advances by one lane per emitted
-//! block, so under sustained capacity pressure every lane periodically gets
-//! first claim on block slots (and on post emission) instead of the lowest
-//! `CommId` persistently winning. The rotation is deterministic — a given
-//! admission sequence always produces the same steps.
+//! Lane service order rotates, deterministically: a cursor advances by one
+//! lane per emitted block, so under sustained capacity pressure every lane
+//! periodically gets first claim on block slots (and on post emission).
 //!
 //! [`PackingPolicy::Consecutive`] is the reference packer — a single global
-//! FIFO where any post (or the window edge) cuts the arrival run short.
-//! Nothing at run time selects it: the packed ≡ consecutive oracle and
-//! fig8's `--packing` A/B row compare against it. With a single staged lane
-//! and no lane quota the cross-communicator steps are exactly its steps.
+//! FIFO, the staged commands in ticket order, where any post (or the window
+//! edge) cuts the arrival run short. Only the packed ≡ consecutive oracle
+//! and fig8's `--packing` A/B row select it. With a single staged lane and
+//! no lane quota the cross-communicator steps are exactly its steps.
 //!
-//! A drain aligns the lanes with the engine's communicator directory and
-//! admits each command, with the submission ticket it was stamped with, by
-//! its communicator's place there: outcomes leave in ticket order, and on error
-//! the unapplied tail is requeued exactly as the strict-FIFO drain did.
+//! Both policies step through one `Packer`, which owns no command: a step
+//! pops its commands straight off the fronts of the queues it is lent. The
+//! drain lends it the engine's directory, where a communicator's place is
+//! its lane, so staging moves nothing and a failed step's commands are all
+//! there is to put back. [`PackingScheduler`] lends it lanes of its own.
 
 use mpi_matching::{MsgHandle, RecvHandle};
 use otm_base::config::PackingPolicy;
@@ -57,27 +56,265 @@ pub enum PackingStep {
     },
 }
 
-/// An empty buffer for one block of up to `capacity` arrivals: the recycled
-/// `spare`, or a new one at full width, so a block never regrows.
-fn block_buffer(
-    spare: &mut Vec<(u64, Envelope, MsgHandle)>,
-    capacity: usize,
-) -> Vec<(u64, Envelope, MsgHandle)> {
-    let mut msgs = std::mem::take(spare);
-    msgs.clear();
-    msgs.reserve_exact(capacity);
-    msgs
+/// A lane the packer is lent: a communicator's queue of ticketed commands,
+/// oldest first.
+pub(crate) trait CommandQueue {
+    /// The queue.
+    fn commands(&mut self) -> &mut VecDeque<(u64, Command)>;
 }
 
-/// Stages a window of queued commands and carves it into [`PackingStep`]s.
-///
-/// Invariants:
-/// * commands of one communicator leave in their admission (= submission)
-///   order — the per-communicator FIFO oracle;
-/// * every `next_step` call consumes at least one staged command, so a
-///   drain loop that refills and steps cannot livelock;
-/// * [`PackingScheduler::into_unapplied`] returns everything still staged,
-///   sorted by submission index — the requeue/fallback contract.
+impl CommandQueue for VecDeque<(u64, Command)> {
+    fn commands(&mut self) -> &mut Self {
+        self
+    }
+}
+
+/// The lanes a packer is lent, in `CommId` order.
+type Lanes<Q> = [(CommId, Q)];
+
+/// A block's arrivals: `(submission index, envelope, message)`.
+type Arrivals = Vec<(u64, Envelope, MsgHandle)>;
+
+/// The stepping both packing policies share. Commands of one communicator
+/// leave in their queue (= submission) order, and every step consumes at
+/// least one staged command, so a loop that stages and steps cannot
+/// livelock.
+#[derive(Debug)]
+pub(crate) struct Packer {
+    policy: PackingPolicy,
+    /// Block capacity (`block_threads`).
+    capacity: usize,
+    /// Cap on the arrivals one lane may contribute to a single cross-comm
+    /// block (`None` = greedy fill up to `capacity`): a deep (flooding) lane
+    /// cannot monopolise block after block while shallow lanes wait.
+    lane_quota: Option<usize>,
+    /// Rotation cursor: which lane (in ascending-`CommId` rank) is served
+    /// first. Advances by one per emitted block, never on posts, so the
+    /// rotation cadence is one lane per unit of block capacity handed out.
+    cursor: usize,
+    /// Per lane, how many commands at its queue's front are staged; a lane
+    /// with none stays in place and every step skips it.
+    staged: Vec<usize>,
+    /// Their sum.
+    total: usize,
+    /// Per lane, the ticket of its first unstaged command (`u64::MAX` when
+    /// there is none), so [`Packer::refill`] merges one short vector.
+    heads: Vec<u64>,
+    /// The buffer the next block is carved into: the last block's, once
+    /// [`Packer::recycle`] handed it back.
+    spare: Arrivals,
+}
+
+impl Packer {
+    /// A packer for blocks of up to `capacity` (= `block_threads`)
+    /// arrivals under `policy`, with no lane; a quota of `Some(0)` is
+    /// clamped to 1, so every step can still consume a command.
+    pub(crate) fn new(policy: PackingPolicy, capacity: usize, lane_quota: Option<usize>) -> Self {
+        Packer {
+            policy,
+            capacity: capacity.max(1),
+            lane_quota: lane_quota.map(|q| q.max(1)),
+            cursor: 0,
+            staged: Vec::new(),
+            total: 0,
+            heads: Vec::new(),
+            spare: Vec::new(),
+        }
+    }
+
+    /// Readies the packer for a drain under `policy` over `lanes`, none of
+    /// their commands staged: it steps as a new one would, and keeps its
+    /// buffers.
+    pub(crate) fn rearm<Q: CommandQueue>(&mut self, policy: PackingPolicy, lanes: &mut Lanes<Q>) {
+        (self.policy, self.cursor, self.total) = (policy, 0, 0);
+        self.staged.clear();
+        self.heads.clear();
+        for (_, queue) in lanes {
+            let queue = queue.commands();
+            self.staged.push(0);
+            self.heads
+                .push(queue.front().map_or(u64::MAX, |&(ticket, _)| ticket));
+        }
+    }
+
+    /// Number of staged commands not yet stepped.
+    pub(crate) fn staged(&self) -> usize {
+        self.total
+    }
+
+    /// Number of staged commands at the front of `lane`'s queue.
+    pub(crate) fn staged_on(&self, lane: usize) -> usize {
+        self.staged[lane]
+    }
+
+    /// Stages the first `n` unstaged commands of `lane`'s queue and returns
+    /// the lane's staged depth for its peak gauge: 0 under the consecutive
+    /// policy, whose single FIFO has no lanes to observe.
+    pub(crate) fn stage(&mut self, lane: usize, n: usize) -> usize {
+        (self.staged[lane], self.total) = (self.staged[lane] + n, self.total + n);
+        match self.policy {
+            PackingPolicy::Consecutive => 0,
+            PackingPolicy::CrossComm => self.staged[lane],
+        }
+    }
+
+    /// Stages the oldest unstaged commands of `lanes` until `window` are
+    /// staged or none is left, one at a time by a merge of the lanes' head
+    /// tickets, and hands each to `on_stage`: its lane, its ticket and the
+    /// lane's depth as [`Packer::stage`] reports it.
+    pub(crate) fn refill<Q: CommandQueue>(
+        &mut self,
+        lanes: &mut Lanes<Q>,
+        window: usize,
+        mut on_stage: impl FnMut(usize, u64, usize),
+    ) {
+        while self.total < window {
+            let heads = self.heads.iter().copied().enumerate();
+            let Some((lane, ticket)) = heads.min_by_key(|&(_, t)| t).filter(|&(_, t)| t < u64::MAX)
+            else {
+                return;
+            };
+            on_stage(lane, ticket, self.stage(lane, 1));
+            let next = lanes[lane].1.commands().get(self.staged[lane]);
+            self.heads[lane] = next.map_or(u64::MAX, |&(ticket, _)| ticket);
+        }
+    }
+
+    /// Hands a block's buffer back, for the next block to be carved into.
+    pub(crate) fn recycle(&mut self, msgs: Arrivals) {
+        self.spare = msgs;
+    }
+
+    /// The staged command at the front of `lane`'s queue, if one is.
+    fn front<Q: CommandQueue>(&self, lanes: &mut Lanes<Q>, lane: usize) -> Option<(u64, Command)> {
+        let queue = lanes[lane].1.commands();
+        (self.staged[lane] > 0).then(|| queue.front().copied())?
+    }
+
+    /// Pops the post at the staged front of `lane`'s queue, if a post is
+    /// there, as its step.
+    fn post_at<Q: CommandQueue>(
+        &mut self,
+        lanes: &mut Lanes<Q>,
+        lane: usize,
+    ) -> Option<(usize, PackingStep)> {
+        let (idx, Command::Post { pattern, handle }) = self.front(lanes, lane)? else {
+            return None;
+        };
+        self.take(lanes, lane, 1);
+        let step = PackingStep::Post {
+            idx,
+            pattern,
+            handle,
+        };
+        Some((lane, step))
+    }
+
+    /// Pops the first `n` staged commands off `lane`'s queue.
+    fn take<Q: CommandQueue>(&mut self, lanes: &mut Lanes<Q>, lane: usize, n: usize) {
+        (self.staged[lane], self.total) = (self.staged[lane] - n, self.total - n);
+        lanes[lane].1.commands().drain(..n);
+    }
+
+    /// Pops the arrivals at `lane`'s staged front, up to `room` of them and
+    /// each older than `bound`, into `msgs`, and returns how many.
+    fn pull<Q: CommandQueue>(
+        &mut self,
+        lanes: &mut Lanes<Q>,
+        (lane, room, bound): (usize, usize, u64),
+        msgs: &mut Arrivals,
+    ) -> usize {
+        let (queue, before) = (lanes[lane].1.commands(), msgs.len());
+        let run = queue.iter().take(room.min(self.staged[lane]));
+        // A post ends the run: it waits for the next step, so its
+        // communicator's FIFO order holds.
+        msgs.extend(run.map_while(|&(idx, cmd)| match cmd {
+            Command::Arrival { env, msg } if idx < bound => Some((idx, env, msg)),
+            _ => None,
+        }));
+        let n = msgs.len() - before;
+        self.take(lanes, lane, n);
+        n
+    }
+
+    /// Carves the next step off the staged fronts of `lanes`, popping its
+    /// commands off their queues, or `None` when nothing is staged. A post
+    /// comes with its lane (a block with 0). Cross-communicator packing
+    /// emits lane-head posts first, so no arrival is matched ahead of an
+    /// earlier post on its own communicator, then pulls one block greedily
+    /// from the arrival runs at the lane heads. Service order is the staged
+    /// lanes in ascending `CommId`, rotated so the `cursor`-th of them
+    /// (modulo their count) goes first.
+    pub(crate) fn next_step<Q: CommandQueue>(
+        &mut self,
+        lanes: &mut Lanes<Q>,
+    ) -> Option<(usize, PackingStep)> {
+        if self.policy == PackingPolicy::Consecutive {
+            let (lane, _) = self.oldest(lanes)?;
+            if let Some(step) = self.post_at(lanes, lane) {
+                return Some(step);
+            }
+            // The FIFO's arrivals, a run of one lane at a time, until a
+            // post or the window's edge.
+            let mut msgs = self.block_buffer();
+            while let Some((lane, bound)) = self.oldest(lanes) {
+                let room = self.capacity - msgs.len();
+                if room == 0 || self.pull(lanes, (lane, room, bound), &mut msgs) == 0 {
+                    break;
+                }
+            }
+            return Some((0, PackingStep::Block { msgs }));
+        }
+        let live = self.staged.iter().filter(|&&n| n > 0).count();
+        let mut live_lanes = (0..lanes.len()).filter(|&lane| self.staged[lane] > 0);
+        let first = live_lanes.nth(self.cursor % live.max(1))?;
+        let order = (first..lanes.len()).chain(0..first);
+        for lane in order.clone() {
+            if let Some(step) = self.post_at(lanes, lane) {
+                return Some(step);
+            }
+        }
+        let quota = self.lane_quota.unwrap_or(self.capacity);
+        // No post heads a lane, so the first lane alone fills `msgs`.
+        let mut msgs = self.block_buffer();
+        for lane in order {
+            let room = (self.capacity - msgs.len()).min(quota);
+            self.pull(lanes, (lane, room, u64::MAX), &mut msgs);
+            if msgs.len() == self.capacity {
+                break;
+            }
+        }
+        self.cursor = self.cursor.wrapping_add(1);
+        Some((0, PackingStep::Block { msgs }))
+    }
+
+    /// The lane whose staged front is the oldest staged command (the head
+    /// of the consecutive packer's FIFO), and the oldest staged front of any
+    /// other lane (`u64::MAX` if there is none): the lane's commands older
+    /// than that one come next, as one run.
+    fn oldest<Q: CommandQueue>(&self, lanes: &mut Lanes<Q>) -> Option<(usize, u64)> {
+        let fronts = (0..lanes.len()).filter_map(|lane| Some((self.front(lanes, lane)?.0, lane)));
+        let ((ticket, lane), bound) = fronts
+            .fold(((u64::MAX, 0), u64::MAX), |(oldest, bound), f| {
+                (oldest.min(f), bound.min(f.0.max(oldest.0)))
+            });
+        (ticket < u64::MAX).then_some((lane, bound))
+    }
+
+    /// An empty buffer for one block: the recycled one, or a new one at
+    /// full width, so a block never regrows.
+    fn block_buffer(&mut self) -> Arrivals {
+        let mut msgs = std::mem::take(&mut self.spare);
+        msgs.clear();
+        msgs.reserve_exact(self.capacity);
+        msgs
+    }
+}
+
+/// A `Packer` over lanes of its own: every command admitted is staged at
+/// once, into its communicator's lane. [`PackingScheduler::into_unapplied`]
+/// returns everything still staged, sorted by submission index — the
+/// requeue/fallback contract.
 ///
 /// Under [`PackingPolicy::CrossComm`] a post on one communicator no longer
 /// cuts another communicator's arrival run short — the post is hoisted and
@@ -120,33 +357,9 @@ fn block_buffer(
 /// ```
 #[derive(Debug)]
 pub struct PackingScheduler {
-    policy: PackingPolicy,
-    /// Block capacity (`block_threads`).
-    capacity: usize,
-    /// Cap on the arrivals one lane may contribute to a single cross-comm
-    /// block (`None` = greedy fill up to `capacity`). The fairness hook the
-    /// matchd deficit round-robin composes with: with a quota of `q`, a
-    /// block drawn from `k` non-empty lanes carries at most `q` messages of
-    /// any one communicator, so a deep (flooding) lane cannot monopolise
-    /// block after block while shallow lanes wait.
-    lane_quota: Option<usize>,
-    /// Rotation cursor: which lane (in ascending-`CommId` rank) is served
-    /// first. Advances by one per emitted block, never on posts, so the
-    /// rotation cadence is one lane per unit of block capacity handed out.
-    cursor: usize,
-    /// Total staged commands across all lanes / the FIFO.
-    staged: usize,
-    /// Consecutive policy: the single global FIFO.
-    fifo: VecDeque<(u64, Command)>,
-    /// CrossComm policy: one FIFO lane per communicator (the drain's
-    /// directory, or those staged so far), in `CommId` order so lane
-    /// iteration (and thus post emission and block assembly) is
-    /// deterministic for a given admission sequence. An empty lane stays in
-    /// place (it usually refills) and every step skips it.
+    packer: Packer,
+    /// One lane per communicator admitted so far, in `CommId` order.
     lanes: Vec<(CommId, VecDeque<(u64, Command)>)>,
-    /// The buffer the next block is carved into: the last block's, once
-    /// [`PackingScheduler::recycle`] handed it back.
-    spare: Vec<(u64, Envelope, MsgHandle)>,
 }
 
 impl PackingScheduler {
@@ -154,92 +367,52 @@ impl PackingScheduler {
     /// arrivals, packed under `policy`.
     pub fn new(policy: PackingPolicy, capacity: usize) -> Self {
         PackingScheduler {
-            policy,
-            capacity: capacity.max(1),
-            lane_quota: None,
-            cursor: 0,
-            staged: 0,
-            fifo: VecDeque::new(),
+            packer: Packer::new(policy, capacity, None),
             lanes: Vec::new(),
-            spare: Vec::new(),
         }
-    }
-
-    /// Readies an emptied scheduler for another drain under `policy`, its
-    /// lanes aligned with `directory` (the engine's): it steps as a
-    /// new one would (the rotation starts again at the first lane), and
-    /// keeps its lanes' buffers and its block buffer.
-    pub(crate) fn rearm<T>(&mut self, policy: PackingPolicy, directory: &[(CommId, T)]) {
-        debug_assert_eq!(self.staged, 0, "a re-armed scheduler is empty");
-        self.policy = policy;
-        self.cursor = 0;
-        self.lanes
-            .resize_with(directory.len(), || (CommId(0), VecDeque::new()));
-        for ((id, _), (comm, _)) in self.lanes.iter_mut().zip(directory) {
-            *id = *comm;
-        }
-    }
-
-    /// Hands a block's buffer back, for the next block to be carved into.
-    pub(crate) fn recycle(&mut self, msgs: Vec<(u64, Envelope, MsgHandle)>) {
-        self.spare = msgs;
     }
 
     /// Caps the arrivals one lane contributes per cross-comm block. A quota
     /// of `Some(0)` is clamped to 1 — every step must still be able to
     /// consume a command (the no-livelock invariant). No effect under
-    /// [`PackingPolicy::Consecutive`], which has a single lane by
-    /// construction.
+    /// [`PackingPolicy::Consecutive`].
     #[must_use]
     pub fn with_lane_quota(mut self, quota: Option<usize>) -> Self {
-        self.lane_quota = quota.map(|q| q.max(1));
+        self.packer.lane_quota = quota.map(|q| q.max(1));
         self
     }
 
     /// Number of staged commands not yet emitted.
     pub fn staged(&self) -> usize {
-        self.staged
+        self.packer.staged()
     }
 
-    /// Admits a popped chunk of ticketed commands — the ticket is the global
+    /// Admits a chunk of ticketed commands — the ticket is the global
     /// submission sequence number the command queue stamped at submit time.
-    /// Chunks must be admitted in pop (= per-communicator submission) order.
+    /// Chunks must be admitted in submission order, tickets rising.
     pub fn admit(&mut self, cmds: VecDeque<(u64, Command)>) {
         for (idx, cmd) in cmds {
             let comm = comm_of(&cmd);
             let lane = locate(&self.lanes, comm).unwrap_or_else(|at| {
                 self.lanes.insert(at, (comm, VecDeque::new()));
+                self.packer.staged.insert(at, 0);
+                self.packer.heads.insert(at, u64::MAX);
                 at
             });
-            self.admit_at(lane, idx, cmd);
-        }
-    }
-
-    /// Admits one popped command with its ticket into `lane`, its communicator's
-    /// place among the lanes, and returns the lane's depth (0 if consecutive).
-    pub(crate) fn admit_at(&mut self, lane: usize, idx: u64, cmd: Command) -> usize {
-        debug_assert_eq!(self.lanes[lane].0, comm_of(&cmd));
-        self.staged += 1;
-        match self.policy {
-            PackingPolicy::Consecutive => {
-                self.fifo.push_back((idx, cmd));
-                0
-            }
-            PackingPolicy::CrossComm => {
-                let lane = &mut self.lanes[lane].1;
-                lane.push_back((idx, cmd));
-                lane.len()
-            }
+            self.lanes[lane].1.push_back((idx, cmd));
+            self.packer.stage(lane, 1);
         }
     }
 
     /// Current per-lane staged depth, for the lane-depth peak gauge. Empty
     /// under the consecutive policy (there are no lanes to observe).
     pub fn lane_depths(&self) -> impl Iterator<Item = (CommId, usize)> + '_ {
-        self.lanes
+        let observed = self.packer.policy == PackingPolicy::CrossComm;
+        let live = self
+            .lanes
             .iter()
-            .filter(|(_, lane)| !lane.is_empty())
-            .map(|(comm, lane)| (*comm, lane.len()))
+            .filter(move |(_, lane)| observed && !lane.is_empty());
+        live.map(|(comm, lane)| (*comm, lane.len()))
     }
 
     /// Number of non-empty lanes: the *live* communicators in the window,
@@ -250,131 +423,15 @@ impl PackingScheduler {
 
     /// Carves the next step off the staged window, or `None` when empty.
     pub fn next_step(&mut self) -> Option<PackingStep> {
-        self.next_step_at().map(|(_, step)| step)
-    }
-
-    /// [`PackingScheduler::next_step`], with the lane of a post (0 with a block).
-    pub(crate) fn next_step_at(&mut self) -> Option<(usize, PackingStep)> {
-        match self.policy {
-            PackingPolicy::Consecutive => self.next_step_consecutive(),
-            PackingPolicy::CrossComm => self.next_step_cross_comm(),
-        }
-    }
-
-    /// Strict global FIFO: a post at the head goes out alone; otherwise the
-    /// head run of arrivals (cut by the next post or the window edge) forms
-    /// the block.
-    fn next_step_consecutive(&mut self) -> Option<(usize, PackingStep)> {
-        let &(idx, head) = self.fifo.front()?;
-        if let Command::Post { pattern, handle } = head {
-            self.fifo.pop_front();
-            self.staged -= 1;
-            let lane = locate(&self.lanes, pattern.comm).expect("admitted into a lane");
-            let step = PackingStep::Post {
-                idx,
-                pattern,
-                handle,
-            };
-            return Some((lane, step));
-        }
-        let mut msgs = block_buffer(&mut self.spare, self.capacity);
-        while msgs.len() < self.capacity {
-            match self.fifo.front() {
-                Some(&(idx, Command::Arrival { env, msg })) => {
-                    self.fifo.pop_front();
-                    self.staged -= 1;
-                    msgs.push((idx, env, msg));
-                }
-                _ => break,
-            }
-        }
-        Some((0, PackingStep::Block { msgs }))
-    }
-
-    /// Cross-communicator packing. Posts first: emitting every lane-head
-    /// post before assembling a block guarantees no arrival is matched ahead
-    /// of an earlier post on its own communicator. Then one block is pulled
-    /// greedily from the arrival runs at the lane heads, in rotated lane
-    /// order, up to capacity; the cursor advances one lane per block so no
-    /// lane persistently goes first under capacity pressure.
-    ///
-    /// Service order is the non-empty lanes in ascending `CommId`, rotated so
-    /// the `cursor`-th of them (modulo their count) goes first: a circular
-    /// walk of the lane vector from that lane, in which an empty lane offers
-    /// neither a post nor an arrival.
-    fn next_step_cross_comm(&mut self) -> Option<(usize, PackingStep)> {
-        let live = self.lane_count();
-        if live == 0 {
-            return None;
-        }
-        let first = self
-            .lanes
-            .iter()
-            .enumerate()
-            .filter(|(_, (_, lane))| !lane.is_empty())
-            .nth(self.cursor % live)
-            .map(|(at, _)| at)
-            .expect("fewer than `live` lanes skipped");
-        let order = (first..self.lanes.len()).chain(0..first);
-        for at in order.clone() {
-            let lane = &mut self.lanes[at].1;
-            if let Some(&(idx, Command::Post { pattern, handle })) = lane.front() {
-                lane.pop_front();
-                self.staged -= 1;
-                let step = PackingStep::Post {
-                    idx,
-                    pattern,
-                    handle,
-                };
-                return Some((at, step));
-            }
-        }
-        let quota = self.lane_quota.unwrap_or(self.capacity);
-        // No post heads a lane, so the first lane alone fills `msgs`.
-        let mut msgs = block_buffer(&mut self.spare, self.capacity);
-        for at in order {
-            let lane = &mut self.lanes[at].1;
-            let mut taken = 0;
-            while msgs.len() < self.capacity && taken < quota {
-                match lane.front() {
-                    Some(&(idx, Command::Arrival { env, msg })) => {
-                        lane.pop_front();
-                        self.staged -= 1;
-                        taken += 1;
-                        msgs.push((idx, env, msg));
-                    }
-                    // A post (or lane exhaustion) ends this lane's run; the
-                    // post waits for the next step so its communicator's
-                    // FIFO order holds.
-                    _ => break,
-                }
-            }
-            if msgs.len() == self.capacity {
-                break;
-            }
-        }
-        self.cursor = self.cursor.wrapping_add(1);
-        Some((0, PackingStep::Block { msgs }))
+        self.packer.next_step(&mut self.lanes).map(|(_, step)| step)
     }
 
     /// Tears the scheduler down, returning every still-staged command with
     /// its submission index, sorted by index (= original submission order).
-    pub fn into_unapplied(mut self) -> Vec<(u64, Command)> {
-        let mut out = Vec::new();
-        self.take_unapplied(&mut out);
+    pub fn into_unapplied(self) -> Vec<(u64, Command)> {
+        let mut out: Vec<_> = self.lanes.into_iter().flat_map(|(_, lane)| lane).collect();
         out.sort_unstable_by_key(|&(idx, _)| idx);
         out
-    }
-
-    /// Moves every still-staged command, with its submission index, onto
-    /// `out` in no particular order, leaving the scheduler empty and its
-    /// buffers allocated.
-    pub(crate) fn take_unapplied(&mut self, out: &mut Vec<(u64, Command)>) {
-        out.extend(self.fifo.drain(..));
-        for (_, lane) in &mut self.lanes {
-            out.extend(lane.drain(..));
-        }
-        self.staged = 0;
     }
 }
 
@@ -413,19 +470,20 @@ mod tests {
         }
     }
 
-    /// Steps `cmds` to the end through `s`, handing every block's buffer
-    /// back, and returns the steps as `(kind, indices)`.
+    /// A step as `(kind, indices)`.
+    fn shape(step: &PackingStep) -> (u8, Vec<u64>) {
+        match step {
+            PackingStep::Post { idx, .. } => (0, vec![*idx]),
+            PackingStep::Block { msgs } => (1, msgs.iter().map(|m| m.0).collect()),
+        }
+    }
+
+    /// Steps `cmds` to the end through `s` and returns the steps' shapes.
     fn run_out(s: &mut PackingScheduler, cmds: Vec<Command>) -> Vec<(u8, Vec<u64>)> {
         admit_all(s, cmds);
         let mut steps = Vec::new();
         while let Some(step) = s.next_step() {
-            match step {
-                PackingStep::Post { idx, .. } => steps.push((0, vec![idx])),
-                PackingStep::Block { msgs } => {
-                    steps.push((1, msgs.iter().map(|m| m.0).collect()));
-                    s.recycle(msgs);
-                }
-            }
+            steps.push(shape(&step));
         }
         steps
     }
@@ -433,9 +491,10 @@ mod tests {
     #[test]
     fn a_rearmed_scheduler_steps_like_a_new_one() {
         // Three drains' worth of mixed traffic over lanes that come and go,
-        // under both packers: one scheduler re-armed between them (its
-        // rotation part-way round, emptied lanes and a recycled block buffer
-        // left behind) against a new scheduler per drain.
+        // under both packers: one packer re-armed between them over the same
+        // four queues (its rotation part-way round, emptied lanes and a
+        // recycled block buffer left behind) against a new scheduler per
+        // drain.
         let drains = [
             vec![
                 arrival(3, 0),
@@ -460,18 +519,29 @@ mod tests {
             ],
         ];
         for quota in [None, Some(1)] {
-            let mut kept =
-                PackingScheduler::new(PackingPolicy::CrossComm, 2).with_lane_quota(quota);
+            let mut kept = Packer::new(PackingPolicy::CrossComm, 2, quota);
+            let mut lanes: Vec<(CommId, VecDeque<(u64, Command)>)> =
+                (1..=4).map(|c| (CommId(c), VecDeque::new())).collect();
             for (i, cmds) in drains.iter().enumerate() {
                 let policy = [PackingPolicy::CrossComm, PackingPolicy::Consecutive][i % 2];
                 let mut new = PackingScheduler::new(policy, 2).with_lane_quota(quota);
                 let want = run_out(&mut new, cmds.clone());
-                kept.rearm(
-                    policy,
-                    &(1..=4).map(|c| (CommId(c), ())).collect::<Vec<_>>(),
-                );
-                assert_eq!(run_out(&mut kept, cmds.clone()), want, "drain {i}");
+                for (ticket, &cmd) in cmds.iter().enumerate() {
+                    let lane = locate(&lanes, comm_of(&cmd)).unwrap();
+                    lanes[lane].1.push_back((ticket as u64, cmd));
+                }
+                kept.rearm(policy, &mut lanes);
+                kept.refill(&mut lanes, cmds.len(), |_, _, _| {});
+                let mut got = Vec::new();
+                while let Some((_, step)) = kept.next_step(&mut lanes) {
+                    got.push(shape(&step));
+                    if let PackingStep::Block { msgs } = step {
+                        kept.recycle(msgs);
+                    }
+                }
+                assert_eq!(got, want, "drain {i}");
                 assert_eq!(kept.staged(), 0);
+                assert!(lanes.iter().all(|(_, lane)| lane.is_empty()));
             }
         }
     }

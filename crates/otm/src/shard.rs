@@ -132,7 +132,7 @@ pub(crate) type Entry = (CommId, CommShard);
 
 /// The engine's communicator → shard directory: the communicators in use,
 /// in [`CommId`] order, and the shards a reset emptied. A communicator's
-/// place in `live` is its lane in a drain's scheduler and in a block; it
+/// place in `live` is its lane in a drain's packer and in a block; it
 /// moves only when a communicator is added or the shards are reset, which
 /// neither a drain nor a block does.
 #[derive(Debug, Default)]

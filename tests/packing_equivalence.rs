@@ -2,8 +2,8 @@
 //! (`tests/properties.rs`): the cross-communicator drain scheduler must be
 //! outcome-identical to the strict consecutive drain on every stream, and
 //! both policies must honor the `DrainReport` failure contract when the
-//! engine's tables overflow mid-queue. Pinned seeds, so the nightly
-//! ThreadSanitizer job runs the same streams every night.
+//! engine's tables overflow mid-queue. Pinned seeds, so every run checks
+//! the same streams.
 
 mod support;
 

@@ -349,7 +349,7 @@ fn packed_drain_equals_consecutive_drain() {
 /// also asserts no-livelock: every forced inline drain consumes at
 /// least one pending command, so the submit-retry loop always makes
 /// progress. (`tests/packing_equivalence.rs` has the seeded
-/// deterministic companion that runs in the nightly TSan job.)
+/// deterministic companion.)
 #[test]
 fn bounded_rings_with_rotation_and_quota_preserve_equivalence() {
     cases(

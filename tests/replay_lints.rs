@@ -1,5 +1,6 @@
-//! Source checks on the two trace replays: `dpa_sim::app_replay::replay_app`
-//! and the analyzer's `otm_trace::replay::replay`.
+//! Source checks on the two trace replays (`dpa_sim::app_replay::replay_app`
+//! and the analyzer's `otm_trace::replay::replay`), on the harness binaries,
+//! and on the locks of the stack.
 //!
 //! `replay_app` builds its NIC, service, engine and queue-pair + sender set
 //! once and re-arms them for each destination, and its oracle resets one
@@ -18,6 +19,13 @@
 //! the ping-pong of `dpa_sim::pingpong`), never by wiring a queue pair and
 //! a `ReliableSender` to a NIC themselves: a hand-wired loop is a second
 //! driver with no oracle of its own.
+//!
+//! One thread steps the whole stack, so nothing on the engine's path or on
+//! the wire takes a lock. The engine has one owner: every entry point that
+//! changes it takes `&mut self`, its shards are plain data in the
+//! directory, and the protocol's own atomics live in `table::Slot`. A queue
+//! pair's link and the RDMA domain are plain data behind an `Rc`, and there
+//! is no poison-recovery layer left to bring a lock back through.
 
 use std::path::{Path, PathBuf};
 
@@ -34,23 +42,19 @@ fn outside_tests(text: &str) -> impl Iterator<Item = &str> {
     text.lines().take_while(|line| *line != "#[cfg(test)]")
 }
 
-/// `dir/*.rs` and `dir/*/*.rs`.
+/// Every `.rs` file under `dir`, at any depth.
 fn rust_files(dir: &Path) -> Vec<PathBuf> {
-    let entries = |dir: &Path| -> Vec<PathBuf> {
-        let entries = std::fs::read_dir(dir).expect("source directory");
-        entries
-            .map(|e| e.expect("directory entry").path())
-            .collect()
-    };
-    let mut files = Vec::new();
-    for path in entries(dir) {
-        if path.is_dir() {
-            files.extend(entries(&path));
-        } else {
-            files.push(path);
+    let (mut files, mut dirs) = (Vec::new(), vec![dir.to_path_buf()]);
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).expect("source directory") {
+            let path = entry.expect("directory entry").path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|ext| ext == "rs") {
+                files.push(path);
+            }
         }
     }
-    files.retain(|path| path.extension().is_some_and(|ext| ext == "rs"));
     files.sort();
     files
 }
@@ -114,4 +118,25 @@ fn no_harness_wires_the_reliable_stack_by_hand() {
             file.display()
         );
     }
+}
+
+#[test]
+fn no_lock_in_the_engine_or_on_the_wire() {
+    let otm = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/otm/src");
+    let files = rust_files(&otm);
+    assert!(files.iter().any(|f| f.ends_with("engine.rs")));
+    for file in files {
+        let text = read(&file);
+        let lock = ["Mutex", "RwLock", "Arc<CommShard>"];
+        let found = text
+            .lines()
+            .find(|line| lock.iter().any(|p| line.contains(p)));
+        assert!(found.is_none(), "{}: {found:?}", file.display());
+    }
+    let rdma = source("crates/dpa-sim/src/rdma.rs");
+    let shared = ["Arc<", "Mutex", "RwLock", "Atomic"];
+    let found = outside_tests(&rdma).find(|line| shared.iter().any(|p| line.contains(p)));
+    assert!(found.is_none(), "rdma.rs: {found:?}");
+    let sync = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/base/src/sync.rs");
+    assert!(!sync.exists(), "{} is back", sync.display());
 }
