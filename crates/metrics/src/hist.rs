@@ -10,6 +10,10 @@
 //! anywhere and recording from many threads concurrently is safe (totals and
 //! per-bucket counts are exact, only the cross-field consistency of a
 //! concurrent snapshot is approximate).
+//!
+//! An owner that shares its histogram with no one records into a plain
+//! [`HistogramSnapshot`] instead ([`HistogramSnapshot::record_all`]): the
+//! same buckets, filled with plain adds.
 
 use crate::json::{JsonWriter, WriteJson};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -168,6 +172,17 @@ impl HistogramSnapshot {
             sum: 0,
             count: 0,
             max: 0,
+        }
+    }
+
+    /// Records every value of `values` with plain adds, leaving what
+    /// [`Histogram::record_all`] leaves in a histogram: for an owner that
+    /// shares its histogram with no one.
+    pub fn record_all(&mut self, values: impl IntoIterator<Item = u64>) {
+        for value in values {
+            self.buckets[bucket_index(value)] += 1;
+            (self.count, self.sum) = (self.count + 1, self.sum + value);
+            self.max = self.max.max(value);
         }
     }
 
@@ -358,6 +373,10 @@ mod tests {
             4,
             "3, 3, 2 and 2 share a bucket"
         );
+        let mut owned = HistogramSnapshot::empty();
+        owned.record_all(values);
+        owned.record_all([]);
+        assert_eq!(owned, one_by_one.snapshot());
     }
 
     #[test]

@@ -34,7 +34,7 @@
 
 use crate::block::{result_code, BlockState, LaneData, NO_DESC};
 use crate::command::{comm_of, requeue_front, take_queued, Command, CommandOutcome, DrainReport};
-use crate::metrics::{span_event, EngineMetrics};
+use crate::metrics::{raise, span_event, EngineMetrics};
 use crate::scheduler::{Packer, PackingStep};
 use crate::shard::{locate, Entry, ShardHost, ShardMap};
 use crate::stats::{StatsSnapshot, Tally};
@@ -80,9 +80,8 @@ struct DrainArena {
     /// The applied commands' outcomes under their tickets, moved into the
     /// report in submission order.
     outcomes: Vec<(u64, CommandOutcome)>,
-    /// Per-communicator depth peaks of the staged lane and the queue.
+    /// Per-communicator depth peaks of the staged lane.
     lane_peaks: Vec<u64>,
-    ring_peaks: Vec<u64>,
     /// What the drain's posts counted, and each match's UMQ depth.
     posts: Tally,
     umq_depths: Vec<u64>,
@@ -263,6 +262,7 @@ impl Coord {
         }
 
         // Publish the block and step its lanes through the protocol.
+        #[cfg(feature = "trace-events")]
         let started = std::time::Instant::now();
         #[cfg(feature = "trace-events")]
         {
@@ -296,7 +296,10 @@ impl Coord {
             self.publish_block();
             return Err(MatchError::EngineStopped);
         }
-        block.tally.latency_ns = started.elapsed().as_nanos() as u64;
+        #[cfg(feature = "trace-events")]
+        {
+            block.tally.latency_ns = started.elapsed().as_nanos() as u64;
+        }
 
         // Block-end cleanup, phase 1: clear the booking bitmaps so they are
         // monotone only within a block.
@@ -383,7 +386,6 @@ impl OtmEngine {
                 ),
                 outcomes: Vec::new(),
                 lane_peaks: Vec::new(),
-                ring_peaks: Vec::new(),
                 posts: Tally::default(),
                 umq_depths: Vec::new(),
             },
@@ -406,12 +408,12 @@ impl OtmEngine {
     /// Empties the engine in place so that it reads as new: every
     /// communicator's table, indexes and unexpected store, its labels and
     /// sequence ids; the tickets, the arrival clock and the block epoch; the
-    /// published statistics and every registry instrument (a labelled gauge
-    /// of a communicator used before the reset stays registered, at 0); the
-    /// span ring; both packing selectors. What the engine allocated stays:
-    /// the shards (a communicator's comes back on its next use), their
-    /// queues, the block and drain arenas and every instrument handle, so a
-    /// reset allocates nothing.
+    /// published statistics, the histograms and the depth peaks (a
+    /// communicator's peak gauge listed before the reset stays listed, at
+    /// 0); the span ring; both packing selectors. What the engine allocated
+    /// stays: the shards (a communicator's comes back on its next use),
+    /// their queues and the block and drain arenas, so a reset allocates
+    /// nothing.
     ///
     /// Refused, with the engine untouched, when it is stopped
     /// ([`MatchError::EngineStopped`]) or holds a command no drain has
@@ -476,11 +478,14 @@ impl OtmEngine {
         self.coord.stats.clone()
     }
 
-    /// Copies out the engine's metrics registry: the depth, latency and
-    /// occupancy histograms, the depth-peak gauges, and the resolution-path,
-    /// matched and conflict counters read from [`OtmEngine::stats`].
+    /// Builds the engine's metrics registry: the depth, latency (sampled
+    /// with `trace-events` only) and occupancy histograms, the depth-peak
+    /// gauges, and the resolution-path, matched and conflict counters read
+    /// from [`OtmEngine::stats`].
     pub fn metrics_snapshot(&self) -> otm_metrics::RegistrySnapshot {
-        self.coord.metrics.snapshot(&self.coord.stats)
+        let shards = self.shards.live.iter().chain(&self.shards.parked);
+        let peaks = shards.map(|(comm, shard)| (*comm, &shard.depth_peaks));
+        self.coord.metrics.snapshot(&self.coord.stats, peaks)
     }
 
     /// Copies out the retained lifecycle span events, oldest first.
@@ -611,15 +616,12 @@ impl OtmEngine {
             packer,
             outcomes,
             lane_peaks,
-            ring_peaks,
             posts,
             umq_depths,
         } = drain;
         packer.rearm(*packing, lanes);
-        for peaks in [&mut *lane_peaks, &mut *ring_peaks] {
-            peaks.clear();
-            peaks.resize(lanes.len(), 0);
-        }
+        lane_peaks.clear();
+        lane_peaks.resize(lanes.len(), 0);
         // The span of the staged tickets, for the outcomes' reorder.
         let mut tickets = (u64::MAX, 0);
         // Refills the window, as before every step, so blocks are assembled
@@ -634,8 +636,9 @@ impl OtmEngine {
         refill(packer, lanes);
         // A queue's unstaged tail only shrinks while the drain runs, so its
         // peak is what the first refill leaves.
-        for (lane, (peak, (_, shard))) in ring_peaks.iter_mut().zip(&*lanes).enumerate() {
-            *peak = (shard.queue.len() - packer.staged_on(lane)) as u64;
+        for (lane, (_, shard)) in lanes.iter_mut().enumerate() {
+            let unstaged = shard.queue.len() - packer.staged_on(lane);
+            raise(&mut shard.depth_peaks.ring, unstaged as u64);
         }
         let failure = loop {
             let Some((lane, step)) = packer.next_step(lanes) else {
@@ -674,12 +677,10 @@ impl OtmEngine {
             }
             refill(packer, lanes);
         };
-        for ((comm, shard), (&lane, &ring)) in
-            lanes.iter().zip(lane_peaks.iter().zip(ring_peaks.iter()))
-        {
-            coord
-                .metrics
-                .publish_drain_peaks(*comm, &shard.depth_peaks, lane, ring);
+        for ((_, shard), &peak) in lanes.iter_mut().zip(&*lane_peaks) {
+            if peak > 0 {
+                raise(&mut shard.depth_peaks.lane, peak);
+            }
         }
         coord.publish(std::mem::take(posts), [], umq_depths.drain(..));
         let mut report = DrainReport::default();
@@ -712,29 +713,38 @@ impl OtmEngine {
         &mut self,
         msgs: &[(Envelope, MsgHandle)],
     ) -> Result<Vec<Delivery>, MatchError> {
-        self.coord.check_running()?;
-        for (env, _) in msgs {
-            self.shards.place(env.comm, &self.coord.config);
-        }
         let mut deliveries = Vec::with_capacity(msgs.len());
-        let deliver = |_, d| deliveries.push(d);
-        let lanes = &mut self.shards.live;
-        self.coord
-            .match_block(lanes, msgs.iter().copied(), deliver)?;
+        self.match_into(msgs, |d| deliveries.push(d))?;
         Ok(deliveries)
     }
 
     /// Matches an arbitrarily long message stream, chunked into blocks of
-    /// the configured size.
+    /// the configured size, into one vector of deliveries.
     pub fn process_stream(
         &mut self,
         msgs: &[(Envelope, MsgHandle)],
     ) -> Result<Vec<Delivery>, MatchError> {
         let mut out = Vec::with_capacity(msgs.len());
         for chunk in msgs.chunks(self.coord.config.block_threads) {
-            out.extend(self.process_block(chunk)?);
+            self.match_into(chunk, |d| out.push(d))?;
         }
         Ok(out)
+    }
+
+    /// Matches `msgs` as one block, handing each lane's delivery to
+    /// `deliver` in lane order once the block can no longer fail.
+    fn match_into(
+        &mut self,
+        msgs: &[(Envelope, MsgHandle)],
+        mut deliver: impl FnMut(Delivery),
+    ) -> Result<(), MatchError> {
+        self.coord.check_running()?;
+        for (env, _) in msgs {
+            self.shards.place(env.comm, &self.coord.config);
+        }
+        let lanes = &mut self.shards.live;
+        self.coord
+            .match_block(lanes, msgs.iter().copied(), |_, d| deliver(d))
     }
 
     /// Non-destructive unexpected-message probe (`MPI_Iprobe` semantics):
@@ -916,15 +926,14 @@ impl MatchingBackend for OtmEngine {
 /// it is the matcher the trace analyzer replays each rank through.
 ///
 /// The adapter owns its engine outright, so its own calls are the only ones
-/// that change it: each call's search depth is what the engine's depth sum
-/// grew by since the previous call, and the queue lengths behind the
-/// high-water marks follow from the calls' outcomes without a walk of the
-/// engine's bins.
+/// that change it: each call's search depth is what the call added to the
+/// engine's depth sum, and the queue lengths behind the high-water marks
+/// follow from the calls' outcomes without a walk of the engine's bins. An
+/// arrival is a one-message block whose delivery comes straight back to
+/// the adapter: a call allocates nothing.
 pub struct SequentialOtm {
     engine: OtmEngine,
     stats: MatchStats,
-    /// The engine's statistics as the previous call left them.
-    seen: StatsSnapshot,
     /// Posted receives and waiting messages.
     prq: usize,
     umq: usize,
@@ -936,7 +945,6 @@ impl SequentialOtm {
         Ok(SequentialOtm {
             engine: OtmEngine::new(config)?,
             stats: MatchStats::new(),
-            seen: StatsSnapshot::default(),
             prq: 0,
             umq: 0,
         })
@@ -948,7 +956,6 @@ impl SequentialOtm {
     pub fn reset(&mut self) -> Result<(), MatchError> {
         self.engine.reset()?;
         self.stats = MatchStats::new();
-        self.seen = StatsSnapshot::default();
         (self.prq, self.umq) = (0, 0);
         Ok(())
     }
@@ -956,14 +963,6 @@ impl SequentialOtm {
     /// [`OtmEngine::prq_empty_bin_fraction`] of the wrapped engine.
     pub fn prq_empty_bin_fraction(&self) -> f64 {
         self.engine.prq_empty_bin_fraction()
-    }
-
-    /// What the engine's statistics grew by since the previous call.
-    fn growth(&mut self) -> StatsSnapshot {
-        let now = self.engine.stats();
-        let grown = now.delta(&self.seen);
-        self.seen = now;
-        grown
     }
 }
 
@@ -981,8 +980,9 @@ impl Matcher for SequentialOtm {
         pattern: ReceivePattern,
         handle: RecvHandle,
     ) -> Result<PostResult, MatchError> {
+        let before = self.engine.coord.stats.umq_depth_sum;
         let result = self.engine.post(pattern, handle)?;
-        let depth = self.growth().umq_depth_sum as usize;
+        let depth = (self.engine.coord.stats.umq_depth_sum - before) as usize;
         let matched = matches!(result, PostResult::Matched(_));
         if matched {
             self.umq -= 1;
@@ -995,9 +995,11 @@ impl Matcher for SequentialOtm {
     }
 
     fn arrive(&mut self, env: Envelope, handle: MsgHandle) -> Result<ArriveResult, MatchError> {
-        let deliveries = self.engine.process_block(&[(env, handle)])?;
-        let depth = self.growth().search_depth_sum as usize;
-        let result = match deliveries[0] {
+        let (before, mut delivery) = (self.engine.coord.stats.search_depth_sum, None);
+        self.engine
+            .match_into(&[(env, handle)], |d| delivery = Some(d))?;
+        let depth = (self.engine.coord.stats.search_depth_sum - before) as usize;
+        let result = match delivery.expect("a one-message block delivers once") {
             Delivery::Matched { recv, .. } => {
                 self.prq -= 1;
                 ArriveResult::Matched(recv)
@@ -1634,8 +1636,14 @@ mod tests {
         e.process_block(&[(env(0, 1), MsgHandle(0))]).unwrap();
         let snap = e.metrics_snapshot();
         assert_eq!(snap.hists["otm_search_depth"].count, 1);
-        assert_eq!(snap.hists["otm_block_latency_ns"].count, 1);
-        assert!(snap.hists["otm_block_latency_ns"].max > 0);
+        // The engine reads a clock only where it stamps spans.
+        #[cfg(feature = "trace-events")]
+        {
+            assert_eq!(snap.hists["otm_block_latency_ns"].count, 1);
+            assert!(snap.hists["otm_block_latency_ns"].max > 0);
+        }
+        #[cfg(not(feature = "trace-events"))]
+        assert_eq!(snap.hists["otm_block_latency_ns"].count, 0);
         assert_eq!(snap.counters["otm_resolutions_total{path=\"nc\"}"], 1);
         // A post-time UMQ match lands in the UMQ histogram.
         e.process_block(&[(env(9, 9), MsgHandle(1))]).unwrap();

@@ -66,7 +66,7 @@ pub mod command;
 pub mod engine;
 pub mod index;
 pub mod list;
-pub mod metrics;
+mod metrics;
 pub mod scheduler;
 pub mod shard;
 pub mod stats;
@@ -76,5 +76,4 @@ mod worker;
 
 pub use command::{Command, CommandOutcome, DrainReport};
 pub use engine::{Delivery, FallbackState, OtmEngine, SequentialOtm};
-pub use metrics::EngineMetrics;
 pub use stats::StatsSnapshot;

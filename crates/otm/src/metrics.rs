@@ -1,82 +1,83 @@
 //! Engine observability.
 //!
-//! [`EngineMetrics`] is the engine's handle to the `otm-metrics` registry:
-//! search-depth, UMQ-depth, block-latency and block-occupancy histograms,
-//! the per-communicator depth-peak gauges, and, with the `trace-events`
-//! feature, the lifecycle span recorder.
+//! [`EngineMetrics`] holds the engine's search-depth, UMQ-depth,
+//! block-occupancy and block-latency histograms as bucket arrays it owns and
+//! records into with plain adds, and, with the `trace-events` feature, the
+//! lifecycle span recorder; each shard holds its communicator's two depth
+//! peaks ([`DepthPeaks`]). Nothing is shared, so no instrument costs a
+//! read-modify-write, and no registry stands behind them:
+//! `OtmEngine::metrics_snapshot` builds the [`RegistrySnapshot`] value.
 //!
-//! Counts are not pushed. The engine's published [`StatsSnapshot`] is their
-//! one record, and `EngineMetrics::snapshot` fills the registry names in
-//! from it: `otm_resolutions_total{path}` (no-conflict / fast path / slow
-//! path — the NC, WC-FP and WC-SP series of Fig. 8 — and the post path),
+//! Counts are not recorded here. The engine's published [`StatsSnapshot`]
+//! is their one record, and the snapshot fills the registry names in from
+//! it: `otm_resolutions_total{path}` (no-conflict / fast path / slow path —
+//! the NC, WC-FP and WC-SP series of Fig. 8 — and the post path),
 //! `otm_matched_total` and `otm_conflicts_total`; the span ring's own drop
-//! count is `otm_span_dropped_total`. Only what a count cannot hold is
-//! pushed: the histograms and the high-water gauges.
+//! count is `otm_span_dropped_total`.
 //!
-//! No instrument is touched per message: a block's depths and latency reach
-//! the registry in one `EngineMetrics::add` when the block ends, a drain's
-//! posts in one when the drain exits (a direct `post` publishes right away),
-//! the depth-peak gauges once per drain — each with the statistics it goes
-//! with, so a snapshot never shows half a publish.
+//! No instrument is touched per message: a block's samples are recorded in
+//! one `EngineMetrics::add` when the block ends, a drain's posts' when the
+//! drain exits (a direct `post`'s right away), the depth peaks once per
+//! drain. The engine reads a clock only in the `trace-events` build: there
+//! alone is `otm_block_latency_ns` sampled.
 
 use crate::stats::{StatsSnapshot, Tally};
 use otm_base::CommId;
-use otm_metrics::{Gauge, Histogram, Registry, RegistrySnapshot};
-use std::sync::{Arc, OnceLock};
+use otm_metrics::{HistogramSnapshot, RegistrySnapshot};
 
 /// Lifecycle span events retained before overwriting (each message
 /// contributes a handful: posted/enqueued/packed/matched).
 #[cfg(feature = "trace-events")]
 const SPAN_CAPACITY: usize = 256 * 1024;
 
-/// One communicator's two depth-peak gauges, each resolved from the registry
-/// the first time [`EngineMetrics::publish_drain_peaks`] has a value for it
-/// and kept with the communicator from then on.
+/// A communicator's two depth-peak gauges: the deepest its staged lane and
+/// its submission ring got at any drain's refill (a ring peak near the ring
+/// capacity means submitters see `SubmissionRingFull`). Each is `None`, and
+/// not listed, until a drain raises it; a reset zeroes it, still listed.
 #[derive(Debug, Default)]
-pub(crate) struct DepthPeakGauges {
-    lane: OnceLock<Arc<Gauge>>,
-    ring: OnceLock<Arc<Gauge>>,
+pub(crate) struct DepthPeaks {
+    /// `otm_drain_lane_depth_peak{comm}`.
+    pub lane: Option<u64>,
+    /// `otm_submission_ring_depth_peak{comm}`.
+    pub ring: Option<u64>,
 }
 
-/// Cheap-to-clone handle to the engine's metric instruments.
-#[derive(Debug, Clone)]
-pub struct EngineMetrics {
-    registry: Registry,
-    search_depth: Arc<Histogram>,
-    block_latency_ns: Arc<Histogram>,
-    block_occupancy: Arc<Histogram>,
-    umq_match_depth: Arc<Histogram>,
+/// Raises a high-water mark to `depth`, listing it if it was not.
+pub(crate) fn raise(peak: &mut Option<u64>, depth: u64) {
+    *peak = Some(peak.unwrap_or(0).max(depth));
+}
+
+/// The engine's instruments (see the module docs).
+#[derive(Debug)]
+pub(crate) struct EngineMetrics {
+    search_depth: HistogramSnapshot,
+    umq_match_depth: HistogramSnapshot,
+    block_occupancy: HistogramSnapshot,
+    block_latency_ns: HistogramSnapshot,
     #[cfg(feature = "trace-events")]
-    spans: Arc<otm_metrics::SpanRecorder>,
-}
-
-impl Default for EngineMetrics {
-    fn default() -> Self {
-        Self::new()
-    }
+    spans: otm_metrics::SpanRecorder,
 }
 
 impl EngineMetrics {
-    /// Creates a fresh registry with the engine's instruments.
+    /// Empty instruments.
     pub fn new() -> Self {
-        let registry = Registry::new();
         Self {
-            search_depth: registry.histogram("otm_search_depth"),
-            block_latency_ns: registry.histogram("otm_block_latency_ns"),
-            block_occupancy: registry.histogram("otm_block_occupancy"),
-            umq_match_depth: registry.histogram("otm_umq_match_depth"),
+            search_depth: HistogramSnapshot::empty(),
+            umq_match_depth: HistogramSnapshot::empty(),
+            block_occupancy: HistogramSnapshot::empty(),
+            block_latency_ns: HistogramSnapshot::empty(),
             #[cfg(feature = "trace-events")]
-            spans: Arc::new(otm_metrics::SpanRecorder::new(SPAN_CAPACITY)),
-            registry,
+            spans: otm_metrics::SpanRecorder::new(SPAN_CAPACITY),
         }
     }
 
-    /// Publishes a tally's samples: a block's, with the depth of each lane's
+    /// Records a tally's samples: a block's, with the depth of each lane's
     /// optimistic search, or some posts', with the UMQ depth of each match
-    /// on post. A block that ran to its end adds its latency and its
-    /// occupancy — how well the drain's packing fills blocks.
-    pub(crate) fn add(
-        &self,
+    /// on post. A block that ran to its end adds its occupancy — how well
+    /// the drain's packing fills blocks — and, with `trace-events`, its
+    /// latency.
+    pub fn add(
+        &mut self,
         t: &Tally,
         search_depths: impl IntoIterator<Item = u64>,
         umq_depths: impl IntoIterator<Item = u64>,
@@ -84,58 +85,50 @@ impl EngineMetrics {
         self.search_depth.record_all(search_depths);
         self.umq_match_depth.record_all(umq_depths);
         if t.stats.blocks != 0 {
-            self.block_latency_ns.record(t.latency_ns);
-            self.block_occupancy.record(t.stats.messages);
+            self.block_occupancy.record_all([t.stats.messages]);
+            #[cfg(feature = "trace-events")]
+            self.block_latency_ns.record_all([t.latency_ns]);
         }
     }
 
-    /// Publishes one communicator's depth peaks of a finished drain: the
-    /// deepest its staged lane and its submission ring got at any refill.
-    /// `otm_drain_lane_depth_peak{comm}` (once the lane has staged
-    /// something) and `otm_submission_ring_depth_peak{comm}` keep the
-    /// all-time high-water mark (`set_max` never lowers it); a ring peak near
-    /// the configured ring capacity means submitters are outrunning the
-    /// drain and seeing `SubmissionRingFull` backpressure. A communicator's
-    /// first publish resolves its labelled gauges into `gauges` — the only
-    /// registry look-ups after construction; later ones are a `set_max` each.
-    pub(crate) fn publish_drain_peaks(
-        &self,
-        comm: CommId,
-        gauges: &DepthPeakGauges,
-        lane_peak: u64,
-        ring_peak: u64,
-    ) {
-        let resolve = |name| {
-            self.registry
-                .gauge_with(name, vec![("comm", comm.0.to_string())])
-        };
-        if lane_peak > 0 {
-            gauges
-                .lane
-                .get_or_init(|| resolve("otm_drain_lane_depth_peak"))
-                .set_max(lane_peak as i64);
-        }
-        gauges
-            .ring
-            .get_or_init(|| resolve("otm_submission_ring_depth_peak"))
-            .set_max(ring_peak as i64);
-    }
-
-    /// Zeroes every instrument in place, labelled ones included
-    /// ([`Registry::reset`]), and resets the span ring: every handle stays
-    /// live.
-    pub(crate) fn reset(&self) {
-        self.registry.reset();
+    /// Empties every histogram and the span ring, keeping its allocation.
+    pub fn reset(&mut self) {
+        self.search_depth = HistogramSnapshot::empty();
+        self.umq_match_depth = HistogramSnapshot::empty();
+        self.block_occupancy = HistogramSnapshot::empty();
+        self.block_latency_ns = HistogramSnapshot::empty();
         #[cfg(feature = "trace-events")]
         self.spans.reset();
     }
 
-    /// Copies out the registry, with the counts read from `stats`, the
+    /// Builds the registry's snapshot: the histograms, the depth peaks of
+    /// each communicator in `peaks`, and the counts read from `stats`, the
     /// engine's published statistics. A message a block matched took
     /// exactly one path, so the slow path's is what the other two leave of
     /// `matched`, and `otm_matched_total == Σ otm_resolutions_total{path}`.
-    pub(crate) fn snapshot(&self, stats: &StatsSnapshot) -> RegistrySnapshot {
-        let mut snap = self.registry.snapshot();
+    pub fn snapshot<'a>(
+        &self,
+        stats: &StatsSnapshot,
+        peaks: impl IntoIterator<Item = (CommId, &'a DepthPeaks)>,
+    ) -> RegistrySnapshot {
+        let mut snap = RegistrySnapshot::default();
+        for (name, hist) in [
+            ("otm_search_depth", &self.search_depth),
+            ("otm_umq_match_depth", &self.umq_match_depth),
+            ("otm_block_occupancy", &self.block_occupancy),
+            ("otm_block_latency_ns", &self.block_latency_ns),
+        ] {
+            snap.hists.insert(name.to_string(), hist.clone());
+        }
+        for (comm, peaks) in peaks {
+            let lane = ("otm_drain_lane_depth_peak", peaks.lane);
+            for (name, peak) in [lane, ("otm_submission_ring_depth_peak", peaks.ring)] {
+                if let Some(peak) = peak {
+                    let key = format!("{name}{{comm=\"{}\"}}", comm.0);
+                    snap.gauges.insert(key, peak as i64);
+                }
+            }
+        }
         // Saturating: a block that panicked half-run publishes what its
         // lanes counted, but matched nothing, and stops the engine.
         let wc_sp = stats
@@ -163,7 +156,6 @@ impl EngineMetrics {
     /// receive handle). Ring overflow is accounted in
     /// `otm_span_dropped_total`.
     #[cfg(feature = "trace-events")]
-    #[inline]
     pub fn span_push(&self, subject: u64, kind: otm_metrics::SpanKind) {
         self.spans.push(subject, kind);
     }
@@ -205,11 +197,12 @@ mod tests {
 
     #[test]
     fn instruments_are_registered_and_recorded() {
-        let m = EngineMetrics::new();
-        let mut block = Tally {
-            latency_ns: 9,
-            ..Tally::default()
-        };
+        let mut m = EngineMetrics::new();
+        let mut block = Tally::default();
+        #[cfg(feature = "trace-events")]
+        {
+            block.latency_ns = 9;
+        }
         // Three matched: one no-conflict, one fast path, one slow path.
         (block.stats.optimistic_ok, block.stats.fast_path) = (1, 1);
         (block.stats.matched, block.stats.direct_conflicts) = (3, 1);
@@ -223,13 +216,18 @@ mod tests {
         let stats = block.stats.merge(&posts.stats);
         // Two drains: the gauges keep the high-water mark across them.
         // A lane that never staged anything publishes its ring peak only.
-        let (one, two) = (DepthPeakGauges::default(), DepthPeakGauges::default());
-        m.publish_drain_peaks(CommId(1), &one, 7, 5);
-        m.publish_drain_peaks(CommId(1), &one, 3, 2);
-        m.publish_drain_peaks(CommId(2), &two, 0, 0);
-        let snap = m.snapshot(&stats);
+        let (mut one, mut two) = (DepthPeaks::default(), DepthPeaks::default());
+        for (lane, ring) in [(7, 5), (3, 2)] {
+            raise(&mut one.lane, lane);
+            raise(&mut one.ring, ring);
+        }
+        raise(&mut two.ring, 0);
+        let snap = m.snapshot(&stats, [(CommId(1), &one), (CommId(2), &two)]);
         assert_eq!(snap.hists["otm_search_depth"].count, 3);
-        assert_eq!(snap.hists["otm_block_latency_ns"].count, 1);
+        // The block's latency is sampled only where the engine reads a
+        // clock: with `trace-events`.
+        let latency_samples = u64::from(cfg!(feature = "trace-events"));
+        assert_eq!(snap.hists["otm_block_latency_ns"].count, latency_samples);
         assert_eq!(snap.hists["otm_block_occupancy"].count, 1);
         assert_eq!(snap.hists["otm_block_occupancy"].sum, 4);
         let gauges: Vec<(&str, i64)> = snap.gauges.iter().map(|(k, &v)| (&**k, v)).collect();
@@ -248,15 +246,6 @@ mod tests {
         assert_eq!(snap.counters["otm_matched_total"], 4);
         assert_eq!(snap.counters["otm_conflicts_total"], 1);
         assert_eq!(snap.hists["otm_umq_match_depth"].sum, 2);
-    }
-
-    #[test]
-    fn clones_share_instruments() {
-        let a = EngineMetrics::new();
-        let b = a.clone();
-        b.add(&Tally::default(), [], [1]);
-        let snap = a.snapshot(&StatsSnapshot::default());
-        assert_eq!(snap.hists["otm_umq_match_depth"].count, 1);
     }
 
     #[cfg(feature = "trace-events")]
@@ -281,7 +270,7 @@ mod tests {
                 path: ::otm_metrics::MatchPath::Nc
             }
         );
-        let snap = m.snapshot(&StatsSnapshot::default());
+        let snap = m.snapshot(&StatsSnapshot::default(), []);
         assert_eq!(snap.counters["otm_span_dropped_total"], 0);
     }
 
@@ -293,7 +282,7 @@ mod tests {
             m.span_push(i, ::otm_metrics::SpanKind::Enqueued);
         }
         assert_eq!(m.spans().dropped(), 5);
-        let snap = m.snapshot(&StatsSnapshot::default());
+        let snap = m.snapshot(&StatsSnapshot::default(), []);
         assert_eq!(snap.counters["otm_span_dropped_total"], 5);
     }
 }

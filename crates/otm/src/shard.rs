@@ -19,7 +19,7 @@
 
 use crate::command::{comm_of, Command};
 use crate::index::PrqIndexes;
-use crate::metrics::DepthPeakGauges;
+use crate::metrics::DepthPeaks;
 use crate::table::ReceiveTable;
 use crate::umq::UnexpectedStore;
 use otm_base::{CommHints, CommId, MatchConfig, MatchError, PostLabel, ReceivePattern, SeqId};
@@ -65,9 +65,9 @@ pub struct CommShard {
     /// The communicator's bounded command queue (§IV-E): ticketed commands
     /// oldest first, allocated once at `ring_capacity` and never past it.
     pub(crate) queue: VecDeque<(u64, Command)>,
-    /// The communicator's two depth-peak gauges, resolved by the first drain
-    /// that publishes for it.
-    pub(crate) depth_peaks: DepthPeakGauges,
+    /// The communicator's two depth-peak gauges, published by the drains
+    /// that serve it.
+    pub(crate) depth_peaks: DepthPeaks,
 }
 
 impl CommShard {
@@ -83,7 +83,7 @@ impl CommShard {
             },
             hints,
             queue: VecDeque::with_capacity(config.ring_capacity),
-            depth_peaks: DepthPeakGauges::default(),
+            depth_peaks: DepthPeaks::default(),
         }
     }
 
@@ -141,7 +141,7 @@ pub struct ShardMap {
     pub(crate) live: Vec<Entry>,
     /// Emptied shards, in no order: taken back when their communicator is
     /// next used.
-    parked: Vec<Entry>,
+    pub(crate) parked: Vec<Entry>,
 }
 
 /// Where `comm` is, or would be inserted, in the directory (or anything
@@ -206,13 +206,16 @@ impl ShardMap {
         self.live.iter().map(|(_, shard)| shard.queue.len()).sum()
     }
 
-    /// Empties every shard in place and parks it, its queue already empty:
-    /// the directory reads as new, and allocates nothing while the
-    /// communicators it parks come back.
+    /// Empties every shard in place and parks it, its queue already empty
+    /// and its depth peaks at 0: the directory reads as new, and allocates
+    /// nothing while the communicators it parks come back.
     pub(crate) fn reset(&mut self) {
         for (_, shard) in &mut self.live {
             debug_assert!(shard.queue.is_empty());
             shard.host.reset();
+            for peak in [&mut shard.depth_peaks.lane, &mut shard.depth_peaks.ring] {
+                *peak = peak.and(Some(0));
+            }
         }
         if self.parked.is_empty() {
             std::mem::swap(&mut self.live, &mut self.parked);

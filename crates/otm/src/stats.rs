@@ -11,8 +11,8 @@
 //! into its published [`StatsSnapshot`] once: when the block ends, when the
 //! drain exits, right away for a direct `post`. That snapshot is the one
 //! record of every count; the registry's counters are read from it. A
-//! reader never sees a partial block, and a message costs no
-//! read-modify-write for being counted.
+//! reader never sees a partial block, and neither a message nor a block
+//! costs a read-modify-write for being counted.
 
 use otm_metrics::json_fields;
 
@@ -23,7 +23,9 @@ use otm_metrics::json_fields;
 pub(crate) struct Tally {
     /// What the engine's counters grow by.
     pub stats: StatsSnapshot,
-    /// How long the block's lanes took, if it ran to its end.
+    /// How long the block's lanes took, if it ran to its end (timed only
+    /// where spans are stamped).
+    #[cfg(feature = "trace-events")]
     pub latency_ns: u64,
 }
 

@@ -18,8 +18,9 @@
 //! pairs, senders and NIC built, used for one message each and dropped; what
 //! `replay_app` allocates per message once its endpoints and its engine
 //! exist; what a communicator costs the engine that matches for it; what a
-//! warm drain costs: its report; and what resetting
-//! that engine costs: nothing.
+//! warm drain costs: its report; what a stream of blocks matched directly
+//! costs: its deliveries; and what resetting that engine, or a warm
+//! `SequentialOtm`'s posts and arrivals, cost: nothing.
 //!
 //! This file is its own test binary with one `#[test]`, so nothing else
 //! allocates while it counts, and it holds the only `unsafe` in the
@@ -31,9 +32,9 @@ use dpa_sim::bounce::BouncePool;
 use dpa_sim::nic::RecvNic;
 use dpa_sim::rdma::{connected_pair, eager_packet, rendezvous_packet, RdmaDomain};
 use dpa_sim::{MatchingService, ReliableSender, ServiceMetrics};
-use mpi_matching::{MsgHandle, RecvHandle};
+use mpi_matching::{Matcher, MsgHandle, RecvHandle};
 use otm::Command;
-use otm::OtmEngine;
+use otm::{OtmEngine, SequentialOtm};
 use otm_base::{CommId, Envelope, FaultPlan, MatchConfig, Rank, ReceivePattern, Tag};
 use otm_trace::{AppTrace, MpiOp, RankTrace};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -364,6 +365,55 @@ fn drain_allocations(posts: u32, arrivals: u32) -> (u64, u64) {
     (allocations, engine.stats().blocks - blocks)
 }
 
+/// Allocations of a warm `SequentialOtm` (one round like it ran before):
+/// `n` receives posted, then `n` messages that match them, then `n`
+/// messages stored unexpected, then `n` receives that match those on post.
+fn sequential_allocations(n: u32) -> u64 {
+    let mut m = SequentialOtm::new(MatchConfig::default()).unwrap();
+    let round = |m: &mut SequentialOtm| {
+        let pattern = |tag| ReceivePattern::new(Rank(0), Tag(tag), CommId(1));
+        let env = |tag| Envelope::new(Rank(0), Tag(tag), CommId(1));
+        for tag in 0..n {
+            m.post(pattern(tag), RecvHandle(u64::from(tag))).unwrap();
+        }
+        for tag in 0..2 * n {
+            m.arrive(env(tag % n), MsgHandle(u64::from(tag))).unwrap();
+        }
+        for tag in 0..n {
+            m.post(pattern(tag), RecvHandle(u64::from(n + tag)))
+                .unwrap();
+        }
+        assert_eq!((m.prq_len(), m.umq_len()), (0, 0));
+    };
+    round(&mut m);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    round(&mut m);
+    ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
+/// Allocations of `OtmEngine::process_stream` over `blocks` full blocks of
+/// messages that match receives posted before, on a warm engine.
+fn stream_allocations(blocks: usize) -> u64 {
+    let mut engine = OtmEngine::new(MatchConfig::default()).unwrap();
+    let n = blocks * engine.config().block_threads;
+    let round = |engine: &mut OtmEngine| {
+        for i in 0..n as u64 {
+            let pattern = ReceivePattern::new(Rank(0), Tag(0), CommId(1));
+            engine.post(pattern, RecvHandle(i)).unwrap();
+        }
+        let msgs: Vec<_> = (0..n as u64)
+            .map(|i| (Envelope::new(Rank(0), Tag(0), CommId(1)), MsgHandle(i)))
+            .collect();
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let deliveries = engine.process_stream(&msgs).unwrap();
+        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        assert_eq!(deliveries.len(), n);
+        allocations
+    };
+    round(&mut engine);
+    round(&mut engine)
+}
+
 /// Allocations of `OtmEngine::reset`, twice, on an engine that matched on
 /// two communicators, directly and through warm drains, with a receive left
 /// posted and a message left waiting on each: once as it first parks their
@@ -481,6 +531,17 @@ fn steady_state_allocations_per_message_stay_in_budget() {
     assert_eq!(drain_allocations(16, 0), (1, 0), "a drain of posts");
     assert_eq!(drain_allocations(16, 16), (1, 2), "a drain of two blocks");
     println!("allocations per warm drain: 1");
+    // Blocks matched directly write their deliveries into the one vector
+    // the stream returns. Measured 1 for 4 blocks (5 while each block
+    // returned a vector of its own).
+    assert_eq!(stream_allocations(4), 1, "a stream of 4 blocks");
+    // A warm sequential adapter matches each arrival as a one-message block
+    // whose delivery comes straight back, and reads the two depth sums it
+    // needs: its posts and arrivals allocate nothing. Measured 0 (one
+    // vector an arrival while each returned its block's deliveries).
+    let sequential = sequential_allocations(64);
+    assert_eq!(sequential, 0, "{sequential} allocations in 256 operations");
+    println!("allocations per warm stream: 1; per sequential operation: 0");
     // A queue pair is one allocation, and none more until it carries a frame.
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     drop(connected_pair());

@@ -26,6 +26,14 @@
 //! directory, and the protocol's own atomics live in `table::Slot`. A queue
 //! pair's link and the RDMA domain are plain data behind an `Rc`, and there
 //! is no poison-recovery layer left to bring a lock back through.
+//!
+//! Counting and owned state cost no read-modify-write. A lane reaches
+//! atomics only through `table::Slot` (what it counts goes into the block's
+//! plain tally); the engine's statistics, histograms and depth peaks are
+//! fields it owns, so nothing in `otm` outside the slot table is atomic,
+//! shared or lazily initialised, and the engine reads a clock only in the
+//! `trace-events` build that stamps spans. The retransmit window copies into
+//! recycled buffers: a packet is cloned in the two retransmit loops only.
 
 use std::path::{Path, PathBuf};
 
@@ -139,4 +147,52 @@ fn no_lock_in_the_engine_or_on_the_wire() {
     assert!(found.is_none(), "rdma.rs: {found:?}");
     let sync = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/base/src/sync.rs");
     assert!(!sync.exists(), "{} is back", sync.display());
+}
+
+#[test]
+fn counting_and_owned_state_cost_no_read_modify_write() {
+    let worker = source("crates/otm/src/worker.rs");
+    let rmw = [
+        "fetch_add",
+        "fetch_max",
+        "fetch_or",
+        "fetch_sub",
+        "Ordering",
+    ];
+    let found = worker
+        .lines()
+        .find(|line| rmw.iter().any(|p| line.contains(p)));
+    assert!(found.is_none(), "worker.rs: {found:?}");
+    let reliable = source("crates/dpa-sim/src/reliable.rs");
+    let cloned = reliable
+        .lines()
+        .find(|line| line.contains("packet.clone()") && !line.contains("e.packet.clone()"));
+    assert!(cloned.is_none(), "reliable.rs: {cloned:?}");
+
+    let otm = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/otm/src");
+    let files = rust_files(&otm);
+    assert!(files.iter().any(|f| f.ends_with("metrics.rs")));
+    let mut offences = Vec::new();
+    for file in files {
+        let text = read(&file);
+        // The slot atomics are the block protocol itself (§III-C).
+        let shared: &[&str] = if file.ends_with("table.rs") {
+            &["Arc<", "Arc::", "OnceLock", "Mutex", "RwLock"]
+        } else {
+            &["Atomic", "Arc<", "Arc::", "OnceLock", "Mutex", "RwLock"]
+        };
+        let lines: Vec<&str> = outside_tests(&text).collect();
+        for (i, line) in lines.iter().enumerate() {
+            let unguarded_clock = line.contains("Instant")
+                && (i == 0 || lines[i - 1].trim() != "#[cfg(feature = \"trace-events\")]");
+            if unguarded_clock || shared.iter().any(|p| line.contains(p)) {
+                offences.push(format!("{}:{}: {}", file.display(), i + 1, line.trim()));
+            }
+        }
+    }
+    assert!(
+        offences.is_empty(),
+        "shared state, or a clock read outside the trace-events build, in otm:\n{}",
+        offences.join("\n")
+    );
 }
