@@ -38,8 +38,8 @@ fn main() {
     println!("collectives-only applications:     {coll_only} (paper: 2, the HILO pair)");
     println!("one-sided operations anywhere:     {one_sided} (paper: none)");
 
-    // The replay registry carries progress counters for the whole sweep.
-    let obs = otm_trace::replay_metrics().snapshot();
+    // What the sweep's replays drove, read from their reports.
+    let obs = otm_trace::observability(&reports);
     let report =
         BenchReport::with_observability("fig6_call_distribution", false, reports, Some(obs));
     let path = write_report(&args, &report);

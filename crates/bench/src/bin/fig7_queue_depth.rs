@@ -76,7 +76,7 @@ fn main() {
     println!("\npaper anchors: averages 8.21 / 0.80 / 0.33 at 1 / 32 / 128 bins (−90% / −95%);");
     println!("               BoxLib CNS max depth 25 -> 3 -> 1");
 
-    let obs = otm_trace::replay_metrics().snapshot();
+    let obs = otm_trace::observability(per_app.iter().flatten());
     let report = BenchReport::with_observability(
         "fig7_queue_depth",
         !args.full,

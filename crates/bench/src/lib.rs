@@ -266,10 +266,10 @@ mod tests {
 
     #[test]
     fn envelope_embeds_registry_snapshots_by_label() {
-        let registry = otm_metrics::Registry::new();
-        registry.counter("hits").add(3);
+        let mut snapshot = otm_metrics::RegistrySnapshot::default();
+        snapshot.counters.insert("hits".to_string(), 3);
         let mut observability = std::collections::BTreeMap::new();
-        observability.insert("a \"run\"".to_string(), registry.snapshot());
+        observability.insert("a \"run\"".to_string(), snapshot);
         let report = BenchReport::with_observability("selftest", true, 7u64, Some(observability));
         assert_eq!(
             render(&report),

@@ -19,19 +19,24 @@
 //! destination uses is built once per replay, the way a NIC's bounce
 //! buffers, queues and matching tables are set up in NIC memory ahead of
 //! time (§IV-A, §IV-E): one [`MatchingService`] with its [`RecvNic`],
-//! bounce pool (sized to the busiest destination), metrics registry and
-//! [`OtmEngine`] (sized to the most posts and the most arrivals of any
-//! destination), one [`RdmaDomain`], and one queue pair + reliable sender
-//! per slot. A destination's `i`-th source in rank order sends on slot `i`;
-//! the slots grow to the widest destination so far. Between destinations
+//! bounce pool (sized to the busiest destination) and [`OtmEngine`] (sized
+//! to the most posts and the most arrivals of any destination), one
+//! [`RdmaDomain`], and one queue pair + reliable sender per slot. A
+//! destination's `i`-th source in rank order sends on slot `i`; the slots
+//! grow to the widest destination so far. Between destinations
 //! every layer re-arms in place to read as new — `MatchingService::rearm`
 //! (which resets the engine, [`OtmEngine::reset`]), `RecvNic::rearm` (only
 //! the destination's slots are polled), `ReliableSender::rearm` — so no
 //! count, stale frame, receive, waiting message or unmatched rendezvous
 //! region carries over, and a destination costs nothing to start. What is
 //! live at once is the widest destination's endpoints (a link of a few
-//! hundred bytes, a four-slot queue per direction in use and a one-`Arc`
-//! metrics handle per peer) and one engine, never the trace's.
+//! hundred bytes and a four-slot queue per direction in use per peer) and
+//! one engine, never the trace's.
+//!
+//! The endpoints own the service and every sender, so they sample the
+//! busiest destination's series: after each `progress` of the service, on
+//! its poll clock, the service's registry snapshot merged with its active
+//! senders'.
 //!
 //! ## The ordering contract
 //!
@@ -64,7 +69,7 @@ use mpi_matching::{ArriveResult, Matcher, MatchingBackend, MsgHandle, PostResult
 use otm::OtmEngine;
 use otm_base::{Envelope, FaultPlan, MatchConfig, MatchError, Rank, ReceivePattern};
 use otm_metrics::json::{JsonWriter, WriteJson};
-use otm_metrics::{json_fields, SeriesRecorder};
+use otm_metrics::{json_fields, RegistrySnapshot, SeriesRecorder};
 use otm_trace::model::{AppTrace, MpiOp, TimedOp};
 
 /// Ceiling on the simulated payload size a trace `count` maps to.
@@ -454,7 +459,8 @@ pub fn engine_direct_pairs(trace: &AppTrace, bins: usize) -> Vec<MatchedPair> {
 /// service with the NIC and the engine behind it, and one queue pair and
 /// reliable sender per slot. The destination's `i`-th source in rank order
 /// sends on slot `i`; the slots grow to the widest destination so far, and
-/// those past the current one's sources sit idle.
+/// those past the current one's sources sit idle. A destination may have a
+/// series, sampled after each `progress` of the service.
 struct Endpoints {
     svc: MatchingService,
     domain: RdmaDomain,
@@ -464,6 +470,8 @@ struct Endpoints {
     senders: Vec<ReliableSender>,
     /// The current destination's sources, in rank order.
     sources: Vec<u32>,
+    /// The current destination's series, if it has one.
+    series: Option<SeriesRecorder>,
 }
 
 impl Endpoints {
@@ -489,6 +497,7 @@ impl Endpoints {
             engine_config,
             senders: Vec::new(),
             sources: Vec::new(),
+            series: None,
         })
     }
 
@@ -514,9 +523,7 @@ impl Endpoints {
         while self.senders.len() < active {
             let (tx, rx) = connected_pair();
             self.svc.nic_mut().add_qp(rx);
-            let mut sender = ReliableSender::new(tx);
-            sender.attach_metrics(self.svc.metrics().clone());
-            self.senders.push(sender);
+            self.senders.push(ReliableSender::new(tx));
         }
         let config = &self.engine_config;
         self.svc
@@ -539,11 +546,36 @@ impl Endpoints {
         &self.senders[..self.sources.len()]
     }
 
+    /// The destination's registry snapshot: the service's merged with its
+    /// active senders'.
+    fn observability_snapshot(&self) -> RegistrySnapshot {
+        let senders = self
+            .active()
+            .iter()
+            .map(ReliableSender::observability_snapshot);
+        senders.fold(self.svc.observability_snapshot(), |snap, s| snap.merge(&s))
+    }
+
+    /// Progresses the service, then samples the series if one is due at the
+    /// service's poll clock: the backlog matching left behind, and the
+    /// destination's snapshot.
+    fn progress(&mut self) -> Result<(), ServiceError> {
+        self.svc.progress()?;
+        let t = self.svc.polls();
+        if self.series.as_ref().is_some_and(|s| s.due(t)) {
+            let (depth, snap) = (self.svc.backlog(), self.observability_snapshot());
+            if let Some(series) = &mut self.series {
+                series.sample(t, depth, &snap);
+            }
+        }
+        Ok(())
+    }
+
     /// One turn of the whole path: the service progresses, its completions
     /// go into `pairs`, and every active sender polls once (ack intake and
     /// retransmit timers).
     fn pump(&mut self, dest: u32, pairs: &mut Vec<MatchedPair>) -> Result<(), ServiceError> {
-        self.svc.progress()?;
+        self.progress()?;
         collect(dest, self.svc.take_completed(), pairs);
         for s in &mut self.senders[..self.sources.len()] {
             let stray = s.poll().map_err(ServiceError::Reliability)?;
@@ -562,7 +594,7 @@ impl Endpoints {
             let all_acked = self.active().iter().all(|s| s.unacked() == 0);
             if all_acked && self.svc.nic().gate_parked_len() == 0 {
                 // One more pass drains anything the final acks released.
-                self.svc.progress()?;
+                self.progress()?;
                 collect(dest, self.svc.take_completed(), pairs);
                 return Ok(());
             }
@@ -626,7 +658,7 @@ pub fn replay_app(
         ends.arm(events);
         if let (Some(cadence), Some(b)) = (cfg.series_cadence, busiest) {
             if b == dest {
-                ends.svc.attach_series(SeriesRecorder::new(cadence.max(1)));
+                ends.series = Some(SeriesRecorder::new(cadence.max(1)));
             }
         }
         let dest = dest as u32;
@@ -687,11 +719,13 @@ pub fn replay_app(
         pairs[first..].sort_unstable();
 
         // ---- per-destination accounting ---------------------------------
-        let svc = &mut ends.svc;
-        svc.force_series_sample();
-        if let Some(series) = svc.take_series() {
+        if let Some(mut series) = ends.series.take() {
+            // The terminal point is the destination's end-of-run snapshot.
+            let snap = ends.observability_snapshot();
+            series.force_sample(ends.svc.polls(), ends.svc.backlog(), &snap);
             report.series = Some(series);
         }
+        let svc = &ends.svc;
         // A message a block matched took exactly one of the three paths.
         let engine = svc.engine_stats().unwrap_or_default();
         let (nc, wc_fp) = (engine.optimistic_ok, engine.fast_path);
@@ -722,6 +756,8 @@ pub fn replay_app(
             report.acks_received += rel.acks;
             report.backoff_polls += rel.backoff_polls;
         }
+        #[cfg(test)]
+        tests::note_destination_end(ends.observability_snapshot(), ends.active());
     }
 
     report.elapsed_secs = start.elapsed().as_secs_f64();
@@ -1063,6 +1099,109 @@ mod tests {
             assert_eq!(out.report.completed, u64::from(n), "{n} posts");
             assert_eq!(out.matched_pairs, engine_direct_pairs(&trace, 128));
         }
+    }
+
+    thread_local! {
+        /// The last destination's end-of-run snapshot, and its active
+        /// senders' summed `stats()` acks and retransmits.
+        static LAST_END: std::cell::RefCell<Option<(otm_metrics::RegistrySnapshot, [u64; 2])>> =
+            const { std::cell::RefCell::new(None) };
+    }
+
+    /// Called by every replay in this crate's tests, once per destination,
+    /// as it ends.
+    pub(super) fn note_destination_end(
+        snap: otm_metrics::RegistrySnapshot,
+        senders: &[ReliableSender],
+    ) {
+        let sums = senders.iter().fold([0, 0], |[acks, retx], s| {
+            [acks + s.stats().acks, retx + s.stats().retransmits]
+        });
+        LAST_END.with(|end| *end.borrow_mut() = Some((snap, sums)));
+    }
+
+    /// Four sources fan eight rounds of 16 messages into rank 0, each round
+    /// behind its 16 receives (a third name their source, the rest take
+    /// any); every fourth message is rendezvous-sized.
+    fn fan_in_trace() -> AppTrace {
+        let mut ranks: Vec<RankTrace> = (0..5)
+            .map(|r| RankTrace {
+                rank: Rank(r),
+                ops: Vec::new(),
+            })
+            .collect();
+        for round in 0..8u32 {
+            let t = f64::from(round);
+            for i in 0..16u32 {
+                let src = match i % 3 {
+                    0 => SourceSel::Rank(Rank(1 + i / 4)),
+                    _ => SourceSel::Any,
+                };
+                ranks[0].ops.push(TimedOp {
+                    time: t + 0.25,
+                    op: MpiOp::Irecv {
+                        src,
+                        tag: TagSel::Tag(Tag(round * 16 + i)),
+                        comm: CommId::WORLD,
+                        count: 16,
+                        request: ReqId(i),
+                    },
+                });
+                let count = if i % 4 == 3 { 1024 } else { 16 };
+                ranks[1 + i as usize / 4].ops.push(TimedOp {
+                    time: t + 0.5,
+                    op: MpiOp::Send {
+                        dest: Rank(0),
+                        tag: Tag(round * 16 + i),
+                        comm: CommId::WORLD,
+                        count,
+                    },
+                });
+            }
+        }
+        AppTrace {
+            name: "fan-in".into(),
+            ranks,
+        }
+    }
+
+    #[test]
+    fn a_hostile_destinations_sender_counts_and_series_are_pinned() {
+        let trace = fan_in_trace();
+        let cfg = AppReplayConfig::default()
+            .with_faults(
+                FaultPlan::new(0x5e4d)
+                    .with_drop_permille(150)
+                    .with_duplicate_permille(100)
+                    .with_reorder_permille(100)
+                    .with_reorder_window(4)
+                    .with_delay_permille(50)
+                    .with_delay_polls(3),
+            )
+            .with_series_cadence(16);
+        let out = replay_app(&trace, &cfg).unwrap();
+        assert_eq!(out.matched_pairs, engine_direct_pairs(&trace, 128));
+        assert_eq!(out.report.completed, 128);
+        let (snap, senders) = LAST_END.with(|end| end.borrow_mut().take()).unwrap();
+        let (acks, retx) = (
+            snap.counters["dpa_acks_total"],
+            snap.counters["dpa_retransmits_total"],
+        );
+        assert_eq!((acks, retx), (71, 37));
+        assert_eq!([acks, retx], senders, "the senders' own stats");
+        // Timeout lengths, in polls: six of 8..=15, two of 16..=31.
+        let backoff = &snap.hists["dpa_backoff_polls"];
+        let buckets: Vec<(usize, u64)> = (backoff.buckets.iter().enumerate())
+            .filter(|&(_, &n)| n != 0)
+            .map(|(i, &n)| (i, n))
+            .collect();
+        assert_eq!((backoff.count, backoff.sum), (8, 85));
+        assert_eq!(buckets, [(4, 6), (5, 2)]);
+        let series = out.report.series.expect("a series was asked for");
+        let t: Vec<u64> = series.points().iter().map(|p| p.t).collect();
+        let column: Vec<u64> = series.points().iter().map(|p| p.retransmits).collect();
+        assert_eq!(t, [1, 17, 33, 49, 65, 81, 97]);
+        assert_eq!(column, [0, 15, 16, 25, 26, 30, 37]);
     }
 
     #[test]

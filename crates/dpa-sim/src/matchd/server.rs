@@ -16,8 +16,8 @@
 //!    fair *inside* the engine);
 //! 3. **completion delivery** — completed receives are routed back to their
 //!    tenants by the namespace bits of their handles;
-//! 4. **observation** — at the series cadence, a per-tenant sample lands
-//!    next to the service's global one.
+//! 4. **observation** — at the series cadence, the service's global sample
+//!    and one per tenant: the server owns the service, so it samples it.
 //!
 //! Fairness composes across the two layers: DRR bounds how many of a
 //! flooding tenant's requests *enter* the engine per tick, and the lane
@@ -38,6 +38,7 @@ use crate::nic::RecvNic;
 use crate::rdma::{connected_pair, eager_packet, QueuePair, RdmaDomain};
 use crate::service::{MatchingService, ServiceError};
 use otm_base::{CommId, MatchConfig, MatchError};
+use otm_metrics::labelled;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
@@ -112,6 +113,8 @@ pub struct MatchServer {
     config: MatchdConfig,
     ticks: u64,
     series_cadence: Option<u64>,
+    /// The service's series, sampled on its poll clock.
+    series: Option<otm_metrics::SeriesRecorder>,
 }
 
 impl MatchServer {
@@ -140,6 +143,7 @@ impl MatchServer {
             config,
             ticks: 0,
             series_cadence: None,
+            series: None,
         }
     }
 
@@ -269,7 +273,7 @@ impl MatchServer {
         }
         let completed = self.service.progress()?;
         self.deliver_completions();
-        self.sample_tenant_series();
+        self.sample_series();
         Ok(TickReport {
             tick: self.ticks,
             drained,
@@ -320,7 +324,7 @@ impl MatchServer {
         let mut snap = self.service.observability_snapshot();
         for entry in &self.tenants {
             let shared = entry.shared.lock().expect("tenant lock");
-            let (stats, label) = (shared.stats, format!("{{tenant=\"{}\"}}", entry.id));
+            let (stats, tenant) = (shared.stats, entry.id);
             for (name, n) in [
                 ("matchd_admitted_total", stats.admitted),
                 ("matchd_backpressured_total", stats.backpressured),
@@ -328,11 +332,11 @@ impl MatchServer {
                 ("matchd_drained_total", stats.drained),
                 ("matchd_completions_total", stats.completed),
             ] {
-                snap.counters.insert(format!("{name}{label}"), n);
+                snap.counters.insert(labelled(name, "tenant", tenant), n);
             }
             let depth = shared.ingress.len() as i64;
             snap.gauges
-                .insert(format!("matchd_ingress_depth{label}"), depth);
+                .insert(labelled("matchd_ingress_depth", "tenant", tenant), depth);
         }
         snap
     }
@@ -343,8 +347,7 @@ impl MatchServer {
     /// already-open and future tenants.
     pub fn attach_series(&mut self, cadence: u64) {
         self.series_cadence = Some(cadence);
-        self.service
-            .attach_series(otm_metrics::SeriesRecorder::new(cadence));
+        self.series = Some(otm_metrics::SeriesRecorder::new(cadence));
         for entry in &mut self.tenants {
             entry.series = Some(otm_metrics::SeriesRecorder::new(cadence));
         }
@@ -364,7 +367,14 @@ impl MatchServer {
         }
     }
 
-    fn sample_tenant_series(&mut self) {
+    /// Samples every series that is due: the service's at its poll clock
+    /// (its backlog and its snapshot), each tenant's at the tick.
+    fn sample_series(&mut self) {
+        let polls = self.service.polls();
+        if let Some(series) = self.series.as_mut().filter(|s| s.due(polls)) {
+            let snap = self.service.observability_snapshot();
+            series.sample(polls, self.service.backlog(), &snap);
+        }
         let t = self.ticks;
         for entry in &mut self.tenants {
             let Some(series) = &mut entry.series else {
@@ -392,9 +402,9 @@ impl MatchServer {
         otm_metrics::SeriesRecorder,
         Vec<(String, otm_metrics::SeriesRecorder)>,
     )> {
-        self.series_cadence?;
-        self.service.force_series_sample();
-        let global = self.service.take_series()?;
+        let mut global = self.series.take()?;
+        let snap = self.service.observability_snapshot();
+        global.force_sample(self.service.polls(), self.service.backlog(), &snap);
         let mut sections = Vec::new();
         let t = self.ticks;
         for entry in &mut self.tenants {

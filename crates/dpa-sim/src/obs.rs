@@ -1,205 +1,113 @@
 //! Service observability.
 //!
-//! [`ServiceMetrics`] is the matching service's handle to the `otm-metrics`
-//! registry: queue-depth gauges (CQ backlog, bounce-pool occupancy,
-//! unexpected-store size) with their peak twins, the counts that have no
-//! other record, and, with the `trace-events` feature, the service's
-//! lifecycle span recorder (retransmissions, fallback replays).
+//! `ServiceCounts` is the matching service's own record of what has no
+//! other owner: completions and bounce spills (counted per `progress`),
+//! drain retries, ring backpressure and fallback escalations (per retry
+//! loop), the three queue-depth gauges (CQ backlog, bounce-pool occupancy,
+//! unexpected-store size) with the high-water marks of the first two, and
+//! the drain-retry backoff histogram. It is a plain field of the service,
+//! updated through `&mut self`; with `trace-events` the service also owns a
+//! span ring of its fallback replays.
 //!
-//! A count with an owner that keeps it in a plain field is not pushed here:
-//! [`crate::MatchingService::observability_snapshot`] reads it from that
-//! field — the poll clock (`dpa_cq_polls_total`), the fallback flag
-//! (`dpa_fallbacks_total`), the NIC's [`crate::RxStats`]
-//! (`dpa_rx_*_total`) and the wire's [`crate::WireFaultStats`]
-//! (`dpa_wire_*_total`) — and the span ring's own drop count is
-//! `dpa_span_dropped_total`. What is pushed has no such owner: completions
-//! and bounce spills (counted per `progress`), drain retries, ring
-//! backpressure and fallback escalations (per retry loop), and the
-//! [`crate::ReliableSender`] counts, since a sender attaches to a service
-//! it is not owned by: acks, retransmits (sampled into the series inside
-//! `progress`) and the backoff histogram.
+//! [`crate::MatchingService::observability_snapshot`] builds the registry
+//! snapshot from these fields and from the fields other owners keep: the
+//! poll clock (`dpa_cq_polls_total`), the fallback flag
+//! (`dpa_fallbacks_total`), the NIC's [`crate::RxStats`] (`dpa_rx_*_total`),
+//! the wire's [`crate::WireFaultStats`] (`dpa_wire_*_total`), and the span
+//! ring's own drop count (`dpa_span_dropped_total`).
+//!
+//! A [`crate::ReliableSender`] counts in its own [`crate::ReliabilityStats`],
+//! its own histogram of timeout lengths and, with `trace-events`, its own
+//! span ring of retransmissions; [`crate::ReliableSender::observability_snapshot`]
+//! reads them under `dpa_acks_total`, `dpa_retransmits_total` and
+//! `dpa_backoff_polls`. The service does not own its senders, so its
+//! snapshot lists the two counters at 0, and the loops that own the service
+//! and every sender (`replay_app`'s endpoints) merge the senders' snapshots
+//! into it. [`ServiceMetrics`] is what is left of the shared instrument
+//! handle: an inert shim.
 
-use otm_metrics::{Counter, Gauge, Histogram, Registry, RegistrySnapshot};
-use std::sync::Arc;
+use otm_metrics::{HistogramSnapshot, RegistrySnapshot};
 
-/// Lifecycle span events retained before overwriting (retransmissions
-/// and fallback replays are rare next to matches, so the service ring
-/// can stay small).
+/// Lifecycle span events a service or a sender retains before overwriting
+/// (retransmissions and fallback replays are rare next to matches, so the
+/// rings can stay small).
 #[cfg(feature = "trace-events")]
-const SPAN_CAPACITY: usize = 64 * 1024;
+pub(crate) const SPAN_CAPACITY: usize = 64 * 1024;
 
-/// Handle to the service's metric instruments: one `Arc`, so attaching it to
-/// a sender is one reference-count increment.
+/// An inert stand-in for the shared instrument handle the service no longer
+/// has: [`crate::MatchingService::metrics`] hands it out and
+/// [`crate::ReliableSender::attach_metrics`] drops it, since every count is
+/// a field of the one thing that updates it (see the module docs). The
+/// benchmark package still names both; they go with
+/// [`crate::MatchingService::enable_command_queue`] (ROADMAP item 1).
 #[derive(Debug, Clone)]
-pub struct ServiceMetrics(Arc<Instruments>);
+pub struct ServiceMetrics;
 
-/// The instruments themselves, resolved from the registry once.
-#[derive(Debug)]
-struct Instruments {
-    registry: Registry,
-    completions: Arc<Counter>,
-    bounce_spills: Arc<Counter>,
-    cq_depth: Arc<Gauge>,
-    cq_depth_peak: Arc<Gauge>,
-    bounce_in_use: Arc<Gauge>,
-    bounce_in_use_peak: Arc<Gauge>,
-    unexpected_depth: Arc<Gauge>,
-    acks: Arc<Counter>,
-    retransmits: Arc<Counter>,
-    drain_retries: Arc<Counter>,
-    ring_backpressure: Arc<Counter>,
-    fallback_escalations: Arc<Counter>,
-    backoff_polls: Arc<Histogram>,
-    #[cfg(feature = "trace-events")]
-    spans: Arc<otm_metrics::SpanRecorder>,
+/// The service's own counts, gauges and histogram (see the module docs).
+#[derive(Debug, Default, PartialEq)]
+pub(crate) struct ServiceCounts {
+    /// Receives completed (`dpa_completions_total`).
+    pub completions: u64,
+    /// Polls that ran out of bounce buffers: a message had to wait on the
+    /// wire because NIC staging memory ran out (`dpa_bounce_spills_total`).
+    pub bounce_spills: u64,
+    /// Retries of a failed command-queue drain (`dpa_drain_retries_total`).
+    pub drain_retries: u64,
+    /// Submissions a full per-communicator ring refused; the service drained
+    /// inline and retried (`dpa_ring_backpressure_total`).
+    pub ring_backpressure: u64,
+    /// Retry budgets exhausted into a software fallback, as opposed to an
+    /// explicit one (`dpa_fallback_escalations_total`).
+    pub fallback_escalations: u64,
+    /// Backoff lengths, in virtual polls, recorded before each drain retry
+    /// (`dpa_backoff_polls`).
+    pub backoff_polls: HistogramSnapshot,
+    /// Queue depths at the last observation, and the high-water marks of
+    /// the first two.
+    cq_depth: u64,
+    cq_depth_peak: u64,
+    bounce_in_use: u64,
+    bounce_in_use_peak: u64,
+    unexpected_depth: u64,
 }
 
-impl Default for ServiceMetrics {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ServiceMetrics {
-    /// Creates a fresh registry with the service's instruments.
-    pub fn new() -> Self {
-        let registry = Registry::new();
-        Self(Arc::new(Instruments {
-            completions: registry.counter("dpa_completions_total"),
-            bounce_spills: registry.counter("dpa_bounce_spills_total"),
-            cq_depth: registry.gauge("dpa_cq_depth"),
-            cq_depth_peak: registry.gauge("dpa_cq_depth_peak"),
-            bounce_in_use: registry.gauge("dpa_bounce_in_use"),
-            bounce_in_use_peak: registry.gauge("dpa_bounce_in_use_peak"),
-            unexpected_depth: registry.gauge("dpa_unexpected_depth"),
-            acks: registry.counter("dpa_acks_total"),
-            retransmits: registry.counter("dpa_retransmits_total"),
-            drain_retries: registry.counter("dpa_drain_retries_total"),
-            ring_backpressure: registry.counter("dpa_ring_backpressure_total"),
-            fallback_escalations: registry.counter("dpa_fallback_escalations_total"),
-            backoff_polls: registry.histogram("dpa_backoff_polls"),
-            #[cfg(feature = "trace-events")]
-            spans: Arc::new(otm_metrics::SpanRecorder::new(SPAN_CAPACITY)),
-            registry,
-        }))
-    }
-
-    /// Counts receives completed by one progress call.
+impl ServiceCounts {
+    /// Sets the queue-depth gauges and raises their peaks.
     #[inline]
-    pub fn add_completions(&self, n: u64) {
-        self.0.completions.add(n);
+    pub fn observe_queues(&mut self, cq: usize, bounce: usize, unexpected: usize) {
+        (self.cq_depth, self.bounce_in_use) = (cq as u64, bounce as u64);
+        self.unexpected_depth = unexpected as u64;
+        self.cq_depth_peak = self.cq_depth_peak.max(self.cq_depth);
+        self.bounce_in_use_peak = self.bounce_in_use_peak.max(self.bounce_in_use);
     }
 
-    /// Counts one bounce-pool exhaustion (a message had to wait on the
-    /// wire because NIC staging memory ran out).
-    #[inline]
-    pub fn count_spill(&self) {
-        self.0.bounce_spills.inc();
-    }
-
-    /// Updates the queue-depth gauges and their peak twins.
-    #[inline]
-    pub fn observe_queues(&self, cq: usize, bounce: usize, unexpected: usize) {
-        self.0.cq_depth.set(cq as i64);
-        self.0.cq_depth_peak.set_max(cq as i64);
-        self.0.bounce_in_use.set(bounce as i64);
-        self.0.bounce_in_use_peak.set_max(bounce as i64);
-        self.0.unexpected_depth.set(unexpected as i64);
-    }
-
-    /// Counts one cumulative acknowledgement sent or consumed.
-    #[inline]
-    pub fn count_ack(&self) {
-        self.0.acks.inc();
-    }
-
-    /// Counts packets retransmitted (timeout resends and fast retransmits).
-    #[inline]
-    pub fn add_retransmits(&self, n: u64) {
-        self.0.retransmits.add(n);
-    }
-
-    /// Counts one retry of a failed command-queue drain.
-    #[inline]
-    pub fn count_drain_retry(&self) {
-        self.0.drain_retries.inc();
-    }
-
-    /// Counts one submission rejected by a full per-communicator ring
-    /// (the engine's retryable backpressure signal): the service drains
-    /// inline to free slots and retries the push.
-    #[inline]
-    pub fn count_ring_backpressure(&self) {
-        self.0.ring_backpressure.inc();
-    }
-
-    /// Counts one retry-budget exhaustion that escalated to software
-    /// fallback (as opposed to an explicit caller-invoked fallback).
-    #[inline]
-    pub fn count_fallback_escalation(&self) {
-        self.0.fallback_escalations.inc();
-    }
-
-    /// Records the backoff length (in virtual polls) applied before a
-    /// retry or retransmit.
-    #[inline]
-    pub fn observe_backoff(&self, polls: u64) {
-        self.0.backoff_polls.record(polls);
-    }
-
-    /// Zeroes every instrument in place (and resets the span ring): the
-    /// handle reads as a new one does, and every clone of it stays attached.
-    pub(crate) fn reset(&self) {
-        self.0.registry.reset();
-        #[cfg(feature = "trace-events")]
-        self.0.spans.reset();
-    }
-
-    /// Copies out the registry: the pushed half of
-    /// [`crate::MatchingService::observability_snapshot`].
-    pub(crate) fn snapshot(&self) -> RegistrySnapshot {
-        self.0.registry.snapshot()
-    }
-
-    /// Stamps a `retransmitted{attempt}` lifecycle span on wire packet
-    /// `seq` (no-op unless `trace-events` is on). Ring overflow is
-    /// accounted in `dpa_span_dropped_total`.
-    #[inline]
-    pub fn span_retransmitted(&self, seq: u64, attempt: u32) {
-        #[cfg(feature = "trace-events")]
-        self.0
-            .spans
-            .push(seq, otm_metrics::SpanKind::Retransmitted { attempt });
-        #[cfg(not(feature = "trace-events"))]
-        let _ = (seq, attempt);
-    }
-
-    /// Stamps a `fell_back` lifecycle span on `subject` — a message
-    /// being replayed into the software matcher during fallback (no-op
-    /// unless `trace-events` is on).
-    #[inline]
-    pub fn span_fell_back(&self, subject: u64) {
-        #[cfg(feature = "trace-events")]
-        self.0.spans.push(subject, otm_metrics::SpanKind::FellBack);
-        #[cfg(not(feature = "trace-events"))]
-        let _ = subject;
-    }
-
-    /// [`ServiceMetrics::span_fell_back`] for a *receive* handle: the
-    /// subject is namespaced with [`otm_metrics::RECV_SUBJECT_BIT`] so
-    /// it cannot collide with a message sharing the same raw id.
-    #[inline]
-    pub fn span_fell_back_recv(&self, recv: u64) {
-        #[cfg(feature = "trace-events")]
-        self.span_fell_back(otm_metrics::RECV_SUBJECT_BIT | recv);
-        #[cfg(not(feature = "trace-events"))]
-        let _ = recv;
-    }
-
-    /// The service's lifecycle span recorder.
-    #[cfg(feature = "trace-events")]
-    pub fn spans(&self) -> &otm_metrics::SpanRecorder {
-        &self.0.spans
+    /// The counts, gauges and histogram under their registry names, the
+    /// senders' two counters listed at 0 (see the module docs).
+    pub fn snapshot(&self) -> RegistrySnapshot {
+        let mut snap = RegistrySnapshot::default();
+        for (name, n) in [
+            ("dpa_completions_total", self.completions),
+            ("dpa_bounce_spills_total", self.bounce_spills),
+            ("dpa_drain_retries_total", self.drain_retries),
+            ("dpa_ring_backpressure_total", self.ring_backpressure),
+            ("dpa_fallback_escalations_total", self.fallback_escalations),
+            ("dpa_acks_total", 0),
+            ("dpa_retransmits_total", 0),
+        ] {
+            snap.counters.insert(name.to_string(), n);
+        }
+        for (name, depth) in [
+            ("dpa_cq_depth", self.cq_depth),
+            ("dpa_cq_depth_peak", self.cq_depth_peak),
+            ("dpa_bounce_in_use", self.bounce_in_use),
+            ("dpa_bounce_in_use_peak", self.bounce_in_use_peak),
+            ("dpa_unexpected_depth", self.unexpected_depth),
+        ] {
+            snap.gauges.insert(name.to_string(), depth as i64);
+        }
+        snap.hists
+            .insert("dpa_backoff_polls".to_string(), self.backoff_polls.clone());
+        snap
     }
 }
 
@@ -209,7 +117,7 @@ mod tests {
 
     #[test]
     fn queue_gauges_track_current_and_peak() {
-        let m = ServiceMetrics::new();
+        let mut m = ServiceCounts::default();
         m.observe_queues(5, 3, 1);
         m.observe_queues(2, 7, 0);
         let snap = m.snapshot();
@@ -224,34 +132,10 @@ mod tests {
     }
 
     #[test]
-    fn a_clone_is_one_more_reference_to_the_same_instruments() {
-        let m = ServiceMetrics::new();
-        let clones: Vec<ServiceMetrics> = (0..3).map(|_| m.clone()).collect();
-        assert_eq!(Arc::strong_count(&m.0), 1 + clones.len());
-        clones[2].count_ack();
-        assert_eq!(m.snapshot().counters["dpa_acks_total"], 1);
-        drop(clones);
-        assert_eq!(Arc::strong_count(&m.0), 1);
-    }
-
-    #[test]
-    fn a_reset_handle_reads_as_new_through_every_clone() {
-        let m = ServiceMetrics::new();
-        let attached = m.clone();
-        attached.add_retransmits(30);
-        attached.observe_queues(5, 3, 1);
-        attached.observe_backoff(8);
-        m.reset();
-        assert_eq!(attached.snapshot(), ServiceMetrics::new().snapshot());
-        attached.count_ack();
-        assert_eq!(m.snapshot().counters["dpa_acks_total"], 1);
-    }
-
-    #[test]
     fn pressure_counters_accumulate() {
-        let m = ServiceMetrics::new();
-        m.add_completions(4);
-        m.count_spill();
+        let mut m = ServiceCounts::default();
+        m.completions += 4;
+        m.bounce_spills += 1;
         let snap = m.snapshot();
         assert_eq!(snap.counters["dpa_completions_total"], 4);
         assert_eq!(snap.counters["dpa_bounce_spills_total"], 1);
@@ -259,21 +143,19 @@ mod tests {
 
     #[test]
     fn fault_and_reliability_instruments_accumulate() {
-        let m = ServiceMetrics::new();
-        m.count_ack();
-        m.add_retransmits(3);
-        m.count_drain_retry();
-        m.count_fallback_escalation();
-        m.observe_backoff(4);
-        m.observe_backoff(8);
+        let mut m = ServiceCounts::default();
+        m.drain_retries += 1;
+        m.fallback_escalations += 1;
+        m.backoff_polls.record_all([4, 8]);
         let snap = m.snapshot();
-        assert_eq!(snap.counters["dpa_acks_total"], 1);
-        assert_eq!(snap.counters["dpa_retransmits_total"], 3);
         assert_eq!(snap.counters["dpa_drain_retries_total"], 1);
         assert_eq!(snap.counters["dpa_fallback_escalations_total"], 1);
         let hist = &snap.hists["dpa_backoff_polls"];
         assert_eq!(hist.count, 2);
         assert_eq!(hist.sum, 12);
+        // The senders count their own acks and retransmits.
+        assert_eq!(snap.counters["dpa_acks_total"], 0);
+        assert_eq!(snap.counters["dpa_retransmits_total"], 0);
     }
 
     /// The ten service, NIC and wire names of `service`'s snapshot, each
@@ -417,18 +299,24 @@ mod tests {
     #[cfg(feature = "trace-events")]
     #[test]
     fn service_spans_capture_reliability_events() {
-        let m = ServiceMetrics::new();
-        m.span_retransmitted(9, 1);
-        m.span_fell_back(4);
-        let spans = m.spans().dump();
-        assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0].subject, 9);
+        use crate::bounce::BouncePool;
+        use crate::nic::RecvNic;
+        use crate::rdma::RdmaDomain;
+        use otm_metrics::{SpanKind, RECV_SUBJECT_BIT};
+
+        let nic = RecvNic::unconnected(BouncePool::new(1, 64));
+        let mut svc = crate::MatchingService::mpi_cpu(nic, RdmaDomain::new());
+        svc.span_fell_back(4);
+        svc.span_fell_back(RECV_SUBJECT_BIT | 9);
+        let spans = svc.span_recorder().dump();
+        let stamped: Vec<(u64, SpanKind)> = spans.iter().map(|s| (s.subject, s.kind)).collect();
         assert_eq!(
-            spans[0].kind,
-            otm_metrics::SpanKind::Retransmitted { attempt: 1 }
+            stamped,
+            [
+                (4, SpanKind::FellBack),
+                (RECV_SUBJECT_BIT | 9, SpanKind::FellBack)
+            ]
         );
-        assert_eq!(spans[1].subject, 4);
-        assert_eq!(spans[1].kind, otm_metrics::SpanKind::FellBack);
-        assert_eq!(m.spans().dropped(), 0);
+        assert_eq!(svc.span_recorder().dropped(), 0);
     }
 }

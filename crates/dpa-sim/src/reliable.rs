@@ -39,6 +39,7 @@
 
 use crate::obs::ServiceMetrics;
 use crate::rdma::{Ack, Frame, QueuePair, RdmaError, WirePacket};
+use otm_metrics::{HistogramSnapshot, RegistrySnapshot};
 use std::collections::VecDeque;
 
 /// The label artifacts and bench reports carry in their `mode` key: there is
@@ -166,7 +167,11 @@ pub struct ReliableSender {
     /// Adaptive in-flight limit (AIMD, at most `window_cap`).
     cwnd: usize,
     stats: ReliabilityStats,
-    metrics: Option<ServiceMetrics>,
+    /// The length of each timeout that fired, in polls (`dpa_backoff_polls`).
+    timeouts: HistogramSnapshot,
+    /// Lifecycle spans of the retransmitted packets.
+    #[cfg(feature = "trace-events")]
+    spans: otm_metrics::SpanRecorder,
 }
 
 impl ReliableSender {
@@ -197,16 +202,18 @@ impl ReliableSender {
             window_cap: DEFAULT_WINDOW_LIMIT,
             cwnd: DEFAULT_WINDOW_LIMIT,
             stats: ReliabilityStats::default(),
-            metrics: None,
+            timeouts: HistogramSnapshot::empty(),
+            #[cfg(feature = "trace-events")]
+            spans: otm_metrics::SpanRecorder::new(crate::obs::SPAN_CAPACITY),
         }
     }
 
     /// Re-arms the sender for a new peer on the same link: it reads as it
-    /// did when built, with its limits and metrics handle. Frames still on
-    /// the link are discarded; sequence numbers, the clock, the RTT estimate
-    /// and timeout, the retry count, the adaptive window and the counters
-    /// start over. The window's and the free list's buffers stay, so the
-    /// next sends allocate nothing.
+    /// did when built, with its limits. Frames still on the link are
+    /// discarded; sequence numbers, the clock, the RTT estimate and timeout,
+    /// the retry count, the adaptive window, the counters, the timeout
+    /// histogram and the span ring start over. The window's and the free
+    /// list's buffers stay, so the next sends allocate nothing.
     pub(crate) fn rearm(&mut self) {
         self.inbox.clear();
         // A peer that is gone cannot have acked anything either.
@@ -228,12 +235,43 @@ impl ReliableSender {
         self.window_cap = DEFAULT_WINDOW_LIMIT;
         self.cwnd = DEFAULT_WINDOW_LIMIT;
         self.stats = ReliabilityStats::default();
+        self.timeouts.reset();
+        #[cfg(feature = "trace-events")]
+        self.spans.reset();
     }
 
-    /// Attaches a metrics handle so retransmits, acks and backoff show up
-    /// in an `otm-metrics` registry snapshot.
-    pub fn attach_metrics(&mut self, metrics: ServiceMetrics) {
-        self.metrics = Some(metrics);
+    /// Does nothing: the sender counts in its own fields, read by
+    /// [`ReliableSender::observability_snapshot`]. The benchmark package
+    /// still calls it with [`crate::MatchingService::metrics`]; it goes
+    /// with [`crate::MatchingService::enable_command_queue`] (ROADMAP
+    /// item 1).
+    pub fn attach_metrics(&mut self, _: ServiceMetrics) {}
+
+    /// The sender's registry snapshot: acks consumed
+    /// (`dpa_acks_total`) and packets retransmitted
+    /// (`dpa_retransmits_total`) from its [`ReliabilityStats`], the length
+    /// of each timeout that fired (`dpa_backoff_polls`), and with
+    /// `trace-events` its span ring's drop count (`dpa_span_dropped_total`).
+    /// Merged into the service's, it reads under the service's names.
+    pub fn observability_snapshot(&self) -> RegistrySnapshot {
+        let mut snap = RegistrySnapshot::default();
+        for (name, n) in [
+            ("dpa_acks_total", self.stats.acks),
+            ("dpa_retransmits_total", self.stats.retransmits),
+            #[cfg(feature = "trace-events")]
+            ("dpa_span_dropped_total", self.spans.dropped()),
+        ] {
+            snap.counters.insert(name.to_string(), n);
+        }
+        snap.hists
+            .insert("dpa_backoff_polls".to_string(), self.timeouts.clone());
+        snap
+    }
+
+    /// The span ring of the retransmitted packets.
+    #[cfg(feature = "trace-events")]
+    pub fn span_recorder(&self) -> &otm_metrics::SpanRecorder {
+        &self.spans
     }
 
     /// Sends one packet reliably: stamps it with the next sequence number,
@@ -341,9 +379,6 @@ impl ReliableSender {
                 Some(Frame::Data(packet)) => app_packets.push(packet),
                 Some(Frame::Ack(Ack { cumulative, sack })) => {
                     self.stats.acks += 1;
-                    if let Some(m) = &self.metrics {
-                        m.count_ack();
-                    }
                     if cumulative > self.acked {
                         self.acked = cumulative;
                         while self.window.front().is_some_and(|e| e.seq < cumulative) {
@@ -413,17 +448,16 @@ impl ReliableSender {
                 e.retx += 1;
                 e.sent_at = clock;
                 resent += 1;
-                if let Some(m) = &self.metrics {
-                    m.span_retransmitted(e.seq, e.retx);
-                }
+                #[cfg(feature = "trace-events")]
+                self.spans.push(
+                    e.seq,
+                    otm_metrics::SpanKind::Retransmitted { attempt: e.retx },
+                );
             }
             if resent > 0 {
                 self.stats.retransmits += resent;
                 self.stats.fast_retransmits += resent;
                 self.stats.resend_events += 1;
-                if let Some(m) = &self.metrics {
-                    m.add_retransmits(resent);
-                }
                 // Give the retransmit a full timeout to land before
                 // escalating to a blanket resend.
                 self.polls_since_progress = 0;
@@ -457,16 +491,15 @@ impl ReliableSender {
                 // so further recovery is the backoff schedule's job.
                 e.fast_retx = true;
                 resent += 1;
-                if let Some(m) = &self.metrics {
-                    m.span_retransmitted(e.seq, e.retx);
-                }
+                #[cfg(feature = "trace-events")]
+                self.spans.push(
+                    e.seq,
+                    otm_metrics::SpanKind::Retransmitted { attempt: e.retx },
+                );
             }
             self.stats.retransmits += resent;
             self.stats.resend_events += 1;
-            if let Some(m) = &self.metrics {
-                m.add_retransmits(resent);
-                m.observe_backoff(self.timeout_polls);
-            }
+            self.timeouts.record(self.timeout_polls);
             self.retries += 1;
             self.polls_since_progress = 0;
             self.timeout_polls = (self.timeout_polls * 2).min(MAX_TIMEOUT_POLLS);
@@ -885,8 +918,6 @@ mod tests {
     fn resends_stamp_retransmitted_spans_per_packet() {
         let (a, b) = connected_pair();
         let mut s = ReliableSender::with_limits(a, 1, 8);
-        let m = ServiceMetrics::new();
-        s.attach_metrics(m.clone());
         s.send(eager_packet(env(0), vec![])).unwrap();
         s.send(eager_packet(env(1), vec![])).unwrap();
         assert!(b.try_recv().unwrap().is_some());
@@ -894,7 +925,7 @@ mod tests {
         s.poll().unwrap(); // timeout → first resend of the 2-packet window
         s.poll().unwrap();
         s.poll().unwrap(); // doubled timeout elapses → second resend
-        let spans = m.spans().dump();
+        let spans = s.span_recorder().dump();
         use otm_metrics::SpanKind;
         let stamped: Vec<(u64, SpanKind)> = spans.iter().map(|s| (s.subject, s.kind)).collect();
         assert_eq!(
@@ -907,7 +938,7 @@ mod tests {
             ],
             "one span per resent packet, attempt index per window resend"
         );
-        assert_eq!(m.spans().dropped(), 0);
+        assert_eq!(s.span_recorder().dropped(), 0);
     }
 
     #[test]

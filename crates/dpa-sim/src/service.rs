@@ -30,7 +30,7 @@
 
 use crate::memory::DeviceMemory;
 use crate::nic::{Completion, NicError, RecvNic};
-use crate::obs::ServiceMetrics;
+use crate::obs::{ServiceCounts, ServiceMetrics};
 use crate::rdma::{PayloadKind, RdmaDomain, RdmaError};
 use mpi_matching::protocol::{Action, EagerTransfer, ProtocolStateError, RendezvousTransfer, Rts};
 use mpi_matching::traditional::TraditionalMatcher;
@@ -221,13 +221,13 @@ pub struct MatchingService {
     /// arrival with its payload intact.
     inflight: Inflight,
     fellback: bool,
-    metrics: ServiceMetrics,
+    counts: ServiceCounts,
+    /// Lifecycle spans of the fallback replays.
+    #[cfg(feature = "trace-events")]
+    spans: otm_metrics::SpanRecorder,
     /// Virtual clock: one tick per [`MatchingService::progress`] call (the
     /// simulator measures time in polls).
     polls: u64,
-    /// Rolling time-series sampler, when a caller attached one: snapshots
-    /// the combined registry at a fixed poll cadence.
-    series: Option<otm_metrics::SeriesRecorder>,
 }
 
 /// How many times a retryable drain error is retried within one
@@ -272,9 +272,10 @@ impl MatchingService {
             unexpected: HashMap::default(),
             inflight: Inflight::default(),
             fellback: false,
-            metrics: ServiceMetrics::new(),
+            counts: ServiceCounts::default(),
+            #[cfg(feature = "trace-events")]
+            spans: otm_metrics::SpanRecorder::new(crate::obs::SPAN_CAPACITY),
             polls: 0,
-            series: None,
         }
     }
 
@@ -285,9 +286,9 @@ impl MatchingService {
     /// Receive handles and the poll clock start over; the completed,
     /// in-flight and unexpected stores empty, and the rendezvous regions of
     /// messages that never matched are deregistered; the fallback flag
-    /// returns to its default; the series detaches; the
-    /// metrics registry reads zero, through every handle attached to it.
-    /// The NIC re-arms on its own ([`RecvNic::rearm`]).
+    /// returns to its default; every count reads zero and the span ring is
+    /// empty. The NIC re-arms on its own ([`RecvNic::rearm`]), and so does
+    /// each sender ([`crate::ReliableSender::rearm`]).
     pub(crate) fn rearm(&mut self, fresh: impl FnOnce() -> Box<dyn MatchingBackend>) {
         if self.backend.reset().is_err() {
             self.backend = fresh();
@@ -301,9 +302,10 @@ impl MatchingService {
             }
         }
         self.fellback = false;
-        self.metrics.reset();
+        self.counts = ServiceCounts::default();
+        #[cfg(feature = "trace-events")]
+        self.spans.reset();
         self.polls = 0;
-        self.series = None;
     }
 
     /// Reports whether the backend has a command queue, refusing a backend
@@ -374,19 +376,23 @@ impl MatchingService {
             .map(|e| e.stats())
     }
 
-    /// The service's metric instruments.
+    /// The inert [`ServiceMetrics`] shim: the service keeps its counts in
+    /// fields of its own, read by
+    /// [`MatchingService::observability_snapshot`].
     pub fn metrics(&self) -> &ServiceMetrics {
-        &self.metrics
+        &ServiceMetrics
     }
 
-    /// One combined registry snapshot: the service's queue gauges and
-    /// pushed counters, the counts read from their owners — the poll clock,
-    /// the fallback flag, the NIC's receive counters and the wire's injected
-    /// faults (zeros without a fault plan) — merged with, when the backend
-    /// is the offloaded engine, the engine's
-    /// [`OtmEngine::metrics_snapshot`].
+    /// One combined registry snapshot: the service's own counts, queue
+    /// gauges and drain-retry backoff histogram (see [`crate::obs`]), the
+    /// counts read from their other owners — the poll clock, the fallback
+    /// flag, the NIC's receive counters and the wire's injected faults
+    /// (zeros without a fault plan) — merged with, when the backend is the
+    /// offloaded engine, the engine's [`OtmEngine::metrics_snapshot`]. The
+    /// senders' counts are theirs
+    /// ([`crate::ReliableSender::observability_snapshot`]).
     pub fn observability_snapshot(&self) -> otm_metrics::RegistrySnapshot {
-        let mut snap = self.metrics.snapshot();
+        let mut snap = self.counts.snapshot();
         let rx = self.nic.rx_stats();
         let wire = self.nic.wire_fault_stats().unwrap_or_default();
         for (name, n) in [
@@ -401,7 +407,7 @@ impl MatchingService {
             ("dpa_wire_reorders_total", wire.reorders),
             ("dpa_wire_delays_total", wire.delays),
             #[cfg(feature = "trace-events")]
-            ("dpa_span_dropped_total", self.metrics.spans().dropped()),
+            ("dpa_span_dropped_total", self.spans.dropped()),
         ] {
             snap.counters.insert(name.to_string(), n);
         }
@@ -411,38 +417,34 @@ impl MatchingService {
         }
     }
 
-    /// Attaches a rolling time-series sampler: every `cadence` polls of
-    /// [`MatchingService::progress`], the combined registry snapshot is
-    /// distilled into one [`otm_metrics::SeriesPoint`]. The virtual clock
-    /// is the service's poll count, so a given workload produces the same
-    /// series on every run.
-    pub fn attach_series(&mut self, recorder: otm_metrics::SeriesRecorder) {
-        self.series = Some(recorder);
-    }
-
-    /// Detaches and returns the time-series sampler, if one was attached.
-    pub fn take_series(&mut self) -> Option<otm_metrics::SeriesRecorder> {
-        self.series.take()
-    }
-
-    /// Forces one terminal series sample at the current virtual time, so
-    /// the last point's cumulative values equal the end-of-run registry
-    /// snapshot regardless of where the cadence fell. No-op without an
-    /// attached sampler.
-    pub fn force_series_sample(&mut self) {
-        if self.series.is_some() {
-            let snap = self.observability_snapshot();
-            let depth = (self.nic.cq_len() + self.unexpected.len()) as u64;
-            if let Some(series) = &mut self.series {
-                series.force_sample(self.polls, depth, &snap);
-            }
-        }
-    }
-
     /// The service's virtual clock: how many times
     /// [`MatchingService::progress`] has run.
     pub fn polls(&self) -> u64 {
         self.polls
+    }
+
+    /// The backlog matching left behind: completions still on the CQ plus
+    /// messages waiting in the unexpected store (the series' queue depth).
+    pub fn backlog(&self) -> u64 {
+        (self.nic.cq_len() + self.unexpected.len()) as u64
+    }
+
+    /// The span ring of the fallback replays.
+    #[cfg(feature = "trace-events")]
+    pub fn span_recorder(&self) -> &otm_metrics::SpanRecorder {
+        &self.spans
+    }
+
+    /// Stamps a `fell_back` lifecycle span on `subject` — a message, or a
+    /// receive namespaced with [`otm_metrics::RECV_SUBJECT_BIT`] — replayed
+    /// into the software matcher (no-op unless `trace-events` is on). Ring
+    /// overflow is accounted in `dpa_span_dropped_total`.
+    #[inline]
+    pub(crate) fn span_fell_back(&mut self, subject: u64) {
+        #[cfg(feature = "trace-events")]
+        self.spans.push(subject, otm_metrics::SpanKind::FellBack);
+        #[cfg(not(feature = "trace-events"))]
+        let _ = subject;
     }
 
     /// Posts a receive under the next reserved handle (see
@@ -535,7 +537,7 @@ impl MatchingService {
         let state = offloaded.drain_for_fallback()?;
         let mut matcher: Box<dyn MatchingBackend> = Box::new(TraditionalMatcher::new());
         for (env, msg) in state.unexpected {
-            self.metrics.span_fell_back(msg.0);
+            self.span_fell_back(msg.0);
             let d = matcher
                 .arrive_block(&[(env, msg)])
                 .expect("software matcher is unbounded");
@@ -546,7 +548,7 @@ impl MatchingService {
             }
         }
         for (pattern, recv) in state.receives {
-            self.metrics.span_fell_back_recv(recv.0);
+            self.span_fell_back(otm_metrics::RECV_SUBJECT_BIT | recv.0);
             let r = matcher
                 .post(pattern, recv)
                 .expect("software matcher is unbounded");
@@ -564,7 +566,7 @@ impl MatchingService {
         for cmd in extra_pending.into_iter().chain(state.pending) {
             match cmd {
                 PendingCommand::Post { pattern, handle } => {
-                    self.metrics.span_fell_back_recv(handle.0);
+                    self.span_fell_back(otm_metrics::RECV_SUBJECT_BIT | handle.0);
                     match matcher
                         .post(pattern, handle)
                         .expect("software matcher is unbounded")
@@ -574,7 +576,7 @@ impl MatchingService {
                     }
                 }
                 PendingCommand::Arrival { env, msg } => {
-                    self.metrics.span_fell_back(msg.0);
+                    self.span_fell_back(msg.0);
                     let d = matcher
                         .arrive_block(&[(env, msg)])
                         .expect("software matcher is unbounded");
@@ -622,7 +624,7 @@ impl MatchingService {
         self.polls += 1;
         if let Err(e) = self.nic.poll() {
             if matches!(e, NicError::Staging(_)) {
-                self.metrics.count_spill();
+                self.counts.bounce_spills += 1;
             }
             return Err(e.into());
         }
@@ -644,16 +646,7 @@ impl MatchingService {
         // still-staged bounce buffers reflect what matching left behind.
         self.observe_queues();
         let done = self.completed.len() - before;
-        self.metrics.add_completions(done as u64);
-        if self.series.as_ref().is_some_and(|s| s.due(self.polls)) {
-            // Sampled post-drain: queue_depth is the backlog matching left
-            // behind (spilled CQ entries plus waiting unexpected messages).
-            let snap = self.observability_snapshot();
-            let depth = (self.nic.cq_len() + self.unexpected.len()) as u64;
-            if let Some(series) = &mut self.series {
-                series.sample(self.polls, depth, &snap);
-            }
-        }
+        self.counts.completions += done as u64;
         Ok(done)
     }
 
@@ -706,7 +699,7 @@ impl MatchingService {
                     if attempt <= DEFAULT_DRAIN_RETRY_BUDGET =>
                 {
                     attempt += 1;
-                    self.metrics.count_ring_backpressure();
+                    self.counts.ring_backpressure += 1;
                     self.drain_and_apply()?;
                     if self.fellback {
                         // The inline drain escalated to software fallback;
@@ -757,8 +750,9 @@ impl MatchingService {
                     // device faults clear, genuine exhaustion burns the
                     // budget and escalates below.
                     attempt += 1;
-                    self.metrics.count_drain_retry();
-                    self.metrics.observe_backoff(1u64 << (attempt - 1).min(20));
+                    self.counts.drain_retries += 1;
+                    let backoff = 1u64 << (attempt - 1).min(20);
+                    self.counts.backoff_polls.record(backoff);
                 }
                 Some(e)
                     if self.backend.wants_offload_fallback()
@@ -768,7 +762,7 @@ impl MatchingService {
                     // (the fallback snapshot folds them in); a terminal
                     // EngineStopped surfaced them in the report — hand those
                     // over explicitly.
-                    self.metrics.count_fallback_escalation();
+                    self.counts.fallback_escalations += 1;
                     return self.fall_back_to_software(report.unapplied);
                 }
                 Some(e) => return Err(e.into()),
@@ -828,8 +822,8 @@ impl MatchingService {
     }
 
     /// Samples the three queue-depth gauges (and their peaks).
-    fn observe_queues(&self) {
-        self.metrics.observe_queues(
+    fn observe_queues(&mut self) {
+        self.counts.observe_queues(
             self.nic.cq_len(),
             self.nic.bounce_in_use(),
             self.unexpected.len(),
@@ -1085,7 +1079,6 @@ mod tests {
     #[test]
     fn a_rearmed_service_reads_as_new_and_frees_what_never_matched() {
         let (tx, domain, mut svc) = setup("otm");
-        svc.attach_series(otm_metrics::SeriesRecorder::new(1));
         svc.post_recv(ReceivePattern::exact(Rank(0), Tag(1)))
             .unwrap();
         let (pkt, _) = rendezvous_packet(&domain, env(1, 3), vec![3; 100], 0);
@@ -1100,8 +1093,7 @@ mod tests {
             (svc.unexpected_len(), svc.completed_len(), svc.polls()),
             (0, 0, 0)
         );
-        assert!(svc.take_series().is_none());
-        assert_eq!(svc.metrics().snapshot(), ServiceMetrics::new().snapshot());
+        assert_eq!(svc.counts, ServiceCounts::default());
         // The next receiver's first receive and message are numbered 0.
         let recv = svc.post_recv(ReceivePattern::any_source(Tag(1))).unwrap();
         tx.send(eager_packet(env(0, 1), vec![2])).unwrap();
@@ -1571,8 +1563,14 @@ mod tests {
 
     #[test]
     fn series_sampler_snapshots_at_poll_cadence() {
+        // The owner of the service samples after each `progress`, on the
+        // service's poll clock, as `replay_app` and matchd do.
         let (tx, _domain, mut svc) = setup("otm");
-        svc.attach_series(otm_metrics::SeriesRecorder::new(2));
+        let mut series = otm_metrics::SeriesRecorder::new(2);
+        let mut progress = |svc: &mut MatchingService| {
+            svc.progress().unwrap();
+            series.sample(svc.polls(), svc.backlog(), &svc.observability_snapshot());
+        };
         for i in 0..4u32 {
             svc.post_recv(ReceivePattern::exact(Rank(0), Tag(i)))
                 .unwrap();
@@ -1580,13 +1578,12 @@ mod tests {
         for round in 0..4u32 {
             tx.send(eager_packet(env(0, round), vec![round as u8]))
                 .unwrap();
-            svc.progress().unwrap();
+            progress(&mut svc);
         }
         // One straggler the table never matches, so queue_depth is visible.
         tx.send(eager_packet(env(9, 9), vec![])).unwrap();
-        svc.progress().unwrap();
-        svc.force_series_sample();
-        let series = svc.take_series().expect("sampler attached");
+        progress(&mut svc);
+        series.force_sample(svc.polls(), svc.backlog(), &svc.observability_snapshot());
         // The first sample is due immediately (poll 1), then every 2 polls;
         // the forced terminal sample coincides with the t=5 grid point and
         // replaces it, keeping `t` strictly increasing.
@@ -2020,8 +2017,8 @@ mod tests {
     /// over four queue pairs (one communicator each) and a hostile wire into
     /// the offloaded engine, applying the service's window hint the way the
     /// ladder's `stream_lossy_rdv` does. Returns the completions and the
-    /// registry snapshot with the one wall-clock histogram's values cut to
-    /// its count.
+    /// service's registry snapshot merged with the senders', with the one
+    /// wall-clock histogram's values cut to its count.
     fn lossy_stream(
         rounds: usize,
         attach: bool,
@@ -2098,7 +2095,8 @@ mod tests {
                 pump(&mut svc, &mut senders, &mut done);
             }
         }
-        let mut snap = svc.observability_snapshot();
+        let senders = senders.iter().map(ReliableSender::observability_snapshot);
+        let mut snap = senders.fold(svc.observability_snapshot(), |snap, s| snap.merge(&s));
         let latency = snap.hists.get_mut("otm_block_latency_ns").unwrap();
         *latency = otm_metrics::HistogramSnapshot {
             count: latency.count,

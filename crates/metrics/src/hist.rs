@@ -1,22 +1,14 @@
-//! Lock-free log2-bucketed histogram.
+//! Log2-bucketed histogram.
 //!
 //! Values are `u64`s (durations in nanoseconds, search depths, queue
 //! lengths, ...). Bucket 0 counts exact zeros; bucket `i >= 1` counts
 //! values in `[2^(i-1), 2^i - 1]`, so 65 buckets cover the full `u64`
-//! range. Recording a value is three relaxed `fetch_add`s, plus a `fetch_max`
-//! when it raises the maximum; a writer that holds its samples back until a
-//! unit of work ends (the engine: a block, a drain) hands them over in one
-//! [`Histogram::record_all`], which adds the totals once. There is no locking
-//! anywhere and recording from many threads concurrently is safe (totals and
-//! per-bucket counts are exact, only the cross-field consistency of a
-//! concurrent snapshot is approximate).
-//!
-//! An owner that shares its histogram with no one records into a plain
-//! [`HistogramSnapshot`] instead ([`HistogramSnapshot::record_all`]): the
-//! same buckets, filled with plain adds.
+//! range. A [`HistogramSnapshot`] is plain data: the one thing that records
+//! into it owns it and records with plain adds ([`HistogramSnapshot::record`],
+//! or [`HistogramSnapshot::record_all`] for the samples a unit of work held
+//! back), and a registry snapshot holds a copy of it.
 
 use crate::json::{JsonWriter, WriteJson};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Number of log2 buckets: one for zero plus one per bit of `u64`.
 pub const NUM_BUCKETS: usize = 65;
@@ -43,109 +35,7 @@ pub fn bucket_upper_bound(i: usize) -> u64 {
     }
 }
 
-/// A lock-free log2-bucketed histogram of `u64` values.
-#[derive(Debug)]
-pub struct Histogram {
-    counts: [AtomicU64; NUM_BUCKETS],
-    sum: AtomicU64,
-    count: AtomicU64,
-    max: AtomicU64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Self {
-            counts: [(); NUM_BUCKETS].map(|_| AtomicU64::new(0)),
-            sum: AtomicU64::new(0),
-            count: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
-    }
-
-    /// Records one observation.
-    #[inline]
-    pub fn record(&self, value: u64) {
-        self.record_all([value]);
-    }
-
-    /// Records every value of `values`, leaving what as many `record` calls
-    /// would: one bucket add per run of same-bucket values, the totals once.
-    #[inline]
-    pub fn record_all(&self, values: impl IntoIterator<Item = u64>) {
-        let (mut count, mut sum, mut max) = (0u64, 0u64, 0u64);
-        let mut run = (0, 0u64);
-        for value in values {
-            let bucket = bucket_index(value);
-            if bucket != run.0 && run.1 != 0 {
-                self.counts[run.0].fetch_add(run.1, Relaxed);
-                run.1 = 0;
-            }
-            run = (bucket, run.1 + 1);
-            (count, sum, max) = (count + 1, sum + value, max.max(value));
-        }
-        if count == 0 {
-            return;
-        }
-        self.counts[run.0].fetch_add(run.1, Relaxed);
-        self.sum.fetch_add(sum, Relaxed);
-        self.count.fetch_add(count, Relaxed);
-        // The maximum only grows: a value at or under it has nothing to add.
-        if max > self.max.load(Relaxed) {
-            self.max.fetch_max(max, Relaxed);
-        }
-    }
-
-    /// Number of observations recorded so far.
-    pub fn count(&self) -> u64 {
-        self.count.load(Relaxed)
-    }
-
-    /// Sum of all observations recorded so far.
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Relaxed)
-    }
-
-    /// Largest observation recorded so far (0 when empty).
-    pub fn max(&self) -> u64 {
-        self.max.load(Relaxed)
-    }
-
-    /// Captures a point-in-time copy of the histogram state.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut buckets = [0u64; NUM_BUCKETS];
-        for (slot, bucket) in buckets.iter_mut().zip(self.counts.iter()) {
-            *slot = bucket.load(Relaxed);
-        }
-        HistogramSnapshot {
-            buckets,
-            sum: self.sum.load(Relaxed),
-            count: self.count.load(Relaxed),
-            max: self.max.load(Relaxed),
-        }
-    }
-
-    /// Resets every bucket and total to zero.
-    ///
-    /// Not atomic with respect to concurrent `record` calls; intended for
-    /// between-phase resets when recorders are quiescent.
-    pub fn reset(&self) {
-        for bucket in &self.counts {
-            bucket.store(0, Relaxed);
-        }
-        self.sum.store(0, Relaxed);
-        self.count.store(0, Relaxed);
-        self.max.store(0, Relaxed);
-    }
-}
-
-/// An owned, immutable copy of a [`Histogram`]'s state.
+/// A log2-bucketed histogram of `u64` values, owned by what records into it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket observation counts (see [`bucket_index`]).
@@ -175,9 +65,19 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Records every value of `values` with plain adds, leaving what
-    /// [`Histogram::record_all`] leaves in a histogram: for an owner that
-    /// shares its histogram with no one.
+    /// Empties the histogram in place.
+    pub fn reset(&mut self) {
+        *self = Self::empty();
+    }
+
+    /// Records one observation.
+    #[inline]
+    pub fn record(&mut self, value: u64) {
+        self.record_all([value]);
+    }
+
+    /// Records every value of `values`, leaving what as many
+    /// [`HistogramSnapshot::record`] calls would.
     pub fn record_all(&mut self, values: impl IntoIterator<Item = u64>) {
         for value in values {
             self.buckets[bucket_index(value)] += 1;
@@ -232,7 +132,7 @@ impl HistogramSnapshot {
         self.quantile(0.99)
     }
 
-    /// Element-wise sum of two snapshots (e.g. across workers).
+    /// Element-wise sum of two histograms (several owners' under one name).
     pub fn merge(&self, other: &Self) -> Self {
         let mut buckets = self.buckets;
         for (slot, &c) in buckets.iter_mut().zip(other.buckets.iter()) {
@@ -243,21 +143,6 @@ impl HistogramSnapshot {
             sum: self.sum + other.sum,
             count: self.count + other.count,
             max: self.max.max(other.max),
-        }
-    }
-
-    /// Observations recorded since `prev` was taken (saturating, so a
-    /// reset between snapshots yields `self` rather than garbage).
-    pub fn delta(&self, prev: &Self) -> Self {
-        let mut buckets = [0u64; NUM_BUCKETS];
-        for (i, slot) in buckets.iter_mut().enumerate() {
-            *slot = self.buckets[i].saturating_sub(prev.buckets[i]);
-        }
-        Self {
-            buckets,
-            sum: self.sum.saturating_sub(prev.sum),
-            count: self.count.saturating_sub(prev.count),
-            max: self.max,
         }
     }
 
@@ -330,29 +215,29 @@ mod tests {
         assert_eq!(bucket_upper_bound(0), 0);
     }
 
+    /// A histogram holding `values`.
+    fn of(values: impl IntoIterator<Item = u64>) -> HistogramSnapshot {
+        let mut h = HistogramSnapshot::empty();
+        values.into_iter().for_each(|v| h.record(v));
+        h
+    }
+
     #[test]
     fn empty_histogram() {
-        let h = Histogram::new();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.sum(), 0);
-        assert_eq!(h.max(), 0);
-        let s = h.snapshot();
-        assert_eq!(s, HistogramSnapshot::empty());
-        assert_eq!(s.mean(), None);
-        assert_eq!(s.quantile(0.5), None);
-        assert_eq!(s.p99(), None);
+        let h = HistogramSnapshot::default();
+        assert_eq!((h.count, h.sum, h.max), (0, 0, 0));
+        assert_eq!(h, HistogramSnapshot::empty());
+        assert_eq!(h.mean(), None);
+        assert_eq!(h.quantile(0.5), None);
+        assert_eq!(h.p99(), None);
     }
 
     #[test]
     fn totals_and_max() {
-        let h = Histogram::new();
-        for v in [0, 1, 2, 3, 100] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 106);
-        assert_eq!(h.max(), 100);
-        let s = h.snapshot();
+        let s = of([0, 1, 2, 3, 100]);
+        assert_eq!(s.count, 5);
+        assert_eq!(s.sum, 106);
+        assert_eq!(s.max, 100);
         assert_eq!(s.buckets[0], 1); // 0
         assert_eq!(s.buckets[1], 1); // 1
         assert_eq!(s.buckets[2], 2); // 2, 3
@@ -362,42 +247,24 @@ mod tests {
 
     #[test]
     fn a_batch_leaves_what_single_records_would() {
-        let (one_by_one, batched) = (Histogram::new(), Histogram::new());
         let values = [3, 3, 2, 0, 9, 9, 2, 1 << 40];
-        values.iter().for_each(|&v| one_by_one.record(v));
+        let mut batched = HistogramSnapshot::empty();
         batched.record_all(values);
         batched.record_all([]);
-        assert_eq!(batched.snapshot(), one_by_one.snapshot());
-        assert_eq!(
-            batched.snapshot().buckets[2],
-            4,
-            "3, 3, 2 and 2 share a bucket"
-        );
-        let mut owned = HistogramSnapshot::empty();
-        owned.record_all(values);
-        owned.record_all([]);
-        assert_eq!(owned, one_by_one.snapshot());
+        assert_eq!(batched, of(values));
+        assert_eq!(batched.buckets[2], 4, "3, 3, 2 and 2 share a bucket");
     }
 
     #[test]
     fn quantiles_on_known_distribution() {
         // 100 observations of 1, one of 1000: p50/p95 sit in the ones,
         // p99+ reaches the outlier's bucket (clamped to the true max).
-        let h = Histogram::new();
-        for _ in 0..100 {
-            h.record(1);
-        }
-        h.record(1000);
-        let s = h.snapshot();
+        let s = of(std::iter::repeat(1).take(100).chain([1000]));
         assert_eq!(s.p50(), Some(1));
         assert_eq!(s.p95(), Some(1));
         assert_eq!(s.quantile(1.0), Some(1000));
         // Uniform 1..=8: p50 within a bucket of 4, never above 8.
-        let h = Histogram::new();
-        for v in 1..=8 {
-            h.record(v);
-        }
-        let s = h.snapshot();
+        let s = of(1..=8);
         let p50 = s.p50().unwrap();
         assert!((3..=7).contains(&p50), "p50 = {p50}");
         assert!(s.quantile(1.0).unwrap() <= 8);
@@ -405,82 +272,33 @@ mod tests {
 
     #[test]
     fn quantile_estimate_errs_high_within_bucket() {
-        let h = Histogram::new();
-        for _ in 0..10 {
-            h.record(5); // bucket [4, 7]
-        }
-        let s = h.snapshot();
-        // Upper bound of the bucket is 7, but clamped to the observed max.
+        let s = of([5; 10]); // bucket [4, 7]
+                             // Upper bound of the bucket is 7, but clamped to the observed max.
         assert_eq!(s.p50(), Some(5));
         assert_eq!(s.p99(), Some(5));
     }
 
     #[test]
-    fn concurrent_record() {
-        use std::sync::Arc;
-        let h = Arc::new(Histogram::new());
-        let threads: Vec<_> = (0..4)
-            .map(|t| {
-                let h = Arc::clone(&h);
-                std::thread::spawn(move || {
-                    for i in 0..10_000u64 {
-                        h.record(t * 10_000 + i);
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        let s = h.snapshot();
-        assert_eq!(s.count, 40_000);
-        assert_eq!(s.max, 39_999);
-        // Sum of 0..40000.
-        assert_eq!(s.sum, 39_999 * 40_000 / 2);
-        assert_eq!(s.buckets.iter().sum::<u64>(), 40_000);
-    }
-
-    #[test]
-    fn merge_and_delta() {
-        let a = {
-            let h = Histogram::new();
-            h.record(1);
-            h.record(100);
-            h.snapshot()
-        };
-        let b = {
-            let h = Histogram::new();
-            h.record(2);
-            h.snapshot()
-        };
+    fn merge_sums_two_histograms() {
+        let (a, b) = (of([1, 100]), of([2]));
         let m = a.merge(&b);
         assert_eq!(m.count, 3);
         assert_eq!(m.sum, 103);
         assert_eq!(m.max, 100);
-        let d = m.delta(&a);
-        assert_eq!(d.count, 1);
-        assert_eq!(d.sum, 2);
-        // Deltas of identical snapshots are empty except max (a gauge-like
-        // high-water mark, intentionally carried over).
-        let z = a.delta(&a);
-        assert_eq!(z.count, 0);
-        assert_eq!(z.sum, 0);
-        assert!(z.buckets.iter().all(|&c| c == 0));
+        assert_eq!(m, of([1, 100, 2]));
+        assert_eq!(a.merge(&HistogramSnapshot::empty()), a);
     }
 
     #[test]
     fn reset_clears_everything() {
-        let h = Histogram::new();
-        h.record(42);
+        let mut h = of([42]);
         h.reset();
-        assert_eq!(h.snapshot(), HistogramSnapshot::empty());
+        assert_eq!(h, HistogramSnapshot::empty());
     }
 
     #[test]
     fn json_shape() {
-        let h = Histogram::new();
-        h.record(3);
-        let json = h.snapshot().to_json();
+        let json = of([3]).to_json();
         assert!(json.contains("\"count\":1"));
         assert!(json.contains("\"sum\":3"));
         assert!(json.contains("\"p99\":3"));

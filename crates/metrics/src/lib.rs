@@ -1,17 +1,17 @@
 //! **otm-metrics** — zero-dependency observability primitives for the OTM
 //! workspace.
 //!
-//! Two building blocks, both safe to share across threads:
+//! Every count, gauge, histogram and span ring is plain data owned by the
+//! one thing that updates it; nothing here is shared, locked or atomic.
 //!
-//! * [`Histogram`] — a lock-free log2-bucketed histogram. Recording is a
-//!   handful of relaxed atomic adds; quantiles (p50/p95/p99/max) are
-//!   estimated from the bucket upper bounds at snapshot time.
-//! * [`Registry`] — a process-wide (or per-component) collection of named
-//!   counters, gauges, and histograms with an optional small label set.
-//!   Handles are `Arc`s resolved once at setup; the hot path never touches
-//!   the registry lock. [`Registry::snapshot`] produces a
-//!   [`RegistrySnapshot`] that can be diffed ([`RegistrySnapshot::delta`])
-//!   or serialized to JSON.
+//! * [`HistogramSnapshot`] ([`hist`]) — a log2-bucketed histogram its
+//!   owner records into with plain adds; quantiles (p50/p95/p99/max) are
+//!   estimated from the bucket upper bounds.
+//! * [`RegistrySnapshot`] ([`registry`]) — named counters, gauges and
+//!   histograms, a value each owner builds from its own fields under the
+//!   names the artifacts read ([`labelled`] renders `name{label="v"}`).
+//!   Snapshots of several owners merge ([`RegistrySnapshot::merge`]) and
+//!   serialize to JSON.
 //!
 //! On top of these sit the two flight-recorder layers:
 //!
@@ -26,8 +26,8 @@
 //!
 //! The crate deliberately has **no dependencies**: JSON is emitted by a
 //! tiny hand-rolled writer ([`json`]), timestamps come from a monotonic
-//! process-start epoch ([`now_ns`]). The registry is always compiled in;
-//! consumers gate only their [`SpanRecorder`] behind `trace-events`.
+//! process-start epoch ([`now_ns`]). Snapshots are always compiled in;
+//! consumers gate only their [`SpanRecorder`]s behind `trace-events`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,8 +38,8 @@ pub mod registry;
 pub mod series;
 pub mod span;
 
-pub use hist::{Histogram, HistogramSnapshot};
-pub use registry::{Counter, Gauge, Labels, Registry, RegistrySnapshot};
+pub use hist::HistogramSnapshot;
+pub use registry::{labelled, RegistrySnapshot};
 pub use series::{write_tenant_sections, SeriesPoint, SeriesRecorder};
 pub use span::{
     latency_by_path, spans_to_chrome_trace, spans_to_jsonl, MatchPath, SpanEvent, SpanKind,
@@ -51,8 +51,9 @@ use std::time::Instant;
 
 /// Nanoseconds since the first call to `now_ns` in this process.
 ///
-/// A monotonic, process-local epoch: cheap, strictly non-decreasing, and
-/// comparable across threads. Used to timestamp [`SpanEvent`]s.
+/// A monotonic, process-local epoch: cheap and non-decreasing. Used to
+/// timestamp [`SpanEvent`]s, so the rings of the engine, the service and
+/// the senders share one timeline.
 pub fn now_ns() -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     let epoch = EPOCH.get_or_init(Instant::now);

@@ -17,7 +17,7 @@
 //! invariant the test suite pins.
 
 use crate::json::{JsonWriter, WriteJson};
-use crate::registry::RegistrySnapshot;
+use crate::registry::{labelled, RegistrySnapshot};
 use crate::span::MATCH_PATHS;
 
 /// Registry keys the sampler distills, in artifact order.
@@ -26,7 +26,8 @@ mod keys {
     pub const RESOLUTIONS: &str = "otm_resolutions_total";
     /// Total matched pairs (all paths).
     pub const MATCHED: &str = "otm_matched_total";
-    /// Go-back-N retransmissions.
+    /// Packets the reliable senders retransmitted (timeout resends and
+    /// fast retransmits).
     pub const RETRANSMITS: &str = "dpa_retransmits_total";
     /// Software-fallback migrations.
     pub const FALLBACKS: &str = "dpa_fallbacks_total";
@@ -65,11 +66,7 @@ impl SeriesPoint {
         let counter = |key: &str| snap.counters.get(key).copied().unwrap_or(0);
         let mut path_counts = [0u64; 4];
         for path in MATCH_PATHS {
-            path_counts[path.index()] = counter(&format!(
-                "{}{{path=\"{}\"}}",
-                keys::RESOLUTIONS,
-                path.label()
-            ));
+            path_counts[path.index()] = counter(&labelled(keys::RESOLUTIONS, "path", path.label()));
         }
         let block_occupancy = snap
             .hists
@@ -89,19 +86,18 @@ impl SeriesPoint {
     }
 }
 
-/// Samples a registry at a fixed virtual-time cadence into a columnar
-/// series.
+/// Samples registry snapshots at a fixed virtual-time cadence into a
+/// columnar series.
 ///
 /// ```
-/// use otm_metrics::{Registry, SeriesRecorder};
+/// use otm_metrics::{RegistrySnapshot, SeriesRecorder};
 ///
-/// let r = Registry::new();
-/// let matched = r.counter("otm_matched_total");
+/// let mut snap = RegistrySnapshot::default();
 /// let mut series = SeriesRecorder::new(10);
 /// for t in 0..25 {
-///     matched.inc();
+///     *snap.counters.entry("otm_matched_total".into()).or_insert(0) += 1;
 ///     if series.due(t) {
-///         series.sample(t, 0, &r.snapshot());
+///         series.sample(t, 0, &snap);
 ///     }
 /// }
 /// // Samples landed at t = 0, 10, 20.
@@ -291,26 +287,29 @@ pub fn write_tenant_sections(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::Registry;
+    use crate::hist::HistogramSnapshot;
     use crate::span::MatchPath;
 
-    fn populated_registry() -> Registry {
-        let r = Registry::new();
-        r.counter_with("otm_resolutions_total", vec![("path", "nc".into())])
-            .add(7);
-        r.counter_with("otm_resolutions_total", vec![("path", "wc_sp".into())])
-            .add(2);
-        r.counter("otm_matched_total").add(9);
-        r.counter("dpa_retransmits_total").add(4);
-        let h = r.histogram("otm_block_occupancy");
-        h.record(2);
-        h.record(4);
-        r
+    /// Adds `n` to counter `name` of `snap`.
+    fn add(snap: &mut RegistrySnapshot, name: &str, n: u64) {
+        *snap.counters.entry(name.to_string()).or_insert(0) += n;
+    }
+
+    fn populated_snapshot() -> RegistrySnapshot {
+        let mut s = RegistrySnapshot::default();
+        add(&mut s, "otm_resolutions_total{path=\"nc\"}", 7);
+        add(&mut s, "otm_resolutions_total{path=\"wc_sp\"}", 2);
+        add(&mut s, "otm_matched_total", 9);
+        add(&mut s, "dpa_retransmits_total", 4);
+        let mut h = HistogramSnapshot::empty();
+        h.record_all([2, 4]);
+        s.hists.insert("otm_block_occupancy".into(), h);
+        s
     }
 
     #[test]
     fn distill_reads_the_fig8_keys() {
-        let p = SeriesPoint::distill(5, 3, &populated_registry().snapshot());
+        let p = SeriesPoint::distill(5, 3, &populated_snapshot());
         assert_eq!(p.t, 5);
         assert_eq!(p.queue_depth, 3);
         assert_eq!(p.path_counts, [7, 0, 2, 0]);
@@ -322,11 +321,11 @@ mod tests {
 
     #[test]
     fn cadence_gates_sampling() {
-        let r = populated_registry();
+        let snap = populated_snapshot();
         let mut s = SeriesRecorder::new(10);
         let mut recorded = 0;
         for t in 0..35 {
-            if s.sample(t, 0, &r.snapshot()) {
+            if s.sample(t, 0, &snap) {
                 recorded += 1;
             }
         }
@@ -339,11 +338,11 @@ mod tests {
     fn skipped_ticks_do_not_double_sample() {
         // A host that only polls at t = 0 and t = 25 gets two samples, not
         // a backlog of three.
-        let r = Registry::new();
+        let snap = RegistrySnapshot::default();
         let mut s = SeriesRecorder::new(10);
-        assert!(s.sample(0, 0, &r.snapshot()));
-        assert!(s.sample(25, 0, &r.snapshot()));
-        assert!(!s.sample(26, 0, &r.snapshot()), "next due at 35");
+        assert!(s.sample(0, 0, &snap));
+        assert!(s.sample(25, 0, &snap));
+        assert!(!s.sample(26, 0, &snap), "next due at 35");
         assert_eq!(s.len(), 2);
     }
 
@@ -351,21 +350,18 @@ mod tests {
     fn terminal_point_equals_final_snapshot() {
         // The self-consistency invariant: the last sampled point carries
         // exactly the end-of-run cumulative values.
-        let r = Registry::new();
-        let nc = r.counter_with("otm_resolutions_total", vec![("path", "nc".into())]);
-        let matched = r.counter("otm_matched_total");
+        let mut snap = RegistrySnapshot::default();
         let mut s = SeriesRecorder::new(4);
         for t in 0..17 {
-            nc.inc();
-            matched.inc();
+            add(&mut snap, "otm_resolutions_total{path=\"nc\"}", 1);
+            add(&mut snap, "otm_matched_total", 1);
             if s.due(t) {
-                s.sample(t, 1, &r.snapshot());
+                s.sample(t, 1, &snap);
             }
         }
-        let end = r.snapshot();
-        s.force_sample(17, 0, &end);
+        s.force_sample(17, 0, &snap);
         let last = *s.last().unwrap();
-        assert_eq!(last, SeriesPoint::distill(17, 0, &end));
+        assert_eq!(last, SeriesPoint::distill(17, 0, &snap));
         assert_eq!(last.matched, 17);
         assert_eq!(last.path_counts[MatchPath::Nc.index()], 17);
     }
@@ -374,14 +370,14 @@ mod tests {
     fn same_inputs_yield_byte_identical_artifacts() {
         // Determinism satellite: same seed + cadence ⇒ identical bytes.
         let run = || {
-            let r = populated_registry();
+            let mut snap = populated_snapshot();
             let mut s = SeriesRecorder::new(8);
             for t in 0..64 {
                 if t % 3 == 0 {
-                    r.counter("otm_matched_total").inc();
+                    add(&mut snap, "otm_matched_total", 1);
                 }
                 if s.due(t) {
-                    s.sample(t, t % 5, &r.snapshot());
+                    s.sample(t, t % 5, &snap);
                 }
             }
             s.to_json()
@@ -395,9 +391,9 @@ mod tests {
     #[test]
     fn columnar_json_shape() {
         let mut s = SeriesRecorder::new(2);
-        let r = populated_registry();
-        s.sample(0, 5, &r.snapshot());
-        s.sample(2, 3, &r.snapshot());
+        let snap = populated_snapshot();
+        s.sample(0, 5, &snap);
+        s.sample(2, 3, &snap);
         let json = s.to_json();
         assert!(json.starts_with(r#"{"cadence":2,"samples":2,"t":[0,2],"#));
         assert!(json.contains(r#""queue_depth":[5,3]"#));

@@ -3,10 +3,10 @@
 //! A *span* is the sequence of stamped events one message (or receive, or
 //! wire packet) passes through on its way from submission to completion:
 //! `posted`, `enqueued`, `packed{block_id, occupancy}`, `matched{path}`,
-//! `retransmitted{attempt}`, `fell_back`. Components push [`SpanEvent`]s
-//! into a shared [`SpanRecorder`] — a bounded ring with an **explicit
-//! dropped-events counter** (every overwritten event is accounted for) —
-//! and the recorder can replay the retained window as:
+//! `retransmitted{attempt}`, `fell_back`. Each component pushes
+//! [`SpanEvent`]s into a [`SpanRecorder`] it owns — a bounded ring with an
+//! **explicit dropped-events counter** (every overwritten event is
+//! accounted for) — and the recorder can replay the retained window as:
 //!
 //! * **JSONL** ([`SpanRecorder::to_jsonl`]): one JSON object per line, easy
 //!   to grep and to stream-parse;
@@ -22,20 +22,19 @@
 //!   paper's NC / WC-FP / WC-SP latency split.
 //!
 //! Timestamps come from [`crate::now_ns`] (nanoseconds since the first
-//! observation in the process), so one run's engine- and service-side spans
-//! share a timeline. [`SpanRecorder::push_at`] accepts explicit timestamps
-//! for deterministic tests.
+//! observation in the process), so the spans the engine, the service and
+//! the senders stamp into their own rings share one timeline.
+//! [`SpanRecorder::push_at`] accepts explicit timestamps for deterministic
+//! tests.
 //!
 //! The recorder itself carries no feature gates — the *instrumented* crates
 //! (`otm`, `dpa-sim`) only construct and feed one under their `trace-events`
 //! feature, the workspace's one cargo feature, and compile the calls away
 //! entirely otherwise.
 
-use crate::hist::{Histogram, HistogramSnapshot};
+use crate::hist::HistogramSnapshot;
 use crate::json::JsonWriter;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::Mutex;
 
 /// The resolution path a match took (Fig. 8's series), plus the post-time
 /// UMQ hit the block paths never see.
@@ -147,13 +146,13 @@ pub struct SpanEvent {
     pub seq: u64,
 }
 
-/// Bounded, thread-safe ring of [`SpanEvent`]s with explicit drop
-/// accounting.
+/// Bounded ring of [`SpanEvent`]s with explicit drop accounting, owned by
+/// the component that stamps them.
 ///
 /// ```
 /// use otm_metrics::{MatchPath, SpanKind, SpanRecorder};
 ///
-/// let spans = SpanRecorder::new(4);
+/// let mut spans = SpanRecorder::new(4);
 /// spans.push_at(10, 1, SpanKind::Enqueued);
 /// spans.push_at(25, 1, SpanKind::Matched { path: MatchPath::Nc });
 /// assert_eq!(spans.dropped(), 0);
@@ -163,28 +162,22 @@ pub struct SpanEvent {
 /// ```
 #[derive(Debug)]
 pub struct SpanRecorder {
-    inner: Mutex<Inner>,
-    capacity: usize,
-    /// Total events ever pushed (monotone).
-    pushed: AtomicU64,
-    /// Events overwritten because the ring was full (monotone).
-    dropped: AtomicU64,
-}
-
-#[derive(Debug, Default)]
-struct Inner {
     ring: VecDeque<SpanEvent>,
-    next_seq: u64,
+    capacity: usize,
+    /// Total events ever pushed (monotone): the next event's `seq`.
+    pushed: u64,
+    /// Events overwritten because the ring was full (monotone).
+    dropped: u64,
 }
 
 impl SpanRecorder {
     /// A recorder retaining the most recent `capacity` events.
     pub fn new(capacity: usize) -> Self {
         SpanRecorder {
-            inner: Mutex::new(Inner::default()),
+            ring: VecDeque::new(),
             capacity: capacity.max(1),
-            pushed: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
+            pushed: 0,
+            dropped: 0,
         }
     }
 
@@ -196,67 +189,57 @@ impl SpanRecorder {
     /// Stamps and records one event, dropping the oldest when the ring is
     /// full ([`SpanRecorder::dropped`] counts it).
     #[inline]
-    pub fn push(&self, subject: u64, kind: SpanKind) {
+    pub fn push(&mut self, subject: u64, kind: SpanKind) {
         self.push_at(crate::now_ns(), subject, kind)
     }
 
     /// Records one event with an explicit timestamp (deterministic tests).
-    pub fn push_at(&self, t_ns: u64, subject: u64, kind: SpanKind) {
-        let mut inner = self.inner.lock().expect("span ring lock");
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        if inner.ring.len() == self.capacity {
-            inner.ring.pop_front();
-            self.dropped.fetch_add(1, Relaxed);
+    pub fn push_at(&mut self, t_ns: u64, subject: u64, kind: SpanKind) {
+        if self.ring.len() == self.capacity {
+            self.ring.pop_front();
+            self.dropped += 1;
         }
-        inner.ring.push_back(SpanEvent {
+        let seq = self.pushed;
+        self.ring.push_back(SpanEvent {
             t_ns,
             subject,
             kind,
             seq,
         });
-        self.pushed.fetch_add(1, Relaxed);
+        self.pushed += 1;
     }
 
     /// Total events ever pushed.
     pub fn recorded(&self) -> u64 {
-        self.pushed.load(Relaxed)
+        self.pushed
     }
 
     /// Events lost to ring overflow — the explicit dropped-events counter.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Relaxed)
+        self.dropped
     }
 
     /// Events currently retained.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("span ring lock").ring.len()
+        self.ring.len()
     }
 
     /// Whether nothing has been retained.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.ring.is_empty()
     }
 
     /// Copies the retained window out, oldest first.
     pub fn dump(&self) -> Vec<SpanEvent> {
-        self.inner
-            .lock()
-            .expect("span ring lock")
-            .ring
-            .iter()
-            .copied()
-            .collect()
+        self.ring.iter().copied().collect()
     }
 
     /// Empties the ring and zeroes its accounting: the recorder reads as
     /// new, its next event is `seq` 0, and it keeps its allocation.
-    pub fn reset(&self) {
-        let mut inner = self.inner.lock().expect("span ring lock");
-        inner.ring.clear();
-        inner.next_seq = 0;
-        self.pushed.store(0, Relaxed);
-        self.dropped.store(0, Relaxed);
+    pub fn reset(&mut self) {
+        self.ring.clear();
+        self.pushed = 0;
+        self.dropped = 0;
     }
 
     /// The retained window as JSON Lines (one event object per line).
@@ -367,12 +350,7 @@ pub fn spans_to_chrome_trace(events: &[SpanEvent]) -> String {
 pub fn latency_by_path(events: &[SpanEvent]) -> [HistogramSnapshot; 4] {
     use std::collections::BTreeMap;
     let mut first_seen: BTreeMap<u64, u64> = BTreeMap::new();
-    let hists = [
-        Histogram::new(),
-        Histogram::new(),
-        Histogram::new(),
-        Histogram::new(),
-    ];
+    let mut hists: [HistogramSnapshot; 4] = Default::default();
     for e in events {
         if let SpanKind::Matched { path } = e.kind {
             if let Some(&start) = first_seen.get(&e.subject) {
@@ -383,12 +361,7 @@ pub fn latency_by_path(events: &[SpanEvent]) -> [HistogramSnapshot; 4] {
             first_seen.entry(e.subject).or_insert(e.t_ns);
         }
     }
-    [
-        hists[0].snapshot(),
-        hists[1].snapshot(),
-        hists[2].snapshot(),
-        hists[3].snapshot(),
-    ]
+    hists
 }
 
 #[cfg(test)]
@@ -397,7 +370,7 @@ mod tests {
 
     #[test]
     fn overflow_is_counted_not_silent() {
-        let r = SpanRecorder::new(2);
+        let mut r = SpanRecorder::new(2);
         r.push_at(1, 10, SpanKind::Posted);
         r.push_at(2, 11, SpanKind::Posted);
         assert_eq!(r.dropped(), 0);
@@ -413,7 +386,7 @@ mod tests {
 
     #[test]
     fn jsonl_flattens_kind_payloads() {
-        let r = SpanRecorder::new(8);
+        let mut r = SpanRecorder::new(8);
         r.push_at(5, 1, SpanKind::Enqueued);
         r.push_at(
             7,
@@ -454,7 +427,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_has_the_trace_event_envelope() {
-        let r = SpanRecorder::new(8);
+        let mut r = SpanRecorder::new(8);
         r.push_at(1500, 7, SpanKind::Posted);
         r.push_at(
             2500,
@@ -510,7 +483,7 @@ mod tests {
 
     #[test]
     fn latency_pairs_first_event_with_match_per_path() {
-        let r = SpanRecorder::new(16);
+        let mut r = SpanRecorder::new(16);
         // Subject 1: enqueued → packed → matched (NC): latency 30-10 = 20.
         r.push_at(10, 1, SpanKind::Enqueued);
         r.push_at(
@@ -552,7 +525,7 @@ mod tests {
     fn matched_without_prior_events_is_not_a_latency_sample() {
         // Ring overflow can drop a subject's early events; a bare `matched`
         // must not produce a bogus zero-latency sample.
-        let r = SpanRecorder::new(4);
+        let mut r = SpanRecorder::new(4);
         r.push_at(
             9,
             1,
@@ -567,7 +540,7 @@ mod tests {
     fn subjects_can_match_twice() {
         // Handles are reused across phases in long runs: a second lifecycle
         // for the same subject id starts a fresh pairing.
-        let r = SpanRecorder::new(16);
+        let mut r = SpanRecorder::new(16);
         r.push_at(10, 1, SpanKind::Enqueued);
         r.push_at(
             15,
@@ -591,7 +564,7 @@ mod tests {
 
     #[test]
     fn a_reset_recorder_reads_as_new() {
-        let r = SpanRecorder::new(1);
+        let mut r = SpanRecorder::new(1);
         r.push_at(1, 0, SpanKind::Posted);
         r.push_at(2, 0, SpanKind::Posted);
         assert_eq!(r.dropped(), 1);

@@ -23,7 +23,7 @@
 
 use crate::stats::{StatsSnapshot, Tally};
 use otm_base::CommId;
-use otm_metrics::{HistogramSnapshot, RegistrySnapshot};
+use otm_metrics::{labelled, HistogramSnapshot, RegistrySnapshot};
 
 /// Lifecycle span events retained before overwriting (each message
 /// contributes a handful: posted/enqueued/packed/matched).
@@ -93,10 +93,10 @@ impl EngineMetrics {
 
     /// Empties every histogram and the span ring, keeping its allocation.
     pub fn reset(&mut self) {
-        self.search_depth = HistogramSnapshot::empty();
-        self.umq_match_depth = HistogramSnapshot::empty();
-        self.block_occupancy = HistogramSnapshot::empty();
-        self.block_latency_ns = HistogramSnapshot::empty();
+        self.search_depth.reset();
+        self.umq_match_depth.reset();
+        self.block_occupancy.reset();
+        self.block_latency_ns.reset();
         #[cfg(feature = "trace-events")]
         self.spans.reset();
     }
@@ -124,8 +124,8 @@ impl EngineMetrics {
             let lane = ("otm_drain_lane_depth_peak", peaks.lane);
             for (name, peak) in [lane, ("otm_submission_ring_depth_peak", peaks.ring)] {
                 if let Some(peak) = peak {
-                    let key = format!("{name}{{comm=\"{}\"}}", comm.0);
-                    snap.gauges.insert(key, peak as i64);
+                    snap.gauges
+                        .insert(labelled(name, "comm", comm.0), peak as i64);
                 }
             }
         }
@@ -156,7 +156,7 @@ impl EngineMetrics {
     /// receive handle). Ring overflow is accounted in
     /// `otm_span_dropped_total`.
     #[cfg(feature = "trace-events")]
-    pub fn span_push(&self, subject: u64, kind: otm_metrics::SpanKind) {
+    pub fn span_push(&mut self, subject: u64, kind: otm_metrics::SpanKind) {
         self.spans.push(subject, kind);
     }
 
@@ -251,7 +251,7 @@ mod tests {
     #[cfg(feature = "trace-events")]
     #[test]
     fn span_macro_stamps_lifecycle_events() {
-        let m = EngineMetrics::new();
+        let mut m = EngineMetrics::new();
         span_event!(m, 7u32, SpanKind::Posted);
         span_event!(
             m,
@@ -277,7 +277,7 @@ mod tests {
     #[cfg(feature = "trace-events")]
     #[test]
     fn span_overflow_is_accounted_not_silent() {
-        let m = EngineMetrics::new();
+        let mut m = EngineMetrics::new();
         for i in 0..(SPAN_CAPACITY as u64 + 5) {
             m.span_push(i, ::otm_metrics::SpanKind::Enqueued);
         }

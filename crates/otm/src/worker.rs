@@ -14,9 +14,9 @@ use crate::metrics::{span_event, EngineMetrics};
 use crate::shard::{Entry, ShardHost};
 use otm_base::MatchConfig;
 
-/// What every lane reads of its engine (`metrics` for lifecycle spans only).
+/// What every lane uses of its engine (`metrics` to stamp lifecycle spans).
 pub(crate) struct LaneCtx<'a> {
-    pub metrics: &'a EngineMetrics,
+    pub metrics: &'a mut EngineMetrics,
     pub config: &'a MatchConfig,
 }
 
@@ -24,7 +24,7 @@ pub(crate) struct LaneCtx<'a> {
 /// which every lane's entry of `block.results` is set and `block.tally` holds
 /// what the lanes resolved. `shards` is the engine's directory; a lane finds
 /// its communicator's through [`LaneData::shard`](crate::block::LaneData::shard).
-pub(crate) fn run_block(ctx: &LaneCtx<'_>, block: &mut BlockState, shards: &[Entry]) {
+pub(crate) fn run_block(ctx: &mut LaneCtx<'_>, block: &mut BlockState, shards: &[Entry]) {
     let n = block.lanes.len();
     for lane in 0..n {
         search_and_book(ctx, block, shards, lane);
@@ -41,7 +41,7 @@ pub(crate) fn run_block(ctx: &LaneCtx<'_>, block: &mut BlockState, shards: &[Ent
 /// barrier (§III-D1): lanes below `lane` have booked when this returns, which
 /// is all [`detect`] needs (later lanes cannot steal our receive, C2 gives
 /// us precedence).
-fn search_and_book(ctx: &LaneCtx<'_>, block: &mut BlockState, shards: &[Entry], lane: usize) {
+fn search_and_book(ctx: &mut LaneCtx<'_>, block: &mut BlockState, shards: &[Entry], lane: usize) {
     let lane_data = &block.lanes[lane];
     let comm = &shards[lane_data.shard].1.host;
 
@@ -104,7 +104,12 @@ fn detect(block: &mut BlockState, shards: &[Entry], lane: usize) {
 
 /// Third sweep — resolve and settle: lanes below `lane` have settled when
 /// this runs, which is what the slow path waits for.
-fn resolve_and_settle(ctx: &LaneCtx<'_>, block: &mut BlockState, shards: &[Entry], lane: usize) {
+fn resolve_and_settle(
+    ctx: &mut LaneCtx<'_>,
+    block: &mut BlockState,
+    shards: &[Entry],
+    lane: usize,
+) {
     let (Some(search), result_code::UNSET) = (block.searches[lane], block.results[lane]) else {
         return;
     };
@@ -157,7 +162,7 @@ fn resolve_and_settle(ctx: &LaneCtx<'_>, block: &mut BlockState, shards: &[Entry
 /// on other communicators). Returns the lane's result code; its first search
 /// is left in `block.searches` for the depth statistics.
 fn run_lane_relaxed(
-    ctx: &LaneCtx<'_>,
+    ctx: &mut LaneCtx<'_>,
     block: &mut BlockState,
     lane: usize,
     comm: &ShardHost,
@@ -192,7 +197,7 @@ fn run_lane_relaxed(
 /// Conflict resolution (§III-D3): fast path when eligible, slow path
 /// otherwise.
 fn resolve_conflict(
-    ctx: &LaneCtx<'_>,
+    ctx: &mut LaneCtx<'_>,
     block: &mut BlockState,
     lane: usize,
     comm: &ShardHost,
@@ -244,7 +249,12 @@ fn resolve_conflict(
 /// third sweep's lane order guarantees — re-search. At that point the
 /// consumed flags of all earlier messages are final, so the oldest posted
 /// matching receive is exactly the sequential assignment for this message.
-fn resolve_slow(ctx: &LaneCtx<'_>, block: &mut BlockState, lane: usize, comm: &ShardHost) -> u64 {
+fn resolve_slow(
+    ctx: &mut LaneCtx<'_>,
+    block: &mut BlockState,
+    lane: usize,
+    comm: &ShardHost,
+) -> u64 {
     let (table, lane_data, epoch) = (&comm.table, &block.lanes[lane], block.epoch);
 
     block.tally.stats.slow_path += 1;

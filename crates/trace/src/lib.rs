@@ -34,5 +34,5 @@ pub mod replay;
 pub mod report;
 
 pub use model::{AppTrace, CallKind, MpiOp, RankTrace, TimedOp};
-pub use obs::{replay_metrics, ReplayMetrics};
+pub use obs::observability;
 pub use replay::{replay, AppReport, ReplayConfig};

@@ -1,111 +1,73 @@
-//! Replay progress observability.
+//! Replay observability: the analyzer's `trace_replay_*` section.
 //!
-//! Long traces replay for minutes; these process-wide counters let a
-//! harness (or an operator attaching mid-run) see how far the replay has
-//! progressed — operations consumed, receive posts and message arrivals
-//! driven into the matchers, progress points sampled — plus a histogram of
-//! per-rank replayed-event counts from the rank-major pass, which shows how
-//! skewed the rank workloads are.
-//!
-//! The handle is process-wide (replays accumulate) so the public
-//! [`crate::replay::replay`] signature stays unchanged; interval
-//! measurements use `snapshot()`/`RegistrySnapshot::delta`.
+//! An [`AppReport`] already counts what its replay drove: the call
+//! distribution counts every operation, the matcher statistics every receive
+//! post (matched on post or queued), the point-to-point calls that are not
+//! posts are the sends, the progress calls are the progress points, and the
+//! report keeps a histogram of how many events each rank's matcher replayed.
+//! So the section a harness writes is a value built from the reports it
+//! holds ([`observability`]): nothing is counted twice, and nothing outlives
+//! the reports.
 
-use otm_metrics::{Counter, Histogram, Registry, RegistrySnapshot};
-use std::sync::{Arc, OnceLock};
+use crate::replay::AppReport;
+use otm_metrics::{HistogramSnapshot, RegistrySnapshot};
 
-/// Process-wide replay progress instruments.
-#[derive(Debug)]
-pub struct ReplayMetrics {
-    registry: Registry,
-    ops: Arc<Counter>,
-    posts: Arc<Counter>,
-    arrivals: Arc<Counter>,
-    progress_points: Arc<Counter>,
-    rank_events: Arc<Histogram>,
-}
-
-impl ReplayMetrics {
-    fn new() -> Self {
-        let registry = Registry::new();
-        Self {
-            ops: registry.counter("trace_replay_ops_total"),
-            posts: registry.counter("trace_replay_posts_total"),
-            arrivals: registry.counter("trace_replay_arrivals_total"),
-            progress_points: registry.counter("trace_replay_progress_points_total"),
-            rank_events: registry.histogram("trace_replay_rank_events"),
-            registry,
+/// The `trace_replay_*` section of `reports`: operations, receive posts,
+/// message arrivals (every send, including one to a rank outside the trace)
+/// and progress points replayed, and the per-rank replayed-event histogram,
+/// which shows how skewed the rank workloads are.
+pub fn observability<'a>(reports: impl IntoIterator<Item = &'a AppReport>) -> RegistrySnapshot {
+    let (mut counts, mut rank_events) = ([0u64; 4], HistogramSnapshot::empty());
+    for r in reports {
+        let d = r.call_dist;
+        let posts = r.match_stats.matched_on_post + r.match_stats.posted;
+        let ops = d.p2p + d.collective + d.one_sided + d.progress;
+        for (n, add) in counts
+            .iter_mut()
+            .zip([ops, posts, d.p2p - posts, d.progress])
+        {
+            *n += add;
         }
+        rank_events = rank_events.merge(&r.rank_events);
     }
-
-    /// Counts one replayed trace operation (any kind).
-    #[inline]
-    pub fn count_op(&self) {
-        self.ops.inc();
+    let mut snap = RegistrySnapshot::default();
+    let names = ["ops", "posts", "arrivals", "progress_points"];
+    for (name, n) in names.into_iter().zip(counts) {
+        snap.counters
+            .insert(format!("trace_replay_{name}_total"), n);
     }
-
-    /// Counts one receive post driven into a matcher.
-    #[inline]
-    pub fn count_post(&self) {
-        self.posts.inc();
-    }
-
-    /// Counts one message arrival driven into a matcher.
-    #[inline]
-    pub fn count_arrive(&self) {
-        self.arrivals.inc();
-    }
-
-    /// Counts one progress point (Wait/Waitall sample).
-    #[inline]
-    pub fn count_progress_point(&self) {
-        self.progress_points.inc();
-    }
-
-    /// Records how many events one rank's engine processed.
-    #[inline]
-    pub fn record_rank_events(&self, n: u64) {
-        self.rank_events.record(n);
-    }
-
-    /// The underlying registry (for embedding into a larger exporter).
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// Copies out the replay counters; diff two snapshots with
-    /// `RegistrySnapshot::delta` to isolate one replay's activity.
-    pub fn snapshot(&self) -> RegistrySnapshot {
-        self.registry.snapshot()
-    }
-}
-
-/// The process-wide replay metrics handle (created on first use).
-pub fn replay_metrics() -> &'static ReplayMetrics {
-    static METRICS: OnceLock<ReplayMetrics> = OnceLock::new();
-    METRICS.get_or_init(ReplayMetrics::new)
+    snap.hists
+        .insert("trace_replay_rank_events".to_string(), rank_events);
+    snap
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replay::{replay, ReplayConfig};
 
     #[test]
     fn replay_counters_accumulate_monotonically() {
-        // The handle is process-wide and tests run in parallel, so assert
-        // on the delta of this test's own contribution only.
-        let m = replay_metrics();
-        let before = m.snapshot();
-        m.count_op();
-        m.count_post();
-        m.count_arrive();
-        m.count_progress_point();
-        m.record_rank_events(7);
-        let d = m.snapshot().delta(&before);
-        assert!(d.counters["trace_replay_ops_total"] >= 1);
-        assert!(d.counters["trace_replay_posts_total"] >= 1);
-        assert!(d.counters["trace_replay_arrivals_total"] >= 1);
-        assert!(d.counters["trace_replay_progress_points_total"] >= 1);
-        assert!(d.hists["trace_replay_rank_events"].count >= 1);
+        let empty = observability([]);
+        assert!(empty.counters.values().all(|&n| n == 0), "{empty:?}");
+        assert_eq!(empty.hists["trace_replay_rank_events"].count, 0);
+
+        // The same report twice: every count of the section is the sum over
+        // the reports, so adding one never lowers a count and doubles each.
+        let report = replay(
+            &crate::replay::tests::two_rank_trace(),
+            &ReplayConfig::default(),
+        );
+        let once = observability([&report]);
+        let twice = observability([&report, &report]);
+        for (name, &n) in &once.counters {
+            assert!(n > 0, "{name} counts nothing in one report");
+            assert_eq!(twice.counters[name], 2 * n, "{name}");
+        }
+        let (one, two) = (
+            &once.hists["trace_replay_rank_events"],
+            &twice.hists["trace_replay_rank_events"],
+        );
+        assert_eq!((two.count, two.sum), (2 * one.count, 2 * one.sum));
     }
 }

@@ -18,7 +18,7 @@ use crate::model::{AppTrace, CallKind, MpiOp, TimedOp};
 use mpi_matching::{MatchStats, Matcher, MsgHandle, RecvHandle};
 use otm::SequentialOtm;
 use otm_base::{Envelope, MatchConfig, ReceivePattern};
-use otm_metrics::json_fields;
+use otm_metrics::{json_fields, HistogramSnapshot};
 use std::collections::HashSet;
 
 /// Analyzer parameters.
@@ -126,6 +126,9 @@ pub struct AppReport {
     pub final_umq: usize,
     /// Progress-point data points collected.
     pub datapoints: usize,
+    /// Events each rank's matcher replayed, one sample per rank with any
+    /// (read by [`crate::obs::observability`]; not part of the row).
+    pub rank_events: HistogramSnapshot,
 }
 
 // The Fig. 6/7 artifact row.
@@ -167,10 +170,8 @@ pub fn replay(trace: &AppTrace, config: &ReplayConfig) -> AppReport {
     let mut recv_count = 0u64;
     let mut wildcard_recvs = 0u64;
     let mut datapoints = 0usize;
-    let metrics = crate::obs::replay_metrics();
 
     for (rank, TimedOp { op, .. }) in trace.merged_ops() {
-        metrics.count_op();
         match op.kind() {
             CallKind::PointToPoint => dist.p2p += 1,
             CallKind::Collective => dist.collective += 1,
@@ -179,7 +180,6 @@ pub fn replay(trace: &AppTrace, config: &ReplayConfig) -> AppReport {
         }
         match op {
             MpiOp::Irecv { src, tag, comm, .. } | MpiOp::Recv { src, tag, comm, .. } => {
-                metrics.count_post();
                 recv_count += 1;
                 if src.is_wild() || tag.is_wild() {
                     wildcard_recvs += 1;
@@ -194,7 +194,6 @@ pub fn replay(trace: &AppTrace, config: &ReplayConfig) -> AppReport {
             } => {
                 tags.insert(tag.0);
                 src_tag_pairs.insert((rank.0, tag.0));
-                metrics.count_arrive();
                 if let Some(events) = per_rank.get_mut(dest.0 as usize) {
                     events.push(Event::Arrive(Envelope {
                         src: rank,
@@ -205,7 +204,6 @@ pub fn replay(trace: &AppTrace, config: &ReplayConfig) -> AppReport {
             }
             MpiOp::Wait { .. } | MpiOp::Waitall { .. } => {
                 // Progress point: snapshot the data-structure state (§V-A).
-                metrics.count_progress_point();
                 per_rank[rank.0 as usize].push(Event::Progress(datapoints));
                 datapoints += 1;
             }
@@ -236,8 +234,9 @@ pub fn replay(trace: &AppTrace, config: &ReplayConfig) -> AppReport {
         .with_max_receives(max_posts)
         .with_max_unexpected(max_arrivals);
     let mut engine = SequentialOtm::new(engine_config).expect("replay engine configuration");
+    let mut rank_events = HistogramSnapshot::empty();
     for events in per_rank.iter().filter(|events| !events.is_empty()) {
-        metrics.record_rank_events(events.len() as u64);
+        rank_events.record(events.len() as u64);
         engine.reset().expect("a sequential engine queues nothing");
         for &event in events {
             match event {
@@ -288,17 +287,18 @@ pub fn replay(trace: &AppTrace, config: &ReplayConfig) -> AppReport {
         final_prq,
         final_umq,
         datapoints,
+        rank_events,
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::model::{CollectiveKind, RankTrace, ReqId};
     use otm_base::envelope::{SourceSel, TagSel};
     use otm_base::{CommId, Rank, Tag};
 
-    fn two_rank_trace() -> AppTrace {
+    pub(crate) fn two_rank_trace() -> AppTrace {
         // Rank 1 posts two receives, rank 0 sends two matching messages,
         // then both do progress + a collective.
         let r0 = RankTrace {
@@ -490,16 +490,16 @@ mod tests {
 
     #[test]
     fn replay_reports_progress_through_the_metrics_registry() {
-        // The registry is process-wide and tests run in parallel: assert
-        // only that this replay's contribution is present in the delta.
-        let before = crate::obs::replay_metrics().snapshot();
-        let _ = replay(&two_rank_trace(), &ReplayConfig::default());
-        let d = crate::obs::replay_metrics().snapshot().delta(&before);
-        assert!(d.counters["trace_replay_ops_total"] >= 7, "{d:?}");
-        assert!(d.counters["trace_replay_posts_total"] >= 2);
-        assert!(d.counters["trace_replay_arrivals_total"] >= 2);
-        assert!(d.counters["trace_replay_progress_points_total"] >= 1);
-        assert!(d.hists["trace_replay_rank_events"].count >= 1);
+        let report = replay(&two_rank_trace(), &ReplayConfig::default());
+        let d = crate::obs::observability([&report]);
+        assert_eq!(d.counters["trace_replay_ops_total"], 7, "{d:?}");
+        assert_eq!(d.counters["trace_replay_posts_total"], 2);
+        assert_eq!(d.counters["trace_replay_arrivals_total"], 2);
+        assert_eq!(d.counters["trace_replay_progress_points_total"], 1);
+        // Rank 1 replays two posts, two arrivals and a progress point; rank
+        // 0 receives nothing and posts nothing.
+        let rank_events = &d.hists["trace_replay_rank_events"];
+        assert_eq!((rank_events.count, rank_events.sum), (1, 5));
     }
 
     #[test]

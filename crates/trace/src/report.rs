@@ -57,6 +57,7 @@ mod tests {
             final_prq: 0,
             final_umq: 0,
             datapoints: 10,
+            rank_events: otm_metrics::HistogramSnapshot::empty(),
         }
     }
 

@@ -31,7 +31,7 @@ use dpa_sim::app_replay::{replay_app, AppReplayConfig};
 use dpa_sim::bounce::BouncePool;
 use dpa_sim::nic::RecvNic;
 use dpa_sim::rdma::{connected_pair, eager_packet, rendezvous_packet, RdmaDomain};
-use dpa_sim::{MatchingService, ReliableSender, ServiceMetrics};
+use dpa_sim::{MatchingService, ReliableSender};
 use mpi_matching::{Matcher, MsgHandle, RecvHandle};
 use otm::Command;
 use otm::{OtmEngine, SequentialOtm};
@@ -233,10 +233,9 @@ const PEERS: usize = 62;
 
 /// Allocations to build, use once and drop what `replay_app` builds for its
 /// first destination and re-arms for the rest: `PEERS` queue pairs, their
-/// reliable senders (each with a clone of the metrics handle) and the NIC
-/// that terminates them, every pair carrying one 8-byte message and its ack.
+/// reliable senders and the NIC that terminates them, every pair carrying
+/// one 8-byte message and its ack.
 fn construction_allocations() -> u64 {
-    let metrics = ServiceMetrics::new();
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     {
         let (tx, rx) = connected_pair();
@@ -249,7 +248,6 @@ fn construction_allocations() -> u64 {
             senders.push(ReliableSender::new(tx));
         }
         for (i, s) in senders.iter_mut().enumerate() {
-            s.attach_metrics(metrics.clone());
             let env = Envelope::new(Rank(i as u32), Tag(0), CommId(1));
             s.send(eager_packet(env, vec![i as u8; 8])).unwrap();
         }

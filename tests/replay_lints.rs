@@ -34,6 +34,18 @@
 //! shared or lazily initialised, and the engine reads a clock only in the
 //! `trace-events` build that stamps spans. The retransmit window copies into
 //! recycled buffers: a packet is cloned in the two retransmit loops only.
+//!
+//! Counts are values, not shared instruments: `otm-metrics`' histograms and
+//! span rings are plain data their owner records into, a registry snapshot
+//! is a value built from the owners' fields, and the service, the senders,
+//! `replay_app` and the analyzer count in fields of their own. So none of
+//! them holds an atomic, an `Arc` or a lock; the one lazily initialised
+//! value is `now_ns`' process epoch, the one timeline every span is stamped
+//! on.
+//!
+//! A queue pair is the in-repo link (`dpa-sim/src/rdma.rs`), not a pair of
+//! std channels, and `replay_app` keeps a destination's senders in a sorted
+//! vector.
 
 use std::path::{Path, PathBuf};
 
@@ -195,4 +207,59 @@ fn counting_and_owned_state_cost_no_read_modify_write() {
         "shared state, or a clock read outside the trace-events build, in otm:\n{}",
         offences.join("\n")
     );
+}
+
+#[test]
+fn counts_are_values_not_shared_instruments() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = rust_files(&root.join("crates/metrics/src"));
+    files.extend(rust_files(&root.join("crates/trace/src")));
+    for name in ["obs", "reliable", "service", "app_replay"] {
+        files.push(root.join(format!("crates/dpa-sim/src/{name}.rs")));
+    }
+    assert!(files.iter().any(|f| f.ends_with("metrics/src/span.rs")));
+    let mut offences = Vec::new();
+    for file in files {
+        let text = read(&file);
+        // `now_ns`' process epoch: one timeline for every span.
+        let shared: &[&str] = if file.ends_with("metrics/src/lib.rs") {
+            &["Atomic", "Arc<", "Arc::", "Mutex", "RwLock"]
+        } else {
+            &["Atomic", "Arc<", "Arc::", "Mutex", "RwLock", "OnceLock"]
+        };
+        for (i, line) in outside_tests(&text).enumerate() {
+            if shared.iter().any(|p| line.contains(p)) {
+                offences.push(format!("{}:{}: {}", file.display(), i + 1, line.trim()));
+            }
+        }
+    }
+    assert!(
+        offences.is_empty(),
+        "shared state in the metrics, the analyzer, the service or its senders:\n{}",
+        offences.join("\n")
+    );
+}
+
+#[test]
+fn endpoints_are_the_size_of_their_traffic() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let crates = std::fs::read_dir(root.join("crates")).expect("crates directory");
+    let mut files = Vec::new();
+    for krate in crates {
+        let src = krate.expect("directory entry").path().join("src");
+        if src.is_dir() {
+            files.extend(rust_files(&src));
+        }
+    }
+    assert!(files.iter().any(|f| f.ends_with("dpa-sim/src/rdma.rs")));
+    for file in files {
+        let text = read(&file);
+        let found = text.lines().find(|line| line.contains("mpsc"));
+        assert!(found.is_none(), "{}: {found:?}", file.display());
+    }
+    let app_replay = source("crates/dpa-sim/src/app_replay.rs");
+    let found = app_replay
+        .lines()
+        .find(|line| line.contains("BTreeMap<u32, ReliableSender>"));
+    assert!(found.is_none(), "app_replay.rs: {found:?}");
 }
