@@ -177,7 +177,10 @@ pub struct AppReplayReport {
     pub resend_events: u64,
     /// Cumulative acks the senders consumed.
     pub acks_received: u64,
-    /// Polls the senders spent in exponential backoff.
+    /// Polls the senders ended waiting on unacknowledged packets: the sum
+    /// of their [`crate::ReliabilityStats::backoff_polls`]. Not the
+    /// `dpa_backoff_polls` histogram, which holds the length of each
+    /// timeout that fired and the service's drain-retry backoffs.
     pub backoff_polls: u64,
     /// Retransmitted packets per dropped packet (0 when nothing dropped).
     pub retransmit_amplification: f64,

@@ -29,7 +29,6 @@ use mpi_matching::backend::{
 use mpi_matching::stats::MatchStats;
 use mpi_matching::{MsgHandle, PostResult, RecvHandle};
 use otm_base::{Envelope, FaultPlan, FaultRng, MatchError, ReceivePattern};
-use std::any::Any;
 
 /// Counters of the faults a [`WireFaults`] instance actually injected.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -273,10 +272,6 @@ impl MatchingBackend for FaultInjectingBackend {
         self.inner.wants_offload_fallback()
     }
 
-    fn supports_command_queue(&self) -> bool {
-        self.inner.supports_command_queue()
-    }
-
     fn submit_command(&mut self, cmd: PendingCommand) -> Result<(), MatchError> {
         self.inner.submit_command(cmd)
     }
@@ -314,11 +309,14 @@ impl MatchingBackend for FaultInjectingBackend {
         self.inner.drain_for_fallback()
     }
 
-    fn as_any(&self) -> &dyn Any {
-        // Deliberately exposes the *inner* backend: observability
-        // downcasts (e.g. the service reading the optimistic engine's
-        // device counters) should see through the fault decorator.
-        self.inner.as_any()
+    // The inner backend's counts: observability sees through the fault
+    // decorator to the engine behind it.
+    fn engine_stats(&self) -> Option<mpi_matching::StatsSnapshot> {
+        self.inner.engine_stats()
+    }
+
+    fn metrics_snapshot(&self) -> Option<otm_metrics::RegistrySnapshot> {
+        self.inner.metrics_snapshot()
     }
 }
 

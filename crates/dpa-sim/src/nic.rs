@@ -5,11 +5,10 @@
 //! Incoming messages are staged into bounce buffers in NIC memory."
 //!
 //! [`RecvNic::poll`] drains the wire into bounce buffers and appends
-//! completion entries; [`RecvNic::take_block`] hands a host-matching
-//! service up to `N` consecutive completions — the paper's scheme of
-//! letting DPA thread *i* wait on completion *i*, *i + N*, … maps onto lane
-//! *i* of each block. The offloaded service pops them one at a time into
-//! the engine's command queue, whose drain packs the blocks.
+//! completion entries. The service pops them one at a time into its
+//! backend's command queue; the offloaded engine's drain packs them into
+//! blocks — the paper's scheme of letting DPA thread *i* wait on completion
+//! *i*, *i + N*, … maps onto lane *i* of each block.
 
 use crate::bounce::{BounceId, BouncePool};
 use crate::fault::{WireFaultStats, WireFaults};
@@ -542,7 +541,9 @@ impl RecvNic {
         }
     }
 
-    /// Pops up to `max` consecutive completions — one matching block.
+    /// Pops up to `max` consecutive completions. The service pops one at a
+    /// time; the benchmark package's NIC rung still takes blocks here
+    /// (ROADMAP item 1).
     pub fn take_block(&mut self, max: usize) -> Vec<Completion> {
         let n = self.cq.len().min(max);
         self.cq.drain(..n).collect()

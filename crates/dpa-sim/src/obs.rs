@@ -21,7 +21,7 @@
 //! span ring of retransmissions; [`crate::ReliableSender::observability_snapshot`]
 //! reads them under `dpa_acks_total`, `dpa_retransmits_total` and
 //! `dpa_backoff_polls`. The service does not own its senders, so its
-//! snapshot lists the two counters at 0, and the loops that own the service
+//! snapshot does not list the two counters; the loops that own the service
 //! and every sender (`replay_app`'s endpoints) merge the senders' snapshots
 //! into it. [`ServiceMetrics`] is what is left of the shared instrument
 //! handle: an inert shim.
@@ -81,8 +81,7 @@ impl ServiceCounts {
         self.bounce_in_use_peak = self.bounce_in_use_peak.max(self.bounce_in_use);
     }
 
-    /// The counts, gauges and histogram under their registry names, the
-    /// senders' two counters listed at 0 (see the module docs).
+    /// The counts, gauges and histogram under their registry names.
     pub fn snapshot(&self) -> RegistrySnapshot {
         let mut snap = RegistrySnapshot::default();
         for (name, n) in [
@@ -91,8 +90,6 @@ impl ServiceCounts {
             ("dpa_drain_retries_total", self.drain_retries),
             ("dpa_ring_backpressure_total", self.ring_backpressure),
             ("dpa_fallback_escalations_total", self.fallback_escalations),
-            ("dpa_acks_total", 0),
-            ("dpa_retransmits_total", 0),
         ] {
             snap.counters.insert(name.to_string(), n);
         }
@@ -154,8 +151,8 @@ mod tests {
         assert_eq!(hist.count, 2);
         assert_eq!(hist.sum, 12);
         // The senders count their own acks and retransmits.
-        assert_eq!(snap.counters["dpa_acks_total"], 0);
-        assert_eq!(snap.counters["dpa_retransmits_total"], 0);
+        assert!(!snap.counters.contains_key("dpa_acks_total"));
+        assert!(!snap.counters.contains_key("dpa_retransmits_total"));
     }
 
     /// The ten service, NIC and wire names of `service`'s snapshot, each

@@ -107,8 +107,11 @@ pub struct ReliabilityStats {
     pub fast_retransmits: u64,
     /// Cumulative acknowledgements consumed.
     pub acks: u64,
-    /// Total polls spent backing off (the virtual-time analogue of
-    /// exponential-backoff delay).
+    /// Polls that ended waiting on unacknowledged packets without sending
+    /// a fast retransmit: every tick of the retransmit timer, whether or
+    /// not an ack moved the window in the same poll. Not the backoff
+    /// lengths: those are the `dpa_backoff_polls` histogram, one sample
+    /// per timeout that fired.
     pub backoff_polls: u64,
     /// RTT samples folded into the smoothed estimate (Karn-filtered:
     /// only packets acknowledged without ever being retransmitted).
@@ -252,7 +255,9 @@ impl ReliableSender {
     /// (`dpa_retransmits_total`) from its [`ReliabilityStats`], the length
     /// of each timeout that fired (`dpa_backoff_polls`), and with
     /// `trace-events` its span ring's drop count (`dpa_span_dropped_total`).
-    /// Merged into the service's, it reads under the service's names.
+    /// The service's snapshot lists neither counter; merged into it, the
+    /// timeouts join the service's drain-retry backoffs in
+    /// `dpa_backoff_polls`.
     pub fn observability_snapshot(&self) -> RegistrySnapshot {
         let mut snap = RegistrySnapshot::default();
         for (name, n) in [
@@ -578,6 +583,23 @@ mod tests {
             seqs.push(packet.seq.expect("sequenced"));
         }
         seqs
+    }
+
+    #[test]
+    fn observability_snapshot_names_are_stable() {
+        // The sender is the one owner of the ack and retransmit counts: the
+        // service's snapshot does not list them.
+        let (a, _b) = connected_pair();
+        let snap = ReliableSender::new(a).observability_snapshot();
+        let counters: Vec<&str> = snap.counters.keys().map(String::as_str).collect();
+        let mut expected = vec!["dpa_acks_total", "dpa_retransmits_total"];
+        if cfg!(feature = "trace-events") {
+            expected.push("dpa_span_dropped_total");
+        }
+        assert_eq!(counters, expected);
+        assert!(snap.gauges.is_empty());
+        let hists: Vec<&str> = snap.hists.keys().map(String::as_str).collect();
+        assert_eq!(hists, ["dpa_backoff_polls"]);
     }
 
     #[test]

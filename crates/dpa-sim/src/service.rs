@@ -14,12 +14,17 @@
 //!   order (the transport ceiling: "a reference baseline where no matching
 //!   is performed").
 //!
-//! The backend decides how it is driven. A backend with a command queue
-//! (the offloaded engine) is driven through it, always: posts and arrivals
-//! are commands, applied in submission order by the drain that ends each
-//! [`MatchingService::progress`] (§IV-E), and a drain the engine cannot
-//! finish migrates the service to software matching. A host backend is
-//! driven synchronously, so the paper's ceilings pay no staging.
+//! Every backend is driven the same way, through its command queue: posts
+//! and arrivals are commands, applied in submission order by the drain that
+//! ends each [`MatchingService::progress`] (§IV-E), and a drain the
+//! offloaded engine cannot finish migrates the service to software
+//! matching, which is driven the same way. A host matcher, which never
+//! migrates and has no device ring to batch for, is also drained at a post
+//! while a message waits in the unexpected store, so a receive it matches
+//! completes at the post. The service never asks which backend it holds:
+//! the engine's counts come through
+//! [`MatchingBackend::engine_stats`] and
+//! [`MatchingBackend::metrics_snapshot`], `None` for a host backend.
 //!
 //! After a match, the service drives the protocol stage of §IV-B through the
 //! checked state machines of [`mpi_matching::protocol`]: eager payloads are
@@ -35,7 +40,8 @@ use crate::rdma::{PayloadKind, RdmaDomain, RdmaError};
 use mpi_matching::protocol::{Action, EagerTransfer, ProtocolStateError, RendezvousTransfer, Rts};
 use mpi_matching::traditional::TraditionalMatcher;
 use mpi_matching::{
-    CommandOutcome, MatchingBackend, MsgHandle, PendingCommand, PostResult, RdmaNoOp, RecvHandle,
+    CommandOutcome, DrainReport, MatchingBackend, MsgHandle, PendingCommand, PostResult, RdmaNoOp,
+    RecvHandle,
 };
 use otm::{Delivery, OtmEngine};
 use otm_base::hash::IntHasher;
@@ -68,7 +74,8 @@ pub enum ServiceError {
     Protocol(ProtocolStateError),
     /// The software-fallback replay violated a migration invariant (e.g. a
     /// drained receive or message matched while the snapshot was being
-    /// replayed). The service stays poisoned: running on after a spurious
+    /// replayed, or a drained outcome names a message the service holds no
+    /// payload for). The service stays poisoned: running on after a spurious
     /// match would silently corrupt the MPI matching order.
     FallbackReplay(String),
     /// The sender-side reliability protocol gave up (transport failure or
@@ -201,8 +208,15 @@ impl MatchingBackend for PoisonedBackend {
 
     fn merge_stats(&self, _: &mut mpi_matching::MatchStats) {}
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
+    fn submit_command(&mut self, _: PendingCommand) -> Result<(), MatchError> {
+        Err(MatchError::EngineStopped)
+    }
+
+    fn drain_commands(&mut self) -> DrainReport {
+        DrainReport {
+            error: Some(MatchError::EngineStopped),
+            ..DrainReport::default()
+        }
     }
 }
 
@@ -308,19 +322,12 @@ impl MatchingService {
         self.polls = 0;
     }
 
-    /// Reports whether the backend has a command queue, refusing a backend
-    /// without one. It changes nothing: the service drives a backend with a
-    /// queue through it always (see the module docs). The benchmark package
-    /// still calls it; it goes when that package is next rebuilt
-    /// (ROADMAP item 1).
+    /// Does nothing and returns `Ok` for every backend: the service drives
+    /// every backend through its command queue (see the module docs). The
+    /// benchmark package still calls it; it goes when that package is next
+    /// rebuilt (ROADMAP item 1).
     pub fn enable_command_queue(&mut self) -> Result<(), ServiceError> {
-        if self.backend.supports_command_queue() {
-            return Ok(());
-        }
-        Err(ServiceError::Match(MatchError::InvalidConfig(format!(
-            "the {} backend has no command queue",
-            self.backend.backend_name()
-        ))))
+        Ok(())
     }
 
     /// Does nothing: the service runs no feedback controller. The
@@ -370,10 +377,7 @@ impl MatchingService {
 
     /// Engine statistics, when the backend is the offloaded engine.
     pub fn engine_stats(&self) -> Option<otm::StatsSnapshot> {
-        self.backend
-            .as_any()
-            .downcast_ref::<OtmEngine>()
-            .map(|e| e.stats())
+        self.backend.engine_stats()
     }
 
     /// The inert [`ServiceMetrics`] shim: the service keeps its counts in
@@ -411,8 +415,8 @@ impl MatchingService {
         ] {
             snap.counters.insert(name.to_string(), n);
         }
-        match self.backend.as_any().downcast_ref::<OtmEngine>() {
-            Some(e) => snap.merge(&e.metrics_snapshot()),
+        match self.backend.metrics_snapshot() {
+            Some(engine) => snap.merge(&engine),
             None => snap,
         }
     }
@@ -473,37 +477,34 @@ impl MatchingService {
     /// [`MatchingService::reserve_recv`] or minted in a namespace that
     /// cannot collide with it).
     ///
-    /// On the offloaded engine the post is a command on its queue (§IV-E):
-    /// it takes effect, in submission order with the arrivals, at the drain
-    /// that ends the next [`MatchingService::progress`], completing there if
-    /// a waiting unexpected message matches. A full submission ring is
-    /// returned as the retryable [`MatchError::SubmissionRingFull`]; the
-    /// next `progress` frees it. On a host backend the post applies now,
-    /// and a match completes the receive at once.
+    /// The post is a command on the backend's queue (§IV-E). On the
+    /// offloaded engine it takes effect, in submission order with the
+    /// arrivals, at the drain that ends the next
+    /// [`MatchingService::progress`], completing there if a waiting
+    /// unexpected message matches; a full submission ring is returned as
+    /// the retryable [`MatchError::SubmissionRingFull`], and the next
+    /// `progress` frees it. A host matcher, which never migrates, has no
+    /// device ring to batch for: while a message waits in the unexpected
+    /// store the service drains it right after the post, so a match
+    /// completes the receive at the post; a post that nothing waiting could
+    /// match applies at the next drain.
     pub fn post_recv_queued_reserved(
         &mut self,
         pattern: ReceivePattern,
         handle: RecvHandle,
     ) -> Result<(), ServiceError> {
-        if self.backend.supports_command_queue() {
-            return self
-                .backend
-                .submit_command(PendingCommand::Post { pattern, handle })
-                .map_err(ServiceError::Match);
-        }
-        if let PostResult::Matched(msg) = self.backend.post(pattern, handle)? {
-            let stored = self
-                .unexpected
-                .remove(&msg)
-                .expect("unexpected payload stored");
-            let completed = self.run_protocol_from_store(handle, stored)?;
-            self.completed.push(completed);
+        self.backend
+            .submit_command(PendingCommand::Post { pattern, handle })?;
+        if !self.backend.wants_offload_fallback() && !self.unexpected.is_empty() {
+            self.drain_and_apply()?;
         }
         Ok(())
     }
 
     /// Migrates all matching state from the offloaded backend to a host
-    /// software matcher (§III-B/§IV-E fallback), in two phases:
+    /// software matcher (§III-B/§IV-E fallback), in two phases, each a batch
+    /// of commands into the new [`TraditionalMatcher`] whose drained
+    /// outcomes apply like any other drain's:
     ///
     /// 1. **State replay.** The drained unexpected messages, then the
     ///    drained receives. Both sides are mutually non-matching by
@@ -535,80 +536,46 @@ impl MatchingService {
             Box::new(PoisonedBackend) as Box<dyn MatchingBackend>,
         );
         let state = offloaded.drain_for_fallback()?;
-        let mut matcher: Box<dyn MatchingBackend> = Box::new(TraditionalMatcher::new());
-        for (env, msg) in state.unexpected {
-            self.span_fell_back(msg.0);
-            let d = matcher
-                .arrive_block(&[(env, msg)])
-                .expect("software matcher is unbounded");
-            if !matches!(d[0], Delivery::Unexpected { .. }) {
-                return Err(ServiceError::FallbackReplay(format!(
-                    "drained unexpected message {msg:?} ({env}) matched during state replay"
-                )));
+        let arrivals = state
+            .unexpected
+            .into_iter()
+            .map(|(env, msg)| PendingCommand::Arrival { env, msg });
+        let posts = state
+            .receives
+            .into_iter()
+            .map(|(pattern, handle)| PendingCommand::Post { pattern, handle });
+        let drained: Vec<PendingCommand> = arrivals.chain(posts).collect();
+        let pending: Vec<PendingCommand> = extra_pending.into_iter().chain(state.pending).collect();
+        let mut matcher = TraditionalMatcher::new();
+        for (commands, may_match) in [(drained, false), (pending, true)] {
+            for cmd in commands {
+                self.span_fell_back(match cmd {
+                    PendingCommand::Post { handle, .. } => otm_metrics::RECV_SUBJECT_BIT | handle.0,
+                    PendingCommand::Arrival { msg, .. } => msg.0,
+                });
+                matcher.submit_command(cmd)?;
             }
-        }
-        for (pattern, recv) in state.receives {
-            self.span_fell_back(otm_metrics::RECV_SUBJECT_BIT | recv.0);
-            let r = matcher
-                .post(pattern, recv)
-                .expect("software matcher is unbounded");
-            if r != PostResult::Posted {
-                return Err(ServiceError::FallbackReplay(format!(
-                    "drained receive {recv:?} ({pattern}) matched during state replay"
-                )));
+            let report = matcher.drain_commands();
+            if let Some(e) = report.error {
+                return Err(e.into());
             }
-        }
-        // Phase 2: replay the undrained commands. Pairs they form complete
-        // through the normal protocol path; arrivals that stay unexpected
-        // move their staged payloads into the unexpected store.
-        let mut matched_pairs: Vec<(RecvHandle, MsgHandle)> = Vec::new();
-        let mut still_unexpected: Vec<MsgHandle> = Vec::new();
-        for cmd in extra_pending.into_iter().chain(state.pending) {
-            match cmd {
-                PendingCommand::Post { pattern, handle } => {
-                    self.span_fell_back(otm_metrics::RECV_SUBJECT_BIT | handle.0);
-                    match matcher
-                        .post(pattern, handle)
-                        .expect("software matcher is unbounded")
-                    {
-                        PostResult::Matched(msg) => matched_pairs.push((handle, msg)),
-                        PostResult::Posted => {}
-                    }
+            for outcome in report.outcomes {
+                let matched = matches!(
+                    outcome,
+                    CommandOutcome::Post {
+                        result: PostResult::Matched(_),
+                        ..
+                    } | CommandOutcome::Delivery(Delivery::Matched { .. })
+                );
+                if matched && !may_match {
+                    return Err(ServiceError::FallbackReplay(format!(
+                        "the drained state matched itself during state replay: {outcome:?}"
+                    )));
                 }
-                PendingCommand::Arrival { env, msg } => {
-                    self.span_fell_back(msg.0);
-                    let d = matcher
-                        .arrive_block(&[(env, msg)])
-                        .expect("software matcher is unbounded");
-                    match d[0] {
-                        Delivery::Matched { recv, .. } => matched_pairs.push((recv, msg)),
-                        Delivery::Unexpected { .. } => still_unexpected.push(msg),
-                    }
-                }
+                self.apply_queue_outcome(outcome)?;
             }
         }
-        for (recv, msg) in matched_pairs {
-            let stored = self
-                .inflight
-                .remove(msg)
-                .or_else(|| self.unexpected.remove(&msg))
-                .ok_or_else(|| {
-                    ServiceError::FallbackReplay(format!(
-                        "message {msg:?} matched during pending replay but has no stored payload"
-                    ))
-                })?;
-            let done = self.run_protocol_from_store(recv, stored)?;
-            self.completed.push(done);
-        }
-        for msg in still_unexpected {
-            let stored = self.inflight.remove(msg).ok_or_else(|| {
-                ServiceError::FallbackReplay(format!(
-                    "queued arrival {msg:?} has no staged payload"
-                ))
-            })?;
-            self.unexpected.insert(msg, stored);
-        }
-        self.backend = matcher;
+        self.backend = Box::new(matcher);
         self.fellback = true;
         Ok(())
     }
@@ -620,6 +587,19 @@ impl MatchingService {
 
     /// Polls the NIC and matches everything that arrived. Returns the
     /// number of newly completed receives.
+    ///
+    /// Each completion comes straight off the CQ, one at a time: its payload
+    /// is staged host-side (releasing its bounce buffer, §IV-C) and its
+    /// arrival submitted into the backend's queue; the drain that ends the
+    /// call applies the queue (and packs the offloaded engine's blocks). A
+    /// completion an error stops before stays on the CQ.
+    ///
+    /// A drain stopped by resource exhaustion or a dead engine migrates to
+    /// software matching — loss-free: the commands the drain could not
+    /// apply (requeued for retryable errors, surfaced in the report for
+    /// terminal ones) replay into the software matcher together with the
+    /// drained state, and the arrivals still to come in this call go into
+    /// the software matcher's queue.
     pub fn progress(&mut self) -> Result<usize, ServiceError> {
         self.polls += 1;
         if let Err(e) = self.nic.poll() {
@@ -631,17 +611,12 @@ impl MatchingService {
         // Backlog at its largest: everything arrived, nothing matched yet.
         self.observe_queues();
         let before = self.completed.len();
-        if self.backend.supports_command_queue() {
-            self.progress_queued()?;
-        } else {
-            loop {
-                let block = self.nic.take_block(self.backend.block_size());
-                if block.is_empty() {
-                    break;
-                }
-                self.match_block(block)?;
-            }
+        while let Some(completion) = self.nic.next_completion() {
+            let staged = Self::lift_from_bounce(&mut self.nic, &completion);
+            self.inflight.insert(completion.msg, staged);
+            self.submit_arrival(completion.header.env, completion.msg)?;
         }
+        self.drain_and_apply()?;
         // Post-drain view: the CQ is empty, the unexpected store and any
         // still-staged bounce buffers reflect what matching left behind.
         self.observe_queues();
@@ -650,43 +625,13 @@ impl MatchingService {
         Ok(done)
     }
 
-    /// The command-queue arrival path: stage every completion's payload
-    /// host-side (releasing its bounce buffer, §IV-C), submit the arrival
-    /// into the backend's queue, then drain and apply the outcomes.
-    ///
-    /// A drain stopped by resource exhaustion or a dead engine migrates to
-    /// software matching — loss-free: the commands the drain could not
-    /// apply (requeued for retryable errors, surfaced in the report for
-    /// terminal ones) replay into the software matcher together with the
-    /// drained state.
-    fn progress_queued(&mut self) -> Result<(), ServiceError> {
-        // One completion at a time, straight off the CQ (the drain packs
-        // the blocks); one an error stops before stays there.
-        while let Some(completion) = self.nic.next_completion() {
-            let msg = completion.msg;
-            let staged = Self::lift_from_bounce(&mut self.nic, &completion);
-            self.inflight.insert(msg, staged);
-            if self.fellback {
-                // An inline drain below already migrated to software
-                // matching mid-poll; the software matcher has no command
-                // queue, so the staged arrival goes in directly.
-                self.deliver_stashed(completion.header.env, msg)?;
-            } else {
-                self.submit_arrival(completion.header.env, msg)?;
-            }
-        }
-        if self.fellback {
-            return Ok(());
-        }
-        self.drain_and_apply()
-    }
-
     /// Submits one staged arrival into the backend's command queue. A full
     /// per-communicator submission ring is not an error but backpressure
     /// (§IV-E): the drain is the only consumer that frees slots, so run it
     /// inline and retry the push, bounded by the drain retry budget (an
     /// inline drain stalled by injected faults could otherwise spin here
-    /// forever without freeing a slot).
+    /// forever without freeing a slot). An inline drain that escalated to
+    /// software matching leaves the retry to the software matcher's queue.
     fn submit_arrival(&mut self, env: Envelope, msg: MsgHandle) -> Result<(), ServiceError> {
         let mut attempt: u32 = 0;
         loop {
@@ -701,32 +646,10 @@ impl MatchingService {
                     attempt += 1;
                     self.counts.ring_backpressure += 1;
                     self.drain_and_apply()?;
-                    if self.fellback {
-                        // The inline drain escalated to software fallback;
-                        // the arrival is already staged host-side, so it
-                        // bypasses the (gone) command queue.
-                        return self.deliver_stashed(env, msg);
-                    }
                 }
                 Err(e) => return Err(ServiceError::Match(e)),
             }
         }
-    }
-
-    /// Delivers one already-staged arrival straight through the matcher,
-    /// bypassing the command queue. Used after a mid-poll software
-    /// fallback: the payload sits in the in-flight stash (its bounce buffer
-    /// was released when it was staged), so the delivery applies exactly
-    /// like a queued outcome would.
-    fn deliver_stashed(&mut self, env: Envelope, msg: MsgHandle) -> Result<(), ServiceError> {
-        let deliveries = self
-            .backend
-            .arrive_block(&[(env, msg)])
-            .map_err(ServiceError::Match)?;
-        for delivery in deliveries {
-            self.apply_queue_outcome(CommandOutcome::Delivery(delivery))?;
-        }
-        Ok(())
     }
 
     /// Drains the backend's command queue and applies every outcome,
@@ -770,55 +693,45 @@ impl MatchingService {
         }
     }
 
-    /// Applies one drained command outcome: matched arrivals complete
-    /// through the protocol with their staged payload, unexpected arrivals
-    /// move from the in-flight stash into the unexpected store, and a
-    /// queued post that matched completes against the waiting message's
-    /// payload.
+    /// Applies one drained command outcome: a receive and message paired
+    /// by either command complete through the protocol with the message's
+    /// stored payload, and an unexpected arrival's payload moves into the
+    /// unexpected store.
     fn apply_queue_outcome(&mut self, outcome: CommandOutcome) -> Result<(), ServiceError> {
-        match outcome {
+        let (recv, msg) = match outcome {
             CommandOutcome::Post {
                 result: PostResult::Posted,
                 ..
-            } => Ok(()),
+            } => return Ok(()),
             CommandOutcome::Post {
                 handle,
                 result: PostResult::Matched(msg),
-            } => {
-                // A queued post matched a message already waiting in the
-                // engine's UMQ. Its payload normally sits in the unexpected
-                // store (the arrival's own outcome, applied earlier in
-                // submission order, moved it there), but a drain cut short
-                // by an error can leave the arrival applied inside the
-                // engine with its outcome unreported — the payload is then
-                // still in the in-flight stash, so consult both.
-                let stored = self
-                    .unexpected
-                    .remove(&msg)
-                    .or_else(|| self.inflight.remove(msg))
-                    .expect("matched message has a stored payload");
-                let done = self.run_protocol_from_store(handle, stored)?;
-                self.completed.push(done);
-                Ok(())
-            }
-            CommandOutcome::Delivery(Delivery::Matched { msg, recv }) => {
-                let stored = self
-                    .inflight
-                    .remove(msg)
-                    .expect("queued arrival has a staged payload");
-                let done = self.run_protocol_from_store(recv, stored)?;
-                self.completed.push(done);
-                Ok(())
-            }
+            } => (handle, msg),
+            CommandOutcome::Delivery(Delivery::Matched { msg, recv }) => (recv, msg),
             CommandOutcome::Delivery(Delivery::Unexpected { msg }) => {
-                let stored = self
-                    .inflight
-                    .remove(msg)
-                    .expect("queued arrival has a staged payload");
+                let stored = self.take_payload(msg)?;
                 self.unexpected.insert(msg, stored);
-                Ok(())
+                return Ok(());
             }
-        }
+        };
+        let stored = self.take_payload(msg)?;
+        let done = self.run_protocol_from_store(recv, stored)?;
+        self.completed.push(done);
+        Ok(())
+    }
+
+    /// Takes the payload of a message a drain reported. A queued arrival's
+    /// sits in the in-flight stash until its own outcome applies; a message
+    /// that waited, or that a fallback replays, has it in the unexpected
+    /// store. (A drain cut short by an error can apply an arrival inside
+    /// the engine and leave its outcome unreported, so a post that matches
+    /// it finds the payload still in the stash.)
+    fn take_payload(&mut self, msg: MsgHandle) -> Result<StoredMessage, ServiceError> {
+        (self.inflight.remove(msg))
+            .or_else(|| self.unexpected.remove(&msg))
+            .ok_or_else(|| {
+                ServiceError::FallbackReplay(format!("message {msg:?} has no stored payload"))
+            })
     }
 
     /// Samples the three queue-depth gauges (and their peaks).
@@ -828,27 +741,6 @@ impl MatchingService {
             self.nic.bounce_in_use(),
             self.unexpected.len(),
         );
-    }
-
-    /// The host backends' arrival path: match one block synchronously.
-    fn match_block(&mut self, block: Vec<Completion>) -> Result<(), ServiceError> {
-        let msgs: Vec<(Envelope, MsgHandle)> =
-            block.iter().map(|c| (c.header.env, c.msg)).collect();
-        let deliveries = self.backend.arrive_block(&msgs)?;
-        for (completion, delivery) in block.into_iter().zip(deliveries) {
-            match delivery {
-                Delivery::Matched { recv, .. } => {
-                    let stored = Self::lift_from_bounce(&mut self.nic, &completion);
-                    let done = self.run_protocol_from_store(recv, stored)?;
-                    self.completed.push(done);
-                }
-                Delivery::Unexpected { msg } => {
-                    let stored = Self::lift_from_bounce(&mut self.nic, &completion);
-                    self.unexpected.insert(msg, stored);
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Lifts a message's payload (or RTS descriptor and head) out of its
@@ -1122,10 +1014,10 @@ mod tests {
 
     #[test]
     fn a_receive_posted_later_never_overtakes_an_earlier_one() {
-        // C1 across the two ways in: the same pattern posted through the
-        // reserved session path, then through `post_recv`. The one message
-        // must complete the first. `enable_command_queue` only reports
-        // that the engine has a queue; both posts take it either way.
+        // C1 across the two post entry points: the same pattern posted
+        // through the reserved session path, then through `post_recv`. The
+        // one message must complete the first. `enable_command_queue` is
+        // inert; both posts take the queue either way.
         let (tx, _domain, mut svc) = setup("otm");
         svc.enable_command_queue().unwrap();
         let pattern = ReceivePattern::exact(Rank(0), Tag(5));
@@ -1289,9 +1181,6 @@ mod tests {
             fn wants_offload_fallback(&self) -> bool {
                 true
             }
-            fn supports_command_queue(&self) -> bool {
-                true
-            }
             fn submit_command(&mut self, _: PendingCommand) -> Result<(), MatchError> {
                 Ok(())
             }
@@ -1302,9 +1191,6 @@ mod tests {
                 self: Box<Self>,
             ) -> Result<mpi_matching::FallbackState, MatchError> {
                 Err(MatchError::EngineStopped)
-            }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
             }
         }
 
@@ -1487,14 +1373,12 @@ mod tests {
         let gauges: Vec<&str> = snap.gauges.keys().map(String::as_str).collect();
         let hists: Vec<&str> = snap.hists.keys().map(String::as_str).collect();
         let mut expected_counters = vec![
-            "dpa_acks_total",
             "dpa_bounce_spills_total",
             "dpa_completions_total",
             "dpa_cq_polls_total",
             "dpa_drain_retries_total",
             "dpa_fallback_escalations_total",
             "dpa_fallbacks_total",
-            "dpa_retransmits_total",
             "dpa_ring_backpressure_total",
             "dpa_rx_duplicates_total",
             "dpa_rx_gaps_total",
@@ -1604,8 +1488,8 @@ mod tests {
     #[test]
     fn command_queue_path_matches_like_the_direct_path() {
         // The same traffic through the offloaded engine's queue and through
-        // the host matcher's synchronous path: payloads land on the same
-        // receives, in the same order.
+        // the host matcher's: payloads land on the same receives, in the
+        // same order.
         let run = |mode: &str| {
             let (tx, _domain, mut svc) = setup(mode);
             let n = 8usize;
@@ -1622,9 +1506,8 @@ mod tests {
             }
             assert_eq!(svc.progress().unwrap(), n, "{mode}");
             let mut done = svc.take_completed();
-            // Unexpected messages survive both paths: on the queue the
-            // payload is staged at submit time and moved to the store at
-            // drain time.
+            // Unexpected messages survive both: the payload is staged at
+            // submit time and moved to the store at drain time.
             tx.send(eager_packet(env(7, 7), vec![77])).unwrap();
             assert_eq!(svc.progress().unwrap(), 0, "{mode}");
             assert_eq!(svc.unexpected_len(), 1, "{mode}");
@@ -1674,12 +1557,78 @@ mod tests {
     }
 
     #[test]
-    fn command_queue_is_refused_by_synchronous_backends() {
-        let (_tx, _domain, mut svc) = setup("cpu");
-        assert!(matches!(
-            svc.enable_command_queue(),
-            Err(ServiceError::Match(MatchError::InvalidConfig(_)))
-        ));
+    fn host_backends_take_posts_and_arrivals_as_commands() {
+        /// A host backend whose direct entry points panic: the service
+        /// reaches it through its command queue only.
+        struct CommandsOnly(Box<dyn MatchingBackend>);
+        impl MatchingBackend for CommandsOnly {
+            fn backend_name(&self) -> &'static str {
+                self.0.backend_name()
+            }
+            fn post(&mut self, _: ReceivePattern, _: RecvHandle) -> Result<PostResult, MatchError> {
+                unreachable!("posts are commands")
+            }
+            fn arrive_block(
+                &mut self,
+                _: &[(Envelope, MsgHandle)],
+            ) -> Result<Vec<Delivery>, MatchError> {
+                unreachable!("arrivals are commands")
+            }
+            fn probe(&self, pattern: &ReceivePattern) -> Option<MsgHandle> {
+                self.0.probe(pattern)
+            }
+            fn prq_len(&self) -> usize {
+                self.0.prq_len()
+            }
+            fn umq_len(&self) -> usize {
+                self.0.umq_len()
+            }
+            fn merge_stats(&self, into: &mut mpi_matching::MatchStats) {
+                self.0.merge_stats(into)
+            }
+            fn submit_command(&mut self, cmd: PendingCommand) -> Result<(), MatchError> {
+                self.0.submit_command(cmd)
+            }
+            fn drain_commands(&mut self) -> DrainReport {
+                self.0.drain_commands()
+            }
+        }
+
+        let hosts: [Box<dyn MatchingBackend>; 2] = [
+            Box::new(TraditionalMatcher::new()),
+            Box::new(RdmaNoOp::new()),
+        ];
+        for host in hosts {
+            let name = host.backend_name();
+            let (tx, rx) = connected_pair();
+            let nic = RecvNic::new(rx, BouncePool::new(64, 256));
+            let backend = Box::new(CommandsOnly(host));
+            let mut svc = MatchingService::with_backend(nic, RdmaDomain::new(), backend);
+            svc.enable_command_queue().unwrap();
+            assert_eq!(svc.backend_name(), name);
+            // A message that waits, then the receive that takes it; a
+            // receive that waits, then the message it takes.
+            tx.send(eager_packet(env(0, 1), vec![1])).unwrap();
+            let waited = u64::from(name == "MPI-CPU");
+            assert_eq!(svc.progress().unwrap() as u64, 1 - waited, "{name}");
+            assert_eq!(svc.unexpected_len() as u64, waited, "{name}");
+            let first = svc
+                .post_recv(ReceivePattern::exact(Rank(0), Tag(1)))
+                .unwrap();
+            assert_eq!(svc.completed_len() as u64, 1, "{name}: at the post");
+            let second = svc
+                .post_recv(ReceivePattern::exact(Rank(0), Tag(2)))
+                .unwrap();
+            tx.send(eager_packet(env(0, 2), vec![2])).unwrap();
+            assert_eq!(svc.progress().unwrap(), 1, "{name}");
+            let done = svc.take_completed();
+            let data: Vec<&[u8]> = done.iter().map(|d| &d.data[..]).collect();
+            assert_eq!(data, [&[1u8][..], &[2u8][..]], "{name}");
+            if name == "MPI-CPU" {
+                assert_eq!((done[0].recv, done[1].recv), (first, second));
+            }
+            assert!(svc.inflight.slots.is_empty() && svc.engine_stats().is_none());
+        }
     }
 
     #[test]
@@ -1796,9 +1745,6 @@ mod tests {
             ) -> Result<Vec<Delivery>, MatchError> {
                 unreachable!("arrivals go through the queue")
             }
-            fn supports_command_queue(&self) -> bool {
-                true
-            }
             fn submit_command(&mut self, _: PendingCommand) -> Result<(), MatchError> {
                 Ok(())
             }
@@ -1826,9 +1772,6 @@ mod tests {
                     unexpected: vec![(Envelope::world(Rank(0), Tag(0)), MsgHandle(0))],
                     pending: Vec::new(),
                 })
-            }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
             }
         }
 
@@ -2011,6 +1954,45 @@ mod tests {
             u64::from(DEFAULT_DRAIN_RETRY_BUDGET)
         );
         assert_eq!(snap.counters["dpa_fallback_escalations_total"], 1);
+    }
+
+    #[test]
+    fn a_fallback_mid_poll_sends_the_rest_of_the_poll_through_the_software_queue() {
+        use crate::fault::FaultInjectingBackend;
+        use otm_base::FaultPlan;
+
+        // Two posts fill a 2-slot ring, and every drain fails. The first
+        // arrival of the poll meets the full ring: the inline drain burns
+        // the retry budget and migrates mid-poll, the refused arrival goes
+        // into the software matcher's queue, and so do the three behind it.
+        let (tx, rx) = connected_pair();
+        let nic = RecvNic::new(rx, BouncePool::new(64, 256));
+        let engine = OtmEngine::new(MatchConfig::small().with_ring_capacity(2)).unwrap();
+        let plan = FaultPlan::new(0x3d).with_transient_fail_permille(1000);
+        let faulty = FaultInjectingBackend::new(Box::new(engine), plan);
+        let mut svc = MatchingService::with_backend(nic, RdmaDomain::new(), Box::new(faulty));
+        let mut posted = Vec::new();
+        for _ in 0..2 {
+            posted.push(svc.post_recv(ReceivePattern::any_tag(Rank(0))).unwrap());
+        }
+        for i in 0..4u32 {
+            tx.send(eager_packet(env(0, i), vec![i as u8])).unwrap();
+        }
+        assert_eq!(svc.progress().unwrap(), 2);
+        assert_eq!((svc.backend_name(), svc.unexpected_len()), ("MPI-CPU", 2));
+        let snap = svc.observability_snapshot();
+        assert_eq!(snap.counters["dpa_ring_backpressure_total"], 1);
+        assert_eq!(snap.counters["dpa_fallback_escalations_total"], 1);
+        for _ in 0..2 {
+            posted.push(svc.post_recv(ReceivePattern::any_tag(Rank(0))).unwrap());
+        }
+        let done = svc.take_completed();
+        let pairs: Vec<(RecvHandle, Vec<u8>)> =
+            done.into_iter().map(|d| (d.recv, d.data)).collect();
+        let expected: Vec<(RecvHandle, Vec<u8>)> =
+            (0..4u8).map(|i| (posted[i as usize], vec![i])).collect();
+        assert_eq!(pairs, expected, "every message, in order, none lost");
+        assert!(svc.inflight.slots.is_empty());
     }
 
     /// Drives `rounds` rounds of 512 1 KiB rendezvous messages closed-loop

@@ -1,20 +1,29 @@
 //! The pluggable matching-backend interface used by the SmartNIC simulator.
 //!
 //! The paper's service layer (§IV-E) treats matching as a component behind
-//! the DPA command queues: receives are posted through a command path,
-//! messages are matched in blocks, and when device resources run out the
+//! the DPA command queues: receives and arrivals are commands, a drain
+//! applies them in submission order, and when device resources run out the
 //! whole matching state migrates to host software. [`MatchingBackend`]
 //! captures exactly that contract so the simulator, the trace replayer and
 //! the figure harnesses can swap engines — the parallel optimistic engine,
 //! the host-CPU baselines, or the no-matching RDMA ceiling — without
 //! enum-dispatching over a closed set.
 //!
-//! Unlike [`Matcher`], which models a *sequential*
-//! engine for oracle comparisons, this trait speaks the service's language:
-//! block-granular arrival ([`MatchingBackend::arrive_block`]), an explicit
-//! offload-fallback drain ([`MatchingBackend::drain_for_fallback`]), and
-//! statistics *merging* (offloaded engines keep their own counters and fold
-//! them into a host-side [`MatchStats`] on demand).
+//! There is one way in, whatever runs behind it:
+//! [`MatchingBackend::submit_command`] queues a command and
+//! [`MatchingBackend::drain_commands`] applies the queue. The offloaded
+//! engine queues on its per-communicator rings; a host backend keeps a plain
+//! vector and applies it at the drain with its own direct `post` / `arrive`
+//! calls ([`drain_host_queue`]). Either way a command takes effect at the
+//! drain, not at the submit, so a fallback snapshot carries the commands
+//! still queued.
+//!
+//! Unlike [`Matcher`], which models a *sequential* engine for oracle
+//! comparisons, this trait speaks the service's language: a command queue,
+//! an explicit offload-fallback drain
+//! ([`MatchingBackend::drain_for_fallback`]), and statistics *merging*
+//! (offloaded engines keep their own counters and fold them into a
+//! host-side [`MatchStats`] on demand).
 //!
 //! # Selecting a backend
 //!
@@ -23,7 +32,9 @@
 //! in its own crate; the host-side engines and the RDMA ceiling live here:
 //!
 //! ```
-//! use mpi_matching::backend::{MatchingBackend, RdmaNoOp};
+//! use mpi_matching::backend::{
+//!     BlockDelivery, CommandOutcome, MatchingBackend, PendingCommand, RdmaNoOp,
+//! };
 //! use mpi_matching::binned::BinnedMatcher;
 //! use mpi_matching::traditional::TraditionalMatcher;
 //! use mpi_matching::{MsgHandle, RecvHandle};
@@ -35,10 +46,15 @@
 //!     Box::new(RdmaNoOp::new()),           // "RDMA-CPU" (no matching)
 //! ];
 //! for backend in &mut backends {
-//!     backend.post(ReceivePattern::exact(Rank(0), Tag(1)), RecvHandle(0))?;
-//!     let deliveries =
-//!         backend.arrive_block(&[(Envelope::world(Rank(0), Tag(1)), MsgHandle(0))])?;
-//!     assert_eq!(deliveries[0].matched(), Some(RecvHandle(0)));
+//!     let (pattern, handle) = (ReceivePattern::exact(Rank(0), Tag(1)), RecvHandle(0));
+//!     backend.submit_command(PendingCommand::Post { pattern, handle })?;
+//!     let (env, msg) = (Envelope::world(Rank(0), Tag(1)), MsgHandle(0));
+//!     backend.submit_command(PendingCommand::Arrival { env, msg })?;
+//!     let report = backend.drain_commands();
+//!     let CommandOutcome::Delivery(delivery) = report.outcomes[1] else {
+//!         unreachable!("the second command is the arrival")
+//!     };
+//!     assert_eq!(delivery, BlockDelivery::Matched { msg, recv: handle });
 //! }
 //! # Ok::<(), otm_base::MatchError>(())
 //! ```
@@ -48,18 +64,17 @@
 use crate::binned::BinnedMatcher;
 use crate::matcher::{ArriveResult, Matcher, MsgHandle, PostResult, RecvHandle};
 use crate::rank_based::RankBasedMatcher;
-use crate::stats::MatchStats;
+use crate::stats::{MatchStats, StatsSnapshot};
 use crate::traditional::TraditionalMatcher;
 use otm_base::{Envelope, MatchError, ReceivePattern};
-use std::any::Any;
+use otm_metrics::RegistrySnapshot;
 
 /// One host-to-backend command, mirroring the DPA QP command set (§IV-E).
 ///
-/// Backends with an internal submission queue (the offloaded engine) accept
-/// these through [`MatchingBackend::submit_command`] and apply them at
-/// [`MatchingBackend::drain_commands`]; a fallback snapshot carries the
-/// commands a backend accepted but never applied, so the offload→software
-/// migration is loss-free.
+/// Every backend accepts these through [`MatchingBackend::submit_command`]
+/// and applies them at [`MatchingBackend::drain_commands`]; a fallback
+/// snapshot carries the commands a backend accepted but never applied, so
+/// the offload→software migration is loss-free.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PendingCommand {
     /// Post a receive (the `post` command path).
@@ -151,19 +166,23 @@ impl DrainReport {
 /// may legitimately produce matches during the replay.
 ///
 /// ```
-/// use mpi_matching::backend::{FallbackState, MatchingBackend};
+/// use mpi_matching::backend::{FallbackState, MatchingBackend, PendingCommand};
 /// use mpi_matching::traditional::TraditionalMatcher;
 /// use mpi_matching::{MsgHandle, RecvHandle};
 /// use otm_base::{Envelope, Rank, ReceivePattern, Tag};
 ///
 /// let mut b: Box<dyn MatchingBackend> = Box::new(TraditionalMatcher::new());
-/// b.post(ReceivePattern::exact(Rank(0), Tag(1)), RecvHandle(0))?;
-/// b.arrive_block(&[(Envelope::world(Rank(9), Tag(9)), MsgHandle(0))])?;
+/// let (pattern, handle) = (ReceivePattern::exact(Rank(0), Tag(1)), RecvHandle(0));
+/// b.submit_command(PendingCommand::Post { pattern, handle })?;
+/// b.drain_commands();
+/// let (env, msg) = (Envelope::world(Rank(9), Tag(9)), MsgHandle(0));
+/// b.submit_command(PendingCommand::Arrival { env, msg })?;
 ///
 /// let state: FallbackState = b.drain_for_fallback()?;
-/// assert_eq!(state.receives.len(), 1);   // the still-pending receive
-/// assert_eq!(state.unexpected.len(), 1); // the unmatched message
-/// assert!(state.pending.is_empty());     // synchronous backend: no queue
+/// assert_eq!(state.receives.len(), 1); // the drained, still-pending receive
+/// // The arrival was never drained, so it comes back as a command.
+/// assert!(state.unexpected.is_empty());
+/// assert_eq!(state.pending, [PendingCommand::Arrival { env, msg }]);
 /// assert_eq!(state.len(), 2);
 /// # Ok::<(), otm_base::MatchError>(())
 /// ```
@@ -179,7 +198,7 @@ pub struct FallbackState {
 
 impl FallbackState {
     /// A snapshot of applied matching state only, with no pending commands
-    /// (the shape of backends that apply every operation synchronously).
+    /// (what a host matcher's state reads as before its queue is added).
     pub fn from_state(
         receives: Vec<(ReceivePattern, RecvHandle)>,
         unexpected: Vec<(Envelope, MsgHandle)>,
@@ -239,33 +258,40 @@ impl BlockDelivery {
 /// A matching engine as the simulator's service layer sees it (§IV-E).
 ///
 /// Implementations must uphold the MPI matching constraints C1/C2 (see
-/// [`Matcher`]); within one [`MatchingBackend::arrive_block`] call, messages
-/// are matched in slice order (lane *i* is the *i*-th arrival) and the
-/// deliveries come back in that same order.
+/// [`Matcher`]); a drain applies the commands of one communicator in
+/// submission order, and within one [`MatchingBackend::arrive_block`] call
+/// messages are matched in slice order (lane *i* is the *i*-th arrival) and
+/// the deliveries come back in that same order.
 ///
-/// The optional capabilities degrade gracefully through the defaults: a
-/// plain host engine is a complete backend out of the box, refusing the
-/// command-queue and offload-fallback paths it does not have —
+/// Every backend is driven the same way: commands in, a drain, outcomes
+/// out. A host backend applies nothing at the submit, and never refuses
+/// one —
 ///
 /// ```
-/// use mpi_matching::backend::{MatchingBackend, PendingCommand, RdmaNoOp};
-/// use mpi_matching::{MsgHandle, RecvHandle};
+/// use mpi_matching::backend::{
+///     BlockDelivery, CommandOutcome, MatchingBackend, PendingCommand,
+/// };
+/// use mpi_matching::traditional::TraditionalMatcher;
+/// use mpi_matching::{MsgHandle, PostResult, RecvHandle};
 /// use otm_base::{Envelope, Rank, ReceivePattern, Tag};
 ///
-/// let mut b: Box<dyn MatchingBackend> = Box::new(RdmaNoOp::new());
-/// // The synchronous paths always work...
-/// b.post(ReceivePattern::exact(Rank(0), Tag(1)), RecvHandle(0))?;
-/// let d = b.arrive_block(&[(Envelope::world(Rank(0), Tag(1)), MsgHandle(0))])?;
-/// assert!(d[0].matched().is_some());
-/// // ...while the device-only capabilities report themselves absent.
-/// assert!(!b.supports_command_queue());
-/// assert!(!b.wants_offload_fallback());
-/// assert!(b
-///     .submit_command(PendingCommand::Arrival {
-///         env: Envelope::world(Rank(0), Tag(2)),
-///         msg: MsgHandle(1),
-///     })
-///     .is_err());
+/// let mut b: Box<dyn MatchingBackend> = Box::new(TraditionalMatcher::new());
+/// let (env, msg) = (Envelope::world(Rank(0), Tag(1)), MsgHandle(0));
+/// b.submit_command(PendingCommand::Arrival { env, msg })?;
+/// let (pattern, handle) = (ReceivePattern::exact(Rank(0), Tag(1)), RecvHandle(0));
+/// b.submit_command(PendingCommand::Post { pattern, handle })?;
+/// // Nothing applies until the drain...
+/// assert_eq!((b.pending_commands(), b.umq_len()), (2, 0));
+/// // ...which applies both, in submission order.
+/// let report = b.drain_commands();
+/// assert_eq!(
+///     report.outcomes,
+///     [
+///         CommandOutcome::Delivery(BlockDelivery::Unexpected { msg }),
+///         CommandOutcome::Post { handle, result: PostResult::Matched(msg) },
+///     ]
+/// );
+/// assert!(report.error.is_none() && !b.wants_offload_fallback());
 /// # Ok::<(), otm_base::MatchError>(())
 /// ```
 pub trait MatchingBackend: Send {
@@ -273,22 +299,25 @@ pub trait MatchingBackend: Send {
     /// (e.g. `"Optimistic-DPA"`, `"MPI-CPU"`, `"RDMA-CPU"`).
     fn backend_name(&self) -> &'static str;
 
-    /// The preferred arrival-block size. The service feeds
-    /// [`MatchingBackend::arrive_block`] at most this many messages at a
-    /// time. Sequential engines match one message per "block".
+    /// How many messages the engine matches in one block: its block
+    /// threads, 1 for a sequential engine. Nothing in the workspace reads
+    /// it; the benchmark package's block rung chunks its
+    /// [`MatchingBackend::arrive_block`] calls by it (ROADMAP item 1).
     fn block_size(&self) -> usize {
         1
     }
 
-    /// Posts a receive — the host-to-device command path.
+    /// Posts a receive at once, outside the command queue: what a host
+    /// matcher's drain applies a [`PendingCommand::Post`] with, and what
+    /// the benchmark package still calls (ROADMAP item 1).
     fn post(
         &mut self,
         pattern: ReceivePattern,
         handle: RecvHandle,
     ) -> Result<PostResult, MatchError>;
 
-    /// Matches a block of up to [`MatchingBackend::block_size`] incoming
-    /// messages, in slice (= arrival) order.
+    /// Matches a block of incoming messages at once, outside the command
+    /// queue, in slice (= arrival) order.
     ///
     /// On error the block must be rejected atomically: no message of the
     /// block may have been half-applied, so the caller can migrate the
@@ -324,42 +353,17 @@ pub trait MatchingBackend: Send {
         false
     }
 
-    /// Whether this backend accepts asynchronous commands through
-    /// [`MatchingBackend::submit_command`] (the DPA command-queue path,
-    /// §IV-E). Synchronous host backends do not.
-    fn supports_command_queue(&self) -> bool {
-        false
-    }
-
-    /// Enqueues one command for a later [`MatchingBackend::drain_commands`].
-    ///
-    /// The default refuses: only queue-capable backends
-    /// ([`MatchingBackend::supports_command_queue`]) accept submissions.
-    fn submit_command(&mut self, cmd: PendingCommand) -> Result<(), MatchError> {
-        let _ = cmd;
-        Err(MatchError::InvalidConfig(format!(
-            "the {} backend has no command queue",
-            self.backend_name()
-        )))
-    }
+    /// Enqueues one command for the next [`MatchingBackend::drain_commands`].
+    /// A host backend never refuses; the offloaded engine refuses a full
+    /// ring ([`MatchError::SubmissionRingFull`], retryable) and a post its
+    /// communicator's hints forbid.
+    fn submit_command(&mut self, cmd: PendingCommand) -> Result<(), MatchError>;
 
     /// Applies queued commands in submission order and reports their
     /// outcomes (see [`DrainReport`] for the partial-failure contract).
-    ///
-    /// The default refuses, mirroring [`MatchingBackend::submit_command`].
-    fn drain_commands(&mut self) -> DrainReport {
-        DrainReport {
-            outcomes: Vec::new(),
-            error: Some(MatchError::InvalidConfig(format!(
-                "the {} backend has no command queue",
-                self.backend_name()
-            ))),
-            unapplied: Vec::new(),
-        }
-    }
+    fn drain_commands(&mut self) -> DrainReport;
 
-    /// Commands currently sitting in the submission queue. Zero for
-    /// synchronous backends.
+    /// Commands submitted and not yet drained.
     fn pending_commands(&self) -> usize {
         0
     }
@@ -370,8 +374,7 @@ pub trait MatchingBackend: Send {
     /// device resources are being given up). Nothing the backend ever
     /// accepted may be dropped: a fallback under load must be loss-free.
     ///
-    /// The default refuses: only offload-capable backends support the
-    /// drain, and the service never invokes it unless
+    /// The default refuses: the service never invokes it unless
     /// [`MatchingBackend::wants_offload_fallback`] said so.
     fn drain_for_fallback(self: Box<Self>) -> Result<FallbackState, MatchError> {
         Err(MatchError::InvalidConfig(format!(
@@ -394,170 +397,167 @@ pub trait MatchingBackend: Send {
         )))
     }
 
-    /// The backend as [`Any`], for observability downcasts (e.g. the
-    /// service reading the optimistic engine's device-side metrics).
-    fn as_any(&self) -> &dyn Any;
+    /// The offloaded engine's statistics; `None` for any other backend.
+    fn engine_stats(&self) -> Option<StatsSnapshot> {
+        None
+    }
+
+    /// The offloaded engine's registry snapshot (its histograms, depth-peak
+    /// gauges and path counters); `None` for any other backend.
+    fn metrics_snapshot(&self) -> Option<RegistrySnapshot> {
+        None
+    }
 }
 
-/// Matches one block through a sequential [`Matcher`], one arrival at a
-/// time. Shared by the host-CPU backend impls.
-fn arrive_block_via_matcher<M: Matcher>(
+/// Matches one message through a sequential [`Matcher`]: the direct
+/// arrival of every host matcher, inside a drain and out.
+pub fn arrive_via_matcher<M: Matcher>(
     matcher: &mut M,
-    msgs: &[(Envelope, MsgHandle)],
-) -> Result<Vec<BlockDelivery>, MatchError> {
-    msgs.iter()
-        .map(|&(env, msg)| {
-            Ok(match matcher.arrive(env, msg)? {
-                ArriveResult::Matched(recv) => BlockDelivery::Matched { msg, recv },
-                ArriveResult::Unexpected => BlockDelivery::Unexpected { msg },
-            })
-        })
-        .collect()
+    env: Envelope,
+    msg: MsgHandle,
+) -> Result<BlockDelivery, MatchError> {
+    Ok(match matcher.arrive(env, msg)? {
+        ArriveResult::Matched(recv) => BlockDelivery::Matched { msg, recv },
+        ArriveResult::Unexpected => BlockDelivery::Unexpected { msg },
+    })
 }
 
-impl MatchingBackend for TraditionalMatcher {
-    fn backend_name(&self) -> &'static str {
-        "MPI-CPU"
+/// Applies the commands a host backend queued, oldest first, with the same
+/// direct calls it answers outside the queue: [`MatchingBackend::post`] for
+/// a receive, `arrive` for a message. `queue` names the backend's
+/// `Vec<PendingCommand>`, which keeps its allocation. A command that fails
+/// stops the drain ([`DrainReport`]): after a retryable error it and every
+/// command behind it stay queued, after a terminal one they are handed back
+/// in [`DrainReport::unapplied`].
+pub fn drain_host_queue<B: MatchingBackend>(
+    backend: &mut B,
+    queue: fn(&mut B) -> &mut Vec<PendingCommand>,
+    arrive: fn(&mut B, Envelope, MsgHandle) -> Result<BlockDelivery, MatchError>,
+) -> DrainReport {
+    let mut commands = std::mem::take(queue(backend));
+    let mut report = DrainReport {
+        outcomes: Vec::with_capacity(commands.len()),
+        ..DrainReport::default()
+    };
+    for &cmd in &commands {
+        let applied = match cmd {
+            PendingCommand::Post { pattern, handle } => backend
+                .post(pattern, handle)
+                .map(|result| CommandOutcome::Post { handle, result }),
+            PendingCommand::Arrival { env, msg } => {
+                arrive(backend, env, msg).map(CommandOutcome::Delivery)
+            }
+        };
+        match applied {
+            Ok(outcome) => report.outcomes.push(outcome),
+            Err(e) => {
+                report.error = Some(e);
+                break;
+            }
+        }
     }
-
-    fn post(
-        &mut self,
-        pattern: ReceivePattern,
-        handle: RecvHandle,
-    ) -> Result<PostResult, MatchError> {
-        Matcher::post(self, pattern, handle)
+    commands.drain(..report.outcomes.len());
+    if report.is_terminal() {
+        report.unapplied.append(&mut commands);
     }
-
-    fn arrive_block(
-        &mut self,
-        msgs: &[(Envelope, MsgHandle)],
-    ) -> Result<Vec<BlockDelivery>, MatchError> {
-        arrive_block_via_matcher(self, msgs)
-    }
-
-    fn probe(&self, pattern: &ReceivePattern) -> Option<MsgHandle> {
-        Matcher::probe(self, pattern)
-    }
-
-    fn prq_len(&self) -> usize {
-        Matcher::prq_len(self)
-    }
-
-    fn umq_len(&self) -> usize {
-        Matcher::umq_len(self)
-    }
-
-    fn merge_stats(&self, into: &mut MatchStats) {
-        into.merge(Matcher::stats(self));
-    }
-
-    fn drain_for_fallback(self: Box<Self>) -> Result<FallbackState, MatchError> {
-        Ok(self.snapshot_state())
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
+    *queue(backend) = commands;
+    report
 }
 
-impl MatchingBackend for BinnedMatcher {
-    fn backend_name(&self) -> &'static str {
-        "Binned-CPU"
-    }
+/// The [`MatchingBackend`] of a host [`Matcher`] with a `queue` field:
+/// direct calls go to the matcher, and a drain applies the queue through
+/// it. With a snapshot method named, the backend drains for fallback too,
+/// its queue carried as the snapshot's pending commands.
+macro_rules! host_backend {
+    ($matcher:ty, $name:literal $(, $snapshot:ident)?) => {
+        impl MatchingBackend for $matcher {
+            fn backend_name(&self) -> &'static str {
+                $name
+            }
 
-    fn post(
-        &mut self,
-        pattern: ReceivePattern,
-        handle: RecvHandle,
-    ) -> Result<PostResult, MatchError> {
-        Matcher::post(self, pattern, handle)
-    }
+            fn post(
+                &mut self,
+                pattern: ReceivePattern,
+                handle: RecvHandle,
+            ) -> Result<PostResult, MatchError> {
+                Matcher::post(self, pattern, handle)
+            }
 
-    fn arrive_block(
-        &mut self,
-        msgs: &[(Envelope, MsgHandle)],
-    ) -> Result<Vec<BlockDelivery>, MatchError> {
-        arrive_block_via_matcher(self, msgs)
-    }
+            fn arrive_block(
+                &mut self,
+                msgs: &[(Envelope, MsgHandle)],
+            ) -> Result<Vec<BlockDelivery>, MatchError> {
+                msgs.iter()
+                    .map(|&(env, msg)| arrive_via_matcher(self, env, msg))
+                    .collect()
+            }
 
-    fn probe(&self, pattern: &ReceivePattern) -> Option<MsgHandle> {
-        Matcher::probe(self, pattern)
-    }
+            fn probe(&self, pattern: &ReceivePattern) -> Option<MsgHandle> {
+                Matcher::probe(self, pattern)
+            }
 
-    fn prq_len(&self) -> usize {
-        Matcher::prq_len(self)
-    }
+            fn prq_len(&self) -> usize {
+                Matcher::prq_len(self)
+            }
 
-    fn umq_len(&self) -> usize {
-        Matcher::umq_len(self)
-    }
+            fn umq_len(&self) -> usize {
+                Matcher::umq_len(self)
+            }
 
-    fn merge_stats(&self, into: &mut MatchStats) {
-        into.merge(Matcher::stats(self));
-    }
+            fn merge_stats(&self, into: &mut MatchStats) {
+                into.merge(Matcher::stats(self));
+            }
 
-    fn drain_for_fallback(self: Box<Self>) -> Result<FallbackState, MatchError> {
-        Ok(self.snapshot_state())
-    }
+            fn submit_command(&mut self, cmd: PendingCommand) -> Result<(), MatchError> {
+                self.queue.push(cmd);
+                Ok(())
+            }
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
+            fn drain_commands(&mut self) -> DrainReport {
+                drain_host_queue(self, |m| &mut m.queue, arrive_via_matcher)
+            }
+
+            fn pending_commands(&self) -> usize {
+                self.queue.len()
+            }
+
+            $(
+                fn drain_for_fallback(self: Box<Self>) -> Result<FallbackState, MatchError> {
+                    let mut state = self.$snapshot();
+                    state.pending = self.queue;
+                    Ok(state)
+                }
+            )?
+        }
+    };
 }
 
-impl MatchingBackend for RankBasedMatcher {
-    fn backend_name(&self) -> &'static str {
-        "Rank-CPU"
-    }
-
-    fn post(
-        &mut self,
-        pattern: ReceivePattern,
-        handle: RecvHandle,
-    ) -> Result<PostResult, MatchError> {
-        Matcher::post(self, pattern, handle)
-    }
-
-    fn arrive_block(
-        &mut self,
-        msgs: &[(Envelope, MsgHandle)],
-    ) -> Result<Vec<BlockDelivery>, MatchError> {
-        arrive_block_via_matcher(self, msgs)
-    }
-
-    fn probe(&self, pattern: &ReceivePattern) -> Option<MsgHandle> {
-        Matcher::probe(self, pattern)
-    }
-
-    fn prq_len(&self) -> usize {
-        Matcher::prq_len(self)
-    }
-
-    fn umq_len(&self) -> usize {
-        Matcher::umq_len(self)
-    }
-
-    fn merge_stats(&self, into: &mut MatchStats) {
-        into.merge(Matcher::stats(self));
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
+host_backend!(TraditionalMatcher, "MPI-CPU", snapshot_state);
+host_backend!(BinnedMatcher, "Binned-CPU", snapshot_state);
+host_backend!(RankBasedMatcher, "Rank-CPU");
 
 /// The paper's **RDMA-CPU** baseline: no tag matching at all, every message
 /// "matches" immediately — the transport ceiling of Figure 8.
 ///
 /// The delivered receive handle is fabricated from the message handle, as
 /// the real baseline would address the buffer directly from the packet.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RdmaNoOp;
+#[derive(Debug, Clone, Default)]
+pub struct RdmaNoOp {
+    queue: Vec<PendingCommand>,
+}
 
 impl RdmaNoOp {
     /// Creates the no-op backend.
     pub fn new() -> Self {
-        RdmaNoOp
+        RdmaNoOp::default()
+    }
+
+    /// The fabricated match of one message.
+    fn arrive(&mut self, _env: Envelope, msg: MsgHandle) -> Result<BlockDelivery, MatchError> {
+        Ok(BlockDelivery::Matched {
+            msg,
+            recv: RecvHandle(msg.0),
+        })
     }
 }
 
@@ -578,13 +578,9 @@ impl MatchingBackend for RdmaNoOp {
         &mut self,
         msgs: &[(Envelope, MsgHandle)],
     ) -> Result<Vec<BlockDelivery>, MatchError> {
-        Ok(msgs
-            .iter()
-            .map(|&(_, msg)| BlockDelivery::Matched {
-                msg,
-                recv: RecvHandle(msg.0),
-            })
-            .collect())
+        msgs.iter()
+            .map(|&(env, msg)| self.arrive(env, msg))
+            .collect()
     }
 
     fn probe(&self, _pattern: &ReceivePattern) -> Option<MsgHandle> {
@@ -601,8 +597,17 @@ impl MatchingBackend for RdmaNoOp {
 
     fn merge_stats(&self, _into: &mut MatchStats) {}
 
-    fn as_any(&self) -> &dyn Any {
-        self
+    fn submit_command(&mut self, cmd: PendingCommand) -> Result<(), MatchError> {
+        self.queue.push(cmd);
+        Ok(())
+    }
+
+    fn drain_commands(&mut self) -> DrainReport {
+        drain_host_queue(self, |b| &mut b.queue, RdmaNoOp::arrive)
+    }
+
+    fn pending_commands(&self) -> usize {
+        self.queue.len()
     }
 }
 
@@ -702,21 +707,75 @@ mod tests {
     }
 
     #[test]
-    fn synchronous_backends_refuse_command_submission() {
+    fn undrained_commands_are_handed_back_in_submission_order() {
         let mut b: Box<dyn MatchingBackend> = Box::new(TraditionalMatcher::new());
-        assert!(!b.supports_command_queue());
-        assert_eq!(b.pending_commands(), 0);
-        assert!(matches!(
-            b.submit_command(PendingCommand::Post {
-                pattern: ReceivePattern::any_any(),
+        let commands = [
+            PendingCommand::Arrival {
+                env: env(0, 1),
+                msg: MsgHandle(0),
+            },
+            PendingCommand::Post {
+                pattern: ReceivePattern::exact(Rank(0), Tag(1)),
                 handle: RecvHandle(0),
-            }),
-            Err(MatchError::InvalidConfig(_))
-        ));
-        let report = b.drain_commands();
-        assert!(report.outcomes.is_empty());
-        assert!(report.is_terminal());
-        assert!(report.unapplied.is_empty());
+            },
+            PendingCommand::Arrival {
+                env: env(0, 1),
+                msg: MsgHandle(1),
+            },
+        ];
+        for cmd in commands {
+            b.submit_command(cmd).unwrap();
+        }
+        assert_eq!((b.pending_commands(), b.prq_len(), b.umq_len()), (3, 0, 0));
+        assert_eq!(
+            b.drain_for_fallback().unwrap(),
+            FallbackState {
+                receives: Vec::new(),
+                unexpected: Vec::new(),
+                pending: commands.to_vec(),
+            }
+        );
+    }
+
+    #[test]
+    fn every_host_backend_applies_its_queue_at_the_drain() {
+        let backends: Vec<Box<dyn MatchingBackend>> = vec![
+            Box::new(TraditionalMatcher::new()),
+            Box::new(BinnedMatcher::new(8)),
+            Box::new(RankBasedMatcher::new()),
+            Box::new(RdmaNoOp::new()),
+        ];
+        for mut b in backends {
+            let pattern = ReceivePattern::exact(Rank(0), Tag(1));
+            b.submit_command(PendingCommand::Post {
+                pattern,
+                handle: RecvHandle(5),
+            })
+            .unwrap();
+            let (env, msg) = (env(0, 1), MsgHandle(5));
+            b.submit_command(PendingCommand::Arrival { env, msg })
+                .unwrap();
+            let report = b.drain_commands();
+            assert!(report.error.is_none() && report.unapplied.is_empty());
+            assert_eq!(
+                report.outcomes,
+                [
+                    CommandOutcome::Post {
+                        handle: RecvHandle(5),
+                        result: PostResult::Posted
+                    },
+                    CommandOutcome::Delivery(BlockDelivery::Matched {
+                        msg,
+                        recv: RecvHandle(5)
+                    }),
+                ],
+                "{}",
+                b.backend_name()
+            );
+            assert_eq!(b.pending_commands(), 0);
+            assert!(b.drain_commands().outcomes.is_empty(), "drained once");
+            assert!(b.engine_stats().is_none() && b.metrics_snapshot().is_none());
+        }
     }
 
     #[test]
@@ -766,13 +825,5 @@ mod tests {
         b.merge_stats(&mut stats);
         assert_eq!(stats.matched_on_arrival, 1);
         assert_eq!(stats.posted, 1);
-    }
-
-    #[test]
-    fn as_any_supports_observability_downcasts() {
-        let b: Box<dyn MatchingBackend> = Box::new(BinnedMatcher::new(4));
-        let binned = b.as_any().downcast_ref::<BinnedMatcher>().unwrap();
-        assert_eq!(binned.bins(), 4);
-        assert!(b.as_any().downcast_ref::<TraditionalMatcher>().is_none());
     }
 }

@@ -66,6 +66,9 @@ pub struct BinnedMatcher {
     umq_live: usize,
     prq_live: usize,
     stats: MatchStats,
+    /// Commands submitted through [`crate::MatchingBackend::submit_command`]
+    /// and not yet drained.
+    pub(crate) queue: Vec<crate::backend::PendingCommand>,
 }
 
 impl BinnedMatcher {
@@ -87,6 +90,7 @@ impl BinnedMatcher {
             umq_live: 0,
             prq_live: 0,
             stats: MatchStats::new(),
+            queue: Vec::new(),
         }
     }
 

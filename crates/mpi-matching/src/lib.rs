@@ -5,9 +5,9 @@
 //!
 //! * [`matcher`] — the common [`matcher::Matcher`] interface: post a
 //!   receive, deliver a message, observe search-depth statistics;
-//! * [`backend`] — the block-granular [`backend::MatchingBackend`] interface
-//!   the SmartNIC simulator's service layer selects engines through (post /
-//!   arrive-block / fallback-drain / stats-merge), implemented by the host
+//! * [`backend`] — the [`backend::MatchingBackend`] interface the SmartNIC
+//!   simulator's service layer drives every engine through (submit / drain
+//!   commands, fallback-drain, stats-merge), implemented by the host
 //!   engines here and by the offloaded optimistic engine in its own crate;
 //! * [`traditional`] — the classic two-linked-list implementation (PRQ +
 //!   UMQ) used by mainstream MPI libraries, the paper's **MPI-CPU** baseline
@@ -25,7 +25,7 @@
 //! * [`protocol`] — eager / rendezvous protocol state machines driven by the
 //!   SmartNIC simulator after a match completes;
 //! * [`stats`] — search-depth and queue-length statistics shared with the
-//!   trace analyzer.
+//!   trace analyzer, and the optimistic engine's path counts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,4 +45,4 @@ pub use backend::{
 };
 pub use matcher::{ArriveResult, Matcher, MsgHandle, PostResult, RecvHandle};
 pub use oracle::{Assignment, MatchEvent, Oracle};
-pub use stats::MatchStats;
+pub use stats::{MatchStats, StatsSnapshot};

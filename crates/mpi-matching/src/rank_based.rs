@@ -58,6 +58,9 @@ pub struct RankBasedMatcher {
     umq_live: usize,
     prq_live: usize,
     stats: MatchStats,
+    /// Commands submitted through [`crate::MatchingBackend::submit_command`]
+    /// and not yet drained.
+    pub(crate) queue: Vec<crate::backend::PendingCommand>,
 }
 
 impl RankBasedMatcher {

@@ -132,6 +132,9 @@ pub struct TraditionalMatcher {
     prq: LinkedQueue<(ReceivePattern, RecvHandle)>,
     umq: LinkedQueue<(Envelope, MsgHandle)>,
     stats: MatchStats,
+    /// Commands submitted through [`crate::MatchingBackend::submit_command`]
+    /// and not yet drained.
+    pub(crate) queue: Vec<crate::backend::PendingCommand>,
 }
 
 impl TraditionalMatcher {
@@ -141,6 +144,7 @@ impl TraditionalMatcher {
             prq: LinkedQueue::new(),
             umq: LinkedQueue::new(),
             stats: MatchStats::new(),
+            queue: Vec::new(),
         }
     }
 

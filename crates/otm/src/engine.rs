@@ -40,6 +40,7 @@ use crate::shard::{locate, Entry, ShardHost, ShardMap};
 use crate::stats::{StatsSnapshot, Tally};
 use crate::table::{DescId, Payload};
 use crate::worker::{run_block, LaneCtx};
+use mpi_matching::backend::{arrive_via_matcher, drain_host_queue};
 use mpi_matching::stats::DepthAggregate;
 use mpi_matching::{
     ArriveResult, MatchStats, Matcher, MatchingBackend, MsgHandle, PostResult, RecvHandle,
@@ -888,10 +889,6 @@ impl MatchingBackend for OtmEngine {
         true
     }
 
-    fn supports_command_queue(&self) -> bool {
-        true
-    }
-
     fn submit_command(&mut self, cmd: Command) -> Result<(), MatchError> {
         OtmEngine::submit(self, cmd)
     }
@@ -912,8 +909,12 @@ impl MatchingBackend for OtmEngine {
         OtmEngine::reset(self)
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
+    fn engine_stats(&self) -> Option<StatsSnapshot> {
+        Some(self.stats())
+    }
+
+    fn metrics_snapshot(&self) -> Option<otm_metrics::RegistrySnapshot> {
+        Some(OtmEngine::metrics_snapshot(self))
     }
 }
 
@@ -937,6 +938,8 @@ pub struct SequentialOtm {
     /// Posted receives and waiting messages.
     prq: usize,
     umq: usize,
+    /// Commands submitted as a [`MatchingBackend`] and not yet drained.
+    queue: Vec<Command>,
 }
 
 impl SequentialOtm {
@@ -947,13 +950,19 @@ impl SequentialOtm {
             stats: MatchStats::new(),
             prq: 0,
             umq: 0,
+            queue: Vec::new(),
         })
     }
 
     /// Resets the wrapped engine ([`OtmEngine::reset`]) and the adapter's
     /// statistics and queue lengths: the adapter reads as new. Refused, with
-    /// nothing changed, when the engine refuses.
+    /// nothing changed, when the engine refuses or commands wait undrained.
     pub fn reset(&mut self) -> Result<(), MatchError> {
+        if !self.queue.is_empty() {
+            return Err(MatchError::InvalidConfig(
+                "an adapter with queued commands cannot be reset".into(),
+            ));
+        }
         self.engine.reset()?;
         self.stats = MatchStats::new();
         (self.prq, self.umq) = (0, 0);
@@ -1058,12 +1067,7 @@ impl MatchingBackend for SequentialOtm {
         msgs: &[(Envelope, MsgHandle)],
     ) -> Result<Vec<Delivery>, MatchError> {
         msgs.iter()
-            .map(|&(env, msg)| {
-                Ok(match Matcher::arrive(self, env, msg)? {
-                    ArriveResult::Matched(recv) => Delivery::Matched { msg, recv },
-                    ArriveResult::Unexpected => Delivery::Unexpected { msg },
-                })
-            })
+            .map(|&(env, msg)| arrive_via_matcher(self, env, msg))
             .collect()
     }
 
@@ -1089,16 +1093,27 @@ impl MatchingBackend for SequentialOtm {
         true
     }
 
+    fn submit_command(&mut self, cmd: Command) -> Result<(), MatchError> {
+        self.queue.push(cmd);
+        Ok(())
+    }
+
+    fn drain_commands(&mut self) -> DrainReport {
+        drain_host_queue(self, |s| &mut s.queue, arrive_via_matcher)
+    }
+
+    fn pending_commands(&self) -> usize {
+        self.queue.len()
+    }
+
     fn drain_for_fallback(self: Box<Self>) -> Result<FallbackState, MatchError> {
-        Ok(self.engine.drain_for_fallback())
+        let mut state = self.engine.drain_for_fallback();
+        state.pending = self.queue;
+        Ok(state)
     }
 
     fn reset(&mut self) -> Result<(), MatchError> {
         SequentialOtm::reset(self)
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 
@@ -1883,6 +1898,35 @@ mod tests {
     }
 
     #[test]
+    fn the_adapter_applies_its_queue_at_the_drain_and_keeps_what_it_could_not() {
+        let config = MatchConfig::small().with_max_receives(1);
+        let mut seq: Box<dyn MatchingBackend> = Box::new(SequentialOtm::new(config).unwrap());
+        let post = |tag: u32| Command::Post {
+            pattern: ReceivePattern::exact(Rank(0), Tag(tag)),
+            handle: RecvHandle(u64::from(tag)),
+        };
+        for tag in 0..2 {
+            seq.submit_command(post(tag)).unwrap();
+        }
+        assert_eq!((seq.prq_len(), seq.pending_commands()), (0, 2));
+        let report = seq.drain_commands();
+        assert_eq!(
+            report.outcomes,
+            [CommandOutcome::Post {
+                handle: RecvHandle(0),
+                result: PostResult::Posted
+            }]
+        );
+        assert_eq!(report.error, Some(MatchError::ReceiveTableFull));
+        assert!(report.unapplied.is_empty(), "a retryable error requeues");
+        assert_eq!(seq.pending_commands(), 1);
+        assert!(seq.reset().is_err(), "queued work refuses a reset");
+        let state = seq.drain_for_fallback().unwrap();
+        assert_eq!(state.receives.len(), 1);
+        assert_eq!(state.pending, [post(1)]);
+    }
+
+    #[test]
     fn backend_trait_drives_the_engine() {
         let mut boxed: Box<dyn MatchingBackend> = Box::new(engine());
         assert_eq!(boxed.backend_name(), "Optimistic-DPA");
@@ -1897,10 +1941,11 @@ mod tests {
         boxed.merge_stats(&mut stats);
         assert_eq!(stats.posted, 1);
         assert_eq!(stats.matched_on_arrival, 1);
-        // The observability downcast the service layer relies on.
-        assert!(boxed.as_any().downcast_ref::<OtmEngine>().is_some());
+        // What the service reads in place of a downcast.
+        assert_eq!(boxed.engine_stats().map(|s| s.matched), Some(1));
+        let snap = boxed.metrics_snapshot().unwrap();
+        assert_eq!(snap.counters["otm_matched_total"], 1);
         // The command-queue half of the trait.
-        assert!(boxed.supports_command_queue());
         boxed
             .submit_command(Command::Arrival {
                 env: env(9, 9),

@@ -46,6 +46,12 @@
 //! A queue pair is the in-repo link (`dpa-sim/src/rdma.rs`), not a pair of
 //! std channels, and `replay_app` keeps a destination's senders in a sorted
 //! vector.
+//!
+//! There is one way into every backend: the service submits commands and
+//! drains them, whatever runs behind the trait. No flag picks a second path,
+//! no second post entry point lets a later receive overtake a queued one,
+//! the engine has one shared post, and nothing outside the tests asks a
+//! backend what it is.
 
 use std::path::{Path, PathBuf};
 
@@ -262,4 +268,48 @@ fn endpoints_are_the_size_of_their_traffic() {
         .lines()
         .find(|line| line.contains("BTreeMap<u32, ReliableSender>"));
     assert!(found.is_none(), "app_replay.rs: {found:?}");
+}
+
+#[test]
+fn one_way_into_every_backend() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut offences = Vec::new();
+    let second_way = ["use_queue", "post_recv_queued(", "post_shared"];
+    for dir in ["crates", "tests", "examples"] {
+        for file in rust_files(&root.join(dir)) {
+            if file.ends_with("tests/replay_lints.rs") {
+                continue; // the patterns themselves
+            }
+            for (i, line) in read(&file).lines().enumerate() {
+                if second_way.iter().any(|p| line.contains(p)) {
+                    offences.push(format!("{}:{}: {}", file.display(), i + 1, line.trim()));
+                }
+            }
+        }
+    }
+    let what_is_it = ["supports_command_queue", "as_any", "downcast"];
+    let crates = std::fs::read_dir(root.join("crates")).expect("crates directory");
+    let mut sources = Vec::new();
+    for krate in crates {
+        let src = krate.expect("directory entry").path().join("src");
+        if src.is_dir() {
+            sources.extend(rust_files(&src));
+        }
+    }
+    assert!(sources
+        .iter()
+        .any(|f| f.ends_with("dpa-sim/src/service.rs")));
+    for file in sources {
+        let text = read(&file);
+        for (i, line) in outside_tests(&text).enumerate() {
+            if what_is_it.iter().any(|p| line.contains(p)) {
+                offences.push(format!("{}:{}: {}", file.display(), i + 1, line.trim()));
+            }
+        }
+    }
+    assert!(
+        offences.is_empty(),
+        "a second way into a backend, or a question about what it is:\n{}",
+        offences.join("\n")
+    );
 }

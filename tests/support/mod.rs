@@ -198,8 +198,8 @@ pub fn replay_snapshot(state: FallbackState, asg: &mut Assignment) -> Traditiona
 }
 
 /// Path A of the fallback oracle: apply the prefix, leave the suffix in the
-/// submission queue (queue-capable backends) or apply it synchronously,
-/// then fall back directly — the snapshot must carry the queue.
+/// submission queue, then fall back directly — the snapshot must carry the
+/// queue.
 pub fn fallback_with_queue(
     mut b: Box<dyn MatchingBackend>,
     events: &[MatchEvent],
@@ -210,14 +210,9 @@ pub fn fallback_with_queue(
     for ev in &events[..cut] {
         apply_event(b.as_mut(), ev, &mut next_recv, &mut next_msg, &mut asg);
     }
-    let queued = b.supports_command_queue();
     for ev in &events[cut..] {
-        if queued {
-            let cmd = to_command(ev, &mut next_recv, &mut next_msg);
-            b.submit_command(cmd).expect("engine running");
-        } else {
-            apply_event(b.as_mut(), ev, &mut next_recv, &mut next_msg, &mut asg);
-        }
+        let cmd = to_command(ev, &mut next_recv, &mut next_msg);
+        b.submit_command(cmd).expect("engine running");
     }
     let state = b.drain_for_fallback().expect("drainable backend");
     let m = replay_snapshot(state, &mut asg);
@@ -237,24 +232,18 @@ pub fn drain_then_fallback(
     for ev in &events[..cut] {
         apply_event(b.as_mut(), ev, &mut next_recv, &mut next_msg, &mut asg);
     }
-    if b.supports_command_queue() {
-        let mut cmds = Vec::new();
-        for ev in &events[cut..] {
-            let cmd = to_command(ev, &mut next_recv, &mut next_msg);
-            b.submit_command(cmd).expect("engine running");
-            cmds.push(cmd);
-        }
-        let report = b.drain_commands();
-        assert!(report.error.is_none(), "drain failed: {:?}", report.error);
-        assert!(report.unapplied.is_empty());
-        assert_eq!(report.outcomes.len(), cmds.len());
-        for (cmd, outcome) in cmds.iter().zip(&report.outcomes) {
-            record_outcome(cmd, outcome, &mut asg);
-        }
-    } else {
-        for ev in &events[cut..] {
-            apply_event(b.as_mut(), ev, &mut next_recv, &mut next_msg, &mut asg);
-        }
+    let mut cmds = Vec::new();
+    for ev in &events[cut..] {
+        let cmd = to_command(ev, &mut next_recv, &mut next_msg);
+        b.submit_command(cmd).expect("engine running");
+        cmds.push(cmd);
+    }
+    let report = b.drain_commands();
+    assert!(report.error.is_none(), "drain failed: {:?}", report.error);
+    assert!(report.unapplied.is_empty());
+    assert_eq!(report.outcomes.len(), cmds.len());
+    for (cmd, outcome) in cmds.iter().zip(&report.outcomes) {
+        record_outcome(cmd, outcome, &mut asg);
     }
     let state = b.drain_for_fallback().expect("drainable backend");
     assert!(
