@@ -29,28 +29,6 @@ pub const MAX_BINS: usize = 1 << 20;
 /// `u32::MAX`, which the queues' lists reserve as their end marker.
 pub const MAX_SLOTS: usize = u32::MAX as usize;
 
-/// How the drain coordinator packs queued arrivals into optimistic blocks.
-///
-/// MPI only constrains matching order *within* a communicator, so commands on
-/// different communicators may be reordered freely without changing any
-/// observable match outcome. The packing policy decides whether the drain
-/// exploits that freedom (§IV-E execution-group scheduling). It is not a
-/// configuration field: the engine drains [`PackingPolicy::CrossComm`], and
-/// only tests and fig8's `--packing` A/B row select the reference packer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PackingPolicy {
-    /// The reference packer; nothing at run time selects it. Packs only
-    /// *consecutive* arrivals from the global submission order: any
-    /// interleaved post — or an arrival on another communicator followed
-    /// by a post — cuts the block short, degrading mixed traffic toward
-    /// one-message blocks.
-    Consecutive,
-    /// Reorder across communicators: assemble blocks from the FIFO heads of
-    /// per-communicator lanes, hoisting posts ahead of other communicators'
-    /// arrivals. Per-communicator order is still strictly preserved.
-    CrossComm,
-}
-
 /// Tunable parameters of the optimistic matching engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MatchConfig {
@@ -80,12 +58,11 @@ pub struct MatchConfig {
     /// by lower-id threads during the optimistic phase.
     pub early_booking_check: bool,
     /// Cap on the number of arrivals one communicator lane may contribute to
-    /// a single block under [`PackingPolicy::CrossComm`]. `None` (the
-    /// default) keeps the greedy fill — one deep lane may own the whole
-    /// block. A fair scheduler layered above (the `matchd` deficit
+    /// a single block, which the drain packs across communicators. `None`
+    /// (the default) keeps the greedy fill — one deep lane may own the
+    /// whole block. A fair scheduler layered above (the `matchd` deficit
     /// round-robin) sets this so a flooding tenant's lane cannot crowd the
-    /// other lanes out of every block. Ignored under
-    /// [`PackingPolicy::Consecutive`].
+    /// other lanes out of every block.
     pub lane_quota: Option<usize>,
     /// Capacity of each communicator's command queue, in commands, exactly:
     /// a queue holding this many refuses the next with the retryable

@@ -33,7 +33,7 @@ pub mod hints;
 pub mod memory;
 pub mod types;
 
-pub use config::{FaultPlan, FaultRng, MatchConfig, PackingPolicy};
+pub use config::{FaultPlan, FaultRng, MatchConfig};
 pub use envelope::{Envelope, ReceivePattern, SourceSel, TagSel, WildcardClass};
 pub use error::MatchError;
 pub use hash::InlineHashes;

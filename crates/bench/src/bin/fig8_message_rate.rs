@@ -20,19 +20,7 @@
 //! the paper, the ping-pong assumes a lossless fabric; the full stack over
 //! a hostile wire is `appbench --faults`.
 //!
-//! A seventh section compares the drain's block-packing policies under
-//! *mixed* traffic: each of four communicators' command streams
-//! interleaves posts into its arrivals (`--post-mix` percent posts, default
-//! 30), submitted in bursts of eight commands, round-robin across the
-//! communicators, with one drain per round. The same workload is drained
-//! once per policy (`--packing` restricts to one). Under the consecutive
-//! policy every interleaved post cuts the arrival block short; the
-//! cross-communicator scheduler hoists posts and refills blocks from the
-//! other lanes' FIFO heads, so blocks stay full. The rows report blocks
-//! executed and mean block occupancy next to throughput; they and each
-//! engine's registry snapshot are written to `fig8_mixed.json`.
-//!
-//! With `--tenants N`, an eighth section promotes the service into a matchd
+//! With `--tenants N`, a further section promotes the service into a matchd
 //! server and runs N tenant sessions against it for the same message
 //! budget: each tenant submits (post, self-send) pairs per deterministic
 //! tick, with `--flood-tenant I` turning tenant I into a flooder that
@@ -41,25 +29,27 @@
 //! throughput and, for well-behaved tenants, the fraction of their *solo*
 //! throughput retained under contention — the fair-drain headline. The
 //! rows and the server's registry snapshot are written to
-//! `fig8_tenants.json` (with the per-tenant series sections embedded when
-//! `--series` is also given).
+//! `fig8_tenants.json`.
 //!
-//! With `--series PATH`, the flight recorder's rolling time-series sampler
-//! rides along on the mixed section: each policy's drain is sampled once
-//! per drain round (a deterministic virtual clock), and the labeled
-//! columnar series land in one JSON artifact at PATH (schema per section:
-//! `t`, `queue_depth`, `block_occupancy`, `path_counts`, `matched`,
-//! `retransmits`, `fallbacks`). With `--spans PATH` (requires building with
-//! `--features trace-events`; otherwise a warning), each policy's
-//! per-message lifecycle span dump is written as `PATH.<section>.jsonl`
-//! plus a Chrome `trace_event` file `PATH.<section>.trace.json` that
-//! <https://ui.perfetto.dev> opens directly.
+//! The flight recorder rides along on the tenants sweep, so `--series` and
+//! `--spans` need `--tenants` (without it they print a warning). With
+//! `--series PATH` the server samples its service once per `ticks / 64`
+//! polls (a deterministic virtual clock) and each tenant once per as many
+//! ticks: the service's labeled columnar series (`t`, `queue_depth`,
+//! `block_occupancy`, `path_counts`, `matched`, `retransmits`,
+//! `fallbacks`) lands in one JSON artifact at PATH, and the per-tenant
+//! sections are embedded in `fig8_tenants.json` beside it. With `--spans
+//! PATH` (requires building with `--features trace-events`; otherwise a
+//! warning), the sweep's engine's per-message lifecycle span dump is
+//! written as `PATH.tenants.jsonl` plus a Chrome `trace_event` file
+//! `PATH.tenants.trace.json` that <https://ui.perfetto.dev> opens
+//! directly.
 //!
 //! Run with: `cargo run --release -p otm-bench --bin fig8_message_rate`
 //! (`--quick` shrinks the repeat count for smoke testing; `--messages N`
 //! budgets ~N messages per series; `--repeats N` sets the count directly;
-//! `--packing P` / `--post-mix PCT` steer the mixed-traffic comparison;
-//! `--series PATH` / `--spans PATH` capture the flight-recorder artifacts;
+//! `--tenants N` / `--flood-tenant I` add the fairness sweep; `--series
+//! PATH` / `--spans PATH` capture its flight-recorder artifacts;
 //! `--out PATH` redirects the JSON report).
 //!
 //! The JSON report is a [`BenchReport`] of the six series rows whose
@@ -72,11 +62,7 @@ use dpa_sim::{
     Admission, MatchMode, MatchServer, MatchdConfig, PingPong, PingPongConfig, PingPongResult,
     Scenario, TenantConfig, TenantSession,
 };
-use mpi_matching::{MsgHandle, RecvHandle};
-use otm::{Command, OtmEngine};
-use otm_base::{
-    CommId, Envelope, MatchConfig, MatchError, PackingPolicy, Rank, ReceivePattern, Tag,
-};
+use otm_base::{CommId, MatchConfig, Rank, ReceivePattern, Tag};
 use otm_bench::{
     experiments_dir, header, write_json_artifact, write_report, BenchReport, CommonArgs,
 };
@@ -109,35 +95,6 @@ struct Fig8Results {
 }
 
 json_fields!(Fig8Results: series, trace_events);
-
-/// One packing policy's run of the mixed-traffic drain comparison: the same
-/// interleaved post/arrival workload, drained under `packing`.
-#[derive(Debug, Clone)]
-struct MixedRow {
-    /// The drain packing policy (`consecutive` or `cross-comm`).
-    packing: String,
-    /// Percentage of posts interleaved into each communicator's stream.
-    post_mix_pct: u32,
-    /// Communicator lanes interleaved (always [`MIXED_LANES`]).
-    shards: usize,
-    /// Arrival commands drained (every one produces a delivery).
-    messages: u64,
-    /// Post commands drained.
-    posts: u64,
-    /// Wall-clock for the whole run (submissions and drains).
-    elapsed_secs: f64,
-    /// Deliveries per second over the wall-clock above.
-    msgs_per_sec: f64,
-    /// Parallel matching blocks the drain executed.
-    blocks_executed: u64,
-    /// Mean arrivals per block (`messages / blocks_executed`) — the number
-    /// the packing policy exists to maximize.
-    mean_block_occupancy: f64,
-}
-
-// The row as it appears in `fig8_mixed.json`.
-json_fields!(MixedRow: packing, post_mix_pct, shards, messages, posts, elapsed_secs, msgs_per_sec,
-    blocks_executed, mean_block_occupancy);
 
 fn main() {
     let args = CommonArgs::parse();
@@ -243,239 +200,18 @@ fn main() {
     let path = write_report(&args, &report);
     println!("JSON artifact: {}", path.display());
 
-    let mixed = run_mixed(&args, k * repeats);
-    let occupancy = |name: &str| {
-        mixed
-            .iter()
-            .find(|(r, _)| r.packing == name)
-            .map(|(r, _)| r.mean_block_occupancy)
-    };
-    if let (Some(consec), Some(cross)) = (occupancy("consecutive"), occupancy("cross-comm")) {
-        println!(
-            "shape: cross-comm packing refills blocks posts cut short: {}",
-            cross >= 2.0 * consec
-        );
+    if args.tenants.is_none() && (args.series.is_some() || args.spans.is_some()) {
+        println!("WARNING: --series and --spans record the --tenants sweep; nothing recorded");
     }
-    let path = write_json_artifact(
-        &experiments_dir().join("fig8_mixed.json"),
-        &MixedArtifact(&mixed),
-    );
-    println!("mixed-traffic artifact: {}", path.display());
-
     if let Some(tenants) = run_tenants(&args, k * repeats) {
         let path = write_json_artifact(&experiments_dir().join("fig8_tenants.json"), &tenants);
         println!("tenants artifact: {}", path.display());
     }
 }
 
-/// Communicator lanes of the mixed-traffic comparison.
-const MIXED_LANES: usize = 4;
-
-/// Commands one lane submits before the next lane's turn.
-const MIXED_BURST: usize = 8;
-
-/// True when command `i` of a lane's stream is a post under a `pct`-percent
-/// mix: posts are spread uniformly through the stream (Bresenham-style), so
-/// under the consecutive policy every post cuts an arrival run short.
-fn is_post(i: usize, pct: u32) -> bool {
-    let (i, pct) = (i as u64, pct as u64);
-    (i + 1) * pct / 100 > i * pct / 100
-}
-
-/// Command `i` of `lane`'s stream of `per_lane` under a `pct`-percent mix.
-/// Post j and arrival j of a lane share a unique tag, so every command
-/// applies whichever side lands first (PRQ hit or UMQ hit) and the tables
-/// never overflow. `i * pct / 100` posts come before command `i`.
-fn mixed_command(lane: usize, per_lane: usize, i: usize, pct: u32) -> Command {
-    let comm = CommId(lane as u16 + 1);
-    let base = (lane * per_lane) as u64;
-    let posts_before = (i as u64 * pct as u64 / 100) as u32;
-    if is_post(i, pct) {
-        Command::Post {
-            pattern: ReceivePattern::new(Rank(0), Tag(posts_before), comm),
-            handle: RecvHandle(base + posts_before as u64),
-        }
-    } else {
-        let j = i as u32 - posts_before;
-        Command::Arrival {
-            env: Envelope::new(Rank(0), Tag(j), comm),
-            msg: MsgHandle(base + j as u64),
-        }
-    }
-}
-
-/// Drives the drain's packing-policy comparison on one thread:
-/// [`MIXED_LANES`] communicators' streams (`--post-mix` percent posts each,
-/// spread uniformly) are submitted in bursts of [`MIXED_BURST`] commands,
-/// round-robin across the lanes, with one drain per round. The same
-/// deterministic workload is replayed once per packing policy so the only
-/// variable is how the drain packs blocks. The flight recorder's
-/// artifacts (`--series`, `--spans`) are this section's and are written
-/// here.
-fn run_mixed(args: &CommonArgs, budget: usize) -> Vec<(MixedRow, RegistrySnapshot)> {
-    let post_mix = args.post_mix.unwrap_or(30).min(90);
-    let per_lane = (budget / MIXED_LANES).max(1);
-    let total = per_lane * MIXED_LANES;
-    let posts_per_lane = (0..per_lane).filter(|&i| is_post(i, post_mix)).count();
-    let arrivals_per_lane = per_lane - posts_per_lane;
-
-    let policies: Vec<(PackingPolicy, &str)> = match args.packing.as_deref() {
-        Some("consecutive") => vec![(PackingPolicy::Consecutive, "consecutive")],
-        Some("cross-comm") => vec![(PackingPolicy::CrossComm, "cross-comm")],
-        _ => vec![
-            (PackingPolicy::Consecutive, "consecutive"),
-            (PackingPolicy::CrossComm, "cross-comm"),
-        ],
-    };
-
-    println!(
-        "\nMixed-traffic packing: {MIXED_LANES} lanes x {per_lane} cmds, {post_mix}% posts, \
-         bursts of {MIXED_BURST}"
-    );
-    #[cfg(not(feature = "trace-events"))]
-    if args.spans.is_some() {
-        println!(
-            "WARNING: --spans requires building with --features trace-events; \
-             span dump skipped"
-        );
-    }
-
-    let mut rows = Vec::new();
-    let mut sections = Vec::new();
-    for (policy, name) in policies {
-        let config = MatchConfig::default()
-            .with_max_receives((posts_per_lane * MIXED_LANES).max(1))
-            .with_max_unexpected((arrivals_per_lane * MIXED_LANES).max(1))
-            .with_bins((2 * total).next_power_of_two());
-        let mut engine = OtmEngine::new(config).expect("mixed bench configuration");
-        engine.set_packing(policy);
-
-        // The flight recorder's virtual clock for this section is the
-        // drained-command count, and queue depth is the pending-work
-        // backlog (commands of the budget not yet applied).
-        let mut series = args
-            .series
-            .as_ref()
-            .map(|_| SeriesRecorder::new((total as u64 / 128).max(1)));
-        let mut drained = 0usize;
-        let drain =
-            |engine: &mut OtmEngine, series: &mut Option<SeriesRecorder>, drained: &mut usize| {
-                let report = engine.drain();
-                if let Some(e) = report.error {
-                    return Err(e.to_string());
-                }
-                *drained += report.outcomes.len();
-                if let Some(s) = series.as_mut() {
-                    let t = *drained as u64;
-                    if s.due(t) {
-                        s.sample(t, (total - *drained) as u64, &engine.metrics_snapshot());
-                    }
-                }
-                Ok(())
-            };
-        let mut error: Option<String> = None;
-        let mut next = 0usize;
-        let start = Instant::now();
-        'rounds: while drained < total {
-            let burst = next..(next + MIXED_BURST).min(per_lane);
-            next = burst.end;
-            for lane in 0..MIXED_LANES {
-                for i in burst.clone() {
-                    let cmd = mixed_command(lane, per_lane, i, post_mix);
-                    // A full submission ring is backpressure: the drain
-                    // frees its slots, then the same command goes again.
-                    while let Err(e) = engine.submit(cmd) {
-                        assert!(
-                            matches!(e, MatchError::SubmissionRingFull { .. }),
-                            "engine running: {e}"
-                        );
-                        if let Err(e) = drain(&mut engine, &mut series, &mut drained) {
-                            error = Some(e);
-                            break 'rounds;
-                        }
-                    }
-                }
-            }
-            if let Err(e) = drain(&mut engine, &mut series, &mut drained) {
-                error = Some(e);
-                break;
-            }
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        if let Some(mut s) = series.take() {
-            s.force_sample(
-                drained as u64,
-                (total - drained) as u64,
-                &engine.metrics_snapshot(),
-            );
-            sections.push((format!("mixed {name}"), s));
-        }
-        #[cfg(feature = "trace-events")]
-        if let Some(stem) = &args.spans {
-            write_spans(stem, &format!("mixed-{name}"), engine.span_recorder());
-        }
-
-        let stats = engine.stats();
-        let messages = (arrivals_per_lane * MIXED_LANES) as u64;
-        let row = MixedRow {
-            packing: name.to_string(),
-            post_mix_pct: post_mix,
-            shards: MIXED_LANES,
-            messages,
-            posts: (posts_per_lane * MIXED_LANES) as u64,
-            elapsed_secs: elapsed,
-            msgs_per_sec: messages as f64 / elapsed.max(f64::EPSILON),
-            blocks_executed: stats.blocks,
-            mean_block_occupancy: stats.messages as f64 / (stats.blocks as f64).max(1.0),
-        };
-        println!(
-            "  {:<12} {:>12.0} msgs/s   blocks {:>8}   mean occupancy {:>6.2}",
-            row.packing, row.msgs_per_sec, row.blocks_executed, row.mean_block_occupancy
-        );
-        if let Some(e) = error {
-            println!("  WARNING: {name} drain stopped early: {e}");
-        }
-        rows.push((row, engine.metrics_snapshot()));
-    }
-    if let Some(path) = &args.series {
-        let path = write_json_artifact(path, &SeriesArtifact(&sections));
-        println!(
-            "shape: series terminal points self-consistent (Σ path == matched, t monotone): {}",
-            series_consistent(&sections)
-        );
-        println!("flight-recorder series artifact: {}", path.display());
-    }
-    rows
-}
-
-/// The standalone `fig8_mixed.json`: the rows plus each engine's registry
-/// snapshot, keyed by packing policy.
-struct MixedArtifact<'a>(&'a [(MixedRow, RegistrySnapshot)]);
-
-impl WriteJson for MixedArtifact<'_> {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.begin_object();
-        w.field_str("bench", "fig8_mixed");
-        w.key("rows");
-        w.begin_array();
-        for (row, _) in self.0 {
-            row.write_json(w);
-        }
-        w.end_array();
-        w.key("observability");
-        w.begin_object();
-        for (row, snapshot) in self.0 {
-            w.key(&row.packing);
-            snapshot.write_json(w);
-        }
-        w.end_object();
-        w.end_object();
-    }
-}
-
-/// The `--series` artifact:
-/// `{"bench":"fig8_series","sections":{<label>:<columnar series>}}`.
-struct SeriesArtifact<'a>(&'a [(String, SeriesRecorder)]);
+/// The `--series` artifact, the tenants sweep's service series:
+/// `{"bench":"fig8_series","sections":{"tenants":<columnar series>}}`.
+struct SeriesArtifact<'a>(&'a SeriesRecorder);
 
 impl WriteJson for SeriesArtifact<'_> {
     fn write_json(&self, w: &mut JsonWriter) {
@@ -483,28 +219,24 @@ impl WriteJson for SeriesArtifact<'_> {
         w.field_str("bench", "fig8_series");
         w.key("sections");
         w.begin_object();
-        for (label, series) in self.0 {
-            w.key(label);
-            series.write_json(w);
-        }
+        w.key("tenants");
+        self.0.write_json(w);
         w.end_object();
         w.end_object();
     }
 }
 
-/// Self-consistency shape check for every recorded series: the terminal
+/// Self-consistency shape check for the service series: the terminal
 /// point's per-path counts must sum to its matched total (the invariant
 /// `otm_matched_total == Σ otm_resolutions_total{path}` carried into the
 /// artifact), and `t` must be strictly increasing.
-fn series_consistent(sections: &[(String, SeriesRecorder)]) -> bool {
-    sections.iter().all(|(_, s)| {
-        let monotone = s.points().windows(2).all(|w| w[0].t < w[1].t);
-        let terminal_ok = match s.last() {
-            Some(p) => p.path_counts.iter().sum::<u64>() == p.matched,
-            None => true,
-        };
-        monotone && terminal_ok
-    })
+fn series_consistent(s: &SeriesRecorder) -> bool {
+    let monotone = s.points().windows(2).all(|w| w[0].t < w[1].t);
+    let terminal_ok = match s.last() {
+        Some(p) => p.path_counts.iter().sum::<u64>() == p.matched,
+        None => true,
+    };
+    monotone && terminal_ok
 }
 
 /// Writes one section's span dump next to the `--spans` stem (JSONL +
@@ -808,6 +540,24 @@ fn run_tenants(args: &CommonArgs, budget: usize) -> Option<TenantsSweep> {
         .all(|r| 2.0 * r >= 1.0);
     println!("shape: flooder answered with backpressure: {flooder_backpressured}");
     println!("shape: well-behaved tenants retained >= 50% of solo: {fairness_retained}");
+    let observability = server.observability_snapshot();
+    let series = server.finish_series();
+    if let (Some(path), Some((global, _))) = (&args.series, &series) {
+        let path = write_json_artifact(path, &SeriesArtifact(global));
+        println!(
+            "shape: series terminal points self-consistent (Σ path == matched, t monotone): {}",
+            series_consistent(global)
+        );
+        println!("flight-recorder series artifact: {}", path.display());
+    }
+    #[cfg(feature = "trace-events")]
+    if let Some(stem) = &args.spans {
+        write_spans(stem, "tenants", server.service().span_recorder());
+    }
+    #[cfg(not(feature = "trace-events"))]
+    if args.spans.is_some() {
+        println!("WARNING: --spans requires building with --features trace-events; skipped");
+    }
 
     Some(TenantsSweep {
         tenants,
@@ -823,8 +573,8 @@ fn run_tenants(args: &CommonArgs, budget: usize) -> Option<TenantsSweep> {
         flooder_backpressured,
         fairness_retained,
         rows,
-        observability: server.observability_snapshot(),
-        series: server.finish_series(),
+        observability,
+        series,
     })
 }
 
@@ -849,61 +599,6 @@ mod tests {
         let mut w = JsonWriter::new();
         v.write_json(&mut w);
         w.finish()
-    }
-
-    fn mixed_row() -> MixedRow {
-        MixedRow {
-            packing: "cross-comm".to_string(),
-            post_mix_pct: 30,
-            shards: 4,
-            messages: 700,
-            posts: 300,
-            elapsed_secs: 0.5,
-            msgs_per_sec: 1400.0,
-            blocks_executed: 25,
-            mean_block_occupancy: 28.0,
-        }
-    }
-
-    const MIXED_ROW: &str = concat!(
-        r#"{"packing":"cross-comm","post_mix_pct":30,"shards":4,"#,
-        r#""messages":700,"posts":300,"elapsed_secs":0.5,"msgs_per_sec":1400,"#,
-        r#""blocks_executed":25,"mean_block_occupancy":28}"#
-    );
-
-    #[test]
-    fn mixed_row_and_its_standalone_artifact() {
-        assert_eq!(render(&mixed_row()), MIXED_ROW);
-        let rows = [(mixed_row(), RegistrySnapshot::default())];
-        assert_eq!(
-            render(&MixedArtifact(&rows)),
-            format!(
-                "{{\"bench\":\"fig8_mixed\",\"rows\":[{MIXED_ROW}],\"observability\":\
-                 {{\"cross-comm\":{{\"counters\":{{}},\"gauges\":{{}},\"histograms\":{{}}}}}}}}"
-            )
-        );
-    }
-
-    /// The mixed section at CI's smoke budget (`--messages 2000`): on one
-    /// thread its blocks are a function of the workload and the packer.
-    /// Literals recorded from the first one-thread run.
-    #[test]
-    fn mixed_rows_are_exact() {
-        let rows = run_mixed(&CommonArgs::default(), 2000);
-        let rows: Vec<_> = rows
-            .iter()
-            .map(|(r, _)| {
-                let counts = (r.messages, r.posts, r.blocks_executed);
-                (r.packing.as_str(), counts, r.mean_block_occupancy)
-            })
-            .collect();
-        assert_eq!(
-            rows,
-            [
-                ("consecutive", (1400, 600, 586), 1400.0 / 586.0),
-                ("cross-comm", (1400, 600, 175), 8.0),
-            ]
-        );
     }
 
     #[test]

@@ -39,12 +39,6 @@ pub struct CommonArgs {
     /// `--out PATH`: write the JSON artifact here instead of
     /// `target/experiments/<bench>.json`.
     pub out: Option<PathBuf>,
-    /// `--packing {consecutive,cross-comm}`: restrict the fig8 mixed-traffic
-    /// comparison to one drain packing policy (default: run both).
-    pub packing: Option<String>,
-    /// `--post-mix PCT`: percentage of posts interleaved into the mixed
-    /// command stream (fig8; default 30).
-    pub post_mix: Option<u32>,
     /// `--faults`: add a hostile-wire run to each `appbench` application
     /// replay — the same trace over a seeded faulty wire, recovered by the
     /// selective-repeat reliability protocol and checked against the
@@ -55,7 +49,7 @@ pub struct CommonArgs {
     pub fault_seed: Option<u64>,
     /// `--series PATH`: write the flight recorder's rolling time-series
     /// artifact (columnar JSON; `appbench` writes each app's busiest
-    /// destination, fig8 samples the mixed-traffic drain per round) to PATH.
+    /// destination, fig8 the `--tenants` sweep's server per poll) to PATH.
     pub series: Option<PathBuf>,
     /// `--spans PATH`: write per-message lifecycle span dumps — JSONL plus a
     /// Chrome `trace_event` file Perfetto opens directly — using PATH as the
@@ -94,8 +88,6 @@ impl CommonArgs {
                 "--messages" => args.messages = it.next().and_then(|v| v.parse().ok()),
                 "--repeats" => args.repeats = it.next().and_then(|v| v.parse().ok()),
                 "--out" => args.out = it.next().map(PathBuf::from),
-                "--packing" => args.packing = it.next(),
-                "--post-mix" => args.post_mix = it.next().and_then(|v| v.parse().ok()),
                 "--faults" => args.faults = true,
                 "--fault-seed" => args.fault_seed = it.next().and_then(|v| v.parse().ok()),
                 "--series" => args.series = it.next().map(PathBuf::from),
@@ -224,7 +216,7 @@ pub fn write_text_artifact(path: &Path, contents: &str) -> PathBuf {
 }
 
 /// Derives a sibling path from a `--spans` stem: `stem.<section>.<ext>`
-/// (e.g. `fig8_spans` → `fig8_spans.mixed.jsonl`), preserving the stem's
+/// (e.g. `fig8_spans` → `fig8_spans.tenants.jsonl`), preserving the stem's
 /// directory.
 pub fn spans_sibling(stem: &Path, section: &str, ext: &str) -> PathBuf {
     let mut name = stem
@@ -298,22 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn common_args_parse_packing_and_post_mix() {
-        let args = CommonArgs::from_iter(
-            ["--packing", "cross-comm", "--post-mix", "30"]
-                .into_iter()
-                .map(String::from),
-        );
-        assert_eq!(args.packing.as_deref(), Some("cross-comm"));
-        assert_eq!(args.post_mix, Some(30));
-        let default = CommonArgs::from_iter(std::iter::empty());
-        assert_eq!(default.packing, None);
-        assert_eq!(default.post_mix, None);
-        let bad = CommonArgs::from_iter(["--post-mix", "lots"].into_iter().map(String::from));
-        assert_eq!(bad.post_mix, None);
-    }
-
-    #[test]
     fn common_args_parse_fault_knobs() {
         let args = CommonArgs::from_iter(
             ["--faults", "--fault-seed", "248"]
@@ -351,8 +327,8 @@ mod tests {
     fn spans_sibling_derives_sectioned_names() {
         let stem = std::path::Path::new("experiments/fig8_spans");
         assert_eq!(
-            spans_sibling(stem, "mixed", "jsonl"),
-            std::path::Path::new("experiments/fig8_spans.mixed.jsonl")
+            spans_sibling(stem, "tenants", "jsonl"),
+            std::path::Path::new("experiments/fig8_spans.tenants.jsonl")
         );
         assert_eq!(
             spans_sibling(stem, "faults", "trace.json"),

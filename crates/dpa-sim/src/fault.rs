@@ -318,6 +318,10 @@ impl MatchingBackend for FaultInjectingBackend {
     fn metrics_snapshot(&self) -> Option<otm_metrics::RegistrySnapshot> {
         self.inner.metrics_snapshot()
     }
+
+    fn span_recorder(&self) -> Option<&otm_metrics::SpanRecorder> {
+        self.inner.span_recorder()
+    }
 }
 
 #[cfg(test)]

@@ -433,10 +433,12 @@ impl MatchingService {
         (self.nic.cq_len() + self.unexpected.len()) as u64
     }
 
-    /// The span ring of the fallback replays.
+    /// The span ring of what matches: the offloaded engine's (posted,
+    /// enqueued, packed, matched) while it runs, else the service's own
+    /// ring of fallback replays (a migration drops the engine and its ring).
     #[cfg(feature = "trace-events")]
     pub fn span_recorder(&self) -> &otm_metrics::SpanRecorder {
-        &self.spans
+        self.backend.span_recorder().unwrap_or(&self.spans)
     }
 
     /// Stamps a `fell_back` lifecycle span on `subject` — a message, or a

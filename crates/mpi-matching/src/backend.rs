@@ -67,7 +67,7 @@ use crate::rank_based::RankBasedMatcher;
 use crate::stats::{MatchStats, StatsSnapshot};
 use crate::traditional::TraditionalMatcher;
 use otm_base::{Envelope, MatchError, ReceivePattern};
-use otm_metrics::RegistrySnapshot;
+use otm_metrics::{RegistrySnapshot, SpanRecorder};
 
 /// One host-to-backend command, mirroring the DPA QP command set (§IV-E).
 ///
@@ -405,6 +405,12 @@ pub trait MatchingBackend: Send {
     /// The offloaded engine's registry snapshot (its histograms, depth-peak
     /// gauges and path counters); `None` for any other backend.
     fn metrics_snapshot(&self) -> Option<RegistrySnapshot> {
+        None
+    }
+
+    /// The offloaded engine's lifecycle span ring, when it records spans
+    /// (`otm`'s `trace-events` feature); `None` for any other backend.
+    fn span_recorder(&self) -> Option<&SpanRecorder> {
         None
     }
 }

@@ -15,7 +15,7 @@
 //! oldest commands into its window, leaving them queued, and a step pops
 //! the commands it applies off the queue fronts. Taking the oldest across
 //! every queue recovers the global submission order, so the strict-FIFO
-//! oracle and the packed≡consecutive equivalence hold; MPI matching depends
+//! oracle and the packed ≡ sequential equivalence hold; MPI matching depends
 //! only on *per-communicator* order, which the queues preserve and the
 //! packer never violates (§IV-E execution groups).
 //!
@@ -79,7 +79,7 @@ mod tests {
     use crate::scheduler::Packer;
     use crate::shard::ShardMap;
     use mpi_matching::MsgHandle;
-    use otm_base::{Envelope, MatchConfig, PackingPolicy, Rank, Tag};
+    use otm_base::{Envelope, MatchConfig, Rank, Tag};
 
     fn arrival_on(comm: u16, i: u64) -> Command {
         Command::Arrival {
@@ -107,8 +107,8 @@ mod tests {
         let cmds: Vec<_> = (0..9).map(|i| arrival_on(3 - (i % 3) as u16, i)).collect();
         let mut map = queued(&cmds);
         assert_eq!(map.len(), 3, "one queue per communicator");
-        let mut packer = Packer::new(PackingPolicy::CrossComm, 4, None);
-        packer.rearm(PackingPolicy::CrossComm, &mut map.live);
+        let mut packer = Packer::new(4, None);
+        packer.rearm(&mut map.live);
         let mut runs = Vec::new();
         let mut record = |lane, tickets, depth| runs.push((lane, tickets, depth));
         // Eight of nine fit: merged one at a time, oldest head first.

@@ -46,8 +46,7 @@ use mpi_matching::{
     ArriveResult, MatchStats, Matcher, MatchingBackend, MsgHandle, PostResult, RecvHandle,
 };
 use otm_base::{
-    ArrivalSeq, CommHints, CommId, Envelope, InlineHashes, MatchConfig, MatchError, PackingPolicy,
-    ReceivePattern,
+    ArrivalSeq, CommHints, CommId, Envelope, InlineHashes, MatchConfig, MatchError, ReceivePattern,
 };
 
 pub use mpi_matching::backend::{BlockDelivery as Delivery, FallbackState};
@@ -356,9 +355,6 @@ pub struct OtmEngine {
     /// The ticket the next accepted command is stamped with.
     tickets: u64,
     drain: DrainArena,
-    /// The packer of the next drain: [`PackingPolicy::CrossComm`] unless
-    /// [`OtmEngine::set_packing`] chose otherwise.
-    packing: PackingPolicy,
     /// Packing-window override in commands (0 = the configured default of
     /// `block_threads × 8`).
     packing_window_override: usize,
@@ -380,11 +376,7 @@ impl OtmEngine {
         config.validate()?;
         Ok(OtmEngine {
             drain: DrainArena {
-                packer: Packer::new(
-                    PackingPolicy::CrossComm,
-                    config.block_threads,
-                    config.lane_quota,
-                ),
+                packer: Packer::new(config.block_threads, config.lane_quota),
                 outcomes: Vec::new(),
                 lane_peaks: Vec::new(),
                 posts: Tally::default(),
@@ -401,7 +393,6 @@ impl OtmEngine {
             },
             shards: ShardMap::new(),
             tickets: 0,
-            packing: PackingPolicy::CrossComm,
             packing_window_override: 0,
         })
     }
@@ -411,10 +402,10 @@ impl OtmEngine {
     /// sequence ids; the tickets, the arrival clock and the block epoch; the
     /// published statistics, the histograms and the depth peaks (a
     /// communicator's peak gauge listed before the reset stays listed, at
-    /// 0); the span ring; both packing selectors. What the engine allocated
-    /// stays: the shards (a communicator's comes back on its next use),
-    /// their queues and the block and drain arenas, so a reset allocates
-    /// nothing.
+    /// 0); the span ring; the packing-window override. What the engine
+    /// allocated stays: the shards (a communicator's comes back on its next
+    /// use), their queues and the block and drain arenas, so a reset
+    /// allocates nothing.
     ///
     /// Refused, with the engine untouched, when it is stopped
     /// ([`MatchError::EngineStopped`]) or holds a command no drain has
@@ -433,24 +424,8 @@ impl OtmEngine {
         coord.metrics.reset();
         self.shards.reset();
         self.tickets = 0;
-        self.packing = PackingPolicy::CrossComm;
         self.packing_window_override = 0;
         Ok(())
-    }
-
-    /// Selects the packer for subsequent drains. An engine drains
-    /// [`PackingPolicy::CrossComm`]; [`PackingPolicy::Consecutive`] is the
-    /// reference packer of the packed ≡ consecutive oracle and of fig8's
-    /// `--packing` A/B row, and nothing at run time selects it. Both packers
-    /// preserve per-communicator FIFO order, so a switch between drains
-    /// cannot violate MPI matching order.
-    pub fn set_packing(&mut self, policy: PackingPolicy) {
-        self.packing = policy;
-    }
-
-    /// The packer the next drain will use (see [`OtmEngine::set_packing`]).
-    pub fn packing(&self) -> PackingPolicy {
-        self.packing
     }
 
     /// Overrides the drain's staging-window depth in commands (0 restores
@@ -577,9 +552,8 @@ impl OtmEngine {
     /// communicators' arrivals and the arrival runs of every lane are fused,
     /// so mixed post/arrival traffic still fills blocks. Per-communicator
     /// command order — the only order MPI matching can observe — is
-    /// strictly preserved. Both packers ([`OtmEngine::set_packing`]) step
-    /// through the one `scheduler::Packer`. A drain that finds nothing queued returns
-    /// at once.
+    /// strictly preserved. A drain that finds nothing queued returns at
+    /// once.
     ///
     /// The window is read where the host wrote it: a communicator's lane is
     /// its own queue in the directory, staging moves no command, and a step
@@ -606,7 +580,6 @@ impl OtmEngine {
             coord,
             shards,
             drain,
-            packing,
             ..
         } = self;
         if shards.queued() == 0 {
@@ -620,7 +593,7 @@ impl OtmEngine {
             posts,
             umq_depths,
         } = drain;
-        packer.rearm(*packing, lanes);
+        packer.rearm(lanes);
         lane_peaks.clear();
         lane_peaks.resize(lanes.len(), 0);
         // The span of the staged tickets, for the outcomes' reorder.
@@ -915,6 +888,11 @@ impl MatchingBackend for OtmEngine {
 
     fn metrics_snapshot(&self) -> Option<otm_metrics::RegistrySnapshot> {
         Some(OtmEngine::metrics_snapshot(self))
+    }
+
+    #[cfg(feature = "trace-events")]
+    fn span_recorder(&self) -> Option<&otm_metrics::SpanRecorder> {
+        Some(OtmEngine::span_recorder(self))
     }
 }
 

@@ -14,8 +14,7 @@ use mpi_matching::{MsgHandle, RecvHandle};
 use otm::scheduler::{PackingScheduler, PackingStep};
 use otm::{Command, CommandOutcome, OtmEngine};
 use otm_base::{
-    CommHints, CommId, Envelope, FaultRng, MatchConfig, MatchError, PackingPolicy, Rank,
-    ReceivePattern, Tag,
+    CommHints, CommId, Envelope, FaultRng, MatchConfig, MatchError, Rank, ReceivePattern, Tag,
 };
 use std::collections::{BTreeMap, VecDeque};
 
@@ -99,7 +98,7 @@ fn replay_drain(
     gauges: &mut Gauges,
 ) -> Vec<CommandOutcome> {
     let window = engine.effective_packing_window();
-    let mut sched = PackingScheduler::new(PackingPolicy::CrossComm, engine.config().block_threads);
+    let mut sched = PackingScheduler::new(engine.config().block_threads);
     let (mut next, mut outcomes) = (0, Vec::new());
     loop {
         let refill = next;

@@ -1,8 +1,8 @@
 //! A reset engine reads as new.
 //!
 //! Engine A runs a first workload and is reset with receives still posted,
-//! messages still waiting, a communicator declared with hints, the reference
-//! packer selected and the packing window overridden. A then runs a second
+//! messages still waiting, a communicator declared with hints and the packing
+//! window overridden. A then runs a second
 //! workload, and a fresh engine B runs the second workload only. Everything a
 //! caller can observe must agree: every outcome, `stats()`, the registry's
 //! counters and histograms, the queue lengths, the empty-bin fraction and the
@@ -20,9 +20,7 @@
 use mpi_matching::{Matcher, MsgHandle, RecvHandle};
 use otm::{Command, CommandOutcome, OtmEngine, SequentialOtm};
 use otm_base::envelope::SourceSel;
-use otm_base::{
-    CommHints, CommId, Envelope, MatchConfig, MatchError, PackingPolicy, Rank, ReceivePattern, Tag,
-};
+use otm_base::{CommHints, CommId, Envelope, MatchConfig, MatchError, Rank, ReceivePattern, Tag};
 
 /// What a workload saw, in the order it saw it.
 #[derive(Debug, Default, PartialEq)]
@@ -110,7 +108,7 @@ impl<'a> Run<'a> {
 }
 
 /// The first workload: afterwards receives are posted, messages wait, a
-/// communicator has hints and both packing selectors are moved.
+/// communicator has hints and the packing window is overridden.
 fn first_workload(engine: &mut OtmEngine) {
     let mut run = Run::new(engine);
     run.engine
@@ -125,7 +123,6 @@ fn first_workload(engine: &mut OtmEngine) {
     run.drain();
     run.post(ReceivePattern::new(Rank(50), Tag(50), CommId(1)));
     run.block(&[Envelope::new(Rank(7), Tag(77), CommId(4))]);
-    run.engine.set_packing(PackingPolicy::Consecutive);
     run.engine.set_packing_window_override(96);
     assert!(run.engine.stats().slow_path > 0, "{:?}", run.engine.stats());
     assert!(run.engine.prq_len() > 0 && run.engine.umq_len() > 0);
@@ -161,7 +158,6 @@ fn assert_reads_the_same(a: &OtmEngine, b: &OtmEngine) {
         (a.prq_len(), a.umq_len(), a.prq_empty_bin_fraction()),
         (b.prq_len(), b.umq_len(), b.prq_empty_bin_fraction())
     );
-    assert_eq!(a.packing(), b.packing());
     assert_eq!(a.effective_packing_window(), b.effective_packing_window());
     let (sa, sb) = (a.metrics_snapshot(), b.metrics_snapshot());
     assert_eq!(sa.counters, sb.counters);
@@ -256,8 +252,8 @@ fn a_queued_command_refuses_a_reset_and_still_drains() {
         (stats, prq, umq)
     );
     assert_eq!(
-        (engine.pending_commands(), engine.packing()),
-        (1, PackingPolicy::Consecutive)
+        (engine.pending_commands(), engine.effective_packing_window()),
+        (1, 96)
     );
     // The message the first workload left waiting completes the receive.
     let report = engine.drain();

@@ -1,23 +1,23 @@
 //! Seeded deterministic companion to the packing-equivalence property
 //! (`tests/properties.rs`): the cross-communicator drain scheduler must be
-//! outcome-identical to the strict consecutive drain on every stream, and
-//! both policies must honor the `DrainReport` failure contract when the
-//! engine's tables overflow mid-queue. Pinned seeds, so every run checks
-//! the same streams.
+//! outcome-identical to applying every command in submission order to the
+//! sequential `mpi_matching::oracle::Oracle`, on every stream, and must
+//! honor the `DrainReport` failure contract when the engine's tables
+//! overflow mid-queue. Pinned seeds, so every run checks the same streams.
 
 mod support;
 
 use mpi_matching::{MsgHandle, PendingCommand, RecvHandle};
-use otm_base::{
-    CommId, Envelope, FaultRng, MatchConfig, MatchError, PackingPolicy, Rank, ReceivePattern, Tag,
-};
+use otm::CommandOutcome;
+use otm_base::{CommId, Envelope, FaultRng, MatchConfig, MatchError, Rank, ReceivePattern, Tag};
 use support::{
     assert_drain_failure_contract, assert_packing_equivalence, assert_ring_equivalence,
-    command_stream, drain_under_policy, fallback_oracle_config,
+    command_stream, drain_once, fallback_oracle_config, sequential_outcomes,
 };
 
-/// Success path: identical outcomes, command for command, on streams of
-/// growing length.
+/// Success path: the sequential oracle's outcomes — the commands applied
+/// consecutively, in submission order — command for command, on streams
+/// of growing length.
 #[test]
 fn packed_drain_equals_consecutive_drain_seeded() {
     let mut rng = FaultRng::new(0x0DDC0DE);
@@ -31,8 +31,8 @@ fn packed_drain_equals_consecutive_drain_seeded() {
 /// Bounded-ring path, seeded: tiny per-communicator rings force inline
 /// drains mid-stream (the backpressure contract), rotation cursors and
 /// per-lane quotas chop the lanes into many small blocks — and the outcome
-/// vector must still equal the never-full-ring oracle under either
-/// packing policy, with every forced drain consuming pending work.
+/// vector must still equal the sequential oracle, with every forced drain
+/// consuming pending work.
 #[test]
 fn bounded_ring_drain_equals_unbounded_oracle_seeded() {
     let mut rng = FaultRng::new(0x0DDC0DE ^ 0x51A6);
@@ -46,10 +46,10 @@ fn bounded_ring_drain_equals_unbounded_oracle_seeded() {
     }
 }
 
-/// Failure path: with tables sized to overflow mid-stream, both policies
-/// keep the partition / ordering / per-communicator-prefix contract.
+/// Failure path: with tables sized to overflow mid-stream, the drain keeps
+/// the partition / ordering / per-communicator-prefix contract.
 #[test]
-fn drain_failure_contract_holds_for_both_policies() {
+fn drain_failure_contract_holds() {
     let mut rng = FaultRng::new(0x0DDC0DE ^ 0xF00D);
     let config = MatchConfig::default()
         .with_block_threads(4)
@@ -58,9 +58,7 @@ fn drain_failure_contract_holds_for_both_policies() {
         .with_bins(4);
     for _ in 0..48 {
         let cmds = command_stream(&mut rng, 120);
-        for packing in [PackingPolicy::Consecutive, PackingPolicy::CrossComm] {
-            assert_drain_failure_contract(config.clone(), packing, &cmds);
-        }
+        assert_drain_failure_contract(config.clone(), &cmds);
     }
 }
 
@@ -93,26 +91,95 @@ fn staggered_three_comm_stream() -> Vec<PendingCommand> {
     cmds
 }
 
+/// Blocks the consecutive packer (a single global FIFO that every post cuts
+/// short) executed on [`staggered_three_comm_stream`] at block width 8, the
+/// last time it existed: recorded at `3cd2ade`, where it was deleted.
+const CONSECUTIVE_STAGGERED_BLOCKS: u64 = 121;
+
 /// The perf mechanism itself, pinned deterministically: on a post-riddled
-/// interleaved stream the cross-communicator scheduler executes the same
-/// arrivals in strictly fewer, fuller blocks than the consecutive packer.
+/// interleaved stream the cross-communicator scheduler executes the
+/// arrivals in exactly 41 blocks, at most half of what the consecutive
+/// packer needed. The literal was recorded at `3cd2ade`.
 #[test]
 fn cross_comm_packs_fewer_fuller_blocks() {
     let cmds = staggered_three_comm_stream();
     let config = fallback_oracle_config().with_block_threads(8);
-    let (consec, a) = drain_under_policy(config.clone(), PackingPolicy::Consecutive, &cmds);
-    let (cross, b) = drain_under_policy(config, PackingPolicy::CrossComm, &cmds);
-    assert!(a.error.is_none() && b.error.is_none());
-    assert_eq!(a.outcomes, b.outcomes, "same outcomes either way");
-    let (sa, sb) = (consec.stats(), cross.stats());
-    assert_eq!(sa.messages, sb.messages, "same arrivals matched");
-    assert!(
-        sb.blocks * 2 <= sa.blocks,
-        "cross-comm must at least halve the block count on this stream \
-         (consecutive {} vs cross-comm {})",
-        sa.blocks,
-        sb.blocks
+    let (engine, report) = drain_once(config, &cmds);
+    assert!(report.error.is_none());
+    assert_eq!(
+        report.outcomes,
+        sequential_outcomes(&cmds),
+        "same outcomes as the sequential oracle"
     );
+    let stats = engine.stats();
+    assert_eq!((stats.blocks, stats.messages), (41, 240));
+    assert!(
+        stats.blocks * 2 <= CONSECUTIVE_STAGGERED_BLOCKS,
+        "cross-comm must at least halve the block count on this stream \
+         (consecutive {CONSECUTIVE_STAGGERED_BLOCKS} vs cross-comm {})",
+        stats.blocks
+    );
+}
+
+/// Command `i` of `lane`'s stream under a 30 %-post mix: posts spread
+/// uniformly (Bresenham-style), and post j and arrival j of a lane share a
+/// unique tag, so every command applies whichever side lands first and the
+/// tables never overflow.
+fn mixed_command(lane: usize, per_lane: usize, i: usize) -> PendingCommand {
+    let comm = CommId(lane as u16 + 1);
+    let base = (lane * per_lane) as u64;
+    let posts_before = (i as u64 * 30 / 100) as u32;
+    if (i as u64 + 1) * 30 / 100 > i as u64 * 30 / 100 {
+        PendingCommand::Post {
+            pattern: ReceivePattern::new(Rank(0), Tag(posts_before), comm),
+            handle: RecvHandle(base + u64::from(posts_before)),
+        }
+    } else {
+        let j = i as u32 - posts_before;
+        PendingCommand::Arrival {
+            env: Envelope::new(Rank(0), Tag(j), comm),
+            msg: MsgHandle(base + u64::from(j)),
+        }
+    }
+}
+
+/// Mixed traffic at 2,000 commands: four lanes of 30 % posts, submitted in
+/// bursts of eight commands round-robin across the lanes with one drain a
+/// round, at the default 32-wide block. On one thread the blocks are a
+/// function of the stream: 1,400 arrivals in 175 blocks of exactly 8 (the
+/// consecutive packer needed 586 blocks, 2.39 arrivals each). The literals
+/// were recorded as fig8's mixed-traffic row.
+#[test]
+fn mixed_traffic_packs_full_blocks_exactly() {
+    const LANES: usize = 4;
+    let per_lane = 2000 / LANES;
+    let config = MatchConfig::default()
+        .with_max_receives(600)
+        .with_max_unexpected(1400)
+        .with_bins(4096);
+    let mut engine = otm::OtmEngine::new(config).expect("valid test config");
+    let (mut messages, mut posts) = (0u64, 0u64);
+    for burst in (0..per_lane).step_by(8) {
+        for lane in 0..LANES {
+            for i in burst..(burst + 8).min(per_lane) {
+                engine
+                    .submit(mixed_command(lane, per_lane, i))
+                    .expect("ring fits a round");
+            }
+        }
+        let report = engine.drain();
+        assert!(report.error.is_none(), "clean drain: {:?}", report.error);
+        for outcome in &report.outcomes {
+            match outcome {
+                CommandOutcome::Post { .. } => posts += 1,
+                CommandOutcome::Delivery(_) => messages += 1,
+            }
+        }
+    }
+    let stats = engine.stats();
+    assert_eq!((messages, posts, stats.messages), (1400, 600, 1400));
+    assert_eq!(stats.blocks, 175);
+    assert_eq!(stats.messages as f64 / stats.blocks as f64, 8.0);
 }
 
 /// The per-communicator depth gauges after one drain of the staggered
@@ -141,7 +208,7 @@ fn depth_peak_gauges_are_published_on_clean_and_failing_drains() {
             Some(MatchError::ReceiveTableFull),
         ),
     ] {
-        let (engine, report) = drain_under_policy(config, PackingPolicy::CrossComm, &cmds);
+        let (engine, report) = drain_once(config, &cmds);
         assert_eq!(report.error, error);
         assert!(
             report.outcomes.len() >= 64,
@@ -261,20 +328,16 @@ fn golden_step_trace_is_pinned_across_windows_and_quotas() {
 fn scheduler_step_sequence_is_pinned() {
     use otm::scheduler::{PackingScheduler, PackingStep};
     use std::collections::VecDeque;
-    let runs = [
-        (PackingPolicy::CrossComm, None),
-        (PackingPolicy::CrossComm, Some(3)),
-        (PackingPolicy::Consecutive, None),
-    ];
+    let runs = [None, Some(3)];
     let mut actual = Vec::new();
-    for (policy, quota) in runs {
+    for quota in runs {
         let mut rng = FaultRng::new(0x5C4E_D01E);
         let mut pending: VecDeque<(u64, PendingCommand)> = uneven_four_comm_stream(&mut rng, 700)
             .into_iter()
             .enumerate()
             .map(|(ticket, cmd)| (ticket as u64 * 3, cmd))
             .collect();
-        let mut sched = PackingScheduler::new(policy, 8).with_lane_quota(quota);
+        let mut sched = PackingScheduler::new(8).with_lane_quota(quota);
         let (mut hash, mut steps) = (FNV_SEED, 0u64);
         loop {
             let room = 20usize.saturating_sub(sched.staged()).min(pending.len());
@@ -349,8 +412,4 @@ const GOLDEN: [[u64; 6]; 4] = [
         17748070946224254559,
     ],
 ];
-const GOLDEN_STEPS: [[u64; 2]; 3] = [
-    [311, 6638756716922004637],
-    [336, 6603629957991773451],
-    [377, 11014769808375531082],
-];
+const GOLDEN_STEPS: [[u64; 2]; 2] = [[311, 6638756716922004637], [336, 6603629957991773451]];

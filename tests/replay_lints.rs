@@ -52,6 +52,18 @@
 //! no second post entry point lets a later receive overtake a queued one,
 //! the engine has one shared post, and nothing outside the tests asks a
 //! backend what it is.
+//!
+//! The drain reads the directory in place: its packer and blocks index the
+//! one directory (`otm/src/shard.rs`) by a communicator's place in it, and
+//! a communicator's lane is its own queue there, so nothing copies the
+//! directory, and it and the queues are sorted vectors, not keyed maps.
+//! What the drain allocates is pinned by `tests/alloc_budget.rs`'s exact
+//! counts, not here.
+//!
+//! There is one packer: the drain packs blocks across communicators, and
+//! the packed ≡ sequential oracle (`tests/packing_equivalence.rs`) holds it
+//! to per-communicator order. No second packing policy, no selector for
+//! one, and no harness section comparing two is to come back.
 
 use std::path::{Path, PathBuf};
 
@@ -273,20 +285,8 @@ fn endpoints_are_the_size_of_their_traffic() {
 #[test]
 fn one_way_into_every_backend() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut offences = Vec::new();
     let second_way = ["use_queue", "post_recv_queued(", "post_shared"];
-    for dir in ["crates", "tests", "examples"] {
-        for file in rust_files(&root.join(dir)) {
-            if file.ends_with("tests/replay_lints.rs") {
-                continue; // the patterns themselves
-            }
-            for (i, line) in read(&file).lines().enumerate() {
-                if second_way.iter().any(|p| line.contains(p)) {
-                    offences.push(format!("{}:{}: {}", file.display(), i + 1, line.trim()));
-                }
-            }
-        }
-    }
+    let mut offences = offending_lines(&workspace_sources(), &second_way);
     let what_is_it = ["supports_command_queue", "as_any", "downcast"];
     let crates = std::fs::read_dir(root.join("crates")).expect("crates directory");
     let mut sources = Vec::new();
@@ -310,6 +310,74 @@ fn one_way_into_every_backend() {
     assert!(
         offences.is_empty(),
         "a second way into a backend, or a question about what it is:\n{}",
+        offences.join("\n")
+    );
+}
+
+/// Every `.rs` file of `crates`, `tests` and `examples`, but this one,
+/// which holds the patterns themselves.
+fn workspace_sources() -> Vec<PathBuf> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in ["crates", "tests", "examples"] {
+        files.extend(rust_files(&root.join(dir)));
+    }
+    files.retain(|file| !file.ends_with("tests/replay_lints.rs"));
+    files
+}
+
+/// The lines of `files` that contain any of `patterns`, as
+/// `path:line: text`.
+fn offending_lines(files: &[PathBuf], patterns: &[&str]) -> Vec<String> {
+    let mut offences = Vec::new();
+    for file in files {
+        for (i, line) in read(file).lines().enumerate() {
+            if patterns.iter().any(|p| line.contains(p)) {
+                offences.push(format!("{}:{}: {}", file.display(), i + 1, line.trim()));
+            }
+        }
+    }
+    offences
+}
+
+#[test]
+fn the_drain_reads_the_directory_in_place() {
+    let otm = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/otm/src");
+    let files =
+        |names: [&str; 3]| -> Vec<PathBuf> { names.iter().map(|name| otm.join(name)).collect() };
+    let mut offences = offending_lines(
+        &files(["engine.rs", "command.rs", "shard.rs"]),
+        &["live.clone", "live.to_vec", "clone_from"],
+    );
+    offences.extend(offending_lines(
+        &files(["shard.rs", "scheduler.rs", "command.rs"]),
+        &["HashMap", "BTreeMap"],
+    ));
+    assert!(
+        offences.is_empty(),
+        "a copy of the directory, or a keyed map on the queue path:\n{}",
+        offences.join("\n")
+    );
+}
+
+#[test]
+fn one_packer() {
+    let files = workspace_sources();
+    assert!(files.iter().any(|f| f.ends_with("otm/src/scheduler.rs")));
+    // Split, so that a plain grep of the workspace for the three names
+    // finds nothing, this file included.
+    let second_packer = [
+        concat!("Packing", "Policy"),
+        concat!("::", "Consecutive"),
+        concat!("set_", "packing("),
+        "post_mix",
+        "run_mixed",
+        "MixedRow",
+    ];
+    let offences = offending_lines(&files, &second_packer);
+    assert!(
+        offences.is_empty(),
+        "a second packer, a selector for one, or a section comparing two:\n{}",
         offences.join("\n")
     );
 }

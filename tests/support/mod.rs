@@ -15,15 +15,15 @@
 pub mod chaos;
 pub mod prop;
 
-use mpi_matching::backend::DrainReport;
-use mpi_matching::oracle::MatchEvent;
+use mpi_matching::backend::{BlockDelivery, DrainReport};
+use mpi_matching::oracle::{MatchEvent, Oracle};
 use mpi_matching::traditional::TraditionalMatcher;
 use mpi_matching::{
     ArriveResult, Assignment, FallbackState, Matcher, MatchingBackend, MsgHandle, PendingCommand,
     PostResult, RecvHandle,
 };
 use otm::{CommandOutcome, OtmEngine};
-use otm_base::{CommId, FaultRng, MatchConfig, MatchError, PackingPolicy};
+use otm_base::{CommId, FaultRng, MatchConfig, MatchError};
 use std::collections::{HashMap, HashSet};
 
 /// An engine configuration for the fallback oracle: parallel blocks, tables
@@ -258,14 +258,9 @@ pub fn drain_then_fallback(
 // Packing-equivalence oracle (the cross-communicator drain scheduler)
 // ---------------------------------------------------------------------------
 
-/// Builds a fresh engine under `packing`, submits `cmds`, and drains once.
-pub fn drain_under_policy(
-    config: MatchConfig,
-    packing: PackingPolicy,
-    cmds: &[PendingCommand],
-) -> (OtmEngine, DrainReport) {
+/// Builds a fresh engine, submits `cmds`, and drains once.
+pub fn drain_once(config: MatchConfig, cmds: &[PendingCommand]) -> (OtmEngine, DrainReport) {
     let mut engine = OtmEngine::new(config).expect("valid test config");
-    engine.set_packing(packing);
     for &cmd in cmds {
         engine.submit(cmd).expect("engine running");
     }
@@ -273,95 +268,99 @@ pub fn drain_under_policy(
     (engine, report)
 }
 
-/// The packing-equivalence oracle, success path: the same submitted stream
-/// drained under either packing policy produces identical outcomes, command
-/// for command. Matching is communicator-local and both policies preserve
-/// per-communicator command order, so not just each communicator's match
-/// set but the full outcome vector (reported in submission order) must
-/// agree.
+/// The sequential reference: `cmds` applied one at a time, in submission
+/// order, to the unbounded [`Oracle`], each result as the outcome a drain
+/// reports for that command. A drain reports its outcomes in submission
+/// order too, so the two vectors compare element for element.
+pub fn sequential_outcomes(cmds: &[PendingCommand]) -> Vec<CommandOutcome> {
+    let mut oracle = Oracle::new();
+    cmds.iter()
+        .map(|&cmd| match cmd {
+            PendingCommand::Post { pattern, handle } => CommandOutcome::Post {
+                handle,
+                result: oracle.post(pattern, handle).expect("oracle is unbounded"),
+            },
+            PendingCommand::Arrival { env, msg } => CommandOutcome::Delivery(
+                match oracle.arrive(env, msg).expect("oracle is unbounded") {
+                    ArriveResult::Matched(recv) => BlockDelivery::Matched { msg, recv },
+                    ArriveResult::Unexpected => BlockDelivery::Unexpected { msg },
+                },
+            ),
+        })
+        .collect()
+}
+
+/// The packing-equivalence oracle, success path: one drain of the submitted
+/// stream produces, command for command, the outcomes of the sequential
+/// reference. Matching is communicator-local and the packer preserves
+/// per-communicator command order, so however it packs blocks across
+/// communicators, the full outcome vector must agree.
 pub fn assert_packing_equivalence(config: MatchConfig, cmds: &[PendingCommand]) {
-    let (_, a) = drain_under_policy(config.clone(), PackingPolicy::Consecutive, cmds);
-    let (_, b) = drain_under_policy(config, PackingPolicy::CrossComm, cmds);
-    assert!(a.error.is_none(), "consecutive drain failed: {:?}", a.error);
-    assert!(b.error.is_none(), "cross-comm drain failed: {:?}", b.error);
-    assert!(a.unapplied.is_empty() && b.unapplied.is_empty());
-    assert_eq!(a.outcomes.len(), cmds.len(), "every command must drain");
+    let (_, report) = drain_once(config, cmds);
+    assert!(report.error.is_none(), "drain failed: {:?}", report.error);
+    assert!(report.unapplied.is_empty());
     assert_eq!(
-        a.outcomes, b.outcomes,
-        "drain outcomes must be packing-policy-independent"
+        report.outcomes.len(),
+        cmds.len(),
+        "every command must drain"
+    );
+    assert_eq!(
+        report.outcomes,
+        sequential_outcomes(cmds),
+        "the packed drain must equal the sequential oracle"
     );
 }
 
 /// Ring-backpressure companion of [`assert_packing_equivalence`]: the same
 /// stream pushed through capacity-bounded per-communicator rings — draining
 /// inline whenever a push bounces with `SubmissionRingFull`, exactly as a
-/// caller honoring the backpressure contract would — must produce, under
-/// *either* packing policy, the outcome vector of a one-shot consecutive
-/// drain through rings big enough never to push back (the serialized
-/// `Oracle` in `tests/command_queue_oracle.rs` is the independent ground
-/// truth for that reference). Along the way every forced inline drain must
-/// consume at least one pending command (a full ring implies pending work,
-/// so a drain that applies nothing would livelock the retry loop).
+/// caller honoring the backpressure contract would — must produce the
+/// sequential reference's outcome vector. Along the way every forced inline
+/// drain must consume at least one pending command (a full ring implies
+/// pending work, so a drain that applies nothing would livelock the retry
+/// loop).
 pub fn assert_ring_equivalence(config: MatchConfig, cmds: &[PendingCommand]) {
-    let (_, oracle) = drain_under_policy(
-        config.clone().with_ring_capacity(cmds.len().max(1)),
-        PackingPolicy::Consecutive,
-        cmds,
-    );
-    assert!(
-        oracle.error.is_none(),
-        "oracle drain failed: {:?}",
-        oracle.error
-    );
-    assert_eq!(
-        oracle.outcomes.len(),
-        cmds.len(),
-        "oracle must drain everything"
-    );
-
-    for packing in [PackingPolicy::Consecutive, PackingPolicy::CrossComm] {
-        let mut engine = OtmEngine::new(config.clone()).expect("valid test config");
-        engine.set_packing(packing);
-        let mut outcomes = Vec::new();
-        for &cmd in cmds {
-            loop {
-                match engine.submit(cmd) {
-                    Ok(()) => break,
-                    Err(MatchError::SubmissionRingFull { .. }) => {
-                        assert!(
-                            engine.pending_commands() > 0,
-                            "a full ring implies pending work"
-                        );
-                        let report = engine.drain();
-                        assert!(
-                            report.error.is_none(),
-                            "inline drain failed under {packing:?}: {:?}",
-                            report.error
-                        );
-                        assert!(
-                            !report.outcomes.is_empty(),
-                            "no-livelock: a drain with pending work must consume commands"
-                        );
-                        outcomes.extend(report.outcomes);
-                    }
-                    Err(e) => panic!("engine running: {e}"),
+    let mut engine = OtmEngine::new(config).expect("valid test config");
+    let mut outcomes = Vec::new();
+    for &cmd in cmds {
+        loop {
+            match engine.submit(cmd) {
+                Ok(()) => break,
+                Err(MatchError::SubmissionRingFull { .. }) => {
+                    assert!(
+                        engine.pending_commands() > 0,
+                        "a full ring implies pending work"
+                    );
+                    let report = engine.drain();
+                    assert!(
+                        report.error.is_none(),
+                        "inline drain failed: {:?}",
+                        report.error
+                    );
+                    assert!(
+                        !report.outcomes.is_empty(),
+                        "no-livelock: a drain with pending work must consume commands"
+                    );
+                    outcomes.extend(report.outcomes);
                 }
+                Err(e) => panic!("engine running: {e}"),
             }
         }
-        let report = engine.drain();
-        assert!(
-            report.error.is_none(),
-            "final drain failed under {packing:?}: {:?}",
-            report.error
-        );
-        assert!(report.unapplied.is_empty());
-        outcomes.extend(report.outcomes);
-        assert_eq!(outcomes.len(), cmds.len(), "every command must drain");
-        assert_eq!(
-            outcomes, oracle.outcomes,
-            "bounded-ring drain under {packing:?} must equal the unbounded oracle"
-        );
     }
+    let report = engine.drain();
+    assert!(
+        report.error.is_none(),
+        "final drain failed: {:?}",
+        report.error
+    );
+    assert!(report.unapplied.is_empty());
+    outcomes.extend(report.outcomes);
+    assert_eq!(outcomes.len(), cmds.len(), "every command must drain");
+    assert_eq!(
+        outcomes,
+        sequential_outcomes(cmds),
+        "the bounded-ring drain must equal the sequential oracle"
+    );
 }
 
 /// Identity of a command within one test stream: posts by receive handle,
@@ -388,9 +387,9 @@ fn command_comm(cmd: &PendingCommand) -> CommId {
     }
 }
 
-/// The failure-contract oracle: drained under `packing` (typically with
-/// tables sized to trip resource exhaustion mid-stream), the [`DrainReport`]
-/// must satisfy the error contract regardless of policy:
+/// The failure-contract oracle: drained once (typically with tables sized
+/// to trip resource exhaustion mid-stream), the [`DrainReport`] must
+/// satisfy the error contract:
 ///
 /// * the reported outcomes and the leftover commands (the requeued tail on
 ///   a retryable error, [`DrainReport::unapplied`] on a terminal one)
@@ -399,12 +398,8 @@ fn command_comm(cmd: &PendingCommand) -> CommId {
 /// * per communicator, the applied commands are a prefix of that
 ///   communicator's submitted subsequence — the FIFO oracle even under
 ///   cross-communicator reordering.
-pub fn assert_drain_failure_contract(
-    config: MatchConfig,
-    packing: PackingPolicy,
-    cmds: &[PendingCommand],
-) {
-    let (engine, report) = drain_under_policy(config, packing, cmds);
+pub fn assert_drain_failure_contract(config: MatchConfig, cmds: &[PendingCommand]) {
+    let (engine, report) = drain_once(config, cmds);
     let leftover: Vec<PendingCommand> = match &report.error {
         Some(e) if e.is_retryable() => {
             assert!(
