@@ -22,8 +22,9 @@
 //! bounce pool (sized to the busiest destination) and [`OtmEngine`] (sized
 //! to the most posts and the most arrivals of any destination), one
 //! [`RdmaDomain`], and one queue pair + reliable sender per slot. A
-//! destination's `i`-th source in rank order sends on slot `i`; the slots
-//! grow to the widest destination so far. Between destinations
+//! destination's `i`-th source in rank order sends on slot `i`, read from a
+//! table indexed by rank that arming the destination fills; the slots grow
+//! to the widest destination so far. Between destinations
 //! every layer re-arms in place to read as new — `MatchingService::rearm`
 //! (which resets the engine, [`OtmEngine::reset`]), `RecvNic::rearm` (only
 //! the destination's slots are polled), `ReliableSender::rearm` — so no
@@ -32,6 +33,14 @@
 //! live at once is the widest destination's endpoints (a link of a few
 //! hundred bytes and a four-slot queue per direction in use per peer) and
 //! one engine, never the trace's.
+//!
+//! A message pays for its own hops only. A completed receive's buffer is
+//! kept, up to as many as the bounce pool holds, and a later payload is
+//! written over it, the way a persistent send reuses one buffer: an eager
+//! message allocates nothing once the first buffers have come back. Each
+//! completion is placed in a table indexed by its receive handle, so a
+//! destination's pairs come out in receive order and the replay's pairs
+//! are sorted without a sort.
 //!
 //! The endpoints own the service and every sender, so they sample the
 //! busiest destination's series: after each `progress` of the service, on
@@ -64,7 +73,7 @@ use crate::bounce::BouncePool;
 use crate::nic::RecvNic;
 use crate::rdma::{connected_pair, eager_packet, rendezvous_packet, RdmaDomain};
 use crate::reliable::{ReliableSender, PROTOCOL_LABEL};
-use crate::service::{CompletedReceive, MatchingService, ServiceError};
+use crate::service::{MatchingService, ServiceError};
 use mpi_matching::{ArriveResult, Matcher, MatchingBackend, MsgHandle, PostResult, RecvHandle};
 use otm::OtmEngine;
 use otm_base::{Envelope, FaultPlan, MatchConfig, MatchError, Rank, ReceivePattern};
@@ -234,8 +243,8 @@ impl WriteJson for AppReplayReport {
 pub struct AppReplayOutcome {
     /// Aggregated counters.
     pub report: AppReplayReport,
-    /// Every matched pair, sorted — directly comparable against
-    /// [`engine_direct_pairs`].
+    /// Every matched pair, sorted (destination, then receive) — directly
+    /// comparable against [`engine_direct_pairs`].
     pub matched_pairs: Vec<MatchedPair>,
 }
 
@@ -259,12 +268,13 @@ fn payload_len(count: u64) -> usize {
         .clamp(ID_BYTES, MAX_PAYLOAD_BYTES)
 }
 
-/// Builds the payload for the arrival at position `idx`: the index in the
-/// first eight bytes (the oracle identity), an index-derived fill after.
-fn payload_for(idx: u64, len: usize) -> Vec<u8> {
-    let mut p = vec![idx as u8; len];
-    p[..ID_BYTES].copy_from_slice(&idx.to_le_bytes());
-    p
+/// Writes the payload of the arrival at position `idx` over `buf`, whatever
+/// it held: `len` bytes, the index in the first eight (the oracle identity),
+/// an index-derived fill after.
+fn write_payload(buf: &mut Vec<u8>, idx: u64, len: usize) {
+    buf.clear();
+    buf.resize(len, idx as u8);
+    buf[..ID_BYTES].copy_from_slice(&idx.to_le_bytes());
 }
 
 /// Recovers the arrival index from a completed payload.
@@ -369,7 +379,7 @@ fn per_destination_events(trace: &AppTrace) -> Vec<Vec<Ev>> {
 /// destination in turn, reset between them; a larger table changes no count.
 fn sized_for(config: MatchConfig, per_rank: &[Vec<Ev>]) -> MatchConfig {
     let (posts, arrivals) = per_rank.iter().fold((1, 1), |(p, a), events| {
-        let posts = events.iter().filter(|e| matches!(e, Ev::Post(_))).count();
+        let posts = posts_of(events);
         (p.max(posts), a.max(events.len() - posts))
     });
     config
@@ -377,11 +387,52 @@ fn sized_for(config: MatchConfig, per_rank: &[Vec<Ev>]) -> MatchConfig {
         .with_max_unexpected(arrivals)
 }
 
+/// The receives a destination's event stream posts.
+fn posts_of(events: &[Ev]) -> usize {
+    events.iter().filter(|e| matches!(e, Ev::Post(_))).count()
+}
+
+/// One destination's matched pairs, placed in receive order: entry `r` holds
+/// the message receive `r` matched, once it has. A destination numbers its
+/// receives `0..posts` in post order, so its pairs come out of the table
+/// sorted, and destinations go in ascending order, so the pairs of a whole
+/// replay are sorted without a sort. A receive completes once: a second
+/// completion is a fault of the path that reported it, and panics before it
+/// can overwrite the first.
+#[derive(Default)]
+struct Placement {
+    msgs: Vec<Option<u64>>,
+}
+
+impl Placement {
+    /// Empties the table for a destination that posts `posts` receives.
+    fn arm(&mut self, posts: usize) {
+        self.msgs.clear();
+        self.msgs.resize(posts, None);
+    }
+
+    /// Places the completion of receive `recv` by message `msg`.
+    fn place(&mut self, recv: u64, msg: u64) {
+        let entry = &mut self.msgs[recv as usize];
+        if let Some(first) = *entry {
+            panic!("receive {recv} completed twice: by message {first}, then by {msg}");
+        }
+        *entry = Some(msg);
+    }
+
+    /// Appends the destination's pairs to `pairs`, in receive order.
+    fn write_out(&self, dest: u32, pairs: &mut Vec<MatchedPair>) {
+        let placed = self.msgs.iter().enumerate();
+        pairs.extend(placed.filter_map(|(recv, msg)| msg.map(|msg| (dest, recv as u64, msg))));
+    }
+}
+
 /// The matched-pairs oracle: the same per-destination event streams pushed
 /// straight into one [`otm::SequentialOtm`], reset for each destination, no
 /// wire, no service. Receive and message handles are numbered per
-/// destination exactly as the end-to-end replay numbers them, so the sorted
-/// pair vectors of the two paths are directly comparable.
+/// destination exactly as the end-to-end replay numbers them, and the pairs
+/// are placed in receive order the same way, so the sorted pair vectors of
+/// the two paths are directly comparable.
 ///
 /// ```
 /// use dpa_sim::app_replay::{engine_direct_pairs, replay_app, AppReplayConfig};
@@ -417,7 +468,7 @@ pub fn engine_direct_pairs(trace: &AppTrace, bins: usize) -> Vec<MatchedPair> {
     let config = MatchConfig::default().with_bins(bins).with_block_threads(1);
     let mut engine =
         otm::SequentialOtm::new(sized_for(config, &per_rank)).expect("oracle replay configuration");
-    let mut pairs = Vec::new();
+    let (mut pairs, mut placed) = (Vec::new(), Placement::default());
     for (dest, events) in per_rank.iter().enumerate() {
         if events.is_empty() {
             continue;
@@ -425,7 +476,7 @@ pub fn engine_direct_pairs(trace: &AppTrace, bins: usize) -> Vec<MatchedPair> {
         engine
             .reset()
             .expect("nothing is queued between destinations");
-        let first = pairs.len();
+        placed.arm(posts_of(events));
         let (mut next_recv, mut next_msg) = (0u64, 0u64);
         for ev in events {
             match ev {
@@ -435,7 +486,7 @@ pub fn engine_direct_pairs(trace: &AppTrace, bins: usize) -> Vec<MatchedPair> {
                     let posted = Matcher::post(&mut engine, *pattern, handle);
                     if let PostResult::Matched(msg) = posted.expect("oracle within engine capacity")
                     {
-                        pairs.push((dest as u32, handle.0, msg.0));
+                        placed.place(handle.0, msg.0);
                     }
                 }
                 Ev::Arrive { env, .. } => {
@@ -445,14 +496,12 @@ pub fn engine_direct_pairs(trace: &AppTrace, bins: usize) -> Vec<MatchedPair> {
                     if let ArriveResult::Matched(recv) =
                         arrived.expect("oracle within engine capacity")
                     {
-                        pairs.push((dest as u32, recv.0, msg.0));
+                        placed.place(recv.0, msg.0);
                     }
                 }
             }
         }
-        // Destinations go in ascending order, so sorting each one's pairs
-        // sorts them all.
-        pairs[first..].sort_unstable();
+        placed.write_out(dest as u32, &mut pairs);
     }
     debug_assert!(pairs.windows(2).all(|w| w[0] <= w[1]));
     pairs
@@ -461,8 +510,10 @@ pub fn engine_direct_pairs(trace: &AppTrace, bins: usize) -> Vec<MatchedPair> {
 /// The replay's endpoints, built once and re-armed for each destination: the
 /// service with the NIC and the engine behind it, and one queue pair and
 /// reliable sender per slot. The destination's `i`-th source in rank order
-/// sends on slot `i`; the slots grow to the widest destination so far, and
-/// those past the current one's sources sit idle. A destination may have a
+/// sends on slot `i`, found through a table indexed by rank; the slots grow
+/// to the widest destination so far, and those past the current one's
+/// sources sit idle. The set places each completion in receive order and
+/// keeps its payload buffer for a later payload. A destination may have a
 /// series, sampled after each `progress` of the service.
 struct Endpoints {
     svc: MatchingService,
@@ -471,18 +522,34 @@ struct Endpoints {
     engine_config: MatchConfig,
     /// One per queue pair of the NIC, in slot order.
     senders: Vec<ReliableSender>,
-    /// The current destination's sources, in rank order.
-    sources: Vec<u32>,
+    /// Indexed by rank: the slot the rank sends on to the current
+    /// destination, or [`NO_SLOT`] when it sends nothing there.
+    slot_of: Vec<u32>,
+    /// The current destination's sources: its slots are `0..active`.
+    active: usize,
+    /// The current destination's matched pairs.
+    placed: Placement,
+    /// Completed receives' buffers, each to be written over by a later
+    /// payload; never more than the bounce pool holds.
+    spare: Vec<Vec<u8>>,
+    /// The bounce pool's buffer count: the most `spare` keeps.
+    bounce_buffers: usize,
     /// The current destination's series, if it has one.
     series: Option<SeriesRecorder>,
 }
 
+/// A rank's entry in [`Endpoints::slot_of`] when it sends the current
+/// destination nothing.
+const NO_SLOT: u32 = u32::MAX;
+
 impl Endpoints {
-    /// A set with no slot yet, around an engine configured by `engine`: a
-    /// destination arms it first. Its bounce pool holds `buffers` staging
-    /// buffers, whichever destination it serves.
+    /// A set with no slot yet, for a trace of `ranks` ranks, around an
+    /// engine configured by `engine`: a destination arms it first. Its
+    /// bounce pool holds `buffers` staging buffers, whichever destination it
+    /// serves.
     fn new(
         cfg: &AppReplayConfig,
+        ranks: usize,
         buffers: usize,
         engine_config: MatchConfig,
     ) -> Result<Self, MatchError> {
@@ -499,7 +566,11 @@ impl Endpoints {
             domain,
             engine_config,
             senders: Vec::new(),
-            sources: Vec::new(),
+            slot_of: vec![NO_SLOT; ranks],
+            active: 0,
+            placed: Placement::default(),
+            spare: Vec::with_capacity(buffers),
+            bounce_buffers: buffers,
             series: None,
         })
     }
@@ -510,43 +581,57 @@ impl Endpoints {
         Ok(Box::new(OtmEngine::new(config.clone())?))
     }
 
-    /// Arms the set for one destination: a slot per source that sends to it
-    /// (connecting more queue pairs if the set is narrower), and the
+    /// Arms the set for one destination that posts `posts` receives: a slot
+    /// per source that sends to it, numbered in rank order (connecting more
+    /// queue pairs if the set is narrower), an empty placement, and the
     /// service, its engine, the NIC and those slots' senders re-armed to
     /// read as new.
-    fn arm(&mut self, events: &[Ev]) {
-        self.sources.clear();
-        self.sources.extend(events.iter().filter_map(|e| match e {
-            Ev::Arrive { src, .. } => Some(src.0),
-            Ev::Post(_) => None,
-        }));
-        self.sources.sort_unstable();
-        self.sources.dedup();
-        let active = self.sources.len();
-        while self.senders.len() < active {
+    fn arm(&mut self, events: &[Ev], posts: usize) {
+        self.slot_of.fill(NO_SLOT);
+        for e in events {
+            if let Ev::Arrive { src, .. } = e {
+                self.slot_of[src.0 as usize] = 0;
+            }
+        }
+        let mut active = 0;
+        for slot in self.slot_of.iter_mut().filter(|s| **s != NO_SLOT) {
+            *slot = active;
+            active += 1;
+        }
+        self.active = active as usize;
+        while self.senders.len() < self.active {
             let (tx, rx) = connected_pair();
             self.svc.nic_mut().add_qp(rx);
             self.senders.push(ReliableSender::new(tx));
         }
+        self.placed.arm(posts);
         let config = &self.engine_config;
         self.svc
             .rearm(|| Self::engine(config).expect("the configuration built the first engine"));
-        self.svc.nic_mut().rearm(active);
-        for s in &mut self.senders[..active] {
+        self.svc.nic_mut().rearm(self.active);
+        for s in &mut self.senders[..self.active] {
             s.rearm();
         }
     }
 
     /// The slot `src` sends on.
     fn slot(&self, src: u32) -> usize {
-        self.sources
-            .binary_search(&src)
-            .expect("a slot for every arrival source")
+        let slot = self.slot_of[src as usize];
+        debug_assert_ne!(slot, NO_SLOT, "a slot for every arrival source");
+        slot as usize
+    }
+
+    /// The payload of the arrival at position `idx`, `len` bytes, written
+    /// over a spare buffer when there is one.
+    fn payload(&mut self, idx: u64, len: usize) -> Vec<u8> {
+        let mut payload = self.spare.pop().unwrap_or_default();
+        write_payload(&mut payload, idx, len);
+        payload
     }
 
     /// The current destination's senders.
     fn active(&self) -> &[ReliableSender] {
-        &self.senders[..self.sources.len()]
+        &self.senders[..self.active]
     }
 
     /// The destination's registry snapshot: the service's merged with its
@@ -574,13 +659,24 @@ impl Endpoints {
         Ok(())
     }
 
+    /// Places the service's completions, keeping their buffers while the
+    /// spares number fewer than the bounce pool's.
+    fn collect(&mut self) {
+        for c in self.svc.take_completed() {
+            self.placed.place(c.recv.0, payload_id(&c.data));
+            if self.spare.len() < self.bounce_buffers {
+                self.spare.push(c.data);
+            }
+        }
+    }
+
     /// One turn of the whole path: the service progresses, its completions
-    /// go into `pairs`, and every active sender polls once (ack intake and
+    /// are placed, and every active sender polls once (ack intake and
     /// retransmit timers).
-    fn pump(&mut self, dest: u32, pairs: &mut Vec<MatchedPair>) -> Result<(), ServiceError> {
+    fn pump(&mut self) -> Result<(), ServiceError> {
         self.progress()?;
-        collect(dest, self.svc.take_completed(), pairs);
-        for s in &mut self.senders[..self.sources.len()] {
+        self.collect();
+        for s in &mut self.senders[..self.active] {
             let stray = s.poll().map_err(ServiceError::Reliability)?;
             debug_assert!(stray.is_empty(), "nothing sends app data back");
         }
@@ -591,24 +687,17 @@ impl Endpoints {
     /// fully acked) *and* released by the total-order gate — the point at
     /// which the engine's submission stream provably contains every prior
     /// arrival, so a post may follow.
-    fn settle(&mut self, dest: u32, pairs: &mut Vec<MatchedPair>) -> Result<(), ServiceError> {
+    fn settle(&mut self) -> Result<(), ServiceError> {
         loop {
-            self.pump(dest, pairs)?;
+            self.pump()?;
             let all_acked = self.active().iter().all(|s| s.unacked() == 0);
             if all_acked && self.svc.nic().gate_parked_len() == 0 {
                 // One more pass drains anything the final acks released.
                 self.progress()?;
-                collect(dest, self.svc.take_completed(), pairs);
+                self.collect();
                 return Ok(());
             }
         }
-    }
-}
-
-/// Collects the service's completions into the pair vector.
-fn collect(dest: u32, done: Vec<CompletedReceive>, pairs: &mut Vec<MatchedPair>) {
-    for c in done {
-        pairs.push((dest, c.recv.0, payload_id(&c.data)));
     }
 }
 
@@ -647,25 +736,24 @@ pub fn replay_app(
     // destination of its own would get.
     let buffers = busiest.map_or(0, arrivals_at).clamp(64, 8192);
     let engine = sized_for(MatchConfig::default().with_bins(cfg.bins), &per_rank);
-    let mut ends = Endpoints::new(cfg, buffers, engine).map_err(ServiceError::Match)?;
+    let mut ends =
+        Endpoints::new(cfg, per_rank.len(), buffers, engine).map_err(ServiceError::Match)?;
     let start = std::time::Instant::now();
 
     for (dest, events) in per_rank.iter().enumerate() {
         if events.is_empty() {
             continue;
         }
-        let posts = events.iter().filter(|e| matches!(e, Ev::Post(_))).count();
+        let posts = posts_of(events);
         let arrivals = events.len() - posts;
         report.posts += posts as u64;
         report.messages += arrivals as u64;
-        ends.arm(events);
+        ends.arm(events, posts);
         if let (Some(cadence), Some(b)) = (cfg.series_cadence, busiest) {
             if b == dest {
                 ends.series = Some(SeriesRecorder::new(cadence.max(1)));
             }
         }
-        let dest = dest as u32;
-        let first = pairs.len();
 
         // ---- the event loop: posts and arrivals in trace order ----------
         let mut gseq = 0u64;
@@ -674,7 +762,7 @@ pub fn replay_app(
             match ev {
                 Ev::Post(pattern) => {
                     if dirty {
-                        ends.settle(dest, &mut pairs)?;
+                        ends.settle()?;
                         dirty = false;
                     }
                     // A post is a command on its communicator's ring, and
@@ -685,7 +773,7 @@ pub fn replay_app(
                         match ends.svc.post_recv_queued_reserved(*pattern, handle) {
                             Ok(()) => break,
                             Err(ServiceError::Match(MatchError::SubmissionRingFull { .. })) => {
-                                ends.pump(dest, &mut pairs)?;
+                                ends.pump()?;
                             }
                             Err(e) => return Err(e),
                         }
@@ -697,9 +785,9 @@ pub fn replay_app(
                     // retransmission) until this sender has room.
                     let at = ends.slot(src.0);
                     while !ends.senders[at].can_send() {
-                        ends.pump(dest, &mut pairs)?;
+                        ends.pump()?;
                     }
-                    let payload = payload_for(gseq, *bytes);
+                    let payload = ends.payload(gseq, *bytes);
                     let pkt = if *bytes <= cfg.eager_max {
                         report.eager_messages += 1;
                         eager_packet(*env, payload)
@@ -716,10 +804,8 @@ pub fn replay_app(
                 }
             }
         }
-        ends.settle(dest, &mut pairs)?;
-        // Destinations go in ascending order, so sorting each one's pairs
-        // sorts them all.
-        pairs[first..].sort_unstable();
+        ends.settle()?;
+        ends.placed.write_out(dest as u32, &mut pairs);
 
         // ---- per-destination accounting ---------------------------------
         if let Some(mut series) = ends.series.take() {
@@ -1456,11 +1542,49 @@ mod tests {
     }
 
     #[test]
+    fn placement_lists_pairs_in_receive_order_and_refuses_a_second_completion() {
+        let mut placed = Placement::default();
+        placed.arm(4);
+        for (recv, msg) in [(2, 0), (0, 1), (3, 2)] {
+            placed.place(recv, msg);
+        }
+        let duplicate = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            placed.place(0, 3);
+        }));
+        let message = duplicate.expect_err("a second completion of receive 0");
+        assert_eq!(
+            message.downcast_ref::<String>().map(String::as_str),
+            Some("receive 0 completed twice: by message 1, then by 3")
+        );
+        let never_posted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            placed.place(4, 3);
+        }));
+        assert!(never_posted.is_err(), "receive 4 was never posted");
+        let mut pairs = vec![(0, 5, 5)];
+        placed.write_out(1, &mut pairs);
+        assert_eq!(
+            pairs,
+            [(0, 5, 5), (1, 0, 1), (1, 2, 0), (1, 3, 2)],
+            "the first completion stands; receive 1 never matched"
+        );
+        placed.arm(1);
+        placed.place(0, 0);
+        assert_eq!(
+            placed.msgs,
+            [Some(0)],
+            "a re-armed table forgets the last destination"
+        );
+    }
+
+    #[test]
     fn payload_identity_survives_the_clamp() {
         assert_eq!(payload_len(0), ID_BYTES);
         assert_eq!(payload_len(1 << 40), MAX_PAYLOAD_BYTES);
-        let p = payload_for(7, 16);
+        // A spare buffer, longer and dirtier than the payload written over it.
+        let mut p = vec![0xee; 64];
+        write_payload(&mut p, 7, 16);
         assert_eq!(p.len(), 16);
         assert_eq!(payload_id(&p), 7);
+        assert!(p[ID_BYTES..].iter().all(|&b| b == 7), "{p:?}");
     }
 }

@@ -65,8 +65,13 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Empties the histogram in place.
+    /// Empties the histogram in place. One that has recorded nothing is
+    /// already empty and is not written, so resetting an idle owner costs a
+    /// read of its count.
     pub fn reset(&mut self) {
+        if self.count == 0 {
+            return;
+        }
         *self = Self::empty();
     }
 
@@ -291,9 +296,12 @@ mod tests {
 
     #[test]
     fn reset_clears_everything() {
-        let mut h = of([42]);
-        h.reset();
-        assert_eq!(h, HistogramSnapshot::empty());
+        // Zeros leave sum and max at 0: only the count says they were
+        // recorded, so an empty one is the only one a reset may skip.
+        for mut h in [of([42]), of([0, 0]), HistogramSnapshot::empty()] {
+            h.reset();
+            assert_eq!(h, HistogramSnapshot::empty());
+        }
     }
 
     #[test]

@@ -263,14 +263,11 @@ fn construction_allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed) - before
 }
 
-/// BigFFT cut to the receives of its first `destinations` ranks and the
-/// sends addressed to them: each destination posts 62 receives and takes 62
-/// rendezvous messages, one from each of 62 peers.
-fn bigfft_destinations(destinations: u32) -> AppTrace {
-    let entry = otm_workloads::catalog()
-        .into_iter()
-        .find(|a| a.name == "BigFFT");
-    let full = (entry.expect("BigFFT is in the catalog").generate)(0);
+/// The Table II app `app` cut to the receives of its first `destinations`
+/// ranks and the sends addressed to them.
+fn first_destinations(app: &str, destinations: u32) -> AppTrace {
+    let entry = otm_workloads::catalog().into_iter().find(|a| a.name == app);
+    let full = (entry.expect("the app is in the catalog").generate)(0);
     let ranks = full.ranks.into_iter().map(|r| {
         let ops = r.ops.into_iter().filter(|t| match t.op {
             MpiOp::Irecv { .. } | MpiOp::Recv { .. } => r.rank.0 < destinations,
@@ -288,22 +285,25 @@ fn bigfft_destinations(destinations: u32) -> AppTrace {
     }
 }
 
-/// Allocations `replay_app` makes per replayed message once its endpoints
-/// and its engine exist: a replay of 16 BigFFT destinations less one of 8,
-/// over the 8 × 62 messages between them, so whatever the first destination
-/// builds cancels.
-fn replay_allocations_per_message() -> f64 {
+/// Allocations `replay_app` makes per replayed message of `app` once its
+/// endpoints and its engine exist: a replay of the app's first 16
+/// destinations less one of its first 8, over the messages between them, so
+/// whatever the first destination builds cancels. Also the messages between
+/// them, and the rendezvous messages among those.
+fn replay_allocations_per_message(app: &str) -> (f64, u64, u64) {
     let count = |destinations: u32| {
-        let trace = bigfft_destinations(destinations);
+        let trace = first_destinations(app, destinations);
         let before = ALLOCATIONS.load(Ordering::Relaxed);
         let out = replay_app(&trace, &AppReplayConfig::default()).unwrap();
         let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
-        assert_eq!(out.report.messages, u64::from(destinations) * 62);
-        assert_eq!(out.report.completed, out.report.messages);
-        allocations
+        let report = &out.report;
+        assert_eq!(report.completed, report.messages);
+        (allocations, report.messages, report.rendezvous_messages)
     };
     let (eight, sixteen) = (count(8), count(16));
-    (sixteen - eight) as f64 / (8.0 * 62.0)
+    let messages = sixteen.1 - eight.1;
+    let per_message = (sixteen.0 - eight.0) as f64 / messages as f64;
+    (per_message, messages, sixteen.2 - eight.2)
 }
 
 /// Allocations to create one communicator at the default configuration: the
@@ -556,20 +556,39 @@ fn steady_state_allocations_per_message_stay_in_budget() {
     );
     println!("allocations per {PEERS}-peer destination: {construction}");
     // A replayed destination re-arms the endpoints and resets the engine the
-    // first one built: the payload, the rendezvous head and the READ's
-    // target, and a share of the drains' reports and of the destination's
-    // event stream (its keyed vector, sized exactly, the stable sort's
-    // scratch and the stream). Measured 3.115 (3.147 with a block's guards,
-    // 3.825 before the drain arena, 4.486 while every destination built and dropped an engine of
-    // its own, 4.534 while each stream grew by doubling behind a sort of
-    // the whole trace, 11.810 when every destination built and dropped its
-    // own queue pairs, senders, NIC, bounce pool, service and registry).
-    let replayed = replay_allocations_per_message();
+    // first one built, and a payload is written over a completed one's
+    // buffer: the rendezvous head and the READ's target, and a share of the
+    // drains' reports, of the completions handed out and of the
+    // destination's event stream (its keyed vector, sized exactly, the
+    // stable sort's scratch and the stream). BigFFT: each destination posts
+    // 62 receives and takes 62 rendezvous messages, one from each of 62
+    // peers. Measured 2.115 (3.115 while every payload was a fresh vector,
+    // 3.147 with a block's guards, 3.825 before the drain arena, 4.486 while
+    // every destination built and dropped an engine of its own, 4.534 while
+    // each stream grew by doubling behind a sort of the whole trace, 11.810
+    // when every destination built and dropped its own queue pairs, senders,
+    // NIC, bounce pool, service and registry).
+    let (replayed, messages, rendezvous) = replay_allocations_per_message("BigFFT");
+    assert_eq!((messages, rendezvous), (8 * 62, 8 * 62));
     assert!(
-        replayed <= 3.22,
+        replayed <= 2.22,
         "{PEERS}-peer replay: {replayed:.3} allocations a message"
     );
-    println!("allocations per replayed {PEERS}-peer message: {replayed:.3}");
+    // LULESH's halo messages are all eager: the payload comes back through
+    // the bounce pool and the completion, and goes out again as a later
+    // one, so what is left is the shares. Measured 0.031 over its first 16
+    // destinations less its first 8 (1.031 while every payload was a fresh
+    // vector).
+    let (eager_replayed, messages, rendezvous) = replay_allocations_per_message("LULESH");
+    assert_eq!((messages, rendezvous), (8 * 624, 0), "LULESH is all eager");
+    assert!(
+        eager_replayed <= 0.14,
+        "eager replay: {eager_replayed:.3} allocations a message over {messages}"
+    );
+    println!(
+        "allocations per replayed message: {PEERS}-peer rendezvous {replayed:.3}, \
+         eager {eager_replayed:.3} (over {messages})"
+    );
     // The table's slots, one slice of list ends per queue and the command
     // queue; the shard itself lives in the directory, the post links its
     // receive through its slot, and the table's free list waits for a

@@ -60,6 +60,15 @@
 //! What the drain allocates is pinned by `tests/alloc_budget.rs`'s exact
 //! counts, not here.
 //!
+//! A message's bytes are handed on by move: the NIC passes a packet on by
+//! value, never as a `vec![packet…]` copy, and the service's in-flight stash
+//! is a ring addressed by message handle, not an `inflight: HashMap` (its
+//! unexpected store stays a map: unexpected messages leave in any order, at
+//! any age). The NIC's per-QP staging buffers and its total-order gate are
+//! one reorder window indexed by sequence number (`dpa-sim/src/reorder.rs`):
+//! O(1) to park, check and release, and no allocation once at size, so no
+//! ordered map comes back into `nic.rs` on the path every gated packet takes.
+//!
 //! There is one packer: the drain packs blocks across communicators, and
 //! the packed ≡ sequential oracle (`tests/packing_equivalence.rs`) holds it
 //! to per-communicator order. No second packing policy, no selector for
@@ -312,6 +321,26 @@ fn one_way_into_every_backend() {
         "a second way into a backend, or a question about what it is:\n{}",
         offences.join("\n")
     );
+}
+
+#[test]
+fn per_message_hand_offs_move_packets_and_keep_no_map() {
+    let nic = source("crates/dpa-sim/src/nic.rs");
+    let copied = nic.lines().find(|line| line.contains("vec![packet"));
+    assert!(copied.is_none(), "nic.rs: {copied:?}");
+    let service = source("crates/dpa-sim/src/service.rs");
+    let keyed = service.lines().find(|line| {
+        let mut after = line.split("inflight:").skip(1);
+        after.any(|rest| rest.trim_start_matches(' ').starts_with("HashMap"))
+    });
+    assert!(keyed.is_none(), "service.rs: {keyed:?}");
+}
+
+#[test]
+fn one_reorder_window_in_the_nic() {
+    let nic = source("crates/dpa-sim/src/nic.rs");
+    let ordered_map = nic.lines().find(|line| line.contains("BTreeMap"));
+    assert!(ordered_map.is_none(), "nic.rs: {ordered_map:?}");
 }
 
 /// Every `.rs` file of `crates`, `tests` and `examples`, but this one,
