@@ -20,37 +20,38 @@
 //! the paper, the ping-pong assumes a lossless fabric; the full stack over
 //! a hostile wire is `appbench --faults`.
 //!
-//! With `--tenants N`, a further section promotes the service into a matchd
-//! server and runs N tenant sessions against it for the same message
-//! budget: each tenant submits (post, self-send) pairs per deterministic
-//! tick, with `--flood-tenant I` turning tenant I into a flooder that
-//! pushes far past its bounded ingress. The rows put each tenant's
-//! admission counters (admitted / backpressured) next to its completed
-//! throughput and, for well-behaved tenants, the fraction of their *solo*
-//! throughput retained under contention — the fair-drain headline. The
-//! rows and the server's registry snapshot are written to
-//! `fig8_tenants.json`.
+//! With `--tenants N`, the harness runs the multi-tenant fairness sweep
+//! *instead of* the six series, on the message budget of one series: a
+//! matchd server with N tenants, each submitting (post, self-send) pairs
+//! per deterministic tick, with `--flood-tenant I` turning tenant I into a
+//! flooder that pushes far past its bounded ingress. The rows put each
+//! tenant's admission counters (admitted / backpressured) next to its
+//! completed throughput and, for well-behaved tenants, the fraction of
+//! their *solo* throughput retained under contention — the fair-drain
+//! headline. The rows and the server's registry snapshot are written to
+//! `fig8_tenants.json`; no series report is written.
 //!
 //! The flight recorder rides along on the tenants sweep, so `--series` and
 //! `--spans` need `--tenants` (without it they print a warning). With
 //! `--series PATH` the server samples its service once per `ticks / 64`
 //! polls (a deterministic virtual clock) and each tenant once per as many
-//! ticks: the service's labeled columnar series (`t`, `queue_depth`,
+//! ticks. The service's labeled columnar series (`t`, `queue_depth`,
 //! `block_occupancy`, `path_counts`, `matched`, `retransmits`,
-//! `fallbacks`) lands in one JSON artifact at PATH, and the per-tenant
-//! sections are embedded in `fig8_tenants.json` beside it. With `--spans
-//! PATH` (requires building with `--features trace-events`; otherwise a
-//! warning), the sweep's engine's per-message lifecycle span dump is
-//! written as `PATH.tenants.jsonl` plus a Chrome `trace_event` file
-//! `PATH.tenants.trace.json` that <https://ui.perfetto.dev> opens
+//! `fallbacks`) is written once, to PATH. Each tenant's series (`t`,
+//! `ingress_depth`, `completed`: what the server counts for it) is
+//! embedded in `fig8_tenants.json` under `series`, keyed by tenant id.
+//! With `--spans PATH` (requires building with `--features trace-events`;
+//! otherwise a warning), the sweep's engine's per-message lifecycle span
+//! dump is written as `PATH.tenants.jsonl` plus a Chrome `trace_event`
+//! file `PATH.tenants.trace.json` that <https://ui.perfetto.dev> opens
 //! directly.
 //!
 //! Run with: `cargo run --release -p otm-bench --bin fig8_message_rate`
 //! (`--quick` shrinks the repeat count for smoke testing; `--messages N`
 //! budgets ~N messages per series; `--repeats N` sets the count directly;
-//! `--tenants N` / `--flood-tenant I` add the fairness sweep; `--series
-//! PATH` / `--spans PATH` capture its flight-recorder artifacts;
-//! `--out PATH` redirects the JSON report).
+//! `--tenants N` / `--flood-tenant I` run the fairness sweep instead;
+//! `--series PATH` / `--spans PATH` capture its flight-recorder artifacts;
+//! `--out PATH` redirects the series' JSON report).
 //!
 //! The JSON report is a [`BenchReport`] of the six series rows whose
 //! `observability` object maps each offloaded series label to its merged
@@ -60,7 +61,7 @@
 
 use dpa_sim::{
     Admission, MatchMode, MatchServer, MatchdConfig, PingPong, PingPongConfig, PingPongResult,
-    Scenario, TenantConfig, TenantSession,
+    Scenario, TenantConfig, TenantId, TenantSeries,
 };
 use otm_base::{CommId, MatchConfig, Rank, ReceivePattern, Tag};
 use otm_bench::{
@@ -78,10 +79,6 @@ use std::time::Instant;
 /// that a turn's first sequence, which follows the other series' work, is
 /// one in ten and the median passes over it.
 const TURN: usize = 10;
-
-/// What [`MatchServer::finish_series`] hands back: the global series and
-/// one section per tenant.
-type TenantSeries = (SeriesRecorder, Vec<(String, SeriesRecorder)>);
 
 /// The fig8 `results` payload: the per-series rows.
 #[derive(Debug)]
@@ -107,6 +104,16 @@ fn main() {
     };
     let quick = repeats < 500;
     header("Figure 8: single-process message rate");
+    if let Some(tenants) = args.tenants {
+        // The sweep alone, on the message budget of one series.
+        let sweep = run_tenants(&args, tenants, k * repeats);
+        let path = write_json_artifact(&experiments_dir().join("fig8_tenants.json"), &sweep);
+        println!("tenants artifact: {}", path.display());
+        return;
+    }
+    if args.series.is_some() || args.spans.is_some() {
+        println!("WARNING: --series and --spans record the --tenants sweep; nothing recorded");
+    }
     println!("ping-pong: k={k} msgs/sequence, {repeats} repeats, 1024 in-flight receives\n");
 
     let runs: Vec<(MatchMode, Scenario)> = vec![
@@ -199,14 +206,6 @@ fn main() {
     );
     let path = write_report(&args, &report);
     println!("JSON artifact: {}", path.display());
-
-    if args.tenants.is_none() && (args.series.is_some() || args.spans.is_some()) {
-        println!("WARNING: --series and --spans record the --tenants sweep; nothing recorded");
-    }
-    if let Some(tenants) = run_tenants(&args, k * repeats) {
-        let path = write_json_artifact(&experiments_dir().join("fig8_tenants.json"), &tenants);
-        println!("tenants artifact: {}", path.display());
-    }
 }
 
 /// The `--series` artifact, the tenants sweep's service series:
@@ -305,8 +304,9 @@ json_fields!(TenantRow: tenant, role, attempted_pairs, admitted, backpressured, 
 
 /// The `--tenants` sweep as `fig8_tenants.json`: knobs, per-tenant rows,
 /// the two fairness verdicts the paper-style shape checks assert, the
-/// server's registry snapshot and, when `--series` sampled them, the global
-/// and per-tenant series sections.
+/// server's registry snapshot and, when `--series` sampled them, the
+/// per-tenant series (the service's own series is the `--series`
+/// artifact).
 #[derive(Debug)]
 struct TenantsSweep {
     /// Tenant sessions on the shared server.
@@ -338,8 +338,8 @@ struct TenantsSweep {
     rows: Vec<TenantRow>,
     /// The contended server's registry snapshot.
     observability: RegistrySnapshot,
-    /// The global and per-tenant series (`--series`).
-    series: Option<TenantSeries>,
+    /// Each tenant's series, in id order (`--series`).
+    series: Option<Vec<TenantSeries>>,
 }
 
 impl WriteJson for TenantsSweep {
@@ -349,9 +349,14 @@ impl WriteJson for TenantsSweep {
         json_fields!(w, self; tenants, flood_tenant, ticks, pairs_per_tick, flood_pairs_per_tick,
             capacity, quantum, flood_capacity, flood_quantum, deficit_cap_quanta,
             flooder_backpressured, fairness_retained, rows, observability);
-        if let Some((global, tenants)) = &self.series {
+        if let Some(sections) = &self.series {
             w.key("series");
-            otm_metrics::write_tenant_sections(w, global, tenants);
+            w.begin_object();
+            for (tenant, section) in sections.iter().enumerate() {
+                w.key(&tenant.to_string());
+                section.write_json(w);
+            }
+            w.end_object();
         }
         w.end_object();
     }
@@ -381,15 +386,22 @@ fn tenants_match_config() -> MatchConfig {
         .with_lane_quota(Some(8))
 }
 
-/// Submits up to `pairs` (post, self-send) pairs on the session's
+/// Submits up to `pairs` (post, self-send) pairs on the tenant's
 /// communicator and returns how many were attempted (backpressure refusals
-/// are counted by the session itself).
-fn submit_tenant_pairs(session: &TenantSession, pairs: usize, round: u64) -> u64 {
-    let src = Rank(session.tenant().0 as u32);
-    let comm = session.comm().expect("bench tenants are pinned");
+/// are counted by the server in the tenant's stats).
+fn submit_tenant_pairs(
+    server: &mut MatchServer,
+    tenant: TenantId,
+    pairs: usize,
+    round: u64,
+) -> u64 {
+    let src = Rank(tenant.0 as u32);
+    let comm = server
+        .tenant_comm(tenant)
+        .expect("bench tenants are pinned");
     for i in 0..pairs {
         let tag = Tag((round as u32).wrapping_mul(31).wrapping_add(i as u32) % 61);
-        match session.submit_post(ReceivePattern::new(src, tag, comm)) {
+        match server.submit_post(tenant, ReceivePattern::new(src, tag, comm)) {
             Admission::Admitted(_) => {}
             // A refused post never sends: pairs stay matched 1:1 and the
             // ingress pressure shows up in the admission counters.
@@ -397,7 +409,7 @@ fn submit_tenant_pairs(session: &TenantSession, pairs: usize, round: u64) -> u64
         }
         // The send half may hit the bound the post just squeezed under; the
         // orphaned post then waits for a later round's duplicate tag.
-        let _ = session.submit_send(tag, vec![(i % 251) as u8]);
+        let _ = server.submit_send(tenant, tag, vec![(i % 251) as u8]);
     }
     pairs as u64
 }
@@ -407,22 +419,24 @@ fn submit_tenant_pairs(session: &TenantSession, pairs: usize, round: u64) -> u64
 fn tenant_solo_baseline(plan: &TenantBenchPlan) -> u64 {
     let mut server =
         MatchServer::new(tenants_match_config(), plan.matchd).expect("standalone matchd server");
-    let session = server.open_tenant_with(TenantConfig {
-        comm: Some(CommId(1)),
-        ..plan.well
-    });
+    let tenant = server
+        .open_tenant_with(TenantConfig {
+            comm: Some(CommId(1)),
+            ..plan.well
+        })
+        .expect("a tenant id");
     for round in 0..plan.ticks {
-        submit_tenant_pairs(&session, plan.pairs_per_tick, round);
+        submit_tenant_pairs(&mut server, tenant, plan.pairs_per_tick, round);
         server.tick().expect("solo tick");
     }
-    session.stats().completed
+    server.tenant_stats(tenant).completed
 }
 
-/// Runs the `--tenants` sweep: a solo baseline, then N tenant sessions on
+/// Runs the `--tenants` sweep: a solo baseline, then `tenants` tenants on
 /// one matchd server — one of them (`--flood-tenant`) flooding far past its
 /// ingress bound — for the same tick count.
-fn run_tenants(args: &CommonArgs, budget: usize) -> Option<TenantsSweep> {
-    let tenants = args.tenants?.max(2);
+fn run_tenants(args: &CommonArgs, tenants: usize, budget: usize) -> TenantsSweep {
+    let tenants = tenants.max(2);
     let flood_tenant = args.flood_tenant.filter(|&i| i < tenants);
     let pairs_per_tick = 8usize;
     let plan = TenantBenchPlan {
@@ -464,43 +478,45 @@ fn run_tenants(args: &CommonArgs, budget: usize) -> Option<TenantsSweep> {
     if args.series.is_some() {
         server.attach_series((plan.ticks / 64).max(1));
     }
-    let sessions: Vec<TenantSession> = (0..tenants)
+    let ids: Vec<TenantId> = (0..tenants)
         .map(|i| {
             let knobs = if flood_tenant == Some(i) {
                 plan.flood
             } else {
                 plan.well
             };
-            server.open_tenant_with(TenantConfig {
-                comm: Some(CommId(i as u16 + 1)),
-                ..knobs
-            })
+            server
+                .open_tenant_with(TenantConfig {
+                    comm: Some(CommId(i as u16 + 1)),
+                    ..knobs
+                })
+                .expect("a tenant id")
         })
         .collect();
 
     let mut attempted = vec![0u64; tenants];
     let start = Instant::now();
     for round in 0..plan.ticks {
-        for (i, session) in sessions.iter().enumerate() {
+        for (i, &tenant) in ids.iter().enumerate() {
             let pairs = if flood_tenant == Some(i) {
                 plan.flood_pairs_per_tick
             } else {
                 plan.pairs_per_tick
             };
-            attempted[i] += submit_tenant_pairs(session, pairs, round);
+            attempted[i] += submit_tenant_pairs(&mut server, tenant, pairs, round);
         }
         server.tick().expect("contended tick");
     }
     let elapsed = start.elapsed().as_secs_f64();
 
-    let rows: Vec<TenantRow> = sessions
+    let rows: Vec<TenantRow> = ids
         .iter()
         .enumerate()
-        .map(|(i, session)| {
-            let stats = session.stats();
+        .map(|(i, &tenant)| {
+            let stats = server.tenant_stats(tenant);
             let flooding = flood_tenant == Some(i);
             TenantRow {
-                tenant: session.tenant().0,
+                tenant: tenant.0,
                 role: if flooding { "flooder" } else { "well-behaved" }.to_string(),
                 attempted_pairs: attempted[i],
                 admitted: stats.admitted,
@@ -542,11 +558,11 @@ fn run_tenants(args: &CommonArgs, budget: usize) -> Option<TenantsSweep> {
     println!("shape: well-behaved tenants retained >= 50% of solo: {fairness_retained}");
     let observability = server.observability_snapshot();
     let series = server.finish_series();
-    if let (Some(path), Some((global, _))) = (&args.series, &series) {
-        let path = write_json_artifact(path, &SeriesArtifact(global));
+    if let (Some(path), Some((service, _))) = (&args.series, &series) {
+        let path = write_json_artifact(path, &SeriesArtifact(service));
         println!(
             "shape: series terminal points self-consistent (Σ path == matched, t monotone): {}",
-            series_consistent(global)
+            series_consistent(service)
         );
         println!("flight-recorder series artifact: {}", path.display());
     }
@@ -559,7 +575,7 @@ fn run_tenants(args: &CommonArgs, budget: usize) -> Option<TenantsSweep> {
         println!("WARNING: --spans requires building with --features trace-events; skipped");
     }
 
-    Some(TenantsSweep {
+    TenantsSweep {
         tenants,
         flood_tenant,
         ticks: plan.ticks,
@@ -574,8 +590,8 @@ fn run_tenants(args: &CommonArgs, budget: usize) -> Option<TenantsSweep> {
         fairness_retained,
         rows,
         observability,
-        series,
-    })
+        series: series.map(|(_, tenants)| tenants),
+    }
 }
 
 fn print_result(result: &PingPongResult) {

@@ -57,8 +57,8 @@ pub struct CommonArgs {
     /// building with `--features trace-events`; otherwise the harness prints
     /// a warning and skips the dump.
     pub spans: Option<PathBuf>,
-    /// `--tenants N`: run the multi-tenant matchd fairness section (fig8)
-    /// with N tenant sessions on one matching server, and write the
+    /// `--tenants N`: run fig8's multi-tenant matchd fairness sweep, with N
+    /// tenants on one matching server, instead of its series, and write the
     /// `fig8_tenants.json` artifact.
     pub tenants: Option<usize>,
     /// `--flood-tenant I`: make tenant I of the `--tenants` section a

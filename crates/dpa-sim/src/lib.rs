@@ -35,8 +35,8 @@
 //! * [`pingpong`] — the Fig. 8 message-rate harness: k-message sequences,
 //!   acknowledged per sequence, both nodes stepped on one thread, with
 //!   no-conflict and with-conflict receive scenarios;
-//! * [`matchd`] — the long-lived multi-tenant matching server: tenant
-//!   sessions with bounded ingress and explicit admission control, a
+//! * [`matchd`] — the long-lived multi-tenant matching server: tenants
+//!   (indices it owns) with bounded ingress and explicit admission control, a
 //!   deficit-round-robin fair drain over one shared engine, and a
 //!   deterministic tick loop with a live per-tenant registry snapshot;
 //! * [`app_replay`] — the one driver of an application trace through the
@@ -66,7 +66,7 @@ pub use app_replay::{
 };
 pub use fault::{BackendFaultStats, FaultInjectingBackend, WireFaultStats, WireFaults};
 pub use matchd::{
-    Admission, MatchServer, MatchdConfig, TenantConfig, TenantId, TenantSession, TenantStats,
+    Admission, MatchServer, MatchdConfig, TenantConfig, TenantId, TenantSeries, TenantStats,
 };
 pub use memory::DeviceMemory;
 pub use nic::RxStats;

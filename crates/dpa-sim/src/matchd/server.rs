@@ -7,7 +7,7 @@
 //!
 //! 1. **fair drain** — a deficit-round-robin pass over the tenants moves
 //!    admitted requests from each bounded ingress queue into the engine
-//!    (posts through the reserved-handle session path of
+//!    (posts under the handles minted at admission, through
 //!    [`MatchingService::post_recv_queued_reserved`], sends onto the
 //!    loopback wire), at most `deficit` per tenant per round;
 //! 2. **progress** — one [`MatchingService::progress`] call polls the NIC
@@ -16,8 +16,13 @@
 //!    fair *inside* the engine);
 //! 3. **completion delivery** — completed receives are routed back to their
 //!    tenants by the namespace bits of their handles;
-//! 4. **observation** — at the series cadence, the service's global sample
-//!    and one per tenant: the server owns the service, so it samples it.
+//! 4. **observation** — at the series cadence, the service's sample and,
+//!    for each tenant, its ingress depth and completions: the server owns
+//!    the service and every tenant's state, so it samples them.
+//!
+//! A tenant is an index into the server's tenant table ([`TenantId`]),
+//! and every tenant operation is a server method on `&mut self`: one
+//! owner, no handle to share and nothing to lock.
 //!
 //! Fairness composes across the two layers: DRR bounds how many of a
 //! flooding tenant's requests *enter* the engine per tick, and the lane
@@ -25,22 +30,21 @@
 //! own once inside. A well-behaved tenant's ingress therefore keeps
 //! draining at its own quantum no matter how hard a neighbour floods — the
 //! flooder's excess lands on its *own* bounded ingress and is answered with
-//! [`Admission::Backpressured`](super::tenant::Admission::Backpressured).
+//! [`Admission::Backpressured`].
 //!
 //! Virtual time is the tick counter (which advances the service's poll
 //! clock in lockstep), so a given submission schedule replays identically —
 //! the same determinism contract as the rest of the simulator.
 
-use super::tenant::{TenantId, TenantRequest, TenantSession, TenantShared, TenantStats};
+use super::tenant::{Admission, Tenant, TenantId, TenantRequest, TenantSeries, TenantStats};
 use crate::bounce::BouncePool;
 use crate::memory::DeviceMemory;
 use crate::nic::RecvNic;
 use crate::rdma::{connected_pair, eager_packet, QueuePair, RdmaDomain};
-use crate::service::{MatchingService, ServiceError};
-use otm_base::{CommId, MatchConfig, MatchError};
+use crate::service::{CompletedReceive, MatchingService, ServiceError};
+use mpi_matching::RecvHandle;
+use otm_base::{CommId, Envelope, MatchConfig, MatchError, Rank, ReceivePattern, Tag};
 use otm_metrics::labelled;
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
 
 /// Per-tenant knobs applied at [`MatchServer::open_tenant_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,25 +100,20 @@ pub struct TickReport {
     pub completed: usize,
 }
 
-struct TenantEntry {
-    id: TenantId,
-    shared: Arc<Mutex<TenantShared>>,
-    /// DRR credit carried between rounds (reset when the ingress empties).
-    deficit: u64,
-    series: Option<otm_metrics::SeriesRecorder>,
-}
-
 /// The long-lived multi-tenant matching server (see module docs).
 pub struct MatchServer {
     service: MatchingService,
     /// Loopback wire into the service's NIC, for tenant self-sends.
     wire: QueuePair,
-    tenants: Vec<TenantEntry>,
+    /// Every tenant's state; a [`TenantId`] is an index here.
+    tenants: Vec<Tenant>,
     config: MatchdConfig,
     ticks: u64,
-    series_cadence: Option<u64>,
-    /// The service's series, sampled on its poll clock.
+    /// The service's series, sampled on its poll clock; its cadence is the
+    /// tenants' too.
     series: Option<otm_metrics::SeriesRecorder>,
+    /// The tick at which the tenants' next series point falls due.
+    tenants_due: u64,
 }
 
 impl MatchServer {
@@ -142,40 +141,23 @@ impl MatchServer {
             tenants: Vec::new(),
             config,
             ticks: 0,
-            series_cadence: None,
             series: None,
+            tenants_due: 0,
         }
     }
 
-    /// Opens a tenant session with the server-default [`TenantConfig`].
-    pub fn open_tenant(&mut self) -> TenantSession {
+    /// Opens a tenant with the server-default [`TenantConfig`].
+    pub fn open_tenant(&mut self) -> Option<TenantId> {
         self.open_tenant_with(self.config.tenant)
     }
 
-    /// Opens a tenant session with explicit knobs. Tenant ids are assigned
-    /// in open order, starting at 0.
-    pub fn open_tenant_with(&mut self, tenant: TenantConfig) -> TenantSession {
-        let id = TenantId(self.tenants.len() as u16);
-        let shared = Arc::new(Mutex::new(TenantShared {
-            ingress: VecDeque::new(),
-            capacity: tenant.capacity.max(1),
-            quantum: tenant.quantum.max(1),
-            next_seq: 0,
-            closed: false,
-            stats: TenantStats::default(),
-            completions: VecDeque::new(),
-        }));
-        self.tenants.push(TenantEntry {
-            id,
-            shared: Arc::clone(&shared),
-            deficit: 0,
-            series: self.series_cadence.map(otm_metrics::SeriesRecorder::new),
-        });
-        TenantSession {
-            id,
-            comm: tenant.comm,
-            shared,
-        }
+    /// Opens a tenant with explicit knobs. Tenant ids are assigned in open
+    /// order, starting at 0; `None` once the server holds 65,535 tenants,
+    /// the most whose handle namespaces stay disjoint.
+    pub fn open_tenant_with(&mut self, tenant: TenantConfig) -> Option<TenantId> {
+        let id = TenantId::from_index(self.tenants.len())?;
+        self.tenants.push(Tenant::new(tenant));
+        Some(id)
     }
 
     /// Number of tenants opened so far.
@@ -183,19 +165,72 @@ impl MatchServer {
         self.tenants.len()
     }
 
-    /// The server's virtual clock: completed ticks.
-    pub fn ticks(&self) -> u64 {
-        self.ticks
-    }
-
     /// The wrapped service (engine stats, backend name, NIC access).
     pub fn service(&self) -> &MatchingService {
         &self.service
     }
 
-    /// Mutable access to the wrapped service.
-    pub fn service_mut(&mut self) -> &mut MatchingService {
-        &mut self.service
+    /// A tenant's state. Panics on an id this server never handed out.
+    fn tenant(&mut self, tenant: TenantId) -> &mut Tenant {
+        &mut self.tenants[usize::from(tenant.0)]
+    }
+
+    /// Submits a receive post for `tenant`. On admission the receive's
+    /// handle — minted in the tenant's namespace — is returned immediately;
+    /// the post reaches the engine when the fair drain schedules it.
+    pub fn submit_post(
+        &mut self,
+        tenant: TenantId,
+        pattern: ReceivePattern,
+    ) -> Admission<RecvHandle> {
+        let t = self.tenant(tenant);
+        if let Some(refused) = t.refusal(t.comm.is_some_and(|comm| pattern.comm != comm)) {
+            return refused;
+        }
+        let handle = tenant.handle(t.next_seq);
+        t.next_seq += 1;
+        t.push(TenantRequest::Post { pattern, handle });
+        Admission::Admitted(handle)
+    }
+
+    /// Submits an eager message from `tenant` addressed to this server
+    /// (source rank = the tenant id, communicator = the tenant's pin, or
+    /// world when unpinned). The payload goes onto the server's loopback
+    /// wire when the fair drain schedules it.
+    pub fn submit_send(&mut self, tenant: TenantId, tag: Tag, payload: Vec<u8>) -> Admission<()> {
+        let t = self.tenant(tenant);
+        if let Some(refused) = t.refusal(false) {
+            return refused;
+        }
+        let src = Rank(u32::from(tenant.0));
+        let env = match t.comm {
+            Some(comm) => Envelope::new(src, tag, comm),
+            None => Envelope::world(src, tag),
+        };
+        t.push(TenantRequest::Send { env, payload });
+        Admission::Admitted(())
+    }
+
+    /// Takes every completion the server has delivered to `tenant` so far,
+    /// oldest first.
+    pub fn take_completions(&mut self, tenant: TenantId) -> Vec<CompletedReceive> {
+        std::mem::take(&mut self.tenant(tenant).completions)
+    }
+
+    /// A snapshot of `tenant`'s counters.
+    pub fn tenant_stats(&self, tenant: TenantId) -> TenantStats {
+        self.tenants[usize::from(tenant.0)].stats()
+    }
+
+    /// The communicator `tenant` is pinned to, if any.
+    pub fn tenant_comm(&self, tenant: TenantId) -> Option<CommId> {
+        self.tenants[usize::from(tenant.0)].comm
+    }
+
+    /// Closes `tenant`: subsequent submissions are rejected. Requests
+    /// already admitted still drain, and completions remain collectable.
+    pub fn close_tenant(&mut self, tenant: TenantId) {
+        self.tenant(tenant).closed = true;
     }
 
     /// One scheduling round (see module docs): fair drain → progress →
@@ -204,72 +239,57 @@ impl MatchServer {
         self.ticks += 1;
         let mut drained = 0usize;
         let cap_quanta = self.config.deficit_cap_quanta.max(1);
-        for i in 0..self.tenants.len() {
-            // Pop this round's batch under the tenant lock, apply it after
-            // dropping the lock (sessions submitting concurrently only ever
-            // contend on the short pop). Drain accounting happens *after*
-            // dispatch: a post bounced by engine backpressure is requeued
-            // below and must not count as drained.
-            let batch: Vec<TenantRequest> = {
-                let entry = &mut self.tenants[i];
-                let mut shared = entry.shared.lock().expect("tenant lock");
-                if shared.ingress.is_empty() {
-                    // Classic DRR: an empty queue forfeits its credit, so
-                    // idle tenants cannot bank unbounded bursts.
-                    entry.deficit = 0;
-                    continue;
-                }
-                let quantum = shared.quantum as u64;
-                entry.deficit = (entry.deficit + quantum).min(quantum * cap_quanta);
-                let take = (entry.deficit as usize).min(shared.ingress.len());
-                let batch: Vec<TenantRequest> = shared.ingress.drain(..take).collect();
-                entry.deficit -= batch.len() as u64;
-                if shared.ingress.is_empty() {
-                    entry.deficit = 0;
-                }
-                batch
-            };
-            let mut batch: VecDeque<TenantRequest> = batch.into();
+        for t in &mut self.tenants {
+            if t.ingress.is_empty() {
+                // Classic DRR: an empty queue forfeits its credit, so idle
+                // tenants cannot bank unbounded bursts.
+                t.deficit = 0;
+                continue;
+            }
+            let quantum = t.quantum as u64;
+            t.deficit = (t.deficit + quantum).min(quantum * cap_quanta);
+            // A round that takes the whole ingress forfeits the credit
+            // beyond it.
+            let take = (t.deficit as usize).min(t.ingress.len());
+            if take == t.ingress.len() {
+                t.deficit = take as u64;
+            }
+            // Drain accounting counts what was dispatched: a post bounced
+            // by engine backpressure stays in the ingress with its credit.
             let mut dispatched = 0usize;
-            while let Some(req) = batch.pop_front() {
-                match req {
+            while dispatched < take {
+                match t.ingress.pop_front().expect("take <= ingress length") {
                     TenantRequest::Post { pattern, handle } => {
                         match self.service.post_recv_queued_reserved(pattern, handle) {
                             Ok(()) => {}
                             Err(ServiceError::Match(MatchError::SubmissionRingFull { .. })) => {
                                 // The engine's per-communicator submission
                                 // ring is full — retryable backpressure, not
-                                // a failure. The bounced post and the rest of
-                                // the batch go back to the FRONT of the
-                                // tenant's ingress (they stay oldest, so
-                                // per-tenant order holds) with their DRR
-                                // credit refunded; this tick's progress call
-                                // drains the ring, and until then the deeper
-                                // ingress surfaces Admission::Backpressured
-                                // with a retry hint to the tenant.
-                                batch.push_front(TenantRequest::Post { pattern, handle });
+                                // a failure. The bounced post goes back to
+                                // the FRONT of the tenant's ingress (it stays
+                                // oldest, so per-tenant order holds); this
+                                // tick's progress call drains the ring, and
+                                // until then the deeper ingress surfaces
+                                // Admission::Backpressured with a retry hint
+                                // to the tenant.
+                                t.ingress
+                                    .push_front(TenantRequest::Post { pattern, handle });
                                 break;
                             }
                             Err(e) => return Err(e),
                         }
-                        dispatched += 1;
                     }
                     TenantRequest::Send { env, payload } => {
                         self.wire
                             .send(eager_packet(env, payload))
                             .map_err(ServiceError::Rdma)?;
-                        dispatched += 1;
                     }
                 }
+                dispatched += 1;
             }
+            t.deficit -= dispatched as u64;
+            t.stats.drained += dispatched as u64;
             drained += dispatched;
-            let entry = &mut self.tenants[i];
-            entry.deficit += batch.len() as u64;
-            let mut shared = entry.shared.lock().expect("tenant lock");
-            for req in batch.into_iter().rev() {
-                shared.ingress.push_front(req);
-            }
-            shared.stats.drained += dispatched as u64;
         }
         let completed = self.service.progress()?;
         self.deliver_completions();
@@ -292,26 +312,18 @@ impl MatchServer {
     /// Routes every completion the service produced to its tenant's
     /// outbox, by the namespace bits of the receive handle. A matchd
     /// server owns every post path, so a completion outside all tenant
-    /// namespaces is a bug (a caller bypassed the sessions): it trips a
-    /// debug assertion and is dropped rather than misdelivered.
+    /// namespaces is a bug: it trips a debug assertion and is dropped
+    /// rather than misdelivered.
     fn deliver_completions(&mut self) {
         for done in self.service.take_completed() {
-            let Some(tenant) = TenantId::of_handle(done.recv) else {
-                debug_assert!(
-                    false,
-                    "completion {:?} outside tenant namespaces",
-                    done.recv
-                );
+            let tenant = TenantId::of_handle(done.recv)
+                .and_then(|id| self.tenants.get_mut(usize::from(id.0)));
+            let Some(tenant) = tenant else {
+                debug_assert!(false, "completion {:?} of no open tenant", done.recv);
                 continue;
             };
-            let Some(entry) = self.tenants.get(tenant.0 as usize) else {
-                debug_assert!(false, "completion for unknown tenant {tenant}");
-                continue;
-            };
-            debug_assert_eq!(entry.id, tenant, "tenant ids are open-order indices");
-            let mut shared = entry.shared.lock().expect("tenant lock");
-            shared.stats.completed += 1;
-            shared.completions.push_back(done);
+            tenant.stats.completed += 1;
+            tenant.completions.push(done);
         }
     }
 
@@ -322,9 +334,8 @@ impl MatchServer {
     /// Readable between any two ticks.
     pub fn observability_snapshot(&self) -> otm_metrics::RegistrySnapshot {
         let mut snap = self.service.observability_snapshot();
-        for entry in &self.tenants {
-            let shared = entry.shared.lock().expect("tenant lock");
-            let (stats, tenant) = (shared.stats, entry.id);
+        for (tenant, t) in self.tenants.iter().enumerate() {
+            let stats = t.stats();
             for (name, n) in [
                 ("matchd_admitted_total", stats.admitted),
                 ("matchd_backpressured_total", stats.backpressured),
@@ -334,90 +345,80 @@ impl MatchServer {
             ] {
                 snap.counters.insert(labelled(name, "tenant", tenant), n);
             }
-            let depth = shared.ingress.len() as i64;
+            let depth = stats.ingress_depth as i64;
             snap.gauges
                 .insert(labelled("matchd_ingress_depth", "tenant", tenant), depth);
         }
         snap
     }
 
-    /// Attaches time-series sampling at `cadence` ticks: the service's
-    /// global series plus one per-tenant section (ingress depth as the
-    /// queue-depth curve, completions as the matched curve). Applies to
-    /// already-open and future tenants.
+    /// Attaches time-series sampling at `cadence`: the service's series on
+    /// its poll clock, and each tenant's [`TenantSeries`] on the tick
+    /// clock, from the next tick on.
     pub fn attach_series(&mut self, cadence: u64) {
-        self.series_cadence = Some(cadence);
         self.series = Some(otm_metrics::SeriesRecorder::new(cadence));
-        for entry in &mut self.tenants {
-            entry.series = Some(otm_metrics::SeriesRecorder::new(cadence));
-        }
-    }
-
-    /// One synthesized per-tenant snapshot: the tenant's cumulative
-    /// completions under the standard matched key, so
-    /// [`otm_metrics::SeriesPoint::distill`] reads it like any engine
-    /// snapshot.
-    fn tenant_snapshot(completed: u64) -> otm_metrics::RegistrySnapshot {
-        let mut counters = std::collections::BTreeMap::new();
-        counters.insert("otm_matched_total".to_string(), completed);
-        otm_metrics::RegistrySnapshot {
-            counters,
-            gauges: std::collections::BTreeMap::new(),
-            hists: std::collections::BTreeMap::new(),
-        }
+        self.tenants_due = 0;
     }
 
     /// Samples every series that is due: the service's at its poll clock
-    /// (its backlog and its snapshot), each tenant's at the tick.
+    /// (its backlog and its snapshot), the tenants' at the tick.
     fn sample_series(&mut self) {
+        let Some(series) = &mut self.series else {
+            return;
+        };
         let polls = self.service.polls();
-        if let Some(series) = self.series.as_mut().filter(|s| s.due(polls)) {
+        if series.due(polls) {
             let snap = self.service.observability_snapshot();
             series.sample(polls, self.service.backlog(), &snap);
         }
-        let t = self.ticks;
-        for entry in &mut self.tenants {
-            let Some(series) = &mut entry.series else {
-                continue;
-            };
-            if !series.due(t) {
-                continue;
+        if self.ticks >= self.tenants_due {
+            self.tenants_due = self.ticks + series.cadence();
+            for tenant in &mut self.tenants {
+                tenant.sample(self.ticks);
             }
-            let (depth, completed) = {
-                let shared = entry.shared.lock().expect("tenant lock");
-                (shared.ingress.len() as u64, shared.stats.completed)
-            };
-            series.sample(t, depth, &Self::tenant_snapshot(completed));
         }
     }
 
-    /// Finishes the series: forces a terminal sample on the global and
-    /// every per-tenant recorder and returns them — the global series and
-    /// one `(tenant id, series)` section per tenant in id order, the
-    /// arguments of [`otm_metrics::write_tenant_sections`]. `None` when
+    /// Finishes the series: takes a terminal point on the service's and on
+    /// every tenant's, detaches them and returns them — the service's
+    /// series and one per tenant, indexed by tenant id. `None` when
     /// [`MatchServer::attach_series`] was never called.
-    pub fn finish_series(
-        &mut self,
-    ) -> Option<(
-        otm_metrics::SeriesRecorder,
-        Vec<(String, otm_metrics::SeriesRecorder)>,
-    )> {
-        let mut global = self.series.take()?;
+    pub fn finish_series(&mut self) -> Option<(otm_metrics::SeriesRecorder, Vec<TenantSeries>)> {
+        let mut series = self.series.take()?;
         let snap = self.service.observability_snapshot();
-        global.force_sample(self.service.polls(), self.service.backlog(), &snap);
-        let mut sections = Vec::new();
-        let t = self.ticks;
-        for entry in &mut self.tenants {
-            let Some(series) = &mut entry.series else {
-                continue;
-            };
-            let (depth, completed) = {
-                let shared = entry.shared.lock().expect("tenant lock");
-                (shared.ingress.len() as u64, shared.stats.completed)
-            };
-            series.force_sample(t, depth, &Self::tenant_snapshot(completed));
-            sections.push((entry.id.to_string(), series.clone()));
+        series.force_sample(self.service.polls(), self.service.backlog(), &snap);
+        let tenants = self.tenants.iter_mut().map(|tenant| {
+            tenant.sample(self.ticks);
+            std::mem::take(&mut tenant.series)
+        });
+        Some((series, tenants.collect()))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_last_tenant_gets_its_completions_and_one_more_is_refused() {
+        let mut server = MatchServer::new(MatchConfig::small(), MatchdConfig::default()).unwrap();
+        let mut last = None;
+        while let Some(tenant) = server.open_tenant() {
+            last = Some(tenant);
         }
-        Some((global, sections))
+        let last = last.expect("a server opens tenants");
+        assert_eq!(server.tenant_count(), usize::from(u16::MAX));
+        assert_eq!(last, TenantId(u16::MAX - 1));
+        let pattern = ReceivePattern::exact(Rank(u32::from(last.0)), Tag(1));
+        let handle = server
+            .submit_post(last, pattern)
+            .expect_admitted("the last tenant posts");
+        server
+            .submit_send(last, Tag(1), vec![7])
+            .expect_admitted("the last tenant sends");
+        server.run_ticks(2).unwrap();
+        let done = server.take_completions(last);
+        assert_eq!(done.len(), 1, "the last tenant's completion reaches it");
+        assert_eq!((done[0].recv, &done[0].data[..]), (handle, &[7u8][..]));
     }
 }

@@ -1,13 +1,14 @@
-//! Tenant sessions: the client half of the `matchd` server.
+//! Tenants: the client half of the `matchd` server.
 //!
 //! A tenant is one client of the long-lived matching server — an MPI
 //! process, a library layer, a benchmark actor — identified by a
-//! [`TenantId`] and (usually) pinned to its own communicator. Each session
-//! owns a **bounded ingress queue** shared with the server: submissions are
-//! admitted synchronously ([`Admission::Admitted`]), pushed back with a
-//! retry hint when the queue is full ([`Admission::Backpressured`]), or
-//! refused outright ([`Admission::Rejected`] — closed session, cross-tenant
-//! communicator).
+//! [`TenantId`], its index in the server's tenant table, and (usually)
+//! pinned to its own communicator. The server owns each tenant's state; a
+//! caller holds only the id. Each tenant has a **bounded ingress queue**:
+//! submissions are admitted synchronously ([`Admission::Admitted`]), pushed
+//! back with a retry hint when the queue is full
+//! ([`Admission::Backpressured`]), or refused outright
+//! ([`Admission::Rejected`] — closed tenant, cross-tenant communicator).
 //!
 //! Admission is the flow-control boundary the NIC-offload literature puts
 //! *at* the offload resource rather than in each caller: a flooding tenant
@@ -18,17 +19,19 @@
 //!
 //! Receive handles are minted **at admission time** in a per-tenant
 //! namespace (tenant id in the high bits), ticks before the drain applies
-//! the post — that is what lets a session hand its caller the handle
-//! immediately while staying fully asynchronous, and what lets the server
-//! route completions back without a side table.
+//! the post — that is what lets the server hand its caller the handle
+//! immediately while staying fully asynchronous, and what lets it route
+//! completions back without a side table.
 
+use super::server::TenantConfig;
 use crate::service::CompletedReceive;
 use mpi_matching::RecvHandle;
-use otm_base::{CommId, Envelope, Rank, ReceivePattern, Tag};
+use otm_base::{CommId, Envelope, ReceivePattern};
+use otm_metrics::json_fields;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
 
-/// Identifies one tenant of a [`super::MatchServer`].
+/// Identifies one tenant of a [`super::MatchServer`]: its index in the
+/// server's tenant table, in open order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TenantId(pub u16);
 
@@ -36,12 +39,24 @@ pub struct TenantId(pub u16);
 const TENANT_SHIFT: u32 = 48;
 
 impl TenantId {
+    /// The id of the server's `index`-th tenant, or `None` past the last id
+    /// whose handles round-trip through [`Self::handle`] and
+    /// [`Self::of_handle`]: the namespace bits are the id biased by one, so
+    /// 16 bits name 65,535 tenants, and `u16::MAX` is not one of them.
+    pub(super) fn from_index(index: usize) -> Option<TenantId> {
+        u16::try_from(index)
+            .ok()
+            .filter(|&i| i < u16::MAX)
+            .map(TenantId)
+    }
+
     /// Mints the `seq`-th receive handle of this tenant's namespace. The
     /// tenant id (biased by one so tenant 0 stays distinct from the
     /// service's own `reserve_recv` counter) occupies the high 16 bits:
     /// namespaces of different tenants — and of the service itself — are
     /// disjoint by construction.
     pub fn handle(self, seq: u64) -> RecvHandle {
+        debug_assert!(self.0 < u16::MAX, "tenant {self} has no namespace");
         debug_assert!(seq < 1 << TENANT_SHIFT, "tenant handle space exhausted");
         RecvHandle(((self.0 as u64 + 1) << TENANT_SHIFT) | seq)
     }
@@ -75,7 +90,7 @@ pub enum Admission<T> {
         /// Server ticks to wait before retrying.
         retry_after: u64,
     },
-    /// The request can never be admitted (closed session, pattern on
+    /// The request can never be admitted (closed tenant, pattern on
     /// another tenant's communicator).
     /// Nothing was enqueued.
     Rejected {
@@ -86,7 +101,7 @@ pub enum Admission<T> {
 
 impl<T> Admission<T> {
     /// Unwraps an admitted value; panics with the admission decision
-    /// otherwise. For tests and callers whose sessions are sized to never
+    /// otherwise. For tests and callers whose tenants are sized to never
     /// push back.
     pub fn expect_admitted(self, context: &str) -> T {
         match self {
@@ -118,7 +133,7 @@ pub(super) enum TenantRequest {
 }
 
 /// Per-tenant counters, readable at any time through
-/// [`TenantSession::stats`]; the server's
+/// [`super::MatchServer::tenant_stats`]; the server's
 /// [`super::MatchServer::observability_snapshot`] reads its
 /// `matchd_*{tenant}` names from them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -131,15 +146,32 @@ pub struct TenantStats {
     pub rejected: u64,
     /// Requests the fair drain has moved from the ingress into the engine.
     pub drained: u64,
-    /// Receives completed and delivered to this session.
+    /// Receives completed and delivered to this tenant.
     pub completed: u64,
     /// Current ingress queue depth.
     pub ingress_depth: usize,
 }
 
-/// The state one tenant shares with the server (behind a mutex: sessions
-/// submit from the client side, the tick loop drains from the server side).
-pub(super) struct TenantShared {
+/// A tenant's series: what the server counts for it, sampled on the tick
+/// clock at the cadence of [`super::MatchServer::attach_series`]. The
+/// columns have one entry per point.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TenantSeries {
+    /// The tick of each point.
+    pub t: Vec<u64>,
+    /// The tenant's ingress depth at each point.
+    pub ingress_depth: Vec<u64>,
+    /// The tenant's completions delivered by each point (cumulative).
+    pub completed: Vec<u64>,
+}
+
+json_fields!(TenantSeries: t, ingress_depth, completed);
+
+/// One tenant's state, owned by the server.
+pub(super) struct Tenant {
+    /// The communicator the tenant is pinned to (`None` = unpinned, world
+    /// traffic).
+    pub comm: Option<CommId>,
     pub ingress: VecDeque<TenantRequest>,
     /// Ingress bound; submissions beyond it are backpressured.
     pub capacity: usize,
@@ -150,120 +182,76 @@ pub(super) struct TenantShared {
     pub closed: bool,
     pub stats: TenantStats,
     /// Completions the server routed to this tenant, awaiting pickup.
-    pub completions: VecDeque<CompletedReceive>,
+    pub completions: Vec<CompletedReceive>,
+    /// DRR credit carried between rounds (reset when the ingress empties).
+    pub deficit: u64,
+    pub series: TenantSeries,
 }
 
-/// A tenant's handle on the server: submit posts and sends, collect
-/// completions. Cloning yields another handle on the *same* session (same
-/// ingress queue, same stats) — useful for splitting the submit and the
-/// collect half across owners.
-#[derive(Clone)]
-pub struct TenantSession {
-    pub(super) id: TenantId,
-    /// The communicator this session is pinned to (`None` = unpinned, world
-    /// traffic).
-    pub(super) comm: Option<CommId>,
-    pub(super) shared: Arc<Mutex<TenantShared>>,
-}
-
-impl TenantSession {
-    /// This session's tenant id.
-    pub fn tenant(&self) -> TenantId {
-        self.id
-    }
-
-    /// The communicator the session is pinned to, if any.
-    pub fn comm(&self) -> Option<CommId> {
-        self.comm
-    }
-
-    /// Submits a receive post. On admission the receive's handle — minted
-    /// in this tenant's namespace — is returned immediately; the post
-    /// reaches the engine when the server's fair drain schedules it.
-    pub fn submit_post(&self, pattern: ReceivePattern) -> Admission<RecvHandle> {
-        let mut s = self.shared.lock().expect("tenant lock");
-        if s.closed {
-            return Self::reject(&mut s, "session closed");
+impl Tenant {
+    pub fn new(config: TenantConfig) -> Self {
+        Tenant {
+            comm: config.comm,
+            ingress: VecDeque::new(),
+            capacity: config.capacity.max(1),
+            quantum: config.quantum.max(1),
+            next_seq: 0,
+            closed: false,
+            stats: TenantStats::default(),
+            completions: Vec::new(),
+            deficit: 0,
+            series: TenantSeries::default(),
         }
-        if self.comm.is_some_and(|comm| pattern.comm != comm) {
-            return Self::reject(&mut s, "pattern not on the tenant's communicator");
-        }
-        if let Some(retry_after) = Self::backpressure(&mut s) {
-            return Admission::Backpressured { retry_after };
-        }
-        let handle = self.id.handle(s.next_seq);
-        s.next_seq += 1;
-        Self::admit(&mut s, TenantRequest::Post { pattern, handle });
-        Admission::Admitted(handle)
     }
 
-    /// Submits an eager message addressed to this server (source rank = the
-    /// tenant id, communicator = the session's pin, or world when
-    /// unpinned). The payload goes onto the server's loopback wire when the
-    /// fair drain schedules it.
-    pub fn submit_send(&self, tag: Tag, payload: Vec<u8>) -> Admission<()> {
-        let mut s = self.shared.lock().expect("tenant lock");
-        if s.closed {
-            return Self::reject(&mut s, "session closed");
-        }
-        if let Some(retry_after) = Self::backpressure(&mut s) {
-            return Admission::Backpressured { retry_after };
-        }
-        let src = Rank(self.id.0 as u32);
-        let env = match self.comm {
-            Some(comm) => Envelope::new(src, tag, comm),
-            None => Envelope::world(src, tag),
-        };
-        Self::admit(&mut s, TenantRequest::Send { env, payload });
-        Admission::Admitted(())
-    }
-
-    /// Takes every completion the server has delivered to this tenant so
-    /// far, oldest first.
-    pub fn take_completions(&self) -> Vec<CompletedReceive> {
-        let mut s = self.shared.lock().expect("tenant lock");
-        s.completions.drain(..).collect()
-    }
-
-    /// Completions delivered but not yet taken.
-    pub fn completions_len(&self) -> usize {
-        self.shared.lock().expect("tenant lock").completions.len()
-    }
-
-    /// A snapshot of the session's counters.
-    pub fn stats(&self) -> TenantStats {
-        let s = self.shared.lock().expect("tenant lock");
-        let mut stats = s.stats;
-        stats.ingress_depth = s.ingress.len();
-        stats
-    }
-
-    /// Closes the session: subsequent submissions are rejected. Requests
-    /// already admitted still drain, and completions remain collectable.
-    pub fn close(&self) {
-        self.shared.lock().expect("tenant lock").closed = true;
-    }
-
-    fn reject<T>(s: &mut TenantShared, reason: &'static str) -> Admission<T> {
-        s.stats.rejected += 1;
-        Admission::Rejected { reason }
-    }
-
-    /// `Some(retry_after)` when the ingress is full: the ticks the drain
-    /// needs, at this tenant's quantum, to free the overflow.
-    fn backpressure(s: &mut TenantShared) -> Option<u64> {
-        if s.ingress.len() < s.capacity {
+    /// The answer to a submission that may not enter the ingress now,
+    /// counted, or `None` when it may. `foreign` marks a post on another
+    /// communicator than the tenant's pin. A backpressured submission is
+    /// told the ticks the drain needs, at this tenant's quantum, to free
+    /// the overflow.
+    pub fn refusal<T>(&mut self, foreign: bool) -> Option<Admission<T>> {
+        let reason = if self.closed {
+            "tenant closed"
+        } else if foreign {
+            "pattern not on the tenant's communicator"
+        } else if self.ingress.len() < self.capacity {
             return None;
-        }
-        let overflow = (s.ingress.len() + 1 - s.capacity) as u64;
-        let retry_after = overflow.div_ceil(s.quantum.max(1) as u64).max(1);
-        s.stats.backpressured += 1;
-        Some(retry_after)
+        } else {
+            let overflow = (self.ingress.len() + 1 - self.capacity) as u64;
+            self.stats.backpressured += 1;
+            let retry_after = overflow.div_ceil(self.quantum as u64).max(1);
+            return Some(Admission::Backpressured { retry_after });
+        };
+        self.stats.rejected += 1;
+        Some(Admission::Rejected { reason })
     }
 
-    fn admit(s: &mut TenantShared, req: TenantRequest) {
-        s.ingress.push_back(req);
-        s.stats.admitted += 1;
+    /// Enqueues an admitted request.
+    pub fn push(&mut self, req: TenantRequest) {
+        self.ingress.push_back(req);
+        self.stats.admitted += 1;
+    }
+
+    /// The counters, with the ingress depth as it is now.
+    pub fn stats(&self) -> TenantStats {
+        TenantStats {
+            ingress_depth: self.ingress.len(),
+            ..self.stats
+        }
+    }
+
+    /// Appends a point at tick `t` to the series, or refreshes the last
+    /// one when it was taken at the same tick.
+    pub fn sample(&mut self, t: u64) {
+        let s = &mut self.series;
+        if s.t.last() == Some(&t) {
+            s.t.pop();
+            s.ingress_depth.pop();
+            s.completed.pop();
+        }
+        s.t.push(t);
+        s.ingress_depth.push(self.ingress.len() as u64);
+        s.completed.push(self.stats.completed);
     }
 }
 
@@ -280,5 +268,10 @@ mod tests {
         assert_eq!(TenantId::of_handle(b), Some(TenantId(1)));
         // Plain service handles (low counter values) belong to no tenant.
         assert_eq!(TenantId::of_handle(RecvHandle(42)), None);
+        // The last id a server hands out; one more would wrap to the
+        // service's own counter space (`(u16::MAX + 1) << 48` is 0 in a u64).
+        let last = TenantId(u16::MAX - 1);
+        assert_eq!(TenantId::of_handle(last.handle(7)), Some(last));
+        assert_eq!(TenantId::from_index(usize::from(u16::MAX)), None);
     }
 }

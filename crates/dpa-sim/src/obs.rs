@@ -251,33 +251,38 @@ mod tests {
         // A matchd flood: tenant 0's tight ingress backpressures it, and one
         // post off tenant 1's communicator is rejected.
         let mut server = MatchServer::new(MatchConfig::small(), MatchdConfig::default()).unwrap();
-        let sessions = [(2, 1), (64, 8)].map(|(capacity, quantum)| {
-            server.open_tenant_with(TenantConfig {
-                capacity,
-                quantum,
-                comm: Some(CommId(server.tenant_count() as u16 + 1)),
-            })
+        let tenants = [(2, 1), (64, 8)].map(|(capacity, quantum)| {
+            server
+                .open_tenant_with(TenantConfig {
+                    capacity,
+                    quantum,
+                    comm: Some(CommId(server.tenant_count() as u16 + 1)),
+                })
+                .unwrap()
         });
         for round in 0..8u32 {
-            for session in &sessions {
-                let (src, comm) = (Rank(session.tenant().0 as u32), session.comm().unwrap());
+            for &tenant in &tenants {
+                let (src, comm) = (Rank(tenant.0 as u32), server.tenant_comm(tenant).unwrap());
                 for i in 0..3 {
                     let tag = Tag(round * 3 + i);
-                    session.submit_post(ReceivePattern::new(src, tag, comm));
-                    session.submit_send(tag, vec![i as u8]);
+                    server.submit_post(tenant, ReceivePattern::new(src, tag, comm));
+                    server.submit_send(tenant, tag, vec![i as u8]);
                 }
             }
             server.tick().unwrap();
         }
         let foreign = ReceivePattern::new(Rank(1), Tag(0), CommId(1));
-        assert!(!sessions[1].submit_post(foreign).is_admitted());
-        let (flooder, well) = (sessions[0].stats(), sessions[1].stats());
+        assert!(!server.submit_post(tenants[1], foreign).is_admitted());
+        let (flooder, well) = (
+            server.tenant_stats(tenants[0]),
+            server.tenant_stats(tenants[1]),
+        );
         assert!(flooder.backpressured > 0 && flooder.ingress_depth > 0);
         assert_eq!((well.rejected, well.backpressured), (1, 0));
         assert!(well.drained > 0 && well.completed > 0);
         let snap = server.observability_snapshot();
-        for session in &sessions {
-            let (t, stats) = (session.tenant(), session.stats());
+        for &t in &tenants {
+            let stats = server.tenant_stats(t);
             for (name, field) in [
                 ("admitted", stats.admitted),
                 ("backpressured", stats.backpressured),

@@ -40,7 +40,7 @@ pub mod span;
 
 pub use hist::HistogramSnapshot;
 pub use registry::{labelled, RegistrySnapshot};
-pub use series::{write_tenant_sections, SeriesPoint, SeriesRecorder};
+pub use series::{SeriesPoint, SeriesRecorder};
 pub use span::{
     latency_by_path, spans_to_chrome_trace, spans_to_jsonl, MatchPath, SpanEvent, SpanKind,
     SpanRecorder, MATCH_PATHS, RECV_SUBJECT_BIT,

@@ -255,35 +255,6 @@ impl WriteJson for SeriesRecorder {
     }
 }
 
-/// Writes one multi-tenant series artifact: a `global` section holding the
-/// server-wide series plus a `tenants` object with one section per tenant
-/// label, each in the same columnar [`SeriesRecorder`] schema.
-///
-/// ```json
-/// {"global": {...}, "tenants": {"0": {...}, "1": {...}}}
-/// ```
-///
-/// Sections are emitted in the order given; the `matchd` server passes its
-/// tenants in id order, so a deterministic run renders byte-identical
-/// artifacts.
-pub fn write_tenant_sections(
-    w: &mut JsonWriter,
-    global: &SeriesRecorder,
-    sections: &[(String, SeriesRecorder)],
-) {
-    w.begin_object();
-    w.key("global");
-    global.write_json(w);
-    w.key("tenants");
-    w.begin_object();
-    for (label, series) in sections {
-        w.key(label);
-        series.write_json(w);
-    }
-    w.end_object();
-    w.end_object();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -202,9 +202,9 @@ fn every_shipped_offloaded_construction_drains_through_the_queue() {
 
     // A standalone matchd server, one tick.
     let mut server = MatchServer::new(MatchConfig::small(), MatchdConfig::default()).unwrap();
-    let session = server.open_tenant();
-    assert!(session
-        .submit_post(ReceivePattern::exact(Rank(0), Tag(2)))
+    let tenant = server.open_tenant().unwrap();
+    assert!(server
+        .submit_post(tenant, ReceivePattern::exact(Rank(0), Tag(2)))
         .is_admitted());
     server.tick().unwrap();
     assert!(drained_through_the_queue(

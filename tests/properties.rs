@@ -869,39 +869,42 @@ fn matchd_fair_drain_is_bounded_lossless_and_fifo() {
                 },
             )
             .unwrap();
-            let sessions: Vec<dpa_sim::TenantSession> = quanta
+            let tenants: Vec<dpa_sim::TenantId> = quanta
                 .iter()
                 .enumerate()
                 .map(|(i, &q)| {
-                    server.open_tenant_with(TenantConfig {
-                        capacity: CAPACITY,
-                        quantum: q,
-                        comm: Some(CommId(i as u16 + 1)),
-                    })
+                    server
+                        .open_tenant_with(TenantConfig {
+                            capacity: CAPACITY,
+                            quantum: q,
+                            comm: Some(CommId(i as u16 + 1)),
+                        })
+                        .unwrap()
                 })
                 .collect();
-            let mut admitted = vec![0u64; sessions.len()];
-            let mut drained_before = vec![0u64; sessions.len()];
+            let mut admitted = vec![0u64; tenants.len()];
+            let mut drained_before = vec![0u64; tenants.len()];
             for (r, round) in rounds.iter().enumerate() {
-                for (i, (&pairs, session)) in round.iter().zip(&sessions).enumerate() {
+                for (i, (&pairs, &tenant)) in round.iter().zip(&tenants).enumerate() {
                     for p in 0..pairs {
                         // Pairs are admitted atomically: skip when the ingress
                         // cannot hold both halves, so every admitted post has
                         // its message and "lossless" means `completed == admitted`.
-                        if session.stats().ingress_depth + 2 > CAPACITY {
+                        if server.tenant_stats(tenant).ingress_depth + 2 > CAPACITY {
                             break;
                         }
                         let tag = Tag(((r * 31 + p) % 11) as u32);
-                        let src = Rank(session.tenant().0 as u32);
-                        let pattern = ReceivePattern::new(src, tag, session.comm().unwrap());
-                        assert!(session.submit_post(pattern).is_admitted());
-                        assert!(session.submit_send(tag, vec![p as u8]).is_admitted());
+                        let src = Rank(tenant.0 as u32);
+                        let comm = server.tenant_comm(tenant).unwrap();
+                        let pattern = ReceivePattern::new(src, tag, comm);
+                        assert!(server.submit_post(tenant, pattern).is_admitted());
+                        assert!(server.submit_send(tenant, tag, vec![p as u8]).is_admitted());
                         admitted[i] += 1;
                     }
                 }
                 server.tick().unwrap();
-                for (i, session) in sessions.iter().enumerate() {
-                    let drained = session.stats().drained;
+                for (i, &tenant) in tenants.iter().enumerate() {
+                    let drained = server.tenant_stats(tenant).drained;
                     assert!(
                         drained - drained_before[i] <= quanta[i] as u64 * CAP_QUANTA,
                         "tenant {} drained {} in one round (quantum {}, cap {})",
@@ -914,18 +917,21 @@ fn matchd_fair_drain_is_bounded_lossless_and_fifo() {
                 }
             }
             for _ in 0..200 {
-                if sessions.iter().all(|s| s.stats().ingress_depth == 0) {
+                if tenants
+                    .iter()
+                    .all(|&t| server.tenant_stats(t).ingress_depth == 0)
+                {
                     break;
                 }
                 server.tick().unwrap();
             }
             server.run_ticks(2).unwrap();
-            for (i, session) in sessions.iter().enumerate() {
-                let stats = session.stats();
+            for (i, &tenant) in tenants.iter().enumerate() {
+                let stats = server.tenant_stats(tenant);
                 assert_eq!(stats.ingress_depth, 0, "tenant {} never settled", i);
                 assert_eq!(stats.completed, admitted[i], "tenant {} lost work", i);
-                let seqs: Vec<u64> = session
-                    .take_completions()
+                let seqs: Vec<u64> = server
+                    .take_completions(tenant)
                     .iter()
                     .map(|d| d.recv.0 & ((1u64 << 48) - 1))
                     .collect();

@@ -73,6 +73,26 @@
 //! the packed ≡ sequential oracle (`tests/packing_equivalence.rs`) holds it
 //! to per-communicator order. No second packing policy, no selector for
 //! one, and no harness section comparing two is to come back.
+//!
+//! The unexpected store removes in place: a waiting message is on four
+//! lists through links it carries itself (`otm/src/umq.rs`), and a match
+//! unlinks it from all four, so there is no tombstone, generation or sweep
+//! to come back. The service's and the domain's maps are keyed by integers
+//! the program hands out and hash them with one multiply
+//! (`otm_base::hash::IntHasher`).
+//!
+//! Both queues have one list shape: a bin is an intrusive list of
+//! `otm/src/list.rs` on both sides, a posted receive is linked through its
+//! table slot and unlinked in place, so no chain vector or position scan
+//! comes back into `index.rs`, and the list types have one definition.
+//!
+//! There is one four-index implementation: the trace analyzer replays
+//! through the engine itself (`trace/src/replay.rs`), so a second copy of
+//! the §III-B organization, or a second replay function to prove two
+//! copies agree, is not to come back.
+//!
+//! The lockfile lists workspace members only: a `source = ` line means a
+//! registry package came back, and the workspace builds with no network.
 
 use std::path::{Path, PathBuf};
 
@@ -89,20 +109,27 @@ fn outside_tests(text: &str) -> impl Iterator<Item = &str> {
     text.lines().take_while(|line| *line != "#[cfg(test)]")
 }
 
-/// Every `.rs` file under `dir`, at any depth.
-fn rust_files(dir: &Path) -> Vec<PathBuf> {
+/// Every file under `dir`, at any depth.
+fn every_file(dir: &Path) -> Vec<PathBuf> {
     let (mut files, mut dirs) = (Vec::new(), vec![dir.to_path_buf()]);
     while let Some(dir) = dirs.pop() {
         for entry in std::fs::read_dir(&dir).expect("source directory") {
             let path = entry.expect("directory entry").path();
             if path.is_dir() {
                 dirs.push(path);
-            } else if path.extension().is_some_and(|ext| ext == "rs") {
+            } else {
                 files.push(path);
             }
         }
     }
     files.sort();
+    files
+}
+
+/// Every `.rs` file under `dir`, at any depth.
+fn rust_files(dir: &Path) -> Vec<PathBuf> {
+    let mut files = every_file(dir);
+    files.retain(|path| path.extension().is_some_and(|ext| ext == "rs"));
     files
 }
 
@@ -244,7 +271,9 @@ fn counts_are_values_not_shared_instruments() {
     for name in ["obs", "reliable", "service", "app_replay"] {
         files.push(root.join(format!("crates/dpa-sim/src/{name}.rs")));
     }
+    files.extend(rust_files(&root.join("crates/dpa-sim/src/matchd")));
     assert!(files.iter().any(|f| f.ends_with("metrics/src/span.rs")));
+    assert!(files.iter().any(|f| f.ends_with("matchd/server.rs")));
     let mut offences = Vec::new();
     for file in files {
         let text = read(&file);
@@ -262,7 +291,7 @@ fn counts_are_values_not_shared_instruments() {
     }
     assert!(
         offences.is_empty(),
-        "shared state in the metrics, the analyzer, the service or its senders:\n{}",
+        "shared state in the metrics, the analyzer, the service, its senders or matchd:\n{}",
         offences.join("\n")
     );
 }
@@ -360,7 +389,8 @@ fn workspace_sources() -> Vec<PathBuf> {
 fn offending_lines(files: &[PathBuf], patterns: &[&str]) -> Vec<String> {
     let mut offences = Vec::new();
     for file in files {
-        for (i, line) in read(file).lines().enumerate() {
+        let bytes = std::fs::read(file).unwrap_or_else(|e| panic!("{}: {e}", file.display()));
+        for (i, line) in String::from_utf8_lossy(&bytes).lines().enumerate() {
             if patterns.iter().any(|p| line.contains(p)) {
                 offences.push(format!("{}:{}: {}", file.display(), i + 1, line.trim()));
             }
@@ -409,4 +439,86 @@ fn one_packer() {
         "a second packer, a selector for one, or a section comparing two:\n{}",
         offences.join("\n")
     );
+}
+
+#[test]
+fn the_unexpected_store_removes_in_place() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut offences = offending_lines(
+        &[root.join("crates/otm/src/umq.rs")],
+        &["VecDeque", "HashSet", "stale", "compact", "gen:"],
+    );
+    let maps = ["service", "rdma"].map(|name| root.join(format!("crates/dpa-sim/src/{name}.rs")));
+    offences.extend(offending_lines(&maps, &["HashMap::new()"]));
+    assert!(
+        offences.is_empty(),
+        "a tombstone, a generation or a sweep in the unexpected store, or a map \
+         that hashes the program's own integers with the default hasher:\n{}",
+        offences.join("\n")
+    );
+}
+
+#[test]
+fn one_list_shape_for_both_queues() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut offences = offending_lines(
+        &[root.join("crates/otm/src/index.rs")],
+        &["Vec<DescId>", ".position("],
+    );
+    let mut files = rust_files(&root.join("crates"));
+    assert!(files.iter().any(|f| f.ends_with("otm/src/list.rs")));
+    files.retain(|file| !file.ends_with("crates/otm/src/list.rs"));
+    for file in files {
+        for (i, line) in read(&file).lines().enumerate() {
+            // `struct Ends` or `struct Link` as a whole word.
+            let defines = ["struct Ends", "struct Link"].iter().any(|p| {
+                line.match_indices(p).any(|(at, _)| {
+                    let next = line[at + p.len()..].chars().next();
+                    !next.is_some_and(|c| c.is_alphanumeric() || c == '_')
+                })
+            });
+            if defines {
+                offences.push(format!("{}:{}: {}", file.display(), i + 1, line.trim()));
+            }
+        }
+    }
+    assert!(
+        offences.is_empty(),
+        "a chain vector or a position scan in the posted-receive indexes, or a \
+         second definition of the list types:\n{}",
+        offences.join("\n")
+    );
+}
+
+#[test]
+fn one_four_index_implementation() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let emul = root.join("crates/trace/src/emul.rs");
+    assert!(!emul.exists(), "{} is back", emul.display());
+    let mut files = Vec::new();
+    for dir in ["crates", "tests", "examples"] {
+        files.extend(every_file(&root.join(dir)));
+    }
+    assert!(files.iter().any(|f| f.ends_with("trace/src/replay.rs")));
+    // Split, so that a plain grep of the workspace for the four names finds
+    // nothing, this file included.
+    let second_copy = [
+        concat!("FourIndex", "Matcher"),
+        concat!("otm_trace::", "emul"),
+        concat!("replay_", "engine"),
+        concat!("bin_", "sweep"),
+    ];
+    let offences = offending_lines(&files, &second_copy);
+    assert!(
+        offences.is_empty(),
+        "a second four-index organization, or a replay to compare it with:\n{}",
+        offences.join("\n")
+    );
+}
+
+#[test]
+fn the_lockfile_lists_workspace_members_only() {
+    let lock = source("Cargo.lock");
+    let registry = lock.lines().find(|line| line.starts_with("source = "));
+    assert!(registry.is_none(), "Cargo.lock: {registry:?}");
 }

@@ -18,8 +18,7 @@ use dpa_sim::bounce::BouncePool;
 use dpa_sim::nic::RecvNic;
 use dpa_sim::rdma::{connected_pair, RdmaDomain};
 use dpa_sim::{
-    Admission, DeviceMemory, MatchServer, MatchdConfig, MatchingService, TenantConfig,
-    TenantSession,
+    Admission, DeviceMemory, MatchServer, MatchdConfig, MatchingService, TenantConfig, TenantId,
 };
 use otm_base::envelope::TagSel;
 use otm_base::{CommId, MatchConfig, Rank, ReceivePattern, Tag};
@@ -48,20 +47,22 @@ fn server(match_config: MatchConfig, deficit_cap_quanta: u64) -> MatchServer {
 }
 
 /// One well-behaved submission step: `pairs` (post, self-send) pairs on the
-/// session's communicator, exact-matched so every post has its message.
-fn submit_pairs(session: &TenantSession, pairs: usize, round: u64) -> usize {
-    let src = Rank(session.tenant().0 as u32);
-    let comm = session.comm().expect("fairness tenants are pinned");
+/// tenant's communicator, exact-matched so every post has its message.
+fn submit_pairs(server: &mut MatchServer, tenant: TenantId, pairs: usize, round: u64) -> usize {
+    let src = Rank(tenant.0 as u32);
+    let comm = server
+        .tenant_comm(tenant)
+        .expect("fairness tenants are pinned");
     let mut admitted = 0;
     for i in 0..pairs {
         let tag = Tag((round as u32 * 97 + i as u32) % 13);
-        if session
-            .submit_post(ReceivePattern::new(src, tag, comm))
+        if server
+            .submit_post(tenant, ReceivePattern::new(src, tag, comm))
             .is_admitted()
         {
             admitted += 1;
         }
-        if session.submit_send(tag, vec![i as u8]).is_admitted() {
+        if server.submit_send(tenant, tag, vec![i as u8]).is_admitted() {
             admitted += 1;
         }
     }
@@ -72,16 +73,18 @@ fn submit_pairs(session: &TenantSession, pairs: usize, round: u64) -> usize {
 /// completions it reaches by that virtual time.
 fn solo_throughput(ticks: u64, pairs_per_tick: usize) -> u64 {
     let mut server = server(roomy_config(), 4);
-    let session = server.open_tenant_with(TenantConfig {
-        capacity: 1024,
-        quantum: 64,
-        comm: Some(CommId(1)),
-    });
+    let tenant = server
+        .open_tenant_with(TenantConfig {
+            capacity: 1024,
+            quantum: 64,
+            comm: Some(CommId(1)),
+        })
+        .unwrap();
     for round in 0..ticks {
-        submit_pairs(&session, pairs_per_tick, round);
+        submit_pairs(&mut server, tenant, pairs_per_tick, round);
         server.tick().expect("tick");
     }
-    session.stats().completed
+    server.tenant_stats(tenant).completed
 }
 
 /// The headline fairness run: three well-behaved tenants plus one flooder
@@ -97,18 +100,22 @@ fn flooder_is_backpressured_and_cannot_starve_neighbours() {
 
     let mut server = server(roomy_config(), 4);
     // Tenant 0 floods through a small ingress; 1..=3 are well behaved.
-    let flooder = server.open_tenant_with(TenantConfig {
-        capacity: 64,
-        quantum: 16,
-        comm: Some(CommId(1)),
-    });
-    let good: Vec<TenantSession> = (2..5)
+    let flooder = server
+        .open_tenant_with(TenantConfig {
+            capacity: 64,
+            quantum: 16,
+            comm: Some(CommId(1)),
+        })
+        .unwrap();
+    let good: Vec<TenantId> = (2..5)
         .map(|c| {
-            server.open_tenant_with(TenantConfig {
-                capacity: 1024,
-                quantum: 64,
-                comm: Some(CommId(c)),
-            })
+            server
+                .open_tenant_with(TenantConfig {
+                    capacity: 1024,
+                    quantum: 64,
+                    comm: Some(CommId(c)),
+                })
+                .unwrap()
         })
         .collect();
 
@@ -118,10 +125,10 @@ fn flooder_is_backpressured_and_cannot_starve_neighbours() {
         // both its ingress bound and its drain quantum.
         for i in 0..200u32 {
             let tag = Tag(i % 7);
-            let src = Rank(flooder.tenant().0 as u32);
-            let comm = flooder.comm().unwrap();
-            match flooder.submit_post(ReceivePattern::new(src, tag, comm)) {
-                Admission::Admitted(_) => match flooder.submit_send(tag, vec![i as u8]) {
+            let src = Rank(flooder.0 as u32);
+            let comm = server.tenant_comm(flooder).unwrap();
+            match server.submit_post(flooder, ReceivePattern::new(src, tag, comm)) {
+                Admission::Admitted(_) => match server.submit_send(flooder, tag, vec![i as u8]) {
                     Admission::Admitted(()) => {}
                     Admission::Backpressured { .. } => backpressured_submissions += 1,
                     Admission::Rejected { reason } => panic!("flooder send rejected: {reason}"),
@@ -133,8 +140,8 @@ fn flooder_is_backpressured_and_cannot_starve_neighbours() {
                 Admission::Rejected { reason } => panic!("flooder rejected: {reason}"),
             }
         }
-        for session in &good {
-            submit_pairs(session, PAIRS, round);
+        for &tenant in &good {
+            submit_pairs(&mut server, tenant, PAIRS, round);
         }
         server.tick().expect("tick");
     }
@@ -143,20 +150,20 @@ fn flooder_is_backpressured_and_cannot_starve_neighbours() {
         backpressured_submissions > 0,
         "a 200-pairs-per-tick flooder over a 64-slot ingress must hit backpressure"
     );
-    let fstats = flooder.stats();
+    let fstats = server.tenant_stats(flooder);
     assert_eq!(fstats.backpressured, backpressured_submissions);
     assert!(fstats.completed > 0, "backpressure throttles, not starves");
-    for session in &good {
-        let stats = session.stats();
+    for &tenant in &good {
+        let stats = server.tenant_stats(tenant);
         assert!(
             stats.backpressured == 0,
             "well-behaved tenant {} was backpressured",
-            session.tenant()
+            tenant
         );
         assert!(
             stats.completed * 2 >= solo,
             "tenant {} kept {}/{} of its solo throughput (need >= 50%)",
-            session.tenant(),
+            tenant,
             stats.completed,
             solo
         );
@@ -173,38 +180,40 @@ fn flooder_is_backpressured_and_cannot_starve_neighbours() {
 #[test]
 fn backpressure_retry_hint_matches_the_drain_rate() {
     let mut server = server(roomy_config(), 1);
-    let session = server.open_tenant_with(TenantConfig {
-        capacity: 8,
-        quantum: 4,
-        comm: Some(CommId(1)),
-    });
-    let src = Rank(session.tenant().0 as u32);
-    let comm = session.comm().unwrap();
+    let tenant = server
+        .open_tenant_with(TenantConfig {
+            capacity: 8,
+            quantum: 4,
+            comm: Some(CommId(1)),
+        })
+        .unwrap();
+    let src = Rank(tenant.0 as u32);
+    let comm = server.tenant_comm(tenant).unwrap();
     let pattern = |i: u32| ReceivePattern::new(src, Tag(i), comm);
 
     for i in 0..8 {
-        session
-            .submit_post(pattern(i))
+        server
+            .submit_post(tenant, pattern(i))
             .expect_admitted("fills the ingress");
     }
-    match session.submit_post(pattern(8)) {
+    match server.submit_post(tenant, pattern(8)) {
         Admission::Backpressured { retry_after } => {
             assert_eq!(retry_after, 1, "overflow 1 at quantum 4 is one round")
         }
         other => panic!("expected backpressure on a full ingress, got {other:?}"),
     }
-    assert_eq!(session.stats().ingress_depth, 8);
+    assert_eq!(server.tenant_stats(tenant).ingress_depth, 8);
 
     // One tick drains one quantum: four slots open, four posts fit again.
     server.tick().expect("tick");
-    assert_eq!(session.stats().ingress_depth, 4);
+    assert_eq!(server.tenant_stats(tenant).ingress_depth, 4);
     for i in 0..4 {
-        session
-            .submit_post(pattern(100 + i))
+        server
+            .submit_post(tenant, pattern(100 + i))
             .expect_admitted("the promised slots are open");
     }
     assert!(
-        !session.submit_post(pattern(200)).is_admitted(),
+        !server.submit_post(tenant, pattern(200)).is_admitted(),
         "the ninth slot never existed"
     );
 }
@@ -215,35 +224,36 @@ fn backpressure_retry_hint_matches_the_drain_rate() {
 #[test]
 fn completions_preserve_per_tenant_handle_order() {
     let mut server = server(roomy_config(), 4);
-    let sessions: Vec<TenantSession> = (1..4)
+    let tenants: Vec<TenantId> = (1..4)
         .map(|c| {
-            server.open_tenant_with(TenantConfig {
-                capacity: 1024,
-                quantum: 8,
-                comm: Some(CommId(c)),
-            })
+            server
+                .open_tenant_with(TenantConfig {
+                    capacity: 1024,
+                    quantum: 8,
+                    comm: Some(CommId(c)),
+                })
+                .unwrap()
         })
         .collect();
     for round in 0..20 {
-        for session in &sessions {
-            submit_pairs(session, 5, round);
+        for &tenant in &tenants {
+            submit_pairs(&mut server, tenant, 5, round);
         }
         server.tick().expect("tick");
     }
     server.run_ticks(30).expect("settle");
-    for session in &sessions {
-        let stats = session.stats();
+    for &tenant in &tenants {
+        let stats = server.tenant_stats(tenant);
         assert_eq!(stats.completed, 100, "every posted receive completes");
         assert_eq!(stats.ingress_depth, 0, "the settle ticks drain everything");
-        let done = session.take_completions();
+        let done = server.take_completions(tenant);
         let seqs: Vec<u64> = done.iter().map(|d| d.recv.0 & ((1 << 48) - 1)).collect();
         let mut sorted = seqs.clone();
         sorted.sort_unstable();
         assert_eq!(
-            seqs,
-            sorted,
+            seqs, sorted,
             "tenant {} completions out of mint order",
-            session.tenant()
+            tenant
         );
     }
 }
@@ -266,33 +276,37 @@ fn fallback_mid_tick_loses_nothing_for_any_tenant() {
     service.enable_command_queue().unwrap();
     let mut server = MatchServer::with_service(service, tx, MatchdConfig::default());
 
-    let storm = server.open_tenant_with(TenantConfig {
-        capacity: 64,
-        quantum: 64,
-        comm: Some(CommId(1)),
-    });
-    let victims: Vec<TenantSession> = (2..4)
+    let storm = server
+        .open_tenant_with(TenantConfig {
+            capacity: 64,
+            quantum: 64,
+            comm: Some(CommId(1)),
+        })
+        .unwrap();
+    let victims: Vec<TenantId> = (2..4)
         .map(|c| {
-            server.open_tenant_with(TenantConfig {
-                capacity: 64,
-                quantum: 2,
-                comm: Some(CommId(c)),
-            })
+            server
+                .open_tenant_with(TenantConfig {
+                    capacity: 64,
+                    quantum: 2,
+                    comm: Some(CommId(c)),
+                })
+                .unwrap()
         })
         .collect();
 
     // Five unmatched sends against a 2-slot device store: the first
     // progress call trips UnexpectedStoreFull and migrates to software.
     for i in 0..5u32 {
-        storm
-            .submit_send(Tag(i), vec![0x50 + i as u8])
+        server
+            .submit_send(storm, Tag(i), vec![0x50 + i as u8])
             .expect_admitted("storm send");
     }
     // The victims admit six pairs each but may only drain one quantum (two
     // requests) before the storm forces the fallback.
-    for session in &victims {
-        submit_pairs(session, 6, 0);
-        assert_eq!(session.stats().ingress_depth, 12);
+    for &tenant in &victims {
+        submit_pairs(&mut server, tenant, 6, 0);
+        assert_eq!(server.tenant_stats(tenant).ingress_depth, 12);
     }
 
     server
@@ -302,9 +316,9 @@ fn fallback_mid_tick_loses_nothing_for_any_tenant() {
         server.service().fell_back(),
         "store pressure must trigger the software fallback"
     );
-    for session in &victims {
+    for &tenant in &victims {
         assert!(
-            session.stats().ingress_depth > 0,
+            server.tenant_stats(tenant).ingress_depth > 0,
             "the fallback must fire while this tenant's ingress is non-empty"
         );
     }
@@ -312,71 +326,75 @@ fn fallback_mid_tick_loses_nothing_for_any_tenant() {
     // Life goes on, on the software path: the queued work drains and
     // completes, and the storm's parked messages land on late receives.
     server.run_ticks(10).expect("post-fallback ticks");
-    for session in &victims {
-        let stats = session.stats();
+    for &tenant in &victims {
+        let stats = server.tenant_stats(tenant);
         assert_eq!(stats.completed, 6, "every victim pair survives");
         assert_eq!(stats.ingress_depth, 0);
-        for done in session.take_completions() {
+        for done in server.take_completions(tenant) {
             assert_eq!(done.data.len(), 1, "payloads ride the migration intact");
         }
     }
-    let src = Rank(storm.tenant().0 as u32);
-    let comm = storm.comm().unwrap();
+    let src = Rank(storm.0 as u32);
+    let comm = server.tenant_comm(storm).unwrap();
     for _ in 0..5 {
-        storm
-            .submit_post(ReceivePattern::new(src, TagSel::Any, comm))
+        server
+            .submit_post(storm, ReceivePattern::new(src, TagSel::Any, comm))
             .expect_admitted("late receive for a parked message");
     }
     server.run_ticks(3).expect("late matches");
-    let done = storm.take_completions();
+    let done = server.take_completions(storm);
     assert_eq!(done.len(), 5, "every parked message survives the migration");
     let mut payloads: Vec<u8> = done.iter().map(|d| d.data[0]).collect();
     payloads.sort_unstable();
     assert_eq!(payloads, vec![0x50, 0x51, 0x52, 0x53, 0x54]);
 }
 
-/// Sessions refuse what they must: cross-communicator posts, submissions
+/// Tenants refuse what they must: cross-communicator posts, submissions
 /// after close.
 #[test]
 fn rejections_are_terminal_not_backpressure() {
     let mut server = server(roomy_config(), 4);
-    let session = server.open_tenant_with(TenantConfig {
-        capacity: 8,
-        quantum: 4,
-        comm: Some(CommId(1)),
-    });
+    let tenant = server
+        .open_tenant_with(TenantConfig {
+            capacity: 8,
+            quantum: 4,
+            comm: Some(CommId(1)),
+        })
+        .unwrap();
     let foreign = ReceivePattern::new(Rank(0), Tag(0), CommId(9));
     assert!(matches!(
-        session.submit_post(foreign),
+        server.submit_post(tenant, foreign),
         Admission::Rejected { .. }
     ));
-    session.close();
+    server.close_tenant(tenant);
     assert!(matches!(
-        session.submit_post(ReceivePattern::new(Rank(0), Tag(0), CommId(1))),
+        server.submit_post(tenant, ReceivePattern::new(Rank(0), Tag(0), CommId(1))),
         Admission::Rejected { .. }
     ));
-    assert_eq!(session.stats().rejected, 2);
+    assert_eq!(server.tenant_stats(tenant).rejected, 2);
 }
 
 /// Per-tenant observability: the labeled matchd counts show up in the
-/// server's registry snapshot, and the finished series artifact carries one
-/// section per tenant next to the global one.
+/// server's registry snapshot, and the finished series carry one section
+/// per tenant next to the service's, each ending at the tenant's count.
 #[test]
 fn per_tenant_metrics_reach_prometheus_and_series() {
     let mut server = server(roomy_config(), 4);
     server.attach_series(2);
-    let sessions: Vec<TenantSession> = (1..3)
+    let tenants: Vec<TenantId> = (1..3)
         .map(|c| {
-            server.open_tenant_with(TenantConfig {
-                capacity: 4,
-                quantum: 2,
-                comm: Some(CommId(c)),
-            })
+            server
+                .open_tenant_with(TenantConfig {
+                    capacity: 4,
+                    quantum: 2,
+                    comm: Some(CommId(c)),
+                })
+                .unwrap()
         })
         .collect();
     for round in 0..6 {
-        for session in &sessions {
-            submit_pairs(session, 3, round);
+        for &tenant in &tenants {
+            submit_pairs(&mut server, tenant, 3, round);
         }
         server.tick().expect("tick");
     }
@@ -397,13 +415,17 @@ fn per_tenant_metrics_reach_prometheus_and_series() {
         snap.counters["matchd_backpressured_total{tenant=\"0\"}"] > 0,
         "the tight ingress must have backpressured tenant 0"
     );
-    let (global, tenants) = server.finish_series().expect("series were attached");
+    let (service, sections) = server.finish_series().expect("series were attached");
     assert!(
-        global.last().is_some(),
-        "the global series has a terminal point"
+        service.last().is_some(),
+        "the service's series has a terminal point"
     );
-    let labels: Vec<&str> = tenants.iter().map(|(label, _)| label.as_str()).collect();
-    assert_eq!(labels, ["0", "1"]);
+    assert_eq!(sections.len(), 2, "one section per tenant, in id order");
+    for (&tenant, section) in tenants.iter().zip(&sections) {
+        let completed = server.tenant_stats(tenant).completed;
+        assert_eq!(section.completed.last(), Some(&completed));
+        assert_eq!(section.t.len(), section.ingress_depth.len());
+    }
 }
 
 /// A submission ring much smaller than the DRR batch: the fair drain hits
@@ -413,17 +435,19 @@ fn per_tenant_metrics_reach_prometheus_and_series() {
 #[test]
 fn tiny_engine_ring_requeues_the_drain_batch_instead_of_failing_the_tick() {
     let mut server = server(roomy_config().with_ring_capacity(4), 4);
-    let session = server.open_tenant_with(TenantConfig {
-        capacity: 1024,
-        quantum: 64,
-        comm: Some(CommId(1)),
-    });
+    let tenant = server
+        .open_tenant_with(TenantConfig {
+            capacity: 1024,
+            quantum: 64,
+            comm: Some(CommId(1)),
+        })
+        .unwrap();
     let n = 32u32;
     let mut handles = Vec::new();
     for i in 0..n {
         handles.push(
-            session
-                .submit_post(ReceivePattern::new(Rank(0), Tag(i), CommId(1)))
+            server
+                .submit_post(tenant, ReceivePattern::new(Rank(0), Tag(i), CommId(1)))
                 .expect_admitted("roomy ingress"),
         );
     }
@@ -435,26 +459,26 @@ fn tiny_engine_ring_requeues_the_drain_batch_instead_of_failing_the_tick() {
         report.drained, 4,
         "one tick drains exactly the ring capacity under a post flood"
     );
-    assert_eq!(session.stats().drained, 4);
+    assert_eq!(server.tenant_stats(tenant).drained, 4);
     assert_eq!(
-        session.stats().ingress_depth,
+        server.tenant_stats(tenant).ingress_depth,
         n as usize - 4,
         "bounced posts return to the ingress"
     );
 
     // The backlog drains ring-capacity-at-a-time; every post gets through.
     server.run_ticks(12).expect("backlog ticks");
-    assert_eq!(session.stats().drained, u64::from(n));
-    assert_eq!(session.stats().ingress_depth, 0);
+    assert_eq!(server.tenant_stats(tenant).drained, u64::from(n));
+    assert_eq!(server.tenant_stats(tenant).ingress_depth, 0);
 
     // Now the matching half: every post completes, in handle-mint order.
     for i in 0..n {
-        session
-            .submit_send(Tag(i), vec![i as u8])
+        server
+            .submit_send(tenant, Tag(i), vec![i as u8])
             .expect_admitted("roomy ingress");
     }
     server.run_ticks(4).expect("send ticks");
-    let done = session.take_completions();
+    let done = server.take_completions(tenant);
     assert_eq!(
         done.len(),
         n as usize,
@@ -479,18 +503,20 @@ fn lane_quota_caps_each_tenant_in_every_block() {
         MatchdConfig::default(),
     )
     .expect("standalone matchd server");
-    let sessions: Vec<TenantSession> = (1..=2)
+    let tenants: Vec<TenantId> = (1..=2)
         .map(|c| {
-            server.open_tenant_with(TenantConfig {
-                capacity: 1024,
-                quantum: 64,
-                comm: Some(CommId(c)),
-            })
+            server
+                .open_tenant_with(TenantConfig {
+                    capacity: 1024,
+                    quantum: 64,
+                    comm: Some(CommId(c)),
+                })
+                .unwrap()
         })
         .collect();
     for round in 0..256 {
-        for session in &sessions {
-            submit_pairs(session, 8, round);
+        for &tenant in &tenants {
+            submit_pairs(&mut server, tenant, 8, round);
         }
         server.tick().expect("tick");
     }
