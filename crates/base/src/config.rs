@@ -11,7 +11,7 @@ use crate::hash::mix64;
 /// Maximum number of messages matched concurrently in one block.
 ///
 /// Bounded by the width of the booking bitmap (one bit per thread).
-pub const MAX_BLOCK_THREADS: usize = 64;
+pub(crate) const MAX_BLOCK_THREADS: usize = 64;
 
 /// Largest accepted [`MatchConfig::ring_capacity`]: every communicator shard
 /// allocates its command queue at that many commands up front, so an
@@ -22,7 +22,7 @@ const MAX_RING_CAPACITY: usize = 1 << 20;
 /// `3 · bins + 1` list ends per queue up front, so an unbounded value from a
 /// command line aborts the allocator, and a list's position is 32-bit. The
 /// repository's configurations use at most 2,048.
-pub const MAX_BINS: usize = 1 << 20;
+pub(crate) const MAX_BINS: usize = 1 << 20;
 
 /// Largest accepted [`MatchConfig::max_receives`] and
 /// [`MatchConfig::max_unexpected`]: slots are numbered with 32-bit ids below
@@ -225,8 +225,8 @@ impl FaultRng {
 }
 
 /// A seeded, declarative plan for injecting faults into the simulated wire
-/// and backend (the `dpa-sim` crate's `WireFaults` / `FaultInjectingBackend`
-/// interpret it).
+/// and backend (the `dpa-sim` crate's `WireFaults` interprets the wire
+/// rates, and its test-only `FaultInjectingBackend` the backend rates).
 ///
 /// All rates are expressed in **permille** (0..=1000, i.e. tenths of a
 /// percent) so the plan stays `Eq` without dragging floating point into
@@ -380,8 +380,7 @@ impl FaultPlan {
         self
     }
 
-    /// Whether the plan can inject anything at all. Inert plans let the
-    /// wrapped paths skip fault bookkeeping entirely.
+    /// Whether the plan can inject anything at all.
     pub fn is_active(&self) -> bool {
         (self.drop_permille
             | self.duplicate_permille

@@ -21,7 +21,7 @@ pub enum SourceSel {
 impl SourceSel {
     /// Returns `true` if this selector accepts the given source rank.
     #[inline]
-    pub fn accepts(self, src: Rank) -> bool {
+    pub(crate) fn accepts(self, src: Rank) -> bool {
         match self {
             SourceSel::Any => true,
             SourceSel::Rank(r) => r == src,
@@ -53,7 +53,7 @@ pub enum TagSel {
 impl TagSel {
     /// Returns `true` if this selector accepts the given tag.
     #[inline]
-    pub fn accepts(self, tag: Tag) -> bool {
+    pub(crate) fn accepts(self, tag: Tag) -> bool {
         match self {
             TagSel::Any => true,
             TagSel::Tag(t) => t == tag,

@@ -3,7 +3,7 @@
 //! This crate contains everything that is common to the matching engines, the
 //! SmartNIC simulator, the trace analyzer and the workload generators:
 //!
-//! * [`types`] — strongly-typed identifiers (ranks, tags, communicators) and
+//! * `types` — strongly-typed identifiers (ranks, tags, communicators) and
 //!   the monotone labels that order posted receives and incoming messages;
 //! * [`envelope`] — message envelopes and receive patterns with MPI wildcard
 //!   semantics (`MPI_ANY_SOURCE` / `MPI_ANY_TAG`), including the *wildcard
@@ -15,7 +15,7 @@
 //! * [`config`] — the engine configuration knobs (bins, block size, feature
 //!   flags) shared by all matchers;
 //! * [`memory`] — the analytic DPA memory-footprint model of §IV-E;
-//! * [`error`] — common error types, including the resource-exhaustion
+//! * `error` — common error types, including the resource-exhaustion
 //!   condition that triggers fallback to software tag matching.
 //!
 //! The paper being reproduced is *"Offloaded MPI message matching: an
@@ -24,14 +24,15 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
 
 pub mod config;
 pub mod envelope;
-pub mod error;
+mod error;
 pub mod hash;
-pub mod hints;
+mod hints;
 pub mod memory;
-pub mod types;
+mod types;
 
 pub use config::{FaultPlan, FaultRng, MatchConfig};
 pub use envelope::{Envelope, ReceivePattern, SourceSel, TagSel, WildcardClass};

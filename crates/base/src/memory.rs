@@ -20,7 +20,7 @@ pub const DESCRIPTOR_BYTES: u64 = 64;
 
 /// Number of binned hash-table indexes (no-wildcard, source-wildcard,
 /// tag-wildcard); the both-wildcard list has no bins.
-pub const INDEX_TABLES: u64 = 3;
+pub(crate) const INDEX_TABLES: u64 = 3;
 
 /// BlueField-3 DPA L2 cache capacity (§IV-E).
 pub const DPA_L2_BYTES: u64 = 3 * 1024 * 1024 / 2; // 1.5 MiB
@@ -32,9 +32,9 @@ pub const DPA_L3_BYTES: u64 = 3 * 1024 * 1024; // 3 MiB
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Footprint {
     /// Bytes consumed by the three binned index tables.
-    pub index_tables: u64,
+    pub(crate) index_tables: u64,
     /// Bytes consumed by the receive descriptor table.
-    pub descriptors: u64,
+    pub(crate) descriptors: u64,
 }
 
 impl Footprint {

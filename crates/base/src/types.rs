@@ -16,14 +16,6 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Rank(pub u32);
 
-impl Rank {
-    /// Returns the raw rank number.
-    #[inline]
-    pub fn get(self) -> u32 {
-        self.0
-    }
-}
-
 impl std::fmt::Display for Rank {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "rank{}", self.0)
@@ -36,14 +28,6 @@ impl std::fmt::Display for Rank {
 /// modelled by [`TagSel::Any`](crate::envelope::TagSel::Any).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Tag(pub u32);
-
-impl Tag {
-    /// Returns the raw tag value.
-    #[inline]
-    pub fn get(self) -> u32 {
-        self.0
-    }
-}
 
 impl std::fmt::Display for Tag {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -62,12 +46,6 @@ impl CommId {
     /// `MPI_COMM_WORLD` — the default communicator used throughout the
     /// examples and benchmarks.
     pub const WORLD: CommId = CommId(0);
-
-    /// Returns the raw communicator id.
-    #[inline]
-    pub fn get(self) -> u16 {
-        self.0
-    }
 }
 
 impl std::fmt::Display for CommId {
@@ -111,13 +89,6 @@ pub struct ArrivalSeq(pub u64);
 impl ArrivalSeq {
     /// The first arrival sequence number.
     pub const ZERO: ArrivalSeq = ArrivalSeq(0);
-
-    /// Returns the sequence number following this one.
-    #[inline]
-    #[must_use]
-    pub fn next(self) -> ArrivalSeq {
-        ArrivalSeq(self.0 + 1)
-    }
 }
 
 /// Identifier of a *sequence of compatible receives* (§III-D3a).
@@ -145,6 +116,39 @@ impl SeqId {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Rank {
+        /// Returns the raw rank number.
+        #[inline]
+        fn get(self) -> u32 {
+            self.0
+        }
+    }
+
+    impl Tag {
+        /// Returns the raw tag value.
+        #[inline]
+        fn get(self) -> u32 {
+            self.0
+        }
+    }
+
+    impl CommId {
+        /// Returns the raw communicator id.
+        #[inline]
+        fn get(self) -> u16 {
+            self.0
+        }
+    }
+
+    impl ArrivalSeq {
+        /// Returns the sequence number following this one.
+        #[inline]
+        #[must_use]
+        fn next(self) -> ArrivalSeq {
+            ArrivalSeq(self.0 + 1)
+        }
+    }
 
     #[test]
     fn labels_are_ordered_and_monotone() {

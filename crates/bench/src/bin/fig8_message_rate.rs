@@ -329,8 +329,9 @@ struct TenantsSweep {
     flood_quantum: usize,
     /// Deficit cap, in quanta.
     deficit_cap_quanta: u64,
-    /// True when the flooder was answered with backpressure at admission.
-    flooder_backpressured: bool,
+    /// Whether the flooder was answered with backpressure at admission;
+    /// `None` when the sweep ran without one.
+    flooder_backpressured: Option<bool>,
     /// True when every well-behaved tenant kept at least half of its solo
     /// throughput at the same virtual time.
     fairness_retained: bool,
@@ -546,15 +547,15 @@ fn run_tenants(args: &CommonArgs, tenants: usize, budget: usize) -> TenantsSweep
         );
     }
 
-    let flooder_backpressured = flood_tenant.is_none()
-        || rows
-            .iter()
-            .any(|r| r.role == "flooder" && r.backpressured > 0);
+    let flooder_backpressured = flooder_backpressured(flood_tenant, &rows);
     let fairness_retained = rows
         .iter()
         .filter_map(|r| r.retained)
         .all(|r| 2.0 * r >= 1.0);
-    println!("shape: flooder answered with backpressure: {flooder_backpressured}");
+    println!(
+        "shape: flooder answered with backpressure: {}",
+        flooder_backpressured.map_or("n/a (no flooder)".to_string(), |b| b.to_string())
+    );
     println!("shape: well-behaved tenants retained >= 50% of solo: {fairness_retained}");
     let observability = server.observability_snapshot();
     let series = server.finish_series();
@@ -594,6 +595,15 @@ fn run_tenants(args: &CommonArgs, tenants: usize, budget: usize) -> TenantsSweep
     }
 }
 
+/// Whether the flooder's rows show backpressure at admission, or `None`
+/// when the sweep has no flooder to check.
+fn flooder_backpressured(flood_tenant: Option<usize>, rows: &[TenantRow]) -> Option<bool> {
+    flood_tenant.map(|_| {
+        rows.iter()
+            .any(|r| r.role == "flooder" && r.backpressured > 0)
+    })
+}
+
 fn print_result(result: &PingPongResult) {
     print!("{:<32} {:>12.0} msgs/s", result.label, result.msgs_per_sec);
     if let Some(stats) = &result.engine_stats {
@@ -615,6 +625,28 @@ mod tests {
         let mut w = JsonWriter::new();
         v.write_json(&mut w);
         w.finish()
+    }
+
+    #[test]
+    fn flooder_backpressure_is_checked_only_with_a_flooder() {
+        let row = |tenant, role: &str, backpressured| TenantRow {
+            tenant,
+            role: role.to_string(),
+            attempted_pairs: 8,
+            admitted: 8,
+            backpressured,
+            drained: 8,
+            completed: 4,
+            solo_completed: None,
+            retained: None,
+            msgs_per_sec: 1.0,
+        };
+        let flooded = [row(0, "flooder", 736), row(1, "well-behaved", 0)];
+        assert_eq!(flooder_backpressured(Some(0), &flooded), Some(true));
+        let unrefused = [row(0, "flooder", 0), row(1, "well-behaved", 0)];
+        assert_eq!(flooder_backpressured(Some(0), &unrefused), Some(false));
+        let no_flooder = [row(0, "well-behaved", 0), row(1, "well-behaved", 0)];
+        assert_eq!(flooder_backpressured(None, &no_flooder), None);
     }
 
     #[test]
@@ -668,7 +700,7 @@ mod tests {
             flood_capacity: 64,
             flood_quantum: 16,
             deficit_cap_quanta: 4,
-            flooder_backpressured: true,
+            flooder_backpressured: Some(true),
             fairness_retained: true,
             rows,
             observability: RegistrySnapshot::default(),

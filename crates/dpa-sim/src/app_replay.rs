@@ -94,7 +94,7 @@ pub struct AppReplayConfig {
     /// Seeded wire-fault plan installed on the NIC and restarted from its
     /// seed for every destination. Faults hit only sequenced packets, i.e.
     /// every replayed arrival.
-    pub faults: Option<FaultPlan>,
+    pub(crate) faults: Option<FaultPlan>,
     /// Bins per hash-table index of the engine (and the oracle).
     pub bins: usize,
     /// Largest payload (bytes) sent eagerly; larger messages take the
@@ -105,7 +105,7 @@ pub struct AppReplayConfig {
     /// When set, the destination with the most arrivals gets a queue-depth
     /// series sampler at this cadence (in service polls); the result lands
     /// in [`AppReplayReport::series`].
-    pub series_cadence: Option<u64>,
+    pub(crate) series_cadence: Option<u64>,
 }
 
 impl Default for AppReplayConfig {
@@ -152,20 +152,20 @@ pub type MatchedPair = (u32, u64, u64);
 #[derive(Debug, Clone, Default)]
 pub struct AppReplayReport {
     /// Application name (Table II).
-    pub name: String,
+    pub(crate) name: String,
     /// Number of processes in the trace.
-    pub processes: usize,
+    pub(crate) processes: usize,
     /// Reliability-protocol label (always `selective-repeat`; the key is
     /// kept so artifacts stay comparable with the committed ones).
     pub mode: String,
     /// Whether a wire-fault plan was installed.
     pub faulty: bool,
     /// Receives posted across all destinations.
-    pub posts: u64,
+    pub(crate) posts: u64,
     /// Messages driven end to end (posts' counterpart: trace sends).
     pub messages: u64,
     /// Messages that took the eager path.
-    pub eager_messages: u64,
+    pub(crate) eager_messages: u64,
     /// Messages that took the rendezvous RTS + RDMA-READ path.
     pub rendezvous_messages: u64,
     /// Matched pairs completed by the service.
@@ -177,13 +177,13 @@ pub struct AppReplayReport {
     /// Packets the fault layer reordered.
     pub wire_reorders: u64,
     /// Packets the fault layer delayed.
-    pub wire_delays: u64,
+    pub(crate) wire_delays: u64,
     /// Packets the senders retransmitted.
     pub retransmits: u64,
     /// SACK-triggered fast retransmits (subset of `retransmits`).
     pub fast_retransmits: u64,
     /// Timeout or fast-retransmit bursts.
-    pub resend_events: u64,
+    pub(crate) resend_events: u64,
     /// Cumulative acks the senders consumed.
     pub acks_received: u64,
     /// Polls the senders ended waiting on unacknowledged packets: the sum
@@ -192,7 +192,7 @@ pub struct AppReplayReport {
     /// timeout that fired and the service's drain-retry backoffs.
     pub backoff_polls: u64,
     /// Retransmitted packets per dropped packet (0 when nothing dropped).
-    pub retransmit_amplification: f64,
+    pub(crate) retransmit_amplification: f64,
     /// Duplicates the NICs discarded.
     pub rx_duplicates: u64,
     /// Out-of-order packets the NICs discarded (staging buffer full).
@@ -218,7 +218,7 @@ pub struct AppReplayReport {
     /// End-to-end message rate (`messages / elapsed_secs`).
     pub msgs_per_sec: f64,
     /// Queue-depth time series of the busiest destination, when
-    /// [`AppReplayConfig::series_cadence`] asked for one.
+    /// `AppReplayConfig::series_cadence` asked for one.
     pub series: Option<SeriesRecorder>,
 }
 

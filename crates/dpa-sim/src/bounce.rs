@@ -32,19 +32,9 @@ impl BouncePool {
         }
     }
 
-    /// Total NIC-memory cost of the pool in bytes.
-    pub fn footprint(&self) -> u64 {
-        (self.buffers.len() * self.buf_size) as u64
-    }
-
     /// Buffers currently in use.
-    pub fn in_use(&self) -> usize {
+    pub(crate) fn in_use(&self) -> usize {
         self.buffers.len() - self.free.len()
-    }
-
-    /// Per-buffer capacity in bytes.
-    pub fn buf_size(&self) -> usize {
-        self.buf_size
     }
 
     /// Stages `data` into a free buffer: the bytes move in, nothing is
@@ -55,7 +45,7 @@ impl BouncePool {
     /// class whose exhaustion forces software fallback), handing `data` back
     /// for the retry, and panics if the payload exceeds the buffer size —
     /// the transport must fragment or use rendezvous before that point.
-    pub fn stage(&mut self, data: Vec<u8>) -> Result<BounceId, (Vec<u8>, MatchError)> {
+    pub(crate) fn stage(&mut self, data: Vec<u8>) -> Result<BounceId, (Vec<u8>, MatchError)> {
         assert!(
             data.len() <= self.buf_size,
             "payload of {} B exceeds the {} B bounce buffers (use rendezvous)",
@@ -69,20 +59,15 @@ impl BouncePool {
         Ok(BounceId(id))
     }
 
-    /// Reads a staged buffer.
-    pub fn data(&self, id: BounceId) -> &[u8] {
-        &self.buffers[id.0 as usize]
-    }
-
     /// Moves a staged buffer's bytes out and releases the buffer.
-    pub fn take(&mut self, id: BounceId) -> Vec<u8> {
+    pub(crate) fn take(&mut self, id: BounceId) -> Vec<u8> {
         let bytes = std::mem::take(&mut self.buffers[id.0 as usize]);
         self.release(id);
         bytes
     }
 
     /// Releases a buffer back to the pool, freeing bytes nobody took.
-    pub fn release(&mut self, id: BounceId) {
+    pub(crate) fn release(&mut self, id: BounceId) {
         debug_assert!(
             !self.free.contains(&id.0),
             "double release of bounce buffer {id:?}"
@@ -95,6 +80,18 @@ impl BouncePool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl BouncePool {
+        /// Total NIC-memory cost of the pool in bytes.
+        fn footprint(&self) -> u64 {
+            (self.buffers.len() * self.buf_size) as u64
+        }
+
+        /// Reads a staged buffer.
+        pub(crate) fn data(&self, id: BounceId) -> &[u8] {
+            &self.buffers[id.0 as usize]
+        }
+    }
 
     #[test]
     fn stage_read_release_round_trip() {

@@ -12,10 +12,10 @@
 //!   delaying **sequenced** packets. Unsequenced control traffic (acks,
 //!   legacy direct sends) passes through untouched, so only traffic that
 //!   opted into the reliability protocol is ever perturbed.
-//! * [`FaultInjectingBackend`] wraps a [`MatchingBackend`] — injecting
-//!   transient retryable drain failures and silent worker stalls, the
-//!   failure shapes the service's retry budget and fallback escalation
-//!   must absorb.
+//! * `FaultInjectingBackend`, in test builds, wraps a `MatchingBackend` —
+//!   injecting transient retryable drain failures and silent worker
+//!   stalls, the failure shapes the service's tests hold its retry budget
+//!   and fallback escalation to.
 //!
 //! Everything is driven by the plan's seeded [`FaultRng`], so a given
 //! `(seed, rates)` pair reproduces the exact same fault schedule run after
@@ -23,12 +23,7 @@
 //! its fault-free twin.
 
 use crate::rdma::WirePacket;
-use mpi_matching::backend::{
-    BlockDelivery, DrainReport, FallbackState, MatchingBackend, PendingCommand,
-};
-use mpi_matching::stats::MatchStats;
-use mpi_matching::{MsgHandle, PostResult, RecvHandle};
-use otm_base::{Envelope, FaultPlan, FaultRng, MatchError, ReceivePattern};
+use otm_base::{FaultPlan, FaultRng};
 
 /// Counters of the faults a [`WireFaults`] instance actually injected.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -40,7 +35,7 @@ pub struct WireFaultStats {
     /// Packets released out of order.
     pub reorders: u64,
     /// Packets delivered late but in order.
-    pub delays: u64,
+    pub(crate) delays: u64,
 }
 
 impl WireFaultStats {
@@ -63,9 +58,9 @@ struct HeldPacket {
 /// The wire-level interpreter of a [`FaultPlan`].
 ///
 /// [`crate::nic::RecvNic`] consults this on every arriving packet:
-/// [`WireFaults::admit`] decides the packet's fate and returns what to
+/// `WireFaults::admit` decides the packet's fate and returns what to
 /// deliver *now*; held packets (reordered or delayed) come back out of
-/// [`WireFaults::pop_due`] once [`WireFaults::tick`] has advanced the
+/// `WireFaults::pop_due` once `WireFaults::tick` has advanced the
 /// delivery clock far enough. The clock counts NIC polls, not wall time,
 /// so runs are deterministic.
 #[derive(Debug)]
@@ -82,7 +77,7 @@ pub struct WireFaults {
 impl WireFaults {
     /// Builds the interpreter for `plan`. The plan should have passed
     /// [`FaultPlan::validate`]; zero-rate plans simply never inject.
-    pub fn new(plan: FaultPlan) -> Self {
+    pub(crate) fn new(plan: FaultPlan) -> Self {
         let rng = plan.rng();
         let budget = plan.max_faults.unwrap_or(u64::MAX);
         WireFaults {
@@ -96,7 +91,7 @@ impl WireFaults {
     }
 
     /// Advances the delivery clock by one NIC poll.
-    pub fn tick(&mut self) {
+    pub(crate) fn tick(&mut self) {
         self.tick += 1;
     }
 
@@ -108,7 +103,7 @@ impl WireFaults {
     /// traffic passes through verbatim (and acks are not packets), so fault
     /// injection can only create conditions the reliability protocol is
     /// able to repair.
-    pub fn admit(&mut self, qp: usize, packet: WirePacket) -> [Option<WirePacket>; 2] {
+    pub(crate) fn admit(&mut self, qp: usize, packet: WirePacket) -> [Option<WirePacket>; 2] {
         if packet.seq.is_none() || self.budget == 0 {
             return [Some(packet), None];
         }
@@ -145,37 +140,43 @@ impl WireFaults {
     /// Releases one held packet whose due time has passed, if any, with
     /// the queue pair it arrived on. Called repeatedly each poll so a
     /// staging failure can pause mid-release without losing packets.
-    pub fn pop_due(&mut self) -> Option<(usize, WirePacket)> {
+    pub(crate) fn pop_due(&mut self) -> Option<(usize, WirePacket)> {
         let idx = self.held.iter().position(|h| h.due <= self.tick)?;
         let h = self.held.remove(idx);
         Some((h.qp, h.packet))
     }
 
-    /// Packets currently held back (reordered or delayed, not yet due).
-    pub fn held_len(&self) -> usize {
-        self.held.len()
-    }
-
     /// What was injected so far.
-    pub fn stats(&self) -> WireFaultStats {
+    pub(crate) fn stats(&self) -> WireFaultStats {
         self.stats
     }
 
     /// The plan this interpreter executes.
-    pub fn plan(&self) -> &FaultPlan {
+    pub(crate) fn plan(&self) -> &FaultPlan {
         &self.plan
     }
 }
 
+#[cfg(test)]
+use mpi_matching::backend::{
+    BlockDelivery, DrainReport, FallbackState, MatchingBackend, PendingCommand,
+};
+#[cfg(test)]
+use mpi_matching::{stats::MatchStats, MsgHandle, PostResult, RecvHandle};
+#[cfg(test)]
+use otm_base::{Envelope, MatchError, ReceivePattern};
+
+#[cfg(test)]
 /// Counters of the backend faults a [`FaultInjectingBackend`] injected.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BackendFaultStats {
+pub(crate) struct BackendFaultStats {
     /// Drains that reported a transient retryable error without running.
-    pub transient_failures: u64,
+    pub(crate) transient_failures: u64,
     /// Drains that silently made no progress (stalled worker).
-    pub stalls: u64,
+    pub(crate) stalls: u64,
 }
 
+#[cfg(test)]
 /// A [`MatchingBackend`] decorator that injects transient drain failures
 /// and worker stalls according to a [`FaultPlan`].
 ///
@@ -189,7 +190,7 @@ pub struct BackendFaultStats {
 ///
 /// The wrapper draws from its own decision stream (derived from the plan
 /// seed) so wire faults and backend faults are independently reproducible.
-pub struct FaultInjectingBackend {
+pub(crate) struct FaultInjectingBackend {
     inner: Box<dyn MatchingBackend>,
     plan: FaultPlan,
     rng: FaultRng,
@@ -197,6 +198,7 @@ pub struct FaultInjectingBackend {
     stats: BackendFaultStats,
 }
 
+#[cfg(test)]
 impl std::fmt::Debug for FaultInjectingBackend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FaultInjectingBackend")
@@ -207,10 +209,11 @@ impl std::fmt::Debug for FaultInjectingBackend {
     }
 }
 
+#[cfg(test)]
 impl FaultInjectingBackend {
     /// Wraps `inner`, injecting per `plan`. The decision stream is
     /// decorrelated from the wire stream by perturbing the seed.
-    pub fn new(inner: Box<dyn MatchingBackend>, plan: FaultPlan) -> Self {
+    pub(crate) fn new(inner: Box<dyn MatchingBackend>, plan: FaultPlan) -> Self {
         let rng = FaultRng::new(otm_base::hash::mix64(plan.seed ^ 0xbac4_e9d5_fa17_0001));
         let budget = plan.max_faults.unwrap_or(u64::MAX);
         FaultInjectingBackend {
@@ -223,11 +226,12 @@ impl FaultInjectingBackend {
     }
 
     /// What was injected so far.
-    pub fn stats(&self) -> BackendFaultStats {
+    pub(crate) fn stats(&self) -> BackendFaultStats {
         self.stats
     }
 }
 
+#[cfg(test)]
 impl MatchingBackend for FaultInjectingBackend {
     fn backend_name(&self) -> &'static str {
         self.inner.backend_name()
@@ -329,6 +333,13 @@ mod tests {
     use super::*;
     use crate::rdma::eager_packet;
     use otm_base::{Rank, Tag};
+
+    impl WireFaults {
+        /// Packets currently held back (reordered or delayed, not yet due).
+        fn held_len(&self) -> usize {
+            self.held.len()
+        }
+    }
 
     fn sequenced(seq: u64) -> WirePacket {
         eager_packet(Envelope::world(Rank(0), Tag(seq as u32)), vec![seq as u8]).with_seq(seq)

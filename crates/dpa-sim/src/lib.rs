@@ -10,7 +10,7 @@
 //!   RDMA READ pulls registered bytes (the rendezvous data path);
 //! * [`bounce`] — bounce buffers in NIC memory, where incoming messages are
 //!   staged before matching decides the user buffer (§IV-A);
-//! * [`memory`] — the device-memory budget; allocation failure triggers
+//! * `memory` — the device-memory budget; allocation failure triggers
 //!   fallback to software tag matching (§IV-E);
 //! * [`nic`] — the receive-side NIC engine: RDMA receive completions are
 //!   staged into bounce buffers and exposed through a completion queue,
@@ -18,14 +18,14 @@
 //!   staging buffer, overflow discarded) for sequenced traffic; its staging
 //!   buffers and total-order gate are sequence-indexed reorder windows
 //!   (the private `reorder` module);
-//! * [`fault`] — the deterministic fault-injection layer: a seeded
+//! * `fault` — the deterministic fault-injection layer: a seeded
 //!   [`otm_base::FaultPlan`] drops, duplicates, reorders and delays wire
 //!   packets and injects transient backend failures and worker stalls;
 //! * [`reliable`] — the sender half of the reliability protocol: sequence
 //!   numbers, cumulative acks with SACK blocks, selective-repeat
 //!   retransmission with an RTT-tracking timeout, adaptive window,
 //!   exponential backoff and a bounded retry budget;
-//! * [`obs`] — observability: queue-depth gauges and
+//! * `obs` — observability: queue-depth gauges and
 //!   NIC-memory pressure counters for the matching service, plus the
 //!   fault/reliability counters and backoff histogram;
 //! * [`service`] — the matching service: the offloaded optimistic engine
@@ -35,7 +35,7 @@
 //! * [`pingpong`] — the Fig. 8 message-rate harness: k-message sequences,
 //!   acknowledged per sequence, both nodes stepped on one thread, with
 //!   no-conflict and with-conflict receive scenarios;
-//! * [`matchd`] — the long-lived multi-tenant matching server: tenants
+//! * `matchd` — the long-lived multi-tenant matching server: tenants
 //!   (indices it owns) with bounded ingress and explicit admission control, a
 //!   deficit-round-robin fair drain over one shared engine, and a
 //!   deterministic tick loop with a live per-tenant registry snapshot;
@@ -47,14 +47,15 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
 
 pub mod app_replay;
 pub mod bounce;
-pub mod fault;
-pub mod matchd;
-pub mod memory;
+mod fault;
+mod matchd;
+mod memory;
 pub mod nic;
-pub mod obs;
+mod obs;
 pub mod pingpong;
 pub mod rdma;
 pub mod reliable;
@@ -64,7 +65,7 @@ pub mod service;
 pub use app_replay::{
     engine_direct_pairs, replay_app, AppReplayConfig, AppReplayOutcome, AppReplayReport,
 };
-pub use fault::{BackendFaultStats, FaultInjectingBackend, WireFaultStats, WireFaults};
+pub use fault::{WireFaultStats, WireFaults};
 pub use matchd::{
     Admission, MatchServer, MatchdConfig, TenantConfig, TenantId, TenantSeries, TenantStats,
 };
@@ -72,6 +73,5 @@ pub use memory::DeviceMemory;
 pub use nic::RxStats;
 pub use obs::ServiceMetrics;
 pub use pingpong::{MatchMode, PingPong, PingPongConfig, PingPongResult, Scenario};
-pub use rdma::SackBlocks;
 pub use reliable::{ReliabilityError, ReliabilityStats, ReliableSender};
 pub use service::{FeedbackController, MatchingService};

@@ -31,8 +31,8 @@
 //! mid-tick migration replays them all through the existing
 //! `FallbackState::pending` path, per-tenant FIFO intact.
 
-pub mod server;
-pub mod tenant;
+mod server;
+mod tenant;
 
-pub use server::{MatchServer, MatchdConfig, TenantConfig, TickReport};
+pub use server::{MatchServer, MatchdConfig, TenantConfig};
 pub use tenant::{Admission, TenantId, TenantSeries, TenantStats};

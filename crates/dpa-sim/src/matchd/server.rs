@@ -93,11 +93,11 @@ impl Default for MatchdConfig {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TickReport {
     /// The tick's ordinal (1-based).
-    pub tick: u64,
+    pub(crate) tick: u64,
     /// Requests the fair drain moved out of tenant ingress queues.
     pub drained: usize,
     /// Receives completed by this tick's progress call.
-    pub completed: usize,
+    pub(crate) completed: usize,
 }
 
 /// The long-lived multi-tenant matching server (see module docs).
@@ -158,11 +158,6 @@ impl MatchServer {
         let id = TenantId::from_index(self.tenants.len())?;
         self.tenants.push(Tenant::new(tenant));
         Some(id)
-    }
-
-    /// Number of tenants opened so far.
-    pub fn tenant_count(&self) -> usize {
-        self.tenants.len()
     }
 
     /// The wrapped service (engine stats, backend name, NIC access).
@@ -398,6 +393,13 @@ impl MatchServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MatchServer {
+        /// Number of tenants opened so far.
+        pub(crate) fn tenant_count(&self) -> usize {
+            self.tenants.len()
+        }
+    }
 
     #[test]
     fn the_last_tenant_gets_its_completions_and_one_more_is_refused() {

@@ -55,7 +55,7 @@ impl TenantId {
     /// service's own `reserve_recv` counter) occupies the high 16 bits:
     /// namespaces of different tenants — and of the service itself — are
     /// disjoint by construction.
-    pub fn handle(self, seq: u64) -> RecvHandle {
+    pub(crate) fn handle(self, seq: u64) -> RecvHandle {
         debug_assert!(self.0 < u16::MAX, "tenant {self} has no namespace");
         debug_assert!(seq < 1 << TENANT_SHIFT, "tenant handle space exhausted");
         RecvHandle(((self.0 as u64 + 1) << TENANT_SHIFT) | seq)
@@ -63,7 +63,7 @@ impl TenantId {
 
     /// Recovers the tenant a handle was minted for, or `None` for handles
     /// outside any tenant namespace (the service's plain counter).
-    pub fn of_handle(handle: RecvHandle) -> Option<TenantId> {
+    pub(crate) fn of_handle(handle: RecvHandle) -> Option<TenantId> {
         match handle.0 >> TENANT_SHIFT {
             0 => None,
             t => Some(TenantId((t - 1) as u16)),
@@ -171,25 +171,25 @@ json_fields!(TenantSeries: t, ingress_depth, completed);
 pub(super) struct Tenant {
     /// The communicator the tenant is pinned to (`None` = unpinned, world
     /// traffic).
-    pub comm: Option<CommId>,
-    pub ingress: VecDeque<TenantRequest>,
+    pub(crate) comm: Option<CommId>,
+    pub(crate) ingress: VecDeque<TenantRequest>,
     /// Ingress bound; submissions beyond it are backpressured.
-    pub capacity: usize,
+    pub(crate) capacity: usize,
     /// DRR quantum: requests this tenant may drain per scheduling round.
-    pub quantum: usize,
+    pub(crate) quantum: usize,
     /// Next handle sequence number in this tenant's namespace.
-    pub next_seq: u64,
-    pub closed: bool,
-    pub stats: TenantStats,
+    pub(crate) next_seq: u64,
+    pub(crate) closed: bool,
+    pub(crate) stats: TenantStats,
     /// Completions the server routed to this tenant, awaiting pickup.
-    pub completions: Vec<CompletedReceive>,
+    pub(crate) completions: Vec<CompletedReceive>,
     /// DRR credit carried between rounds (reset when the ingress empties).
-    pub deficit: u64,
-    pub series: TenantSeries,
+    pub(crate) deficit: u64,
+    pub(crate) series: TenantSeries,
 }
 
 impl Tenant {
-    pub fn new(config: TenantConfig) -> Self {
+    pub(super) fn new(config: TenantConfig) -> Self {
         Tenant {
             comm: config.comm,
             ingress: VecDeque::new(),
@@ -209,7 +209,7 @@ impl Tenant {
     /// communicator than the tenant's pin. A backpressured submission is
     /// told the ticks the drain needs, at this tenant's quantum, to free
     /// the overflow.
-    pub fn refusal<T>(&mut self, foreign: bool) -> Option<Admission<T>> {
+    pub(super) fn refusal<T>(&mut self, foreign: bool) -> Option<Admission<T>> {
         let reason = if self.closed {
             "tenant closed"
         } else if foreign {
@@ -227,13 +227,13 @@ impl Tenant {
     }
 
     /// Enqueues an admitted request.
-    pub fn push(&mut self, req: TenantRequest) {
+    pub(super) fn push(&mut self, req: TenantRequest) {
         self.ingress.push_back(req);
         self.stats.admitted += 1;
     }
 
     /// The counters, with the ingress depth as it is now.
-    pub fn stats(&self) -> TenantStats {
+    pub(super) fn stats(&self) -> TenantStats {
         TenantStats {
             ingress_depth: self.ingress.len(),
             ..self.stats
@@ -242,7 +242,7 @@ impl Tenant {
 
     /// Appends a point at tick `t` to the series, or refreshes the last
     /// one when it was taken at the same tick.
-    pub fn sample(&mut self, t: u64) {
+    pub(super) fn sample(&mut self, t: u64) {
         let s = &mut self.series;
         if s.t.last() == Some(&t) {
             s.t.pop();

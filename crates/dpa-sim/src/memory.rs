@@ -29,23 +29,18 @@ impl DeviceMemory {
         DeviceMemory::new(otm_base::memory::DPA_L3_BYTES)
     }
 
-    /// Total capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
     /// Bytes currently allocated.
     pub fn used(&self) -> u64 {
         self.used
     }
 
     /// Bytes still available.
-    pub fn available(&self) -> u64 {
+    pub(crate) fn available(&self) -> u64 {
         self.capacity - self.used
     }
 
     /// Attempts to allocate `bytes`.
-    pub fn try_alloc(&mut self, bytes: u64) -> Result<(), MatchError> {
+    pub(crate) fn try_alloc(&mut self, bytes: u64) -> Result<(), MatchError> {
         if bytes > self.available() {
             return Err(MatchError::OutOfDeviceMemory {
                 requested: bytes,
@@ -57,20 +52,22 @@ impl DeviceMemory {
     }
 
     /// Attempts to allocate one communicator's matching state.
-    pub fn try_alloc_comm(&mut self, fp: Footprint) -> Result<(), MatchError> {
+    pub(crate) fn try_alloc_comm(&mut self, fp: Footprint) -> Result<(), MatchError> {
         self.try_alloc(fp.total())
-    }
-
-    /// Releases `bytes` back to the budget.
-    pub fn free(&mut self, bytes: u64) {
-        debug_assert!(bytes <= self.used, "freeing more than allocated");
-        self.used = self.used.saturating_sub(bytes);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl DeviceMemory {
+        /// Releases `bytes` back to the budget.
+        fn free(&mut self, bytes: u64) {
+            debug_assert!(bytes <= self.used, "freeing more than allocated");
+            self.used = self.used.saturating_sub(bytes);
+        }
+    }
 
     #[test]
     fn alloc_and_free_round_trip() {

@@ -21,17 +21,17 @@ use std::collections::VecDeque;
 /// Default per-QP capacity of the out-of-order staging buffer. Sized to hold
 /// a full sender window so a single early drop never forces discards; a
 /// packet that overflows it is discarded and repaired by a timeout resend.
-pub const DEFAULT_STAGING_CAPACITY: usize = 64;
+pub(crate) const DEFAULT_STAGING_CAPACITY: usize = 64;
 
 /// A completion-queue entry: one arrived message staged in NIC memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Completion {
     /// The message header (envelope, inline hashes, protocol descriptor).
-    pub header: MessageHeader,
+    pub(crate) header: MessageHeader,
     /// Where the inline bytes were staged.
     pub bounce: BounceId,
     /// Monotone per-NIC message handle (arrival order).
-    pub msg: MsgHandle,
+    pub(crate) msg: MsgHandle,
 }
 
 /// Errors surfaced by the receive path.
@@ -184,7 +184,7 @@ impl RecvNic {
     ///
     /// # Panics
     ///
-    /// If `active` exceeds [`RecvNic::qp_count`].
+    /// If `active` exceeds the number of queue pairs the NIC was built with.
     pub(crate) fn rearm(&mut self, active: usize) {
         assert!(
             active <= self.qps.len(),
@@ -225,13 +225,8 @@ impl RecvNic {
         self.total_order = true;
     }
 
-    /// Whether the cross-QP total-order gate is enabled.
-    pub fn total_order(&self) -> bool {
-        self.total_order
-    }
-
     /// Packets currently parked in the total-order gate (diagnostics).
-    pub fn gate_parked_len(&self) -> usize {
+    pub(crate) fn gate_parked_len(&self) -> usize {
         self.gate.len()
     }
 
@@ -264,11 +259,6 @@ impl RecvNic {
         self.ack_due.push(false);
         self.staging.push(ReorderWindow::default());
         self.active = self.qps.len();
-    }
-
-    /// Number of queue pairs terminated here.
-    pub fn qp_count(&self) -> usize {
-        self.qps.len()
     }
 
     /// Drains every packet currently on the wire into bounce buffers,
@@ -555,23 +545,18 @@ impl RecvNic {
     }
 
     /// Completions waiting to be matched.
-    pub fn cq_len(&self) -> usize {
+    pub(crate) fn cq_len(&self) -> usize {
         self.cq.len()
     }
 
     /// Bounce buffers currently holding staged messages.
-    pub fn bounce_in_use(&self) -> usize {
+    pub(crate) fn bounce_in_use(&self) -> usize {
         self.pool.in_use()
-    }
-
-    /// Reads the staged bytes of a completion.
-    pub fn staged(&self, bounce: BounceId) -> &[u8] {
-        self.pool.data(bounce)
     }
 
     /// Moves the staged bytes of a completion out and returns its bounce
     /// buffer.
-    pub fn take_staged(&mut self, bounce: BounceId) -> Vec<u8> {
+    pub(crate) fn take_staged(&mut self, bounce: BounceId) -> Vec<u8> {
         self.pool.take(bounce)
     }
 
@@ -586,7 +571,7 @@ impl RecvNic {
     /// # Panics
     ///
     /// If the NIC terminates no queue pair.
-    pub fn qp(&self) -> &QueuePair {
+    pub(crate) fn qp(&self) -> &QueuePair {
         &self.qps[0]
     }
 
@@ -596,20 +581,9 @@ impl RecvNic {
         self.rx_stats
     }
 
-    /// Out-of-order packets currently staged on queue pair `qp`
-    /// (diagnostics).
-    pub fn staged_out_of_order_len(&self, qp: usize) -> usize {
-        self.staging[qp].len()
-    }
-
     /// What the installed fault plan injected so far, if one is active.
     pub fn wire_fault_stats(&self) -> Option<WireFaultStats> {
         self.faults.as_ref().map(WireFaults::stats)
-    }
-
-    /// The next expected sequence number on queue pair `qp` (diagnostics).
-    pub fn expected_seq(&self, qp: usize) -> u64 {
-        self.staging[qp].base()
     }
 }
 
@@ -618,6 +592,29 @@ mod tests {
     use super::*;
     use crate::rdma::{connected_pair, eager_packet, SackBlocks};
     use otm_base::{Envelope, Rank, Tag};
+
+    impl RecvNic {
+        /// Reads the staged bytes of a completion.
+        fn staged(&self, bounce: BounceId) -> &[u8] {
+            self.pool.data(bounce)
+        }
+
+        /// Number of queue pairs terminated here.
+        fn qp_count(&self) -> usize {
+            self.qps.len()
+        }
+
+        /// Out-of-order packets currently staged on queue pair `qp`
+        /// (diagnostics).
+        fn staged_out_of_order_len(&self, qp: usize) -> usize {
+            self.staging[qp].len()
+        }
+
+        /// The next expected sequence number on queue pair `qp` (diagnostics).
+        fn expected_seq(&self, qp: usize) -> u64 {
+            self.staging[qp].base()
+        }
+    }
 
     fn nic_pair(buffers: usize) -> (QueuePair, RecvNic) {
         let (a, b) = connected_pair();

@@ -47,21 +47,21 @@ pub struct ServiceMetrics;
 #[derive(Debug, Default, PartialEq)]
 pub(crate) struct ServiceCounts {
     /// Receives completed (`dpa_completions_total`).
-    pub completions: u64,
+    pub(crate) completions: u64,
     /// Polls that ran out of bounce buffers: a message had to wait on the
     /// wire because NIC staging memory ran out (`dpa_bounce_spills_total`).
-    pub bounce_spills: u64,
+    pub(crate) bounce_spills: u64,
     /// Retries of a failed command-queue drain (`dpa_drain_retries_total`).
-    pub drain_retries: u64,
+    pub(crate) drain_retries: u64,
     /// Submissions a full per-communicator ring refused; the service drained
     /// inline and retried (`dpa_ring_backpressure_total`).
-    pub ring_backpressure: u64,
+    pub(crate) ring_backpressure: u64,
     /// Retry budgets exhausted into a software fallback, as opposed to an
     /// explicit one (`dpa_fallback_escalations_total`).
-    pub fallback_escalations: u64,
+    pub(crate) fallback_escalations: u64,
     /// Backoff lengths, in virtual polls, recorded before each drain retry
     /// (`dpa_backoff_polls`).
-    pub backoff_polls: HistogramSnapshot,
+    pub(crate) backoff_polls: HistogramSnapshot,
     /// Queue depths at the last observation, and the high-water marks of
     /// the first two.
     cq_depth: u64,
@@ -74,7 +74,7 @@ pub(crate) struct ServiceCounts {
 impl ServiceCounts {
     /// Sets the queue-depth gauges and raises their peaks.
     #[inline]
-    pub fn observe_queues(&mut self, cq: usize, bounce: usize, unexpected: usize) {
+    pub(crate) fn observe_queues(&mut self, cq: usize, bounce: usize, unexpected: usize) {
         (self.cq_depth, self.bounce_in_use) = (cq as u64, bounce as u64);
         self.unexpected_depth = unexpected as u64;
         self.cq_depth_peak = self.cq_depth_peak.max(self.cq_depth);
@@ -82,7 +82,7 @@ impl ServiceCounts {
     }
 
     /// The counts, gauges and histogram under their registry names.
-    pub fn snapshot(&self) -> RegistrySnapshot {
+    pub(crate) fn snapshot(&self) -> RegistrySnapshot {
         let mut snap = RegistrySnapshot::default();
         for (name, n) in [
             ("dpa_completions_total", self.completions),

@@ -59,7 +59,7 @@ pub enum MatchMode {
 
 impl MatchMode {
     /// The Fig. 8 series label for this mode/scenario combination.
-    pub fn label(&self, scenario: Scenario) -> &'static str {
+    pub(crate) fn label(&self, scenario: Scenario) -> &'static str {
         match (self, scenario) {
             (MatchMode::OptimisticDpa { .. }, Scenario::NoConflict) => "Optimistic-DPA NC",
             (MatchMode::OptimisticDpa { fast_path: true }, Scenario::WithConflict) => {
@@ -115,9 +115,9 @@ pub struct PingPongResult {
     /// sequence the host preempted does not move the figure.
     pub msgs_per_sec: f64,
     /// Total messages exchanged.
-    pub total_messages: u64,
+    pub(crate) total_messages: u64,
     /// Total measured time (sum of per-sequence times).
-    pub elapsed: Duration,
+    pub(crate) elapsed: Duration,
     /// Engine statistics for offloaded runs (verifies which path ran).
     pub engine_stats: Option<otm::StatsSnapshot>,
     /// Combined observability snapshot (service queue gauges + engine

@@ -92,7 +92,7 @@ impl RdmaDomain {
     /// while registered: a sender registers its payload right before the
     /// RTS, and the receiving service deregisters it once the RDMA READ
     /// that completes the message has pulled it.
-    pub fn register(&self, data: Vec<u8>) -> RKey {
+    pub(crate) fn register(&self, data: Vec<u8>) -> RKey {
         let mut inner = self.inner.borrow_mut();
         inner.next_rkey += 1;
         let key = inner.next_rkey;
@@ -106,7 +106,7 @@ impl RdmaDomain {
     /// region's bytes and replaces `out`; the head is never regrown, since a
     /// regrowth bypasses the allocator's per-thread cache that a fresh
     /// allocation is served from. `out` is untouched on an error.
-    pub fn read_into(
+    pub(crate) fn read_into(
         &self,
         rkey: RKey,
         offset: usize,
@@ -135,16 +135,11 @@ impl RdmaDomain {
     pub fn deregister(&self, rkey: RKey) {
         self.inner.borrow_mut().by_rkey.remove(&rkey.0);
     }
-
-    /// Number of currently registered regions (diagnostics).
-    pub fn region_count(&self) -> usize {
-        self.inner.borrow().by_rkey.len()
-    }
 }
 
 /// How a message's payload travels (§IV-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PayloadKind {
+pub(crate) enum PayloadKind {
     /// The full payload rides in the packet.
     Eager {
         /// Payload length in bytes.
@@ -165,29 +160,29 @@ pub enum PayloadKind {
 /// Maximum number of `[start, end)` ranges one ack can advertise. Four
 /// blocks cover four independent holes; a wire hostile enough to fragment
 /// the staging buffer further is repaired by the next ack's refreshed view.
-pub const MAX_SACK_BLOCKS: usize = 4;
+pub(crate) const MAX_SACK_BLOCKS: usize = 4;
 
 /// Fixed-size set of selective-acknowledgement ranges carried in an ack.
 ///
 /// Each block is a half-open `[start, end)` run of sequence numbers the
 /// receiver holds in its out-of-order staging buffer. Fixed-size (rather
-/// than a `Vec`) so an [`Ack`] stays `Copy`, matching real NIC ack
+/// than a `Vec`) so an `Ack` stays `Copy`, matching real NIC ack
 /// descriptors which budget a handful of SACK slots per packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SackBlocks {
+pub(crate) struct SackBlocks {
     blocks: [(u64, u64); MAX_SACK_BLOCKS],
     len: u8,
 }
 
 impl SackBlocks {
     /// An empty SACK set (what plain cumulative acks carry).
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Self::default()
     }
 
     /// Appends a `[start, end)` block. Returns `false` (dropping the block)
     /// once all slots are used — later acks re-advertise the survivors.
-    pub fn push(&mut self, start: u64, end: u64) -> bool {
+    pub(crate) fn push(&mut self, start: u64, end: u64) -> bool {
         debug_assert!(start < end, "SACK blocks are non-empty half-open ranges");
         if (self.len as usize) < MAX_SACK_BLOCKS {
             self.blocks[self.len as usize] = (start, end);
@@ -198,42 +193,31 @@ impl SackBlocks {
         }
     }
 
-    /// Number of blocks advertised.
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-
     /// Whether no blocks are advertised.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// Iterates the advertised `(start, end)` ranges.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.blocks[..self.len as usize].iter().copied()
     }
 
     /// Whether `seq` falls inside any advertised block.
-    pub fn contains(&self, seq: u64) -> bool {
+    pub(crate) fn contains(&self, seq: u64) -> bool {
         self.iter().any(|(start, end)| seq >= start && seq < end)
-    }
-
-    /// Highest sequence number covered by any block, if one is advertised.
-    /// The sender fast-retransmits holes below this watermark.
-    pub fn highest(&self) -> Option<u64> {
-        self.iter().map(|(_, end)| end - 1).max()
     }
 }
 
 /// The matching-relevant message header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MessageHeader {
+pub(crate) struct MessageHeader {
     /// The MPI envelope (source, tag, communicator).
-    pub env: Envelope,
+    pub(crate) env: Envelope,
     /// Sender-side inline hash values (§IV-D).
-    pub hashes: InlineHashes,
+    pub(crate) hashes: InlineHashes,
     /// Protocol selection and transfer descriptor.
-    pub kind: PayloadKind,
+    pub(crate) kind: PayloadKind,
 }
 
 /// One packet on the wire: header plus inline bytes (the eager payload, or
@@ -241,27 +225,27 @@ pub struct MessageHeader {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WirePacket {
     /// Message header.
-    pub header: MessageHeader,
+    pub(crate) header: MessageHeader,
     /// Inline bytes.
-    pub inline: Vec<u8>,
+    pub(crate) inline: Vec<u8>,
     /// Reliability sequence number, stamped by a `ReliableSender`. `None`
     /// marks legacy/control traffic that bypasses the reliability protocol
     /// (and is never touched by fault injection, which only targets
     /// sequenced data packets).
-    pub seq: Option<u64>,
+    pub(crate) seq: Option<u64>,
     /// Global delivery sequence number across all of the *receiver's* queue
     /// pairs, stamped by a sender that participates in total-order delivery
     /// (the application-replay driver stamps the trace position here).
     /// Orthogonal to `seq`, which orders packets within one QP: `gseq`
     /// orders accepted packets across QPs when the receive NIC's
     /// total-order gate is enabled, and is ignored otherwise.
-    pub gseq: Option<u64>,
+    pub(crate) gseq: Option<u64>,
 }
 
 impl WirePacket {
     /// Stamps a reliability sequence number on the packet.
     #[must_use]
-    pub fn with_seq(mut self, seq: u64) -> Self {
+    pub(crate) fn with_seq(mut self, seq: u64) -> Self {
         self.seq = Some(seq);
         self
     }
@@ -280,19 +264,19 @@ impl WirePacket {
 /// it expects). Transport control traffic: it is unsequenced, untouched by
 /// fault injection, and never reaches the matching engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Ack {
+pub(crate) struct Ack {
     /// The receiver's next expected sequence number.
-    pub cumulative: u64,
+    pub(crate) cumulative: u64,
     /// Sequenced packets held above `cumulative` in the receiver's staging
     /// buffer (empty when nothing is staged).
-    pub sack: SackBlocks,
+    pub(crate) sack: SackBlocks,
 }
 
 /// What a queue pair carries: a data packet, or an acknowledgement — kept
 /// out of [`WirePacket`] so no data packet (nor the window entry, staged
 /// packet and completion made from it) carries an ack's SACK blocks.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Frame {
+pub(crate) enum Frame {
     /// A message: eager payload or rendezvous descriptor.
     Data(WirePacket),
     /// A reliability acknowledgement.
@@ -335,7 +319,7 @@ impl QueuePair {
     }
 
     /// Sends a cumulative acknowledgement carrying `sack` to the peer.
-    pub fn send_ack(&self, cumulative: u64, sack: SackBlocks) -> Result<(), RdmaError> {
+    pub(crate) fn send_ack(&self, cumulative: u64, sack: SackBlocks) -> Result<(), RdmaError> {
         self.push(Frame::Ack(Ack { cumulative, sack }))
     }
 
@@ -353,7 +337,7 @@ impl QueuePair {
     }
 
     /// Non-blocking receive of the next frame, if one has arrived.
-    pub fn try_recv(&self) -> Result<Option<Frame>, RdmaError> {
+    pub(crate) fn try_recv(&self) -> Result<Option<Frame>, RdmaError> {
         let frame = self.rx().frames.borrow_mut().pop_front();
         match frame {
             Some(frame) => Ok(Some(frame)),
@@ -364,7 +348,7 @@ impl QueuePair {
     /// Takes every frame that has arrived and returns how many: they go
     /// behind what `out` holds, and an empty `out` trades buffers with the
     /// lane, so neither side allocates in steady state.
-    pub fn recv_all(&self, out: &mut VecDeque<Frame>) -> Result<usize, RdmaError> {
+    pub(crate) fn recv_all(&self, out: &mut VecDeque<Frame>) -> Result<usize, RdmaError> {
         let mut frames = self.rx().frames.borrow_mut();
         let n = frames.len();
         if n == 0 {
@@ -446,6 +430,26 @@ pub fn rendezvous_packet(
 mod tests {
     use super::*;
     use otm_base::{Rank, Tag};
+
+    impl SackBlocks {
+        /// Number of blocks advertised.
+        pub(crate) fn len(&self) -> usize {
+            self.len as usize
+        }
+
+        /// Highest sequence number covered by any block, if one is advertised.
+        /// The sender fast-retransmits holes below this watermark.
+        fn highest(&self) -> Option<u64> {
+            self.iter().map(|(_, end)| end - 1).max()
+        }
+    }
+
+    impl RdmaDomain {
+        /// Number of currently registered regions (diagnostics).
+        pub(crate) fn region_count(&self) -> usize {
+            self.inner.borrow().by_rkey.len()
+        }
+    }
 
     fn env() -> Envelope {
         Envelope::world(Rank(0), Tag(1))

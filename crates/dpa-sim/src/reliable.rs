@@ -45,20 +45,20 @@ use std::collections::VecDeque;
 /// The label artifacts and bench reports carry in their `mode` key: there is
 /// one protocol, and the key keeps new artifacts comparable with the
 /// committed ones.
-pub const PROTOCOL_LABEL: &str = "selective-repeat";
+pub(crate) const PROTOCOL_LABEL: &str = "selective-repeat";
 
 /// Default number of polls without progress before the first retransmit
 /// (also the floor of the RTT-driven timeout).
-pub const DEFAULT_TIMEOUT_POLLS: u64 = 8;
+pub(crate) const DEFAULT_TIMEOUT_POLLS: u64 = 8;
 
 /// Default cap on consecutive retransmit attempts for one window.
-pub const DEFAULT_MAX_RETRIES: u32 = 16;
+pub(crate) const DEFAULT_MAX_RETRIES: u32 = 16;
 
 /// Default ceiling on packets in flight (the adaptive window's cap).
 pub const DEFAULT_WINDOW_LIMIT: usize = 64;
 
 /// The adaptive window never shrinks below this many packets.
-pub const MIN_WINDOW_LIMIT: usize = 4;
+pub(crate) const MIN_WINDOW_LIMIT: usize = 4;
 
 /// Ceiling on the exponentially growing timeout, in polls.
 const MAX_TIMEOUT_POLLS: u64 = 1 << 20;
@@ -101,7 +101,7 @@ pub struct ReliabilityStats {
     pub retransmits: u64,
     /// Resend events — timeouts or fast-retransmit bursts, each of which
     /// may retransmit several packets.
-    pub resend_events: u64,
+    pub(crate) resend_events: u64,
     /// Packets fast-retransmitted because a SACK exposed them as holes
     /// (a subset of `retransmits`).
     pub fast_retransmits: u64,
@@ -115,7 +115,7 @@ pub struct ReliabilityStats {
     pub backoff_polls: u64,
     /// RTT samples folded into the smoothed estimate (Karn-filtered:
     /// only packets acknowledged without ever being retransmitted).
-    pub rtt_samples: u64,
+    pub(crate) rtt_samples: u64,
 }
 
 /// One unacknowledged packet in flight.
@@ -185,7 +185,7 @@ impl ReliableSender {
 
     /// Wraps `qp` with an explicit base timeout (polls before the first
     /// retransmit; also the RTT-driven timeout's floor) and retry budget.
-    pub fn with_limits(qp: QueuePair, timeout_polls: u64, max_retries: u32) -> Self {
+    pub(crate) fn with_limits(qp: QueuePair, timeout_polls: u64, max_retries: u32) -> Self {
         let timeout_polls = timeout_polls.max(1);
         ReliableSender {
             qp,
@@ -244,7 +244,7 @@ impl ReliableSender {
     }
 
     /// Does nothing: the sender counts in its own fields, read by
-    /// [`ReliableSender::observability_snapshot`]. The benchmark package
+    /// `ReliableSender::observability_snapshot`. The benchmark package
     /// still calls it with [`crate::MatchingService::metrics`]; it goes
     /// with [`crate::MatchingService::enable_command_queue`] (ROADMAP
     /// item 1).
@@ -258,7 +258,7 @@ impl ReliableSender {
     /// The service's snapshot lists neither counter; merged into it, the
     /// timeouts join the service's drain-retry backoffs in
     /// `dpa_backoff_polls`.
-    pub fn observability_snapshot(&self) -> RegistrySnapshot {
+    pub(crate) fn observability_snapshot(&self) -> RegistrySnapshot {
         let mut snap = RegistrySnapshot::default();
         for (name, n) in [
             ("dpa_acks_total", self.stats.acks),
@@ -271,12 +271,6 @@ impl ReliableSender {
         snap.hists
             .insert("dpa_backoff_polls".to_string(), self.timeouts.clone());
         snap
-    }
-
-    /// The span ring of the retransmitted packets.
-    #[cfg(feature = "trace-events")]
-    pub fn span_recorder(&self) -> &otm_metrics::SpanRecorder {
-        &self.spans
     }
 
     /// Sends one packet reliably: stamps it with the next sequence number,
@@ -308,11 +302,6 @@ impl ReliableSender {
         self.window.len() < self.cwnd
     }
 
-    /// The current adaptive in-flight limit.
-    pub fn window_limit(&self) -> usize {
-        self.cwnd
-    }
-
     /// Sets the ceiling on packets in flight. The adaptive limit is clamped
     /// into the new cap and can reopen up to it.
     pub fn set_window_limit(&mut self, cap: usize) {
@@ -320,22 +309,6 @@ impl ReliableSender {
         self.window_cap = cap;
         self.cwnd = self.cwnd.min(cap);
         self.spare.truncate(cap);
-    }
-
-    /// The smoothed RTT estimate in polls, once a sample exists.
-    pub fn srtt_polls(&self) -> Option<u64> {
-        self.srtt
-    }
-
-    /// The configured base timeout (the RTT-driven timeout's floor).
-    pub fn base_timeout(&self) -> u64 {
-        self.base_timeout
-    }
-
-    /// The current retransmit timeout in polls (diagnostics; regression
-    /// tests assert the post-recovery decay).
-    pub fn current_timeout_polls(&self) -> u64 {
-        self.timeout_polls
     }
 
     /// Folds one Karn-eligible RTT sample into the smoothed estimate.
@@ -513,45 +486,15 @@ impl ReliableSender {
         Ok(app_packets)
     }
 
-    /// Polls until every sent packet is acknowledged or the retry budget
-    /// runs out. `max_polls` bounds the loop for safety.
-    pub fn flush(&mut self, max_polls: u64) -> Result<(), ReliabilityError> {
-        for _ in 0..max_polls {
-            if self.window.is_empty() {
-                return Ok(());
-            }
-            self.poll()?;
-        }
-        if self.window.is_empty() {
-            Ok(())
-        } else {
-            Err(ReliabilityError::BudgetExhausted {
-                retries: self.retries,
-                unacked: self.window.len(),
-            })
-        }
-    }
-
     /// Packets sent but not yet cumulatively acknowledged (SACKed packets
     /// still count until the cumulative edge passes them).
     pub fn unacked(&self) -> usize {
         self.window.len()
     }
 
-    /// The next sequence number to be assigned.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
     /// Protocol counters.
     pub fn stats(&self) -> ReliabilityStats {
         self.stats
-    }
-
-    /// The wrapped endpoint (e.g. for sending unsequenced control
-    /// traffic that bypasses the reliability protocol).
-    pub fn qp(&self) -> &QueuePair {
-        &self.qp
     }
 }
 
@@ -560,6 +503,59 @@ mod tests {
     use super::*;
     use crate::rdma::{connected_pair, eager_packet, SackBlocks};
     use otm_base::{Envelope, Rank, Tag};
+
+    impl ReliableSender {
+        /// Polls until every sent packet is acknowledged or the retry budget
+        /// runs out. `max_polls` bounds the loop for safety.
+        fn flush(&mut self, max_polls: u64) -> Result<(), ReliabilityError> {
+            for _ in 0..max_polls {
+                if self.window.is_empty() {
+                    return Ok(());
+                }
+                self.poll()?;
+            }
+            if self.window.is_empty() {
+                Ok(())
+            } else {
+                Err(ReliabilityError::BudgetExhausted {
+                    retries: self.retries,
+                    unacked: self.window.len(),
+                })
+            }
+        }
+
+        /// The span ring of the retransmitted packets.
+        #[cfg(feature = "trace-events")]
+        fn span_recorder(&self) -> &otm_metrics::SpanRecorder {
+            &self.spans
+        }
+
+        /// The current adaptive in-flight limit.
+        fn window_limit(&self) -> usize {
+            self.cwnd
+        }
+
+        /// The smoothed RTT estimate in polls, once a sample exists.
+        fn srtt_polls(&self) -> Option<u64> {
+            self.srtt
+        }
+
+        /// The configured base timeout (the RTT-driven timeout's floor).
+        fn base_timeout(&self) -> u64 {
+            self.base_timeout
+        }
+
+        /// The current retransmit timeout in polls (diagnostics; regression
+        /// tests assert the post-recovery decay).
+        fn current_timeout_polls(&self) -> u64 {
+            self.timeout_polls
+        }
+
+        /// The next sequence number to be assigned.
+        fn next_seq(&self) -> u64 {
+            self.next_seq
+        }
+    }
 
     fn env(tag: u32) -> Envelope {
         Envelope::world(Rank(0), Tag(tag))

@@ -252,7 +252,7 @@ pub struct MatchingService {
 /// migrates. Each retry records one step of the exponential backoff
 /// schedule in the `dpa_backoff_polls` histogram — the simulator's clock is
 /// the poll count, so the backoff is recorded rather than slept.
-pub const DEFAULT_DRAIN_RETRY_BUDGET: u32 = 3;
+pub(crate) const DEFAULT_DRAIN_RETRY_BUDGET: u32 = 3;
 
 /// An inert stand-in for the feedback controller the service no longer
 /// runs: [`MatchingService::attach_controller`] drops it. The benchmark
@@ -388,13 +388,13 @@ impl MatchingService {
     }
 
     /// One combined registry snapshot: the service's own counts, queue
-    /// gauges and drain-retry backoff histogram (see [`crate::obs`]), the
+    /// gauges and drain-retry backoff histogram (see the `obs` module), the
     /// counts read from their other owners — the poll clock, the fallback
     /// flag, the NIC's receive counters and the wire's injected faults
     /// (zeros without a fault plan) — merged with, when the backend is the
     /// offloaded engine, the engine's [`OtmEngine::metrics_snapshot`]. The
     /// senders' counts are theirs
-    /// ([`crate::ReliableSender::observability_snapshot`]).
+    /// (`ReliableSender::observability_snapshot`).
     pub fn observability_snapshot(&self) -> otm_metrics::RegistrySnapshot {
         let mut snap = self.counts.snapshot();
         let rx = self.nic.rx_stats();
@@ -429,7 +429,7 @@ impl MatchingService {
 
     /// The backlog matching left behind: completions still on the CQ plus
     /// messages waiting in the unexpected store (the series' queue depth).
-    pub fn backlog(&self) -> u64 {
+    pub(crate) fn backlog(&self) -> u64 {
         (self.nic.cq_len() + self.unexpected.len()) as u64
     }
 
@@ -831,11 +831,6 @@ impl MatchingService {
         self.completed.drain(..).collect()
     }
 
-    /// Completed receives waiting to be taken.
-    pub fn completed_len(&self) -> usize {
-        self.completed.len()
-    }
-
     /// Unexpected messages currently stored.
     pub fn unexpected_len(&self) -> usize {
         self.unexpected.len()
@@ -859,6 +854,13 @@ mod tests {
     use crate::bounce::BouncePool;
     use crate::rdma::{connected_pair, eager_packet, rendezvous_packet, QueuePair};
     use otm_base::{CommHints, CommId, Rank, SourceSel, Tag};
+
+    impl MatchingService {
+        /// Completed receives waiting to be taken.
+        fn completed_len(&self) -> usize {
+            self.completed.len()
+        }
+    }
 
     fn setup(mode: &str) -> (QueuePair, RdmaDomain, MatchingService) {
         let (tx, rx) = connected_pair();

@@ -11,11 +11,11 @@
 use crate::json::{JsonWriter, WriteJson};
 
 /// Number of log2 buckets: one for zero plus one per bit of `u64`.
-pub const NUM_BUCKETS: usize = 65;
+pub(crate) const NUM_BUCKETS: usize = 65;
 
 /// Index of the bucket that counts `value`.
 #[inline]
-pub fn bucket_index(value: u64) -> usize {
+pub(crate) fn bucket_index(value: u64) -> usize {
     if value == 0 {
         0
     } else {
@@ -25,7 +25,7 @@ pub fn bucket_index(value: u64) -> usize {
 
 /// Inclusive upper bound of bucket `i` (saturating at `u64::MAX`).
 #[inline]
-pub fn bucket_upper_bound(i: usize) -> u64 {
+pub(crate) fn bucket_upper_bound(i: usize) -> u64 {
     if i == 0 {
         0
     } else if i >= 64 {
@@ -38,7 +38,7 @@ pub fn bucket_upper_bound(i: usize) -> u64 {
 /// A log2-bucketed histogram of `u64` values, owned by what records into it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
-    /// Per-bucket observation counts (see [`bucket_index`]).
+    /// Per-bucket observation counts (see `bucket_index`).
     pub buckets: [u64; NUM_BUCKETS],
     /// Sum of all observations.
     pub sum: u64,
@@ -92,7 +92,7 @@ impl HistogramSnapshot {
     }
 
     /// Mean of the recorded values, or `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
+    pub(crate) fn mean(&self) -> Option<f64> {
         if self.count == 0 {
             None
         } else {
@@ -106,7 +106,7 @@ impl HistogramSnapshot {
     /// The estimate is the upper bound of the first bucket whose
     /// cumulative count reaches `q * count`, clamped to the recorded
     /// maximum, so it errs high by at most a factor of two.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
+    pub(crate) fn quantile(&self, q: f64) -> Option<u64> {
         if self.count == 0 {
             return None;
         }
@@ -122,21 +122,6 @@ impl HistogramSnapshot {
         Some(self.max)
     }
 
-    /// Median estimate (`quantile(0.5)`).
-    pub fn p50(&self) -> Option<u64> {
-        self.quantile(0.5)
-    }
-
-    /// 95th-percentile estimate.
-    pub fn p95(&self) -> Option<u64> {
-        self.quantile(0.95)
-    }
-
-    /// 99th-percentile estimate.
-    pub fn p99(&self) -> Option<u64> {
-        self.quantile(0.99)
-    }
-
     /// Element-wise sum of two histograms (several owners' under one name).
     pub fn merge(&self, other: &Self) -> Self {
         let mut buckets = self.buckets;
@@ -149,13 +134,6 @@ impl HistogramSnapshot {
             count: self.count + other.count,
             max: self.max.max(other.max),
         }
-    }
-
-    /// Renders the snapshot as a standalone JSON string.
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        self.write_json(&mut w);
-        w.finish()
     }
 }
 
@@ -196,6 +174,30 @@ impl WriteJson for HistogramSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl HistogramSnapshot {
+        /// Renders the snapshot as a standalone JSON string.
+        fn to_json(&self) -> String {
+            let mut w = JsonWriter::new();
+            self.write_json(&mut w);
+            w.finish()
+        }
+
+        /// Median estimate (`quantile(0.5)`).
+        fn p50(&self) -> Option<u64> {
+            self.quantile(0.5)
+        }
+
+        /// 95th-percentile estimate.
+        fn p95(&self) -> Option<u64> {
+            self.quantile(0.95)
+        }
+
+        /// 99th-percentile estimate.
+        fn p99(&self) -> Option<u64> {
+            self.quantile(0.99)
+        }
+    }
 
     #[test]
     fn bucket_boundaries_at_powers_of_two() {

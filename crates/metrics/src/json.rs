@@ -81,19 +81,19 @@ impl JsonWriter {
     }
 
     /// Emits an unsigned integer value.
-    pub fn value_u64(&mut self, v: u64) {
+    pub(crate) fn value_u64(&mut self, v: u64) {
         self.before_value();
         self.out.push_str(&v.to_string());
     }
 
     /// Emits a signed integer value.
-    pub fn value_i64(&mut self, v: i64) {
+    pub(crate) fn value_i64(&mut self, v: i64) {
         self.before_value();
         self.out.push_str(&v.to_string());
     }
 
     /// Emits a float value (`null` when not finite, as JSON has no NaN).
-    pub fn value_f64(&mut self, v: f64) {
+    pub(crate) fn value_f64(&mut self, v: f64) {
         self.before_value();
         if v.is_finite() {
             self.out.push_str(&format!("{v}"));
@@ -103,13 +103,13 @@ impl JsonWriter {
     }
 
     /// Emits a boolean value.
-    pub fn value_bool(&mut self, v: bool) {
+    pub(crate) fn value_bool(&mut self, v: bool) {
         self.before_value();
         self.out.push_str(if v { "true" } else { "false" });
     }
 
     /// Emits a `null`.
-    pub fn value_null(&mut self) {
+    pub(crate) fn value_null(&mut self) {
         self.before_value();
         self.out.push_str("null");
     }
@@ -127,7 +127,7 @@ impl JsonWriter {
     }
 
     /// `key` + signed integer value.
-    pub fn field_i64(&mut self, name: &str, v: i64) {
+    pub(crate) fn field_i64(&mut self, name: &str, v: i64) {
         self.key(name);
         self.value_i64(v);
     }
@@ -284,7 +284,7 @@ impl<T: WriteJson> WriteJson for BTreeMap<String, T> {
 /// label values. [`crate::registry::labelled`] uses it, so a rendered
 /// `name{label="v"}` key stays one parseable identity inside the JSON
 /// artifacts that key metrics by it.
-pub fn escape_label_value(out: &mut String, s: &str) {
+pub(crate) fn escape_label_value(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

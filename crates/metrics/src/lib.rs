@@ -4,10 +4,10 @@
 //! Every count, gauge, histogram and span ring is plain data owned by the
 //! one thing that updates it; nothing here is shared, locked or atomic.
 //!
-//! * [`HistogramSnapshot`] ([`hist`]) — a log2-bucketed histogram its
+//! * [`HistogramSnapshot`] (`hist`) — a log2-bucketed histogram its
 //!   owner records into with plain adds; quantiles (p50/p95/p99/max) are
 //!   estimated from the bucket upper bounds.
-//! * [`RegistrySnapshot`] ([`registry`]) — named counters, gauges and
+//! * [`RegistrySnapshot`] (`registry`) — named counters, gauges and
 //!   histograms, a value each owner builds from its own fields under the
 //!   names the artifacts read ([`labelled`] renders `name{label="v"}`).
 //!   Snapshots of several owners merge ([`RegistrySnapshot::merge`]) and
@@ -15,28 +15,29 @@
 //!
 //! On top of these sit the two flight-recorder layers:
 //!
-//! * [`SpanRecorder`] ([`span`]) — per-message lifecycle events
+//! * [`SpanRecorder`] (`span`) — per-message lifecycle events
 //!   (`posted` → `enqueued` → `packed` → `matched{path}`, plus
 //!   `retransmitted`/`fell_back`) with explicit drop accounting, JSONL and
 //!   Chrome `trace_event` export, and derived per-path post→match latency
 //!   histograms.
-//! * [`SeriesRecorder`] ([`series`]) — a rolling sampler that distills
+//! * [`SeriesRecorder`] (`series`) — a rolling sampler that distills
 //!   registry snapshots into Fig. 6/7-style time-series curves at a fixed
 //!   virtual-time cadence, rendered as a columnar JSON artifact.
 //!
 //! The crate deliberately has **no dependencies**: JSON is emitted by a
 //! tiny hand-rolled writer ([`json`]), timestamps come from a monotonic
-//! process-start epoch ([`now_ns`]). Snapshots are always compiled in;
+//! process-start epoch (`now_ns`). Snapshots are always compiled in;
 //! consumers gate only their [`SpanRecorder`]s behind `trace-events`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
 
-pub mod hist;
+mod hist;
 pub mod json;
-pub mod registry;
-pub mod series;
-pub mod span;
+mod registry;
+mod series;
+mod span;
 
 pub use hist::HistogramSnapshot;
 pub use registry::{labelled, RegistrySnapshot};
@@ -54,7 +55,7 @@ use std::time::Instant;
 /// A monotonic, process-local epoch: cheap and non-decreasing. Used to
 /// timestamp [`SpanEvent`]s, so the rings of the engine, the service and
 /// the senders share one timeline.
-pub fn now_ns() -> u64 {
+pub(crate) fn now_ns() -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     let epoch = EPOCH.get_or_init(Instant::now);
     epoch.elapsed().as_nanos() as u64

@@ -23,16 +23,16 @@ use crate::span::MATCH_PATHS;
 /// Registry keys the sampler distills, in artifact order.
 mod keys {
     /// Per-path resolution counters (`{path="nc"|"wc_fp"|"wc_sp"|"post"}`).
-    pub const RESOLUTIONS: &str = "otm_resolutions_total";
+    pub(super) const RESOLUTIONS: &str = "otm_resolutions_total";
     /// Total matched pairs (all paths).
-    pub const MATCHED: &str = "otm_matched_total";
+    pub(super) const MATCHED: &str = "otm_matched_total";
     /// Packets the reliable senders retransmitted (timeout resends and
     /// fast retransmits).
-    pub const RETRANSMITS: &str = "dpa_retransmits_total";
+    pub(super) const RETRANSMITS: &str = "dpa_retransmits_total";
     /// Software-fallback migrations.
-    pub const FALLBACKS: &str = "dpa_fallbacks_total";
+    pub(super) const FALLBACKS: &str = "dpa_fallbacks_total";
     /// Block fill-level histogram (running mean → occupancy curve).
-    pub const OCCUPANCY: &str = "otm_block_occupancy";
+    pub(super) const OCCUPANCY: &str = "otm_block_occupancy";
 }
 
 /// One sampled point of the run's time series. All counter-derived fields
@@ -46,7 +46,7 @@ pub struct SeriesPoint {
     pub queue_depth: u64,
     /// Running mean block occupancy (`otm_block_occupancy` sum/count), or
     /// 0 before the first block executes.
-    pub block_occupancy: f64,
+    pub(crate) block_occupancy: f64,
     /// Cumulative matches per resolution path, indexed by
     /// [`crate::span::MatchPath::index`] (`nc`, `wc_fp`, `wc_sp`, `post`).
     pub path_counts: [u64; 4],
@@ -178,14 +178,6 @@ impl SeriesRecorder {
     pub fn last(&self) -> Option<&SeriesPoint> {
         self.points.last()
     }
-
-    /// Renders the series as a standalone JSON string (deterministic for a
-    /// deterministic run: same seed + same cadence ⇒ byte-identical).
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        self.write_json(&mut w);
-        w.finish()
-    }
 }
 
 /// Writes the series as a columnar JSON object:
@@ -260,6 +252,16 @@ mod tests {
     use super::*;
     use crate::hist::HistogramSnapshot;
     use crate::span::MatchPath;
+
+    impl SeriesRecorder {
+        /// Renders the series as a standalone JSON string (deterministic for a
+        /// deterministic run: same seed + same cadence ⇒ byte-identical).
+        fn to_json(&self) -> String {
+            let mut w = JsonWriter::new();
+            self.write_json(&mut w);
+            w.finish()
+        }
+    }
 
     /// Adds `n` to counter `name` of `snap`.
     fn add(snap: &mut RegistrySnapshot, name: &str, n: u64) {

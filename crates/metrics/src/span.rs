@@ -6,11 +6,12 @@
 //! `retransmitted{attempt}`, `fell_back`. Each component pushes
 //! [`SpanEvent`]s into a [`SpanRecorder`] it owns — a bounded ring with an
 //! **explicit dropped-events counter** (every overwritten event is
-//! accounted for) — and the recorder can replay the retained window as:
+//! accounted for) — and its retained window ([`SpanRecorder::dump`]) renders
+//! as:
 //!
-//! * **JSONL** ([`SpanRecorder::to_jsonl`]): one JSON object per line, easy
-//!   to grep and to stream-parse;
-//! * **Chrome `trace_event` JSON** ([`SpanRecorder::to_chrome_trace`]): the
+//! * **JSONL** ([`spans_to_jsonl`]): one JSON object per line, easy to grep
+//!   and to stream-parse;
+//! * **Chrome `trace_event` JSON** ([`spans_to_chrome_trace`]): the
 //!   `{"traceEvents": [...]}` envelope that <https://ui.perfetto.dev> and
 //!   `chrome://tracing` open directly, with one track per subject: `pid`
 //!   0 / 1 groups message and receive subjects, `tid` is the subject's id
@@ -119,7 +120,7 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Stable event name used in both export formats.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             SpanKind::Posted => "posted",
             SpanKind::Enqueued => "enqueued",
@@ -135,7 +136,7 @@ impl SpanKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanEvent {
     /// Nanoseconds since the process's first observation ([`crate::now_ns`]).
-    pub t_ns: u64,
+    pub(crate) t_ns: u64,
     /// The subject's identity: message handle for arrivals, receive handle
     /// for posts, sequence number for wire packets.
     pub subject: u64,
@@ -179,11 +180,6 @@ impl SpanRecorder {
             pushed: 0,
             dropped: 0,
         }
-    }
-
-    /// Maximum retained events.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Stamps and records one event, dropping the oldest when the ring is
@@ -240,16 +236,6 @@ impl SpanRecorder {
         self.ring.clear();
         self.pushed = 0;
         self.dropped = 0;
-    }
-
-    /// The retained window as JSON Lines (one event object per line).
-    pub fn to_jsonl(&self) -> String {
-        spans_to_jsonl(&self.dump())
-    }
-
-    /// The retained window in Chrome `trace_event` format (Perfetto-ready).
-    pub fn to_chrome_trace(&self) -> String {
-        spans_to_chrome_trace(&self.dump())
     }
 
     /// Per-path post→match latency histograms derived from the retained
@@ -367,6 +353,18 @@ pub fn latency_by_path(events: &[SpanEvent]) -> [HistogramSnapshot; 4] {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SpanRecorder {
+        /// The retained window as JSON Lines (one event object per line).
+        fn to_jsonl(&self) -> String {
+            spans_to_jsonl(&self.dump())
+        }
+
+        /// The retained window in Chrome `trace_event` format (Perfetto-ready).
+        fn to_chrome_trace(&self) -> String {
+            spans_to_chrome_trace(&self.dump())
+        }
+    }
 
     #[test]
     fn overflow_is_counted_not_silent() {

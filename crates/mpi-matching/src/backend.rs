@@ -199,7 +199,7 @@ pub struct FallbackState {
 impl FallbackState {
     /// A snapshot of applied matching state only, with no pending commands
     /// (what a host matcher's state reads as before its queue is added).
-    pub fn from_state(
+    pub(crate) fn from_state(
         receives: Vec<(ReceivePattern, RecvHandle)>,
         unexpected: Vec<(Envelope, MsgHandle)>,
     ) -> Self {

@@ -94,24 +94,12 @@ impl BinnedMatcher {
         }
     }
 
-    /// Number of bins per hash table.
-    pub fn bins(&self) -> usize {
-        self.bins
-    }
-
-    /// Fraction of PRQ bins currently empty — one of the statistics the
-    /// paper's analyzer records (§V-A).
-    pub fn prq_empty_bin_fraction(&self) -> f64 {
-        let empty = self.prq_bins.iter().filter(|b| b.is_empty()).count();
-        empty as f64 / self.bins as f64
-    }
-
     /// Copies out the full matching state: pending receives re-serialized
     /// into post order (the bins and the wildcard list are merged by post
     /// label) and unexpected messages in arrival order — the
     /// [`FallbackState`](crate::backend::FallbackState) shape the backend
     /// trait's drain hands to a replacement matcher.
-    pub fn snapshot_state(&self) -> crate::backend::FallbackState {
+    pub(crate) fn snapshot_state(&self) -> crate::backend::FallbackState {
         let mut posted: Vec<PostedRecv> = self
             .prq_bins
             .iter()
@@ -332,6 +320,15 @@ mod tests {
     use super::*;
     use crate::oracle::{MatchEvent, Oracle};
     use otm_base::{Rank, Tag};
+
+    impl BinnedMatcher {
+        /// Fraction of PRQ bins currently empty — one of the statistics the
+        /// paper's analyzer records (§V-A).
+        fn prq_empty_bin_fraction(&self) -> f64 {
+            let empty = self.prq_bins.iter().filter(|b| b.is_empty()).count();
+            empty as f64 / self.bins as f64
+        }
+    }
 
     fn post(src: u32, tag: u32) -> MatchEvent {
         MatchEvent::Post(ReceivePattern::exact(Rank(src), Tag(tag)))

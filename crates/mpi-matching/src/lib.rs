@@ -3,7 +3,7 @@
 //! This crate provides the substrates the paper compares *Optimistic Tag
 //! Matching* against, plus the machinery used to verify it:
 //!
-//! * [`matcher`] — the common [`matcher::Matcher`] interface: post a
+//! * `matcher` — the common [`Matcher`] interface: post a
 //!   receive, deliver a message, observe search-depth statistics;
 //! * [`backend`] — the [`backend::MatchingBackend`] interface the SmartNIC
 //!   simulator's service layer drives every engine through (submit / drain
@@ -29,10 +29,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
 
 pub mod backend;
 pub mod binned;
-pub mod matcher;
+mod matcher;
 pub mod oracle;
 pub mod protocol;
 pub mod rank_based;

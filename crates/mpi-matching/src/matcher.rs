@@ -52,17 +52,6 @@ pub enum ArriveResult {
     Unexpected,
 }
 
-impl ArriveResult {
-    /// The matched receive handle, if any.
-    #[inline]
-    pub fn matched(self) -> Option<RecvHandle> {
-        match self {
-            ArriveResult::Matched(r) => Some(r),
-            ArriveResult::Unexpected => None,
-        }
-    }
-}
-
 /// A sequential MPI tag-matching engine.
 ///
 /// Implementations must uphold the MPI matching constraints:
@@ -112,6 +101,17 @@ pub trait Matcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ArriveResult {
+        /// The matched receive handle, if any.
+        #[inline]
+        fn matched(self) -> Option<RecvHandle> {
+            match self {
+                ArriveResult::Matched(r) => Some(r),
+                ArriveResult::Unexpected => None,
+            }
+        }
+    }
 
     #[test]
     fn post_result_accessor() {

@@ -19,26 +19,6 @@
 /// transport tuning knob.
 pub const DEFAULT_EAGER_THRESHOLD: usize = 8 * 1024;
 
-/// Which protocol a message of a given size uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ProtocolKind {
-    /// Payload travels with the message.
-    Eager,
-    /// Sender announces with an RTS; receiver pulls via RDMA read.
-    Rendezvous,
-}
-
-/// Selects the protocol for a message of `len` bytes under the given
-/// threshold: messages *strictly larger* than the threshold rendezvous.
-#[inline]
-pub fn protocol_for(len: usize, eager_threshold: usize) -> ProtocolKind {
-    if len <= eager_threshold {
-        ProtocolKind::Eager
-    } else {
-        ProtocolKind::Rendezvous
-    }
-}
-
 /// A transport-level action requested by a protocol state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Action {
@@ -65,7 +45,7 @@ pub enum Action {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProtocolStateError {
     /// Human-readable description of the violation.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl std::fmt::Display for ProtocolStateError {
@@ -106,16 +86,6 @@ impl EagerTransfer {
         }
     }
 
-    /// Payload length in bytes.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the payload is empty (zero-byte messages are legal in MPI).
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// The match completed: request the staging-to-user copy.
     pub fn on_match(&mut self) -> Result<Action, ProtocolStateError> {
         match self.state {
@@ -137,11 +107,6 @@ impl EagerTransfer {
             EagerState::Staged => state_error("eager copy completed before match"),
             EagerState::Complete => state_error("eager copy completed twice"),
         }
-    }
-
-    /// Whether the transfer has completed.
-    pub fn is_complete(&self) -> bool {
-        self.state == EagerState::Complete
     }
 }
 
@@ -183,11 +148,6 @@ impl RendezvousTransfer {
         }
     }
 
-    /// The RTS descriptor.
-    pub fn rts(&self) -> Rts {
-        self.rts
-    }
-
     /// The match completed: request the RDMA read of the remaining payload
     /// (anything piggybacked on the RTS is already local).
     pub fn on_match(&mut self) -> Result<Action, ProtocolStateError> {
@@ -219,16 +179,50 @@ impl RendezvousTransfer {
             RndvState::Complete => state_error("RDMA read completed twice"),
         }
     }
-
-    /// Whether the transfer has completed.
-    pub fn is_complete(&self) -> bool {
-        self.state == RndvState::Complete
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl EagerTransfer {
+        /// Whether the payload is empty (zero-byte messages are legal in MPI).
+        fn is_empty(&self) -> bool {
+            self.len == 0
+        }
+
+        /// Whether the transfer has completed.
+        fn is_complete(&self) -> bool {
+            self.state == EagerState::Complete
+        }
+    }
+
+    impl RendezvousTransfer {
+        /// Whether the transfer has completed.
+        fn is_complete(&self) -> bool {
+            self.state == RndvState::Complete
+        }
+    }
+
+    /// Which protocol a message of a given size uses.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    enum ProtocolKind {
+        /// Payload travels with the message.
+        Eager,
+        /// Sender announces with an RTS; receiver pulls via RDMA read.
+        Rendezvous,
+    }
+
+    /// Selects the protocol for a message of `len` bytes under the given
+    /// threshold: messages *strictly larger* than the threshold rendezvous.
+    #[inline]
+    fn protocol_for(len: usize, eager_threshold: usize) -> ProtocolKind {
+        if len <= eager_threshold {
+            ProtocolKind::Eager
+        } else {
+            ProtocolKind::Rendezvous
+        }
+    }
 
     #[test]
     fn threshold_selects_protocol() {

@@ -30,7 +30,7 @@ json_fields!(DepthAggregate: count, sum, max);
 impl DepthAggregate {
     /// Records one sample.
     #[inline]
-    pub fn record(&mut self, depth: usize) {
+    pub(crate) fn record(&mut self, depth: usize) {
         let d = depth as u64;
         self.count += 1;
         self.sum += d;
@@ -50,20 +50,10 @@ impl DepthAggregate {
     }
 
     /// Merges another aggregate into this one.
-    pub fn merge(&mut self, other: &DepthAggregate) {
+    pub(crate) fn merge(&mut self, other: &DepthAggregate) {
         self.count += other.count;
         self.sum += other.sum;
         self.max = self.max.max(other.max);
-    }
-
-    /// Samples recorded since `prev` was taken (saturating). `max` is a
-    /// high-water mark and carries the current value.
-    pub fn delta(&self, prev: &DepthAggregate) -> DepthAggregate {
-        DepthAggregate {
-            count: self.count.saturating_sub(prev.count),
-            sum: self.sum.saturating_sub(prev.sum),
-            max: self.max,
-        }
     }
 }
 
@@ -176,24 +166,6 @@ impl MatchStats {
         self.prq_high_water = self.prq_high_water.max(other.prq_high_water);
         self.umq_high_water = self.umq_high_water.max(other.umq_high_water);
     }
-
-    /// Activity recorded since `prev` was taken (saturating per counter).
-    /// High-water marks are instantaneous maxima and carry their current
-    /// values rather than a difference.
-    pub fn delta(&self, prev: &MatchStats) -> MatchStats {
-        MatchStats {
-            prq_search: self.prq_search.delta(&prev.prq_search),
-            umq_search: self.umq_search.delta(&prev.umq_search),
-            matched_on_arrival: self
-                .matched_on_arrival
-                .saturating_sub(prev.matched_on_arrival),
-            unexpected: self.unexpected.saturating_sub(prev.unexpected),
-            matched_on_post: self.matched_on_post.saturating_sub(prev.matched_on_post),
-            posted: self.posted.saturating_sub(prev.posted),
-            prq_high_water: self.prq_high_water,
-            umq_high_water: self.umq_high_water,
-        }
-    }
 }
 
 /// The optimistic engine's statistics at one instant, or (see
@@ -249,15 +221,6 @@ impl StatsSnapshot {
             0.0
         } else {
             self.search_depth_sum as f64 / self.search_count as f64
-        }
-    }
-
-    /// Fraction of messages that resolved a conflict (either path).
-    pub fn conflict_rate(&self) -> f64 {
-        if self.messages == 0 {
-            0.0
-        } else {
-            (self.fast_path + self.slow_path) as f64 / self.messages as f64
         }
     }
 
@@ -317,6 +280,49 @@ impl StatsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl DepthAggregate {
+        /// Samples recorded since `prev` was taken (saturating). `max` is a
+        /// high-water mark and carries the current value.
+        fn delta(&self, prev: &DepthAggregate) -> DepthAggregate {
+            DepthAggregate {
+                count: self.count.saturating_sub(prev.count),
+                sum: self.sum.saturating_sub(prev.sum),
+                max: self.max,
+            }
+        }
+    }
+
+    impl MatchStats {
+        /// Activity recorded since `prev` was taken (saturating per counter).
+        /// High-water marks are instantaneous maxima and carry their current
+        /// values rather than a difference.
+        fn delta(&self, prev: &MatchStats) -> MatchStats {
+            MatchStats {
+                prq_search: self.prq_search.delta(&prev.prq_search),
+                umq_search: self.umq_search.delta(&prev.umq_search),
+                matched_on_arrival: self
+                    .matched_on_arrival
+                    .saturating_sub(prev.matched_on_arrival),
+                unexpected: self.unexpected.saturating_sub(prev.unexpected),
+                matched_on_post: self.matched_on_post.saturating_sub(prev.matched_on_post),
+                posted: self.posted.saturating_sub(prev.posted),
+                prq_high_water: self.prq_high_water,
+                umq_high_water: self.umq_high_water,
+            }
+        }
+    }
+
+    impl StatsSnapshot {
+        /// Fraction of messages that resolved a conflict (either path).
+        fn conflict_rate(&self) -> f64 {
+            if self.messages == 0 {
+                0.0
+            } else {
+                (self.fast_path + self.slow_path) as f64 / self.messages as f64
+            }
+        }
+    }
 
     #[test]
     fn aggregate_tracks_count_sum_max() {

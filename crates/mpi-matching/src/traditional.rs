@@ -163,7 +163,7 @@ impl TraditionalMatcher {
     /// and unexpected messages in arrival order — the
     /// [`FallbackState`](crate::backend::FallbackState) shape the backend
     /// trait's drain hands to a replacement matcher.
-    pub fn snapshot_state(&self) -> crate::backend::FallbackState {
+    pub(crate) fn snapshot_state(&self) -> crate::backend::FallbackState {
         crate::backend::FallbackState::from_state(
             self.prq.iter().copied().collect(),
             self.umq.iter().copied().collect(),

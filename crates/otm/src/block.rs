@@ -29,26 +29,26 @@ use otm_base::{CommHints, Envelope, InlineHashes};
 
 /// One lane's input for the current block.
 #[derive(Debug, Clone, Copy)]
-pub struct LaneData {
+pub(crate) struct LaneData {
     /// The incoming message's envelope.
-    pub env: Envelope,
+    pub(crate) env: Envelope,
     /// The caller's message handle.
-    pub handle: MsgHandle,
+    pub(crate) handle: MsgHandle,
     /// Sender-side inline hashes (§IV-D).
-    pub hashes: InlineHashes,
+    pub(crate) hashes: InlineHashes,
     /// The hints of the message's communicator (§VII).
-    pub hints: CommHints,
+    pub(crate) hints: CommHints,
     /// The place of the message's communicator in the engine's directory,
     /// the shards the coordinator lends to `worker::run_block`.
-    pub shard: usize,
+    pub(crate) shard: usize,
 }
 
 /// Lane result encoding stored in [`BlockState::results`].
 pub(crate) mod result_code {
     /// Lane has not produced a result yet.
-    pub const UNSET: u64 = u64::MAX;
+    pub(crate) const UNSET: u64 = u64::MAX;
     /// The message was unexpected.
-    pub const UNEXPECTED: u64 = u64::MAX - 1;
+    pub(crate) const UNEXPECTED: u64 = u64::MAX - 1;
     // Any other value is the matched descriptor id.
 }
 
@@ -61,25 +61,25 @@ pub(crate) const NO_DESC: DescId = DescId::MAX;
 #[derive(Debug)]
 pub(crate) struct BlockState {
     /// Monotone block number used to stamp consumed descriptors.
-    pub epoch: u64,
+    pub(crate) epoch: u64,
     /// Flag bitmap: lane detected a direct conflict.
-    pub conflicted: u64,
+    pub(crate) conflicted: u64,
     /// Flag bitmap: lane skipped a lower-booked receive during the search
     /// (early-booking check) — poisons the fast path of later lanes.
-    pub forced: u64,
+    pub(crate) forced: u64,
     /// The block's lanes, in arrival order.
-    pub lanes: Vec<LaneData>,
+    pub(crate) lanes: Vec<LaneData>,
     /// What the block's lanes and its coordinator count; zero between blocks.
-    pub tally: Tally,
+    pub(crate) tally: Tally,
     /// Per-lane outcome of the optimistic search (of an overtaking lane, its
     /// first), carried from the first sweep to the other two and to the
     /// tally's search depths; `None` until the lane has searched.
-    pub searches: Vec<Option<SearchOutcome>>,
+    pub(crate) searches: Vec<Option<SearchOutcome>>,
     /// Per-lane result (see [`result_code`]).
-    pub results: Vec<u64>,
+    pub(crate) results: Vec<u64>,
     /// Per-lane descriptor booked in the optimistic phase ([`NO_DESC`] =
     /// none); the coordinator clears these bookings at block end.
-    pub booked_desc: Vec<DescId>,
+    pub(crate) booked_desc: Vec<DescId>,
     /// Fail-point: the detection sweep panics on this lane.
     #[cfg(test)]
     pub fail_lane: Option<usize>,
@@ -87,7 +87,7 @@ pub(crate) struct BlockState {
 
 impl BlockState {
     /// Creates the arena for blocks of up to `n_lanes` messages.
-    pub fn new(n_lanes: usize) -> Self {
+    pub(crate) fn new(n_lanes: usize) -> Self {
         BlockState {
             epoch: 0,
             conflicted: 0,
@@ -104,7 +104,7 @@ impl BlockState {
 
     /// Starts the next block: bumps the epoch and resets the per-lane state
     /// for the `n` lanes the caller has put in [`BlockState::lanes`].
-    pub fn reset_for_block(&mut self, n: usize) {
+    pub(crate) fn reset_for_block(&mut self, n: usize) {
         self.epoch += 1;
         self.conflicted = 0;
         self.forced = 0;
@@ -119,7 +119,7 @@ impl BlockState {
 
 /// Bit mask of all lanes strictly below `lane`.
 #[inline]
-pub fn below_mask(lane: usize) -> u64 {
+pub(crate) fn below_mask(lane: usize) -> u64 {
     (1u64 << lane) - 1
 }
 

@@ -32,7 +32,7 @@
 //! paper's threads are *lanes* here: the engine steps a block's lanes through
 //! steps 2–5 on the calling thread, one sweep per phase in lane order, which
 //! is a legal schedule of the protocol (every wait above is on lower lanes;
-//! see [`block`]) and starts no thread. The `dpa-sim` crate
+//! see the `block` module) and starts no thread. The `dpa-sim` crate
 //! embeds the engine behind a completion-queue/queue-pair interface to model
 //! the BlueField-3 DPA deployment of §IV.
 //!
@@ -60,16 +60,17 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
 
-pub mod block;
-pub mod command;
-pub mod engine;
+mod block;
+mod command;
+mod engine;
 pub mod index;
 pub mod list;
 mod metrics;
 pub mod scheduler;
-pub mod shard;
-pub mod stats;
+mod shard;
+mod stats;
 pub mod table;
 pub mod umq;
 mod worker;

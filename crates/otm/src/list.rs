@@ -48,9 +48,9 @@ pub(crate) trait Slab {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexHome {
     /// The class of the receives that are posted on, or search, the list.
-    pub class: WildcardClass,
+    pub(crate) class: WildcardClass,
     /// `view · bins + bin`.
-    pub list: u32,
+    pub(crate) list: u32,
 }
 
 /// The entries of a list from `first` on, following the links of `view`.

@@ -37,9 +37,9 @@ const SPAN_CAPACITY: usize = 256 * 1024;
 #[derive(Debug, Default)]
 pub(crate) struct DepthPeaks {
     /// `otm_drain_lane_depth_peak{comm}`.
-    pub lane: Option<u64>,
+    pub(crate) lane: Option<u64>,
     /// `otm_submission_ring_depth_peak{comm}`.
-    pub ring: Option<u64>,
+    pub(crate) ring: Option<u64>,
 }
 
 /// Raises a high-water mark to `depth`, listing it if it was not.
@@ -60,7 +60,7 @@ pub(crate) struct EngineMetrics {
 
 impl EngineMetrics {
     /// Empty instruments.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             search_depth: HistogramSnapshot::empty(),
             umq_match_depth: HistogramSnapshot::empty(),
@@ -76,7 +76,7 @@ impl EngineMetrics {
     /// on post. A block that ran to its end adds its occupancy — how well
     /// the drain's packing fills blocks — and, with `trace-events`, its
     /// latency.
-    pub fn add(
+    pub(crate) fn add(
         &mut self,
         t: &Tally,
         search_depths: impl IntoIterator<Item = u64>,
@@ -92,7 +92,7 @@ impl EngineMetrics {
     }
 
     /// Empties every histogram and the span ring, keeping its allocation.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.search_depth.reset();
         self.umq_match_depth.reset();
         self.block_occupancy.reset();
@@ -106,7 +106,7 @@ impl EngineMetrics {
     /// engine's published statistics. A message a block matched took
     /// exactly one path, so the slow path's is what the other two leave of
     /// `matched`, and `otm_matched_total == Σ otm_resolutions_total{path}`.
-    pub fn snapshot<'a>(
+    pub(crate) fn snapshot<'a>(
         &self,
         stats: &StatsSnapshot,
         peaks: impl IntoIterator<Item = (CommId, &'a DepthPeaks)>,
@@ -156,13 +156,13 @@ impl EngineMetrics {
     /// receive handle). Ring overflow is accounted in
     /// `otm_span_dropped_total`.
     #[cfg(feature = "trace-events")]
-    pub fn span_push(&mut self, subject: u64, kind: otm_metrics::SpanKind) {
+    pub(crate) fn span_push(&mut self, subject: u64, kind: otm_metrics::SpanKind) {
         self.spans.push(subject, kind);
     }
 
     /// The lifecycle span recorder.
     #[cfg(feature = "trace-events")]
-    pub fn spans(&self) -> &otm_metrics::SpanRecorder {
+    pub(crate) fn spans(&self) -> &otm_metrics::SpanRecorder {
         &self.spans
     }
 }

@@ -28,7 +28,7 @@ use std::collections::VecDeque;
 /// One communicator's matching state. Posting and block-end cleanup write it
 /// through `&mut`; block lanes read it through `&` and write nothing but the
 /// slot atomics inside `table`.
-pub struct ShardHost {
+pub(crate) struct ShardHost {
     /// The fixed-size receive descriptor table.
     pub(crate) table: ReceiveTable,
     /// The four posted-receive index structures.
@@ -57,7 +57,7 @@ impl ShardHost {
 }
 
 /// One communicator: its matching state, its hints and its command queue.
-pub struct CommShard {
+pub(crate) struct CommShard {
     /// The matching state.
     pub(crate) host: ShardHost,
     /// The communicator's matching hints (§VII), fixed at its creation (§IV-E).
@@ -136,7 +136,7 @@ pub(crate) type Entry = (CommId, CommShard);
 /// moves only when a communicator is added or the shards are reset, which
 /// neither a drain nor a block does.
 #[derive(Debug, Default)]
-pub struct ShardMap {
+pub(crate) struct ShardMap {
     /// Every communicator used since the last reset, in `CommId` order.
     pub(crate) live: Vec<Entry>,
     /// Emptied shards, in no order: taken back when their communicator is
@@ -152,7 +152,7 @@ pub(crate) fn locate<T>(shards: &[(CommId, T)], comm: CommId) -> Result<usize, u
 
 impl ShardMap {
     /// An empty directory.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ShardMap::default()
     }
 
@@ -186,7 +186,7 @@ impl ShardMap {
     /// Declares `comm` with `hints`; fails if the communicator already
     /// exists (hints are fixed at communicator creation, like the DPA's
     /// resource allocation).
-    pub fn try_declare(
+    pub(crate) fn try_declare(
         &mut self,
         comm: CommId,
         config: &MatchConfig,
@@ -225,19 +225,21 @@ impl ShardMap {
     }
 
     /// Number of communicators seen so far.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.live.len()
-    }
-
-    /// Whether no communicator has been used yet.
-    pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ShardMap {
+        /// Whether no communicator has been used yet.
+        fn is_empty(&self) -> bool {
+            self.live.is_empty()
+        }
+    }
 
     fn ids(map: &ShardMap) -> Vec<u16> {
         map.live.iter().map(|(id, _)| id.0).collect()

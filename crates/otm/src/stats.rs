@@ -22,9 +22,9 @@ pub use mpi_matching::stats::StatsSnapshot;
 #[derive(Debug, Default)]
 pub(crate) struct Tally {
     /// What the engine's counters grow by.
-    pub stats: StatsSnapshot,
+    pub(crate) stats: StatsSnapshot,
     /// How long the block's lanes took, if it ran to its end (timed only
     /// where spans are stamped).
     #[cfg(feature = "trace-events")]
-    pub latency_ns: u64,
+    pub(crate) latency_ns: u64,
 }

@@ -10,7 +10,7 @@
 //! while tombstones from older blocks are skipped).
 //!
 //! The table has no lock: it lives inside its communicator's
-//! [`ShardHost`](crate::shard::ShardHost), which the engine owns outright.
+//! `ShardHost`, which the engine owns outright.
 //! Posting and block-end cleanup allocate and release slots
 //! through `&mut`; block lanes get `&` and only ever read payloads and update
 //! the three atomics, which are the protocol's own shared state (§III-C) and
@@ -25,12 +25,12 @@ use otm_base::{MatchError, PostLabel, ReceivePattern, SeqId, WildcardClass};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 /// Index of a descriptor slot within the table.
-pub type DescId = u32;
+pub(crate) type DescId = u32;
 
 /// Lifecycle states of a descriptor slot.
 pub mod state {
     /// Slot is unused and on the free list.
-    pub const FREE: u8 = 0;
+    pub(crate) const FREE: u8 = 0;
     /// Slot holds a posted, not-yet-matched receive.
     pub const POSTED: u8 = 1;
     /// Slot's receive has been matched; the slot is a tombstone until the
@@ -97,7 +97,7 @@ impl Slot {
 
     /// The payload written when the slot was allocated.
     #[inline]
-    pub fn payload(&self) -> Payload {
+    pub(crate) fn payload(&self) -> Payload {
         self.payload
     }
 
@@ -109,26 +109,26 @@ impl Slot {
 
     /// Whether the slot currently holds a live (posted) receive.
     #[inline]
-    pub fn is_posted(&self) -> bool {
+    pub(crate) fn is_posted(&self) -> bool {
         self.state() == state::POSTED
     }
 
     /// Books this receive for block thread `lane`, returning the bitmap
     /// value *before* the booking.
     #[inline]
-    pub fn book(&self, lane: usize) -> u64 {
+    pub(crate) fn book(&self, lane: usize) -> u64 {
         self.booking.fetch_or(1u64 << lane, Ordering::AcqRel)
     }
 
     /// Loads the booking bitmap.
     #[inline]
-    pub fn booking(&self) -> u64 {
+    pub(crate) fn booking(&self) -> u64 {
         self.booking.load(Ordering::Acquire)
     }
 
     /// Clears the booking bitmap (block-end cleanup).
     #[inline]
-    pub fn clear_booking(&self) {
+    pub(crate) fn clear_booking(&self) {
         self.booking.store(0, Ordering::Release);
     }
 
@@ -153,7 +153,7 @@ impl Slot {
     /// The epoch stamped by [`Slot::try_consume`]. Meaningful only while the
     /// state is `CONSUMED`.
     #[inline]
-    pub fn consumed_epoch(&self) -> u64 {
+    pub(crate) fn consumed_epoch(&self) -> u64 {
         self.consumed_epoch.load(Ordering::Acquire)
     }
 }
@@ -188,18 +188,13 @@ impl ReceiveTable {
     /// Frees every slot ever allocated and lowers the watermark to 0: the
     /// table reads as new, and the next allocations take the ids a new table
     /// would. Touches only the slots below the watermark.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         for slot in &mut self.slots[..self.watermark as usize] {
             *slot.state.get_mut() = state::FREE;
             *slot.booking.get_mut() = 0;
         }
         self.free.clear();
         self.watermark = 0;
-    }
-
-    /// Total capacity.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
     }
 
     /// Number of slots currently allocated (posted or tombstoned).

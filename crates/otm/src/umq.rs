@@ -198,7 +198,7 @@ impl UnexpectedStore {
     /// Empties the store in place: the slab, its free list and every list,
     /// keeping what they allocated. The next message takes slot 0, as in a
     /// new store.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.slab.clear();
         self.free.clear();
         self.lists.clear();

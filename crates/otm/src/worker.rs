@@ -16,8 +16,8 @@ use otm_base::MatchConfig;
 
 /// What every lane uses of its engine (`metrics` to stamp lifecycle spans).
 pub(crate) struct LaneCtx<'a> {
-    pub metrics: &'a mut EngineMetrics,
-    pub config: &'a MatchConfig,
+    pub(crate) metrics: &'a mut EngineMetrics,
+    pub(crate) config: &'a MatchConfig,
 }
 
 /// Runs one block (§III-C, §III-D): three sweeps over `block.lanes`, after

@@ -373,7 +373,7 @@ pub fn read_trace<R: Read>(inp: R) -> Result<AppTrace, CacheError> {
 }
 
 /// Saves a trace cache to a file.
-pub fn save(trace: &AppTrace, path: &Path) -> Result<(), CacheError> {
+pub(crate) fn save(trace: &AppTrace, path: &Path) -> Result<(), CacheError> {
     let file = std::fs::File::create(path)?;
     write_trace(trace, std::io::BufWriter::new(file))
 }

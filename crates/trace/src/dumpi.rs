@@ -33,9 +33,9 @@ use std::path::Path;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     /// 1-based line number.
-    pub line: usize,
+    pub(crate) line: usize,
     /// Description.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl std::fmt::Display for ParseError {
@@ -388,7 +388,7 @@ fn tagsel_to_i64(t: TagSel) -> i64 {
 
 /// Parses a trace directory: files `dumpi-<rank>.txt`, one per rank, parsed
 /// in parallel across worker threads.
-pub fn parse_trace_dir(dir: &Path, app_name: &str) -> Result<AppTrace, String> {
+pub(crate) fn parse_trace_dir(dir: &Path, app_name: &str) -> Result<AppTrace, String> {
     let mut rank_files: Vec<(u32, std::path::PathBuf)> = Vec::new();
     for entry in std::fs::read_dir(dir).map_err(|e| format!("reading {dir:?}: {e}"))? {
         let entry = entry.map_err(|e| e.to_string())?;

@@ -25,11 +25,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
 
 pub mod cache;
 pub mod dumpi;
 pub mod model;
-pub mod obs;
+mod obs;
 pub mod replay;
 pub mod report;
 

@@ -52,7 +52,7 @@ json_fields!(CallDistribution: p2p, collective, one_sided, progress);
 
 impl CallDistribution {
     /// Total communication calls (excluding progress).
-    pub fn comm_total(&self) -> u64 {
+    pub(crate) fn comm_total(&self) -> u64 {
         self.p2p + self.collective + self.one_sided
     }
 
@@ -75,7 +75,7 @@ impl CallDistribution {
     }
 
     /// Fraction of one-sided among communication calls.
-    pub fn one_sided_fraction(&self) -> f64 {
+    pub(crate) fn one_sided_fraction(&self) -> f64 {
         if self.comm_total() == 0 {
             0.0
         } else {
@@ -103,9 +103,9 @@ json_fields!(TagUsage: distinct_tags, distinct_src_tag_pairs, wildcard_recv_frac
 #[derive(Debug, Clone)]
 pub struct AppReport {
     /// Application name (Table II).
-    pub name: String,
+    pub(crate) name: String,
     /// Number of processes in the trace.
-    pub processes: usize,
+    pub(crate) processes: usize,
     /// Bin count the replay used.
     pub bins: usize,
     /// Fig. 6 call distribution.
@@ -117,7 +117,7 @@ pub struct AppReport {
     /// Maximum search depth over both queues.
     pub max_queue_depth: u64,
     /// Average empty-bin fraction sampled at progress points.
-    pub avg_empty_bin_fraction: f64,
+    pub(crate) avg_empty_bin_fraction: f64,
     /// Tag usage statistics.
     pub tag_usage: TagUsage,
     /// Receives still pending when the trace ended.
@@ -128,7 +128,7 @@ pub struct AppReport {
     pub datapoints: usize,
     /// Events each rank's matcher replayed, one sample per rank with any
     /// (read by [`crate::obs::observability`]; not part of the row).
-    pub rank_events: HistogramSnapshot,
+    pub(crate) rank_events: HistogramSnapshot,
 }
 
 // The Fig. 6/7 artifact row.

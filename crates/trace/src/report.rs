@@ -23,20 +23,20 @@ pub fn fig7_cell(report: &AppReport) -> String {
     )
 }
 
-/// The Fig. 7 summary line: average queue depth across applications for a
-/// given bin count (the red line of the figure).
-pub fn fig7_average(reports: &[AppReport]) -> f64 {
-    if reports.is_empty() {
-        return 0.0;
-    }
-    reports.iter().map(|r| r.mean_queue_depth).sum::<f64>() / reports.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::replay::{CallDistribution, TagUsage};
     use mpi_matching::MatchStats;
+
+    /// The Fig. 7 summary line: average queue depth across applications for a
+    /// given bin count (the red line of the figure).
+    fn fig7_average(reports: &[AppReport]) -> f64 {
+        if reports.is_empty() {
+            return 0.0;
+        }
+        reports.iter().map(|r| r.mean_queue_depth).sum::<f64>() / reports.len() as f64
+    }
 
     fn report(name: &str, bins: usize, mean: f64, max: u64) -> AppReport {
         AppReport {

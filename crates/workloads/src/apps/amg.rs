@@ -13,10 +13,10 @@ use otm_trace::model::CollectiveKind;
 use otm_trace::AppTrace;
 
 /// Table II process count.
-pub const PROCESSES: usize = 8;
+pub(crate) const PROCESSES: usize = 8;
 
 /// Generates the AMG trace.
-pub fn generate(_seed: u64) -> AppTrace {
+pub(crate) fn generate(_seed: u64) -> AppTrace {
     let mut b = TraceBuilder::new("AMG", PROCESSES);
     let dims = grid3d_dims(PROCESSES);
     let cycles = 6;

@@ -15,10 +15,10 @@ use otm_trace::model::CollectiveKind;
 use otm_trace::AppTrace;
 
 /// Table II process count.
-pub const PROCESSES: usize = 64;
+pub(crate) const PROCESSES: usize = 64;
 
 /// Generates the AMR MiniApp trace.
-pub fn generate(seed: u64) -> AppTrace {
+pub(crate) fn generate(seed: u64) -> AppTrace {
     let mut rng = FaultRng::new(seed ^ 0xA3A3);
     let mut b = TraceBuilder::new("AMR MiniApp", PROCESSES);
     let dims = grid3d_dims(PROCESSES);

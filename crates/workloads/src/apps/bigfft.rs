@@ -14,12 +14,12 @@ use otm_base::{Rank, Tag};
 use otm_trace::AppTrace;
 
 /// Table II process count.
-pub const PROCESSES: usize = 1024;
+pub(crate) const PROCESSES: usize = 1024;
 
 const SIDE: usize = 32; // 32x32 pencil grid
 
 /// Generates the BigFFT trace.
-pub fn generate(_seed: u64) -> AppTrace {
+pub(crate) fn generate(_seed: u64) -> AppTrace {
     let mut b = TraceBuilder::new("BigFFT", PROCESSES);
     // One forward transform: a row transpose then a column transpose.
     for (phase, by_row) in [(0u32, true), (1u32, false)] {

@@ -23,16 +23,16 @@ use otm_trace::model::CollectiveKind;
 use otm_trace::AppTrace;
 
 /// BoxLib CNS process count (Table II).
-pub const CNS_PROCESSES: usize = 64;
+pub(crate) const CNS_PROCESSES: usize = 64;
 /// BoxLib MultiGrid process count (Table II).
-pub const BOXLIB_MG_PROCESSES: usize = 64;
+pub(crate) const BOXLIB_MG_PROCESSES: usize = 64;
 /// MultiGrid process count (Table II).
-pub const MULTIGRID_PROCESSES: usize = 1000;
+pub(crate) const MULTIGRID_PROCESSES: usize = 1000;
 /// FillBoundary process count (Table II).
-pub const FILLBOUNDARY_PROCESSES: usize = 1000;
+pub(crate) const FILLBOUNDARY_PROCESSES: usize = 1000;
 
 /// Generates the BoxLib CNS trace.
-pub fn generate_cns(_seed: u64) -> AppTrace {
+pub(crate) fn generate_cns(_seed: u64) -> AppTrace {
     let mut b = TraceBuilder::new("BoxLib CNS", CNS_PROCESSES);
     let dims = grid3d_dims(CNS_PROCESSES);
     let neighbors = move |r: usize| full_neighbors_3d(r, dims);
@@ -120,17 +120,17 @@ fn multigrid_trace(name: &str, nprocs: usize, cycles: u32) -> AppTrace {
 }
 
 /// Generates the BoxLib MultiGrid trace (single V-cycle, 64 procs).
-pub fn generate_boxlib_mg(_seed: u64) -> AppTrace {
+pub(crate) fn generate_boxlib_mg(_seed: u64) -> AppTrace {
     multigrid_trace("BoxLib MultiGrid", BOXLIB_MG_PROCESSES, 1)
 }
 
 /// Generates the MultiGrid trace (1000 procs).
-pub fn generate_multigrid(_seed: u64) -> AppTrace {
+pub(crate) fn generate_multigrid(_seed: u64) -> AppTrace {
     multigrid_trace("MultiGrid", MULTIGRID_PROCESSES, 2)
 }
 
 /// Generates the FillBoundary trace.
-pub fn generate_fillboundary(_seed: u64) -> AppTrace {
+pub(crate) fn generate_fillboundary(_seed: u64) -> AppTrace {
     let mut b = TraceBuilder::new("FillBoundary", FILLBOUNDARY_PROCESSES);
     let dims = grid3d_dims(FILLBOUNDARY_PROCESSES);
     let neighbors = move |r: usize| face_neighbors_3d(r, dims);

@@ -13,10 +13,10 @@ use otm_base::{Rank, Tag};
 use otm_trace::AppTrace;
 
 /// Table II process count.
-pub const PROCESSES: usize = 100;
+pub(crate) const PROCESSES: usize = 100;
 
 /// Generates the CrystalRouter trace.
-pub fn generate(_seed: u64) -> AppTrace {
+pub(crate) fn generate(_seed: u64) -> AppTrace {
     let mut b = TraceBuilder::new("CrystalRouter", PROCESSES);
     let rounds = 3; // three router invocations
     for round in 0..rounds {

@@ -12,10 +12,10 @@ use otm_trace::model::CollectiveKind;
 use otm_trace::AppTrace;
 
 /// Table II process count (both variants).
-pub const PROCESSES: usize = 256;
+pub(crate) const PROCESSES: usize = 256;
 
 /// Generates the HILO trace (collectives only).
-pub fn generate_hilo(_seed: u64) -> AppTrace {
+pub(crate) fn generate_hilo(_seed: u64) -> AppTrace {
     let mut b = TraceBuilder::new("HILO", PROCESSES);
     for _outer in 0..6 {
         b.collective(CollectiveKind::Bcast); // distribute low-order solution
@@ -29,7 +29,7 @@ pub fn generate_hilo(_seed: u64) -> AppTrace {
 }
 
 /// Generates the HILO 2D trace (collectives only, with redistribution).
-pub fn generate_hilo2d(_seed: u64) -> AppTrace {
+pub(crate) fn generate_hilo2d(_seed: u64) -> AppTrace {
     let mut b = TraceBuilder::new("HILO 2D", PROCESSES);
     for _outer in 0..5 {
         b.collective(CollectiveKind::Bcast);

@@ -13,10 +13,10 @@ use otm_trace::model::CollectiveKind;
 use otm_trace::AppTrace;
 
 /// Table II process count.
-pub const PROCESSES: usize = 1152;
+pub(crate) const PROCESSES: usize = 1152;
 
 /// Generates the MiniFE trace.
-pub fn generate(_seed: u64) -> AppTrace {
+pub(crate) fn generate(_seed: u64) -> AppTrace {
     let mut b = TraceBuilder::new("MiniFe", PROCESSES);
     let dims = grid3d_dims(PROCESSES);
     let neighbors = move |r: usize| face_neighbors_3d(r, dims);

@@ -15,10 +15,10 @@ use otm_trace::model::CollectiveKind;
 use otm_trace::AppTrace;
 
 /// Table II process count.
-pub const PROCESSES: usize = 64;
+pub(crate) const PROCESSES: usize = 64;
 
 /// Generates the MOCFE trace.
-pub fn generate(_seed: u64) -> AppTrace {
+pub(crate) fn generate(_seed: u64) -> AppTrace {
     let mut b = TraceBuilder::new("MOCFE", PROCESSES);
     let (nx, ny, nz) = grid3d_dims(PROCESSES);
     let iterations = 4;

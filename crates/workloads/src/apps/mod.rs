@@ -5,14 +5,14 @@
 //! generators are deterministic given their seed and produce traces at the
 //! Table II process counts.
 
-pub mod amg;
-pub mod amr;
-pub mod bigfft;
-pub mod boxlib;
-pub mod crystal;
-pub mod hilo;
-pub mod lulesh;
-pub mod minife;
-pub mod mocfe;
-pub mod nekbone;
-pub mod sweep;
+pub(crate) mod amg;
+pub(crate) mod amr;
+pub(crate) mod bigfft;
+pub(crate) mod boxlib;
+pub(crate) mod crystal;
+pub(crate) mod hilo;
+pub(crate) mod lulesh;
+pub(crate) mod minife;
+pub(crate) mod mocfe;
+pub(crate) mod nekbone;
+pub(crate) mod sweep;

@@ -14,7 +14,7 @@ use otm_trace::model::CollectiveKind;
 use otm_trace::AppTrace;
 
 /// Table II process count (both applications).
-pub const PROCESSES: usize = 168;
+pub(crate) const PROCESSES: usize = 168;
 
 const NX: usize = 12;
 const NY: usize = 14;
@@ -80,12 +80,12 @@ fn sweep_trace(name: &str, groups: u32) -> AppTrace {
 }
 
 /// Generates the PARTISN trace.
-pub fn generate_partisn(_seed: u64) -> AppTrace {
+pub(crate) fn generate_partisn(_seed: u64) -> AppTrace {
     sweep_trace("PARTISN", 2)
 }
 
 /// Generates the SNAP trace (same pattern, more energy groups).
-pub fn generate_snap(_seed: u64) -> AppTrace {
+pub(crate) fn generate_snap(_seed: u64) -> AppTrace {
     sweep_trace("SNAP", 3)
 }
 

@@ -60,7 +60,7 @@ impl TraceBuilder {
     }
 
     /// Number of ranks.
-    pub fn nprocs(&self) -> usize {
+    pub(crate) fn nprocs(&self) -> usize {
         self.ranks.len()
     }
 
@@ -72,7 +72,7 @@ impl TraceBuilder {
 
     /// Advances one rank's clock without recording an operation (models
     /// local computation).
-    pub fn compute(&mut self, rank: usize, seconds: f64) {
+    pub(crate) fn compute(&mut self, rank: usize, seconds: f64) {
         self.ranks[rank].clock += seconds;
     }
 
@@ -118,38 +118,6 @@ impl TraceBuilder {
         request
     }
 
-    /// Issues a blocking send.
-    pub fn send(&mut self, rank: usize, dest: usize, tag: u32, count: u64) {
-        self.push(
-            rank,
-            MpiOp::Send {
-                dest: Rank(dest as u32),
-                tag: Tag(tag),
-                comm: CommId::WORLD,
-                count,
-            },
-        );
-    }
-
-    /// Issues a blocking receive.
-    pub fn recv(
-        &mut self,
-        rank: usize,
-        src: impl Into<SourceSel>,
-        tag: impl Into<TagSel>,
-        count: u64,
-    ) {
-        self.push(
-            rank,
-            MpiOp::Recv {
-                src: src.into(),
-                tag: tag.into(),
-                comm: CommId::WORLD,
-                count,
-            },
-        );
-    }
-
     /// Waits on all of the rank's outstanding nonblocking requests.
     pub fn waitall(&mut self, rank: usize) {
         let nreqs = self.ranks[rank].pending_reqs;
@@ -159,7 +127,7 @@ impl TraceBuilder {
 
     /// Records a collective on every rank and synchronizes their clocks,
     /// like the barrier semantics most collectives imply for tracing.
-    pub fn collective(&mut self, kind: CollectiveKind) {
+    pub(crate) fn collective(&mut self, kind: CollectiveKind) {
         let sync = self.ranks.iter().map(|r| r.clock).fold(0.0f64, f64::max) + OP_DT;
         for r in &mut self.ranks {
             r.clock = sync;
@@ -180,12 +148,6 @@ impl TraceBuilder {
         for r in &mut self.ranks {
             r.clock = sync;
         }
-    }
-
-    /// Skews one rank's clock forward — used to create unexpected-message
-    /// pressure (a late poster) or wavefront pipelines.
-    pub fn delay(&mut self, rank: usize, seconds: f64) {
-        self.ranks[rank].clock += seconds;
     }
 
     /// Finishes the trace.
@@ -216,7 +178,7 @@ impl TraceBuilder {
 /// attaches is the one the peer's receive expects. The pre-post discipline
 /// keeps unexpected messages rare, matching what the paper observes for the
 /// DOE mini-apps.
-pub fn halo_round(
+pub(crate) fn halo_round(
     b: &mut TraceBuilder,
     round: u32,
     neighbors: &dyn Fn(usize) -> Vec<usize>,
@@ -233,7 +195,7 @@ pub fn halo_round(
 /// The receive-posting half of [`halo_round`]; applications that pre-post
 /// several exchange phases call this for each phase before any
 /// [`send_halo`].
-pub fn post_halo_receives(
+pub(crate) fn post_halo_receives(
     b: &mut TraceBuilder,
     round: u32,
     neighbors: &dyn Fn(usize) -> Vec<usize>,
@@ -253,7 +215,7 @@ pub fn post_halo_receives(
 /// send loops to avoid hot-spotting a direction, and the resulting
 /// out-of-order arrivals are exactly what makes 1-bin (traditional)
 /// matching scan deep queues on halo exchanges.
-pub fn send_halo(
+pub(crate) fn send_halo(
     b: &mut TraceBuilder,
     round: u32,
     neighbors: &dyn Fn(usize) -> Vec<usize>,
@@ -270,7 +232,7 @@ pub fn send_halo(
 /// `(phase, direction)` cross product in its own pseudo-random order. That
 /// is what lets the 1-bin queue depth grow with the *total* number of
 /// in-flight receives rather than one phase's worth.
-pub fn send_halo_phases(
+pub(crate) fn send_halo_phases(
     b: &mut TraceBuilder,
     phases: &[u32],
     neighbors: &dyn Fn(usize) -> Vec<usize>,
@@ -301,7 +263,7 @@ pub fn send_halo_phases(
 /// Ranks arranged on a periodic 3-D grid; returns the grid dims closest to
 /// a cube for `n` ranks (n must have an integer cube-ish factorization;
 /// falls back to a 1-D ring decomposition otherwise).
-pub fn grid3d_dims(n: usize) -> (usize, usize, usize) {
+pub(crate) fn grid3d_dims(n: usize) -> (usize, usize, usize) {
     let mut best = (n, 1, 1);
     let mut best_surface = usize::MAX;
     for x in 1..=n {
@@ -325,7 +287,7 @@ pub fn grid3d_dims(n: usize) -> (usize, usize, usize) {
 }
 
 /// The six face neighbors of `rank` on a periodic 3-D grid.
-pub fn face_neighbors_3d(rank: usize, dims: (usize, usize, usize)) -> Vec<usize> {
+pub(crate) fn face_neighbors_3d(rank: usize, dims: (usize, usize, usize)) -> Vec<usize> {
     let (nx, ny, nz) = dims;
     let x = rank % nx;
     let y = (rank / nx) % ny;
@@ -342,7 +304,7 @@ pub fn face_neighbors_3d(rank: usize, dims: (usize, usize, usize)) -> Vec<usize>
 }
 
 /// All 26 neighbors (faces, edges, corners) on a periodic 3-D grid.
-pub fn full_neighbors_3d(rank: usize, dims: (usize, usize, usize)) -> Vec<usize> {
+pub(crate) fn full_neighbors_3d(rank: usize, dims: (usize, usize, usize)) -> Vec<usize> {
     let (nx, ny, nz) = dims;
     let x = rank % nx;
     let y = (rank / nx) % ny;

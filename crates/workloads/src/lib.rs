@@ -15,9 +15,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
 
-pub mod apps;
-pub mod builder;
+mod apps;
+mod builder;
 pub mod catalog;
 
 pub use builder::TraceBuilder;

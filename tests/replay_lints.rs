@@ -93,6 +93,12 @@
 //!
 //! The lockfile lists workspace members only: a `source = ` line means a
 //! registry package came back, and the workspace builds with no network.
+//!
+//! A library crate's public surface is what the workspace calls: a module
+//! is private unless a caller outside the crate names it, an item is
+//! `pub(crate)` until one needs it, and every library `lib.rs` denies
+//! `unreachable_pub`, so the build fails on a `pub` item the crate root
+//! does not export.
 
 use std::path::{Path, PathBuf};
 
@@ -521,4 +527,29 @@ fn the_lockfile_lists_workspace_members_only() {
     let lock = source("Cargo.lock");
     let registry = lock.lines().find(|line| line.starts_with("source = "));
     assert!(registry.is_none(), "Cargo.lock: {registry:?}");
+}
+
+#[test]
+fn every_library_crate_denies_unreachable_pub() {
+    let libraries = [
+        "base",
+        "metrics",
+        "mpi-matching",
+        "otm",
+        "dpa-sim",
+        "trace",
+        "workloads",
+    ];
+    let lax: Vec<_> = libraries
+        .iter()
+        .filter(|name| {
+            !source(&format!("crates/{name}/src/lib.rs"))
+                .lines()
+                .any(|line| line == "#![deny(unreachable_pub)]")
+        })
+        .collect();
+    assert!(
+        lax.is_empty(),
+        "library crates whose lib.rs does not deny unreachable_pub: {lax:?}"
+    );
 }
