@@ -225,8 +225,8 @@ impl FaultRng {
 }
 
 /// A seeded, declarative plan for injecting faults into the simulated wire
-/// and backend (the `dpa-sim` crate's `WireFaults` interprets the wire
-/// rates, and its test-only `FaultInjectingBackend` the backend rates).
+/// (the `dpa-sim` crate's `WireFaults` interprets it; its test-only backend
+/// decorator takes its seed and budget, and rates of its own).
 ///
 /// All rates are expressed in **permille** (0..=1000, i.e. tenths of a
 /// percent) so the plan stays `Eq` without dragging floating point into
@@ -270,12 +270,6 @@ pub struct FaultPlan {
     /// [`FaultPlan::delay_polls`] delivery polls (delivered late, in order
     /// relative to other held packets).
     pub delay_permille: u32,
-    /// Probability (permille) that a backend drain reports a transient,
-    /// retryable [`MatchError`] without consuming any command.
-    pub transient_fail_permille: u32,
-    /// Probability (permille) that a backend drain stalls: it makes no
-    /// progress and reports no error, as a wedged worker would.
-    pub stall_permille: u32,
     /// Window (in delivery polls) within which a reordered packet is
     /// released. Must be >= 1 when `reorder_permille > 0`.
     pub reorder_window: usize,
@@ -298,8 +292,6 @@ impl Default for FaultPlan {
             duplicate_permille: 0,
             reorder_permille: 0,
             delay_permille: 0,
-            transient_fail_permille: 0,
-            stall_permille: 0,
             reorder_window: 4,
             delay_polls: 2,
             max_faults: None,
@@ -345,20 +337,6 @@ impl FaultPlan {
         self
     }
 
-    /// Sets the transient backend-failure rate (permille).
-    #[must_use]
-    pub fn with_transient_fail_permille(mut self, p: u32) -> Self {
-        self.transient_fail_permille = p;
-        self
-    }
-
-    /// Sets the backend worker-stall rate (permille).
-    #[must_use]
-    pub fn with_stall_permille(mut self, p: u32) -> Self {
-        self.stall_permille = p;
-        self
-    }
-
     /// Sets the reorder window (delivery polls).
     #[must_use]
     pub fn with_reorder_window(mut self, polls: usize) -> Self {
@@ -382,12 +360,7 @@ impl FaultPlan {
 
     /// Whether the plan can inject anything at all.
     pub fn is_active(&self) -> bool {
-        (self.drop_permille
-            | self.duplicate_permille
-            | self.reorder_permille
-            | self.delay_permille
-            | self.transient_fail_permille
-            | self.stall_permille)
+        (self.drop_permille | self.duplicate_permille | self.reorder_permille | self.delay_permille)
             > 0
             && self.max_faults != Some(0)
     }
@@ -406,8 +379,6 @@ impl FaultPlan {
             ("duplicate_permille", self.duplicate_permille),
             ("reorder_permille", self.reorder_permille),
             ("delay_permille", self.delay_permille),
-            ("transient_fail_permille", self.transient_fail_permille),
-            ("stall_permille", self.stall_permille),
         ] {
             if rate > 1000 {
                 return Err(MatchError::InvalidConfig(format!(
@@ -589,8 +560,6 @@ mod tests {
             .with_duplicate_permille(100)
             .with_reorder_permille(100)
             .with_delay_permille(50)
-            .with_transient_fail_permille(200)
-            .with_stall_permille(10)
             .with_reorder_window(8)
             .with_delay_polls(3)
             .with_max_faults(1000);

@@ -49,6 +49,14 @@
 //!
 //! ## The ordering contract
 //!
+//! The order is the analyzer's, from the one place the trace's order is
+//! derived: [`AppTrace::split`] hands each destination its receive posts
+//! and the sends addressed to it in global time order (time, then rank,
+//! then program index), ordering each destination's stream on its own —
+//! the trace is never sorted as a whole — and counts what arming a
+//! destination needs as it goes (its posts, its sources in rank order).
+//! This module takes no float's bits and sorts nothing.
+//!
 //! Matched-pairs equivalence against the engine-direct replay is only
 //! provable if the engine observes posts and arrivals in trace order even
 //! when the wire reorders, drops and duplicates packets. Two mechanisms
@@ -284,112 +292,126 @@ fn payload_id(data: &[u8]) -> u64 {
     u64::from_le_bytes(id)
 }
 
-/// The destination an operation of `rank` feeds, and its event there: a
-/// receive is a post at `rank`, a send an arrival at a destination below
-/// `n` (collectives and one-sided ops are ignored, as in the analyzer
+/// The destination an operation of `rank` feeds: a receive is a post at
+/// `rank`, a send an arrival at a destination below `n` (collectives,
+/// one-sided ops and progress points are ignored, as in the analyzer
 /// replays).
-fn event_of(rank: Rank, op: &MpiOp, n: usize) -> Option<(usize, Ev)> {
+fn destination(rank: Rank, op: &MpiOp, n: usize) -> Option<usize> {
     match *op {
-        MpiOp::Irecv { src, tag, comm, .. } | MpiOp::Recv { src, tag, comm, .. } => {
-            Some((rank.0 as usize, Ev::Post(ReceivePattern { src, tag, comm })))
-        }
-        MpiOp::Isend {
-            dest,
-            tag,
-            comm,
-            count,
-            ..
-        }
-        | MpiOp::Send {
-            dest,
-            tag,
-            comm,
-            count,
-        } if (dest.0 as usize) < n => {
-            let arrival = Ev::Arrive {
-                src: rank,
-                env: Envelope::new(rank, tag, comm),
-                bytes: payload_len(count),
-            };
-            Some((dest.0 as usize, arrival))
+        MpiOp::Irecv { .. } | MpiOp::Recv { .. } => Some(rank.0 as usize),
+        MpiOp::Isend { dest, .. } | MpiOp::Send { dest, .. } => {
+            Some(dest.0 as usize).filter(|&dest| dest < n)
         }
         _ => None,
     }
 }
 
-/// An operation's place in the analyzer's global order: its time, then its
-/// rank, then its index in that rank's operations. The time contributes its
-/// order-preserving bits — a negative float's bits flipped, a positive
-/// one's sign bit set — of `time + 0.0`, so `-0.0` ties `0.0` as a float
-/// comparison has it.
-fn order_key(time: f64, rank: Rank, index: usize) -> u128 {
-    let bits = (time + 0.0).to_bits();
-    let bits = if bits >> 63 == 1 {
-        !bits
-    } else {
-        bits | 1 << 63
-    };
-    let index = u32::try_from(index).expect("a rank's operation index fits a u32");
-    u128::from(bits) << 64 | u128::from(rank.0) << 32 | u128::from(index)
+/// The event at its [`destination`] of an operation of `rank` that has one.
+fn event_of(rank: Rank, op: &MpiOp) -> Ev {
+    match *op {
+        MpiOp::Irecv { src, tag, comm, .. } | MpiOp::Recv { src, tag, comm, .. } => {
+            Ev::Post(ReceivePattern { src, tag, comm })
+        }
+        MpiOp::Isend {
+            tag, comm, count, ..
+        }
+        | MpiOp::Send {
+            tag, comm, count, ..
+        } => Ev::Arrive {
+            src: rank,
+            env: Envelope::new(rank, tag, comm),
+            bytes: payload_len(count),
+        },
+        _ => unreachable!("only a receive or a send has a destination"),
+    }
 }
 
-/// Splits the trace into per-destination event streams: each destination's
-/// own receive posts plus the sends targeting it, in global time order (ties
-/// broken by rank, then program order). A counting pass sizes every stream
-/// exactly; the second pushes each event behind its [`order_key`] in
-/// rank-entry order, and each stream is then sorted on its own by a stable
-/// sort — the trace is never sorted as a whole. A rank that appears twice in
-/// `ranks` ties on the whole key, and the stable sort keeps its entries in
-/// `ranks` order, as the global order does.
-fn per_destination_events(trace: &AppTrace) -> Vec<Vec<Ev>> {
-    let n = trace
-        .ranks
-        .iter()
-        .map(|r| r.rank.0 as usize + 1)
-        .max()
-        .unwrap_or(0);
-    let mut sizes = vec![0usize; n];
-    for r in &trace.ranks {
-        for TimedOp { op, .. } in &r.ops {
-            if let Some((dest, _)) = event_of(r.rank, op, n) {
-                sizes[dest] += 1;
+/// The trace split per destination ([`AppTrace::split`]), with what
+/// arming a destination reads: its post count and, when asked for, its
+/// sources.
+struct Streams {
+    /// Each destination's own receive posts plus the sends targeting it,
+    /// in global time order (ties broken by rank, then program order).
+    events: Vec<Vec<Ev>>,
+    /// The receives each destination posts.
+    posts: Vec<usize>,
+    /// Every destination's sources in rank order, destination after
+    /// destination: destination `d`'s are `sources[from[d]..from[d + 1]]`
+    /// (all empty unless asked for).
+    sources: Vec<u32>,
+    from: Vec<usize>,
+}
+
+impl Streams {
+    /// Splits `trace`, listing each destination's sources when
+    /// `list_sources` asks for them (the oracle has no endpoints to arm). The split visits
+    /// the ranks in rank order, so a destination's sources come to it in
+    /// rank order, each once in a row.
+    fn of(trace: &AppTrace, list_sources: bool) -> Self {
+        let n = trace
+            .ranks
+            .iter()
+            .map(|r| r.rank.0 as usize + 1)
+            .max()
+            .unwrap_or(0);
+        let mut posts = vec![0; n];
+        let mut last_source = vec![None; n];
+        let mut from = vec![0; n + 1];
+        let mut links: Vec<(u32, u32)> = Vec::new();
+        let route = |rank, t: &TimedOp| destination(rank, &t.op, n);
+        let events = trace.split(n, route, |dest, rank, t| {
+            let ev = event_of(rank, &t.op);
+            if let Ev::Post(_) = ev {
+                posts[dest] += 1;
+            } else if list_sources && last_source[dest] != Some(rank) {
+                last_source[dest] = Some(rank);
+                from[dest + 1] += 1;
+                links.push((dest as u32, rank.0));
             }
+            ev
+        });
+        for d in 0..n {
+            from[d + 1] += from[d];
+        }
+        // Each destination's sources in place, in rank order: the
+        // `links` are already in it.
+        let mut next = from.clone();
+        let mut sources = vec![0; links.len()];
+        for (dest, src) in links {
+            sources[next[dest as usize]] = src;
+            next[dest as usize] += 1;
+        }
+        Streams {
+            events,
+            posts,
+            sources,
+            from,
         }
     }
-    let mut keyed: Vec<Vec<(u128, Ev)>> = sizes.into_iter().map(Vec::with_capacity).collect();
-    for r in &trace.ranks {
-        for (i, TimedOp { time, op }) in r.ops.iter().enumerate() {
-            if let Some((dest, ev)) = event_of(r.rank, op, n) {
-                keyed[dest].push((order_key(*time, r.rank, i), ev));
-            }
-        }
+
+    /// Destination `d`'s sources, in rank order.
+    fn sources(&self, d: usize) -> &[u32] {
+        &self.sources[self.from[d]..self.from[d + 1]]
     }
-    keyed
-        .into_iter()
-        .map(|mut events| {
-            events.sort_by_key(|&(key, _)| key);
-            events.into_iter().map(|(_, ev)| ev).collect()
-        })
-        .collect()
-}
 
-/// `config` sized for the largest destination of `per_rank`: its table holds
-/// the most receives any destination posts, and its unexpected store the
-/// most messages any destination is sent. One engine so sized serves every
-/// destination in turn, reset between them; a larger table changes no count.
-fn sized_for(config: MatchConfig, per_rank: &[Vec<Ev>]) -> MatchConfig {
-    let (posts, arrivals) = per_rank.iter().fold((1, 1), |(p, a), events| {
-        let posts = posts_of(events);
-        (p.max(posts), a.max(events.len() - posts))
-    });
-    config
-        .with_max_receives(posts)
-        .with_max_unexpected(arrivals)
-}
+    /// The messages destination `d` is sent.
+    fn arrivals(&self, d: usize) -> usize {
+        self.events[d].len() - self.posts[d]
+    }
 
-/// The receives a destination's event stream posts.
-fn posts_of(events: &[Ev]) -> usize {
-    events.iter().filter(|e| matches!(e, Ev::Post(_))).count()
+    /// `config` sized for the largest destination: its table holds the most
+    /// receives any destination posts, and its unexpected store the most
+    /// messages any destination is sent. One engine so sized serves every
+    /// destination in turn, reset between them; a larger table changes no
+    /// count.
+    fn sized(&self, config: MatchConfig) -> MatchConfig {
+        let dests = 0..self.events.len();
+        let posts = self.posts.iter().copied().fold(1, usize::max);
+        let arrivals = dests.map(|d| self.arrivals(d)).fold(1, usize::max);
+        config
+            .with_max_receives(posts)
+            .with_max_unexpected(arrivals)
+    }
 }
 
 /// One destination's matched pairs, placed in receive order: entry `r` holds
@@ -464,19 +486,19 @@ impl Placement {
 /// assert_eq!(end_to_end.matched_pairs, engine_direct_pairs(&trace, 128));
 /// ```
 pub fn engine_direct_pairs(trace: &AppTrace, bins: usize) -> Vec<MatchedPair> {
-    let per_rank = per_destination_events(trace);
+    let streams = Streams::of(trace, false);
     let config = MatchConfig::default().with_bins(bins).with_block_threads(1);
     let mut engine =
-        otm::SequentialOtm::new(sized_for(config, &per_rank)).expect("oracle replay configuration");
+        otm::SequentialOtm::new(streams.sized(config)).expect("oracle replay configuration");
     let (mut pairs, mut placed) = (Vec::new(), Placement::default());
-    for (dest, events) in per_rank.iter().enumerate() {
+    for (dest, events) in streams.events.iter().enumerate() {
         if events.is_empty() {
             continue;
         }
         engine
             .reset()
             .expect("nothing is queued between destinations");
-        placed.arm(posts_of(events));
+        placed.arm(streams.posts[dest]);
         let (mut next_recv, mut next_msg) = (0u64, 0u64);
         for ev in events {
             match ev {
@@ -581,24 +603,17 @@ impl Endpoints {
         Ok(Box::new(OtmEngine::new(config.clone())?))
     }
 
-    /// Arms the set for one destination that posts `posts` receives: a slot
-    /// per source that sends to it, numbered in rank order (connecting more
-    /// queue pairs if the set is narrower), an empty placement, and the
-    /// service, its engine, the NIC and those slots' senders re-armed to
-    /// read as new.
-    fn arm(&mut self, events: &[Ev], posts: usize) {
+    /// Arms the set for one destination that posts `posts` receives and is
+    /// sent to by `sources`, in rank order: a slot per source, numbered in
+    /// that order (connecting more queue pairs if the set is narrower), an
+    /// empty placement, and the service, its engine, the NIC and those
+    /// slots' senders re-armed to read as new.
+    fn arm(&mut self, sources: &[u32], posts: usize) {
         self.slot_of.fill(NO_SLOT);
-        for e in events {
-            if let Ev::Arrive { src, .. } = e {
-                self.slot_of[src.0 as usize] = 0;
-            }
+        for (slot, &src) in sources.iter().enumerate() {
+            self.slot_of[src as usize] = slot as u32;
         }
-        let mut active = 0;
-        for slot in self.slot_of.iter_mut().filter(|s| **s != NO_SLOT) {
-            *slot = active;
-            active += 1;
-        }
-        self.active = active as usize;
+        self.active = sources.len();
         while self.senders.len() < self.active {
             let (tx, rx) = connected_pair();
             self.svc.nic_mut().add_qp(rx);
@@ -716,7 +731,7 @@ pub fn replay_app(
     trace: &AppTrace,
     cfg: &AppReplayConfig,
 ) -> Result<AppReplayOutcome, ServiceError> {
-    let per_rank = per_destination_events(trace);
+    let streams = Streams::of(trace, true);
     let mut report = AppReplayReport {
         name: trace.name.clone(),
         processes: trace.processes(),
@@ -725,30 +740,24 @@ pub fn replay_app(
         ..AppReplayReport::default()
     };
     let mut pairs: Vec<MatchedPair> = Vec::new();
-    let arrivals_at = |d: usize| {
-        per_rank[d]
-            .iter()
-            .filter(|e| matches!(e, Ev::Arrive { .. }))
-            .count()
-    };
-    let busiest = (0..per_rank.len()).max_by_key(|&d| arrivals_at(d));
+    let destinations = streams.events.len();
+    let busiest = (0..destinations).max_by_key(|&d| streams.arrivals(d));
     // Sized once, to the busiest destination: never smaller than the pool a
     // destination of its own would get.
-    let buffers = busiest.map_or(0, arrivals_at).clamp(64, 8192);
-    let engine = sized_for(MatchConfig::default().with_bins(cfg.bins), &per_rank);
+    let buffers = busiest.map_or(0, |d| streams.arrivals(d)).clamp(64, 8192);
+    let engine = streams.sized(MatchConfig::default().with_bins(cfg.bins));
     let mut ends =
-        Endpoints::new(cfg, per_rank.len(), buffers, engine).map_err(ServiceError::Match)?;
+        Endpoints::new(cfg, destinations, buffers, engine).map_err(ServiceError::Match)?;
     let start = std::time::Instant::now();
 
-    for (dest, events) in per_rank.iter().enumerate() {
+    for (dest, events) in streams.events.iter().enumerate() {
         if events.is_empty() {
             continue;
         }
-        let posts = posts_of(events);
-        let arrivals = events.len() - posts;
+        let posts = streams.posts[dest];
         report.posts += posts as u64;
-        report.messages += arrivals as u64;
-        ends.arm(events, posts);
+        report.messages += streams.arrivals(dest) as u64;
+        ends.arm(streams.sources(dest), posts);
         if let (Some(cadence), Some(b)) = (cfg.series_cadence, busiest) {
             if b == dest {
                 ends.series = Some(SeriesRecorder::new(cadence.max(1)));
@@ -1366,6 +1375,46 @@ mod tests {
                 r#""series":null}"#
             )
         );
+    }
+
+    /// Each destination's event stream, as the replay and its oracle split
+    /// the trace.
+    fn per_destination_events(trace: &AppTrace) -> Vec<Vec<Ev>> {
+        Streams::of(trace, false).events
+    }
+
+    #[test]
+    fn streams_count_the_posts_and_list_the_sources_their_events_hold() {
+        let mut traces = vec![
+            cross_traffic_trace(),
+            wildcard_heavy_trace(7),
+            fan_in_trace(),
+        ];
+        for spec in otm_workloads::catalog() {
+            traces.push(first_destinations((spec.generate)(42), 16));
+        }
+        for trace in &traces {
+            let streams = Streams::of(trace, true);
+            for (d, events) in streams.events.iter().enumerate() {
+                let posts = events.iter().filter(|e| matches!(e, Ev::Post(_)));
+                assert_eq!(streams.posts[d], posts.count(), "{}", trace.name);
+                let mut sources: Vec<u32> = events
+                    .iter()
+                    .filter_map(|e| match e {
+                        Ev::Arrive { src, .. } => Some(src.0),
+                        Ev::Post(_) => None,
+                    })
+                    .collect();
+                sources.sort_unstable();
+                sources.dedup();
+                assert_eq!(
+                    streams.sources(d),
+                    sources,
+                    "{} destination {d}",
+                    trace.name
+                );
+            }
+        }
     }
 
     /// The split as it was: the whole trace in the analyzer's merged order,

@@ -14,8 +14,8 @@
 //!   opted into the reliability protocol is ever perturbed.
 //! * `FaultInjectingBackend`, in test builds, wraps a `MatchingBackend` —
 //!   injecting transient retryable drain failures and silent worker
-//!   stalls, the failure shapes the service's tests hold its retry budget
-//!   and fallback escalation to.
+//!   stalls at rates of its own, the failure shapes the service's tests
+//!   hold its retry budget and fallback escalation to.
 //!
 //! Everything is driven by the plan's seeded [`FaultRng`], so a given
 //! `(seed, rates)` pair reproduces the exact same fault schedule run after
@@ -178,7 +178,8 @@ pub(crate) struct BackendFaultStats {
 
 #[cfg(test)]
 /// A [`MatchingBackend`] decorator that injects transient drain failures
-/// and worker stalls according to a [`FaultPlan`].
+/// and worker stalls at its own rates, drawn from a [`FaultPlan`]'s seed
+/// within its fault budget.
 ///
 /// A *transient failure* reports a retryable [`MatchError`] without popping
 /// any command — exactly the contract a real engine honors on resource
@@ -192,7 +193,12 @@ pub(crate) struct BackendFaultStats {
 /// seed) so wire faults and backend faults are independently reproducible.
 pub(crate) struct FaultInjectingBackend {
     inner: Box<dyn MatchingBackend>,
-    plan: FaultPlan,
+    /// Probability (permille) that a drain reports a transient, retryable
+    /// [`MatchError`] without consuming any command.
+    transient_fail_permille: u32,
+    /// Probability (permille) that a drain stalls: it makes no progress and
+    /// reports no error, as a wedged worker would.
+    stall_permille: u32,
     rng: FaultRng,
     budget: u64,
     stats: BackendFaultStats,
@@ -203,7 +209,8 @@ impl std::fmt::Debug for FaultInjectingBackend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FaultInjectingBackend")
             .field("inner", &self.inner.backend_name())
-            .field("plan", &self.plan)
+            .field("transient_fail_permille", &self.transient_fail_permille)
+            .field("stall_permille", &self.stall_permille)
             .field("stats", &self.stats)
             .finish()
     }
@@ -211,14 +218,22 @@ impl std::fmt::Debug for FaultInjectingBackend {
 
 #[cfg(test)]
 impl FaultInjectingBackend {
-    /// Wraps `inner`, injecting per `plan`. The decision stream is
-    /// decorrelated from the wire stream by perturbing the seed.
-    pub(crate) fn new(inner: Box<dyn MatchingBackend>, plan: FaultPlan) -> Self {
+    /// Wraps `inner`, failing a drain transiently and stalling one at the
+    /// given rates (permille), from `plan`'s seed and within its fault
+    /// budget. The decision stream is decorrelated from the wire stream by
+    /// perturbing the seed.
+    pub(crate) fn new(
+        inner: Box<dyn MatchingBackend>,
+        plan: &FaultPlan,
+        transient_fail_permille: u32,
+        stall_permille: u32,
+    ) -> Self {
         let rng = FaultRng::new(otm_base::hash::mix64(plan.seed ^ 0xbac4_e9d5_fa17_0001));
         let budget = plan.max_faults.unwrap_or(u64::MAX);
         FaultInjectingBackend {
             inner,
-            plan,
+            transient_fail_permille,
+            stall_permille,
             rng,
             budget,
             stats: BackendFaultStats::default(),
@@ -281,7 +296,7 @@ impl MatchingBackend for FaultInjectingBackend {
     }
 
     fn drain_commands(&mut self) -> DrainReport {
-        if self.budget > 0 && self.rng.chance(self.plan.transient_fail_permille) {
+        if self.budget > 0 && self.rng.chance(self.transient_fail_permille) {
             self.budget -= 1;
             self.stats.transient_failures += 1;
             // A transient device hiccup: no command was popped, so the
@@ -296,7 +311,7 @@ impl MatchingBackend for FaultInjectingBackend {
                 unapplied: Vec::new(),
             };
         }
-        if self.budget > 0 && self.rng.chance(self.plan.stall_permille) {
+        if self.budget > 0 && self.rng.chance(self.stall_permille) {
             self.budget -= 1;
             self.stats.stalls += 1;
             // A stalled worker: the drain returns having done nothing.
@@ -468,8 +483,8 @@ mod tests {
     #[test]
     fn transient_backend_failure_is_retryable_and_consumes_nothing() {
         use mpi_matching::traditional::TraditionalMatcher;
-        let plan = FaultPlan::new(7).with_transient_fail_permille(1000);
-        let mut b = FaultInjectingBackend::new(Box::new(TraditionalMatcher::new()), plan);
+        let plan = FaultPlan::new(7);
+        let mut b = FaultInjectingBackend::new(Box::new(TraditionalMatcher::new()), &plan, 1000, 0);
         let report = b.drain_commands();
         assert!(report.outcomes.is_empty());
         assert!(report.error.as_ref().is_some_and(|e| e.is_retryable()));
@@ -480,8 +495,8 @@ mod tests {
     #[test]
     fn stalled_backend_drain_reports_silent_no_progress() {
         use mpi_matching::traditional::TraditionalMatcher;
-        let plan = FaultPlan::new(8).with_stall_permille(1000);
-        let mut b = FaultInjectingBackend::new(Box::new(TraditionalMatcher::new()), plan);
+        let plan = FaultPlan::new(8);
+        let mut b = FaultInjectingBackend::new(Box::new(TraditionalMatcher::new()), &plan, 0, 1000);
         let report = b.drain_commands();
         assert!(report.outcomes.is_empty());
         assert!(report.error.is_none());
@@ -491,8 +506,8 @@ mod tests {
     #[test]
     fn fault_wrapper_delegates_matching_faithfully() {
         use mpi_matching::traditional::TraditionalMatcher;
-        let plan = FaultPlan::new(9).with_transient_fail_permille(500);
-        let mut b = FaultInjectingBackend::new(Box::new(TraditionalMatcher::new()), plan);
+        let plan = FaultPlan::new(9);
+        let mut b = FaultInjectingBackend::new(Box::new(TraditionalMatcher::new()), &plan, 500, 0);
         assert_eq!(b.backend_name(), "MPI-CPU");
         b.post(ReceivePattern::exact(Rank(0), Tag(1)), RecvHandle(0))
             .unwrap();

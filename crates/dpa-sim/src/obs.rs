@@ -16,9 +16,9 @@
 //! the wire's [`crate::WireFaultStats`] (`dpa_wire_*_total`), and the span
 //! ring's own drop count (`dpa_span_dropped_total`).
 //!
-//! A [`crate::ReliableSender`] counts in its own [`crate::ReliabilityStats`],
-//! its own histogram of timeout lengths and, with `trace-events`, its own
-//! span ring of retransmissions; [`crate::ReliableSender::observability_snapshot`]
+//! A [`crate::ReliableSender`] counts in its own [`crate::ReliabilityStats`]
+//! and its own histogram of timeout lengths;
+//! [`crate::ReliableSender::observability_snapshot`]
 //! reads them under `dpa_acks_total`, `dpa_retransmits_total` and
 //! `dpa_backoff_polls`. The service does not own its senders, so its
 //! snapshot does not list the two counters; the loops that own the service
@@ -28,9 +28,8 @@
 
 use otm_metrics::{HistogramSnapshot, RegistrySnapshot};
 
-/// Lifecycle span events a service or a sender retains before overwriting
-/// (retransmissions and fallback replays are rare next to matches, so the
-/// rings can stay small).
+/// Lifecycle span events a service retains before overwriting (fallback
+/// replays are rare next to matches, so the ring can stay small).
 #[cfg(feature = "trace-events")]
 pub(crate) const SPAN_CAPACITY: usize = 64 * 1024;
 

@@ -172,9 +172,6 @@ pub struct ReliableSender {
     stats: ReliabilityStats,
     /// The length of each timeout that fired, in polls (`dpa_backoff_polls`).
     timeouts: HistogramSnapshot,
-    /// Lifecycle spans of the retransmitted packets.
-    #[cfg(feature = "trace-events")]
-    spans: otm_metrics::SpanRecorder,
 }
 
 impl ReliableSender {
@@ -206,16 +203,14 @@ impl ReliableSender {
             cwnd: DEFAULT_WINDOW_LIMIT,
             stats: ReliabilityStats::default(),
             timeouts: HistogramSnapshot::empty(),
-            #[cfg(feature = "trace-events")]
-            spans: otm_metrics::SpanRecorder::new(crate::obs::SPAN_CAPACITY),
         }
     }
 
     /// Re-arms the sender for a new peer on the same link: it reads as it
     /// did when built, with its limits. Frames still on the link are
     /// discarded; sequence numbers, the clock, the RTT estimate and timeout,
-    /// the retry count, the adaptive window, the counters, the timeout
-    /// histogram and the span ring start over. The window's and the free
+    /// the retry count, the adaptive window, the counters and the timeout
+    /// histogram start over. The window's and the free
     /// list's buffers stay, so the next sends allocate nothing.
     pub(crate) fn rearm(&mut self) {
         self.inbox.clear();
@@ -239,8 +234,6 @@ impl ReliableSender {
         self.cwnd = DEFAULT_WINDOW_LIMIT;
         self.stats = ReliabilityStats::default();
         self.timeouts.reset();
-        #[cfg(feature = "trace-events")]
-        self.spans.reset();
     }
 
     /// Does nothing: the sender counts in its own fields, read by
@@ -252,9 +245,8 @@ impl ReliableSender {
 
     /// The sender's registry snapshot: acks consumed
     /// (`dpa_acks_total`) and packets retransmitted
-    /// (`dpa_retransmits_total`) from its [`ReliabilityStats`], the length
-    /// of each timeout that fired (`dpa_backoff_polls`), and with
-    /// `trace-events` its span ring's drop count (`dpa_span_dropped_total`).
+    /// (`dpa_retransmits_total`) from its [`ReliabilityStats`], and the
+    /// length of each timeout that fired (`dpa_backoff_polls`).
     /// The service's snapshot lists neither counter; merged into it, the
     /// timeouts join the service's drain-retry backoffs in
     /// `dpa_backoff_polls`.
@@ -263,8 +255,6 @@ impl ReliableSender {
         for (name, n) in [
             ("dpa_acks_total", self.stats.acks),
             ("dpa_retransmits_total", self.stats.retransmits),
-            #[cfg(feature = "trace-events")]
-            ("dpa_span_dropped_total", self.spans.dropped()),
         ] {
             snap.counters.insert(name.to_string(), n);
         }
@@ -426,11 +416,6 @@ impl ReliableSender {
                 e.retx += 1;
                 e.sent_at = clock;
                 resent += 1;
-                #[cfg(feature = "trace-events")]
-                self.spans.push(
-                    e.seq,
-                    otm_metrics::SpanKind::Retransmitted { attempt: e.retx },
-                );
             }
             if resent > 0 {
                 self.stats.retransmits += resent;
@@ -469,11 +454,6 @@ impl ReliableSender {
                 // so further recovery is the backoff schedule's job.
                 e.fast_retx = true;
                 resent += 1;
-                #[cfg(feature = "trace-events")]
-                self.spans.push(
-                    e.seq,
-                    otm_metrics::SpanKind::Retransmitted { attempt: e.retx },
-                );
             }
             self.stats.retransmits += resent;
             self.stats.resend_events += 1;
@@ -522,12 +502,6 @@ mod tests {
                     unacked: self.window.len(),
                 })
             }
-        }
-
-        /// The span ring of the retransmitted packets.
-        #[cfg(feature = "trace-events")]
-        fn span_recorder(&self) -> &otm_metrics::SpanRecorder {
-            &self.spans
         }
 
         /// The current adaptive in-flight limit.
@@ -588,11 +562,7 @@ mod tests {
         let (a, _b) = connected_pair();
         let snap = ReliableSender::new(a).observability_snapshot();
         let counters: Vec<&str> = snap.counters.keys().map(String::as_str).collect();
-        let mut expected = vec!["dpa_acks_total", "dpa_retransmits_total"];
-        if cfg!(feature = "trace-events") {
-            expected.push("dpa_span_dropped_total");
-        }
-        assert_eq!(counters, expected);
+        assert_eq!(counters, ["dpa_acks_total", "dpa_retransmits_total"]);
         assert!(snap.gauges.is_empty());
         let hists: Vec<&str> = snap.hists.keys().map(String::as_str).collect();
         assert_eq!(hists, ["dpa_backoff_polls"]);
@@ -930,34 +900,6 @@ mod tests {
 
     const LOSSY_WIRE_STATS: &str = "ReliabilityStats { sent: 600, retransmits: 107, \
         resend_events: 48, fast_retransmits: 96, acks: 75, backoff_polls: 70, rtt_samples: 907 }";
-
-    #[cfg(feature = "trace-events")]
-    #[test]
-    fn resends_stamp_retransmitted_spans_per_packet() {
-        let (a, b) = connected_pair();
-        let mut s = ReliableSender::with_limits(a, 1, 8);
-        s.send(eager_packet(env(0), vec![])).unwrap();
-        s.send(eager_packet(env(1), vec![])).unwrap();
-        assert!(b.try_recv().unwrap().is_some());
-        assert!(b.try_recv().unwrap().is_some());
-        s.poll().unwrap(); // timeout → first resend of the 2-packet window
-        s.poll().unwrap();
-        s.poll().unwrap(); // doubled timeout elapses → second resend
-        let spans = s.span_recorder().dump();
-        use otm_metrics::SpanKind;
-        let stamped: Vec<(u64, SpanKind)> = spans.iter().map(|s| (s.subject, s.kind)).collect();
-        assert_eq!(
-            stamped,
-            vec![
-                (0, SpanKind::Retransmitted { attempt: 1 }),
-                (1, SpanKind::Retransmitted { attempt: 1 }),
-                (0, SpanKind::Retransmitted { attempt: 2 }),
-                (1, SpanKind::Retransmitted { attempt: 2 }),
-            ],
-            "one span per resent packet, attempt index per window resend"
-        );
-        assert_eq!(s.span_recorder().dropped(), 0);
-    }
 
     #[test]
     fn retry_budget_exhaustion_is_reported() {

@@ -1842,10 +1842,8 @@ mod tests {
         let domain = RdmaDomain::new();
         let nic = RecvNic::new(rx, BouncePool::new(64, 256));
         let engine = OtmEngine::new(MatchConfig::small()).unwrap();
-        let plan = FaultPlan::new(0x7a11)
-            .with_transient_fail_permille(1000)
-            .with_max_faults(2);
-        let faulty = FaultInjectingBackend::new(Box::new(engine), plan);
+        let plan = FaultPlan::new(0x7a11).with_max_faults(2);
+        let faulty = FaultInjectingBackend::new(Box::new(engine), &plan, 1000, 0);
         let mut svc = MatchingService::with_backend(nic, domain, Box::new(faulty));
 
         let mut posted = Vec::new();
@@ -1925,8 +1923,8 @@ mod tests {
         let domain = RdmaDomain::new();
         let nic = RecvNic::new(rx, BouncePool::new(64, 256));
         let engine = OtmEngine::new(MatchConfig::small()).unwrap();
-        let plan = FaultPlan::new(0xdead).with_transient_fail_permille(1000);
-        let faulty = FaultInjectingBackend::new(Box::new(engine), plan);
+        let plan = FaultPlan::new(0xdead);
+        let faulty = FaultInjectingBackend::new(Box::new(engine), &plan, 1000, 0);
         let mut svc = MatchingService::with_backend(nic, domain, Box::new(faulty));
 
         let mut posted = Vec::new();
@@ -1972,8 +1970,8 @@ mod tests {
         let (tx, rx) = connected_pair();
         let nic = RecvNic::new(rx, BouncePool::new(64, 256));
         let engine = OtmEngine::new(MatchConfig::small().with_ring_capacity(2)).unwrap();
-        let plan = FaultPlan::new(0x3d).with_transient_fail_permille(1000);
-        let faulty = FaultInjectingBackend::new(Box::new(engine), plan);
+        let plan = FaultPlan::new(0x3d);
+        let faulty = FaultInjectingBackend::new(Box::new(engine), &plan, 1000, 0);
         let mut svc = MatchingService::with_backend(nic, RdmaDomain::new(), Box::new(faulty));
         let mut posted = Vec::new();
         for _ in 0..2 {

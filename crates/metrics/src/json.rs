@@ -81,7 +81,7 @@ impl JsonWriter {
     }
 
     /// Emits an unsigned integer value.
-    pub(crate) fn value_u64(&mut self, v: u64) {
+    pub fn value_u64(&mut self, v: u64) {
         self.before_value();
         self.out.push_str(&v.to_string());
     }

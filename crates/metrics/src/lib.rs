@@ -17,7 +17,7 @@
 //!
 //! * [`SpanRecorder`] (`span`) — per-message lifecycle events
 //!   (`posted` → `enqueued` → `packed` → `matched{path}`, plus
-//!   `retransmitted`/`fell_back`) with explicit drop accounting, JSONL and
+//!   `fell_back`) with explicit drop accounting, JSONL and
 //!   Chrome `trace_event` export, and derived per-path post→match latency
 //!   histograms.
 //! * [`SeriesRecorder`] (`series`) — a rolling sampler that distills
@@ -53,8 +53,8 @@ use std::time::Instant;
 /// Nanoseconds since the first call to `now_ns` in this process.
 ///
 /// A monotonic, process-local epoch: cheap and non-decreasing. Used to
-/// timestamp [`SpanEvent`]s, so the rings of the engine, the service and
-/// the senders share one timeline.
+/// timestamp [`SpanEvent`]s, so the rings of the engine and the service
+/// share one timeline.
 pub(crate) fn now_ns() -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     let epoch = EPOCH.get_or_init(Instant::now);

@@ -3,7 +3,7 @@
 //! A *span* is the sequence of stamped events one message (or receive, or
 //! wire packet) passes through on its way from submission to completion:
 //! `posted`, `enqueued`, `packed{block_id, occupancy}`, `matched{path}`,
-//! `retransmitted{attempt}`, `fell_back`. Each component pushes
+//! `fell_back`. Each component pushes
 //! [`SpanEvent`]s into a [`SpanRecorder`] it owns — a bounded ring with an
 //! **explicit dropped-events counter** (every overwritten event is
 //! accounted for) — and its retained window ([`SpanRecorder::dump`]) renders
@@ -23,8 +23,8 @@
 //!   paper's NC / WC-FP / WC-SP latency split.
 //!
 //! Timestamps come from [`crate::now_ns`] (nanoseconds since the first
-//! observation in the process), so the spans the engine, the service and
-//! the senders stamp into their own rings share one timeline.
+//! observation in the process), so the spans the engine and the service
+//! stamp into their own rings share one timeline.
 //! [`SpanRecorder::push_at`] accepts explicit timestamps for deterministic
 //! tests.
 //!
@@ -109,11 +109,6 @@ pub enum SpanKind {
         /// Which resolution path produced the pairing.
         path: MatchPath,
     },
-    /// The reliability layer retransmitted the packet.
-    Retransmitted {
-        /// 1-based retransmit attempt for the current window.
-        attempt: u32,
-    },
     /// The message was migrated to software matching by a fallback.
     FellBack,
 }
@@ -126,7 +121,6 @@ impl SpanKind {
             SpanKind::Enqueued => "enqueued",
             SpanKind::Packed { .. } => "packed",
             SpanKind::Matched { .. } => "matched",
-            SpanKind::Retransmitted { .. } => "retransmitted",
             SpanKind::FellBack => "fell_back",
         }
     }
@@ -257,7 +251,6 @@ fn write_kind_payload(w: &mut JsonWriter, kind: SpanKind) {
             w.field_u64("occupancy", occupancy as u64);
         }
         SpanKind::Matched { path } => w.field_str("path", path.label()),
-        SpanKind::Retransmitted { attempt } => w.field_u64("attempt", attempt as u64),
         SpanKind::Posted | SpanKind::Enqueued | SpanKind::FellBack => {}
     }
 }
@@ -401,7 +394,7 @@ mod tests {
                 path: MatchPath::WcFp,
             },
         );
-        r.push_at(11, 40, SpanKind::Retransmitted { attempt: 2 });
+        r.push_at(11, 40, SpanKind::FellBack);
         let jsonl = r.to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 4);
@@ -419,7 +412,7 @@ mod tests {
         );
         assert_eq!(
             lines[3],
-            r#"{"t_ns":11,"seq":3,"subject":40,"event":"retransmitted","attempt":2}"#
+            r#"{"t_ns":11,"seq":3,"subject":40,"event":"fell_back"}"#
         );
     }
 

@@ -325,6 +325,11 @@ pub fn read_trace<R: Read>(inp: R) -> Result<AppTrace, CacheError> {
         let mut ops = Vec::with_capacity(nops.min(1 << 20));
         for _ in 0..nops {
             let time = r.f64()?;
+            if !time.is_finite() {
+                // As the DUMPI parser does: such a time places a call
+                // nowhere a real run could.
+                return format_err(format!("rank {}: walltime {time} is not finite", rank.0));
+            }
             let op = match r.u8()? {
                 0 => MpiOp::Isend {
                     dest: Rank(r.u32()?),
@@ -479,6 +484,18 @@ mod tests {
         write_trace(&trace, &mut buf).unwrap();
         buf.truncate(buf.len() - 5);
         assert!(matches!(read_trace(buf.as_slice()), Err(CacheError::Io(_))));
+    }
+
+    #[test]
+    fn a_walltime_that_is_not_finite_is_rejected() {
+        for time in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut trace = sample_trace();
+            trace.ranks[1].ops[0].time = time;
+            let mut buf = Vec::new();
+            write_trace(&trace, &mut buf).unwrap();
+            let e = read_trace(buf.as_slice()).unwrap_err();
+            assert!(e.to_string().contains("not finite"), "{e}");
+        }
     }
 
     #[test]

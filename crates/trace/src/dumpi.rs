@@ -92,6 +92,11 @@ pub fn parse_rank_text(text: &str) -> Result<RankParse, ParseError> {
                 format!("expected 'MPI_Xxx entering at walltime T', got '{line}'"),
             );
         };
+        if !time.is_finite() {
+            // A time places the call in the global order; NaN or an
+            // infinity places it nowhere a real run could.
+            return err(lineno + 1, format!("{name}: walltime {time} is not finite"));
+        }
         // Collect argument lines until the matching "returning" line.
         let mut args: HashMap<String, String> = HashMap::new();
         let mut closed = false;
@@ -569,6 +574,21 @@ MPI_Send returning at walltime 0.2
         let text = "this is not a trace\n";
         let e = parse_rank_text(text).unwrap_err();
         assert_eq!(e.line, 1);
+    }
+
+    #[test]
+    fn a_walltime_that_is_not_finite_is_an_error_naming_its_line() {
+        for time in ["nan", "NaN", "inf", "-inf", "infinity"] {
+            let text = format!(
+                "MPI_Barrier entering at walltime 0.1\nMPI_Comm comm=0\n\
+                 MPI_Barrier returning at walltime 0.2\n\
+                 MPI_Send entering at walltime {time}\nint count=4\nint dest=1\n\
+                 int tag=7\nMPI_Comm comm=0\nMPI_Send returning at walltime 0.3\n"
+            );
+            let e = parse_rank_text(&text).unwrap_err();
+            assert_eq!(e.line, 4, "{time}");
+            assert!(e.message.contains("not finite"), "{e}");
+        }
     }
 
     #[test]

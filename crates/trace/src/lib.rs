@@ -12,8 +12,8 @@
 //!    model of [`model`]. A binary cache ([`cache`]) skips re-parsing on
 //!    subsequent runs, since parsing is the analyzer's most expensive step.
 //! 2. **Processing** ([`mod@replay`]) — the per-rank operation streams are
-//!    merged by timestamp, split into what each rank's matcher sees, and
-//!    replayed rank-major through one real engine per rank
+//!    split into what each rank's matcher sees, in global time order
+//!    ([`AppTrace::split`]), and replayed rank-major through one real engine per rank
 //!    (`otm::SequentialOtm`, the three binned hash tables plus wildcard list
 //!    of §III-B), sized from that rank's own traffic. Only point-to-point
 //!    and progress operations are matched; collectives and one-sided

@@ -194,6 +194,21 @@ pub struct AppTrace {
     pub ranks: Vec<RankTrace>,
 }
 
+/// A time's place in the trace's global order: the order-preserving bits
+/// of `time + 0.0` — a negative float's bits flipped, any other's sign bit
+/// set — so that integer order is time order, `-0.0` ties `0.0` as a float
+/// comparison has it, and the order is total: a NaN sorts past the
+/// infinity of its sign. This is the one place the order is derived;
+/// [`AppTrace::split`] and [`AppTrace::merged_ops`] both order by it.
+fn time_key(time: f64) -> u64 {
+    let bits = (time + 0.0).to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
 impl AppTrace {
     /// Number of processes in the trace.
     pub fn processes(&self) -> usize {
@@ -205,27 +220,94 @@ impl AppTrace {
         self.ranks.iter().map(|r| r.ops.len()).sum()
     }
 
-    /// Merges all ranks' operations into one stream ordered by timestamp
-    /// (ties broken by rank then program order) — the sequential processing
-    /// order of the analyzer (§V-A). What is sorted is a 16-byte key per
-    /// operation, `(time, index into ranks, index into ops)`, and by the
-    /// stable sort: each rank's operations are already in time order, so
-    /// the keys are one sorted run per rank and the sort is a merge of them.
+    /// Calls `visit` on every operation with its rank, in (rank, program
+    /// index, entry) order: rank by rank, each rank's operations in program
+    /// order, and the entries of a rank that appears twice in `ranks`
+    /// interleaved index by index, in `ranks` order.
+    fn visit(&self, mut visit: impl FnMut(Rank, &TimedOp)) {
+        let mut entries: Vec<&RankTrace> = self.ranks.iter().collect();
+        entries.sort_by_key(|entry| entry.rank);
+        for group in entries.chunk_by(|a, b| a.rank == b.rank) {
+            if let [entry] = group {
+                for op in &entry.ops {
+                    visit(entry.rank, op);
+                }
+                continue;
+            }
+            let longest = group.iter().map(|entry| entry.ops.len()).max();
+            for i in 0..longest.unwrap_or(0) {
+                for entry in group {
+                    if let Some(op) = entry.ops.get(i) {
+                        visit(entry.rank, op);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Splits the trace into `destinations` streams in the analyzer's
+    /// global order (§V-A: every operation "sequentially"): time, then rank,
+    /// then program index, the order of [`AppTrace::merged_ops`].
+    /// `route` names the destination an operation of a rank feeds, if any;
+    /// it is called twice an operation, once to size the streams exactly
+    /// and once to fill them. `event` makes the operation's event there,
+    /// given the destination: it is called once a routed operation, in
+    /// (rank, program index) order, so it may count as it goes.
+    ///
+    /// The trace is never sorted as a whole. Every event is pushed behind
+    /// its time key in that order, so a stable sort on the key alone keeps
+    /// every tie where the global order has it, and each destination is
+    /// then sorted on its own, in its own buffer.
+    pub fn split<E>(
+        &self,
+        destinations: usize,
+        route: impl Fn(Rank, &TimedOp) -> Option<usize>,
+        mut event: impl FnMut(usize, Rank, &TimedOp) -> E,
+    ) -> Vec<Vec<E>> {
+        let mut sizes = vec![0usize; destinations];
+        for rank in &self.ranks {
+            for op in &rank.ops {
+                if let Some(dest) = route(rank.rank, op) {
+                    sizes[dest] += 1;
+                }
+            }
+        }
+        let mut keyed: Vec<Vec<(u64, E)>> = sizes.into_iter().map(Vec::with_capacity).collect();
+        self.visit(|rank, op| {
+            if let Some(dest) = route(rank, op) {
+                keyed[dest].push((time_key(op.time), event(dest, rank, op)));
+            }
+        });
+        keyed
+            .into_iter()
+            .map(|mut stream| {
+                stream.sort_by_key(|&(key, _)| key);
+                stream.into_iter().map(|(_, e)| e).collect()
+            })
+            .collect()
+    }
+
+    /// The reference for [`AppTrace::split`]: all ranks' operations in one
+    /// stream, ordered by time, ties broken by rank, then by program order,
+    /// and the entries of a rank that appears twice in `ranks` in `ranks`
+    /// order. What is sorted is a 16-byte key per operation, `(time key,
+    /// index into ranks, index into ops)`, by a stable sort; the time key
+    /// is the split's, so the two orders agree on every time a trace can
+    /// hold, NaN included.
     pub fn merged_ops(&self) -> Vec<(Rank, TimedOp)> {
-        let mut keys: Vec<(f64, u32, u32)> = Vec::with_capacity(self.total_ops());
+        let mut keys: Vec<(u64, u32, u32)> = Vec::with_capacity(self.total_ops());
         for (r, rank) in self.ranks.iter().enumerate() {
             assert!(rank.ops.len() <= u32::MAX as usize, "key holds a u32");
             let ops = rank.ops.iter().enumerate();
-            keys.extend(ops.map(|(i, op)| (op.time, r as u32, i as u32)));
+            keys.extend(ops.map(|(i, op)| (time_key(op.time), r as u32, i as u32)));
         }
         let rank_of = |r: u32| self.ranks[r as usize].rank;
         keys.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
+            a.0.cmp(&b.0)
                 .then_with(|| rank_of(a.1).cmp(&rank_of(b.1)))
                 .then(a.2.cmp(&b.2))
         });
-        let op_of = |(_, r, i): (f64, u32, u32)| {
+        let op_of = |(_, r, i): (u64, u32, u32)| {
             let rank = &self.ranks[r as usize];
             (rank.rank, rank.ops[i as usize])
         };
@@ -351,6 +433,173 @@ mod tests {
         let merged = trace.merged_ops();
         assert_eq!(merged.len(), trace.total_ops());
         assert_eq!(merged, merged_ops_by_stable_sort(&trace));
+    }
+
+    /// Where the split tests send an operation: a receive or a progress
+    /// point to its own rank, a send to its destination below `n`.
+    fn destination(rank: Rank, op: &MpiOp, n: usize) -> Option<usize> {
+        match *op {
+            MpiOp::Irecv { .. }
+            | MpiOp::Recv { .. }
+            | MpiOp::Wait { .. }
+            | MpiOp::Waitall { .. } => Some(rank.0 as usize),
+            MpiOp::Isend { dest, .. } | MpiOp::Send { dest, .. } => {
+                Some(dest.0 as usize).filter(|&d| d < n)
+            }
+            MpiOp::Collective { .. } | MpiOp::OneSided { .. } => None,
+        }
+    }
+
+    /// An operation as a split test sees it: its rank, its time's bits (a
+    /// NaN equals itself) and the operation.
+    type Seen = (Rank, u64, MpiOp);
+
+    fn seen(rank: Rank, t: &TimedOp) -> Seen {
+        (rank, t.time.to_bits(), t.op)
+    }
+
+    /// Asserts that the split equals `merged_ops` redistributed: every
+    /// operation pushed, in merged order, to the stream it feeds.
+    fn assert_split_equals_merged_ops(trace: &AppTrace) {
+        let n = trace.ranks.iter().map(|r| r.rank.0 as usize + 1).max();
+        let n = n.unwrap_or(0);
+        let route = |rank, t: &TimedOp| destination(rank, &t.op, n);
+        let split = trace.split(n, route, |_, rank, t| seen(rank, t));
+        let mut merged: Vec<Vec<Seen>> = vec![Vec::new(); n];
+        for (rank, t) in trace.merged_ops() {
+            if let Some(dest) = destination(rank, &t.op, n) {
+                merged[dest].push(seen(rank, &t));
+            }
+        }
+        assert_eq!(split, merged, "{}", trace.name);
+    }
+
+    #[test]
+    fn the_split_equals_merged_ops_redistributed() {
+        // The tie-heavy trace of `merged_ops_equals_the_stable_sort_…`,
+        // with receives and progress points among the sends: coarse times
+        // tie across ranks and within one, rank entries are out of rank
+        // order, and rank 3 appears twice. Every operation has a tag of
+        // its own, so a swap shows.
+        let mut rng = otm_base::FaultRng::new(0x5eed_0023);
+        let mut tag = 0;
+        let entries = [5u32, 3, 0, 3, 9, 1];
+        let ranks = entries.map(|rank| RankTrace {
+            rank: Rank(rank),
+            ops: (0..200 + rng.below(100))
+                .map(|_| {
+                    tag += 1;
+                    let time = rng.below(8) as f64 * 0.5;
+                    let op = match rng.below(3) {
+                        0 => MpiOp::Send {
+                            dest: Rank(entries[rng.below(entries.len() as u64) as usize]),
+                            tag: Tag(tag),
+                            comm: CommId::WORLD,
+                            count: 1,
+                        },
+                        1 => MpiOp::Irecv {
+                            src: SourceSel::Any,
+                            tag: TagSel::Tag(Tag(tag)),
+                            comm: CommId::WORLD,
+                            count: 1,
+                            request: ReqId(tag),
+                        },
+                        _ => MpiOp::Wait {
+                            request: ReqId(tag),
+                        },
+                    };
+                    TimedOp { time, op }
+                })
+                .collect(),
+        });
+        let mut ties = AppTrace {
+            name: "ties".into(),
+            ranks: ranks.into(),
+        };
+        assert_split_equals_merged_ops(&ties);
+        // The same with each rank's times rising, so every source is one
+        // run of a destination's stream.
+        for rank in &mut ties.ranks {
+            let mut times: Vec<f64> = rank.ops.iter().map(|t| t.time).collect();
+            times.sort_by(f64::total_cmp);
+            rank.ops
+                .iter_mut()
+                .zip(times)
+                .for_each(|(t, time)| t.time = time);
+        }
+        assert_split_equals_merged_ops(&ties);
+
+        // Every kind of time a float holds, in each rank's program order
+        // and out of it: signed zeros tie, the infinities bound the finite
+        // times, and a NaN has a place of its own.
+        let odd = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        let odd = odd.into_iter().chain([1.5, -2.0]);
+        let times: Vec<f64> = odd.clone().chain(odd.rev()).collect();
+        let ranks = (0..4).map(|rank| RankTrace {
+            rank: Rank(rank),
+            ops: times
+                .iter()
+                .enumerate()
+                .map(|(i, &time)| isend(time, (rank + i as u32) % 4))
+                .collect(),
+        });
+        let floats = AppTrace {
+            name: "every float".into(),
+            ranks: ranks.collect(),
+        };
+        assert_split_equals_merged_ops(&floats);
+        let mut order = floats.split(1, |_, _| Some(0), |_, _, t| (t.time + 0.0).to_bits());
+        order[0].dedup();
+        let times = [
+            -f64::NAN,
+            f64::NEG_INFINITY,
+            -2.0,
+            0.0,
+            1.5,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        assert_eq!(order[0], times.map(f64::to_bits));
+    }
+
+    #[test]
+    fn merged_ops_orders_nan_times_instead_of_panicking() {
+        // 8 ranks of 300 sends at seeded times, one in five NaN: a
+        // comparison sort on the times themselves is handed no total order.
+        let mut rng = otm_base::FaultRng::new(1);
+        let ranks = (0..8).map(|rank| RankTrace {
+            rank: Rank(rank),
+            ops: (0..300)
+                .map(|_| {
+                    let time = match rng.below(5) {
+                        0 => f64::NAN,
+                        _ => rng.below(1000) as f64,
+                    };
+                    isend(time, (rank + 1) % 8)
+                })
+                .collect(),
+        });
+        let trace = AppTrace {
+            name: "nan".into(),
+            ranks: ranks.collect(),
+        };
+        let merged = trace.merged_ops();
+        assert_eq!(merged.len(), 8 * 300);
+        let nans = merged.iter().filter(|(_, t)| t.time.is_nan()).count();
+        assert!(nans > 400, "{nans} NaN times");
+        let last = &merged[merged.len() - nans..];
+        assert!(
+            last.iter().all(|(_, t)| t.time.is_nan()),
+            "every NaN sorts last"
+        );
+        assert_split_equals_merged_ops(&trace);
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! The trace processing stage (§V-A b): replay the merged operation stream
-//! through one optimistic engine per rank and gather statistics.
+//! The trace processing stage (§V-A b): replay the operations, in global
+//! time order, through one optimistic engine per rank and gather
+//! statistics.
 //!
 //! "Each MPI operation within the in-memory representation of the trace
 //! gets sequentially processed until none remain. Only p2p and progress
@@ -13,11 +14,18 @@
 //! indexed in all four ways (§IV-C). Its search depths are the queue depths
 //! of Fig. 7; with one bin it degenerates into traditional linear-scan
 //! matching.
+//!
+//! The order is [`AppTrace::split`]'s, the one order of the trace: time,
+//! then rank, then program index, on a time key that orders every float
+//! (`model.rs` derives it; this module takes no float's bits). The split
+//! hands each rank its own events in that order without merging the
+//! trace as a whole; [`AppTrace::merged_ops`], which does, is the split's
+//! test reference.
 
 use crate::model::{AppTrace, CallKind, MpiOp, TimedOp};
 use mpi_matching::{MatchStats, Matcher, MsgHandle, RecvHandle};
 use otm::SequentialOtm;
-use otm_base::{Envelope, MatchConfig, ReceivePattern};
+use otm_base::{Envelope, MatchConfig, Rank, ReceivePattern};
 use otm_metrics::{json_fields, HistogramSnapshot};
 use std::collections::HashSet;
 
@@ -135,7 +143,7 @@ pub struct AppReport {
 json_fields!(AppReport: name, processes, bins, call_dist, match_stats, mean_queue_depth,
     max_queue_depth, avg_empty_bin_fraction, tag_usage, final_prq, final_umq, datapoints);
 
-/// One rank's share of the merged operation stream.
+/// One rank's share of the trace.
 #[derive(Debug, Clone, Copy)]
 enum Event {
     /// A receive the rank posts.
@@ -143,7 +151,7 @@ enum Event {
     /// A message addressed to the rank.
     Arrive(Envelope),
     /// A progress point of the rank's own (`Wait`/`Waitall`), carrying the
-    /// index of its sample in global time order.
+    /// index of its sample in (rank, program index) order.
     Progress(usize),
 }
 
@@ -151,11 +159,15 @@ enum Event {
 ///
 /// Matchers of different ranks never interact: a rank's matcher sees only
 /// its own posts and the arrivals addressed to it, in global time order. So
-/// one pass over the merged stream counts calls and tags and splits the
-/// stream into per-rank event lists, and a second pass replays them rank by
-/// rank through one engine, sized for the largest rank and reset before each
-/// (a reset engine reads as new, and a larger table changes no count). A
-/// progress point samples the same state rank-major as it would interleaved.
+/// a pass over the trace in any order counts calls and tags;
+/// [`AppTrace::split`] hands each rank its events in that order (the trace
+/// is never merged as a whole), counting each rank's posts and arrivals as
+/// it goes; and they are replayed rank by
+/// rank through one engine, sized for the largest rank and reset before
+/// each (a reset engine reads as new, and a larger table changes no count). A
+/// progress point samples the same state rank-major as it would
+/// interleaved, and the samples are summed in global time order, the order
+/// an interleaved replay takes them in.
 pub fn replay(trace: &AppTrace, config: &ReplayConfig) -> AppReport {
     let n = trace
         .ranks
@@ -163,71 +175,72 @@ pub fn replay(trace: &AppTrace, config: &ReplayConfig) -> AppReport {
         .map(|r| r.rank.0 as usize + 1)
         .max()
         .unwrap_or(0);
-    let mut per_rank: Vec<Vec<Event>> = vec![Vec::new(); n];
     let mut dist = CallDistribution::default();
     let mut tags: HashSet<u32> = HashSet::new();
     let mut src_tag_pairs: HashSet<(u32, u32)> = HashSet::new();
     let mut recv_count = 0u64;
     let mut wildcard_recvs = 0u64;
-    let mut datapoints = 0usize;
-
-    for (rank, TimedOp { op, .. }) in trace.merged_ops() {
-        match op.kind() {
-            CallKind::PointToPoint => dist.p2p += 1,
-            CallKind::Collective => dist.collective += 1,
-            CallKind::OneSided => dist.one_sided += 1,
-            CallKind::Progress => dist.progress += 1,
-        }
-        match op {
-            MpiOp::Irecv { src, tag, comm, .. } | MpiOp::Recv { src, tag, comm, .. } => {
-                recv_count += 1;
-                if src.is_wild() || tag.is_wild() {
-                    wildcard_recvs += 1;
+    for r in &trace.ranks {
+        for TimedOp { op, .. } in &r.ops {
+            match op.kind() {
+                CallKind::PointToPoint => dist.p2p += 1,
+                CallKind::Collective => dist.collective += 1,
+                CallKind::OneSided => dist.one_sided += 1,
+                CallKind::Progress => dist.progress += 1,
+            }
+            match *op {
+                MpiOp::Irecv { src, tag, .. } | MpiOp::Recv { src, tag, .. } => {
+                    recv_count += 1;
+                    if src.is_wild() || tag.is_wild() {
+                        wildcard_recvs += 1;
+                    }
                 }
-                per_rank[rank.0 as usize].push(Event::Post(ReceivePattern { src, tag, comm }));
-            }
-            MpiOp::Isend {
-                dest, tag, comm, ..
-            }
-            | MpiOp::Send {
-                dest, tag, comm, ..
-            } => {
-                tags.insert(tag.0);
-                src_tag_pairs.insert((rank.0, tag.0));
-                if let Some(events) = per_rank.get_mut(dest.0 as usize) {
-                    events.push(Event::Arrive(Envelope {
-                        src: rank,
-                        tag,
-                        comm,
-                    }));
+                MpiOp::Isend { tag, .. } | MpiOp::Send { tag, .. } => {
+                    tags.insert(tag.0);
+                    src_tag_pairs.insert((r.rank.0, tag.0));
                 }
+                _ => {}
             }
-            MpiOp::Wait { .. } | MpiOp::Waitall { .. } => {
-                // Progress point: snapshot the data-structure state (§V-A).
-                per_rank[rank.0 as usize].push(Event::Progress(datapoints));
-                datapoints += 1;
-            }
-            MpiOp::Collective { .. } | MpiOp::OneSided { .. } => {}
         }
     }
 
-    // Each sample lands in its global slot, so the mean sums them in trace
-    // order, as an interleaved replay would.
+    // The engine's table holds the most receives any rank posts, and its
+    // store the most messages that reach any rank.
+    let (mut posts, mut arrivals) = (vec![0usize; n], vec![0usize; n]);
+    let mut datapoints = 0usize;
+    let per_rank = trace.split(
+        n,
+        |rank, t| route(rank, &t.op, n),
+        |dest, rank, &TimedOp { op, .. }| match op {
+            MpiOp::Irecv { src, tag, comm, .. } | MpiOp::Recv { src, tag, comm, .. } => {
+                posts[dest] += 1;
+                Event::Post(ReceivePattern { src, tag, comm })
+            }
+            MpiOp::Isend { tag, comm, .. } | MpiOp::Send { tag, comm, .. } => {
+                arrivals[dest] += 1;
+                Event::Arrive(Envelope {
+                    src: rank,
+                    tag,
+                    comm,
+                })
+            }
+            _ => {
+                // Progress point: snapshot the data-structure state (§V-A).
+                datapoints += 1;
+                Event::Progress(datapoints - 1)
+            }
+        },
+    );
+
+    // Each sample lands in its slot, in (rank, program index) order.
     let mut empty_bin_fractions = vec![0.0f64; datapoints];
     let mut merged = MatchStats::new();
     let mut final_prq = 0usize;
     let mut final_umq = 0usize;
     let mut next_recv = 0u64;
     let mut next_msg = 0u64;
-    // The engine's table holds the most receives any rank posts, and its
-    // store the most messages that reach any rank.
-    let (mut max_posts, mut max_arrivals) = (1, 1);
-    for events in &per_rank {
-        let posts = events.iter().filter(|e| matches!(e, Event::Post(_)));
-        let arrivals = events.iter().filter(|e| matches!(e, Event::Arrive(_)));
-        max_posts = max_posts.max(posts.count());
-        max_arrivals = max_arrivals.max(arrivals.count());
-    }
+    let max_posts = posts.into_iter().fold(1, usize::max);
+    let max_arrivals = arrivals.into_iter().fold(1, usize::max);
     let engine_config = MatchConfig::default()
         .with_bins(config.bins)
         .with_block_threads(1)
@@ -273,7 +286,7 @@ pub fn replay(trace: &AppTrace, config: &ReplayConfig) -> AppReport {
         avg_empty_bin_fraction: if datapoints == 0 {
             1.0
         } else {
-            empty_bin_fractions.iter().sum::<f64>() / datapoints as f64
+            in_time_order(trace, &empty_bin_fractions).sum::<f64>() / datapoints as f64
         },
         tag_usage: TagUsage {
             distinct_tags: tags.len(),
@@ -289,6 +302,36 @@ pub fn replay(trace: &AppTrace, config: &ReplayConfig) -> AppReport {
         datapoints,
         rank_events,
     }
+}
+
+/// The rank an operation of `rank` feeds: a receive or a progress point is
+/// its own rank's, a send is its destination's when that is below `n`.
+fn route(rank: Rank, op: &MpiOp, n: usize) -> Option<usize> {
+    match *op {
+        MpiOp::Irecv { .. } | MpiOp::Recv { .. } | MpiOp::Wait { .. } | MpiOp::Waitall { .. } => {
+            Some(rank.0 as usize)
+        }
+        MpiOp::Isend { dest, .. } | MpiOp::Send { dest, .. } => {
+            Some(dest.0 as usize).filter(|&dest| dest < n)
+        }
+        MpiOp::Collective { .. } | MpiOp::OneSided { .. } => None,
+    }
+}
+
+/// The progress points' samples in global time order: the trace's progress
+/// points, numbered in (rank, program index) order as [`replay`] numbers
+/// them, split as one stream.
+fn in_time_order<'a>(trace: &AppTrace, samples: &'a [f64]) -> impl Iterator<Item = &'a f64> {
+    let mut next = 0;
+    let progress = |_, t: &TimedOp| (t.op.kind() == CallKind::Progress).then_some(0);
+    let order = trace.split(1, progress, |_, _, _| {
+        next += 1;
+        next - 1
+    });
+    order
+        .into_iter()
+        .flatten()
+        .map(move |sample| &samples[sample])
 }
 
 #[cfg(test)]
@@ -500,6 +543,50 @@ pub(crate) mod tests {
         // 0 receives nothing and posts nothing.
         let rank_events = &d.hists["trace_replay_rank_events"];
         assert_eq!((rank_events.count, rank_events.sum), (1, 5));
+    }
+
+    #[test]
+    fn a_trace_with_nan_times_replays_in_the_splits_order() {
+        // 8 ranks of 300 sends to the next rank, each rank posting the 300
+        // receives they match and waiting on each, at seeded times; one
+        // time in five is NaN.
+        let mut rng = otm_base::FaultRng::new(1);
+        let mut time = move || match rng.below(5) {
+            0 => f64::NAN,
+            _ => rng.below(1000) as f64,
+        };
+        let ranks = (0..8u32).map(|rank| {
+            let ops = (0..300u32).flat_map(|i| {
+                let send = MpiOp::Send {
+                    dest: Rank((rank + 1) % 8),
+                    tag: Tag(i),
+                    comm: CommId::WORLD,
+                    count: 1,
+                };
+                let recv = MpiOp::Irecv {
+                    src: SourceSel::Rank(Rank((rank + 7) % 8)),
+                    tag: TagSel::Tag(Tag(i)),
+                    comm: CommId::WORLD,
+                    count: 1,
+                    request: ReqId(i),
+                };
+                let wait = MpiOp::Wait { request: ReqId(i) };
+                [recv, send, wait].map(|op| TimedOp { time: time(), op })
+            });
+            RankTrace {
+                rank: Rank(rank),
+                ops: ops.collect(),
+            }
+        });
+        let trace = AppTrace {
+            name: "nan".into(),
+            ranks: ranks.collect(),
+        };
+        let report = replay(&trace, &ReplayConfig::default());
+        assert_eq!(report.call_dist.p2p, 8 * 600);
+        assert_eq!(report.datapoints, 8 * 300);
+        let matched = report.match_stats.matched_on_arrival + report.match_stats.matched_on_post;
+        assert_eq!(matched, 8 * 300, "every message finds its receive");
     }
 
     #[test]

@@ -5,9 +5,14 @@
 //! rank; every call count, tag statistic, search depth, high-water mark,
 //! empty-bin fraction and final queue length must come out byte for byte
 //! the same.
+//!
+//! The order the analyzer replays in is `AppTrace::split`'s: on every
+//! application it equals the whole trace merged (`AppTrace::merged_ops`,
+//! the split's reference) and redistributed to the ranks.
 
+use otm_base::Rank;
 use otm_metrics::json::{JsonWriter, WriteJson};
-use otm_trace::{replay, ReplayConfig};
+use otm_trace::{replay, MpiOp, ReplayConfig, TimedOp};
 
 /// `(application, bins, AppReport JSON)`, in catalog order.
 const GOLDEN: [(&str, usize, &str); 48] = [
@@ -271,4 +276,35 @@ fn replay_reports_equal_the_recorded_analyzer_output() {
         golden.next().is_none(),
         "every recorded report was replayed"
     );
+}
+
+/// The rank an operation of `rank` feeds in the analyzer: a receive or a
+/// progress point its own, a send its destination's below `n`.
+fn route(rank: Rank, t: &TimedOp, n: usize) -> Option<usize> {
+    match t.op {
+        MpiOp::Irecv { .. } | MpiOp::Recv { .. } | MpiOp::Wait { .. } | MpiOp::Waitall { .. } => {
+            Some(rank.0 as usize)
+        }
+        MpiOp::Isend { dest, .. } | MpiOp::Send { dest, .. } => {
+            Some(dest.0 as usize).filter(|&dest| dest < n)
+        }
+        MpiOp::Collective { .. } | MpiOp::OneSided { .. } => None,
+    }
+}
+
+#[test]
+fn the_split_equals_merged_ops_redistributed_on_every_catalog_app() {
+    for spec in otm_workloads::catalog() {
+        let trace = (spec.generate)(42);
+        let n = trace.processes();
+        let seen = |rank: Rank, t: &TimedOp| (rank, t.time.to_bits(), t.op);
+        let split = trace.split(n, |rank, t| route(rank, t, n), |_, rank, t| seen(rank, t));
+        let mut merged = vec![Vec::new(); n];
+        for (rank, t) in trace.merged_ops() {
+            if let Some(dest) = route(rank, &t, n) {
+                merged[dest].push(seen(rank, &t));
+            }
+        }
+        assert_eq!(split, merged, "{}", spec.name);
+    }
 }

@@ -9,11 +9,14 @@
 //! per-destination rebuild coming back. The analyzer resets one engine for
 //! every rank, so `replay.rs` builds it once.
 //!
-//! `replay_app` splits its events per destination and sorts each
-//! destination's own stream (`app_replay.rs::per_destination_events`), so
-//! the whole-trace merge is the analyzer's alone: it is not to come back
-//! into `dpa-sim` outside its tests. The RDMA READ allocates its target
-//! once, at its final size, so `rdma.rs` regrows nothing.
+//! The trace has one global order, derived in one place: the time key and
+//! the split of `crates/trace/src/model.rs` (`AppTrace::split`), which
+//! both replays call. So neither replay takes a float's bits or sorts its
+//! events, the analyzer does not merge the whole trace
+//! (`AppTrace::merged_ops` is the split's test reference), and the merge
+//! is not to come back into `dpa-sim` outside its tests. The RDMA READ
+//! allocates its target once, at its final size, so `rdma.rs` regrows
+//! nothing.
 //!
 //! The harness binaries drive the reliable stack through `replay_app` (or
 //! the ping-pong of `dpa_sim::pingpong`), never by wiring a queue pair and
@@ -180,6 +183,24 @@ fn one_endpoint_set_and_one_pass_per_destination_in_the_replays() {
     let rdma = source("crates/dpa-sim/src/rdma.rs");
     let reserve = rdma.lines().find(|line| line.contains("reserve"));
     assert!(reserve.is_none(), "rdma.rs: {reserve:?}");
+}
+
+#[test]
+fn one_trace_order() {
+    for (file, patterns) in [
+        ("crates/dpa-sim/src/app_replay.rs", ["to_bits(", ".sort"]),
+        ("crates/trace/src/replay.rs", ["to_bits(", "merged_ops("]),
+    ] {
+        let text = source(file);
+        for pat in patterns {
+            let found = outside_tests(&text).find(|line| line.contains(pat));
+            assert!(
+                found.is_none(),
+                "{file}: {pat} outside its tests, but the trace's order is \
+                 `crates/trace/src/model.rs`'s alone: {found:?}"
+            );
+        }
+    }
 }
 
 #[test]
