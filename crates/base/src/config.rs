@@ -57,13 +57,6 @@ pub struct MatchConfig {
     /// Enable the early-booking check (§IV-D): skip receives already booked
     /// by lower-id threads during the optimistic phase.
     pub early_booking_check: bool,
-    /// Cap on the number of arrivals one communicator lane may contribute to
-    /// a single block, which the drain packs across communicators. `None`
-    /// (the default) keeps the greedy fill — one deep lane may own the
-    /// whole block. A fair scheduler layered above (the `matchd` deficit
-    /// round-robin) sets this so a flooding tenant's lane cannot crowd the
-    /// other lanes out of every block.
-    pub lane_quota: Option<usize>,
     /// Capacity of each communicator's command queue, in commands, exactly:
     /// a queue holding this many refuses the next with the retryable
     /// [`MatchError::SubmissionRingFull`] backpressure signal. Must be in
@@ -83,7 +76,6 @@ impl Default for MatchConfig {
             block_threads: 32,
             fast_path: true,
             early_booking_check: false,
-            lane_quota: None,
             ring_capacity: 1024,
         }
     }
@@ -144,14 +136,6 @@ impl MatchConfig {
         self
     }
 
-    /// Caps the arrivals one lane contributes per cross-comm block
-    /// (`None` = unlimited greedy fill).
-    #[must_use]
-    pub fn with_lane_quota(mut self, quota: Option<usize>) -> Self {
-        self.lane_quota = quota;
-        self
-    }
-
     /// Sets the per-communicator command-queue capacity, in commands.
     #[must_use]
     pub fn with_ring_capacity(mut self, capacity: usize) -> Self {
@@ -174,11 +158,6 @@ impl MatchConfig {
                     "{name} must be in 1..={max}, got {value}"
                 )));
             }
-        }
-        if self.lane_quota == Some(0) {
-            return Err(MatchError::InvalidConfig(
-                "lane_quota must be >= 1 when set".into(),
-            ));
         }
         Ok(())
     }

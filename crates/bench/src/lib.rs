@@ -49,7 +49,7 @@ pub struct CommonArgs {
     pub fault_seed: Option<u64>,
     /// `--series PATH`: write the flight recorder's rolling time-series
     /// artifact (columnar JSON; `appbench` writes each app's busiest
-    /// destination, fig8 the `--tenants` sweep's server per poll) to PATH.
+    /// destination, fig8 its `Optimistic-DPA NC` series per poll) to PATH.
     pub series: Option<PathBuf>,
     /// `--spans PATH`: write per-message lifecycle span dumps — JSONL plus a
     /// Chrome `trace_event` file Perfetto opens directly — using PATH as the
@@ -57,15 +57,6 @@ pub struct CommonArgs {
     /// building with `--features trace-events`; otherwise the harness prints
     /// a warning and skips the dump.
     pub spans: Option<PathBuf>,
-    /// `--tenants N`: run fig8's multi-tenant matchd fairness sweep, with N
-    /// tenants on one matching server, instead of its series, and write the
-    /// `fig8_tenants.json` artifact.
-    pub tenants: Option<usize>,
-    /// `--flood-tenant I`: make tenant I of the `--tenants` section a
-    /// flooder — it submits far past its ingress bound every tick, so the
-    /// admission path answers with backpressure while the fair drain
-    /// protects the other tenants' throughput.
-    pub flood_tenant: Option<usize>,
 }
 
 impl CommonArgs {
@@ -92,8 +83,6 @@ impl CommonArgs {
                 "--fault-seed" => args.fault_seed = it.next().and_then(|v| v.parse().ok()),
                 "--series" => args.series = it.next().map(PathBuf::from),
                 "--spans" => args.spans = it.next().map(PathBuf::from),
-                "--tenants" => args.tenants = it.next().and_then(|v| v.parse().ok()),
-                "--flood-tenant" => args.flood_tenant = it.next().and_then(|v| v.parse().ok()),
                 _ => {}
             }
         }
@@ -216,7 +205,7 @@ pub fn write_text_artifact(path: &Path, contents: &str) -> PathBuf {
 }
 
 /// Derives a sibling path from a `--spans` stem: `stem.<section>.<ext>`
-/// (e.g. `fig8_spans` → `fig8_spans.tenants.jsonl`), preserving the stem's
+/// (e.g. `fig8_spans` → `fig8_spans.nc.jsonl`), preserving the stem's
 /// directory.
 pub fn spans_sibling(stem: &Path, section: &str, ext: &str) -> PathBuf {
     let mut name = stem
@@ -327,8 +316,8 @@ mod tests {
     fn spans_sibling_derives_sectioned_names() {
         let stem = std::path::Path::new("experiments/fig8_spans");
         assert_eq!(
-            spans_sibling(stem, "tenants", "jsonl"),
-            std::path::Path::new("experiments/fig8_spans.tenants.jsonl")
+            spans_sibling(stem, "nc", "jsonl"),
+            std::path::Path::new("experiments/fig8_spans.nc.jsonl")
         );
         assert_eq!(
             spans_sibling(stem, "faults", "trace.json"),

@@ -260,11 +260,7 @@ pub struct AppReplayOutcome {
 #[derive(Debug, PartialEq)]
 enum Ev {
     Post(ReceivePattern),
-    Arrive {
-        src: Rank,
-        env: Envelope,
-        bytes: usize,
-    },
+    Arrive { env: Envelope, bytes: usize },
 }
 
 /// Maps a trace `count` (elements) to a simulated payload size in bytes —
@@ -318,7 +314,6 @@ fn event_of(rank: Rank, op: &MpiOp) -> Ev {
         | MpiOp::Send {
             tag, comm, count, ..
         } => Ev::Arrive {
-            src: rank,
             env: Envelope::new(rank, tag, comm),
             bytes: payload_len(count),
         },
@@ -788,11 +783,11 @@ pub fn replay_app(
                         }
                     }
                 }
-                Ev::Arrive { src, env, bytes } => {
+                Ev::Arrive { env, bytes } => {
                     // Window backpressure: progress the whole path (all
                     // senders — a parked packet may wait on another QP's
                     // retransmission) until this sender has room.
-                    let at = ends.slot(src.0);
+                    let at = ends.slot(env.src.0);
                     while !ends.senders[at].can_send() {
                         ends.pump()?;
                     }
@@ -1401,7 +1396,7 @@ mod tests {
                 let mut sources: Vec<u32> = events
                     .iter()
                     .filter_map(|e| match e {
-                        Ev::Arrive { src, .. } => Some(src.0),
+                        Ev::Arrive { env, .. } => Some(env.src.0),
                         Ev::Post(_) => None,
                     })
                     .collect();
@@ -1446,7 +1441,6 @@ mod tests {
                     count,
                 } if (dest.0 as usize) < n => {
                     per_rank[dest.0 as usize].push(Ev::Arrive {
-                        src: rank,
                         env: Envelope {
                             src: rank,
                             tag,

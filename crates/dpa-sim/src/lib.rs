@@ -35,10 +35,6 @@
 //! * [`pingpong`] — the Fig. 8 message-rate harness: k-message sequences,
 //!   acknowledged per sequence, both nodes stepped on one thread, with
 //!   no-conflict and with-conflict receive scenarios;
-//! * `matchd` — the long-lived multi-tenant matching server: tenants
-//!   (indices it owns) with bounded ingress and explicit admission control, a
-//!   deficit-round-robin fair drain over one shared engine, and a
-//!   deterministic tick loop with a live per-tenant registry snapshot;
 //! * [`app_replay`] — the one driver of an application trace through the
 //!   full stack: a Table II trace becomes sequenced wire packets over
 //!   per-source-rank queue pairs, cross-QP ordered by the NIC's total-order
@@ -52,7 +48,6 @@
 pub mod app_replay;
 pub mod bounce;
 mod fault;
-mod matchd;
 mod memory;
 pub mod nic;
 mod obs;
@@ -66,9 +61,6 @@ pub use app_replay::{
     engine_direct_pairs, replay_app, AppReplayConfig, AppReplayOutcome, AppReplayReport,
 };
 pub use fault::{WireFaultStats, WireFaults};
-pub use matchd::{
-    Admission, MatchServer, MatchdConfig, TenantConfig, TenantId, TenantSeries, TenantStats,
-};
 pub use memory::DeviceMemory;
 pub use nic::RxStats;
 pub use obs::ServiceMetrics;

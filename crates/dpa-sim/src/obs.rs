@@ -181,12 +181,11 @@ mod tests {
     #[test]
     fn every_count_of_the_snapshot_reads_its_owners_field() {
         use crate::bounce::BouncePool;
-        use crate::matchd::{MatchServer, MatchdConfig, TenantConfig};
         use crate::memory::DeviceMemory;
         use crate::nic::RecvNic;
         use crate::rdma::{connected_pair, eager_packet, RdmaDomain};
         use crate::{MatchingService, ReliableSender};
-        use otm_base::{CommId, Envelope, FaultPlan, MatchConfig, Rank, ReceivePattern, Tag};
+        use otm_base::{Envelope, FaultPlan, MatchConfig, Rank, ReceivePattern, Tag};
 
         // A service over a hostile wire with one staging slot, so gaps and
         // overflow fire too, and a table too small for every receive, so it
@@ -246,55 +245,6 @@ mod tests {
         assert_service_counts_read_their_owners(&svc);
         let snap = svc.observability_snapshot();
         assert!(snap.counters.values().all(|&v| v == 0), "{snap:?}");
-
-        // A matchd flood: tenant 0's tight ingress backpressures it, and one
-        // post off tenant 1's communicator is rejected.
-        let mut server = MatchServer::new(MatchConfig::small(), MatchdConfig::default()).unwrap();
-        let tenants = [(2, 1), (64, 8)].map(|(capacity, quantum)| {
-            server
-                .open_tenant_with(TenantConfig {
-                    capacity,
-                    quantum,
-                    comm: Some(CommId(server.tenant_count() as u16 + 1)),
-                })
-                .unwrap()
-        });
-        for round in 0..8u32 {
-            for &tenant in &tenants {
-                let (src, comm) = (Rank(tenant.0 as u32), server.tenant_comm(tenant).unwrap());
-                for i in 0..3 {
-                    let tag = Tag(round * 3 + i);
-                    server.submit_post(tenant, ReceivePattern::new(src, tag, comm));
-                    server.submit_send(tenant, tag, vec![i as u8]);
-                }
-            }
-            server.tick().unwrap();
-        }
-        let foreign = ReceivePattern::new(Rank(1), Tag(0), CommId(1));
-        assert!(!server.submit_post(tenants[1], foreign).is_admitted());
-        let (flooder, well) = (
-            server.tenant_stats(tenants[0]),
-            server.tenant_stats(tenants[1]),
-        );
-        assert!(flooder.backpressured > 0 && flooder.ingress_depth > 0);
-        assert_eq!((well.rejected, well.backpressured), (1, 0));
-        assert!(well.drained > 0 && well.completed > 0);
-        let snap = server.observability_snapshot();
-        for &t in &tenants {
-            let stats = server.tenant_stats(t);
-            for (name, field) in [
-                ("admitted", stats.admitted),
-                ("backpressured", stats.backpressured),
-                ("rejected", stats.rejected),
-                ("drained", stats.drained),
-                ("completions", stats.completed),
-            ] {
-                let key = format!("matchd_{name}_total{{tenant=\"{t}\"}}");
-                assert_eq!(snap.counters[&key], field, "{key}");
-            }
-            let key = format!("matchd_ingress_depth{{tenant=\"{t}\"}}");
-            assert_eq!(snap.gauges[&key], stats.ingress_depth as i64, "{key}");
-        }
     }
 
     #[cfg(feature = "trace-events")]

@@ -29,7 +29,7 @@ use crate::nic::RecvNic;
 use crate::rdma::{connected_pair, eager_packet, Frame, QueuePair, RdmaDomain};
 use crate::service::MatchingService;
 use otm_base::{Envelope, MatchConfig, Rank, ReceivePattern, Tag};
-use otm_metrics::{json_fields, RegistrySnapshot};
+use otm_metrics::{json_fields, RegistrySnapshot, SeriesRecorder};
 use std::time::{Duration, Instant};
 
 /// Receive/message scenario of Fig. 8.
@@ -166,6 +166,8 @@ pub struct PingPong {
     service: MatchingService,
     payload: Vec<u8>,
     times: Vec<Duration>,
+    /// The service's series, when [`PingPong::attach_series`] asked for one.
+    series: Option<SeriesRecorder>,
 }
 
 impl PingPong {
@@ -200,7 +202,29 @@ impl PingPong {
             service,
             payload: vec![0u8; cfg.payload],
             times: Vec::with_capacity(cfg.repeats),
+            series: None,
         }
+    }
+
+    /// Samples the service into a series on its poll clock at `cadence`,
+    /// once a sequence's ack is in: outside the sequence's timed window.
+    pub fn attach_series(&mut self, cadence: u64) {
+        self.series = Some(SeriesRecorder::new(cadence));
+    }
+
+    /// The attached series with a terminal point, detached; `None` when
+    /// [`PingPong::attach_series`] was never called.
+    pub fn finish_series(&mut self) -> Option<SeriesRecorder> {
+        let mut series = self.series.take()?;
+        let snap = self.service.observability_snapshot();
+        series.force_sample(self.service.polls(), self.service.backlog(), &snap);
+        Some(series)
+    }
+
+    /// The service's span ring (see [`MatchingService::span_recorder`]).
+    #[cfg(feature = "trace-events")]
+    pub fn span_recorder(&self) -> &otm_metrics::SpanRecorder {
+        self.service.span_recorder()
     }
 
     /// Runs `n` sequences.
@@ -231,6 +255,13 @@ impl PingPong {
             let ack = self.sender.try_recv();
             assert!(matches!(ack, Ok(Some(Frame::Data(_)))), "no ack: {ack:?}");
             self.times.push(start.elapsed());
+            if let Some(series) = &mut self.series {
+                let polls = self.service.polls();
+                if series.due(polls) {
+                    let snap = self.service.observability_snapshot();
+                    series.sample(polls, self.service.backlog(), &snap);
+                }
+            }
         }
     }
 

@@ -462,11 +462,10 @@ impl MatchingService {
     }
 
     /// Reserves the next receive handle from the service's own counter
-    /// without posting anything. Client layers that must know a receive's
-    /// identity *before* the post reaches the engine (the `matchd` tenant
-    /// sessions hand handles out at admission time, ticks before the drain
-    /// applies the post) reserve here — or mint handles in a disjoint
-    /// namespace of their own — and post through
+    /// without posting anything. A caller that must know a receive's
+    /// identity *before* the post is accepted (the application replay
+    /// retries a post a full submission ring refused under the same
+    /// handle) reserves here and posts through
     /// [`MatchingService::post_recv_queued_reserved`].
     pub fn reserve_recv(&mut self) -> RecvHandle {
         let handle = RecvHandle(self.next_recv);
@@ -1452,7 +1451,7 @@ mod tests {
     #[test]
     fn series_sampler_snapshots_at_poll_cadence() {
         // The owner of the service samples after each `progress`, on the
-        // service's poll clock, as `replay_app` and matchd do.
+        // service's poll clock, as `replay_app` and fig8's flight recorder do.
         let (tx, _domain, mut svc) = setup("otm");
         let mut series = otm_metrics::SeriesRecorder::new(2);
         let mut progress = |svc: &mut MatchingService| {

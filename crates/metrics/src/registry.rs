@@ -3,7 +3,7 @@
 //!
 //! A [`RegistrySnapshot`] is a value. Nothing registers or records into it:
 //! each owner of counts — the engine, the matching service, a reliable
-//! sender, a matchd server, the trace analyzer's reports — builds one from
+//! sender, the trace analyzer's reports — builds one from
 //! the plain fields it keeps, under the names the artifacts and the ladder
 //! read, and [`RegistrySnapshot::merge`] sums several owners' snapshots into
 //! one. [`labelled`] renders a labelled identity.

@@ -107,7 +107,7 @@ mod tests {
         let cmds: Vec<_> = (0..9).map(|i| arrival_on(3 - (i % 3) as u16, i)).collect();
         let mut map = queued(&cmds);
         assert_eq!(map.len(), 3, "one queue per communicator");
-        let mut packer = Packer::new(4, None);
+        let mut packer = Packer::new(4);
         packer.rearm(&mut map.live);
         let mut runs = Vec::new();
         let mut record = |lane, tickets, depth| runs.push((lane, tickets, depth));

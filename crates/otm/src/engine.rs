@@ -376,7 +376,7 @@ impl OtmEngine {
         config.validate()?;
         Ok(OtmEngine {
             drain: DrainArena {
-                packer: Packer::new(config.block_threads, config.lane_quota),
+                packer: Packer::new(config.block_threads),
                 outcomes: Vec::new(),
                 lane_peaks: Vec::new(),
                 posts: Tally::default(),

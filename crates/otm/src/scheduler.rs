@@ -81,10 +81,6 @@ type Arrivals = Vec<(u64, Envelope, MsgHandle)>;
 pub(crate) struct Packer {
     /// Block capacity (`block_threads`).
     capacity: usize,
-    /// Cap on the arrivals one lane may contribute to a single cross-comm
-    /// block (`None` = greedy fill up to `capacity`): a deep (flooding) lane
-    /// cannot monopolise block after block while shallow lanes wait.
-    lane_quota: Option<usize>,
     /// Rotation cursor: which lane (in ascending-`CommId` rank) is served
     /// first. Advances by one per emitted block, never on posts, so the
     /// rotation cadence is one lane per unit of block capacity handed out.
@@ -104,12 +100,10 @@ pub(crate) struct Packer {
 
 impl Packer {
     /// A packer for blocks of up to `capacity` (= `block_threads`)
-    /// arrivals, with no lane; a quota of `Some(0)` is clamped to 1, so
-    /// every step can still consume a command.
-    pub(crate) fn new(capacity: usize, lane_quota: Option<usize>) -> Self {
+    /// arrivals, with no lane.
+    pub(crate) fn new(capacity: usize) -> Self {
         Packer {
             capacity: capacity.max(1),
-            lane_quota: lane_quota.map(|q| q.max(1)),
             cursor: 0,
             staged: Vec::new(),
             total: 0,
@@ -248,11 +242,10 @@ impl Packer {
                 return Some(step);
             }
         }
-        let quota = self.lane_quota.unwrap_or(self.capacity);
         // No post heads a lane, so the first lane alone fills `msgs`.
         let mut msgs = self.block_buffer();
         for lane in order {
-            let room = (self.capacity - msgs.len()).min(quota);
+            let room = self.capacity - msgs.len();
             self.pull(lanes, (lane, room), &mut msgs);
             if msgs.len() == self.capacity {
                 break;
@@ -327,18 +320,9 @@ impl PackingScheduler {
     /// arrivals.
     pub fn new(capacity: usize) -> Self {
         PackingScheduler {
-            packer: Packer::new(capacity, None),
+            packer: Packer::new(capacity),
             lanes: Vec::new(),
         }
-    }
-
-    /// Caps the arrivals one lane contributes per block. A quota of
-    /// `Some(0)` is clamped to 1 — every step must still be able to consume
-    /// a command (the no-livelock invariant).
-    #[must_use]
-    pub fn with_lane_quota(mut self, quota: Option<usize>) -> Self {
-        self.packer.lane_quota = quota.map(|q| q.max(1));
-        self
     }
 
     /// Number of staged commands not yet emitted.
@@ -471,30 +455,28 @@ mod tests {
                 arrival(1, 4),
             ],
         ];
-        for quota in [None, Some(1)] {
-            let mut kept = Packer::new(2, quota);
-            let mut lanes: Vec<(CommId, VecDeque<(u64, Command)>)> =
-                (1..=4).map(|c| (CommId(c), VecDeque::new())).collect();
-            for (i, cmds) in drains.iter().enumerate() {
-                let mut new = PackingScheduler::new(2).with_lane_quota(quota);
-                let want = run_out(&mut new, cmds.clone());
-                for (ticket, &cmd) in cmds.iter().enumerate() {
-                    let lane = locate(&lanes, comm_of(&cmd)).unwrap();
-                    lanes[lane].1.push_back((ticket as u64, cmd));
-                }
-                kept.rearm(&mut lanes);
-                kept.refill(&mut lanes, cmds.len(), |_, _, _| {});
-                let mut got = Vec::new();
-                while let Some((_, step)) = kept.next_step(&mut lanes) {
-                    got.push(shape(&step));
-                    if let PackingStep::Block { msgs } = step {
-                        kept.recycle(msgs);
-                    }
-                }
-                assert_eq!(got, want, "drain {i}");
-                assert_eq!(kept.staged(), 0);
-                assert!(lanes.iter().all(|(_, lane)| lane.is_empty()));
+        let mut kept = Packer::new(2);
+        let mut lanes: Vec<(CommId, VecDeque<(u64, Command)>)> =
+            (1..=4).map(|c| (CommId(c), VecDeque::new())).collect();
+        for (i, cmds) in drains.iter().enumerate() {
+            let mut new = PackingScheduler::new(2);
+            let want = run_out(&mut new, cmds.clone());
+            for (ticket, &cmd) in cmds.iter().enumerate() {
+                let lane = locate(&lanes, comm_of(&cmd)).unwrap();
+                lanes[lane].1.push_back((ticket as u64, cmd));
             }
+            kept.rearm(&mut lanes);
+            kept.refill(&mut lanes, cmds.len(), |_, _, _| {});
+            let mut got = Vec::new();
+            while let Some((_, step)) = kept.next_step(&mut lanes) {
+                got.push(shape(&step));
+                if let PackingStep::Block { msgs } = step {
+                    kept.recycle(msgs);
+                }
+            }
+            assert_eq!(got, want, "drain {i}");
+            assert_eq!(kept.staged(), 0);
+            assert!(lanes.iter().all(|(_, lane)| lane.is_empty()));
         }
     }
 
@@ -578,44 +560,10 @@ mod tests {
     }
 
     #[test]
-    fn lane_quota_bounds_one_lanes_share_of_a_block() {
-        let mut s = PackingScheduler::new(8).with_lane_quota(Some(2));
-        // Lane 1 is flooded (5 arrivals), lane 2 has one message behind it.
-        admit_all(
-            &mut s,
-            vec![
-                arrival(1, 0),
-                arrival(1, 1),
-                arrival(1, 2),
-                arrival(1, 3),
-                arrival(1, 4),
-                arrival(2, 5),
-            ],
-        );
-        // Each block carries at most 2 of lane 1's arrivals, so lane 2's
-        // message rides in the very first block instead of waiting out the
-        // flood.
-        assert_eq!(block_indices(s.next_step().unwrap()), vec![0, 1, 5]);
-        assert_eq!(block_indices(s.next_step().unwrap()), vec![2, 3]);
-        assert_eq!(block_indices(s.next_step().unwrap()), vec![4]);
-        assert_eq!(s.next_step(), None);
-        assert_eq!(s.staged(), 0);
-    }
-
-    #[test]
-    fn lane_quota_zero_is_clamped_so_steps_still_consume() {
-        let mut s = PackingScheduler::new(4).with_lane_quota(Some(0));
-        admit_all(&mut s, vec![arrival(1, 0), arrival(1, 1)]);
-        while s.staged() > 0 {
-            let before = s.staged();
-            assert!(s.next_step().is_some());
-            assert!(s.staged() < before, "a step must consume commands");
-        }
-    }
-
-    #[test]
-    fn lane_quota_preserves_per_lane_fifo() {
-        let mut s = PackingScheduler::new(4).with_lane_quota(Some(1));
+    fn rotation_preserves_per_lane_fifo() {
+        // Blocks of one, so the rotation hands the lanes first claim in
+        // turn and the two lanes' arrivals interleave across blocks.
+        let mut s = PackingScheduler::new(1);
         admit_all(
             &mut s,
             vec![arrival(1, 0), arrival(2, 1), arrival(1, 2), arrival(2, 3)],

@@ -25,9 +25,14 @@
 use crate::model::{AppTrace, CallKind, MpiOp, TimedOp};
 use mpi_matching::{MatchStats, Matcher, MsgHandle, RecvHandle};
 use otm::SequentialOtm;
+use otm_base::hash::IntHasher;
 use otm_base::{Envelope, MatchConfig, Rank, ReceivePattern};
 use otm_metrics::{json_fields, HistogramSnapshot};
 use std::collections::HashSet;
+use std::hash::BuildHasherDefault;
+
+/// A set of integer keys, hashed with one multiply a word.
+type IntSet<K> = HashSet<K, BuildHasherDefault<IntHasher>>;
 
 /// Analyzer parameters.
 #[derive(Debug, Clone)]
@@ -176,8 +181,10 @@ pub fn replay(trace: &AppTrace, config: &ReplayConfig) -> AppReport {
         .max()
         .unwrap_or(0);
     let mut dist = CallDistribution::default();
-    let mut tags: HashSet<u32> = HashSet::new();
-    let mut src_tag_pairs: HashSet<(u32, u32)> = HashSet::new();
+    // Distinct tags and (source, tag) pairs. A pair is two words, so both
+    // reach the low bits of its hash, which pick its bucket.
+    let mut tags: IntSet<u64> = IntSet::default();
+    let mut src_tag_pairs: IntSet<(u64, u64)> = IntSet::default();
     let mut recv_count = 0u64;
     let mut wildcard_recvs = 0u64;
     for r in &trace.ranks {
@@ -196,8 +203,8 @@ pub fn replay(trace: &AppTrace, config: &ReplayConfig) -> AppReport {
                     }
                 }
                 MpiOp::Isend { tag, .. } | MpiOp::Send { tag, .. } => {
-                    tags.insert(tag.0);
-                    src_tag_pairs.insert((r.rank.0, tag.0));
+                    tags.insert(u64::from(tag.0));
+                    src_tag_pairs.insert((u64::from(r.rank.0), u64::from(tag.0)));
                 }
                 _ => {}
             }

@@ -562,12 +562,13 @@ fn steady_state_allocations_per_message_stay_in_budget() {
     // destination's event stream (its keyed vector, sized exactly, the
     // stable sort's scratch and the stream). BigFFT: each destination posts
     // 62 receives and takes 62 rendezvous messages, one from each of 62
-    // peers. Measured 2.115 (3.115 while every payload was a fresh vector,
-    // 3.147 with a block's guards, 3.825 before the drain arena, 4.486 while
-    // every destination built and dropped an engine of its own, 4.534 while
-    // each stream grew by doubling behind a sort of the whole trace, 11.810
-    // when every destination built and dropped its own queue pairs, senders,
-    // NIC, bounce pool, service and registry).
+    // peers. Measured 2.101 (2.115 before the trace had one split, 3.115
+    // while every payload was a fresh vector, 3.147 with a block's guards,
+    // 3.825 before the drain arena, 4.486 while every destination built and
+    // dropped an engine of its own, 4.534 while each stream grew by
+    // doubling behind a sort of the whole trace, 11.810 when every
+    // destination built and dropped its own queue pairs, senders, NIC,
+    // bounce pool, service and registry).
     let (replayed, messages, rendezvous) = replay_allocations_per_message("BigFFT");
     assert_eq!((messages, rendezvous), (8 * 62, 8 * 62));
     assert!(
@@ -576,9 +577,9 @@ fn steady_state_allocations_per_message_stay_in_budget() {
     );
     // LULESH's halo messages are all eager: the payload comes back through
     // the bounce pool and the completion, and goes out again as a later
-    // one, so what is left is the shares. Measured 0.031 over its first 16
-    // destinations less its first 8 (1.031 while every payload was a fresh
-    // vector).
+    // one, so what is left is the shares. Measured 0.029 over its first 16
+    // destinations less its first 8 (0.031 before the trace had one split,
+    // 1.031 while every payload was a fresh vector).
     let (eager_replayed, messages, rendezvous) = replay_allocations_per_message("LULESH");
     assert_eq!((messages, rendezvous), (8 * 624, 0), "LULESH is all eager");
     assert!(

@@ -7,7 +7,7 @@ use dpa_sim::nic::RecvNic;
 use dpa_sim::pingpong::run_pingpong;
 use dpa_sim::rdma::{connected_pair, eager_packet, rendezvous_packet, QueuePair, RdmaDomain};
 use dpa_sim::service::{CompletedReceive, MatchingService};
-use dpa_sim::{DeviceMemory, MatchMode, MatchServer, MatchdConfig, PingPongConfig};
+use dpa_sim::{DeviceMemory, MatchMode, PingPongConfig};
 use mpi_matching::oracle::MatchEvent;
 use otm_base::{CommId, Envelope, FaultRng, MatchConfig, Rank, ReceivePattern, Tag};
 
@@ -198,17 +198,6 @@ fn every_shipped_offloaded_construction_drains_through_the_queue() {
     assert_eq!(h.service.progress().unwrap(), 1);
     assert!(drained_through_the_queue(
         &h.service.observability_snapshot()
-    ));
-
-    // A standalone matchd server, one tick.
-    let mut server = MatchServer::new(MatchConfig::small(), MatchdConfig::default()).unwrap();
-    let tenant = server.open_tenant().unwrap();
-    assert!(server
-        .submit_post(tenant, ReceivePattern::exact(Rank(0), Tag(2)))
-        .is_admitted());
-    server.tick().unwrap();
-    assert!(drained_through_the_queue(
-        &server.service().observability_snapshot()
     ));
 
     // Fig. 8's ping-pong, one sequence.

@@ -29,19 +29,17 @@ fn packed_drain_equals_consecutive_drain_seeded() {
 }
 
 /// Bounded-ring path, seeded: tiny per-communicator rings force inline
-/// drains mid-stream (the backpressure contract), rotation cursors and
-/// per-lane quotas chop the lanes into many small blocks — and the outcome
-/// vector must still equal the sequential oracle, with every forced drain
-/// consuming pending work.
+/// drains mid-stream (the backpressure contract) and rotation cursors
+/// chop the lanes into many small blocks — and the outcome vector must
+/// still equal the sequential oracle, with every forced drain consuming
+/// pending work.
 #[test]
 fn bounded_ring_drain_equals_unbounded_oracle_seeded() {
     let mut rng = FaultRng::new(0x0DDC0DE ^ 0x51A6);
     for round in 0usize..32 {
         let len = 1 + (round * 9) % 160;
         let cmds = command_stream(&mut rng, len);
-        let config = fallback_oracle_config()
-            .with_ring_capacity(2 + round % 7)
-            .with_lane_quota(Some(1 + round % 4));
+        let config = fallback_oracle_config().with_ring_capacity(2 + round % 7);
         assert_ring_equivalence(config, &cmds);
     }
 }
@@ -247,25 +245,24 @@ fn uneven_four_comm_stream(rng: &mut FaultRng, len: usize) -> Vec<PendingCommand
 }
 
 /// Golden step trace. The drain's step sequence — which commands share a
-/// block — is a function of the packing window, the lane quota and the
-/// submission order, and nothing about how cheaply the queue is read may
-/// move it. Three submit-then-drain phases (a deep backlog, a trickle, a
-/// second backlog on the communicators the first left state in) at windows
-/// of one and eight blocks, with and without a lane quota. The literals
-/// were recorded at `ce0287e`, before the drain read the rings in place.
+/// block — is a function of the packing window and the submission order,
+/// and nothing about how cheaply the queue is read may move it. Three
+/// submit-then-drain phases (a deep backlog, a trickle, a second backlog
+/// on the communicators the first left state in) at windows of one and
+/// eight blocks. The literals were recorded at `ce0287e`, before the
+/// drain read the rings in place.
 #[test]
 fn golden_step_trace_is_pinned_across_windows_and_quotas() {
-    // Per (window, lane quota): blocks, messages, occupancy sum, occupancy
-    // count, occupancy-bucket hash, outcome hash.
-    let runs = [(32, None), (32, Some(8)), (256, None), (256, Some(8))];
+    // Per window: blocks, messages, occupancy sum, occupancy count,
+    // occupancy-bucket hash, outcome hash.
+    let runs = [32, 256];
     let mut actual = Vec::new();
-    for (window, quota) in runs {
+    for window in runs {
         let config = MatchConfig::default()
             .with_max_receives(4096)
             .with_max_unexpected(4096)
             .with_bins(16)
-            .with_ring_capacity(4096)
-            .with_lane_quota(quota);
+            .with_ring_capacity(4096);
         let mut engine = otm::OtmEngine::new(config).expect("valid test config");
         engine.set_packing_window_override(window);
         let stream = uneven_four_comm_stream(&mut FaultRng::new(0x601D_57E9), 2440);
@@ -328,71 +325,58 @@ fn golden_step_trace_is_pinned_across_windows_and_quotas() {
 fn scheduler_step_sequence_is_pinned() {
     use otm::scheduler::{PackingScheduler, PackingStep};
     use std::collections::VecDeque;
-    let runs = [None, Some(3)];
-    let mut actual = Vec::new();
-    for quota in runs {
-        let mut rng = FaultRng::new(0x5C4E_D01E);
-        let mut pending: VecDeque<(u64, PendingCommand)> = uneven_four_comm_stream(&mut rng, 700)
-            .into_iter()
-            .enumerate()
-            .map(|(ticket, cmd)| (ticket as u64 * 3, cmd))
-            .collect();
-        let mut sched = PackingScheduler::new(8).with_lane_quota(quota);
-        let (mut hash, mut steps) = (FNV_SEED, 0u64);
-        loop {
-            let room = 20usize.saturating_sub(sched.staged()).min(pending.len());
-            if room > 0 {
-                // Uneven chunks: the refill size must not matter, only the
-                // admission order.
-                let first = room.min(1 + (steps as usize % 5));
-                sched.admit(pending.drain(..first).collect());
-                sched.admit(pending.drain(..room - first).collect());
-                fnv(&mut hash, sched.lane_count() as u64);
-                for (comm, depth) in sched.lane_depths() {
-                    fnv(&mut hash, u64::from(comm.0) << 32 | depth as u64);
-                }
+    let mut rng = FaultRng::new(0x5C4E_D01E);
+    let mut pending: VecDeque<(u64, PendingCommand)> = uneven_four_comm_stream(&mut rng, 700)
+        .into_iter()
+        .enumerate()
+        .map(|(ticket, cmd)| (ticket as u64 * 3, cmd))
+        .collect();
+    let mut sched = PackingScheduler::new(8);
+    let (mut hash, mut steps) = (FNV_SEED, 0u64);
+    loop {
+        let room = 20usize.saturating_sub(sched.staged()).min(pending.len());
+        if room > 0 {
+            // Uneven chunks: the refill size must not matter, only the
+            // admission order.
+            let first = room.min(1 + (steps as usize % 5));
+            sched.admit(pending.drain(..first).collect());
+            sched.admit(pending.drain(..room - first).collect());
+            fnv(&mut hash, sched.lane_count() as u64);
+            for (comm, depth) in sched.lane_depths() {
+                fnv(&mut hash, u64::from(comm.0) << 32 | depth as u64);
             }
-            let Some(step) = sched.next_step() else { break };
-            steps += 1;
-            match step {
-                PackingStep::Post { idx, handle, .. } => {
-                    [1, idx, handle.0]
+        }
+        let Some(step) = sched.next_step() else { break };
+        steps += 1;
+        match step {
+            PackingStep::Post { idx, handle, .. } => {
+                [1, idx, handle.0]
+                    .into_iter()
+                    .for_each(|w| fnv(&mut hash, w));
+            }
+            PackingStep::Block { msgs } => {
+                fnv(&mut hash, 2);
+                for (idx, env, msg) in msgs {
+                    [idx, u64::from(env.comm.0), msg.0]
                         .into_iter()
                         .for_each(|w| fnv(&mut hash, w));
                 }
-                PackingStep::Block { msgs } => {
-                    fnv(&mut hash, 2);
-                    for (idx, env, msg) in msgs {
-                        [idx, u64::from(env.comm.0), msg.0]
-                            .into_iter()
-                            .for_each(|w| fnv(&mut hash, w));
-                    }
-                }
             }
-            fnv(&mut hash, sched.staged() as u64);
         }
-        assert!(pending.is_empty() && sched.staged() == 0);
-        assert_eq!(sched.into_unapplied(), Vec::new());
-        actual.push([steps, hash]);
+        fnv(&mut hash, sched.staged() as u64);
     }
-    assert_eq!(actual, GOLDEN_STEPS, "one row per {runs:?}");
+    assert!(pending.is_empty() && sched.staged() == 0);
+    assert_eq!(sched.into_unapplied(), Vec::new());
+    assert_eq!([steps, hash], GOLDEN_STEPS);
 }
 
-const GOLDEN: [[u64; 6]; 4] = [
+const GOLDEN: [[u64; 6]; 2] = [
     [
         254,
         1727,
         1727,
         254,
         18409326758813499915,
-        17748070946224254559,
-    ],
-    [
-        274,
-        1727,
-        1727,
-        274,
-        14575283364666816969,
         17748070946224254559,
     ],
     [
@@ -403,13 +387,5 @@ const GOLDEN: [[u64; 6]; 4] = [
         2633685000301500275,
         17748070946224254559,
     ],
-    [
-        274,
-        1727,
-        1727,
-        274,
-        2773749593102119633,
-        17748070946224254559,
-    ],
 ];
-const GOLDEN_STEPS: [[u64; 2]; 2] = [[311, 6638756716922004637], [336, 6603629957991773451]];
+const GOLDEN_STEPS: [u64; 2] = [311, 6638756716922004637];

@@ -12,7 +12,7 @@ use mpi_matching::traditional::TraditionalMatcher;
 use mpi_matching::{Matcher, MsgHandle};
 use otm::{Command, CommandOutcome, OtmEngine, SequentialOtm};
 use otm_base::envelope::{SourceSel, TagSel};
-use otm_base::{CommId, Envelope, FaultRng, MatchConfig, Rank, ReceivePattern, Tag};
+use otm_base::{CommId, Envelope, FaultRng, MatchConfig, ReceivePattern};
 use support::prop::{self, cases, comm_event, event, range, vec};
 use support::{
     assert_drain_failure_contract, assert_packing_equivalence, assert_ring_equivalence,
@@ -343,8 +343,8 @@ fn packed_drain_equals_consecutive_drain() {
     );
 }
 
-/// The bounded-ring property: lane rotation, per-lane quotas and
-/// capacity-bounded submission rings composed together still satisfy
+/// The bounded-ring property: lane rotation and capacity-bounded
+/// submission rings composed together still satisfy
 /// packed ≡ sequential — the same stream pushed through tiny rings,
 /// draining inline on every `SubmissionRingFull` bounce, equals the
 /// sequential oracle. The helper
@@ -358,15 +358,15 @@ fn bounded_rings_with_rotation_and_quota_preserve_equivalence() {
         "bounded_rings_with_rotation_and_quota_preserve_equivalence",
         CASES,
         |rng, size| {
-            let quota = range(rng, 1..5) as usize;
+            // An unused draw: it keeps the cases this property has always
+            // run, from the seed its name gives.
+            let _ = range(rng, 1..5);
             let capacity = range(rng, 2..17) as usize;
             let len = prop::len(rng, 0..160, size);
-            (command_stream(rng, len), quota, capacity)
+            (command_stream(rng, len), capacity)
         },
-        |(cmds, quota, capacity)| {
-            let config = fallback_oracle_config()
-                .with_ring_capacity(capacity)
-                .with_lane_quota(Some(quota));
+        |(cmds, capacity)| {
+            let config = fallback_oracle_config().with_ring_capacity(capacity);
             assert_ring_equivalence(config, &cmds);
         },
     );
@@ -828,117 +828,6 @@ fn stats_merge_then_delta_roundtrips() {
                 ..Default::default()
             };
             assert_eq!(self_delta, zeroed);
-        },
-    );
-}
-
-/// The matchd fairness property (deterministic companion:
-/// `tests/tenant_fairness.rs`): arbitrary multi-tenant submission
-/// schedules with arbitrary per-tenant quanta, pushed through the fair
-/// drain, (a) never let one tenant drain more than its deficit cap in a
-/// single round, (b) lose nothing — every admitted pair completes once
-/// the schedule settles — and (c) keep per-tenant FIFO: completions
-/// come back in handle-mint order.
-#[test]
-fn matchd_fair_drain_is_bounded_lossless_and_fifo() {
-    cases(
-        "matchd_fair_drain_is_bounded_lossless_and_fifo",
-        CASES,
-        |rng, size| {
-            let quanta: [usize; 3] = std::array::from_fn(|_| range(rng, 1..9) as usize);
-            let rounds = vec(rng, 1..25, size, |rng| -> [usize; 3] {
-                std::array::from_fn(|_| rng.below(5) as usize)
-            });
-            (rounds, quanta)
-        },
-        |(rounds, quanta)| {
-            use dpa_sim::{MatchServer, MatchdConfig, TenantConfig};
-            const CAPACITY: usize = 32;
-            const CAP_QUANTA: u64 = 4;
-            let config = MatchConfig::default()
-                .with_block_threads(4)
-                .with_max_receives(1 << 14)
-                .with_max_unexpected(1 << 14)
-                .with_bins(16)
-                .with_lane_quota(Some(4));
-            let mut server = MatchServer::new(
-                config,
-                MatchdConfig {
-                    tenant: TenantConfig::default(),
-                    deficit_cap_quanta: CAP_QUANTA,
-                },
-            )
-            .unwrap();
-            let tenants: Vec<dpa_sim::TenantId> = quanta
-                .iter()
-                .enumerate()
-                .map(|(i, &q)| {
-                    server
-                        .open_tenant_with(TenantConfig {
-                            capacity: CAPACITY,
-                            quantum: q,
-                            comm: Some(CommId(i as u16 + 1)),
-                        })
-                        .unwrap()
-                })
-                .collect();
-            let mut admitted = vec![0u64; tenants.len()];
-            let mut drained_before = vec![0u64; tenants.len()];
-            for (r, round) in rounds.iter().enumerate() {
-                for (i, (&pairs, &tenant)) in round.iter().zip(&tenants).enumerate() {
-                    for p in 0..pairs {
-                        // Pairs are admitted atomically: skip when the ingress
-                        // cannot hold both halves, so every admitted post has
-                        // its message and "lossless" means `completed == admitted`.
-                        if server.tenant_stats(tenant).ingress_depth + 2 > CAPACITY {
-                            break;
-                        }
-                        let tag = Tag(((r * 31 + p) % 11) as u32);
-                        let src = Rank(tenant.0 as u32);
-                        let comm = server.tenant_comm(tenant).unwrap();
-                        let pattern = ReceivePattern::new(src, tag, comm);
-                        assert!(server.submit_post(tenant, pattern).is_admitted());
-                        assert!(server.submit_send(tenant, tag, vec![p as u8]).is_admitted());
-                        admitted[i] += 1;
-                    }
-                }
-                server.tick().unwrap();
-                for (i, &tenant) in tenants.iter().enumerate() {
-                    let drained = server.tenant_stats(tenant).drained;
-                    assert!(
-                        drained - drained_before[i] <= quanta[i] as u64 * CAP_QUANTA,
-                        "tenant {} drained {} in one round (quantum {}, cap {})",
-                        i,
-                        drained - drained_before[i],
-                        quanta[i],
-                        CAP_QUANTA
-                    );
-                    drained_before[i] = drained;
-                }
-            }
-            for _ in 0..200 {
-                if tenants
-                    .iter()
-                    .all(|&t| server.tenant_stats(t).ingress_depth == 0)
-                {
-                    break;
-                }
-                server.tick().unwrap();
-            }
-            server.run_ticks(2).unwrap();
-            for (i, &tenant) in tenants.iter().enumerate() {
-                let stats = server.tenant_stats(tenant);
-                assert_eq!(stats.ingress_depth, 0, "tenant {} never settled", i);
-                assert_eq!(stats.completed, admitted[i], "tenant {} lost work", i);
-                let seqs: Vec<u64> = server
-                    .take_completions(tenant)
-                    .iter()
-                    .map(|d| d.recv.0 & ((1u64 << 48) - 1))
-                    .collect();
-                let mut sorted = seqs.clone();
-                sorted.sort_unstable();
-                assert_eq!(seqs, sorted, "tenant {} completions out of mint order", i);
-            }
         },
     );
 }
