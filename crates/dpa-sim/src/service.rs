@@ -227,7 +227,7 @@ pub struct MatchingService {
     domain: RdmaDomain,
     next_recv: u64,
     completed: Vec<CompletedReceive>,
-    /// Handles are the service's own running count: one multiply hashes one.
+    /// Handles are the service's own running count, hashed by `IntHasher`.
     unexpected: HashMap<MsgHandle, StoredMessage, BuildHasherDefault<IntHasher>>,
     /// Payloads of arrivals submitted into the backend's command queue but
     /// not yet applied by a drain. Staging host-side releases the bounce

@@ -252,28 +252,27 @@ impl StatsSnapshot {
         }
     }
 
-    /// Component-wise sum of two snapshots (counters add, the depth
-    /// high-water mark takes the maximum) — for aggregating engines, e.g.
-    /// one per simulated rank.
-    pub fn merge(&self, other: &StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            blocks: self.blocks + other.blocks,
-            messages: self.messages + other.messages,
-            matched: self.matched + other.matched,
-            unexpected: self.unexpected + other.unexpected,
-            optimistic_ok: self.optimistic_ok + other.optimistic_ok,
-            direct_conflicts: self.direct_conflicts + other.direct_conflicts,
-            induced_resolutions: self.induced_resolutions + other.induced_resolutions,
-            fast_path: self.fast_path + other.fast_path,
-            slow_path: self.slow_path + other.slow_path,
-            search_depth_sum: self.search_depth_sum + other.search_depth_sum,
-            search_count: self.search_count + other.search_count,
-            search_depth_max: self.search_depth_max.max(other.search_depth_max),
-            matched_on_post: self.matched_on_post + other.matched_on_post,
-            posted: self.posted + other.posted,
-            umq_depth_sum: self.umq_depth_sum + other.umq_depth_sum,
-            umq_search_count: self.umq_search_count + other.umq_search_count,
-        }
+    /// Adds `other` in place, field by field (counters add, the depth
+    /// high-water mark takes the maximum) — how an engine publishes a
+    /// tally, and how engines aggregate, e.g. one per simulated rank.
+    #[inline]
+    pub fn merge(&mut self, other: &StatsSnapshot) {
+        self.blocks += other.blocks;
+        self.messages += other.messages;
+        self.matched += other.matched;
+        self.unexpected += other.unexpected;
+        self.optimistic_ok += other.optimistic_ok;
+        self.direct_conflicts += other.direct_conflicts;
+        self.induced_resolutions += other.induced_resolutions;
+        self.fast_path += other.fast_path;
+        self.slow_path += other.slow_path;
+        self.search_depth_sum += other.search_depth_sum;
+        self.search_count += other.search_count;
+        self.search_depth_max = self.search_depth_max.max(other.search_depth_max);
+        self.matched_on_post += other.matched_on_post;
+        self.posted += other.posted;
+        self.umq_depth_sum += other.umq_depth_sum;
+        self.umq_search_count += other.umq_search_count;
     }
 }
 
@@ -544,7 +543,8 @@ mod tests {
             search_depth_max: 7,
             ..Default::default()
         };
-        let m = a.merge(&b);
+        let mut m = a.clone();
+        m.merge(&b);
         assert_eq!(m.blocks, 3);
         assert_eq!(m.messages, 10);
         assert_eq!(m.fast_path, 2);

@@ -110,22 +110,25 @@ mod tests {
         let mut packer = Packer::new(4);
         packer.rearm(&mut map.live);
         let mut runs = Vec::new();
-        let mut record = |lane, tickets, depth| runs.push((lane, tickets, depth));
-        // Eight of nine fit: merged one at a time, oldest head first.
+        let mut record = |(comm, _): &mut Entry, tickets, depth| runs.push((*comm, tickets, depth));
+        // Eight of nine fit: the tickets below 0 + 8, each lane's run at
+        // once, comm 1 holding back its last command (ticket 8).
         packer.refill(&mut map.live, 8, &mut record);
         // Then the last one fits, and a refill with nothing left stages
         // nothing.
         packer.refill(&mut map.live, 16, &mut record);
         packer.refill(&mut map.live, 16, &mut record);
-        let want: Vec<_> = (0..9u64)
-            .map(|t| (2 - (t % 3) as usize, t, 1 + t as usize / 3))
-            .collect();
+        let want = [
+            (CommId(1), (2, 5), 2),
+            (CommId(2), (1, 7), 3),
+            (CommId(3), (0, 6), 3),
+            (CommId(1), (8, 8), 3),
+        ];
         assert_eq!(runs, want);
-        assert_eq!(
-            (packer.staged(), map.queued()),
-            (9, 9),
-            "staging moves nothing"
-        );
+        let depths: Vec<_> = (0..3).map(|lane| packer.staged_on(lane)).collect();
+        assert_eq!(depths, [3, 3, 3]);
+        let staged: usize = depths.iter().sum();
+        assert_eq!((staged, map.queued()), (9, 9), "staging moves nothing");
     }
 
     #[test]

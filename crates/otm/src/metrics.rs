@@ -213,7 +213,8 @@ mod tests {
         let mut posts = Tally::default();
         posts.stats.matched_on_post = 1;
         m.add(&posts, [], [2]);
-        let stats = block.stats.merge(&posts.stats);
+        let mut stats = block.stats;
+        stats.merge(&posts.stats);
         // Two drains: the gauges keep the high-water mark across them.
         // A lane that never staged anything publishes its ring peak only.
         let (mut one, mut two) = (DepthPeaks::default(), DepthPeaks::default());

@@ -31,7 +31,7 @@ use otm_metrics::{json_fields, HistogramSnapshot};
 use std::collections::HashSet;
 use std::hash::BuildHasherDefault;
 
-/// A set of integer keys, hashed with one multiply a word.
+/// A set of integer keys, hashed by `IntHasher` (two multiplies a key).
 type IntSet<K> = HashSet<K, BuildHasherDefault<IntHasher>>;
 
 /// Analyzer parameters.

@@ -812,14 +812,19 @@ fn stats_merge_then_delta_roundtrips() {
         CASES,
         |rng, _size| (stats_snapshot(rng), stats_snapshot(rng)),
         |(a, b)| {
-            let merged = a.merge(&b);
+            let sum = |x: &otm::StatsSnapshot, y| {
+                let mut sum = x.clone();
+                sum.merge(y);
+                sum
+            };
+            let merged = sum(&a, &b);
             let recovered = merged.delta(&a);
             let expected = otm::StatsSnapshot {
                 search_depth_max: a.search_depth_max.max(b.search_depth_max),
                 ..b.clone()
             };
             assert_eq!(recovered, expected);
-            assert_eq!(a.merge(&b), b.merge(&a));
+            assert_eq!(sum(&a, &b), sum(&b, &a));
             // Delta against itself zeroes every counter; the high-water mark
             // stays (it upper-bounds the empty interval's maximum).
             let self_delta = a.delta(&a);

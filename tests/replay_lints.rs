@@ -81,7 +81,7 @@
 //! lists through links it carries itself (`otm/src/umq.rs`), and a match
 //! unlinks it from all four, so there is no tombstone, generation or sweep
 //! to come back. The service's and the domain's maps are keyed by integers
-//! the program hands out and hash them with one multiply
+//! the program hands out and hash them with two multiplies
 //! (`otm_base::hash::IntHasher`).
 //!
 //! Both queues have one list shape: a bin is an intrusive list of
