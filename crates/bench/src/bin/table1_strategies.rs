@@ -18,7 +18,7 @@ use mpi_matching::binned::BinnedMatcher;
 use mpi_matching::oracle::{MatchEvent, Oracle};
 use mpi_matching::rank_based::RankBasedMatcher;
 use mpi_matching::traditional::TraditionalMatcher;
-use mpi_matching::{MatchStats, MatchingBackend};
+use mpi_matching::Matcher;
 use otm::SequentialOtm;
 use otm_base::{Envelope, MatchConfig, Rank, ReceivePattern, Tag};
 use otm_bench::{header, write_report, BenchReport, CommonArgs};
@@ -80,10 +80,9 @@ fn main() {
     for (wname, events) in &workloads {
         let expect = Oracle::run(events);
         // Every strategy is constructed and driven uniformly through the
-        // `MatchingBackend` trait — the same dispatch surface dpa-sim's
-        // service uses.
+        // sequential `Matcher` trait, one call per event.
         let seq_config = MatchConfig::default().with_bins(128).with_block_threads(1);
-        let mut engines: Vec<(String, Box<dyn MatchingBackend>)> = vec![
+        let mut engines: Vec<(String, Box<dyn Matcher>)> = vec![
             (
                 "traditional (list)".into(),
                 Box::new(TraditionalMatcher::new()),
@@ -97,15 +96,13 @@ fn main() {
         ];
         println!("\nworkload: {wname} (n = {n})");
         for (name, engine) in &mut engines {
-            let got = Oracle::drive_backend(engine.as_mut(), events).expect("unbounded engines");
+            let got = Oracle::drive(engine.as_mut(), events).expect("unbounded engines");
             assert_eq!(&got, &expect, "{name} must still be MPI-correct");
-            let mut stats = MatchStats::default();
-            engine.merge_stats(&mut stats);
+            let stats = engine.stats();
             println!(
-                "  {name:<22} mean depth {:>8.3} | max depth {:>4}  [{}]",
+                "  {name:<22} mean depth {:>8.3} | max depth {:>4}",
                 stats.mean_depth(),
-                stats.max_depth(),
-                engine.backend_name()
+                stats.max_depth()
             );
             rows.push(Row {
                 strategy: name.clone(),

@@ -162,7 +162,7 @@ use mpi_matching::backend::{
     BlockDelivery, DrainReport, FallbackState, MatchingBackend, PendingCommand,
 };
 #[cfg(test)]
-use mpi_matching::{stats::MatchStats, MsgHandle, PostResult, RecvHandle};
+use mpi_matching::{MsgHandle, PostResult, RecvHandle};
 #[cfg(test)]
 use otm_base::{Envelope, MatchError, ReceivePattern};
 
@@ -271,22 +271,6 @@ impl MatchingBackend for FaultInjectingBackend {
         self.inner.arrive_block(msgs)
     }
 
-    fn probe(&self, pattern: &ReceivePattern) -> Option<MsgHandle> {
-        self.inner.probe(pattern)
-    }
-
-    fn prq_len(&self) -> usize {
-        self.inner.prq_len()
-    }
-
-    fn umq_len(&self) -> usize {
-        self.inner.umq_len()
-    }
-
-    fn merge_stats(&self, into: &mut MatchStats) {
-        self.inner.merge_stats(into)
-    }
-
     fn wants_offload_fallback(&self) -> bool {
         self.inner.wants_offload_fallback()
     }
@@ -318,10 +302,6 @@ impl MatchingBackend for FaultInjectingBackend {
             return DrainReport::default();
         }
         self.inner.drain_commands()
-    }
-
-    fn pending_commands(&self) -> usize {
-        self.inner.pending_commands()
     }
 
     fn drain_for_fallback(self: Box<Self>) -> Result<FallbackState, MatchError> {
@@ -515,6 +495,7 @@ mod tests {
             .arrive_block(&[(Envelope::world(Rank(0), Tag(1)), MsgHandle(0))])
             .unwrap();
         assert_eq!(d[0].matched(), Some(RecvHandle(0)));
-        assert_eq!(b.prq_len(), 0);
+        let state = Box::new(b).drain_for_fallback().unwrap();
+        assert!(state.receives.is_empty());
     }
 }

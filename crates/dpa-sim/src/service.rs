@@ -1,9 +1,10 @@
 //! The receive-side matching service: matching backend + protocol handling.
 //!
 //! The service is generic over [`MatchingBackend`]: it holds a
-//! `Box<dyn MatchingBackend>` and drives posts, arrival blocks, stats and
-//! the software-fallback migration purely through the trait. The trait
-//! objects it ships with are the three configurations Fig. 8 compares:
+//! `Box<dyn MatchingBackend>` and submits posts and arrivals as commands,
+//! drains them, reads the engine's counts and runs the software-fallback
+//! migration purely through the trait. The trait objects it ships with are
+//! the three configurations Fig. 8 compares:
 //!
 //! * **Optimistic-DPA** — the offloaded engine: blocks of up to `N`
 //!   completions are matched in parallel by [`otm::OtmEngine`]; the host CPU
@@ -40,8 +41,7 @@ use crate::rdma::{PayloadKind, RdmaDomain, RdmaError};
 use mpi_matching::protocol::{Action, EagerTransfer, ProtocolStateError, RendezvousTransfer, Rts};
 use mpi_matching::traditional::TraditionalMatcher;
 use mpi_matching::{
-    CommandOutcome, DrainReport, MatchingBackend, MsgHandle, PendingCommand, PostResult, RdmaNoOp,
-    RecvHandle,
+    CommandOutcome, MatchingBackend, MsgHandle, PendingCommand, PostResult, RdmaNoOp, RecvHandle,
 };
 use otm::{Delivery, OtmEngine};
 use otm_base::hash::IntHasher;
@@ -174,55 +174,11 @@ impl Inflight {
     }
 }
 
-/// The placeholder installed while the offloaded backend is drained for the
-/// software fallback. If the replay completes, a software matcher replaces
-/// it; if the drain fails, the poison stays and every subsequent matching
-/// operation reports [`MatchError::EngineStopped`] — the service never runs
-/// with silently half-migrated state.
-struct PoisonedBackend;
-
-impl MatchingBackend for PoisonedBackend {
-    fn backend_name(&self) -> &'static str {
-        "Poisoned"
-    }
-
-    fn post(&mut self, _: ReceivePattern, _: RecvHandle) -> Result<PostResult, MatchError> {
-        Err(MatchError::EngineStopped)
-    }
-
-    fn arrive_block(&mut self, _: &[(Envelope, MsgHandle)]) -> Result<Vec<Delivery>, MatchError> {
-        Err(MatchError::EngineStopped)
-    }
-
-    fn probe(&self, _: &ReceivePattern) -> Option<MsgHandle> {
-        None
-    }
-
-    fn prq_len(&self) -> usize {
-        0
-    }
-
-    fn umq_len(&self) -> usize {
-        0
-    }
-
-    fn merge_stats(&self, _: &mut mpi_matching::MatchStats) {}
-
-    fn submit_command(&mut self, _: PendingCommand) -> Result<(), MatchError> {
-        Err(MatchError::EngineStopped)
-    }
-
-    fn drain_commands(&mut self) -> DrainReport {
-        DrainReport {
-            error: Some(MatchError::EngineStopped),
-            ..DrainReport::default()
-        }
-    }
-}
-
 /// The receive-side matching service (see module docs).
 pub struct MatchingService {
-    backend: Box<dyn MatchingBackend>,
+    /// `None` while poisoned: a fallback migration took the backend and did
+    /// not complete (see [`MatchingService::fall_back_to_software`]).
+    backend: Option<Box<dyn MatchingBackend>>,
     nic: RecvNic,
     domain: RdmaDomain,
     next_recv: u64,
@@ -278,7 +234,7 @@ impl MatchingService {
         backend: Box<dyn MatchingBackend>,
     ) -> Self {
         MatchingService {
-            backend,
+            backend: Some(backend),
             nic,
             domain,
             next_recv: 0,
@@ -296,7 +252,8 @@ impl MatchingService {
     /// Re-arms the service for a new receiver, on the same NIC and domain:
     /// it reads as [`MatchingService::with_backend`] left it. The backend
     /// resets in place ([`MatchingBackend::reset`]); one that refuses — the
-    /// software matcher a fallback left — is replaced by `fresh()`.
+    /// software matcher a fallback left — and a poisoned service's missing
+    /// one are replaced by `fresh()`.
     /// Receive handles and the poll clock start over; the completed,
     /// in-flight and unexpected stores empty, and the rendezvous regions of
     /// messages that never matched are deregistered; the fallback flag
@@ -304,8 +261,8 @@ impl MatchingService {
     /// empty. The NIC re-arms on its own ([`RecvNic::rearm`]), and so does
     /// each sender ([`crate::ReliableSender::rearm`]).
     pub(crate) fn rearm(&mut self, fresh: impl FnOnce() -> Box<dyn MatchingBackend>) {
-        if self.backend.reset().is_err() {
-            self.backend = fresh();
+        if !self.backend.as_mut().is_some_and(|b| b.reset().is_ok()) {
+            self.backend = Some(fresh());
         }
         self.next_recv = 0;
         self.completed.clear();
@@ -370,14 +327,22 @@ impl MatchingService {
         Self::with_backend(nic, domain, Box::new(RdmaNoOp::new()))
     }
 
-    /// Which backend is running (for reports).
+    /// Which backend is running (for reports): `"Poisoned"` when none is.
     pub fn backend_name(&self) -> &'static str {
-        self.backend.backend_name()
+        self.backend
+            .as_ref()
+            .map_or("Poisoned", |b| b.backend_name())
     }
 
     /// Engine statistics, when the backend is the offloaded engine.
     pub fn engine_stats(&self) -> Option<otm::StatsSnapshot> {
-        self.backend.engine_stats()
+        self.backend.as_ref()?.engine_stats()
+    }
+
+    /// The running backend, or [`MatchError::EngineStopped`] while the
+    /// service is poisoned.
+    fn backend(&mut self) -> Result<&mut Box<dyn MatchingBackend>, MatchError> {
+        self.backend.as_mut().ok_or(MatchError::EngineStopped)
     }
 
     /// The inert [`ServiceMetrics`] shim: the service keeps its counts in
@@ -415,7 +380,7 @@ impl MatchingService {
         ] {
             snap.counters.insert(name.to_string(), n);
         }
-        match self.backend.metrics_snapshot() {
+        match self.backend.as_ref().and_then(|b| b.metrics_snapshot()) {
             Some(engine) => snap.merge(&engine),
             None => snap,
         }
@@ -438,7 +403,10 @@ impl MatchingService {
     /// ring of fallback replays (a migration drops the engine and its ring).
     #[cfg(feature = "trace-events")]
     pub fn span_recorder(&self) -> &otm_metrics::SpanRecorder {
-        self.backend.span_recorder().unwrap_or(&self.spans)
+        self.backend
+            .as_ref()
+            .and_then(|b| b.span_recorder())
+            .unwrap_or(&self.spans)
     }
 
     /// Stamps a `fell_back` lifecycle span on `subject` — a message, or a
@@ -494,9 +462,9 @@ impl MatchingService {
         pattern: ReceivePattern,
         handle: RecvHandle,
     ) -> Result<(), ServiceError> {
-        self.backend
-            .submit_command(PendingCommand::Post { pattern, handle })?;
-        if !self.backend.wants_offload_fallback() && !self.unexpected.is_empty() {
+        let backend = self.backend()?;
+        backend.submit_command(PendingCommand::Post { pattern, handle })?;
+        if !backend.wants_offload_fallback() && !self.unexpected.is_empty() {
             self.drain_and_apply()?;
         }
         Ok(())
@@ -522,20 +490,20 @@ impl MatchingService {
     ///    runs its protocol with the payload staged in the in-flight stash
     ///    or the unexpected store.
     ///
-    /// The migration is transactional: a [`PoisonedBackend`] holds the slot
-    /// while the offloaded backend drains, and the software matcher is
-    /// installed only once the full state AND every pending command have
-    /// been replayed. If the drain or the replay fails, the poison stays —
-    /// subsequent operations report [`MatchError::EngineStopped`] rather
-    /// than silently matching against a partial state.
+    /// The migration is transactional: the backend slot stays empty — the
+    /// service is *poisoned* — while the offloaded backend drains, and the
+    /// software matcher is installed only once the full state AND every
+    /// pending command have been replayed. If the drain or the replay
+    /// fails, the slot stays empty: every later post, arrival and drain
+    /// reports [`MatchError::EngineStopped`] rather than silently matching
+    /// against a partial state, [`MatchingService::backend_name`] reads
+    /// `"Poisoned"`, and only [`MatchingService::rearm`] installs a backend
+    /// again.
     fn fall_back_to_software(
         &mut self,
         extra_pending: Vec<PendingCommand>,
     ) -> Result<(), ServiceError> {
-        let offloaded = std::mem::replace(
-            &mut self.backend,
-            Box::new(PoisonedBackend) as Box<dyn MatchingBackend>,
-        );
+        let offloaded = self.backend.take().ok_or(MatchError::EngineStopped)?;
         let state = offloaded.drain_for_fallback()?;
         let arrivals = state
             .unexpected
@@ -576,7 +544,7 @@ impl MatchingService {
                 self.apply_queue_outcome(outcome)?;
             }
         }
-        self.backend = Box::new(matcher);
+        self.backend = Some(Box::new(matcher));
         self.fellback = true;
         Ok(())
     }
@@ -637,7 +605,7 @@ impl MatchingService {
         let mut attempt: u32 = 0;
         loop {
             match self
-                .backend
+                .backend()?
                 .submit_command(PendingCommand::Arrival { env, msg })
             {
                 Ok(()) => return Ok(()),
@@ -659,7 +627,7 @@ impl MatchingService {
     fn drain_and_apply(&mut self) -> Result<(), ServiceError> {
         let mut attempt: u32 = 0;
         loop {
-            let report = self.backend.drain_commands();
+            let report = self.backend()?.drain_commands();
             for outcome in report.outcomes {
                 self.apply_queue_outcome(outcome)?;
             }
@@ -679,7 +647,7 @@ impl MatchingService {
                     self.counts.backoff_polls.record(backoff);
                 }
                 Some(e)
-                    if self.backend.wants_offload_fallback()
+                    if self.backend()?.wants_offload_fallback()
                         && (e.is_retryable() || e == MatchError::EngineStopped) =>
                 {
                     // Retryable exhaustion requeued the unapplied commands
@@ -1153,50 +1121,38 @@ mod tests {
         }
     }
 
+    /// A backend that demands the offload fallback but cannot deliver
+    /// its state: the service must poison itself, not limp along.
+    struct FailingBackend;
+    impl MatchingBackend for FailingBackend {
+        fn backend_name(&self) -> &'static str {
+            "Failing"
+        }
+        fn post(&mut self, _: ReceivePattern, _: RecvHandle) -> Result<PostResult, MatchError> {
+            unreachable!("posts go through the queue")
+        }
+        fn arrive_block(
+            &mut self,
+            _: &[(Envelope, MsgHandle)],
+        ) -> Result<Vec<Delivery>, MatchError> {
+            unreachable!("arrivals go through the queue")
+        }
+        fn wants_offload_fallback(&self) -> bool {
+            true
+        }
+        fn submit_command(&mut self, _: PendingCommand) -> Result<(), MatchError> {
+            Ok(())
+        }
+        fn drain_commands(&mut self) -> mpi_matching::DrainReport {
+            table_full_drain()
+        }
+        fn drain_for_fallback(self: Box<Self>) -> Result<mpi_matching::FallbackState, MatchError> {
+            Err(MatchError::EngineStopped)
+        }
+    }
+
     #[test]
     fn failed_fallback_drain_poisons_the_service() {
-        /// A backend that demands the offload fallback but cannot deliver
-        /// its state: the service must poison itself, not limp along.
-        struct FailingBackend;
-        impl MatchingBackend for FailingBackend {
-            fn backend_name(&self) -> &'static str {
-                "Failing"
-            }
-            fn post(&mut self, _: ReceivePattern, _: RecvHandle) -> Result<PostResult, MatchError> {
-                unreachable!("posts go through the queue")
-            }
-            fn arrive_block(
-                &mut self,
-                _: &[(Envelope, MsgHandle)],
-            ) -> Result<Vec<Delivery>, MatchError> {
-                unreachable!("arrivals go through the queue")
-            }
-            fn probe(&self, _: &ReceivePattern) -> Option<MsgHandle> {
-                None
-            }
-            fn prq_len(&self) -> usize {
-                0
-            }
-            fn umq_len(&self) -> usize {
-                0
-            }
-            fn merge_stats(&self, _: &mut mpi_matching::MatchStats) {}
-            fn wants_offload_fallback(&self) -> bool {
-                true
-            }
-            fn submit_command(&mut self, _: PendingCommand) -> Result<(), MatchError> {
-                Ok(())
-            }
-            fn drain_commands(&mut self) -> mpi_matching::DrainReport {
-                table_full_drain()
-            }
-            fn drain_for_fallback(
-                self: Box<Self>,
-            ) -> Result<mpi_matching::FallbackState, MatchError> {
-                Err(MatchError::EngineStopped)
-            }
-        }
-
         let (tx, rx) = connected_pair();
         let domain = RdmaDomain::new();
         let nic = RecvNic::new(rx, BouncePool::new(64, 256));
@@ -1224,6 +1180,30 @@ mod tests {
         tx.send(eager_packet(env(0, 0), vec![1])).unwrap();
         assert!(svc.progress().is_err());
         drop(tx);
+    }
+
+    #[test]
+    fn a_poisoned_service_comes_back_when_rearmed() {
+        let (tx, rx) = connected_pair();
+        let nic = RecvNic::new(rx, BouncePool::new(64, 256));
+        let backend = Box::new(FailingBackend);
+        let mut svc = MatchingService::with_backend(nic, RdmaDomain::new(), backend);
+        svc.post_recv(ReceivePattern::exact(Rank(0), Tag(0)))
+            .unwrap();
+        assert!(svc.progress().is_err());
+        assert_eq!(svc.backend_name(), "Poisoned");
+        // The poisoned service has no backend to reset: `fresh()` fills it.
+        svc.rearm(|| Box::new(OtmEngine::new(MatchConfig::small()).unwrap()));
+        svc.nic_mut().rearm(1);
+        assert_eq!(svc.backend_name(), "Optimistic-DPA");
+        let recv = svc
+            .post_recv(ReceivePattern::exact(Rank(0), Tag(1)))
+            .unwrap();
+        tx.send(eager_packet(env(0, 1), vec![5])).unwrap();
+        assert_eq!(svc.progress().unwrap(), 1);
+        let done = svc.take_completed();
+        assert_eq!((done[0].recv, &done[0].data[..]), (recv, &[5][..]));
+        assert!(!svc.fell_back());
     }
 
     #[test]
@@ -1577,22 +1557,10 @@ mod tests {
             ) -> Result<Vec<Delivery>, MatchError> {
                 unreachable!("arrivals are commands")
             }
-            fn probe(&self, pattern: &ReceivePattern) -> Option<MsgHandle> {
-                self.0.probe(pattern)
-            }
-            fn prq_len(&self) -> usize {
-                self.0.prq_len()
-            }
-            fn umq_len(&self) -> usize {
-                self.0.umq_len()
-            }
-            fn merge_stats(&self, into: &mut mpi_matching::MatchStats) {
-                self.0.merge_stats(into)
-            }
             fn submit_command(&mut self, cmd: PendingCommand) -> Result<(), MatchError> {
                 self.0.submit_command(cmd)
             }
-            fn drain_commands(&mut self) -> DrainReport {
+            fn drain_commands(&mut self) -> mpi_matching::DrainReport {
                 self.0.drain_commands()
             }
         }
@@ -1754,16 +1722,6 @@ mod tests {
             fn drain_commands(&mut self) -> mpi_matching::DrainReport {
                 table_full_drain()
             }
-            fn probe(&self, _: &ReceivePattern) -> Option<MsgHandle> {
-                None
-            }
-            fn prq_len(&self) -> usize {
-                1
-            }
-            fn umq_len(&self) -> usize {
-                1
-            }
-            fn merge_stats(&self, _: &mut mpi_matching::MatchStats) {}
             fn wants_offload_fallback(&self) -> bool {
                 true
             }

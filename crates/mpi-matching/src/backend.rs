@@ -4,10 +4,9 @@
 //! the DPA command queues: receives and arrivals are commands, a drain
 //! applies them in submission order, and when device resources run out the
 //! whole matching state migrates to host software. [`MatchingBackend`]
-//! captures exactly that contract so the simulator, the trace replayer and
-//! the figure harnesses can swap engines — the parallel optimistic engine,
-//! the host-CPU baselines, or the no-matching RDMA ceiling — without
-//! enum-dispatching over a closed set.
+//! captures exactly that contract, and no more, so the service can swap
+//! engines — the parallel optimistic engine, the host-CPU baselines, or the
+//! no-matching RDMA ceiling — without enum-dispatching over a closed set.
 //!
 //! There is one way in, whatever runs behind it:
 //! [`MatchingBackend::submit_command`] queues a command and
@@ -21,9 +20,11 @@
 //! Unlike [`Matcher`], which models a *sequential* engine for oracle
 //! comparisons, this trait speaks the service's language: a command queue,
 //! an explicit offload-fallback drain
-//! ([`MatchingBackend::drain_for_fallback`]), and statistics *merging*
-//! (offloaded engines keep their own counters and fold them into a
-//! host-side [`MatchStats`] on demand).
+//! ([`MatchingBackend::drain_for_fallback`]), and the offloaded engine's
+//! own counts ([`MatchingBackend::engine_stats`],
+//! [`MatchingBackend::metrics_snapshot`]). Queue lengths, probes and a host
+//! matcher's [`MatchStats`](crate::MatchStats) are read through [`Matcher`]
+//! or the concrete engine, never through this trait.
 //!
 //! # Selecting a backend
 //!
@@ -64,7 +65,7 @@
 use crate::binned::BinnedMatcher;
 use crate::matcher::{ArriveResult, Matcher, MsgHandle, PostResult, RecvHandle};
 use crate::rank_based::RankBasedMatcher;
-use crate::stats::{MatchStats, StatsSnapshot};
+use crate::stats::StatsSnapshot;
 use crate::traditional::TraditionalMatcher;
 use otm_base::{Envelope, MatchError, ReceivePattern};
 use otm_metrics::{RegistrySnapshot, SpanRecorder};
@@ -272,16 +273,16 @@ impl BlockDelivery {
 ///     BlockDelivery, CommandOutcome, MatchingBackend, PendingCommand,
 /// };
 /// use mpi_matching::traditional::TraditionalMatcher;
-/// use mpi_matching::{MsgHandle, PostResult, RecvHandle};
+/// use mpi_matching::{Matcher, MsgHandle, PostResult, RecvHandle};
 /// use otm_base::{Envelope, Rank, ReceivePattern, Tag};
 ///
-/// let mut b: Box<dyn MatchingBackend> = Box::new(TraditionalMatcher::new());
+/// let mut b = TraditionalMatcher::new();
 /// let (env, msg) = (Envelope::world(Rank(0), Tag(1)), MsgHandle(0));
 /// b.submit_command(PendingCommand::Arrival { env, msg })?;
 /// let (pattern, handle) = (ReceivePattern::exact(Rank(0), Tag(1)), RecvHandle(0));
 /// b.submit_command(PendingCommand::Post { pattern, handle })?;
 /// // Nothing applies until the drain...
-/// assert_eq!((b.pending_commands(), b.umq_len()), (2, 0));
+/// assert_eq!((Matcher::prq_len(&b), Matcher::umq_len(&b)), (0, 0));
 /// // ...which applies both, in submission order.
 /// let report = b.drain_commands();
 /// assert_eq!(
@@ -294,64 +295,17 @@ impl BlockDelivery {
 /// assert!(report.error.is_none() && !b.wants_offload_fallback());
 /// # Ok::<(), otm_base::MatchError>(())
 /// ```
+///
+/// The first nine methods are what the service calls. The last three —
+/// [`MatchingBackend::block_size`], [`MatchingBackend::post`] and
+/// [`MatchingBackend::arrive_block`] — are the direct calls outside the
+/// queue: a host backend's drain applies its posts with `post`, and
+/// otherwise only the benchmark package calls them (ROADMAP item 1); they
+/// go once it no longer does.
 pub trait MatchingBackend: Send {
     /// The label reports and Figure 8 use for this backend
     /// (e.g. `"Optimistic-DPA"`, `"MPI-CPU"`, `"RDMA-CPU"`).
     fn backend_name(&self) -> &'static str;
-
-    /// How many messages the engine matches in one block: its block
-    /// threads, 1 for a sequential engine. Nothing in the workspace reads
-    /// it; the benchmark package's block rung chunks its
-    /// [`MatchingBackend::arrive_block`] calls by it (ROADMAP item 1).
-    fn block_size(&self) -> usize {
-        1
-    }
-
-    /// Posts a receive at once, outside the command queue: what a host
-    /// matcher's drain applies a [`PendingCommand::Post`] with, and what
-    /// the benchmark package still calls (ROADMAP item 1).
-    fn post(
-        &mut self,
-        pattern: ReceivePattern,
-        handle: RecvHandle,
-    ) -> Result<PostResult, MatchError>;
-
-    /// Matches a block of incoming messages at once, outside the command
-    /// queue, in slice (= arrival) order.
-    ///
-    /// On error the block must be rejected atomically: no message of the
-    /// block may have been half-applied, so the caller can migrate the
-    /// intact state via [`MatchingBackend::drain_for_fallback`].
-    fn arrive_block(
-        &mut self,
-        msgs: &[(Envelope, MsgHandle)],
-    ) -> Result<Vec<BlockDelivery>, MatchError>;
-
-    /// Non-destructive unexpected-queue probe (`MPI_Iprobe` semantics).
-    fn probe(&self, pattern: &ReceivePattern) -> Option<MsgHandle>;
-
-    /// Live posted receives.
-    fn prq_len(&self) -> usize;
-
-    /// Waiting unexpected messages.
-    fn umq_len(&self) -> usize;
-
-    /// Folds this backend's accumulated matching statistics into `into`.
-    ///
-    /// Offloaded engines translate their device-side counters; host engines
-    /// merge their [`MatchStats`] verbatim.
-    fn merge_stats(&self, into: &mut MatchStats);
-
-    /// Whether a [`MatchingBackend::drain_commands`] that stops on an error
-    /// the service cannot retry away — resource exhaustion
-    /// ([`MatchError::ReceiveTableFull`], [`MatchError::UnexpectedStoreFull`])
-    /// past the retry budget, or [`MatchError::EngineStopped`] — should make
-    /// the service migrate to software matching (§IV-E). Only a drain
-    /// triggers the migration. Host backends are unbounded and never ask
-    /// for fallback.
-    fn wants_offload_fallback(&self) -> bool {
-        false
-    }
 
     /// Enqueues one command for the next [`MatchingBackend::drain_commands`].
     /// A host backend never refuses; the offloaded engine refuses a full
@@ -362,11 +316,6 @@ pub trait MatchingBackend: Send {
     /// Applies queued commands in submission order and reports their
     /// outcomes (see [`DrainReport`] for the partial-failure contract).
     fn drain_commands(&mut self) -> DrainReport;
-
-    /// Commands submitted and not yet drained.
-    fn pending_commands(&self) -> usize {
-        0
-    }
 
     /// Drains the complete matching state — applied receives and unexpected
     /// messages *plus* any commands still sitting in the submission queue —
@@ -381,6 +330,17 @@ pub trait MatchingBackend: Send {
             "the {} backend has no offload state to drain",
             self.backend_name()
         )))
+    }
+
+    /// Whether a [`MatchingBackend::drain_commands`] that stops on an error
+    /// the service cannot retry away — resource exhaustion
+    /// ([`MatchError::ReceiveTableFull`], [`MatchError::UnexpectedStoreFull`])
+    /// past the retry budget, or [`MatchError::EngineStopped`] — should make
+    /// the service migrate to software matching (§IV-E). Only a drain
+    /// triggers the migration. Host backends are unbounded and never ask
+    /// for fallback.
+    fn wants_offload_fallback(&self) -> bool {
+        false
     }
 
     /// Empties the backend in place so that it reads as new, keeping what
@@ -413,6 +373,35 @@ pub trait MatchingBackend: Send {
     fn span_recorder(&self) -> Option<&SpanRecorder> {
         None
     }
+
+    /// How many messages the engine matches in one block: its block
+    /// threads, 1 for a sequential engine. Nothing in the workspace reads
+    /// it; the benchmark package's block rung chunks its
+    /// [`MatchingBackend::arrive_block`] calls by it (ROADMAP item 1).
+    fn block_size(&self) -> usize {
+        1
+    }
+
+    /// Posts a receive at once, outside the command queue: what a host
+    /// matcher's drain applies a [`PendingCommand::Post`] with, and what
+    /// the benchmark package still calls (ROADMAP item 1).
+    fn post(
+        &mut self,
+        pattern: ReceivePattern,
+        handle: RecvHandle,
+    ) -> Result<PostResult, MatchError>;
+
+    /// Matches a block of incoming messages at once, outside the command
+    /// queue, in slice (= arrival) order. Only the benchmark package calls
+    /// it (ROADMAP item 1).
+    ///
+    /// On error the block must be rejected atomically: no message of the
+    /// block may have been half-applied, so the caller can migrate the
+    /// intact state via [`MatchingBackend::drain_for_fallback`].
+    fn arrive_block(
+        &mut self,
+        msgs: &[(Envelope, MsgHandle)],
+    ) -> Result<Vec<BlockDelivery>, MatchError>;
 }
 
 /// Matches one message through a sequential [`Matcher`]: the direct
@@ -498,22 +487,6 @@ macro_rules! host_backend {
                     .collect()
             }
 
-            fn probe(&self, pattern: &ReceivePattern) -> Option<MsgHandle> {
-                Matcher::probe(self, pattern)
-            }
-
-            fn prq_len(&self) -> usize {
-                Matcher::prq_len(self)
-            }
-
-            fn umq_len(&self) -> usize {
-                Matcher::umq_len(self)
-            }
-
-            fn merge_stats(&self, into: &mut MatchStats) {
-                into.merge(Matcher::stats(self));
-            }
-
             fn submit_command(&mut self, cmd: PendingCommand) -> Result<(), MatchError> {
                 self.queue.push(cmd);
                 Ok(())
@@ -521,10 +494,6 @@ macro_rules! host_backend {
 
             fn drain_commands(&mut self) -> DrainReport {
                 drain_host_queue(self, |m| &mut m.queue, arrive_via_matcher)
-            }
-
-            fn pending_commands(&self) -> usize {
-                self.queue.len()
             }
 
             $(
@@ -589,20 +558,6 @@ impl MatchingBackend for RdmaNoOp {
             .collect()
     }
 
-    fn probe(&self, _pattern: &ReceivePattern) -> Option<MsgHandle> {
-        None
-    }
-
-    fn prq_len(&self) -> usize {
-        0
-    }
-
-    fn umq_len(&self) -> usize {
-        0
-    }
-
-    fn merge_stats(&self, _into: &mut MatchStats) {}
-
     fn submit_command(&mut self, cmd: PendingCommand) -> Result<(), MatchError> {
         self.queue.push(cmd);
         Ok(())
@@ -610,10 +565,6 @@ impl MatchingBackend for RdmaNoOp {
 
     fn drain_commands(&mut self) -> DrainReport {
         drain_host_queue(self, |b| &mut b.queue, RdmaNoOp::arrive)
-    }
-
-    fn pending_commands(&self) -> usize {
-        self.queue.len()
     }
 }
 
@@ -640,10 +591,14 @@ mod tests {
 
     #[test]
     fn host_backends_match_through_the_block_interface() {
-        let mut b: Box<dyn MatchingBackend> = Box::new(TraditionalMatcher::new());
-        assert_eq!(b.block_size(), 1);
-        b.post(ReceivePattern::exact(Rank(0), Tag(1)), RecvHandle(7))
-            .unwrap();
+        let mut b = TraditionalMatcher::new();
+        assert_eq!(MatchingBackend::block_size(&b), 1);
+        MatchingBackend::post(
+            &mut b,
+            ReceivePattern::exact(Rank(0), Tag(1)),
+            RecvHandle(7),
+        )
+        .unwrap();
         let d = b
             .arrive_block(&[(env(0, 1), MsgHandle(0)), (env(9, 9), MsgHandle(1))])
             .unwrap();
@@ -655,8 +610,13 @@ mod tests {
             }
         );
         assert_eq!(d[1], BlockDelivery::Unexpected { msg: MsgHandle(1) });
-        assert_eq!(b.umq_len(), 1);
-        assert_eq!(b.probe(&ReceivePattern::any_any()), Some(MsgHandle(1)));
+        assert_eq!(Matcher::umq_len(&b), 1);
+        assert_eq!(
+            Matcher::probe(&b, &ReceivePattern::any_any()),
+            Some(MsgHandle(1))
+        );
+        let stats = Matcher::stats(&b);
+        assert_eq!((stats.posted, stats.matched_on_arrival), (1, 1));
     }
 
     #[test]
@@ -714,7 +674,7 @@ mod tests {
 
     #[test]
     fn undrained_commands_are_handed_back_in_submission_order() {
-        let mut b: Box<dyn MatchingBackend> = Box::new(TraditionalMatcher::new());
+        let mut b = TraditionalMatcher::new();
         let commands = [
             PendingCommand::Arrival {
                 env: env(0, 1),
@@ -732,9 +692,10 @@ mod tests {
         for cmd in commands {
             b.submit_command(cmd).unwrap();
         }
-        assert_eq!((b.pending_commands(), b.prq_len(), b.umq_len()), (3, 0, 0));
+        let lens = (b.queue.len(), Matcher::prq_len(&b), Matcher::umq_len(&b));
+        assert_eq!(lens, (3, 0, 0));
         assert_eq!(
-            b.drain_for_fallback().unwrap(),
+            Box::new(b).drain_for_fallback().unwrap(),
             FallbackState {
                 receives: Vec::new(),
                 unexpected: Vec::new(),
@@ -778,7 +739,6 @@ mod tests {
                 "{}",
                 b.backend_name()
             );
-            assert_eq!(b.pending_commands(), 0);
             assert!(b.drain_commands().outcomes.is_empty(), "drained once");
             assert!(b.engine_stats().is_none() && b.metrics_snapshot().is_none());
         }
@@ -812,24 +772,5 @@ mod tests {
                 recv: RecvHandle(42)
             }]
         );
-        let mut stats = MatchStats::new();
-        b.merge_stats(&mut stats);
-        assert_eq!(stats.posted, 0);
-    }
-
-    #[test]
-    fn merge_stats_folds_host_counters() {
-        let mut b = TraditionalMatcher::new();
-        MatchingBackend::post(
-            &mut b,
-            ReceivePattern::exact(Rank(0), Tag(1)),
-            RecvHandle(0),
-        )
-        .unwrap();
-        b.arrive_block(&[(env(0, 1), MsgHandle(0))]).unwrap();
-        let mut stats = MatchStats::new();
-        b.merge_stats(&mut stats);
-        assert_eq!(stats.matched_on_arrival, 1);
-        assert_eq!(stats.posted, 1);
     }
 }

@@ -7,7 +7,7 @@
 //!   receive, deliver a message, observe search-depth statistics;
 //! * [`backend`] — the [`backend::MatchingBackend`] interface the SmartNIC
 //!   simulator's service layer drives every engine through (submit / drain
-//!   commands, fallback-drain, stats-merge), implemented by the host
+//!   commands, fallback-drain, the engine's counts), implemented by the host
 //!   engines here and by the offloaded optimistic engine in its own crate;
 //! * [`traditional`] — the classic two-linked-list implementation (PRQ +
 //!   UMQ) used by mainstream MPI libraries, the paper's **MPI-CPU** baseline

@@ -128,51 +128,6 @@ impl Oracle {
         }
         Ok(asg)
     }
-
-    /// Drives a [`MatchingBackend`](crate::backend::MatchingBackend) over a
-    /// workload with the same dense handle assignment as [`Oracle::run`],
-    /// delivering each arrival as a one-message block. The resulting
-    /// [`Assignment`] is directly comparable with the oracle's.
-    pub fn drive_backend(
-        backend: &mut dyn crate::backend::MatchingBackend,
-        events: &[MatchEvent],
-    ) -> Result<Assignment, MatchError> {
-        use crate::backend::BlockDelivery;
-        let mut asg = Assignment::default();
-        let mut next_recv = 0u64;
-        let mut next_msg = 0u64;
-        for ev in events {
-            match *ev {
-                MatchEvent::Post(pattern) => {
-                    let h = RecvHandle(next_recv);
-                    next_recv += 1;
-                    match backend.post(pattern, h)? {
-                        PostResult::Matched(m) => {
-                            asg.recv_to_msg.insert(h, Some(m));
-                            asg.msg_to_recv.insert(m, Some(h));
-                        }
-                        PostResult::Posted => {
-                            asg.recv_to_msg.insert(h, None);
-                        }
-                    }
-                }
-                MatchEvent::Arrive(env) => {
-                    let m = MsgHandle(next_msg);
-                    next_msg += 1;
-                    match backend.arrive_block(&[(env, m)])?[0] {
-                        BlockDelivery::Matched { recv, .. } => {
-                            asg.msg_to_recv.insert(m, Some(recv));
-                            asg.recv_to_msg.insert(recv, Some(m));
-                        }
-                        BlockDelivery::Unexpected { .. } => {
-                            asg.msg_to_recv.insert(m, None);
-                        }
-                    }
-                }
-            }
-        }
-        Ok(asg)
-    }
 }
 
 impl Matcher for Oracle {

@@ -41,7 +41,6 @@ use crate::stats::{StatsSnapshot, Tally};
 use crate::table::{DescId, Payload};
 use crate::worker::{run_block, LaneCtx};
 use mpi_matching::backend::{arrive_via_matcher, drain_host_queue};
-use mpi_matching::stats::DepthAggregate;
 use mpi_matching::{
     ArriveResult, MatchStats, Matcher, MatchingBackend, MsgHandle, PostResult, RecvHandle,
 };
@@ -810,44 +809,6 @@ impl MatchingBackend for OtmEngine {
         self.process_stream(msgs)
     }
 
-    fn probe(&self, pattern: &ReceivePattern) -> Option<MsgHandle> {
-        OtmEngine::probe(self, pattern)
-    }
-
-    fn prq_len(&self) -> usize {
-        OtmEngine::prq_len(self)
-    }
-
-    fn umq_len(&self) -> usize {
-        OtmEngine::umq_len(self)
-    }
-
-    /// Translates the engine's device-side counters into host
-    /// [`MatchStats`]: block search depths land in `prq_search`, post-time
-    /// UMQ search depths in `umq_search`. Queue high-water marks are not
-    /// tracked device-side and merge as zero.
-    fn merge_stats(&self, into: &mut MatchStats) {
-        let s = self.stats();
-        into.merge(&MatchStats {
-            prq_search: DepthAggregate {
-                count: s.search_count,
-                sum: s.search_depth_sum,
-                max: s.search_depth_max,
-            },
-            umq_search: DepthAggregate {
-                count: s.umq_search_count,
-                sum: s.umq_depth_sum,
-                max: 0,
-            },
-            matched_on_arrival: s.matched,
-            unexpected: s.unexpected,
-            matched_on_post: s.matched_on_post,
-            posted: s.posted,
-            prq_high_water: 0,
-            umq_high_water: 0,
-        });
-    }
-
     fn wants_offload_fallback(&self) -> bool {
         true
     }
@@ -858,10 +819,6 @@ impl MatchingBackend for OtmEngine {
 
     fn drain_commands(&mut self) -> DrainReport {
         OtmEngine::drain(self)
-    }
-
-    fn pending_commands(&self) -> usize {
-        OtmEngine::pending_commands(self)
     }
 
     fn drain_for_fallback(self: Box<Self>) -> Result<FallbackState, MatchError> {
@@ -1039,24 +996,6 @@ impl MatchingBackend for SequentialOtm {
             .collect()
     }
 
-    fn probe(&self, pattern: &ReceivePattern) -> Option<MsgHandle> {
-        Matcher::probe(self, pattern)
-    }
-
-    fn prq_len(&self) -> usize {
-        Matcher::prq_len(self)
-    }
-
-    fn umq_len(&self) -> usize {
-        Matcher::umq_len(self)
-    }
-
-    /// The adapter tracks exact per-operation [`MatchStats`] (unlike the
-    /// parallel engine's translated counters), merged verbatim.
-    fn merge_stats(&self, into: &mut MatchStats) {
-        into.merge(&self.stats);
-    }
-
     fn wants_offload_fallback(&self) -> bool {
         true
     }
@@ -1068,10 +1007,6 @@ impl MatchingBackend for SequentialOtm {
 
     fn drain_commands(&mut self) -> DrainReport {
         drain_host_queue(self, |s| &mut s.queue, arrive_via_matcher)
-    }
-
-    fn pending_commands(&self) -> usize {
-        self.queue.len()
     }
 
     fn drain_for_fallback(self: Box<Self>) -> Result<FallbackState, MatchError> {
@@ -1905,7 +1840,7 @@ mod tests {
     #[test]
     fn the_adapter_applies_its_queue_at_the_drain_and_keeps_what_it_could_not() {
         let config = MatchConfig::small().with_max_receives(1);
-        let mut seq: Box<dyn MatchingBackend> = Box::new(SequentialOtm::new(config).unwrap());
+        let mut seq = SequentialOtm::new(config).unwrap();
         let post = |tag: u32| Command::Post {
             pattern: ReceivePattern::exact(Rank(0), Tag(tag)),
             handle: RecvHandle(u64::from(tag)),
@@ -1913,7 +1848,7 @@ mod tests {
         for tag in 0..2 {
             seq.submit_command(post(tag)).unwrap();
         }
-        assert_eq!((seq.prq_len(), seq.pending_commands()), (0, 2));
+        assert_eq!((Matcher::prq_len(&seq), seq.queue.len()), (0, 2));
         let report = seq.drain_commands();
         assert_eq!(
             report.outcomes,
@@ -1924,9 +1859,9 @@ mod tests {
         );
         assert_eq!(report.error, Some(MatchError::ReceiveTableFull));
         assert!(report.unapplied.is_empty(), "a retryable error requeues");
-        assert_eq!(seq.pending_commands(), 1);
+        assert_eq!(seq.queue.len(), 1);
         assert!(seq.reset().is_err(), "queued work refuses a reset");
-        let state = seq.drain_for_fallback().unwrap();
+        let state = Box::new(seq).drain_for_fallback().unwrap();
         assert_eq!(state.receives.len(), 1);
         assert_eq!(state.pending, [post(1)]);
     }
@@ -1942,12 +1877,9 @@ mod tests {
             .unwrap();
         let d = boxed.arrive_block(&[(env(0, 1), MsgHandle(0))]).unwrap();
         assert_eq!(d[0].matched(), Some(RecvHandle(4)));
-        let mut stats = MatchStats::new();
-        boxed.merge_stats(&mut stats);
-        assert_eq!(stats.posted, 1);
-        assert_eq!(stats.matched_on_arrival, 1);
         // What the service reads in place of a downcast.
-        assert_eq!(boxed.engine_stats().map(|s| s.matched), Some(1));
+        let stats = boxed.engine_stats().unwrap();
+        assert_eq!((stats.posted, stats.matched), (1, 1));
         let snap = boxed.metrics_snapshot().unwrap();
         assert_eq!(snap.counters["otm_matched_total"], 1);
         // The command-queue half of the trait.
@@ -1957,7 +1889,6 @@ mod tests {
                 msg: MsgHandle(1),
             })
             .unwrap();
-        assert_eq!(boxed.pending_commands(), 1);
         let report = boxed.drain_commands();
         assert!(report.error.is_none());
         assert_eq!(

@@ -349,12 +349,22 @@ fn endpoints_are_the_size_of_their_traffic() {
     assert!(found.is_none(), "app_replay.rs: {found:?}");
 }
 
+/// Above the tests of `crates/*/src`, nothing asks a backend what it is,
+/// and nothing calls the two ladder-only methods of `MatchingBackend`:
+/// `arrive_block` and `block_size` are kept for the benchmark package
+/// alone (ROADMAP item 1), so removing them is then a pure deletion.
 #[test]
 fn one_way_into_every_backend() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let second_way = ["use_queue", "post_recv_queued(", "post_shared"];
     let mut offences = offending_lines(&workspace_sources(), &second_way);
-    let what_is_it = ["supports_command_queue", "as_any", "downcast"];
+    let what_is_it = [
+        "supports_command_queue",
+        "as_any",
+        "downcast",
+        ".arrive_block(",
+        ".block_size(",
+    ];
     let crates = std::fs::read_dir(root.join("crates")).expect("crates directory");
     let mut sources = Vec::new();
     for krate in crates {
@@ -376,7 +386,8 @@ fn one_way_into_every_backend() {
     }
     assert!(
         offences.is_empty(),
-        "a second way into a backend, or a question about what it is:\n{}",
+        "a second way into a backend, a question about what it is, or a \
+         ladder-only call:\n{}",
         offences.join("\n")
     );
 }
@@ -582,11 +593,11 @@ fn every_library_crate_denies_unreachable_pub() {
 /// was last set.
 const CEILINGS: [(&str, usize); 8] = [
     ("base", 1152),
-    ("bench", 1099),
-    ("dpa-sim", 4099),
+    ("bench", 1096),
+    ("dpa-sim", 4067),
     ("metrics", 1238),
-    ("mpi-matching", 2309),
-    ("otm", 3378),
+    ("mpi-matching", 2214),
+    ("otm", 3308),
     ("trace", 1628),
     ("workloads", 1252),
 ];
