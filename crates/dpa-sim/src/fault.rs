@@ -104,7 +104,7 @@ impl WireFaults {
     /// injection can only create conditions the reliability protocol is
     /// able to repair.
     pub(crate) fn admit(&mut self, qp: usize, packet: WirePacket) -> [Option<WirePacket>; 2] {
-        if packet.seq.is_none() || self.budget == 0 {
+        if packet.seq().is_none() || self.budget == 0 {
             return [Some(packet), None];
         }
         // One decision per fault kind, in a fixed order, so the schedule
@@ -351,7 +351,7 @@ mod tests {
         for seq in 0..100 {
             let out = admit(&mut w, 0, sequenced(seq));
             assert_eq!(out.len(), 1);
-            assert_eq!(out[0].seq, Some(seq));
+            assert_eq!(out[0].seq(), Some(seq));
         }
         assert_eq!(w.stats().total(), 0);
         assert_eq!(w.held_len(), 0);
@@ -406,7 +406,7 @@ mod tests {
                 break;
             }
         }
-        assert_eq!(released.expect("released within window").seq, Some(0));
+        assert_eq!(released.expect("released within window").seq(), Some(0));
         assert_eq!(w.held_len(), 0);
         assert_eq!(w.stats().reorders, 1);
     }
@@ -421,7 +421,7 @@ mod tests {
         w.tick();
         assert!(w.pop_due().is_none(), "not due after one poll");
         w.tick();
-        assert_eq!(w.pop_due().expect("due after two polls").1.seq, Some(0));
+        assert_eq!(w.pop_due().expect("due after two polls").1.seq(), Some(0));
     }
 
     #[test]

@@ -5,17 +5,18 @@
 //! Incoming messages are staged into bounce buffers in NIC memory."
 //!
 //! [`RecvNic::poll`] drains the wire into bounce buffers and appends
-//! completion entries. The service pops them one at a time into its
-//! backend's command queue; the offloaded engine's drain packs them into
-//! blocks — the paper's scheme of letting DPA thread *i* wait on completion
-//! *i*, *i + N*, … maps onto lane *i* of each block.
+//! completion entries. The service submits them one at a time into its
+//! backend's command queue and takes each off the queue, with its staged
+//! bytes, when matching has said where it goes; the offloaded engine's drain
+//! packs them into blocks — the paper's scheme of letting DPA thread *i*
+//! wait on completion *i*, *i + N*, … maps onto lane *i* of each block.
 
 use crate::bounce::{BounceId, BouncePool};
 use crate::fault::{WireFaultStats, WireFaults};
-use crate::rdma::{Frame, MessageHeader, QueuePair, RdmaError, WirePacket};
+use crate::rdma::{Descriptor, Frame, QueuePair, RdmaError, WirePacket};
 use crate::reorder::ReorderWindow;
 use mpi_matching::MsgHandle;
-use otm_base::{FaultPlan, MatchError};
+use otm_base::{Envelope, FaultPlan, MatchError};
 use std::collections::VecDeque;
 
 /// Default per-QP capacity of the out-of-order staging buffer. Sized to hold
@@ -23,13 +24,16 @@ use std::collections::VecDeque;
 /// packet that overflows it is discarded and repaired by a timeout resend.
 pub(crate) const DEFAULT_STAGING_CAPACITY: usize = 64;
 
-/// A completion-queue entry: one arrived message staged in NIC memory.
+/// A completion-queue entry: one arrived message staged in NIC memory, and
+/// what matching and the protocol read of its header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Completion {
-    /// The message header (envelope, inline hashes, protocol descriptor).
-    pub(crate) header: MessageHeader,
+    /// The MPI envelope (source, tag, communicator).
+    pub(crate) env: Envelope,
     /// Where the inline bytes were staged.
     pub bounce: BounceId,
+    /// Protocol selection and transfer descriptor.
+    pub(crate) desc: Descriptor,
     /// Monotone per-NIC message handle (arrival order).
     pub(crate) msg: MsgHandle,
 }
@@ -333,8 +337,8 @@ impl RecvNic {
     /// QP's staged run drained behind it — eager draining frees staging
     /// capacity for later packets arriving in the same poll.
     fn accept_packet(&mut self, qp: usize, packet: WirePacket) -> Result<usize, NicError> {
-        let sequenced = packet.seq.is_some();
-        if let Some(seq) = packet.seq {
+        let sequenced = packet.seq().is_some();
+        if let Some(seq) = packet.seq() {
             // Any sequenced arrival — accepted or not — owes the peer a
             // fresh cumulative ack, so retransmits re-ack too.
             self.ack_due[qp] = true;
@@ -384,7 +388,7 @@ impl RecvNic {
         packet: WirePacket,
     ) -> Result<usize, (Option<WirePacket>, NicError)> {
         if self.total_order {
-            if let Some(gseq) = packet.gseq {
+            if let Some(gseq) = packet.gseq() {
                 return self.deliver_gated(gseq, packet).map_err(|e| (None, e));
             }
         }
@@ -518,8 +522,9 @@ impl RecvNic {
                 let msg = MsgHandle(self.next_msg);
                 self.next_msg += 1;
                 self.cq.push_back(Completion {
-                    header: packet.header,
+                    env: packet.header.env,
                     bounce,
+                    desc: packet.header.desc,
                     msg,
                 });
                 Ok(())
@@ -539,9 +544,30 @@ impl RecvNic {
         self.cq.drain(..n).collect()
     }
 
-    /// Pops the oldest completion.
-    pub(crate) fn next_completion(&mut self) -> Option<Completion> {
-        self.cq.pop_front()
+    /// The completion `at` places behind the CQ's front, if there is one.
+    pub(crate) fn completion(&self, at: usize) -> Option<&Completion> {
+        self.cq.get(at)
+    }
+
+    /// Takes message `msg`'s completion, if it is among the CQ's first
+    /// `within`, with its staged bytes, and frees its bounce buffer. Matching
+    /// takes the front; only a drain cut short takes one from further in,
+    /// found by handle (the CQ stays in handle order, with gaps where one
+    /// left from the middle).
+    pub(crate) fn take_completion(
+        &mut self,
+        msg: MsgHandle,
+        within: usize,
+    ) -> Option<(Completion, Vec<u8>)> {
+        let at = match self.cq.front()? {
+            front if front.msg == msg => 0,
+            _ => self.cq.binary_search_by_key(&msg, |c| c.msg).ok()?,
+        };
+        if at >= within {
+            return None;
+        }
+        let completion = self.cq.remove(at)?;
+        Some((completion, self.pool.take(completion.bounce)))
     }
 
     /// Completions waiting to be matched.
@@ -552,12 +578,6 @@ impl RecvNic {
     /// Bounce buffers currently holding staged messages.
     pub(crate) fn bounce_in_use(&self) -> usize {
         self.pool.in_use()
-    }
-
-    /// Moves the staged bytes of a completion out and returns its bounce
-    /// buffer.
-    pub(crate) fn take_staged(&mut self, bounce: BounceId) -> Vec<u8> {
-        self.pool.take(bounce)
     }
 
     /// Returns a bounce buffer whose bytes the caller does not want.
@@ -634,8 +654,8 @@ mod tests {
     }
 
     #[test]
-    fn completions_stay_under_two_cache_lines() {
-        assert!(std::mem::size_of::<Completion>() <= 96);
+    fn a_completion_holds_the_envelope_descriptor_bounce_id_and_handle() {
+        assert!(std::mem::size_of::<Completion>() <= 40);
     }
 
     #[test]

@@ -137,24 +137,35 @@ impl RdmaDomain {
     }
 }
 
-/// How a message's payload travels (§IV-B).
+/// How a message's payload travels (§IV-B), in 16 bytes. `rkey` 0, which
+/// [`RdmaDomain::register`] never hands out, marks an eager payload: it all
+/// rides in the packet. Any other names the sender's registered region,
+/// pulled by an RDMA READ after the match, its first `piggyback` bytes in
+/// the packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PayloadKind {
-    /// The full payload rides in the packet.
-    Eager {
-        /// Payload length in bytes.
-        len: usize,
-    },
-    /// Ready-To-Send descriptor: the payload is registered at the sender
-    /// and will be pulled via RDMA READ after the match.
-    Rts {
-        /// rkey of the registered send buffer.
-        rkey: RKey,
-        /// Total payload length.
-        len: usize,
-        /// Bytes of head data piggybacked in the packet.
-        piggyback: usize,
-    },
+pub(crate) struct Descriptor {
+    rkey: u64,
+    /// Payload length in bytes.
+    pub(crate) len: u32,
+    /// Bytes of the payload's head in the packet (0 for eager).
+    pub(crate) piggyback: u32,
+}
+
+impl Descriptor {
+    /// Panics if a length does not fit `u32`.
+    fn new(rkey: u64, len: usize, piggyback: usize) -> Self {
+        let fit = |n: usize| u32::try_from(n).expect("payload lengths fit u32");
+        Descriptor {
+            rkey,
+            len: fit(len),
+            piggyback: fit(piggyback),
+        }
+    }
+
+    /// The sender's registered region, `None` for an eager payload.
+    pub(crate) fn rkey(self) -> Option<RKey> {
+        (self.rkey != 0).then_some(RKey(self.rkey))
+    }
 }
 
 /// Maximum number of `[start, end)` ranges one ack can advertise. Four
@@ -217,8 +228,11 @@ pub(crate) struct MessageHeader {
     /// Sender-side inline hash values (§IV-D).
     pub(crate) hashes: InlineHashes,
     /// Protocol selection and transfer descriptor.
-    pub(crate) kind: PayloadKind,
+    pub(crate) desc: Descriptor,
 }
+
+/// The sequence number no packet is stamped with: it marks one unstamped.
+const UNSTAMPED: u64 = u64::MAX;
 
 /// One packet on the wire: header plus inline bytes (the eager payload, or
 /// the rendezvous piggyback head).
@@ -228,25 +242,27 @@ pub struct WirePacket {
     pub(crate) header: MessageHeader,
     /// Inline bytes.
     pub(crate) inline: Vec<u8>,
-    /// Reliability sequence number, stamped by a `ReliableSender`. `None`
-    /// marks legacy/control traffic that bypasses the reliability protocol
-    /// (and is never touched by fault injection, which only targets
-    /// sequenced data packets).
-    pub(crate) seq: Option<u64>,
+    /// Reliability sequence number, stamped by a `ReliableSender`, read
+    /// through [`WirePacket::seq`]. Unstamped marks legacy/control traffic
+    /// that bypasses the reliability protocol (and is never touched by
+    /// fault injection, which only targets sequenced data packets).
+    seq: u64,
     /// Global delivery sequence number across all of the *receiver's* queue
     /// pairs, stamped by a sender that participates in total-order delivery
-    /// (the application-replay driver stamps the trace position here).
+    /// (the application-replay driver stamps the trace position here), read
+    /// through [`WirePacket::gseq`].
     /// Orthogonal to `seq`, which orders packets within one QP: `gseq`
     /// orders accepted packets across QPs when the receive NIC's
     /// total-order gate is enabled, and is ignored otherwise.
-    pub(crate) gseq: Option<u64>,
+    gseq: u64,
 }
 
 impl WirePacket {
     /// Stamps a reliability sequence number on the packet.
     #[must_use]
     pub(crate) fn with_seq(mut self, seq: u64) -> Self {
-        self.seq = Some(seq);
+        debug_assert_ne!(seq, UNSTAMPED, "the sentinel is no sequence number");
+        self.seq = seq;
         self
     }
 
@@ -254,8 +270,28 @@ impl WirePacket {
     /// consumed by [`crate::nic::RecvNic`]'s total-order gate.
     #[must_use]
     pub fn with_gseq(mut self, gseq: u64) -> Self {
-        self.gseq = Some(gseq);
+        debug_assert_ne!(gseq, UNSTAMPED, "the sentinel is no sequence number");
+        self.gseq = gseq;
         self
+    }
+
+    /// A copy whose inline bytes are written over `buf`'s, in its allocation.
+    pub(crate) fn copy_into(&self, mut buf: Vec<u8>) -> Self {
+        buf.clone_from(&self.inline);
+        WirePacket {
+            inline: buf,
+            ..*self
+        }
+    }
+
+    /// The reliability sequence number, once a sender stamped one.
+    pub(crate) fn seq(&self) -> Option<u64> {
+        (self.seq != UNSTAMPED).then_some(self.seq)
+    }
+
+    /// The global delivery sequence number, once a sender stamped one.
+    pub(crate) fn gseq(&self) -> Option<u64> {
+        (self.gseq != UNSTAMPED).then_some(self.gseq)
     }
 }
 
@@ -380,18 +416,20 @@ pub fn connected_pair() -> (QueuePair, QueuePair) {
     (QueuePair { lanes, side: 0 }, peer)
 }
 
+/// A packet for `env` that no sender has stamped yet.
+fn unstamped(env: Envelope, desc: Descriptor, inline: Vec<u8>) -> WirePacket {
+    let hashes = InlineHashes::of(&env);
+    WirePacket {
+        header: MessageHeader { env, hashes, desc },
+        inline,
+        seq: UNSTAMPED,
+        gseq: UNSTAMPED,
+    }
+}
+
 /// Convenience: builds an eager packet for `env` carrying `payload`.
 pub fn eager_packet(env: Envelope, payload: Vec<u8>) -> WirePacket {
-    WirePacket {
-        header: MessageHeader {
-            env,
-            hashes: InlineHashes::of(&env),
-            kind: PayloadKind::Eager { len: payload.len() },
-        },
-        inline: payload,
-        seq: None,
-        gseq: None,
-    }
+    unstamped(env, Descriptor::new(0, payload.len(), 0), payload)
 }
 
 /// Convenience: registers `payload` in `domain` and builds the RTS packet,
@@ -408,20 +446,7 @@ pub fn rendezvous_packet(
     let len = payload.len();
     let rkey = domain.register(payload);
     (
-        WirePacket {
-            header: MessageHeader {
-                env,
-                hashes: InlineHashes::of(&env),
-                kind: PayloadKind::Rts {
-                    rkey,
-                    len,
-                    piggyback,
-                },
-            },
-            inline: head,
-            seq: None,
-            gseq: None,
-        },
+        unstamped(env, Descriptor::new(rkey.0, len, piggyback), head),
         rkey,
     )
 }
@@ -599,18 +624,10 @@ mod tests {
         let payload: Vec<u8> = (0..32).collect();
         let (pkt, rkey) = rendezvous_packet(&d, env(), payload, 8);
         assert_eq!(pkt.inline, (0..8).collect::<Vec<u8>>());
-        match pkt.header.kind {
-            PayloadKind::Rts {
-                rkey: k,
-                len,
-                piggyback,
-            } => {
-                assert_eq!(k, rkey);
-                assert_eq!(len, 32);
-                assert_eq!(piggyback, 8);
-            }
-            _ => panic!("expected RTS"),
-        }
+        let desc = pkt.header.desc;
+        assert_eq!(desc.rkey(), Some(rkey));
+        assert_eq!(desc.len, 32);
+        assert_eq!(desc.piggyback, 8);
         // The remainder is readable via RDMA.
         assert_eq!(read(&d, rkey, 8, 24).unwrap(), (8..32).collect::<Vec<u8>>());
     }
@@ -619,22 +636,57 @@ mod tests {
     fn header_carries_inline_hashes() {
         let pkt = eager_packet(env(), vec![]);
         assert_eq!(pkt.header.hashes, InlineHashes::of(&env()));
+        assert_eq!(pkt.header.desc, Descriptor::new(0, 0, 0));
+        assert_eq!(pkt.header.desc.rkey(), None, "rkey 0 is eager");
     }
 
     #[test]
     fn packets_are_unsequenced_until_stamped() {
         let pkt = eager_packet(env(), vec![1, 2]);
-        assert_eq!(pkt.seq, None);
-        assert_eq!(pkt.with_seq(7).seq, Some(7));
+        assert_eq!(pkt.seq(), None);
+        assert_eq!(pkt.with_seq(7).seq(), Some(7));
     }
 
     #[test]
     fn global_sequence_is_orthogonal_to_the_per_qp_sequence() {
         let pkt = eager_packet(env(), vec![1]);
-        assert_eq!(pkt.gseq, None, "unstamped until a sender opts in");
+        assert_eq!(pkt.gseq(), None, "unstamped until a sender opts in");
         let stamped = pkt.with_seq(3).with_gseq(41);
-        assert_eq!(stamped.seq, Some(3));
-        assert_eq!(stamped.gseq, Some(41));
+        assert_eq!(stamped.seq(), Some(3));
+        assert_eq!(stamped.gseq(), Some(41));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "the sentinel is no sequence number")]
+    fn the_unstamped_sentinel_is_never_stamped_as_a_sequence_number() {
+        let _ = eager_packet(env(), vec![]).with_seq(UNSTAMPED);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "the sentinel is no sequence number")]
+    fn the_unstamped_sentinel_is_never_stamped_as_a_global_sequence_number() {
+        let _ = eager_packet(env(), vec![]).with_gseq(UNSTAMPED);
+    }
+
+    #[test]
+    fn a_descriptor_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Descriptor>(), 16);
+        let desc = Descriptor::new(9, u32::MAX as usize, 64);
+        assert_eq!((desc.rkey(), desc.len), (Some(RKey(9)), u32::MAX));
+    }
+
+    #[test]
+    #[should_panic(expected = "payload lengths fit u32")]
+    fn a_descriptor_refuses_a_length_past_u32() {
+        let _ = Descriptor::new(9, 1 << 32, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "payload lengths fit u32")]
+    fn a_descriptor_refuses_a_piggyback_past_u32() {
+        let _ = Descriptor::new(9, 0, 1 << 32);
     }
 
     #[test]
@@ -648,9 +700,10 @@ mod tests {
         assert_eq!(ack.cumulative, 41);
         assert!(ack.sack.is_empty(), "plain cumulative acks carry no SACK");
         assert!(matches!(b.try_recv().unwrap(), Some(Frame::Data(_))));
-        // The SACK blocks ride in the ack's frame only.
-        assert!(std::mem::size_of::<WirePacket>() <= 128);
-        assert!(std::mem::size_of::<Frame>() <= 136);
+        // The SACK blocks ride in the ack's frame only, in the bytes a data
+        // packet's frame has anyway.
+        assert!(std::mem::size_of::<WirePacket>() <= 96);
+        assert!(std::mem::size_of::<Frame>() <= 96);
     }
 
     #[test]

@@ -121,7 +121,7 @@ pub struct ReliabilityStats {
 /// One unacknowledged packet in flight.
 #[derive(Debug)]
 struct Inflight {
-    seq: u64,
+    /// Stamped with its sequence number.
     packet: WirePacket,
     /// Covered by a SACK block: the receiver holds it, never resend.
     sacked: bool,
@@ -131,6 +131,13 @@ struct Inflight {
     retx: u32,
     /// Virtual-time clock value of the last transmission.
     sent_at: u64,
+}
+
+impl Inflight {
+    /// The sequence number `send` stamped on the packet.
+    fn seq(&self) -> u64 {
+        self.packet.seq().expect("a window packet is stamped")
+    }
 }
 
 /// The sender half of the reliability protocol.
@@ -269,15 +276,11 @@ impl ReliableSender {
     /// [`ReliableSender::can_send`]; sending past the adaptive window is
     /// allowed but forfeits its loss-avoidance.
     pub fn send(&mut self, packet: WirePacket) -> Result<(), ReliabilityError> {
-        let seq = self.next_seq;
+        let packet = packet.with_seq(self.next_seq);
         self.next_seq += 1;
-        let packet = packet.with_seq(seq);
-        let mut inline = self.spare.pop().unwrap_or_default();
-        inline.clear();
-        inline.extend_from_slice(&packet.inline);
+        let spare = self.spare.pop().unwrap_or_default();
         self.window.push_back(Inflight {
-            seq,
-            packet: WirePacket { inline, ..packet },
+            packet: packet.copy_into(spare),
             sacked: false,
             fast_retx: false,
             retx: 0,
@@ -349,7 +352,7 @@ impl ReliableSender {
                     self.stats.acks += 1;
                     if cumulative > self.acked {
                         self.acked = cumulative;
-                        while self.window.front().is_some_and(|e| e.seq < cumulative) {
+                        while self.window.front().is_some_and(|e| e.seq() < cumulative) {
                             let e = self.window.pop_front().expect("front checked");
                             // Karn's rule: only never-retransmitted
                             // packets yield unambiguous RTT samples.
@@ -368,7 +371,7 @@ impl ReliableSender {
                         // fed while it is walked.
                         let mut window = std::mem::take(&mut self.window);
                         for e in &mut window {
-                            if !e.sacked && sack.contains(e.seq) {
+                            if !e.sacked && sack.contains(e.seq()) {
                                 e.sacked = true;
                                 // Freshly-SACKed never-retransmitted
                                 // packets are Karn-eligible too.
@@ -398,12 +401,13 @@ impl ReliableSender {
         // Fast retransmit: a SACKed packet above an unSACKed one is
         // evidence the hole was lost, not delayed — resend it now, at most
         // once per timeout epoch.
-        let highest_sacked = self.window.iter().filter(|e| e.sacked).map(|e| e.seq).max();
+        let sacked = self.window.iter().filter(|e| e.sacked);
+        let highest_sacked = sacked.map(Inflight::seq).max();
         if let Some(h) = highest_sacked {
             let mut resent = 0u64;
             let clock = self.clock;
             for e in &mut self.window {
-                if e.seq >= h {
+                if e.seq() >= h {
                     break;
                 }
                 if e.sacked || e.fast_retx {
@@ -550,7 +554,7 @@ mod tests {
             let Frame::Data(packet) = frame else {
                 panic!("expected a data packet, got {frame:?}");
             };
-            seqs.push(packet.seq.expect("sequenced"));
+            seqs.push(packet.seq().expect("sequenced"));
         }
         seqs
     }
@@ -566,6 +570,11 @@ mod tests {
         assert!(snap.gauges.is_empty());
         let hists: Vec<&str> = snap.hists.keys().map(String::as_str).collect();
         assert_eq!(hists, ["dpa_backoff_polls"]);
+    }
+
+    #[test]
+    fn a_window_entry_is_its_packet_and_the_retransmit_state() {
+        assert!(std::mem::size_of::<Inflight>() <= 112);
     }
 
     #[test]
@@ -881,10 +890,11 @@ mod tests {
             }
             s.poll().expect("sender within budget");
             nic.poll().unwrap();
-            for c in nic.take_block(64) {
+            let msg = |i: u32| mpi_matching::MsgHandle(i.into());
+            while let Some((_, bytes)) = nic.take_completion(msg(delivered), 1) {
                 // Whichever copy filled the slot — the original, a fast
                 // retransmit or a timeout resend — it is this message's.
-                assert_eq!(nic.take_staged(c.bounce), payload_of(delivered));
+                assert_eq!(bytes, payload_of(delivered));
                 delivered += 1;
             }
             if delivered == n && s.unacked() == 0 {

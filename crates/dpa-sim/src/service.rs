@@ -27,17 +27,19 @@
 //! [`MatchingBackend::engine_stats`] and
 //! [`MatchingBackend::metrics_snapshot`], `None` for a host backend.
 //!
-//! After a match, the service drives the protocol stage of §IV-B through the
-//! checked state machines of [`mpi_matching::protocol`]: eager payloads are
-//! copied out of the bounce buffer; rendezvous payloads are pulled with an
-//! RDMA READ against the sender's registered region. Unexpected messages
-//! have their staged bytes (or RTS descriptor) moved into the unexpected
-//! store so the bounce buffer frees immediately (§IV-C).
+//! An arrival stays on the NIC's completion queue, in its bounce buffer,
+//! until its outcome applies in the drain that ends the same `progress`
+//! (§IV-A), and the service keeps no copy. After a match, the service drives
+//! the protocol stage of §IV-B through the checked state machines of
+//! [`mpi_matching::protocol`]: eager payloads are moved out of the bounce
+//! buffer; rendezvous payloads are pulled with an RDMA READ against the
+//! sender's registered region. Unexpected messages have their staged bytes
+//! (or RTS descriptor) moved into the unexpected store (§IV-C).
 
 use crate::memory::DeviceMemory;
 use crate::nic::{Completion, NicError, RecvNic};
 use crate::obs::{ServiceCounts, ServiceMetrics};
-use crate::rdma::{PayloadKind, RdmaDomain, RdmaError};
+use crate::rdma::{Descriptor, RKey, RdmaDomain, RdmaError};
 use mpi_matching::protocol::{Action, EagerTransfer, ProtocolStateError, RendezvousTransfer, Rts};
 use mpi_matching::traditional::TraditionalMatcher;
 use mpi_matching::{
@@ -47,7 +49,7 @@ use otm::{Delivery, OtmEngine};
 use otm_base::hash::IntHasher;
 use otm_base::memory::Footprint;
 use otm_base::{Envelope, MatchConfig, MatchError, ReceivePattern};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 
 /// A receive that completed: matched, protocol executed, data delivered.
@@ -125,53 +127,15 @@ impl From<ProtocolStateError> for ServiceError {
     }
 }
 
-/// Payload-relevant state of an unexpected message, after its bounce buffer
-/// has been released (§IV-C: for eager the bytes are copied to the
-/// unexpected store; for rendezvous the stored data carries what the RDMA
-/// read will need).
-#[derive(Debug, Clone)]
-enum StoredPayload {
-    Eager(Vec<u8>),
-    Rts { rts: Rts, head: Vec<u8> },
-}
-
-#[derive(Debug, Clone)]
+/// A message taken off the completion queue: what the protocol reads of its
+/// header, and the bytes its bounce buffer held (the eager payload, or the
+/// rendezvous head). An unexpected one waits so in the unexpected store
+/// (§IV-C), its bounce buffer freed.
+#[derive(Debug)]
 struct StoredMessage {
     env: Envelope,
-    payload: StoredPayload,
-}
-
-/// Staged arrivals waiting for their drain outcome, addressed by
-/// `msg − base`: the NIC hands message handles out consecutively, so a ring
-/// does what a hash map did. A slot emptied out of order waits as `None`
-/// until the slots before it have gone too.
-#[derive(Debug, Default)]
-struct Inflight {
-    base: u64,
-    slots: VecDeque<Option<StoredMessage>>,
-}
-
-impl Inflight {
-    fn insert(&mut self, msg: MsgHandle, stored: StoredMessage) {
-        if self.slots.is_empty() {
-            self.base = msg.0;
-        }
-        let end = self.base + self.slots.len() as u64;
-        assert!(msg.0 >= end, "message handles only grow");
-        self.slots
-            .resize_with((msg.0 - self.base) as usize, || None);
-        self.slots.push_back(Some(stored));
-    }
-
-    fn remove(&mut self, msg: MsgHandle) -> Option<StoredMessage> {
-        let at = msg.0.checked_sub(self.base)? as usize;
-        let stored = self.slots.get_mut(at)?.take();
-        while let Some(None) = self.slots.front() {
-            self.slots.pop_front();
-            self.base += 1;
-        }
-        stored
-    }
+    desc: Descriptor,
+    bytes: Vec<u8>,
 }
 
 /// The receive-side matching service (see module docs).
@@ -185,11 +149,11 @@ pub struct MatchingService {
     completed: Vec<CompletedReceive>,
     /// Handles are the service's own running count, hashed by `IntHasher`.
     unexpected: HashMap<MsgHandle, StoredMessage, BuildHasherDefault<IntHasher>>,
-    /// Payloads of arrivals submitted into the backend's command queue but
-    /// not yet applied by a drain. Staging host-side releases the bounce
-    /// buffer at submit time (§IV-C) and lets a fallback replay the queued
-    /// arrival with its payload intact.
-    inflight: Inflight,
+    /// How many completions at the front of the NIC's completion queue are
+    /// arrivals submitted into the backend's command queue whose outcome has
+    /// not applied yet: each stays there, with its bounce buffer, until its
+    /// outcome takes it (a fallback replays it with its payload intact).
+    submitted: usize,
     fellback: bool,
     counts: ServiceCounts,
     /// Lifecycle spans of the fallback replays.
@@ -240,7 +204,7 @@ impl MatchingService {
             next_recv: 0,
             completed: Vec::new(),
             unexpected: HashMap::default(),
-            inflight: Inflight::default(),
+            submitted: 0,
             fellback: false,
             counts: ServiceCounts::default(),
             #[cfg(feature = "trace-events")]
@@ -254,9 +218,10 @@ impl MatchingService {
     /// resets in place ([`MatchingBackend::reset`]); one that refuses — the
     /// software matcher a fallback left — and a poisoned service's missing
     /// one are replaced by `fresh()`.
-    /// Receive handles and the poll clock start over; the completed,
-    /// in-flight and unexpected stores empty, and the rendezvous regions of
-    /// messages that never matched are deregistered; the fallback flag
+    /// Receive handles and the poll clock start over; the completed and
+    /// unexpected stores empty, and the rendezvous regions of messages that
+    /// never matched, waiting or still on the completion queue, are
+    /// deregistered; the fallback flag
     /// returns to its default; every count reads zero and the span ring is
     /// empty. The NIC re-arms on its own ([`RecvNic::rearm`]), and so does
     /// each sender ([`crate::ReliableSender::rearm`]).
@@ -266,12 +231,15 @@ impl MatchingService {
         }
         self.next_recv = 0;
         self.completed.clear();
-        let unexpected = self.unexpected.drain().map(|(_, stored)| stored);
-        for stored in unexpected.chain(self.inflight.slots.drain(..).flatten()) {
-            if let StoredPayload::Rts { rts, .. } = stored.payload {
-                self.domain.deregister(crate::rdma::RKey(rts.rkey));
-            }
+        let waiting = self.unexpected.drain().map(|(_, stored)| stored.desc);
+        let queued = (0..).map_while(|at| self.nic.completion(at));
+        for rkey in waiting
+            .chain(queued.map(|c| c.desc))
+            .filter_map(Descriptor::rkey)
+        {
+            self.domain.deregister(rkey);
         }
+        self.submitted = 0;
         self.fellback = false;
         self.counts = ServiceCounts::default();
         #[cfg(feature = "trace-events")]
@@ -487,8 +455,8 @@ impl MatchingService {
     ///    were popped before the snapshot was taken), then the snapshot's
     ///    own pending tail, in submission order. These are younger than the
     ///    state and *may* legitimately match during replay; any pair formed
-    ///    runs its protocol with the payload staged in the in-flight stash
-    ///    or the unexpected store.
+    ///    runs its protocol with the payload still on the completion queue
+    ///    or in the unexpected store.
     ///
     /// The migration is transactional: the backend slot stays empty — the
     /// service is *poisoned* — while the offloaded backend drains, and the
@@ -557,11 +525,11 @@ impl MatchingService {
     /// Polls the NIC and matches everything that arrived. Returns the
     /// number of newly completed receives.
     ///
-    /// Each completion comes straight off the CQ, one at a time: its payload
-    /// is staged host-side (releasing its bounce buffer, §IV-C) and its
-    /// arrival submitted into the backend's queue; the drain that ends the
-    /// call applies the queue (and packs the offloaded engine's blocks). A
-    /// completion an error stops before stays on the CQ.
+    /// Each completion on the CQ is submitted as an arrival into the
+    /// backend's queue, one at a time, and stays on the CQ; the drain that
+    /// ends the call applies the queue (and packs the offloaded engine's
+    /// blocks), and each arrival's outcome takes its completion off the CQ.
+    /// A completion an error stops before is submitted by the next call.
     ///
     /// A drain stopped by resource exhaustion or a dead engine migrates to
     /// software matching — loss-free: the commands the drain could not
@@ -580,10 +548,9 @@ impl MatchingService {
         // Backlog at its largest: everything arrived, nothing matched yet.
         self.observe_queues();
         let before = self.completed.len();
-        while let Some(completion) = self.nic.next_completion() {
-            let staged = Self::lift_from_bounce(&mut self.nic, &completion);
-            self.inflight.insert(completion.msg, staged);
-            self.submit_arrival(completion.header.env, completion.msg)?;
+        while let Some(&Completion { env, msg, .. }) = self.nic.completion(self.submitted) {
+            self.submit_arrival(env, msg)?;
+            self.submitted += 1;
         }
         self.drain_and_apply()?;
         // Post-drain view: the CQ is empty, the unexpected store and any
@@ -689,18 +656,20 @@ impl MatchingService {
         Ok(())
     }
 
-    /// Takes the payload of a message a drain reported. A queued arrival's
-    /// sits in the in-flight stash until its own outcome applies; a message
+    /// Takes the payload of a message a drain reported. A submitted
+    /// arrival's is still on the completion queue, at its front unless a
+    /// drain cut short by an error applied a later arrival first; a message
     /// that waited, or that a fallback replays, has it in the unexpected
-    /// store. (A drain cut short by an error can apply an arrival inside
-    /// the engine and leave its outcome unreported, so a post that matches
-    /// it finds the payload still in the stash.)
+    /// store.
     fn take_payload(&mut self, msg: MsgHandle) -> Result<StoredMessage, ServiceError> {
-        (self.inflight.remove(msg))
-            .or_else(|| self.unexpected.remove(&msg))
-            .ok_or_else(|| {
-                ServiceError::FallbackReplay(format!("message {msg:?} has no stored payload"))
-            })
+        if let Some((completion, bytes)) = self.nic.take_completion(msg, self.submitted) {
+            self.submitted -= 1;
+            let (env, desc) = (completion.env, completion.desc);
+            return Ok(StoredMessage { env, desc, bytes });
+        }
+        self.unexpected.remove(&msg).ok_or_else(|| {
+            ServiceError::FallbackReplay(format!("message {msg:?} has no stored payload"))
+        })
     }
 
     /// Samples the three queue-depth gauges (and their peaks).
@@ -712,54 +681,31 @@ impl MatchingService {
         );
     }
 
-    /// Lifts a message's payload (or RTS descriptor and head) out of its
-    /// bounce buffer — the bytes move, nothing is copied — and releases the
-    /// buffer: it is NIC memory, and the receive ring starves if the protocol
-    /// step that follows fails while still holding it.
-    fn lift_from_bounce(nic: &mut RecvNic, completion: &Completion) -> StoredMessage {
-        let mut bytes = nic.take_staged(completion.bounce);
-        let payload = match completion.header.kind {
-            PayloadKind::Eager { len } => {
-                assert!(len <= bytes.len(), "eager header outruns the staged bytes");
-                bytes.truncate(len);
-                StoredPayload::Eager(bytes)
-            }
-            PayloadKind::Rts {
-                rkey,
-                len,
-                piggyback,
-            } => StoredPayload::Rts {
-                rts: Rts {
-                    rkey: rkey.0,
-                    remote_addr: 0,
-                    len,
-                    piggyback,
-                },
-                head: bytes,
-            },
-        };
-        StoredMessage {
-            env: completion.header.env,
-            payload,
-        }
-    }
-
-    /// Protocol handling for a matched message, lifted out of its bounce
+    /// Protocol handling for a matched message, taken out of its bounce
     /// buffer just now or out of the unexpected store: eager hands the bytes
-    /// over; rendezvous issues the RDMA read.
+    /// over; rendezvous issues the RDMA read behind the head it holds.
     fn run_protocol_from_store(
         &mut self,
         recv: RecvHandle,
         stored: StoredMessage,
     ) -> Result<CompletedReceive, ServiceError> {
-        let data = match stored.payload {
-            StoredPayload::Eager(bytes) => {
-                let mut t = EagerTransfer::staged(bytes.len());
+        let (desc, mut data) = (stored.desc, stored.bytes);
+        let len = desc.len as usize;
+        match desc.rkey() {
+            None => {
+                assert!(len <= data.len(), "eager header outruns the staged bytes");
+                data.truncate(len);
+                let mut t = EagerTransfer::staged(len);
                 t.on_match()?;
                 t.on_copy_done()?;
-                bytes
             }
-            StoredPayload::Rts { rts, head } => {
+            Some(rkey) => {
+                let rts = Rts {
+                    rkey: rkey.0,
+                    remote_addr: 0,
+                    len,
+                    piggyback: desc.piggyback as usize,
+                };
                 let mut t = RendezvousTransfer::rts_received(rts);
                 let Action::IssueRdmaRead {
                     remote_addr,
@@ -769,21 +715,16 @@ impl MatchingService {
                 else {
                     unreachable!("rendezvous on_match requests the read")
                 };
-                let mut data = head;
-                self.domain.read_into(
-                    crate::rdma::RKey(rkey),
-                    remote_addr as usize,
-                    len,
-                    &mut data,
-                )?;
+                let rkey = RKey(rkey);
+                self.domain
+                    .read_into(rkey, remote_addr as usize, len, &mut data)?;
                 t.on_read_complete()?;
                 // The transfer is one-shot in this simulator: release the
                 // sender's registered region so the fabric-wide domain does
                 // not accumulate a region per rendezvous message.
-                self.domain.deregister(crate::rdma::RKey(rkey));
-                data
+                self.domain.deregister(rkey);
             }
-        };
+        }
         Ok(CompletedReceive {
             recv,
             env: stored.env,
@@ -1489,8 +1430,8 @@ mod tests {
             }
             assert_eq!(svc.progress().unwrap(), n, "{mode}");
             let mut done = svc.take_completed();
-            // Unexpected messages survive both: the payload is staged at
-            // submit time and moved to the store at drain time.
+            // Unexpected messages survive both: the payload waits on the
+            // completion queue and moves to the store at drain time.
             tx.send(eager_packet(env(7, 7), vec![77])).unwrap();
             assert_eq!(svc.progress().unwrap(), 0, "{mode}");
             assert_eq!(svc.unexpected_len(), 1, "{mode}");
@@ -1598,7 +1539,7 @@ mod tests {
             if name == "MPI-CPU" {
                 assert_eq!((done[0].recv, done[1].recv), (first, second));
             }
-            assert!(svc.inflight.slots.is_empty() && svc.engine_stats().is_none());
+            assert!(svc.submitted == 0 && svc.engine_stats().is_none());
         }
     }
 
@@ -1651,7 +1592,7 @@ mod tests {
         assert_eq!(svc.progress().unwrap(), 1);
         let done = svc.take_completed();
         assert_eq!((done[0].recv, &done[0].data[..]), (recv, &[7][..]));
-        assert!(svc.inflight.slots.is_empty() && !svc.fell_back());
+        assert!(svc.submitted == 0 && !svc.fell_back());
     }
 
     #[test]
@@ -1951,7 +1892,48 @@ mod tests {
         let expected: Vec<(RecvHandle, Vec<u8>)> =
             (0..4u8).map(|i| (posted[i as usize], vec![i])).collect();
         assert_eq!(pairs, expected, "every message, in order, none lost");
-        assert!(svc.inflight.slots.is_empty());
+        assert_eq!(svc.submitted, 0);
+    }
+
+    #[test]
+    fn a_drain_cut_short_across_communicators_takes_a_later_arrival_behind_the_cq_front() {
+        // Two-lane blocks over two communicators whose stores hold two
+        // messages each, comm 2's already one. A block's store pre-check
+        // counts each lane as a message that may wait, so the first block,
+        // comm 1's messages 1 and 3, passes and matches, and the second,
+        // comm 2's 2 and 4, overflows. The drain that stops there reports
+        // message 3 while message 2 heads the CQ: its payload is taken from
+        // behind the front. The retries fail alike, and the fallback replays
+        // 2 and 4 from the CQ front.
+        let (tx, rx) = connected_pair();
+        let nic = RecvNic::new(rx, BouncePool::new(64, 256));
+        let config = MatchConfig::small()
+            .with_max_unexpected(2)
+            .with_block_threads(2);
+        let engine = OtmEngine::new(config).unwrap();
+        let mut svc = MatchingService::with_backend(nic, RdmaDomain::new(), Box::new(engine));
+        let on = |comm: u16, tag: u32| Envelope::new(Rank(0), Tag(tag), CommId(comm));
+        let recv = |comm: u16, tag: u32| ReceivePattern::new(Rank(0), Tag(tag), CommId(comm));
+        tx.send(eager_packet(on(2, 0), vec![0])).unwrap();
+        assert_eq!(svc.progress().unwrap(), 0);
+        let posted = [svc.post_recv(recv(1, 1)), svc.post_recv(recv(1, 3))].map(Result::unwrap);
+        for (comm, tag) in [(1, 1), (2, 2), (1, 3), (2, 4)] {
+            tx.send(eager_packet(on(comm, tag), vec![tag as u8]))
+                .unwrap();
+        }
+        assert_eq!(svc.progress().unwrap(), 2);
+        let done = svc.take_completed();
+        let pairs: Vec<(RecvHandle, &[u8])> = done.iter().map(|d| (d.recv, &d.data[..])).collect();
+        assert_eq!(pairs, [(posted[0], &[1u8][..]), (posted[1], &[3u8][..])]);
+        assert!(svc.fell_back(), "comm 2's store stayed full");
+        assert_eq!(
+            (svc.submitted, svc.nic.cq_len(), svc.unexpected_len()),
+            (0, 0, 3)
+        );
+        for tag in [0, 2, 4] {
+            svc.post_recv(recv(2, tag)).unwrap();
+            assert_eq!(svc.take_completed()[0].data, [tag as u8]);
+        }
     }
 
     /// Drives `rounds` rounds of 512 1 KiB rendezvous messages closed-loop
