@@ -21,9 +21,6 @@ pub enum MatchError {
     },
     /// A configuration parameter was outside its legal range.
     InvalidConfig(String),
-    /// An operation referenced a communicator with no allocated matching
-    /// resources.
-    UnknownCommunicator(u16),
     /// A receive violated a communicator hint (§VII): e.g. an
     /// `MPI_ANY_SOURCE` receive posted on a communicator asserted with
     /// `mpi_assert_no_any_source`. Per MPI, violating an assertion is an
@@ -91,7 +88,6 @@ impl std::fmt::Display for MatchError {
                 "out of DPA memory: requested {requested} B, {available} B available"
             ),
             MatchError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
-            MatchError::UnknownCommunicator(id) => write!(f, "unknown communicator comm{id}"),
             MatchError::HintViolation(msg) => write!(f, "communicator hint violated: {msg}"),
             MatchError::SubmissionRingFull { comm } => write!(
                 f,
@@ -141,7 +137,6 @@ mod tests {
         assert!(MatchError::SubmissionRingFull { comm: 1 }.is_retryable());
         assert!(MatchError::EngineStopped.is_terminal());
         assert!(MatchError::InvalidConfig("x".into()).is_terminal());
-        assert!(MatchError::UnknownCommunicator(3).is_terminal());
         assert!(MatchError::HintViolation("x".into()).is_terminal());
     }
 

@@ -1312,6 +1312,23 @@ mod tests {
         assert_eq!(out.matched_pairs, oracle);
     }
 
+    #[test]
+    fn a_wire_that_drops_everything_exhausts_a_senders_retry_budget() {
+        let trace = cross_traffic_trace();
+        let cfg =
+            AppReplayConfig::default().with_faults(FaultPlan::new(7).with_drop_permille(1000));
+        let err = replay_app(&trace, &cfg).expect_err("no packet ever arrives");
+        assert!(
+            matches!(
+                err,
+                ServiceError::Reliability(
+                    crate::reliable::ReliabilityError::BudgetExhausted { .. }
+                )
+            ),
+            "{err}"
+        );
+    }
+
     fn render(report: &AppReplayReport) -> String {
         let mut w = JsonWriter::new();
         report.write_json(&mut w);

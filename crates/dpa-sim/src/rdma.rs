@@ -152,13 +152,16 @@ pub(crate) struct Descriptor {
 }
 
 impl Descriptor {
-    /// Panics if a length does not fit `u32`.
+    /// Panics if a length does not fit `u32`, or if the head claims more
+    /// bytes than the payload holds (the READ behind it would underflow).
     fn new(rkey: u64, len: usize, piggyback: usize) -> Self {
         let fit = |n: usize| u32::try_from(n).expect("payload lengths fit u32");
+        let (len, piggyback) = (fit(len), fit(piggyback));
+        assert!(piggyback <= len, "a piggyback fits its payload");
         Descriptor {
             rkey,
-            len: fit(len),
-            piggyback: fit(piggyback),
+            len,
+            piggyback,
         }
     }
 
@@ -687,6 +690,12 @@ mod tests {
     #[should_panic(expected = "payload lengths fit u32")]
     fn a_descriptor_refuses_a_piggyback_past_u32() {
         let _ = Descriptor::new(9, 0, 1 << 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "a piggyback fits its payload")]
+    fn a_descriptor_refuses_a_piggyback_past_its_length() {
+        let _ = Descriptor::new(9, 64, 1000);
     }
 
     #[test]

@@ -14,16 +14,14 @@
 //!   and the 1-bin configuration of Fig. 7;
 //! * [`binned`] — a bin-based matcher in the style of Flajslik et al.
 //!   (two hash tables keyed on the matching fields, timestamps to preserve
-//!   ordering, a separate ordered structure for wildcards), the engine behind
-//!   the Fig. 7 bin sweep;
+//!   ordering, a separate ordered structure for wildcards), one of the
+//!   Table I strategies (Fig. 7's bin sweep runs `otm::SequentialOtm`);
 //! * [`rank_based`] — a per-source-rank matcher in the style of Dózsa et
 //!   al., included for the Table I strategy comparison;
 //! * [`oracle`] — a deliberately simple sequential reference implementation
 //!   of the MPI matching constraints C1/C2. Every other engine in this
 //!   workspace (including the parallel optimistic engine) is property-tested
 //!   for bit-identical assignments against it;
-//! * [`protocol`] — eager / rendezvous protocol state machines driven by the
-//!   SmartNIC simulator after a match completes;
 //! * [`stats`] — search-depth and queue-length statistics shared with the
 //!   trace analyzer, and the optimistic engine's path counts.
 
@@ -35,7 +33,6 @@ pub mod backend;
 pub mod binned;
 mod matcher;
 pub mod oracle;
-pub mod protocol;
 pub mod rank_based;
 pub mod stats;
 pub mod traditional;
