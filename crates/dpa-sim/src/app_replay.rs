@@ -38,9 +38,9 @@
 //! kept, up to as many as the bounce pool holds, and a later payload is
 //! written over it, the way a persistent send reuses one buffer: an eager
 //! message allocates nothing once the first buffers have come back. Each
-//! completion is placed in a table indexed by its receive handle, so a
-//! destination's pairs come out in receive order and the replay's pairs
-//! are sorted without a sort.
+//! completion is placed in a table indexed by its receive handle (the
+//! analyzer's [`Placement`]), so a destination's pairs come out in receive
+//! order and the replay's pairs are sorted without a sort.
 //!
 //! The endpoints own the service and every sender, so they sample the
 //! busiest destination's series: after each `progress` of the service, on
@@ -49,13 +49,14 @@
 //!
 //! ## The ordering contract
 //!
-//! The order is the analyzer's, from the one place the trace's order is
+//! The order and the routing are the analyzer's, from the one place each is
 //! derived: [`AppTrace::split`] hands each destination its receive posts
-//! and the sends addressed to it in global time order (time, then rank,
-//! then program index), ordering each destination's stream on its own —
-//! the trace is never sorted as a whole — and counts what arming a
-//! destination needs as it goes (its posts, its sources in rank order).
-//! This module takes no float's bits and sorts nothing.
+//! and the sends addressed to it ([`otm_trace::model::route`], progress
+//! points left out) in global time order (time, then rank, then program
+//! index), ordering each destination's stream on its own — the trace is
+//! never sorted as a whole — and counts what arming a destination needs as
+//! it goes (its posts, its sources in rank order). This module takes no
+//! float's bits and sorts nothing.
 //!
 //! Matched-pairs equivalence against the engine-direct replay is only
 //! provable if the engine observes posts and arrivals in trace order even
@@ -73,21 +74,26 @@
 //!   trace does. Consecutive arrivals never wait on each other — bursts
 //!   stay concurrent and keep the packing scheduler busy.
 //!
-//! The correctness oracle is [`engine_direct_pairs`]: the same trace pushed
-//! straight into an [`otm::SequentialOtm`], reset for each destination. The
-//! pair sets must be identical — clean wire or hostile.
+//! The correctness oracle is [`engine_direct_pairs`], the analyzer's own
+//! per-rank walk ([`otm_trace::replay::matched_pairs`]): the same split
+//! pushed straight into one `otm::SequentialOtm`, reset for each
+//! destination, with receives and messages numbered per destination as
+//! here. The pair sets must be identical — clean wire or hostile.
 
 use crate::bounce::BouncePool;
 use crate::nic::RecvNic;
 use crate::rdma::{connected_pair, eager_packet, rendezvous_packet, RdmaDomain};
 use crate::reliable::{ReliableSender, PROTOCOL_LABEL};
 use crate::service::{MatchingService, ServiceError};
-use mpi_matching::{ArriveResult, Matcher, MatchingBackend, MsgHandle, PostResult, RecvHandle};
+use mpi_matching::MatchingBackend;
 use otm::OtmEngine;
 use otm_base::{Envelope, FaultPlan, MatchConfig, MatchError, Rank, ReceivePattern};
 use otm_metrics::json::{JsonWriter, WriteJson};
 use otm_metrics::{json_fields, RegistrySnapshot, SeriesRecorder};
-use otm_trace::model::{AppTrace, MpiOp, TimedOp};
+use otm_trace::model::{route, AppTrace, CallKind, MpiOp, TimedOp};
+use otm_trace::replay::{matched_pairs, Placement};
+
+pub use otm_trace::replay::MatchedPair;
 
 /// Ceiling on the simulated payload size a trace `count` maps to.
 pub const MAX_PAYLOAD_BYTES: usize = 4096;
@@ -150,11 +156,6 @@ impl AppReplayConfig {
         self
     }
 }
-
-/// A matched (receive, message) pair, locally numbered per destination:
-/// `recv` is the receive's position in the destination's post stream and
-/// `msg` the message's position in its arrival stream.
-pub type MatchedPair = (u32, u64, u64);
 
 /// Aggregated counters of one end-to-end replay (all destinations merged).
 #[derive(Debug, Clone, Default)]
@@ -288,21 +289,7 @@ fn payload_id(data: &[u8]) -> u64 {
     u64::from_le_bytes(id)
 }
 
-/// The destination an operation of `rank` feeds: a receive is a post at
-/// `rank`, a send an arrival at a destination below `n` (collectives,
-/// one-sided ops and progress points are ignored, as in the analyzer
-/// replays).
-fn destination(rank: Rank, op: &MpiOp, n: usize) -> Option<usize> {
-    match *op {
-        MpiOp::Irecv { .. } | MpiOp::Recv { .. } => Some(rank.0 as usize),
-        MpiOp::Isend { dest, .. } | MpiOp::Send { dest, .. } => {
-            Some(dest.0 as usize).filter(|&dest| dest < n)
-        }
-        _ => None,
-    }
-}
-
-/// The event at its [`destination`] of an operation of `rank` that has one.
+/// The event of a receive or a send of `rank` at the rank it is routed to.
 fn event_of(rank: Rank, op: &MpiOp) -> Ev {
     match *op {
         MpiOp::Irecv { src, tag, comm, .. } | MpiOp::Recv { src, tag, comm, .. } => {
@@ -322,8 +309,7 @@ fn event_of(rank: Rank, op: &MpiOp) -> Ev {
 }
 
 /// The trace split per destination ([`AppTrace::split`]), with what
-/// arming a destination reads: its post count and, when asked for, its
-/// sources.
+/// arming a destination reads: its post count and its sources.
 struct Streams {
     /// Each destination's own receive posts plus the sends targeting it,
     /// in global time order (ties broken by rank, then program order).
@@ -331,34 +317,30 @@ struct Streams {
     /// The receives each destination posts.
     posts: Vec<usize>,
     /// Every destination's sources in rank order, destination after
-    /// destination: destination `d`'s are `sources[from[d]..from[d + 1]]`
-    /// (all empty unless asked for).
+    /// destination: destination `d`'s are `sources[from[d]..from[d + 1]]`.
     sources: Vec<u32>,
     from: Vec<usize>,
 }
 
 impl Streams {
-    /// Splits `trace`, listing each destination's sources when
-    /// `list_sources` asks for them (the oracle has no endpoints to arm). The split visits
-    /// the ranks in rank order, so a destination's sources come to it in
-    /// rank order, each once in a row.
-    fn of(trace: &AppTrace, list_sources: bool) -> Self {
-        let n = trace
-            .ranks
-            .iter()
-            .map(|r| r.rank.0 as usize + 1)
-            .max()
-            .unwrap_or(0);
+    /// Splits `trace`'s receives and sends by [`route`], leaving out the
+    /// progress points. The split visits the ranks in rank order, so a
+    /// destination's sources come to it in rank order, each once in a row.
+    fn of(trace: &AppTrace) -> Self {
+        let n = trace.rank_bound();
         let mut posts = vec![0; n];
         let mut last_source = vec![None; n];
         let mut from = vec![0; n + 1];
         let mut links: Vec<(u32, u32)> = Vec::new();
-        let route = |rank, t: &TimedOp| destination(rank, &t.op, n);
-        let events = trace.split(n, route, |dest, rank, t| {
+        let p2p = |rank, t: &TimedOp| match t.op.kind() {
+            CallKind::PointToPoint => route(rank, &t.op, n),
+            _ => None,
+        };
+        let events = trace.split(n, p2p, |dest, rank, t| {
             let ev = event_of(rank, &t.op);
             if let Ev::Post(_) = ev {
                 posts[dest] += 1;
-            } else if list_sources && last_source[dest] != Some(rank) {
+            } else if last_source[dest] != Some(rank) {
                 last_source[dest] = Some(rank);
                 from[dest + 1] += 1;
                 links.push((dest as u32, rank.0));
@@ -409,47 +391,13 @@ impl Streams {
     }
 }
 
-/// One destination's matched pairs, placed in receive order: entry `r` holds
-/// the message receive `r` matched, once it has. A destination numbers its
-/// receives `0..posts` in post order, so its pairs come out of the table
-/// sorted, and destinations go in ascending order, so the pairs of a whole
-/// replay are sorted without a sort. A receive completes once: a second
-/// completion is a fault of the path that reported it, and panics before it
-/// can overwrite the first.
-#[derive(Default)]
-struct Placement {
-    msgs: Vec<Option<u64>>,
-}
-
-impl Placement {
-    /// Empties the table for a destination that posts `posts` receives.
-    fn arm(&mut self, posts: usize) {
-        self.msgs.clear();
-        self.msgs.resize(posts, None);
-    }
-
-    /// Places the completion of receive `recv` by message `msg`.
-    fn place(&mut self, recv: u64, msg: u64) {
-        let entry = &mut self.msgs[recv as usize];
-        if let Some(first) = *entry {
-            panic!("receive {recv} completed twice: by message {first}, then by {msg}");
-        }
-        *entry = Some(msg);
-    }
-
-    /// Appends the destination's pairs to `pairs`, in receive order.
-    fn write_out(&self, dest: u32, pairs: &mut Vec<MatchedPair>) {
-        let placed = self.msgs.iter().enumerate();
-        pairs.extend(placed.filter_map(|(recv, msg)| msg.map(|msg| (dest, recv as u64, msg))));
-    }
-}
-
-/// The matched-pairs oracle: the same per-destination event streams pushed
-/// straight into one [`otm::SequentialOtm`], reset for each destination, no
-/// wire, no service. Receive and message handles are numbered per
-/// destination exactly as the end-to-end replay numbers them, and the pairs
-/// are placed in receive order the same way, so the sorted pair vectors of
-/// the two paths are directly comparable.
+/// The matched-pairs oracle: [`otm_trace::replay::matched_pairs`], the
+/// analyzer's walk of the same per-destination streams through one
+/// `otm::SequentialOtm`, reset for each destination, no wire, no service.
+/// Receive and message handles are numbered per destination exactly as the
+/// end-to-end replay numbers them, and the pairs are placed in receive
+/// order by the same [`Placement`], so the sorted pair vectors of the two
+/// paths are directly comparable.
 ///
 /// ```
 /// use dpa_sim::app_replay::{engine_direct_pairs, replay_app, AppReplayConfig};
@@ -481,47 +429,7 @@ impl Placement {
 /// assert_eq!(end_to_end.matched_pairs, engine_direct_pairs(&trace, 128));
 /// ```
 pub fn engine_direct_pairs(trace: &AppTrace, bins: usize) -> Vec<MatchedPair> {
-    let streams = Streams::of(trace, false);
-    let config = MatchConfig::default().with_bins(bins).with_block_threads(1);
-    let mut engine =
-        otm::SequentialOtm::new(streams.sized(config)).expect("oracle replay configuration");
-    let (mut pairs, mut placed) = (Vec::new(), Placement::default());
-    for (dest, events) in streams.events.iter().enumerate() {
-        if events.is_empty() {
-            continue;
-        }
-        engine
-            .reset()
-            .expect("nothing is queued between destinations");
-        placed.arm(streams.posts[dest]);
-        let (mut next_recv, mut next_msg) = (0u64, 0u64);
-        for ev in events {
-            match ev {
-                Ev::Post(pattern) => {
-                    let handle = RecvHandle(next_recv);
-                    next_recv += 1;
-                    let posted = Matcher::post(&mut engine, *pattern, handle);
-                    if let PostResult::Matched(msg) = posted.expect("oracle within engine capacity")
-                    {
-                        placed.place(handle.0, msg.0);
-                    }
-                }
-                Ev::Arrive { env, .. } => {
-                    let msg = MsgHandle(next_msg);
-                    next_msg += 1;
-                    let arrived = engine.arrive(*env, msg);
-                    if let ArriveResult::Matched(recv) =
-                        arrived.expect("oracle within engine capacity")
-                    {
-                        placed.place(recv.0, msg.0);
-                    }
-                }
-            }
-        }
-        placed.write_out(dest as u32, &mut pairs);
-    }
-    debug_assert!(pairs.windows(2).all(|w| w[0] <= w[1]));
-    pairs
+    matched_pairs(trace, bins)
 }
 
 /// The replay's endpoints, built once and re-armed for each destination: the
@@ -726,7 +634,7 @@ pub fn replay_app(
     trace: &AppTrace,
     cfg: &AppReplayConfig,
 ) -> Result<AppReplayOutcome, ServiceError> {
-    let streams = Streams::of(trace, true);
+    let streams = Streams::of(trace);
     let mut report = AppReplayReport {
         name: trace.name.clone(),
         processes: trace.processes(),
@@ -1392,7 +1300,7 @@ mod tests {
     /// Each destination's event stream, as the replay and its oracle split
     /// the trace.
     fn per_destination_events(trace: &AppTrace) -> Vec<Vec<Ev>> {
-        Streams::of(trace, false).events
+        Streams::of(trace).events
     }
 
     #[test]
@@ -1406,7 +1314,7 @@ mod tests {
             traces.push(first_destinations((spec.generate)(42), 16));
         }
         for trace in &traces {
-            let streams = Streams::of(trace, true);
+            let streams = Streams::of(trace);
             for (d, events) in streams.events.iter().enumerate() {
                 let posts = events.iter().filter(|e| matches!(e, Ev::Post(_)));
                 assert_eq!(streams.posts[d], posts.count(), "{}", trace.name);
@@ -1432,12 +1340,7 @@ mod tests {
     /// The split as it was: the whole trace in the analyzer's merged order,
     /// each operation pushed to its destination's stream in turn.
     fn per_destination_events_by_merged_ops(trace: &AppTrace) -> Vec<Vec<Ev>> {
-        let n = trace
-            .ranks
-            .iter()
-            .map(|r| r.rank.0 as usize + 1)
-            .max()
-            .unwrap_or(0);
+        let n = trace.rank_bound();
         let mut per_rank: Vec<Vec<Ev>> = (0..n).map(|_| Vec::new()).collect();
         for (rank, TimedOp { op, .. }) in trace.merged_ops() {
             match op {
@@ -1599,41 +1502,6 @@ mod tests {
             .collect();
         let order = [0, 1, 0, 1].map(|t| TagSel::Tag(Tag(t)));
         assert_eq!(tags, order, "rank 0, rank 1, then rank 2's two receives");
-    }
-
-    #[test]
-    fn placement_lists_pairs_in_receive_order_and_refuses_a_second_completion() {
-        let mut placed = Placement::default();
-        placed.arm(4);
-        for (recv, msg) in [(2, 0), (0, 1), (3, 2)] {
-            placed.place(recv, msg);
-        }
-        let duplicate = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            placed.place(0, 3);
-        }));
-        let message = duplicate.expect_err("a second completion of receive 0");
-        assert_eq!(
-            message.downcast_ref::<String>().map(String::as_str),
-            Some("receive 0 completed twice: by message 1, then by 3")
-        );
-        let never_posted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            placed.place(4, 3);
-        }));
-        assert!(never_posted.is_err(), "receive 4 was never posted");
-        let mut pairs = vec![(0, 5, 5)];
-        placed.write_out(1, &mut pairs);
-        assert_eq!(
-            pairs,
-            [(0, 5, 5), (1, 0, 1), (1, 2, 0), (1, 3, 2)],
-            "the first completion stands; receive 1 never matched"
-        );
-        placed.arm(1);
-        placed.place(0, 0);
-        assert_eq!(
-            placed.msgs,
-            [Some(0)],
-            "a re-armed table forgets the last destination"
-        );
     }
 
     #[test]

@@ -266,17 +266,18 @@ impl RecvNic {
     }
 
     /// Drains every packet currently on the wire into bounce buffers,
-    /// generating completions. Returns how many arrived.
+    /// generating completions. Returns how many arrived. A queue pair
+    /// whose peer is gone (its lane empty) fails the poll with
+    /// `Rdma(Disconnected)` once every other queue pair was read and acked,
+    /// so what a live peer sent is not held back behind a dead one.
     pub fn poll(&mut self) -> Result<usize, NicError> {
         if let Some(f) = self.faults.as_mut() {
             f.tick();
         }
         let polled = self.poll_wire();
         // Whatever was accepted is acked, also when staging stopped the
-        // poll; only a dead queue pair ends it where it was found.
-        if !matches!(polled, Err(NicError::Rdma(_))) {
-            self.send_due_acks();
-        }
+        // poll or a queue pair was found dead.
+        self.send_due_acks();
         polled
     }
 
@@ -300,11 +301,13 @@ impl RecvNic {
         while let Some((qp, packet)) = self.faults.as_mut().and_then(WireFaults::pop_due) {
             n += self.accept_packet(qp, packet)?;
         }
+        let mut dead = None;
         for i in 0..self.active {
             loop {
                 if self.inbox[i].is_empty() {
-                    let arrived = self.qps[i].recv_all(&mut self.inbox[i]);
-                    arrived.map_err(NicError::Rdma)?;
+                    if let Err(e) = self.qps[i].recv_all(&mut self.inbox[i]) {
+                        dead = Some(NicError::Rdma(e));
+                    }
                 }
                 match self.inbox[i].pop_front() {
                     None => break,
@@ -327,7 +330,8 @@ impl RecvNic {
             }
         }
         // Deliver staged out-of-order packets whose holes filled this poll.
-        Ok(n + self.drain_staged()?)
+        n += self.drain_staged()?;
+        dead.map_or(Ok(n), Err)
     }
 
     /// Runs the reliability acceptance check on one delivered packet and
@@ -507,8 +511,10 @@ impl RecvNic {
             if self.ack_due[i] {
                 self.ack_due[i] = false;
                 let staging = &self.staging[i];
-                let _ = self.qps[i].send_ack(staging.base(), staging.sack());
-                self.rx_stats.acks_sent += 1;
+                // A dead queue pair's ack has no one to go to.
+                if self.qps[i].send_ack(staging.base(), staging.sack()).is_ok() {
+                    self.rx_stats.acks_sent += 1;
+                }
             }
         }
     }

@@ -521,6 +521,8 @@ impl MatchingService {
     /// ends the call applies the queue (and packs the offloaded engine's
     /// blocks), and each arrival's outcome takes its completion off the CQ.
     /// A completion an error stops before is submitted by the next call.
+    /// A queue pair whose peer is gone is reported (`Nic(Rdma(..))`) only
+    /// after what the poll staged is submitted and drained.
     ///
     /// A drain stopped by resource exhaustion or a dead engine migrates to
     /// software matching — loss-free: the commands the drain could not
@@ -530,12 +532,16 @@ impl MatchingService {
     /// the software matcher's queue.
     pub fn progress(&mut self) -> Result<usize, ServiceError> {
         self.polls += 1;
-        if let Err(e) = self.nic.poll() {
-            if matches!(e, NicError::Staging(_)) {
+        // A dead queue pair is reported once what the live ones delivered
+        // is matched; a full bounce pool stops the poll where it is.
+        let dead = match self.nic.poll() {
+            Ok(_) => None,
+            Err(e @ NicError::Staging(_)) => {
                 self.counts.bounce_spills += 1;
+                return Err(e.into());
             }
-            return Err(e.into());
-        }
+            Err(e) => Some(e),
+        };
         // Backlog at its largest: everything arrived, nothing matched yet.
         self.observe_queues();
         let before = self.completed.len();
@@ -549,7 +555,7 @@ impl MatchingService {
         self.observe_queues();
         let done = self.completed.len() - before;
         self.counts.completions += done as u64;
-        Ok(done)
+        dead.map_or(Ok(done), |e| Err(e.into()))
     }
 
     /// Submits one staged arrival into the backend's command queue. A full
@@ -732,6 +738,7 @@ mod tests {
     use super::*;
     use crate::bounce::BouncePool;
     use crate::rdma::{connected_pair, eager_packet, rendezvous_packet, QueuePair};
+    use crate::reliable::ReliableSender;
     use otm_base::{CommHints, CommId, Rank, SourceSel, Tag};
 
     impl MatchingService {
@@ -911,6 +918,38 @@ mod tests {
             svc.progress(),
             Err(ServiceError::Nic(NicError::Rdma(RdmaError::Disconnected)))
         ));
+    }
+
+    #[test]
+    fn a_dropped_queue_pair_keeps_what_it_sent_and_the_pairs_behind_it_deliver() {
+        let (tx, _domain, mut svc) = setup("otm");
+        let (tx2, rx2) = connected_pair();
+        svc.nic_mut().add_qp(rx2);
+        let (mut gone, mut live) = (ReliableSender::new(tx), ReliableSender::new(tx2));
+        let first = svc.post_recv(ReceivePattern::exact(Rank(0), Tag(1)));
+        let second = svc.post_recv(ReceivePattern::exact(Rank(1), Tag(2)));
+        gone.send(eager_packet(env(0, 1), vec![1])).unwrap();
+        live.send(eager_packet(env(1, 2), vec![2])).unwrap();
+        drop(gone);
+        let disconnected = |polled| {
+            matches!(
+                polled,
+                Err(ServiceError::Nic(NicError::Rdma(RdmaError::Disconnected)))
+            )
+        };
+        assert!(disconnected(svc.progress()));
+        let done: Vec<_> = svc
+            .take_completed()
+            .into_iter()
+            .map(|c| (c.recv, c.data))
+            .collect();
+        assert_eq!(
+            done,
+            [(first.unwrap(), vec![1]), (second.unwrap(), vec![2])]
+        );
+        live.poll().unwrap();
+        assert_eq!(live.unacked(), 0, "the live pair was acked");
+        assert!(disconnected(svc.progress()), "the dead pair stays dead");
     }
 
     #[test]

@@ -13,12 +13,14 @@
 //!    subsequent runs, since parsing is the analyzer's most expensive step.
 //! 2. **Processing** ([`mod@replay`]) — the per-rank operation streams are
 //!    split into what each rank's matcher sees, in global time order
-//!    ([`AppTrace::split`]), and replayed rank-major through one real engine per rank
-//!    (`otm::SequentialOtm`, the three binned hash tables plus wildcard list
-//!    of §III-B), sized from that rank's own traffic. Only point-to-point
-//!    and progress operations are matched; collectives and one-sided
-//!    operations are counted for the call-distribution statistics and
-//!    otherwise ignored.
+//!    ([`AppTrace::split`], routed by [`model::route`]), and replayed
+//!    rank-major through one real engine (`otm::SequentialOtm`, the three
+//!    binned hash tables plus wildcard list of §III-B), sized for the
+//!    largest rank and reset before each. Only point-to-point and progress
+//!    operations are matched; collectives and one-sided operations are
+//!    counted for the call-distribution statistics and otherwise ignored.
+//!    The same walk hands back the matched pairs
+//!    ([`replay::matched_pairs`]), the end-to-end replay's oracle.
 //! 3. **Reporting** ([`report`]) — per-application statistics are formatted
 //!    as the rows behind Figs. 6 and 7 and dumped as JSON for downstream
 //!    plotting.

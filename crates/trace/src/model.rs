@@ -209,10 +209,35 @@ fn time_key(time: f64) -> u64 {
     }
 }
 
+/// The rank whose matcher an operation of `rank` feeds, in a trace whose
+/// ranks are below `ranks` ([`AppTrace::rank_bound`]): a receive posts and
+/// a progress point samples at `rank`, and a send arrives at its
+/// destination when that is below `ranks`. A collective or a one-sided
+/// operation feeds no matcher. This is the one place an operation is
+/// routed; both replays split the trace by it.
+pub fn route(rank: Rank, op: &MpiOp, ranks: usize) -> Option<usize> {
+    match *op {
+        MpiOp::Irecv { .. } | MpiOp::Recv { .. } | MpiOp::Wait { .. } | MpiOp::Waitall { .. } => {
+            Some(rank.0 as usize)
+        }
+        MpiOp::Isend { dest, .. } | MpiOp::Send { dest, .. } => {
+            Some(dest.0 as usize).filter(|&dest| dest < ranks)
+        }
+        MpiOp::Collective { .. } | MpiOp::OneSided { .. } => None,
+    }
+}
+
 impl AppTrace {
     /// Number of processes in the trace.
     pub fn processes(&self) -> usize {
         self.ranks.len()
+    }
+
+    /// One past the highest rank of the trace (0 for no rank): the matchers
+    /// a replay routes to, rank `r`'s being `r`.
+    pub fn rank_bound(&self) -> usize {
+        let bound = self.ranks.iter().map(|r| r.rank.0 as usize + 1).max();
+        bound.unwrap_or(0)
     }
 
     /// Total operation count.
@@ -435,21 +460,6 @@ mod tests {
         assert_eq!(merged, merged_ops_by_stable_sort(&trace));
     }
 
-    /// Where the split tests send an operation: a receive or a progress
-    /// point to its own rank, a send to its destination below `n`.
-    fn destination(rank: Rank, op: &MpiOp, n: usize) -> Option<usize> {
-        match *op {
-            MpiOp::Irecv { .. }
-            | MpiOp::Recv { .. }
-            | MpiOp::Wait { .. }
-            | MpiOp::Waitall { .. } => Some(rank.0 as usize),
-            MpiOp::Isend { dest, .. } | MpiOp::Send { dest, .. } => {
-                Some(dest.0 as usize).filter(|&d| d < n)
-            }
-            MpiOp::Collective { .. } | MpiOp::OneSided { .. } => None,
-        }
-    }
-
     /// An operation as a split test sees it: its rank, its time's bits (a
     /// NaN equals itself) and the operation.
     type Seen = (Rank, u64, MpiOp);
@@ -461,13 +471,15 @@ mod tests {
     /// Asserts that the split equals `merged_ops` redistributed: every
     /// operation pushed, in merged order, to the stream it feeds.
     fn assert_split_equals_merged_ops(trace: &AppTrace) {
-        let n = trace.ranks.iter().map(|r| r.rank.0 as usize + 1).max();
-        let n = n.unwrap_or(0);
-        let route = |rank, t: &TimedOp| destination(rank, &t.op, n);
-        let split = trace.split(n, route, |_, rank, t| seen(rank, t));
+        let n = trace.rank_bound();
+        let split = trace.split(
+            n,
+            |rank, t| route(rank, &t.op, n),
+            |_, rank, t| seen(rank, t),
+        );
         let mut merged: Vec<Vec<Seen>> = vec![Vec::new(); n];
         for (rank, t) in trace.merged_ops() {
-            if let Some(dest) = destination(rank, &t.op, n) {
+            if let Some(dest) = route(rank, &t.op, n) {
                 merged[dest].push(seen(rank, &t));
             }
         }

@@ -18,15 +18,22 @@
 //! The order is [`AppTrace::split`]'s, the one order of the trace: time,
 //! then rank, then program index, on a time key that orders every float
 //! (`model.rs` derives it; this module takes no float's bits). The split
-//! hands each rank its own events in that order without merging the
-//! trace as a whole; [`AppTrace::merged_ops`], which does, is the split's
-//! test reference.
+//! hands each rank its own events in that order, routed by
+//! [`crate::model::route`], without merging the trace as a whole;
+//! [`AppTrace::merged_ops`], which does, is the split's test reference.
+//!
+//! The per-rank walk is the workspace's one engine replay of a trace. It
+//! numbers each rank's receives and messages in its own post and arrival
+//! order and places every match by receive ([`Placement`]), so
+//! [`matched_pairs`] hands back the pairs the end-to-end replay
+//! (`dpa_sim::app_replay`) must reproduce over a wire: that replay's
+//! oracle is this walk.
 
-use crate::model::{AppTrace, CallKind, MpiOp, TimedOp};
-use mpi_matching::{MatchStats, Matcher, MsgHandle, RecvHandle};
+use crate::model::{route, AppTrace, CallKind, MpiOp, TimedOp};
+use mpi_matching::{ArriveResult, MatchStats, Matcher, MsgHandle, PostResult, RecvHandle};
 use otm::SequentialOtm;
 use otm_base::hash::IntHasher;
-use otm_base::{Envelope, MatchConfig, Rank, ReceivePattern};
+use otm_base::{Envelope, MatchConfig, ReceivePattern};
 use otm_metrics::{json_fields, HistogramSnapshot};
 use std::collections::HashSet;
 use std::hash::BuildHasherDefault;
@@ -148,6 +155,12 @@ pub struct AppReport {
 json_fields!(AppReport: name, processes, bins, call_dist, match_stats, mean_queue_depth,
     max_queue_depth, avg_empty_bin_fraction, tag_usage, final_prq, final_umq, datapoints);
 
+/// A matched (receive, message) pair, numbered per destination rank:
+/// `(destination, receive, message)`, where `receive` is the receive's
+/// position in the destination's post stream and `message` the message's
+/// position in its arrival stream.
+pub type MatchedPair = (u32, u64, u64);
+
 /// One rank's share of the trace.
 #[derive(Debug, Clone, Copy)]
 enum Event {
@@ -155,31 +168,25 @@ enum Event {
     Post(ReceivePattern),
     /// A message addressed to the rank.
     Arrive(Envelope),
-    /// A progress point of the rank's own (`Wait`/`Waitall`), carrying the
-    /// index of its sample in (rank, program index) order.
-    Progress(usize),
+    /// A progress point of the rank's own (`Wait`/`Waitall`).
+    Progress,
 }
 
 /// Replays an application trace with the given bin count.
 ///
 /// Matchers of different ranks never interact: a rank's matcher sees only
 /// its own posts and the arrivals addressed to it, in global time order. So
-/// a pass over the trace in any order counts calls and tags;
-/// [`AppTrace::split`] hands each rank its events in that order (the trace
-/// is never merged as a whole), counting each rank's posts and arrivals as
-/// it goes; and they are replayed rank by
-/// rank through one engine, sized for the largest rank and reset before
-/// each (a reset engine reads as new, and a larger table changes no count). A
-/// progress point samples the same state rank-major as it would
-/// interleaved, and the samples are summed in global time order, the order
-/// an interleaved replay takes them in.
+/// a pass over the trace in any order counts calls and tags, and the ranks
+/// are replayed one after another by [`matched_pairs`]' walk, through one
+/// engine sized for the largest rank and reset before each (a reset engine
+/// reads as new, and a larger table changes no count). A progress point
+/// samples the same state rank-major as it would interleaved, and the
+/// samples are summed as they are taken. With one communicator and a
+/// power-of-two bin count every sample is a dyadic fraction, so that sum is
+/// exact, whatever its order; with another bin count, or several
+/// communicators, the mean may differ from a sum in global time order in
+/// its last bits.
 pub fn replay(trace: &AppTrace, config: &ReplayConfig) -> AppReport {
-    let n = trace
-        .ranks
-        .iter()
-        .map(|r| r.rank.0 as usize + 1)
-        .max()
-        .unwrap_or(0);
     let mut dist = CallDistribution::default();
     // Distinct tags and (source, tag) pairs. A pair is two words, so both
     // reach the low bits of its hash, which pick its bucket.
@@ -210,91 +217,8 @@ pub fn replay(trace: &AppTrace, config: &ReplayConfig) -> AppReport {
             }
         }
     }
-
-    // The engine's table holds the most receives any rank posts, and its
-    // store the most messages that reach any rank.
-    let (mut posts, mut arrivals) = (vec![0usize; n], vec![0usize; n]);
-    let mut datapoints = 0usize;
-    let per_rank = trace.split(
-        n,
-        |rank, t| route(rank, &t.op, n),
-        |dest, rank, &TimedOp { op, .. }| match op {
-            MpiOp::Irecv { src, tag, comm, .. } | MpiOp::Recv { src, tag, comm, .. } => {
-                posts[dest] += 1;
-                Event::Post(ReceivePattern { src, tag, comm })
-            }
-            MpiOp::Isend { tag, comm, .. } | MpiOp::Send { tag, comm, .. } => {
-                arrivals[dest] += 1;
-                Event::Arrive(Envelope {
-                    src: rank,
-                    tag,
-                    comm,
-                })
-            }
-            _ => {
-                // Progress point: snapshot the data-structure state (§V-A).
-                datapoints += 1;
-                Event::Progress(datapoints - 1)
-            }
-        },
-    );
-
-    // Each sample lands in its slot, in (rank, program index) order.
-    let mut empty_bin_fractions = vec![0.0f64; datapoints];
-    let mut merged = MatchStats::new();
-    let mut final_prq = 0usize;
-    let mut final_umq = 0usize;
-    let mut next_recv = 0u64;
-    let mut next_msg = 0u64;
-    let max_posts = posts.into_iter().fold(1, usize::max);
-    let max_arrivals = arrivals.into_iter().fold(1, usize::max);
-    let engine_config = MatchConfig::default()
-        .with_bins(config.bins)
-        .with_block_threads(1)
-        .with_max_receives(max_posts)
-        .with_max_unexpected(max_arrivals);
-    let mut engine = SequentialOtm::new(engine_config).expect("replay engine configuration");
-    let mut rank_events = HistogramSnapshot::empty();
-    for events in per_rank.iter().filter(|events| !events.is_empty()) {
-        rank_events.record(events.len() as u64);
-        engine.reset().expect("a sequential engine queues nothing");
-        for &event in events {
-            match event {
-                Event::Post(pattern) => {
-                    engine
-                        .post(pattern, RecvHandle(next_recv))
-                        .expect("the table holds every receive the rank posts");
-                    next_recv += 1;
-                }
-                Event::Arrive(env) => {
-                    engine
-                        .arrive(env, MsgHandle(next_msg))
-                        .expect("the store holds every message the rank receives");
-                    next_msg += 1;
-                }
-                Event::Progress(sample) => {
-                    empty_bin_fractions[sample] = engine.prq_empty_bin_fraction();
-                }
-            }
-        }
-        merged.merge(engine.stats());
-        final_prq += engine.prq_len();
-        final_umq += engine.umq_len();
-    }
-
     AppReport {
-        name: trace.name.clone(),
-        processes: trace.processes(),
-        bins: config.bins,
-        mean_queue_depth: merged.mean_depth(),
-        max_queue_depth: merged.max_depth(),
         call_dist: dist,
-        match_stats: merged,
-        avg_empty_bin_fraction: if datapoints == 0 {
-            1.0
-        } else {
-            in_time_order(trace, &empty_bin_fractions).sum::<f64>() / datapoints as f64
-        },
         tag_usage: TagUsage {
             distinct_tags: tags.len(),
             distinct_src_tag_pairs: src_tag_pairs.len(),
@@ -304,6 +228,113 @@ pub fn replay(trace: &AppTrace, config: &ReplayConfig) -> AppReport {
                 wildcard_recvs as f64 / recv_count as f64
             },
         },
+        ..walk(trace, config.bins, None)
+    }
+}
+
+/// Every matched pair of the trace at `bins` bins, sorted (destination,
+/// then receive): the walk [`replay`] takes, its receives and messages
+/// numbered per destination, without the progress points' samples.
+pub fn matched_pairs(trace: &AppTrace, bins: usize) -> Vec<MatchedPair> {
+    let mut pairs = Vec::new();
+    walk(trace, bins, Some(&mut pairs));
+    pairs
+}
+
+/// The one per-rank replay of a trace: [`AppTrace::split`] hands each rank
+/// its events, counting its posts and arrivals, and the ranks go through
+/// one engine in turn. With `pairs` it appends every rank's matched pairs
+/// there, in receive order, and routes no progress point; without, it
+/// samples each. Its report holds all but the call and tag counts.
+fn walk(trace: &AppTrace, bins: usize, mut pairs: Option<&mut Vec<MatchedPair>>) -> AppReport {
+    let n = trace.rank_bound();
+    let sample = pairs.is_none();
+    let routed = |rank, t: &TimedOp| match t.op {
+        MpiOp::Wait { .. } | MpiOp::Waitall { .. } if !sample => None,
+        op => route(rank, &op, n),
+    };
+    // The engine's table holds the most receives any rank posts, and its
+    // store the most messages that reach any rank.
+    let (mut posts, mut arrivals) = (vec![0usize; n], vec![0usize; n]);
+    let mut datapoints = 0usize;
+    let per_rank = trace.split(n, routed, |dest, rank, &TimedOp { op, .. }| match op {
+        MpiOp::Irecv { src, tag, comm, .. } | MpiOp::Recv { src, tag, comm, .. } => {
+            posts[dest] += 1;
+            Event::Post(ReceivePattern { src, tag, comm })
+        }
+        MpiOp::Isend { tag, comm, .. } | MpiOp::Send { tag, comm, .. } => {
+            arrivals[dest] += 1;
+            Event::Arrive(Envelope::new(rank, tag, comm))
+        }
+        _ => {
+            // Progress point: snapshot the data-structure state (§V-A).
+            datapoints += 1;
+            Event::Progress
+        }
+    });
+
+    let mut merged = MatchStats::new();
+    let (mut final_prq, mut final_umq) = (0usize, 0usize);
+    let mut empty_bin_sum = 0.0f64;
+    let engine_config = MatchConfig::default()
+        .with_bins(bins)
+        .with_block_threads(1)
+        .with_max_receives(posts.iter().copied().fold(1, usize::max))
+        .with_max_unexpected(arrivals.into_iter().fold(1, usize::max));
+    let mut engine = SequentialOtm::new(engine_config).expect("replay engine configuration");
+    let mut placed = Placement::default();
+    let mut rank_events = HistogramSnapshot::empty();
+    for (dest, events) in per_rank.iter().enumerate() {
+        if events.is_empty() {
+            continue;
+        }
+        rank_events.record(events.len() as u64);
+        engine.reset().expect("a sequential engine queues nothing");
+        placed.arm(posts[dest]);
+        let (mut next_recv, mut next_msg) = (0u64, 0u64);
+        for &event in events {
+            match event {
+                Event::Post(pattern) => {
+                    let posted = engine.post(pattern, RecvHandle(next_recv));
+                    let posted = posted.expect("the table holds every receive the rank posts");
+                    if let PostResult::Matched(msg) = posted {
+                        placed.place(next_recv, msg.0);
+                    }
+                    next_recv += 1;
+                }
+                Event::Arrive(env) => {
+                    let arrived = engine.arrive(env, MsgHandle(next_msg));
+                    let arrived = arrived.expect("the store holds every message the rank receives");
+                    if let ArriveResult::Matched(recv) = arrived {
+                        placed.place(recv.0, next_msg);
+                    }
+                    next_msg += 1;
+                }
+                Event::Progress => empty_bin_sum += engine.prq_empty_bin_fraction(),
+            }
+        }
+        if let Some(pairs) = pairs.as_deref_mut() {
+            placed.write_out(dest as u32, pairs);
+        }
+        merged.merge(engine.stats());
+        final_prq += engine.prq_len();
+        final_umq += engine.umq_len();
+    }
+
+    AppReport {
+        name: trace.name.clone(),
+        processes: trace.processes(),
+        bins,
+        call_dist: CallDistribution::default(),
+        mean_queue_depth: merged.mean_depth(),
+        max_queue_depth: merged.max_depth(),
+        match_stats: merged,
+        avg_empty_bin_fraction: if datapoints == 0 {
+            1.0
+        } else {
+            empty_bin_sum / datapoints as f64
+        },
+        tag_usage: TagUsage::default(),
         final_prq,
         final_umq,
         datapoints,
@@ -311,34 +342,39 @@ pub fn replay(trace: &AppTrace, config: &ReplayConfig) -> AppReport {
     }
 }
 
-/// The rank an operation of `rank` feeds: a receive or a progress point is
-/// its own rank's, a send is its destination's when that is below `n`.
-fn route(rank: Rank, op: &MpiOp, n: usize) -> Option<usize> {
-    match *op {
-        MpiOp::Irecv { .. } | MpiOp::Recv { .. } | MpiOp::Wait { .. } | MpiOp::Waitall { .. } => {
-            Some(rank.0 as usize)
-        }
-        MpiOp::Isend { dest, .. } | MpiOp::Send { dest, .. } => {
-            Some(dest.0 as usize).filter(|&dest| dest < n)
-        }
-        MpiOp::Collective { .. } | MpiOp::OneSided { .. } => None,
-    }
+/// One destination's matched pairs, placed in receive order: entry `r`
+/// holds the message receive `r` matched, once it has. A destination
+/// numbers its receives `0..posts` in post order, so its pairs come out of
+/// the table sorted, and destinations go in ascending order, so the pairs
+/// of a whole replay are sorted without a sort. A receive completes once: a
+/// second completion is a fault of the path that reported it, and panics
+/// before it can overwrite the first.
+#[derive(Debug, Default)]
+pub struct Placement {
+    msgs: Vec<Option<u64>>,
 }
 
-/// The progress points' samples in global time order: the trace's progress
-/// points, numbered in (rank, program index) order as [`replay`] numbers
-/// them, split as one stream.
-fn in_time_order<'a>(trace: &AppTrace, samples: &'a [f64]) -> impl Iterator<Item = &'a f64> {
-    let mut next = 0;
-    let progress = |_, t: &TimedOp| (t.op.kind() == CallKind::Progress).then_some(0);
-    let order = trace.split(1, progress, |_, _, _| {
-        next += 1;
-        next - 1
-    });
-    order
-        .into_iter()
-        .flatten()
-        .map(move |sample| &samples[sample])
+impl Placement {
+    /// Empties the table for a destination that posts `posts` receives.
+    pub fn arm(&mut self, posts: usize) {
+        self.msgs.clear();
+        self.msgs.resize(posts, None);
+    }
+
+    /// Places the completion of receive `recv` by message `msg`.
+    pub fn place(&mut self, recv: u64, msg: u64) {
+        let entry = &mut self.msgs[recv as usize];
+        if let Some(first) = *entry {
+            panic!("receive {recv} completed twice: by message {first}, then by {msg}");
+        }
+        *entry = Some(msg);
+    }
+
+    /// Appends the destination's pairs to `pairs`, in receive order.
+    pub fn write_out(&self, dest: u32, pairs: &mut Vec<MatchedPair>) {
+        let placed = self.msgs.iter().enumerate();
+        pairs.extend(placed.filter_map(|(recv, msg)| msg.map(|msg| (dest, recv as u64, msg))));
+    }
 }
 
 #[cfg(test)]
@@ -594,6 +630,117 @@ pub(crate) mod tests {
         assert_eq!(report.datapoints, 8 * 300);
         let matched = report.match_stats.matched_on_arrival + report.match_stats.matched_on_post;
         assert_eq!(matched, 8 * 300, "every message finds its receive");
+    }
+
+    #[test]
+    fn the_walk_hands_back_each_destinations_pairs_in_receive_order() {
+        // Rank 1's two receives match rank 0's two messages in turn.
+        let pairs = matched_pairs(&two_rank_trace(), 128);
+        assert_eq!(pairs, [(1, 0, 0), (1, 1, 1)]);
+        assert_eq!(pairs, matched_pairs(&two_rank_trace(), 1));
+    }
+
+    #[test]
+    fn a_rank_of_progress_points_only_yields_no_pair_and_samples_empty_bins() {
+        let wait = |time| TimedOp {
+            time,
+            op: MpiOp::Wait { request: ReqId(0) },
+        };
+        let trace = AppTrace {
+            name: "waits".into(),
+            ranks: vec![RankTrace {
+                rank: Rank(0),
+                ops: vec![wait(0.0), wait(1.0), wait(2.0)],
+            }],
+        };
+        assert!(matched_pairs(&trace, 128).is_empty());
+        for bins in [1, 32, 128] {
+            let report = replay(&trace, &ReplayConfig { bins });
+            assert_eq!(report.datapoints, 3);
+            // Three samples of at most 1.0 average 1.0 only if each reads it.
+            assert_eq!(report.avg_empty_bin_fraction, 1.0, "{bins} bins");
+        }
+    }
+
+    #[test]
+    fn a_wildcard_receive_takes_the_oldest_matching_message() {
+        // Rank 1 is sent tag 9 by rank 0, then tag 5 by rank 2, then tag 5
+        // by rank 0, all before it posts. Its any-source tag-5 receive
+        // takes rank 2's message (the oldest tag 5), and its any-source
+        // any-tag receive the oldest left, rank 0's tag 9.
+        let send = |time, dest: u32, tag: u32| TimedOp {
+            time,
+            op: MpiOp::Send {
+                dest: Rank(dest),
+                tag: Tag(tag),
+                comm: CommId::WORLD,
+                count: 1,
+            },
+        };
+        let recv = |time, tag: TagSel| TimedOp {
+            time,
+            op: MpiOp::Recv {
+                src: SourceSel::Any,
+                tag,
+                comm: CommId::WORLD,
+                count: 1,
+            },
+        };
+        let trace = AppTrace {
+            name: "oldest".into(),
+            ranks: vec![
+                RankTrace {
+                    rank: Rank(0),
+                    ops: vec![send(0.5, 1, 9), send(2.0, 1, 5)],
+                },
+                RankTrace {
+                    rank: Rank(1),
+                    ops: vec![recv(3.0, TagSel::Tag(Tag(5))), recv(4.0, TagSel::Any)],
+                },
+                RankTrace {
+                    rank: Rank(2),
+                    ops: vec![send(1.0, 1, 5)],
+                },
+            ],
+        };
+        for bins in [1, 32, 128] {
+            assert_eq!(matched_pairs(&trace, bins), [(1, 0, 1), (1, 1, 0)]);
+        }
+    }
+
+    #[test]
+    fn placement_lists_pairs_in_receive_order_and_refuses_a_second_completion() {
+        let mut placed = Placement::default();
+        placed.arm(4);
+        for (recv, msg) in [(2, 0), (0, 1), (3, 2)] {
+            placed.place(recv, msg);
+        }
+        let duplicate = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            placed.place(0, 3);
+        }));
+        let message = duplicate.expect_err("a second completion of receive 0");
+        assert_eq!(
+            message.downcast_ref::<String>().map(String::as_str),
+            Some("receive 0 completed twice: by message 1, then by 3")
+        );
+        let never_posted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            placed.place(4, 3);
+        }));
+        assert!(never_posted.is_err(), "receive 4 was never posted");
+        let mut pairs = vec![(0, 5, 5)];
+        placed.write_out(1, &mut pairs);
+        assert_eq!(
+            pairs,
+            [(0, 5, 5), (1, 0, 1), (1, 2, 0), (1, 3, 2)],
+            "the first completion stands; receive 1 never matched"
+        );
+        placed.arm(1);
+        placed.place(0, 0);
+        assert_eq!(
+            placed.msgs,
+            [Some(0)],
+            "a re-armed table forgets the last destination"
+        );
     }
 
     #[test]

@@ -3,11 +3,15 @@
 //! and on the locks of the stack.
 //!
 //! `replay_app` builds its NIC, service, engine and queue-pair + sender set
-//! once and re-arms them for each destination, and its oracle resets one
-//! sequential engine, so each constructor appears at most once in
-//! `app_replay.rs` outside its tests: a second call site is a
-//! per-destination rebuild coming back. The analyzer resets one engine for
-//! every rank, so `replay.rs` builds it once.
+//! once and re-arms them for each destination, so each constructor appears
+//! at most once in `app_replay.rs` outside its tests: a second call site is
+//! a per-destination rebuild coming back. The analyzer resets one engine
+//! for every rank, so `replay.rs` builds it once, and its per-rank walk is
+//! also `replay_app`'s matched-pairs oracle: one file of the trace and
+//! `dpa-sim` crates builds a `SequentialOtm`, one defines the receive-order
+//! placement table, and the routing of an operation and the sum of the
+//! progress samples have no second copy (`fn destination(`,
+//! `in_time_order`).
 //!
 //! The trace has one global order, derived in one place: the time key and
 //! the split of `crates/trace/src/model.rs` (`AppTrace::split`), which
@@ -193,6 +197,45 @@ fn one_endpoint_set_and_one_pass_per_destination_in_the_replays() {
     let rdma = source("crates/dpa-sim/src/rdma.rs");
     let reserve = rdma.lines().find(|line| line.contains("reserve"));
     assert!(reserve.is_none(), "rdma.rs: {reserve:?}");
+}
+
+#[test]
+fn one_engine_replay_of_a_trace() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = rust_files(&root.join("crates/trace/src"));
+    files.extend(rust_files(&root.join("crates/dpa-sim/src")));
+    let mut constructing = Vec::new();
+    let mut placing = Vec::new();
+    for file in &files {
+        let text = read(file);
+        if outside_tests(&text).any(|line| line.contains("SequentialOtm::new")) {
+            constructing.push(file.display().to_string());
+        }
+        if outside_tests(&text).any(|line| line.contains("struct Placement")) {
+            placing.push(file.display().to_string());
+        }
+        for pat in ["in_time_order", "fn destination("] {
+            let found = text.lines().find(|line| line.contains(pat));
+            assert!(
+                found.is_none(),
+                "{}: {found:?}, but an operation is routed by \
+                 `otm_trace::model::route` alone and the progress samples are \
+                 summed as the walk takes them",
+                file.display()
+            );
+        }
+    }
+    assert_eq!(
+        constructing.len(),
+        1,
+        "one file replays a trace through a `SequentialOtm` (the analyzer's \
+         walk, which is also the matched-pairs oracle): {constructing:?}"
+    );
+    assert_eq!(
+        placing.len(),
+        1,
+        "one receive-order placement table: {placing:?}"
+    );
 }
 
 #[test]
@@ -613,11 +656,11 @@ fn every_library_crate_denies_unreachable_pub() {
 const CEILINGS: [(&str, usize); 8] = [
     ("base", 1148),
     ("bench", 1096),
-    ("dpa-sim", 4031),
+    ("dpa-sim", 3951),
     ("metrics", 1238),
     ("mpi-matching", 2028),
     ("otm", 3308),
-    ("trace", 1628),
+    ("trace", 1691),
     ("workloads", 1252),
 ];
 
